@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke loadtest-smoke loadtest-chaos loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale docs-check logcheck check clean
+.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke bench-ledger-smoke loadtest-smoke loadtest-chaos loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale docs-check logcheck check clean
 
 all: check
 
@@ -47,12 +47,14 @@ fuzz-smoke:
 # rather than a hand-maintained enumeration, so a new package is gated
 # from the day it lands: the scoring-critical packages carry their
 # recorded floors, everything else the default. A package with no test
-# files fails outright.
+# files fails outright. The floors below are the only copy — CI calls
+# this target. Recorded after the one-match-path deletions:
+# internal/index measured 91.9 %, internal/core 99.5 %.
 COVER_FLOOR_DEFAULT = 55.0
 cover-check:
 	@$(GO) test -cover $$($(GO) list ./internal/...) | awk ' \
-		BEGIN { floor["expertfind/internal/index"]=91.0; \
-		        floor["expertfind/internal/core"]=98.2; \
+		BEGIN { floor["expertfind/internal/index"]=91.5; \
+		        floor["expertfind/internal/core"]=99.0; \
 		        floor["expertfind/internal/loadgen"]=85.0; \
 		        floor["expertfind/internal/ingest"]=92.0 } \
 		{ print } \
@@ -66,6 +68,15 @@ cover-check:
 # bit-rot in the instrumented hot paths without a full bench run.
 bench-smoke:
 	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/
+
+# bench-ledger-smoke runs the performance ledger's own tests. bench/
+# is a nested module, so `go test ./...` from the root never compiles
+# it; this is what catches a change to the surface it builds against
+# (index.Searcher, core.Finder, index.Store, the facade). It runs every
+# workload at a tiny size; the seed-11 ranking pins are checked by a
+# full `bash bench/run.sh --workload … --seed 11` run.
+bench-ledger-smoke:
+	cd bench && $(GO) test .
 
 # loadtest-smoke runs the deterministic load harness in simulated
 # time against both drivers, writes BENCH_4.run.json, and fails on a
@@ -157,9 +168,9 @@ docs-check:
 
 # check is what CI runs: formatting, static analysis, build, the
 # race-enabled test suite (which subsumes the plain one), the bench
-# smoke, the load-test SLO and cache gates, the coverage floors, and
-# the documentation gates.
-check: fmt vet build race bench-smoke loadtest-smoke loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale cover-check docs-check logcheck
+# smokes (index benchmarks and the ledger's own tests), the load-test
+# SLO and cache gates, the coverage floors, and the documentation gates.
+check: fmt vet build race bench-smoke bench-ledger-smoke loadtest-smoke loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale cover-check docs-check logcheck
 
 clean:
 	$(GO) clean ./...

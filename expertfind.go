@@ -572,8 +572,8 @@ func (s *System) Experts(domain string) ([]string, error) {
 func (s *System) Stats() Stats {
 	ds := s.inner.DS
 	shards := 1
-	if ps, ok := s.inner.Finder.Index().(index.ParallelSearcher); ok {
-		shards = ps.NumShards()
+	if sh, ok := s.inner.Finder.Index().(*index.Sharded); ok {
+		shards = sh.NumShards()
 	}
 	return Stats{
 		Candidates:  len(ds.Candidates),

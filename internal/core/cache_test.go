@@ -45,12 +45,6 @@ func TestParamsFingerprint(t *testing.T) {
 		t.Errorf("network order changed fingerprint: %q vs %q", a, b)
 	}
 
-	// ScoreWorkers never changes the ranking, so it must not split
-	// cache entries.
-	if (Params{ScoreWorkers: 4}).Fingerprint() != zero {
-		t.Error("ScoreWorkers changed the fingerprint")
-	}
-
 	// Every ranking-relevant knob must produce a distinct fingerprint.
 	variants := map[string]Params{
 		"alpha":       {Alpha: 0.3},

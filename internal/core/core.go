@@ -88,14 +88,6 @@ type Params struct {
 	// DistanceWeights override wr per distance; the zero value
 	// selects DefaultDistanceWeights.
 	DistanceWeights [3]float64
-	// ScoreWorkers bounds the index-scoring worker pool for this
-	// query when the finder's index is sharded
-	// (index.ParallelSearcher): 0 keeps the index's own
-	// GOMAXPROCS-sized default, 1 forces sequential shard scoring,
-	// larger values allow up to that many concurrent shard scorers.
-	// Ignored for non-sharded indexes. Results are identical for any
-	// value — the knob trades latency against CPU, never output.
-	ScoreWorkers int
 	// TopK, when positive, bounds the relevant-resource list to the k
 	// best-ranked reachable matches, letting the index prune documents
 	// that provably cannot enter the top k (MaxScore early
@@ -143,10 +135,7 @@ func (p Params) window(matches int) int {
 // same semantics share a fingerprint: implicit defaults resolve to
 // their effective values (a zero Alpha to DefaultAlpha, zero weights
 // to DefaultDistanceWeights, a zero WindowSize to DefaultWindowSize),
-// and traversal networks are order-insensitive. ScoreWorkers is
-// deliberately excluded — it trades latency against CPU but never
-// changes the output (the sharded-scoring bit-equality guarantee), so
-// queries differing only in worker bound share cache entries.
+// and traversal networks are order-insensitive.
 func (p Params) Fingerprint() string {
 	w := p.weights()
 	var win string
@@ -244,10 +233,9 @@ type Finder struct {
 	rcmCache map[string]map[socialgraph.ResourceID][]socialgraph.CandidateDistance
 }
 
-// NewFinder assembles a Finder. ix is either a monolithic
-// *index.Index or an *index.Sharded (the Params.ScoreWorkers knob
-// applies to the latter). candidates is the expert-candidate pool CE;
-// nil selects every candidate user in the graph.
+// NewFinder assembles a Finder over any index.Searcher (monolithic,
+// sharded or segment store). candidates is the expert-candidate pool
+// CE; nil selects every candidate user in the graph.
 func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline, candidates []socialgraph.UserID) *Finder {
 	if candidates == nil {
 		candidates = g.Candidates()
@@ -308,36 +296,18 @@ func (f *Finder) Graph() *socialgraph.Graph { return f.graph }
 // Index returns the underlying resource index.
 func (f *Finder) Index() index.Searcher { return f.index }
 
-// score runs Eq. (1) matching, honoring the per-query worker bound
-// when the index supports parallel shard scoring.
-func (f *Finder) score(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	if p.ScoreWorkers != 0 {
-		if ps, ok := f.index.(index.ParallelSearcher); ok {
-			return ps.ScoreWorkers(need, p.alpha(), p.ScoreWorkers)
-		}
-	}
-	return f.index.Score(need, p.alpha())
-}
-
 // scoreMatches produces the relevant-resource list: Eq. (1) matches
-// restricted to the reachable set. With TopK set, the reachability
-// filter rides into the index as the accept predicate so the pruned
-// evaluation bounds exactly the list the pipeline consumes; the result
-// is byte-identical to the exhaustive filtered ranking truncated to k.
-func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	if p.TopK <= 0 {
-		return filterReachable(f.score(need, p), rcm)
-	}
+// restricted to the reachable set, bounded to the TopK best when set.
+// Reachability always rides into the index as the accept predicate, so
+// unreachable documents are never accumulated and a pruned evaluation
+// bounds exactly the list the pipeline consumes. A nil st plans against
+// the index's own statistics; a shard process passes the global view.
+func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, st index.CollectionStats, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
 	accept := func(d index.DocID) bool {
 		_, ok := rcm[d]
 		return ok
 	}
-	if p.ScoreWorkers != 0 {
-		if ps, ok := f.index.(index.ParallelSearcher); ok {
-			return ps.ScoreTopKWorkers(need, p.alpha(), p.ScoreWorkers, p.TopK, accept)
-		}
-	}
-	return f.index.ScoreTopK(need, p.alpha(), p.TopK, accept)
+	return f.index.ScoreStatsTopK(need, p.alpha(), st, p.TopK, accept)
 }
 
 // Pipeline returns the analysis pipeline.
@@ -413,7 +383,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	matches := f.scoreMatches(need, p, rcm)
+	matches := f.scoreMatches(need, p, nil, rcm)
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttr("matches", strconv.Itoa(len(matches)))
 	sp.End()
@@ -432,19 +402,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 // before window truncation (but after the TopK bound, when one is
 // set).
 func (f *Finder) Matches(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	return f.scoreMatches(need, p, f.reachability(p.Traversal))
-}
-
-// filterReachable restricts scored resources to those present in the
-// reachability map, preserving order.
-func filterReachable(scored []index.ScoredDoc, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	matches := scored[:0:0]
-	for _, sd := range scored {
-		if _, ok := rcm[sd.Doc]; ok {
-			matches = append(matches, sd)
-		}
-	}
-	return matches
+	return f.scoreMatches(need, p, nil, f.reachability(p.Traversal))
 }
 
 // RankFromMatches applies window truncation and the expert scoring
@@ -455,24 +413,35 @@ func (f *Finder) RankFromMatches(matches []index.ScoredDoc, p Params) []ExpertSc
 
 // rankMatches is the Eq. (3) aggregation over an already-computed
 // reachability map.
-//
-// Determinism: scores accumulate in matches-slice × reachability-list
-// order (both deterministic), map iteration appears only when
-// assembling the output, and the final sort's comparator is a total
-// order (UserID is unique), so repeated calls are byte-identical. The
-// matching side holds the same contract (see index.queryPlan).
 func rankMatches(matches []index.ScoredDoc, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance, p Params) []ExpertScore {
-	n := p.window(len(matches))
-	if n > len(matches) {
-		n = len(matches)
+	return rank(len(matches), func(i int) (float64, []socialgraph.CandidateDistance) {
+		return matches[i].Score, rcm[matches[i].Doc]
+	}, p)
+}
+
+// rank is the one Eq. (3) aggregator: window truncation, per-expert
+// score accumulation weighted by distance, and the (descending score,
+// ascending user) sort. match(i) yields the i-th relevant resource's
+// score and the candidates it is reachable from.
+//
+// Determinism: scores accumulate in match × candidate-list order (both
+// deterministic), map iteration appears only when assembling the
+// output, and the final sort's comparator is a total order (UserID is
+// unique), so repeated calls are byte-identical. The matching side
+// holds the same contract (see index.queryPlan).
+func rank(nMatches int, match func(i int) (float64, []socialgraph.CandidateDistance), p Params) []ExpertScore {
+	n := p.window(nMatches)
+	if n > nMatches {
+		n = nMatches
 	}
 	w := p.weights()
 
 	scores := make(map[socialgraph.UserID]float64)
 	support := make(map[socialgraph.UserID]int)
-	for _, sd := range matches[:n] {
-		for _, cd := range rcm[sd.Doc] {
-			scores[cd.Candidate] += sd.Score * w[cd.Distance]
+	for i := 0; i < n; i++ {
+		score, cands := match(i)
+		for _, cd := range cands {
+			scores[cd.Candidate] += score * w[cd.Distance]
 			support[cd.Candidate]++
 		}
 	}

@@ -21,11 +21,9 @@ package core
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"time"
 
-	"expertfind/internal/analysis"
 	"expertfind/internal/index"
 	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
@@ -95,7 +93,11 @@ type ShardMatch struct {
 // from the candidate pool, and annotate each match with its
 // candidate/distance evidence. Matches come back in the global
 // ranking order (descending score, ascending doc), ready for a k-way
-// merge with the other shards' lists.
+// merge with the other shards' lists. With TopK set the shard prunes to
+// its local top k of the reachable set — a shard's slice of the global
+// top k is always within the shard's local top k, so the coordinator's
+// merge of these prefixes, truncated to k, is byte-identical to the
+// single-process bounded ranking.
 func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st index.CollectionStats) []ShardMatch {
 	mQueries.Inc()
 	tr := telemetry.TraceFrom(ctx)
@@ -112,12 +114,10 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	scored := f.scoreStats(a, p, st, rcm)
-	out := make([]ShardMatch, 0, len(scored))
-	for _, sd := range scored {
-		if cands, ok := rcm[sd.Doc]; ok {
-			out = append(out, ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: cands})
-		}
+	scored := f.scoreMatches(a, p, st, rcm)
+	out := make([]ShardMatch, len(scored))
+	for i, sd := range scored {
+		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: rcm[sd.Doc]}
 	}
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttr("matches", strconv.Itoa(len(out)))
@@ -125,75 +125,14 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	return out
 }
 
-// scoreStats is score under an explicit collection view, honoring the
-// per-query worker bound when the index supports it. With TopK set
-// (and a stats-capable index), the shard prunes to its local top k of
-// the reachable set — a shard's slice of the global top k is always
-// within the shard's local top k, so the coordinator's merge of these
-// prefixes, truncated to k, is byte-identical to the single-process
-// bounded ranking.
-func (f *Finder) scoreStats(need analysis.Analyzed, p Params, st index.CollectionStats, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	alpha := p.EffectiveAlpha()
-	if k := p.TopK; k > 0 {
-		accept := func(d index.DocID) bool {
-			_, ok := rcm[d]
-			return ok
-		}
-		if p.ScoreWorkers != 0 {
-			if sh, ok := f.index.(*index.Sharded); ok {
-				return sh.ScoreStatsTopKWorkers(need, alpha, st, p.ScoreWorkers, k, accept)
-			}
-		}
-		if ss, ok := f.index.(index.StatsSearcher); ok {
-			return ss.ScoreStatsTopK(need, alpha, st, k, accept)
-		}
-		return f.index.ScoreTopK(need, alpha, k, accept)
-	}
-	if p.ScoreWorkers != 0 {
-		if sh, ok := f.index.(*index.Sharded); ok {
-			return sh.ScoreStatsWorkers(need, alpha, st, p.ScoreWorkers)
-		}
-	}
-	if ss, ok := f.index.(index.StatsSearcher); ok {
-		return ss.ScoreStats(need, alpha, st)
-	}
-	return f.index.Score(need, alpha)
-}
-
 // RankMerged is the coordinator-side Eq. (3) aggregation over the
-// k-way-merged shard matches: window truncation, per-expert score
-// accumulation weighted by distance, and the (descending score,
-// ascending user) total-order sort. It mirrors rankMatches exactly —
-// the accumulation runs in merged-match × candidate-list order, which
-// over a complete merge equals the single-process addition order —
-// so healthy-topology rankings are bit-identical to Finder.Find.
+// k-way-merged shard matches. It runs the same aggregator as the
+// single-process finder — the accumulation runs in merged-match ×
+// candidate-list order, which over a complete merge equals the
+// single-process addition order — so healthy-topology rankings are
+// bit-identical to Finder.Find.
 func RankMerged(matches []ShardMatch, p Params) []ExpertScore {
-	n := p.window(len(matches))
-	if n > len(matches) {
-		n = len(matches)
-	}
-	w := p.weights()
-
-	scores := make(map[socialgraph.UserID]float64)
-	support := make(map[socialgraph.UserID]int)
-	for _, m := range matches[:n] {
-		for _, cd := range m.Cands {
-			scores[cd.Candidate] += m.Score * w[cd.Distance]
-			support[cd.Candidate]++
-		}
-	}
-
-	out := make([]ExpertScore, 0, len(scores))
-	for u, s := range scores {
-		if s > 0 {
-			out = append(out, ExpertScore{User: u, Score: s, Resources: support[u]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].User < out[j].User
-	})
-	return out
+	return rank(len(matches), func(i int) (float64, []socialgraph.CandidateDistance) {
+		return matches[i].Score, matches[i].Cands
+	}, p)
 }

@@ -222,53 +222,3 @@ func TestRankMergedEdgeCases(t *testing.T) {
 		t.Fatalf("zero-weight RankMerged = %v, want empty", got)
 	}
 }
-
-// noStats hides the concrete index behind the plain Searcher
-// interface, forcing scoreStats down its local-stats fallback path.
-type noStats struct{ index.Searcher }
-
-// TestShardMatchesScoreFallbacks covers the three scoreStats
-// dispatches: the sharded worker-bounded path, the StatsSearcher path
-// (exercised by the differential test), and the plain-Score fallback,
-// which must agree when the "global" view is the local one.
-func TestShardMatchesScoreFallbacks(t *testing.T) {
-	full, _ := buildFigure1(t)
-	const need = "who is the best at freestyle swimming?"
-	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-
-	// Self-global stats: one shard holding the whole corpus.
-	st := full.NeedStats(need)
-	global := index.GlobalStats{Docs: st.Docs, TermDF: st.TermDF}
-	for e, df := range st.EntityDF {
-		if global.EntityDF == nil {
-			global.EntityDF = make(map[kb.EntityID]int, len(st.EntityDF))
-		}
-		global.EntityDF[e] += df
-	}
-	want := full.ShardMatches(context.Background(), need, p, global)
-	if len(want) == 0 {
-		t.Fatal("no matches from the StatsSearcher path")
-	}
-
-	// Worker-bounded sharded path.
-	mono, ok := full.Index().(*index.Index)
-	if !ok {
-		t.Fatalf("fixture index is %T, want *index.Index", full.Index())
-	}
-	sharded := NewFinder(full.Graph(), index.NewShardedFromIndex(mono, 3), full.Pipeline(), nil)
-	pw := p
-	pw.ScoreWorkers = 2
-	got := sharded.ShardMatches(context.Background(), need, pw, global)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded worker path diverges:\n got %v\nwant %v", got, want)
-	}
-
-	// Fallback path: the index type exposes no ScoreStats, so the
-	// shard scores with its local view — identical here because the
-	// local view is the global one.
-	plain := NewFinder(full.Graph(), noStats{mono}, full.Pipeline(), nil)
-	got = plain.ShardMatches(context.Background(), need, p, global)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback path diverges:\n got %v\nwant %v", got, want)
-	}
-}

@@ -67,29 +67,6 @@ func TestShardedFinderEquivalence(t *testing.T) {
 	}
 }
 
-// TestParamsScoreWorkers checks that the per-query worker bound never
-// changes output — on a sharded index any bound gives the sequential
-// ranking, and on a monolithic index the knob is ignored.
-func TestParamsScoreWorkers(t *testing.T) {
-	flat, _ := buildFigure1(t)
-	sharded := shardedClone(t, flat, 4)
-	const query = "freestyle swimming training"
-
-	base := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}, ScoreWorkers: 1}
-	want := sharded.Find(query, base)
-	for _, workers := range []int{0, 2, 16} {
-		p := base
-		p.ScoreWorkers = workers
-		assertExpertsBitIdentical(t, fmt.Sprintf("workers=%d", workers), want, sharded.Find(query, p))
-	}
-
-	flatBase := base
-	flatBase.ScoreWorkers = 0
-	flatWant := flat.Find(query, flatBase)
-	flatBase.ScoreWorkers = 8
-	assertExpertsBitIdentical(t, "flat ignores workers", flatWant, flat.Find(query, flatBase))
-}
-
 // TestFindDeterministicAcrossRuns guards against map-iteration-order
 // nondeterminism anywhere in the query path: the same query must
 // produce byte-identical rankings on every run, on both index kinds.
@@ -109,8 +86,8 @@ func TestFindDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestFindContextStress hammers one sharded Finder from many
-// goroutines with varying traversal and worker configs, exercising
-// the traversal cache and the shard worker pool concurrently (run
+// goroutines with varying traversal configs, exercising the
+// traversal cache and the shard worker pool concurrently (run
 // under -race). Every result must match its sequential reference.
 func TestFindContextStress(t *testing.T) {
 	flat, _ := buildFigure1(t)
@@ -140,9 +117,7 @@ func TestFindContextStress(t *testing.T) {
 			for iter := 0; iter < 25; iter++ {
 				qi := (g + iter) % len(queries)
 				pi := (g * 3) % len(params)
-				p := params[pi]
-				p.ScoreWorkers = g % 4
-				got := f.FindContext(ctx, queries[qi], p)
+				got := f.FindContext(ctx, queries[qi], params[pi])
 				ref := want[qi*len(params)+pi]
 				if len(got) != len(ref) {
 					t.Errorf("goroutine %d iter %d: %d experts, want %d", g, iter, len(got), len(ref))

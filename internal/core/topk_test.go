@@ -26,9 +26,8 @@ func assertMatchesBitIdentical(t *testing.T, label string, want, got []index.Sco
 
 // TestMatchesTopKBounded checks the TopK contract at the pipeline
 // layer: Matches with TopK = k is the first k of the exhaustive
-// reachable ranking, bit for bit, through every scoreMatches dispatch
-// — the plain Searcher, the worker-bounded ParallelSearcher, and a
-// sharded index without a worker bound.
+// reachable ranking, bit for bit, on a monolithic and on a sharded
+// index.
 func TestMatchesTopKBounded(t *testing.T) {
 	f, _ := buildFigure1(t)
 	need := f.Pipeline().AnalyzeNeed("who is the best at freestyle swimming?")
@@ -48,15 +47,7 @@ func TestMatchesTopKBounded(t *testing.T) {
 		p := base
 		p.TopK = k
 		assertMatchesBitIdentical(t, fmt.Sprintf("k%d mono", k), want, f.Matches(need, p))
-
-		pw := p
-		pw.ScoreWorkers = 2
-		assertMatchesBitIdentical(t, fmt.Sprintf("k%d sharded workers", k), want, sharded.Matches(need, pw))
 		assertMatchesBitIdentical(t, fmt.Sprintf("k%d sharded", k), want, sharded.Matches(need, p))
-
-		pw2 := p
-		pw2.ScoreWorkers = 2
-		assertMatchesBitIdentical(t, fmt.Sprintf("k%d mono workers", k), want, f.Matches(need, pw2))
 	}
 }
 
@@ -83,11 +74,10 @@ func TestFindTopKEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardMatchesTopK drives the scatter entrypoint under a TopK
-// bound through all three scoreStats dispatches: the worker-bounded
-// sharded path, the StatsSearcher path, and the plain-Searcher
-// fallback. All use the same (self-)global stats here, so every
-// dispatch must produce the exhaustive shard matches truncated to k.
+// TestShardMatchesTopK drives the scatter entrypoint on a monolithic
+// and a sharded index under the same (self-)global stats: every k,
+// the exhaustive k = 0 included, must produce the exhaustive shard
+// matches truncated to k.
 func TestShardMatchesTopK(t *testing.T) {
 	full, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
@@ -111,25 +101,19 @@ func TestShardMatchesTopK(t *testing.T) {
 		t.Fatalf("fixture index is %T, want *index.Index", full.Index())
 	}
 	sharded := NewFinder(full.Graph(), index.NewShardedFromIndex(mono, 3), full.Pipeline(), nil)
-	plain := NewFinder(full.Graph(), noStats{mono}, full.Pipeline(), nil)
 
-	for _, k := range []int{1, 2, len(exhaustive) + 5} {
+	for _, k := range []int{0, 1, 2, len(exhaustive) + 5} {
 		want := exhaustive
-		if k < len(want) {
+		if k > 0 && k < len(want) {
 			want = want[:k]
 		}
 		p := base
 		p.TopK = k
 		if got := full.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d stats path:\n got %v\nwant %v", k, got, want)
+			t.Fatalf("k%d mono:\n got %v\nwant %v", k, got, want)
 		}
-		pw := p
-		pw.ScoreWorkers = 2
-		if got := sharded.ShardMatches(context.Background(), need, pw, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d sharded worker path:\n got %v\nwant %v", k, got, want)
-		}
-		if got := plain.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d fallback path:\n got %v\nwant %v", k, got, want)
+		if got := sharded.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k%d sharded:\n got %v\nwant %v", k, got, want)
 		}
 	}
 }

@@ -42,9 +42,7 @@ import (
 // Blocks are canonical — every block holds exactly blockSize postings
 // except the last — and the writer re-blocks from fully sorted
 // postings, so two indexes over the same documents serialize
-// byte-identically regardless of build order or shard layout. The
-// reader still accepts version 1 (flat delta-encoded postings, no
-// skip entries) and rebuilds the blocks itself.
+// byte-identically regardless of build order or shard layout.
 
 const (
 	codecMagic   = "EFIX"
@@ -136,8 +134,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadIndex deserializes an index previously written with WriteTo.
-// Both the current blocked format (version 2) and the original flat
-// format (version 1) are accepted.
+// Any version other than the current blocked format is refused as an
+// unsupported version.
 func ReadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 
@@ -152,7 +150,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading version: %w", err)
 	}
-	if version != 1 && version != 2 {
+	if version != codecVersion {
 		return nil, fmt.Errorf("index: unsupported version %d", version)
 	}
 
@@ -179,9 +177,6 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		prev = d
 	}
 
-	if version == 1 {
-		return readV1Lists(br, ix, nDocs)
-	}
 	return readV2Lists(br, ix, nDocs)
 }
 
@@ -466,112 +461,6 @@ func readBlockData(br byteScanner, what string, b int) ([]byte, error) {
 		return nil, fmt.Errorf("index: reading block %d of %s: %w", b, what, err)
 	}
 	return data, nil
-}
-
-// readV1Lists decodes the original flat posting sections and rebuilds
-// the blocked in-memory layout.
-func readV1Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
-	nTerms, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading term count: %w", err)
-	}
-	if nTerms > 1<<31 {
-		return nil, fmt.Errorf("index: implausible term count %d", nTerms)
-	}
-	for i := uint64(0); i < nTerms; i++ {
-		tlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d length: %w", i, err)
-		}
-		if tlen > 1<<16 {
-			return nil, fmt.Errorf("index: implausible term length %d", tlen)
-		}
-		buf := make([]byte, tlen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
-		}
-		nPost, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading postings of %q: %w", buf, err)
-		}
-		if nPost > nDocs {
-			return nil, fmt.Errorf("index: term %q has %d postings for %d docs", buf, nPost, nDocs)
-		}
-		postings := make([]termPosting, nPost)
-		prevDoc := int64(0)
-		for j := range postings {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: posting %d of %q: %w", j, buf, err)
-			}
-			d := int64(delta)
-			if j > 0 {
-				d = prevDoc + int64(delta)
-			}
-			tf, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: tf of posting %d of %q: %w", j, buf, err)
-			}
-			if _, ok := ix.docs[DocID(d)]; !ok {
-				return nil, fmt.Errorf("index: term %q references unknown doc %d", buf, d)
-			}
-			postings[j] = termPosting{doc: DocID(d), tf: int32(tf)}
-			prevDoc = d
-		}
-		ix.terms[string(buf)] = newTermList(postings)
-	}
-
-	nEnts, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading entity count: %w", err)
-	}
-	if nEnts > 1<<31 {
-		return nil, fmt.Errorf("index: implausible entity count %d", nEnts)
-	}
-	var f8 [8]byte
-	for i := uint64(0); i < nEnts; i++ {
-		eid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading entity %d id: %w", i, err)
-		}
-		nPost, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading postings of entity %d: %w", eid, err)
-		}
-		if nPost > nDocs {
-			return nil, fmt.Errorf("index: entity %d has %d postings for %d docs", eid, nPost, nDocs)
-		}
-		postings := make([]entityPosting, nPost)
-		prevDoc := int64(0)
-		for j := range postings {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: posting %d of entity %d: %w", j, eid, err)
-			}
-			d := int64(delta)
-			if j > 0 {
-				d = prevDoc + int64(delta)
-			}
-			ef, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: ef of posting %d of entity %d: %w", j, eid, err)
-			}
-			if _, err := io.ReadFull(br, f8[:]); err != nil {
-				return nil, fmt.Errorf("index: dScore of posting %d of entity %d: %w", j, eid, err)
-			}
-			dScore := math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
-			if math.IsNaN(dScore) || dScore < 0 || dScore > 1 {
-				return nil, fmt.Errorf("index: entity %d posting %d has dScore %v outside [0,1]", eid, j, dScore)
-			}
-			if _, ok := ix.docs[DocID(d)]; !ok {
-				return nil, fmt.Errorf("index: entity %d references unknown doc %d", eid, d)
-			}
-			postings[j] = entityPosting{doc: DocID(d), ef: int32(ef), dScore: dScore}
-			prevDoc = d
-		}
-		ix.entities[kb.EntityID(eid)] = newEntityList(postings)
-	}
-	return ix, nil
 }
 
 // countWriter tracks bytes written and the first error.

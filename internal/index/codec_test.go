@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -223,6 +224,155 @@ func TestCodecRejectsInvalidDScore(t *testing.T) {
 	}
 	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
 		t.Error("NaN dScore accepted")
+	}
+}
+
+// rawWriter hand-encodes segment bytes field by field, so tests can
+// produce headers and layouts the real writer never emits.
+type rawWriter struct{ buf bytes.Buffer }
+
+func (w *rawWriter) uvarint(v uint64) {
+	var b [binary.MaxVarintLen64]byte
+	w.buf.Write(b[:binary.PutUvarint(b[:], v)])
+}
+
+func (w *rawWriter) f64(v float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	w.buf.Write(b[:])
+}
+
+// v2Segment hand-encodes a minimal version-2 segment so individual
+// fields can be corrupted precisely. The base layout is two docs
+// {5, 9}, one term "a" with postings (5, tf 2), (9, tf 1), and one
+// entity 3 with posting (5, ef 1, dScore 0.5); mutate tweaks one field
+// before encoding.
+type v2Segment struct {
+	nBlocksTerm   uint64 // block count declared for the term list
+	termCount     uint64 // postings count declared for the term list
+	blockN        uint64 // posting count declared for the term block
+	maxDocDelta   uint64 // declared block max doc (delta from base 0)
+	declMaxTF     uint64 // declared term block bound
+	byteLen       *int   // override the term block's byte length
+	firstDocDelta uint64 // first term posting's doc delta
+	secondDelta   uint64 // second term posting's doc delta (0 = regression)
+	entMaxW       float64
+	entDScore     float64
+	trailingByte  bool // append a stray byte inside the term block
+}
+
+func defaultV2() v2Segment {
+	return v2Segment{
+		nBlocksTerm: 1, termCount: 2, blockN: 2, maxDocDelta: 9, declMaxTF: 2,
+		firstDocDelta: 5, secondDelta: 4, entMaxW: 1.5, entDScore: 0.5,
+	}
+}
+
+func (s v2Segment) encode() []byte {
+	w := &rawWriter{}
+	w.buf.WriteString(codecMagic)
+	w.uvarint(2)
+	w.uvarint(2) // two docs: 5, 9
+	w.uvarint(5)
+	w.uvarint(4)
+
+	w.uvarint(1) // one term
+	w.uvarint(1)
+	w.buf.WriteString("a")
+	w.uvarint(s.termCount)
+	w.uvarint(s.nBlocksTerm)
+	w.uvarint(s.blockN)
+	w.uvarint(s.maxDocDelta)
+	w.uvarint(s.declMaxTF)
+	var block rawWriter
+	block.uvarint(s.firstDocDelta)
+	block.uvarint(2) // tf
+	block.uvarint(s.secondDelta)
+	block.uvarint(1) // tf
+	if s.trailingByte {
+		block.buf.WriteByte(0)
+	}
+	bl := block.buf.Len()
+	if s.byteLen != nil {
+		bl = *s.byteLen
+	}
+	w.uvarint(uint64(bl))
+	w.buf.Write(block.buf.Bytes())
+
+	w.uvarint(1) // one entity
+	w.uvarint(3)
+	w.uvarint(1) // count
+	w.uvarint(1) // blocks
+	w.uvarint(1) // block n
+	w.uvarint(5) // maxDocDelta
+	w.f64(s.entMaxW)
+	var eb rawWriter
+	eb.uvarint(5) // doc delta
+	eb.uvarint(1) // ef
+	eb.f64(s.entDScore)
+	w.uvarint(uint64(eb.buf.Len()))
+	w.buf.Write(eb.buf.Bytes())
+	return w.buf.Bytes()
+}
+
+// TestCodecV2RejectsBrokenSkipMetadata corrupts each load-bearing
+// field of a valid v2 segment in turn; the reader must reject every
+// variant — skip entries feed pruning proofs, so a segment whose
+// declared bounds disagree with its postings must never load.
+func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
+	if _, err := ReadIndex(bytes.NewReader(defaultV2().encode())); err != nil {
+		t.Fatalf("baseline v2 segment must load: %v", err)
+	}
+	three := 3
+	huge := blockSize * 33
+	cases := []struct {
+		name    string
+		mutate  func(*v2Segment)
+		wantErr string
+	}{
+		{"wrong block count", func(s *v2Segment) { s.nBlocksTerm = 2 }, "blocks for"},
+		{"count above docs", func(s *v2Segment) { s.termCount = 3 }, "postings for"},
+		{"oversized block", func(s *v2Segment) { s.blockN = blockSize + 1 }, "oversized"},
+		{"short block", func(s *v2Segment) { s.blockN = 1 }, "want"},
+		{"wrong max doc", func(s *v2Segment) { s.maxDocDelta = 8 }, "declares max doc"},
+		{"implausible max doc", func(s *v2Segment) { s.maxDocDelta = 1 << 33 }, "implausible max doc"},
+		{"wrong bound", func(s *v2Segment) { s.declMaxTF = 1 }, "declares bound"},
+		{"trailing bytes", func(s *v2Segment) { s.trailingByte = true }, "trailing"},
+		{"byte length lies", func(s *v2Segment) { s.byteLen = &three }, "bad tf"},
+		{"implausible byte length", func(s *v2Segment) { s.byteLen = &huge }, "implausible byte length"},
+		{"doc regression", func(s *v2Segment) { s.secondDelta = 0 }, "strictly ascending"},
+		{"unknown doc", func(s *v2Segment) { s.firstDocDelta = 6 }, "unknown doc"},
+		{"wrong entity bound", func(s *v2Segment) { s.entMaxW = 2 }, "declares bound"},
+		{"entity dScore range", func(s *v2Segment) { s.entDScore = 1.5; s.entMaxW = 2.5 }, "outside [0,1]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := defaultV2()
+			tc.mutate(&s)
+			_, err := ReadIndex(bytes.NewReader(s.encode()))
+			if err == nil {
+				t.Fatalf("corrupted segment (%s) accepted", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestCodecRejectsUnsupportedVersion covers the version gate: only
+// the current version loads. Version 1 (the retired flat format) and
+// a future version are both refused as unsupported.
+func TestCodecRejectsUnsupportedVersion(t *testing.T) {
+	for _, version := range []uint64{1, codecVersion + 1} {
+		w := &rawWriter{}
+		w.buf.WriteString(codecMagic)
+		w.uvarint(version)
+		w.uvarint(0)
+		if _, err := ReadIndex(bytes.NewReader(w.buf.Bytes())); err == nil ||
+			!strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d segment not rejected: %v", version, err)
+		}
 	}
 }
 

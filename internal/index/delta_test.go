@@ -111,6 +111,7 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 		shardeds := make([]*Sharded, len(shardCounts))
 		for i, n := range shardCounts {
 			shardeds[i] = NewSharded(n)
+			shardeds[i].workers = 1 + i%3 // sequential and pooled scoring both
 			shardeds[i].AddBatch(start)
 		}
 
@@ -139,9 +140,9 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 				for _, alpha := range alphas {
 					want := rebuild.Score(need, alpha)
 					assertScoredBitIdentical(t, "mono delta vs rebuild", want, mono.Score(need, alpha))
-					for i, s := range shardeds {
+					for _, s := range shardeds {
 						assertScoredBitIdentical(t, "sharded delta vs rebuild",
-							want, s.ScoreWorkers(need, alpha, 1+i%3))
+							want, s.Score(need, alpha))
 					}
 					for _, k := range ks {
 						wantK := want

@@ -64,9 +64,10 @@ func fuzzNeed(needText string, entitySeed uint32) analysis.Analyzed {
 // FuzzIndexScore throws arbitrary needs, alphas and ks at Score and
 // ScoreTopK and checks the ranking contract: ordered by (score desc,
 // doc asc), all scores positive and finite, every match indexed,
-// byte-identical on repetition, bit-identical between the sequential
-// index and a 3-shard split of the same documents, and the pruned
-// top-k bit-identical to the first k of the exhaustive ranking.
+// bit-identical to the naive oracle, byte-identical on repetition,
+// bit-identical between the sequential index and a 3-shard split of
+// the same documents, and the pruned top-k bit-identical to the first
+// k of the exhaustive ranking.
 func FuzzIndexScore(f *testing.F) {
 	// Seeds drawn from the synthetic corpus vocabulary and entity space.
 	f.Add("swim pool train", uint32(7), uint8(60), uint8(5))
@@ -95,6 +96,7 @@ func FuzzIndexScore(f *testing.F) {
 				t.Fatalf("ranking out of order at %d: %+v before %+v", i, got[i-1], sd)
 			}
 		}
+		assertScoredBitIdentical(t, "oracle", oracleTopK(flat, flat, need, alpha, 0, nil), got)
 		assertScoredBitIdentical(t, "repeat", got, flat.Score(need, alpha))
 		assertScoredBitIdentical(t, "sharded", got, sharded.Score(need, alpha))
 

@@ -45,10 +45,20 @@ var (
 // DocID identifies an indexed resource.
 type DocID = socialgraph.ResourceID
 
-// Searcher is the query-side index API shared by the monolithic Index
-// and the sharded variant: everything the expert-finding pipeline
-// needs to weight, match and persist a collection.
+// Searcher is the query-side index API shared by the monolithic Index,
+// the sharded variant and the segment store: everything the
+// expert-finding pipeline needs to weight, match and persist a
+// collection. All three score through one path (see search.go); Score
+// and ScoreTopK are ScoreStatsTopK with defaults filled in.
 type Searcher interface {
+	// Score evaluates Eq. (1) for every resource matching the analyzed
+	// need and returns the matches with positive score, ordered by
+	// descending score (ties broken by ascending DocID). Scores are
+	// accumulated in sorted term/entity order, so repeated calls return
+	// byte-identical results.
+	//
+	// alpha balances textual term matching (alpha = 1) against entity
+	// matching (alpha = 0); the paper settles on alpha = 0.6 (§3.3.2).
 	Score(need analysis.Analyzed, alpha float64) []ScoredDoc
 	// ScoreTopK is Score bounded to the k best-ranked documents:
 	// exactly Score's ranking truncated to its first k entries, byte
@@ -58,6 +68,13 @@ type Searcher interface {
 	// documents (the finder passes reachability membership), so the
 	// reference ranking is Score filtered by accept, then truncated.
 	ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc
+	// ScoreStatsTopK is ScoreTopK with the query planned against an
+	// explicit collection view instead of the index's own statistics
+	// (a nil st). The scatter serving layer uses it to score one shard
+	// slice under global (cross-process) weights: with st equal to the
+	// stats of the full collection, per-document scores are
+	// bit-identical to scoring the whole collection in one process.
+	ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc
 	NumDocs() int
 	Has(id DocID) bool
 	DocFreq(term string) int
@@ -67,37 +84,10 @@ type Searcher interface {
 	io.WriterTo
 }
 
-// ParallelSearcher is implemented by indexes whose scoring fans out
-// over document shards on a bounded worker pool.
-type ParallelSearcher interface {
-	Searcher
-	// ScoreWorkers is Score with an explicit bound on the number of
-	// concurrent shard scorers: 0 selects the index's own default,
-	// 1 forces fully sequential scoring.
-	ScoreWorkers(need analysis.Analyzed, alpha float64, workers int) []ScoredDoc
-	// ScoreTopKWorkers is ScoreTopK with the ScoreWorkers bound.
-	ScoreTopKWorkers(need analysis.Analyzed, alpha float64, workers, k int, accept func(DocID) bool) []ScoredDoc
-	// NumShards reports the shard count.
-	NumShards() int
-}
-
-// StatsSearcher is implemented by indexes that can score under an
-// externally supplied collection view (ScoreStats); both the
-// monolithic and the sharded index qualify. The scatter serving layer
-// requires it of a shard process's index.
-type StatsSearcher interface {
-	Searcher
-	ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc
-	// ScoreStatsTopK is ScoreStats bounded to the k best-ranked
-	// documents under the accept filter (see Searcher.ScoreTopK).
-	ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc
-}
-
 var (
-	_ Searcher         = (*Index)(nil)
-	_ ParallelSearcher = (*Sharded)(nil)
-	_ StatsSearcher    = (*Index)(nil)
-	_ StatsSearcher    = (*Sharded)(nil)
+	_ Searcher = (*Index)(nil)
+	_ Searcher = (*Sharded)(nil)
+	_ Searcher = (*Store)(nil)
 )
 
 type termPosting struct {
@@ -427,86 +417,20 @@ func planQuery(need analysis.Analyzed, alpha float64, st CollectionStats) queryP
 	return plan
 }
 
-// scorePlan walks this index's postings for an already-weighted plan
-// and returns the positive matches ordered by descending score (ties
-// broken by ascending DocID), plus the number of postings walked. The
-// plan's weights may come from a larger collection than this index
-// (the sharded path plans globally, scores per shard).
-func (ix *Index) scorePlan(plan queryPlan) ([]ScoredDoc, int) {
-	scores := make(map[DocID]float64)
-	postings := 0
-
-	for _, pt := range plan.terms {
-		l := ix.terms[pt.term]
-		if l == nil {
-			continue
-		}
-		postings += l.count
-		w := pt.w
-		l.forEach(func(p termPosting) {
-			scores[p.doc] += float64(p.tf) * w
-		})
-	}
-	for _, pe := range plan.entities {
-		l := ix.entities[pe.e]
-		if l == nil {
-			continue
-		}
-		postings += l.count
-		w := pe.w
-		l.forEach(func(p entityPosting) {
-			// Eq. 2: we(e,r) = 1 + dScore when the entity was
-			// recognized with positive confidence.
-			we := 0.0
-			if p.dScore > 0 {
-				we = 1 + p.dScore
-			}
-			scores[p.doc] += float64(p.ef) * w * we
-		})
-	}
-
-	out := make([]ScoredDoc, 0, len(scores))
-	for d, s := range scores {
-		if s > 0 {
-			out = append(out, ScoredDoc{Doc: d, Score: s})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return scoredLess(out[i], out[j]) })
-	return out, postings
-}
-
-// scoredLess is the one ranking comparator: descending score, ties
-// broken by ascending DocID. Document IDs are unique, so it is a total
-// order and every sort/merge over it is deterministic.
-func scoredLess(a, b ScoredDoc) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Doc < b.Doc
-}
-
-// Score evaluates Eq. (1) for every resource matching the analyzed
-// need and returns the matches with positive score, ordered by
-// descending score (ties broken by ascending DocID for determinism).
-// Scores are accumulated in sorted term/entity order, so repeated
-// calls return byte-identical results.
-//
-// alpha balances textual term matching (alpha = 1) against entity
-// matching (alpha = 0); the paper settles on alpha = 0.6 (§3.3.2).
+// Score implements Searcher.
 func (ix *Index) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return ix.ScoreStats(need, alpha, ix)
+	return ix.ScoreStatsTopK(need, alpha, nil, 0, nil)
 }
 
-// ScoreStats is Score with the query planned against an explicit
-// collection view instead of this index's own statistics. The scatter
-// serving layer uses it to score one shard slice under global
-// (cross-process) weights: with st equal to the stats of the full
-// collection, per-document scores are bit-identical to scoring the
-// whole collection in one process.
-func (ix *Index) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	out, postings := ix.scorePlan(planQuery(need, alpha, st))
-	mQueries.Inc()
-	mPostings.Add(float64(postings))
-	mMatches.Add(float64(len(out)))
-	return out
+// ScoreTopK implements Searcher.
+func (ix *Index) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
+	return ix.ScoreStatsTopK(need, alpha, nil, k, accept)
+}
+
+// ScoreStatsTopK implements Searcher: the whole index is the one part.
+func (ix *Index) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
+	if st == nil {
+		st = ix
+	}
+	return searchParts(planQuery(need, alpha, st), []part{{src: ix, accept: accept}}, k, 1)
 }

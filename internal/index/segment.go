@@ -89,10 +89,9 @@ func (p *posReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// OpenSegment opens and fully validates a sealed segment file. Only
-// the blocked v2 format qualifies as a segment (v1 carries no skip
-// metadata to validate against). forceStream disables mmap in favor of
-// positioned reads.
+// OpenSegment opens and fully validates a sealed segment file (the
+// blocked v2 format). forceStream disables mmap in favor of positioned
+// reads.
 func OpenSegment(path string, forceStream bool) (*SegmentReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -367,8 +366,8 @@ func (sr *SegmentReader) loadEntityList(e kb.EntityID) *entityList {
 }
 
 // planView materializes exactly the lists a query plan touches into an
-// ephemeral Index. The scorers (scorePlan / scorePlanTopK) read only
-// the term and entity maps, so scoring this view runs the identical
+// ephemeral Index. The scorer (scorePlanTopK) reads only the term and
+// entity maps, so scoring this view runs the identical
 // accumulation code — and produces bit-identical contributions — as an
 // in-memory index holding the same postings.
 func (sr *SegmentReader) planView(plan queryPlan) *Index {

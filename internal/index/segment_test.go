@@ -506,7 +506,7 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 
 // Accessor and explicit-stats paths: Dir/Path/Size on a sealed store,
 // IRF/EIRF parity with the monolith (including unseen dimensions),
-// and ScoreStats/ScoreStatsTopK under an external collection view —
+// and ScoreStatsTopK under an external collection view —
 // the shape the scatter coordinator scores shard slices with.
 func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	docs := randomDocs(5, 300, 0)
@@ -538,7 +538,7 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			label := fmt.Sprintf("stats q=%d α=%g", q, alpha)
 			assertScoredBitIdentical(t, label,
-				s.ScoreStats(need, alpha, mono), mono.ScoreStats(need, alpha, mono))
+				s.ScoreStatsTopK(need, alpha, mono, 0, nil), mono.ScoreStatsTopK(need, alpha, mono, 0, nil))
 			assertScoredBitIdentical(t, label+" k=5",
 				s.ScoreStatsTopK(need, alpha, mono, 5, nil),
 				mono.ScoreStatsTopK(need, alpha, mono, 5, nil))

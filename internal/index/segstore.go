@@ -168,9 +168,8 @@ func (g *storeSegment) mergeSrc(drop map[DocID]analysis.Analyzed) mergeSource {
 // Store is a disk-backed segmented index: a mutable in-memory
 // memtable absorbing writes, plus immutable sealed segments on disk,
 // scored together under collection-global statistics. It implements
-// Searcher and StatsSearcher with rankings bit-identical to a
-// monolithic Index over the same live documents, for any segment
-// layout:
+// Searcher with rankings bit-identical to a monolithic Index over the
+// same live documents, for any segment layout:
 //
 //   - planning folds per-segment document frequencies (minus
 //     tombstone corrections) into exact global stats, so the query
@@ -209,11 +208,6 @@ type Store struct {
 	stop chan struct{}
 	bg   sync.WaitGroup
 }
-
-var (
-	_ Searcher      = (*Store)(nil)
-	_ StatsSearcher = (*Store)(nil)
-)
 
 // NewStore creates or reopens a segment store rooted at dir. Existing
 // seg-*.seg files are opened (fully validated) and served; leftover
@@ -865,67 +859,35 @@ func (s *Store) EIRF(e kb.EntityID) float64 {
 	return irf(s.numDocsLocked(), df)
 }
 
-// scoreLocked runs one planned evaluation over every component. Each
-// component is scored with the shared scorePlanTopK code under the
-// segment's tombstone filter; per-component results merge with the
-// deterministic comparator. Live document sets are pairwise disjoint
-// (a document has exactly one non-tombstoned occurrence), so the
-// merge reproduces a monolithic evaluation exactly.
-func (s *Store) scoreLocked(plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	parts := make([][]ScoredDoc, 0, len(s.segs)+1)
-	var c topkCounters
-	out, pc := s.mem.scorePlanTopK(plan, k, accept)
-	c.add(pc)
-	parts = append(parts, out)
-	for _, g := range s.segs {
-		view := g.planView(plan)
-		out, pc := view.scorePlanTopK(plan, k, g.acceptFilter(accept))
-		c.add(pc)
-		parts = append(parts, out)
-	}
-	merged := mergeScored(parts)
-	if k > 0 && len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, c
+// Score implements Searcher over the live documents.
+func (s *Store) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
+	return s.ScoreStatsTopK(need, alpha, nil, 0, nil)
 }
 
-func (s *Store) score(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
+// ScoreTopK implements Searcher.
+func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
+	return s.ScoreStatsTopK(need, alpha, nil, k, accept)
+}
+
+// ScoreStatsTopK implements Searcher: the memtable and every segment
+// are the parts, each segment under its tombstone filter. Live
+// document sets are pairwise disjoint (a document has exactly one
+// non-tombstoned occurrence), so the merge reproduces a monolithic
+// evaluation exactly. Parts are scored in order on the caller's
+// goroutine, so only one segment's materialized lists are live at a
+// time.
+func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if st == nil {
 		st = storeStats{s}
 	}
-	out, c := s.scoreLocked(planQuery(need, alpha, st), k, accept)
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
-	return out
-}
-
-// Score evaluates Eq. (1) for every live resource matching the need
-// (see Index.Score).
-func (s *Store) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return s.score(need, alpha, nil, 0, nil)
-}
-
-// ScoreTopK is Score bounded to the k best-ranked documents under the
-// accept filter (see Searcher.ScoreTopK).
-func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.score(need, alpha, nil, k, accept)
-}
-
-// ScoreStats is Score with the query planned against an explicit
-// collection view (see Index.ScoreStats).
-func (s *Store) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	return s.score(need, alpha, st, 0, nil)
-}
-
-// ScoreStatsTopK is ScoreTopK under an explicit collection view.
-func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.score(need, alpha, st, k, accept)
+	parts := make([]part, 0, len(s.segs)+1)
+	parts = append(parts, part{src: s.mem, accept: accept})
+	for _, g := range s.segs {
+		parts = append(parts, part{src: g, accept: g.acceptFilter(accept)})
+	}
+	return searchParts(planQuery(need, alpha, st), parts, k, 1)
 }
 
 // WriteTo streams the live collection — memtable plus segments, minus

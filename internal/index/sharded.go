@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/kb"
@@ -37,6 +35,9 @@ type Doc struct {
 type shard struct {
 	mu sync.RWMutex
 	ix *Index
+	// scoreSeconds is this shard's series of the per-shard histogram,
+	// resolved once at construction.
+	scoreSeconds *telemetry.Histogram
 }
 
 // Sharded is an inverted index split into document-hash shards behind
@@ -53,7 +54,7 @@ type shard struct {
 // a mutation sees some consistent-per-shard interleaving of the two.
 // ApplyDelta is stronger: it holds the collection-wide write lock, so
 // queries running through the whole-collection entry points (Score,
-// ScoreTopK and their variants, Flatten/WriteTo) observe either the
+// ScoreTopK, ScoreStatsTopK, Flatten/WriteTo) observe either the
 // entire delta or none of it — never a torn mix of plan statistics
 // and postings.
 type Sharded struct {
@@ -77,7 +78,7 @@ func NewSharded(n int) *Sharded {
 	}
 	s := &Sharded{shards: make([]*shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &shard{ix: New()}
+		s.shards[i] = &shard{ix: New(), scoreSeconds: mShardScoreSeconds.With(strconv.Itoa(i))}
 	}
 	s.workers = runtime.GOMAXPROCS(0)
 	if s.workers > n {
@@ -374,118 +375,40 @@ func (s *Sharded) EIRF(e kb.EntityID) float64 {
 	return irf(s.NumDocs(), df)
 }
 
-// Score evaluates Eq. (1) like Index.Score, scoring shards
-// concurrently on the index's worker pool. Output is byte-identical
-// to the monolithic index over the same documents.
+// Score implements Searcher. Output is byte-identical to the
+// monolithic index over the same documents.
 func (s *Sharded) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return s.ScoreWorkers(need, alpha, 0)
+	return s.ScoreStatsTopK(need, alpha, nil, 0, nil)
 }
 
-// ScoreStats is Index.ScoreStats for the sharded index (pool-default
-// worker bound), satisfying StatsSearcher.
-func (s *Sharded) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	return s.ScoreStatsWorkers(need, alpha, st, 0)
-}
-
-// ScoreWorkers is Score with an explicit worker bound: 0 selects the
-// pool default (min(shards, GOMAXPROCS at construction)), 1 scores
-// shards sequentially, higher values allow up to that many concurrent
-// shard scorers (never more than one per shard).
-func (s *Sharded) ScoreWorkers(need analysis.Analyzed, alpha float64, workers int) []ScoredDoc {
-	return s.ScoreStatsWorkers(need, alpha, s, workers)
-}
-
-// ScoreStatsWorkers is ScoreWorkers with the query planned against an
-// explicit collection view (see Index.ScoreStats): the scatter layer
-// plans against cross-process global statistics while each shard
-// process scores only its own slice.
-func (s *Sharded) ScoreStatsWorkers(need analysis.Analyzed, alpha float64, st CollectionStats, workers int) []ScoredDoc {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	plan := planQuery(need, alpha, st)
-	live := s.liveShards(plan)
-
-	partials := make([][]ScoredDoc, len(live))
-	counts := make([]int, len(live))
-	s.forEachLiveShard(live, workers, func(pos, i int) {
-		partials[pos], counts[pos] = s.scoreShard(i, plan)
-	})
-
-	out := mergeScored(partials)
-	postings := 0
-	for _, c := range counts {
-		postings += c
-	}
-	mQueries.Inc()
-	mPostings.Add(float64(postings))
-	mMatches.Add(float64(len(out)))
-	return out
-}
-
-// ScoreTopK is Index.ScoreTopK for the sharded index: each live shard
-// runs its own pruned evaluation to a local top k, and the per-shard
-// prefixes k-way merge under scoredLess into the global prefix — a
-// document in the global top k is necessarily in its own shard's top
-// k, so the merged-and-truncated ranking is byte-identical to the
-// monolithic pruned (and hence exhaustive) ranking.
+// ScoreTopK implements Searcher.
 func (s *Sharded) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, s, 0, k, accept)
+	return s.ScoreStatsTopK(need, alpha, nil, k, accept)
 }
 
-// ScoreTopKWorkers is ScoreTopK with the ScoreWorkers worker bound.
-func (s *Sharded) ScoreTopKWorkers(need analysis.Analyzed, alpha float64, workers, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, s, workers, k, accept)
-}
-
-// ScoreStatsTopK is ScoreTopK with the query planned against an
-// explicit collection view, satisfying StatsSearcher.
+// ScoreStatsTopK implements Searcher: the live shards are the parts,
+// scored concurrently on the index's worker pool. Each shard runs its
+// own pruned evaluation to a local top k — a document in the global
+// top k is necessarily in its own shard's top k, so the merged and
+// truncated ranking is byte-identical to the monolithic one.
 func (s *Sharded) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, st, 0, k, accept)
-}
-
-// ScoreStatsTopKWorkers combines the explicit collection view, the
-// worker bound, and the top-k limit.
-func (s *Sharded) ScoreStatsTopKWorkers(need analysis.Analyzed, alpha float64, st CollectionStats, workers, k int, accept func(DocID) bool) []ScoredDoc {
 	s.global.RLock()
 	defer s.global.RUnlock()
+	if st == nil {
+		st = s
+	}
 	plan := planQuery(need, alpha, st)
-	live := s.liveShards(plan)
-
-	partials := make([][]ScoredDoc, len(live))
-	counters := make([]topkCounters, len(live))
-	s.forEachLiveShard(live, workers, func(pos, i int) {
-		t0 := time.Now()
-		sh := s.shards[i]
-		sh.mu.RLock()
-		partials[pos], counters[pos] = sh.ix.scorePlanTopK(plan, k, accept)
-		sh.mu.RUnlock()
-		mShardScoreSeconds.With(strconv.Itoa(i)).ObserveSince(t0)
-	})
-
-	out := mergeScored(partials)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	var c topkCounters
-	for _, ci := range counters {
-		c.add(ci)
-	}
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
-	return out
+	return searchParts(plan, s.liveParts(plan, accept), k, s.workers)
 }
 
-// liveShards returns the shards holding at least one posting of some
+// liveParts returns the shards holding at least one posting of some
 // planned dimension — the actual work items of this query. Sizing the
 // worker pool off this list (rather than the total shard count) keeps
 // a narrow query — a single rare term, say — from spinning up a full
 // pool of workers that immediately find nothing to do.
-func (s *Sharded) liveShards(plan queryPlan) []int {
-	live := make([]int, 0, len(s.shards))
-	for i, sh := range s.shards {
+func (s *Sharded) liveParts(plan queryPlan, accept func(DocID) bool) []part {
+	live := make([]part, 0, len(s.shards))
+	for _, sh := range s.shards {
 		sh.mu.RLock()
 		hit := false
 		for _, pt := range plan.terms {
@@ -504,86 +427,8 @@ func (s *Sharded) liveShards(plan queryPlan) []int {
 		}
 		sh.mu.RUnlock()
 		if hit {
-			live = append(live, i)
+			live = append(live, part{src: sh.ix, mu: &sh.mu, accept: accept, seconds: sh.scoreSeconds})
 		}
 	}
 	return live
-}
-
-// forEachLiveShard runs fn(pos, shard) for every live shard on at most
-// workers concurrent goroutines; workers <= 0 selects the pool default
-// and the bound never exceeds the number of live shards.
-func (s *Sharded) forEachLiveShard(live []int, workers int, fn func(pos, shard int)) {
-	if workers <= 0 {
-		workers = s.workers
-	}
-	if workers > len(live) {
-		workers = len(live)
-	}
-	if workers <= 1 {
-		for pos, i := range live {
-			fn(pos, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pos := int(next.Add(1) - 1)
-				if pos >= len(live) {
-					return
-				}
-				fn(pos, live[pos])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func (s *Sharded) scoreShard(i int, plan queryPlan) ([]ScoredDoc, int) {
-	t0 := time.Now()
-	sh := s.shards[i]
-	sh.mu.RLock()
-	out, postings := sh.ix.scorePlan(plan)
-	sh.mu.RUnlock()
-	mShardScoreSeconds.With(strconv.Itoa(i)).ObserveSince(t0)
-	return out, postings
-}
-
-// mergeScored k-way merges per-shard rankings that are each already
-// sorted by scoredLess. Shards hold disjoint documents, so the
-// comparator is a total order and the merge is the unique global
-// ranking — no re-sort, no nondeterminism.
-func mergeScored(lists [][]ScoredDoc) []ScoredDoc {
-	nonEmpty := lists[:0:0]
-	total := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			nonEmpty = append(nonEmpty, l)
-			total += len(l)
-		}
-	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0]
-	}
-	out := make([]ScoredDoc, 0, total)
-	heads := make([]int, len(nonEmpty))
-	for len(out) < total {
-		best := -1
-		for i, l := range nonEmpty {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best == -1 || scoredLess(l[heads[i]], nonEmpty[best][heads[best]]) {
-				best = i
-			}
-		}
-		out = append(out, nonEmpty[best][heads[best]])
-		heads[best]++
-	}
-	return out
 }

@@ -156,14 +156,20 @@ func TestScoreByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestScoreWorkersAnyBoundSameRanking checks that the worker bound
+// never changes output: sequential scoring, the pool default and
+// bounds past the shard count all give the same ranking.
 func TestScoreWorkersAnyBoundSameRanking(t *testing.T) {
 	docs := randomDocs(3, 250, 0)
 	sh := NewSharded(8)
 	sh.AddBatch(docs)
 	need := randomNeed(rand.New(rand.NewSource(9)))
-	base := sh.ScoreWorkers(need, 0.6, 1)
-	for _, workers := range []int{0, 2, 8, 64} {
-		assertScoredBitIdentical(t, fmt.Sprintf("workers=%d", workers), base, sh.ScoreWorkers(need, 0.6, workers))
+	poolDefault := sh.workers
+	sh.workers = 1
+	base := sh.Score(need, 0.6)
+	for _, workers := range []int{poolDefault, 2, 8, 64} {
+		sh.workers = workers
+		assertScoredBitIdentical(t, fmt.Sprintf("workers=%d", workers), base, sh.Score(need, 0.6))
 	}
 }
 
@@ -301,7 +307,7 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 					return
 				default:
 				}
-				got := sh.ScoreWorkers(need, 0.6, 1+g%3)
+				got := sh.Score(need, 0.6)
 				for j := 1; j < len(got); j++ {
 					if scoredLess(got[j], got[j-1]) {
 						t.Errorf("ranking out of order at %d", j)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"expertfind/internal/analysis"
 	"expertfind/internal/telemetry"
 )
 
@@ -58,7 +57,10 @@ func (c *topkCounters) add(o topkCounters) {
 	c.blocksSkipped += o.blocksSkipped
 }
 
-// topkAcc is the accumulator state of one pruned evaluation.
+// topkAcc is the accumulator state of one evaluation. It lives on the
+// scorer's stack; what only pruning uses (dead, scratch) is allocated
+// when k > 0 first needs it, so an exhaustive evaluation pays for the
+// score map alone.
 type topkAcc struct {
 	k      int
 	accept func(DocID) bool
@@ -69,20 +71,6 @@ type topkAcc struct {
 	theta   float64   // k-th largest current partial; -Inf until k exist
 	scratch []float64 // size-k min-heap reused across settle calls
 	topkCounters
-}
-
-func newTopkAcc(k int, accept func(DocID) bool) *topkAcc {
-	a := &topkAcc{
-		k:      k,
-		accept: accept,
-		scores: make(map[DocID]float64),
-		dead:   make(map[DocID]struct{}),
-		theta:  math.Inf(-1),
-	}
-	if k > 0 {
-		a.scratch = make([]float64, 0, k)
-	}
-	return a
 }
 
 // admits reports whether a document bounded by bound could still reach
@@ -127,6 +115,9 @@ func (a *topkAcc) settle(remNext float64) {
 	for d, v := range a.scores {
 		if (v+remNext)*boundSlack < a.theta {
 			delete(a.scores, d)
+			if a.dead == nil {
+				a.dead = make(map[DocID]struct{})
+			}
 			a.dead[d] = struct{}{}
 			a.pruned++
 		}
@@ -138,6 +129,9 @@ func (a *topkAcc) settle(remNext float64) {
 // of the multiset of values, so map iteration order cannot leak into
 // the threshold.
 func (a *topkAcc) kthLargest() float64 {
+	if a.scratch == nil {
+		a.scratch = make([]float64, 0, a.k)
+	}
 	h := a.scratch[:0]
 	for _, v := range a.scores {
 		if len(h) < a.k {
@@ -292,53 +286,54 @@ func (a *topkAcc) walkEntityList(l *entityList, w, remNext float64) {
 	}
 }
 
-// scorePlanTopK is scorePlan with MaxScore pruning: positive matches
-// under the accept filter, ordered by scoredLess, truncated to k.
-// k <= 0 disables both the bound and the pruning (θ never activates),
-// reducing to an exhaustive accept-filtered evaluation.
+// boundedList is one planned list this index holds postings for, with
+// its resolved weight and rem, the summed upper bound of every list
+// after it in plan order (terms first, then entities).
+type boundedList struct {
+	t   *termList
+	e   *entityList
+	w   float64
+	rem float64
+}
+
+// scorePlanTopK is the one scorer: it walks this index's postings for
+// an already-weighted plan and returns the positive matches under the
+// accept filter, ordered by scoredLess and truncated to k, plus the
+// work counters. The plan's weights may come from a larger collection
+// than this index (a shard or segment scored under global stats).
+// k <= 0 disables both the bound and the pruning (θ never activates):
+// an exhaustive accept-filtered evaluation.
 func (ix *Index) scorePlanTopK(plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	type boundedTerm struct {
-		l *termList
-		w float64
-	}
-	type boundedEnt struct {
-		l *entityList
-		w float64
-	}
-	terms := make([]boundedTerm, 0, len(plan.terms))
-	ents := make([]boundedEnt, 0, len(plan.entities))
+	lists := make([]boundedList, 0, len(plan.terms)+len(plan.entities))
 	for _, pt := range plan.terms {
 		if l := ix.terms[pt.term]; l != nil && l.count > 0 {
-			terms = append(terms, boundedTerm{l: l, w: pt.w})
+			lists = append(lists, boundedList{t: l, w: pt.w})
 		}
 	}
 	for _, pe := range plan.entities {
 		if l := ix.entities[pe.e]; l != nil && l.count > 0 {
-			ents = append(ents, boundedEnt{l: l, w: pe.w})
+			lists = append(lists, boundedList{e: l, w: pe.w})
+		}
+	}
+	rem := 0.0
+	for i := len(lists) - 1; i >= 0; i-- {
+		bl := &lists[i]
+		bl.rem = rem
+		if bl.t != nil {
+			rem += bl.t.maxW * bl.w
+		} else {
+			rem += bl.e.maxW * bl.w
 		}
 	}
 
-	// suffix[i] bounds the total contribution of lists i.. (terms
-	// first, then entities — plan order).
-	nLists := len(terms) + len(ents)
-	suffix := make([]float64, nLists+1)
-	for i := len(ents) - 1; i >= 0; i-- {
-		j := len(terms) + i
-		suffix[j] = suffix[j+1] + ents[i].l.maxW*ents[i].w
-	}
-	for i := len(terms) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + terms[i].l.maxW*terms[i].w
-	}
-
-	a := newTopkAcc(k, accept)
-	for i, bt := range terms {
-		a.walkTermList(bt.l, bt.w, suffix[i+1])
-		a.settle(suffix[i+1])
-	}
-	for i, be := range ents {
-		j := len(terms) + i
-		a.walkEntityList(be.l, be.w, suffix[j+1])
-		a.settle(suffix[j+1])
+	a := topkAcc{k: k, accept: accept, scores: make(map[DocID]float64), theta: math.Inf(-1)}
+	for _, bl := range lists {
+		if bl.t != nil {
+			a.walkTermList(bl.t, bl.w, bl.rem)
+		} else {
+			a.walkEntityList(bl.e, bl.w, bl.rem)
+		}
+		a.settle(bl.rem)
 	}
 
 	out := make([]ScoredDoc, 0, len(a.scores))
@@ -374,22 +369,4 @@ func uvarintSlow(b []byte) (uint64, int) {
 		v |= uint64(c&0x7f) << s
 	}
 	return 0, 0
-}
-
-// ScoreTopK evaluates Score bounded to the k best-ranked documents
-// (see Searcher.ScoreTopK for the contract).
-func (ix *Index) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return ix.ScoreStatsTopK(need, alpha, ix, k, accept)
-}
-
-// ScoreStatsTopK is ScoreTopK with the query planned against an
-// explicit collection view (see ScoreStats).
-func (ix *Index) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	out, c := ix.scorePlanTopK(planQuery(need, alpha, st), k, accept)
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
-	return out
 }

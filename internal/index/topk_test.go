@@ -20,20 +20,10 @@ import (
 // already proves byte-identical across shard counts.
 // ---------------------------------------------------------------------
 
-// exhaustiveTopK is the reference ranking: exhaustive Score, filtered
-// by accept, truncated to k (k <= 0 keeps everything).
+// exhaustiveTopK is the reference ranking under the index's own
+// statistics: the naive oracle, which shares no code with the scorer.
 func exhaustiveTopK(ix *Index, need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	full := ix.Score(need, alpha)
-	out := full[:0:0]
-	for _, sd := range full {
-		if accept == nil || accept(sd.Doc) {
-			out = append(out, sd)
-		}
-	}
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return oracleTopK(ix, ix, need, alpha, k, accept)
 }
 
 // scatterTopK simulates the scatter-gather path at the index layer:
@@ -83,10 +73,14 @@ func TestTopKDifferential(t *testing.T) {
 			docs := randomDocs(seed, 400, 0)
 			flat := flatFromDocs(docs)
 			shardeds := make([]*Sharded, len(topkShardCounts))
+			seqs := make([]*Sharded, len(topkShardCounts))
 			scatters := make([][]*Index, len(topkShardCounts))
 			for i, n := range topkShardCounts {
 				shardeds[i] = NewSharded(n)
 				shardeds[i].AddBatch(docs)
+				seqs[i] = NewSharded(n)
+				seqs[i].workers = 1
+				seqs[i].AddBatch(docs)
 				scatters[i] = splitByRoute(docs, n)
 			}
 			accepts := []func(DocID) bool{
@@ -109,7 +103,7 @@ func TestTopKDifferential(t *testing.T) {
 							for i, n := range topkShardCounts {
 								sg := shardeds[i].ScoreTopK(need, alpha, k, accept)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d", label, n), want, sg)
-								sw := shardeds[i].ScoreTopKWorkers(need, alpha, 1, k, accept)
+								sw := seqs[i].ScoreTopK(need, alpha, k, accept)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d seq", label, n), want, sw)
 								sc := scatterTopK(scatters[i], flat, need, alpha, k, accept)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s scatter%d", label, n), want, sc)
@@ -316,7 +310,7 @@ func TestShardedLivePoolSingleTerm(t *testing.T) {
 
 	need := analysis.Analyzed{Terms: map[string]int{"rareterm": 1}}
 	plan := planQuery(need, 1, s)
-	live := s.liveShards(plan)
+	live := s.liveParts(plan, nil)
 	if len(live) != 1 {
 		t.Fatalf("single-term plan reports %d live shards, want 1", len(live))
 	}
@@ -325,15 +319,16 @@ func TestShardedLivePoolSingleTerm(t *testing.T) {
 		t.Fatalf("reference ranking wrong: %+v", want)
 	}
 	assertScoredBitIdentical(t, "live pool", want, s.Score(need, 1))
-	assertScoredBitIdentical(t, "live pool workers", want, s.ScoreWorkers(need, 1, 8))
 	assertScoredBitIdentical(t, "live pool topk", want, s.ScoreTopK(need, 1, 5, nil))
+	s.workers = 8
+	assertScoredBitIdentical(t, "live pool workers", want, s.Score(need, 1))
 
 	// A need matching nothing must report no live shards and rank empty.
 	none := analysis.Analyzed{Terms: map[string]int{"neverindexedterm": 1}}
 	if got := s.Score(none, 1); len(got) != 0 {
 		t.Fatalf("unseen term matched %d docs", len(got))
 	}
-	if live := s.liveShards(planQuery(none, 1, s)); len(live) != 0 {
+	if live := s.liveParts(planQuery(none, 1, s), nil); len(live) != 0 {
 		t.Fatalf("unseen term reports %d live shards", len(live))
 	}
 }
