@@ -48,12 +48,12 @@ fuzz-smoke:
 # from the day it lands: the scoring-critical packages carry their
 # recorded floors, everything else the default. A package with no test
 # files fails outright. The floors below are the only copy — CI calls
-# this target. Recorded after the one-match-path deletions:
-# internal/index measured 91.9 %, internal/core 99.5 %.
+# this target. Recorded after the one-posting-list deletions:
+# internal/index measured 93.9 %, internal/core 99.5 %.
 COVER_FLOOR_DEFAULT = 55.0
 cover-check:
 	@$(GO) test -cover $$($(GO) list ./internal/...) | awk ' \
-		BEGIN { floor["expertfind/internal/index"]=91.5; \
+		BEGIN { floor["expertfind/internal/index"]=93.5; \
 		        floor["expertfind/internal/core"]=99.0; \
 		        floor["expertfind/internal/loadgen"]=85.0; \
 		        floor["expertfind/internal/ingest"]=92.0 } \

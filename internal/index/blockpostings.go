@@ -1,24 +1,35 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
+
+	"expertfind/internal/kb"
 )
 
-// Blocked posting lists. Each list keeps its postings in two regions:
+// The one blocked posting list. Eq. (1) sums over two kinds of
+// dimension — tf·irf² terms and ef·eirf²·we entities — and a kind is
+// data here, not a code path: a term list and an entity list are the
+// same type, differing only in the posting payload codec (append,
+// decodeRun and the block-bound encoding in codec.go, whose header is
+// the format specification). A list keeps its postings in two regions:
 //
 //   - a sealed region of fixed-size blocks, delta-encoded on ascending
-//     DocID (uvarint deltas, each block's base is the previous block's
-//     maximum doc id), with one skip entry per block recording the
-//     block's byte offset, posting count, maximum doc id and maximum
-//     weightless posting score;
-//   - a small unsorted tail of recent Add/Merge postings.
+//     DocID (each block's base is the previous block's maximum doc id),
+//     with one skip entry per block recording the block's byte offset,
+//     posting count, maximum doc id and maximum weightless score;
+//   - a small unsorted tail of recent Add/Merge postings, in the same
+//     byte encoding with absolute doc ids (a few bytes per posting).
 //
 // Sealing happens at build time (Add/Merge), never during scoring, so
 // concurrent Score calls stay read-only. The tail is folded into the
 // sealed region whenever it reaches max(blockSize, sealed/4) postings,
-// which keeps re-encoding amortized near O(n log n) over a build.
+// which keeps re-encoding amortized near O(n log n) over a build. The
+// sealed region is always canonical: blocks are cut every blockSize
+// postings of the fully sorted list, so two lists holding the same
+// postings encode byte-identically regardless of insertion history.
 //
 // The skip entries are what the top-k pruner consumes: the "weightless"
 // score of a posting is its contribution to Eq. (1) with the query
@@ -31,6 +42,137 @@ import (
 // per-block skip metadata (~32 bytes) a <2% overhead.
 const blockSize = 128
 
+// postingKind selects a list's payload codec.
+type postingKind uint8
+
+const (
+	termKind postingKind = iota
+	entityKind
+)
+
+// listKey names one posting list — a dictionary entry. Keys order
+// terms (lexicographic) before entities (ascending id): plan order,
+// and the order of the v2 file's two dictionary sections.
+type listKey struct {
+	term string      // termKind
+	ent  kb.EntityID // entityKind
+	kind postingKind
+}
+
+func termKey(t string) listKey        { return listKey{kind: termKind, term: t} }
+func entityKey(e kb.EntityID) listKey { return listKey{kind: entityKind, ent: e} }
+
+func keyLess(a, b listKey) bool {
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.kind == termKind {
+		return a.term < b.term
+	}
+	return a.ent < b.ent
+}
+
+// posting is the decoded form of one list entry. we is the Eq. (2)
+// factor the kind's codec resolves once: 1 for a term, 1+dScore for an
+// entity with positive disambiguation confidence, 0 otherwise. A
+// posting contributes float64(freq)·w·we to Eq. (1), left associated —
+// bit-identical to tf·w for a term — and weight() is that contribution
+// with the query weight w divided out.
+type posting struct {
+	doc    DocID
+	freq   int32   // tf or ef
+	dScore float64 // entities only
+	we     float64
+}
+
+func termPosting(doc DocID, tf int32) posting {
+	return posting{doc: doc, freq: tf, we: 1}
+}
+
+func entityPosting(doc DocID, ef int32, dScore float64) posting {
+	p := posting{doc: doc, freq: ef, dScore: dScore}
+	if dScore > 0 {
+		p.we = 1 + dScore
+	}
+	return p
+}
+
+func (p posting) weight() float64 { return float64(p.freq) * p.we }
+
+// append encodes one posting: docDelta uvarint, freq uvarint, and for
+// an entity the dScore as 8 bytes little endian.
+func (k postingKind) append(b []byte, docDelta uint64, p posting) []byte {
+	b = binary.AppendUvarint(b, docDelta)
+	b = binary.AppendUvarint(b, uint64(p.freq))
+	if k == entityKind {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.dScore))
+	}
+	return b
+}
+
+// decodeRun is the one posting decoder: it appends to dst the n
+// postings encoded at data[pos:] and returns the offset past them. In
+// a sealed block doc ids are deltas chained from base; tail postings
+// carry absolute ids (chained false, base 0). It never reads out of
+// bounds: a negative offset reports bytes that do not hold n
+// well-formed postings, which only unvalidated input can produce.
+func (k postingKind) decodeRun(dst []posting, data []byte, pos, n int, base DocID, chained bool) ([]posting, int) {
+	switch k {
+	case termKind:
+		for ; n > 0; n-- {
+			delta, m1 := uvarintAt(data, pos)
+			tf, m2 := uvarintAt(data, pos+m1)
+			if m1 == 0 || m2 == 0 {
+				return dst, -1
+			}
+			pos += m1 + m2
+			doc := base + DocID(delta)
+			if chained {
+				base = doc
+			}
+			dst = append(dst, termPosting(doc, int32(tf)))
+		}
+	case entityKind:
+		for ; n > 0; n-- {
+			delta, m1 := uvarintAt(data, pos)
+			ef, m2 := uvarintAt(data, pos+m1)
+			pos += m1 + m2
+			if m1 == 0 || m2 == 0 || pos+8 > len(data) {
+				return dst, -1
+			}
+			dScore := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
+			pos += 8
+			doc := base + DocID(delta)
+			if chained {
+				base = doc
+			}
+			dst = append(dst, entityPosting(doc, int32(ef), dScore))
+		}
+	}
+	return dst, pos
+}
+
+// uvarintAt is the one varint reader: it decodes a uvarint at
+// data[pos:], returning the value and its length, or length 0 for a
+// truncated or overlong encoding. Single-byte varints dominate delta
+// streams and take the inlined fast path.
+func uvarintAt(data []byte, pos int) (uint64, int) {
+	if pos >= len(data) {
+		return 0, 0
+	}
+	if b := data[pos]; b < 0x80 {
+		return uint64(b), 1
+	}
+	return uvarintSlow(data[pos:])
+}
+
+func uvarintSlow(b []byte) (uint64, int) {
+	if v, n := binary.Uvarint(b); n > 0 {
+		return v, n
+	}
+	return 0, 0
+}
+
 // blockMeta is one sealed block's skip entry.
 type blockMeta struct {
 	off    int     // byte offset of the block in the list's data
@@ -39,94 +181,66 @@ type blockMeta struct {
 	maxW   float64 // maximum weightless posting score in the block
 }
 
-// termList is a blocked posting list for one term.
-type termList struct {
+// postingList is a blocked posting list for one term or entity.
+type postingList struct {
+	kind   postingKind
 	data   []byte
 	blocks []blockMeta
-	tail   []termPosting
+	tail   []byte  // unsorted recent postings, absolute doc ids
 	count  int     // total postings, sealed + tail
-	maxW   float64 // list-wide maximum weightless score (max tf)
+	maxW   float64 // list-wide maximum weightless score
 }
 
-// entityList is a blocked posting list for one entity.
-type entityList struct {
-	data   []byte
-	blocks []blockMeta
-	tailE  []entityPosting
-	count  int
-	maxW   float64 // list-wide maximum weightless score (max ef·we)
-}
-
-// entityWeight is the weightless Eq. (1) contribution of an entity
-// posting: ef·we with we = 1+dScore for positive disambiguation
-// confidence, 0 otherwise (Eq. 2).
-func entityWeight(p entityPosting) float64 {
-	if p.dScore > 0 {
-		return float64(p.ef) * (1 + p.dScore)
+// sealed returns the number of postings in the sealed region. Blocks
+// are canonical, so only the last can be short.
+func (l *postingList) sealed() int {
+	if n := len(l.blocks); n > 0 {
+		return (n-1)*blockSize + l.blocks[n-1].n
 	}
 	return 0
 }
 
-// sealDue reports whether a tail of t postings over a list of count
-// total postings should be folded into the sealed region.
-func sealDue(t, count int) bool {
-	sealed := count - t
-	return t >= blockSize && t*4 >= sealed
-}
-
-func (l *termList) add(p termPosting) {
-	l.tail = append(l.tail, p)
+func (l *postingList) add(p posting) {
+	l.tail = l.kind.append(l.tail, uint64(p.doc), p)
 	l.count++
-	if w := float64(p.tf); w > l.maxW {
+	if w := p.weight(); w > l.maxW {
 		l.maxW = w
 	}
-	if sealDue(len(l.tail), l.count) {
-		l.seal()
+	// Fold the tail in once it holds max(blockSize, sealed/4) postings.
+	sealed := l.sealed()
+	if tail := l.count - sealed; tail >= blockSize && tail*4 >= sealed {
+		l.encode(l.sorted())
 	}
-}
-
-func (l *entityList) add(p entityPosting) {
-	l.tailE = append(l.tailE, p)
-	l.count++
-	if w := entityWeight(p); w > l.maxW {
-		l.maxW = w
-	}
-	if sealDue(len(l.tailE), l.count) {
-		l.seal()
-	}
-}
-
-// seal folds the tail into the sealed region: decode, merge, sort by
-// doc id, re-encode into fixed-size blocks.
-func (l *termList) seal() {
-	all := l.decodeAll()
-	l.encode(sortTermPostings(all))
-}
-
-func (l *entityList) seal() {
-	all := l.decodeAll()
-	l.encode(sortEntityPostings(all))
 }
 
 // decodeAll returns every posting, sealed region first (in doc order)
-// then the tail (in insertion order).
-func (l *termList) decodeAll() []termPosting {
-	out := make([]termPosting, 0, l.count)
-	l.forEach(func(p termPosting) { out = append(out, p) })
+// then the tail (in insertion order). A document appears at most once
+// per list.
+func (l *postingList) decodeAll() []posting {
+	out := make([]posting, 0, l.count)
+	sealed := l.sealed()
+	out, _ = l.kind.decodeRun(out, l.data, 0, sealed, 0, true)
+	out, _ = l.kind.decodeRun(out, l.tail, 0, l.count-sealed, 0, false)
 	return out
 }
 
-func (l *entityList) decodeAll() []entityPosting {
-	out := make([]entityPosting, 0, l.count)
-	l.forEach(func(p entityPosting) { out = append(out, p) })
-	return out
+// sorted returns every posting in ascending doc order — the canonical
+// form the codec serializes.
+func (l *postingList) sorted() []posting {
+	ps := l.decodeAll()
+	if len(l.tail) > 0 {
+		sortPostings(ps)
+	}
+	return ps
+}
+
+func sortPostings(ps []posting) {
+	slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.doc, b.doc) })
 }
 
 // encode rebuilds the sealed region from postings sorted by ascending
-// doc id and clears the tail. The layout is canonical: block boundaries
-// fall every blockSize postings regardless of the insertion history, so
-// two lists holding the same postings encode byte-identically.
-func (l *termList) encode(ps []termPosting) {
+// doc id and clears the tail.
+func (l *postingList) encode(ps []posting) {
 	l.data = l.data[:0]
 	l.blocks = l.blocks[:0]
 	prev := DocID(0)
@@ -137,10 +251,9 @@ func (l *termList) encode(ps []termPosting) {
 		}
 		bm := blockMeta{off: len(l.data), n: end - start}
 		for _, p := range ps[start:end] {
-			l.data = binary.AppendUvarint(l.data, uint64(p.doc-prev))
-			l.data = binary.AppendUvarint(l.data, uint64(p.tf))
+			l.data = l.kind.append(l.data, uint64(p.doc-prev), p)
 			prev = p.doc
-			if w := float64(p.tf); w > bm.maxW {
+			if w := p.weight(); w > bm.maxW {
 				bm.maxW = w
 			}
 		}
@@ -151,170 +264,23 @@ func (l *termList) encode(ps []termPosting) {
 	l.count = len(ps)
 }
 
-func (l *entityList) encode(ps []entityPosting) {
-	l.data = l.data[:0]
-	l.blocks = l.blocks[:0]
-	prev := DocID(0)
-	for start := 0; start < len(ps); start += blockSize {
-		end := start + blockSize
-		if end > len(ps) {
-			end = len(ps)
-		}
-		bm := blockMeta{off: len(l.data), n: end - start}
-		for _, p := range ps[start:end] {
-			l.data = binary.AppendUvarint(l.data, uint64(p.doc-prev))
-			l.data = binary.AppendUvarint(l.data, uint64(p.ef))
-			l.data = appendFloat64(l.data, p.dScore)
-			prev = p.doc
-			if w := entityWeight(p); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		bm.maxDoc = prev
-		l.blocks = append(l.blocks, bm)
-	}
-	l.tailE = nil
-	l.count = len(ps)
-}
-
 // blockEnd returns the byte offset one past block i.
-func (l *termList) blockEnd(i int) int {
+func (l *postingList) blockEnd(i int) int {
 	if i+1 < len(l.blocks) {
 		return l.blocks[i+1].off
 	}
 	return len(l.data)
 }
 
-func (l *entityList) blockEnd(i int) int {
-	if i+1 < len(l.blocks) {
-		return l.blocks[i+1].off
-	}
-	return len(l.data)
-}
-
-// decodeBlock appends block i's postings to dst. base is the delta
-// base (the previous block's maxDoc, 0 for the first block).
-func (l *termList) decodeBlock(i int, base DocID, dst []termPosting) []termPosting {
-	bm := l.blocks[i]
-	pos, prev := bm.off, base
-	for j := 0; j < bm.n; j++ {
-		delta, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		tf, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		prev += DocID(delta)
-		dst = append(dst, termPosting{doc: prev, tf: int32(tf)})
-	}
-	return dst
-}
-
-func (l *entityList) decodeBlock(i int, base DocID, dst []entityPosting) []entityPosting {
-	bm := l.blocks[i]
-	pos, prev := bm.off, base
-	for j := 0; j < bm.n; j++ {
-		delta, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		ef, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		dScore := float64FromBytes(l.data[pos:])
-		pos += 8
-		prev += DocID(delta)
-		dst = append(dst, entityPosting{doc: prev, ef: int32(ef), dScore: dScore})
-	}
-	return dst
-}
-
-// forEach visits every posting: sealed blocks in doc order, then the
-// tail in insertion order. A document appears at most once per list, so
-// per-document accumulation order is unaffected by the region split.
-func (l *termList) forEach(fn func(termPosting)) {
-	pos, prev := 0, DocID(0)
-	for _, bm := range l.blocks {
-		for j := 0; j < bm.n; j++ {
-			delta, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			tf, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			prev += DocID(delta)
-			fn(termPosting{doc: prev, tf: int32(tf)})
-		}
-	}
-	for _, p := range l.tail {
-		fn(p)
-	}
-}
-
-func (l *entityList) forEach(fn func(entityPosting)) {
-	pos, prev := 0, DocID(0)
-	for _, bm := range l.blocks {
-		for j := 0; j < bm.n; j++ {
-			delta, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			ef, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			dScore := float64FromBytes(l.data[pos:])
-			pos += 8
-			prev += DocID(delta)
-			fn(entityPosting{doc: prev, ef: int32(ef), dScore: dScore})
-		}
-	}
-	for _, p := range l.tailE {
-		fn(p)
-	}
-}
-
-// sorted returns every posting in ascending doc order — the canonical
-// form the codec serializes.
-func (l *termList) sorted() []termPosting {
-	return sortTermPostings(l.decodeAll())
-}
-
-func (l *entityList) sorted() []entityPosting {
-	return sortEntityPostings(l.decodeAll())
-}
-
-// newTermList builds a list from postings in arbitrary order, fully
-// sealed into canonical blocks.
-func newTermList(ps []termPosting) *termList {
-	l := &termList{}
+// newPostingList builds a fully sealed, canonical list from postings
+// in ascending doc order.
+func newPostingList(kind postingKind, ps []posting) *postingList {
+	l := &postingList{kind: kind}
 	for _, p := range ps {
-		if w := float64(p.tf); w > l.maxW {
+		if w := p.weight(); w > l.maxW {
 			l.maxW = w
 		}
 	}
-	l.encode(sortTermPostings(append([]termPosting(nil), ps...)))
+	l.encode(ps)
 	return l
-}
-
-func newEntityList(ps []entityPosting) *entityList {
-	l := &entityList{}
-	for _, p := range ps {
-		if w := entityWeight(p); w > l.maxW {
-			l.maxW = w
-		}
-	}
-	l.encode(sortEntityPostings(append([]entityPosting(nil), ps...)))
-	return l
-}
-
-// sortTermPostings sorts postings by ascending doc id, in place.
-func sortTermPostings(ps []termPosting) []termPosting {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
-	return ps
-}
-
-// sortEntityPostings sorts postings by ascending doc id, in place.
-func sortEntityPostings(ps []entityPosting) []entityPosting {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
-	return ps
-}
-
-// appendFloat64 appends v's IEEE-754 bits, little endian.
-func appendFloat64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// float64FromBytes reads the float64 appendFloat64 wrote.
-func float64FromBytes(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

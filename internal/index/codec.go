@@ -3,6 +3,7 @@ package index
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,456 +12,470 @@ import (
 	"expertfind/internal/kb"
 )
 
-// Binary index segment format. All integers are unsigned varints
-// unless noted; posting lists are delta-encoded on ascending DocIDs.
-//
-// Version 2 serializes the blocked posting layout directly, so a
-// loaded segment carries the skip entries the top-k pruner needs
-// without re-encoding:
+// Binary index format, version 2 — this comment is its specification;
+// writeIndex is the only writer and scanIndex the only reader. The same
+// file is a serialized Index (ReadIndex) and a sealed store segment
+// (OpenSegment). All integers are unsigned varints unless noted.
 //
 //	magic   "EFIX" (4 bytes)
 //	version uvarint (2)
-//	numDocs uvarint, followed by delta-encoded sorted doc ids
-//	numTerms uvarint, then per term (lexicographic):
-//	    len(term) uvarint, term bytes,
-//	    count uvarint (total postings), nBlocks uvarint, per block:
-//	        n uvarint, maxDocDelta uvarint (block maxDoc minus the
-//	        previous block's, absolute for the first), maxTF uvarint
-//	        (block bound), byteLen uvarint, then the raw block bytes
-//	        (per posting: docDelta uvarint, tf uvarint)
-//	numEntities uvarint, then per entity (ascending id):
-//	    entityID uvarint,
-//	    count uvarint, nBlocks uvarint, per block:
-//	        n, maxDocDelta, maxW float64 (8 bytes LE, block bound),
-//	        byteLen, then the raw block bytes (per posting:
-//	        docDelta uvarint, ef uvarint, dScore float64 8 bytes LE)
-//	crc not included: the format targets trusted local storage; all
-//	structural inconsistencies (truncation, garbage, skip metadata
-//	disagreeing with the postings it summarizes) surface as decode
-//	errors.
+//	numDocs uvarint, then the doc ids ascending: the first absolute,
+//	    every later one as the (non-zero) delta from its predecessor
+//	numTerms uvarint, then per term in lexicographic order:
+//	    len(term) uvarint, term bytes, list body
+//	numEntities uvarint, then per entity in ascending id order:
+//	    entityID uvarint, list body
+//	end of file
+//
+// A list body serializes the blocked posting list of blockpostings.go
+// directly, so a loaded list carries the skip entries the top-k pruner
+// needs without re-encoding:
+//
+//	count uvarint (total postings, > 0), nBlocks uvarint, per block:
+//	    n uvarint (postings in the block),
+//	    maxDocDelta uvarint (the block's maximum doc id minus the
+//	        previous block's, absolute for the first),
+//	    bound (the block's maximum weightless score: a term list
+//	        stores max tf as a uvarint, an entity list max ef·we as a
+//	        float64, 8 bytes little endian),
+//	    byteLen uvarint, then byteLen bytes of postings
+//
+// A posting is docDelta uvarint (from the previous posting; the first
+// of a block from the previous block's maximum, 0 before the first
+// block), then the payload of the list's kind — a term posting is
+// tf uvarint; an entity posting is ef uvarint, dScore float64 (8 bytes
+// little endian, in [0,1]). Its weightless score is tf, resp. ef·we
+// with we = 1+dScore for dScore > 0 and 0 otherwise (Eq. 2).
 //
 // Blocks are canonical — every block holds exactly blockSize postings
 // except the last — and the writer re-blocks from fully sorted
 // postings, so two indexes over the same documents serialize
-// byte-identically regardless of build order or shard layout.
+// byte-identically regardless of build order, shard or segment layout.
+//
+// There is no checksum: the format targets trusted local storage. The
+// scanner instead rejects every structural inconsistency: bad magic or
+// version; a doc id that repeats or leaves the DocID range; dictionary
+// keys out of order or repeated; an empty list; a postings count above
+// numDocs; non-canonical blocking; a posting that is malformed, not
+// strictly ascending, names a document outside the doc section, or
+// carries a dScore outside [0,1]; bytes left over in a block; a skip
+// entry whose maximum doc id or bound differs from the one recomputed
+// from its postings (skip entries feed pruning proofs); any truncation;
+// and any byte after the entity section.
 
 const (
 	codecMagic   = "EFIX"
 	codecVersion = 2
 )
 
-// canonical returns the list in canonical sealed form (no tail,
-// blocks re-encoded from fully sorted postings) — the form WriteTo
-// serializes. Lists with an empty tail are already canonical.
-func (l *termList) canonical() *termList {
-	if len(l.tail) == 0 {
-		return l
+func (k listKey) String() string {
+	if k.kind == termKind {
+		return fmt.Sprintf("term %q", k.term)
 	}
-	c := &termList{maxW: l.maxW}
-	c.encode(l.sorted())
-	return c
-}
-
-func (l *entityList) canonical() *entityList {
-	if len(l.tailE) == 0 {
-		return l
-	}
-	c := &entityList{maxW: l.maxW}
-	c.encode(l.sorted())
-	return c
+	return fmt.Sprintf("entity %d", k.ent)
 }
 
 // WriteTo serializes the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
+	return writeIndex(w, []mergeSource{{src: ix}})
+}
 
-	if _, err := cw.Write([]byte(codecMagic)); err != nil {
-		return cw.n, err
-	}
+// writeIndex streams the live union of srcs to w in the v2 format
+// without materializing the merged index: one posting list is resident
+// at a time. The sources' live document sets must be disjoint (the
+// store guarantees at most one live occurrence of any document). The
+// output is canonical, so writing any partition of a document set
+// produces the byte-identical file a monolithic Index over the same
+// live documents would write.
+func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
+	bw := bufio.NewWriter(w)
+	cw := &countWriter{w: bw}
+	cw.Write([]byte(codecMagic))
 	writeUvarint(cw, codecVersion)
 
-	// Documents.
-	docs := make([]int64, 0, len(ix.docs))
-	for d := range ix.docs {
-		docs = append(docs, int64(d))
+	var docs []DocID
+	for _, s := range srcs {
+		docs = append(docs, s.liveDocs()...)
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
 	writeUvarint(cw, uint64(len(docs)))
-	prev := int64(0)
 	for i, d := range docs {
-		delta := d
-		if i > 0 {
-			delta = d - prev
+		if i == 0 {
+			writeUvarint(cw, uint64(int64(d)))
+			continue
 		}
-		writeUvarint(cw, uint64(delta))
-		prev = d
+		if d == docs[i-1] {
+			return cw.n, fmt.Errorf("index: merge sources share live doc %d", d)
+		}
+		writeUvarint(cw, uint64(int64(d)-int64(docs[i-1])))
 	}
 
-	// Terms, sorted for determinism.
-	terms := make([]string, 0, len(ix.terms))
-	for t := range ix.terms {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	writeUvarint(cw, uint64(len(terms)))
-	for _, t := range terms {
-		writeUvarint(cw, uint64(len(t)))
-		if _, err := cw.Write([]byte(t)); err != nil {
-			return cw.n, err
+	// Each dictionary section leads with its entry count. A list's live
+	// size is known without decoding it: its count in every source,
+	// minus the source's dropped documents that hold the key.
+	live := map[listKey]int{}
+	for _, s := range srcs {
+		for _, k := range s.src.keys() {
+			live[k] += s.src.freq(k)
 		}
-		if err := writeTermListBody(cw, ix.terms[t].canonical()); err != nil {
-			return cw.n, err
+		for d, a := range s.drop {
+			eachPosting(d, a, func(k listKey, _ posting) { live[k]-- })
 		}
 	}
+	keys := make([]listKey, 0, len(live))
+	for k, n := range live {
+		if n > 0 {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	nTerms := sort.Search(len(keys), func(i int) bool { return keys[i].kind != termKind })
 
-	// Entities, sorted by ID.
-	ents := make([]int64, 0, len(ix.entities))
-	for e := range ix.entities {
-		ents = append(ents, int64(e))
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
-	writeUvarint(cw, uint64(len(ents)))
-	for _, e := range ents {
-		writeUvarint(cw, uint64(e))
-		if err := writeEntityListBody(cw, ix.entities[kb.EntityID(e)].canonical()); err != nil {
-			return cw.n, err
+	for _, section := range [][]listKey{keys[:nTerms], keys[nTerms:]} {
+		writeUvarint(cw, uint64(len(section)))
+		for _, k := range section {
+			var ps []posting
+			for _, s := range srcs {
+				if q := s.postings(k); len(ps) == 0 {
+					ps = q // freshly decoded: adopt, most keys have one source
+				} else {
+					ps = append(ps, q...)
+				}
+			}
+			if len(ps) != live[k] {
+				return cw.n, fmt.Errorf("index: %v holds %d live postings, its sources and their dropped documents account for %d", k, len(ps), live[k])
+			}
+			sortPostings(ps)
+			if k.kind == termKind {
+				writeUvarint(cw, uint64(len(k.term)))
+				cw.Write([]byte(k.term))
+			} else {
+				writeUvarint(cw, uint64(k.ent))
+			}
+			writeListBody(cw, newPostingList(k.kind, ps))
+			if cw.err != nil {
+				return cw.n, cw.err
+			}
 		}
 	}
-
 	if cw.err != nil {
 		return cw.n, cw.err
 	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	return cw.n, bw.Flush()
 }
 
-// ReadIndex deserializes an index previously written with WriteTo.
-// Any version other than the current blocked format is refused as an
-// unsupported version.
-func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
+// writeListBody serializes one canonical (fully sealed) list.
+func writeListBody(cw *countWriter, l *postingList) {
+	writeUvarint(cw, uint64(l.count))
+	writeUvarint(cw, uint64(len(l.blocks)))
+	prevMax := DocID(0)
+	for i, bm := range l.blocks {
+		writeUvarint(cw, uint64(bm.n))
+		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
+		if l.kind == termKind {
+			writeUvarint(cw, uint64(bm.maxW))
+		} else {
+			cw.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(bm.maxW)))
+		}
+		data := l.data[bm.off:l.blockEnd(i)]
+		writeUvarint(cw, uint64(len(data)))
+		cw.Write(data)
+		prevMax = bm.maxDoc
+	}
+}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("index: reading magic: %w", err)
+// maxSkipEntry bounds the encoded size of a block's skip entry: at
+// most four varints.
+const maxSkipEntry = 4 * binary.MaxVarintLen64
+
+// skipEntryAt parses the skip entry of one block of a kind list at
+// raw[pos:] — n, maxDocDelta, bound, byteLen — returning the offset of
+// the block's postings, or 0 when raw does not hold a whole entry.
+func skipEntryAt(raw []byte, pos int, kind postingKind) (n, maxDocDelta uint64, bound float64, byteLen uint64, next int) {
+	n, m1 := uvarintAt(raw, pos)
+	maxDocDelta, m2 := uvarintAt(raw, pos+m1)
+	pos += m1 + m2
+	m3 := 8
+	if kind == termKind {
+		var tf uint64
+		tf, m3 = uvarintAt(raw, pos)
+		bound = float64(tf)
+	} else if pos+8 <= len(raw) {
+		bound = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+	} else {
+		m3 = 0
 	}
-	if string(magic[:]) != codecMagic {
-		return nil, fmt.Errorf("index: bad magic %q", magic)
+	byteLen, m4 := uvarintAt(raw, pos+m3)
+	if m1 == 0 || m2 == 0 || m3 == 0 || m4 == 0 {
+		return 0, 0, 0, 0, 0
 	}
-	version, err := binary.ReadUvarint(br)
+	return n, maxDocDelta, bound, byteLen, pos + m3 + m4
+}
+
+// scanner is the sequential reader scanIndex validates through; it
+// tracks the logical byte offset so the segment opener can record
+// where each list body lives.
+type scanner struct {
+	br  *bufio.Reader
+	off int64
+	buf [blockSize]posting // one block's decoded postings
+}
+
+func (s *scanner) ReadByte() (byte, error) {
+	b, err := s.br.ReadByte()
+	if err == nil {
+		s.off++
+	}
+	return b, err
+}
+
+// uvarint reads one header varint, refusing values above limit.
+func (s *scanner) uvarint(what string, limit uint64) (uint64, error) {
+	v, err := binary.ReadUvarint(s)
 	if err != nil {
-		return nil, fmt.Errorf("index: reading version: %w", err)
+		return 0, fmt.Errorf("reading %s: %w", what, err)
 	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("index: unsupported version %d", version)
+	if v > limit {
+		return 0, fmt.Errorf("implausible %s %d", what, v)
 	}
+	return v, nil
+}
 
-	ix := New()
-
-	nDocs, err := binary.ReadUvarint(br)
+// bytes reads exactly n bytes into a fresh buffer.
+func (s *scanner) bytes(what string, n uint64) ([]byte, error) {
+	buf := make([]byte, n)
+	m, err := io.ReadFull(s.br, buf)
+	s.off += int64(m)
 	if err != nil {
-		return nil, fmt.Errorf("index: reading doc count: %w", err)
+		return nil, fmt.Errorf("reading %s: %w", what, err)
 	}
-	if nDocs > 1<<31 {
-		return nil, fmt.Errorf("index: implausible doc count %d", nDocs)
+	return buf, nil
+}
+
+// scanIndex is the one sequential validating pass over a v2 file. It
+// returns the doc ids (ascending) and hands every dictionary entry to
+// entry in file order: its key, its fully validated list, and the byte
+// range [off, end) of its list body. ReadIndex keeps the lists; the
+// segment opener keeps only where they are.
+func scanIndex(r io.Reader, entry func(k listKey, l *postingList, off, end int64)) ([]DocID, error) {
+	s := &scanner{br: bufio.NewReaderSize(r, 64<<10)}
+
+	magic, err := s.bytes("magic", 4)
+	if err != nil {
+		return nil, err
 	}
-	prev := int64(0)
+	if string(magic) != codecMagic {
+		return nil, fmt.Errorf("bad magic %q", magic)
+	}
+	if version, err := s.uvarint("version", math.MaxUint64); err != nil {
+		return nil, err
+	} else if version != codecVersion {
+		return nil, fmt.Errorf("unsupported version %d (want %d)", version, codecVersion)
+	}
+
+	nDocs, err := s.uvarint("doc count", 1<<31)
+	if err != nil {
+		return nil, err
+	}
+	var docs []DocID
 	for i := uint64(0); i < nDocs; i++ {
-		delta, err := binary.ReadUvarint(br)
+		delta, err := s.uvarint("doc id", math.MaxInt32)
 		if err != nil {
-			return nil, fmt.Errorf("index: reading doc %d: %w", i, err)
+			return nil, err
 		}
 		d := int64(delta)
 		if i > 0 {
-			d = prev + int64(delta)
+			if d += int64(docs[i-1]); delta == 0 {
+				return nil, fmt.Errorf("duplicate doc %d", d)
+			}
 		}
-		ix.docs[DocID(d)] = struct{}{}
-		prev = d
+		if d > math.MaxInt32 {
+			return nil, fmt.Errorf("doc id %d out of range", d)
+		}
+		docs = append(docs, DocID(d))
 	}
 
-	return readV2Lists(br, ix, nDocs)
+	for _, kind := range []postingKind{termKind, entityKind} {
+		n, err := s.uvarint("dictionary size", 1<<31)
+		if err != nil {
+			return nil, err
+		}
+		var prev listKey
+		for i := uint64(0); i < n; i++ {
+			k := listKey{kind: kind}
+			if kind == termKind {
+				tlen, err := s.uvarint("term length", 1<<16)
+				if err != nil {
+					return nil, err
+				}
+				name, err := s.bytes("term", tlen)
+				if err != nil {
+					return nil, err
+				}
+				k.term = string(name)
+			} else {
+				id, err := s.uvarint("entity id", math.MaxInt32)
+				if err != nil {
+					return nil, err
+				}
+				k.ent = kb.EntityID(id)
+			}
+			if i > 0 && !keyLess(prev, k) {
+				return nil, fmt.Errorf("%v out of order", k)
+			}
+			prev = k
+			off := s.off
+			l, err := s.list(kind, docs)
+			if err != nil {
+				return nil, fmt.Errorf("%v: %w", k, err)
+			}
+			entry(k, l, off, s.off)
+		}
+	}
+
+	if _, err := s.ReadByte(); err != io.EOF {
+		return nil, errors.New("trailing bytes after entity section")
+	}
+	return docs, nil
 }
 
-// readV2Lists decodes the blocked term and entity sections. Skip
-// metadata is load-bearing for pruning correctness, so every declared
-// block bound is recomputed from the decoded postings and must match
-// exactly.
-func readV2Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
-	nTerms, err := binary.ReadUvarint(br)
+// list reads and validates one list body against the sorted doc ids.
+// Skip metadata is load-bearing for pruning correctness, so every
+// declared block bound is recomputed from the decoded postings and
+// must match exactly.
+func (s *scanner) list(kind postingKind, docs []DocID) (*postingList, error) {
+	count, err := s.uvarint("postings count", math.MaxUint64)
 	if err != nil {
-		return nil, fmt.Errorf("index: reading term count: %w", err)
+		return nil, err
 	}
-	if nTerms > 1<<31 {
-		return nil, fmt.Errorf("index: implausible term count %d", nTerms)
+	if count == 0 {
+		return nil, errors.New("has no postings")
 	}
-	for i := uint64(0); i < nTerms; i++ {
-		tlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d length: %w", i, err)
-		}
-		if tlen > 1<<16 {
-			return nil, fmt.Errorf("index: implausible term length %d", tlen)
-		}
-		buf := make([]byte, tlen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
-		}
-		l, err := readTermBlocks(br, ix, nDocs, string(buf))
-		if err != nil {
-			return nil, err
-		}
-		ix.terms[string(buf)] = l
+	if count > uint64(len(docs)) {
+		return nil, fmt.Errorf("%d postings for %d docs", count, len(docs))
+	}
+	nBlocks, err := s.uvarint("block count", math.MaxUint64)
+	if err != nil {
+		return nil, err
+	}
+	if want := (count + blockSize - 1) / blockSize; nBlocks != want {
+		return nil, fmt.Errorf("%d blocks for %d postings (want %d)", nBlocks, count, want)
 	}
 
-	nEnts, err := binary.ReadUvarint(br)
+	l := &postingList{kind: kind, count: int(count), blocks: make([]blockMeta, 0, nBlocks)}
+	remaining := int(count)
+	base, prevDoc := DocID(0), int64(-1)
+	cur := 0 // forward cursor into docs: postings ascend within a list
+	for b := uint64(0); b < nBlocks; b++ {
+		hdr, _ := s.br.Peek(maxSkipEntry)
+		n, maxDocDelta, bound, byteLen, hlen := skipEntryAt(hdr, 0, kind)
+		if hlen == 0 {
+			return nil, fmt.Errorf("block %d: truncated or malformed skip entry", b)
+		}
+		s.br.Discard(hlen)
+		s.off += int64(hlen)
+		wantN := min(remaining, blockSize)
+		switch {
+		case n > blockSize:
+			return nil, fmt.Errorf("block %d oversized (%d postings)", b, n)
+		case int(n) != wantN:
+			return nil, fmt.Errorf("block %d holds %d postings, want %d", b, n, wantN)
+		case maxDocDelta > 1<<31:
+			return nil, fmt.Errorf("block %d has implausible max doc delta %d", b, maxDocDelta)
+		case byteLen > blockSize*32:
+			// A block holds at most blockSize postings of at most
+			// (2 varints + float64) ≈ 28 bytes each.
+			return nil, fmt.Errorf("block %d has implausible byte length %d", b, byteLen)
+		}
+		remaining -= wantN
+		data, err := s.bytes("block", byteLen)
+		if err != nil {
+			return nil, fmt.Errorf("block %d: %w", b, err)
+		}
+
+		ps, end := kind.decodeRun(s.buf[:0], data, 0, wantN, base, true)
+		if end < 0 {
+			return nil, fmt.Errorf("block %d: malformed posting %d", b, len(ps))
+		}
+		if end != len(data) {
+			return nil, fmt.Errorf("block %d has %d trailing bytes", b, len(data)-end)
+		}
+		bm := blockMeta{off: len(l.data), n: wantN}
+		for j, p := range ps {
+			if math.IsNaN(p.dScore) || p.dScore < 0 || p.dScore > 1 {
+				return nil, fmt.Errorf("block %d posting %d has dScore %v outside [0,1]", b, j, p.dScore)
+			}
+			if int64(p.doc) <= prevDoc {
+				return nil, fmt.Errorf("doc ids not strictly ascending at block %d posting %d", b, j)
+			}
+			prevDoc = int64(p.doc)
+			cur = seekDoc(docs, cur, p.doc)
+			if cur == len(docs) || docs[cur] != p.doc {
+				return nil, fmt.Errorf("references unknown doc %d", p.doc)
+			}
+			cur++
+			if w := p.weight(); w > bm.maxW {
+				bm.maxW = w
+			}
+			bm.maxDoc = p.doc
+		}
+		if want := base + DocID(maxDocDelta); bm.maxDoc != want {
+			return nil, fmt.Errorf("block %d declares max doc %d, postings end at %d", b, want, bm.maxDoc)
+		}
+		if bm.maxW != bound {
+			return nil, fmt.Errorf("block %d declares bound %g, postings max %g", b, bound, bm.maxW)
+		}
+		if bm.maxW > l.maxW {
+			l.maxW = bm.maxW
+		}
+		if b == 0 {
+			l.data = data // a fresh buffer; most lists are one block
+		} else {
+			l.data = append(l.data, data...)
+		}
+		l.blocks = append(l.blocks, bm)
+		base = bm.maxDoc
+	}
+	return l, nil
+}
+
+// seekDoc returns the least i >= from with docs[i] >= d (len(docs) if
+// none). It gallops forward from the cursor and bisects the last
+// stride, so the cost follows the gap between a list's consecutive
+// postings, not the size of the segment.
+func seekDoc(docs []DocID, from int, d DocID) int {
+	if from >= len(docs) || docs[from] >= d {
+		return from
+	}
+	lo, step := from, 1 // docs[lo] < d
+	for lo+step < len(docs) && docs[lo+step] < d {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(docs)) // docs[hi] >= d, or hi is the end
+	for lo+1 < hi {
+		if m := int(uint(lo+hi) >> 1); docs[m] < d {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
+}
+
+// ReadIndex deserializes an index previously written with WriteTo,
+// refusing anything the format specification at the top of codec.go
+// rules out.
+func ReadIndex(r io.Reader) (*Index, error) {
+	ix := New()
+	docs, err := scanIndex(r, func(k listKey, l *postingList, _, _ int64) { ix.lists[k] = l })
 	if err != nil {
-		return nil, fmt.Errorf("index: reading entity count: %w", err)
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	if nEnts > 1<<31 {
-		return nil, fmt.Errorf("index: implausible entity count %d", nEnts)
-	}
-	for i := uint64(0); i < nEnts; i++ {
-		eid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading entity %d id: %w", i, err)
-		}
-		l, err := readEntityBlocks(br, ix, nDocs, eid)
-		if err != nil {
-			return nil, err
-		}
-		ix.entities[kb.EntityID(eid)] = l
+	for _, d := range docs {
+		ix.docs[d] = struct{}{}
 	}
 	return ix, nil
-}
-
-// byteScanner is the reader the v2 block decoders consume: buffered
-// byte and bulk reads. *bufio.Reader satisfies it; the segment opener
-// wraps one to track the logical byte offset of each posting list.
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-// readListHeader reads and sanity-checks a v2 list's count and block
-// count against the canonical blocking invariant.
-func readListHeader(br byteScanner, nDocs uint64, what string) (count, nBlocks int, err error) {
-	c, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("index: reading postings count of %s: %w", what, err)
-	}
-	if c > nDocs {
-		return 0, 0, fmt.Errorf("index: %s has %d postings for %d docs", what, c, nDocs)
-	}
-	nb, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("index: reading block count of %s: %w", what, err)
-	}
-	want := (c + blockSize - 1) / blockSize
-	if nb != want {
-		return 0, 0, fmt.Errorf("index: %s has %d blocks for %d postings (want %d)", what, nb, c, want)
-	}
-	return int(c), int(nb), nil
-}
-
-func readTermBlocks(br byteScanner, ix *Index, nDocs uint64, term string) (*termList, error) {
-	what := fmt.Sprintf("term %q", term)
-	count, nBlocks, err := readListHeader(br, nDocs, what)
-	if err != nil {
-		return nil, err
-	}
-	l := &termList{count: count}
-	remaining := count
-	prevDoc := int64(-1)
-	base := DocID(0)
-	for b := 0; b < nBlocks; b++ {
-		n, maxDocDelta, err := readBlockMeta(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		declMaxW, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading block %d bound of %s: %w", b, what, err)
-		}
-		data, err := readBlockData(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		wantN := blockSize
-		if b == nBlocks-1 {
-			wantN = remaining
-		}
-		if n != wantN {
-			return nil, fmt.Errorf("index: block %d of %s holds %d postings, want %d", b, what, n, wantN)
-		}
-		remaining -= n
-
-		// Decode and verify the block against its declared metadata.
-		bm := blockMeta{off: len(l.data), n: n}
-		pos, cur := 0, base
-		for j := 0; j < n; j++ {
-			delta, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad doc delta", j, b, what)
-			}
-			pos += sz
-			tf, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad tf", j, b, what)
-			}
-			pos += sz
-			cur += DocID(delta)
-			if int64(cur) <= prevDoc {
-				return nil, fmt.Errorf("index: %s doc ids not strictly ascending at block %d posting %d", what, b, j)
-			}
-			prevDoc = int64(cur)
-			if _, ok := ix.docs[cur]; !ok {
-				return nil, fmt.Errorf("index: %s references unknown doc %d", what, cur)
-			}
-			if w := float64(tf); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		if pos != len(data) {
-			return nil, fmt.Errorf("index: block %d of %s has %d trailing bytes", b, what, len(data)-pos)
-		}
-		bm.maxDoc = cur
-		if bm.maxDoc != base+DocID(maxDocDelta) {
-			return nil, fmt.Errorf("index: block %d of %s declares max doc %d, postings end at %d", b, what, base+DocID(maxDocDelta), bm.maxDoc)
-		}
-		if bm.maxW != float64(declMaxW) {
-			return nil, fmt.Errorf("index: block %d of %s declares bound %d, postings max %g", b, what, declMaxW, bm.maxW)
-		}
-		if bm.maxW > l.maxW {
-			l.maxW = bm.maxW
-		}
-		l.data = append(l.data, data...)
-		l.blocks = append(l.blocks, bm)
-		base = bm.maxDoc
-	}
-	return l, nil
-}
-
-func readEntityBlocks(br byteScanner, ix *Index, nDocs uint64, eid uint64) (*entityList, error) {
-	what := fmt.Sprintf("entity %d", eid)
-	count, nBlocks, err := readListHeader(br, nDocs, what)
-	if err != nil {
-		return nil, err
-	}
-	l := &entityList{count: count}
-	remaining := count
-	prevDoc := int64(-1)
-	base := DocID(0)
-	var f8 [8]byte
-	for b := 0; b < nBlocks; b++ {
-		n, maxDocDelta, err := readBlockMeta(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(br, f8[:]); err != nil {
-			return nil, fmt.Errorf("index: reading block %d bound of %s: %w", b, what, err)
-		}
-		declMaxW := math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
-		data, err := readBlockData(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		wantN := blockSize
-		if b == nBlocks-1 {
-			wantN = remaining
-		}
-		if n != wantN {
-			return nil, fmt.Errorf("index: block %d of %s holds %d postings, want %d", b, what, n, wantN)
-		}
-		remaining -= n
-
-		bm := blockMeta{off: len(l.data), n: n}
-		pos, cur := 0, base
-		for j := 0; j < n; j++ {
-			delta, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad doc delta", j, b, what)
-			}
-			pos += sz
-			ef, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad ef", j, b, what)
-			}
-			pos += sz
-			if pos+8 > len(data) {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: truncated dScore", j, b, what)
-			}
-			dScore := float64FromBytes(data[pos:])
-			pos += 8
-			if math.IsNaN(dScore) || dScore < 0 || dScore > 1 {
-				return nil, fmt.Errorf("index: %s posting %d has dScore %v outside [0,1]", what, j, dScore)
-			}
-			cur += DocID(delta)
-			if int64(cur) <= prevDoc {
-				return nil, fmt.Errorf("index: %s doc ids not strictly ascending at block %d posting %d", what, b, j)
-			}
-			prevDoc = int64(cur)
-			if _, ok := ix.docs[cur]; !ok {
-				return nil, fmt.Errorf("index: %s references unknown doc %d", what, cur)
-			}
-			if w := entityWeight(entityPosting{doc: cur, ef: int32(ef), dScore: dScore}); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		if pos != len(data) {
-			return nil, fmt.Errorf("index: block %d of %s has %d trailing bytes", b, what, len(data)-pos)
-		}
-		bm.maxDoc = cur
-		if bm.maxDoc != base+DocID(maxDocDelta) {
-			return nil, fmt.Errorf("index: block %d of %s declares max doc %d, postings end at %d", b, what, base+DocID(maxDocDelta), bm.maxDoc)
-		}
-		if bm.maxW != declMaxW {
-			return nil, fmt.Errorf("index: block %d of %s declares bound %g, postings max %g", b, what, declMaxW, bm.maxW)
-		}
-		if bm.maxW > l.maxW {
-			l.maxW = bm.maxW
-		}
-		l.data = append(l.data, data...)
-		l.blocks = append(l.blocks, bm)
-		base = bm.maxDoc
-	}
-	return l, nil
-}
-
-// readBlockMeta reads the leading (n, maxDocDelta) pair of a block's
-// skip entry.
-func readBlockMeta(br byteScanner, what string, b int) (n int, maxDocDelta uint64, err error) {
-	nn, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("index: reading block %d size of %s: %w", b, what, err)
-	}
-	if nn > blockSize {
-		return 0, 0, fmt.Errorf("index: block %d of %s oversized (%d postings)", b, what, nn)
-	}
-	maxDocDelta, err = binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, fmt.Errorf("index: reading block %d max doc of %s: %w", b, what, err)
-	}
-	if maxDocDelta > 1<<31 {
-		return 0, 0, fmt.Errorf("index: block %d of %s has implausible max doc delta %d", b, what, maxDocDelta)
-	}
-	return int(nn), maxDocDelta, nil
-}
-
-// readBlockData reads a block's declared byte length and payload.
-func readBlockData(br byteScanner, what string, b int) ([]byte, error) {
-	byteLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading block %d byte length of %s: %w", b, what, err)
-	}
-	// A block holds at most blockSize postings of at most
-	// (2 varints + float64) ≈ 28 bytes each.
-	if byteLen > blockSize*32 {
-		return nil, fmt.Errorf("index: block %d of %s has implausible byte length %d", b, what, byteLen)
-	}
-	data := make([]byte, byteLen)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, fmt.Errorf("index: reading block %d of %s: %w", b, what, err)
-	}
-	return data, nil
 }
 
 // countWriter tracks bytes written and the first error.

@@ -2,9 +2,14 @@ package index
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,44 +46,22 @@ func assertIndexesEqual(t *testing.T, a, b *Index) {
 	if a.NumDocs() != b.NumDocs() {
 		t.Fatalf("doc counts: %d vs %d", a.NumDocs(), b.NumDocs())
 	}
-	if len(a.terms) != len(b.terms) {
-		t.Fatalf("term counts: %d vs %d", len(a.terms), len(b.terms))
+	if len(a.lists) != len(b.lists) {
+		t.Fatalf("list counts: %d vs %d", len(a.lists), len(b.lists))
 	}
-	for term, la := range a.terms {
-		lb := b.terms[term]
+	for k, la := range a.lists {
+		lb := b.lists[k]
 		if lb == nil || la.count != lb.count {
-			t.Fatalf("term %q postings: %d vs %v", term, la.count, lb)
+			t.Fatalf("%v postings: %d vs %v", k, la.count, lb)
 		}
 		sa, sb := la.sorted(), lb.sorted()
 		for i := range sa {
 			if sa[i] != sb[i] {
-				t.Fatalf("term %q posting %d: %+v vs %+v", term, i, sa[i], sb[i])
+				t.Fatalf("%v posting %d: %+v vs %+v", k, i, sa[i], sb[i])
 			}
 		}
 		if la.maxW != lb.maxW {
-			t.Fatalf("term %q maxW: %g vs %g", term, la.maxW, lb.maxW)
-		}
-	}
-	if len(a.entities) != len(b.entities) {
-		t.Fatalf("entity counts: %d vs %d", len(a.entities), len(b.entities))
-	}
-	for e, la := range a.entities {
-		lb := b.entities[e]
-		if lb == nil {
-			t.Fatalf("entity %d missing", e)
-		}
-		sa, sb := la.sorted(), lb.sorted()
-		if len(sa) != len(sb) {
-			t.Fatalf("entity %d postings: %d vs %d", e, len(sa), len(sb))
-		}
-		for i := range sa {
-			if sa[i].doc != sb[i].doc || sa[i].ef != sb[i].ef ||
-				math.Abs(sa[i].dScore-sb[i].dScore) > 0 {
-				t.Fatalf("entity %d posting %d: %+v vs %+v", e, i, sa[i], sb[i])
-			}
-		}
-		if la.maxW != lb.maxW {
-			t.Fatalf("entity %d maxW: %g vs %g", e, la.maxW, lb.maxW)
+			t.Fatalf("%v maxW: %g vs %g", k, la.maxW, lb.maxW)
 		}
 	}
 }
@@ -222,7 +205,7 @@ func TestCodecRejectsInvalidDScore(t *testing.T) {
 	for i := len(data) - 8; i < len(data); i++ {
 		data[i] = 0xFF // NaN pattern
 	}
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
+	if _, err := readBoth(t, data); err == nil {
 		t.Error("NaN dScore accepted")
 	}
 }
@@ -316,11 +299,12 @@ func (s v2Segment) encode() []byte {
 }
 
 // TestCodecV2RejectsBrokenSkipMetadata corrupts each load-bearing
-// field of a valid v2 segment in turn; the reader must reject every
-// variant — skip entries feed pruning proofs, so a segment whose
-// declared bounds disagree with its postings must never load.
+// field of a valid v2 segment in turn; both entry points of the reader
+// (readBoth) must reject every variant — skip entries feed pruning
+// proofs, so a segment whose declared bounds disagree with its
+// postings must never load.
 func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
-	if _, err := ReadIndex(bytes.NewReader(defaultV2().encode())); err != nil {
+	if _, err := readBoth(t, defaultV2().encode()); err != nil {
 		t.Fatalf("baseline v2 segment must load: %v", err)
 	}
 	three := 3
@@ -338,7 +322,7 @@ func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
 		{"implausible max doc", func(s *v2Segment) { s.maxDocDelta = 1 << 33 }, "implausible max doc"},
 		{"wrong bound", func(s *v2Segment) { s.declMaxTF = 1 }, "declares bound"},
 		{"trailing bytes", func(s *v2Segment) { s.trailingByte = true }, "trailing"},
-		{"byte length lies", func(s *v2Segment) { s.byteLen = &three }, "bad tf"},
+		{"byte length lies", func(s *v2Segment) { s.byteLen = &three }, "malformed posting 1"},
 		{"implausible byte length", func(s *v2Segment) { s.byteLen = &huge }, "implausible byte length"},
 		{"doc regression", func(s *v2Segment) { s.secondDelta = 0 }, "strictly ascending"},
 		{"unknown doc", func(s *v2Segment) { s.firstDocDelta = 6 }, "unknown doc"},
@@ -349,12 +333,69 @@ func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := defaultV2()
 			tc.mutate(&s)
-			_, err := ReadIndex(bytes.NewReader(s.encode()))
+			_, err := readBoth(t, s.encode())
 			if err == nil {
 				t.Fatalf("corrupted segment (%s) accepted", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestCodecStrictOnBothEntryPoints pins the checks only the segment
+// opener used to make: ReadIndex loaded each of these files (serving
+// from a one-document index that declares two, or silently keeping
+// the last of two lists under one key).
+func TestCodecStrictOnBothEntryPoints(t *testing.T) {
+	var valid bytes.Buffer
+	if _, err := randomIndex(8, 30).WriteTo(&valid); err != nil {
+		t.Fatal(err)
+	}
+	// header writes magic, version, the docs {5}, and a term count.
+	header := func(nTerms uint64) *rawWriter {
+		w := &rawWriter{}
+		w.buf.WriteString(codecMagic)
+		w.uvarint(2)
+		w.uvarint(1)
+		w.uvarint(5)
+		w.uvarint(nTerms)
+		return w
+	}
+	// termA writes the term "a" with the single posting (5, tf 1).
+	termA := func(w *rawWriter) {
+		w.uvarint(1)
+		w.buf.WriteString("a")
+		for _, v := range []uint64{1, 1, 1, 5, 1, 2, 5, 1} { // count, blocks, n, maxDoc, bound, byteLen, posting
+			w.uvarint(v)
+		}
+	}
+	repeated := header(2)
+	termA(repeated)
+	termA(repeated)
+	repeated.uvarint(0)
+	empty := header(1)
+	empty.uvarint(1)
+	empty.buf.WriteString("a")
+	empty.uvarint(0) // count
+	empty.uvarint(0) // blocks
+	empty.uvarint(0)
+
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"trailing garbage", append(valid.Bytes(), 0xAB, 0xCD), "trailing bytes after entity section"},
+		{"repeated doc", []byte("EFIX\x02\x02\x05\x00\x00\x00"), "duplicate doc 5"},
+		{"repeated key", repeated.buf.Bytes(), "out of order"},
+		{"empty list", empty.buf.Bytes(), "has no postings"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := readBoth(t, tc.data)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want rejection mentioning %q, got %v", tc.wantErr, err)
 			}
 		})
 	}
@@ -400,5 +441,70 @@ func BenchmarkCodecRead(b *testing.B) {
 		if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// goldenIndex rebuilds the index testdata/golden-v2.idx was written
+// from (by the last commit with separate term and entity list types):
+// a small random index plus 300 documents sharing one term and one
+// entity, so a list of each kind spans three blocks.
+func goldenIndex() *Index {
+	ix := randomIndex(11, 40)
+	for i := 0; i < 300; i++ {
+		ix.Add(DocID(1000+2*i), analysis.Analyzed{
+			Terms:    map[string]int{"golden": 1 + i%5},
+			Entities: map[kb.EntityID]analysis.EntityStats{60: {Freq: 1 + i%3, DScore: float64(i%11) / 10}},
+		})
+	}
+	return ix
+}
+
+// TestGoldenV2File pins the format: the committed file still has the
+// hash it was written with, a fresh build of the same index writes it
+// byte for byte, and so does re-serializing it through either reader —
+// ReadIndex→WriteTo and OpenSegment→single-segment Store.WriteTo.
+func TestGoldenV2File(t *testing.T) {
+	const wantSum = "ed9585c361e7a793834ce335a1c6f211f1c334b1d3601c808c40313e83fa6f7f"
+	golden, err := os.ReadFile("testdata/golden-v2.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(golden)); sum != wantSum {
+		t.Fatalf("testdata/golden-v2.idx hashes to %s, want %s", sum, wantSum)
+	}
+	check := func(what string, src io.WriterTo) {
+		t.Helper()
+		var got bytes.Buffer
+		if _, err := src.WriteTo(&got); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(got.Bytes(), golden) {
+			t.Fatalf("%s: wrote %d bytes that differ from the golden file's %d", what, got.Len(), len(golden))
+		}
+	}
+	check("fresh build", goldenIndex())
+
+	ix, err := ReadIndex(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []listKey{termKey("golden"), entityKey(60)} {
+		if l := ix.lists[k]; l == nil || len(l.blocks) < 3 {
+			t.Fatalf("golden %v does not span three blocks", k)
+		}
+	}
+	check("ReadIndex→WriteTo", ix)
+
+	for _, stream := range []bool{false, true} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "seg-000000"+segSuffix), golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewStore(dir, StoreOptions{ForceStream: stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("OpenSegment(stream=%v)→Store.WriteTo", stream), s)
+		s.Close()
 	}
 }

@@ -198,17 +198,16 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 		ix.Remove(d.ID, d.A)
 		s.Remove(d.ID, d.A)
 	}
-	if ix.NumDocs() != 0 || len(ix.terms) != 0 || len(ix.entities) != 0 {
-		t.Fatalf("monolith not empty after removing everything: %d docs, %d terms, %d entities",
-			ix.NumDocs(), len(ix.terms), len(ix.entities))
+	if ix.NumDocs() != 0 || len(ix.lists) != 0 {
+		t.Fatalf("monolith not empty after removing everything: %d docs, %d lists",
+			ix.NumDocs(), len(ix.lists))
 	}
 	if s.NumDocs() != 0 {
 		t.Fatalf("sharded index reports %d docs after removing everything", s.NumDocs())
 	}
 	flat := s.Flatten()
-	if len(flat.terms) != 0 || len(flat.entities) != 0 {
-		t.Fatalf("sharded index kept %d terms, %d entities after removing everything",
-			len(flat.terms), len(flat.entities))
+	if len(flat.lists) != 0 {
+		t.Fatalf("sharded index kept %d lists after removing everything", len(flat.lists))
 	}
 	var empty, got bytes.Buffer
 	if _, err := New().WriteTo(&empty); err != nil {
@@ -314,14 +313,10 @@ func FuzzDeltaApply(f *testing.F) {
 			assertScoredBitIdentical(t, "fuzz topk", wantK, s.ScoreTopK(need, alpha, 5, nil))
 		}
 
-		// Canonical encoding + skip-bound soundness on every touched
-		// list (Remove rebuilds lists fully sealed, so canonical() is
-		// the list itself whenever the tail is empty).
-		for _, l := range ix.terms {
-			checkTermBounds(t, l.canonical())
-		}
-		for _, l := range ix.entities {
-			checkEntityBounds(t, l.canonical())
+		// Skip-bound soundness on every list's sealed region (Remove
+		// rebuilds the lists it touches fully sealed).
+		for _, l := range ix.lists {
+			checkBounds(t, l)
 		}
 
 		var wantSeg, gotSeg bytes.Buffer

@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,9 +12,64 @@ import (
 	"expertfind/internal/kb"
 )
 
-// FuzzReadIndex feeds arbitrary bytes to the binary index reader: it
-// must reject or accept without panicking, and anything it accepts
-// must be a structurally valid index.
+// openBytes writes data to a temp file and opens it as a sealed
+// segment.
+func openBytes(t *testing.T, data []byte, forceStream bool) (*SegmentReader, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "seg-000000.seg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return OpenSegment(path, forceStream)
+}
+
+// readBoth runs the same bytes through both entry points of the v2
+// reader — ReadIndex, and OpenSegment mmapped and streamed — and holds
+// them to one verdict: all accept or all reject, and on accept they
+// agree on the document count, every dictionary entry's frequency and
+// the re-serialized bytes (which exercises every list load). It
+// returns ReadIndex's result.
+func readBoth(t *testing.T, data []byte) (*Index, error) {
+	t.Helper()
+	ix, err := ReadIndex(bytes.NewReader(data))
+	var want bytes.Buffer
+	if err == nil {
+		if _, err := ix.WriteTo(&want); err != nil {
+			t.Fatalf("re-serializing: %v", err)
+		}
+	}
+	for _, stream := range []bool{false, true} {
+		sr, serr := openBytes(t, data, stream)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("entry points disagree (stream=%v): ReadIndex %v, OpenSegment %v", stream, err, serr)
+		}
+		if serr != nil {
+			continue
+		}
+		if sr.NumDocs() != ix.NumDocs() || len(sr.keys()) != len(ix.lists) {
+			t.Fatalf("stream=%v: %d docs %d lists, ReadIndex %d docs %d lists",
+				stream, sr.NumDocs(), len(sr.keys()), ix.NumDocs(), len(ix.lists))
+		}
+		for k, l := range ix.lists {
+			if sr.freq(k) != l.count {
+				t.Fatalf("stream=%v: %v frequency %d, ReadIndex %d", stream, k, sr.freq(k), l.count)
+			}
+		}
+		var got bytes.Buffer
+		if _, err := writeIndex(&got, []mergeSource{{src: sr}}); err != nil {
+			t.Fatalf("stream=%v: re-serializing: %v", stream, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("stream=%v: re-serialized bytes differ from ReadIndex's", stream)
+		}
+		sr.Close()
+	}
+	return ix, err
+}
+
+// FuzzReadIndex feeds arbitrary bytes to both entry points of the
+// binary index reader: neither may panic, they must agree (readBoth),
+// and anything they accept must be a structurally valid index.
 func FuzzReadIndex(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := randomIndex(1, 20).WriteTo(&buf); err != nil {
@@ -22,19 +79,19 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add([]byte("EFIX"))
 	f.Add([]byte{})
 	f.Add([]byte("EFIX\x01\x00\x00\x00"))
+	// Accepted by ReadIndex alone before the readers were one scanner:
+	// trailing garbage, and a repeated doc id.
+	f.Add(append(append([]byte(nil), buf.Bytes()...), 0xAB, 0xCD))
+	f.Add([]byte("EFIX\x02\x02\x05\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := ReadIndex(bytes.NewReader(data))
+		ix, err := readBoth(t, data)
 		if err != nil {
 			return
 		}
-		// Accepted: basic invariants must hold.
-		if ix.NumDocs() < 0 {
-			t.Fatal("negative doc count")
-		}
-		for term, l := range ix.terms {
-			if l.count > ix.NumDocs() {
-				t.Fatalf("term %q has more postings than docs", term)
+		for k, l := range ix.lists {
+			if l.count == 0 || l.count > ix.NumDocs() {
+				t.Fatalf("%v has %d postings for %d docs", k, l.count, ix.NumDocs())
 			}
 		}
 	})
@@ -124,101 +181,74 @@ func FuzzBlockPostingsRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(130))
 
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
-		var tps []termPosting
-		var eps []entityPosting
+		var tps, eps []posting
 		doc := DocID(0)
 		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
 			doc += DocID(data[i]%13) + 1 // strictly ascending: one posting per doc
 			tf := int32(data[i+1]%7) + 1
-			tps = append(tps, termPosting{doc: doc, tf: tf})
-			eps = append(eps, entityPosting{doc: doc, ef: tf, dScore: float64(data[i+2]) / 255})
+			tps = append(tps, termPosting(doc, tf))
+			eps = append(eps, entityPosting(doc, tf, float64(data[i+2])/255))
 		}
 		if len(tps) == 0 {
 			return
 		}
 
-		// Insert in a rotated order; the canonical form must not care.
-		tl, el := &termList{}, &entityList{}
 		r := int(rot) % len(tps)
-		for i := range tps {
-			j := (i + r) % len(tps)
-			tl.add(tps[j])
-			el.add(eps[j])
-		}
-		wantT := newTermList(tps)
-		wantE := newEntityList(eps)
-		ct, ce := tl.canonical(), el.canonical()
-		if !bytes.Equal(ct.data, wantT.data) {
-			t.Fatalf("term encoding differs by insertion order (rot %d, %d postings)", r, len(tps))
-		}
-		if !bytes.Equal(ce.data, wantE.data) {
-			t.Fatalf("entity encoding differs by insertion order (rot %d, %d postings)", r, len(tps))
-		}
-
-		// Decode round trip: sorted() must return the inserted postings.
-		gotT, gotE := tl.sorted(), el.sorted()
-		if len(gotT) != len(tps) || len(gotE) != len(eps) {
-			t.Fatalf("round trip lost postings: %d/%d term, %d/%d entity",
-				len(gotT), len(tps), len(gotE), len(eps))
-		}
-		for i := range tps {
-			if gotT[i] != tps[i] {
-				t.Fatalf("term posting %d: got %+v want %+v", i, gotT[i], tps[i])
+		for kind, ps := range map[postingKind][]posting{termKind: tps, entityKind: eps} {
+			// Insert in a rotated order; the canonical form must not care.
+			l := &postingList{kind: kind}
+			for i := range ps {
+				l.add(ps[(i+r)%len(ps)])
 			}
-			if gotE[i] != eps[i] {
-				t.Fatalf("entity posting %d: got %+v want %+v", i, gotE[i], eps[i])
+			want := newPostingList(kind, ps)
+			got := l.sorted()
+			canon := newPostingList(kind, got)
+			if !bytes.Equal(canon.data, want.data) {
+				t.Fatalf("kind %d encoding differs by insertion order (rot %d, %d postings)", kind, r, len(ps))
 			}
+			// Decode round trip: sorted() must return the inserted postings.
+			if len(got) != len(ps) {
+				t.Fatalf("kind %d round trip lost postings: %d/%d", kind, len(got), len(ps))
+			}
+			for i := range ps {
+				if got[i] != ps[i] {
+					t.Fatalf("kind %d posting %d: got %+v want %+v", kind, i, got[i], ps[i])
+				}
+			}
+			// Bound soundness: list and block maxima dominate their
+			// members, in the half-sealed list and the canonical one.
+			checkBounds(t, l)
+			checkBounds(t, canon)
 		}
-
-		// Bound soundness: list and block maxima dominate their members.
-		checkTermBounds(t, ct)
-		checkEntityBounds(t, ce)
 	})
 }
 
-func checkTermBounds(t *testing.T, l *termList) {
+// checkBounds decodes every sealed block of l with the block decoder
+// the scorer uses and checks it against its skip entry.
+func checkBounds(t *testing.T, l *postingList) {
 	t.Helper()
-	var scratch []termPosting
 	base := DocID(0)
 	for i, bm := range l.blocks {
-		scratch = l.decodeBlock(i, base, scratch[:0])
-		if len(scratch) != bm.n {
-			t.Fatalf("block %d decoded %d postings, skip entry says %d", i, len(scratch), bm.n)
+		ps, end := l.kind.decodeRun(nil, l.data, bm.off, bm.n, base, true)
+		if len(ps) != bm.n || end != l.blockEnd(i) {
+			t.Fatalf("block %d decoded %d postings to byte %d, skip entry says %d to %d", i, len(ps), end, bm.n, l.blockEnd(i))
 		}
-		for _, p := range scratch {
+		for _, p := range ps {
 			if p.doc > bm.maxDoc {
 				t.Fatalf("block %d: doc %d above skip maxDoc %d", i, p.doc, bm.maxDoc)
 			}
-			if w := float64(p.tf); w > bm.maxW || w > l.maxW {
+			w := float64(p.freq)
+			if l.kind == entityKind {
+				if w = 0; p.dScore > 0 {
+					w = float64(p.freq) * (1 + p.dScore)
+				}
+			}
+			if w > bm.maxW || w > l.maxW {
 				t.Fatalf("block %d: weight %g above bounds (block %g, list %g)", i, w, bm.maxW, l.maxW)
 			}
 		}
-		if scratch[len(scratch)-1].doc != bm.maxDoc {
-			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, scratch[len(scratch)-1].doc)
-		}
-		base = bm.maxDoc
-	}
-}
-
-func checkEntityBounds(t *testing.T, l *entityList) {
-	t.Helper()
-	var scratch []entityPosting
-	base := DocID(0)
-	for i, bm := range l.blocks {
-		scratch = l.decodeBlock(i, base, scratch[:0])
-		if len(scratch) != bm.n {
-			t.Fatalf("block %d decoded %d postings, skip entry says %d", i, len(scratch), bm.n)
-		}
-		for _, p := range scratch {
-			if p.doc > bm.maxDoc {
-				t.Fatalf("block %d: doc %d above skip maxDoc %d", i, p.doc, bm.maxDoc)
-			}
-			if w := entityWeight(p); w > bm.maxW || w > l.maxW {
-				t.Fatalf("block %d: weight %g above bounds (block %g, list %g)", i, w, bm.maxW, l.maxW)
-			}
-		}
-		if scratch[len(scratch)-1].doc != bm.maxDoc {
-			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, scratch[len(scratch)-1].doc)
+		if ps[len(ps)-1].doc != bm.maxDoc {
+			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, ps[len(ps)-1].doc)
 		}
 		base = bm.maxDoc
 	}

@@ -90,17 +90,6 @@ var (
 	_ Searcher = (*Store)(nil)
 )
 
-type termPosting struct {
-	doc DocID
-	tf  int32
-}
-
-type entityPosting struct {
-	doc    DocID
-	ef     int32
-	dScore float64
-}
-
 // Index is an append-only inverted index over analyzed resources.
 // Inverse resource frequencies reflect the collection at query time,
 // so documents can be added at any moment. Index is not safe for
@@ -113,36 +102,41 @@ type entityPosting struct {
 // small unsorted tail of recent additions — see blockpostings.go. The
 // skip entries feed the ScoreTopK pruner.
 type Index struct {
-	terms    map[string]*termList
-	entities map[kb.EntityID]*entityList
-	docs     map[DocID]struct{}
+	lists map[listKey]*postingList
+	docs  map[DocID]struct{}
 }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{
-		terms:    make(map[string]*termList),
-		entities: make(map[kb.EntityID]*entityList),
-		docs:     make(map[DocID]struct{}),
+		lists: make(map[listKey]*postingList),
+		docs:  make(map[DocID]struct{}),
 	}
 }
 
-func (ix *Index) termList(t string) *termList {
-	l := ix.terms[t]
+// list implements listSource.
+func (ix *Index) list(k listKey) *postingList { return ix.lists[k] }
+
+// addPosting appends p to k's list, creating the list on first use.
+func (ix *Index) addPosting(k listKey, p posting) {
+	l := ix.lists[k]
 	if l == nil {
-		l = &termList{}
-		ix.terms[t] = l
+		l = &postingList{kind: k.kind}
+		ix.lists[k] = l
 	}
-	return l
+	l.add(p)
 }
 
-func (ix *Index) entityList(e kb.EntityID) *entityList {
-	l := ix.entities[e]
-	if l == nil {
-		l = &entityList{}
-		ix.entities[e] = l
+// eachPosting calls fn with the list key and posting of every
+// dimension of a document analyzed as a — the one place an Analyzed's
+// two maps become postings.
+func eachPosting(id DocID, a analysis.Analyzed, fn func(listKey, posting)) {
+	for t, tf := range a.Terms {
+		fn(termKey(t), termPosting(id, int32(tf)))
 	}
-	return l
+	for e, st := range a.Entities {
+		fn(entityKey(e), entityPosting(id, int32(st.Freq), st.DScore))
+	}
 }
 
 // Add indexes an analyzed resource under id. Adding the same id twice
@@ -152,12 +146,7 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 		panic("index: duplicate document")
 	}
 	ix.docs[id] = struct{}{}
-	for t, tf := range a.Terms {
-		ix.termList(t).add(termPosting{doc: id, tf: int32(tf)})
-	}
-	for e, st := range a.Entities {
-		ix.entityList(e).add(entityPosting{doc: id, ef: int32(st.Freq), dScore: st.DScore})
-	}
+	eachPosting(id, a, ix.addPosting)
 }
 
 // Remove deletes a previously indexed resource. a must be the
@@ -165,7 +154,7 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 // deterministic, so callers either retain it or re-analyze the
 // installed text). Every touched posting list is rebuilt into
 // canonical sealed blocks with its maxima recomputed, and lists left
-// empty are dropped from the maps entirely — the index is
+// empty are dropped from the map entirely — the index is
 // indistinguishable from one that never saw the document, so a
 // delta-applied index serializes byte-identically to a cold rebuild.
 // Removing an unknown document, or one whose postings are missing
@@ -175,62 +164,33 @@ func (ix *Index) Remove(id DocID, a analysis.Analyzed) {
 		panic("index: removing unknown document")
 	}
 	delete(ix.docs, id)
-	for t := range a.Terms {
-		l := ix.terms[t]
+	eachPosting(id, a, func(k listKey, _ posting) {
+		l := ix.lists[k]
 		if l == nil {
-			panic("index: removing posting from absent term list")
+			panic("index: removing posting from absent list")
 		}
-		kept, found := dropTermPosting(l.decodeAll(), id)
-		if !found {
-			panic("index: term posting missing on remove")
+		kept := dropDocs(l.sorted(), func(d DocID) bool { return d == id })
+		switch len(kept) {
+		case l.count:
+			panic("index: posting missing on remove")
+		case 0:
+			delete(ix.lists, k)
+		default:
+			ix.lists[k] = newPostingList(k.kind, kept)
 		}
-		if len(kept) == 0 {
-			delete(ix.terms, t)
-			continue
-		}
-		ix.terms[t] = newTermList(kept)
-	}
-	for e := range a.Entities {
-		l := ix.entities[e]
-		if l == nil {
-			panic("index: removing posting from absent entity list")
-		}
-		kept, found := dropEntityPosting(l.decodeAll(), id)
-		if !found {
-			panic("index: entity posting missing on remove")
-		}
-		if len(kept) == 0 {
-			delete(ix.entities, e)
-			continue
-		}
-		ix.entities[e] = newEntityList(kept)
-	}
+	})
 }
 
-// dropTermPosting filters doc id out of ps in place, reporting whether
-// it was present.
-func dropTermPosting(ps []termPosting, id DocID) ([]termPosting, bool) {
-	kept, found := ps[:0], false
+// dropDocs filters, in place, the postings whose document drop
+// reports.
+func dropDocs(ps []posting, drop func(DocID) bool) []posting {
+	kept := ps[:0]
 	for _, p := range ps {
-		if p.doc == id {
-			found = true
-			continue
+		if !drop(p.doc) {
+			kept = append(kept, p)
 		}
-		kept = append(kept, p)
 	}
-	return kept, found
-}
-
-func dropEntityPosting(ps []entityPosting, id DocID) ([]entityPosting, bool) {
-	kept, found := ps[:0], false
-	for _, p := range ps {
-		if p.doc == id {
-			found = true
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept, found
+	return kept
 }
 
 // Update replaces the indexed form of a document: old must be the
@@ -252,13 +212,10 @@ func (ix *Index) Merge(other *Index) {
 		}
 		ix.docs[d] = struct{}{}
 	}
-	for t, ol := range other.terms {
-		l := ix.termList(t)
-		ol.forEach(func(p termPosting) { l.add(p) })
-	}
-	for e, ol := range other.entities {
-		l := ix.entityList(e)
-		ol.forEach(func(p entityPosting) { l.add(p) })
+	for k, ol := range other.lists {
+		for _, p := range ol.decodeAll() {
+			ix.addPosting(k, p)
+		}
 	}
 }
 
@@ -272,16 +229,13 @@ func (ix *Index) Has(id DocID) bool {
 }
 
 // DocFreq returns the number of resources containing the term.
-func (ix *Index) DocFreq(term string) int {
-	if l := ix.terms[term]; l != nil {
-		return l.count
-	}
-	return 0
-}
+func (ix *Index) DocFreq(term string) int { return ix.freq(termKey(term)) }
 
 // EntityFreq returns the number of resources mentioning the entity.
-func (ix *Index) EntityFreq(e kb.EntityID) int {
-	if l := ix.entities[e]; l != nil {
+func (ix *Index) EntityFreq(e kb.EntityID) int { return ix.freq(entityKey(e)) }
+
+func (ix *Index) freq(k listKey) int {
+	if l := ix.lists[k]; l != nil {
 		return l.count
 	}
 	return 0
@@ -353,66 +307,53 @@ func (g GlobalStats) DocFreq(term string) int { return g.TermDF[term] }
 // EntityFreq implements CollectionStats.
 func (g GlobalStats) EntityFreq(e kb.EntityID) int { return g.EntityDF[e] }
 
-// plannedTerm / plannedEntity carry one query dimension with its
-// collection weight fully resolved (α·irf² resp. (1−α)·eirf²).
-type plannedTerm struct {
-	term string
-	w    float64
-}
-
-type plannedEntity struct {
-	e kb.EntityID
-	w float64
+// plannedList carries one query dimension with its collection weight
+// fully resolved (α·irf² for a term, (1−α)·eirf² for an entity).
+type plannedList struct {
+	key listKey
+	w   float64
 }
 
 // queryPlan is the deterministic, weight-resolved form of a need:
-// terms in lexicographic order, entities in ascending ID order, with
-// zero-weight dimensions dropped. Planning once and walking postings
-// in plan order makes every Score evaluation accumulate each
+// terms in lexicographic order, then entities in ascending ID order,
+// with zero-weight dimensions dropped. Planning once and walking
+// postings in plan order makes every Score evaluation accumulate each
 // document's float64 score in the same addition order — byte-identical
 // output across runs and across shard counts (each document lives in
 // exactly one shard, so its addition chain never changes).
-type queryPlan struct {
-	terms    []plannedTerm
-	entities []plannedEntity
-}
+type queryPlan []plannedList
 
 func planQuery(need analysis.Analyzed, alpha float64, st CollectionStats) queryPlan {
-	var plan queryPlan
-	n := st.NumDocs()
-
+	keys := make([]listKey, 0, len(need.Terms)+len(need.Entities))
 	if alpha > 0 {
-		terms := make([]string, 0, len(need.Terms))
 		for t, qtf := range need.Terms {
 			if qtf > 0 {
-				terms = append(terms, t)
+				keys = append(keys, termKey(t))
 			}
-		}
-		sort.Strings(terms)
-		for _, t := range terms {
-			df := st.DocFreq(t)
-			if df == 0 {
-				continue
-			}
-			v := irf(n, df)
-			plan.terms = append(plan.terms, plannedTerm{term: t, w: alpha * v * v})
 		}
 	}
-
 	if alpha < 1 {
-		ents := make([]kb.EntityID, 0, len(need.Entities))
 		for e := range need.Entities {
-			ents = append(ents, e)
+			keys = append(keys, entityKey(e))
 		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
-		for _, e := range ents {
-			df := st.EntityFreq(e)
-			if df == 0 {
-				continue
-			}
-			v := irf(n, df)
-			plan.entities = append(plan.entities, plannedEntity{e: e, w: (1 - alpha) * v * v})
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+
+	n := st.NumDocs()
+	plan := make(queryPlan, 0, len(keys))
+	for _, k := range keys {
+		var df int
+		share := alpha
+		if k.kind == termKind {
+			df = st.DocFreq(k.term)
+		} else {
+			df, share = st.EntityFreq(k.ent), 1-alpha
 		}
+		if df == 0 {
+			continue
+		}
+		v := irf(n, df)
+		plan = append(plan, plannedList{key: k, w: share * v * v})
 	}
 	return plan
 }

@@ -18,18 +18,16 @@ import (
 // addition chain, so the merged ranking is byte-identical for any
 // partitioning and any worker bound.
 
-// planViewer yields the postings one part contributes to a plan: an
-// in-memory Index is its own view, a sealed segment materializes the
-// planned lists from disk.
-type planViewer interface {
-	planView(plan queryPlan) *Index
+// listSource yields the posting lists one part contributes to a plan,
+// by dictionary key (nil where it holds none): an in-memory Index looks
+// them up, a sealed segment materializes them from disk.
+type listSource interface {
+	list(k listKey) *postingList
 }
-
-func (ix *Index) planView(queryPlan) *Index { return ix }
 
 // part is one disjoint slice of a collection as searchParts scores it.
 type part struct {
-	src planViewer
+	src listSource
 	// mu, when non-nil, is read-held while the part is viewed and
 	// scored (a shard's lock); nil when the caller's own lock already
 	// covers the part.
@@ -56,7 +54,7 @@ func searchParts(plan queryPlan, parts []part, k, workers int) []ScoredDoc {
 		if p.mu != nil {
 			p.mu.RLock()
 		}
-		ranked[i], counts[i] = p.src.planView(plan).scorePlanTopK(plan, k, p.accept)
+		ranked[i], counts[i] = scorePlanTopK(p.src, plan, k, p.accept)
 		if p.mu != nil {
 			p.mu.RUnlock()
 		}

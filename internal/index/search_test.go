@@ -18,22 +18,21 @@ import (
 func oracleTopK(ix *Index, st CollectionStats, need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
 	plan := planQuery(need, alpha, st)
 	scores := map[DocID]float64{}
-	for _, pt := range plan.terms {
-		if l := ix.terms[pt.term]; l != nil {
-			for _, p := range l.decodeAll() {
-				scores[p.doc] += float64(p.tf) * pt.w
-			}
+	for _, pl := range plan {
+		l := ix.lists[pl.key]
+		if l == nil {
+			continue
 		}
-	}
-	for _, pe := range plan.entities {
-		if l := ix.entities[pe.e]; l != nil {
-			for _, p := range l.decodeAll() {
-				we := 0.0 // Eq. 2
-				if p.dScore > 0 {
-					we = 1 + p.dScore
-				}
-				scores[p.doc] += float64(p.ef) * pe.w * we
+		for _, p := range l.decodeAll() {
+			if pl.key.kind == termKind {
+				scores[p.doc] += float64(p.freq) * pl.w
+				continue
 			}
+			we := 0.0 // Eq. 2
+			if p.dScore > 0 {
+				we = 1 + p.dScore
+			}
+			scores[p.doc] += float64(p.freq) * pl.w * we
 		}
 	}
 	var out []ScoredDoc
@@ -53,11 +52,12 @@ func oracleTopK(ix *Index, st CollectionStats, need analysis.Analyzed, alpha flo
 // coordinator would gather it.
 func materializedStats(ix *Index) GlobalStats {
 	g := GlobalStats{Docs: ix.NumDocs(), TermDF: map[string]int{}, EntityDF: map[kb.EntityID]int{}}
-	for term := range ix.terms {
-		g.TermDF[term] = ix.DocFreq(term)
-	}
-	for e := range ix.entities {
-		g.EntityDF[e] = ix.EntityFreq(e)
+	for k, l := range ix.lists {
+		if k.kind == termKind {
+			g.TermDF[k.term] = l.count
+		} else {
+			g.EntityDF[k.ent] = l.count
+		}
 	}
 	return g
 }

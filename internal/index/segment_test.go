@@ -48,20 +48,19 @@ func storeOf(t *testing.T, docs []Doc, boundaries []int, o StoreOptions) *Store 
 // its merge source, exercising every list load.
 func segToIndex(t *testing.T, r *SegmentReader) *Index {
 	t.Helper()
-	src := segmentMergeSource{r: r}
+	src := mergeSource{src: r}
 	ix := New()
 	perDoc := map[DocID]analysis.Analyzed{}
 	for _, d := range src.liveDocs() {
-		perDoc[DocID(d)] = analysis.Analyzed{Terms: map[string]int{}, Entities: map[kb.EntityID]analysis.EntityStats{}}
+		perDoc[d] = analysis.Analyzed{Terms: map[string]int{}, Entities: map[kb.EntityID]analysis.EntityStats{}}
 	}
-	for _, name := range src.termNames() {
-		for _, p := range src.termPostings(name) {
-			perDoc[p.doc].Terms[name] = int(p.tf)
-		}
-	}
-	for _, e := range src.entityIDs() {
-		for _, p := range src.entityPostings(kb.EntityID(e)) {
-			perDoc[p.doc].Entities[kb.EntityID(e)] = analysis.EntityStats{Freq: int(p.ef), DScore: p.dScore}
+	for _, k := range r.keys() {
+		for _, p := range src.postings(k) {
+			if k.kind == termKind {
+				perDoc[p.doc].Terms[k.term] = int(p.freq)
+			} else {
+				perDoc[p.doc].Entities[k.ent] = analysis.EntityStats{Freq: int(p.freq), DScore: p.dScore}
+			}
 		}
 	}
 	for d, a := range perDoc {
@@ -100,7 +99,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 // Monolith WriteTo bytes, a sealed segment re-written through
-// writeMerged, and Store.WriteTo over any layout are all identical:
+// writeIndex, and Store.WriteTo over any layout are all identical:
 // the canonical serialization does not depend on how documents were
 // partitioned.
 func TestStoreWriteToMatchesMonolith(t *testing.T) {
@@ -325,7 +324,6 @@ func TestStoreReopen(t *testing.T) {
 	}
 	// Leftover temp files from a simulated crash must be swept.
 	os.WriteFile(filepath.Join(dir, "seg-000009.seg.tmp"), []byte("junk"), 0o644)
-	os.WriteFile(filepath.Join(dir, "spill-junk"), []byte("junk"), 0o644)
 	s.Close()
 
 	s2, err := NewStore(dir, StoreOptions{})

@@ -93,49 +93,22 @@ type storeSegment struct {
 	merging bool
 }
 
-func (g *storeSegment) numDocs() int {
+// view returns the component serving the segment right now.
+func (g *storeSegment) view() component {
 	if g.frozen != nil {
-		return g.frozen.NumDocs()
+		return g.frozen
 	}
-	return g.r.NumDocs()
+	return g.r
 }
 
-func (g *storeSegment) has(id DocID) bool {
-	if g.frozen != nil {
-		return g.frozen.Has(id)
-	}
-	return g.r.Has(id)
-}
-
-func (g *storeSegment) docFreq(t string) int {
-	if g.frozen != nil {
-		return g.frozen.DocFreq(t)
-	}
-	return g.r.docFreq(t)
-}
-
-func (g *storeSegment) entityFreq(e kb.EntityID) int {
-	if g.frozen != nil {
-		return g.frozen.EntityFreq(e)
-	}
-	return g.r.entityFreq(e)
-}
+// list implements listSource over the current view.
+func (g *storeSegment) list(k listKey) *postingList { return g.view().list(k) }
 
 func (g *storeSegment) size() int64 {
 	if g.r != nil {
 		return g.r.Size()
 	}
 	return 0
-}
-
-// planView returns the index view to score this segment's share of a
-// plan: the frozen memtable directly, or the planned lists
-// materialized from disk.
-func (g *storeSegment) planView(plan queryPlan) *Index {
-	if g.frozen != nil {
-		return g.frozen
-	}
-	return g.r.planView(plan)
 }
 
 // acceptFilter narrows accept to documents not tombstoned in this
@@ -155,14 +128,6 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 		_, dead := t[d]
 		return !dead && accept(d)
 	}
-}
-
-// mergeSrc returns the segment's streaming-merge view minus drop.
-func (g *storeSegment) mergeSrc(drop map[DocID]analysis.Analyzed) mergeSource {
-	if g.frozen != nil {
-		return indexMergeSource{ix: g.frozen, drop: drop}
-	}
-	return segmentMergeSource{r: g.r, drop: drop}
 }
 
 // Store is a disk-backed segmented index: a mutable in-memory
@@ -193,17 +158,16 @@ type Store struct {
 	// acquired before mu, never while holding it.
 	maintMu sync.Mutex
 
-	mu         sync.RWMutex
-	mem        *Index
-	segs       []*storeSegment
-	tombTermDF map[string]int
-	tombEntDF  map[kb.EntityID]int
-	nTombs     int
-	seq        int
-	seals      uint64
-	compacts   uint64
-	reclaimed  uint64
-	lastErr    error
+	mu        sync.RWMutex
+	mem       *Index
+	segs      []*storeSegment
+	tombDF    map[listKey]int
+	nTombs    int
+	seq       int
+	seals     uint64
+	compacts  uint64
+	reclaimed uint64
+	lastErr   error
 
 	stop chan struct{}
 	bg   sync.WaitGroup
@@ -218,16 +182,14 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:        dir,
-		opts:       o,
-		mem:        New(),
-		tombTermDF: make(map[string]int),
-		tombEntDF:  make(map[kb.EntityID]int),
-		stop:       make(chan struct{}),
+		dir:    dir,
+		opts:   o,
+		mem:    New(),
+		tombDF: make(map[listKey]int),
+		stop:   make(chan struct{}),
 	}
 	leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	spills, _ := filepath.Glob(filepath.Join(dir, "spill-*"))
-	for _, p := range append(leftovers, spills...) {
+	for _, p := range leftovers {
 		os.Remove(p)
 	}
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
@@ -261,7 +223,7 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 func (s *Store) checkDisjoint() error {
 	total := 0
 	for _, g := range s.segs {
-		total += g.numDocs()
+		total += g.view().NumDocs()
 	}
 	all := make([]DocID, 0, total)
 	for _, g := range s.segs {
@@ -306,28 +268,18 @@ func (s *Store) Close() error {
 
 // trackTomb / untrackTomb maintain the global df corrections that
 // stats folding subtracts from the summed per-segment frequencies.
-func (s *Store) trackTomb(a analysis.Analyzed) {
+func (s *Store) trackTomb(id DocID, a analysis.Analyzed) {
 	s.nTombs++
-	for t := range a.Terms {
-		s.tombTermDF[t]++
-	}
-	for e := range a.Entities {
-		s.tombEntDF[e]++
-	}
+	eachPosting(id, a, func(k listKey, _ posting) { s.tombDF[k]++ })
 }
 
-func (s *Store) untrackTomb(a analysis.Analyzed) {
+func (s *Store) untrackTomb(id DocID, a analysis.Analyzed) {
 	s.nTombs--
-	for t := range a.Terms {
-		if s.tombTermDF[t]--; s.tombTermDF[t] == 0 {
-			delete(s.tombTermDF, t)
+	eachPosting(id, a, func(k listKey, _ posting) {
+		if s.tombDF[k]--; s.tombDF[k] == 0 {
+			delete(s.tombDF, k)
 		}
-	}
-	for e := range a.Entities {
-		if s.tombEntDF[e]--; s.tombEntDF[e] == 0 {
-			delete(s.tombEntDF, e)
-		}
-	}
+	})
 }
 
 // hasLocked reports whether id is live anywhere in the store.
@@ -336,7 +288,7 @@ func (s *Store) hasLocked(id DocID) bool {
 		return true
 	}
 	for _, g := range s.segs {
-		if g.has(id) {
+		if g.view().Has(id) {
 			if _, dead := g.tomb[id]; !dead {
 				return true
 			}
@@ -422,14 +374,14 @@ func (s *Store) removeLocked(id DocID, a analysis.Analyzed) {
 		return
 	}
 	for _, g := range s.segs {
-		if !g.has(id) {
+		if !g.view().Has(id) {
 			continue
 		}
 		if _, dead := g.tomb[id]; dead {
 			continue
 		}
 		g.tomb[id] = a
-		s.trackTomb(a)
+		s.trackTomb(id, a)
 		return
 	}
 	panic("index: removing unknown document")
@@ -461,7 +413,7 @@ func (s *Store) seal() error {
 	s.mu.Unlock()
 
 	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", seq, segSuffix))
-	r, err := s.writeSegmentFile(path, []mergeSource{indexMergeSource{ix: frozen}})
+	r, err := s.writeSegmentFile(path, []mergeSource{{src: frozen}})
 	s.mu.Lock()
 	if err != nil {
 		// Roll back: drop the transient segment, resolve its
@@ -470,7 +422,7 @@ func (s *Store) seal() error {
 		s.dropSegmentLocked(seg)
 		for d, a := range seg.tomb {
 			frozen.Remove(d, a)
-			s.untrackTomb(a)
+			s.untrackTomb(d, a)
 		}
 		s.mem.Merge(frozen)
 		s.mu.Unlock()
@@ -504,17 +456,7 @@ func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReade
 	if err != nil {
 		return nil, err
 	}
-	spill, err := os.CreateTemp(s.dir, "spill-*")
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	defer func() {
-		spill.Close()
-		os.Remove(spill.Name())
-	}()
-	if _, err := writeMerged(f, spill, srcs); err != nil {
+	if _, err := writeIndex(f, srcs); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return nil, err
@@ -586,7 +528,7 @@ func (s *Store) compactSet(victims []*storeSegment) error {
 			snap[d] = a
 		}
 		snaps[i] = snap
-		srcs[i] = g.mergeSrc(snap)
+		srcs[i] = mergeSource{src: g.view(), drop: snap}
 	}
 	seq := s.seq
 	s.seq++
@@ -612,8 +554,8 @@ func (s *Store) compactSet(victims []*storeSegment) error {
 				merged.tomb[d] = a
 			}
 		}
-		for _, a := range snaps[i] {
-			s.untrackTomb(a)
+		for d, a := range snaps[i] {
+			s.untrackTomb(d, a)
 			reclaimed++
 		}
 		s.dropSegmentLocked(g)
@@ -664,7 +606,7 @@ func (s *Store) Maintain() error {
 	var victims []*storeSegment
 	if len(s.segs) > s.opts.MaxSegments {
 		bySize := append([]*storeSegment(nil), s.segs...)
-		sort.Slice(bySize, func(i, j int) bool { return bySize[i].numDocs() < bySize[j].numDocs() })
+		sort.Slice(bySize, func(i, j int) bool { return bySize[i].view().NumDocs() < bySize[j].view().NumDocs() })
 		n := (len(bySize) + 1) / 2
 		if n < 2 {
 			n = 2
@@ -757,7 +699,7 @@ func (s *Store) Status() StoreStatus {
 	for _, g := range s.segs {
 		st.Segments = append(st.Segments, SegmentStatus{
 			Path:       g.path,
-			Docs:       g.numDocs(),
+			Docs:       g.view().NumDocs(),
 			Tombstones: len(g.tomb),
 			Bytes:      g.size(),
 		})
@@ -778,25 +720,17 @@ func (s *Store) Status() StoreStatus {
 func (s *Store) numDocsLocked() int {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
-		n += g.numDocs()
+		n += g.view().NumDocs()
 	}
 	return n - s.nTombs
 }
 
-func (s *Store) docFreqLocked(t string) int {
-	df := s.mem.DocFreq(t)
+func (s *Store) freqLocked(k listKey) int {
+	df := s.mem.freq(k)
 	for _, g := range s.segs {
-		df += g.docFreq(t)
+		df += g.view().freq(k)
 	}
-	return df - s.tombTermDF[t]
-}
-
-func (s *Store) entityFreqLocked(e kb.EntityID) int {
-	df := s.mem.EntityFreq(e)
-	for _, g := range s.segs {
-		df += g.entityFreq(e)
-	}
-	return df - s.tombEntDF[e]
+	return df - s.tombDF[k]
 }
 
 // storeStats adapts the folded statistics to CollectionStats; only
@@ -804,8 +738,8 @@ func (s *Store) entityFreqLocked(e kb.EntityID) int {
 type storeStats struct{ s *Store }
 
 func (v storeStats) NumDocs() int                 { return v.s.numDocsLocked() }
-func (v storeStats) DocFreq(t string) int         { return v.s.docFreqLocked(t) }
-func (v storeStats) EntityFreq(e kb.EntityID) int { return v.s.entityFreqLocked(e) }
+func (v storeStats) DocFreq(t string) int         { return v.s.freqLocked(termKey(t)) }
+func (v storeStats) EntityFreq(e kb.EntityID) int { return v.s.freqLocked(entityKey(e)) }
 
 // NumDocs returns the number of live documents.
 func (s *Store) NumDocs() int {
@@ -825,7 +759,7 @@ func (s *Store) Has(id DocID) bool {
 func (s *Store) DocFreq(t string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.docFreqLocked(t)
+	return s.freqLocked(termKey(t))
 }
 
 // EntityFreq returns the number of live documents mentioning the
@@ -833,7 +767,7 @@ func (s *Store) DocFreq(t string) int {
 func (s *Store) EntityFreq(e kb.EntityID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.entityFreqLocked(e)
+	return s.freqLocked(entityKey(e))
 }
 
 // IRF returns the term's inverse resource frequency over the live
@@ -841,7 +775,7 @@ func (s *Store) EntityFreq(e kb.EntityID) int {
 func (s *Store) IRF(t string) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	df := s.docFreqLocked(t)
+	df := s.freqLocked(termKey(t))
 	if df == 0 {
 		return 0
 	}
@@ -852,7 +786,7 @@ func (s *Store) IRF(t string) float64 {
 func (s *Store) EIRF(e kb.EntityID) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	df := s.entityFreqLocked(e)
+	df := s.freqLocked(entityKey(e))
 	if df == 0 {
 		return 0
 	}
@@ -898,17 +832,9 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	srcs := make([]mergeSource, 0, len(s.segs)+1)
-	srcs = append(srcs, indexMergeSource{ix: s.mem})
+	srcs = append(srcs, mergeSource{src: s.mem})
 	for _, g := range s.segs {
-		srcs = append(srcs, g.mergeSrc(g.tomb))
+		srcs = append(srcs, mergeSource{src: g.view(), drop: g.tomb})
 	}
-	spill, err := os.CreateTemp(s.dir, "spill-*")
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		spill.Close()
-		os.Remove(spill.Name())
-	}()
-	return writeMerged(w, spill, srcs)
+	return writeIndex(w, srcs)
 }

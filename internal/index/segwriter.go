@@ -1,80 +1,75 @@
 package index
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"os"
 	"sort"
 
 	"expertfind/internal/analysis"
-	"expertfind/internal/kb"
 )
 
-// Streaming segment merge. writeMerged serializes the union of several
-// index components — in-memory indexes and/or on-disk segments, each
-// with a set of dropped (tombstoned) documents — into one v2 codec
-// file without ever materializing the merged index: only one posting
-// list is resident at a time. The output is canonical, so merging any
-// partition of a document set produces the byte-identical file a
-// monolithic Index over the same live documents would write.
-
-// mergeSource is the read view of one index component for a streaming
-// merge: doc ids and dictionary entries in canonical order, posting
-// lists materialized one at a time with dropped documents already
-// filtered out.
-type mergeSource interface {
-	// liveDocs returns the component's non-dropped doc ids, ascending.
-	liveDocs() []int64
-	// termNames returns the dictionary in lexicographic order.
-	termNames() []string
-	// termPostings returns the term's live postings in ascending doc
-	// order (empty when every posting is dropped).
-	termPostings(t string) []termPosting
-	// entityIDs returns the entity dictionary in ascending id order.
-	entityIDs() []int64
-	// entityPostings returns the entity's live postings in ascending
-	// doc order.
-	entityPostings(e kb.EntityID) []entityPosting
+// component is what the store scores and merges: an in-memory Index
+// (the memtable, or a frozen one awaiting its disk file) or a sealed
+// SegmentReader.
+type component interface {
+	listSource
+	NumDocs() int
+	Has(id DocID) bool
+	// docIDs returns every doc id, ascending.
+	docIDs() []DocID
+	// keys returns the dictionary, in no particular order.
+	keys() []listKey
+	// freq returns the number of postings under k without loading them.
+	freq(k listKey) int
 }
 
-// indexMergeSource adapts an in-memory Index (a memtable or a frozen
-// segment awaiting its disk file) to mergeSource. drop marks
-// tombstoned documents to filter out; it may be nil.
-type indexMergeSource struct {
-	ix   *Index
+func (ix *Index) docIDs() []DocID {
+	out := make([]DocID, 0, len(ix.docs))
+	for d := range ix.docs {
+		out = append(out, d)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (ix *Index) keys() []listKey {
+	out := make([]listKey, 0, len(ix.lists))
+	for k := range ix.lists {
+		out = append(out, k)
+	}
+	return out
+}
+
+// mergeSource is one input of writeIndex: a component minus its
+// dropped (tombstoned) documents. drop maps each dropped document to
+// the analyzed form it was indexed under; it may be nil.
+type mergeSource struct {
+	src  component
 	drop map[DocID]analysis.Analyzed
 }
 
-func (s indexMergeSource) dropped(d DocID) bool {
+func (s mergeSource) dropped(d DocID) bool {
 	_, ok := s.drop[d]
 	return ok
 }
 
-func (s indexMergeSource) liveDocs() []int64 {
-	out := make([]int64, 0, len(s.ix.docs))
-	for d := range s.ix.docs {
+// liveDocs returns the non-dropped doc ids, ascending.
+func (s mergeSource) liveDocs() []DocID {
+	docs := s.src.docIDs()
+	if len(s.drop) == 0 {
+		return docs
+	}
+	live := make([]DocID, 0, len(docs))
+	for _, d := range docs {
 		if !s.dropped(d) {
-			out = append(out, int64(d))
+			live = append(live, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return live
 }
 
-func (s indexMergeSource) termNames() []string {
-	out := make([]string, 0, len(s.ix.terms))
-	for t := range s.ix.terms {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s indexMergeSource) termPostings(t string) []termPosting {
-	l := s.ix.terms[t]
+// postings returns k's live postings in ascending doc order, empty
+// when the source holds none or every one is dropped.
+func (s mergeSource) postings(k listKey) []posting {
+	l := s.src.list(k)
 	if l == nil {
 		return nil
 	}
@@ -82,234 +77,5 @@ func (s indexMergeSource) termPostings(t string) []termPosting {
 	if len(s.drop) == 0 {
 		return ps
 	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-func (s indexMergeSource) entityIDs() []int64 {
-	out := make([]int64, 0, len(s.ix.entities))
-	for e := range s.ix.entities {
-		out = append(out, int64(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (s indexMergeSource) entityPostings(e kb.EntityID) []entityPosting {
-	l := s.ix.entities[e]
-	if l == nil {
-		return nil
-	}
-	ps := l.sorted()
-	if len(s.drop) == 0 {
-		return ps
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-// writeTermListBody serializes one term list body — postings count,
-// block count, and the blocks with their skip entries — exactly as
-// Index.WriteTo lays it out. l must be canonical (sealed, no tail).
-func writeTermListBody(cw *countWriter, l *termList) error {
-	writeUvarint(cw, uint64(l.count))
-	writeUvarint(cw, uint64(len(l.blocks)))
-	prevMax := DocID(0)
-	for i, bm := range l.blocks {
-		writeUvarint(cw, uint64(bm.n))
-		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
-		writeUvarint(cw, uint64(bm.maxW))
-		data := l.data[bm.off:l.blockEnd(i)]
-		writeUvarint(cw, uint64(len(data)))
-		if _, err := cw.Write(data); err != nil {
-			return err
-		}
-		prevMax = bm.maxDoc
-	}
-	return cw.err
-}
-
-// writeEntityListBody is writeTermListBody for an entity list; block
-// bounds are float64 (8 bytes little endian) instead of uvarints.
-func writeEntityListBody(cw *countWriter, l *entityList) error {
-	writeUvarint(cw, uint64(l.count))
-	writeUvarint(cw, uint64(len(l.blocks)))
-	prevMax := DocID(0)
-	var f8 [8]byte
-	for i, bm := range l.blocks {
-		writeUvarint(cw, uint64(bm.n))
-		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
-		binary.LittleEndian.PutUint64(f8[:], math.Float64bits(bm.maxW))
-		if _, err := cw.Write(f8[:]); err != nil {
-			return err
-		}
-		data := l.data[bm.off:l.blockEnd(i)]
-		writeUvarint(cw, uint64(len(data)))
-		if _, err := cw.Write(data); err != nil {
-			return err
-		}
-		prevMax = bm.maxDoc
-	}
-	return cw.err
-}
-
-// writeMerged streams the live union of srcs to w in the v2 codec
-// format. The sources' live document sets must be disjoint (the store
-// guarantees at most one live occurrence of any document). Dictionary
-// sections are prefixed by their entry count, which is only known
-// after tombstone filtering, so list bodies are staged in spill (an
-// empty temp file, rewound and truncated in place) and copied behind
-// the count; peak memory is one merged posting list.
-func writeMerged(w io.Writer, spill *os.File, srcs []mergeSource) (int64, error) {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-
-	if _, err := cw.Write([]byte(codecMagic)); err != nil {
-		return cw.n, err
-	}
-	writeUvarint(cw, codecVersion)
-
-	// Documents: per-source slices are sorted and pairwise disjoint.
-	var docs []int64
-	for _, s := range srcs {
-		docs = append(docs, s.liveDocs()...)
-	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-	for i := 1; i < len(docs); i++ {
-		if docs[i] == docs[i-1] {
-			return cw.n, fmt.Errorf("index: merge sources share live doc %d", docs[i])
-		}
-	}
-	writeUvarint(cw, uint64(len(docs)))
-	prev := int64(0)
-	for i, d := range docs {
-		delta := d
-		if i > 0 {
-			delta = d - prev
-		}
-		writeUvarint(cw, uint64(delta))
-		prev = d
-	}
-
-	// Terms.
-	names := map[string]struct{}{}
-	for _, s := range srcs {
-		for _, t := range s.termNames() {
-			names[t] = struct{}{}
-		}
-	}
-	terms := make([]string, 0, len(names))
-	for t := range names {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-
-	kept, err := spillSection(spill, len(terms), func(sw *countWriter, i int) (bool, error) {
-		t := terms[i]
-		var ps []termPosting
-		for _, s := range srcs {
-			ps = append(ps, s.termPostings(t)...)
-		}
-		if len(ps) == 0 {
-			return false, nil
-		}
-		writeUvarint(sw, uint64(len(t)))
-		if _, err := sw.Write([]byte(t)); err != nil {
-			return false, err
-		}
-		return true, writeTermListBody(sw, newTermList(ps))
-	})
-	if err != nil {
-		return cw.n, err
-	}
-	writeUvarint(cw, uint64(kept))
-	if err := copySpill(cw, spill); err != nil {
-		return cw.n, err
-	}
-
-	// Entities.
-	ids := map[int64]struct{}{}
-	for _, s := range srcs {
-		for _, e := range s.entityIDs() {
-			ids[e] = struct{}{}
-		}
-	}
-	ents := make([]int64, 0, len(ids))
-	for e := range ids {
-		ents = append(ents, e)
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
-
-	kept, err = spillSection(spill, len(ents), func(sw *countWriter, i int) (bool, error) {
-		e := kb.EntityID(ents[i])
-		var ps []entityPosting
-		for _, s := range srcs {
-			ps = append(ps, s.entityPostings(e)...)
-		}
-		if len(ps) == 0 {
-			return false, nil
-		}
-		writeUvarint(sw, uint64(ents[i]))
-		return true, writeEntityListBody(sw, newEntityList(ps))
-	})
-	if err != nil {
-		return cw.n, err
-	}
-	writeUvarint(cw, uint64(kept))
-	if err := copySpill(cw, spill); err != nil {
-		return cw.n, err
-	}
-
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
-}
-
-// spillSection rewinds and truncates spill, then writes n dictionary
-// entries through emit (which reports whether it wrote anything),
-// returning how many entries survived.
-func spillSection(spill *os.File, n int, emit func(sw *countWriter, i int) (bool, error)) (int, error) {
-	if err := spill.Truncate(0); err != nil {
-		return 0, err
-	}
-	if _, err := spill.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(spill)
-	sw := &countWriter{w: bw}
-	kept := 0
-	for i := 0; i < n; i++ {
-		wrote, err := emit(sw, i)
-		if err != nil {
-			return 0, err
-		}
-		if wrote {
-			kept++
-		}
-	}
-	if sw.err != nil {
-		return 0, sw.err
-	}
-	return kept, bw.Flush()
-}
-
-// copySpill appends the staged section to the main writer.
-func copySpill(cw *countWriter, spill *os.File) error {
-	if _, err := spill.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := io.Copy(cw, spill); err != nil {
-		return err
-	}
-	return cw.err
+	return dropDocs(ps, s.dropped)
 }

@@ -95,17 +95,10 @@ func NewShardedFromIndex(ix *Index, n int) *Sharded {
 	for d := range ix.docs {
 		s.shards[s.shardFor(d)].ix.docs[d] = struct{}{}
 	}
-	for t, l := range ix.terms {
-		t := t
-		l.forEach(func(p termPosting) {
-			s.shards[s.shardFor(p.doc)].ix.termList(t).add(p)
-		})
-	}
-	for e, l := range ix.entities {
-		e := e
-		l.forEach(func(p entityPosting) {
-			s.shards[s.shardFor(p.doc)].ix.entityList(e).add(p)
-		})
+	for k, l := range ix.lists {
+		for _, p := range l.decodeAll() {
+			s.shards[s.shardFor(p.doc)].ix.addPosting(k, p)
+		}
 	}
 	return s
 }
@@ -411,18 +404,10 @@ func (s *Sharded) liveParts(plan queryPlan, accept func(DocID) bool) []part {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		hit := false
-		for _, pt := range plan.terms {
-			if l := sh.ix.terms[pt.term]; l != nil && l.count > 0 {
+		for _, pl := range plan {
+			if sh.ix.freq(pl.key) > 0 {
 				hit = true
 				break
-			}
-		}
-		if !hit {
-			for _, pe := range plan.entities {
-				if l := sh.ix.entities[pe.e]; l != nil && l.count > 0 {
-					hit = true
-					break
-				}
 			}
 		}
 		sh.mu.RUnlock()

@@ -191,9 +191,14 @@ func docsInRange(snap []DocID, lo int64, hi DocID) bool {
 	return i < len(snap) && snap[i] <= hi
 }
 
-// walkTermList feeds one planned term list into the accumulator.
-// remNext is the summed upper bound of every list after this one.
-func (a *topkAcc) walkTermList(l *termList, w, remNext float64) {
+// walkList feeds one planned list into the accumulator: the sealed
+// blocks in doc order, skipping those a bound proof shows cannot
+// matter, then the tail. remNext is the summed upper bound of every
+// list after this one. Each run is decoded by the one block decoder
+// into a stack buffer and accumulated as float64(freq)·w·we, left
+// associated, so surviving chains stay byte-identical to the
+// exhaustive evaluation.
+func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 	listAdmit := a.admits(l.maxW*w + remNext)
 	// Block-level admission refinement is sound only once admission is
 	// closed for every later list (remNext below θ): a document turned
@@ -202,9 +207,13 @@ func (a *topkAcc) walkTermList(l *termList, w, remNext float64) {
 	refine := listAdmit && !a.admits(remNext)
 	var snap []DocID
 	snapped := false
-	base := DocID(0)
-	lo := int64(-1)
+	var buf [blockSize]posting
+	// prev is the previous block's maximum doc id: this block's delta
+	// base, and the open lower end of its doc range.
+	prev := int64(-1)
 	for _, bm := range l.blocks {
+		lo := prev
+		prev = int64(bm.maxDoc)
 		admit := listAdmit
 		if !listAdmit || (refine && !a.admits(bm.maxW*w+remNext)) {
 			admit = false
@@ -213,76 +222,20 @@ func (a *topkAcc) walkTermList(l *termList, w, remNext float64) {
 			}
 			if !docsInRange(snap, lo, bm.maxDoc) {
 				a.blocksSkipped++
-				base = bm.maxDoc
-				lo = int64(bm.maxDoc)
 				continue
 			}
 		}
-		prev, pos := base, bm.off
-		for j := 0; j < bm.n; j++ {
-			delta, n := uvarintAt(l.data, pos)
-			pos += n
-			tf, n := uvarintAt(l.data, pos)
-			pos += n
-			prev += DocID(delta)
-			a.visit(prev, float64(tf)*w, admit)
+		ps, _ := l.kind.decodeRun(buf[:0], l.data, bm.off, bm.n, DocID(max(lo, 0)), true)
+		for _, p := range ps {
+			a.visit(p.doc, float64(p.freq)*w*p.we, admit)
 		}
-		base = bm.maxDoc
-		lo = int64(bm.maxDoc)
 	}
-	for _, p := range l.tail {
-		a.visit(p.doc, float64(p.tf)*w, listAdmit)
-	}
-}
-
-// walkEntityList is walkTermList for an entity list. The contribution
-// is computed exactly as the exhaustive path does — float64(ef)·w·we,
-// left associated — so surviving chains stay byte-identical.
-func (a *topkAcc) walkEntityList(l *entityList, w, remNext float64) {
-	listAdmit := a.admits(l.maxW*w + remNext)
-	refine := listAdmit && !a.admits(remNext)
-	var snap []DocID
-	snapped := false
-	base := DocID(0)
-	lo := int64(-1)
-	for _, bm := range l.blocks {
-		admit := listAdmit
-		if !listAdmit || (refine && !a.admits(bm.maxW*w+remNext)) {
-			admit = false
-			if !snapped {
-				snap, snapped = a.liveDocsSorted(), true
-			}
-			if !docsInRange(snap, lo, bm.maxDoc) {
-				a.blocksSkipped++
-				base = bm.maxDoc
-				lo = int64(bm.maxDoc)
-				continue
-			}
+	for pos, left := 0, l.count-l.sealed(); left > 0; left -= blockSize {
+		var ps []posting
+		ps, pos = l.kind.decodeRun(buf[:0], l.tail, pos, min(left, blockSize), 0, false)
+		for _, p := range ps {
+			a.visit(p.doc, float64(p.freq)*w*p.we, listAdmit)
 		}
-		prev, pos := base, bm.off
-		for j := 0; j < bm.n; j++ {
-			delta, n := uvarintAt(l.data, pos)
-			pos += n
-			ef, n := uvarintAt(l.data, pos)
-			pos += n
-			dScore := float64FromBytes(l.data[pos:])
-			pos += 8
-			prev += DocID(delta)
-			we := 0.0
-			if dScore > 0 {
-				we = 1 + dScore
-			}
-			a.visit(prev, float64(ef)*w*we, admit)
-		}
-		base = bm.maxDoc
-		lo = int64(bm.maxDoc)
-	}
-	for _, p := range l.tailE {
-		we := 0.0
-		if p.dScore > 0 {
-			we = 1 + p.dScore
-		}
-		a.visit(p.doc, float64(p.ef)*w*we, listAdmit)
 	}
 }
 
@@ -290,49 +243,35 @@ func (a *topkAcc) walkEntityList(l *entityList, w, remNext float64) {
 // its resolved weight and rem, the summed upper bound of every list
 // after it in plan order (terms first, then entities).
 type boundedList struct {
-	t   *termList
-	e   *entityList
+	l   *postingList
 	w   float64
 	rem float64
 }
 
-// scorePlanTopK is the one scorer: it walks this index's postings for
-// an already-weighted plan and returns the positive matches under the
+// scorePlanTopK is the one scorer: it walks src's postings for an
+// already-weighted plan and returns the positive matches under the
 // accept filter, ordered by scoredLess and truncated to k, plus the
 // work counters. The plan's weights may come from a larger collection
-// than this index (a shard or segment scored under global stats).
+// than src (a shard or segment scored under global stats).
 // k <= 0 disables both the bound and the pruning (θ never activates):
 // an exhaustive accept-filtered evaluation.
-func (ix *Index) scorePlanTopK(plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	lists := make([]boundedList, 0, len(plan.terms)+len(plan.entities))
-	for _, pt := range plan.terms {
-		if l := ix.terms[pt.term]; l != nil && l.count > 0 {
-			lists = append(lists, boundedList{t: l, w: pt.w})
-		}
-	}
-	for _, pe := range plan.entities {
-		if l := ix.entities[pe.e]; l != nil && l.count > 0 {
-			lists = append(lists, boundedList{e: l, w: pe.w})
+func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
+	lists := make([]boundedList, 0, len(plan))
+	for _, pl := range plan {
+		if l := src.list(pl.key); l != nil && l.count > 0 {
+			lists = append(lists, boundedList{l: l, w: pl.w})
 		}
 	}
 	rem := 0.0
 	for i := len(lists) - 1; i >= 0; i-- {
 		bl := &lists[i]
 		bl.rem = rem
-		if bl.t != nil {
-			rem += bl.t.maxW * bl.w
-		} else {
-			rem += bl.e.maxW * bl.w
-		}
+		rem += bl.l.maxW * bl.w
 	}
 
 	a := topkAcc{k: k, accept: accept, scores: make(map[DocID]float64), theta: math.Inf(-1)}
 	for _, bl := range lists {
-		if bl.t != nil {
-			a.walkTermList(bl.t, bl.w, bl.rem)
-		} else {
-			a.walkEntityList(bl.e, bl.w, bl.rem)
-		}
+		a.walkList(bl.l, bl.w, bl.rem)
 		a.settle(bl.rem)
 	}
 
@@ -347,26 +286,4 @@ func (ix *Index) scorePlanTopK(plan queryPlan, k int, accept func(DocID) bool) (
 		out = out[:k]
 	}
 	return out, a.topkCounters
-}
-
-// uvarintAt decodes a uvarint at data[pos:].
-func uvarintAt(data []byte, pos int) (uint64, int) {
-	// Fast path: single-byte varints dominate delta streams.
-	if b := data[pos]; b < 0x80 {
-		return uint64(b), 1
-	}
-	v, n := uvarintSlow(data[pos:])
-	return v, n
-}
-
-func uvarintSlow(b []byte) (uint64, int) {
-	var v uint64
-	for i, s := 0, uint(0); i < len(b); i, s = i+1, s+7 {
-		c := b[i]
-		if c < 0x80 {
-			return v | uint64(c)<<s, i + 1
-		}
-		v |= uint64(c&0x7f) << s
-	}
-	return 0, 0
 }

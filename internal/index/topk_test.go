@@ -132,7 +132,7 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			for _, k := range []int{1, 5, 10, 50} {
 				want := exhaustiveTopK(flat, need, alpha, k, nil)
-				out, c := flat.scorePlanTopK(planQuery(need, alpha, flat), k, nil)
+				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil)
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d", q, alpha, k), want, out)
 				pruned += c.pruned
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d sharded", q, alpha, k),
@@ -167,7 +167,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 
 	want := exhaustiveTopK(ix, need, 1, 10, nil)
-	out, c := ix.scorePlanTopK(planQuery(need, 1, ix), 10, nil)
+	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil)
 	assertScoredBitIdentical(t, "block skipping", want, out)
 	if c.blocksSkipped == 0 {
 		t.Errorf("no blocks skipped on the crafted corpus (pruned=%d postings=%d)", c.pruned, c.postings)
