@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke bench-ledger-smoke loadtest-smoke loadtest-chaos loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale docs-check logcheck check clean
+.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke bench-ledger-smoke ledger loadtest-smoke loadtest-chaos loadtest-cached loadtest-scatter loadtest-topk loadtest-ingest loadtest-scale docs-check logcheck check clean
 
 all: check
 
@@ -77,6 +77,20 @@ bench-smoke:
 # full `bash bench/run.sh --workload … --seed 11` run.
 bench-ledger-smoke:
 	cd bench && $(GO) test .
+
+# ledger runs the performance ledger's four workloads at the pinned seed
+# and prints one result line per workload: the before/after a perf claim
+# owes is this target on the parent commit and on the change, one at a
+# time (the estimator assumes it has the machine). With seed 11 a moved
+# ranking shows as "correct":false. Each run's table goes to
+# .bench_build/ledger.<workload>.log.
+ledger:
+	@mkdir -p .bench_build; \
+	for w in mem_find seg_topk seg_churn http_cached; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 11 --trace 0 2>.bench_build/ledger.$$w.log) \
+			|| { cat .bench_build/ledger.$$w.log; exit 1; }; \
+		echo "$$w $$(echo "$$out" | tail -n 1)"; \
+	done
 
 # loadtest-smoke runs the deterministic load harness in simulated
 # time against both drivers, writes BENCH_4.run.json, and fails on a

@@ -13,7 +13,7 @@ package core
 //	RankMerged   coordinator-side Eq. (3) over the k-way-merged matches
 //
 // Determinism contract: with global stats equal to the sum of every
-// shard's NeedStats, the concatenation (in scoredLess order) of all
+// shard's NeedStats, the concatenation (in scoredCmp order) of all
 // shards' ShardMatches is bit-identical to a single process's
 // Matches, and RankMerged over it is bit-identical to that process's
 // Find — same plan weights, same per-document addition chains, same

@@ -175,15 +175,19 @@ func uvarintSlow(b []byte) (uint64, int) {
 
 // blockMeta is one sealed block's skip entry.
 type blockMeta struct {
-	off    int     // byte offset of the block in the list's data
-	n      int     // postings in the block
-	maxDoc DocID   // maximum (= last) doc id in the block
-	maxW   float64 // maximum weightless posting score in the block
+	off, end int     // the block's postings are data[off:end]
+	n        int32   // postings in the block (narrow: the entry stays 32 bytes)
+	maxDoc   DocID   // maximum (= last) doc id in the block
+	maxW     float64 // maximum weightless posting score in the block
 }
 
 // postingList is a blocked posting list for one term or entity.
 type postingList struct {
-	kind   postingKind
+	kind postingKind
+	// data holds the sealed blocks' postings, each at its skip entry's
+	// [off, end). A built list packs them back to back; a list read from
+	// a segment is the file's own list body, skip entries interleaved,
+	// and must not be written to (it may be the mmap itself).
 	data   []byte
 	blocks []blockMeta
 	tail   []byte  // unsorted recent postings, absolute doc ids
@@ -195,7 +199,7 @@ type postingList struct {
 // are canonical, so only the last can be short.
 func (l *postingList) sealed() int {
 	if n := len(l.blocks); n > 0 {
-		return (n-1)*blockSize + l.blocks[n-1].n
+		return (n-1)*blockSize + int(l.blocks[n-1].n)
 	}
 	return 0
 }
@@ -218,9 +222,12 @@ func (l *postingList) add(p posting) {
 // per list.
 func (l *postingList) decodeAll() []posting {
 	out := make([]posting, 0, l.count)
-	sealed := l.sealed()
-	out, _ = l.kind.decodeRun(out, l.data, 0, sealed, 0, true)
-	out, _ = l.kind.decodeRun(out, l.tail, 0, l.count-sealed, 0, false)
+	base := DocID(0)
+	for _, bm := range l.blocks {
+		out, _ = l.kind.decodeRun(out, l.data, bm.off, int(bm.n), base, true)
+		base = bm.maxDoc
+	}
+	out, _ = l.kind.decodeRun(out, l.tail, 0, l.count-l.sealed(), 0, false)
 	return out
 }
 
@@ -249,7 +256,7 @@ func (l *postingList) encode(ps []posting) {
 		if end > len(ps) {
 			end = len(ps)
 		}
-		bm := blockMeta{off: len(l.data), n: end - start}
+		bm := blockMeta{off: len(l.data), n: int32(end - start)}
 		for _, p := range ps[start:end] {
 			l.data = l.kind.append(l.data, uint64(p.doc-prev), p)
 			prev = p.doc
@@ -257,19 +264,11 @@ func (l *postingList) encode(ps []posting) {
 				bm.maxW = w
 			}
 		}
-		bm.maxDoc = prev
+		bm.end, bm.maxDoc = len(l.data), prev
 		l.blocks = append(l.blocks, bm)
 	}
 	l.tail = nil
 	l.count = len(ps)
-}
-
-// blockEnd returns the byte offset one past block i.
-func (l *postingList) blockEnd(i int) int {
-	if i+1 < len(l.blocks) {
-		return l.blocks[i+1].off
-	}
-	return len(l.data)
 }
 
 // newPostingList builds a fully sealed, canonical list from postings

@@ -169,7 +169,7 @@ func writeListBody(cw *countWriter, l *postingList) {
 	writeUvarint(cw, uint64(l.count))
 	writeUvarint(cw, uint64(len(l.blocks)))
 	prevMax := DocID(0)
-	for i, bm := range l.blocks {
+	for _, bm := range l.blocks {
 		writeUvarint(cw, uint64(bm.n))
 		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
 		if l.kind == termKind {
@@ -177,7 +177,7 @@ func writeListBody(cw *countWriter, l *postingList) {
 		} else {
 			cw.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(bm.maxW)))
 		}
-		data := l.data[bm.off:l.blockEnd(i)]
+		data := l.data[bm.off:bm.end]
 		writeUvarint(cw, uint64(len(data)))
 		cw.Write(data)
 		prevMax = bm.maxDoc
@@ -400,7 +400,7 @@ func (s *scanner) list(kind postingKind, docs []DocID) (*postingList, error) {
 		if end != len(data) {
 			return nil, fmt.Errorf("block %d has %d trailing bytes", b, len(data)-end)
 		}
-		bm := blockMeta{off: len(l.data), n: wantN}
+		bm := blockMeta{off: len(l.data), end: len(l.data) + len(data), n: int32(wantN)}
 		for j, p := range ps {
 			if math.IsNaN(p.dScore) || p.dScore < 0 || p.dScore > 1 {
 				return nil, fmt.Errorf("block %d posting %d has dScore %v outside [0,1]", b, j, p.dScore)

@@ -149,7 +149,7 @@ func FuzzIndexScore(f *testing.F) {
 			if !flat.Has(sd.Doc) {
 				t.Fatalf("rank %d: unknown doc %d", i, sd.Doc)
 			}
-			if i > 0 && scoredLess(sd, got[i-1]) {
+			if i > 0 && scoredCmp(sd, got[i-1]) < 0 {
 				t.Fatalf("ranking out of order at %d: %+v before %+v", i, got[i-1], sd)
 			}
 		}
@@ -229,9 +229,9 @@ func checkBounds(t *testing.T, l *postingList) {
 	t.Helper()
 	base := DocID(0)
 	for i, bm := range l.blocks {
-		ps, end := l.kind.decodeRun(nil, l.data, bm.off, bm.n, base, true)
-		if len(ps) != bm.n || end != l.blockEnd(i) {
-			t.Fatalf("block %d decoded %d postings to byte %d, skip entry says %d to %d", i, len(ps), end, bm.n, l.blockEnd(i))
+		ps, end := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base, true)
+		if len(ps) != int(bm.n) || end != bm.end {
+			t.Fatalf("block %d decoded %d postings to byte %d, skip entry says %d to %d", i, len(ps), end, bm.n, bm.end)
 		}
 		for _, p := range ps {
 			if p.doc > bm.maxDoc {

@@ -20,7 +20,7 @@ import (
 
 // listSource yields the posting lists one part contributes to a plan,
 // by dictionary key (nil where it holds none): an in-memory Index looks
-// them up, a sealed segment materializes them from disk.
+// them up, a sealed segment hands out views of its file.
 type listSource interface {
 	list(k listKey) *postingList
 }
@@ -104,18 +104,25 @@ func searchParts(plan queryPlan, parts []part, k, workers int) []ScoredDoc {
 	return out
 }
 
-// scoredLess is the one ranking comparator: descending score, ties
+// scoredCmp is the one ranking comparator: descending score, ties
 // broken by ascending DocID. Document IDs are unique, so it is a total
 // order and every sort/merge over it is deterministic.
-func scoredLess(a, b ScoredDoc) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+func scoredCmp(a, b ScoredDoc) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	case a.Doc < b.Doc:
+		return -1
+	case a.Doc > b.Doc:
+		return 1
 	}
-	return a.Doc < b.Doc
+	return 0
 }
 
 // mergeScored k-way merges per-part rankings that are each already
-// sorted by scoredLess. Parts hold disjoint documents, so the
+// sorted by scoredCmp. Parts hold disjoint documents, so the
 // comparator is a total order and the merge is the unique global
 // ranking — no re-sort, no nondeterminism.
 func mergeScored(lists [][]ScoredDoc) []ScoredDoc {
@@ -138,7 +145,7 @@ func mergeScored(lists [][]ScoredDoc) []ScoredDoc {
 			if heads[i] >= len(l) {
 				continue
 			}
-			if best == -1 || scoredLess(l[heads[i]], nonEmpty[best][heads[best]]) {
+			if best == -1 || scoredCmp(l[heads[i]], nonEmpty[best][heads[best]]) < 0 {
 				best = i
 			}
 		}

@@ -12,7 +12,7 @@ import (
 
 // oracleTopK is the naive reference every scoring path is held to:
 // decode every planned list in full, accumulate in plan order, sort by
-// scoredLess, filter by accept, truncate to k. It shares the plan (the
+// scoredCmp, filter by accept, truncate to k. It shares the plan (the
 // weights are the contract) and nothing else with scorePlanTopK — no
 // accumulator, no bounds, no block walk, no merge.
 func oracleTopK(ix *Index, st CollectionStats, need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
@@ -41,7 +41,7 @@ func oracleTopK(ix *Index, st CollectionStats, need analysis.Analyzed, alpha flo
 			out = append(out, ScoredDoc{Doc: d, Score: s})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return scoredLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return scoredCmp(out[i], out[j]) < 0 })
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
@@ -62,58 +62,25 @@ func materializedStats(ix *Index) GlobalStats {
 	return g
 }
 
-// TestSearchOracleGrid holds the one match path to the naive oracle on
-// every index type and partitioning: Index, Sharded (sequential and
-// pooled), Store (memtable only, one segment, four segments, four
-// segments with tombstones) × α × k × accept × own/explicit stats. The
-// explicit view is a strict superset of the scored collection, so a
-// path that ignored st and planned against its own statistics fails.
-func TestSearchOracleGrid(t *testing.T) {
-	docs := randomDocs(17, 500, 0)
-	var removes, live []Doc
-	for i, d := range docs {
-		if i%9 == 4 {
-			removes = append(removes, d)
-		} else {
-			live = append(live, d)
-		}
-	}
-	flat, flatLive := flatFromDocs(docs), flatFromDocs(live)
+// oracleTarget is one Searcher under the oracle grid, with the monolith
+// over the same live documents the oracle decodes.
+type oracleTarget struct {
+	name string
+	ix   Searcher
+	ref  *Index
+}
 
-	type target struct {
-		name string
-		ix   Searcher
-		ref  *Index // the monolith over the same live documents
-	}
-	targets := []target{{"index", flat, flat}}
-	for _, n := range []int{1, 2, 3, 7} {
-		pooled := NewSharded(n)
-		pooled.AddBatch(docs)
-		seq := NewSharded(n)
-		seq.workers = 1
-		seq.AddBatch(docs)
-		targets = append(targets,
-			target{fmt.Sprintf("sharded%d", n), pooled, flat},
-			target{fmt.Sprintf("sharded%d seq", n), seq, flat})
-	}
-	for _, layout := range [][]int{nil, {500}, {40, 90, 300, 460}} {
-		targets = append(targets, target{fmt.Sprintf("store%v", layout), storeOf(t, docs, layout, StoreOptions{}), flat})
-	}
-	tombed := storeOf(t, docs, []int{40, 90, 300, 460}, StoreOptions{})
-	tombed.ApplyDelta(Delta{Removes: removes})
-	if tombed.Status().Tombstones == 0 {
-		t.Fatal("tombstone layout carries no tombstones")
-	}
-	targets = append(targets, target{"store tombstones", tombed, flatLive})
-
-	wider := materializedStats(flatFromDocs(append(randomDocs(18, 200, 10_000), docs...)))
+// assertOracleGrid holds every target to the naive oracle over needs ×
+// α × k × accept × own/explicit stats. The explicit view is a strict
+// superset of the scored collection, so a path that ignored st and
+// planned against its own statistics fails.
+func assertOracleGrid(t *testing.T, targets []oracleTarget, wider CollectionStats, needs []analysis.Analyzed) {
+	t.Helper()
 	accepts := map[string]func(DocID) bool{
 		"all":    nil,
 		"subset": func(d DocID) bool { return d%3 != 0 },
 	}
-	r := rand.New(rand.NewSource(19))
-	for q := 0; q < 4; q++ {
-		need := randomNeed(r)
+	for q, need := range needs {
 		for _, tg := range targets {
 			for _, alpha := range []float64{0, 0.6, 1} {
 				for _, k := range []int{0, 1, 10} {
@@ -130,6 +97,141 @@ func TestSearchOracleGrid(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSearchOracleGrid holds the one match path to the naive oracle on
+// every index type and partitioning: Index, Sharded (sequential and
+// pooled), Store (memtable only, one segment, four segments, four
+// segments with tombstones), and the two layouts the doc-sorted
+// accumulator walk could get wrong — see the subtests.
+func TestSearchOracleGrid(t *testing.T) {
+	docs := randomDocs(17, 500, 0)
+	var removes, live []Doc
+	for i, d := range docs {
+		if i%9 == 4 {
+			removes = append(removes, d)
+		} else {
+			live = append(live, d)
+		}
+	}
+	flat, flatLive := flatFromDocs(docs), flatFromDocs(live)
+
+	targets := []oracleTarget{{"index", flat, flat}}
+	for _, n := range []int{1, 2, 3, 7} {
+		pooled := NewSharded(n)
+		pooled.AddBatch(docs)
+		seq := NewSharded(n)
+		seq.workers = 1
+		seq.AddBatch(docs)
+		targets = append(targets,
+			oracleTarget{fmt.Sprintf("sharded%d", n), pooled, flat},
+			oracleTarget{fmt.Sprintf("sharded%d seq", n), seq, flat})
+	}
+	for _, layout := range [][]int{nil, {500}, {40, 90, 300, 460}} {
+		targets = append(targets, oracleTarget{fmt.Sprintf("store%v", layout), storeOf(t, docs, layout, StoreOptions{}), flat})
+	}
+	tombed := storeOf(t, docs, []int{40, 90, 300, 460}, StoreOptions{})
+	tombed.ApplyDelta(Delta{Removes: removes})
+	if tombed.Status().Tombstones == 0 {
+		t.Fatal("tombstone layout carries no tombstones")
+	}
+	targets = append(targets, oracleTarget{"store tombstones", tombed, flatLive})
+
+	wider := materializedStats(flatFromDocs(append(randomDocs(18, 200, 10_000), docs...)))
+	r := rand.New(rand.NewSource(19))
+	var needs []analysis.Analyzed
+	for q := 0; q < 4; q++ {
+		needs = append(needs, randomNeed(r))
+	}
+	assertOracleGrid(t, targets, wider, needs)
+
+	// Documents added out of id order, then an update re-adding a low
+	// id: unsorted tails hold doc ids below and between the sealed
+	// blocks' ids, so a tail posting must find its accumulator anywhere
+	// in the doc-sorted slice and what it admits must merge in order.
+	t.Run("tail ids below and between sealed ids", func(t *testing.T) {
+		shuffled := randomDocs(17, 900, 0)
+		rand.New(rand.NewSource(20)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		low := shuffled[0] // the lowest id, re-added last under new content
+		for _, d := range shuffled {
+			if d.ID < low.ID {
+				low = d
+			}
+		}
+		updated := Doc{ID: low.ID, A: randomDocs(21, 1, 0)[0].A}
+		final := make([]Doc, 0, len(shuffled))
+		for _, d := range shuffled {
+			if d.ID == low.ID {
+				d = updated
+			}
+			final = append(final, d)
+		}
+		ref := flatFromDocs(final)
+
+		ix := flatFromDocs(shuffled)
+		var between int
+		for _, l := range ix.lists {
+			if n := l.count - l.sealed(); n > 0 && len(l.blocks) > 0 {
+				tail, _ := l.kind.decodeRun(nil, l.tail, 0, n, 0, false)
+				for _, p := range tail {
+					if p.doc < l.blocks[len(l.blocks)-1].maxDoc {
+						between++
+					}
+				}
+			}
+		}
+		if between == 0 {
+			t.Fatal("no tail posting lies below a sealed doc id; the layout is not the one under test")
+		}
+		ix.Update(low.ID, low.A, updated.A)
+		targets := []oracleTarget{{"index", ix, ref}}
+		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {ForceStream: true}} {
+			s := storeOf(t, shuffled, []int{300, 600}, o)
+			s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: low.ID, Old: low.A, New: updated.A}}})
+			targets = append(targets, oracleTarget{"store " + name, s, ref})
+		}
+		assertOracleGrid(t, targets, wider, needs)
+	})
+
+	// θ closes admission in the middle of a multi-block list: a rare,
+	// heavy term sets θ, then the common list is walked with most
+	// blocks update-only (skipped, or decoded where a live accumulator
+	// sits — at low ids and again far up the list) and one block whose
+	// own bound still admits. The skipping runs against the accumulator
+	// cursor, on the in-memory list and on a segment's in-place blocks.
+	t.Run("admission closes mid-list", func(t *testing.T) {
+		var docs []Doc
+		for i := 0; i < 3000; i++ {
+			terms := map[string]int{"zcommon": 1}
+			if i < 12 || (i >= 2200 && i < 2204) {
+				terms["aaarare"] = 5
+			}
+			if i == 1500 {
+				terms["zcommon"] = 400 // one block of the common list still admits
+			}
+			docs = append(docs, Doc{ID: DocID(i), A: analysis.Analyzed{Terms: terms}})
+		}
+		ref := flatFromDocs(docs)
+		targets := []oracleTarget{{"index", ref, ref}}
+		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {ForceStream: true}} {
+			targets = append(targets, oracleTarget{"store " + name, storeOf(t, docs, []int{3000}, o), ref})
+		}
+		need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
+		skipped := mBlocksSkipped.Value()
+		assertOracleGrid(t, targets, ref, []analysis.Analyzed{need})
+		if mBlocksSkipped.Value() == skipped {
+			t.Error("no block skipped: admission never closed mid-list")
+		}
+		out, c := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil)
+		if len(out) != 10 || out[0].Doc != 1500 {
+			t.Fatalf("top of the ranking is %+v, want the admitted mid-list doc 1500 first", out)
+		}
+		if want := len(ref.lists[termKey("zcommon")].blocks) - 3; c.blocksSkipped != want {
+			t.Errorf("skipped %d blocks, want %d: all but the two holding rare docs and the admitting one", c.blocksSkipped, want)
+		}
+	})
 }
 
 // TestNilStatsMeansOwnStatistics: a nil collection view selects the

@@ -130,10 +130,11 @@ func segCorrupt(path, what string) {
 	panic(fmt.Sprintf("index: segment %s corrupted after open (%s)", path, what))
 }
 
-// list materializes one posting list from the file (listSource): block
-// payloads are copied into a contiguous buffer and the skip entries
-// rebuilt from the stored per-block headers. Returns nil when the
-// segment has no postings under k.
+// list returns one posting list as the file holds it (listSource): data
+// is the list body itself — on the mmap source the mapping, no copy —
+// and the skip entries, rebuilt from the stored per-block headers, say
+// where in it each block's postings lie. Returns nil when the segment
+// has no postings under k.
 func (sr *SegmentReader) list(k listKey) *postingList {
 	ref, ok := sr.lists[k]
 	if !ok {
@@ -146,20 +147,17 @@ func (sr *SegmentReader) list(k listKey) *postingList {
 		segCorrupt(sr.path, "list header")
 	}
 	pos := m1 + m2
-	l := &postingList{kind: k.kind, count: ref.count, maxW: ref.maxW}
+	l := &postingList{kind: k.kind, data: raw, count: ref.count, maxW: ref.maxW}
 	l.blocks = make([]blockMeta, 0, nBlocks)
-	l.data = make([]byte, 0, len(raw)-pos)
 	base := DocID(0)
 	for b := uint64(0); b < nBlocks; b++ {
 		n, maxDocDelta, bound, byteLen, p := skipEntryAt(raw, pos, k.kind)
 		if p == 0 || byteLen > uint64(len(raw)-p) {
 			segCorrupt(sr.path, "block past list end")
 		}
-		bm := blockMeta{off: len(l.data), n: int(n), maxDoc: base + DocID(maxDocDelta), maxW: bound}
 		pos = p + int(byteLen)
-		l.data = append(l.data, raw[p:pos]...)
-		base = bm.maxDoc
-		l.blocks = append(l.blocks, bm)
+		base += DocID(maxDocDelta)
+		l.blocks = append(l.blocks, blockMeta{off: p, end: pos, n: int32(n), maxDoc: base, maxW: bound})
 	}
 	if pos != len(raw) {
 		segCorrupt(sr.path, "trailing bytes in list")

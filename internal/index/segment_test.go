@@ -471,7 +471,7 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 				need := randomNeed(r)
 				got := s.ScoreTopK(need, 0.6, 10, nil)
 				for i := 1; i < len(got); i++ {
-					if scoredLess(got[i], got[i-1]) {
+					if scoredCmp(got[i], got[i-1]) < 0 {
 						t.Errorf("unordered results under concurrency")
 						return
 					}

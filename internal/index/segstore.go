@@ -808,8 +808,9 @@ func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept f
 // document sets are pairwise disjoint (a document has exactly one
 // non-tombstoned occurrence), so the merge reproduces a monolithic
 // evaluation exactly. Parts are scored in order on the caller's
-// goroutine, so only one segment's materialized lists are live at a
-// time.
+// goroutine. A segment's planned lists are walked in place (on the mmap
+// source, in the mapping itself); what a query builds per list is its
+// skip entries, garbage once the part is scored.
 func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -309,7 +309,7 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 				}
 				got := sh.Score(need, 0.6)
 				for j := 1; j < len(got); j++ {
-					if scoredLess(got[j], got[j-1]) {
+					if scoredCmp(got[j], got[j-1]) < 0 {
 						t.Errorf("ranking out of order at %d", j)
 						return
 					}

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"expertfind/internal/telemetry"
 )
@@ -25,6 +27,14 @@ import (
 // from any later list, so a block of the current list whose own bound
 // is below θ is update-only; if no live accumulator doc falls in its
 // doc-id range it is skipped without decoding.
+//
+// The accumulator is one slice of partial scores in ascending doc
+// order. Sealed blocks are doc-sorted too, so a list walks it with a
+// cursor that only moves forward, and that same cursor answers "does
+// an update-only block overlap a live document". Documents a list
+// admits wait in a pending run that settle merges in once the list is
+// done; a document appears at most once per list, so nothing in the
+// pending run is looked up before then.
 
 // Pruning metrics: how much work the top-k path avoided.
 var (
@@ -57,20 +67,48 @@ func (c *topkCounters) add(o topkCounters) {
 	c.blocksSkipped += o.blocksSkipped
 }
 
-// topkAcc is the accumulator state of one evaluation. It lives on the
-// scorer's stack; what only pruning uses (dead, scratch) is allocated
-// when k > 0 first needs it, so an exhaustive evaluation pays for the
-// score map alone.
+// topkAcc is the accumulator state of one evaluation. Its buffers are
+// pooled across evaluations (accPool); everything else is reset by
+// scorePlanTopK.
 type topkAcc struct {
 	k      int
 	accept func(DocID) bool
-	scores map[DocID]float64
-	// dead holds documents dropped by a bound proof, so a later list
-	// can never resurrect one with a partial (wrong) score.
-	dead    map[DocID]struct{}
-	theta   float64   // k-th largest current partial; -Inf until k exist
-	scratch []float64 // size-k min-heap reused across settle calls
+	// docs holds every live partial score, ascending by doc id.
+	docs []ScoredDoc
+	// pend holds the documents the list being walked has admitted.
+	pend []ScoredDoc
+	// closed is set by the first bound-proof drop. A drop proves
+	// remNext·slack < θ, every later list's admission bound is a suffix
+	// of that same sum and θ never falls, so admission stays closed for
+	// good: a dropped document can never come back with a partial
+	// (wrong) score.
+	closed bool
+	theta  float64   // k-th largest current partial; -Inf until k exist
+	heap   []float64 // size-k min-heap reused across settle calls
+	lists  []boundedList
 	topkCounters
+}
+
+// maxPooledDocs bounds the accumulator buffers a released topkAcc keeps
+// (1 MiB each): one outsized evaluation must not pin its high-water
+// mark in the pool.
+const maxPooledDocs = 1 << 16
+
+var accPool = sync.Pool{New: func() any { return new(topkAcc) }}
+
+// release returns the buffers to the pool, emptied, holding on to
+// nothing of the evaluation: not the caller's filter, not a segment's
+// per-query posting lists.
+func (a *topkAcc) release() {
+	if cap(a.docs) > maxPooledDocs {
+		a.docs = nil
+	}
+	if cap(a.pend) > maxPooledDocs {
+		a.pend = nil
+	}
+	clear(a.lists)
+	*a = topkAcc{docs: a.docs[:0], pend: a.pend[:0], heap: a.heap[:0], lists: a.lists[:0]}
+	accPool.Put(a)
 }
 
 // admits reports whether a document bounded by bound could still reach
@@ -79,61 +117,105 @@ func (a *topkAcc) admits(bound float64) bool {
 	return !(bound*boundSlack < a.theta)
 }
 
-// visit accumulates one posting's contribution c for doc. admit
-// permits starting a new accumulator; updates always apply.
-func (a *topkAcc) visit(doc DocID, c float64, admit bool) {
-	a.postings++
-	if v, ok := a.scores[doc]; ok {
-		a.scores[doc] = v + c
-		return
+// seekScored returns the least i >= from with docs[i].Doc >= d
+// (len(docs) if none): seekDoc's gallop-then-bisect over accumulator
+// entries, so a walk costs what the gaps between a list's postings
+// cost, not the size of the accumulator.
+func seekScored(docs []ScoredDoc, from int, d DocID) int {
+	if from >= len(docs) || docs[from].Doc >= d {
+		return from
 	}
-	if !admit {
-		return
+	lo, step := from, 1 // docs[lo].Doc < d
+	for lo+step < len(docs) && docs[lo+step].Doc < d {
+		lo += step
+		step <<= 1
 	}
-	if _, dd := a.dead[doc]; dd {
-		return
+	hi := min(lo+step, len(docs)) // docs[hi].Doc >= d, or hi is the end
+	for lo+1 < hi {
+		if m := int(uint(lo+hi) >> 1); docs[m].Doc < d {
+			lo = m
+		} else {
+			hi = m
+		}
 	}
-	if a.accept != nil && !a.accept(doc) {
-		return
-	}
-	a.scores[doc] = c
+	return hi
 }
 
-// settle, called after each list, refreshes θ from the live partials
-// and drops every accumulator that provably cannot reach it given the
+// visit accumulates one posting's contribution c for doc, looking the
+// document up from accumulator position from on, and returns where the
+// lookup ended. admit permits starting a new accumulator; updates
+// always apply.
+func (a *topkAcc) visit(from int, doc DocID, c float64, admit bool) int {
+	a.postings++
+	i := seekScored(a.docs, from, doc)
+	if i < len(a.docs) && a.docs[i].Doc == doc {
+		a.docs[i].Score += c
+		return i + 1
+	}
+	if admit && (a.accept == nil || a.accept(doc)) {
+		a.pend = append(a.pend, ScoredDoc{Doc: doc, Score: c})
+	}
+	return i
+}
+
+// settle, called after each list, merges the documents the list
+// admitted into the accumulator, refreshes θ from the live partials and
+// drops every accumulator that provably cannot reach it given the
 // remaining bound remNext.
 func (a *topkAcc) settle(remNext float64) {
+	a.mergePending()
 	if a.k <= 0 {
 		return
 	}
-	if len(a.scores) >= a.k {
+	if len(a.docs) >= a.k {
 		a.theta = a.kthLargest()
 	}
 	if math.IsInf(a.theta, -1) || a.theta <= 0 {
 		return
 	}
-	for d, v := range a.scores {
-		if (v+remNext)*boundSlack < a.theta {
-			delete(a.scores, d)
-			if a.dead == nil {
-				a.dead = make(map[DocID]struct{})
-			}
-			a.dead[d] = struct{}{}
-			a.pruned++
+	live := a.docs[:0]
+	for _, e := range a.docs {
+		if !((e.Score+remNext)*boundSlack < a.theta) {
+			live = append(live, e)
 		}
 	}
+	if dropped := len(a.docs) - len(live); dropped > 0 {
+		a.pruned += dropped
+		a.closed = true
+	}
+	a.docs = live
+}
+
+// mergePending merges the doc-sorted pending run into docs from the
+// back, so no entry moves more than once and nothing is copied aside.
+func (a *topkAcc) mergePending() {
+	if len(a.pend) == 0 {
+		return
+	}
+	i, j := len(a.docs)-1, len(a.pend)-1
+	a.docs = append(a.docs, a.pend...)
+	if i >= 0 && a.docs[i].Doc > a.pend[0].Doc { // else appending was the merge
+		// docs[:i+1] and pend[:j+1] are still to place, at docs[w]
+		// downwards; once pend runs out the rest of docs is in place.
+		for w := len(a.docs) - 1; j >= 0; w-- {
+			if i >= 0 && a.docs[i].Doc > a.pend[j].Doc {
+				a.docs[w] = a.docs[i]
+				i--
+			} else {
+				a.docs[w] = a.pend[j]
+				j--
+			}
+		}
+	}
+	a.pend = a.pend[:0]
 }
 
 // kthLargest selects the k-th largest live partial with a size-k
-// min-heap; requires len(scores) >= k. The result is a pure function
-// of the multiset of values, so map iteration order cannot leak into
-// the threshold.
+// min-heap; requires len(docs) >= k.
 func (a *topkAcc) kthLargest() float64 {
-	if a.scratch == nil {
-		a.scratch = make([]float64, 0, a.k)
-	}
-	h := a.scratch[:0]
-	for _, v := range a.scores {
+	h := a.heap[:0]
+	for _, e := range a.docs {
+		v := e.Score
 		if len(h) < a.k {
 			h = append(h, v)
 			for i := len(h) - 1; i > 0; {
@@ -166,29 +248,8 @@ func (a *topkAcc) kthLargest() float64 {
 			}
 		}
 	}
-	a.scratch = h
+	a.heap = h
 	return h[0]
-}
-
-// liveDocsSorted snapshots the live accumulator doc ids in ascending
-// order, for deciding whether an update-only block intersects any
-// accumulator. Taken per list: documents admitted later in the same
-// list always carry smaller doc ids than any block still ahead, so the
-// snapshot cannot miss a doc a later block must update.
-func (a *topkAcc) liveDocsSorted() []DocID {
-	out := make([]DocID, 0, len(a.scores))
-	for d := range a.scores {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// docsInRange reports whether the sorted snapshot holds a doc in
-// (lo, hi]; lo < 0 means unbounded below.
-func docsInRange(snap []DocID, lo int64, hi DocID) bool {
-	i := sort.Search(len(snap), func(i int) bool { return int64(snap[i]) > lo })
-	return i < len(snap) && snap[i] <= hi
 }
 
 // walkList feeds one planned list into the accumulator: the sealed
@@ -199,44 +260,49 @@ func docsInRange(snap []DocID, lo int64, hi DocID) bool {
 // associated, so surviving chains stay byte-identical to the
 // exhaustive evaluation.
 func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
-	listAdmit := a.admits(l.maxW*w + remNext)
+	listAdmit := !a.closed && a.admits(l.maxW*w+remNext)
 	// Block-level admission refinement is sound only once admission is
 	// closed for every later list (remNext below θ): a document turned
 	// away by a block bound here can then never be admitted later with
 	// a partial chain.
 	refine := listAdmit && !a.admits(remNext)
-	var snap []DocID
-	snapped := false
 	var buf [blockSize]posting
-	// prev is the previous block's maximum doc id: this block's delta
-	// base, and the open lower end of its doc range.
-	prev := int64(-1)
+	// cur is the accumulator cursor: docs[cur] is the first live
+	// document above every sealed posting walked or skipped so far.
+	// Documents this list admits are pending, below every block still
+	// ahead, so docs is all a block can update.
+	cur := 0
+	next := DocID(0) // the delta base of the block after this one
 	for _, bm := range l.blocks {
-		lo := prev
-		prev = int64(bm.maxDoc)
+		base := next
+		next = bm.maxDoc
 		admit := listAdmit
 		if !listAdmit || (refine && !a.admits(bm.maxW*w+remNext)) {
 			admit = false
-			if !snapped {
-				snap, snapped = a.liveDocsSorted(), true
-			}
-			if !docsInRange(snap, lo, bm.maxDoc) {
+			if cur == len(a.docs) || a.docs[cur].Doc > bm.maxDoc {
 				a.blocksSkipped++
 				continue
 			}
 		}
-		ps, _ := l.kind.decodeRun(buf[:0], l.data, bm.off, bm.n, DocID(max(lo, 0)), true)
+		ps, _ := l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base, true)
 		for _, p := range ps {
-			a.visit(p.doc, float64(p.freq)*w*p.we, admit)
+			cur = a.visit(cur, p.doc, float64(p.freq)*w*p.we, admit)
 		}
 	}
-	for pos, left := 0, l.count-l.sealed(); left > 0; left -= blockSize {
+	left := l.count - l.sealed()
+	if left == 0 {
+		return
+	}
+	// The tail is unsorted: each posting searches the accumulator from
+	// the start, and what it admits leaves the pending run unsorted.
+	for pos := 0; left > 0; left -= blockSize {
 		var ps []posting
 		ps, pos = l.kind.decodeRun(buf[:0], l.tail, pos, min(left, blockSize), 0, false)
 		for _, p := range ps {
-			a.visit(p.doc, float64(p.freq)*w*p.we, listAdmit)
+			a.visit(0, p.doc, float64(p.freq)*w*p.we, listAdmit)
 		}
 	}
+	slices.SortFunc(a.pend, func(x, y ScoredDoc) int { return cmp.Compare(x.Doc, y.Doc) })
 }
 
 // boundedList is one planned list this index holds postings for, with
@@ -248,42 +314,51 @@ type boundedList struct {
 	rem float64
 }
 
+// bind resolves the plan against src: the lists src holds postings
+// for, in plan order, each with its rem.
+func (a *topkAcc) bind(src listSource, plan queryPlan) {
+	for _, pl := range plan {
+		if l := src.list(pl.key); l != nil && l.count > 0 {
+			a.lists = append(a.lists, boundedList{l: l, w: pl.w})
+		}
+	}
+	rem := 0.0
+	for i := len(a.lists) - 1; i >= 0; i-- {
+		bl := &a.lists[i]
+		bl.rem = rem
+		rem += bl.l.maxW * bl.w
+	}
+}
+
 // scorePlanTopK is the one scorer: it walks src's postings for an
 // already-weighted plan and returns the positive matches under the
-// accept filter, ordered by scoredLess and truncated to k, plus the
+// accept filter, ordered by scoredCmp and truncated to k, plus the
 // work counters. The plan's weights may come from a larger collection
 // than src (a shard or segment scored under global stats).
 // k <= 0 disables both the bound and the pruning (θ never activates):
 // an exhaustive accept-filtered evaluation.
 func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	lists := make([]boundedList, 0, len(plan))
-	for _, pl := range plan {
-		if l := src.list(pl.key); l != nil && l.count > 0 {
-			lists = append(lists, boundedList{l: l, w: pl.w})
-		}
-	}
-	rem := 0.0
-	for i := len(lists) - 1; i >= 0; i-- {
-		bl := &lists[i]
-		bl.rem = rem
-		rem += bl.l.maxW * bl.w
-	}
-
-	a := topkAcc{k: k, accept: accept, scores: make(map[DocID]float64), theta: math.Inf(-1)}
-	for _, bl := range lists {
+	a := accPool.Get().(*topkAcc)
+	a.k, a.accept, a.theta = k, accept, math.Inf(-1)
+	a.bind(src, plan)
+	for _, bl := range a.lists {
 		a.walkList(bl.l, bl.w, bl.rem)
 		a.settle(bl.rem)
 	}
 
-	out := make([]ScoredDoc, 0, len(a.scores))
-	for d, s := range a.scores {
-		if s > 0 {
-			out = append(out, ScoredDoc{Doc: d, Score: s})
+	// Rank in the pooled buffer; only the caller's slice is allocated.
+	ranked := a.docs[:0]
+	for _, e := range a.docs {
+		if e.Score > 0 {
+			ranked = append(ranked, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return scoredLess(out[i], out[j]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	slices.SortFunc(ranked, scoredCmp)
+	if k > 0 && len(ranked) > k {
+		ranked = ranked[:k]
 	}
-	return out, a.topkCounters
+	out, counters := make([]ScoredDoc, len(ranked)), a.topkCounters
+	copy(out, ranked)
+	a.release()
+	return out, counters
 }

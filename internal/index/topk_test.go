@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -290,6 +292,171 @@ func TestTopKConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestTopKClosedAdmissionInvariant pins the proof that lets one flag
+// stand in for a set of dropped documents: once settle drops anything,
+// no later list can admit. It drives the accumulator list by list over
+// the oracle grid's sources — a monolith, the shards of a Sharded, the
+// memtable and in-place segments of a tombstoned store — and asserts
+// after every dropping settle that admits(maxW·w + rem) is false for
+// every list still to walk.
+func TestTopKClosedAdmissionInvariant(t *testing.T) {
+	docs := randomDocs(17, 3000, 0)
+	flat := flatFromDocs(docs)
+	sources := map[string]listSource{"index": flat}
+	sharded := NewSharded(3)
+	sharded.AddBatch(docs)
+	for i, sh := range sharded.shards {
+		sources[fmt.Sprintf("shard%d", i)] = sh.ix
+	}
+	store := storeOf(t, docs, []int{400, 900, 1800, 2700}, StoreOptions{})
+	store.ApplyDelta(Delta{Removes: docs[100:130]})
+	sources["memtable"] = store.mem
+	for i, g := range store.segs {
+		sources[fmt.Sprintf("segment%d", i)] = g
+	}
+
+	r := rand.New(rand.NewSource(19))
+	var dropping int
+	for q := 0; q < 6; q++ {
+		need := randomNeed(r)
+		for _, alpha := range []float64{0, 0.6, 1} {
+			plan := planQuery(need, alpha, flat)
+			for _, k := range []int{1, 10} {
+				for name, src := range sources {
+					a := &topkAcc{k: k, theta: math.Inf(-1)}
+					a.bind(src, plan)
+					for i, bl := range a.lists {
+						before := a.pruned
+						a.walkList(bl.l, bl.w, bl.rem)
+						a.settle(bl.rem)
+						if a.closed != (a.pruned > 0) {
+							t.Fatalf("%s q%d α%g k%d list %d: closed=%v with %d dropped", name, q, alpha, k, i, a.closed, a.pruned)
+						}
+						if a.pruned == before {
+							continue
+						}
+						dropping++
+						for j, later := range a.lists[i+1:] {
+							if a.admits(later.l.maxW*later.w + later.rem) {
+								t.Fatalf("%s q%d α%g k%d: list %d dropped documents but list %d still admits (θ=%g)",
+									name, q, alpha, k, i, i+1+j, a.theta)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if dropping == 0 {
+		t.Fatal("no settle dropped anything; the invariant was never exercised")
+	}
+}
+
+// TestPooledAccumulatorIsolation interleaves different needs, α and k
+// from many goroutines on one pooled Sharded and one four-segment
+// store with tombstones, every result held to the oracle: an entry
+// surviving in a pooled buffer from one evaluation would surface as a
+// foreign document or a wrong score in the next.
+func TestPooledAccumulatorIsolation(t *testing.T) {
+	docs := randomDocs(43, 600, 0)
+	var removes, live []Doc
+	for i, d := range docs {
+		if i%7 == 3 {
+			removes = append(removes, d)
+		} else {
+			live = append(live, d)
+		}
+	}
+	flat, flatLive := flatFromDocs(docs), flatFromDocs(live)
+	sharded := NewSharded(4)
+	sharded.AddBatch(docs)
+	store := storeOf(t, docs, []int{100, 250, 400, 550}, StoreOptions{})
+	store.ApplyDelta(Delta{Removes: removes})
+
+	type query struct {
+		need         analysis.Analyzed
+		alpha        float64
+		k            int
+		full, tombed []ScoredDoc
+	}
+	r := rand.New(rand.NewSource(44))
+	var queries []query
+	for i := 0; i < 8; i++ {
+		need := randomNeed(r)
+		for _, alpha := range []float64{0, 0.6, 1} {
+			for _, k := range []int{0, 1, 10} {
+				queries = append(queries, query{need, alpha, k,
+					oracleTopK(flat, flat, need, alpha, k, nil),
+					oracleTopK(flatLive, flatLive, need, alpha, k, nil)})
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			order := rand.New(rand.NewSource(int64(g))).Perm(len(queries))
+			for _, qi := range order {
+				q := queries[qi]
+				if got := sharded.ScoreTopK(q.need, q.alpha, q.k, nil); !slices.Equal(got, q.full) {
+					t.Errorf("goroutine %d query %d (α%g k%d) sharded: got %v want %v", g, qi, q.alpha, q.k, got, q.full)
+				}
+				if got := store.ScoreTopK(q.need, q.alpha, q.k, nil); !slices.Equal(got, q.tombed) {
+					t.Errorf("goroutine %d query %d (α%g k%d) store: got %v want %v", g, qi, q.alpha, q.k, got, q.tombed)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
+// holds nothing of its evaluation, and gives up a buffer that grew past
+// maxPooledDocs instead of pinning it in the pool.
+func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
+	a := &topkAcc{
+		k:      3,
+		accept: func(DocID) bool { return true },
+		docs:   make([]ScoredDoc, 5, maxPooledDocs+1),
+		pend:   make([]ScoredDoc, 5, maxPooledDocs),
+		lists:  []boundedList{{l: &postingList{}}},
+		closed: true,
+	}
+	a.release()
+	if a.docs != nil || cap(a.pend) != maxPooledDocs {
+		t.Errorf("kept cap(docs)=%d cap(pend)=%d, want the outsized docs dropped and pend kept", cap(a.docs), cap(a.pend))
+	}
+	if len(a.pend) != 0 || len(a.lists) != 0 || a.lists[:1][0].l != nil || a.accept != nil || a.closed || a.k != 0 {
+		t.Errorf("released accumulator still holds evaluation state: %+v", a)
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestScorerAllocBudget pins the scorer's garbage: with a warm pool an
+// evaluation allocates the slice it returns and nothing else — nothing
+// per list, per posting or per document.
+func TestScorerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under -race")
+	}
+	flat := flatFromDocs(randomDocs(61, 2000, 0))
+	need := randomNeed(rand.New(rand.NewSource(62)))
+	plan := planQuery(need, 0.6, flat)
+	for _, k := range []int{10, 0} {
+		if out, _ := scorePlanTopK(flat, plan, k, nil); len(out) == 0 { // also warms the pool
+			t.Fatalf("k%d: need matches nothing", k)
+		}
+		allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(flat, plan, k, nil) })
+		if allocs > 1 {
+			t.Errorf("k%d: %.1f allocations per evaluation, want at most 1 (the returned slice)", k, allocs)
+		}
+	}
 }
 
 // TestShardedLivePoolSingleTerm is the regression test for the worker

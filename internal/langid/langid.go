@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lang identifies a natural language.
@@ -126,29 +127,50 @@ func outOfPlace(doc []string, langRank map[string]int) int {
 }
 
 // ngramFreqs extracts 1..maxN character n-grams from the
-// letters-only, lowercased, space-padded form of text.
+// letters-only, lowercased form of text, each word padded with one
+// space on either side. Once the whole text is padded every " word "
+// is a substring of it, so the n-grams are counted as substrings: the
+// map's keys share the padded text, and no n-gram occurrence allocates.
 func ngramFreqs(text string) map[string]int {
-	norm := normalize(text)
+	padded := normalize(text)
 	freqs := make(map[string]int)
-	for _, word := range strings.Fields(norm) {
-		padded := " " + word + " "
-		runes := []rune(padded)
-		for n := 1; n <= maxN; n++ {
-			for i := 0; i+n <= len(runes); i++ {
-				g := string(runes[i : i+n])
-				if g == " " {
-					continue
-				}
-				freqs[g]++
-			}
+	// starts holds the byte offsets of the last runes of the current
+	// " word " window, oldest first: where an n-gram ending at the
+	// current rune may begin.
+	var starts [maxN]int
+	have, inWord := 0, false
+	for i, r := range padded {
+		if r == ' ' && !inWord {
+			starts[0], have = i, 1 // the window opens at the space before its word
+			continue
+		}
+		if have == maxN {
+			copy(starts[:], starts[1:])
+			have--
+		}
+		starts[have] = i
+		have++
+		end := i + utf8.RuneLen(r)
+		from := starts[:have]
+		if r == ' ' {
+			from = from[:have-1] // a lone space is not an n-gram
+		}
+		for _, s := range from {
+			freqs[padded[s:end]]++
+		}
+		if inWord = r != ' '; !inWord {
+			starts[0], have = i, 1 // the closing space also opens the next window
 		}
 	}
 	return freqs
 }
 
+// normalize lowercases text and turns every non-letter into a space,
+// with one more space at either end.
 func normalize(text string) string {
 	var b strings.Builder
-	b.Grow(len(text))
+	b.Grow(len(text) + 2)
+	b.WriteByte(' ')
 	for _, r := range strings.ToLower(text) {
 		switch {
 		case unicode.IsLetter(r):
@@ -157,6 +179,7 @@ func normalize(text string) string {
 			b.WriteByte(' ')
 		}
 	}
+	b.WriteByte(' ')
 	return b.String()
 }
 

@@ -1,8 +1,11 @@
 package langid
 
 import (
+	"maps"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestIdentifyEnglish(t *testing.T) {
@@ -100,6 +103,53 @@ func TestNewClassifierCustomProfiles(t *testing.T) {
 	}
 	if got := c.Identify("bbb bbbb bbbb"); got != "bb" {
 		t.Errorf("Identify = %v, want bb", got)
+	}
+}
+
+// runeSliceNGramFreqs is the construction ngramFreqs replaced, kept as
+// its reference: every word padded on its own, converted to runes, one
+// string built per n-gram occurrence.
+func runeSliceNGramFreqs(text string) map[string]int {
+	letters := strings.Map(func(r rune) rune {
+		if unicode.IsLetter(r) {
+			return r
+		}
+		return ' '
+	}, strings.ToLower(text))
+	freqs := make(map[string]int)
+	for _, word := range strings.Fields(letters) {
+		runes := []rune(" " + word + " ")
+		for n := 1; n <= maxN; n++ {
+			for i := 0; i+n <= len(runes); i++ {
+				if g := string(runes[i : i+n]); g != " " {
+					freqs[g]++
+				}
+			}
+		}
+	}
+	return freqs
+}
+
+func TestNGramFreqsMatchesRuneSliceConstruction(t *testing.T) {
+	texts := map[string]string{
+		"empty":          "",
+		"no letters":     " 12 -- 3! ",
+		"one letter":     "a",
+		"ascii":          "Why is copper a good conductor?  It's the d-band, e.g. 4s1 3d10",
+		"accented":       "Où est la bibliothèque? ¿Dónde está el baño? Straße, ÅNGSTRÖM über naïve café",
+		"non-Latin":      "Москва — столица России. 東京は日本の首都です 한국어 ελληνικά",
+		"mixed width":    "añb 😀 xßy 日z",
+		"invalid utf-8":  "ab\xffcd \xc3",
+		"case expanding": "İstanbul İİ ǅ",
+	}
+	for lang, sample := range trainingSamples {
+		texts["sample "+string(lang)] = sample
+	}
+	for name, text := range texts {
+		got, want := ngramFreqs(text), runeSliceNGramFreqs(text)
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: n-gram frequencies differ from the rune-slice construction:\n got %v\nwant %v", name, got, want)
+		}
 	}
 }
 

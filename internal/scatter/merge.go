@@ -25,7 +25,7 @@ func (e *MalformedError) Error() string {
 func (e *MalformedError) Unwrap() error { return e.Err }
 
 // mergeLess is the global ranking comparator (descending score, ties
-// by ascending document id) — the same total order index.scoredLess
+// by ascending document id) — the same total order index.scoredCmp
 // imposes, so the merged list equals the single-process ranking.
 func mergeLess(a, b core.ShardMatch) bool {
 	if a.Score != b.Score {
