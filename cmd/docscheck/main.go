@@ -7,14 +7,20 @@
 // is added. Parsing stops at the AST (no type checking), keeping the
 // check fast enough to run on every push.
 //
+// It also keeps the runbooks honest: the top-level documents and the
+// verify skill (refDocs) may name a `make <target>` only when the
+// Makefile's .PHONY line lists it, and a BENCH_<n>.json only when git
+// tracks it — so a retired gate or baseline cannot linger in a
+// procedure someone will follow.
+//
 // Usage:
 //
 //	docscheck [packages]
 //
 // packages defaults to ./... and is passed to `go list` verbatim. Exit
-// status is nonzero when any package lacks a doc comment or any
-// exported declaration is undocumented, listing each offender with the
-// file and line a comment should go at.
+// status is nonzero when any package lacks a doc comment, any exported
+// declaration is undocumented or any document names a dangling target
+// or file, listing each offender with the file and line to fix.
 package main
 
 import (
@@ -25,6 +31,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -48,6 +55,12 @@ func main() {
 		}
 		offenders = append(offenders, off...)
 	}
+	refs, err := checkRepoRefs()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	offenders = append(offenders, refs...)
 	sort.Strings(offenders)
 	for _, o := range offenders {
 		fmt.Println(o)
@@ -56,7 +69,111 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documentation offender(s)\n", len(offenders))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, exported API covered\n", len(pkgs))
+	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets and tracked BENCH files\n",
+		len(pkgs), len(refDocs))
+}
+
+// refDocs are the documents, relative to the module root, whose make
+// targets and BENCH files must exist.
+var refDocs = []string{
+	"README.md", "OPERATIONS.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
+	".claude/skills/verify/SKILL.md",
+}
+
+// checkRepoRefs runs checkRefs over refDocs against the module's own
+// Makefile and git index.
+func checkRepoRefs() ([]string, error) {
+	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -m: %v", err)
+	}
+	root := strings.TrimSpace(string(out))
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	ls := exec.Command("git", "ls-files", "BENCH_*")
+	ls.Dir = root
+	if out, err = ls.Output(); err != nil {
+		return nil, fmt.Errorf("git ls-files: %v", err)
+	}
+	tracked := map[string]bool{}
+	for _, f := range strings.Fields(string(out)) {
+		tracked[f] = true
+	}
+	targets := phonyTargets(string(mk))
+	var offenders []string
+	for _, doc := range refDocs {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			return nil, err
+		}
+		offenders = append(offenders, checkRefs(doc, string(text), targets, tracked)...)
+	}
+	return offenders, nil
+}
+
+// phonyTargets is the Makefile's .PHONY list: the targets that exist.
+func phonyTargets(makefile string) map[string]bool {
+	targets := map[string]bool{}
+	for _, line := range strings.Split(makefile, "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			for _, t := range strings.Fields(rest) {
+				targets[t] = true
+			}
+		}
+	}
+	return targets
+}
+
+var (
+	makeTarget = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
+	benchFile  = regexp.MustCompile(`BENCH_[0-9]+\.json`)
+)
+
+// checkRefs returns one line per make target in doc's text that
+// targets lacks and per BENCH_<n>.json that tracked lacks. Only code
+// counts as a make invocation — a backtick span opening with "make "
+// or a line of a fenced block starting with it — so prose may still
+// "make sure"; words after it are targets until the first that is
+// neither a target name nor a VAR=value.
+func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
+	var offenders []string
+	invoked := func(lineNo int, cmd string) {
+		for _, w := range strings.Fields(cmd)[1:] {
+			if strings.Contains(w, "=") {
+				continue
+			}
+			if !makeTarget.MatchString(w) {
+				return
+			}
+			if !targets[w] {
+				offenders = append(offenders, fmt.Sprintf("%s:%d: `make %s` is not a Makefile target", doc, lineNo, w))
+			}
+		}
+	}
+	fenced := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if cmd := strings.TrimSpace(line); fenced && strings.HasPrefix(cmd, "make ") {
+			invoked(i+1, cmd)
+		}
+		// Odd fields of a split on backticks are the line's code spans.
+		for j, span := range strings.Split(line, "`") {
+			if j%2 == 1 && strings.HasPrefix(span, "make ") {
+				invoked(i+1, span)
+			}
+		}
+		for _, f := range benchFile.FindAllString(line, -1) {
+			if !tracked[f] {
+				offenders = append(offenders, fmt.Sprintf("%s:%d: %s is not a tracked file", doc, i+1, f))
+			}
+		}
+	}
+	return offenders
 }
 
 type pkg struct {

@@ -132,3 +132,26 @@ func TestRepositoryClean(t *testing.T) {
 		t.Fatalf("repository packages lack doc comments: %v", offenders)
 	}
 }
+
+func TestCheckRefs(t *testing.T) {
+	targets := phonyTargets("GO ?= go\n\n.PHONY: all ledger loadtest-scale check\n\nall: check\n")
+	tracked := map[string]bool{"BENCH_10.json": true}
+	text := strings.Join([]string{
+		"Run `make ledger` on the parent, then `make loadtest-scale SCALE=100` (BENCH_10.json).", // 1: all live
+		"Prose may make sure of anything; BENCH_10.run.json and BENCH_<n>.json are not records.", // 2: not code, not files
+		"```sh",
+		"make check           # what CI runs",
+		"make retired-gate  # gate vs. committed BENCH_99.json", // 5: dangling target and file
+		"```",
+		"After `make ledger retired-leg` compare.", // 7: second target dangling
+	}, "\n")
+	off := checkRefs("RUNBOOK.md", text, targets, tracked)
+	want := []string{
+		"RUNBOOK.md:5: `make retired-gate` is not a Makefile target",
+		"RUNBOOK.md:5: BENCH_99.json is not a tracked file",
+		"RUNBOOK.md:7: `make retired-leg` is not a Makefile target",
+	}
+	if strings.Join(off, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -41,22 +41,8 @@ import (
 //   - differential: after the last delta, every need — cached hit or
 //     fresh compute — must rank bit-identically to a cold rebuild of
 //     the final remote corpus.
-const ingestOut = "BENCH_9.run.json"
 
 func runIngest(o *options) int {
-	if o.corpusPath != "" {
-		log.Printf("INGEST: -rolling-ingest re-fetches a generated remote twin; drop -corpus")
-		return 1
-	}
-	if o.mode != "real" {
-		log.Printf("rolling-ingest scenario measures wall-clock latency; forcing -mode real")
-		o.mode = "real"
-	}
-	out := o.out
-	if out == defaultOut {
-		out = ingestOut
-	}
-
 	sys := buildSystem(o)
 	st := sys.Stats()
 	finder := sys.CoreFinder()
@@ -73,11 +59,7 @@ func runIngest(o *options) int {
 		Seed: o.corpusSeed, Scale: o.scale, IndexShards: o.indexShards,
 	})
 
-	cacheSize := o.cacheSize
-	if cacheSize <= 0 {
-		cacheSize = 4096
-	}
-	cache := rescache.New(rescache.Options{Capacity: cacheSize, TTL: o.cacheTTL})
+	cache := rescache.New(rescache.Options{Capacity: 4096, TTL: 5 * time.Minute})
 	sys.SetResultCache(cache.Attach())
 	ing, err := sys.NewIngester(ingest.Config{
 		API:   faults.Wrap(remote.Graph, faults.Config{}),
@@ -138,26 +120,7 @@ func runIngest(o *options) int {
 
 	code |= ingestDifferential(sys, remote, workload, o, params)
 
-	rep := &loadgen.Report{
-		Schema: loadgen.Schema,
-		Bench:  9,
-		Mode:   o.mode,
-		Seed:   o.seed,
-		Corpus: loadgen.CorpusInfo{
-			Seed: o.corpusSeed, Scale: o.scale,
-			Candidates: st.Candidates, Documents: st.Indexed,
-		},
-		Drivers: []loadgen.DriverReport{{Driver: "inprocess", Phases: phases}},
-	}
-	if o.stamp {
-		rep.GitRev = gitRev(o.rev)
-		rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	}
-	if err := rep.WriteFile(out); err != nil {
-		log.Fatalf("write %s: %v", out, err)
-	}
-	log.Printf("wrote %s", out)
-	printSummary(rep)
+	writeReport(o, "inprocess", st, phases)
 	if code == 0 {
 		log.Printf("ingest gates passed: %d survivals and %d scoped recomputes across %d deltas, final state matches cold rebuild",
 			survivedTotal, droppedTotal, o.ingestRounds)

@@ -1,182 +1,89 @@
-// Command loadtest drives the expert finding system with a
-// deterministic, corpus-derived workload and emits a machine-readable
-// BENCH report (internal/loadgen) that CI diffs across commits.
+// Command loadtest runs the three wall-clock correctness scenarios the
+// performance ledger (bench/, BENCHMARK.json) cannot: each needs real
+// processes, live deltas under a cache, or a corpus two orders of
+// magnitude past the ledger's. Latency numbers in their reports are
+// context, not gates — speed claims belong to `make ledger`.
 //
 // Usage:
 //
-//	loadtest [-mode sim|real] [-driver inprocess|http|both]
-//	         [-seed N] [-corpus-seed N] [-scale F] [-corpus file.json.gz]
-//	         [-concurrency N] [-qps F] [-top N]
-//	         [-warmup-requests N] [-ramp-requests N] [-steady-requests N]
-//	         [-open-requests N] [-warmup D] [-ramp D] [-steady D]
-//	         [-cache-size N] [-cache-ttl D] [-cached-requests N]
-//	         [-require-cache-speedup]
-//	         [-topk N] [-topk-requests N] [-require-topk-speedup]
-//	         [-chaos] [-chaos-transient F] [-chaos-ratelimit F]
-//	         [-chaos-latency D] [-chaos-requests N] [-chaos-duration D]
-//	         [-rolling-ingest] [-ingest-rounds N] [-ingest-requests N]
-//	         [-ingest-touch N]
-//	         [-addr URL] [-max-concurrent N] [-request-timeout D]
-//	         [-scatter] [-scatter-shards N] [-scatter-requests N]
-//	         [-scatter-verbose]
-//	         [-scale-run] [-scale-dir DIR] [-scale-requests N]
-//	         [-scale-chunk-docs N] [-scale-max-heap-mb N]
-//	         [-segment-flush-docs N] [-segment-max N]
-//	         [-out BENCH_4.json] [-baseline file] [-max-regress F]
-//	         [-stamp] [-rev REV] [-compare-only]
+//	loadtest -scenario scatter|ingest|scale
+//	         [-seed N] [-corpus-seed N] [-scale F] [-index-shards N]
+//	         [-concurrency N] [-top N] [-request-timeout D]
+//	         [-scatter-shards N] [-scatter-requests N] [-scatter-verbose]
+//	         [-ingest-rounds N] [-ingest-requests N] [-ingest-touch N]
+//	         [-scale-dir DIR] [-scale-requests N] [-scale-chunk-docs N]
+//	         [-scale-max-heap-mb N] [-segment-flush-docs N] [-segment-max N]
+//	         [-out FILE] [-stamp] [-rev REV]
 //
-// Modes. In sim mode (the default), phases are request-count-bounded
-// and latency comes from a seeded service-time model on a virtual
-// clock: the report is byte-identical across runs with the same seed
-// (pass -stamp=false to drop the git-rev/timestamp provenance
-// fields). In real mode, phases are duration-bounded and latency is
-// wall-clock — use it for actual performance numbers.
+// Every scenario generates its corpus from (-corpus-seed, -scale),
+// replays the deterministic internal/loadgen workload seeded by -seed,
+// applies its gates unconditionally, and writes a loadgen.Report to
+// -out. The default -out is the scenario's gitignored
+// BENCH_<n>.run.json, so no run overwrites a committed record unless
+// asked to (-out BENCH_10.json regenerates the scale-100 one). A
+// missing or unknown -scenario exits 2.
 //
-// Drivers. "inprocess" exercises the pipeline through core.Finder
-// directly; "http" drives a live /v1/find — a self-hosted server on a
-// loopback port, or the server at -addr. "both" (default) runs the
-// two back to back over the same request stream.
+// scatter (bench 6, scatter.go) builds the real serve and coordinator
+// binaries, boots -scatter-shards shard processes plus a coordinator
+// on loopback ports, and gates three phases: healthy (coordinator
+// responses byte-identical to a single process over the same corpus),
+// degraded (one shard SIGKILLed mid-run: every query still answers 200
+// with the X-Expertfind-Degraded header, the degraded-query counter
+// climbs, the pinned query's cross-process timeline assembles, the SLO
+// surface is live) and recovered (the shard restarted: byte-identical
+// again, the timeline still retained, one pprof capture per shard).
 //
-// Caching. -cache-size > 0 appends a "cached-steady" phase: a
-// bounded LRU result cache (internal/rescache) is attached to the
-// system and the Zipf-skewed request stream continues against it, so
-// the report contrasts cached against uncached steady state — phase
-// results carry hit/miss/coalesced counts, and the report's bench
-// number becomes 5 (BENCH_5.json). In sim mode the cached phase runs
-// at concurrency 1 so the hit pattern is a pure function of the
-// request stream; the cache shares the run's virtual clock, making
-// TTL expiry simulated too. -require-cache-speedup exits nonzero
-// unless every driver's cached-steady p95 beats its steady p95.
-// Against a remote -addr server the attach is local and ineffective —
-// enable caching on the server instead (serve -cache-size).
+// ingest (bench 9, ingest.go) keeps a 4096-entry result cache attached
+// while df-preserving deltas are ingested live between phases: after
+// every delta at least one cache entry must still hit and across the
+// run at least one must have been invalidated, no delta may escalate
+// to a full purge, and the final state must rank bit-identically to a
+// cold rebuild of the final remote corpus.
 //
-// Top-k. -topk > 0 replaces the sim/real phases with the pruned-vs-
-// exhaustive head-to-head scenario (cmd/loadtest/topk.go): the same
-// deterministic request stream is replayed through the in-process
-// finder exhaustively and pruned to the top-k resource bound, on a
-// single thread under a wall clock, and the report (BENCH_8.json by
-// default) records both phases' latency percentiles plus the pruning
-// counters each accumulated. -require-topk-speedup exits nonzero
-// unless the pruned p95 beats the exhaustive p95 with at least one
-// posting block skipped.
-//
-// Chaos. -chaos appends a chaos phase: concurrency spikes to 4x and
-// every request passes the internal/faults gate first, so injected
-// transients/rate-limits (and, against a small -max-concurrent
-// server, genuine load-shed 503s) show up in the error taxonomy
-// while the harness still exits 0 — shed load is correct behavior,
-// not a harness failure. With -cache-size too, the rolling corpus
-// swap (the chaos-outage not-ready flip) is followed by a
-// swap-recovered phase that re-attaches a fresh cache generation and
-// gates, unconditionally, that the server serves cache hits again
-// with a clean taxonomy — recovery after a swap is asserted, not
-// assumed.
-//
-// Rolling ingest. -rolling-ingest replaces the sim/real phases with
-// the live-delta scenario (cmd/loadtest/ingest.go): an identically
-// generated remote twin corpus is edited with df-preserving updates
-// between phases and re-ingested live through internal/ingest while a
-// result cache stays attached. Each delta phase gates that untouched
-// cache entries keep hitting (scoped, not wholesale, invalidation)
-// and that invalidated entries recompute; the final state must rank
-// bit-identically to a cold rebuild of the final remote corpus. The
-// report lands in BENCH_9.run.json unless -out is set explicitly.
-//
-// Scatter. -scatter replaces the sim/real phases with the
-// multi-process scatter-gather chaos scenario: it builds the real
-// serve and coordinator binaries, boots -scatter-shards shard
-// processes plus a coordinator on loopback ports, and gates three
-// wall-clock phases — healthy (coordinator responses byte-identical
-// to a single-process baseline over the same corpus), degraded (one
-// shard SIGKILLed mid-run: every query still answers 200 with the
-// X-Expertfind-Degraded header and the degraded-query counter > 0),
-// and recovered (the shard restarted: byte-identical again). The
-// report lands in BENCH_6.run.json unless -out is set explicitly.
-//
-// Scale. -scale-run replaces the sim/real phases with the
-// million-user streaming scenario (cmd/loadtest/scale.go): the -scale
-// corpus is streamed to disk in bounded memory, the disk-backed
-// segment index is cold-built from the stream (or reopened from a
-// -scale-dir a previous run populated), wall-clock queries are served
-// from it, and a full compaction is followed by a bit-identical
-// replay of sampled queries. The report lands in BENCH_10.json unless
-// -out is set, carrying per-phase structural counters and the peak
-// heap across the run; the gates (>= 1M users at scale >= 100, >= 2
-// seals, a compaction, identical replays, heap under
-// -scale-max-heap-mb) always apply.
-//
-// Gating. With -baseline, the run's steady-phase p95 and throughput
-// are compared against the saved report; regressions beyond
-// -max-regress (default 20%) exit nonzero. -compare-only gates
-// -out against -baseline without running anything.
+// scale (bench 10, scale.go) streams the -scale corpus to disk in
+// bounded memory, cold-builds the segment index from the stream (or
+// reopens one a previous run left in -scale-dir), serves wall-clock
+// queries from it, compacts every segment and replays sampled queries:
+// at -scale >= 100 the corpus must hold a million users, a cold build
+// must seal at least twice, the compaction must run, the replays must
+// be bit-identical, and the peak heap must stay under
+// -scale-max-heap-mb.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"net/http"
-	"net/url"
 	"os"
 	"os/exec"
-	"strconv"
+	"sort"
 	"strings"
 	"time"
 
 	"expertfind"
-	"expertfind/internal/httpapi"
 	"expertfind/internal/loadgen"
-	"expertfind/internal/rescache"
-	"expertfind/internal/resilience"
 )
 
 type options struct {
-	mode, driver string
-	seed         int64
-	corpusSeed   int64
-	scale        float64
-	corpusPath   string
-	indexShards  int
+	seed        int64
+	corpusSeed  int64
+	scale       float64
+	indexShards int
 
 	concurrency int
-	qps         float64
 	top         int
+	reqTimeout  time.Duration
 
-	warmupReq, rampReq, steadyReq, openReq int
-	warmupDur, rampDur, steadyDur          time.Duration
-
-	cacheSize      int
-	cacheTTL       time.Duration
-	cachedReq      int
-	requireSpeedup bool
-
-	topK               int
-	topkReq            int
-	requireTopkSpeedup bool
-
-	chaos          bool
-	chaosTransient float64
-	chaosRateLimit float64
-	chaosLatency   time.Duration
-	chaosReq       int
-	chaosDur       time.Duration
-
-	rollingIngest bool
-	ingestRounds  int
-	ingestReq     int
-	ingestTouch   int
-
-	addr       string
-	maxConc    int
-	reqTimeout time.Duration
-
-	scatter        bool
 	scatterShards  int
 	scatterReq     int
 	scatterVerbose bool
 
-	scaleRun       bool
+	ingestRounds int
+	ingestReq    int
+	ingestTouch  int
+
 	scaleDir       string
 	scaleReq       int
 	scaleChunkDocs int
@@ -184,382 +91,170 @@ type options struct {
 	segmentFlush   int
 	segmentMax     int
 
-	out         string
-	baseline    string
-	maxRegress  float64
-	stamp       bool
-	rev         string
-	compareOnly bool
+	scenario scenario // what -scenario selected
+
+	out   string
+	stamp bool
+	rev   string
 }
 
-// defaultOut is the sim report's default path; the scatter scenario
-// redirects an unchanged -out away from it so a real-mode run never
-// clobbers the committed deterministic baseline.
-const defaultOut = "BENCH_4.json"
+// scenario is one -scenario choice: its report's bench number (and so
+// its default -out) and the function that runs and gates it.
+type scenario struct {
+	name  string
+	bench int
+	run   func(*options) int
+}
 
-func parseFlags() *options {
-	var o options
-	flag.StringVar(&o.mode, "mode", "sim", "sim (deterministic virtual time) or real (wall clock)")
-	flag.StringVar(&o.driver, "driver", "both", "inprocess, http, or both")
-	flag.Int64Var(&o.seed, "seed", 11, "workload and service-model seed")
-	flag.Int64Var(&o.corpusSeed, "corpus-seed", 7, "corpus generation seed (ignored with -corpus)")
-	flag.Float64Var(&o.scale, "scale", 0.1, "corpus volume multiplier (ignored with -corpus)")
-	flag.StringVar(&o.corpusPath, "corpus", "", "load a saved corpus snapshot instead of generating")
-	flag.IntVar(&o.indexShards, "index-shards", 0, "index shards (0 = GOMAXPROCS)")
+var scenarios = []scenario{
+	{"scatter", 6, runScatter},
+	{"ingest", 9, runIngest},
+	{"scale", 10, runScale},
+}
 
-	flag.IntVar(&o.concurrency, "concurrency", 8, "closed-loop worker count")
-	flag.Float64Var(&o.qps, "qps", 500, "open-loop target arrival rate")
-	flag.IntVar(&o.top, "top", 5, "experts requested per query")
+// selectScenario resolves the -scenario value.
+func selectScenario(name string) (scenario, error) {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		if sc.name == name {
+			return sc, nil
+		}
+		names[i] = sc.name
+	}
+	return scenario{}, fmt.Errorf("-scenario %q: want one of %s", name, strings.Join(names, ", "))
+}
 
-	flag.IntVar(&o.warmupReq, "warmup-requests", 120, "sim warmup phase size")
-	flag.IntVar(&o.rampReq, "ramp-requests", 120, "sim ramp phase size")
-	flag.IntVar(&o.steadyReq, "steady-requests", 600, "sim steady phase size")
-	flag.IntVar(&o.openReq, "open-requests", 300, "sim open-loop phase size")
-	flag.DurationVar(&o.warmupDur, "warmup", 2*time.Second, "real-mode warmup duration")
-	flag.DurationVar(&o.rampDur, "ramp", 2*time.Second, "real-mode ramp duration")
-	flag.DurationVar(&o.steadyDur, "steady", 10*time.Second, "real-mode steady duration")
+// parseFlags parses args into the run's options; a flag error or an
+// unknown scenario is returned, not fatal.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	var (
+		o    options
+		name string
+	)
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&name, "scenario", "", "scenario to run: scatter, ingest or scale (required)")
+	fs.Int64Var(&o.seed, "seed", 11, "workload seed")
+	fs.Int64Var(&o.corpusSeed, "corpus-seed", 7, "corpus generation seed")
+	fs.Float64Var(&o.scale, "scale", 0.1, "corpus volume multiplier")
+	fs.IntVar(&o.indexShards, "index-shards", 0, "index shards (0 = GOMAXPROCS)")
 
-	flag.IntVar(&o.cacheSize, "cache-size", 0, "result-cache capacity; > 0 appends a cached-steady phase")
-	flag.DurationVar(&o.cacheTTL, "cache-ttl", 5*time.Minute, "result-cache entry lifetime (0 = until evicted)")
-	flag.IntVar(&o.cachedReq, "cached-requests", 600, "sim cached-steady phase size")
-	flag.BoolVar(&o.requireSpeedup, "require-cache-speedup", false, "fail unless cached-steady p95 beats steady p95 on every driver")
+	fs.IntVar(&o.concurrency, "concurrency", 8, "scatter: closed-loop worker count")
+	fs.IntVar(&o.top, "top", 5, "scatter: experts requested per query")
+	fs.DurationVar(&o.reqTimeout, "request-timeout", 5*time.Second, "scatter: per-request deadline")
 
-	flag.IntVar(&o.topK, "topk", 0, "> 0 runs the pruned-vs-exhaustive top-k head-to-head scenario with this resource bound")
-	flag.IntVar(&o.topkReq, "topk-requests", 600, "requests per top-k head-to-head phase")
-	flag.BoolVar(&o.requireTopkSpeedup, "require-topk-speedup", false, "fail unless the pruned phase's p95 beats the exhaustive phase's and blocks were skipped")
+	fs.IntVar(&o.scatterShards, "scatter-shards", 3, "scatter: topology size (shard processes)")
+	fs.IntVar(&o.scatterReq, "scatter-requests", 150, "scatter: requests per phase (steady, degraded, recovered)")
+	fs.BoolVar(&o.scatterVerbose, "scatter-verbose", false, "scatter: forward child-process logs to stderr")
 
-	flag.BoolVar(&o.chaos, "chaos", false, "append a chaos phase (4x concurrency + fault injection)")
-	flag.Float64Var(&o.chaosTransient, "chaos-transient", 0.1, "chaos injected transient-failure rate")
-	flag.Float64Var(&o.chaosRateLimit, "chaos-ratelimit", 0.05, "chaos injected rate-limit rate")
-	flag.DurationVar(&o.chaosLatency, "chaos-latency", 2*time.Millisecond, "chaos extra per-request latency")
-	flag.IntVar(&o.chaosReq, "chaos-requests", 240, "sim chaos phase size")
-	flag.DurationVar(&o.chaosDur, "chaos-duration", 3*time.Second, "real-mode chaos duration")
+	fs.IntVar(&o.ingestRounds, "ingest-rounds", 3, "ingest: delta rounds")
+	fs.IntVar(&o.ingestReq, "ingest-requests", 300, "ingest: requests per phase")
+	fs.IntVar(&o.ingestTouch, "ingest-touch", 12, "ingest: resources edited per delta")
 
-	flag.BoolVar(&o.rollingIngest, "rolling-ingest", false, "run the live-delta rolling-ingest scenario instead of the sim/real phases")
-	flag.IntVar(&o.ingestRounds, "ingest-rounds", 3, "rolling-ingest delta rounds")
-	flag.IntVar(&o.ingestReq, "ingest-requests", 300, "requests per rolling-ingest phase")
-	flag.IntVar(&o.ingestTouch, "ingest-touch", 12, "resources edited per rolling-ingest delta")
+	fs.StringVar(&o.scaleDir, "scale-dir", "", "scale: working directory for the corpus and segments (kept and reused; empty = temp dir)")
+	fs.IntVar(&o.scaleReq, "scale-requests", 120, "scale: queries in the scale-query phase")
+	fs.IntVar(&o.scaleChunkDocs, "scale-chunk-docs", 25000, "scale: bulk resources per generated stream chunk")
+	fs.IntVar(&o.scaleMaxHeapMB, "scale-max-heap-mb", 16384, "scale: peak-heap gate in MB (0 disables)")
+	fs.IntVar(&o.segmentFlush, "segment-flush-docs", 0, "scale: segment store memtable flush threshold (0 = default)")
+	fs.IntVar(&o.segmentMax, "segment-max", 0, "scale: segment count that triggers compaction (0 = default)")
 
-	flag.StringVar(&o.addr, "addr", "", "drive an existing server at this base URL instead of self-hosting")
-	flag.IntVar(&o.maxConc, "max-concurrent", 64, "self-hosted server concurrency cap (small values force load shedding)")
-	flag.DurationVar(&o.reqTimeout, "request-timeout", 5*time.Second, "per-request deadline")
-
-	flag.BoolVar(&o.scatter, "scatter", false, "run the multi-process scatter-gather chaos scenario instead of the sim/real phases")
-	flag.IntVar(&o.scatterShards, "scatter-shards", 3, "scatter topology size (shard processes)")
-	flag.IntVar(&o.scatterReq, "scatter-requests", 150, "requests per scatter phase (steady, degraded, recovered)")
-	flag.BoolVar(&o.scatterVerbose, "scatter-verbose", false, "forward scatter child-process logs to stderr")
-
-	flag.BoolVar(&o.scaleRun, "scale-run", false, "run the million-user streaming/segment scale scenario instead of the sim/real phases")
-	flag.StringVar(&o.scaleDir, "scale-dir", "", "working directory for the scale corpus and segments (kept and reused; empty = temp dir)")
-	flag.IntVar(&o.scaleReq, "scale-requests", 120, "queries in the scale-query phase")
-	flag.IntVar(&o.scaleChunkDocs, "scale-chunk-docs", 25000, "bulk resources per generated stream chunk")
-	flag.IntVar(&o.scaleMaxHeapMB, "scale-max-heap-mb", 16384, "peak-heap gate for the scale run in MB (0 disables)")
-	flag.IntVar(&o.segmentFlush, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
-	flag.IntVar(&o.segmentMax, "segment-max", 0, "segment count that triggers compaction (0 = default)")
-
-	flag.StringVar(&o.out, "out", defaultOut, "report output path")
-	flag.StringVar(&o.baseline, "baseline", "", "baseline report to gate against")
-	flag.Float64Var(&o.maxRegress, "max-regress", 0.20, "allowed fractional p95/qps regression")
-	flag.BoolVar(&o.stamp, "stamp", true, "stamp the report with git rev and timestamp")
-	flag.StringVar(&o.rev, "rev", "", "override the git revision stamp")
-	flag.BoolVar(&o.compareOnly, "compare-only", false, "only compare -out against -baseline, run nothing")
-	flag.Parse()
-	return &o
+	fs.StringVar(&o.out, "out", "", "report output path (default: the scenario's BENCH_<n>.run.json)")
+	fs.BoolVar(&o.stamp, "stamp", true, "stamp the report with git rev and timestamp")
+	fs.StringVar(&o.rev, "rev", "", "override the git revision stamp")
+	err := fs.Parse(args)
+	if err == nil {
+		if o.scenario, err = selectScenario(name); err != nil {
+			fmt.Fprintf(stderr, "loadtest: %v\n", err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.out == "" {
+		o.out = fmt.Sprintf("BENCH_%d.run.json", o.scenario.bench)
+	}
+	return &o, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadtest: ")
-	o := parseFlags()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	if o.compareOnly {
-		if o.baseline == "" {
-			log.Fatal("-compare-only requires -baseline")
-		}
-		os.Exit(gate(o.baseline, o.out, o.maxRegress))
+// run is the process body: exit 2 for a usage error (parseFlags has
+// already said why on stderr), else the scenario's own verdict.
+func run(args []string, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	if o.mode != "sim" && o.mode != "real" {
-		log.Fatalf("unknown -mode %q", o.mode)
+	if err != nil {
+		return 2
 	}
-	if o.scatter {
-		os.Exit(runScatter(o))
-	}
-	if o.scaleRun {
-		os.Exit(runScale(o))
-	}
-	if o.topK > 0 {
-		os.Exit(runTopK(o))
-	}
-	if o.rollingIngest {
-		os.Exit(runIngest(o))
-	}
-
-	sys := buildSystem(o)
-	rep := run(o, sys)
-	if err := rep.WriteFile(o.out); err != nil {
-		log.Fatalf("write %s: %v", o.out, err)
-	}
-	log.Printf("wrote %s", o.out)
-	printSummary(rep)
-
-	code := 0
-	if o.requireSpeedup {
-		code |= cacheGate(rep)
-	}
-	if o.chaos && o.cacheSize > 0 {
-		code |= swapGate(rep)
-	}
-	if o.baseline != "" {
-		if _, err := os.Stat(o.baseline); os.IsNotExist(err) {
-			log.Printf("baseline %s missing; skipping regression gate", o.baseline)
-		} else {
-			code |= gate(o.baseline, o.out, o.maxRegress)
-		}
-	}
-	os.Exit(code)
+	return o.scenario.run(o)
 }
 
 func buildSystem(o *options) *expertfind.System {
 	t0 := time.Now()
-	var (
-		sys *expertfind.System
-		err error
-	)
-	if o.corpusPath != "" {
-		sys, err = expertfind.NewSystemFromCorpusShards(o.corpusPath, o.indexShards)
-		if err != nil {
-			log.Fatalf("corpus: %v", err)
-		}
-	} else {
-		sys = expertfind.NewSystem(expertfind.Config{
-			Seed: o.corpusSeed, Scale: o.scale, IndexShards: o.indexShards,
-		})
-	}
+	sys := expertfind.NewSystem(expertfind.Config{
+		Seed: o.corpusSeed, Scale: o.scale, IndexShards: o.indexShards,
+	})
 	st := sys.Stats()
 	log.Printf("corpus ready in %v: %d candidates, %d resources indexed",
 		time.Since(t0).Round(time.Millisecond), st.Candidates, st.Indexed)
 	return sys
 }
 
-func run(o *options, sys *expertfind.System) *loadgen.Report {
-	st := sys.Stats()
-	bench := 4
-	if o.cacheSize > 0 {
-		bench = 5
-	}
+// writeReport stamps one scenario's phases as its report, writes it to
+// -out and logs the per-phase summary.
+func writeReport(o *options, driver string, st expertfind.Stats, phases []loadgen.PhaseResult) {
 	rep := &loadgen.Report{
 		Schema: loadgen.Schema,
-		Bench:  bench,
-		Mode:   o.mode,
+		Bench:  o.scenario.bench,
+		Mode:   "real",
 		Seed:   o.seed,
 		Corpus: loadgen.CorpusInfo{
 			Seed: o.corpusSeed, Scale: o.scale,
 			Candidates: st.Candidates, Documents: st.Indexed,
 		},
+		Drivers: []loadgen.DriverReport{{Driver: driver, Phases: phases}},
 	}
 	if o.stamp {
 		rep.GitRev = gitRev(o.rev)
 		rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	}
-
-	workload := loadgen.NewWorkload(loadgen.WorkloadConfig{Seed: o.seed}, loadgen.SystemSource(sys))
-
-	for _, driver := range drivers(o.driver) {
-		clock := resilience.RealClock()
-		if o.mode == "sim" {
-			clock = resilience.NewClock()
-		}
-		target, handler, cleanup := makeTarget(o, sys, driver)
-		runner := newRunner(o, workload, target, clock)
-		phases := phasePlan(o)
-		log.Printf("driver %s: %d phases", driver, len(phases))
-		results := runner.Run(phases...)
-		if o.cacheSize > 0 {
-			// Cached steady state: attach a fresh cache generation,
-			// continue the same Zipf-skewed request stream against it,
-			// then detach so later phases (and the next driver) start
-			// uncached. The cache shares the driver's clock, so TTL
-			// expiry is virtual in sim mode.
-			cache := rescache.New(rescache.Options{
-				Capacity: o.cacheSize, TTL: o.cacheTTL, Clock: clock,
-			})
-			sys.SetResultCache(cache.Attach())
-			results = append(results, runner.Run(cachedPhase(o))...)
-			sys.SetResultCache(nil)
-		}
-		if o.chaos && handler != nil {
-			// Rolling corpus swap: flip the self-hosted server to
-			// not-ready mid-run, so its real shedding middleware
-			// rejects the phase's requests with 503 + Retry-After —
-			// genuine load-shed errors for the taxonomy.
-			handler.SetSystem(nil)
-			results = append(results, runner.Run(outagePhase(o))...)
-			handler.SetSystem(sys)
-			if o.cacheSize > 0 {
-				// Swap recovery: the server is ready again — prove the
-				// swap didn't strand result caching. A fresh cache
-				// generation is attached and the same Zipf stream
-				// continues; swapGate requires this phase to serve
-				// hits again with a clean error taxonomy.
-				cache := rescache.New(rescache.Options{
-					Capacity: o.cacheSize, TTL: o.cacheTTL, Clock: clock,
-				})
-				sys.SetResultCache(cache.Attach())
-				results = append(results, runner.Run(swapRecoveredPhase(o))...)
-				sys.SetResultCache(nil)
-			}
-		}
-		rep.Drivers = append(rep.Drivers, loadgen.DriverReport{Driver: driver, Phases: results})
-		cleanup()
+	if err := rep.WriteFile(o.out); err != nil {
+		log.Fatalf("write %s: %v", o.out, err)
 	}
-	return rep
+	log.Printf("wrote %s", o.out)
+	for _, p := range phases {
+		extra := ""
+		if n := p.ErrorCount(); n > 0 {
+			extra += fmt.Sprintf("  errors=%v", p.Errors)
+		}
+		if len(p.Cache) > 0 {
+			extra += fmt.Sprintf("  cache=%v", p.Cache)
+		}
+		log.Printf("%-9s %-17s %6d req  %8.1f qps  p50=%s p95=%s p99=%s%s",
+			driver, p.Name, p.Requests, p.QPS,
+			fmtSec(p.Latency.P50), fmtSec(p.Latency.P95), fmtSec(p.Latency.P99), extra)
+	}
 }
 
-// cachedPhase continues steady-level load with the result cache
-// attached. In sim mode it runs at concurrency 1: which requests hit
-// is then a pure function of the request stream (no worker
-// interleaving), keeping the report deterministic; latency
-// percentiles stay comparable to steady's because simulated latency
-// is per-request. Real mode keeps the steady concurrency.
-func cachedPhase(o *options) loadgen.Phase {
-	if o.mode == "sim" {
-		return loadgen.Phase{Name: "cached-steady", Requests: o.cachedReq, Concurrency: 1}
+// percentilesOf reads nearest-rank quantiles off per-request latencies
+// in seconds; no samples give the zero value.
+func percentilesOf(lat []float64) loadgen.Percentiles {
+	if len(lat) == 0 {
+		return loadgen.Percentiles{}
 	}
-	return loadgen.Phase{Name: "cached-steady", Duration: o.steadyDur, Concurrency: o.concurrency}
-}
-
-// swapRecoveredPhase continues steady-level load after the corpus
-// swap with a fresh cache generation attached. Sim mode runs it at
-// concurrency 1 for the same determinism reason as cachedPhase.
-func swapRecoveredPhase(o *options) loadgen.Phase {
-	if o.mode == "sim" {
-		return loadgen.Phase{Name: "swap-recovered", Requests: o.cachedReq, Concurrency: 1}
+	s := append([]float64(nil), lat...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		i := int(q * float64(len(s)-1))
+		return s[i]
 	}
-	return loadgen.Phase{Name: "swap-recovered", Duration: o.chaosDur / 2, Concurrency: o.concurrency}
-}
-
-// outagePhase drives steady-level load into the not-ready server.
-func outagePhase(o *options) loadgen.Phase {
-	p := loadgen.Phase{Name: "chaos-outage", Concurrency: o.concurrency, Chaos: true}
-	if o.mode == "sim" {
-		p.Requests = o.chaosReq / 2
-	} else {
-		p.Duration = o.chaosDur / 2
-	}
-	return p
-}
-
-func drivers(spec string) []string {
-	switch spec {
-	case "inprocess", "http":
-		return []string{spec}
-	case "both":
-		return []string{"inprocess", "http"}
-	}
-	log.Fatalf("unknown -driver %q", spec)
-	return nil
-}
-
-// newRunner gives each driver its own runner, clock, and chaos gate,
-// all from the same seed: both drivers replay the same request stream
-// and the same fault draws, so their reports are directly comparable.
-// The clock is passed in (rather than built here) so run can share it
-// with the driver's result cache.
-func newRunner(o *options, w *loadgen.Workload, target loadgen.Target, clock *resilience.Clock) *loadgen.Runner {
-	cfg := loadgen.Config{
-		Clock:    clock,
-		Workload: w,
-		Target:   target,
-		Timeout:  o.reqTimeout,
-	}
-	if o.mode == "sim" {
-		cfg.Model = loadgen.DefaultSimModel(o.seed)
-	}
-	if o.chaos {
-		cfg.Chaos = loadgen.NewChaosGate(loadgen.ChaosConfig{
-			Seed:          o.seed,
-			TransientRate: o.chaosTransient,
-			RateLimitRate: o.chaosRateLimit,
-			Latency:       o.chaosLatency,
-		}, cfg.Clock)
-	}
-	return loadgen.NewRunner(cfg)
-}
-
-// phasePlan is warmup -> ramp -> steady -> open-loop steady, plus the
-// optional chaos spike. Sim phases are count-bounded (deterministic);
-// real phases are duration-bounded.
-func phasePlan(o *options) []loadgen.Phase {
-	half := o.concurrency / 2
-	if half < 1 {
-		half = 1
-	}
-	var phases []loadgen.Phase
-	if o.mode == "sim" {
-		phases = []loadgen.Phase{
-			{Name: "warmup", Requests: o.warmupReq, Concurrency: half},
-			{Name: "ramp", Requests: o.rampReq, Concurrency: o.concurrency},
-			{Name: "steady", Requests: o.steadyReq, Concurrency: o.concurrency},
-			{Name: "open-steady", Requests: o.openReq, QPS: o.qps},
-		}
-		if o.chaos {
-			phases = append(phases, loadgen.Phase{
-				Name: "chaos", Requests: o.chaosReq,
-				Concurrency: 4 * o.concurrency, Chaos: true,
-			})
-		}
-	} else {
-		phases = []loadgen.Phase{
-			{Name: "warmup", Duration: o.warmupDur, Concurrency: half},
-			{Name: "ramp", Duration: o.rampDur, Concurrency: o.concurrency},
-			{Name: "steady", Duration: o.steadyDur, Concurrency: o.concurrency},
-			{Name: "open-steady", Duration: o.steadyDur, QPS: o.qps, MaxOutstanding: 4 * o.concurrency},
-		}
-		if o.chaos {
-			phases = append(phases, loadgen.Phase{
-				Name: "chaos", Duration: o.chaosDur,
-				Concurrency: 4 * o.concurrency, Chaos: true,
-			})
-		}
-	}
-	return phases
-}
-
-// makeTarget builds the driver's target; for "http" without -addr it
-// self-hosts the real serving stack on a loopback port, so the run
-// exercises the shedding/timeout middleware too. The returned handler
-// is non-nil only for the self-hosted server (chaos uses it to flip
-// readiness mid-run).
-func makeTarget(o *options, sys *expertfind.System, driver string) (loadgen.Target, *httpapi.Handler, func()) {
-	params := url.Values{"top": {strconv.Itoa(o.top)}}
-	switch driver {
-	case "inprocess":
-		return loadgen.NewFinderTarget(sys, o.top), nil, func() {}
-	case "http":
-		if o.addr != "" {
-			return loadgen.NewHTTPTarget(nil, o.addr, params), nil, func() {}
-		}
-		handler := httpapi.NewWithOptions(sys, httpapi.Options{
-			RequestTimeout: o.reqTimeout,
-			MaxConcurrent:  o.maxConc,
-			RetryAfter:     time.Second,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("self-host listen: %v", err)
-		}
-		srv := &http.Server{Handler: handler}
-		go srv.Serve(ln)
-		base := "http://" + ln.Addr().String()
-		log.Printf("self-hosted server at %s (max-concurrent %d)", base, o.maxConc)
-		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
-		return loadgen.NewHTTPTarget(client, base, params), handler, func() {
-			srv.Close()
-			client.CloseIdleConnections()
-		}
-	}
-	log.Fatalf("unknown driver %q", driver)
-	return nil, nil, nil
+	return loadgen.Percentiles{P50: at(0.50), P95: at(0.95), P99: at(0.99), P999: at(0.999)}
 }
 
 func gitRev(override string) string {
@@ -571,111 +266,6 @@ func gitRev(override string) string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// gate compares current against baseline and returns the exit code.
-func gate(basePath, curPath string, maxRegress float64) int {
-	base, err := loadgen.ReadReport(basePath)
-	if err != nil {
-		log.Printf("baseline: %v", err)
-		return 1
-	}
-	cur, err := loadgen.ReadReport(curPath)
-	if err != nil {
-		log.Printf("current: %v", err)
-		return 1
-	}
-	errs := loadgen.Compare(base, cur, maxRegress)
-	for _, e := range errs {
-		log.Printf("SLO GATE: %v", e)
-	}
-	if len(errs) > 0 {
-		return 1
-	}
-	log.Printf("SLO gate passed (steady p95 and qps within %.0f%% of %s)", maxRegress*100, basePath)
-	return 0
-}
-
-// swapGate closes the rolling-corpus-swap blind spot: every driver
-// that ran the chaos-outage phase must follow it with a swap-recovered
-// phase that served cache hits again under a clean error taxonomy —
-// the swap must not leave the server shedding or permanently cold.
-func swapGate(rep *loadgen.Report) int {
-	code := 0
-	checked := false
-	for i := range rep.Drivers {
-		d := &rep.Drivers[i]
-		if d.Phase("chaos-outage") == nil {
-			continue
-		}
-		checked = true
-		rec := d.Phase("swap-recovered")
-		if rec == nil {
-			log.Printf("SWAP GATE: driver %s: chaos-outage ran but no swap-recovered phase followed", d.Driver)
-			code = 1
-			continue
-		}
-		if n := rec.ErrorCount(); n > 0 {
-			log.Printf("SWAP GATE: driver %s: %d errors after the corpus swap: %v", d.Driver, n, rec.Errors)
-			code = 1
-		}
-		if rec.Cache["hit"] == 0 {
-			log.Printf("SWAP GATE: driver %s: no cache hits after the corpus swap (cache=%v)", d.Driver, rec.Cache)
-			code = 1
-		} else {
-			log.Printf("swap gate passed: driver %s served %d cache hits after the corpus swap",
-				d.Driver, rec.Cache["hit"])
-		}
-	}
-	if !checked {
-		log.Printf("swap gate: no driver ran the chaos-outage phase (remote -addr run?); nothing to check")
-	}
-	return code
-}
-
-// cacheGate enforces -require-cache-speedup: every driver's
-// cached-steady p95 must beat its steady p95. Returns the exit code.
-func cacheGate(rep *loadgen.Report) int {
-	code := 0
-	for i := range rep.Drivers {
-		d := &rep.Drivers[i]
-		steady, cached := d.Phase("steady"), d.Phase("cached-steady")
-		if steady == nil || cached == nil {
-			log.Printf("CACHE GATE: driver %s: missing steady or cached-steady phase", d.Driver)
-			code = 1
-			continue
-		}
-		hitRate := 0.0
-		if cached.Requests > 0 {
-			hitRate = float64(cached.Cache["hit"]) / float64(cached.Requests)
-		}
-		if cached.Latency.P95 < steady.Latency.P95 {
-			log.Printf("cache gate passed: driver %s p95 %s -> %s (hit rate %.0f%%)",
-				d.Driver, fmtSec(steady.Latency.P95), fmtSec(cached.Latency.P95), hitRate*100)
-		} else {
-			log.Printf("CACHE GATE: driver %s: cached-steady p95 %s not better than steady p95 %s (hit rate %.0f%%)",
-				d.Driver, fmtSec(cached.Latency.P95), fmtSec(steady.Latency.P95), hitRate*100)
-			code = 1
-		}
-	}
-	return code
-}
-
-func printSummary(rep *loadgen.Report) {
-	for _, d := range rep.Drivers {
-		for _, p := range d.Phases {
-			extra := ""
-			if n := p.ErrorCount(); n > 0 {
-				extra += fmt.Sprintf("  errors=%v", p.Errors)
-			}
-			if len(p.Cache) > 0 {
-				extra += fmt.Sprintf("  cache=%v", p.Cache)
-			}
-			log.Printf("%-9s %-12s %6d req  %8.1f qps  p50=%s p95=%s p99=%s%s",
-				d.Driver, p.Name, p.Requests, p.QPS,
-				fmtSec(p.Latency.P50), fmtSec(p.Latency.P95), fmtSec(p.Latency.P99), extra)
-		}
-	}
 }
 
 func fmtSec(s float64) string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,19 +21,16 @@ import (
 // index from the stream (or reopens one a previous run left in
 // -scale-dir), serves wall-clock queries from it, then compacts every
 // segment and replays a sample of those queries — the rankings must
-// be bit-identical across the layout change. The report (BENCH_10.json
-// by default) records each phase's wall time, throughput and the
-// store's structural counters, plus the peak heap observed across the
-// whole run so "bounded memory" is a gated number, not a claim.
+// be bit-identical across the layout change. The report records each
+// phase's wall time, throughput and the store's structural counters,
+// plus the peak heap observed across the whole run so "bounded memory"
+// is a gated number, not a claim.
 //
 // Gates (always on): at -scale >= 100 the corpus must hold at least a
 // million users; a cold build must seal at least two segments; the
 // compaction pass must run; post-compaction rankings must reproduce
 // the pre-compaction ones bit for bit; and the peak heap must stay
 // under -scale-max-heap-mb.
-
-// scaleOut is the scale report's default path.
-const scaleOut = "BENCH_10.json"
 
 // scaleUserGate is the corpus-size floor enforced at -scale >= 100.
 const scaleUserGate = 1_000_000
@@ -87,15 +85,6 @@ func (w *heapWatcher) close() {
 }
 
 func runScale(o *options) int {
-	if o.mode != "real" {
-		log.Printf("scale scenario measures wall-clock phases; forcing -mode real")
-		o.mode = "real"
-	}
-	out := o.out
-	if out == defaultOut {
-		out = scaleOut
-	}
-
 	dir := o.scaleDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "expertfind-scale-*")
@@ -229,28 +218,22 @@ func runScale(o *options) int {
 		"peak_heap_bytes":   heap.peak(),
 	}))
 
-	rep := &loadgen.Report{
-		Schema: loadgen.Schema,
-		Bench:  10,
-		Mode:   o.mode,
-		Seed:   o.seed,
-		Corpus: loadgen.CorpusInfo{
-			Seed: o.corpusSeed, Scale: o.scale,
-			Candidates: stats.Candidates, Documents: stats.Indexed,
-		},
-		Drivers: []loadgen.DriverReport{{Driver: "inprocess", Phases: phases}},
-	}
-	if o.stamp {
-		rep.GitRev = gitRev(o.rev)
-		rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	}
-	if err := rep.WriteFile(out); err != nil {
-		log.Fatalf("write %s: %v", out, err)
-	}
-	log.Printf("wrote %s", out)
-	printSummary(rep)
+	writeReport(o, "inprocess", stats, phases)
 
 	return scaleGate(o, stats.Users, coldBuild, st.Seals, st.Compactions, heap.peak())
+}
+
+func expertsIdentical(a, b []expertfind.Expert) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name ||
+			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
 }
 
 // scaleGenerate streams the corpus to disk, dropping each chunk's

@@ -1,11 +1,10 @@
 package main
 
-// The -scatter scenario: a real multi-process scatter-gather
-// deployment driven end to end. Unlike the sim phases, everything
-// here is wall-clock and real processes — the point is to exercise
-// genuine SIGKILL, connection refusal, breaker trips, and recovery,
-// and to gate the coordinator's merged bytes against a single-process
-// baseline before and after the chaos.
+// The scatter scenario: a real multi-process scatter-gather deployment
+// driven end to end. Everything here is wall-clock and real processes —
+// the point is to exercise genuine SIGKILL, connection refusal, breaker
+// trips, and recovery, and to gate the coordinator's merged bytes
+// against a single-process baseline before and after the chaos.
 
 import (
 	"encoding/json"
@@ -151,31 +150,7 @@ func runScatter(o *options) int {
 	code |= scatterAssemblyGate("retained", cl.CoordinatorURL(), traceRID, o.scatterShards-1, 5*time.Second)
 	code |= scatterCaptureGate(cl, pprofDir, o.scatterShards)
 
-	st := sys.Stats()
-	rep := &loadgen.Report{
-		Schema: loadgen.Schema,
-		Bench:  6,
-		Mode:   "real",
-		Seed:   o.seed,
-		Corpus: loadgen.CorpusInfo{
-			Seed: o.corpusSeed, Scale: o.scale,
-			Candidates: st.Candidates, Documents: st.Indexed,
-		},
-		Drivers: []loadgen.DriverReport{{Driver: "scatter", Phases: results}},
-	}
-	if o.stamp {
-		rep.GitRev = gitRev(o.rev)
-		rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	}
-	out := o.out
-	if out == defaultOut {
-		out = "BENCH_6.run.json" // don't clobber the sim baseline with a real-mode report
-	}
-	if err := rep.WriteFile(out); err != nil {
-		log.Fatalf("write %s: %v", out, err)
-	}
-	log.Printf("wrote %s", out)
-	printSummary(rep)
+	writeReport(o, "scatter", sys.Stats(), results)
 	if code == 0 {
 		log.Printf("scatter gates passed: merged bytes match single process, chaos degraded %d shard without failing queries, "+
 			"assembled timeline retained through ring rotation, SLO breach captured one profile per shard", 1)

@@ -75,6 +75,20 @@ func TestCacheStatusHeader(t *testing.T) {
 	if h := resp.Header.Get("Cache-Status"); h != "" {
 		t.Fatalf("Cache-Status %q on 503, want unset", h)
 	}
+
+	// Reinstalling after the removal recovers caching: a new
+	// generation, and the same query (fetch fails on any non-200)
+	// answers miss then hit again.
+	gen = cache.Generation()
+	h.SetSystem(sys)
+	if cache.Generation() <= gen {
+		t.Fatalf("generation %d after reinstall, want > %d", cache.Generation(), gen)
+	}
+	st1, _ = fetch("swimming")
+	st2, _ = fetch("swimming")
+	if st1 != "miss" || st2 != "hit" {
+		t.Fatalf("post-reinstall statuses %q, %q; want miss then hit", st1, st2)
+	}
 }
 
 // TestNoCacheNoHeader guards the default path: without a cache,

@@ -6,15 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"expertfind/internal/faults"
 	"expertfind/internal/resilience"
 	"expertfind/internal/telemetry"
 )
 
-// Phase is one segment of a run: a warmup, a ramp step, the steady
-// state, or a chaos window. Phases execute in order against a shared
-// request-sequence space, so request n carries the same need no
-// matter how the run is phased.
+// Phase is one segment of a closed-loop run. Phases execute in order
+// against a shared request-sequence space, so request n carries the
+// same need no matter how the run is phased.
 type Phase struct {
 	// Name labels the phase in the report ("warmup", "steady", ...).
 	Name string
@@ -25,28 +23,8 @@ type Phase struct {
 	// Duration bounds the phase by clock time instead, for real-time
 	// runs (and the virtual-clock soak). Ignored when Requests > 0.
 	Duration time.Duration
-	// Concurrency is the closed-loop worker count (default 1). In open
-	// loop it is unused; see MaxOutstanding.
+	// Concurrency is the closed-loop worker count (default 1).
 	Concurrency int
-	// QPS > 0 selects the open-loop driver: arrivals on a fixed
-	// 1/QPS grid, latency measured from the scheduled arrival
-	// (coordinated-omission-safe), unbounded concurrency by default.
-	QPS float64
-	// MaxOutstanding caps open-loop in-flight requests; past it,
-	// arrivals queue and their queueing time counts as latency. Zero
-	// means unbounded.
-	MaxOutstanding int
-	// Chaos routes this phase's requests through the runner's fault
-	// gate first; gate-injected failures count as ClassInjected.
-	Chaos bool
-}
-
-// mode returns the driver the phase selects.
-func (p Phase) mode() string {
-	if p.QPS > 0 {
-		return "open"
-	}
-	return "closed"
 }
 
 func (p Phase) workers() int {
@@ -73,18 +51,12 @@ type Config struct {
 	Target Target
 	// Model, when non-nil, switches to simulated service times.
 	Model ServiceModel
-	// Chaos is the fault gate used by chaos phases; nil disables
-	// injection even when a phase asks for it.
-	Chaos *faults.Gate
 	// Buckets are the latency histogram bounds in seconds; nil
 	// selects LogBuckets(100µs, 10s, 10).
 	Buckets []float64
 	// Timeout bounds each request's context; zero means none.
 	Timeout time.Duration
 }
-
-// chaosNetwork is the label chaos phases charge gate calls against.
-const chaosNetwork = "loadgen"
 
 // Runner executes phases and aggregates per-phase results. A Runner
 // owns a monotone request-sequence counter: re-running the same
@@ -160,14 +132,8 @@ func (r *Runner) Run(phases ...Phase) []PhaseResult {
 	return out
 }
 
-// serve issues request seq and returns its outcome. Chaos-gated
-// requests that draw a fault never reach the target.
-func (r *Runner) serve(seq uint64, chaos bool) Result {
-	if chaos && r.cfg.Chaos != nil {
-		if err := r.cfg.Chaos.Call(chaosNetwork); err != nil {
-			return Result{Class: ClassInjected, Err: err}
-		}
-	}
+// serve issues request seq and returns its outcome.
+func (r *Runner) serve(seq uint64) Result {
 	ctx := context.Background()
 	if r.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -179,11 +145,10 @@ func (r *Runner) serve(seq uint64, chaos bool) Result {
 
 // doOne serves request seq and records it. In simulation mode the
 // latency is the model's and advances the virtual clock; otherwise it
-// is measured from startAt (the scheduled arrival in open loop, the
-// send time in closed loop) to completion — the coordinated-omission-
-// safe convention.
-func (r *Runner) doOne(st *phaseState, seq uint64, chaos bool, startAt time.Time) {
-	res := r.serve(seq, chaos)
+// is measured from the send to completion.
+func (r *Runner) doOne(st *phaseState, seq uint64) {
+	startAt := r.cfg.Clock.Now()
+	res := r.serve(seq)
 	var lat time.Duration
 	if r.cfg.Model != nil {
 		lat = r.cfg.Model(seq, res)
@@ -202,16 +167,12 @@ func (r *Runner) runPhase(p Phase) PhaseResult {
 	base := r.nextBase
 	start := r.cfg.Clock.Now()
 
-	if p.QPS > 0 {
-		r.openLoop(p, st, base)
-	} else {
-		r.closedLoop(p, st, base)
-	}
+	r.closedLoop(p, st, base)
 
 	executed := st.executed.Load()
 	r.nextBase = base + executed
 
-	dur := r.phaseDuration(p, st, start, executed)
+	dur := r.phaseDuration(p, st, start)
 	return r.result(p, st, executed, dur)
 }
 
@@ -235,71 +196,21 @@ func (r *Runner) closedLoop(p Phase, st *phaseState, base uint64) {
 				if p.Requests > 0 && s >= int64(p.Requests) {
 					return
 				}
-				r.doOne(st, base+uint64(s), p.Chaos, r.cfg.Clock.Now())
+				r.doOne(st, base+uint64(s))
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// openLoop issues arrivals on the fixed 1/QPS grid. In real time each
-// arrival runs in its own goroutine and its latency is measured from
-// the *scheduled* arrival instant, so server stalls surface as tail
-// latency instead of silently pausing the generator. In simulation
-// mode arrivals are issued sequentially (the model already defines
-// each request's latency; there is no queueing to simulate).
-func (r *Runner) openLoop(p Phase, st *phaseState, base uint64) {
-	interval := time.Duration(float64(time.Second) / p.QPS)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	total := p.Requests
-	if total <= 0 {
-		total = int(p.Duration / interval)
-	}
-
-	if r.cfg.Model != nil {
-		for i := 0; i < total; i++ {
-			r.doOne(st, base+uint64(i), p.Chaos, time.Time{})
-		}
-		return
-	}
-
-	start := r.cfg.Clock.Now()
-	var sem chan struct{}
-	if p.MaxOutstanding > 0 {
-		sem = make(chan struct{}, p.MaxOutstanding)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		sched := start.Add(time.Duration(i) * interval)
-		if d := sched.Sub(r.cfg.Clock.Now()); d > 0 {
-			r.cfg.Clock.Sleep(d)
-		}
-		wg.Add(1)
-		go func(seq uint64, sched time.Time) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			r.doOne(st, seq, p.Chaos, sched)
-		}(base+uint64(i), sched)
-	}
-	wg.Wait()
-}
-
 // phaseDuration derives the phase's effective wall time. Real-time
-// phases report measured elapsed time. Simulated closed-loop phases
-// divide the accumulated virtual time by the worker count (virtual
-// sleeps serialize, so raw elapsed overstates duration by exactly
-// that factor); simulated open-loop phases last their scheduled span.
-func (r *Runner) phaseDuration(p Phase, st *phaseState, start time.Time, executed uint64) time.Duration {
+// phases report measured elapsed time. Simulated phases divide the
+// accumulated virtual time by the worker count (virtual sleeps
+// serialize, so raw elapsed overstates duration by exactly that
+// factor).
+func (r *Runner) phaseDuration(p Phase, st *phaseState, start time.Time) time.Duration {
 	if r.cfg.Model == nil {
 		return r.cfg.Clock.Now().Sub(start)
-	}
-	if p.QPS > 0 {
-		return time.Duration(float64(executed) / p.QPS * float64(time.Second))
 	}
 	return time.Duration(st.sumLat.Load() / int64(p.workers()))
 }
@@ -307,15 +218,10 @@ func (r *Runner) phaseDuration(p Phase, st *phaseState, start time.Time, execute
 func (r *Runner) result(p Phase, st *phaseState, executed uint64, dur time.Duration) PhaseResult {
 	res := PhaseResult{
 		Name:        p.Name,
-		Mode:        p.mode(),
-		Chaos:       p.Chaos,
+		Mode:        "closed",
+		Concurrency: p.workers(),
 		Requests:    executed,
 		Errors:      map[string]uint64{},
-		TargetQPS:   p.QPS,
-		Concurrency: 0,
-	}
-	if p.QPS <= 0 {
-		res.Concurrency = p.workers()
 	}
 	for i, c := range Classes {
 		if c == ClassOK {

@@ -7,7 +7,7 @@ import (
 )
 
 // Schema identifies the BENCH report format; bump on breaking layout
-// changes so CI comparisons fail loudly instead of misreading fields.
+// changes so a reader fails loudly instead of misreading fields.
 const Schema = "expertfind/bench/v1"
 
 // Percentiles are latency quantiles in seconds.
@@ -21,23 +21,22 @@ type Percentiles struct {
 // PhaseResult is one phase's aggregate outcome.
 type PhaseResult struct {
 	Name string `json:"name"`
-	// Mode is "closed" (fixed concurrency) or "open" (target QPS).
-	Mode        string  `json:"mode"`
-	Concurrency int     `json:"concurrency,omitempty"`
-	TargetQPS   float64 `json:"target_qps,omitempty"`
-	Chaos       bool    `json:"chaos,omitempty"`
-	Requests    uint64  `json:"requests"`
+	// Mode is "closed": a fixed number of workers, each sending its
+	// next request when the previous one completes.
+	Mode        string `json:"mode"`
+	Concurrency int    `json:"concurrency,omitempty"`
+	Requests    uint64 `json:"requests"`
 	// Errors maps taxonomy classes (shed, timeout, 4xx, 5xx,
-	// transport, injected) to counts; successes are Requests minus the
+	// transport) to counts; successes are Requests minus the
 	// sum. Only nonzero classes appear.
 	Errors map[string]uint64 `json:"errors,omitempty"`
 	// Cache maps result-cache dispositions (hit, miss, coalesced) to
-	// counts. Omitted entirely for uncached phases, so reports from
-	// runs without -cache-size stay byte-identical to pre-cache ones.
+	// counts. Omitted entirely for uncached phases.
 	Cache map[string]uint64 `json:"cache,omitempty"`
-	// Index maps index-evaluation counters (pruned_docs,
-	// blocks_skipped) to the amount accumulated during the phase.
-	// Only the top-k head-to-head scenario records it.
+	// Index maps the segment store's structural counters (users, docs,
+	// segments, seals, compactions, disk_bytes, peak_heap_bytes, ...)
+	// to their value at the end of the phase. Only the scale scenario
+	// records it.
 	Index           map[string]uint64 `json:"index,omitempty"`
 	DurationSeconds float64           `json:"duration_seconds"`
 	QPS             float64           `json:"qps"`
@@ -53,8 +52,7 @@ func (p PhaseResult) ErrorCount() uint64 {
 	return n
 }
 
-// CorpusInfo pins the corpus configuration a run measured, so CI
-// never diffs runs over different data.
+// CorpusInfo pins the corpus configuration a run measured.
 type CorpusInfo struct {
 	Seed       int64   `json:"seed"`
 	Scale      float64 `json:"scale"`
@@ -79,18 +77,17 @@ func (d *DriverReport) Phase(name string) *PhaseResult {
 	return nil
 }
 
-// Report is the machine-readable BENCH_4.json payload. With Mode
-// "sim", everything except the stamp fields (GitRev, GeneratedAt) is
-// byte-identical across runs with the same seed; CI strips the stamps
-// and diffs the rest.
+// Report is the machine-readable payload of a loadtest scenario's
+// BENCH_<n>.run.json (and of the committed BENCH_10.json): one driver's
+// phases over one pinned corpus and workload seed.
 type Report struct {
 	Schema string `json:"schema"`
 	Bench  int    `json:"bench"`
-	// GitRev and GeneratedAt are provenance stamps, excluded from
-	// determinism comparisons; the harness omits them with -stamp=false.
+	// GitRev and GeneratedAt are provenance stamps; the harness omits
+	// them with -stamp=false.
 	GitRev      string         `json:"git_rev,omitempty"`
 	GeneratedAt string         `json:"generated_at,omitempty"`
-	Mode        string         `json:"mode"` // "sim" or "real"
+	Mode        string         `json:"mode"` // "real": wall-clock phases
 	Seed        int64          `json:"seed"`
 	Corpus      CorpusInfo     `json:"corpus"`
 	Drivers     []DriverReport `json:"drivers"`
@@ -147,52 +144,4 @@ func ReadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: %s: schema %q, want %q", path, r.Schema, Schema)
 	}
 	return &r, nil
-}
-
-// GatePhase is the phase the SLO regression gate inspects.
-const GatePhase = "steady"
-
-// Compare gates cur against base: for every driver present in both,
-// the steady-phase p95 may not regress by more than maxRegress
-// (fractional, e.g. 0.20) and throughput may not drop by more than
-// the same fraction. It returns all violations, not just the first,
-// so one CI run surfaces the full picture.
-func Compare(base, cur *Report, maxRegress float64) []error {
-	if maxRegress <= 0 {
-		maxRegress = 0.20
-	}
-	var errs []error
-	if base.Corpus != cur.Corpus {
-		errs = append(errs, fmt.Errorf("corpus mismatch: baseline %+v vs current %+v (not comparable)", base.Corpus, cur.Corpus))
-		return errs
-	}
-	for i := range base.Drivers {
-		bd := &base.Drivers[i]
-		cd := cur.Driver(bd.Driver)
-		if cd == nil {
-			errs = append(errs, fmt.Errorf("driver %q present in baseline but missing from current run", bd.Driver))
-			continue
-		}
-		bp, cp := bd.Phase(GatePhase), cd.Phase(GatePhase)
-		if bp == nil || cp == nil {
-			continue
-		}
-		if bp.Latency.P95 > 0 {
-			ratio := cp.Latency.P95 / bp.Latency.P95
-			if ratio > 1+maxRegress {
-				errs = append(errs, fmt.Errorf(
-					"driver %s: steady p95 regressed %.1f%% (%.6fs -> %.6fs, limit %.0f%%)",
-					bd.Driver, (ratio-1)*100, bp.Latency.P95, cp.Latency.P95, maxRegress*100))
-			}
-		}
-		if bp.QPS > 0 {
-			ratio := cp.QPS / bp.QPS
-			if ratio < 1-maxRegress {
-				errs = append(errs, fmt.Errorf(
-					"driver %s: steady throughput dropped %.1f%% (%.1f -> %.1f qps, limit %.0f%%)",
-					bd.Driver, (1-ratio)*100, bp.QPS, cp.QPS, maxRegress*100))
-			}
-		}
-	}
-	return errs
 }

@@ -9,7 +9,7 @@ import (
 
 func sampleReport() *Report {
 	return &Report{
-		Schema: Schema, Bench: 4, Mode: "sim", Seed: 11,
+		Schema: Schema, Bench: 6, Mode: "real", Seed: 11,
 		GitRev: "abc123", GeneratedAt: "2026-01-01T00:00:00Z",
 		Corpus: CorpusInfo{Seed: 7, Scale: 0.1, Candidates: 20, Documents: 500},
 		Drivers: []DriverReport{{
@@ -26,7 +26,7 @@ func sampleReport() *Report {
 
 func TestReportRoundtripAndStrip(t *testing.T) {
 	rep := sampleReport()
-	path := filepath.Join(t.TempDir(), "BENCH_4.json")
+	path := filepath.Join(t.TempDir(), "BENCH_6.run.json")
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestReportRoundtripAndStrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != Schema || got.Bench != 4 || got.GitRev != "abc123" {
+	if got.Schema != Schema || got.Bench != 6 || got.GitRev != "abc123" {
 		t.Fatalf("roundtrip lost fields: %+v", got)
 	}
 	st := got.Stripped()
@@ -67,62 +67,5 @@ func TestReadReportRejectsWrongSchema(t *testing.T) {
 	}
 	if _, err := ReadReport(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func withSteadyP95(p95, qps float64) *Report {
-	r := sampleReport()
-	p := r.Drivers[0].Phase("steady")
-	p.Latency.P95 = p95
-	p.QPS = qps
-	return r
-}
-
-func TestCompareGate(t *testing.T) {
-	base := withSteadyP95(0.010, 400)
-
-	if errs := Compare(base, withSteadyP95(0.011, 400), 0.20); len(errs) != 0 {
-		t.Errorf("10%% p95 regression within 20%% budget flagged: %v", errs)
-	}
-	if errs := Compare(base, withSteadyP95(0.013, 400), 0.20); len(errs) != 1 ||
-		!strings.Contains(errs[0].Error(), "p95 regressed") {
-		t.Errorf("30%% p95 regression not flagged: %v", errs)
-	}
-	if errs := Compare(base, withSteadyP95(0.010, 300), 0.20); len(errs) != 1 ||
-		!strings.Contains(errs[0].Error(), "throughput dropped") {
-		t.Errorf("25%% qps drop not flagged: %v", errs)
-	}
-	// Improvements never fail the gate.
-	if errs := Compare(base, withSteadyP95(0.002, 4000), 0.20); len(errs) != 0 {
-		t.Errorf("improvement flagged: %v", errs)
-	}
-	// Default tolerance kicks in for maxRegress <= 0.
-	if errs := Compare(base, withSteadyP95(0.013, 400), 0); len(errs) != 1 {
-		t.Errorf("default tolerance: %v", errs)
-	}
-}
-
-func TestCompareStructuralMismatches(t *testing.T) {
-	base := sampleReport()
-
-	cur := sampleReport()
-	cur.Corpus.Scale = 0.5
-	if errs := Compare(base, cur, 0.20); len(errs) != 1 ||
-		!strings.Contains(errs[0].Error(), "corpus mismatch") {
-		t.Errorf("corpus mismatch: %v", errs)
-	}
-
-	cur = sampleReport()
-	cur.Drivers[0].Driver = "http"
-	if errs := Compare(base, cur, 0.20); len(errs) != 1 ||
-		!strings.Contains(errs[0].Error(), "missing from current") {
-		t.Errorf("missing driver: %v", errs)
-	}
-
-	// A baseline without a steady phase gates nothing.
-	cur = sampleReport()
-	base.Drivers[0].Phases = base.Drivers[0].Phases[:1]
-	if errs := Compare(base, cur, 0.20); len(errs) != 0 {
-		t.Errorf("no steady phase: %v", errs)
 	}
 }

@@ -25,8 +25,8 @@ const (
 	// ClassOK is a successful request.
 	ClassOK Class = "ok"
 	// ClassShed is a load-shed rejection: HTTP 503 "server
-	// overloaded" / "corpus not ready" with a Retry-After hint. Under
-	// chaos these are expected behavior, not harness failures.
+	// overloaded" / "corpus not ready" with a Retry-After hint:
+	// expected behavior under overload, not a harness failure.
 	ClassShed Class = "shed"
 	// ClassTimeout is a deadline miss: client-side context deadline or
 	// the server's 503 "request timed out".
@@ -38,13 +38,10 @@ const (
 	// ClassTransport is a connection-level failure (refused, reset,
 	// EOF) before any HTTP status arrived.
 	ClassTransport Class = "transport"
-	// ClassInjected is a fault introduced by the harness's own chaos
-	// gate, never sent to the target.
-	ClassInjected Class = "injected"
 )
 
 // Classes lists the taxonomy in report order.
-var Classes = []Class{ClassOK, ClassShed, ClassTimeout, Class4xx, Class5xx, ClassTransport, ClassInjected}
+var Classes = []Class{ClassOK, ClassShed, ClassTimeout, Class4xx, Class5xx, ClassTransport}
 
 // Result is one request's outcome.
 type Result struct {

@@ -1,27 +1,20 @@
 // Package loadgen is the deterministic load and soak harness: it
 // samples realistic expertise-need workloads from a corpus's own
 // topic and entity distribution, drives the expert-finding system —
-// either the in-process Finder or the live HTTP /v1/find endpoint —
-// with closed-loop (fixed concurrency) and open-loop (target QPS,
-// coordinated-omission-safe) drivers, and reports throughput, an
-// error taxonomy, and log-bucketed latency percentiles.
+// the in-process Finder, the live HTTP /v1/find endpoint, or a real
+// multi-process scatter-gather cluster (cluster.go) — with a
+// closed-loop (fixed concurrency) runner, and reports throughput, an
+// error taxonomy, and log-bucketed latency percentiles. It is the
+// engine under cmd/loadtest's correctness scenarios and the -race
+// soaks; performance evidence lives in the ledger (bench/), not here.
 //
-// Two properties make the harness a regression gate rather than a
-// one-off stress script:
-//
-//   - Determinism. The workload is a pure function of (seed, request
-//     sequence number): request n asks the same need in every run and
-//     on every driver, regardless of worker interleaving. In
-//     simulation mode (a virtual resilience.Clock plus a seeded
-//     ServiceModel), the full report — counts, error taxonomy, qps,
-//     percentiles — is byte-identical across runs, so CI can diff
-//     BENCH_*.json files across commits.
-//
-//   - Honest tails. The open-loop driver schedules arrivals on a
-//     fixed grid and measures each request from its *scheduled* start,
-//     so a stalling server inflates the recorded latency instead of
-//     silently slowing the load generator (the coordinated-omission
-//     trap).
+// Determinism is what makes a run replayable: the workload is a pure
+// function of (seed, request sequence number), so request n asks the
+// same need in every run and on every target, regardless of worker
+// interleaving. With a virtual resilience.Clock plus a ServiceModel
+// the runner is in simulation mode — latency and phase length come
+// from the model, so a soak sizes itself in virtual seconds and its
+// counts, error taxonomy and percentiles are identical across runs.
 package loadgen
 
 import (
