@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke bench-ledger-smoke ledger loadtest-scatter loadtest-ingest loadtest-scale docs-check logcheck check clean
+.PHONY: all build fmt vet test race race-stress fuzz-smoke cover-check bench-smoke bench-ledger-smoke ledger figures-check loadtest-scatter loadtest-ingest loadtest-scale docs-check logcheck check clean
 
 all: check
 
@@ -29,7 +29,7 @@ race:
 race-stress:
 	$(GO) test -race -count=2 ./...
 
-# fuzz-smoke runs each index, analysis, and ingest fuzz target
+# fuzz-smoke runs each index, langid, analysis, and ingest fuzz target
 # briefly; the checked-in corpus under testdata/fuzz is replayed by
 # the plain test target.
 FUZZTIME ?= 10s
@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockPostingsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=$(FUZZTIME) ./internal/index/
+	$(GO) test -run '^$$' -fuzz '^FuzzIdentify$$' -fuzztime=$(FUZZTIME) ./internal/langid/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNeed$$' -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusDiff$$' -fuzztime=$(FUZZTIME) ./internal/ingest/
 
@@ -68,7 +69,7 @@ cover-check:
 # bench-smoke compiles and runs the cheap benchmarks once, catching
 # bit-rot in the instrumented hot paths without a full bench run.
 bench-smoke:
-	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/
+	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/ ./internal/analysis/
 
 # bench-ledger-smoke runs the performance ledger's own tests. bench/
 # is a nested module, so `go test ./...` from the root never compiles
@@ -92,6 +93,16 @@ ledger:
 			|| { cat .bench_build/ledger.$$w.log; exit 1; }; \
 		echo "$$w $$(echo "$$out" | tail -n 1)"; \
 	done
+
+# figures-check regenerates every reproduced figure and table (default
+# seed and scale, ≈ 20 s) and byte-compares the result with the
+# committed experiments_output.txt: the paper-side half of the fixed
+# point, next to the ledger's ranking pins. cmd/experiments prints its
+# timings on stderr, so stdout is reproducible bit for bit; a change
+# that moves a figure on purpose commits the regenerated file.
+figures-check:
+	$(GO) run ./cmd/experiments > experiments_output.run.txt
+	cmp experiments_output.txt experiments_output.run.txt
 
 # loadtest-scatter boots the real multi-process scatter-gather
 # topology — shard-mode serve processes plus a coordinator, built from
@@ -149,10 +160,10 @@ docs-check:
 
 # check is what CI runs: formatting, static analysis, build, the
 # race-enabled test suite (which subsumes the plain one), the bench
-# smokes (index benchmarks and the ledger's own tests), the three
-# loadtest correctness scenarios, the coverage floors, and the
-# documentation gates.
-check: fmt vet build race bench-smoke bench-ledger-smoke loadtest-scatter loadtest-ingest loadtest-scale cover-check docs-check logcheck
+# smokes (index and analysis benchmarks and the ledger's own tests),
+# the reproduced figures, the three loadtest correctness scenarios, the
+# coverage floors, and the documentation gates.
+check: fmt vet build race bench-smoke bench-ledger-smoke figures-check loadtest-scatter loadtest-ingest loadtest-scale cover-check docs-check logcheck
 
 clean:
 	$(GO) clean ./...

@@ -11,6 +11,10 @@
 // table4 fig10 fig11 (default: all, in paper order). The -fault-*
 // and -retries flags parameterize the "faults" sweep (ranking
 // quality vs injected API failure rate).
+//
+// Standard output carries only the results, so a run with default
+// flags is byte-reproducible (`make figures-check` compares it with
+// the committed experiments_output.txt); timings go to standard error.
 package main
 
 import (
@@ -102,8 +106,9 @@ func main() {
 
 	t0 := time.Now()
 	sys := experiments.BuildSystem(dataset.Config{Seed: *seed, Scale: *scale, IndexShards: *indexShards})
-	fmt.Printf("system: %d resources generated, %d indexed, %d candidates (built in %v)\n\n",
-		sys.DS.Graph.NumResources(), sys.Kept, len(sys.DS.Candidates), time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("system: %d resources generated, %d indexed, %d candidates\n\n",
+		sys.DS.Graph.NumResources(), sys.Kept, len(sys.DS.Candidates))
+	fmt.Fprintf(os.Stderr, "system built in %v\n", time.Since(t0).Round(time.Millisecond))
 
 	for _, r := range runners {
 		if len(want) > 0 && !want[r.id] {
@@ -111,6 +116,7 @@ func main() {
 		}
 		t := time.Now()
 		result := r.fn(sys)
-		fmt.Printf("== %s (%v) ==\n%s\n", r.id, time.Since(t).Round(time.Millisecond), result)
+		fmt.Printf("== %s ==\n%s\n", r.id, result)
+		fmt.Fprintf(os.Stderr, "%s took %v\n", r.id, time.Since(t).Round(time.Millisecond))
 	}
 }

@@ -9,6 +9,10 @@
 package analysis
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"expertfind/internal/annotator"
 	"expertfind/internal/kb"
 	"expertfind/internal/langid"
@@ -96,38 +100,24 @@ func (p *Pipeline) Analyze(text string, urls []string) (Analyzed, bool) {
 	if !p.keepAll && lang != langid.English {
 		return Analyzed{Lang: lang}, false
 	}
-
-	terms := p.proc.TermFreq(full)
-	length := 0
-	for _, n := range terms {
-		length += n
-	}
-
-	entities := make(map[kb.EntityID]EntityStats)
-	for _, ann := range p.ann.Annotate(full) {
-		st := entities[ann.Entity.ID]
-		st.Freq++
-		if ann.DScore > st.DScore {
-			st.DScore = ann.DScore
-		}
-		entities[ann.Entity.ID] = st
-	}
-
-	return Analyzed{Lang: lang, Terms: terms, Entities: entities, Length: length}, true
+	return p.vectors(full, lang), true
 }
 
 // AnalyzeNeed analyzes an expertise need (a natural-language query).
 // Needs have no URLs and bypass the language filter: the caller
 // formulated the query deliberately.
 func (p *Pipeline) AnalyzeNeed(need string) Analyzed {
-	lang := langid.Identify(need)
-	terms := p.proc.TermFreq(need)
-	length := 0
-	for _, n := range terms {
-		length += n
-	}
+	return p.vectors(need, langid.Identify(need))
+}
+
+// vectors runs text processing and entity annotation over one
+// tokenization of text.
+func (p *Pipeline) vectors(text string, lang langid.Lang) Analyzed {
+	t := textproc.NewText(text)
+	terms, length := p.proc.TermFreqOf(&t)
+
 	entities := make(map[kb.EntityID]EntityStats)
-	for _, ann := range p.ann.Annotate(need) {
+	for _, ann := range p.ann.AnnotateText(&t) {
 		st := entities[ann.Entity.ID]
 		st.Freq++
 		if ann.DScore > st.DScore {
@@ -135,5 +125,41 @@ func (p *Pipeline) AnalyzeNeed(need string) Analyzed {
 		}
 		entities[ann.Entity.ID] = st
 	}
+
 	return Analyzed{Lang: lang, Terms: terms, Entities: entities, Length: length}
+}
+
+// Result is the analysis of one document of a Batch. OK is false when
+// the document was skipped or discarded by the language filter.
+type Result struct {
+	A  Analyzed
+	OK bool
+}
+
+// Batch analyzes n documents over GOMAXPROCS workers (the pipeline is
+// stateless) and returns their results in document order, whatever
+// order the workers finished in. get supplies document i's text and
+// URLs, or ok = false for a document that must stay out (deleted, or
+// another shard's); it is called from the workers.
+func (p *Pipeline) Batch(n int, get func(i int) (text string, urls []string, ok bool)) []Result {
+	results := make([]Result, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if text, urls, ok := get(i); ok {
+					results[i].A, results[i].OK = p.Analyze(text, urls)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return results
 }

@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 
+	"expertfind/internal/dataset"
 	"expertfind/internal/kb"
 	"expertfind/internal/langid"
+	"expertfind/internal/socialgraph"
 	"expertfind/internal/textproc"
 	"expertfind/internal/webcontent"
 )
@@ -131,11 +135,84 @@ func TestCustomProcessor(t *testing.T) {
 	}
 }
 
-func BenchmarkAnalyze(b *testing.B) {
+// TestBatchKeepsDocumentOrder checks that the fan-out returns what a
+// serial loop would, slot for slot.
+func TestBatchKeepsDocumentOrder(t *testing.T) {
 	p := New(Options{})
-	text := "Just finished 30min freestyle training at the swimming pool, michael phelps is my hero"
+	texts := make([]string, 200)
+	for i := range texts {
+		texts[i] = needSeeds[i%len(needSeeds)] + " swimming pool training number " + strconv.Itoa(i)
+	}
+	skip := func(i int) bool { return i%7 == 3 }
+	got := p.Batch(len(texts), func(i int) (string, []string, bool) {
+		return texts[i], nil, !skip(i)
+	})
+	if len(got) != len(texts) {
+		t.Fatalf("Batch returned %d results for %d documents", len(got), len(texts))
+	}
+	for i, text := range texts {
+		var want Result
+		if !skip(i) {
+			want.A, want.OK = p.Analyze(text, nil)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("document %d: Batch gave %+v, Analyze %+v", i, got[i], want)
+		}
+	}
+	if got := p.Batch(0, nil); len(got) != 0 {
+		t.Errorf("empty Batch returned %d results", len(got))
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestAnalyzeNeedAllocCeiling keeps need analysis from growing back:
+// the ceiling is the measured count for one pass over needSeeds after
+// language identification stopped allocating and tokenization became
+// one pass (it was 589 before).
+func TestAnalyzeNeedAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under -race")
+	}
+	const ceiling = 210
+	p := New(Options{})
+	got := testing.AllocsPerRun(20, func() {
+		for _, need := range needSeeds {
+			p.AnalyzeNeed(need)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("AnalyzeNeed over needSeeds allocates %v times, ceiling %d", got, ceiling)
+	}
+}
+
+// ledgerCorpus returns what the performance ledger analyzes: the first
+// 3 000 resources of the seed-7 corpus and the 30 evaluation queries.
+func ledgerCorpus() (*Pipeline, []socialgraph.Resource, []dataset.Query) {
+	ds := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.5})
+	docs := make([]socialgraph.Resource, 3000)
+	for i := range docs {
+		docs[i] = ds.Graph.Resource(socialgraph.ResourceID(i))
+	}
+	return New(Options{Web: ds.Web}), docs, ds.Queries
+}
+
+func BenchmarkAnalyze(b *testing.B) {
+	p, docs, _ := ledgerCorpus()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Analyze(text, nil)
+		d := docs[i%len(docs)]
+		p.Analyze(d.Text, d.URLs)
+	}
+}
+
+func BenchmarkAnalyzeNeed(b *testing.B) {
+	p, _, queries := ledgerCorpus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.AnalyzeNeed(queries[i%len(queries)].Text)
 	}
 }

@@ -70,47 +70,58 @@ type spot struct {
 // one, returning annotations in order of appearance. Mentions whose
 // confidence falls below Options.MinDScore are pruned.
 func (a *Annotator) Annotate(text string) []Annotation {
-	tokens := textproc.Tokenize(textproc.Sanitize(text))
-	if len(tokens) == 0 {
-		return nil
-	}
-	spots := a.spotAnchors(tokens)
+	t := textproc.NewText(text)
+	return a.AnnotateText(&t)
+}
+
+// AnnotateText is Annotate over a text the caller has already
+// tokenized, so that one tokenization serves the annotator and the
+// term counter alike.
+func (a *Annotator) AnnotateText(t *textproc.Text) []Annotation {
+	spots := a.spotAnchors(t.Tokens)
 	if len(spots) == 0 {
 		return nil
 	}
 
-	ctx := a.contextProfile(tokens, spots)
+	ctx := a.contextProfile(t, spots)
 
 	var out []Annotation
+	work := tally{votes: make(map[kb.Domain]float64, len(kb.Domains))}
 	for i, sp := range spots {
-		ann, ok := a.disambiguate(sp, spots, i, ctx)
-		if ok {
+		if ann, ok := a.disambiguate(sp, spots, i, ctx, &work); ok {
 			out = append(out, ann)
 		}
 	}
 	return out
 }
 
-// spotAnchors finds non-overlapping, longest-first anchor matches.
+// tally is disambiguate's working memory, allocated once per text and
+// overwritten for every spot.
+type tally struct {
+	votes  map[kb.Domain]float64 // coherence votes per domain
+	scores []float64             // score per candidate of the spot
+}
+
+// spotAnchors finds non-overlapping, longest-first anchor matches. The
+// window at a token is as long as the longest anchor starting with
+// that token, so a token that starts none costs one lookup and no
+// candidate anchor is assembled that could not match.
 func (a *Annotator) spotAnchors(tokens []string) []spot {
-	maxLen := a.kb.MaxAnchorTokens()
 	var spots []spot
 	for i := 0; i < len(tokens); {
-		matched := false
-		for n := min(maxLen, len(tokens)-i); n >= 1; n-- {
-			anchor := strings.Join(tokens[i:i+n], " ")
-			cands, lp := a.kb.Candidates(anchor)
-			if cands == nil || lp < a.opts.MinLinkProb {
-				continue
+		n := min(a.kb.AnchorSpan(tokens[i]), len(tokens)-i)
+		for ; n >= 1; n-- {
+			anchor := tokens[i]
+			if n > 1 {
+				anchor = strings.Join(tokens[i:i+n], " ")
 			}
-			spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})
-			i += n
-			matched = true
-			break
+			cands, lp := a.kb.Candidates(anchor)
+			if cands != nil && lp >= a.opts.MinLinkProb {
+				spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})
+				break
+			}
 		}
-		if !matched {
-			i++
-		}
+		i += max(n, 1)
 	}
 	return spots
 }
@@ -118,19 +129,19 @@ func (a *Annotator) spotAnchors(tokens []string) []spot {
 // contextProfile counts, per domain, the topical-vocabulary words
 // occurring in the text. Token comparison happens on raw lowercase
 // surface forms, matching how vocabularies are stored.
-func (a *Annotator) contextProfile(tokens []string, spots []spot) map[kb.Domain]float64 {
-	inSpot := make([]bool, len(tokens))
+func (a *Annotator) contextProfile(t *textproc.Text, spots []spot) map[kb.Domain]float64 {
+	inSpot := make([]bool, len(t.Tokens))
 	for _, sp := range spots {
 		for i := sp.start; i < sp.end; i++ {
 			inSpot[i] = true
 		}
 	}
 	ctx := make(map[kb.Domain]float64, len(kb.Domains))
-	for i, tok := range tokens {
+	for i := range t.Tokens {
 		if inSpot[i] {
 			continue
 		}
-		stem := textproc.Stem(tok)
+		stem := t.Stem(i)
 		for _, d := range kb.Domains {
 			if a.kb.InVocabStem(d, stem) {
 				ctx[d]++
@@ -146,8 +157,9 @@ func (a *Annotator) contextProfile(tokens []string, spots []spot) map[kb.Domain]
 // dominant interpretations — a voting scheme in the spirit of TAGME's
 // relatedness votes. The dScore is the winner's share of the total
 // candidate mass, attenuated when the text gives no topical support.
-func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Domain]float64) (Annotation, bool) {
-	votes := make(map[kb.Domain]float64, len(kb.Domains))
+func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Domain]float64, t *tally) (Annotation, bool) {
+	votes := t.votes
+	clear(votes)
 	for d, n := range ctx {
 		votes[d] += n
 	}
@@ -167,12 +179,14 @@ func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Dom
 	// ("milan" → AC Milan in a football post).
 	const priorFloor = 0.15
 	var total float64
-	scores := make([]float64, len(sp.cands))
-	for i, c := range sp.cands {
+	scores := t.scores[:0]
+	for _, c := range sp.cands {
 		boost := coherenceBoost(votes[a.kb.Entity(c.Entity).Domain])
-		scores[i] = c.Commonness * (priorFloor + boost)
-		total += scores[i]
+		score := c.Commonness * (priorFloor + boost)
+		scores = append(scores, score)
+		total += score
 	}
+	t.scores = scores
 
 	bestIdx := 0
 	for i := 1; i < len(scores); i++ {
@@ -208,11 +222,4 @@ func coherenceBoost(v float64) float64 {
 		return 0
 	}
 	return v / (v + 2)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,9 @@
 package annotator
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +178,53 @@ func TestAnnotateArbitraryInput(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// everyWindowSpots is the spotter spotAnchors replaced, kept as its
+// reference: at every token it joins and looks up every window up to
+// the longest anchor of the whole knowledge base.
+func everyWindowSpots(a *Annotator, tokens []string) []spot {
+	maxLen := a.kb.MaxAnchorTokens()
+	var spots []spot
+	for i := 0; i < len(tokens); {
+		matched := false
+		for n := min(maxLen, len(tokens)-i); n >= 1; n-- {
+			anchor := strings.Join(tokens[i:i+n], " ")
+			cands, lp := a.kb.Candidates(anchor)
+			if cands == nil || lp < a.opts.MinLinkProb {
+				continue
+			}
+			spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})
+			i += n
+			matched = true
+			break
+		}
+		if !matched {
+			i++
+		}
+	}
+	return spots
+}
+
+// The token sequences are drawn from the words anchors are made of, so
+// that prefixes of long anchors, anchors cut off by the end of the text
+// and anchors inside longer anchors all occur.
+func TestSpotAnchorsMatchesEveryWindowReference(t *testing.T) {
+	a := newDefault()
+	words := []string{"the", "a", "of", "x1", "é"}
+	for _, e := range a.kb.Entities() {
+		words = append(words, strings.Fields(kb.NormalizeAnchor(e.Label))...)
+	}
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 5000; i++ {
+		tokens := make([]string, r.Intn(16))
+		for j := range tokens {
+			tokens[j] = words[r.Intn(len(words))]
+		}
+		if got, want := a.spotAnchors(tokens), everyWindowSpots(a, tokens); !reflect.DeepEqual(got, want) {
+			t.Fatalf("spotAnchors(%q):\n got %+v\nwant %+v", tokens, got, want)
+		}
 	}
 }
 

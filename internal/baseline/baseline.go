@@ -16,6 +16,7 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"expertfind/internal/analysis"
@@ -55,7 +56,11 @@ func DistanceWeights(rcm map[socialgraph.ResourceID][]socialgraph.CandidateDista
 // LM is the shared language-modeling state: per-document term
 // frequencies and the background collection model.
 type LM struct {
-	docs     map[socialgraph.ResourceID]analysis.Analyzed
+	docs map[socialgraph.ResourceID]analysis.Analyzed
+	// docIDs is the keys of docs in ascending order: the models sum
+	// floats over documents, and a fixed order makes their scores (and
+	// the committed experiments_output.txt) reproducible bit for bit.
+	docIDs   []socialgraph.ResourceID
 	docLen   map[socialgraph.ResourceID]int
 	collFreq map[string]int
 	collLen  int
@@ -83,8 +88,21 @@ func NewLM(docs map[socialgraph.ResourceID]analysis.Analyzed, assoc map[socialgr
 		}
 		lm.docLen[id] = n
 		lm.collLen += n
+		lm.docIDs = append(lm.docIDs, id)
 	}
+	slices.Sort(lm.docIDs)
 	return lm
+}
+
+// queryTerms returns the need's terms in ascending order, fixing the
+// order in which the models accumulate per-term factors.
+func queryTerms(need analysis.Analyzed) []string {
+	terms := make([]string, 0, len(need.Terms))
+	for t := range need.Terms {
+		terms = append(terms, t)
+	}
+	slices.Sort(terms)
+	return terms
 }
 
 // pColl is the background probability of a term.
@@ -123,7 +141,8 @@ func NewModel1(lm *LM) *Model1 {
 		candTerms: make(map[socialgraph.UserID]map[string]float64),
 		candNorm:  make(map[socialgraph.UserID]float64),
 	}
-	for d, doc := range lm.docs {
+	for _, d := range lm.docIDs {
+		doc := lm.docs[d]
 		for _, a := range lm.assoc[d] {
 			tm := m.candTerms[a.Candidate]
 			if tm == nil {
@@ -146,6 +165,7 @@ func NewModel1(lm *LM) *Model1 {
 // Rank scores the candidates for a need, best first. Candidates with
 // no associated documents are omitted.
 func (m *Model1) Rank(need analysis.Analyzed, candidates []socialgraph.UserID) []Scored {
+	terms := queryTerms(need)
 	var out []Scored
 	for _, ca := range candidates {
 		tm := m.candTerms[ca]
@@ -155,7 +175,8 @@ func (m *Model1) Rank(need analysis.Analyzed, candidates []socialgraph.UserID) [
 		}
 		ll := 0.0
 		matched := false
-		for t, qtf := range need.Terms {
+		for _, t := range terms {
+			qtf := need.Terms[t]
 			pca := tm[t] / norm
 			pc := m.lm.pColl(t)
 			p := (1-m.lm.Lambda)*pca + m.lm.Lambda*pc
@@ -198,15 +219,14 @@ func (m *Model2) Rank(need analysis.Analyzed, candidates []socialgraph.UserID) [
 	}
 	scores := make(map[socialgraph.UserID]float64)
 	norms := make(map[socialgraph.UserID]float64)
-	for d, assoc := range m.lm.assoc {
-		if _, ok := m.lm.docs[d]; !ok {
-			continue
-		}
+	terms := queryTerms(need)
+	for _, d := range m.lm.docIDs {
 		// p(q|d) in probability space; documents are short, so the
 		// product stays representable.
 		pq := 1.0
 		matched := false
-		for t, qtf := range need.Terms {
+		for _, t := range terms {
+			qtf := need.Terms[t]
 			pd := m.lm.pDoc(t, d)
 			pc := m.lm.pColl(t)
 			p := (1-m.lm.Lambda)*pd + m.lm.Lambda*pc
@@ -221,7 +241,7 @@ func (m *Model2) Rank(need analysis.Analyzed, candidates []socialgraph.UserID) [
 		if !matched {
 			continue
 		}
-		for _, a := range assoc {
+		for _, a := range m.lm.assoc[d] {
 			if !inPool[a.Candidate] {
 				continue
 			}

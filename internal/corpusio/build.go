@@ -1,10 +1,6 @@
 package corpusio
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"expertfind/internal/analysis"
 	"expertfind/internal/index"
 	"expertfind/internal/socialgraph"
@@ -13,7 +9,7 @@ import (
 // BuildShardedIndex analyzes every resource of the graph through pipe
 // and indexes the survivors of the language filter into a sharded
 // index. Both phases parallelize: analysis fans out over GOMAXPROCS
-// workers (the pipeline is stateless), then each shard is populated
+// workers (analysis.Pipeline.Batch), then each shard is populated
 // by its own single writer via AddBatch, so no lock is ever
 // contended. shards <= 0 selects GOMAXPROCS.
 //
@@ -34,49 +30,20 @@ func BuildShardedIndex(g *socialgraph.Graph, pipe *analysis.Pipeline, shards int
 // route is a pure function of the document id — which is what lets
 // the coordinator's merged rankings reproduce single-process output.
 func BuildShardSlice(g *socialgraph.Graph, pipe *analysis.Pipeline, shards, shardID, shardCount int) (*index.Sharded, int) {
-	n := g.NumResources()
-
-	type result struct {
-		a  analysis.Analyzed
-		ok bool
-	}
-	results := make([]result, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n && n > 0 {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				if shardCount > 1 && index.ShardRoute(socialgraph.ResourceID(i), shardCount) != shardID {
-					continue
-				}
-				// Tombstoned resources stay out of the index, so a cold
-				// rebuild of a delta-mutated graph matches the
-				// delta-applied index exactly.
-				if g.ResourceDeleted(socialgraph.ResourceID(i)) {
-					continue
-				}
-				r := g.Resource(socialgraph.ResourceID(i))
-				a, ok := pipe.Analyze(r.Text, r.URLs)
-				results[i] = result{a: a, ok: ok}
-			}
-		}()
-	}
-	wg.Wait()
-
-	docs := make([]index.Doc, 0, n)
+	// Tombstoned resources stay out of the index, so a cold rebuild of
+	// a delta-mutated graph matches the delta-applied index exactly.
+	results := pipe.Batch(g.NumResources(), func(i int) (string, []string, bool) {
+		rid := socialgraph.ResourceID(i)
+		if shardCount > 1 && index.ShardRoute(rid, shardCount) != shardID || g.ResourceDeleted(rid) {
+			return "", nil, false
+		}
+		r := g.Resource(rid)
+		return r.Text, r.URLs, true
+	})
+	docs := make([]index.Doc, 0, len(results))
 	for i, res := range results {
-		if res.ok {
-			docs = append(docs, index.Doc{ID: socialgraph.ResourceID(i), A: res.a})
+		if res.OK {
+			docs = append(docs, index.Doc{ID: socialgraph.ResourceID(i), A: res.A})
 		}
 	}
 	ix := index.NewSharded(shards)

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/core"
@@ -74,41 +71,18 @@ func BuildSystemFromStream(corpusPath, segmentDir string, o StreamBuildOptions) 
 		if n <= 0 {
 			return nil
 		}
-		type result struct {
-			a  analysis.Analyzed
-			ok bool
-		}
-		results := make([]result, n)
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(n) {
-						return
-					}
-					rid := lo + socialgraph.ResourceID(i)
-					if d.Graph.ResourceDeleted(rid) {
-						continue
-					}
-					r := d.Graph.Resource(rid)
-					a, ok := pipe.Analyze(r.Text, r.URLs)
-					results[i] = result{a: a, ok: ok}
-				}
-			}()
-		}
-		wg.Wait()
+		results := pipe.Batch(n, func(i int) (string, []string, bool) {
+			rid := lo + socialgraph.ResourceID(i)
+			if d.Graph.ResourceDeleted(rid) {
+				return "", nil, false
+			}
+			r := d.Graph.Resource(rid)
+			return r.Text, r.URLs, true
+		})
 		docs := make([]index.Doc, 0, n)
 		for i, res := range results {
-			if res.ok {
-				docs = append(docs, index.Doc{ID: lo + socialgraph.ResourceID(i), A: res.a})
+			if res.OK {
+				docs = append(docs, index.Doc{ID: lo + socialgraph.ResourceID(i), A: res.A})
 			}
 		}
 		kept += len(docs)

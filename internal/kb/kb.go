@@ -67,6 +67,7 @@ type KB struct {
 	byLabel    map[string]EntityID
 	anchors    map[string][]Candidate // normalized anchor -> candidates
 	linkProb   map[string]float64     // normalized anchor -> P(link)
+	anchorSpan map[string]int         // first token -> tokens of the longest anchor starting with it
 	vocab      map[Domain][]string
 	vocabStems map[Domain]map[string]struct{}
 	maxTokens  int // longest anchor, in tokens
@@ -81,10 +82,11 @@ type Builder struct {
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{kb: &KB{
-		byLabel:  make(map[string]EntityID),
-		anchors:  make(map[string][]Candidate),
-		linkProb: make(map[string]float64),
-		vocab:    make(map[Domain][]string),
+		byLabel:    make(map[string]EntityID),
+		anchors:    make(map[string][]Candidate),
+		linkProb:   make(map[string]float64),
+		anchorSpan: make(map[string]int),
+		vocab:      make(map[Domain][]string),
 	}}
 }
 
@@ -137,9 +139,9 @@ func (b *Builder) AddAnchor(anchor, entityLabel string, commonness, linkProb flo
 	if lp, seen := kb.linkProb[norm]; !seen || linkProb > lp {
 		kb.linkProb[norm] = linkProb
 	}
-	if n := len(strings.Fields(norm)); n > kb.maxTokens {
-		kb.maxTokens = n
-	}
+	tokens := strings.Fields(norm)
+	kb.maxTokens = max(kb.maxTokens, len(tokens))
+	kb.anchorSpan[tokens[0]] = max(kb.anchorSpan[tokens[0]], len(tokens))
 }
 
 // AddVocab appends topical vocabulary words to a domain.
@@ -251,6 +253,12 @@ func (k *KB) Candidates(normAnchor string) ([]Candidate, float64) {
 // MaxAnchorTokens returns the length, in tokens, of the longest
 // anchor, bounding the spotting window.
 func (k *KB) MaxAnchorTokens() int { return k.maxTokens }
+
+// AnchorSpan returns the length, in tokens, of the longest anchor whose
+// first token is first, or 0 when no anchor starts with it: the
+// spotting window at a token, known before any candidate anchor is
+// assembled.
+func (k *KB) AnchorSpan(first string) int { return k.anchorSpan[first] }
 
 // Vocab returns the topical vocabulary of a domain.
 func (k *KB) Vocab(d Domain) []string { return k.vocab[d] }

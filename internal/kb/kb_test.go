@@ -145,6 +145,29 @@ func TestMaxAnchorTokens(t *testing.T) {
 	}
 }
 
+func TestAnchorSpan(t *testing.T) {
+	k := Builtin()
+	for anchor, want := range map[string]int{
+		"how":     5, // "how i met your mother"
+		"michael": 2, // "michael phelps"
+		"milan":   1,
+		"mother":  0, // inside an anchor, starts none
+		"":        0,
+	} {
+		if got := k.AnchorSpan(anchor); got != want {
+			t.Errorf("AnchorSpan(%q) = %d, want %d", anchor, got, want)
+		}
+	}
+	// The span at an anchor's first token reaches the whole anchor.
+	for _, e := range k.Entities() {
+		tokens := strings.Fields(NormalizeAnchor(e.Label))
+		if got := k.AnchorSpan(tokens[0]); got < len(tokens) || got > k.MaxAnchorTokens() {
+			t.Errorf("AnchorSpan(%q) = %d, label %q has %d tokens, longest anchor %d",
+				tokens[0], got, e.Label, len(tokens), k.MaxAnchorTokens())
+		}
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder()
 	b.AddEntity("X", "T", Sport, 0.5)

@@ -2,10 +2,13 @@ package langid
 
 import (
 	"maps"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unicode"
+	"unicode/utf8"
 )
 
 func TestIdentifyEnglish(t *testing.T) {
@@ -106,9 +109,160 @@ func TestNewClassifierCustomProfiles(t *testing.T) {
 	}
 }
 
-// runeSliceNGramFreqs is the construction ngramFreqs replaced, kept as
-// its reference: every word padded on its own, converted to runes, one
-// string built per n-gram occurrence.
+// mapClassifier is the string- and map-based Cavnar–Trenkle classifier
+// the packed one replaced, kept whole as its oracle: n-grams are
+// substrings counted in a map, ranked by a sort whose comparator looks
+// both counts up, and every language is scored on its own against its
+// own rank map.
+type mapClassifier struct {
+	ranks map[Lang]map[string]int
+}
+
+func newMapClassifier(samples map[Lang]string) *mapClassifier {
+	c := &mapClassifier{ranks: make(map[Lang]map[string]int, len(samples))}
+	for lang, text := range samples {
+		rank := make(map[string]int)
+		for i, g := range rankNGrams(ngramFreqs(text), profileSize) {
+			rank[g] = i
+		}
+		c.ranks[lang] = rank
+	}
+	return c
+}
+
+var defaultMapClassifier = newMapClassifier(trainingSamples)
+
+func mapIdentify(text string) Lang { return defaultMapClassifier.identify(text) }
+
+func (c *mapClassifier) identify(text string) Lang {
+	grams := ngramFreqs(text)
+	if len(grams) == 0 {
+		return Unknown
+	}
+	letters := 0
+	for _, r := range text {
+		if unicode.IsLetter(r) {
+			letters++
+		}
+	}
+	if letters < 8 {
+		return Unknown
+	}
+	doc := rankNGrams(grams, profileSize)
+
+	best, bestDist := Unknown, int(^uint(0)>>1)
+	// Iterate deterministically for stable tie-breaking.
+	langs := make([]Lang, 0, len(c.ranks))
+	for lang := range c.ranks {
+		langs = append(langs, lang)
+	}
+	sort.Slice(langs, func(i, j int) bool { return langs[i] < langs[j] })
+	for _, lang := range langs {
+		d := outOfPlace(doc, c.ranks[lang])
+		if d < bestDist {
+			best, bestDist = lang, d
+		}
+	}
+	return best
+}
+
+// outOfPlace computes the Cavnar-Trenkle out-of-place distance between
+// a ranked document profile and a language rank map.
+func outOfPlace(doc []string, langRank map[string]int) int {
+	const missingPenalty = profileSize
+	dist := 0
+	for i, g := range doc {
+		if j, ok := langRank[g]; ok {
+			if i > j {
+				dist += i - j
+			} else {
+				dist += j - i
+			}
+		} else {
+			dist += missingPenalty
+		}
+	}
+	return dist
+}
+
+// ngramFreqs extracts 1..maxN character n-grams from the
+// letters-only, lowercased form of text, each word padded with one
+// space on either side, counting them as substrings of the padded
+// text.
+func ngramFreqs(text string) map[string]int {
+	padded := normalize(text)
+	freqs := make(map[string]int)
+	// starts holds the byte offsets of the last runes of the current
+	// " word " window, oldest first: where an n-gram ending at the
+	// current rune may begin.
+	var starts [maxN]int
+	have, inWord := 0, false
+	for i, r := range padded {
+		if r == ' ' && !inWord {
+			starts[0], have = i, 1 // the window opens at the space before its word
+			continue
+		}
+		if have == maxN {
+			copy(starts[:], starts[1:])
+			have--
+		}
+		starts[have] = i
+		have++
+		end := i + utf8.RuneLen(r)
+		from := starts[:have]
+		if r == ' ' {
+			from = from[:have-1] // a lone space is not an n-gram
+		}
+		for _, s := range from {
+			freqs[padded[s:end]]++
+		}
+		if inWord = r != ' '; !inWord {
+			starts[0], have = i, 1 // the closing space also opens the next window
+		}
+	}
+	return freqs
+}
+
+// normalize lowercases text and turns every non-letter into a space,
+// with one more space at either end.
+func normalize(text string) string {
+	var b strings.Builder
+	b.Grow(len(text) + 2)
+	b.WriteByte(' ')
+	for _, r := range strings.ToLower(text) {
+		switch {
+		case unicode.IsLetter(r):
+			b.WriteRune(r)
+		default:
+			b.WriteByte(' ')
+		}
+	}
+	b.WriteByte(' ')
+	return b.String()
+}
+
+// rankNGrams orders n-grams by descending frequency (ties broken
+// lexicographically for determinism) and keeps the top n.
+func rankNGrams(freqs map[string]int, n int) []string {
+	grams := make([]string, 0, len(freqs))
+	for g := range freqs {
+		grams = append(grams, g)
+	}
+	sort.Slice(grams, func(i, j int) bool {
+		if freqs[grams[i]] != freqs[grams[j]] {
+			return freqs[grams[i]] > freqs[grams[j]]
+		}
+		return grams[i] < grams[j]
+	})
+	if len(grams) > n {
+		grams = grams[:n]
+	}
+	return grams
+}
+
+// runeSliceNGramFreqs is the construction ngramFreqs replaced in turn,
+// the plainest statement of what an n-gram is: every word padded on
+// its own, converted to runes, one string built per n-gram occurrence.
 func runeSliceNGramFreqs(text string) map[string]int {
 	letters := strings.Map(func(r rune) rune {
 		if unicode.IsLetter(r) {
@@ -130,25 +284,202 @@ func runeSliceNGramFreqs(text string) map[string]int {
 	return freqs
 }
 
-func TestNGramFreqsMatchesRuneSliceConstruction(t *testing.T) {
-	texts := map[string]string{
-		"empty":          "",
-		"no letters":     " 12 -- 3! ",
-		"one letter":     "a",
-		"ascii":          "Why is copper a good conductor?  It's the d-band, e.g. 4s1 3d10",
-		"accented":       "Où est la bibliothèque? ¿Dónde está el baño? Straße, ÅNGSTRÖM über naïve café",
-		"non-Latin":      "Москва — столица России. 東京は日本の首都です 한국어 ελληνικά",
-		"mixed width":    "añb 😀 xßy 日z",
-		"invalid utf-8":  "ab\xffcd \xc3",
-		"case expanding": "İstanbul İİ ǅ",
+// unpack turns a packed n-gram back into its string.
+func unpack(key uint64) string {
+	var b strings.Builder
+	for shift := 2 * runeBits; shift >= 0 && key>>shift&(1<<runeBits-1) != 0; shift -= runeBits {
+		b.WriteRune(rune(key >> shift & (1<<runeBits - 1)))
 	}
+	return b.String()
+}
+
+// packedRanking runs the product's counting and ranking on text and
+// spells the result out as strings: the ranked profile and every
+// distinct n-gram's count.
+func packedRanking(text string) ([]string, map[string]int) {
+	var s scratch
+	top := s.ranked(text)
+	ranked := make([]string, len(top))
+	for i, g := range top {
+		ranked[i] = unpack(g.key)
+	}
+	freqs := make(map[string]int, len(s.grams))
+	for _, g := range s.grams {
+		freqs[unpack(g.key)] = g.count
+	}
+	return ranked, freqs
+}
+
+// edgeTexts are the inputs on which lowercasing, letter classes, rune
+// widths and invalid bytes are easiest to get wrong.
+var edgeTexts = map[string]string{
+	"empty":          "",
+	"no letters":     " 12 -- 3! ",
+	"one letter":     "a",
+	"ascii":          "Why is copper a good conductor?  It's the d-band, e.g. 4s1 3d10",
+	"accented":       "Où est la bibliothèque? ¿Dónde está el baño? Straße, ÅNGSTRÖM über naïve café",
+	"non-Latin":      "Москва — столица России. 東京は日本の首都です 한국어 ελληνικά",
+	"mixed width":    "añb 😀 xßy 日z",
+	"invalid utf-8":  "ab\xffcd \xc3",
+	"case expanding": "İstanbul İİ ǅ",
+	"dotted capital": "İİİİ İİİİ ıııı IIII iiii",
+	"titlecase":      "ǅǅǅǅ ǅǆǄ ǈǉǇ ǋǌǊ",
+	"max rune":       "ab\U0010FFFFcd \U0010FFFF \U000E0041bcdefghij",
+	"eight letters":  "a1b2c3d4e5f6g7h8",
+	"seven letters":  "a1b2c3d4e5f6g7 88",
+}
+
+func TestNGramFreqsMatchesRuneSliceConstruction(t *testing.T) {
+	texts := maps.Clone(edgeTexts)
 	for lang, sample := range trainingSamples {
 		texts["sample "+string(lang)] = sample
 	}
 	for name, text := range texts {
-		got, want := ngramFreqs(text), runeSliceNGramFreqs(text)
-		if !maps.Equal(got, want) {
-			t.Errorf("%s: n-gram frequencies differ from the rune-slice construction:\n got %v\nwant %v", name, got, want)
+		want := runeSliceNGramFreqs(text)
+		if got := ngramFreqs(text); !maps.Equal(got, want) {
+			t.Errorf("%s: substring n-gram frequencies differ from the rune-slice construction:\n got %v\nwant %v", name, got, want)
+		}
+		if _, got := packedRanking(text); !maps.Equal(got, want) {
+			t.Errorf("%s: packed n-gram frequencies differ from the rune-slice construction:\n got %v\nwant %v", name, got, want)
+		}
+	}
+}
+
+// checkAgainstOracle fails when the packed classifier and the map
+// oracle disagree on text, in the verdict or in the ranked document
+// profile behind it.
+func checkAgainstOracle(t *testing.T, text string) {
+	t.Helper()
+	if got, want := Identify(text), mapIdentify(text); got != want {
+		t.Errorf("Identify(%q) = %v, map oracle says %v", text, got, want)
+	}
+	got, _ := packedRanking(text)
+	if want := rankNGrams(ngramFreqs(text), profileSize); !equalStrings(got, want) {
+		t.Errorf("ranked profile of %q differs from the map oracle:\n got %q\nwant %q", text, got, want)
+	}
+}
+
+func equalStrings(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestIdentifyMatchesMapOracleOnEdgeCases(t *testing.T) {
+	for _, text := range edgeTexts {
+		checkAgainstOracle(t, text)
+		// Long enough to pass the letter threshold, and mixed with a
+		// language the profiles know.
+		checkAgainstOracle(t, strings.Repeat(text+" ", 4)+"the people of the town")
+	}
+}
+
+// Windows this short sit on the decision boundary: a handful of
+// n-grams, most counts tied, several languages within a few ranks of
+// each other — where a wrong tie-break or rank shows.
+func TestIdentifyMatchesMapOracleOnSampleWindows(t *testing.T) {
+	for _, sample := range trainingSamples {
+		for _, width := range []int{9, 23, 60} {
+			for i := 0; i+width <= len(sample); i++ {
+				checkAgainstOracle(t, sample[i:i+width])
+			}
+		}
+	}
+}
+
+// randomText draws a string over everything the classifier
+// distinguishes: letters of both cases, accents, case-mapping oddities,
+// CJK, digits, punctuation, spaces and bytes that are not UTF-8.
+func randomText(r *rand.Rand) string {
+	alphabet := []string{
+		"a", "e", "t", "n", "s", "d", "h", "o", "i", "r", "T", "E", "Q", "z", "ij",
+		"é", "ñ", "ü", "ß", "ç", "ã", "Ö", "È", "İ", "ı", "ǅ", "ǆ", "Σ", "ς",
+		"日", "本", "한", "ж", "Я",
+		"0", "7", " ", " ", " ", "\n", "-", "'", ".", "!", "😀",
+		"\xff", "\xc3", "\xe6\x97",
+	}
+	var b strings.Builder
+	for n := r.Intn(120); n > 0; n-- {
+		b.WriteString(alphabet[r.Intn(len(alphabet))])
+	}
+	return b.String()
+}
+
+func TestIdentifyMatchesMapOracleOnRandomStrings(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 20000; i++ {
+		checkAgainstOracle(t, randomText(r))
+	}
+}
+
+func TestCustomClassifierMatchesMapOracle(t *testing.T) {
+	samples := map[Lang]string{
+		"zz": trainingSamples[Dutch],
+		"aa": trainingSamples[German],
+		"mm": trainingSamples[German], // an exact tie: the smaller label must win
+		"":   "x",
+	}
+	c, oracle := NewClassifier(samples), newMapClassifier(samples)
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 2000; i++ {
+		text := randomText(r)
+		if got, want := c.Identify(text), oracle.identify(text); got != want {
+			t.Fatalf("custom Identify(%q) = %q, map oracle says %q", text, got, want)
+		}
+	}
+	if got := NewClassifier(nil).Identify("no languages to choose from"); got != Unknown {
+		t.Errorf("empty classifier Identify = %v, want und", got)
+	}
+}
+
+// FuzzIdentify is the differential test with the fuzzer choosing the
+// inputs.
+func FuzzIdentify(f *testing.F) {
+	for _, text := range edgeTexts {
+		f.Add(text)
+	}
+	f.Add("Just finished 30min freestyle training at the swimming pool")
+	f.Add("oggi sono andato in piscina e ho fatto mezzora di allenamento")
+	f.Fuzz(func(t *testing.T, text string) {
+		checkAgainstOracle(t, text)
+	})
+}
+
+// A long text grows the scratch past what the pool keeps; the next
+// call must still start clean.
+func TestIdentifyAfterLongText(t *testing.T) {
+	var b strings.Builder
+	r := rand.New(rand.NewSource(23))
+	for b.Len() < 200_000 {
+		b.WriteString(randomText(r))
+	}
+	checkAgainstOracle(t, b.String())
+	checkAgainstOracle(t, "the people of the town wake up and go to work")
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+func TestIdentifyDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under -race")
+	}
+	texts := []string{
+		"Just finished 30min freestyle training at the swimming pool with my friends",
+		"la partita di calcio di ieri sera è stata davvero bellissima e molto combattuta",
+		"ok",
+		trainingSamples[English],
+	}
+	for _, text := range texts {
+		Identify(text) // warm the pooled scratch to this text's size
+		if n := testing.AllocsPerRun(100, func() { Identify(text) }); n != 0 {
+			t.Errorf("Identify(%.30q…) allocates %v times per call, want 0", text, n)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Options configures a Processor. The zero value enables every step,
@@ -48,37 +49,76 @@ func New(opts Options) *Processor {
 // Default is a Processor with all steps enabled.
 var Default = New(Options{})
 
+// Text is one text after sanitization and tokenization, with each
+// token's Porter stem computed at most once: the single pass over a
+// text that the term counter and the entity annotator share.
+type Text struct {
+	Tokens []string // Tokenize(Sanitize(raw))
+	stems  []string // Stem(Tokens[i]) once asked for, "" before
+}
+
+// NewText sanitizes and tokenizes raw.
+func NewText(raw string) Text {
+	tokens := Tokenize(Sanitize(raw))
+	return Text{Tokens: tokens, stems: make([]string, len(tokens))}
+}
+
+// Stem returns the Porter stem of token i.
+func (t *Text) Stem(i int) string {
+	if t.stems[i] == "" {
+		t.stems[i] = Stem(t.Tokens[i])
+	}
+	return t.stems[i]
+}
+
+// term returns the term token i of t contributes, or "" when the
+// length or stop-word filter drops it.
+func (p *Processor) term(t *Text, i int) string {
+	tok := t.Tokens[i]
+	if n := utf8.RuneCountInString(tok); n < p.opts.MinTokenLen || n > p.opts.MaxTokenLen {
+		return ""
+	}
+	if !p.opts.DisableStopwords && IsStopword(tok) {
+		return ""
+	}
+	if p.opts.DisableStemming {
+		return tok
+	}
+	return t.Stem(i)
+}
+
 // Terms runs the full pipeline on text and returns the resulting
 // terms, in order of appearance. The returned slice is freshly
 // allocated on each call.
 func (p *Processor) Terms(text string) []string {
-	tokens := Tokenize(Sanitize(text))
-	terms := tokens[:0]
-	for _, tok := range tokens {
-		if n := len([]rune(tok)); n < p.opts.MinTokenLen || n > p.opts.MaxTokenLen {
-			continue
+	t := NewText(text)
+	terms := make([]string, 0, len(t.Tokens))
+	for i := range t.Tokens {
+		if term := p.term(&t, i); term != "" {
+			terms = append(terms, term)
 		}
-		if !p.opts.DisableStopwords && IsStopword(tok) {
-			continue
-		}
-		if !p.opts.DisableStemming {
-			tok = Stem(tok)
-		}
-		if tok == "" {
-			continue
-		}
-		terms = append(terms, tok)
 	}
 	return terms
 }
 
 // TermFreq runs the pipeline and aggregates term frequencies.
 func (p *Processor) TermFreq(text string) map[string]int {
-	tf := make(map[string]int)
-	for _, t := range p.Terms(text) {
-		tf[t]++
-	}
+	t := NewText(text)
+	tf, _ := p.TermFreqOf(&t)
 	return tf
+}
+
+// TermFreqOf aggregates the term frequencies of an already tokenized
+// text and returns them with their sum, the text's length in terms.
+func (p *Processor) TermFreqOf(t *Text) (tf map[string]int, length int) {
+	tf = make(map[string]int)
+	for i := range t.Tokens {
+		if term := p.term(t, i); term != "" {
+			tf[term]++
+			length++
+		}
+	}
+	return tf, length
 }
 
 // Sanitize lowercases text and strips markup artifacts commonly found
