@@ -35,7 +35,6 @@ race-stress:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexScore$$' -fuzztime=$(FUZZTIME) ./internal/index/
-	$(GO) test -run '^$$' -fuzz '^FuzzShardedMergeEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockPostingsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=$(FUZZTIME) ./internal/index/
@@ -50,12 +49,13 @@ fuzz-smoke:
 # recorded floors, everything else the default. A package with no test
 # files fails outright. The floors below are the only copy — CI calls
 # this target. Recorded after the one-posting-list deletions:
-# internal/index measured 93.9 %, internal/core 99.5 %; after the
-# open-loop/chaos/compare deletions internal/loadgen measured 90.1 %.
+# internal/core measured 99.5 %; after the open-loop/chaos/compare
+# deletions internal/loadgen measured 90.1 %; after the Sharded
+# Merge/Remove/Update deletions internal/index measured 94.1 %.
 COVER_FLOOR_DEFAULT = 55.0
 cover-check:
 	@$(GO) test -cover $$($(GO) list ./internal/...) | awk ' \
-		BEGIN { floor["expertfind/internal/index"]=93.5; \
+		BEGIN { floor["expertfind/internal/index"]=93.7; \
 		        floor["expertfind/internal/core"]=99.0; \
 		        floor["expertfind/internal/loadgen"]=89.5; \
 		        floor["expertfind/internal/ingest"]=92.0 } \

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"expertfind"
+	"expertfind/internal/analysis"
 	"expertfind/internal/core"
 	"expertfind/internal/dataset"
 	"expertfind/internal/experiments"
@@ -302,7 +303,11 @@ func BenchmarkAblationURLEnrichment(b *testing.B) {
 	var with, without experiments.Metrics
 	for i := 0; i < b.N; i++ {
 		with = experiments.BuildSystem(cfg).Evaluate(p)
-		without = experiments.BuildSystemNoURL(cfg).Evaluate(p)
+		textOnly, err := experiments.Build(experiments.BuildOptions{Config: cfg, Analysis: &analysis.Options{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		without = textOnly.Evaluate(p)
 	}
 	b.ReportMetric(with.MAP, "MAP-enriched")
 	b.ReportMetric(without.MAP, "MAP-text-only")

@@ -95,6 +95,10 @@ func main() {
 	logFormat := flag.String("log-format", "text", "crawl log record format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum crawl log level: debug, info, warn or error")
 	flag.Parse()
+	if err := idleFlag(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
+		os.Exit(2)
+	}
 
 	logger, err := telemetry.NewLogger(os.Stderr, telemetry.LogConfig{Format: *logFormat, Level: *logLevel})
 	if err != nil {
@@ -185,6 +189,27 @@ func main() {
 	}
 }
 
+// idleFlag names the first explicitly set flag that the mode the
+// command line selects would silently ignore: the stream-only flags
+// without -stream, the whole-corpus outputs and -load with it.
+func idleFlag(fs *flag.FlagSet) error {
+	stream := fs.Lookup("stream").Value.String() != ""
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "chunk-docs", "segment-dir", "segment-flush-docs", "segment-max":
+			if !stream && err == nil {
+				err = fmt.Errorf("-%s has no effect without -stream", f.Name)
+			}
+		case "json", "save", "load":
+			if stream && err == nil {
+				err = fmt.Errorf("-%s has no effect with -stream", f.Name)
+			}
+		}
+	})
+	return err
+}
+
 // runStream generates a corpus straight to disk in chunked form and,
 // when segmentDir is set, builds the segment index from the stream.
 func runStream(seed int64, scale float64, chunkDocs int, streamPath, segmentDir string, flushDocs, maxSegments int) error {
@@ -227,9 +252,10 @@ func runStream(seed int64, scale float64, chunkDocs int, streamPath, segmentDir 
 	}
 
 	t1 := time.Now()
-	sys, err := experiments.BuildSystemFromStream(streamPath, segmentDir, experiments.StreamBuildOptions{
-		FlushDocs:   flushDocs,
-		MaxSegments: maxSegments,
+	sys, err := experiments.Build(experiments.BuildOptions{
+		StreamPath: streamPath,
+		SegmentDir: segmentDir,
+		Store:      index.StoreOptions{FlushDocs: flushDocs, MaxSegments: maxSegments},
 	})
 	if err != nil {
 		return err

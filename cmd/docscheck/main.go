@@ -11,7 +11,9 @@
 // verify skill (refDocs) may name a `make <target>` only when the
 // Makefile's .PHONY line lists it, and a BENCH_<n>.json only when git
 // tracks it — so a retired gate or baseline cannot linger in a
-// procedure someone will follow.
+// procedure someone will follow. And for the three commands with a
+// flag table in OPERATIONS.md (flagDocs), the table and the flags
+// main.go registers must be the same set, one row each.
 //
 // Usage:
 //
@@ -19,8 +21,9 @@
 //
 // packages defaults to ./... and is passed to `go list` verbatim. Exit
 // status is nonzero when any package lacks a doc comment, any exported
-// declaration is undocumented or any document names a dangling target
-// or file, listing each offender with the file and line to fix.
+// declaration is undocumented, any document names a dangling target or
+// file or a flag table disagrees with its command, listing each
+// offender with the file and line to fix.
 package main
 
 import (
@@ -69,8 +72,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documentation offender(s)\n", len(offenders))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets and tracked BENCH files\n",
-		len(pkgs), len(refDocs))
+	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets and tracked BENCH files, %d flag tables match their commands\n",
+		len(pkgs), len(refDocs), len(flagDocs))
 }
 
 // refDocs are the documents, relative to the module root, whose make
@@ -110,7 +113,107 @@ func checkRepoRefs() ([]string, error) {
 		}
 		offenders = append(offenders, checkRefs(doc, string(text), targets, tracked)...)
 	}
+	ops, err := os.ReadFile(filepath.Join(root, flagDoc))
+	if err != nil {
+		return nil, err
+	}
+	for section, dir := range flagDocs {
+		registered, err := registeredFlags(filepath.Join(root, dir, "main.go"))
+		if err != nil {
+			return nil, err
+		}
+		offenders = append(offenders, checkFlags(dir, registered, flagDoc, section, string(ops))...)
+	}
 	return offenders, nil
+}
+
+// flagDocs maps a "## <section>" of flagDoc to the command whose
+// flags that section's table documents.
+var flagDocs = map[string]string{
+	"serve":       "cmd/serve",
+	"coordinator": "cmd/coordinator",
+	"loadtest":    "cmd/loadtest",
+}
+
+const flagDoc = "OPERATIONS.md"
+
+var (
+	flagCall = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?$`)
+	flagName = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+)
+
+// registeredFlags reads the flag names a source file registers on the
+// flag package or on a flag set named fs, without running it: the name
+// is the first argument of flag.Int and friends, the second of the
+// *Var forms.
+func registeredFlags(file string) ([]string, error) {
+	af, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	ast.Inspect(af, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		m := flagCall.FindStringSubmatch(sel.Sel.Name)
+		if recv, ok := sel.X.(*ast.Ident); !ok || m == nil || recv.Name != "flag" && recv.Name != "fs" {
+			return true
+		}
+		arg := 0
+		if m[2] != "" {
+			arg = 1
+		}
+		if arg < len(call.Args) {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				names = append(names, strings.Trim(lit.Value, "\"`"))
+			}
+		}
+		return true
+	})
+	return names, nil
+}
+
+// checkFlags compares cmd's registered flags with the table rows of
+// doc's "## section": every flag needs exactly one row (a row's first
+// cell may name several flags), and a row may name only flags that
+// exist.
+func checkFlags(cmd string, registered []string, doc, section, text string) []string {
+	var offenders []string
+	rows := map[string]int{} // flag -> line of its row
+	inSection := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inSection = line == "## "+section
+			continue
+		}
+		if !inSection || !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[2:], "|")
+		for _, m := range flagName.FindAllStringSubmatch(cell, -1) {
+			if first, dup := rows[m[1]]; dup {
+				offenders = append(offenders, fmt.Sprintf("%s:%d: -%s already has a row at line %d", doc, i+1, m[1], first))
+				continue
+			}
+			rows[m[1]] = i + 1
+		}
+	}
+	for _, name := range registered {
+		if _, ok := rows[name]; !ok {
+			offenders = append(offenders, fmt.Sprintf("%s: %s registers -%s, which the %q table has no row for", doc, cmd, name, section))
+		}
+		delete(rows, name)
+	}
+	for name, line := range rows {
+		offenders = append(offenders, fmt.Sprintf("%s:%d: -%s is not a flag %s registers", doc, line, name, cmd))
+	}
+	return offenders
 }
 
 // phonyTargets is the Makefile's .PHONY list: the targets that exist.

@@ -155,3 +155,63 @@ func TestCheckRefs(t *testing.T) {
 		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+func TestCheckFlags(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "main.go")
+	write(t, src, `// Command x serves.
+package main
+
+import (
+	"flag"
+	"time"
+)
+
+func parseFlags(args []string) {
+	var o struct {
+		addr string
+		wait time.Duration
+	}
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&o.wait, "wait", 0, "grace period")
+	fs.Parse(args)
+}
+
+func main() {
+	seed := flag.Int64("seed", 1, "corpus seed")
+	undocumented := flag.Bool("quiet", false, "say less")
+	flag.Parse()
+	_ = fmt.Sprint("seed", *seed, *undocumented, strings.Repeat("-", 3))
+}
+`)
+	registered, err := registeredFlags(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(registered, " "); got != "addr wait seed quiet" {
+		t.Fatalf("registered flags %q, want addr wait seed quiet", got)
+	}
+	text := strings.Join([]string{
+		"## other",
+		"| `-quiet` | `false` | another command's flag of the same name |", // 2: other section
+		"## x",
+		"| Flag | Default | Meaning |",
+		"|---|---|---|",
+		"| `-addr` / `-wait` | `:8080` / `0` | two flags, one row; see `-seed` |", // 6
+		"| `-seed` | `1` | corpus seed |",
+		"| `-retired` | | a flag the source dropped |", // 8: dangling row
+		"### x runbook",
+		"| `-addr` | | a second row |", // 10: duplicate
+		"## later",
+		"| `-gone` | | not x's table |",
+	}, "\n")
+	off := checkFlags("cmd/x", registered, "OPS.md", "x", text)
+	want := []string{
+		"OPS.md:10: -addr already has a row at line 6",
+		"OPS.md: cmd/x registers -quiet, which the \"x\" table has no row for",
+		"OPS.md:8: -retired is not a flag cmd/x registers",
+	}
+	if strings.Join(off, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
+	}
+}

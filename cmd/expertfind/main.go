@@ -33,16 +33,13 @@ func main() {
 	flag.Parse()
 
 	t0 := time.Now()
-	var sys *expertfind.System
-	if *corpus != "" {
-		var err error
-		sys, err = expertfind.NewSystemFromCorpus(*corpus)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expertfind: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		sys = expertfind.NewSystem(expertfind.Config{Seed: *seed, Scale: *scale})
+	sys, err := expertfind.Open(expertfind.Options{
+		Config:     expertfind.Config{Seed: *seed, Scale: *scale},
+		CorpusPath: *corpus,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "expertfind: %v\n", err)
+		os.Exit(1)
 	}
 	st := sys.Stats()
 	fmt.Fprintf(os.Stderr, "corpus ready: %d candidates, %d/%d resources indexed (%v)\n",

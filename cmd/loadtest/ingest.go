@@ -11,8 +11,8 @@ import (
 	"expertfind"
 	"expertfind/internal/analysis"
 	"expertfind/internal/core"
-	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
+	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
 	"expertfind/internal/ingest"
 	"expertfind/internal/loadgen"
@@ -216,9 +216,14 @@ func dfPreservingDelta(remote *dataset.Dataset, pipe *analysis.Pipeline, cursor,
 // from cache or freshly computed — must rank bit-identically to a cold
 // finder rebuilt from the final remote corpus state.
 func ingestDifferential(sys *expertfind.System, remote *dataset.Dataset, w *loadgen.Workload, o *options, params core.Params) int {
-	coldPipe := analysis.New(analysis.Options{Web: remote.Web})
-	coldIx, _ := corpusio.BuildShardedIndex(remote.Graph, coldPipe, o.indexShards)
-	cold := core.NewFinder(remote.Graph, coldIx, coldPipe, remote.Candidates)
+	coldSys, err := experiments.Build(experiments.BuildOptions{
+		Dataset: remote, Config: dataset.Config{IndexShards: o.indexShards},
+	})
+	if err != nil {
+		log.Printf("INGEST GATE: cold rebuild: %v", err)
+		return 1
+	}
+	cold := coldSys.Finder
 
 	finder := sys.CoreFinder()
 	ctx := context.Background()

@@ -3,88 +3,26 @@
 //
 // Usage:
 //
-//	serve [-addr :8080] [-seed N] [-scale F] [-corpus file.json.gz]
-//	      [-stream-corpus file.stream.json.gz -segment-dir DIR]
-//	      [-segment-flush-docs N] [-segment-max N] [-segment-maintain D]
-//	      [-index-shards N] [-topk N] [-request-timeout D]
-//	      [-max-concurrent N]
-//	      [-retry-after D] [-cache-size N] [-cache-ttl D] [-debug]
-//	      [-shard-id N -shard-count N]
-//	      [-log-format text|json] [-log-level L] [-log-stamp=false]
-//	      [-slo-latency D] [-slo-availability F] [-slo-window D]
-//	      [-slo-burn-alert F] [-pprof-dir DIR]
-//	      [-ingest-interval D] [-ingest-seed N] [-ingest-adds N]
-//	      [-ingest-updates N] [-ingest-removes N] [-ingest-transient F]
+//	serve [-addr :8080] [flags]
 //
-// With -corpus, the system is built from a saved corpus snapshot
-// (datagen -save); otherwise a synthetic corpus is generated.
-//
-// With -stream-corpus and -segment-dir, the system serves a streaming
-// corpus (datagen -stream) from a disk-backed segment index. When the
-// segment directory already holds a built index (datagen -segment-dir,
-// or a previous serve run) it is opened directly — no analysis pass;
-// an empty directory is populated by analyzing the corpus chunk by
-// chunk in bounded memory. -segment-maintain runs background sealing
-// and compaction at that interval; rankings are bit-identical across
-// any segment layout. Streaming serving is exclusive with -corpus,
-// -shard-count and continuous ingest (deltas need the generated
-// corpus's remote twin, and shards slice a monolithic corpus).
-//
-// With -ingest-interval > 0, the server runs continuous ingest
-// (internal/ingest): a same-ID remote replica of the generated corpus
-// is churned every interval (-ingest-adds/-updates/-removes operations
-// per round, update-only by default so collection statistics stay
-// fixed and scoped cache invalidation can preserve untouched entries),
-// re-fetched through the fault-injecting platform API
-// (-ingest-transient sets the injected transient-failure rate), and
-// the delta is applied live to the serving graph and index —
-// rankings after any round are bit-identical to a cold rebuild.
-// /v1/ingest/status reports the cumulative counters. Continuous
-// ingest requires the generated corpus: it is refused together with
-// -corpus (no remote twin exists for a snapshot) or -shard-count (a
-// shard serves a document slice; deltas carry the whole corpus).
-//
-// With -topk N, /v1/find and /v1/bestnetwork requests that do not
-// pass their own topk parameter bound resource matching to the N
-// best-ranked reachable resources (MaxScore pruned; byte-identical to
-// the exhaustive top N). Clients override per request with topk=K, or
-// topk=0 to force exhaustive scoring.
-//
-// With -shard-count N (and -shard-id in [0,N)), the process serves
-// one shard of a scatter-gather topology: it analyzes and indexes
-// only the document slice index.ShardRoute assigns to it and mounts
-// the /v1/shard/* endpoints cmd/coordinator fans out to.
-//
-// The listener comes up immediately; /healthz answers 200 from the
-// start while /readyz and the /v1 routes answer 503 + Retry-After
-// until the corpus build finishes. Requests are bounded by
-// -request-timeout, and load beyond -max-concurrent in-flight /v1
-// requests is shed with 503 + Retry-After.
-//
-// Ranked /v1/find results are cached in a bounded LRU keyed by
-// (need, parameters, corpus generation): -cache-size bounds the entry
-// count (0 disables caching), -cache-ttl their lifetime. Concurrent
-// identical queries coalesce onto one scoring pass, responses carry a
-// Cache-Status: hit|miss|coalesced header, and every corpus install
-// opens a fresh cache generation so swapped corpora never serve stale
-// rankings.
-//
-// Observability: /metrics serves Prometheus text, /debug/traces the
-// recent query traces (with /debug/traces/{rid} lookup by request id
-// and /debug/slow listing the tail-sampled slow/errored retained
-// traces), /version the build identity. Logs are structured
-// (log/slog): -log-format selects text or json, -log-level the floor,
-// -log-stamp=false drops timestamps for byte-deterministic output.
-// Every /v1 request feeds the expertfind_slo_* burn-rate gauges; when
-// the -slo-burn-alert threshold is crossed and -pprof-dir is set, a
-// heap+CPU profile pair is captured there (rate-limited). -debug
-// additionally mounts net/http/pprof and expvar under /debug/.
+// The corpus is generated from -seed/-scale, loaded from a -corpus
+// snapshot, or streamed from -stream-corpus into the segment store
+// under -segment-dir (reopened without analysis when already built);
+// -shard-id/-shard-count restrict any of the three to one slice of a
+// scatter-gather topology, and -ingest-interval keeps the generated
+// corpus ingesting live. The listener comes up immediately: /healthz
+// answers from the start, /readyz and /v1 answer 503 until the build
+// finishes. OPERATIONS.md ("serve") has the flag table, the refused
+// combinations and the ingest, segment-store and degraded-mode
+// runbooks; a usage error exits 2 with one line on stderr.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -102,45 +40,133 @@ import (
 	"expertfind/internal/telemetry"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Int64("seed", 1, "corpus seed (ignored with -corpus)")
-	scale := flag.Float64("scale", 0.5, "corpus volume multiplier (ignored with -corpus)")
-	corpus := flag.String("corpus", "", "load a saved corpus snapshot instead of generating")
-	streamCorpus := flag.String("stream-corpus", "", "serve a streaming corpus (datagen -stream) from a segment index (requires -segment-dir)")
-	segmentDir := flag.String("segment-dir", "", "segment index directory for -stream-corpus (reused if already built)")
-	segmentFlush := flag.Int("segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
-	segmentMax := flag.Int("segment-max", 0, "segment count that triggers compaction (0 = default)")
-	segmentMaintain := flag.Duration("segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
-	indexShards := flag.Int("index-shards", 0, "document shards scored in parallel per query (0 = GOMAXPROCS, 1 = monolithic)")
-	topK := flag.Int("topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = exhaustive)")
-	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
-	maxConc := flag.Int("max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on 503 responses")
-	cacheSize := flag.Int("cache-size", 4096, "ranked-result cache capacity in entries (0 disables caching)")
-	cacheTTL := flag.Duration("cache-ttl", time.Minute, "ranked-result cache entry lifetime (0 = until evicted)")
-	debugEndpoints := flag.Bool("debug", false, "mount pprof and expvar under /debug/")
-	shardID := flag.Int("shard-id", 0, "this process's shard number in a scatter-gather topology (with -shard-count)")
-	shardCount := flag.Int("shard-count", 0, "scatter-gather topology size; >= 1 serves only this shard's document slice and mounts /v1/shard/*")
-	logFormat := flag.String("log-format", "text", "log record format: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	logStamp := flag.Bool("log-stamp", true, "timestamp log records (false for byte-deterministic output)")
-	sloLatency := flag.Duration("slo-latency", 500*time.Millisecond, "latency objective for /v1 requests (also the slow-trace keep threshold)")
-	sloAvail := flag.Float64("slo-availability", 0.999, "availability objective (target non-5xx ratio)")
-	sloWindow := flag.Duration("slo-window", 5*time.Minute, "sliding window for SLO burn rates")
-	sloBurnAlert := flag.Float64("slo-burn-alert", 4, "burn rate that triggers an on-breach profile capture")
-	pprofDir := flag.String("pprof-dir", "", "directory for on-breach pprof captures (empty disables capturing)")
-	ingestInterval := flag.Duration("ingest-interval", 0, "continuous-ingest round interval (0 disables; requires the generated corpus)")
-	ingestSeed := flag.Int64("ingest-seed", 1, "remote churn and fault-injection seed")
-	ingestAdds := flag.Int("ingest-adds", 0, "remote resources added per churn round")
-	ingestUpdates := flag.Int("ingest-updates", 8, "remote resources edited per churn round")
-	ingestRemoves := flag.Int("ingest-removes", 0, "remote resources deleted per churn round")
-	ingestTransient := flag.Float64("ingest-transient", 0, "injected transient-failure rate on remote fetches")
-	flag.Parse()
+// options holds the flags where their consumers read them.
+type options struct {
+	addr string
+	// open is the argument of the one expertfind.Open call: source,
+	// slice and container.
+	open            expertfind.Options
+	segmentMaintain time.Duration
 
-	logger, err := telemetry.NewLogger(os.Stderr, telemetry.LogConfig{
-		Format: *logFormat, Level: *logLevel, NoStamp: !*logStamp,
+	api   httpapi.Options
+	cache rescache.Options
+	log   telemetry.LogConfig
+	slo   slo.Config
+
+	ingestInterval time.Duration
+	ingestFaults   faults.Config
+	ingestChurn    ingest.ChurnConfig
+}
+
+// needs maps a flag to the one without which it silently does nothing.
+var needs = map[string]string{
+	"segment-dir":        "stream-corpus",
+	"segment-flush-docs": "stream-corpus",
+	"segment-max":        "stream-corpus",
+	"shard-id":           "shard-count",
+	"ingest-seed":        "ingest-interval",
+	"ingest-adds":        "ingest-interval",
+	"ingest-updates":     "ingest-interval",
+	"ingest-removes":     "ingest-interval",
+	"ingest-transient":   "ingest-interval",
+}
+
+// parseFlags parses args into the run's options. A flag error, an
+// explicitly set flag that would have no effect or a combination no
+// build path serves is reported on stderr and returned, not fatal.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	var (
+		o        options
+		logStamp bool
+	)
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Int64Var(&o.open.Config.Seed, "seed", 1, "corpus seed (ignored with -corpus)")
+	fs.Float64Var(&o.open.Config.Scale, "scale", 0.5, "corpus volume multiplier (ignored with -corpus)")
+	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a saved corpus snapshot instead of generating")
+	fs.StringVar(&o.open.StreamPath, "stream-corpus", "", "serve a streaming corpus (datagen -stream) from a segment index (requires -segment-dir)")
+	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "segment index directory for -stream-corpus (reused if already built)")
+	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
+	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "segment count that triggers compaction (0 = default)")
+	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
+	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "document shards scored in parallel per query (0 = GOMAXPROCS, 1 = monolithic)")
+	fs.IntVar(&o.api.DefaultTopK, "topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = exhaustive)")
+	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
+	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
+	fs.DurationVar(&o.api.RetryAfter, "retry-after", time.Second, "Retry-After hint on 503 responses")
+	fs.IntVar(&o.cache.Capacity, "cache-size", 4096, "ranked-result cache capacity in entries (0 disables caching)")
+	fs.DurationVar(&o.cache.TTL, "cache-ttl", time.Minute, "ranked-result cache entry lifetime (0 = until evicted)")
+	fs.BoolVar(&o.api.Debug, "debug", false, "mount pprof and expvar under /debug/")
+	fs.IntVar(&o.open.ShardID, "shard-id", 0, "this process's shard number in a scatter-gather topology (with -shard-count)")
+	fs.IntVar(&o.open.ShardCount, "shard-count", 0, "scatter-gather topology size; >= 1 serves only this shard's document slice and mounts /v1/shard/*")
+	fs.StringVar(&o.log.Format, "log-format", "text", "log record format: text or json")
+	fs.StringVar(&o.log.Level, "log-level", "info", "minimum log level: debug, info, warn or error")
+	fs.BoolVar(&logStamp, "log-stamp", true, "timestamp log records (false for byte-deterministic output)")
+	fs.DurationVar(&o.slo.Latency, "slo-latency", 500*time.Millisecond, "latency objective for /v1 requests (also the slow-trace keep threshold)")
+	fs.Float64Var(&o.slo.Availability, "slo-availability", 0.999, "availability objective (target non-5xx ratio)")
+	fs.DurationVar(&o.slo.Window, "slo-window", 5*time.Minute, "sliding window for SLO burn rates")
+	fs.Float64Var(&o.slo.BurnAlert, "slo-burn-alert", 4, "burn rate that triggers an on-breach profile capture")
+	fs.StringVar(&o.slo.ProfileDir, "pprof-dir", "", "directory for on-breach pprof captures (empty disables capturing)")
+	fs.DurationVar(&o.ingestInterval, "ingest-interval", 0, "continuous-ingest round interval (0 disables; requires the generated corpus)")
+	fs.Int64Var(&o.ingestChurn.Seed, "ingest-seed", 1, "remote churn and fault-injection seed")
+	fs.IntVar(&o.ingestChurn.Adds, "ingest-adds", 0, "remote resources added per churn round")
+	fs.IntVar(&o.ingestChurn.Updates, "ingest-updates", 8, "remote resources edited per churn round")
+	fs.IntVar(&o.ingestChurn.Removes, "ingest-removes", 0, "remote resources deleted per churn round")
+	fs.Float64Var(&o.ingestFaults.TransientRate, "ingest-transient", 0, "injected transient-failure rate on remote fetches")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.log.NoStamp = !logStamp
+	o.ingestFaults.Seed = o.ingestChurn.Seed
+
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if need := needs[f.Name]; err == nil && need != "" && !set[need] {
+			err = fmt.Errorf("-%s has no effect without -%s", f.Name, need)
+		}
 	})
+	if err == nil {
+		err = o.refused()
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "serve: %v\n", err)
+		return nil, err
+	}
+	return &o, nil
+}
+
+// refused names the flag combination no build path serves, if any.
+func (o *options) refused() error {
+	b := o.open
+	switch {
+	case o.ingestInterval > 0 && (b.CorpusPath != "" || b.StreamPath != "" || b.ShardCount > 0):
+		// A round diffs against a regenerated twin of the served corpus:
+		// a snapshot or a stream has none, and a shard serves a slice
+		// while a delta carries the whole corpus.
+		return errors.New("-ingest-interval requires the generated corpus: it excludes -corpus, -stream-corpus and -shard-count")
+	case b.StreamPath != "" && b.SegmentDir == "":
+		return errors.New("-stream-corpus requires -segment-dir")
+	case b.StreamPath != "" && b.CorpusPath != "":
+		return errors.New("-stream-corpus and -corpus are two sources: pick one")
+	case b.ShardCount < 0 || b.ShardID < 0 || b.ShardID >= max(b.ShardCount, 1):
+		return fmt.Errorf("-shard-id %d outside a topology of -shard-count %d", b.ShardID, b.ShardCount)
+	}
+	return nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+
+	logger, err := telemetry.NewLogger(os.Stderr, o.log)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
@@ -150,41 +176,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *ingestInterval > 0 && (*corpus != "" || *streamCorpus != "" || *shardCount > 0) {
-		fatalf("continuous ingest requires the generated corpus",
-			"corpus", *corpus, "stream_corpus", *streamCorpus, "shard_count", *shardCount)
-	}
-	if *streamCorpus != "" && *segmentDir == "" {
-		fatalf("-stream-corpus requires -segment-dir")
-	}
-	if *streamCorpus != "" && (*corpus != "" || *shardCount > 0) {
-		fatalf("streaming serving is exclusive with -corpus and -shard-count",
-			"corpus", *corpus, "shard_count", *shardCount)
-	}
-
-	var shard *httpapi.ShardOptions
-	if *shardCount > 0 {
-		if *shardID < 0 || *shardID >= *shardCount {
-			fatalf("shard id outside topology", "shard_id", *shardID, "shard_count", *shardCount)
-		}
-		shard = &httpapi.ShardOptions{ID: *shardID, Count: *shardCount}
+	if o.open.ShardCount > 0 {
+		o.api.Shard = &httpapi.ShardOptions{ID: o.open.ShardID, Count: o.open.ShardCount}
 		// Every record from a shard process carries its topology
 		// position, so interleaved multi-process logs stay attributable.
-		logger = logger.With("shard", *shardID)
+		logger = logger.With("shard", o.open.ShardID)
 	}
 	var cache *rescache.Cache
-	if *cacheSize > 0 {
-		cache = rescache.New(rescache.Options{Capacity: *cacheSize, TTL: *cacheTTL})
+	if o.cache.Capacity > 0 {
+		cache = rescache.New(o.cache)
+		o.api.Cache = cache
 	}
 
-	tracker := slo.New(slo.Config{
-		Availability: *sloAvail,
-		Latency:      *sloLatency,
-		Window:       *sloWindow,
-		BurnAlert:    *sloBurnAlert,
-		ProfileDir:   *pprofDir,
-		Logger:       logger,
-	})
+	o.slo.Logger = logger
+	tracker := slo.New(o.slo)
 	// Slow traces are defined by the latency objective: anything that
 	// breaches it is retained in the tracer's keep ring.
 	tracer := telemetry.DefaultTracer()
@@ -192,51 +197,22 @@ func main() {
 	policy.SlowThreshold = tracker.Latency()
 	tracer.SetKeepPolicy(policy)
 
-	handler := httpapi.NewWithOptions(nil, httpapi.Options{
-		RequestTimeout: *reqTimeout,
-		MaxConcurrent:  *maxConc,
-		RetryAfter:     *retryAfter,
-		Logger:         logger,
-		Tracer:         tracer,
-		SLO:            tracker,
-		Debug:          *debugEndpoints,
-		Cache:          cache,
-		Shard:          shard,
-		DefaultTopK:    *topK,
-	})
+	o.api.Logger, o.api.Tracer, o.api.SLO = logger, tracer, tracker
+	handler := httpapi.NewWithOptions(nil, o.api)
 
 	// Build the corpus in the background so the listener (and its
 	// liveness probe) is up immediately; /readyz gates traffic until
 	// SetSystem flips the handler ready.
 	go func() {
 		t0 := time.Now()
-		var (
-			sys *expertfind.System
-			err error
-		)
-		cfg := expertfind.Config{Seed: *seed, Scale: *scale, IndexShards: *indexShards}
-		switch {
-		case *streamCorpus != "":
-			sys, err = expertfind.NewSystemFromStream(*streamCorpus, *segmentDir, expertfind.StreamOptions{
-				FlushDocs:   *segmentFlush,
-				MaxSegments: *segmentMax,
-			})
-		case *corpus != "" && shard != nil:
-			sys, err = expertfind.NewSystemFromCorpusShard(*corpus, *indexShards, shard.ID, shard.Count)
-		case *corpus != "":
-			sys, err = expertfind.NewSystemFromCorpusShards(*corpus, *indexShards)
-		case shard != nil:
-			sys, err = expertfind.NewSystemShard(cfg, shard.ID, shard.Count)
-		default:
-			sys = expertfind.NewSystem(cfg)
-		}
+		sys, err := expertfind.Open(o.open)
 		if err != nil {
 			fatalf("corpus build failed", "err", err.Error())
 		}
 		st := sys.Stats()
-		if shard != nil {
+		if o.api.Shard != nil {
 			logger.Info("shard ready",
-				"shard_count", shard.Count,
+				"shard_count", o.open.ShardCount,
 				"build_time", time.Since(t0).Round(time.Millisecond).String(),
 				"candidates", st.Candidates, "resources", st.Indexed)
 		} else {
@@ -250,25 +226,23 @@ func main() {
 		if store := sys.SegmentStore(); store != nil {
 			st := store.Status()
 			logger.Info("segment store serving",
-				"dir", *segmentDir, "segments", len(st.Segments),
+				"dir", o.open.SegmentDir, "segments", len(st.Segments),
 				"live_docs", st.LiveDocs, "tombstones", st.Tombstones,
 				"disk_bytes", st.DiskBytes)
-			if *segmentMaintain > 0 {
-				store.StartBackground(*segmentMaintain)
+			if o.segmentMaintain > 0 {
+				store.StartBackground(o.segmentMaintain)
 			}
 		}
 
-		if *ingestInterval > 0 {
+		if o.ingestInterval > 0 {
 			// The remote twin: the same generator configuration yields a
 			// same-ID replica of the corpus just installed, which the
 			// churn driver then evolves like a live platform.
 			remote := dataset.Generate(dataset.Config{
-				Seed: *seed, Scale: *scale, IndexShards: *indexShards,
+				Seed: o.open.Config.Seed, Scale: o.open.Config.Scale, IndexShards: o.open.Config.IndexShards,
 			})
 			icfg := ingest.Config{
-				API: faults.Wrap(remote.Graph, faults.Config{
-					Seed: *ingestSeed, TransientRate: *ingestTransient,
-				}),
+				API:    faults.Wrap(remote.Graph, o.ingestFaults),
 				Logger: logger,
 				Tracer: tracer,
 			}
@@ -280,17 +254,12 @@ func main() {
 				fatalf("ingest setup failed", "err", err.Error())
 			}
 			handler.SetIngester(ing)
-			churn := ingest.NewChurn(remote.Graph, ingest.ChurnConfig{
-				Seed:    *ingestSeed,
-				Adds:    *ingestAdds,
-				Updates: *ingestUpdates,
-				Removes: *ingestRemoves,
-			})
+			churn := ingest.NewChurn(remote.Graph, o.ingestChurn)
 			logger.Info("continuous ingest enabled",
-				"interval", ingestInterval.String(),
-				"adds", *ingestAdds, "updates", *ingestUpdates, "removes", *ingestRemoves)
+				"interval", o.ingestInterval.String(),
+				"adds", o.ingestChurn.Adds, "updates", o.ingestChurn.Updates, "removes", o.ingestChurn.Removes)
 			go func() {
-				for range time.Tick(*ingestInterval) {
+				for range time.Tick(o.ingestInterval) {
 					churn.Round()
 					// An aborted round (injected fetch failure) changes
 					// nothing and is retried from scratch next tick; the
@@ -304,11 +273,11 @@ func main() {
 	// WriteTimeout must outlast the request deadline so the 503 the
 	// timeout middleware writes still reaches the client.
 	writeTimeout := 30 * time.Second
-	if *reqTimeout > 0 && *reqTimeout+5*time.Second > writeTimeout {
-		writeTimeout = *reqTimeout + 5*time.Second
+	if o.api.RequestTimeout > 0 && o.api.RequestTimeout+5*time.Second > writeTimeout {
+		writeTimeout = o.api.RequestTimeout + 5*time.Second
 	}
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
@@ -332,7 +301,7 @@ func main() {
 		close(idle)
 	}()
 
-	logger.Info("listening", "addr", *addr)
+	logger.Info("listening", "addr", o.addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatalf("listen failed", "err", err.Error())
 	}

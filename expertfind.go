@@ -29,7 +29,6 @@ package expertfind
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 
 	"expertfind/internal/core"
@@ -117,98 +116,39 @@ type System struct {
 	names map[string]socialgraph.UserID
 }
 
-// NewSystem generates the synthetic corpus for cfg and indexes it
-// through the full analysis pipeline. Building a full-scale system
-// takes a few seconds; reuse it across queries.
-func NewSystem(cfg Config) *System {
-	return wrapSystem(experiments.BuildSystem(datasetConfig(cfg)))
+// Options selects what Open builds along three independent axes: the
+// corpus source, the slice of it that is indexed, and the container
+// that holds the index. The zero value is NewSystem(Config{}).
+type Options struct {
+	// Source: StreamPath (a stream corpus written by `datagen -stream`)
+	// or CorpusPath (a snapshot written by SaveCorpus or `datagen
+	// -save`); with neither, the synthetic corpus of Config is
+	// generated. A non-zero Config.IndexShards applies to every source;
+	// zero keeps the count a loaded corpus was generated with.
+	Config     Config
+	CorpusPath string
+	StreamPath string
+
+	// Slice: ShardCount > 0 builds shard ShardID of a scatter-gather
+	// topology. The system carries the full social graph but analyzes
+	// and indexes only the documents the stable splitmix64 route
+	// (index.ShardRoute) assigns to it; served by `serve -shard-id
+	// -shard-count` it answers the coordinator's shard-scoped
+	// endpoints, not meaningful standalone Find queries.
+	ShardID, ShardCount int
+
+	// Container: memory, or with SegmentDir the disk-backed segment
+	// store rooted there, configured by Stream. A store that already
+	// holds documents — e.g. one built by `datagen -stream
+	// -segment-dir` — is checked against the corpus and slice it is
+	// opened as and served directly, skipping analysis; an empty one is
+	// populated, sealing segments to disk as the memtable fills.
+	SegmentDir string
+	Stream     StreamOptions
 }
 
-// datasetConfig maps the public Config onto the generator's.
-func datasetConfig(cfg Config) dataset.Config {
-	return dataset.Config{
-		Seed:          cfg.Seed,
-		NumCandidates: cfg.Candidates,
-		Scale:         cfg.Scale,
-		IndexShards:   cfg.IndexShards,
-	}
-}
-
-// NewSystemFromCorpus loads a corpus snapshot previously saved with
-// SaveCorpus (or `datagen -save`) and indexes it, with the shard
-// count the snapshot was generated with (0 = GOMAXPROCS).
-func NewSystemFromCorpus(path string) (*System, error) {
-	return NewSystemFromCorpusShards(path, 0)
-}
-
-// NewSystemFromCorpusShards is NewSystemFromCorpus with an explicit
-// index shard count; 0 keeps the snapshot's configured value.
-func NewSystemFromCorpusShards(path string, shards int) (*System, error) {
-	ds, err := corpusio.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if shards != 0 {
-		ds.Config.IndexShards = shards
-	}
-	return wrapSystem(experiments.BuildSystemFromDataset(ds)), nil
-}
-
-// NewSystemFromCorpusShard loads a corpus snapshot as one shard of a
-// scatter-gather topology: the system carries the full social graph
-// but analyzes and indexes only the documents that the stable
-// splitmix64 route (index.ShardRoute) assigns to shard shardID of
-// shardCount. Serve it with `serve -shard-id/-shard-count` behind a
-// coordinator; it answers the shard-scoped endpoints, not meaningful
-// standalone /v1/find queries (its index is a slice of the corpus).
-func NewSystemFromCorpusShard(path string, indexShards, shardID, shardCount int) (*System, error) {
-	if shardCount < 1 || shardID < 0 || shardID >= shardCount {
-		return nil, fmt.Errorf("expertfind: shard %d/%d outside topology", shardID, shardCount)
-	}
-	ds, err := corpusio.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if indexShards != 0 {
-		ds.Config.IndexShards = indexShards
-	}
-	return wrapSystem(experiments.BuildSystemFromDatasetShard(ds, shardID, shardCount)), nil
-}
-
-// NewSystemShard is NewSystem restricted to one scatter-gather shard
-// slice (see NewSystemFromCorpusShard); the synthetic corpus is still
-// generated in full so every shard agrees on the graph and ground
-// truth, but analysis and indexing cover only the slice.
-func NewSystemShard(cfg Config, shardID, shardCount int) (*System, error) {
-	if shardCount < 1 || shardID < 0 || shardID >= shardCount {
-		return nil, fmt.Errorf("expertfind: shard %d/%d outside topology", shardID, shardCount)
-	}
-	ds := datasetConfig(cfg)
-	return wrapSystem(experiments.BuildSystemFromDatasetShard(dataset.Generate(ds), shardID, shardCount)), nil
-}
-
-// NewSystemFromCorpusAndIndex loads a corpus snapshot together with a
-// pre-built index segment (saved with SaveIndex), skipping the
-// analysis pass entirely — the fast path for serving a large corpus.
-// The segment is re-split into the snapshot's configured shard count.
-func NewSystemFromCorpusAndIndex(corpusPath, indexPath string) (*System, error) {
-	ds, err := corpusio.LoadFile(corpusPath)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ix, err := index.ReadIndex(f)
-	if err != nil {
-		return nil, err
-	}
-	return wrapSystem(experiments.BuildSystemWithIndex(ds, ix)), nil
-}
-
-// StreamOptions configures NewSystemFromStream's segment store.
+// StreamOptions configures the segment store of Options.SegmentDir and
+// NewSystemFromStream.
 type StreamOptions struct {
 	// FlushDocs is the memtable size that triggers sealing a segment
 	// to disk during a cold build (0 selects the store default).
@@ -218,32 +158,62 @@ type StreamOptions struct {
 	MaxSegments int
 	// ForceStream disables mmap in favor of positioned reads.
 	ForceStream bool
-	// KeepTexts retains bulk resource texts in memory; by default they
-	// are dropped after indexing so a million-user corpus serves in a
-	// bounded-memory envelope.
+	// KeepTexts retains a stream corpus's bulk resource texts in
+	// memory; by default they are dropped chunk by chunk once indexed,
+	// so a million-user corpus builds and serves in a bounded-memory
+	// envelope.
 	KeepTexts bool
 }
 
-// NewSystemFromStream loads a stream corpus (written by `datagen
-// -stream`) and serves it from the disk-backed segment store rooted
-// at segmentDir. A store that already holds documents — e.g. one
-// built by `datagen -stream -segment-dir` — is served directly,
-// skipping analysis; an empty store is populated chunk by chunk with
-// segments sealed to disk as the memtable fills, so building a
-// million-user corpus stays within a bounded-memory envelope.
-// Rankings are bit-identical to an in-memory build of the same
-// corpus.
-func NewSystemFromStream(corpusPath, segmentDir string, opts StreamOptions) (*System, error) {
-	inner, err := experiments.BuildSystemFromStream(corpusPath, segmentDir, experiments.StreamBuildOptions{
-		FlushDocs:   opts.FlushDocs,
-		MaxSegments: opts.MaxSegments,
-		ForceStream: opts.ForceStream,
-		KeepTexts:   opts.KeepTexts,
+// Open builds a System: it loads or generates the corpus, runs the
+// chosen slice through the full analysis pipeline and indexes it into
+// the chosen container. Rankings are bit-identical for every source
+// and container of the same corpus. Building a full-scale system takes
+// a few seconds; reuse it across queries.
+func Open(o Options) (*System, error) {
+	inner, err := experiments.Build(experiments.BuildOptions{
+		Config: dataset.Config{
+			Seed:          o.Config.Seed,
+			NumCandidates: o.Config.Candidates,
+			Scale:         o.Config.Scale,
+			IndexShards:   o.Config.IndexShards,
+		},
+		CorpusPath: o.CorpusPath,
+		StreamPath: o.StreamPath,
+		ShardID:    o.ShardID,
+		ShardCount: o.ShardCount,
+		SegmentDir: o.SegmentDir,
+		Store: index.StoreOptions{
+			FlushDocs:   o.Stream.FlushDocs,
+			MaxSegments: o.Stream.MaxSegments,
+			ForceStream: o.Stream.ForceStream,
+		},
+		KeepTexts: o.Stream.KeepTexts,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return wrapSystem(inner), nil
+	s := &System{inner: inner, names: make(map[string]socialgraph.UserID)}
+	for _, u := range inner.DS.Candidates {
+		s.names[inner.DS.Graph.User(u).Name] = u
+	}
+	return s, nil
+}
+
+// NewSystem is Open for the generated corpus of cfg, whole and in
+// memory — the one combination that cannot fail.
+func NewSystem(cfg Config) *System {
+	s, err := Open(Options{Config: cfg})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// NewSystemFromStream is Open for a stream corpus served from the
+// segment store rooted at segmentDir.
+func NewSystemFromStream(corpusPath, segmentDir string, opts StreamOptions) (*System, error) {
+	return Open(Options{StreamPath: corpusPath, SegmentDir: segmentDir, Stream: opts})
 }
 
 // SegmentStore returns the system's disk-backed segment store, or nil
@@ -254,35 +224,11 @@ func (s *System) SegmentStore() *index.Store {
 	return st
 }
 
-// SaveIndex writes the system's resource index as a binary segment
-// that NewSystemFromCorpusAndIndex can reload.
-func (s *System) SaveIndex(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	_, err = s.inner.Finder.Index().WriteTo(f)
-	return err
-}
-
 // SaveCorpus writes the system's corpus (graph, pages, queries,
-// ground truth) to path; a ".gz" suffix selects compression. The
-// snapshot can be reloaded with NewSystemFromCorpus.
+// ground truth) to path; a ".gz" suffix selects compression. Reload it
+// with Options.CorpusPath.
 func (s *System) SaveCorpus(path string) error {
 	return corpusio.SaveFile(s.inner.DS, path)
-}
-
-func wrapSystem(inner *experiments.System) *System {
-	s := &System{inner: inner, names: make(map[string]socialgraph.UserID)}
-	for _, u := range inner.DS.Candidates {
-		s.names[inner.DS.Graph.User(u).Name] = u
-	}
-	return s
 }
 
 // findConfig collects the functional options of Find.

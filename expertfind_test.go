@@ -210,7 +210,7 @@ func TestSaveAndReloadCorpus(t *testing.T) {
 	if err := s.SaveCorpus(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := NewSystemFromCorpus(path)
+	reloaded, err := Open(Options{CorpusPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSaveAndReloadCorpus(t *testing.T) {
 			t.Errorf("rank %d: %s vs %s", i, a[i].Name, b[i].Name)
 		}
 	}
-	if _, err := NewSystemFromCorpus(t.TempDir() + "/missing.json"); err == nil {
+	if _, err := Open(Options{CorpusPath: t.TempDir() + "/missing.json"}); err == nil {
 		t.Error("missing corpus accepted")
 	}
 }
@@ -277,46 +277,6 @@ func TestSelectJury(t *testing.T) {
 	}
 	if _, err := s.SelectJury("zzz qqq xxx", 5); err == nil {
 		t.Error("unanswerable need accepted")
-	}
-}
-
-func TestIndexPersistenceFastPath(t *testing.T) {
-	s := system(t)
-	dir := t.TempDir()
-	corpusPath := dir + "/c.json.gz"
-	indexPath := dir + "/ix.bin"
-	if err := s.SaveCorpus(corpusPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveIndex(indexPath); err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewSystemFromCorpusAndIndex(corpusPath, indexPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := "can you list some famous european football teams?"
-	a, err := s.Find(need)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fast.Find(need)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("rankings differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name {
-			t.Errorf("rank %d: %s vs %s", i, a[i].Name, b[i].Name)
-		}
-	}
-	if _, err := NewSystemFromCorpusAndIndex(corpusPath, dir+"/missing.bin"); err == nil {
-		t.Error("missing index accepted")
-	}
-	if _, err := NewSystemFromCorpusAndIndex(corpusPath, corpusPath); err == nil {
-		t.Error("non-index file accepted as index")
 	}
 }
 

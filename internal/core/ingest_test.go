@@ -17,8 +17,8 @@ import (
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/core"
-	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
+	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
 	"expertfind/internal/index"
 	"expertfind/internal/ingest"
@@ -35,14 +35,22 @@ type ingestSystem struct {
 }
 
 func buildIngestSystem(cfg dataset.Config, shards int) *ingestSystem {
-	ds := dataset.Generate(cfg)
-	pipe := analysis.New(analysis.Options{Web: ds.Web})
-	ix, _ := corpusio.BuildShardedIndex(ds.Graph, pipe, shards)
-	return &ingestSystem{
-		ds:     ds,
-		pipe:   pipe,
-		finder: core.NewFinder(ds.Graph, ix, pipe, ds.Candidates),
+	cfg.IndexShards = shards
+	sys := experiments.BuildSystem(cfg)
+	return &ingestSystem{ds: sys.DS, pipe: sys.Finder.Pipeline(), finder: sys.Finder}
+}
+
+// coldFinder rebuilds remote's current state from scratch: the truth
+// a delta-applied system must rank bit-identically to.
+func coldFinder(t *testing.T, remote *dataset.Dataset, shards int) *core.Finder {
+	t.Helper()
+	cold, err := experiments.Build(experiments.BuildOptions{
+		Dataset: remote, Config: dataset.Config{IndexShards: shards},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return cold.Finder
 }
 
 // ingestConfig wires an ingester between the installed system and its
@@ -80,9 +88,7 @@ func TestIngestDifferentialGrid(t *testing.T) {
 			}
 
 			// Cold rebuild of the final remote state, same shard count.
-			coldPipe := analysis.New(analysis.Options{Web: remote.Web})
-			coldIx, _ := corpusio.BuildShardedIndex(remote.Graph, coldPipe, shards)
-			cold := core.NewFinder(remote.Graph, coldIx, coldPipe, remote.Candidates)
+			cold := coldFinder(t, remote, shards)
 
 			for _, alpha := range []float64{0, 0.6, 1} {
 				for _, k := range []int{1, 10, 0} { // 0 = exhaustive
@@ -174,9 +180,7 @@ func TestIngestCacheHitsMatchColdMisses(t *testing.T) {
 	}
 
 	// Cold post-delta truth, built from the remote state.
-	coldPipe := analysis.New(analysis.Options{Web: remote.Web})
-	coldIx, _ := corpusio.BuildShardedIndex(remote.Graph, coldPipe, shards)
-	cold := core.NewFinder(remote.Graph, coldIx, coldPipe, remote.Candidates)
+	cold := coldFinder(t, remote, shards)
 
 	hits, misses := 0, 0
 	for _, q := range remote.Queries {

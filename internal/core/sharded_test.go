@@ -11,16 +11,20 @@ import (
 	"expertfind/internal/socialgraph"
 )
 
-// shardedClone rebuilds f's index as an n-shard split of the same
-// documents and returns a Finder over it; graph, pipeline and
-// candidate pool are shared.
+// shardedClone re-analyzes f's documents into an n-shard index and
+// returns a Finder over it; graph, pipeline and candidate pool are
+// shared.
 func shardedClone(t testing.TB, f *Finder, n int) *Finder {
 	t.Helper()
-	flat, ok := f.Index().(*index.Index)
-	if !ok {
-		t.Fatalf("finder index is %T, want *index.Index", f.Index())
+	g, pipe := f.Graph(), f.Pipeline()
+	sh := index.NewSharded(n)
+	for i := 0; i < g.NumResources(); i++ {
+		r := g.Resource(socialgraph.ResourceID(i))
+		if a, ok := pipe.Analyze(r.Text, r.URLs); ok && f.Index().Has(r.ID) {
+			sh.Add(r.ID, a)
+		}
 	}
-	return NewFinder(f.Graph(), index.NewShardedFromIndex(flat, n), f.Pipeline(), nil)
+	return NewFinder(g, sh, pipe, nil)
 }
 
 func assertExpertsBitIdentical(t *testing.T, label string, want, got []ExpertScore) {

@@ -96,11 +96,7 @@ func TestShardMatchesTopK(t *testing.T) {
 		t.Fatalf("fixture yields %d shard matches; need at least 2", len(exhaustive))
 	}
 
-	mono, ok := full.Index().(*index.Index)
-	if !ok {
-		t.Fatalf("fixture index is %T, want *index.Index", full.Index())
-	}
-	sharded := NewFinder(full.Graph(), index.NewShardedFromIndex(mono, 3), full.Pipeline(), nil)
+	sharded := shardedClone(t, full, 3)
 
 	for _, k := range []int{0, 1, 2, len(exhaustive) + 5} {
 		want := exhaustive

@@ -41,7 +41,7 @@ func RunCrawlRobustness(s *System) *CrawlRobustness {
 			ProfileAccessProb: p,
 			Seed:              17,
 		})
-		partial := BuildSystemFromDataset(s.DS.WithGraph(crawled))
+		partial := mustBuild(BuildOptions{Dataset: s.DS.WithGraph(crawled)})
 		out.Rows = append(out.Rows, CrawlRow{
 			AccessProb: p,
 			Resources:  crawled.NumResources(),

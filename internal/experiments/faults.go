@@ -85,7 +85,7 @@ func RunFaultSweep(s *System, sw FaultSweep) *FaultTolerance {
 		}
 		bare, _ := crawler.CrawlAPI(faults.Wrap(s.DS.Graph, cfg), crawler.FullAccess, crawler.Resilience{})
 		hardened, stats := crawler.CrawlAPI(faults.Wrap(s.DS.Graph, cfg), crawler.FullAccess, sw.Res)
-		partial := BuildSystemFromDataset(s.DS.WithGraph(hardened))
+		partial := mustBuild(BuildOptions{Dataset: s.DS.WithGraph(hardened)})
 
 		var rhos []float64
 		for i, q := range s.DS.Queries {

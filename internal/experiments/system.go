@@ -16,6 +16,8 @@
 package experiments
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -40,79 +42,222 @@ type System struct {
 	needByID map[int]analysis.Analyzed
 }
 
-// BuildSystem generates the dataset for cfg and indexes its corpus
-// through the full analysis pipeline (URL enrichment and English-only
-// filtering active, as in the paper).
+// BuildOptions picks one value on each of the three independent axes
+// of a build. The zero value generates the default corpus and indexes
+// all of it in memory.
+type BuildOptions struct {
+	// Source: the first that is set of Dataset (a corpus already in
+	// memory), StreamPath (a `datagen -stream` file) and CorpusPath (a
+	// corpusio.SaveFile snapshot); with none, Config is generated. A
+	// non-zero Config.IndexShards overrides a loaded corpus's count.
+	Dataset    *dataset.Dataset
+	StreamPath string
+	CorpusPath string
+	Config     dataset.Config
+
+	// Slice: with ShardCount > 0 only the documents index.ShardRoute
+	// assigns to shard ShardID of ShardCount are analyzed and indexed.
+	// Graph, queries and ground truth stay whole, so the shards of a
+	// topology agree on them.
+	ShardID, ShardCount int
+
+	// Container: an index.Sharded in memory, or with SegmentDir an
+	// index.Store rooted there. A directory that already holds
+	// documents is checked against the corpus and slice it is opened
+	// as and served without analysis; an empty one is populated.
+	SegmentDir string
+	Store      index.StoreOptions
+	// KeepTexts retains a stream source's bulk texts; by default each
+	// chunk's are dropped once indexed, bounding memory by the base
+	// corpus plus one chunk at any scale.
+	KeepTexts bool
+
+	// Analysis, when non-nil, replaces the paper's pipeline options
+	// (URL enrichment from the corpus's Web, English only): the
+	// ablations.
+	Analysis *analysis.Options
+}
+
+// builder carries one Build from source to container.
+type builder struct {
+	o        BuildOptions
+	store    *index.Store // nil for the in-memory container
+	prebuilt bool         // store already held documents when opened
+	pipe     *analysis.Pipeline
+	ix       index.Searcher
+	addBatch func([]index.Doc) error
+	next     socialgraph.ResourceID // first resource not yet offered to add
+}
+
+// Build is the one way to build a System: it loads or generates the
+// corpus, analyzes the chosen slice and indexes it into the chosen
+// container. Rankings are bit-identical across sources and containers
+// of the same corpus, and a topology's slices merge to the whole
+// build's ranking.
+func Build(o BuildOptions) (sys *System, err error) {
+	if o.ShardCount < 0 || o.ShardID < 0 || o.ShardID >= max(o.ShardCount, 1) {
+		return nil, fmt.Errorf("experiments: shard %d/%d outside topology", o.ShardID, o.ShardCount)
+	}
+	b := &builder{o: o}
+	if o.SegmentDir != "" {
+		if b.store, err = index.NewStore(o.SegmentDir, o.Store); err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil {
+				b.store.Close()
+			}
+		}()
+		b.ix, b.addBatch = b.store, b.store.AddBatch
+		b.prebuilt = b.store.NumDocs() > 0
+	}
+	ds, err := b.load()
+	if err != nil {
+		return nil, err
+	}
+	if b.prebuilt {
+		b.start(ds)
+		err = b.checkPrebuilt(ds.Graph)
+	} else {
+		// Everything a chunked source has not fed yet: the whole corpus
+		// for the others, the base section of a stream.
+		err = b.add(ds, socialgraph.ResourceID(ds.Graph.NumResources()))
+	}
+	if err != nil {
+		return nil, err
+	}
+	if b.store != nil {
+		// Seal so the build is fully on disk for the next open.
+		if err = b.store.Seal(); err != nil {
+			return nil, err
+		}
+		if b.store.NumDocs() == 0 {
+			return nil, fmt.Errorf("experiments: corpus produced an empty index in %s", o.SegmentDir)
+		}
+	}
+	return &System{
+		DS:       ds,
+		Finder:   core.NewFinder(ds.Graph, b.ix, b.pipe, ds.Candidates),
+		Kept:     b.ix.NumDocs(),
+		needByID: make(map[int]analysis.Analyzed),
+	}, nil
+}
+
+// load resolves the source axis. A stream feeds add chunk by chunk as
+// it loads, so the texts of a chunk can go before the next arrives.
+func (b *builder) load() (*dataset.Dataset, error) {
+	o := b.o
+	switch {
+	case o.Dataset != nil:
+		return o.Dataset, nil
+	case o.StreamPath != "":
+		opts := corpusio.StreamLoadOptions{DropTexts: b.prebuilt && !o.KeepTexts}
+		if !b.prebuilt {
+			opts.OnChunk = func(d *dataset.Dataset, c *dataset.StreamChunk) error {
+				if err := b.add(d, c.FirstResource+socialgraph.ResourceID(len(c.Resources))); err != nil {
+					return err
+				}
+				if !o.KeepTexts {
+					d.BlankChunkTexts(c)
+				}
+				return nil
+			}
+		}
+		return corpusio.LoadStreamFile(o.StreamPath, opts)
+	case o.CorpusPath != "":
+		return corpusio.LoadFile(o.CorpusPath)
+	default:
+		return dataset.Generate(o.Config), nil
+	}
+}
+
+// start creates what needs the corpus's base section to exist: the
+// pipeline (its Web) and the in-memory container (its shard count).
+func (b *builder) start(d *dataset.Dataset) {
+	opts := analysis.Options{Web: d.Web}
+	if b.o.Analysis != nil {
+		opts = *b.o.Analysis
+	}
+	b.pipe = analysis.New(opts)
+	if b.store == nil {
+		sh := index.NewSharded(cmp.Or(b.o.Config.IndexShards, d.Config.IndexShards))
+		b.ix, b.addBatch = sh, func(docs []index.Doc) error { sh.AddBatch(docs); return nil }
+	}
+}
+
+// inSlice is the slice axis: whether this build indexes document id.
+func (b *builder) inSlice(id index.DocID) bool {
+	return b.o.ShardCount <= 1 || index.ShardRoute(id, b.o.ShardCount) == b.o.ShardID
+}
+
+// add is the only build-time analysis loop: resources [b.next, upto)
+// of d that are live and in the slice go through the pipeline over
+// GOMAXPROCS workers, and the survivors of the language filter go to
+// the container in document order. Tombstoned resources stay out, so
+// a cold rebuild of a delta-mutated graph equals the delta-applied
+// index.
+func (b *builder) add(d *dataset.Dataset, upto socialgraph.ResourceID) error {
+	if b.pipe == nil {
+		b.start(d)
+	}
+	lo, n := b.next, int(upto-b.next)
+	b.next = upto
+	results := b.pipe.Batch(n, func(i int) (string, []string, bool) {
+		rid := lo + socialgraph.ResourceID(i)
+		if d.Graph.ResourceDeleted(rid) || !b.inSlice(rid) {
+			return "", nil, false
+		}
+		r := d.Graph.Resource(rid)
+		return r.Text, r.URLs, true
+	})
+	docs := make([]index.Doc, 0, n)
+	for i, res := range results {
+		if res.OK {
+			docs = append(docs, index.Doc{ID: lo + socialgraph.ResourceID(i), A: res.A})
+		}
+	}
+	return b.addBatch(docs)
+}
+
+// checkPrebuilt refuses a reopened segment directory holding a
+// document the corpus and slice it is opened as could not have put
+// there. Served as-is it would surface later as a coordinator 502 (a
+// document answered by two shards) or as a wrong ranking.
+func (b *builder) checkPrebuilt(g *socialgraph.Graph) error {
+	var err error
+	n := g.NumResources()
+	b.store.EachDoc(func(id index.DocID) bool {
+		switch {
+		case int(id) >= n:
+			err = fmt.Errorf("holds document %d, the corpus has %d resources", id, n)
+		case g.ResourceDeleted(id):
+			err = fmt.Errorf("holds document %d, deleted in the corpus", id)
+		case !b.inSlice(id):
+			err = fmt.Errorf("holds document %d of shard %d/%d, opened as shard %d",
+				id, index.ShardRoute(id, b.o.ShardCount), b.o.ShardCount, b.o.ShardID)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: segment dir %s was built from another corpus or slice: %w", b.o.SegmentDir, err)
+	}
+	return nil
+}
+
+// BuildSystem generates the dataset for cfg and indexes all of it in
+// memory through the full analysis pipeline (URL enrichment and
+// English-only filtering active, as in the paper).
 func BuildSystem(cfg dataset.Config) *System {
-	return BuildSystemWith(cfg, analysis.Options{})
+	return mustBuild(BuildOptions{Config: cfg})
 }
 
-// BuildSystemWith is BuildSystem with pipeline overrides, used by the
-// ablation benchmarks (disabling stemming, stop words, ...). The
-// dataset's synthetic Web is installed when opts.Web is nil; use
-// BuildSystemNoURL to disable URL enrichment instead.
-func BuildSystemWith(cfg dataset.Config, opts analysis.Options) *System {
-	ds := dataset.Generate(cfg)
-	if opts.Web == nil {
-		opts.Web = ds.Web
+// mustBuild is Build for the in-memory sources, which cannot fail.
+func mustBuild(o BuildOptions) *System {
+	sys, err := Build(o)
+	if err != nil {
+		panic(err)
 	}
-	return buildFromDataset(ds, opts)
-}
-
-// BuildSystemNoURL builds a system with URL content extraction
-// disabled (the enrichment ablation).
-func BuildSystemNoURL(cfg dataset.Config) *System {
-	ds := dataset.Generate(cfg)
-	return buildFromDataset(ds, analysis.Options{Web: nil})
-}
-
-// BuildSystemFromDataset indexes an existing dataset (e.g. one loaded
-// from a corpus snapshot) through the full analysis pipeline.
-func BuildSystemFromDataset(ds *dataset.Dataset) *System {
-	return buildFromDataset(ds, analysis.Options{Web: ds.Web})
-}
-
-// BuildSystemFromDatasetShard builds a scatter-gather shard system:
-// the full dataset (graph, queries, ground truth) paired with an
-// index over only the document slice that index.ShardRoute assigns to
-// shard shardID of shardCount. Analysis is restricted to the slice
-// too, so an N-shard topology splits the build cost N ways.
-func BuildSystemFromDatasetShard(ds *dataset.Dataset, shardID, shardCount int) *System {
-	pipe := analysis.New(analysis.Options{Web: ds.Web})
-	ix, kept := corpusio.BuildShardSlice(ds.Graph, pipe, ds.Config.IndexShards, shardID, shardCount)
-	return &System{
-		DS:       ds,
-		Finder:   core.NewFinder(ds.Graph, ix, pipe, ds.Candidates),
-		Kept:     kept,
-		needByID: make(map[int]analysis.Analyzed),
-	}
-}
-
-// BuildSystemWithIndex assembles a system from a dataset and a
-// pre-built index (loaded from a binary segment), skipping analysis.
-// The segment is re-split into the dataset's configured shard count
-// so scoring parallelizes like a freshly built system. The pipeline
-// is still constructed for analyzing incoming needs.
-func BuildSystemWithIndex(ds *dataset.Dataset, ix *index.Index) *System {
-	pipe := analysis.New(analysis.Options{Web: ds.Web})
-	sharded := index.NewShardedFromIndex(ix, ds.Config.IndexShards)
-	return &System{
-		DS:       ds,
-		Finder:   core.NewFinder(ds.Graph, sharded, pipe, ds.Candidates),
-		Kept:     sharded.NumDocs(),
-		needByID: make(map[int]analysis.Analyzed),
-	}
-}
-
-func buildFromDataset(ds *dataset.Dataset, opts analysis.Options) *System {
-	pipe := analysis.New(opts)
-	ix, kept := corpusio.BuildShardedIndex(ds.Graph, pipe, ds.Config.IndexShards)
-	return &System{
-		DS:       ds,
-		Finder:   core.NewFinder(ds.Graph, ix, pipe, ds.Candidates),
-		Kept:     kept,
-		needByID: make(map[int]analysis.Analyzed),
-	}
+	return sys
 }
 
 var (

@@ -200,7 +200,7 @@ func TestIngestScopedInvalidationE2E(t *testing.T) {
 	if err := sysLive.SaveCorpus(snap); err != nil {
 		t.Fatal(err)
 	}
-	sysCold, err := expertfind.NewSystemFromCorpus(snap)
+	sysCold, err := expertfind.Open(expertfind.Options{CorpusPath: snap})
 	if err != nil {
 		t.Fatal(err)
 	}

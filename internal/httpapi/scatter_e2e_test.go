@@ -12,12 +12,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"expertfind"
+	"expertfind/internal/corpusio"
+	"expertfind/internal/dataset"
 	"expertfind/internal/resilience"
 	"expertfind/internal/scatter"
 	"expertfind/internal/telemetry"
@@ -34,7 +37,10 @@ type scatterTopo struct {
 	indexed      []int
 }
 
-func newScatterTopo(t *testing.T, cfg expertfind.Config, count int) *scatterTopo {
+// newScatterTopo boots count shard servers, shard i opening base as
+// slice i of count (in its own subdirectory of base.SegmentDir, when
+// the shards are store-backed), and a coordinator over them.
+func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTopo {
 	t.Helper()
 	topo := &scatterTopo{
 		shardSrvs:    make([]*httptest.Server, count),
@@ -44,9 +50,17 @@ func newScatterTopo(t *testing.T, cfg expertfind.Config, count int) *scatterTopo
 	}
 	bases := make([]string, count)
 	for i := 0; i < count; i++ {
-		sys, err := expertfind.NewSystemShard(cfg, i, count)
+		o := base
+		o.ShardID, o.ShardCount = i, count
+		if o.SegmentDir != "" {
+			o.SegmentDir = filepath.Join(o.SegmentDir, fmt.Sprintf("%d-of-%d", i, count))
+		}
+		sys, err := expertfind.Open(o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if store := sys.SegmentStore(); store != nil {
+			t.Cleanup(func() { store.Close() })
 		}
 		topo.indexed[i] = sys.Stats().Indexed
 		topo.shardTracers[i] = telemetry.NewTracer(8)
@@ -131,30 +145,59 @@ func TestScatterDifferential(t *testing.T) {
 			baselines[i] = body
 		}
 
+		// The shards slice the generated corpus in memory, or the same
+		// corpus streamed from disk into per-shard segment stores.
+		streamed := expertfind.Options{
+			Config:     expertfind.Config{IndexShards: 1},
+			StreamPath: writeStreamCorpus(t, dataset.Config{Seed: seed, NumCandidates: 12, Scale: 0.05}),
+			SegmentDir: t.TempDir(),
+		}
 		for _, count := range []int{1, 2, 3, 5} {
-			topo := newScatterTopo(t, cfg, count)
-			slice := 0
-			for _, n := range topo.indexed {
-				slice += n
-			}
-			if want := single.Stats().Indexed; slice != want {
-				t.Fatalf("seed %d count %d: slices hold %d docs, single process %d", seed, count, slice, want)
-			}
-			for i, p := range paths {
-				resp, body := rawGET(t, topo.front.URL, p, nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("seed %d count %d: GET %s: %d %s", seed, count, p, resp.StatusCode, body)
+			for i, base := range []expertfind.Options{{Config: cfg}, streamed} {
+				label := fmt.Sprintf("seed %d count %d %s", seed, count, [2]string{"generated", "streamed"}[i])
+				topo := newScatterTopo(t, base, count)
+				slice := 0
+				for _, n := range topo.indexed {
+					slice += n
 				}
-				if resp.Header.Get(DegradedHeader) != "" {
-					t.Errorf("seed %d count %d: healthy topology sent degraded header", seed, count)
+				if want := single.Stats().Indexed; slice != want {
+					t.Fatalf("%s: slices hold %d docs, single process %d", label, slice, want)
 				}
-				if !bytes.Equal(body, baselines[i]) {
-					t.Errorf("seed %d count %d: GET %s diverged from single process:\n coordinator: %s\n single:      %s",
-						seed, count, p, body, baselines[i])
+				for i, p := range paths {
+					resp, body := rawGET(t, topo.front.URL, p, nil)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s: GET %s: %d %s", label, p, resp.StatusCode, body)
+					}
+					if resp.Header.Get(DegradedHeader) != "" {
+						t.Errorf("%s: healthy topology sent degraded header", label)
+					}
+					if !bytes.Equal(body, baselines[i]) {
+						t.Errorf("%s: GET %s diverged from single process:\n coordinator: %s\n single:      %s",
+							label, p, body, baselines[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// writeStreamCorpus generates cfg's corpus as a stream file.
+func writeStreamCorpus(t *testing.T, cfg dataset.Config) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "corpus.stream.json.gz")
+	w, err := corpusio.CreateStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dataset.GenerateStream(dataset.StreamConfig{Config: cfg},
+		func(d *dataset.Dataset) error { return w.WriteBase(d) },
+		func(_ *dataset.Dataset, c *dataset.StreamChunk) error { return w.WriteChunk(c) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func escape(s string) string { return strings.ReplaceAll(s, " ", "+") }
@@ -167,7 +210,7 @@ func TestScatterServing(t *testing.T) {
 		t.Skip("builds corpus slices")
 	}
 	cfg := expertfind.Config{Seed: 1, Candidates: 12, Scale: 0.05, IndexShards: 1}
-	topo := newScatterTopo(t, cfg, 3)
+	topo := newScatterTopo(t, expertfind.Options{Config: cfg}, 3)
 	need := "/v1/find?q=" + escape("social network analysis")
 
 	t.Run("request id spans processes", func(t *testing.T) {

@@ -196,7 +196,7 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 	s.AddBatch(docs)
 	for _, d := range docs {
 		ix.Remove(d.ID, d.A)
-		s.Remove(d.ID, d.A)
+		s.ApplyDelta(Delta{Removes: []Doc{d}})
 	}
 	if ix.NumDocs() != 0 || len(ix.lists) != 0 {
 		t.Fatalf("monolith not empty after removing everything: %d docs, %d lists",
@@ -285,7 +285,7 @@ func FuzzDeltaApply(f *testing.F) {
 				id := st.ids[int(op)%len(st.ids)]
 				na := randomAnalyzed(r)
 				ix.Update(id, st.live[id], na)
-				s.Update(id, st.live[id], na)
+				s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: id, Old: st.live[id], New: na}}})
 				st.live[id] = na
 			default: // remove
 				if len(st.ids) == 0 {
@@ -294,7 +294,7 @@ func FuzzDeltaApply(f *testing.F) {
 				j := int(op) % len(st.ids)
 				id := st.ids[j]
 				ix.Remove(id, st.live[id])
-				s.Remove(id, st.live[id])
+				s.ApplyDelta(Delta{Removes: []Doc{{ID: id, A: st.live[id]}}})
 				delete(st.live, id)
 				st.ids = append(st.ids[:j], st.ids[j+1:]...)
 			}

@@ -253,34 +253,3 @@ func checkBounds(t *testing.T, l *postingList) {
 		base = bm.maxDoc
 	}
 }
-
-// FuzzShardedMergeEquivalence builds two disjoint random corpora with
-// fuzz-chosen sizes and shard counts, merges one sharded index into
-// the other (equal or re-routing path), and requires the result to
-// score bit-identically to a monolithic index over the union.
-func FuzzShardedMergeEquivalence(f *testing.F) {
-	f.Add(int64(1), int64(2), uint8(4), uint8(4), "swim pool")
-	f.Add(int64(3), int64(4), uint8(3), uint8(5), "php copper milan")
-	f.Add(int64(5), int64(6), uint8(1), uint8(16), "train match game atom")
-
-	f.Fuzz(func(t *testing.T, seedA, seedB int64, shardsA, shardsB uint8, needText string) {
-		nA, nB := int(shardsA%8)+1, int(shardsB%8)+1
-		docsA := randomDocs(seedA, 40+int((seedA%7+7)%7)*10, 0)
-		docsB := randomDocs(seedB, 40+int((seedB%7+7)%7)*10, 10_000)
-
-		flat := flatFromDocs(append(append([]Doc(nil), docsA...), docsB...))
-		a := NewSharded(nA)
-		a.AddBatch(docsA)
-		b := NewSharded(nB)
-		b.AddBatch(docsB)
-		a.Merge(b)
-
-		if flat.NumDocs() != a.NumDocs() {
-			t.Fatalf("merged doc count %d, want %d", a.NumDocs(), flat.NumDocs())
-		}
-		need := fuzzNeed(needText, uint32(seedA)+uint32(seedB))
-		for _, alpha := range []float64{0, 0.6, 1} {
-			assertScoredBitIdentical(t, "merge", flat.Score(need, alpha), a.Score(need, alpha))
-		}
-	})
-}

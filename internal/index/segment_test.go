@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -504,8 +505,8 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 
 // Accessor and explicit-stats paths: Dir/Path/Size on a sealed store,
 // IRF/EIRF parity with the monolith (including unseen dimensions),
-// and ScoreStatsTopK under an external collection view —
-// the shape the scatter coordinator scores shard slices with.
+// ScoreStatsTopK under an external collection view — the shape the
+// scatter coordinator scores shard slices with — and EachDoc.
 func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	docs := randomDocs(5, 300, 0)
 	mono := flatFromDocs(docs)
@@ -540,6 +541,28 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 			assertScoredBitIdentical(t, label+" k=5",
 				s.ScoreStatsTopK(need, alpha, mono, 5, nil),
 				mono.ScoreStatsTopK(need, alpha, mono, 5, nil))
+		}
+	}
+
+	// EachDoc walks the memtable and the sealed segment minus its
+	// tombstones, and stops when told to.
+	s.ApplyDelta(Delta{Removes: docs[:1]})
+	var seen []DocID
+	s.EachDoc(func(d DocID) bool { seen = append(seen, d); return true })
+	slices.Sort(seen)
+	want := make([]DocID, 0, len(docs)-1)
+	for _, d := range docs[1:] {
+		want = append(want, d.ID)
+	}
+	slices.Sort(want)
+	if !slices.Equal(seen, want) {
+		t.Fatalf("EachDoc visited %d docs, want the %d live ones", len(seen), len(want))
+	}
+	for _, stopAt := range []int{1, len(docs) - 150 + 1} { // in the memtable, in the segment
+		n := 0
+		s.EachDoc(func(DocID) bool { n++; return n < stopAt })
+		if n != stopAt {
+			t.Fatalf("EachDoc visited %d docs after being stopped at %d", n, stopAt)
 		}
 	}
 }

@@ -755,6 +755,25 @@ func (s *Store) Has(id DocID) bool {
 	return s.hasLocked(id)
 }
 
+// EachDoc calls visit with every live document id, component by
+// component, until it returns false.
+func (s *Store) EachDoc(visit func(DocID) bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, id := range s.mem.docIDs() {
+		if !visit(id) {
+			return
+		}
+	}
+	for _, g := range s.segs {
+		for _, id := range g.view().docIDs() {
+			if _, dead := g.tomb[id]; !dead && !visit(id) {
+				return
+			}
+		}
+	}
+}
+
 // DocFreq returns the number of live documents containing the term.
 func (s *Store) DocFreq(t string) int {
 	s.mu.RLock()

@@ -49,8 +49,8 @@ type shard struct {
 // byte-identical to a monolithic Index over the same documents, for
 // any shard count.
 //
-// Unlike Index, Sharded is safe for concurrent use: Add/Merge take a
-// per-shard write lock, queries take read locks. A Score overlapping
+// Unlike Index, Sharded is safe for concurrent use: Add/AddBatch take
+// a per-shard write lock, queries take read locks. A Score overlapping
 // a mutation sees some consistent-per-shard interleaving of the two.
 // ApplyDelta is stronger: it holds the collection-wide write lock, so
 // queries running through the whole-collection entry points (Score,
@@ -61,9 +61,9 @@ type Sharded struct {
 	// global orders whole-collection operations against deltas:
 	// ApplyDelta write-holds it, the Score entry points and
 	// Flatten/WriteTo read-hold it for their full duration, and the
-	// incremental mutators (Add/AddBatch/Merge) read-hold it so they
-	// keep running concurrently with each other as before. Lock order
-	// is always global before shard.
+	// incremental mutators (Add/AddBatch) read-hold it so they keep
+	// running concurrently with each other. Lock order is always
+	// global before shard.
 	global  sync.RWMutex
 	shards  []*shard
 	workers int
@@ -85,21 +85,6 @@ func NewSharded(n int) *Sharded {
 		s.workers = n
 	}
 	mShardGauge.Set(float64(n))
-	return s
-}
-
-// NewShardedFromIndex splits an existing monolithic index (e.g. one
-// loaded from a binary segment) into n document-hash shards.
-func NewShardedFromIndex(ix *Index, n int) *Sharded {
-	s := NewSharded(n)
-	for d := range ix.docs {
-		s.shards[s.shardFor(d)].ix.docs[d] = struct{}{}
-	}
-	for k, l := range ix.lists {
-		for _, p := range l.decodeAll() {
-			s.shards[s.shardFor(p.doc)].ix.addPosting(k, p)
-		}
-	}
 	return s
 }
 
@@ -137,28 +122,6 @@ func (s *Sharded) Add(id DocID, a analysis.Analyzed) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.ix.Add(id, a)
-}
-
-// Remove deletes a previously indexed resource (see Index.Remove),
-// locking only the one shard the document routes to.
-func (s *Sharded) Remove(id DocID, a analysis.Analyzed) {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	sh := s.shards[s.shardFor(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.ix.Remove(id, a)
-}
-
-// Update replaces the indexed form of a document (see Index.Update),
-// locking only the one shard the document routes to.
-func (s *Sharded) Update(id DocID, old, new analysis.Analyzed) {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	sh := s.shards[s.shardFor(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.ix.Update(id, old, new)
 }
 
 // DocUpdate pairs a document with its previously indexed analyzed
@@ -237,50 +200,6 @@ func (s *Sharded) AddBatch(docs []Doc) {
 		}(sh, buckets[i])
 	}
 	wg.Wait()
-}
-
-// Merge folds another sharded index into this one. The document sets
-// must be disjoint (overlaps panic, as with Index.Merge). Equal shard
-// counts merge shard-pairwise — the hash routing is identical — while
-// differing counts re-route every posting individually.
-func (s *Sharded) Merge(other *Sharded) {
-	flat := (*Index)(nil)
-	if len(other.shards) != len(s.shards) {
-		flat = other.Flatten()
-	}
-	s.global.RLock()
-	defer s.global.RUnlock()
-	if flat != nil {
-		s.mergeIndex(flat)
-		return
-	}
-	for i, sh := range s.shards {
-		osh := other.shards[i]
-		sh.mu.Lock()
-		osh.mu.RLock()
-		sh.ix.Merge(osh.ix)
-		osh.mu.RUnlock()
-		sh.mu.Unlock()
-	}
-}
-
-// MergeIndex folds a monolithic index into this one, routing each
-// document to its shard. Document sets must be disjoint.
-func (s *Sharded) MergeIndex(other *Index) {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	s.mergeIndex(other)
-}
-
-// mergeIndex is MergeIndex without the global lock; the caller holds
-// it.
-func (s *Sharded) mergeIndex(other *Index) {
-	routed := NewShardedFromIndex(other, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.ix.Merge(routed.shards[i].ix)
-		sh.mu.Unlock()
-	}
 }
 
 // Flatten merges every shard into one monolithic Index (a copy; the

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -212,68 +211,6 @@ func TestShardedStatsMatchFlat(t *testing.T) {
 	}
 }
 
-func TestNewShardedFromIndexEquivalence(t *testing.T) {
-	flat := randomIndex(6, 300)
-	sh := NewShardedFromIndex(flat, 6)
-	if flat.NumDocs() != sh.NumDocs() {
-		t.Fatalf("NumDocs: %d vs %d", flat.NumDocs(), sh.NumDocs())
-	}
-	need := randomNeed(rand.New(rand.NewSource(5)))
-	assertScoredBitIdentical(t, "from-index", flat.Score(need, 0.6), sh.Score(need, 0.6))
-
-	// Flatten/WriteTo must reproduce the exact segment the monolithic
-	// index writes: the shard layout leaves no trace on disk.
-	var a, b bytes.Buffer
-	if _, err := flat.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("sharded segment differs from monolithic segment")
-	}
-}
-
-func TestShardedMergeEqualAndUnequalCounts(t *testing.T) {
-	docsA := randomDocs(21, 120, 0)
-	docsB := randomDocs(22, 120, 1000)
-	flat := flatFromDocs(append(append([]Doc(nil), docsA...), docsB...))
-	need := randomNeed(rand.New(rand.NewSource(2)))
-
-	// Equal shard counts: pairwise merge.
-	a4 := NewSharded(4)
-	a4.AddBatch(docsA)
-	b4 := NewSharded(4)
-	b4.AddBatch(docsB)
-	a4.Merge(b4)
-	assertScoredBitIdentical(t, "equal-counts", flat.Score(need, 0.6), a4.Score(need, 0.6))
-
-	// Unequal shard counts: per-posting re-routing.
-	a3 := NewSharded(3)
-	a3.AddBatch(docsA)
-	b5 := NewSharded(5)
-	b5.AddBatch(docsB)
-	a3.Merge(b5)
-	if a3.NumShards() != 3 {
-		t.Fatalf("merge changed shard count to %d", a3.NumShards())
-	}
-	assertScoredBitIdentical(t, "unequal-counts", flat.Score(need, 0.6), a3.Score(need, 0.6))
-}
-
-func TestShardedMergeOverlapPanics(t *testing.T) {
-	doc := analysis.Analyzed{Terms: map[string]int{"x": 1}}
-	a, b := NewSharded(3), NewSharded(3)
-	a.Add(1, doc)
-	b.Add(1, doc)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping sharded merge did not panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestShardedAddDuplicatePanics(t *testing.T) {
 	sh := NewSharded(4)
 	doc := analysis.Analyzed{Terms: map[string]int{"x": 1}}
@@ -287,9 +224,10 @@ func TestShardedAddDuplicatePanics(t *testing.T) {
 }
 
 // TestShardedConcurrentScoreAddMerge hammers a sharded index with
-// concurrent queries, stat reads, Adds and Merges. Run under -race it
-// pins the locking discipline; results are only sanity-checked (the
-// doc set is mutating underneath the queries).
+// concurrent queries, stat reads, Adds, AddBatches and Flatten (the
+// merge of every shard into one index). Run under -race it pins the
+// locking discipline; results are only sanity-checked (the doc set is
+// mutating underneath the queries).
 func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 	sh := NewSharded(4)
 	sh.AddBatch(randomDocs(31, 150, 0))
@@ -333,19 +271,11 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		for i := 0; i < 10; i++ {
-			other := NewSharded(4)
-			other.AddBatch(randomDocs(int64(40+i), 20, 20_000+1000*i))
-			sh.Merge(other)
-		}
-	}()
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for i := 0; i < 5; i++ {
-			other := NewSharded(3) // unequal count: exercises Flatten+MergeIndex
-			other.AddBatch(randomDocs(int64(60+i), 20, 40_000+1000*i))
-			sh.Merge(other)
+		for i := 0; i < 15; i++ {
+			sh.AddBatch(randomDocs(int64(40+i), 20, 20_000+1000*i))
+			if flat := sh.Flatten(); flat.NumDocs() < 150+20*(i+1) {
+				t.Errorf("flattened copy holds %d docs after batch %d", flat.NumDocs(), i)
+			}
 		}
 	}()
 

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"expertfind/internal/analysis"
-	"expertfind/internal/corpusio"
 	"expertfind/internal/socialgraph"
 )
 
@@ -107,8 +105,7 @@ func FuzzCorpusDiff(f *testing.F) {
 		// corpus that already diverged in interesting ways.
 		NewChurn(remote.g, ChurnConfig{Seed: seed, Adds: 2, Updates: 2, Removes: 1}).Round()
 
-		pipe := analysis.New(analysis.Options{})
-		ix, _ := corpusio.BuildShardedIndex(installed.g, pipe, shards)
+		ix, pipe := buildIndex(installed.g, shards)
 		ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: ix, Pipe: pipe})
 
 		half := len(ops) / 2
@@ -118,8 +115,8 @@ func FuzzCorpusDiff(f *testing.F) {
 				t.Fatalf("RunOnce: %v", err)
 			}
 			assertGraphsEqual(t, installed.g, remote.g)
-			assertIndexMatchesRebuild(t, "vs installed rebuild", ix, installed.g, pipe, shards)
-			assertIndexMatchesRebuild(t, "vs remote rebuild", ix, remote.g, pipe, shards)
+			assertIndexMatchesRebuild(t, "vs installed rebuild", ix, installed.g, shards)
+			assertIndexMatchesRebuild(t, "vs remote rebuild", ix, remote.g, shards)
 		}
 
 		// A final no-op round must diff empty: ingest converged.

@@ -8,8 +8,8 @@ import (
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/core"
-	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
+	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
 	"expertfind/internal/index"
 	"expertfind/internal/rescache"
@@ -58,9 +58,21 @@ type system struct {
 }
 
 func buildSystem(g *socialgraph.Graph, shards int, candidates []socialgraph.UserID) *system {
-	pipe := analysis.New(analysis.Options{})
-	ix, _ := corpusio.BuildShardedIndex(g, pipe, shards)
+	ix, pipe := buildIndex(g, shards)
 	return &system{g: g, pipe: pipe, ix: ix, finder: core.NewFinder(g, ix, pipe, candidates)}
+}
+
+// buildIndex cold-builds g (a bare graph: no Web, no candidate pool)
+// through the product build path and returns the index with the
+// pipeline that analyzed it.
+func buildIndex(g *socialgraph.Graph, shards int) (*index.Sharded, *analysis.Pipeline) {
+	sys, err := experiments.Build(experiments.BuildOptions{
+		Dataset: &dataset.Dataset{Graph: g, Config: dataset.Config{IndexShards: shards}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return sys.Finder.Index().(*index.Sharded), sys.Finder.Pipeline()
 }
 
 func reliableAPI(g *socialgraph.Graph) faults.API {
@@ -252,9 +264,9 @@ func assertGraphsEqual(t *testing.T, installed, remote *socialgraph.Graph) {
 // assertIndexMatchesRebuild checks the differential gate: the
 // delta-absorbed index serializes byte-identically to a cold rebuild
 // of the same corpus.
-func assertIndexMatchesRebuild(t *testing.T, label string, live *index.Sharded, g *socialgraph.Graph, pipe *analysis.Pipeline, shards int) {
+func assertIndexMatchesRebuild(t *testing.T, label string, live *index.Sharded, g *socialgraph.Graph, shards int) {
 	t.Helper()
-	rebuilt, _ := corpusio.BuildShardedIndex(g, pipe, shards)
+	rebuilt, _ := buildIndex(g, shards)
 	var want, got bytes.Buffer
 	if _, err := rebuilt.WriteTo(&want); err != nil {
 		t.Fatal(err)
@@ -295,8 +307,8 @@ func TestRunOnceDifferential(t *testing.T) {
 			t.Fatalf("round %d applied an empty delta after churn", round)
 		}
 		assertGraphsEqual(t, installed.Graph, remote.Graph)
-		assertIndexMatchesRebuild(t, "vs installed rebuild", sys.ix, installed.Graph, sys.pipe, shards)
-		assertIndexMatchesRebuild(t, "vs remote rebuild", sys.ix, remote.Graph, sys.pipe, shards)
+		assertIndexMatchesRebuild(t, "vs installed rebuild", sys.ix, installed.Graph, shards)
+		assertIndexMatchesRebuild(t, "vs remote rebuild", sys.ix, remote.Graph, shards)
 
 		cold := buildSystem(remote.Graph, shards, nil)
 		for _, q := range installed.Queries[:6] {
@@ -338,8 +350,8 @@ func TestRunOnceAddGapFillers(t *testing.T) {
 	if installed.g.Resource(kept).Text != "swimming relay results are in" {
 		t.Errorf("post-gap add misaligned: %+v", installed.g.Resource(kept))
 	}
-	assertIndexMatchesRebuild(t, "after gap fill", sys.ix, installed.g, sys.pipe, 2)
-	assertIndexMatchesRebuild(t, "after gap fill vs remote", sys.ix, remote.g, sys.pipe, 2)
+	assertIndexMatchesRebuild(t, "after gap fill", sys.ix, installed.g, 2)
+	assertIndexMatchesRebuild(t, "after gap fill vs remote", sys.ix, remote.g, 2)
 }
 
 // TestRunOnceProfileAdd covers a user gaining a profile on a network
@@ -362,7 +374,7 @@ func TestRunOnceProfileAdd(t *testing.T) {
 		t.Errorf("profile text = %q", got)
 	}
 	assertGraphsEqual(t, installed.g, remote.g)
-	assertIndexMatchesRebuild(t, "after profile add", sys.ix, installed.g, sys.pipe, 1)
+	assertIndexMatchesRebuild(t, "after profile add", sys.ix, installed.g, 1)
 }
 
 func TestRunOnceAbortChangesNothing(t *testing.T) {
@@ -391,8 +403,7 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 // A's entries for unrelated needs — keep serving hits.
 func TestScopedInvalidation(t *testing.T) {
 	remote, installed := buildFixture(), buildFixture()
-	pipe := analysis.New(analysis.Options{})
-	ix, _ := corpusio.BuildShardedIndex(installed.g, pipe, 2)
+	ix, pipe := buildIndex(installed.g, 2)
 	fa := core.NewFinder(installed.g, ix, pipe, []socialgraph.UserID{installed.ua})
 	fb := core.NewFinder(installed.g, ix, pipe, []socialgraph.UserID{installed.ub})
 	cache := rescache.New(rescache.Options{Capacity: 64})
@@ -471,8 +482,7 @@ func TestScopedInvalidation(t *testing.T) {
 // every IRF weight, so the whole cache must go.
 func TestFullPurgeOnCountChange(t *testing.T) {
 	remote, installed := buildFixture(), buildFixture()
-	pipe := analysis.New(analysis.Options{})
-	ix, _ := corpusio.BuildShardedIndex(installed.g, pipe, 2)
+	ix, pipe := buildIndex(installed.g, 2)
 	fa := core.NewFinder(installed.g, ix, pipe, nil)
 	cache := rescache.New(rescache.Options{Capacity: 64})
 	fa.SetResultCache(cache.Attach())

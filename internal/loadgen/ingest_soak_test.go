@@ -7,10 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"expertfind/internal/analysis"
 	"expertfind/internal/core"
-	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
+	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
 	"expertfind/internal/ingest"
 	"expertfind/internal/resilience"
@@ -36,26 +35,24 @@ import (
 // from the hot pool, whose full expected rankings are precomputed per
 // discrete state — the torn-read check is exact for every request.
 func TestIngestRollingDeltaSoak(t *testing.T) {
-	cfg := dataset.Config{Seed: 5, Scale: 0.05}
 	const (
 		shards    = 3
 		rounds    = 4
 		churnSeed = 31
 		churnOps  = 10
 	)
+	cfg := dataset.Config{Seed: 5, Scale: 0.05, IndexShards: shards}
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
 	// The live side: installed system + remote twin + ingester.
-	installed := dataset.Generate(cfg)
+	sys := experiments.BuildSystem(cfg)
+	installed, finder := sys.DS, sys.Finder
 	remote := dataset.Generate(cfg)
-	pipe := analysis.New(analysis.Options{Web: installed.Web})
-	ix, _ := corpusio.BuildShardedIndex(installed.Graph, pipe, shards)
-	finder := core.NewFinder(installed.Graph, ix, pipe, installed.Candidates)
 	ing := ingest.New(ingest.Config{
 		API:     faults.Wrap(remote.Graph, faults.Config{}),
 		Graph:   installed.Graph,
-		Index:   ix,
-		Pipe:    pipe,
+		Index:   finder.Index().(ingest.DeltaIndex),
+		Pipe:    finder.Pipeline(),
 		Finders: []*core.Finder{finder},
 	})
 	churn := ingest.NewChurn(remote.Graph, ingest.ChurnConfig{Seed: churnSeed, Updates: churnOps})
@@ -84,12 +81,13 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		for i := 0; i < r; i++ {
 			ch.Round()
 		}
-		coldPipe := analysis.New(analysis.Options{Web: twin.Web})
-		coldIx, _ := corpusio.BuildShardedIndex(twin.Graph, coldPipe, shards)
-		cold := core.NewFinder(twin.Graph, coldIx, coldPipe, twin.Candidates)
+		cold, err := experiments.Build(experiments.BuildOptions{Dataset: twin})
+		if err != nil {
+			t.Fatal(err)
+		}
 		perNeed := make([][]core.ExpertScore, len(w.pool))
 		for i, need := range w.pool {
-			perNeed[i] = cold.Find(need, params)
+			perNeed[i] = cold.Finder.Find(need, params)
 		}
 		expected[r] = perNeed
 	}
