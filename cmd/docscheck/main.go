@@ -11,7 +11,7 @@
 // verify skill (refDocs) may name a `make <target>` only when the
 // Makefile's .PHONY line lists it, and a BENCH_<n>.json only when git
 // tracks it — so a retired gate or baseline cannot linger in a
-// procedure someone will follow. And for the three commands with a
+// procedure someone will follow. And for the two commands with a
 // flag table in OPERATIONS.md (flagDocs), the table and the flags
 // main.go registers must be the same set, one row each.
 //
@@ -130,9 +130,8 @@ func checkRepoRefs() ([]string, error) {
 // flagDocs maps a "## <section>" of flagDoc to the command whose
 // flags that section's table documents.
 var flagDocs = map[string]string{
-	"serve":       "cmd/serve",
-	"coordinator": "cmd/coordinator",
-	"loadtest":    "cmd/loadtest",
+	"serve":    "cmd/serve",
+	"loadtest": "cmd/loadtest",
 }
 
 const flagDoc = "OPERATIONS.md"

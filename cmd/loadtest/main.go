@@ -23,8 +23,8 @@
 // asked to (-out BENCH_10.json regenerates the scale-100 one). A
 // missing or unknown -scenario exits 2.
 //
-// scatter (bench 6, scatter.go) builds the real serve and coordinator
-// binaries, boots -scatter-shards shard processes plus a coordinator
+// scatter (bench 6, scatter.go) builds the real serve binary, boots
+// -scatter-shards shard processes plus a `serve -shards` coordinator
 // on loopback ports, and gates three phases: healthy (coordinator
 // responses byte-identical to a single process over the same corpus),
 // degraded (one shard SIGKILLed mid-run: every query still answers 200

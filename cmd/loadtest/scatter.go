@@ -42,11 +42,11 @@ func runScatter(o *options) int {
 		log.Fatalf("tempdir: %v", err)
 	}
 	defer os.RemoveAll(dir)
-	serveBin, coordBin, err := loadgen.BuildScatterBinaries(dir)
+	serveBin, err := loadgen.BuildServe(dir)
 	if err != nil {
 		log.Fatalf("%v", err)
 	}
-	log.Printf("binaries built in %v (race=%v)", time.Since(t0).Round(time.Millisecond), loadgen.RaceEnabled)
+	log.Printf("serve built in %v (race=%v)", time.Since(t0).Round(time.Millisecond), loadgen.RaceEnabled)
 
 	// The baseline is the same serving stack in one process over the
 	// same corpus config the shard processes will generate slices of.
@@ -64,7 +64,6 @@ func runScatter(o *options) int {
 	pprofDir := filepath.Join(dir, "pprof")
 	cl, err := loadgen.StartScatter(loadgen.ScatterConfig{
 		ServeBin:        serveBin,
-		CoordBin:        coordBin,
 		Shards:          o.scatterShards,
 		CorpusSeed:      o.corpusSeed,
 		Scale:           o.scale,

@@ -10,11 +10,16 @@
 // under -segment-dir (reopened without analysis when already built);
 // -shard-id/-shard-count restrict any of the three to one slice of a
 // scatter-gather topology, and -ingest-interval keeps the generated
-// corpus ingesting live. The listener comes up immediately: /healthz
-// answers from the start, /readyz and /v1 answer 503 until the build
-// finishes. OPERATIONS.md ("serve") has the flag table, the refused
-// combinations and the ingest, segment-store and degraded-mode
-// runbooks; a usage error exits 2 with one line on stderr.
+// corpus ingesting live. The fourth source is other serve processes:
+// -shards URL,URL,... loads no corpus and coordinates that topology
+// (the i-th URL must be the process started with -shard-id i
+// -shard-count len(URLs)), answering /v1/find byte-identically to one
+// process over the same corpus. The listener comes up immediately:
+// /healthz answers from the start, /readyz and /v1 answer 503 until
+// the build finishes or a shard is reachable. OPERATIONS.md ("serve")
+// has the flag table, the refused combinations and the ingest,
+// segment-store and degraded-mode runbooks; a usage error exits 2
+// with one line on stderr.
 package main
 
 import (
@@ -25,8 +30,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -36,6 +43,7 @@ import (
 	"expertfind/internal/httpapi"
 	"expertfind/internal/ingest"
 	"expertfind/internal/rescache"
+	"expertfind/internal/scatter"
 	"expertfind/internal/slo"
 	"expertfind/internal/telemetry"
 )
@@ -47,6 +55,9 @@ type options struct {
 	// slice and container.
 	open            expertfind.Options
 	segmentMaintain time.Duration
+	// coord is the other source: with Shards set the process
+	// coordinates those serve processes and open goes unused.
+	coord scatter.Options
 
 	api   httpapi.Options
 	cache rescache.Options
@@ -69,6 +80,19 @@ var needs = map[string]string{
 	"ingest-updates":     "ingest-interval",
 	"ingest-removes":     "ingest-interval",
 	"ingest-transient":   "ingest-interval",
+	"shard-timeout":      "shards",
+	"hedge-disable":      "shards",
+	"health-interval":    "shards",
+}
+
+// corpusOnly lists the flags that configure a local corpus, its index,
+// its result cache or its ingest: -shards refuses each, because a
+// coordinator holds none of them.
+var corpusOnly = []string{
+	"seed", "scale", "corpus", "stream-corpus",
+	"segment-dir", "segment-flush-docs", "segment-max", "segment-maintain",
+	"index-shards", "cache-size", "cache-ttl", "shard-id", "shard-count",
+	"ingest-interval", "ingest-seed", "ingest-adds", "ingest-updates", "ingest-removes", "ingest-transient",
 }
 
 // parseFlags parses args into the run's options. A flag error, an
@@ -78,6 +102,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	var (
 		o        options
 		logStamp bool
+		shards   string
 	)
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -91,6 +116,10 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "segment count that triggers compaction (0 = default)")
 	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
 	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "document shards scored in parallel per query (0 = GOMAXPROCS, 1 = monolithic)")
+	fs.StringVar(&shards, "shards", "", "coordinate these shard processes instead of serving a corpus: comma-separated base URLs, position = shard id")
+	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request")
+	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to shards")
+	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval")
 	fs.IntVar(&o.api.DefaultTopK, "topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = exhaustive)")
 	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
 	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
@@ -123,6 +152,16 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var err error
+	if set["shards"] {
+		for _, name := range corpusOnly {
+			if set[name] && err == nil {
+				err = fmt.Errorf("-%s configures a local corpus, and -shards serves none", name)
+			}
+		}
+		if err == nil {
+			o.coord.Shards, err = shardBases(shards)
+		}
+	}
 	fs.Visit(func(f *flag.Flag) {
 		if need := needs[f.Name]; err == nil && need != "" && !set[need] {
 			err = fmt.Errorf("-%s has no effect without -%s", f.Name, need)
@@ -136,6 +175,21 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		return nil, err
 	}
 	return &o, nil
+}
+
+// shardBases splits -shards into base URLs. Position is the shard id, so
+// a blank element is refused rather than skipped; a trailing slash is
+// dropped, as paths are appended to the base.
+func shardBases(list string) ([]string, error) {
+	bases := strings.Split(list, ",")
+	for i, s := range bases {
+		s = strings.TrimRight(strings.TrimSpace(s), "/")
+		if u, err := url.Parse(s); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("-shards element %d (%q) is not an http(s)://host base URL", i, bases[i])
+		}
+		bases[i] = s
+	}
+	return bases, nil
 }
 
 // refused names the flag combination no build path serves, if any.
@@ -182,12 +236,6 @@ func main() {
 		// position, so interleaved multi-process logs stay attributable.
 		logger = logger.With("shard", o.open.ShardID)
 	}
-	var cache *rescache.Cache
-	if o.cache.Capacity > 0 {
-		cache = rescache.New(o.cache)
-		o.api.Cache = cache
-	}
-
 	o.slo.Logger = logger
 	tracker := slo.New(o.slo)
 	// Slow traces are defined by the latency objective: anything that
@@ -196,13 +244,74 @@ func main() {
 	policy := tracer.KeepPolicy()
 	policy.SlowThreshold = tracker.Latency()
 	tracer.SetKeepPolicy(policy)
-
 	o.api.Logger, o.api.Tracer, o.api.SLO = logger, tracer, tracker
-	handler := httpapi.NewWithOptions(nil, o.api)
 
-	// Build the corpus in the background so the listener (and its
-	// liveness probe) is up immediately; /readyz gates traffic until
-	// SetSystem flips the handler ready.
+	// SIGINT/SIGTERM end the background loops and drain the listener.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	var handler http.Handler
+	if len(o.coord.Shards) > 0 {
+		o.coord.Logger = logger
+		co, err := scatter.New(o.coord)
+		if err != nil {
+			fatalf("bad topology", "err", err.Error())
+		}
+		handler = httpapi.NewCoordinator(co, o.api)
+		// Bootstrap retries until the topology is known, then periodic
+		// readiness probes keep /readyz and the shards-down gauge fresh.
+		go co.Run(ctx)
+		logger.Info("coordinating", "shards", len(o.coord.Shards))
+	} else {
+		handler = serveCorpus(o, logger, fatalf)
+	}
+
+	// WriteTimeout must outlast the request deadline so the 503 the
+	// timeout middleware writes still reaches the client.
+	writeTimeout := 30 * time.Second
+	if o.api.RequestTimeout > 0 && o.api.RequestTimeout+5*time.Second > writeTimeout {
+		writeTimeout = o.api.RequestTimeout + 5*time.Second
+	}
+	srv := &http.Server{
+		Addr:              o.addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       2 * time.Minute,
+		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
+	}
+
+	idle := make(chan struct{})
+	go func() {
+		<-ctx.Done()
+		logger.Info("shutting down")
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			logger.Warn("shutdown", "err", err.Error())
+		}
+		close(idle)
+	}()
+
+	logger.Info("listening", "addr", o.addr)
+	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		fatalf("listen failed", "err", err.Error())
+	}
+	<-idle
+}
+
+// serveCorpus returns the handler of a process that serves a corpus of
+// its own and starts building it in the background, so the listener
+// (and its liveness probe) is up immediately; /readyz gates traffic
+// until SetSystem flips the handler ready.
+func serveCorpus(o *options, logger *slog.Logger, fatalf func(string, ...any)) *httpapi.Handler {
+	var cache *rescache.Cache
+	if o.cache.Capacity > 0 {
+		cache = rescache.New(o.cache)
+		o.api.Cache = cache
+	}
+	handler := httpapi.NewWithOptions(nil, o.api)
 	go func() {
 		t0 := time.Now()
 		sys, err := expertfind.Open(o.open)
@@ -244,7 +353,7 @@ func main() {
 			icfg := ingest.Config{
 				API:    faults.Wrap(remote.Graph, o.ingestFaults),
 				Logger: logger,
-				Tracer: tracer,
+				Tracer: o.api.Tracer,
 			}
 			if cache != nil {
 				icfg.Cache = cache
@@ -269,41 +378,5 @@ func main() {
 			}()
 		}
 	}()
-
-	// WriteTimeout must outlast the request deadline so the 503 the
-	// timeout middleware writes still reaches the client.
-	writeTimeout := 30 * time.Second
-	if o.api.RequestTimeout > 0 && o.api.RequestTimeout+5*time.Second > writeTimeout {
-		writeTimeout = o.api.RequestTimeout + 5*time.Second
-	}
-	srv := &http.Server{
-		Addr:              o.addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       2 * time.Minute,
-		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
-
-	// Drain in-flight requests on SIGINT/SIGTERM.
-	idle := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		logger.Info("shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Warn("shutdown", "err", err.Error())
-		}
-		close(idle)
-	}()
-
-	logger.Info("listening", "addr", o.addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fatalf("listen failed", "err", err.Error())
-	}
-	<-idle
+	return handler
 }

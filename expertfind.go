@@ -156,8 +156,6 @@ type StreamOptions struct {
 	// MaxSegments bounds the sealed-segment count before maintenance
 	// compacts (0 selects the store default).
 	MaxSegments int
-	// ForceStream disables mmap in favor of positioned reads.
-	ForceStream bool
 	// KeepTexts retains a stream corpus's bulk resource texts in
 	// memory; by default they are dropped chunk by chunk once indexed,
 	// so a million-user corpus builds and serves in a bounded-memory
@@ -186,7 +184,6 @@ func Open(o Options) (*System, error) {
 		Store: index.StoreOptions{
 			FlushDocs:   o.Stream.FlushDocs,
 			MaxSegments: o.Stream.MaxSegments,
-			ForceStream: o.Stream.ForceStream,
 		},
 		KeepTexts: o.Stream.KeepTexts,
 	})

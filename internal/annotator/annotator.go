@@ -22,18 +22,16 @@ type Options struct {
 	// this threshold (TAGME's lp filter for stop-word-like surface
 	// forms). Default 0.15.
 	MinLinkProb float64
-	// MinDScore discards annotations whose disambiguation confidence
-	// is below this threshold (TAGME's rho pruning). Default 0.10.
-	MinDScore float64
 }
+
+// minDScore discards annotations whose disambiguation confidence is
+// below this threshold (TAGME's rho pruning).
+const minDScore = 0.10
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.MinLinkProb == 0 {
 		out.MinLinkProb = 0.15
-	}
-	if out.MinDScore == 0 {
-		out.MinDScore = 0.10
 	}
 	return out
 }
@@ -68,7 +66,7 @@ type spot struct {
 
 // Annotate recognizes entity mentions in text and disambiguates each
 // one, returning annotations in order of appearance. Mentions whose
-// confidence falls below Options.MinDScore are pruned.
+// confidence falls below minDScore are pruned.
 func (a *Annotator) Annotate(text string) []Annotation {
 	t := textproc.NewText(text)
 	return a.AnnotateText(&t)
@@ -200,7 +198,7 @@ func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Dom
 	share := scores[bestIdx] / total
 	support := coherenceBoost(votes[winnerEnt.Domain])
 	dScore := share * (0.5 + 0.5*support)
-	if dScore < a.opts.MinDScore {
+	if dScore < minDScore {
 		return Annotation{}, false
 	}
 	if dScore > 1 {

@@ -33,9 +33,7 @@ import (
 
 // Crawl metrics bridge the per-crawl Stats into the process-wide
 // registry as cumulative counters (a long-lived service may crawl
-// many times), plus live breaker-state gauges per network. Waits are
-// split by cause: backoff (reactive, after failures) vs. pacing
-// (proactive token-bucket rate limiting).
+// many times), plus live breaker-state gauges per network.
 var (
 	mAPICalls = telemetry.Default().Counter(
 		"expertfind_crawler_api_calls_total",
@@ -71,8 +69,8 @@ var (
 )
 
 // record folds one crawl's Stats into the cumulative counters. Waits
-// are bridged incrementally at their call sites (retry backoff vs.
-// bucket pacing), so Stats.Waited is deliberately not re-counted here.
+// are bridged incrementally where the retryer backs off, so
+// Stats.Waited is deliberately not re-counted here.
 func (s Stats) record() {
 	mAPICalls.Add(float64(s.APICalls))
 	mFailedCalls.Add(float64(s.FailedCalls))
@@ -111,19 +109,14 @@ var FullAccess = Policy{ProfileAccessProb: 1}
 
 // Resilience configures the fault-handling stack a crawl runs its API
 // calls through. The zero value is a bare client: single attempts, no
-// pacing, no breaker — a call that fails is immediately given up.
+// breaker — a call that fails is immediately given up.
 type Resilience struct {
 	// Retry is the per-call retry/backoff policy.
 	Retry resilience.RetryPolicy
-	// RatePerNetwork, when positive, paces calls against each network
-	// through a token bucket of that many calls per second.
-	RatePerNetwork float64
-	// Burst is the token-bucket burst; values < 1 default to 1.
-	Burst int
 	// Breaker, when Threshold > 0, guards each network with a circuit
 	// breaker so a hard outage stops burning call budget.
 	Breaker resilience.BreakerPolicy
-	// Clock supplies backoff and pacing waits; nil means a private
+	// Clock supplies backoff waits; nil means a private
 	// virtual clock (the crawl simulates waiting instead of sleeping,
 	// so heavily-faulted sweeps still run in milliseconds).
 	Clock *resilience.Clock
@@ -159,7 +152,7 @@ type Stats struct {
 	GaveUp int
 	// BreakerTrips counts circuit-breaker openings across networks.
 	BreakerTrips int
-	// Waited is the simulated time spent backing off and pacing.
+	// Waited is the simulated time spent backing off.
 	Waited time.Duration
 }
 
@@ -193,7 +186,6 @@ func CrawlAPI(api faults.API, policy Policy, res Resilience) (*socialgraph.Graph
 		containerMap: make(map[socialgraph.ContainerID]socialgraph.ContainerID),
 		visited:      make(map[socialgraph.UserID]bool),
 		views:        make(map[socialgraph.UserID][]*faults.UserView),
-		clock:        clock,
 	}
 	c.retryer = &resilience.Retryer{
 		Policy: res.Retry,
@@ -205,32 +197,26 @@ func CrawlAPI(api faults.API, policy Policy, res Resilience) (*socialgraph.Graph
 			mWaitSeconds.With("backoff").Add(delay.Seconds())
 		},
 	}
-	if res.RatePerNetwork > 0 || res.Breaker.Threshold > 0 {
-		c.buckets = make(map[socialgraph.Network]*resilience.TokenBucket)
+	if res.Breaker.Threshold > 0 {
 		c.breakers = make(map[socialgraph.Network]*resilience.Breaker)
 		for _, net := range socialgraph.Networks {
-			if res.RatePerNetwork > 0 {
-				c.buckets[net] = resilience.NewTokenBucket(res.RatePerNetwork, res.Burst, clock)
-			}
-			if res.Breaker.Threshold > 0 {
-				br := resilience.NewBreaker(res.Breaker, clock)
-				g := mBreakerOpen.With(string(net))
-				g.Set(0)
-				br.OnStateChange = func(open bool) {
-					if open {
-						g.Set(1)
-						if res.Logger != nil {
-							res.Logger.Warn("crawler breaker opened", "network", string(net))
-						}
-					} else {
-						g.Set(0)
-						if res.Logger != nil {
-							res.Logger.Info("crawler breaker closed", "network", string(net))
-						}
+			br := resilience.NewBreaker(res.Breaker, clock)
+			g := mBreakerOpen.With(string(net))
+			g.Set(0)
+			br.OnStateChange = func(open bool) {
+				if open {
+					g.Set(1)
+					if res.Logger != nil {
+						res.Logger.Warn("crawler breaker opened", "network", string(net))
+					}
+				} else {
+					g.Set(0)
+					if res.Logger != nil {
+						res.Logger.Info("crawler breaker closed", "network", string(net))
 					}
 				}
-				c.breakers[net] = br
 			}
+			c.breakers[net] = br
 		}
 	}
 	c.run()
@@ -259,10 +245,8 @@ type crawl struct {
 	rng     *rand.Rand
 	out     *socialgraph.Graph
 	stats   Stats
-	clock   *resilience.Clock
 	retryer *resilience.Retryer
 
-	buckets  map[socialgraph.Network]*resilience.TokenBucket
 	breakers map[socialgraph.Network]*resilience.Breaker
 
 	resourceMap  map[socialgraph.ResourceID]socialgraph.ResourceID
@@ -282,8 +266,8 @@ func (c *crawl) spendCall() bool {
 	return true
 }
 
-// fetch runs one API fetch against net through the breaker, pacing
-// and retry stack, reporting whether it ultimately succeeded.
+// fetch runs one API fetch against net through the breaker and retry
+// stack, reporting whether it ultimately succeeded.
 func (c *crawl) fetch(net socialgraph.Network, f func() error) bool {
 	br := c.breakers[net]
 	err := c.retryer.Do(func() error {
@@ -292,13 +276,6 @@ func (c *crawl) fetch(net socialgraph.Network, f func() error) bool {
 		}
 		if !c.spendCall() {
 			return resilience.Permanent(errBudget)
-		}
-		if b := c.buckets[net]; b != nil {
-			if wait := b.Reserve(); wait > 0 {
-				c.stats.Waited += wait
-				mWaitSeconds.With("pacing").Add(wait.Seconds())
-				c.clock.Sleep(wait)
-			}
 		}
 		err := f()
 		if err != nil {

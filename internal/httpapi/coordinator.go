@@ -26,54 +26,27 @@ func degradedValue(down, total int) string {
 
 // CoordinatorHandler serves the public expert-finding API from a
 // scatter-gather coordinator instead of a local corpus: /v1/find fans
-// out to the shard topology and merges. It reuses the regular
-// handler's middleware chain, metrics, probes and error shapes, and
-// its healthy-topology /v1/find bodies are byte-identical to a
-// single-process server's.
+// out to the shard topology and merges. It is built on the same base
+// as Handler — middleware chain, common routes, metrics, error shapes
+// and the /v1 guard — and its healthy-topology /v1/find bodies are
+// byte-identical to a single-process server's.
 type CoordinatorHandler struct {
-	co     *scatter.Coordinator
-	mux    *http.ServeMux
-	opts   Options
-	sem    chan struct{}
-	root   http.Handler
-	tracer *telemetry.Tracer
-	asm    *assemblyCache
+	base
+	co  *scatter.Coordinator
+	asm *assemblyCache
 }
 
 // NewCoordinator returns the API handler for a coordinator process.
 func NewCoordinator(co *scatter.Coordinator, opts Options) *CoordinatorHandler {
-	h := &CoordinatorHandler{
-		co: co, mux: http.NewServeMux(), opts: opts, tracer: opts.Tracer,
-		asm: newAssemblyCache(64),
-	}
-	if h.tracer == nil {
-		h.tracer = telemetry.DefaultTracer()
-	}
-	if opts.MaxConcurrent > 0 {
-		h.sem = make(chan struct{}, opts.MaxConcurrent)
-	}
-	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	h := &CoordinatorHandler{base: newBase(opts), co: co, asm: newAssemblyCache(64)}
+	h.onKept = h.assembleAndCache
 	h.mux.HandleFunc("GET /readyz", h.ready)
-	h.mux.HandleFunc("GET /version", serveVersion)
-	h.mux.Handle("GET /metrics", telemetry.MetricsHandler(telemetry.Default()))
-	h.mux.Handle("GET /debug/traces", telemetry.TracesHandler(h.tracer))
 	h.mux.HandleFunc("GET /debug/traces/{rid}", h.traceByID)
-	h.mux.HandleFunc("GET /debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		serveSlow(h.tracer, w, r)
-	})
-	h.mux.HandleFunc("GET /v1/find", h.find)
+	h.mux.HandleFunc("GET /v1/find", guard(&h.base, func() *scatter.Coordinator { return co }, h.find))
+	// Topology state is ops state: outside the guard, so it answers
+	// while the concurrency cap is saturated.
 	h.mux.HandleFunc("GET /v1/shards", h.shards)
-	h.root = buildRoot(opts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		dispatchMux(h.mux, opts.SLO, w, r)
-	}))
 	return h
-}
-
-// ServeHTTP implements http.Handler.
-func (h *CoordinatorHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.root.ServeHTTP(w, r)
 }
 
 // ready distinguishes three topology states: ready (every shard
@@ -130,17 +103,7 @@ type degradedInfo struct {
 	ShardsTotal int `json:"shards_total"`
 }
 
-func (h *CoordinatorHandler) find(w http.ResponseWriter, r *http.Request) {
-	if h.sem != nil {
-		select {
-		case h.sem <- struct{}{}:
-			defer func() { <-h.sem }()
-		default:
-			mShed.Inc()
-			h.opts.writeUnavailable(w, r, "server overloaded")
-			return
-		}
-	}
+func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter, r *http.Request) {
 	need := r.URL.Query().Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
@@ -167,23 +130,9 @@ func (h *CoordinatorHandler) find(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, tr := h.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
-	defer func() {
-		tr.Finish()
-		// An interesting query (degraded, errored, slow) just landed in
-		// the keep ring: assemble its cross-process timeline now, while
-		// every shard still retains its side, and cache the result so
-		// /debug/traces/{rid} answers long after shard rings rotate.
-		if tr.WasKept() {
-			go h.assembleAndCache(tr.ID())
-		}
-	}()
-	tr.SetAttr("q", need)
-
-	res, err := h.co.Find(ctx, need, rawParams, p)
+	res, err := co.Find(r.Context(), need, rawParams, p)
 	if err != nil {
-		tr.SetAttr("error", err.Error())
-		tr.Keep("error")
+		telemetry.TraceFrom(r.Context()).SetAttr("error", err.Error())
 		var mal *scatter.MalformedError
 		switch {
 		case errors.As(err, &mal):
@@ -243,10 +192,13 @@ func (h *CoordinatorHandler) traceByID(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, asm)
 }
 
-// assembleAndCache eagerly assembles a kept query's timeline. Shards
-// record their traces moments after their responses are written, so
-// the fetch retries briefly until at least one shard has contributed
-// (or gives up and caches the coordinator-only view).
+// assembleAndCache eagerly assembles the timeline of a query that just
+// landed in the keep ring (degraded, errored, shed, slow), while every
+// shard still retains its side, and caches it so /debug/traces/{rid}
+// answers long after shard rings rotate. Shards record their traces
+// moments after their responses are written, so the fetch retries
+// briefly until at least one shard has contributed (or gives up and
+// caches the coordinator-only view).
 func (h *CoordinatorHandler) assembleAndCache(rid string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

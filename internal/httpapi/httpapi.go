@@ -58,15 +58,75 @@ import (
 	"expertfind/internal/telemetry"
 )
 
-// Handler serves the JSON API over a System.
-type Handler struct {
-	sys    atomic.Pointer[expertfind.System]
-	ing    atomic.Pointer[ingest.Ingester]
+// base is what every handler of this package is built on — the
+// single-process and shard Handler and the CoordinatorHandler alike:
+// the mux with the common routes mounted, the middleware chain around
+// it, and the guard every /v1 route runs behind. A handler adds its
+// own /readyz, /debug/traces/{rid} and /v1 routes to mux.
+type base struct {
 	mux    *http.ServeMux
 	opts   Options
 	sem    chan struct{}
 	root   http.Handler
 	tracer *telemetry.Tracer
+	// onKept, when set, runs on its own goroutine for every /v1 trace
+	// Finish placed in the keep ring (the coordinator assembles the
+	// query's cross-process timeline while shards still hold their side).
+	onKept func(rid string)
+}
+
+// newBase mounts the routes that do not depend on what is served.
+func newBase(opts Options) base {
+	b := base{mux: http.NewServeMux(), opts: opts, tracer: opts.Tracer}
+	if b.tracer == nil {
+		b.tracer = telemetry.DefaultTracer()
+	}
+	if opts.MaxConcurrent > 0 {
+		b.sem = make(chan struct{}, opts.MaxConcurrent)
+	}
+	mux, tracer := b.mux, b.tracer
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("GET /version", serveVersion)
+	mux.Handle("GET /metrics", telemetry.MetricsHandler(telemetry.Default()))
+	mux.Handle("GET /debug/traces", telemetry.TracesHandler(tracer))
+	mux.HandleFunc("GET /debug/slow", func(w http.ResponseWriter, r *http.Request) {
+		serveSlow(tracer, w, r)
+	})
+	if opts.Debug {
+		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mux.Handle("GET /debug/vars", expvar.Handler())
+	}
+	// Request IDs outermost, then logging, the per-request deadline,
+	// and panic recovery innermost around the dispatch.
+	root := withRecovery(opts.Logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dispatchMux(mux, opts.SLO, w, r)
+	}))
+	if opts.RequestTimeout > 0 {
+		root = withTimeout(opts, root)
+	}
+	if opts.Logger != nil {
+		root = withLogging(opts.Logger, root)
+	}
+	b.root = withRequestID(root)
+	return b
+}
+
+// ServeHTTP implements http.Handler.
+func (b *base) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	b.root.ServeHTTP(w, r)
+}
+
+// Handler serves the JSON API over a System.
+type Handler struct {
+	base
+	sys atomic.Pointer[expertfind.System]
+	ing atomic.Pointer[ingest.Ingester]
 }
 
 // New returns the API handler with default (zero) Options.
@@ -79,33 +139,12 @@ func New(sys *expertfind.System) *Handler {
 // work immediately while /v1 answers 503 until SetSystem installs a
 // corpus, so the listener can come up before the index is built.
 func NewWithOptions(sys *expertfind.System, opts Options) *Handler {
-	h := &Handler{mux: http.NewServeMux(), opts: opts, tracer: opts.Tracer}
-	if h.tracer == nil {
-		h.tracer = telemetry.DefaultTracer()
-	}
+	h := &Handler{base: newBase(opts)}
 	if sys != nil {
 		h.SetSystem(sys)
 	}
-	if opts.MaxConcurrent > 0 {
-		h.sem = make(chan struct{}, opts.MaxConcurrent)
-	}
-	h.mux.HandleFunc("GET /healthz", h.health)
 	h.mux.HandleFunc("GET /readyz", h.ready)
-	h.mux.HandleFunc("GET /version", h.version)
-	h.mux.Handle("GET /metrics", telemetry.MetricsHandler(telemetry.Default()))
-	h.mux.Handle("GET /debug/traces", telemetry.TracesHandler(h.tracer))
 	h.mux.HandleFunc("GET /debug/traces/{rid}", h.traceByID)
-	h.mux.HandleFunc("GET /debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		serveSlow(h.tracer, w, r)
-	})
-	if opts.Debug {
-		h.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		h.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		h.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		h.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		h.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		h.mux.Handle("GET /debug/vars", expvar.Handler())
-	}
 	h.mux.HandleFunc("GET /v1/stats", h.v1(h.stats))
 	h.mux.HandleFunc("GET /v1/domains", h.v1(h.domains))
 	h.mux.HandleFunc("GET /v1/queries", h.v1(h.queries))
@@ -127,23 +166,12 @@ func NewWithOptions(sys *expertfind.System, opts Options) *Handler {
 		// itself must not record a trace of its own.
 		h.mux.HandleFunc("GET /v1/shard/trace", h.shardTrace)
 	}
-
-	h.root = buildRoot(opts, http.HandlerFunc(h.route))
 	return h
 }
 
-// buildRoot assembles the shared middleware chain around a dispatch
-// function: request IDs outermost, then logging, the per-request
-// deadline, and panic recovery innermost.
-func buildRoot(opts Options, route http.Handler) http.Handler {
-	root := withRecovery(opts.Logger, route)
-	if opts.RequestTimeout > 0 {
-		root = withTimeout(opts, root)
-	}
-	if opts.Logger != nil {
-		root = withLogging(opts.Logger, root)
-	}
-	return withRequestID(root)
+// v1 guards a route that needs the corpus installed.
+func (h *Handler) v1(f func(*expertfind.System, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return guard(&h.base, h.sys.Load, f)
 }
 
 // SetSystem atomically installs (or swaps) the served System. Until
@@ -180,24 +208,13 @@ func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ing.Status())
 }
 
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.root.ServeHTTP(w, r)
-}
-
-// route dispatches through the mux, measuring every request into the
-// per-route metrics (count by status, latency histogram, in-flight
-// gauge) and rewriting the mux's plain-text 404/405 fallbacks into
-// the API's uniform JSON error shape while preserving the status and
-// the Allow header the mux computes.
-func (h *Handler) route(w http.ResponseWriter, r *http.Request) {
-	dispatchMux(h.mux, h.opts.SLO, w, r)
-}
-
-// dispatchMux is the shared routing core of the API handlers (shard
-// and coordinator processes alike). Besides the per-route metrics, it
-// reports the matched route to the access-log middleware and observes
-// every /v1 request into the SLO burn-rate tracker.
+// dispatchMux dispatches through the mux, measuring every request
+// into the per-route metrics (count by status, latency histogram,
+// in-flight gauge) and rewriting the mux's plain-text 404/405 fallbacks
+// into the API's uniform JSON error shape while preserving the status
+// and the Allow header the mux computes. It also reports the matched
+// route to the access-log middleware and observes every /v1 request
+// into the SLO burn-rate tracker.
 func dispatchMux(mux *http.ServeMux, st *slo.Tracker, w http.ResponseWriter, r *http.Request) {
 	handler, pattern := mux.Handler(r)
 	route := routeLabel(pattern)
@@ -238,19 +255,26 @@ func dispatchMux(mux *http.ServeMux, st *slo.Tracker, w http.ResponseWriter, r *
 	}
 }
 
-// v1 guards an API route: shed load when the concurrency cap is
-// saturated, and refuse with 503 until a corpus is installed. The
-// probe endpoints bypass this, so /healthz stays 200 while /v1 sheds.
-// Every request — including shed and not-ready refusals — runs under a
-// telemetry trace (named after the route, identified by the request
-// ID); shed, errored and degraded traces are marked for tail-sampled
+// guard wraps a /v1 route: shed load when the concurrency cap is
+// saturated, and refuse with 503 until load returns what the route
+// answers from (the installed corpus; a coordinator always has its
+// topology client). The probe endpoints bypass this, so /healthz stays
+// 200 while /v1 sheds. Every request — including shed and not-ready
+// refusals — runs under a telemetry trace (named after the route,
+// identified by the request ID) that records the response status;
+// shed, errored and degraded traces are marked for tail-sampled
 // retention so /debug/traces/{rid} can still find them after a flood
 // of healthy queries. On a shard process, the coordinator's span
 // header nests the trace under the fan-out attempt that carried it.
-func (h *Handler) v1(f func(*expertfind.System, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, tr := h.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
-		defer tr.Finish()
+		ctx, tr := b.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
+		defer func() {
+			tr.Finish()
+			if b.onKept != nil && tr.WasKept() {
+				go b.onKept(tr.ID())
+			}
+		}()
 		if q := r.URL.Query().Get("q"); q != "" {
 			tr.SetAttr("q", q)
 		}
@@ -271,28 +295,24 @@ func (h *Handler) v1(f func(*expertfind.System, http.ResponseWriter, *http.Reque
 				tr.Keep("error")
 			}
 		}()
-		if h.sem != nil {
+		if b.sem != nil {
 			select {
-			case h.sem <- struct{}{}:
-				defer func() { <-h.sem }()
+			case b.sem <- struct{}{}:
+				defer func() { <-b.sem }()
 			default:
 				mShed.Inc()
 				tr.Keep("shed")
-				h.opts.writeUnavailable(sw, r, "server overloaded")
+				b.opts.writeUnavailable(sw, r, "server overloaded")
 				return
 			}
 		}
-		sys := h.sys.Load()
-		if sys == nil {
-			h.opts.writeUnavailable(sw, r, "corpus not ready")
+		v := load()
+		if v == nil {
+			b.opts.writeUnavailable(sw, r, "corpus not ready")
 			return
 		}
-		f(sys, sw, r.WithContext(ctx))
+		f(v, sw, r.WithContext(ctx))
 	}
-}
-
-func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ready reports whether the service can usefully answer /v1 traffic:

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"expertfind"
+	"expertfind/internal/scatter"
+	"expertfind/internal/telemetry"
 )
 
 // errBody decodes the uniform {"error": "..."} payload.
@@ -97,6 +99,73 @@ func TestLoadShedding(t *testing.T) {
 		t.Errorf("/readyz after drain = %d, want 200", resp.StatusCode)
 	}
 	<-h.sem
+}
+
+// idleCoordinator returns a coordinator handler over one shard that
+// answers 404 to everything: enough for the routes that never fan out.
+func idleCoordinator(t *testing.T, opts Options) *CoordinatorHandler {
+	t.Helper()
+	shard := httptest.NewServer(http.NotFoundHandler())
+	t.Cleanup(shard.Close)
+	co, err := scatter.New(scatter.Options{Shards: []string{shard.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCoordinator(co, opts)
+}
+
+// TestShedIsTraced: the one /v1 guard sheds the same way whatever it
+// guards — 503 + Retry-After, and a trace under the request's id kept
+// for reason "shed" with the status recorded, so /debug/slow shows the
+// request an overloaded process turned away. (A coordinator used to
+// shed before starting a trace.)
+func TestShedIsTraced(t *testing.T) {
+	for name, build := range map[string]func(Options) (http.Handler, chan struct{}){
+		"corpus": func(o Options) (http.Handler, chan struct{}) {
+			h := NewWithOptions(nil, o)
+			return h, h.sem
+		},
+		"coordinator": func(o Options) (http.Handler, chan struct{}) {
+			h := idleCoordinator(t, o)
+			return h, h.sem
+		},
+	} {
+		h, sem := build(Options{MaxConcurrent: 1, Tracer: telemetry.NewTracer(8)})
+		ts := httptest.NewServer(h)
+		sem <- struct{}{} // one request stuck in its handler
+
+		rid := "rid-shed-" + name
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/find?q=copper", nil)
+		req.Header.Set("X-Request-ID", rid)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Errorf("%s: saturated /v1/find = %d, Retry-After %q; want 503, \"1\"", name, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		if msg := errBody(t, resp); !strings.Contains(msg, "overloaded") {
+			t.Errorf("%s: shed message = %q", name, msg)
+		}
+
+		resp, err = http.Get(ts.URL + "/debug/slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		found := false
+		for _, line := range strings.Split(string(slow), "\n") {
+			if strings.Contains(line, "rid="+rid+" ") {
+				found = strings.Contains(line, "status=503") && strings.Contains(line, "keep=shed")
+			}
+		}
+		if !found {
+			t.Errorf("%s: /debug/slow has no status=503 keep=shed line for %s:\n%s", name, rid, slow)
+		}
+		<-sem
+		ts.Close()
+	}
 }
 
 // TestReadinessGating covers the serve startup sequence: the listener

@@ -113,11 +113,9 @@ type versionInfo struct {
 	UptimeSeconds float64   `json:"uptime_seconds"`
 }
 
-// version serves build and runtime identity: who is running (module,
-// version, VCS revision when built from a repository), on what Go,
-// for how long.
-func (h *Handler) version(w http.ResponseWriter, r *http.Request) { serveVersion(w, r) }
-
+// serveVersion serves build and runtime identity: who is running
+// (module, version, VCS revision when built from a repository), on
+// what Go, for how long.
 func serveVersion(w http.ResponseWriter, _ *http.Request) {
 	info := versionInfo{
 		GoVersion:     runtime.Version(),

@@ -239,9 +239,9 @@ func TestVersion(t *testing.T) {
 }
 
 // TestDebugEndpointsGated asserts pprof and expvar are absent by
-// default and present under Options.Debug.
+// default and present under Options.Debug, on a coordinator as well.
 func TestDebugEndpointsGated(t *testing.T) {
-	probe := func(h *Handler, path string) int {
+	probe := func(h http.Handler, path string) int {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		return rec.Code
@@ -256,6 +256,12 @@ func TestDebugEndpointsGated(t *testing.T) {
 	}
 	if got := probe(dbg, "/debug/pprof/cmdline"); got != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline with Debug: status = %d, want 200", got)
+	}
+	if got := probe(idleCoordinator(t, Options{}), "/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("coordinator /debug/pprof/ without Debug: status = %d, want 404", got)
+	}
+	if got := probe(idleCoordinator(t, Options{Debug: true}), "/debug/pprof/"); got != http.StatusOK {
+		t.Errorf("coordinator /debug/pprof/ with Debug: status = %d, want 200", got)
 	}
 }
 

@@ -61,9 +61,9 @@ func serveSlow(tr *telemetry.Tracer, w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "%d retained traces (keep ring capacity %d, slow threshold %s)\n",
 		len(kept), policy.Capacity, policy.SlowThreshold)
 	for _, t := range kept {
-		fmt.Fprintf(w, "\n%s  rid=%s  %s  %.3fms  keep=%s\n",
+		fmt.Fprintf(w, "\n%s  rid=%s  %s  %.3fms  status=%s  keep=%s\n",
 			t.Start.UTC().Format(time.RFC3339Nano), t.ID, t.Name,
-			float64(t.DurationUS)/1000, t.Attrs["keep"])
+			float64(t.DurationUS)/1000, t.Attrs["status"], t.Attrs["keep"])
 		depth := spanDepths(t.Spans)
 		for _, sp := range t.Spans {
 			fmt.Fprintf(w, "  %*s%-28s +%.3fms  %.3fms",

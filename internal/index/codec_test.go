@@ -500,7 +500,7 @@ func TestGoldenV2File(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-000000"+segSuffix), golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewStore(dir, StoreOptions{ForceStream: stream})
+		s, err := NewStore(dir, StoreOptions{forceStream: stream})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,8 +79,6 @@ type Searcher interface {
 	Has(id DocID) bool
 	DocFreq(term string) int
 	EntityFreq(e kb.EntityID) int
-	IRF(term string) float64
-	EIRF(e kb.EntityID) float64
 	io.WriterTo
 }
 

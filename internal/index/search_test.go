@@ -187,7 +187,7 @@ func TestSearchOracleGrid(t *testing.T) {
 		}
 		ix.Update(low.ID, low.A, updated.A)
 		targets := []oracleTarget{{"index", ix, ref}}
-		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {ForceStream: true}} {
+		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {forceStream: true}} {
 			s := storeOf(t, shuffled, []int{300, 600}, o)
 			s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: low.ID, Old: low.A, New: updated.A}}})
 			targets = append(targets, oracleTarget{"store " + name, s, ref})
@@ -215,7 +215,7 @@ func TestSearchOracleGrid(t *testing.T) {
 		}
 		ref := flatFromDocs(docs)
 		targets := []oracleTarget{{"index", ref, ref}}
-		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {ForceStream: true}} {
+		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {forceStream: true}} {
 			targets = append(targets, oracleTarget{"store " + name, storeOf(t, docs, []int{3000}, o), ref})
 		}
 		need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}

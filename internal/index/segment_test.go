@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -134,7 +133,7 @@ func TestStoreScoringBitIdentical(t *testing.T) {
 		shard.AddBatch(docs)
 		for _, layout := range [][]int{nil, {500}, {170, 340}, {40, 90, 300, 460}} {
 			for _, stream := range []bool{false, true} {
-				s := storeOf(t, docs, layout, StoreOptions{ForceStream: stream})
+				s := storeOf(t, docs, layout, StoreOptions{forceStream: stream})
 				if s.NumDocs() != mono.NumDocs() {
 					t.Fatalf("NumDocs %d, want %d", s.NumDocs(), mono.NumDocs())
 				}
@@ -214,9 +213,6 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 		for _, term := range []string{"swim", "php", "atom", "missing"} {
 			if s.DocFreq(term) != mono.DocFreq(term) {
 				t.Fatalf("round %d: DocFreq(%q) %d, want %d", round, term, s.DocFreq(term), mono.DocFreq(term))
-			}
-			if math.Float64bits(s.IRF(term)) != math.Float64bits(mono.IRF(term)) {
-				t.Fatalf("round %d: IRF(%q) differs", round, term)
 			}
 		}
 		for e := kb.EntityID(0); e < 50; e += 7 {
@@ -521,14 +517,19 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	if seg.Size() <= 0 {
 		t.Fatalf("segment Size() = %d", seg.Size())
 	}
+	// irf is a pure function of these integers, so equal statistics are
+	// equal weights.
+	if got, want := s.NumDocs(), mono.NumDocs(); got != want {
+		t.Fatalf("NumDocs = %d, want %d", got, want)
+	}
 	for _, term := range append(shardTestVocab(), "neverindexedterm") {
-		if got, want := s.IRF(term), mono.IRF(term); got != want {
-			t.Fatalf("IRF(%q) = %v, want %v", term, got, want)
+		if got, want := s.DocFreq(term), mono.DocFreq(term); got != want {
+			t.Fatalf("DocFreq(%q) = %d, want %d", term, got, want)
 		}
 	}
 	for e := 0; e < 60; e++ {
-		if got, want := s.EIRF(kb.EntityID(e)), mono.EIRF(kb.EntityID(e)); got != want {
-			t.Fatalf("EIRF(%d) = %v, want %v", e, got, want)
+		if got, want := s.EntityFreq(kb.EntityID(e)), mono.EntityFreq(kb.EntityID(e)); got != want {
+			t.Fatalf("EntityFreq(%d) = %d, want %d", e, got, want)
 		}
 	}
 	r := rand.New(rand.NewSource(99))

@@ -57,13 +57,14 @@ type StoreOptions struct {
 	// MaxSegments is the sealed-segment count above which the
 	// maintenance policy compacts the smallest half (default 8).
 	MaxSegments int
-	// ReclaimFraction is the tombstone share of the live document
-	// count above which maintenance compacts every segment carrying
-	// tombstones (default 0.2).
-	ReclaimFraction float64
-	// ForceStream disables mmap in favor of positioned reads.
-	ForceStream bool
+	// forceStream disables mmap in favor of positioned reads: the
+	// in-package tests' way to reach the non-unix fallback.
+	forceStream bool
 }
+
+// reclaimFraction is the tombstone share of the live document count
+// above which maintenance compacts every segment carrying tombstones.
+const reclaimFraction = 0.2
 
 func (o StoreOptions) withDefaults() StoreOptions {
 	if o.FlushDocs <= 0 {
@@ -71,9 +72,6 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	}
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 8
-	}
-	if o.ReclaimFraction <= 0 {
-		o.ReclaimFraction = 0.2
 	}
 	return o
 }
@@ -198,7 +196,7 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		r, err := OpenSegment(p, o.ForceStream)
+		r, err := OpenSegment(p, o.forceStream)
 		if err != nil {
 			s.closeSegments()
 			return nil, err
@@ -474,7 +472,7 @@ func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReade
 		os.Remove(tmp)
 		return nil, err
 	}
-	r, err := OpenSegment(path, s.opts.ForceStream)
+	r, err := OpenSegment(path, s.opts.forceStream)
 	if err != nil {
 		os.Remove(path)
 		return nil, err
@@ -587,7 +585,7 @@ func (s *Store) contains(seg *storeSegment) bool {
 // Maintain runs one maintenance round: seal the memtable if it
 // reached FlushDocs, then compact per policy — the smallest half of
 // the segments when their count exceeds MaxSegments, or every
-// tombstone-carrying segment when tombstones exceed ReclaimFraction
+// tombstone-carrying segment when tombstones exceed reclaimFraction
 // of the live document count.
 func (s *Store) Maintain() error {
 	s.maintMu.Lock()
@@ -612,7 +610,7 @@ func (s *Store) Maintain() error {
 			n = 2
 		}
 		victims = bySize[:n]
-	} else if liveDocs := s.numDocsLocked(); s.nTombs > 0 && float64(s.nTombs) > s.opts.ReclaimFraction*float64(liveDocs) {
+	} else if liveDocs := s.numDocsLocked(); s.nTombs > 0 && float64(s.nTombs) > reclaimFraction*float64(liveDocs) {
 		for _, g := range s.segs {
 			if len(g.tomb) > 0 {
 				victims = append(victims, g)
@@ -787,29 +785,6 @@ func (s *Store) EntityFreq(e kb.EntityID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.freqLocked(entityKey(e))
-}
-
-// IRF returns the term's inverse resource frequency over the live
-// collection (0 for unseen terms), like Index.IRF.
-func (s *Store) IRF(t string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	df := s.freqLocked(termKey(t))
-	if df == 0 {
-		return 0
-	}
-	return irf(s.numDocsLocked(), df)
-}
-
-// EIRF returns the entity's inverse resource frequency.
-func (s *Store) EIRF(e kb.EntityID) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	df := s.freqLocked(entityKey(e))
-	if df == 0 {
-		return 0
-	}
-	return irf(s.numDocsLocked(), df)
 }
 
 // Score implements Searcher over the live documents.

@@ -267,26 +267,6 @@ func (s *Sharded) EntityFreq(e kb.EntityID) int {
 	return n
 }
 
-// IRF returns the inverse resource frequency of a term over the whole
-// collection (all shards), matching Index.IRF on the same documents.
-func (s *Sharded) IRF(term string) float64 {
-	df := s.DocFreq(term)
-	if df == 0 {
-		return 0
-	}
-	return irf(s.NumDocs(), df)
-}
-
-// EIRF returns the inverse resource frequency of an entity over the
-// whole collection.
-func (s *Sharded) EIRF(e kb.EntityID) float64 {
-	df := s.EntityFreq(e)
-	if df == 0 {
-		return 0
-	}
-	return irf(s.NumDocs(), df)
-}
-
 // Score implements Searcher. Output is byte-identical to the
 // monolithic index over the same documents.
 func (s *Sharded) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {

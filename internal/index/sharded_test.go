@@ -196,17 +196,11 @@ func TestShardedStatsMatchFlat(t *testing.T) {
 		if flat.DocFreq(term) != sh.DocFreq(term) {
 			t.Errorf("DocFreq(%q): %d vs %d", term, flat.DocFreq(term), sh.DocFreq(term))
 		}
-		if math.Float64bits(flat.IRF(term)) != math.Float64bits(sh.IRF(term)) {
-			t.Errorf("IRF(%q): %v vs %v", term, flat.IRF(term), sh.IRF(term))
-		}
 	}
 	for e := 0; e < 60; e++ {
 		id := kb.EntityID(e)
 		if flat.EntityFreq(id) != sh.EntityFreq(id) {
 			t.Errorf("EntityFreq(%d): %d vs %d", e, flat.EntityFreq(id), sh.EntityFreq(id))
-		}
-		if math.Float64bits(flat.EIRF(id)) != math.Float64bits(sh.EIRF(id)) {
-			t.Errorf("EIRF(%d): %v vs %v", e, flat.EIRF(id), sh.EIRF(id))
 		}
 	}
 }
@@ -253,7 +247,7 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 					}
 				}
 				_ = sh.NumDocs()
-				_ = sh.IRF("swim")
+				_ = sh.DocFreq("swim")
 				_ = sh.Has(DocID(i))
 			}
 		}(g)

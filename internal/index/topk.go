@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 
 	"expertfind/internal/telemetry"
 )
@@ -68,7 +67,7 @@ func (c *topkCounters) add(o topkCounters) {
 }
 
 // topkAcc is the accumulator state of one evaluation. Its buffers are
-// pooled across evaluations (accPool); everything else is reset by
+// pooled across evaluations (accFree); everything else is reset by
 // scorePlanTopK.
 type topkAcc struct {
 	k      int
@@ -94,11 +93,29 @@ type topkAcc struct {
 // mark in the pool.
 const maxPooledDocs = 1 << 16
 
-var accPool = sync.Pool{New: func() any { return new(topkAcc) }}
+// accFree is the free list of released accumulators: at most 8 kept,
+// at most 2 MiB of buffers each. Not a sync.Pool: that empties with
+// the garbage collector's cycles and keeps one slot per P, so a caller
+// the scheduler moves between Ps loses its warm state at times nothing
+// in the program chooses and regrows both buffers by doubling — ±3 %
+// of a top-10 find's allocated bytes from one pass over the same
+// requests to the next.
+var accFree = make(chan *topkAcc, 8)
 
-// release returns the buffers to the pool, emptied, holding on to
-// nothing of the evaluation: not the caller's filter, not a segment's
-// per-query posting lists.
+// newAcc takes a released accumulator, or a fresh one when every kept
+// one is in use.
+func newAcc() *topkAcc {
+	select {
+	case a := <-accFree:
+		return a
+	default:
+		return new(topkAcc)
+	}
+}
+
+// release returns the buffers to the free list, emptied, holding on
+// to nothing of the evaluation: not the caller's filter, not a
+// segment's per-query posting lists. A full list drops them.
 func (a *topkAcc) release() {
 	if cap(a.docs) > maxPooledDocs {
 		a.docs = nil
@@ -108,7 +125,10 @@ func (a *topkAcc) release() {
 	}
 	clear(a.lists)
 	*a = topkAcc{docs: a.docs[:0], pend: a.pend[:0], heap: a.heap[:0], lists: a.lists[:0]}
-	accPool.Put(a)
+	select {
+	case accFree <- a:
+	default:
+	}
 }
 
 // admits reports whether a document bounded by bound could still reach
@@ -338,7 +358,7 @@ func (a *topkAcc) bind(src listSource, plan queryPlan) {
 // k <= 0 disables both the bound and the pruning (θ never activates):
 // an exhaustive accept-filtered evaluation.
 func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	a := accPool.Get().(*topkAcc)
+	a := newAcc()
 	a.k, a.accept, a.theta = k, accept, math.Inf(-1)
 	a.bind(src, plan)
 	for _, bl := range a.lists {

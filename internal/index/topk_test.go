@@ -435,21 +435,15 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go in a -race build.
-var raceEnabled bool
-
-// TestScorerAllocBudget pins the scorer's garbage: with a warm pool an
-// evaluation allocates the slice it returns and nothing else — nothing
-// per list, per posting or per document.
+// TestScorerAllocBudget pins the scorer's garbage: with a warm free
+// list an evaluation allocates the slice it returns and nothing else —
+// nothing per list, per posting or per document.
 func TestScorerAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries under -race")
-	}
 	flat := flatFromDocs(randomDocs(61, 2000, 0))
 	need := randomNeed(rand.New(rand.NewSource(62)))
 	plan := planQuery(need, 0.6, flat)
 	for _, k := range []int{10, 0} {
-		if out, _ := scorePlanTopK(flat, plan, k, nil); len(out) == 0 { // also warms the pool
+		if out, _ := scorePlanTopK(flat, plan, k, nil); len(out) == 0 { // also warms the free list
 			t.Fatalf("k%d: need matches nothing", k)
 		}
 		allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(flat, plan, k, nil) })

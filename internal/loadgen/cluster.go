@@ -14,13 +14,13 @@ import (
 	"time"
 )
 
-// ScatterCluster runs a real multi-process scatter-gather deployment:
-// N shard-mode cmd/serve processes over disjoint corpus slices and a
-// cmd/coordinator front, all on loopback ports. Unlike the in-process
-// chaos gate, faults here are the real thing — KillShard delivers
-// SIGKILL to a live process and RestartShard brings a replacement up
-// on the same port, so the harness exercises genuine connection
-// refusals, breaker trips, and degraded-mode recovery.
+// ScatterCluster runs a real multi-process scatter-gather deployment
+// of one binary: N shard-mode cmd/serve processes over disjoint corpus
+// slices and a `serve -shards` coordinator front, all on loopback
+// ports. Faults here are the real thing — KillShard delivers SIGKILL
+// to a live process and RestartShard brings a replacement up on the
+// same port, so the harness exercises genuine connection refusals,
+// breaker trips, and degraded-mode recovery.
 type ScatterCluster struct {
 	cfg    ScatterConfig
 	shards []*managedProc
@@ -28,12 +28,11 @@ type ScatterCluster struct {
 	client *http.Client
 }
 
-// ScatterConfig parameterizes StartScatter. ServeBin and CoordBin
-// are paths to prebuilt binaries (see BuildScatterBinaries); Shards
-// is the topology size.
+// ScatterConfig parameterizes StartScatter.
 type ScatterConfig struct {
+	// ServeBin is the prebuilt cmd/serve binary (see BuildServe) every
+	// process of the topology runs.
 	ServeBin string
-	CoordBin string
 	// Shards is the number of shard processes (and the -shard-count
 	// each is started with).
 	Shards int
@@ -45,14 +44,6 @@ type ScatterConfig struct {
 	// IndexShards is each process's in-process scoring parallelism
 	// (0 = GOMAXPROCS); it does not affect result bytes.
 	IndexShards int
-	// HealthInterval is the coordinator's shard probe cadence
-	// (default 200ms — snappy so kill/restart transitions are visible
-	// to /readyz quickly).
-	HealthInterval time.Duration
-	// StartTimeout bounds each readiness wait (default 120s; slice
-	// corpus builds run once per process, race-instrumented in -race
-	// runs).
-	StartTimeout time.Duration
 	// ShardSLOLatency, when positive, is passed to every shard process
 	// as its -slo-latency objective. The harness sets it absurdly low
 	// to induce a latency-SLO breach and assert the on-breach pprof
@@ -67,19 +58,14 @@ type ScatterConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c ScatterConfig) healthInterval() time.Duration {
-	if c.HealthInterval <= 0 {
-		return 200 * time.Millisecond
-	}
-	return c.HealthInterval
-}
-
-func (c ScatterConfig) startTimeout() time.Duration {
-	if c.StartTimeout <= 0 {
-		return 120 * time.Second
-	}
-	return c.StartTimeout
-}
+const (
+	// healthInterval is the coordinator's shard probe cadence: snappy, so
+	// kill/restart transitions are visible to /readyz quickly.
+	healthInterval = 200 * time.Millisecond
+	// startTimeout bounds each readiness wait: slice corpus builds run
+	// once per process, race-instrumented in -race runs.
+	startTimeout = 120 * time.Second
+)
 
 func (c ScatterConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -87,31 +73,26 @@ func (c ScatterConfig) logf(format string, args ...any) {
 	}
 }
 
-// BuildScatterBinaries compiles cmd/serve and cmd/coordinator into
-// dir and returns their paths. When the calling test binary was built
-// with -race the children are race-instrumented too, so the chaos
-// scenario runs under the race detector end to end.
-func BuildScatterBinaries(dir string) (serveBin, coordBin string, err error) {
+// BuildServe compiles cmd/serve into dir and returns the binary's
+// path. When the calling test binary was built with -race the children
+// are race-instrumented too, so the chaos scenario runs under the race
+// detector end to end.
+func BuildServe(dir string) (string, error) {
 	root, err := moduleRoot()
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	bins := make([]string, 2)
-	for i, name := range []string{"serve", "coordinator"} {
-		bin := filepath.Join(dir, name)
-		args := []string{"build"}
-		if RaceEnabled {
-			args = append(args, "-race")
-		}
-		args = append(args, "-o", bin, "./cmd/"+name)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = root
-		if out, err := cmd.CombinedOutput(); err != nil {
-			return "", "", fmt.Errorf("build %s: %v\n%s", name, err, out)
-		}
-		bins[i] = bin
+	bin := filepath.Join(dir, "serve")
+	args := []string{"build"}
+	if RaceEnabled {
+		args = append(args, "-race")
 	}
-	return bins[0], bins[1], nil
+	cmd := exec.Command("go", append(args, "-o", bin, "./cmd/serve")...)
+	cmd.Dir = root
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("build serve: %v\n%s", err, out)
+	}
+	return bin, nil
 }
 
 func moduleRoot() (string, error) {
@@ -212,10 +193,10 @@ func (w *lineWriter) flush() {
 }
 
 // StartScatter boots the topology: Shards serve processes (shard i
-// started with -shard-id i -shard-count N) plus the coordinator
-// pointed at all of them, then waits until the coordinator reports
-// full readiness — every slice built and every shard probed up. Call
-// Close to tear everything down.
+// started with -shard-id i -shard-count N) plus one more started with
+// -shards pointing at all of them, then waits until that coordinator
+// reports full readiness — every slice built and every shard probed
+// up. Call Close to tear everything down.
 func StartScatter(cfg ScatterConfig) (*ScatterCluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("scatter: Shards must be positive")
@@ -255,12 +236,12 @@ func StartScatter(cfg ScatterConfig) (*ScatterCluster, error) {
 	}
 	cl.coord = &managedProc{
 		name: "coordinator",
-		bin:  cfg.CoordBin,
+		bin:  cfg.ServeBin,
 		addr: addrs[cfg.Shards],
 		args: []string{
 			"-addr", addrs[cfg.Shards],
 			"-shards", strings.Join(bases, ","),
-			"-health-interval", cfg.healthInterval().String(),
+			"-health-interval", healthInterval.String(),
 		},
 	}
 	for _, p := range append(append([]*managedProc{}, cl.shards...), cl.coord) {
@@ -270,7 +251,7 @@ func StartScatter(cfg ScatterConfig) (*ScatterCluster, error) {
 		}
 	}
 	cfg.logf("cluster: %d shards + coordinator at %s", cfg.Shards, cl.CoordinatorURL())
-	if err := cl.WaitCoordinator("ready", cfg.startTimeout()); err != nil {
+	if err := cl.WaitCoordinator("ready", startTimeout); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -320,7 +301,7 @@ func (c *ScatterCluster) RestartShard(i int) error {
 	if err := c.shards[i].start(c.cfg.logf); err != nil {
 		return err
 	}
-	return c.waitHTTP(c.ShardURL(i)+"/readyz", c.cfg.startTimeout(), func(status int, _ []byte) bool {
+	return c.waitHTTP(c.ShardURL(i)+"/readyz", startTimeout, func(status int, _ []byte) bool {
 		return status == http.StatusOK
 	})
 }

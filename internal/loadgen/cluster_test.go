@@ -9,7 +9,8 @@ import (
 )
 
 // TestScatterClusterChaos runs the real-process chaos scenario:
-// build the serve and coordinator binaries, boot a 2-shard topology,
+// build the one serve binary, boot a 2-shard topology behind a
+// `serve -shards` coordinator,
 // SIGKILL one shard mid-life, verify queries degrade to partial
 // results instead of failing, restart the shard, and verify full
 // recovery. Under -race the children are race-instrumented too.
@@ -17,13 +18,12 @@ func TestScatterClusterChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and corpus slices")
 	}
-	serveBin, coordBin, err := BuildScatterBinaries(t.TempDir())
+	serveBin, err := BuildServe(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl, err := StartScatter(ScatterConfig{
 		ServeBin:   serveBin,
-		CoordBin:   coordBin,
 		Shards:     2,
 		CorpusSeed: 1,
 		Scale:      0.05,

@@ -3,6 +3,6 @@
 package loadgen
 
 // RaceEnabled reports whether this binary was built with -race.
-// BuildScatterBinaries propagates it to the child processes so a
+// BuildServe propagates it to the child processes so a
 // race-enabled harness run race-checks the whole topology.
 const RaceEnabled = true

@@ -67,15 +67,15 @@ type WorkloadConfig struct {
 	// plus synthetic needs composed from the knowledge base's own
 	// vocabulary and entities, up to this many.
 	HotNeeds int
-	// ZipfS is the Zipf skew exponent over the hot pool (default 1.2;
-	// must exceed 1). Higher values concentrate more traffic on the
-	// hottest needs.
-	ZipfS float64
 	// ColdFraction is the probability that a request asks a
 	// never-seen-before need made of tokens outside every vocabulary —
 	// the zero-match cold tail (default 0.05).
 	ColdFraction float64
 }
+
+// zipfS is the Zipf skew exponent over the hot pool: higher values
+// concentrate more traffic on the hottest needs.
+const zipfS = 1.2
 
 func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	if c.Seed == 0 {
@@ -83,9 +83,6 @@ func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	}
 	if c.HotNeeds <= 0 {
 		c.HotNeeds = 64
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
 	}
 	if c.ColdFraction == 0 {
 		c.ColdFraction = 0.05
@@ -199,7 +196,7 @@ func (w *Workload) Need(seq uint64) string {
 	if rng.Float64() < w.cfg.ColdFraction || len(w.pool) == 0 {
 		return coldNeed(rng)
 	}
-	z := rand.NewZipf(rng, w.cfg.ZipfS, 1, uint64(len(w.pool)-1))
+	z := rand.NewZipf(rng, zipfS, 1, uint64(len(w.pool)-1))
 	return w.pool[z.Uint64()]
 }
 

@@ -126,7 +126,7 @@ func TestWorkloadUniformWhenNoWeights(t *testing.T) {
 
 func TestWorkloadDefaults(t *testing.T) {
 	cfg := WorkloadConfig{}.withDefaults()
-	if cfg.Seed != 1 || cfg.HotNeeds != 64 || cfg.ZipfS != 1.2 || cfg.ColdFraction != 0.05 {
+	if cfg.Seed != 1 || cfg.HotNeeds != 64 || cfg.ColdFraction != 0.05 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	neg := WorkloadConfig{ColdFraction: -1}.withDefaults()

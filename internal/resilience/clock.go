@@ -1,9 +1,9 @@
 // Package resilience provides the generic fault-handling primitives
 // the system uses wherever it talks to an unreliable party: retry
-// with exponential backoff and jitter, token-bucket rate limiting,
-// and a circuit breaker. The crawler composes all three around the
-// simulated platform APIs of internal/faults; the HTTP serving path
-// reuses the same load-shedding ideas in internal/httpapi.
+// with exponential backoff and jitter, and a circuit breaker. The
+// crawler composes both around the simulated platform APIs of
+// internal/faults, the scatter-gather coordinator around its shard
+// calls.
 //
 // Every primitive takes its notion of time from a Clock, so that
 // simulations advance time virtually (a crawl that backs off for

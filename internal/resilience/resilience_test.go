@@ -99,42 +99,6 @@ func TestRetryJitterDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestTokenBucketPacing(t *testing.T) {
-	clock := NewClock()
-	b := NewTokenBucket(10, 2, clock) // 10 calls/s, burst 2
-	if w := b.Reserve(); w != 0 {
-		t.Fatalf("first call waited %v", w)
-	}
-	if w := b.Reserve(); w != 0 {
-		t.Fatalf("burst call waited %v", w)
-	}
-	w := b.Reserve()
-	if w != 100*time.Millisecond {
-		t.Fatalf("third call waited %v, want 100ms", w)
-	}
-	clock.Sleep(w)
-	// After paying the debt and one period passing, a call is free again.
-	clock.Sleep(100 * time.Millisecond)
-	if w := b.Reserve(); w != 0 {
-		t.Errorf("post-refill call waited %v", w)
-	}
-}
-
-func TestTokenBucketAllow(t *testing.T) {
-	clock := NewClock()
-	b := NewTokenBucket(1, 1, clock)
-	if !b.Allow() {
-		t.Fatal("first Allow refused")
-	}
-	if b.Allow() {
-		t.Fatal("second Allow admitted with an empty bucket")
-	}
-	clock.Sleep(time.Second)
-	if !b.Allow() {
-		t.Error("Allow refused after refill")
-	}
-}
-
 func TestBreakerTripAndRecover(t *testing.T) {
 	clock := NewClock()
 	b := NewBreaker(BreakerPolicy{Threshold: 3, Cooldown: time.Second}, clock)

@@ -17,6 +17,10 @@ import (
 	"expertfind/internal/telemetry"
 )
 
+// hedgeQuantile is the quantile of a shard's recent latencies that
+// arms the hedge timer.
+const hedgeQuantile = 0.95
+
 // HedgePolicy configures hedged second requests: when a shard call
 // outlives the shard's recent latency quantile, an identical backup
 // request is launched and the first reply wins. Hedging bounds tail
@@ -25,9 +29,6 @@ import (
 type HedgePolicy struct {
 	// Disable turns hedging off.
 	Disable bool
-	// Quantile of the shard's recent latencies that arms the hedge
-	// timer. 0 selects 0.95.
-	Quantile float64
 	// MinDelay and MaxDelay clamp the computed trigger, so a very fast
 	// shard cannot arm hedges in the noise floor and a very slow one
 	// cannot push the trigger past the call deadline. 0 selects 2ms and
@@ -43,9 +44,6 @@ type HedgePolicy struct {
 }
 
 func (p HedgePolicy) withDefaults() HedgePolicy {
-	if p.Quantile <= 0 || p.Quantile >= 1 {
-		p.Quantile = 0.95
-	}
 	if p.MinDelay <= 0 {
 		p.MinDelay = 2 * time.Millisecond
 	}
@@ -129,12 +127,12 @@ type shardClient struct {
 	lat     *latencyWindow
 }
 
-func newShardClient(id int, base string, opts Options) *shardClient {
+func newShardClient(id int, base string, hc *http.Client, opts Options) *shardClient {
 	c := &shardClient{
 		id:      id,
 		label:   strconv.Itoa(id),
 		base:    base,
-		http:    opts.httpClient(),
+		http:    hc,
 		timeout: opts.shardTimeout(),
 		breaker: resilience.NewBreaker(opts.breakerPolicy(), nil),
 		hedge:   opts.Hedge.withDefaults(),
@@ -276,7 +274,7 @@ func (c *shardClient) hedgeDelay() (time.Duration, bool) {
 	if c.hedge.Disable {
 		return 0, false
 	}
-	d, ok := c.lat.quantile(c.hedge.Quantile, c.hedge.MinSamples)
+	d, ok := c.lat.quantile(hedgeQuantile, c.hedge.MinSamples)
 	if !ok {
 		return c.hedge.InitialDelay, true
 	}

@@ -35,7 +35,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newShardClient(0, srv.URL, fastOpts(srv.URL))
+	c := newShardClient(0, srv.URL, http.DefaultClient, fastOpts(srv.URL))
 	st, err := c.stats(context.Background(), "go")
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := newShardClient(0, srv.URL, fastOpts(srv.URL))
+	c := newShardClient(0, srv.URL, http.DefaultClient, fastOpts(srv.URL))
 	if _, err := c.stats(context.Background(), "go"); err == nil {
 		t.Fatal("400 reported as success")
 	}
@@ -76,7 +76,7 @@ func TestClientBreakerFailsFast(t *testing.T) {
 	opts := fastOpts(srv.URL)
 	opts.Retry = resilience.RetryPolicy{MaxAttempts: 1}
 	opts.Breaker = resilience.BreakerPolicy{Threshold: 2, Cooldown: time.Minute}
-	c := newShardClient(0, srv.URL, opts)
+	c := newShardClient(0, srv.URL, http.DefaultClient, opts)
 
 	for i := 0; i < 2; i++ { // trip the breaker (threshold 2)
 		if _, err := c.stats(context.Background(), "go"); err == nil {
@@ -107,7 +107,7 @@ func TestClientHedgesSlowPrimary(t *testing.T) {
 
 	opts := fastOpts(srv.URL)
 	opts.Hedge = HedgePolicy{InitialDelay: 10 * time.Millisecond}
-	c := newShardClient(0, srv.URL, opts)
+	c := newShardClient(0, srv.URL, http.DefaultClient, opts)
 
 	fired0, won0 := mHedgesFired.With("0").Value(), mHedgesWon.With("0").Value()
 	t0 := time.Now()
@@ -156,7 +156,7 @@ func TestLatencyWindowQuantile(t *testing.T) {
 func TestHedgeDelayClamps(t *testing.T) {
 	opts := fastOpts("http://unused")
 	opts.Hedge = HedgePolicy{MinDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond, MinSamples: 2, InitialDelay: 5 * time.Millisecond}
-	c := newShardClient(0, "http://unused", opts)
+	c := newShardClient(0, "http://unused", http.DefaultClient, opts)
 
 	if d, ok := c.hedgeDelay(); !ok || d != 5*time.Millisecond {
 		t.Errorf("cold hedge delay = %v, %v; want InitialDelay", d, ok)

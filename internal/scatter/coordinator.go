@@ -44,9 +44,6 @@ type Options struct {
 	Breaker resilience.BreakerPolicy
 	// Hedge configures hedged second requests; see HedgePolicy.
 	Hedge HedgePolicy
-	// HTTPClient overrides the transport (tests inject
-	// httptest-backed clients). Nil selects a dedicated client.
-	HTTPClient *http.Client
 	// HealthInterval paces the background health loop of Run. 0
 	// selects 1s.
 	HealthInterval time.Duration
@@ -82,12 +79,12 @@ func (o Options) breakerPolicy() resilience.BreakerPolicy {
 	return resilience.BreakerPolicy{Threshold: 3, Cooldown: time.Second}
 }
 
-func (o Options) httpClient() *http.Client {
-	if o.HTTPClient != nil {
-		return o.HTTPClient
-	}
-	return &http.Client{}
-}
+// maxIdleConnsPerShard sizes the connection pool kept to each shard for
+// the fan-out one process admits: 64 concurrent queries (serve's
+// -max-concurrent default), each with at most a phase's primary call
+// and its hedge in flight per shard. http.DefaultTransport keeps 2, so
+// every burst past that dialled anew and closed on return.
+const maxIdleConnsPerShard = 128
 
 func (o Options) healthInterval() time.Duration {
 	if o.HealthInterval > 0 {
@@ -124,8 +121,9 @@ type topology struct {
 // It holds no corpus: candidate names and the pool fingerprint are
 // bootstrapped from shard metadata. Safe for concurrent use.
 type Coordinator struct {
-	opts    Options
-	clients []*shardClient
+	opts      Options
+	transport *http.Transport
+	clients   []*shardClient
 
 	mu   sync.Mutex
 	topo *topology
@@ -139,9 +137,13 @@ func New(opts Options) (*Coordinator, error) {
 	if len(opts.Shards) == 0 {
 		return nil, errors.New("scatter: no shard URLs configured")
 	}
-	c := &Coordinator{opts: opts, unready: make(map[int]bool)}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = maxIdleConnsPerShard
+	tr.MaxIdleConns = maxIdleConnsPerShard * len(opts.Shards)
+	c := &Coordinator{opts: opts, transport: tr, unready: make(map[int]bool)}
+	hc := &http.Client{Transport: tr}
 	for i, base := range opts.Shards {
-		c.clients = append(c.clients, newShardClient(i, base, opts))
+		c.clients = append(c.clients, newShardClient(i, base, hc, opts))
 	}
 	return c, nil
 }
@@ -440,8 +442,10 @@ func (c *Coordinator) Probe(ctx context.Context) (up, total int) {
 
 // Run drives the background health loop until ctx is cancelled:
 // bootstrap retries while the topology is unknown, then periodic
-// readiness probes keeping Health and the shards-down gauge fresh.
+// readiness probes keeping Health and the shards-down gauge fresh. On
+// return it closes the idle connections kept to the shards.
 func (c *Coordinator) Run(ctx context.Context) {
+	defer c.transport.CloseIdleConnections()
 	tick := time.NewTicker(c.opts.healthInterval())
 	defer tick.Stop()
 	for {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,6 +33,8 @@ type fakeShard struct {
 	failStats atomic.Bool
 	failFind  atomic.Bool
 	failReady atomic.Bool
+
+	newConns atomic.Int64 // connections accepted (ConnState == StateNew)
 
 	srv *httptest.Server
 }
@@ -84,7 +88,13 @@ func (f *fakeShard) start(t *testing.T) {
 		}
 		w.Write([]byte(`{"status":"ready"}`))
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewUnstartedServer(mux)
+	f.srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			f.newConns.Add(1)
+		}
+	}
+	f.srv.Start()
 	t.Cleanup(f.srv.Close)
 }
 
@@ -386,4 +396,43 @@ func TestProbeClosesBreaker(t *testing.T) {
 	if res.Degraded {
 		t.Fatal("find still degraded after a successful readiness probe")
 	}
+}
+
+// TestFindReusesShardConnections pins the coordinator's owned
+// transport: at the fan-out one process admits, calls to a shard reuse
+// pooled connections instead of dialling anew. (http.DefaultTransport
+// keeps 2 idle connections per host, so at concurrency 32 most calls
+// opened a connection and closed it on return.)
+func TestFindReusesShardConnections(t *testing.T) {
+	shards, co := newFakeTopology(t, 2, nil)
+	ctx, stop := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() { co.Run(ctx); close(ran) }()
+
+	const workers, perWorker = 32, 12
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := co.Find(ctx, "go", nil, core.Params{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A pool needs one connection per in-flight call; a loaded machine
+	// adds the dials a call started and then did not wait for (51 seen),
+	// the probe loop and bootstrap a few more. With 2 idle connections
+	// per host the same run dials 440-610 times.
+	for _, sh := range shards {
+		if n := sh.newConns.Load(); n > 4*workers {
+			t.Errorf("shard %d accepted %d connections for %d finds at concurrency %d", sh.id, n, workers*perWorker, workers)
+		}
+	}
+	stop()
+	<-ran
 }

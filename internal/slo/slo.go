@@ -87,9 +87,6 @@ type Config struct {
 	// CaptureInterval rate-limits captures: at most one per interval,
 	// however long the breach lasts. 0 selects 10m.
 	CaptureInterval time.Duration
-	// CPUProfileDuration is how long the breach CPU profile runs.
-	// 0 selects 250ms.
-	CPUProfileDuration time.Duration
 	// Logger records breaches and capture outcomes; nil silences them.
 	Logger *slog.Logger
 
@@ -99,6 +96,9 @@ type Config struct {
 	// pprof heap+CPU capture into ProfileDir.
 	Capture func(kind string, burn float64) error
 }
+
+// cpuProfileDuration is how long the breach CPU profile runs.
+const cpuProfileDuration = 250 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Availability <= 0 || c.Availability >= 1 {
@@ -127,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CaptureInterval <= 0 {
 		c.CaptureInterval = 10 * time.Minute
-	}
-	if c.CPUProfileDuration <= 0 {
-		c.CPUProfileDuration = 250 * time.Millisecond
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -343,7 +340,7 @@ func captureProfiles(cfg Config, kind string) error {
 		os.Remove(prefix + ".cpu.pprof")
 		return herr
 	}
-	time.Sleep(cfg.CPUProfileDuration)
+	time.Sleep(cpuProfileDuration)
 	pprof.StopCPUProfile()
 	if cerr := cf.Close(); herr == nil {
 		herr = cerr
