@@ -70,7 +70,7 @@ cover-check:
 # bench-smoke compiles and runs the cheap benchmarks once, catching
 # bit-rot in the instrumented hot paths without a full bench run.
 bench-smoke:
-	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/ ./internal/analysis/
+	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/ ./internal/analysis/ ./internal/core/
 
 # bench-ledger-smoke runs the performance ledger's own tests. bench/
 # is a nested module, so `go test ./...` from the root never compiles

@@ -120,7 +120,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request")
 	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to shards")
 	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval")
-	fs.IntVar(&o.api.DefaultTopK, "topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = exhaustive)")
+	fs.IntVar(&o.api.DefaultTopK, "topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = bounded by the window only)")
 	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
 	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
 	fs.DurationVar(&o.api.RetryAfter, "retry-after", time.Second, "Retry-After hint on 503 responses")

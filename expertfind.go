@@ -251,7 +251,10 @@ func WithAlpha(alpha float64) FindOption {
 }
 
 // WithWindow sets the number of top-matching resources considered for
-// ranking (default 100); n <= 0 disables truncation.
+// ranking (default 100); n <= 0 disables truncation. The window also
+// bounds the matching itself: the index is asked for the window's n
+// best resources and prunes the rest on proof, where a disabled window
+// scores every reachable match.
 func WithWindow(n int) FindOption {
 	return func(c *findConfig) {
 		if n <= 0 {
@@ -266,7 +269,8 @@ func WithWindow(n int) FindOption {
 // The k resources kept are byte-identical to the first k of the
 // exhaustive ranking, so results match the unbounded query whenever k
 // covers the effective window (see WithWindow). k <= 0 (the default)
-// disables the bound.
+// sets no bound of its own: matching is then bounded by the window,
+// and exhaustive only when the window is disabled.
 func WithTopK(k int) FindOption {
 	return func(c *findConfig) {
 		if k < 0 {

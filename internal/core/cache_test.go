@@ -52,6 +52,7 @@ func TestParamsFingerprint(t *testing.T) {
 		"window":      {WindowSize: 5},
 		"window-all":  {WindowSize: -1},
 		"window-frac": {WindowFrac: 0.5},
+		"topk":        {TopK: 7},
 		"weights":     {DistanceWeights: [3]float64{1, 0.5, 0.25}},
 		"distance":    {Traversal: socialgraph.TraversalOptions{MaxDistance: 2}},
 		"friends":     {Traversal: socialgraph.TraversalOptions{IncludeFriends: true}},

@@ -94,7 +94,9 @@ type Params struct {
 	// termination). The k matches kept are byte-identical to the first
 	// k of the exhaustive reachable ranking, so the expert ranking
 	// equals the unbounded one whenever k covers the effective window.
-	// Zero or negative disables the bound.
+	// Zero or negative sets no bound of its own: a find is then bounded
+	// by its window (MatchBound), and exhaustive only when the window
+	// is relative (WindowFrac) or disabled.
 	TopK int
 }
 
@@ -130,12 +132,30 @@ func (p Params) window(matches int) int {
 	}
 }
 
+// MatchBound is the number of best-ranked matches a find reads, the k
+// it hands the index: TopK narrowed by the window when the window is
+// absolute, plain TopK when it is a fraction of the match count or
+// disabled; 0 means every match. Eq. (3) sums over the window only, so
+// matching past it cannot change a ranking. Exported for the scatter
+// coordinator, which cuts its merge of the shards' lists at the same k.
+func (p Params) MatchBound() int {
+	k := max(p.TopK, 0)
+	if p.WindowFrac > 0 || p.WindowSize < 0 {
+		return k
+	}
+	if w := p.window(0); k == 0 || w < k {
+		return w
+	}
+	return k
+}
+
 // Fingerprint canonically encodes every Params field that can change
 // the ranking, for use in result-cache keys. Parameter sets with the
 // same semantics share a fingerprint: implicit defaults resolve to
 // their effective values (a zero Alpha to DefaultAlpha, zero weights
-// to DefaultDistanceWeights, a zero WindowSize to DefaultWindowSize),
-// and traversal networks are order-insensitive.
+// to DefaultDistanceWeights, a zero WindowSize to DefaultWindowSize,
+// TopK to the MatchBound it resolves to beside the window), and
+// traversal networks are order-insensitive.
 func (p Params) Fingerprint() string {
 	w := p.weights()
 	var win string
@@ -150,8 +170,8 @@ func (p Params) Fingerprint() string {
 		win = strconv.Itoa(p.WindowSize)
 	}
 	k := "all"
-	if p.TopK > 0 {
-		k = strconv.Itoa(p.TopK)
+	if b := p.MatchBound(); b > 0 {
+		k = strconv.Itoa(b)
 	}
 	return fmt.Sprintf("a%s|w%s|dw%g,%g,%g|k%s|%s",
 		strconv.FormatFloat(p.alpha(), 'g', -1, 64), win,
@@ -216,6 +236,34 @@ type ResultCache interface {
 	GetOrCompute(key CacheKey, compute func() []ExpertScore) ([]ExpertScore, CacheStatus)
 }
 
+// reach is one cached traversal: the resource→candidates map Eq. (3)
+// reads, and its key set as the filter the index scores under.
+type reach struct {
+	rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance
+	// accept reports whether a document is a key of rcm by testing one
+	// bit: resource ids are dense, and the scorer asks once per posting
+	// it might admit. Built once per traversal, so a find allocates no
+	// closure of its own.
+	accept func(index.DocID) bool
+}
+
+func newReach(rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) *reach {
+	top := socialgraph.ResourceID(-1)
+	for r := range rcm {
+		top = max(top, r)
+	}
+	bits := make([]uint64, (int(top)+64)/64)
+	for r := range rcm {
+		bits[r>>6] |= 1 << (r & 63)
+	}
+	return &reach{rcm: rcm, accept: func(d index.DocID) bool {
+		// A negative id wraps past every word and is refused with the
+		// ids above the last reachable one.
+		w := uint32(d) >> 6
+		return int(w) < len(bits) && bits[w]&(1<<(uint32(d)&63)) != 0
+	}}
+}
+
 // Finder answers expertise needs over a social graph and a resource
 // index. It caches the expensive resource→candidate reachability maps
 // per traversal configuration; the cache is safe for concurrent use.
@@ -230,7 +278,7 @@ type Finder struct {
 	cache   ResultCache
 
 	mu       sync.Mutex
-	rcmCache map[string]map[socialgraph.ResourceID][]socialgraph.CandidateDistance
+	rcmCache map[string]*reach
 }
 
 // NewFinder assembles a Finder over any index.Searcher (monolithic,
@@ -246,7 +294,7 @@ func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline,
 		pipe:       pipe,
 		candidates: candidates,
 		groupFP:    groupFingerprint(candidates),
-		rcmCache:   make(map[string]map[socialgraph.ResourceID][]socialgraph.CandidateDistance),
+		rcmCache:   make(map[string]*reach),
 	}
 }
 
@@ -297,17 +345,14 @@ func (f *Finder) Graph() *socialgraph.Graph { return f.graph }
 func (f *Finder) Index() index.Searcher { return f.index }
 
 // scoreMatches produces the relevant-resource list: Eq. (1) matches
-// restricted to the reachable set, bounded to the TopK best when set.
-// Reachability always rides into the index as the accept predicate, so
-// unreachable documents are never accumulated and a pruned evaluation
-// bounds exactly the list the pipeline consumes. A nil st plans against
-// the index's own statistics; a shard process passes the global view.
-func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, st index.CollectionStats, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	accept := func(d index.DocID) bool {
-		_, ok := rcm[d]
-		return ok
-	}
-	return f.index.ScoreStatsTopK(need, p.alpha(), st, p.TopK, accept)
+// restricted to the reachable set, bounded to the k best when k is
+// positive. Reachability always rides into the index as the accept
+// predicate, so unreachable documents are never accumulated and a
+// pruned evaluation bounds exactly the list the pipeline consumes. A
+// nil st plans against the index's own statistics; a shard process
+// passes the global view.
+func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, k int, st index.CollectionStats, r *reach) []index.ScoredDoc {
+	return f.index.ScoreStatsTopK(need, p.alpha(), st, k, r.accept)
 }
 
 // Pipeline returns the analysis pipeline.
@@ -377,21 +422,23 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 	tr := telemetry.TraceFrom(ctx)
 
 	sp, t0 := tr.StartSpan("traverse"), time.Now()
-	rcm := f.reachability(p.Traversal)
+	r := f.reachability(p.Traversal)
 	mStageSeconds.With("traverse").ObserveSince(t0)
-	sp.SetAttr("reachable_resources", strconv.Itoa(len(rcm)))
+	sp.SetAttrInt("reachable_resources", len(r.rcm))
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	matches := f.scoreMatches(need, p, nil, rcm)
+	bound := p.MatchBound()
+	matches := f.scoreMatches(need, p, bound, nil, r)
 	mStageSeconds.With("index_match").ObserveSince(t0)
-	sp.SetAttr("matches", strconv.Itoa(len(matches)))
+	sp.SetAttrInt("matches", len(matches))
+	sp.SetAttrInt("bound", bound)
 	sp.End()
 
 	sp, t0 = tr.StartSpan("aggregate_rank"), time.Now()
-	out := rankMatches(matches, rcm, p)
+	out := rankMatches(matches, r.rcm, p)
 	mStageSeconds.With("aggregate_rank").ObserveSince(t0)
-	sp.SetAttr("experts", strconv.Itoa(len(out)))
+	sp.SetAttrInt("experts", len(out))
 	sp.End()
 	return out
 }
@@ -400,15 +447,16 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 // matches of Eq. (1) restricted to resources reachable from the
 // candidate pool under p.Traversal — ordered by descending relevance,
 // before window truncation (but after the TopK bound, when one is
-// set).
+// set). It is the one entry point the window never bounds: the window
+// sweeps re-rank a single list under many windows.
 func (f *Finder) Matches(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	return f.scoreMatches(need, p, nil, f.reachability(p.Traversal))
+	return f.scoreMatches(need, p, p.TopK, nil, f.reachability(p.Traversal))
 }
 
 // RankFromMatches applies window truncation and the expert scoring
 // function of Eq. (3) to a pre-computed relevant-resource list.
 func (f *Finder) RankFromMatches(matches []index.ScoredDoc, p Params) []ExpertScore {
-	return rankMatches(matches, f.reachability(p.Traversal), p)
+	return rankMatches(matches, f.reachability(p.Traversal).rcm, p)
 }
 
 // rankMatches is the Eq. (3) aggregation over an already-computed
@@ -436,20 +484,25 @@ func rank(nMatches int, match func(i int) (float64, []socialgraph.CandidateDista
 	}
 	w := p.weights()
 
-	scores := make(map[socialgraph.UserID]float64)
-	support := make(map[socialgraph.UserID]int)
+	type tally struct {
+		score float64
+		n     int
+	}
+	experts := make(map[socialgraph.UserID]tally)
 	for i := 0; i < n; i++ {
 		score, cands := match(i)
 		for _, cd := range cands {
-			scores[cd.Candidate] += score * w[cd.Distance]
-			support[cd.Candidate]++
+			t := experts[cd.Candidate]
+			t.score += score * w[cd.Distance]
+			t.n++
+			experts[cd.Candidate] = t
 		}
 	}
 
-	out := make([]ExpertScore, 0, len(scores))
-	for u, s := range scores {
-		if s > 0 {
-			out = append(out, ExpertScore{User: u, Score: s, Resources: support[u]})
+	out := make([]ExpertScore, 0, len(experts))
+	for u, t := range experts {
+		if t.score > 0 {
+			out = append(out, ExpertScore{User: u, Score: t.score, Resources: t.n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -480,17 +533,20 @@ type Evidence struct {
 // (topN <= 0 returns everything). The sum of the contributions equals
 // the expert's Eq. (3) score.
 func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
-	matches := f.Matches(need, p)
+	// One cache entry serves the filter and the attribution: a second
+	// lookup could straddle an InvalidateTraversal and attribute evidence
+	// from a graph the matches were not filtered by.
+	r := f.reachability(p.Traversal)
+	matches := f.scoreMatches(need, p, p.MatchBound(), nil, r)
 	n := p.window(len(matches))
 	if n > len(matches) {
 		n = len(matches)
 	}
-	rcm := f.reachability(p.Traversal)
 	w := p.weights()
 
 	var out []Evidence
 	for _, sd := range matches[:n] {
-		for _, cd := range rcm[sd.Doc] {
+		for _, cd := range r.rcm[sd.Doc] {
 			if cd.Candidate != u {
 				continue
 			}
@@ -514,20 +570,21 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 	return out
 }
 
-// reachability returns the resource→candidates map for a traversal
-// configuration, computing and caching it on first use.
-func (f *Finder) reachability(opts socialgraph.TraversalOptions) map[socialgraph.ResourceID][]socialgraph.CandidateDistance {
+// reachability returns the resource→candidates map and its accept
+// filter for a traversal configuration, computing and caching both on
+// first use.
+func (f *Finder) reachability(opts socialgraph.TraversalOptions) *reach {
 	key := traversalKey(opts)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if rcm, ok := f.rcmCache[key]; ok {
+	if r, ok := f.rcmCache[key]; ok {
 		mCacheHits.Inc()
-		return rcm
+		return r
 	}
 	mCacheMisses.Inc()
-	rcm := f.graph.ResourceCandidateMap(f.candidates, opts)
-	f.rcmCache[key] = rcm
-	return rcm
+	r := newReach(f.graph.ResourceCandidateMap(f.candidates, opts))
+	f.rcmCache[key] = r
+	return r
 }
 
 // InvalidateTraversal drops every cached reachability map. A live

@@ -21,7 +21,6 @@ package core
 
 import (
 	"context"
-	"strconv"
 	"time"
 
 	"expertfind/internal/index"
@@ -29,18 +28,6 @@ import (
 	"expertfind/internal/socialgraph"
 	"expertfind/internal/telemetry"
 )
-
-// EffectiveAlpha resolves the Eq. (1) weighting factor, applying the
-// paper default when Alpha was left unset.
-func (p Params) EffectiveAlpha() float64 { return p.alpha() }
-
-// EffectiveWeights resolves the per-distance wr weights, applying the
-// defaults when unset.
-func (p Params) EffectiveWeights() [3]float64 { return p.weights() }
-
-// WindowFor resolves the window size for a relevant-resource list of
-// the given length (§2.4.1), applying defaults and WindowFrac.
-func (p Params) WindowFor(matches int) int { return p.window(matches) }
 
 // NeedStats is one shard's local collection statistics restricted to
 // a need's dimensions: what the coordinator sums across shards to
@@ -93,11 +80,11 @@ type ShardMatch struct {
 // from the candidate pool, and annotate each match with its
 // candidate/distance evidence. Matches come back in the global
 // ranking order (descending score, ascending doc), ready for a k-way
-// merge with the other shards' lists. With TopK set the shard prunes to
-// its local top k of the reachable set — a shard's slice of the global
-// top k is always within the shard's local top k, so the coordinator's
-// merge of these prefixes, truncated to k, is byte-identical to the
-// single-process bounded ranking.
+// merge with the other shards' lists. With a positive MatchBound k the
+// shard prunes to (and ships) its local top k of the reachable set — a
+// shard's slice of the global top k is always within the shard's local
+// top k, so the coordinator's merge of these prefixes, truncated to k,
+// is byte-identical to the single-process bounded ranking.
 func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st index.CollectionStats) []ShardMatch {
 	mQueries.Inc()
 	tr := telemetry.TraceFrom(ctx)
@@ -108,19 +95,21 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	sp.End()
 
 	sp, t0 = tr.StartSpan("traverse"), time.Now()
-	rcm := f.reachability(p.Traversal)
+	r := f.reachability(p.Traversal)
 	mStageSeconds.With("traverse").ObserveSince(t0)
-	sp.SetAttr("reachable_resources", strconv.Itoa(len(rcm)))
+	sp.SetAttrInt("reachable_resources", len(r.rcm))
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	scored := f.scoreMatches(a, p, st, rcm)
+	bound := p.MatchBound()
+	scored := f.scoreMatches(a, p, bound, st, r)
 	out := make([]ShardMatch, len(scored))
 	for i, sd := range scored {
-		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: rcm[sd.Doc]}
+		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: r.rcm[sd.Doc]}
 	}
 	mStageSeconds.With("index_match").ObserveSince(t0)
-	sp.SetAttr("matches", strconv.Itoa(len(out)))
+	sp.SetAttrInt("matches", len(out))
+	sp.SetAttrInt("bound", bound)
 	sp.End()
 	return out
 }

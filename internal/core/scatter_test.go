@@ -167,35 +167,6 @@ func TestScatterNeedStatsOmitsAbsentDims(t *testing.T) {
 	}
 }
 
-// TestParamsEffectiveAccessors covers the exported default-resolution
-// views the shard HTTP layer uses to echo resolved parameters.
-func TestParamsEffectiveAccessors(t *testing.T) {
-	var zero Params
-	if got := zero.EffectiveAlpha(); got != DefaultAlpha {
-		t.Errorf("zero EffectiveAlpha = %v, want %v", got, DefaultAlpha)
-	}
-	if got := zero.EffectiveWeights(); got != DefaultDistanceWeights {
-		t.Errorf("zero EffectiveWeights = %v, want %v", got, DefaultDistanceWeights)
-	}
-	if got := zero.WindowFor(500); got != DefaultWindowSize {
-		t.Errorf("zero WindowFor(500) = %d, want %d", got, DefaultWindowSize)
-	}
-
-	p := Params{Alpha: 0, AlphaSet: true, DistanceWeights: [3]float64{1, 0.5, 0.25}, WindowSize: -1}
-	if got := p.EffectiveAlpha(); got != 0 {
-		t.Errorf("AlphaSet EffectiveAlpha = %v, want 0", got)
-	}
-	if got := p.EffectiveWeights(); got != p.DistanceWeights {
-		t.Errorf("EffectiveWeights = %v, want %v", got, p.DistanceWeights)
-	}
-	if got := p.WindowFor(42); got != 42 {
-		t.Errorf("negative-window WindowFor(42) = %d, want 42", got)
-	}
-	if got := (Params{WindowFrac: 0.1}).WindowFor(5); got != 1 {
-		t.Errorf("WindowFrac floor WindowFor(5) = %d, want 1", got)
-	}
-}
-
 // TestRankMergedEdgeCases: empty input, window truncation, and the
 // zero-score filter.
 func TestRankMergedEdgeCases(t *testing.T) {

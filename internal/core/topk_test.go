@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"expertfind/internal/index"
@@ -115,8 +116,9 @@ func TestShardMatchesTopK(t *testing.T) {
 }
 
 // TestFingerprintTopK pins the cache-key behavior of the bound: zero
-// and negative TopK share the exhaustive fingerprint, every positive
-// k gets its own, and k is independent of the window dimension.
+// and negative TopK share a fingerprint, every k below the window gets
+// its own, a k the window covers shares the window's, and the window
+// dimension still keys on its own.
 func TestFingerprintTopK(t *testing.T) {
 	base := Params{}
 	if got, want := base.Fingerprint(), (Params{TopK: -3}).Fingerprint(); got != want {
@@ -129,5 +131,23 @@ func TestFingerprintTopK(t *testing.T) {
 	}
 	if got, want := (Params{TopK: 5, WindowSize: -1}).Fingerprint(), k5; got == want {
 		t.Fatalf("window change did not change fingerprint alongside TopK")
+	}
+
+	// The key says what was computed: a TopK the window covers ranks as
+	// the window alone does, so the two share one cache entry.
+	w100 := Params{WindowSize: 100}.Fingerprint()
+	if got := (Params{TopK: 500, WindowSize: 100}).Fingerprint(); got != w100 {
+		t.Fatalf("topk=500&window=100 keyed %q, window=100 alone %q", got, w100)
+	}
+	if got := (Params{TopK: 500, WindowSize: 50}).Fingerprint(); got == w100 {
+		t.Fatalf("window 50 and window 100 share %q under TopK 500", got)
+	}
+	// Where the window cannot bound the list, TopK is all that does.
+	for _, p := range []Params{{WindowSize: -1}, {WindowFrac: 0.5}} {
+		open, bounded := p, p
+		bounded.TopK = 500
+		if !strings.Contains(open.Fingerprint(), "|kall|") || !strings.Contains(bounded.Fingerprint(), "|k500|") {
+			t.Fatalf("%+v: fingerprints %q and %q, want k fields all and 500", p, open.Fingerprint(), bounded.Fingerprint())
+		}
 	}
 }

@@ -65,7 +65,7 @@ func assertExpertsBitIdentical(t *testing.T, label string, got, want []core.Expe
 }
 
 // matrixParams are the two query shapes every cell is checked under:
-// exhaustive and MaxScore-pruned.
+// bounded by the default window and by a tighter top-k.
 var matrixParams = []core.Params{
 	{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}},
 	{TopK: 10, Traversal: socialgraph.TraversalOptions{MaxDistance: 2}},
@@ -130,8 +130,8 @@ func assertSlicesMergeToWhole(t *testing.T, label string, parts []*System, whole
 				}
 				return int(a.Doc) - int(b.Doc)
 			})
-			if p.TopK > 0 && len(merged) > p.TopK {
-				merged = merged[:p.TopK]
+			if k := p.MatchBound(); k > 0 && len(merged) > k {
+				merged = merged[:k]
 			}
 			if wantM := whole.Finder.ShardMatches(ctx, q.Text, p, nil); !reflect.DeepEqual(merged, wantM) {
 				t.Fatalf("%s: query %d k=%d: merged matches diverge from the whole build:\n got %v\nwant %v",

@@ -27,8 +27,9 @@
 // /v1/find accepts the optional parameters alpha (0..1), distance
 // (0..2), window (int, 0 = no truncation), networks (comma-separated),
 // friends (bool), topk (int, bound resource matching to the k best
-// reachable matches with MaxScore pruning; 0 = exhaustive) and top
-// (int). When the handler manages a result
+// reachable matches with MaxScore pruning; 0 = no bound beyond the
+// window, which bounds matching to its own size unless it is disabled)
+// and top (int). When the handler manages a result
 // cache (Options.Cache), /v1/find responses carry a Cache-Status
 // header — hit, miss or coalesced — reporting how the ranking was
 // obtained; cached rankings are byte-identical to cold ones.
@@ -448,7 +449,7 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 
 // applyDefaultTopK appends the handler's default top-k bound when the
 // request did not choose one itself (including an explicit topk=0 to
-// force exhaustive scoring).
+// leave the window as the only bound).
 func (h *Handler) applyDefaultTopK(r *http.Request, opts []expertfind.FindOption) []expertfind.FindOption {
 	if h.opts.DefaultTopK > 0 && !r.URL.Query().Has("topk") {
 		opts = append(opts, expertfind.WithTopK(h.opts.DefaultTopK))

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,7 @@ type scatterTopo struct {
 	shardSrvs    []*httptest.Server
 	shardTracers []*telemetry.Tracer
 	shardRIDs    []atomic.Value // last X-Request-ID seen on /v1/shard/*
+	findBytes    []atomic.Int64 // size of the last /v1/shard/find reply
 	frontTracer  *telemetry.Tracer
 	front        *httptest.Server
 	indexed      []int
@@ -46,6 +48,7 @@ func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTo
 		shardSrvs:    make([]*httptest.Server, count),
 		shardTracers: make([]*telemetry.Tracer, count),
 		shardRIDs:    make([]atomic.Value, count),
+		findBytes:    make([]atomic.Int64, count),
 		indexed:      make([]int, count),
 	}
 	bases := make([]string, count)
@@ -72,6 +75,12 @@ func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTo
 		topo.shardSrvs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/v1/shard/") {
 				topo.shardRIDs[i].Store(r.Header.Get("X-Request-ID"))
+			}
+			if r.URL.Path == "/v1/shard/find" {
+				sw := &statusWriter{ResponseWriter: w}
+				h.ServeHTTP(sw, r)
+				topo.findBytes[i].Store(int64(sw.bytes))
+				return
 			}
 			h.ServeHTTP(w, r)
 		}))
@@ -265,6 +274,47 @@ func TestScatterServing(t *testing.T) {
 				t.Errorf("shard %d recorded no trace for rid %q", i, rid)
 			} else if !withSpans {
 				t.Errorf("shard %d has no trace with pipeline spans for rid %q", i, rid)
+			}
+		}
+	})
+
+	// A shard ships its top MatchBound matches, not every reachable one:
+	// under a window of 3 each reply carries at most 3 (the coordinator's
+	// shard spans count them) and is a fraction of the unwindowed reply.
+	t.Run("a shard ships no more than the window reads", func(t *testing.T) {
+		shardMatches := func(path string) (matches []int, bytes []int64) {
+			resp, body := rawGET(t, topo.front.URL, path, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
+			}
+			for _, sp := range topo.frontTracer.Recent(1)[0].Spans {
+				if strings.HasSuffix(sp.Name, " find") && strings.HasPrefix(sp.Name, "shard") {
+					n, err := strconv.Atoi(sp.Attrs["matches"])
+					if err != nil {
+						t.Fatalf("span %q: matches attr %q", sp.Name, sp.Attrs["matches"])
+					}
+					matches = append(matches, n)
+				}
+			}
+			for i := range topo.findBytes {
+				bytes = append(bytes, topo.findBytes[i].Load())
+			}
+			return matches, bytes
+		}
+		all, allBytes := shardMatches(need + "&window=0")
+		bounded, boundedBytes := shardMatches(need + "&window=3")
+		if len(all) != 3 || len(bounded) != 3 {
+			t.Fatalf("shard find spans: %v unwindowed, %v windowed; want one per shard", all, bounded)
+		}
+		for i := range all {
+			if all[i] <= 3 {
+				t.Fatalf("shard %d holds %d matches for the need; the fixture cannot show a bound of 3", i, all[i])
+			}
+			if bounded[i] != 3 {
+				t.Errorf("shard %d shipped %d matches under window=3 (it holds %d), want 3", i, bounded[i], all[i])
+			}
+			if boundedBytes[i] <= 0 || boundedBytes[i]*2 > allBytes[i] {
+				t.Errorf("shard %d replied %d bytes under window=3, %d unwindowed; want under half", i, boundedBytes[i], allBytes[i])
 			}
 		}
 	})

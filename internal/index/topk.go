@@ -181,16 +181,23 @@ func (a *topkAcc) visit(from int, doc DocID, c float64, admit bool) int {
 // settle, called after each list, merges the documents the list
 // admitted into the accumulator, refreshes θ from the live partials and
 // drops every accumulator that provably cannot reach it given the
-// remaining bound remNext.
-func (a *topkAcc) settle(remNext float64) {
+// remaining bound remNext. remAfterNext is the remaining bound of the
+// list walked next (0 after the last).
+//
+// The selection is skipped when it could not prune. θ is at most the
+// largest live partial, so while no partial exceeds
+// remAfterNext·boundSlack neither does θ, fresh or stale: no document
+// is dropped here (remNext >= remAfterNext), and the next list and each
+// of its blocks are admitted unrefined, all of those proofs comparing θ
+// against a bound of at least remAfterNext. A stale θ is only lower,
+// and after the last list any positive partial forces the refresh.
+func (a *topkAcc) settle(remNext, remAfterNext float64) {
 	a.mergePending()
-	if a.k <= 0 {
+	if a.k <= 0 || len(a.docs) < a.k || !a.anyAbove(remAfterNext*boundSlack) {
 		return
 	}
-	if len(a.docs) >= a.k {
-		a.theta = a.kthLargest()
-	}
-	if math.IsInf(a.theta, -1) || a.theta <= 0 {
+	a.theta = a.kthLargest()
+	if a.theta <= 0 {
 		return
 	}
 	live := a.docs[:0]
@@ -204,6 +211,16 @@ func (a *topkAcc) settle(remNext float64) {
 		a.closed = true
 	}
 	a.docs = live
+}
+
+// anyAbove reports whether some live partial exceeds v.
+func (a *topkAcc) anyAbove(v float64) bool {
+	for _, e := range a.docs {
+		if e.Score > v {
+			return true
+		}
+	}
+	return false
 }
 
 // mergePending merges the doc-sorted pending run into docs from the
@@ -350,6 +367,15 @@ func (a *topkAcc) bind(src listSource, plan queryPlan) {
 	}
 }
 
+// remAfterNext is the rem of the list walked after list i, 0 after the
+// last: the least bound θ is compared against before list i+1 settles.
+func (a *topkAcc) remAfterNext(i int) float64 {
+	if i+1 < len(a.lists) {
+		return a.lists[i+1].rem
+	}
+	return 0
+}
+
 // scorePlanTopK is the one scorer: it walks src's postings for an
 // already-weighted plan and returns the positive matches under the
 // accept filter, ordered by scoredCmp and truncated to k, plus the
@@ -361,9 +387,9 @@ func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) boo
 	a := newAcc()
 	a.k, a.accept, a.theta = k, accept, math.Inf(-1)
 	a.bind(src, plan)
-	for _, bl := range a.lists {
+	for i, bl := range a.lists {
 		a.walkList(bl.l, bl.w, bl.rem)
-		a.settle(bl.rem)
+		a.settle(bl.rem, a.remAfterNext(i))
 	}
 
 	// Rank in the pooled buffer; only the caller's slice is allocated.

@@ -330,7 +330,7 @@ func TestTopKClosedAdmissionInvariant(t *testing.T) {
 					for i, bl := range a.lists {
 						before := a.pruned
 						a.walkList(bl.l, bl.w, bl.rem)
-						a.settle(bl.rem)
+						a.settle(bl.rem, a.remAfterNext(i))
 						if a.closed != (a.pruned > 0) {
 							t.Fatalf("%s q%d α%g k%d list %d: closed=%v with %d dropped", name, q, alpha, k, i, a.closed, a.pruned)
 						}
@@ -351,6 +351,69 @@ func TestTopKClosedAdmissionInvariant(t *testing.T) {
 	}
 	if dropping == 0 {
 		t.Fatal("no settle dropped anything; the invariant was never exercised")
+	}
+}
+
+// TestTopKThetaRefreshDifferential holds the guarded θ refresh to the
+// unguarded one. It drives two accumulators list by list over the
+// TestTopKDifferential corpora and a multi-block one: one settles as
+// scorePlanTopK does, the other with a next-list bound no partial can
+// fail to exceed, which selects after every list. The live documents
+// with their partials and the work counters must be equal after every
+// list — a skipped selection changed no decision — and the guard must
+// have left θ stale somewhere, or it was never exercised.
+func TestTopKThetaRefreshDifferential(t *testing.T) {
+	corpora := map[string][]Doc{"large": randomDocs(11, 3000, 0)}
+	for _, seed := range []int64{1, 2, 3} {
+		corpora[fmt.Sprintf("seed%d", seed)] = randomDocs(seed, 400, 0)
+	}
+	accepts := []func(DocID) bool{nil, func(d DocID) bool { return d%3 != 0 }}
+	var stale, dropping int
+	for name, docs := range corpora {
+		flat := flatFromDocs(docs)
+		r := rand.New(rand.NewSource(int64(len(docs)) * 101))
+		for q := 0; q < 4; q++ {
+			need := randomNeed(r)
+			for _, alpha := range []float64{0, 0.6, 1} {
+				plan := planQuery(need, alpha, flat)
+				for _, k := range topkKs {
+					for ai, accept := range accepts {
+						label := fmt.Sprintf("%s q%d a%g k%d accept%d", name, q, alpha, k, ai)
+						guarded := &topkAcc{k: k, accept: accept, theta: math.Inf(-1)}
+						always := &topkAcc{k: k, accept: accept, theta: math.Inf(-1)}
+						guarded.bind(flat, plan)
+						always.bind(flat, plan)
+						for i, bl := range guarded.lists {
+							guarded.walkList(bl.l, bl.w, bl.rem)
+							guarded.settle(bl.rem, guarded.remAfterNext(i))
+							always.walkList(bl.l, bl.w, bl.rem)
+							always.settle(bl.rem, -1)
+							if guarded.theta > always.theta {
+								t.Fatalf("%s list %d: guarded θ %g above the fresh one %g", label, i, guarded.theta, always.theta)
+							}
+							if guarded.theta < always.theta {
+								stale++
+							}
+							if guarded.topkCounters != always.topkCounters || guarded.closed != always.closed {
+								t.Fatalf("%s list %d: guarded %+v closed=%v, always %+v closed=%v",
+									label, i, guarded.topkCounters, guarded.closed, always.topkCounters, always.closed)
+							}
+							assertScoredBitIdentical(t, fmt.Sprintf("%s list %d live partials", label, i), always.docs, guarded.docs)
+						}
+						dropping += guarded.pruned
+						if len(guarded.lists) > 0 && guarded.theta != always.theta {
+							t.Fatalf("%s: final θ %g, fresh %g: the last list must refresh", label, guarded.theta, always.theta)
+						}
+						if _, c := scorePlanTopK(flat, plan, k, accept); c != guarded.topkCounters {
+							t.Fatalf("%s: scorePlanTopK counted %+v, the driven accumulator %+v", label, c, guarded.topkCounters)
+						}
+					}
+				}
+			}
+		}
+	}
+	if stale == 0 || dropping == 0 {
+		t.Fatalf("guard left θ stale after %d lists and %d documents were dropped; want both > 0", stale, dropping)
 	}
 }
 

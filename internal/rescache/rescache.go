@@ -139,6 +139,8 @@ type entry struct {
 type call struct {
 	done chan struct{}
 	val  []core.ExpertScore
+	// waiters counts the followers blocked on done, under the shard lock.
+	waiters int
 }
 
 // New returns an empty cache. See Options for the defaults.
@@ -301,6 +303,7 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 		}
 	}
 	if cl, ok := sh.inflight[k]; ok {
+		cl.waiters++
 		sh.mu.Unlock()
 		<-cl.done
 		mCoalesced.Inc()
@@ -318,6 +321,11 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 	defer func() {
 		sh.mu.Lock()
 		delete(sh.inflight, k)
+		// The leader's caller owns the slice it is about to receive and
+		// may write to it; followers read a copy made before it can.
+		if cl.waiters > 0 {
+			cl.val = cloneScores(cl.val)
+		}
 		sh.mu.Unlock()
 		close(cl.done)
 	}()

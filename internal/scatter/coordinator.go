@@ -339,9 +339,10 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 		msp.End()
 		return nil, err
 	}
-	// Under a top-k bound every shard ships its local top k of the
-	// reachable set; the global top k is a prefix of their merge.
-	if k := p.TopK; k > 0 && len(merged) > k {
+	// Under a match bound (the window, or a tighter top-k) every shard
+	// ships its local top k of the reachable set; the global top k is a
+	// prefix of their merge.
+	if k := p.MatchBound(); k > 0 && len(merged) > k {
 		merged = merged[:k]
 	}
 	ranked := core.RankMerged(merged, p)

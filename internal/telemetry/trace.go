@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -59,6 +60,14 @@ func (s *Span) SetAttr(k, v string) {
 		s.attrs = make(map[string]string)
 	}
 	s.attrs[k] = v
+}
+
+// SetAttrInt is SetAttr for a count. An untraced query (nil span) does
+// not pay for the formatting.
+func (s *Span) SetAttrInt(k string, v int) {
+	if s != nil {
+		s.SetAttr(k, strconv.Itoa(v))
+	}
 }
 
 // Trace records the spans of one query or request. Create traces with

@@ -20,6 +20,7 @@ func TestTraceSpans(t *testing.T) {
 	for _, stage := range []string{"analyze", "traverse", "index_match", "aggregate_rank"} {
 		sp := trace.StartSpan(stage)
 		sp.SetAttr("stage", stage)
+		sp.SetAttrInt("matches", 1900)
 		sp.End()
 	}
 	trace.Finish()
@@ -42,6 +43,9 @@ func TestTraceSpans(t *testing.T) {
 	for i, want := range []string{"analyze", "traverse", "index_match", "aggregate_rank"} {
 		if snap.Spans[i].Name != want {
 			t.Errorf("span %d = %q, want %q", i, snap.Spans[i].Name, want)
+		}
+		if got := snap.Spans[i].Attrs["matches"]; got != "1900" {
+			t.Errorf("span %d matches attr = %q, want 1900", i, got)
 		}
 	}
 }
@@ -82,6 +86,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	trace.SetAttr("k", "v")
 	sp := trace.StartSpan("stage")
 	sp.SetAttr("k", "v")
+	sp.SetAttrInt("n", 1900)
 	sp.End()
 	trace.Finish()
 }
