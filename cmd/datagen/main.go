@@ -214,38 +214,20 @@ func idleFlag(fs *flag.FlagSet) error {
 // when segmentDir is set, builds the segment index from the stream.
 func runStream(seed int64, scale float64, chunkDocs int, streamPath, segmentDir string, flushDocs, maxSegments int) error {
 	t0 := time.Now()
-	w, err := corpusio.CreateStream(streamPath)
-	if err != nil {
-		return err
-	}
 	cfg := dataset.StreamConfig{Config: dataset.Config{Seed: seed, Scale: scale}, ChunkDocs: chunkDocs}
 	total := cfg.BulkChunks()
-	chunks := 0
-	ds, err := dataset.GenerateStream(cfg,
-		func(d *dataset.Dataset) error { return w.WriteBase(d) },
-		func(d *dataset.Dataset, c *dataset.StreamChunk) error {
-			if err := w.WriteChunk(c); err != nil {
-				return err
-			}
-			// The texts now live on disk; dropping them bounds memory.
-			d.BlankChunkTexts(c)
-			chunks++
-			if chunks%25 == 0 || chunks == total {
-				fmt.Printf("  chunk %d/%d: %d users, %d resources, %v elapsed\n",
-					chunks, total, d.Graph.NumUsers(), d.Graph.NumResources(),
-					time.Since(t0).Round(time.Second))
-			}
-			return nil
-		})
+	ds, err := corpusio.WriteStreamFile(streamPath, cfg, func(d *dataset.Dataset, chunks int) {
+		if chunks%25 == 0 || chunks == total {
+			fmt.Printf("  chunk %d/%d: %d users, %d resources, %v elapsed\n",
+				chunks, total, d.Graph.NumUsers(), d.Graph.NumResources(),
+				time.Since(t0).Round(time.Second))
+		}
+	})
 	if err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("stream corpus written to %s in %v: %d chunks, %d users, %d resources\n",
-		streamPath, time.Since(t0).Round(time.Millisecond), chunks,
+		streamPath, time.Since(t0).Round(time.Millisecond), total,
 		ds.Graph.NumUsers(), ds.Graph.NumResources())
 	if segmentDir == "" {
 		return nil

@@ -7,11 +7,11 @@
 // is added. Parsing stops at the AST (no type checking), keeping the
 // check fast enough to run on every push.
 //
-// It also keeps the runbooks honest: the top-level documents and the
-// verify skill (refDocs) may name a `make <target>` only when the
-// Makefile's .PHONY line lists it, and a BENCH_<n>.json only when git
-// tracks it — so a retired gate or baseline cannot linger in a
-// procedure someone will follow. And for the two commands with a
+// It also keeps the runbooks honest: the top-level documents, the
+// verify skill and the CI workflow (refDocs) may name a `make <target>`
+// only when the Makefile's .PHONY line lists it, and a BENCH_<n>.json
+// only when git tracks it — so a retired gate or baseline cannot linger
+// in a procedure someone (or CI) will follow. And for the two commands with a
 // flag table in OPERATIONS.md (flagDocs), the table and the flags
 // main.go registers must be the same set, one row each.
 //
@@ -80,7 +80,7 @@ func main() {
 // targets and BENCH files must exist.
 var refDocs = []string{
 	"README.md", "OPERATIONS.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
-	".claude/skills/verify/SKILL.md",
+	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
 }
 
 // checkRepoRefs runs checkRefs over refDocs against the module's own
@@ -235,10 +235,11 @@ var (
 
 // checkRefs returns one line per make target in doc's text that
 // targets lacks and per BENCH_<n>.json that tracked lacks. Only code
-// counts as a make invocation — a backtick span opening with "make "
-// or a line of a fenced block starting with it — so prose may still
-// "make sure"; words after it are targets until the first that is
-// neither a target name nor a VAR=value.
+// counts as a make invocation — a backtick span opening with "make ",
+// a line of a fenced block starting with it, or a workflow step's
+// `run: make …` — so prose may still "make sure"; words after it are
+// targets until the first that is neither a target name nor a
+// VAR=value.
 func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
 	var offenders []string
 	invoked := func(lineNo int, cmd string) {
@@ -260,7 +261,12 @@ func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
 			fenced = !fenced
 			continue
 		}
-		if cmd := strings.TrimSpace(line); fenced && strings.HasPrefix(cmd, "make ") {
+		cmd := strings.TrimSpace(line)
+		step, isStep := strings.CutPrefix(strings.TrimPrefix(cmd, "- "), "run: ")
+		if isStep {
+			cmd = step
+		}
+		if (fenced || isStep) && strings.HasPrefix(cmd, "make ") {
 			invoked(i+1, cmd)
 		}
 		// Odd fields of a split on backticks are the line's code spans.

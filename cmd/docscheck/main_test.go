@@ -154,6 +154,21 @@ func TestCheckRefs(t *testing.T) {
 	if strings.Join(off, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
 	}
+
+	// A workflow names targets in its steps' run lines.
+	workflow := strings.Join([]string{
+		"  ledger:",
+		"    steps:",
+		"      - name: Ledger",
+		"        run: make ledger SEED=11", // 4: live
+		"      - run: make retired-job",    // 5: dangling
+		"      - name: make the build",     // 6: a step name, not a run
+		"        run: go test ./...",
+	}, "\n")
+	off = checkRefs("ci.yml", workflow, targets, tracked)
+	if want := "ci.yml:5: `make retired-job` is not a Makefile target"; strings.Join(off, "\n") != want {
+		t.Fatalf("workflow offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), want)
+	}
 }
 
 func TestCheckFlags(t *testing.T) {

@@ -5,9 +5,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"expertfind/internal/index"
 	"expertfind/internal/loadgen"
 )
 
@@ -16,123 +18,103 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestScenarioSelector(t *testing.T) {
-	for _, args := range [][]string{nil, {"-scenario", "topk"}, {"-scenario", ""}} {
+func TestParseFlags(t *testing.T) {
+	// The scale run's whole surface: ten flags, one usage line each.
+	var usage bytes.Buffer
+	if code := run([]string{"-h"}, &usage); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	if n := strings.Count(usage.String(), "\n  -"); n != 10 {
+		t.Errorf("%d registered flags, want 10:\n%s", n, usage.String())
+	}
+
+	o, err := parseFlags(nil, io.Discard)
+	if err != nil || o.out != "BENCH_10.run.json" || o.scale != 10 {
+		t.Fatalf("defaults: %+v, %v; want -out BENCH_10.run.json at -scale 10", o, err)
+	}
+	// Only an explicit -out reaches the committed record.
+	if o, _ := parseFlags([]string{"-scale", "100", "-out", "BENCH_10.json"}, io.Discard); o.out != "BENCH_10.json" {
+		t.Errorf("explicit -out ignored: %q", o.out)
+	}
+	if _, err := parseFlags([]string{"-scale-requests", "4"}, io.Discard); err != nil {
+		t.Errorf("-scale-requests 4 refused: %v", err)
+	}
+	for _, args := range [][]string{
+		{"-scale-requests", "3"},  // a replay sample of 0 rankings
+		{"-scale-requests", "-1"}, // and below
+		{"-scenario", "scale"},    // the scenario registry is gone
+		{"-index-shards", "2"},    // the scale run never read it
+	} {
 		var stderr bytes.Buffer
 		if code := run(args, &stderr); code != 2 {
 			t.Errorf("args %v: exit %d, want 2", args, code)
 		}
-		msg := strings.TrimSuffix(stderr.String(), "\n")
-		if strings.Contains(msg, "\n") || !strings.Contains(msg, "scatter, ingest, scale") {
-			t.Errorf("args %v: stderr %q, want one line listing the three scenarios", args, msg)
+		if strings.HasPrefix(args[0], "-scale-requests") {
+			if msg := strings.TrimSuffix(stderr.String(), "\n"); strings.Contains(msg, "\n") || !strings.Contains(msg, "-scale-requests") {
+				t.Errorf("args %v: stderr %q, want one line naming the flag", args, msg)
+			}
 		}
-	}
-	for name, wantOut := range map[string]string{
-		"scatter": "BENCH_6.run.json", "ingest": "BENCH_9.run.json", "scale": "BENCH_10.run.json",
-	} {
-		o, err := parseFlags([]string{"-scenario", name}, io.Discard)
-		if err != nil {
-			t.Fatalf("-scenario %s: %v", name, err)
-		}
-		if o.scenario.name != name || o.out != wantOut {
-			t.Errorf("-scenario %s: selected %q writing %q, want %q", name, o.scenario.name, o.out, wantOut)
-		}
-	}
-	// Only an explicit -out reaches a committed record.
-	if o, _ := parseFlags([]string{"-scenario", "scale", "-scale", "100", "-out", "BENCH_10.json"}, io.Discard); o.out != "BENCH_10.json" {
-		t.Errorf("explicit -out ignored: %q", o.out)
 	}
 }
 
 func TestScaleGate(t *testing.T) {
 	const mb = 1 << 20
+	store := func(segments, tombstones int, seals, compactions uint64) index.StoreStatus {
+		return index.StoreStatus{
+			Segments:   make([]index.SegmentStatus, segments),
+			Tombstones: tombstones, Seals: seals, Compactions: compactions,
+		}
+	}
+	cold, merged := store(5, 0, 5, 0), store(1, 0, 5, 1)
 	cases := []struct {
-		name               string
-		scale              float64
-		maxHeapMB          int
-		users              int
-		cold               bool
-		seals, compactions uint64
-		peakHeap           uint64
-		want               int
+		name             string
+		scale            float64
+		maxHeapMB        int
+		users            int
+		built, compacted index.StoreStatus
+		peakHeap         uint64
+		want             int
 	}{
-		{"healthy cold build", 10, 1024, 100_000, true, 5, 1, 512 * mb, 0},
-		{"scale 100 over the user floor", 100, 1024, scaleUserGate, true, 33, 1, 512 * mb, 0},
-		{"scale 100 under the user floor", 100, 1024, scaleUserGate - 1, true, 33, 1, 512 * mb, 1},
-		{"user floor not applied below scale 100", 99, 1024, 10, true, 2, 1, 512 * mb, 0},
-		{"cold build sealed once", 10, 1024, 100_000, true, 1, 1, 512 * mb, 1},
-		{"reopened store never seals", 10, 1024, 100_000, false, 0, 1, 512 * mb, 0},
-		{"no compaction", 10, 1024, 100_000, true, 5, 0, 512 * mb, 1},
-		{"heap at the ceiling", 10, 1024, 100_000, true, 5, 1, 1024 * mb, 0},
-		{"heap over the ceiling", 10, 1024, 100_000, true, 5, 1, 1024*mb + 1, 1},
-		{"ceiling 0 disables", 10, 0, 100_000, true, 5, 1, 1 << 40, 0},
+		{"healthy cold build", 10, 1024, 100_000, cold, merged, 512 * mb, 0},
+		{"scale 100 over the user floor", 100, 1024, scaleUserGate, cold, merged, 512 * mb, 0},
+		{"scale 100 under the user floor", 100, 1024, scaleUserGate - 1, cold, merged, 512 * mb, 1},
+		{"user floor not applied below scale 100", 99, 1024, 10, cold, merged, 512 * mb, 0},
+		{"cold build sealed once", 10, 1024, 100_000, store(1, 0, 1, 0), store(1, 0, 1, 0), 512 * mb, 1},
+		{"reopened store of many segments compacts", 10, 1024, 100_000, store(4, 0, 0, 0), store(1, 0, 0, 1), 512 * mb, 0},
+		{"reopened store in one segment has nothing to merge", 10, 1024, 100_000, store(1, 0, 0, 0), store(1, 0, 0, 0), 512 * mb, 0},
+		{"one segment with tombstones must compact", 10, 1024, 100_000, store(1, 3, 0, 0), store(1, 3, 0, 0), 512 * mb, 1},
+		{"no compaction over many segments", 10, 1024, 100_000, cold, store(5, 0, 5, 0), 512 * mb, 1},
+		{"heap at the ceiling", 10, 1024, 100_000, cold, merged, 1024 * mb, 0},
+		{"heap over the ceiling", 10, 1024, 100_000, cold, merged, 1024*mb + 1, 1},
+		{"ceiling 0 disables", 10, 0, 100_000, cold, merged, 1 << 40, 0},
 	}
 	for _, c := range cases {
 		o := &options{scale: c.scale, scaleMaxHeapMB: c.maxHeapMB}
-		if got := scaleGate(o, c.users, c.cold, c.seals, c.compactions, c.peakHeap); got != c.want {
+		if got := scaleGate(o, c.users, c.built, c.compacted, c.peakHeap); got != c.want {
 			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
-func TestScatterPhaseGate(t *testing.T) {
-	cases := []struct {
-		name     string
-		requests uint64
-		errors   map[string]uint64
-		want     int
-	}{
-		{"clean", 150, nil, 0},
-		{"shed and timeout tolerated", 150, map[string]uint64{"shed": 3, "timeout": 2}, 0},
-		{"4xx", 150, map[string]uint64{"4xx": 1}, 1},
-		{"5xx", 150, map[string]uint64{"5xx": 1}, 1},
-		{"transport", 150, map[string]uint64{"transport": 1}, 1},
-		{"nothing succeeded", 10, map[string]uint64{"shed": 10}, 1},
-		{"nothing ran", 0, nil, 1},
+// TestScaleDirReuse runs the scale run twice on one -scale-dir: the
+// second run reopens the corpus and the one compacted segment the
+// first left behind, and must pass the gate all the same.
+func TestScaleDirReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and builds a scale-1.2 corpus")
 	}
-	for _, c := range cases {
-		p := &loadgen.PhaseResult{Name: c.name, Requests: c.requests, Errors: c.errors}
-		if got := scatterPhaseGate(p); got != c.want {
-			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
-		}
+	dir := t.TempDir()
+	o, err := parseFlags([]string{
+		"-scale", "1.2", "-scale-chunk-docs", "4000", "-segment-flush-docs", "3000",
+		"-scale-dir", filepath.Join(dir, "work"), "-scale-requests", "8",
+		"-out", filepath.Join(dir, "BENCH_10.run.json"),
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestAssemblyMissing(t *testing.T) {
-	type span = struct {
-		Process string `json:"process"`
-		Name    string `json:"name"`
-	}
-	full := []span{
-		{"coordinator", "gather stats"}, {"coordinator", "gather find"}, {"coordinator", "merge"},
-		{"shard0", "find"}, {"shard2", "find"},
-	}
-	without := func(name string) []span {
-		var out []span
-		for _, sp := range full {
-			if sp.Name != name {
-				out = append(out, sp)
-			}
-		}
-		return out
-	}
-	cases := []struct {
-		name string
-		view assembledView
-		want string // substring of the complaint; "" = satisfied
-	}{
-		{"complete", assembledView{ID: "rid", ShardProcesses: 2, Spans: full}, ""},
-		{"wrong id", assembledView{ID: "other", ShardProcesses: 2, Spans: full}, "timeline id"},
-		{"too few shard processes", assembledView{ID: "rid", ShardProcesses: 1, Spans: full}, "shard processes"},
-		{"no gather stats", assembledView{ID: "rid", ShardProcesses: 2, Spans: without("gather stats")}, `"gather stats"`},
-		{"no gather find", assembledView{ID: "rid", ShardProcesses: 2, Spans: without("gather find")}, `"gather find"`},
-		{"no merge", assembledView{ID: "rid", ShardProcesses: 2, Spans: without("merge")}, `"merge"`},
-		{"no shard spans", assembledView{ID: "rid", ShardProcesses: 2, Spans: without("find")}, "no shard-process spans"},
-	}
-	for _, c := range cases {
-		got := assemblyMissing(c.view, "rid", 2)
-		if (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
-			t.Errorf("%s: %q, want %q", c.name, got, c.want)
+	for i := 1; i <= 2; i++ {
+		if code := runScale(o); code != 0 {
+			t.Fatalf("run %d on the same -scale-dir: exit %d, want 0", i, code)
 		}
 	}
 }

@@ -39,9 +39,9 @@ type streamTrailer struct {
 // StreamWriter persists a streamed corpus incrementally — header and
 // base snapshot first, then one record per bulk chunk — so a
 // scale-100 corpus is written without ever materializing more than
-// the base plus one chunk. Use with dataset.GenerateStream: write the
-// base in onBase and each chunk in onChunk, then Close to append the
-// integrity trailer.
+// the base plus one chunk. WriteStreamFile drives it from
+// dataset.GenerateStream: the base in onBase, each chunk in onChunk,
+// then Close to append the integrity trailer.
 type StreamWriter struct {
 	f      *os.File
 	gz     *gzip.Writer
@@ -111,6 +111,39 @@ func (w *StreamWriter) Close() (err error) {
 		err = cerr
 	}
 	return err
+}
+
+// WriteStreamFile generates cfg's corpus straight into a stream file at
+// path: the base snapshot, then each bulk chunk as it is generated,
+// whose texts are dropped from memory once written so peak memory
+// stays bounded by the base plus one chunk whatever the scale.
+// progress, when set, observes the growing dataset after each chunk
+// lands, with the number of chunks written so far. The returned
+// dataset carries the full graph; only its base resources keep texts.
+func WriteStreamFile(path string, cfg dataset.StreamConfig, progress func(d *dataset.Dataset, chunks int)) (*dataset.Dataset, error) {
+	w, err := CreateStream(path)
+	if err != nil {
+		return nil, err
+	}
+	chunks := 0
+	d, err := dataset.GenerateStream(cfg, w.WriteBase, func(d *dataset.Dataset, c *dataset.StreamChunk) error {
+		if err := w.WriteChunk(c); err != nil {
+			return err
+		}
+		d.BlankChunkTexts(c)
+		chunks++
+		if progress != nil {
+			progress(d, chunks)
+		}
+		return nil
+	})
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // StreamLoadOptions customizes stream-corpus loading.

@@ -12,17 +12,8 @@ import (
 
 func writeStreamCorpus(t *testing.T, path string, cfg dataset.StreamConfig) *dataset.Dataset {
 	t.Helper()
-	w, err := CreateStream(path)
+	d, err := WriteStreamFile(path, cfg, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := dataset.GenerateStream(cfg,
-		func(d *dataset.Dataset) error { return w.WriteBase(d) },
-		func(_ *dataset.Dataset, c *dataset.StreamChunk) error { return w.WriteChunk(c) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -32,7 +23,21 @@ func TestStreamCorpusRoundTrip(t *testing.T) {
 	for _, name := range []string{"corpus.stream.json", "corpus.stream.json.gz"} {
 		path := filepath.Join(t.TempDir(), name)
 		cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 4, Scale: 1.3}, ChunkDocs: 8000}
-		gen := writeStreamCorpus(t, path, cfg)
+		written := 0
+		if _, err := WriteStreamFile(path, cfg, func(_ *dataset.Dataset, chunks int) {
+			if chunks != written+1 {
+				t.Errorf("%s: progress reported chunk %d after %d", name, chunks, written)
+			}
+			written = chunks
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// The writer drops chunk texts as it goes; generation is
+		// deterministic, so a second run keeps them for the comparison.
+		gen, err := dataset.GenerateStream(cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		chunks := 0
 		got, err := LoadStreamFile(path, StreamLoadOptions{
@@ -41,8 +46,8 @@ func TestStreamCorpusRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if chunks == 0 {
-			t.Fatalf("%s: no chunks replayed", name)
+		if chunks == 0 || chunks != written || chunks != cfg.BulkChunks() {
+			t.Fatalf("%s: %d chunks replayed, %d written, want %d", name, chunks, written, cfg.BulkChunks())
 		}
 		if got.Graph.NumResources() != gen.Graph.NumResources() || got.Graph.NumUsers() != gen.Graph.NumUsers() {
 			t.Fatalf("%s: %d resources / %d users, want %d / %d", name,

@@ -22,16 +22,7 @@ import (
 func writeStream(t *testing.T, dir string, cfg dataset.StreamConfig) string {
 	t.Helper()
 	path := filepath.Join(dir, fmt.Sprintf("corpus-%v.stream.json.gz", cfg.Scale))
-	w, err := corpusio.CreateStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataset.GenerateStream(cfg,
-		func(d *dataset.Dataset) error { return w.WriteBase(d) },
-		func(_ *dataset.Dataset, c *dataset.StreamChunk) error { return w.WriteChunk(c) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := corpusio.WriteStreamFile(path, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -8,11 +8,11 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"expertfind"
+	"expertfind/internal/analysis"
 	"expertfind/internal/dataset"
 	"expertfind/internal/faults"
 	"expertfind/internal/ingest"
@@ -21,11 +21,12 @@ import (
 )
 
 // TestIngestScopedInvalidationE2E drives the scoped-invalidation
-// contract end to end through the HTTP surface: a live delta touching
-// one query's evidence must turn exactly that query's cached entry
-// into a Cache-Status miss that recomputes byte-identically to a cold
-// rebuild, while untouched queries keep serving hits — asserted on
-// response headers and bodies, not internal counters. The ingest
+// contract end to end through the HTTP surface, over three live
+// deltas: each, touching one query's evidence, must turn that query's
+// cached entry into a Cache-Status miss that recomputes
+// byte-identically to a cold rebuild, never escalate to a full purge,
+// and leave untouched queries serving hits — asserted on response
+// headers and bodies, not internal counters. The ingest
 // status endpoint is checked along the way (404 before an ingester is
 // attached, live counters after a round).
 //
@@ -110,109 +111,125 @@ func TestIngestScopedInvalidationE2E(t *testing.T) {
 		warm[q.Text] = body
 	}
 
-	// A df-preserving delta on the evidence of the first query: its
-	// top matched resources get one of their own words repeated, so
-	// the postings move but no document frequency does — the
-	// invalidation must stay scoped to groups reaching those docs.
-	target := queries[0].Text
+	// Three rounds, each a df-preserving delta on the evidence of a
+	// different query: its top matched resources get one of their own
+	// words that the query asks for repeated, so the postings move but
+	// no document frequency does — the invalidation must reach that
+	// query and stay scoped, after every delta.
 	params, err := expertfind.ResolveParams()
 	if err != nil {
 		t.Fatal(err)
 	}
 	finder := sysLive.CoreFinder()
-	need := finder.Pipeline().AnalyzeNeed(target)
-	touched := 0
-	for _, sd := range finder.Matches(need, params) {
-		if touched == 3 {
-			break
-		}
-		id := socialgraph.ResourceID(sd.Doc)
-		r := remote.Graph.Resource(id)
-		oldA, ok := finder.Pipeline().Analyze(r.Text, r.URLs)
-		if !ok {
-			continue
-		}
-		longest := ""
-		for _, w := range strings.Fields(r.Text) {
-			if len(w) > len(longest) {
-				longest = w
+	bodies := warm // each query's last served body
+	for round := 1; round <= 3; round++ {
+		target := queries[round-1].Text
+		need := finder.Pipeline().AnalyzeNeed(target)
+		touched := 0
+		for _, sd := range finder.Matches(need, params) {
+			if touched == 3 {
+				break
+			}
+			id := socialgraph.ResourceID(sd.Doc)
+			r := remote.Graph.Resource(id)
+			if newText := repeatNeedWord(finder.Pipeline(), need, r.Text, r.URLs); newText != "" {
+				remote.Graph.SetResourceText(id, newText, r.URLs...)
+				touched++
 			}
 		}
-		newText := r.Text + " " + longest
-		newA, ok := finder.Pipeline().Analyze(newText, r.URLs)
-		if !ok || reflect.DeepEqual(oldA.Terms, newA.Terms) {
+		if touched == 0 {
+			t.Fatalf("round %d: no evidence resource of %q eligible for a df-preserving edit", round, target)
+		}
+		rep, err := ing.RunOnce(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FullPurge || rep.Updates != touched {
+			t.Fatalf("round %d: update-only delta of %d edits: %+v, want %d updates and no full purge", round, touched, rep, touched)
+		}
+		if status = get(); status.Rounds != round {
+			t.Fatalf("status after round %d: %+v", round, status)
+		}
+
+		// Post-delta dispositions: the touched query misses and
+		// recomputes; untouched groups keep serving their last bodies
+		// as hits.
+		postDelta := make(map[string]string, len(queries))
+		hits := 0
+		for _, q := range queries {
+			code, st, body := fetch(ts, q.Text)
+			if code != http.StatusOK {
+				t.Fatalf("round %d: post-delta %q: status %d", round, q.Text, code)
+			}
+			postDelta[q.Text] = body
+			switch st {
+			case "hit":
+				hits++
+				if body != bodies[q.Text] {
+					t.Fatalf("round %d: post-delta hit for %q changed body", round, q.Text)
+				}
+			case "miss":
+			default:
+				t.Fatalf("round %d: post-delta %q: disposition %q", round, q.Text, st)
+			}
+			if q.Text == target && st != "miss" {
+				t.Fatalf("round %d: delta touched the evidence of %q but its entry survived (%q)", round, target, st)
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("round %d: delta dropped every cached query: invalidation was not scoped", round)
+		}
+		// The recomputed entry is resident again and byte-stable.
+		if _, st, body := fetch(ts, target); st != "hit" || body != postDelta[target] {
+			t.Fatalf("round %d: re-ask of recomputed %q: disposition %q, body equal=%v", round, target, st, body == postDelta[target])
+		}
+
+		// Cold truth: snapshot the delta-absorbed corpus, rebuild a fresh
+		// uncached system from it, and require every post-delta body —
+		// surviving hit or recomputed miss alike — byte-identical to the
+		// cold server's.
+		snap := filepath.Join(t.TempDir(), "corpus.json.gz")
+		if err := sysLive.SaveCorpus(snap); err != nil {
+			t.Fatal(err)
+		}
+		sysCold, err := expertfind.Open(expertfind.Options{CorpusPath: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tsCold := httptest.NewServer(New(sysCold))
+		for _, q := range queries {
+			code, st, body := fetch(tsCold, q.Text)
+			if code != http.StatusOK || st != "" {
+				t.Fatalf("round %d: cold %q: status %d disposition %q, want 200 and no Cache-Status", round, q.Text, code, st)
+			}
+			if body != postDelta[q.Text] {
+				t.Fatalf("round %d: post-delta body for %q diverged from the cold rebuild", round, q.Text)
+			}
+		}
+		tsCold.Close()
+		bodies = postDelta
+	}
+}
+
+// repeatNeedWord returns text with one more copy of a word it already
+// holds whose stemmed term the need asks for — that term's frequency
+// moves, no term is gained or lost — or "" when no word qualifies.
+func repeatNeedWord(pipe *analysis.Pipeline, need analysis.Analyzed, text string, urls []string) string {
+	oldA, ok := pipe.Analyze(text, urls)
+	if !ok {
+		return ""
+	}
+	for _, w := range strings.Fields(text) {
+		newText := text + " " + w
+		newA, ok := pipe.Analyze(newText, urls)
+		if !ok || len(newA.Terms) != len(oldA.Terms) {
 			continue
 		}
-		remote.Graph.SetResourceText(id, newText, r.URLs...)
-		touched++
-	}
-	if touched == 0 {
-		t.Fatalf("no evidence resource of %q eligible for a df-preserving edit", target)
-	}
-	rep, err := ing.RunOnce(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullPurge {
-		t.Fatalf("update-only delta forced a full purge: %+v", rep)
-	}
-	if status = get(); status.Rounds != 1 || status.Updates != touched {
-		t.Fatalf("status after one round: %+v, want 1 round with %d updates", status, touched)
-	}
-
-	// Post-delta dispositions: the touched query misses and recomputes;
-	// untouched groups keep serving their warm bodies as hits.
-	postDelta := make(map[string]string, len(queries))
-	hits := 0
-	for _, q := range queries {
-		code, st, body := fetch(ts, q.Text)
-		if code != http.StatusOK {
-			t.Fatalf("post-delta %q: status %d", q.Text, code)
-		}
-		postDelta[q.Text] = body
-		switch st {
-		case "hit":
-			hits++
-			if body != warm[q.Text] {
-				t.Fatalf("post-delta hit for %q changed body", q.Text)
+		for t := range need.Terms {
+			if newA.Terms[t] > oldA.Terms[t] {
+				return newText
 			}
-		case "miss":
-		default:
-			t.Fatalf("post-delta %q: disposition %q", q.Text, st)
-		}
-		if q.Text == target && st != "miss" {
-			t.Fatalf("delta touched the evidence of %q but its entry survived (%q)", target, st)
 		}
 	}
-	if hits == 0 {
-		t.Fatal("delta dropped every cached query: invalidation was not scoped")
-	}
-	// The recomputed entry is resident again and byte-stable.
-	if _, st, body := fetch(ts, target); st != "hit" || body != postDelta[target] {
-		t.Fatalf("re-ask of recomputed %q: disposition %q, body equal=%v", target, st, body == postDelta[target])
-	}
-
-	// Cold truth: snapshot the delta-absorbed corpus, rebuild a fresh
-	// uncached system from it, and require every post-delta body —
-	// surviving hit or recomputed miss alike — byte-identical to the
-	// cold server's.
-	snap := filepath.Join(t.TempDir(), "corpus.json.gz")
-	if err := sysLive.SaveCorpus(snap); err != nil {
-		t.Fatal(err)
-	}
-	sysCold, err := expertfind.Open(expertfind.Options{CorpusPath: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsCold := httptest.NewServer(New(sysCold))
-	defer tsCold.Close()
-	for _, q := range queries {
-		code, st, body := fetch(tsCold, q.Text)
-		if code != http.StatusOK || st != "" {
-			t.Fatalf("cold %q: status %d disposition %q, want 200 and no Cache-Status", q.Text, code, st)
-		}
-		if body != postDelta[q.Text] {
-			t.Fatalf("post-delta body for %q diverged from the cold rebuild", q.Text)
-		}
-	}
+	return ""
 }

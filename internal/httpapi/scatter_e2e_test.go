@@ -194,16 +194,7 @@ func TestScatterDifferential(t *testing.T) {
 func writeStreamCorpus(t *testing.T, cfg dataset.Config) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "corpus.stream.json.gz")
-	w, err := corpusio.CreateStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataset.GenerateStream(dataset.StreamConfig{Config: cfg},
-		func(d *dataset.Dataset) error { return w.WriteBase(d) },
-		func(_ *dataset.Dataset, c *dataset.StreamChunk) error { return w.WriteChunk(c) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
+	if _, err := corpusio.WriteStreamFile(path, dataset.StreamConfig{Config: cfg}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path

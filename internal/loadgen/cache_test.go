@@ -2,10 +2,8 @@ package loadgen
 
 import (
 	"testing"
-	"time"
 
 	"expertfind/internal/rescache"
-	"expertfind/internal/resilience"
 )
 
 // TestCachedPhase continues one request stream with a result cache
@@ -13,12 +11,9 @@ import (
 // Zipf-skewed workload must produce a hit-dominated phase.
 func TestCachedPhase(t *testing.T) {
 	sys := testSystem(t)
-	clock := resilience.NewClock()
 	runner := NewRunner(Config{
-		Clock:    clock,
 		Workload: NewWorkload(WorkloadConfig{Seed: 11}, SystemSource(sys)),
 		Target:   NewFinderTarget(sys, 5),
-		Model:    func(uint64, Result) time.Duration { return time.Millisecond },
 	})
 
 	steady := runner.Run(Phase{Name: "steady", Requests: 300, Concurrency: 4})[0]
@@ -26,7 +21,7 @@ func TestCachedPhase(t *testing.T) {
 		t.Fatalf("uncached phase carries cache counts %v", steady.Cache)
 	}
 
-	cache := rescache.New(rescache.Options{Capacity: 512, Clock: clock})
+	cache := rescache.New(rescache.Options{Capacity: 512})
 	sys.SetResultCache(cache.Attach())
 	defer sys.SetResultCache(nil)
 	cached := runner.Run(Phase{Name: "cached-steady", Requests: 300, Concurrency: 1})[0]

@@ -84,7 +84,7 @@ func BuildServe(dir string) (string, error) {
 	}
 	bin := filepath.Join(dir, "serve")
 	args := []string{"build"}
-	if RaceEnabled {
+	if raceEnabled {
 		args = append(args, "-race")
 	}
 	cmd := exec.Command("go", append(args, "-o", bin, "./cmd/serve")...)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"expertfind/internal/resilience"
 	"expertfind/internal/telemetry"
 )
 
@@ -16,13 +15,9 @@ import (
 type Phase struct {
 	// Name labels the phase in the report ("warmup", "steady", ...).
 	Name string
-	// Requests bounds the phase by request count. Count-bounded phases
-	// are fully deterministic in simulation mode: the set of sequence
-	// numbers processed does not depend on goroutine scheduling.
+	// Requests bounds the phase: exactly this many sequence numbers —
+	// a set that does not depend on goroutine scheduling — are served.
 	Requests int
-	// Duration bounds the phase by clock time instead, for real-time
-	// runs (and the virtual-clock soak). Ignored when Requests > 0.
-	Duration time.Duration
 	// Concurrency is the closed-loop worker count (default 1).
 	Concurrency int
 }
@@ -34,29 +29,19 @@ func (p Phase) workers() int {
 	return p.Concurrency
 }
 
-// ServiceModel maps a request to a simulated service time. When set,
-// the runner is in simulation mode: recorded latency comes from the
-// model (a pure function of the request, for reproducibility), not
-// the wall clock, and the virtual clock advances by it.
-type ServiceModel func(seq uint64, res Result) time.Duration
-
 // Config wires a Runner.
 type Config struct {
-	// Clock is the time source. Virtual + Model = deterministic
-	// simulation; RealClock (or nil) + no Model = wall-time measurement.
-	Clock *resilience.Clock
 	// Workload supplies the need for each request sequence number.
 	Workload *Workload
 	// Target serves the requests.
 	Target Target
-	// Model, when non-nil, switches to simulated service times.
-	Model ServiceModel
-	// Buckets are the latency histogram bounds in seconds; nil
-	// selects LogBuckets(100µs, 10s, 10).
-	Buckets []float64
 	// Timeout bounds each request's context; zero means none.
 	Timeout time.Duration
 }
+
+// latencyBuckets are the per-phase latency histogram bounds in
+// seconds: 100µs to 10s, ten per decade.
+var latencyBuckets = telemetry.LogBuckets(100e-6, 10, 10)
 
 // Runner executes phases and aggregates per-phase results. A Runner
 // owns a monotone request-sequence counter: re-running the same
@@ -67,36 +52,28 @@ type Runner struct {
 	nextBase uint64
 }
 
-// NewRunner returns a runner over cfg, applying defaults: nil Clock
-// means real time, nil Buckets the standard log-spaced ladder.
+// NewRunner returns a runner over cfg.
 func NewRunner(cfg Config) *Runner {
-	if cfg.Clock == nil {
-		cfg.Clock = resilience.RealClock()
-	}
-	if cfg.Buckets == nil {
-		cfg.Buckets = telemetry.LogBuckets(100e-6, 10, 10)
-	}
 	return &Runner{cfg: cfg}
 }
 
 // phaseState aggregates one phase's measurements. All sinks are
-// order-independent (atomic sums, histogram bucket counts), so the
-// aggregate is deterministic even though workers race.
+// order-independent (atomic counters, histogram bucket counts), so the
+// aggregate does not depend on how the workers interleave.
 type phaseState struct {
 	hist     *telemetry.Histogram
 	classes  []atomic.Uint64  // indexed parallel to Classes
 	cache    [3]atomic.Uint64 // hit, miss, coalesced
 	executed atomic.Uint64
-	sumLat   atomic.Int64 // nanoseconds
 }
 
 // cacheStatuses indexes phaseState.cache.
 var cacheStatuses = [3]string{"hit", "miss", "coalesced"}
 
-func newPhaseState(buckets []float64) *phaseState {
+func newPhaseState() *phaseState {
 	reg := telemetry.NewRegistry()
 	return &phaseState{
-		hist:    reg.Histogram("latency_seconds", "per-request latency", buckets),
+		hist:    reg.Histogram("latency_seconds", "per-request latency", latencyBuckets),
 		classes: make([]atomic.Uint64, len(Classes)),
 	}
 }
@@ -119,7 +96,6 @@ func (st *phaseState) record(res Result, lat time.Duration) {
 			break
 		}
 	}
-	st.sumLat.Add(int64(lat))
 	st.hist.Observe(lat.Seconds())
 }
 
@@ -132,68 +108,46 @@ func (r *Runner) Run(phases ...Phase) []PhaseResult {
 	return out
 }
 
-// serve issues request seq and returns its outcome.
-func (r *Runner) serve(seq uint64) Result {
+// doOne serves request seq and records its outcome and its latency
+// from the send to completion.
+func (r *Runner) doOne(st *phaseState, seq uint64) {
 	ctx := context.Background()
 	if r.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
 		defer cancel()
 	}
-	return r.cfg.Target.Do(ctx, r.cfg.Workload.Need(seq))
-}
-
-// doOne serves request seq and records it. In simulation mode the
-// latency is the model's and advances the virtual clock; otherwise it
-// is measured from the send to completion.
-func (r *Runner) doOne(st *phaseState, seq uint64) {
-	startAt := r.cfg.Clock.Now()
-	res := r.serve(seq)
-	var lat time.Duration
-	if r.cfg.Model != nil {
-		lat = r.cfg.Model(seq, res)
-		r.cfg.Clock.Sleep(lat)
-	} else {
-		lat = r.cfg.Clock.Now().Sub(startAt)
-		if lat < 0 {
-			lat = 0
-		}
-	}
-	st.record(res, lat)
+	start := time.Now()
+	res := r.cfg.Target.Do(ctx, r.cfg.Workload.Need(seq))
+	st.record(res, time.Since(start))
 }
 
 func (r *Runner) runPhase(p Phase) PhaseResult {
-	st := newPhaseState(r.cfg.Buckets)
+	st := newPhaseState()
 	base := r.nextBase
-	start := r.cfg.Clock.Now()
+	start := time.Now()
 
 	r.closedLoop(p, st, base)
 
 	executed := st.executed.Load()
 	r.nextBase = base + executed
-
-	dur := r.phaseDuration(p, st, start)
-	return r.result(p, st, executed, dur)
+	return r.result(p, st, executed, time.Since(start))
 }
 
 // closedLoop runs Concurrency workers, each issuing its next request
-// the moment the previous one completes. Count-bounded phases claim
-// slots from a phase-local counter so exactly Requests sequence
-// numbers — a deterministic set — are executed.
+// the moment the previous one completes. Workers claim slots from a
+// phase-local counter so exactly Requests sequence numbers — a
+// deterministic set — are executed.
 func (r *Runner) closedLoop(p Phase, st *phaseState, base uint64) {
 	var slot atomic.Int64
-	deadline := r.cfg.Clock.Now().Add(p.Duration)
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if p.Requests <= 0 && !r.cfg.Clock.Now().Before(deadline) {
-					return
-				}
 				s := slot.Add(1) - 1
-				if p.Requests > 0 && s >= int64(p.Requests) {
+				if s >= int64(p.Requests) {
 					return
 				}
 				r.doOne(st, base+uint64(s))
@@ -201,18 +155,6 @@ func (r *Runner) closedLoop(p Phase, st *phaseState, base uint64) {
 		}()
 	}
 	wg.Wait()
-}
-
-// phaseDuration derives the phase's effective wall time. Real-time
-// phases report measured elapsed time. Simulated phases divide the
-// accumulated virtual time by the worker count (virtual sleeps
-// serialize, so raw elapsed overstates duration by exactly that
-// factor).
-func (r *Runner) phaseDuration(p Phase, st *phaseState, start time.Time) time.Duration {
-	if r.cfg.Model == nil {
-		return r.cfg.Clock.Now().Sub(start)
-	}
-	return time.Duration(st.sumLat.Load() / int64(p.workers()))
 }
 
 func (r *Runner) result(p Phase, st *phaseState, executed uint64, dur time.Duration) PhaseResult {

@@ -12,12 +12,11 @@ import (
 	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
 	"expertfind/internal/ingest"
-	"expertfind/internal/resilience"
 	"expertfind/internal/socialgraph"
 )
 
-// TestIngestRollingDeltaSoak drives the in-process finder through 30
-// simulated seconds of closed-loop load while a background ingester
+// TestIngestRollingDeltaSoak drives the in-process finder through 1500
+// closed-loop requests on 8 workers while a background ingester
 // applies rolling update-only deltas to the live graph and sharded
 // index — the serve -ingest-interval scenario. Under -race this is the
 // ingest concurrency soak. Two gates:
@@ -120,20 +119,14 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		return Result{Class: Class5xx, Err: fmt.Errorf("torn ranking for %q: matches no discrete corpus state", need)}
 	})
 
-	clock := resilience.NewClock()
-	r := NewRunner(Config{
-		Clock:    clock,
-		Workload: w,
-		Target:   target,
-		Model:    func(uint64, Result) time.Duration { return 20 * time.Millisecond },
-	})
-	res := r.Run(Phase{Name: "ingest-soak", Duration: 30 * time.Second, Concurrency: 8})[0]
+	r := NewRunner(Config{Workload: w, Target: target})
+	res := r.Run(Phase{Name: "ingest-soak", Requests: 1500, Concurrency: 8})[0]
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
 
-	if res.Requests < 1000 {
-		t.Errorf("soak ran only %d requests", res.Requests)
+	if res.Requests != 1500 {
+		t.Errorf("soak ran %d requests, want 1500", res.Requests)
 	}
 	if n := res.ErrorCount(); n != 0 {
 		t.Errorf("soak taxonomy errors %d/%d: %v (torn or failed rankings)", n, res.Requests, res.Errors)

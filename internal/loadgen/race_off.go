@@ -2,5 +2,5 @@
 
 package loadgen
 
-// RaceEnabled reports whether this binary was built with -race.
-const RaceEnabled = false
+// raceEnabled reports whether this binary was built with -race.
+const raceEnabled = false

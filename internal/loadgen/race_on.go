@@ -2,7 +2,7 @@
 
 package loadgen
 
-// RaceEnabled reports whether this binary was built with -race.
+// raceEnabled reports whether this binary was built with -race.
 // BuildServe propagates it to the child processes so a
 // race-enabled harness run race-checks the whole topology.
-const RaceEnabled = true
+const raceEnabled = true

@@ -2,12 +2,12 @@ package loadgen
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 )
 
-// Schema identifies the BENCH report format; bump on breaking layout
-// changes so a reader fails loudly instead of misreading fields.
+// Schema identifies the BENCH report format; bump it on a breaking
+// layout change (the committed BENCH_10.json is decoded against this
+// layout by the package's tests).
 const Schema = "expertfind/bench/v1"
 
 // Percentiles are latency quantiles in seconds.
@@ -35,8 +35,8 @@ type PhaseResult struct {
 	Cache map[string]uint64 `json:"cache,omitempty"`
 	// Index maps the segment store's structural counters (users, docs,
 	// segments, seals, compactions, disk_bytes, peak_heap_bytes, ...)
-	// to their value at the end of the phase. Only the scale scenario
-	// records it.
+	// to their value at the end of the phase. Only the scale run records
+	// it.
 	Index           map[string]uint64 `json:"index,omitempty"`
 	DurationSeconds float64           `json:"duration_seconds"`
 	QPS             float64           `json:"qps"`
@@ -62,29 +62,18 @@ type CorpusInfo struct {
 
 // DriverReport is one driver's phase results.
 type DriverReport struct {
-	// Driver is "inprocess" (core.Finder) or "http" (/v1/find).
+	// Driver is "inprocess": the scale run queries the facade directly.
 	Driver string        `json:"driver"`
 	Phases []PhaseResult `json:"phases"`
 }
 
-// Phase returns the named phase, or nil.
-func (d *DriverReport) Phase(name string) *PhaseResult {
-	for i := range d.Phases {
-		if d.Phases[i].Name == name {
-			return &d.Phases[i]
-		}
-	}
-	return nil
-}
-
-// Report is the machine-readable payload of a loadtest scenario's
-// BENCH_<n>.run.json (and of the committed BENCH_10.json): one driver's
+// Report is the machine-readable payload of a loadtest scale run's
+// BENCH_10.run.json (and of the committed BENCH_10.json): one driver's
 // phases over one pinned corpus and workload seed.
 type Report struct {
 	Schema string `json:"schema"`
 	Bench  int    `json:"bench"`
-	// GitRev and GeneratedAt are provenance stamps; the harness omits
-	// them with -stamp=false.
+	// GitRev and GeneratedAt are provenance stamps.
 	GitRev      string         `json:"git_rev,omitempty"`
 	GeneratedAt string         `json:"generated_at,omitempty"`
 	Mode        string         `json:"mode"` // "real": wall-clock phases
@@ -93,55 +82,12 @@ type Report struct {
 	Drivers     []DriverReport `json:"drivers"`
 }
 
-// Driver returns the named driver's report, or nil.
-func (r *Report) Driver(name string) *DriverReport {
-	for i := range r.Drivers {
-		if r.Drivers[i].Driver == name {
-			return &r.Drivers[i]
-		}
-	}
-	return nil
-}
-
-// Stripped returns a copy with the provenance stamps cleared — the
-// canonical form for determinism diffs.
-func (r Report) Stripped() Report {
-	r.GitRev = ""
-	r.GeneratedAt = ""
-	return r
-}
-
-// Marshal renders the report as stable, indented JSON (struct field
-// order is fixed; the error maps marshal with sorted keys).
-func (r *Report) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// WriteFile writes the report to path.
+// WriteFile writes the report to path as stable, indented JSON
+// (struct field order is fixed; the maps marshal with sorted keys).
 func (r *Report) WriteFile(path string) error {
-	b, err := r.Marshal()
+	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// ReadReport loads and validates a BENCH report.
-func ReadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("loadgen: parse %s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("loadgen: %s: schema %q, want %q", path, r.Schema, Schema)
-	}
-	return &r, nil
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,71 +1,39 @@
 package loadgen
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-func sampleReport() *Report {
-	return &Report{
-		Schema: Schema, Bench: 6, Mode: "real", Seed: 11,
-		GitRev: "abc123", GeneratedAt: "2026-01-01T00:00:00Z",
-		Corpus: CorpusInfo{Seed: 7, Scale: 0.1, Candidates: 20, Documents: 500},
-		Drivers: []DriverReport{{
-			Driver: "inprocess",
-			Phases: []PhaseResult{
-				{Name: "warmup", Mode: "closed", Concurrency: 4, Requests: 40, DurationSeconds: 0.1, QPS: 400, Latency: Percentiles{P50: 0.001, P95: 0.002, P99: 0.003, P999: 0.004}},
-				{Name: "steady", Mode: "closed", Concurrency: 8, Requests: 200, DurationSeconds: 0.5, QPS: 400,
-					Errors:  map[string]uint64{"shed": 3},
-					Latency: Percentiles{P50: 0.001, P95: 0.002, P99: 0.003, P999: 0.004}},
-			},
-		}},
-	}
-}
-
-func TestReportRoundtripAndStrip(t *testing.T) {
-	rep := sampleReport()
-	path := filepath.Join(t.TempDir(), "BENCH_6.run.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadReport(path)
+// TestCommittedReportDecodes holds the writer and the one committed
+// record to the same layout: BENCH_10.json must decode into Report with
+// no field left over, carry the current Schema, and be exactly what
+// WriteFile writes for the decoded value.
+func TestCommittedReportDecodes(t *testing.T) {
+	committed, err := os.ReadFile("../../BENCH_10.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Schema != Schema || got.Bench != 6 || got.GitRev != "abc123" {
-		t.Fatalf("roundtrip lost fields: %+v", got)
+	dec := json.NewDecoder(bytes.NewReader(committed))
+	dec.DisallowUnknownFields()
+	var rep Report
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("BENCH_10.json does not decode into Report: %v", err)
 	}
-	st := got.Stripped()
-	if st.GitRev != "" || st.GeneratedAt != "" {
-		t.Errorf("Stripped kept stamps: %+v", st)
+	if rep.Schema != Schema || rep.Bench != 10 {
+		t.Fatalf("BENCH_10.json: schema %q bench %d, want %q bench 10", rep.Schema, rep.Bench, Schema)
 	}
-	if got.GitRev == "" {
-		t.Error("Stripped mutated the receiver")
+	if len(rep.Drivers) != 1 || len(rep.Drivers[0].Phases) == 0 {
+		t.Fatalf("BENCH_10.json: %d drivers, want one with phases", len(rep.Drivers))
 	}
-	p := got.Driver("inprocess").Phase("steady")
-	if p == nil || p.Errors["shed"] != 3 || p.ErrorCount() != 3 {
-		t.Fatalf("steady phase lost data: %+v", p)
+	path := filepath.Join(t.TempDir(), "BENCH_10.run.json")
+	if err := rep.WriteFile(path); err != nil {
+		t.Fatal(err)
 	}
-	if got.Driver("nope") != nil || got.Drivers[0].Phase("nope") != nil {
-		t.Error("lookup of missing driver/phase should be nil")
-	}
-}
-
-func TestReadReportRejectsWrongSchema(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"schema":"other/v9"}`), 0o644)
-	if _, err := ReadReport(bad); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("err = %v, want schema mismatch", err)
-	}
-	garbage := filepath.Join(dir, "garbage.json")
-	os.WriteFile(garbage, []byte(`{{{`), 0o644)
-	if _, err := ReadReport(garbage); err == nil {
-		t.Fatal("garbage JSON accepted")
-	}
-	if _, err := ReadReport(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, committed) {
+		t.Fatalf("WriteFile of the decoded record differs from BENCH_10.json (err %v)", err)
 	}
 }

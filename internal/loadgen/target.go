@@ -47,12 +47,12 @@ var Classes = []Class{ClassOK, ClassShed, ClassTimeout, Class4xx, Class5xx, Clas
 type Result struct {
 	Class Class
 	// Bytes is a deterministic response-cost proxy: the serialized
-	// response size. Service models may scale simulated latency by it.
+	// response size.
 	Bytes int
 	// Cache is the result-cache disposition when the target's system
 	// caches rankings: "hit", "miss" or "coalesced" (the in-process
 	// disposition, or the HTTP Cache-Status header). Empty when the
-	// query bypassed caching. Service models may discount hit latency.
+	// query bypassed caching.
 	Cache string
 	// Err retains the underlying error for logging; nil for ClassOK.
 	Err error

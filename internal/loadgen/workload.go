@@ -5,16 +5,14 @@
 // multi-process scatter-gather cluster (cluster.go) — with a
 // closed-loop (fixed concurrency) runner, and reports throughput, an
 // error taxonomy, and log-bucketed latency percentiles. It is the
-// engine under cmd/loadtest's correctness scenarios and the -race
-// soaks; performance evidence lives in the ledger (bench/), not here.
+// engine under the -race soaks and the multi-process chaos test, and
+// holds the report format of cmd/loadtest's scale run; performance
+// evidence lives in the ledger (bench/), not here.
 //
 // Determinism is what makes a run replayable: the workload is a pure
-// function of (seed, request sequence number), so request n asks the
-// same need in every run and on every target, regardless of worker
-// interleaving. With a virtual resilience.Clock plus a ServiceModel
-// the runner is in simulation mode — latency and phase length come
-// from the model, so a soak sizes itself in virtual seconds and its
-// counts, error taxonomy and percentiles are identical across runs.
+// function of (seed, request sequence number), and every phase is
+// bounded by a request count, so request n asks the same need in every
+// run and on every target, regardless of worker interleaving.
 package loadgen
 
 import (

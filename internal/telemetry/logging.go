@@ -16,8 +16,7 @@ type LogConfig struct {
 	// Level is "debug", "info" (default), "warn" or "error".
 	Level string
 	// NoStamp drops the time attribute from every record, making log
-	// output byte-deterministic for golden tests and diffable harness
-	// runs (the -stamp=false convention the load harness already uses).
+	// output byte-deterministic for golden tests and diffable runs.
 	NoStamp bool
 }
 

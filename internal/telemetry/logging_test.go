@@ -60,7 +60,7 @@ func TestNewLoggerRejectsUnknown(t *testing.T) {
 
 // TestNewLoggerDeterministic: with NoStamp, identical log calls must
 // produce identical bytes run over run — the property golden E2E
-// tests and the -stamp=false harness diffs rely on.
+// tests and serve's -log-stamp=false diffs rely on.
 func TestNewLoggerDeterministic(t *testing.T) {
 	render := func() string {
 		var buf bytes.Buffer
