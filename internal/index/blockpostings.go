@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 
 	"expertfind/internal/kb"
 )
@@ -62,14 +63,14 @@ type listKey struct {
 func termKey(t string) listKey        { return listKey{kind: termKind, term: t} }
 func entityKey(e kb.EntityID) listKey { return listKey{kind: entityKind, ent: e} }
 
-func keyLess(a, b listKey) bool {
+func keyCmp(a, b listKey) int {
 	if a.kind != b.kind {
-		return a.kind < b.kind
+		return cmp.Compare(a.kind, b.kind)
 	}
 	if a.kind == termKind {
-		return a.term < b.term
+		return strings.Compare(a.term, b.term)
 	}
-	return a.ent < b.ent
+	return cmp.Compare(a.ent, b.ent)
 }
 
 // posting is the decoded form of one list entry. we is the Eq. (2)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"expertfind/internal/kb"
@@ -128,7 +129,7 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, keyCmp)
 	nTerms := sort.Search(len(keys), func(i int) bool { return keys[i].kind != termKind })
 
 	for _, section := range [][]listKey{keys[:nTerms], keys[nTerms:]} {
@@ -320,7 +321,7 @@ func scanIndex(r io.Reader, entry func(k listKey, l *postingList, off, end int64
 				}
 				k.ent = kb.EntityID(id)
 			}
-			if i > 0 && !keyLess(prev, k) {
+			if i > 0 && keyCmp(prev, k) >= 0 {
 				return nil, fmt.Errorf("%v out of order", k)
 			}
 			prev = k

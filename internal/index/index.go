@@ -19,7 +19,7 @@ package index
 import (
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/kb"
@@ -112,8 +112,16 @@ func New() *Index {
 	}
 }
 
-// list implements listSource.
-func (ix *Index) list(k listKey) *postingList { return ix.lists[k] }
+// list implements listSource: the list's header, its blocks and bytes
+// shared with the index.
+func (ix *Index) list(k listKey, l *postingList, arena []blockMeta) []blockMeta {
+	if p := ix.lists[k]; p != nil {
+		*l = *p
+	} else {
+		*l = postingList{}
+	}
+	return arena
+}
 
 // addPosting appends p to k's list, creating the list on first use.
 func (ix *Index) addPosting(k listKey, p posting) {
@@ -335,7 +343,7 @@ func planQuery(need analysis.Analyzed, alpha float64, st CollectionStats) queryP
 			keys = append(keys, entityKey(e))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, keyCmp)
 
 	n := st.NumDocs()
 	plan := make(queryPlan, 0, len(keys))
@@ -371,5 +379,5 @@ func (ix *Index) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st Collec
 	if st == nil {
 		st = ix
 	}
-	return searchParts(planQuery(need, alpha, st), []part{{src: ix, accept: accept}}, k, 1)
+	return searchParts(planQuery(need, alpha, st), []part{{src: ix, span: allDocs, accept: accept}}, k, 1)
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,15 +20,43 @@ import (
 // partitioning and any worker bound.
 
 // listSource yields the posting lists one part contributes to a plan,
-// by dictionary key (nil where it holds none): an in-memory Index looks
-// them up, a sealed segment hands out views of its file.
+// by dictionary key: an in-memory Index copies out its list's header, a
+// sealed segment binds a view of its file.
 type listSource interface {
-	list(k listKey) *postingList
+	// list binds the list under k into l — l.count is 0 where src holds
+	// no postings under k — appending any skip entries it has to parse
+	// to arena, and returns the arena. l.blocks may alias the arena, so
+	// l is valid while the arena's entries are not reused.
+	list(k listKey, l *postingList, arena []blockMeta) []blockMeta
+}
+
+// docRange is the half-open doc-id range [lo, hi) a part covers. It is
+// int64 so that one range, allDocs, holds every DocID.
+type docRange struct{ lo, hi int64 }
+
+// allDocs is the range of a part that is a whole component.
+var allDocs = docRange{math.MinInt32, math.MaxInt32 + 1}
+
+func (r docRange) has(d DocID) bool { return int64(d) >= r.lo && int64(d) < r.hi }
+
+// clip trims doc-sorted postings to the range.
+func (r docRange) clip(ps []posting) []posting {
+	for len(ps) > 0 && int64(ps[0].doc) < r.lo {
+		ps = ps[1:]
+	}
+	for len(ps) > 0 && int64(ps[len(ps)-1].doc) >= r.hi {
+		ps = ps[:len(ps)-1]
+	}
+	return ps
 }
 
 // part is one disjoint slice of a collection as searchParts scores it.
 type part struct {
 	src listSource
+	// span restricts the part to src's documents in a doc-id range:
+	// allDocs for a whole component, narrower for one range of a
+	// sealed segment cut across workers (Store.partsLocked).
+	span docRange
 	// mu, when non-nil, is read-held while the part is viewed and
 	// scored (a shard's lock); nil when the caller's own lock already
 	// covers the part.
@@ -39,59 +68,79 @@ type part struct {
 	seconds *telemetry.Histogram
 }
 
+// cut splits the part at doc id at, which must lie in its span: the
+// documents below at, and the rest.
+func (p part) cut(at DocID) (below, rest part) {
+	below, rest = p, p
+	below.span.hi, rest.span.lo = int64(at), int64(at)
+	return below, rest
+}
+
+// planMass is the number of postings plan names in c, read off its
+// dictionary: a component of mass 0 is no part.
+func planMass(c component, plan queryPlan) int {
+	m := 0
+	for _, pl := range plan {
+		m += c.freq(pl.key)
+	}
+	return m
+}
+
+// score runs the one scorer over the part under its lock.
+func (p *part) score(plan queryPlan, k int) ([]ScoredDoc, topkCounters) {
+	if p.seconds != nil {
+		defer p.seconds.ObserveSince(time.Now())
+	}
+	if p.mu != nil {
+		p.mu.RLock()
+		defer p.mu.RUnlock()
+	}
+	return scorePlanTopK(p.src, plan, k, p.accept, p.span)
+}
+
 // searchParts scores a resolved plan over parts on at most workers
 // concurrent goroutines (<= 1 scores them in order on the caller's),
-// merges, truncates to k and records the query's work counters.
+// merges to k and records the query's work counters. The caller only
+// waits: a goroutine it spawned and then kept running beside would sit
+// in its processor's next-to-run slot, which an idle processor steals
+// from only after a back-off that costs tens of microseconds. A part
+// that panics — a segment read that fails — has its panic raised again
+// on the caller once every worker has stopped, so the caller's deferred
+// unlocks and recovery run as they would without the pool.
 func searchParts(plan queryPlan, parts []part, k, workers int) []ScoredDoc {
 	ranked := make([][]ScoredDoc, len(parts))
 	counts := make([]topkCounters, len(parts))
-	score := func(i int) {
-		p := &parts[i]
-		var t0 time.Time
-		if p.seconds != nil {
-			t0 = time.Now()
-		}
-		if p.mu != nil {
-			p.mu.RLock()
-		}
-		ranked[i], counts[i] = scorePlanTopK(p.src, plan, k, p.accept)
-		if p.mu != nil {
-			p.mu.RUnlock()
-		}
-		if p.seconds != nil {
-			p.seconds.ObserveSince(t0)
-		}
-	}
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	if workers <= 1 {
+	if workers = min(workers, len(parts)); workers <= 1 {
 		for i := range parts {
-			score(i)
+			ranked[i], counts[i] = parts[i].score(plan, k)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
+		caught := make([]any, workers)
+		wg.Add(workers)
+		for w := range workers {
 			go func() {
 				defer wg.Done()
+				defer func() { caught[w] = recover() }()
 				for {
 					i := int(next.Add(1) - 1)
 					if i >= len(parts) {
 						return
 					}
-					score(i)
+					ranked[i], counts[i] = parts[i].score(plan, k)
 				}
 			}()
 		}
 		wg.Wait()
+		for _, r := range caught {
+			if r != nil {
+				panic(r)
+			}
+		}
 	}
 
-	out := mergeScored(ranked)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
+	out := mergeScored(ranked, k)
 	var c topkCounters
 	for _, ci := range counts {
 		c.add(ci)
@@ -122,35 +171,35 @@ func scoredCmp(a, b ScoredDoc) int {
 }
 
 // mergeScored k-way merges per-part rankings that are each already
-// sorted by scoredCmp. Parts hold disjoint documents, so the
-// comparator is a total order and the merge is the unique global
-// ranking — no re-sort, no nondeterminism.
-func mergeScored(lists [][]ScoredDoc) []ScoredDoc {
-	nonEmpty := lists[:0:0]
-	total := 0
-	for _, l := range lists {
+// sorted by scoredCmp, stopping after k (k <= 0: all). Parts hold
+// disjoint documents, so the comparator is a total order and the merge
+// is the unique global ranking — no re-sort, no nondeterminism. It
+// consumes lists: each element is advanced past what it contributed.
+func mergeScored(lists [][]ScoredDoc, k int) []ScoredDoc {
+	total, nonEmpty, last := 0, 0, 0
+	for i, l := range lists {
 		if len(l) > 0 {
-			nonEmpty = append(nonEmpty, l)
 			total += len(l)
+			nonEmpty++
+			last = i
 		}
 	}
-	if len(nonEmpty) == 1 {
-		return nonEmpty[0]
+	if k > 0 && total > k {
+		total = k
+	}
+	if nonEmpty == 1 {
+		return lists[last][:total]
 	}
 	out := make([]ScoredDoc, 0, total)
-	heads := make([]int, len(nonEmpty))
 	for len(out) < total {
 		best := -1
-		for i, l := range nonEmpty {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best == -1 || scoredCmp(l[heads[i]], nonEmpty[best][heads[best]]) < 0 {
+		for i, l := range lists {
+			if len(l) > 0 && (best == -1 || scoredCmp(l[0], lists[best][0]) < 0) {
 				best = i
 			}
 		}
-		out = append(out, nonEmpty[best][heads[best]])
-		heads[best]++
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
 	}
 	return out
 }

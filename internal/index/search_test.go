@@ -224,7 +224,7 @@ func TestSearchOracleGrid(t *testing.T) {
 		if mBlocksSkipped.Value() == skipped {
 			t.Error("no block skipped: admission never closed mid-list")
 		}
-		out, c := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil)
+		out, c := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil, allDocs)
 		if len(out) != 10 || out[0].Doc != 1500 {
 			t.Fatalf("top of the ranking is %+v, want the admitted mid-list doc 1500 first", out)
 		}
@@ -232,6 +232,43 @@ func TestSearchOracleGrid(t *testing.T) {
 			t.Errorf("skipped %d blocks, want %d: all but the two holding rare docs and the admitting one", c.blocksSkipped, want)
 		}
 	})
+}
+
+// TestMergeScoredStopsAtK holds the k-bounded merge to the full one:
+// for 1–7 random disjoint rankings (some empty) and every k, the result
+// is the concatenation sorted by scoredCmp, truncated to k.
+func TestMergeScoredStopsAtK(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		lists := make([][]ScoredDoc, 1+r.Intn(7))
+		var all []ScoredDoc
+		for doc := DocID(0); doc < DocID(r.Intn(40)); doc++ {
+			// Coarse scores force ties that only the doc id breaks.
+			d := ScoredDoc{Doc: doc, Score: float64(r.Intn(6))}
+			i := r.Intn(len(lists))
+			lists[i] = append(lists[i], d)
+			all = append(all, d)
+		}
+		nonEmpty := 0
+		for _, l := range lists {
+			sort.Slice(l, func(i, j int) bool { return scoredCmp(l[i], l[j]) < 0 })
+			if len(l) > 0 {
+				nonEmpty++
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return scoredCmp(all[i], all[j]) < 0 })
+		for _, k := range []int{0, 1, 3, 10} {
+			want := all
+			if k > 0 && len(want) > k {
+				want = want[:k]
+			}
+			got := mergeScored(append([][]ScoredDoc(nil), lists...), k)
+			assertScoredBitIdentical(t, fmt.Sprintf("trial %d: %d lists k%d", trial, len(lists), k), want, got)
+			if nonEmpty > 1 && cap(got) != len(want) {
+				t.Fatalf("trial %d k%d: merged %d into a buffer of %d", trial, k, len(got), cap(got))
+			}
+		}
+	}
 }
 
 // TestNilStatsMeansOwnStatistics: a nil collection view selects the

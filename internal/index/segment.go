@@ -130,15 +130,16 @@ func segCorrupt(path, what string) {
 	panic(fmt.Sprintf("index: segment %s corrupted after open (%s)", path, what))
 }
 
-// list returns one posting list as the file holds it (listSource): data
+// list binds one posting list as the file holds it (listSource): data
 // is the list body itself — on the mmap source the mapping, no copy —
-// and the skip entries, rebuilt from the stored per-block headers, say
-// where in it each block's postings lie. Returns nil when the segment
-// has no postings under k.
-func (sr *SegmentReader) list(k listKey) *postingList {
+// and the skip entries, parsed from the stored per-block headers onto
+// the end of arena, say where in it each block's postings lie. On the
+// mmap source a warm arena makes binding allocation-free.
+func (sr *SegmentReader) list(k listKey, l *postingList, arena []blockMeta) []blockMeta {
 	ref, ok := sr.lists[k]
 	if !ok {
-		return nil
+		*l = postingList{}
+		return arena
 	}
 	raw := sr.src.section(ref.off, ref.end-ref.off)
 	count, m1 := uvarintAt(raw, 0)
@@ -147,8 +148,7 @@ func (sr *SegmentReader) list(k listKey) *postingList {
 		segCorrupt(sr.path, "list header")
 	}
 	pos := m1 + m2
-	l := &postingList{kind: k.kind, data: raw, count: ref.count, maxW: ref.maxW}
-	l.blocks = make([]blockMeta, 0, nBlocks)
+	start := len(arena)
 	base := DocID(0)
 	for b := uint64(0); b < nBlocks; b++ {
 		n, maxDocDelta, bound, byteLen, p := skipEntryAt(raw, pos, k.kind)
@@ -157,10 +157,11 @@ func (sr *SegmentReader) list(k listKey) *postingList {
 		}
 		pos = p + int(byteLen)
 		base += DocID(maxDocDelta)
-		l.blocks = append(l.blocks, blockMeta{off: p, end: pos, n: int32(n), maxDoc: base, maxW: bound})
+		arena = append(arena, blockMeta{off: p, end: pos, n: int32(n), maxDoc: base, maxW: bound})
 	}
 	if pos != len(raw) {
 		segCorrupt(sr.path, "trailing bytes in list")
 	}
-	return l
+	*l = postingList{kind: k.kind, data: raw, blocks: arena[start:len(arena):len(arena)], count: ref.count, maxW: ref.maxW}
+	return arena
 }

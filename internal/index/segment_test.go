@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // storeOf builds a store whose sealed layout is given by boundaries:
 // docs[0:boundaries[0]] is sealed first, then docs up to
 // boundaries[1], and so on; the remainder stays in the memtable.
-func storeOf(t *testing.T, docs []Doc, boundaries []int, o StoreOptions) *Store {
+func storeOf(t testing.TB, docs []Doc, boundaries []int, o StoreOptions) *Store {
 	t.Helper()
 	if o.FlushDocs == 0 {
 		o.FlushDocs = 1 << 30 // manual seals only
@@ -122,40 +123,204 @@ func TestStoreWriteToMatchesMonolith(t *testing.T) {
 	}
 }
 
-// The differential grid: every (seed, layout, streaming mode, α, k)
-// combination must rank bit-identically to the monolithic index and
-// to the sharded index over the same documents.
+// The differential grid: every (seed, layout, tombstones, streaming
+// mode, worker bound, α, k) combination must rank bit-identically to
+// the monolithic index over the live documents, and the sharded index
+// to the monolith over all of them. The same stores scored with their
+// segments cut at forced doc ids (forcedCuts) must too: where the
+// range walk starts, stops and clips is unobservable.
 func TestStoreScoringBitIdentical(t *testing.T) {
 	for _, seed := range []int64{2, 11} {
 		docs := randomDocs(seed, 500, 0)
-		mono := flatFromDocs(docs)
+		var removes, live []Doc
+		for i, d := range docs {
+			if i%11 == 5 {
+				removes = append(removes, d)
+			} else {
+				live = append(live, d)
+			}
+		}
+		mono, monoLive := flatFromDocs(docs), flatFromDocs(live)
 		shard := NewSharded(3)
 		shard.AddBatch(docs)
 		for _, layout := range [][]int{nil, {500}, {170, 340}, {40, 90, 300, 460}} {
-			for _, stream := range []bool{false, true} {
-				s := storeOf(t, docs, layout, StoreOptions{forceStream: stream})
-				if s.NumDocs() != mono.NumDocs() {
-					t.Fatalf("NumDocs %d, want %d", s.NumDocs(), mono.NumDocs())
-				}
-				r := rand.New(rand.NewSource(seed * 31))
-				for q := 0; q < 12; q++ {
-					need := randomNeed(r)
-					for _, alpha := range []float64{0, 0.6, 1} {
-						want := mono.Score(need, alpha)
-						label := fmt.Sprintf("seed=%d layout=%v stream=%v q=%d α=%g", seed, layout, stream, q, alpha)
-						assertScoredBitIdentical(t, label, s.Score(need, alpha), want)
-						assertScoredBitIdentical(t, label+" sharded", shard.Score(need, alpha), want)
-						for _, k := range []int{1, 3, 25} {
-							wantK := want
-							if len(wantK) > k {
-								wantK = wantK[:k]
+			for _, tombs := range []bool{false, true} {
+				for _, stream := range []bool{false, true} {
+					s := storeOf(t, docs, layout, StoreOptions{forceStream: stream})
+					ref := mono
+					if tombs {
+						s.ApplyDelta(Delta{Removes: removes})
+						ref = monoLive
+					}
+					if s.NumDocs() != ref.NumDocs() {
+						t.Fatalf("NumDocs %d, want %d", s.NumDocs(), ref.NumDocs())
+					}
+					cutSets := forcedCuts(s)
+					r := rand.New(rand.NewSource(seed * 31))
+					for q := 0; q < 12; q++ {
+						need := randomNeed(r)
+						for _, alpha := range []float64{0, 0.6, 1} {
+							want := ref.Score(need, alpha)
+							label := fmt.Sprintf("seed=%d layout=%v tombs=%v stream=%v q=%d α=%g", seed, layout, tombs, stream, q, alpha)
+							if !tombs {
+								assertScoredBitIdentical(t, label+" sharded", shard.Score(need, alpha), want)
 							}
-							assertScoredBitIdentical(t, fmt.Sprintf("%s k=%d", label, k),
-								s.ScoreTopK(need, alpha, k, nil), wantK)
+							for _, workers := range []int{1, 2, 8} {
+								s.workers = workers
+								wl := fmt.Sprintf("%s workers=%d", label, workers)
+								assertScoredBitIdentical(t, wl, s.Score(need, alpha), want)
+								for _, k := range []int{1, 3, 25} {
+									assertScoredBitIdentical(t, fmt.Sprintf("%s k=%d", wl, k),
+										s.ScoreTopK(need, alpha, k, nil), truncated(want, k))
+								}
+							}
+							s.workers = 2
+							for c, cuts := range cutSets {
+								for _, k := range []int{0, 1, 25} {
+									assertScoredBitIdentical(t, fmt.Sprintf("%s cut set %d %v k=%d", label, c, cuts, k),
+										scoreCut(s, need, alpha, k, cuts), truncated(want, k))
+								}
+							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// truncated returns the first k entries of a ranking (all for k <= 0).
+func truncated(ranked []ScoredDoc, k int) []ScoredDoc {
+	if k > 0 && len(ranked) > k {
+		return ranked[:k]
+	}
+	return ranked
+}
+
+// forcedCuts returns cut sets for every sealed segment of s, one list
+// of ascending cut ids per segment and set: an id below all of its
+// documents, one between two of them, one above them all; the first
+// block edge of its longest list and that block's last document, so
+// that the range walk stops exactly at a block and inside one; a
+// repeated cut, which leaves a range empty; and six quantile cuts,
+// seven ranges.
+func forcedCuts(s *Store) [][][]DocID {
+	sets := make([][][]DocID, 7)
+	for _, g := range s.segs {
+		docs := g.r.docs
+		gap := docs[0] - 1
+		for i := 1; i < len(docs); i++ {
+			if docs[i] > docs[i-1]+1 {
+				gap = docs[i-1] + 1
+				break
+			}
+		}
+		var longest postingList
+		for _, k := range g.r.keys() {
+			var l postingList
+			if g.r.list(k, &l, nil); len(l.blocks) > len(longest.blocks) {
+				longest = l
+			}
+		}
+		edge := longest.blocks[0].maxDoc
+		mid := docs[len(docs)/2]
+		var seven []DocID
+		for j := 1; j < 7; j++ {
+			seven = append(seven, docs[j*len(docs)/7])
+		}
+		for i, set := range [][]DocID{
+			{docs[0] - 1, gap, docs[len(docs)-1] + 1},
+			{edge + 1},
+			{edge},
+			{mid, mid},
+			{docs[0], mid},
+			seven,
+			{gap},
+		} {
+			sets[i] = append(sets[i], set)
+		}
+	}
+	return sets
+}
+
+// scoreCut scores s with its i-th sealed segment cut at cuts[i] and the
+// memtable whole, on the store's worker bound.
+func scoreCut(s *Store, need analysis.Analyzed, alpha float64, k int, cuts [][]DocID) []ScoredDoc {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	parts := []part{{src: s.mem, span: allDocs}}
+	for i, g := range s.segs {
+		p := part{src: g, span: allDocs, accept: g.acceptFilter(nil)}
+		for _, at := range cuts[i] {
+			var below part
+			below, p = p.cut(at)
+			parts = append(parts, below)
+		}
+		parts = append(parts, p)
+	}
+	return searchParts(planQuery(need, alpha, storeStats{s}), parts, k, s.workers)
+}
+
+// A segment read that fails inside a pooled worker — here a file
+// truncated after open, read through positioned reads — panics with
+// the reader's message on the caller's goroutine. The truncated segment
+// is the heavy one, cut into two ranges, so the query runs on the pool.
+// Once the panic is out, the store's read lock is free and no
+// accumulator a panic abandoned is back in the pool.
+func TestStoreWorkerPanicReachesCaller(t *testing.T) {
+	docs := randomDocs(37, 400, 0)
+	s := storeOf(t, docs, []int{300, 400}, StoreOptions{forceStream: true})
+	s.workers = 2
+	need := analysis.Analyzed{Terms: map[string]int{"swim": 1, "code": 1, "atom": 1}}
+	heavy := s.segs[0]
+	s.mu.RLock()
+	parts := s.partsLocked(planQuery(need, 0.6, storeStats{s}), nil)
+	s.mu.RUnlock()
+	if len(parts) < 2 || parts[0].src != heavy || parts[1].src != heavy {
+		t.Fatalf("the heavy segment is not the first two parts: %+v", parts)
+	}
+	if err := os.Truncate(heavy.path, 16); err != nil {
+		t.Fatal(err)
+	}
+	drainAccFree(t)
+
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if want := "index: segment " + heavy.path + ": read "; !strings.HasPrefix(msg, want) {
+				t.Fatalf("recovered %q, want the read failure %q…", msg, want)
+			}
+		}()
+		s.ScoreTopK(need, 0.6, 10, nil)
+		t.Fatal("ScoreTopK over a truncated segment returned")
+	}()
+
+	sealed := make(chan error, 1)
+	go func() { sealed <- s.Seal() }()
+	select {
+	case err := <-sealed:
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Seal blocked: the panicking query kept the store's read lock")
+	}
+	drainAccFree(t)
+}
+
+// drainAccFree empties the accumulator free list, failing on any entry
+// that still holds evaluation state.
+func drainAccFree(t *testing.T) {
+	t.Helper()
+	for {
+		select {
+		case a := <-accFree:
+			if a.k != 0 || a.accept != nil || a.span != (docRange{}) || len(a.docs) != 0 || len(a.lists) != 0 || len(a.arena) != 0 {
+				t.Fatalf("pooled accumulator holds an evaluation: k=%d span=%v docs=%d lists=%d arena=%d",
+					a.k, a.span, len(a.docs), len(a.lists), len(a.arena))
+			}
+		default:
+			return
 		}
 	}
 }
@@ -565,5 +730,39 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 		if n != stopAt {
 			t.Fatalf("EachDoc visited %d docs after being stopped at %d", n, stopAt)
 		}
+	}
+}
+
+// BenchmarkStoreTopK measures a top-10 store find over the two layouts
+// whose parts differ: one heavy segment beside three light ones, the
+// shape of a cold-built store, and the one segment compaction leaves.
+// serial is one caller: the latency of a find on an otherwise idle
+// machine. parallel runs GOMAXPROCS callers at once, so a find's own
+// workers compete with the other finds for the cores and ns/op is the
+// cost at saturation.
+func BenchmarkStoreTopK(b *testing.B) {
+	docs, need := benchShardCorpus()
+	for _, layout := range []struct {
+		name       string
+		boundaries []int
+	}{
+		{"skewed4", []int{48_000, 52_000, 56_000, 60_000}},
+		{"compacted1", []int{60_000}},
+	} {
+		s := storeOf(b, docs, layout.boundaries, StoreOptions{})
+		b.Run(layout.name+"/serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.ScoreTopK(need, 0.6, 10, nil)
+			}
+		})
+		b.Run(layout.name+"/parallel", func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					s.ScoreTopK(need, 0.6, 10, nil)
+				}
+			})
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -100,7 +101,9 @@ func (g *storeSegment) view() component {
 }
 
 // list implements listSource over the current view.
-func (g *storeSegment) list(k listKey) *postingList { return g.view().list(k) }
+func (g *storeSegment) list(k listKey, l *postingList, arena []blockMeta) []blockMeta {
+	return g.view().list(k, l, arena)
+}
 
 func (g *storeSegment) size() int64 {
 	if g.r != nil {
@@ -151,6 +154,9 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 type Store struct {
 	dir  string
 	opts StoreOptions
+	// workers bounds the goroutines one query scores on: GOMAXPROCS at
+	// construction, as for Sharded.
+	workers int
 
 	// maintMu serializes maintenance (seal and compaction I/O);
 	// acquired before mu, never while holding it.
@@ -180,11 +186,12 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:    dir,
-		opts:   o,
-		mem:    New(),
-		tombDF: make(map[listKey]int),
-		stop:   make(chan struct{}),
+		dir:     dir,
+		opts:    o,
+		workers: runtime.GOMAXPROCS(0),
+		mem:     New(),
+		tombDF:  make(map[listKey]int),
+		stop:    make(chan struct{}),
 	}
 	leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	for _, p := range leftovers {
@@ -797,26 +804,67 @@ func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept f
 	return s.ScoreStatsTopK(need, alpha, nil, k, accept)
 }
 
-// ScoreStatsTopK implements Searcher: the memtable and every segment
-// are the parts, each segment under its tombstone filter. Live
-// document sets are pairwise disjoint (a document has exactly one
-// non-tombstoned occurrence), so the merge reproduces a monolithic
-// evaluation exactly. Parts are scored in order on the caller's
-// goroutine. A segment's planned lists are walked in place (on the mmap
-// source, in the mapping itself); what a query builds per list is its
-// skip entries, garbage once the part is scored.
+// ScoreStatsTopK implements Searcher: the parts are the components
+// holding planned postings, a heavy sealed segment cut into doc-id
+// ranges (partsLocked), each segment under its tombstone filter, scored
+// on the store's worker pool. Live document sets are pairwise disjoint
+// (a document has exactly one non-tombstoned occurrence) and so are
+// the ranges of one segment, so the merge reproduces a monolithic
+// evaluation exactly. A segment's planned lists are walked in place (on
+// the mmap source, in the mapping itself) behind skip entries parsed
+// into the accumulator's pooled arena, so on the mmap source a warm
+// query allocates nothing per planned list.
 func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if st == nil {
 		st = storeStats{s}
 	}
-	parts := make([]part, 0, len(s.segs)+1)
-	parts = append(parts, part{src: s.mem, accept: accept})
+	plan := planQuery(need, alpha, st)
+	return searchParts(plan, s.partsLocked(plan, accept), k, s.workers)
+}
+
+// partsLocked returns one query's work items. A component's planned
+// mass is the number of postings the plan names in it, read off the
+// dictionary counts without touching the disk. A component of mass 0
+// is no part. A sealed segment whose mass m exceeds an even share of
+// the total, total/workers, is cut into ceil(m·workers/total) doc-id
+// ranges at the quantiles of its sorted doc ids, so that a compacted
+// store, one big segment, still fills the pool. The memtable and a
+// frozen memtable stay whole. Caller holds mu.
+func (s *Store) partsLocked(plan queryPlan, accept func(DocID) bool) []part {
+	var buf [16]int
+	mass := append(buf[:0], planMass(s.mem, plan))
 	for _, g := range s.segs {
-		parts = append(parts, part{src: g, accept: g.acceptFilter(accept)})
+		mass = append(mass, planMass(g.view(), plan))
 	}
-	return searchParts(planQuery(need, alpha, st), parts, k, 1)
+	total := 0
+	for _, m := range mass {
+		total += m
+	}
+	// The cuts of all segments together add fewer than workers parts:
+	// ceil(m·workers/total)-1 < m·workers/total, summed over m <= total.
+	parts := make([]part, 0, len(s.segs)+s.workers)
+	if mass[0] > 0 {
+		parts = append(parts, part{src: s.mem, span: allDocs, accept: accept})
+	}
+	for i, g := range s.segs {
+		m := mass[i+1]
+		if m == 0 {
+			continue
+		}
+		p := part{src: g, span: allDocs, accept: g.acceptFilter(accept)}
+		if n := (m*s.workers + total - 1) / total; n > 1 && g.frozen == nil {
+			docs := g.r.docs
+			for j := 1; j < n; j++ {
+				var below part
+				below, p = p.cut(docs[j*len(docs)/n])
+				parts = append(parts, below)
+			}
+		}
+		parts = append(parts, p)
+	}
+	return parts
 }
 
 // WriteTo streams the live collection — memtable plus segments, minus

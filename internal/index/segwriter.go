@@ -69,8 +69,8 @@ func (s mergeSource) liveDocs() []DocID {
 // postings returns k's live postings in ascending doc order, empty
 // when the source holds none or every one is dropped.
 func (s mergeSource) postings(k listKey) []posting {
-	l := s.src.list(k)
-	if l == nil {
+	var l postingList
+	if s.src.list(k, &l, nil); l.count == 0 {
 		return nil
 	}
 	ps := l.sorted()

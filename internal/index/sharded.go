@@ -302,16 +302,10 @@ func (s *Sharded) liveParts(plan queryPlan, accept func(DocID) bool) []part {
 	live := make([]part, 0, len(s.shards))
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		hit := false
-		for _, pl := range plan {
-			if sh.ix.freq(pl.key) > 0 {
-				hit = true
-				break
-			}
-		}
+		hit := planMass(sh.ix, plan) > 0
 		sh.mu.RUnlock()
 		if hit {
-			live = append(live, part{src: sh.ix, mu: &sh.mu, accept: accept, seconds: sh.scoreSeconds})
+			live = append(live, part{src: sh.ix, span: allDocs, mu: &sh.mu, accept: accept, seconds: sh.scoreSeconds})
 		}
 	}
 	return live

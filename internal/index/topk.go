@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"expertfind/internal/telemetry"
 )
@@ -72,6 +73,7 @@ func (c *topkCounters) add(o topkCounters) {
 type topkAcc struct {
 	k      int
 	accept func(DocID) bool
+	span   docRange // the documents the evaluation scores
 	// docs holds every live partial score, ascending by doc id.
 	docs []ScoredDoc
 	// pend holds the documents the list being walked has admitted.
@@ -85,16 +87,22 @@ type topkAcc struct {
 	theta  float64   // k-th largest current partial; -Inf until k exist
 	heap   []float64 // size-k min-heap reused across settle calls
 	lists  []boundedList
+	// arena holds the skip entries bind parses out of segment files;
+	// the bound lists' blocks are windows of it.
+	arena []blockMeta
 	topkCounters
 }
 
-// maxPooledDocs bounds the accumulator buffers a released topkAcc keeps
-// (1 MiB each): one outsized evaluation must not pin its high-water
-// mark in the pool.
-const maxPooledDocs = 1 << 16
+// maxPooledDocs and maxPooledBlocks bound the buffers a released
+// topkAcc keeps (1 MiB each): one outsized evaluation must not pin its
+// high-water mark in the pool.
+const (
+	maxPooledDocs   = 1 << 16
+	maxPooledBlocks = 1 << 15
+)
 
 // accFree is the free list of released accumulators: at most 8 kept,
-// at most 2 MiB of buffers each. Not a sync.Pool: that empties with
+// at most 3 MiB of buffers each. Not a sync.Pool: that empties with
 // the garbage collector's cycles and keeps one slot per P, so a caller
 // the scheduler moves between Ps loses its warm state at times nothing
 // in the program chooses and regrows both buffers by doubling — ±3 %
@@ -123,8 +131,11 @@ func (a *topkAcc) release() {
 	if cap(a.pend) > maxPooledDocs {
 		a.pend = nil
 	}
+	if cap(a.arena) > maxPooledBlocks {
+		a.arena = nil
+	}
 	clear(a.lists)
-	*a = topkAcc{docs: a.docs[:0], pend: a.pend[:0], heap: a.heap[:0], lists: a.lists[:0]}
+	*a = topkAcc{docs: a.docs[:0], pend: a.pend[:0], heap: a.heap[:0], lists: a.lists[:0], arena: a.arena[:0]}
 	select {
 	case accFree <- a:
 	default:
@@ -289,13 +300,18 @@ func (a *topkAcc) kthLargest() float64 {
 	return h[0]
 }
 
-// walkList feeds one planned list into the accumulator: the sealed
-// blocks in doc order, skipping those a bound proof shows cannot
-// matter, then the tail. remNext is the summed upper bound of every
-// list after this one. Each run is decoded by the one block decoder
-// into a stack buffer and accumulated as float64(freq)·w·we, left
-// associated, so surviving chains stay byte-identical to the
-// exhaustive evaluation.
+// walkList feeds the postings of one planned list that lie in the
+// evaluation's span into the accumulator: the sealed blocks in doc
+// order, skipping those a bound proof shows cannot matter, then the
+// tail. remNext is the summed upper bound of every list after this one.
+// Each run is decoded by the one block decoder into a stack buffer and
+// accumulated as float64(freq)·w·we, left associated, so surviving
+// chains stay byte-identical to the exhaustive evaluation.
+//
+// The span costs a whole component nothing per posting: the walk starts
+// at the first block reaching span.lo and stops at the first whose
+// postings, all above its base, lie at or past span.hi, so only the
+// blocks straddling either end, and the tail, test postings against it.
 func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 	listAdmit := !a.closed && a.admits(l.maxW*w+remNext)
 	// Block-level admission refinement is sound only once admission is
@@ -309,10 +325,18 @@ func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 	// Documents this list admits are pending, below every block still
 	// ahead, so docs is all a block can update.
 	cur := 0
-	next := DocID(0) // the delta base of the block after this one
-	for _, bm := range l.blocks {
-		base := next
-		next = bm.maxDoc
+	first := 0
+	if a.span.lo > allDocs.lo {
+		first = sort.Search(len(l.blocks), func(b int) bool { return int64(l.blocks[b].maxDoc) >= a.span.lo })
+	}
+	for b := first; b < len(l.blocks); b++ {
+		bm := &l.blocks[b]
+		base := DocID(0) // the block's delta base
+		if b > 0 {
+			if base = l.blocks[b-1].maxDoc; int64(base)+1 >= a.span.hi {
+				break // every later posting is above base
+			}
+		}
 		admit := listAdmit
 		if !listAdmit || (refine && !a.admits(bm.maxW*w+remNext)) {
 			admit = false
@@ -322,6 +346,9 @@ func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 			}
 		}
 		ps, _ := l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base, true)
+		if int64(base) < a.span.lo || int64(bm.maxDoc) >= a.span.hi {
+			ps = a.span.clip(ps)
+		}
 		for _, p := range ps {
 			cur = a.visit(cur, p.doc, float64(p.freq)*w*p.we, admit)
 		}
@@ -332,11 +359,14 @@ func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 	}
 	// The tail is unsorted: each posting searches the accumulator from
 	// the start, and what it admits leaves the pending run unsorted.
+	whole := a.span == allDocs
 	for pos := 0; left > 0; left -= blockSize {
 		var ps []posting
 		ps, pos = l.kind.decodeRun(buf[:0], l.tail, pos, min(left, blockSize), 0, false)
 		for _, p := range ps {
-			a.visit(0, p.doc, float64(p.freq)*w*p.we, listAdmit)
+			if whole || a.span.has(p.doc) {
+				a.visit(0, p.doc, float64(p.freq)*w*p.we, listAdmit)
+			}
 		}
 	}
 	slices.SortFunc(a.pend, func(x, y ScoredDoc) int { return cmp.Compare(x.Doc, y.Doc) })
@@ -346,17 +376,21 @@ func (a *topkAcc) walkList(l *postingList, w, remNext float64) {
 // its resolved weight and rem, the summed upper bound of every list
 // after it in plan order (terms first, then entities).
 type boundedList struct {
-	l   *postingList
+	l   postingList
 	w   float64
 	rem float64
 }
 
 // bind resolves the plan against src: the lists src holds postings
-// for, in plan order, each with its rem.
+// for, in plan order, each with its rem. The headers land in the
+// pooled lists and their skip entries in the pooled arena, so a warm
+// accumulator binds without allocating.
 func (a *topkAcc) bind(src listSource, plan queryPlan) {
 	for _, pl := range plan {
-		if l := src.list(pl.key); l != nil && l.count > 0 {
-			a.lists = append(a.lists, boundedList{l: l, w: pl.w})
+		a.lists = append(a.lists, boundedList{w: pl.w})
+		bl := &a.lists[len(a.lists)-1]
+		if a.arena = src.list(pl.key, &bl.l, a.arena); bl.l.count == 0 {
+			a.lists = a.lists[:len(a.lists)-1]
 		}
 	}
 	rem := 0.0
@@ -376,19 +410,20 @@ func (a *topkAcc) remAfterNext(i int) float64 {
 	return 0
 }
 
-// scorePlanTopK is the one scorer: it walks src's postings for an
-// already-weighted plan and returns the positive matches under the
+// scorePlanTopK is the one scorer: it walks src's postings in span for
+// an already-weighted plan and returns the positive matches under the
 // accept filter, ordered by scoredCmp and truncated to k, plus the
 // work counters. The plan's weights may come from a larger collection
 // than src (a shard or segment scored under global stats).
 // k <= 0 disables both the bound and the pruning (θ never activates):
 // an exhaustive accept-filtered evaluation.
-func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
+func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool, span docRange) ([]ScoredDoc, topkCounters) {
 	a := newAcc()
-	a.k, a.accept, a.theta = k, accept, math.Inf(-1)
+	a.k, a.accept, a.span, a.theta = k, accept, span, math.Inf(-1)
 	a.bind(src, plan)
-	for i, bl := range a.lists {
-		a.walkList(bl.l, bl.w, bl.rem)
+	for i := range a.lists {
+		bl := &a.lists[i]
+		a.walkList(&bl.l, bl.w, bl.rem)
 		a.settle(bl.rem, a.remAfterNext(i))
 	}
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -37,11 +39,7 @@ func scatterTopK(shardIxs []*Index, global CollectionStats, need analysis.Analyz
 	for i, six := range shardIxs {
 		lists[i] = six.ScoreStatsTopK(need, alpha, global, k, accept)
 	}
-	out := mergeScored(lists)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return mergeScored(lists, k)
 }
 
 // splitByRoute partitions docs into n monolithic per-shard indexes the
@@ -134,7 +132,7 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			for _, k := range []int{1, 5, 10, 50} {
 				want := exhaustiveTopK(flat, need, alpha, k, nil)
-				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil)
+				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil, allDocs)
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d", q, alpha, k), want, out)
 				pruned += c.pruned
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d sharded", q, alpha, k),
@@ -169,7 +167,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 
 	want := exhaustiveTopK(ix, need, 1, 10, nil)
-	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil)
+	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, allDocs)
 	assertScoredBitIdentical(t, "block skipping", want, out)
 	if c.blocksSkipped == 0 {
 		t.Errorf("no blocks skipped on the crafted corpus (pruned=%d postings=%d)", c.pruned, c.postings)
@@ -178,6 +176,33 @@ func TestTopKBlockSkipping(t *testing.T) {
 	sharded := NewSharded(3)
 	sharded.AddBatch(docs)
 	assertScoredBitIdentical(t, "block skipping sharded", want, sharded.ScoreTopK(need, 1, 10, nil))
+}
+
+// TestRangeWalkTouchesOnlyItsBlocks: a part cut to a doc-id range
+// walks only the blocks overlapping it. Doc i sits in block i/128 of
+// the common list and the rare, heavy documents in block 11, so once
+// they set θ every other block is update-only and holds no live
+// document: a walk over blocks 10–13 skips exactly three. A walk that
+// did not seek to lo, or did not stop at hi, would count the blocks
+// outside the range as skipped too.
+func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
+	ix := New()
+	for i := 0; i < 3000; i++ {
+		terms := map[string]int{"zcommon": 1}
+		if i >= 1500 && i < 1520 {
+			terms["aaarare"] = 5
+		}
+		ix.Add(DocID(i), analysis.Analyzed{Terms: terms})
+	}
+	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
+	blocks := ix.lists[termKey("zcommon")].blocks
+	span := docRange{int64(blocks[9].maxDoc) + 1, int64(blocks[13].maxDoc) + 1}
+	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, span)
+	want := exhaustiveTopK(ix, need, 1, 10, span.has)
+	assertScoredBitIdentical(t, "range walk", want, out)
+	if c.blocksSkipped != 3 {
+		t.Errorf("range over blocks 10–13 skipped %d blocks, want 3", c.blocksSkipped)
+	}
 }
 
 // TestTopKAdversarial covers the boundary cases the grid can miss.
@@ -325,11 +350,11 @@ func TestTopKClosedAdmissionInvariant(t *testing.T) {
 			plan := planQuery(need, alpha, flat)
 			for _, k := range []int{1, 10} {
 				for name, src := range sources {
-					a := &topkAcc{k: k, theta: math.Inf(-1)}
+					a := &topkAcc{k: k, span: allDocs, theta: math.Inf(-1)}
 					a.bind(src, plan)
 					for i, bl := range a.lists {
 						before := a.pruned
-						a.walkList(bl.l, bl.w, bl.rem)
+						a.walkList(&a.lists[i].l, bl.w, bl.rem)
 						a.settle(bl.rem, a.remAfterNext(i))
 						if a.closed != (a.pruned > 0) {
 							t.Fatalf("%s q%d α%g k%d list %d: closed=%v with %d dropped", name, q, alpha, k, i, a.closed, a.pruned)
@@ -379,14 +404,14 @@ func TestTopKThetaRefreshDifferential(t *testing.T) {
 				for _, k := range topkKs {
 					for ai, accept := range accepts {
 						label := fmt.Sprintf("%s q%d a%g k%d accept%d", name, q, alpha, k, ai)
-						guarded := &topkAcc{k: k, accept: accept, theta: math.Inf(-1)}
-						always := &topkAcc{k: k, accept: accept, theta: math.Inf(-1)}
+						guarded := &topkAcc{k: k, accept: accept, span: allDocs, theta: math.Inf(-1)}
+						always := &topkAcc{k: k, accept: accept, span: allDocs, theta: math.Inf(-1)}
 						guarded.bind(flat, plan)
 						always.bind(flat, plan)
 						for i, bl := range guarded.lists {
-							guarded.walkList(bl.l, bl.w, bl.rem)
+							guarded.walkList(&guarded.lists[i].l, bl.w, bl.rem)
 							guarded.settle(bl.rem, guarded.remAfterNext(i))
-							always.walkList(bl.l, bl.w, bl.rem)
+							always.walkList(&always.lists[i].l, bl.w, bl.rem)
 							always.settle(bl.rem, -1)
 							if guarded.theta > always.theta {
 								t.Fatalf("%s list %d: guarded θ %g above the fresh one %g", label, i, guarded.theta, always.theta)
@@ -404,7 +429,7 @@ func TestTopKThetaRefreshDifferential(t *testing.T) {
 						if len(guarded.lists) > 0 && guarded.theta != always.theta {
 							t.Fatalf("%s: final θ %g, fresh %g: the last list must refresh", label, guarded.theta, always.theta)
 						}
-						if _, c := scorePlanTopK(flat, plan, k, accept); c != guarded.topkCounters {
+						if _, c := scorePlanTopK(flat, plan, k, accept, allDocs); c != guarded.topkCounters {
 							t.Fatalf("%s: scorePlanTopK counted %+v, the driven accumulator %+v", label, c, guarded.topkCounters)
 						}
 					}
@@ -479,40 +504,111 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 
 // TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
 // holds nothing of its evaluation, and gives up a buffer that grew past
-// maxPooledDocs instead of pinning it in the pool.
+// maxPooledDocs (the skip-entry arena: maxPooledBlocks) instead of
+// pinning it in the pool.
 func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
-	a := &topkAcc{
-		k:      3,
-		accept: func(DocID) bool { return true },
-		docs:   make([]ScoredDoc, 5, maxPooledDocs+1),
-		pend:   make([]ScoredDoc, 5, maxPooledDocs),
-		lists:  []boundedList{{l: &postingList{}}},
-		closed: true,
-	}
-	a.release()
-	if a.docs != nil || cap(a.pend) != maxPooledDocs {
-		t.Errorf("kept cap(docs)=%d cap(pend)=%d, want the outsized docs dropped and pend kept", cap(a.docs), cap(a.pend))
-	}
-	if len(a.pend) != 0 || len(a.lists) != 0 || a.lists[:1][0].l != nil || a.accept != nil || a.closed || a.k != 0 {
-		t.Errorf("released accumulator still holds evaluation state: %+v", a)
+	for _, arenaCap := range []int{maxPooledBlocks, maxPooledBlocks + 1} {
+		a := &topkAcc{
+			k:      3,
+			accept: func(DocID) bool { return true },
+			span:   allDocs,
+			docs:   make([]ScoredDoc, 5, maxPooledDocs+1),
+			pend:   make([]ScoredDoc, 5, maxPooledDocs),
+			lists:  []boundedList{{l: postingList{data: []byte{1}, count: 1}}},
+			arena:  make([]blockMeta, 3, arenaCap),
+			closed: true,
+		}
+		a.release()
+		if a.docs != nil || cap(a.pend) != maxPooledDocs {
+			t.Errorf("kept cap(docs)=%d cap(pend)=%d, want the outsized docs dropped and pend kept", cap(a.docs), cap(a.pend))
+		}
+		if want := arenaCap <= maxPooledBlocks; (a.arena != nil) != want {
+			t.Errorf("arena of cap %d kept=%v, want %v", arenaCap, a.arena != nil, want)
+		}
+		if len(a.pend) != 0 || len(a.lists) != 0 || len(a.arena) != 0 || a.lists[:1][0].l.data != nil ||
+			a.accept != nil || a.span != (docRange{}) || a.closed || a.k != 0 {
+			t.Errorf("released accumulator still holds evaluation state: %+v", a)
+		}
 	}
 }
 
 // TestScorerAllocBudget pins the scorer's garbage: with a warm free
 // list an evaluation allocates the slice it returns and nothing else —
-// nothing per list, per posting or per document.
+// nothing per list, per posting or per document — over an in-memory
+// index and over a sealed segment's mapping. Streamed, a segment adds
+// the one read buffer per planned list it holds. A warm
+// Store.ScoreTopK allocates as often for a need naming one list as for
+// one naming every list.
 func TestScorerAllocBudget(t *testing.T) {
-	flat := flatFromDocs(randomDocs(61, 2000, 0))
+	docs := randomDocs(61, 2000, 0)
+	flat := flatFromDocs(docs)
 	need := randomNeed(rand.New(rand.NewSource(62)))
 	plan := planQuery(need, 0.6, flat)
-	for _, k := range []int{10, 0} {
-		if out, _ := scorePlanTopK(flat, plan, k, nil); len(out) == 0 { // also warms the free list
-			t.Fatalf("k%d: need matches nothing", k)
+	path := filepath.Join(t.TempDir(), "seg-000000.seg")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flat.WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	type source struct {
+		src     listSource
+		perList float64
+	}
+	sources := map[string]source{"index": {flat, 0}}
+	for name, stream := range map[string]bool{"mmap": false, "stream": true} {
+		r, err := OpenSegment(path, stream)
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(flat, plan, k, nil) })
-		if allocs > 1 {
-			t.Errorf("k%d: %.1f allocations per evaluation, want at most 1 (the returned slice)", k, allocs)
+		t.Cleanup(func() { r.Close() })
+		if _, pread := r.src.(*preadSource); pread == stream {
+			perList := 0.0
+			if stream {
+				perList = 1
+			}
+			sources["segment "+name] = source{r, perList}
 		}
+	}
+	if len(sources) < 2 {
+		t.Log("no mmap on this platform: the segment is only read streamed")
+	}
+	for name, s := range sources {
+		for _, k := range []int{10, 0} {
+			if out, _ := scorePlanTopK(s.src, plan, k, nil, allDocs); len(out) == 0 { // also warms the free list
+				t.Fatalf("%s k%d: need matches nothing", name, k)
+			}
+			budget := 1 + s.perList*float64(len(plan))
+			if allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(s.src, plan, k, nil, allDocs) }); allocs > budget {
+				t.Errorf("%s k%d: %.1f allocations per evaluation over %d planned lists, want at most %g",
+					name, k, allocs, len(plan), budget)
+			}
+		}
+	}
+
+	// The first segment holds 70 % of any need's postings, so it is cut
+	// in two for the narrow need and the wide one alike.
+	store := storeOf(t, docs, []int{1400, 1700}, StoreOptions{})
+	store.workers = 2
+	narrow := analysis.Analyzed{Terms: map[string]int{"swim": 1}}
+	wide := analysis.Analyzed{Terms: map[string]int{}, Entities: map[kb.EntityID]analysis.EntityStats{}}
+	for _, term := range shardTestVocab() {
+		wide.Terms[term] = 1
+	}
+	for e := kb.EntityID(0); e < 50; e += 5 {
+		wide.Entities[e] = analysis.EntityStats{Freq: 1, DScore: 1}
+	}
+	allocs := map[string]float64{}
+	for name, need := range map[string]analysis.Analyzed{"narrow": narrow, "wide": wide} {
+		store.ScoreTopK(need, 0.6, 10, nil)
+		allocs[name] = testing.AllocsPerRun(50, func() { store.ScoreTopK(need, 0.6, 10, nil) })
+	}
+	t.Logf("Store.ScoreTopK allocations: %v", allocs)
+	if allocs["wide"] > allocs["narrow"] {
+		t.Errorf("Store.ScoreTopK allocates %.1f times for 1 planned list and %.1f for %d: binding allocates per list",
+			allocs["narrow"], allocs["wide"], len(wide.Terms)+len(wide.Entities))
 	}
 }
 
