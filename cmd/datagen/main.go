@@ -12,16 +12,19 @@
 //	        [-fault-outages net,net] [-retries N]
 //	        [-log-format text|json] [-log-level L]
 //
-// -stream switches to streaming generation: the corpus is emitted as
-// chunked JSONL records straight to disk, and bulk texts are dropped
-// from memory as each chunk lands, so peak memory is bounded by the
-// base corpus plus one chunk at any -scale. With -segment-dir the
-// stream is then analyzed chunk by chunk into a disk-backed segment
-// index that cmd/serve and cmd/loadtest open directly.
+// There is one corpus file format (internal/corpusio): -save writes
+// the corpus in memory as a file with no chunks, and -load reads any
+// corpus file. -stream switches to streaming generation: the corpus is
+// written straight to disk as chunked records, and bulk texts are
+// dropped from memory as each chunk lands, so peak memory is bounded
+// by the base corpus plus one chunk at any -scale. With -segment-dir
+// the file is then analyzed chunk by chunk into a disk-backed segment
+// index that cmd/serve and cmd/loadtest open directly. cmd/serve
+// -corpus serves a file of either kind.
 //
 // When any -fault-* flag is set, the corpus is re-crawled through the
 // fault-injecting platform API (internal/faults) and the degraded
-// view replaces the pristine graph — so saved snapshots and printed
+// view replaces the pristine graph — so saved corpora and printed
 // statistics reflect what a crawler facing flaky APIs would obtain.
 // -retries enables the retry/breaker stack during that crawl; the
 // crawl emits structured log records (breaker transitions, final
@@ -79,9 +82,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "generation seed")
 	scale := flag.Float64("scale", 1.0, "volume multiplier")
 	jsonPath := flag.String("json", "", "write the full corpus as JSON to this file")
-	savePath := flag.String("save", "", "save a reloadable corpus snapshot (.json or .json.gz)")
-	loadPath := flag.String("load", "", "load a corpus snapshot instead of generating")
-	streamPath := flag.String("stream", "", "write a streaming corpus (chunked JSONL, .gz to compress) in bounded memory")
+	savePath := flag.String("save", "", "save the corpus as a reloadable corpus file (.gz to compress)")
+	loadPath := flag.String("load", "", "load a corpus file (-save or -stream) instead of generating")
+	streamPath := flag.String("stream", "", "generate the corpus into a chunked corpus file (.gz to compress) in bounded memory")
 	chunkDocs := flag.Int("chunk-docs", 25000, "bulk resources per stream chunk")
 	segmentDir := flag.String("segment-dir", "", "with -stream: build a disk-backed segment index of the corpus in this directory")
 	segmentFlush := flag.Int("segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
@@ -118,7 +121,7 @@ func main() {
 	var ds *dataset.Dataset
 	if *loadPath != "" {
 		var err error
-		ds, err = corpusio.LoadFile(*loadPath)
+		ds, err = corpusio.LoadStreamFile(*loadPath, corpusio.StreamLoadOptions{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
@@ -185,7 +188,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nreloadable snapshot written to %s\n", *savePath)
+		fmt.Printf("\ncorpus file written to %s\n", *savePath)
 	}
 }
 
@@ -226,7 +229,7 @@ func runStream(seed int64, scale float64, chunkDocs int, streamPath, segmentDir 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stream corpus written to %s in %v: %d chunks, %d users, %d resources\n",
+	fmt.Printf("corpus file written to %s in %v: %d chunks, %d users, %d resources\n",
 		streamPath, time.Since(t0).Round(time.Millisecond), total,
 		ds.Graph.NumUsers(), ds.Graph.NumResources())
 	if segmentDir == "" {
@@ -235,7 +238,7 @@ func runStream(seed int64, scale float64, chunkDocs int, streamPath, segmentDir 
 
 	t1 := time.Now()
 	sys, err := experiments.Build(experiments.BuildOptions{
-		StreamPath: streamPath,
+		CorpusPath: streamPath,
 		SegmentDir: segmentDir,
 		Store:      index.StoreOptions{FlushDocs: flushDocs, MaxSegments: maxSegments},
 	})

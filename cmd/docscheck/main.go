@@ -10,10 +10,12 @@
 // It also keeps the runbooks honest: the top-level documents, the
 // verify skill and the CI workflow (refDocs) may name a `make <target>`
 // only when the Makefile's .PHONY line lists it, and a BENCH_<n>.json
-// only when git tracks it — so a retired gate or baseline cannot linger
-// in a procedure someone (or CI) will follow. And for the two commands with a
-// flag table in OPERATIONS.md (flagDocs), the table and the flags
-// main.go registers must be the same set, one row each.
+// only when git tracks it, and a line of code that runs one of the
+// module's commands may pass it only flags its main.go registers — so
+// a retired gate, baseline or flag cannot linger in a procedure
+// someone (or CI) will follow. And for the two commands with a flag
+// table in OPERATIONS.md (flagDocs), the table and the flags main.go
+// registers must be the same set, one row each.
 //
 // Usage:
 //
@@ -21,8 +23,9 @@
 //
 // packages defaults to ./... and is passed to `go list` verbatim. Exit
 // status is nonzero when any package lacks a doc comment, any exported
-// declaration is undocumented, any document names a dangling target or
-// file or a flag table disagrees with its command, listing each
+// declaration is undocumented, any document names a dangling target,
+// file or command flag or a flag table disagrees with its command,
+// listing each
 // offender with the file and line to fix.
 package main
 
@@ -35,6 +38,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -72,19 +76,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documentation offender(s)\n", len(offenders))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets and tracked BENCH files, %d flag tables match their commands\n",
+	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets, tracked BENCH files and registered command flags, %d flag tables match their commands\n",
 		len(pkgs), len(refDocs), len(flagDocs))
 }
 
 // refDocs are the documents, relative to the module root, whose make
-// targets and BENCH files must exist.
+// targets, BENCH files and command flags must exist.
 var refDocs = []string{
 	"README.md", "OPERATIONS.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
 	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
 }
 
 // checkRepoRefs runs checkRefs over refDocs against the module's own
-// Makefile and git index.
+// Makefile, git index and commands.
 func checkRepoRefs() ([]string, error) {
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
@@ -105,13 +109,23 @@ func checkRepoRefs() ([]string, error) {
 		tracked[f] = true
 	}
 	targets := phonyTargets(string(mk))
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		return nil, err
+	}
+	cmds := map[string][]string{}
+	for _, m := range mains {
+		if cmds[filepath.Base(filepath.Dir(m))], err = registeredFlags(m); err != nil {
+			return nil, err
+		}
+	}
 	var offenders []string
 	for _, doc := range refDocs {
 		text, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			return nil, err
 		}
-		offenders = append(offenders, checkRefs(doc, string(text), targets, tracked)...)
+		offenders = append(offenders, checkRefs(doc, string(text), targets, tracked, cmds)...)
 	}
 	ops, err := os.ReadFile(filepath.Join(root, flagDoc))
 	if err != nil {
@@ -231,16 +245,47 @@ func phonyTargets(makefile string) map[string]bool {
 var (
 	makeTarget = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 	benchFile  = regexp.MustCompile(`BENCH_[0-9]+\.json`)
+	flagArg    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(=|$)`)
 )
 
+// unregisteredFlags returns the command of cmds (name -> registered
+// flags) that a line of code runs — as `go run ./cmd/X` anywhere in it,
+// or as X or /tmp/X first — and the flags it passes that the command
+// does not register. Words after a shell operator or comment belong to
+// something else.
+func unregisteredFlags(code string, cmds map[string][]string) (string, []string) {
+	if _, rest, ok := strings.Cut(code, "go run ./cmd/"); ok {
+		code = rest
+	}
+	words := strings.Fields(strings.TrimPrefix(code, "/tmp/"))
+	if len(words) == 0 {
+		return "", nil
+	}
+	registered, ok := cmds[words[0]]
+	if !ok {
+		return "", nil
+	}
+	var bad []string
+	for _, w := range words[1:] {
+		if strings.ContainsAny(w[:1], "|&;#>") {
+			break
+		}
+		if m := flagArg.FindStringSubmatch(w); m != nil && m[1] != "h" && m[1] != "help" && !slices.Contains(registered, m[1]) {
+			bad = append(bad, m[1])
+		}
+	}
+	return words[0], bad
+}
+
 // checkRefs returns one line per make target in doc's text that
-// targets lacks and per BENCH_<n>.json that tracked lacks. Only code
-// counts as a make invocation — a backtick span opening with "make ",
-// a line of a fenced block starting with it, or a workflow step's
-// `run: make …` — so prose may still "make sure"; words after it are
+// targets lacks, per BENCH_<n>.json that tracked lacks and per flag a
+// command of cmds (name -> registered flags) is run with but does not
+// register. Only code counts as an invocation — a backtick span, a line
+// of a fenced block or a workflow step's `run:` line — so prose may
+// still "make sure" or mention "serve -x". After "make ", words are
 // targets until the first that is neither a target name nor a
 // VAR=value.
-func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
+func checkRefs(doc, text string, targets, tracked map[string]bool, cmds map[string][]string) []string {
 	var offenders []string
 	invoked := func(lineNo int, cmd string) {
 		for _, w := range strings.Fields(cmd)[1:] {
@@ -255,6 +300,12 @@ func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
 			}
 		}
 	}
+	ran := func(lineNo int, code string) {
+		name, bad := unregisteredFlags(code, cmds)
+		for _, f := range bad {
+			offenders = append(offenders, fmt.Sprintf("%s:%d: `%s -%s` is not a flag cmd/%s registers", doc, lineNo, name, f, name))
+		}
+	}
 	fenced := false
 	for i, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
@@ -266,13 +317,19 @@ func checkRefs(doc, text string, targets, tracked map[string]bool) []string {
 		if isStep {
 			cmd = step
 		}
-		if (fenced || isStep) && strings.HasPrefix(cmd, "make ") {
-			invoked(i+1, cmd)
+		if fenced || isStep {
+			if strings.HasPrefix(cmd, "make ") {
+				invoked(i+1, cmd)
+			}
+			ran(i+1, cmd)
 		}
 		// Odd fields of a split on backticks are the line's code spans.
 		for j, span := range strings.Split(line, "`") {
-			if j%2 == 1 && strings.HasPrefix(span, "make ") {
-				invoked(i+1, span)
+			if j%2 == 1 {
+				if strings.HasPrefix(span, "make ") {
+					invoked(i+1, span)
+				}
+				ran(i+1, span)
 			}
 		}
 		for _, f := range benchFile.FindAllString(line, -1) {

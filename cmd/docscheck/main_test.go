@@ -136,6 +136,10 @@ func TestRepositoryClean(t *testing.T) {
 func TestCheckRefs(t *testing.T) {
 	targets := phonyTargets("GO ?= go\n\n.PHONY: all ledger loadtest-scale check\n\nall: check\n")
 	tracked := map[string]bool{"BENCH_10.json": true}
+	cmds := map[string][]string{
+		"serve":   {"addr", "corpus", "segment-dir"},
+		"datagen": {"stream"},
+	}
 	text := strings.Join([]string{
 		"Run `make ledger` on the parent, then `make loadtest-scale SCALE=100` (BENCH_10.json).", // 1: all live
 		"Prose may make sure of anything; BENCH_10.run.json and BENCH_<n>.json are not records.", // 2: not code, not files
@@ -143,13 +147,23 @@ func TestCheckRefs(t *testing.T) {
 		"make check           # what CI runs",
 		"make retired-gate  # gate vs. committed BENCH_99.json", // 5: dangling target and file
 		"```",
-		"After `make ledger retired-leg` compare.", // 7: second target dangling
+		"After `make ledger retired-leg` compare.",                                                             // 7: second target dangling
+		"Run `serve -corpus c.gz -segment-dir d -h` or `go run ./cmd/serve -addr=:1`; prose says serve -gone.", // 8: all live
+		"```sh",
+		"/tmp/serve -addr :8 -stream-corpus c.gz",                   // 10: a retired flag
+		"/tmp/serve -segment-dir d -ingest-seed 3 & # -not-checked", // 11: up to the operator
+		"go run ./cmd/datagen -stream c.gz -save x",                 // 12: another command's table
+		"curl -s localhost:8/v1/find -retired",                      // 13: no command of the module
+		"```",
 	}, "\n")
-	off := checkRefs("RUNBOOK.md", text, targets, tracked)
+	off := checkRefs("RUNBOOK.md", text, targets, tracked, cmds)
 	want := []string{
 		"RUNBOOK.md:5: `make retired-gate` is not a Makefile target",
 		"RUNBOOK.md:5: BENCH_99.json is not a tracked file",
 		"RUNBOOK.md:7: `make retired-leg` is not a Makefile target",
+		"RUNBOOK.md:10: `serve -stream-corpus` is not a flag cmd/serve registers",
+		"RUNBOOK.md:11: `serve -ingest-seed` is not a flag cmd/serve registers",
+		"RUNBOOK.md:12: `datagen -save` is not a flag cmd/datagen registers",
 	}
 	if strings.Join(off, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
@@ -165,7 +179,7 @@ func TestCheckRefs(t *testing.T) {
 		"      - name: make the build",     // 6: a step name, not a run
 		"        run: go test ./...",
 	}, "\n")
-	off = checkRefs("ci.yml", workflow, targets, tracked)
+	off = checkRefs("ci.yml", workflow, targets, tracked, cmds)
 	if want := "ci.yml:5: `make retired-job` is not a Makefile target"; strings.Join(off, "\n") != want {
 		t.Fatalf("workflow offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), want)
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-seed N] [-scale F] [-index-shards N] [-run id,id,...]
+//	experiments [-seed N] [-scale F] [-run id,id,...]
 //	            [-fault-rates F,F,...] [-fault-seed N] [-retries N]
 //
 // Experiment ids: fig5a fig5b fig6 fig7 table2 fig8 table3 fig9
@@ -33,7 +33,6 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "dataset generation seed")
 	scale := flag.Float64("scale", 1.0, "corpus volume multiplier")
-	indexShards := flag.Int("index-shards", 0, "document shards scored in parallel per query (0 = GOMAXPROCS, 1 = monolithic)")
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
 	faultRates := flag.String("fault-rates", "", "comma-separated API failure rates for the faults sweep (default 0,0.05,0.1,0.25,0.5)")
 	faultSeed := flag.Int64("fault-seed", 0, "fault injection seed for the faults sweep (default 23)")
@@ -62,28 +61,7 @@ func main() {
 		}
 	}
 
-	runners := []struct {
-		id string
-		fn func(*experiments.System) fmt.Stringer
-	}{
-		{"fig5a", func(s *experiments.System) fmt.Stringer { return experiments.RunFig5a(s) }},
-		{"fig5b", func(s *experiments.System) fmt.Stringer { return experiments.RunFig5b(s) }},
-		{"fig6", func(s *experiments.System) fmt.Stringer { return experiments.RunFig6(s) }},
-		{"fig7", func(s *experiments.System) fmt.Stringer { return experiments.RunFig7(s) }},
-		{"table2", func(s *experiments.System) fmt.Stringer { return experiments.RunTable2(s) }},
-		{"fig8", func(s *experiments.System) fmt.Stringer { return experiments.RunFig8(s) }},
-		{"table3", func(s *experiments.System) fmt.Stringer { return experiments.RunTable3(s) }},
-		{"fig9", func(s *experiments.System) fmt.Stringer { return experiments.RunFig9(s) }},
-		{"table4", func(s *experiments.System) fmt.Stringer { return experiments.RunTable4(s) }},
-		{"fig10", func(s *experiments.System) fmt.Stringer { return experiments.RunFig10(s) }},
-		{"fig11", func(s *experiments.System) fmt.Stringer { return experiments.RunFig11(s) }},
-		{"baselines", func(s *experiments.System) fmt.Stringer { return experiments.RunBaselineComparison(s) }},
-		{"significance", func(s *experiments.System) fmt.Stringer { return experiments.RunSignificance(s) }},
-		{"crawl", func(s *experiments.System) fmt.Stringer { return experiments.RunCrawlRobustness(s) }},
-		{"faults", func(s *experiments.System) fmt.Stringer { return experiments.RunFaultSweep(s, sweep) }},
-		{"agreement", func(s *experiments.System) fmt.Stringer { return experiments.RunNetworkAgreement(s) }},
-		{"correlation", func(s *experiments.System) fmt.Stringer { return experiments.RunCorrelation(s) }},
-	}
+	sections := experiments.Sections(sweep)
 
 	want := map[string]bool{}
 	if *run != "" {
@@ -92,8 +70,8 @@ func main() {
 		}
 		for id := range want {
 			known := false
-			for _, r := range runners {
-				if r.id == id {
+			for _, sec := range sections {
+				if sec.ID == id {
 					known = true
 				}
 			}
@@ -105,18 +83,18 @@ func main() {
 	}
 
 	t0 := time.Now()
-	sys := experiments.BuildSystem(dataset.Config{Seed: *seed, Scale: *scale, IndexShards: *indexShards})
+	sys := experiments.BuildSystem(dataset.Config{Seed: *seed, Scale: *scale})
 	fmt.Printf("system: %d resources generated, %d indexed, %d candidates\n\n",
 		sys.DS.Graph.NumResources(), sys.Kept, len(sys.DS.Candidates))
 	fmt.Fprintf(os.Stderr, "system built in %v\n", time.Since(t0).Round(time.Millisecond))
 
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for _, sec := range sections {
+		if len(want) > 0 && !want[sec.ID] {
 			continue
 		}
 		t := time.Now()
-		result := r.fn(sys)
-		fmt.Printf("== %s ==\n%s\n", r.id, result)
-		fmt.Fprintf(os.Stderr, "%s took %v\n", r.id, time.Since(t).Round(time.Millisecond))
+		result := sec.Run(sys)
+		fmt.Printf("== %s ==\n%s\n", sec.ID, result)
+		fmt.Fprintf(os.Stderr, "%s took %v\n", sec.ID, time.Since(t).Round(time.Millisecond))
 	}
 }

@@ -23,7 +23,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "corpus seed")
 	scale := flag.Float64("scale", 0.5, "corpus volume multiplier")
-	corpus := flag.String("corpus", "", "load a saved corpus snapshot instead of generating")
+	corpus := flag.String("corpus", "", "load a corpus file (datagen -save or -stream) instead of generating")
 	top := flag.Int("top", 5, "number of experts to print")
 	alpha := flag.Float64("alpha", 0.6, "term/entity matching balance in [0,1]")
 	distance := flag.Int("distance", 2, "max social-graph distance (0..2)")

@@ -5,12 +5,13 @@
 //
 //	serve [-addr :8080] [flags]
 //
-// The corpus is generated from -seed/-scale, loaded from a -corpus
-// snapshot, or streamed from -stream-corpus into the segment store
-// under -segment-dir (reopened without analysis when already built);
-// -shard-id/-shard-count restrict any of the three to one slice of a
-// scatter-gather topology, and -ingest-interval keeps the generated
-// corpus ingesting live. The fourth source is other serve processes:
+// The corpus is generated from -seed/-scale or loaded from a -corpus
+// file (datagen -save or -stream), and indexed in memory or, with
+// -segment-dir, into the segment store there (reopened without
+// analysis when already built); -shard-id/-shard-count restrict either
+// source to one slice of a scatter-gather topology, and
+// -ingest-interval keeps the generated in-memory corpus ingesting
+// live. The third source is other serve processes:
 // -shards URL,URL,... loads no corpus and coordinates that topology
 // (the i-th URL must be the process started with -shard-id i
 // -shard-count len(URLs)), answering /v1/find byte-identically to one
@@ -65,21 +66,13 @@ type options struct {
 	slo   slo.Config
 
 	ingestInterval time.Duration
-	ingestFaults   faults.Config
-	ingestChurn    ingest.ChurnConfig
 }
 
 // needs maps a flag to the one without which it silently does nothing.
 var needs = map[string]string{
-	"segment-dir":        "stream-corpus",
-	"segment-flush-docs": "stream-corpus",
-	"segment-max":        "stream-corpus",
+	"segment-flush-docs": "segment-dir",
+	"segment-max":        "segment-dir",
 	"shard-id":           "shard-count",
-	"ingest-seed":        "ingest-interval",
-	"ingest-adds":        "ingest-interval",
-	"ingest-updates":     "ingest-interval",
-	"ingest-removes":     "ingest-interval",
-	"ingest-transient":   "ingest-interval",
 	"shard-timeout":      "shards",
 	"hedge-disable":      "shards",
 	"health-interval":    "shards",
@@ -89,10 +82,10 @@ var needs = map[string]string{
 // its result cache or its ingest: -shards refuses each, because a
 // coordinator holds none of them.
 var corpusOnly = []string{
-	"seed", "scale", "corpus", "stream-corpus",
+	"seed", "scale", "corpus",
 	"segment-dir", "segment-flush-docs", "segment-max", "segment-maintain",
 	"index-shards", "cache-size", "cache-ttl", "shard-id", "shard-count",
-	"ingest-interval", "ingest-seed", "ingest-adds", "ingest-updates", "ingest-removes", "ingest-transient",
+	"ingest-interval",
 }
 
 // parseFlags parses args into the run's options. A flag error, an
@@ -109,9 +102,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.Int64Var(&o.open.Config.Seed, "seed", 1, "corpus seed (ignored with -corpus)")
 	fs.Float64Var(&o.open.Config.Scale, "scale", 0.5, "corpus volume multiplier (ignored with -corpus)")
-	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a saved corpus snapshot instead of generating")
-	fs.StringVar(&o.open.StreamPath, "stream-corpus", "", "serve a streaming corpus (datagen -stream) from a segment index (requires -segment-dir)")
-	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "segment index directory for -stream-corpus (reused if already built)")
+	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a corpus file (datagen -save or -stream) instead of generating")
+	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "serve from a disk-backed segment index in this directory (reused if already built)")
 	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
 	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "segment count that triggers compaction (0 = default)")
 	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
@@ -137,17 +129,11 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.slo.Window, "slo-window", 5*time.Minute, "sliding window for SLO burn rates")
 	fs.Float64Var(&o.slo.BurnAlert, "slo-burn-alert", 4, "burn rate that triggers an on-breach profile capture")
 	fs.StringVar(&o.slo.ProfileDir, "pprof-dir", "", "directory for on-breach pprof captures (empty disables capturing)")
-	fs.DurationVar(&o.ingestInterval, "ingest-interval", 0, "continuous-ingest round interval (0 disables; requires the generated corpus)")
-	fs.Int64Var(&o.ingestChurn.Seed, "ingest-seed", 1, "remote churn and fault-injection seed")
-	fs.IntVar(&o.ingestChurn.Adds, "ingest-adds", 0, "remote resources added per churn round")
-	fs.IntVar(&o.ingestChurn.Updates, "ingest-updates", 8, "remote resources edited per churn round")
-	fs.IntVar(&o.ingestChurn.Removes, "ingest-removes", 0, "remote resources deleted per churn round")
-	fs.Float64Var(&o.ingestFaults.TransientRate, "ingest-transient", 0, "injected transient-failure rate on remote fetches")
+	fs.DurationVar(&o.ingestInterval, "ingest-interval", 0, "continuous-ingest round interval (0 disables; requires the generated corpus in memory)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	o.log.NoStamp = !logStamp
-	o.ingestFaults.Seed = o.ingestChurn.Seed
 
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -196,15 +182,12 @@ func shardBases(list string) ([]string, error) {
 func (o *options) refused() error {
 	b := o.open
 	switch {
-	case o.ingestInterval > 0 && (b.CorpusPath != "" || b.StreamPath != "" || b.ShardCount > 0):
+	case o.ingestInterval > 0 && (b.CorpusPath != "" || b.SegmentDir != "" || b.ShardCount > 0):
 		// A round diffs against a regenerated twin of the served corpus:
-		// a snapshot or a stream has none, and a shard serves a slice
-		// while a delta carries the whole corpus.
-		return errors.New("-ingest-interval requires the generated corpus: it excludes -corpus, -stream-corpus and -shard-count")
-	case b.StreamPath != "" && b.SegmentDir == "":
-		return errors.New("-stream-corpus requires -segment-dir")
-	case b.StreamPath != "" && b.CorpusPath != "":
-		return errors.New("-stream-corpus and -corpus are two sources: pick one")
+		// a corpus file has none, a shard serves a slice while a delta
+		// carries the whole corpus, and the segment store's writes are
+		// not durable across a restart yet.
+		return errors.New("-ingest-interval requires the generated corpus in memory: it excludes -corpus, -segment-dir and -shard-count")
 	case b.ShardCount < 0 || b.ShardID < 0 || b.ShardID >= max(b.ShardCount, 1):
 		return fmt.Errorf("-shard-id %d outside a topology of -shard-count %d", b.ShardID, b.ShardCount)
 	}
@@ -346,12 +329,11 @@ func serveCorpus(o *options, logger *slog.Logger, fatalf func(string, ...any)) *
 		if o.ingestInterval > 0 {
 			// The remote twin: the same generator configuration yields a
 			// same-ID replica of the corpus just installed, which the
-			// churn driver then evolves like a live platform.
-			remote := dataset.Generate(dataset.Config{
-				Seed: o.open.Config.Seed, Scale: o.open.Config.Scale, IndexShards: o.open.Config.IndexShards,
-			})
+			// churn driver then evolves like a live platform, editing a
+			// few resources a round with the corpus's seed.
+			remote := dataset.Generate(dataset.Config{Seed: o.open.Config.Seed, Scale: o.open.Config.Scale})
 			icfg := ingest.Config{
-				API:    faults.Wrap(remote.Graph, o.ingestFaults),
+				API:    faults.Wrap(remote.Graph, faults.Config{}),
 				Logger: logger,
 				Tracer: o.api.Tracer,
 			}
@@ -363,10 +345,10 @@ func serveCorpus(o *options, logger *slog.Logger, fatalf func(string, ...any)) *
 				fatalf("ingest setup failed", "err", err.Error())
 			}
 			handler.SetIngester(ing)
-			churn := ingest.NewChurn(remote.Graph, o.ingestChurn)
+			churnCfg := ingest.ChurnConfig{Seed: o.open.Config.Seed, Updates: 8}
+			churn := ingest.NewChurn(remote.Graph, churnCfg)
 			logger.Info("continuous ingest enabled",
-				"interval", o.ingestInterval.String(),
-				"adds", o.ingestChurn.Adds, "updates", o.ingestChurn.Updates, "removes", o.ingestChurn.Removes)
+				"interval", o.ingestInterval.String(), "updates", churnCfg.Updates)
 			go func() {
 				for range time.Tick(o.ingestInterval) {
 					churn.Round()

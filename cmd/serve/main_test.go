@@ -16,23 +16,16 @@ func TestParseFlagsRefusals(t *testing.T) {
 		want string // substring of the one stderr line
 	}{
 		{"ingest × corpus", "-ingest-interval 1s -corpus c.json.gz", "-ingest-interval requires the generated corpus"},
-		{"ingest × stream", "-ingest-interval 1s -stream-corpus c.gz -segment-dir d", "-ingest-interval requires the generated corpus"},
+		{"ingest × corpus × store", "-ingest-interval 1s -corpus c.gz -segment-dir d", "-ingest-interval requires the generated corpus"},
+		{"ingest × store", "-ingest-interval 1s -segment-dir d", "-ingest-interval requires the generated corpus"},
 		{"ingest × shard", "-ingest-interval 1s -shard-id 0 -shard-count 2", "-ingest-interval requires the generated corpus"},
 		{"shard id past the topology", "-shard-id 3 -shard-count 3", "-shard-id 3 outside a topology of -shard-count 3"},
 		{"negative shard id", "-shard-id -1 -shard-count 3", "-shard-id -1 outside"},
 		{"shard id in an explicit empty topology", "-shard-id 1 -shard-count 0", "-shard-id 1 outside a topology of -shard-count 0"},
 		{"negative topology", "-shard-count -2", "outside a topology of -shard-count -2"},
-		{"stream without dir", "-stream-corpus c.gz", "-stream-corpus requires -segment-dir"},
-		{"two sources", "-stream-corpus c.gz -segment-dir d -corpus c.json.gz", "two sources"},
-		{"idle -segment-dir", "-segment-dir d", "-segment-dir has no effect without -stream-corpus"},
-		{"idle -segment-flush-docs", "-segment-flush-docs 9", "-segment-flush-docs has no effect without -stream-corpus"},
-		{"idle -segment-max", "-corpus c.json.gz -segment-max 4", "-segment-max has no effect without -stream-corpus"},
+		{"idle -segment-flush-docs", "-segment-flush-docs 9", "-segment-flush-docs has no effect without -segment-dir"},
+		{"idle -segment-max", "-corpus c.json.gz -segment-max 4", "-segment-max has no effect without -segment-dir"},
 		{"idle -shard-id", "-shard-id 0", "-shard-id has no effect without -shard-count"},
-		{"idle -ingest-seed", "-ingest-seed 3", "-ingest-seed has no effect without -ingest-interval"},
-		{"idle -ingest-adds", "-ingest-adds 3", "-ingest-adds has no effect without -ingest-interval"},
-		{"idle -ingest-updates", "-ingest-updates 3", "-ingest-updates has no effect without -ingest-interval"},
-		{"idle -ingest-removes", "-ingest-removes 3", "-ingest-removes has no effect without -ingest-interval"},
-		{"idle -ingest-transient", "-ingest-transient 0.1", "-ingest-transient has no effect without -ingest-interval"},
 		{"idle -shard-timeout", "-shard-timeout 1s", "-shard-timeout has no effect without -shards"},
 		{"idle -hedge-disable", "-hedge-disable", "-hedge-disable has no effect without -shards"},
 		{"idle -health-interval", "-health-interval 1s", "-health-interval has no effect without -shards"},
@@ -59,14 +52,13 @@ func TestParseFlagsRefusals(t *testing.T) {
 // flag that configures one is refused beside -shards, never ignored.
 func TestShardsRefusesCorpusFlags(t *testing.T) {
 	values := map[string]string{
-		"seed": "3", "scale": "0.1", "corpus": "c.json.gz", "stream-corpus": "c.gz",
+		"seed": "3", "scale": "0.1", "corpus": "c.json.gz",
 		"segment-dir": "d", "segment-flush-docs": "9", "segment-max": "4", "segment-maintain": "1s",
 		"index-shards": "2", "cache-size": "8", "cache-ttl": "1s", "shard-id": "0", "shard-count": "2",
-		"ingest-interval": "1s", "ingest-seed": "3", "ingest-adds": "1", "ingest-updates": "1",
-		"ingest-removes": "1", "ingest-transient": "0.1",
+		"ingest-interval": "1s",
 	}
-	if len(corpusOnly) != 19 || len(values) != len(corpusOnly) {
-		t.Fatalf("corpusOnly lists %d flags, the test %d, want 19", len(corpusOnly), len(values))
+	if len(corpusOnly) != 13 || len(values) != len(corpusOnly) {
+		t.Fatalf("corpusOnly lists %d flags, the test %d, want 13", len(corpusOnly), len(values))
 	}
 	for _, name := range corpusOnly {
 		for _, args := range [][]string{
@@ -98,7 +90,7 @@ func TestParseFlagsAccepted(t *testing.T) {
 	}
 
 	o := parse("")
-	if b := o.open; b.Config.Seed != 1 || b.Config.Scale != 0.5 || b.CorpusPath != "" || b.StreamPath != "" ||
+	if b := o.open; b.Config.Seed != 1 || b.Config.Scale != 0.5 || b.CorpusPath != "" ||
 		b.SegmentDir != "" || b.ShardCount != 0 || o.ingestInterval != 0 || o.coord.Shards != nil {
 		t.Errorf("defaults: %+v", o.open)
 	}
@@ -116,12 +108,17 @@ func TestParseFlagsAccepted(t *testing.T) {
 		t.Errorf("coordinator defaults: %+v", o.coord)
 	}
 
-	// Newly accepted: a shard serving its slice of a stream corpus from
-	// its own segment directory.
-	o = parse("-stream-corpus c.gz -segment-dir d -segment-flush-docs 9000 -segment-max 4 -shard-id 1 -shard-count 3")
-	if b := o.open; b.StreamPath != "c.gz" || b.SegmentDir != "d" || b.Stream.FlushDocs != 9000 ||
+	// Source and container are independent: a shard serving its slice of
+	// any corpus file from its own segment directory, and the generated
+	// corpus in a segment store.
+	o = parse("-corpus c.gz -segment-dir d -segment-flush-docs 9000 -segment-max 4 -shard-id 1 -shard-count 3")
+	if b := o.open; b.CorpusPath != "c.gz" || b.SegmentDir != "d" || b.Stream.FlushDocs != 9000 ||
 		b.Stream.MaxSegments != 4 || b.ShardID != 1 || b.ShardCount != 3 {
-		t.Errorf("stream × shard: %+v", o.open)
+		t.Errorf("corpus × store × shard: %+v", o.open)
+	}
+	o = parse("-seed 4 -segment-dir d")
+	if b := o.open; b.Config.Seed != 4 || b.CorpusPath != "" || b.SegmentDir != "d" {
+		t.Errorf("generated × store: %+v", o.open)
 	}
 
 	o = parse("-corpus c.json.gz -index-shards 3 -shard-id 0 -shard-count 1")
@@ -129,11 +126,9 @@ func TestParseFlagsAccepted(t *testing.T) {
 		t.Errorf("corpus × shard: %+v", o.open)
 	}
 
-	o = parse("-seed 4 -scale 0.1 -ingest-interval 300ms -ingest-seed 5 -ingest-adds 1 -ingest-updates 6 -ingest-removes 2 -ingest-transient 0.2 -log-stamp=false")
-	if o.ingestInterval != 300*time.Millisecond || o.ingestChurn.Seed != 5 || o.ingestFaults.Seed != 5 ||
-		o.ingestChurn.Adds != 1 || o.ingestChurn.Updates != 6 || o.ingestChurn.Removes != 2 ||
-		o.ingestFaults.TransientRate != 0.2 || !o.log.NoStamp {
-		t.Errorf("ingest: %+v %+v", o.ingestChurn, o.ingestFaults)
+	o = parse("-seed 4 -scale 0.1 -ingest-interval 300ms -log-stamp=false")
+	if o.ingestInterval != 300*time.Millisecond || !o.log.NoStamp {
+		t.Errorf("ingest: %v", o.ingestInterval)
 	}
 }
 
@@ -142,8 +137,8 @@ func TestFlagCountAndHelp(t *testing.T) {
 	if _, err := parseFlags([]string{"-h"}, &stderr); err != flag.ErrHelp {
 		t.Fatalf("-h: %v", err)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 37 {
-		t.Errorf("serve registers %d flags, want 37", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 31 {
+		t.Errorf("serve registers %d flags, want 31", n)
 	}
 	registered := func(f string) bool {
 		return strings.Contains(stderr.String(), "\n  -"+f+" ") || strings.Contains(stderr.String(), "\n  -"+f+"\n")

@@ -120,14 +120,11 @@ type System struct {
 // corpus source, the slice of it that is indexed, and the container
 // that holds the index. The zero value is NewSystem(Config{}).
 type Options struct {
-	// Source: StreamPath (a stream corpus written by `datagen -stream`)
-	// or CorpusPath (a snapshot written by SaveCorpus or `datagen
-	// -save`); with neither, the synthetic corpus of Config is
-	// generated. A non-zero Config.IndexShards applies to every source;
-	// zero keeps the count a loaded corpus was generated with.
+	// Source: CorpusPath, a corpus file written by SaveCorpus, `datagen
+	// -save` or `datagen -stream`; without it, the synthetic corpus of
+	// Config is generated. Config.IndexShards applies to every source.
 	Config     Config
 	CorpusPath string
-	StreamPath string
 
 	// Slice: ShardCount > 0 builds shard ShardID of a scatter-gather
 	// topology. The system carries the full social graph but analyzes
@@ -156,10 +153,9 @@ type StreamOptions struct {
 	// MaxSegments bounds the sealed-segment count before maintenance
 	// compacts (0 selects the store default).
 	MaxSegments int
-	// KeepTexts retains a stream corpus's bulk resource texts in
-	// memory; by default they are dropped chunk by chunk once indexed,
-	// so a million-user corpus builds and serves in a bounded-memory
-	// envelope.
+	// KeepTexts retains a corpus file's bulk chunk texts in memory; by
+	// default they are dropped chunk by chunk once indexed, so a
+	// million-user corpus builds and serves in a bounded-memory envelope.
 	KeepTexts bool
 }
 
@@ -174,13 +170,12 @@ func Open(o Options) (*System, error) {
 			Seed:          o.Config.Seed,
 			NumCandidates: o.Config.Candidates,
 			Scale:         o.Config.Scale,
-			IndexShards:   o.Config.IndexShards,
 		},
-		CorpusPath: o.CorpusPath,
-		StreamPath: o.StreamPath,
-		ShardID:    o.ShardID,
-		ShardCount: o.ShardCount,
-		SegmentDir: o.SegmentDir,
+		CorpusPath:  o.CorpusPath,
+		ShardID:     o.ShardID,
+		ShardCount:  o.ShardCount,
+		IndexShards: o.Config.IndexShards,
+		SegmentDir:  o.SegmentDir,
 		Store: index.StoreOptions{
 			FlushDocs:   o.Stream.FlushDocs,
 			MaxSegments: o.Stream.MaxSegments,
@@ -207,10 +202,10 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// NewSystemFromStream is Open for a stream corpus served from the
+// NewSystemFromStream is Open for a corpus file served from the
 // segment store rooted at segmentDir.
 func NewSystemFromStream(corpusPath, segmentDir string, opts StreamOptions) (*System, error) {
-	return Open(Options{StreamPath: corpusPath, SegmentDir: segmentDir, Stream: opts})
+	return Open(Options{CorpusPath: corpusPath, SegmentDir: segmentDir, Stream: opts})
 }
 
 // SegmentStore returns the system's disk-backed segment store, or nil
@@ -222,8 +217,8 @@ func (s *System) SegmentStore() *index.Store {
 }
 
 // SaveCorpus writes the system's corpus (graph, pages, queries,
-// ground truth) to path; a ".gz" suffix selects compression. Reload it
-// with Options.CorpusPath.
+// ground truth) to path as a corpus file with no chunks; a ".gz"
+// suffix selects compression. Reload it with Options.CorpusPath.
 func (s *System) SaveCorpus(path string) error {
 	return corpusio.SaveFile(s.inner.DS, path)
 }

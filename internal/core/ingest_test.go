@@ -35,8 +35,10 @@ type ingestSystem struct {
 }
 
 func buildIngestSystem(cfg dataset.Config, shards int) *ingestSystem {
-	cfg.IndexShards = shards
-	sys := experiments.BuildSystem(cfg)
+	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, IndexShards: shards})
+	if err != nil {
+		panic(err)
+	}
 	return &ingestSystem{ds: sys.DS, pipe: sys.Finder.Pipeline(), finder: sys.Finder}
 }
 
@@ -45,7 +47,7 @@ func buildIngestSystem(cfg dataset.Config, shards int) *ingestSystem {
 func coldFinder(t *testing.T, remote *dataset.Dataset, shards int) *core.Finder {
 	t.Helper()
 	cold, err := experiments.Build(experiments.BuildOptions{
-		Dataset: remote, Config: dataset.Config{IndexShards: shards},
+		Dataset: remote, IndexShards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)

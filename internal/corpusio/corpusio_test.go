@@ -1,7 +1,8 @@
 package corpusio
 
 import (
-	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -70,19 +71,32 @@ func assertEqualDatasets(t *testing.T, a, b *dataset.Dataset) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	d := makeDataset(t)
-	var buf bytes.Buffer
-	if err := Save(d, &buf); err != nil {
+// writeFile writes raw corpus file content under a fresh directory.
+func writeFile(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualDatasets(t, d, got)
+	return path
 }
 
+// records renders v as one JSON line each: a hand-made corpus file.
+func records(t *testing.T, v ...any) string {
+	t.Helper()
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	for _, r := range v {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// TestRoundTripFilePlainAndGzip: a saved corpus is a file with no
+// chunks, and it reloads into the same, fully queryable dataset — with
+// or without DropTexts, which only acts on chunks.
 func TestRoundTripFilePlainAndGzip(t *testing.T) {
 	d := makeDataset(t)
 	dir := t.TempDir()
@@ -91,70 +105,193 @@ func TestRoundTripFilePlainAndGzip(t *testing.T) {
 		if err := SaveFile(d, path); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := LoadFile(path)
+		for _, drop := range []bool{false, true} {
+			chunks := 0
+			got, err := LoadStreamFile(path, StreamLoadOptions{
+				DropTexts: drop,
+				OnChunk:   func(*dataset.Dataset, *dataset.StreamChunk) error { chunks++; return nil },
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if chunks != 0 {
+				t.Fatalf("%s: a saved corpus replayed %d chunks", name, chunks)
+			}
+			assertEqualDatasets(t, d, got)
+			// Ground-truth helpers must work on the loaded dataset.
+			for _, dom := range kb.Domains {
+				if got.DomainMean(dom) <= 0 {
+					t.Errorf("%s: domain mean %s = %v", name, dom, got.DomainMean(dom))
+				}
+			}
+			if len(got.Queries) != 30 {
+				t.Errorf("%s: queries = %d", name, len(got.Queries))
+			}
+		}
+	}
+}
+
+func TestStreamCorpusRoundTrip(t *testing.T) {
+	for _, name := range []string{"corpus.stream.json", "corpus.stream.json.gz"} {
+		path := filepath.Join(t.TempDir(), name)
+		cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 4, Scale: 1.3}, ChunkDocs: 8000}
+		written := 0
+		if _, err := WriteStreamFile(path, cfg, func(_ *dataset.Dataset, chunks int) {
+			if chunks != written+1 {
+				t.Errorf("%s: progress reported chunk %d after %d", name, chunks, written)
+			}
+			written = chunks
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// The writer drops chunk texts as it goes; generation is
+		// deterministic, so a second run keeps them for the comparison.
+		gen, err := dataset.GenerateStream(cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		chunks := 0
+		got, err := LoadStreamFile(path, StreamLoadOptions{
+			OnChunk: func(*dataset.Dataset, *dataset.StreamChunk) error { chunks++; return nil },
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		assertEqualDatasets(t, d, got)
+		if chunks == 0 || chunks != written || chunks != cfg.BulkChunks() {
+			t.Fatalf("%s: %d chunks replayed, %d written, want %d", name, chunks, written, cfg.BulkChunks())
+		}
+		if got.Graph.NumResources() != gen.Graph.NumResources() || got.Graph.NumUsers() != gen.Graph.NumUsers() {
+			t.Fatalf("%s: %d resources / %d users, want %d / %d", name,
+				got.Graph.NumResources(), got.Graph.NumUsers(),
+				gen.Graph.NumResources(), gen.Graph.NumUsers())
+		}
+		for i := 0; i < gen.Graph.NumResources(); i += 733 {
+			ra := gen.Graph.Resource(socialgraph.ResourceID(i))
+			rb := got.Graph.Resource(socialgraph.ResourceID(i))
+			if ra.Text != rb.Text || ra.Creator != rb.Creator || ra.Container != rb.Container {
+				t.Fatalf("%s: resource %d differs after reload", name, i)
+			}
+		}
+	}
+}
+
+func TestStreamCorpusDropTexts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.stream.json.gz")
+	cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 7, Scale: 1.2}, ChunkDocs: 8000}
+	gen, err := WriteStreamFile(path, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := LoadStreamFile(path, StreamLoadOptions{DropTexts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Graph.NumResources() != gen.Graph.NumResources() {
+		t.Fatalf("resources %d, want %d", got.Graph.NumResources(), gen.Graph.NumResources())
+	}
+	blank := 0
+	for i := 0; i < got.Graph.NumResources(); i++ {
+		if got.Graph.Resource(socialgraph.ResourceID(i)).Text == "" {
+			blank++
+		}
+	}
+	if blank == 0 {
+		t.Fatal("DropTexts left every text in place")
+	}
+}
+
+// TestStreamCorpusRejectsTruncation cuts the trailer off a generated
+// file with chunks and off a saved one without: both are refused.
+func TestStreamCorpusRejectsTruncation(t *testing.T) {
+	streamed := filepath.Join(t.TempDir(), "corpus.stream.json")
+	cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 4, Scale: 1.2}, ChunkDocs: 10000}
+	if _, err := WriteStreamFile(streamed, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A saved corpus is the same format: it loads as one, and loses its
+	// trailer the same way.
+	saved := filepath.Join(t.TempDir(), "saved.json")
+	if err := SaveFile(dataset.Generate(dataset.Config{Seed: 1, Scale: 0.3}), saved); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStreamFile(saved, StreamLoadOptions{}); err != nil {
+		t.Fatalf("a saved corpus does not load as a corpus file: %v", err)
+	}
+
+	for _, path := range []string{streamed, saved} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut the trailer line off.
+		lines := strings.SplitAfter(string(raw), "\n")
+		trunc := writeFile(t, "trunc.json", strings.Join(lines[:len(lines)-2], ""))
+		if _, err := LoadStreamFile(trunc, StreamLoadOptions{}); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("%s without its trailer: %v, want a truncation error", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestLoadRefusesRetiredEnvelope: a file in the single-record format
+// that saved corpora used before the format became one is refused with
+// the command that regenerates it.
+func TestLoadRefusesRetiredEnvelope(t *testing.T) {
+	path := writeFile(t, "old.json", records(t, map[string]any{
+		"format": "expertfind-corpus", "version": 1, "corpus": makeDataset(t).Snapshot(),
+	}))
+	_, err := LoadStreamFile(path, StreamLoadOptions{})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "datagen -save") {
+		t.Fatalf("retired envelope: %v, want an error naming the file and `datagen -save`", err)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json at all")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"something-else","version":1}`)); err == nil {
-		t.Error("wrong format accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"expertfind-corpus","version":99}`)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	if _, err := Load(strings.NewReader(`{"format":"expertfind-corpus","version":1,"corpus":{}}`)); err == nil {
-		t.Error("empty corpus accepted")
+	hdr := streamRecord{Format: "expertfind-corpus-stream", Version: streamFormatVersion}
+	eof := streamRecord{EOF: &streamTrailer{}}
+	for _, c := range []struct{ name, content string }{
+		{"garbage", "not json at all"},
+		{"wrong format", `{"format":"something-else","version":1}`},
+		{"wrong version", `{"format":"expertfind-corpus-stream","version":99}`},
+		{"empty corpus", records(t, hdr, map[string]any{"base": map[string]any{}}, eof)},
+		{"no base snapshot", records(t, hdr, eof)},
+		{"empty record", records(t, hdr, map[string]any{})},
+		{"chunk before base", records(t, hdr, streamRecord{Chunk: &dataset.StreamChunk{}}, eof)},
+	} {
+		if _, err := LoadStreamFile(writeFile(t, "c.json", c.content), StreamLoadOptions{}); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
+// TestLoadRejectsCorruptReferences: a base snapshot whose graph names a
+// user it does not hold fails validation on load.
 func TestLoadRejectsCorruptReferences(t *testing.T) {
 	d := makeDataset(t)
 	snap := d.Snapshot()
-	// Corrupt a follows edge to reference a missing user.
 	if len(snap.Graph.Follows) == 0 {
 		t.Skip("no follow edges at this scale")
 	}
-	snap.Graph.Follows[0].To = 1 << 30
-	var buf bytes.Buffer
-	if err := Save(d, &buf); err != nil {
-		t.Fatal(err)
+	load := func() error {
+		path := writeFile(t, "c.json", records(t,
+			streamRecord{Format: "expertfind-corpus-stream", Version: streamFormatVersion},
+			streamRecord{Base: snap},
+			streamRecord{EOF: &streamTrailer{Users: d.Graph.NumUsers(), Resources: d.Graph.NumResources()}}))
+		_, err := LoadStreamFile(path, StreamLoadOptions{})
+		return err
 	}
-	// Rebuild through the snapshot API directly to hit validation.
-	if _, err := dataset.FromSnapshot(snap); err == nil {
+	if err := load(); err != nil {
+		t.Fatalf("hand-written corpus refused before corruption: %v", err)
+	}
+	snap.Graph.Follows[0].To = 1 << 30
+	if load() == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+	if _, err := LoadStreamFile(filepath.Join(t.TempDir(), "nope.json"), StreamLoadOptions{}); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestLoadedDatasetIsQueryable(t *testing.T) {
-	d := makeDataset(t)
-	var buf bytes.Buffer
-	if err := Save(d, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ground-truth helpers must work on the loaded dataset.
-	for _, dom := range kb.Domains {
-		if got.DomainMean(dom) <= 0 {
-			t.Errorf("domain mean %s = %v", dom, got.DomainMean(dom))
-		}
-	}
-	if len(got.Queries) != 30 {
-		t.Errorf("queries = %d", len(got.Queries))
 	}
 }

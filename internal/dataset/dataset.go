@@ -40,13 +40,6 @@ type Config struct {
 	// exposes almost none of their expertise (default 8, matching the
 	// unreliable users of Fig. 10).
 	SilentExperts int
-	// IndexShards is the number of document-hash shards the corpus
-	// index is built with. It parameterizes the corpus build, not
-	// generation: 0 selects GOMAXPROCS at build time, 1 forces a
-	// monolithic single shard. Persisted with snapshots so a reloaded
-	// corpus rebuilds the same layout; ranking output is identical
-	// for any value.
-	IndexShards int
 }
 
 func (c Config) withDefaults() Config {

@@ -19,7 +19,8 @@ type CandidateTruth struct {
 
 // Snapshot is the serialization-friendly form of a complete dataset:
 // the social graph, the synthetic Web, the queries and the ground
-// truth. It is what the corpus save/load layer reads and writes.
+// truth. It is the base record of every corpus file internal/corpusio
+// reads and writes.
 type Snapshot struct {
 	Config     Config                `json:"config"`
 	Graph      *socialgraph.Snapshot `json:"graph"`

@@ -134,17 +134,18 @@ func assertSlicesMergeToWhole(t *testing.T, label string, parts []*System, whole
 	}
 }
 
-// TestBuildMatrix builds every reachable cell of source × slice ×
-// container and requires one answer: whole builds rank bit-identically
-// whatever the source and container, and every source's two slices
-// merge to its whole build. Two corpora: scale 0.05, where the three
-// sources hold the same corpus (a stream of Scale ≤ 1 is its base
-// section), and a chunked stream just past scale 1, whose store cells
-// are fed chunk by chunk and seal several segments.
+// TestBuildMatrix builds cells of source × slice × container and
+// requires one answer: whole builds rank bit-identically whatever the
+// source and container, and every cell's two slices merge to its whole
+// build. Two corpora: scale 0.05, where the generated corpus, a saved
+// file and a streamed file hold the same corpus (at Scale ≤ 1 a stream
+// has no chunks, like a saved file), and a chunked stream just past
+// scale 1, whose store cells are fed chunk by chunk and seal several
+// segments.
 func TestBuildMatrix(t *testing.T) {
 	dir := t.TempDir()
 	cell := 0
-	// onStore gives a stream cell its own fresh segment directory.
+	// onStore gives a cell its own fresh segment directory.
 	onStore := func(o BuildOptions, flush int) BuildOptions {
 		cell++
 		o.SegmentDir = filepath.Join(dir, fmt.Sprintf("segments-%d", cell))
@@ -160,25 +161,27 @@ func TestBuildMatrix(t *testing.T) {
 		cfg := dataset.Config{Seed: 6, Scale: 0.05}
 		generated := BuildOptions{Config: cfg}
 		ref := build(t, generated)
-		snap := filepath.Join(dir, "corpus.json.gz")
-		if err := corpusio.SaveFile(ref.DS, snap); err != nil {
+		saved := BuildOptions{CorpusPath: filepath.Join(dir, "corpus.json.gz")}
+		if err := corpusio.SaveFile(ref.DS, saved.CorpusPath); err != nil {
 			t.Fatal(err)
 		}
-		stream := BuildOptions{StreamPath: writeStream(t, dir, dataset.StreamConfig{Config: cfg})}
+		stream := BuildOptions{CorpusPath: writeStream(t, dir, dataset.StreamConfig{Config: cfg})}
 
-		var onDisk [3]*System // the stream source's whole build and slices
-		for _, src := range []struct {
+		var onDisk [3]*System // the last cell's whole build and slices
+		for _, c := range []struct {
 			name string
 			opts func() BuildOptions
 		}{
 			{"generated", func() BuildOptions { return generated }},
-			{"snapshot", func() BuildOptions { return BuildOptions{CorpusPath: snap} }},
-			{"stream", func() BuildOptions { return onStore(stream, 300) }},
+			{"saved", func() BuildOptions { return saved }},
+			{"generated × store", func() BuildOptions { return onStore(generated, 300) }},
+			{"saved × store", func() BuildOptions { return onStore(saved, 300) }},
+			{"stream × store", func() BuildOptions { return onStore(stream, 300) }},
 		} {
-			whole := build(t, src.opts())
-			assertSameFind(t, src.name, whole, ref)
-			s0, s1 := build(t, sliced(src.opts(), 0)), build(t, sliced(src.opts(), 1))
-			assertSlicesMergeToWhole(t, src.name, []*System{s0, s1}, whole)
+			whole := build(t, c.opts())
+			assertSameFind(t, c.name, whole, ref)
+			s0, s1 := build(t, sliced(c.opts(), 0)), build(t, sliced(c.opts(), 1))
+			assertSlicesMergeToWhole(t, c.name, []*System{s0, s1}, whole)
 			onDisk = [3]*System{whole, s0, s1}
 		}
 
@@ -201,8 +204,8 @@ func TestBuildMatrix(t *testing.T) {
 
 	t.Run("chunked", func(t *testing.T) {
 		cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 1.05}, ChunkDocs: 9000}
-		stream := BuildOptions{StreamPath: writeStream(t, dir, cfg)}
-		ds, err := corpusio.LoadStreamFile(stream.StreamPath, corpusio.StreamLoadOptions{})
+		stream := BuildOptions{CorpusPath: writeStream(t, dir, cfg)}
+		ds, err := corpusio.LoadStreamFile(stream.CorpusPath, corpusio.StreamLoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +220,8 @@ func TestBuildMatrix(t *testing.T) {
 		}
 		assertSameFind(t, "stream", cells[0], ref)
 		assertSlicesMergeToWhole(t, "stream", cells[1:], ref)
+		// Fed chunk by chunk into memory, texts dropped as it goes.
+		assertSameFind(t, "stream in memory", build(t, stream), ref)
 	})
 }
 
@@ -225,8 +230,8 @@ func TestBuildMatrix(t *testing.T) {
 // documents refuse the open, naming the directory and a document.
 func TestBuildRefusesForeignSegmentDir(t *testing.T) {
 	dir := t.TempDir()
-	small := BuildOptions{StreamPath: writeStream(t, dir, dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 0.05}})}
-	large := BuildOptions{StreamPath: writeStream(t, dir, dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 0.1}})}
+	small := BuildOptions{CorpusPath: writeStream(t, dir, dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 0.05}})}
+	large := BuildOptions{CorpusPath: writeStream(t, dir, dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 0.1}})}
 	populate := func(name string, o BuildOptions) string {
 		o.SegmentDir = filepath.Join(dir, name)
 		sys, err := Build(o)

@@ -61,11 +61,6 @@ func DefaultFaultSweep() FaultSweep {
 	}
 }
 
-// RunFaultTolerance runs the default sweep.
-func RunFaultTolerance(s *System) *FaultTolerance {
-	return RunFaultSweep(s, DefaultFaultSweep())
-}
-
 // RunFaultSweep runs the sweep with explicit parameters. Like the
 // crawl-robustness experiment it rebuilds the analysis index once per
 // level, so it is expensive (≈ one corpus build per rate).

@@ -16,7 +16,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -47,11 +46,9 @@ type System struct {
 // all of it in memory.
 type BuildOptions struct {
 	// Source: the first that is set of Dataset (a corpus already in
-	// memory), StreamPath (a `datagen -stream` file) and CorpusPath (a
-	// corpusio.SaveFile snapshot); with none, Config is generated. A
-	// non-zero Config.IndexShards overrides a loaded corpus's count.
+	// memory) and CorpusPath (a corpus file, saved or streamed, with or
+	// without chunks); with neither, Config is generated.
 	Dataset    *dataset.Dataset
-	StreamPath string
 	CorpusPath string
 	Config     dataset.Config
 
@@ -61,14 +58,17 @@ type BuildOptions struct {
 	// topology agree on them.
 	ShardID, ShardCount int
 
-	// Container: an index.Sharded in memory, or with SegmentDir an
-	// index.Store rooted there. A directory that already holds
-	// documents is checked against the corpus and slice it is opened
-	// as and served without analysis; an empty one is populated.
-	SegmentDir string
-	Store      index.StoreOptions
-	// KeepTexts retains a stream source's bulk texts; by default each
-	// chunk's are dropped once indexed, bounding memory by the base
+	// Container: an index.Sharded of IndexShards document shards in
+	// memory (0 selects GOMAXPROCS; rankings are identical for any
+	// value), or with SegmentDir an index.Store rooted there. A
+	// directory that already holds documents is checked against the
+	// corpus and slice it is opened as and served without analysis; an
+	// empty one is populated.
+	IndexShards int
+	SegmentDir  string
+	Store       index.StoreOptions
+	// KeepTexts retains a corpus file's bulk chunk texts; by default
+	// each chunk's are dropped once indexed, bounding memory by the base
 	// corpus plus one chunk at any scale.
 	KeepTexts bool
 
@@ -119,8 +119,8 @@ func Build(o BuildOptions) (sys *System, err error) {
 		b.start(ds)
 		err = b.checkPrebuilt(ds.Graph)
 	} else {
-		// Everything a chunked source has not fed yet: the whole corpus
-		// for the others, the base section of a stream.
+		// Everything no chunk has fed yet: the whole corpus, or a corpus
+		// file's base section when the file has chunks.
 		err = b.add(ds, socialgraph.ResourceID(ds.Graph.NumResources()))
 	}
 	if err != nil {
@@ -143,14 +143,15 @@ func Build(o BuildOptions) (sys *System, err error) {
 	}, nil
 }
 
-// load resolves the source axis. A stream feeds add chunk by chunk as
-// it loads, so the texts of a chunk can go before the next arrives.
+// load resolves the source axis. A corpus file feeds add chunk by
+// chunk as it loads, so the texts of a chunk can go before the next
+// arrives; one with no chunks is added whole once loaded.
 func (b *builder) load() (*dataset.Dataset, error) {
 	o := b.o
 	switch {
 	case o.Dataset != nil:
 		return o.Dataset, nil
-	case o.StreamPath != "":
+	case o.CorpusPath != "":
 		opts := corpusio.StreamLoadOptions{DropTexts: b.prebuilt && !o.KeepTexts}
 		if !b.prebuilt {
 			opts.OnChunk = func(d *dataset.Dataset, c *dataset.StreamChunk) error {
@@ -163,16 +164,14 @@ func (b *builder) load() (*dataset.Dataset, error) {
 				return nil
 			}
 		}
-		return corpusio.LoadStreamFile(o.StreamPath, opts)
-	case o.CorpusPath != "":
-		return corpusio.LoadFile(o.CorpusPath)
+		return corpusio.LoadStreamFile(o.CorpusPath, opts)
 	default:
 		return dataset.Generate(o.Config), nil
 	}
 }
 
 // start creates what needs the corpus's base section to exist: the
-// pipeline (its Web) and the in-memory container (its shard count).
+// pipeline (its Web) and the in-memory container.
 func (b *builder) start(d *dataset.Dataset) {
 	opts := analysis.Options{Web: d.Web}
 	if b.o.Analysis != nil {
@@ -180,7 +179,7 @@ func (b *builder) start(d *dataset.Dataset) {
 	}
 	b.pipe = analysis.New(opts)
 	if b.store == nil {
-		sh := index.NewSharded(cmp.Or(b.o.Config.IndexShards, d.Config.IndexShards))
+		sh := index.NewSharded(b.o.IndexShards)
 		b.ix, b.addBatch = sh, func(docs []index.Doc) error { sh.AddBatch(docs); return nil }
 	}
 }

@@ -158,7 +158,7 @@ func TestScatterDifferential(t *testing.T) {
 		// corpus streamed from disk into per-shard segment stores.
 		streamed := expertfind.Options{
 			Config:     expertfind.Config{IndexShards: 1},
-			StreamPath: writeStreamCorpus(t, dataset.Config{Seed: seed, NumCandidates: 12, Scale: 0.05}),
+			CorpusPath: writeStreamCorpus(t, dataset.Config{Seed: seed, NumCandidates: 12, Scale: 0.05}),
 			SegmentDir: t.TempDir(),
 		}
 		for _, count := range []int{1, 2, 3, 5} {

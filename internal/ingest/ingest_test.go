@@ -67,7 +67,7 @@ func buildSystem(g *socialgraph.Graph, shards int, candidates []socialgraph.User
 // pipeline that analyzed it.
 func buildIndex(g *socialgraph.Graph, shards int) (*index.Sharded, *analysis.Pipeline) {
 	sys, err := experiments.Build(experiments.BuildOptions{
-		Dataset: &dataset.Dataset{Graph: g, Config: dataset.Config{IndexShards: shards}},
+		Dataset: &dataset.Dataset{Graph: g}, IndexShards: shards,
 	})
 	if err != nil {
 		panic(err)

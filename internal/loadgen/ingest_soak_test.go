@@ -40,11 +40,14 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		churnSeed = 31
 		churnOps  = 10
 	)
-	cfg := dataset.Config{Seed: 5, Scale: 0.05, IndexShards: shards}
+	cfg := dataset.Config{Seed: 5, Scale: 0.05}
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
 	// The live side: installed system + remote twin + ingester.
-	sys := experiments.BuildSystem(cfg)
+	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, IndexShards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
 	installed, finder := sys.DS, sys.Finder
 	remote := dataset.Generate(cfg)
 	ing := ingest.New(ingest.Config{
@@ -80,7 +83,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		for i := 0; i < r; i++ {
 			ch.Round()
 		}
-		cold, err := experiments.Build(experiments.BuildOptions{Dataset: twin})
+		cold, err := experiments.Build(experiments.BuildOptions{Dataset: twin, IndexShards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@
 // Every primitive takes its notion of time from a Clock, so that
 // simulations advance time virtually (a crawl that backs off for
 // minutes of simulated time still finishes in microseconds of wall
-// time) while production users can pass a real-time clock.
+// time) while production users pass a nil *Clock, which is wall time.
 package resilience
 
 import (
@@ -16,23 +16,16 @@ import (
 	"time"
 )
 
-// Clock is a monotonic clock that can be advanced without waiting.
-// The zero value is not usable; construct with NewClock (virtual) or
-// RealClock (wall time).
+// Clock is a virtual monotonic clock that is advanced without
+// waiting. A nil *Clock is wall time: time.Now and time.Sleep.
 type Clock struct {
-	mu      sync.Mutex
-	now     time.Time
-	virtual bool
+	mu  sync.Mutex
+	now time.Time
 }
 
 // NewClock returns a virtual clock starting at the zero time. Sleep
 // advances it instantly; Now never moves on its own.
 func NewClock() *Clock {
-	return &Clock{virtual: true}
-}
-
-// RealClock returns a clock backed by time.Now and time.Sleep.
-func RealClock() *Clock {
 	return &Clock{}
 }
 
@@ -41,22 +34,19 @@ func (c *Clock) Now() time.Time {
 	if c == nil {
 		return time.Now()
 	}
-	if !c.virtual {
-		return time.Now()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
 }
 
-// Sleep pauses for d: virtually (advancing Now and returning at once)
-// or by actually sleeping, depending on the clock's mode. Negative or
-// zero durations are no-ops.
+// Sleep pauses for d: virtually (advancing Now and returning at once),
+// or by actually sleeping on a nil clock. Negative or zero durations
+// are no-ops.
 func (c *Clock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	if c == nil || !c.virtual {
+	if c == nil {
 		time.Sleep(d)
 		return
 	}
@@ -66,9 +56,9 @@ func (c *Clock) Sleep(d time.Duration) {
 }
 
 // Elapsed reports how far a virtual clock has advanced since its
-// creation. For a real clock it returns 0 (wall time has no anchor).
+// creation. For a nil clock it returns 0 (wall time has no anchor).
 func (c *Clock) Elapsed() time.Duration {
-	if c == nil || !c.virtual {
+	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
