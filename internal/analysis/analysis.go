@@ -72,7 +72,6 @@ type EntityStats struct {
 
 // Analyzed is the result of running the pipeline on one text.
 type Analyzed struct {
-	Lang     langid.Lang
 	Terms    map[string]int              // stemmed term frequencies (tf)
 	Entities map[kb.EntityID]EntityStats // per-entity ef and dScore
 	// Length is the total number of terms (Σ tf), kept for statistics.
@@ -96,23 +95,23 @@ func (p *Pipeline) Analyze(text string, urls []string) (Analyzed, bool) {
 		}
 	}
 
-	lang := langid.Identify(full)
-	if !p.keepAll && lang != langid.English {
-		return Analyzed{Lang: lang}, false
+	if !p.keepAll && langid.Identify(full) != langid.English {
+		return Analyzed{}, false
 	}
-	return p.vectors(full, lang), true
+	return p.vectors(full), true
 }
 
 // AnalyzeNeed analyzes an expertise need (a natural-language query).
 // Needs have no URLs and bypass the language filter: the caller
-// formulated the query deliberately.
+// formulated the query deliberately, so their language is never
+// identified.
 func (p *Pipeline) AnalyzeNeed(need string) Analyzed {
-	return p.vectors(need, langid.Identify(need))
+	return p.vectors(need)
 }
 
 // vectors runs text processing and entity annotation over one
 // tokenization of text.
-func (p *Pipeline) vectors(text string, lang langid.Lang) Analyzed {
+func (p *Pipeline) vectors(text string) Analyzed {
 	t := textproc.NewText(text)
 	terms, length := p.proc.TermFreqOf(&t)
 
@@ -126,7 +125,7 @@ func (p *Pipeline) vectors(text string, lang langid.Lang) Analyzed {
 		entities[ann.Entity.ID] = st
 	}
 
-	return Analyzed{Lang: lang, Terms: terms, Entities: entities, Length: length}
+	return Analyzed{Terms: terms, Entities: entities, Length: length}
 }
 
 // Result is the analysis of one document of a Batch. OK is false when

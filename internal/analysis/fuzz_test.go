@@ -7,7 +7,6 @@ import (
 
 	"expertfind/internal/annotator"
 	"expertfind/internal/kb"
-	"expertfind/internal/langid"
 	"expertfind/internal/textproc"
 )
 
@@ -33,13 +32,11 @@ var needSeeds = []string{
 }
 
 // threePassNeed builds a need's Analyzed the way the pipeline did
-// before it tokenized once: language identification, the term counter
-// and the annotator each read the raw text on their own, and the term
-// filter is spelled out step by step. It is the reference AnalyzeNeed
-// must reproduce exactly.
+// before it tokenized once: the term counter and the annotator each
+// read the raw text on their own, and the term filter is spelled out
+// step by step. It is the reference AnalyzeNeed must reproduce exactly.
 func threePassNeed(ann *annotator.Annotator, need string) Analyzed {
 	a := Analyzed{
-		Lang:     langid.Identify(need),
 		Terms:    make(map[string]int),
 		Entities: make(map[kb.EntityID]EntityStats),
 	}
@@ -68,9 +65,9 @@ func threePassNeed(ann *annotator.Annotator, need string) Analyzed {
 }
 
 // FuzzAnalyzeNeed feeds arbitrary byte strings through the full need
-// analysis flow — language identification, text processing, entity
-// annotation — and checks the structural invariants every Analyzed
-// must satisfy, and that the result equals the three-pass reference.
+// analysis flow — text processing and entity annotation — and checks
+// the structural invariants every Analyzed must satisfy, and that the
+// result equals the three-pass reference.
 // The seed corpus under testdata/fuzz adds to needSeeds.
 func FuzzAnalyzeNeed(f *testing.F) {
 	for _, s := range needSeeds {

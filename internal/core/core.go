@@ -16,10 +16,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -473,45 +475,96 @@ func rankMatches(matches []index.ScoredDoc, rcm map[socialgraph.ResourceID][]soc
 // score and the candidates it is reachable from.
 //
 // Determinism: scores accumulate in match × candidate-list order (both
-// deterministic), map iteration appears only when assembling the
-// output, and the final sort's comparator is a total order (UserID is
-// unique), so repeated calls are byte-identical. The matching side
-// holds the same contract (see index.queryPlan).
+// deterministic), and the final sort's comparator is a total order
+// (UserID is unique), so repeated calls are byte-identical. The
+// matching side holds the same contract (see index.queryPlan). The
+// tally is pooled scratch, so a rank allocates only the slice it
+// returns.
 func rank(nMatches int, match func(i int) (float64, []socialgraph.CandidateDistance), p Params) []ExpertScore {
-	n := p.window(nMatches)
-	if n > nMatches {
-		n = nMatches
-	}
+	n := min(p.window(nMatches), nMatches)
 	w := p.weights()
 
-	type tally struct {
-		score float64
-		n     int
-	}
-	experts := make(map[socialgraph.UserID]tally)
+	t := newTally()
 	for i := 0; i < n; i++ {
 		score, cands := match(i)
 		for _, cd := range cands {
-			t := experts[cd.Candidate]
-			t.score += score * w[cd.Distance]
-			t.n++
-			experts[cd.Candidate] = t
+			j, ok := t.slot[cd.Candidate]
+			if !ok {
+				j = len(t.experts)
+				t.slot[cd.Candidate] = j
+				t.experts = append(t.experts, ExpertScore{User: cd.Candidate})
+			}
+			e := &t.experts[j]
+			e.Score += score * w[cd.Distance]
+			e.Resources++
 		}
 	}
 
-	out := make([]ExpertScore, 0, len(experts))
-	for u, t := range experts {
-		if t.score > 0 {
-			out = append(out, ExpertScore{User: u, Score: t.score, Resources: t.n})
+	ranked := t.experts[:0]
+	for _, e := range t.experts {
+		if e.Score > 0 {
+			ranked = append(ranked, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].User < out[j].User
-	})
+	slices.SortFunc(ranked, expertCmp)
+	out := make([]ExpertScore, len(ranked))
+	copy(out, ranked)
+	t.release()
 	return out
+}
+
+// expertCmp is the expert ranking order: descending score, ties broken
+// by ascending user.
+func expertCmp(a, b ExpertScore) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.User, b.User)
+}
+
+// tally is the scratch of one Eq. (3) aggregation: the experts in the
+// order the window first reaches them, and each one's slot in it.
+type tally struct {
+	slot    map[socialgraph.UserID]int
+	experts []ExpertScore
+}
+
+// maxPooledExperts bounds the experts a released tally may have held
+// (about 400 KiB of buffers): clearing a map costs its high-water size,
+// so one outsized rank must not tax every later one.
+const maxPooledExperts = 1 << 14
+
+// tallyFree is the free list of released tallies. It keeps at most
+// eight, as the index's accumulator free list does, so idle tallies pin
+// about 3 MiB at most. Not a sync.Pool, for the accumulators' reason: a
+// pool empties with the garbage collector's cycles and keeps one slot
+// per P, so a caller moved between Ps would regrow its map at times
+// nothing in the program chooses.
+var tallyFree = make(chan *tally, 8)
+
+// newTally takes a released tally, or a fresh one when every kept one
+// is in use.
+func newTally() *tally {
+	select {
+	case t := <-tallyFree:
+		return t
+	default:
+		return &tally{slot: make(map[socialgraph.UserID]int)}
+	}
+}
+
+// release empties the tally onto the free list. An outsized one, or one
+// that finds the list full, is dropped.
+func (t *tally) release() {
+	if len(t.slot) > maxPooledExperts {
+		return
+	}
+	clear(t.slot)
+	t.experts = t.experts[:0]
+	select {
+	case tallyFree <- t:
+	default:
+	}
 }
 
 // Evidence is the contribution of one relevant resource to one

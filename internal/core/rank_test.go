@@ -1,0 +1,191 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"expertfind/internal/index"
+	"expertfind/internal/socialgraph"
+)
+
+// oracleRank is the Eq. (3) aggregator as it was before its tally was
+// pooled: a fresh map per rank and a reflective sort. rank must
+// reproduce it bit for bit.
+func oracleRank(nMatches int, match func(i int) (float64, []socialgraph.CandidateDistance), p Params) []ExpertScore {
+	n := p.window(nMatches)
+	if n > nMatches {
+		n = nMatches
+	}
+	w := p.weights()
+
+	type tally struct {
+		score float64
+		n     int
+	}
+	experts := make(map[socialgraph.UserID]tally)
+	for i := 0; i < n; i++ {
+		score, cands := match(i)
+		for _, cd := range cands {
+			t := experts[cd.Candidate]
+			t.score += score * w[cd.Distance]
+			t.n++
+			experts[cd.Candidate] = t
+		}
+	}
+
+	out := make([]ExpertScore, 0, len(experts))
+	for u, t := range experts {
+		if t.score > 0 {
+			out = append(out, ExpertScore{User: u, Score: t.score, Resources: t.n})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].User < out[j].User
+	})
+	return out
+}
+
+// randomShardMatches draws a relevant-resource list of n matches in
+// descending score order. Twelve candidates share every resource, so
+// each recurs across many of them at several distances. One score in
+// five is zero, and scores repeat, so experts tie.
+func randomShardMatches(r *rand.Rand, n int) []ShardMatch {
+	out := make([]ShardMatch, n)
+	score := 4.0
+	for i := range out {
+		if r.Intn(3) > 0 {
+			score *= 0.97
+		}
+		s := score
+		if r.Intn(5) == 0 {
+			s = 0
+		}
+		cands := make([]socialgraph.CandidateDistance, r.Intn(4))
+		for j := range cands {
+			cands[j] = socialgraph.CandidateDistance{Candidate: socialgraph.UserID(r.Intn(12)), Distance: r.Intn(3)}
+		}
+		out[i] = ShardMatch{Doc: index.DocID(i), Score: s, Cands: cands}
+	}
+	return out
+}
+
+// rankParams are windows shorter than, equal to and longer than an
+// n-match list, a relative and a disabled one, each under the default
+// distance weights and under weights that zero distance 1.
+func rankParams(n int) []Params {
+	var out []Params
+	for _, win := range []Params{{}, {WindowSize: 1}, {WindowSize: 5}, {WindowSize: max(n, 1)}, {WindowSize: n + 10}, {WindowSize: -1}, {WindowFrac: 0.3}} {
+		out = append(out, win)
+		win.DistanceWeights = [3]float64{1, 0, 0.5}
+		out = append(out, win)
+	}
+	return out
+}
+
+// TestRankMatchesOracle holds the pooled aggregator to the map-and-sort
+// one on random match lists, through both of its callers: RankMerged
+// over shipped shard matches, and rankMatches over scored documents
+// and a reachability map.
+func TestRankMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for _, n := range []int{0, 1, 7, 60, 150} {
+		for rep := 0; rep < 4; rep++ {
+			matches := randomShardMatches(r, n)
+			scored := make([]index.ScoredDoc, n)
+			rcm := map[socialgraph.ResourceID][]socialgraph.CandidateDistance{}
+			for i, m := range matches {
+				scored[i] = index.ScoredDoc{Doc: m.Doc, Score: m.Score}
+				rcm[m.Doc] = m.Cands
+			}
+			for pi, p := range rankParams(n) {
+				label := fmt.Sprintf("n%d rep%d params%d %+v", n, rep, pi, p)
+				want := oracleRank(n, func(i int) (float64, []socialgraph.CandidateDistance) {
+					return matches[i].Score, matches[i].Cands
+				}, p)
+				assertExpertsBitIdentical(t, label+" RankMerged", want, RankMerged(matches, p))
+				assertExpertsBitIdentical(t, label+" rankMatches", want, rankMatches(scored, rcm, p))
+			}
+		}
+	}
+}
+
+// TestPooledTallyIsolation interleaves ranks of different lists and
+// windows from many goroutines, every result held to the oracle: an
+// expert surviving in a pooled tally from one rank would surface in the
+// next as a foreign expert, an inflated score or a wrong support count.
+func TestPooledTallyIsolation(t *testing.T) {
+	type query struct {
+		matches []ShardMatch
+		p       Params
+		want    []ExpertScore
+	}
+	r := rand.New(rand.NewSource(59))
+	var queries []query
+	for _, n := range []int{0, 3, 40, 120} {
+		matches := randomShardMatches(r, n)
+		for _, p := range rankParams(n) {
+			queries = append(queries, query{matches, p, oracleRank(n, func(i int) (float64, []socialgraph.CandidateDistance) {
+				return matches[i].Score, matches[i].Cands
+			}, p)})
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, qi := range rand.New(rand.NewSource(int64(g))).Perm(len(queries)) {
+				q := queries[qi]
+				if got := RankMerged(q.matches, q.p); !slices.Equal(got, q.want) {
+					t.Errorf("goroutine %d query %d (%+v): got %v want %v", g, qi, q.p, got, q.want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestTallyReleaseBound: a released tally is empty on the free list,
+// and one that held more than maxPooledExperts experts is dropped
+// rather than kept for every later rank to clear.
+func TestTallyReleaseBound(t *testing.T) {
+	drain := func() {
+		for {
+			select {
+			case <-tallyFree:
+			default:
+				return
+			}
+		}
+	}
+	for _, size := range []int{3, maxPooledExperts + 1} {
+		drain()
+		tl := newTally()
+		for u := 0; u < size; u++ {
+			tl.slot[socialgraph.UserID(u)] = u
+			tl.experts = append(tl.experts, ExpertScore{User: socialgraph.UserID(u), Score: 1, Resources: 1})
+		}
+		tl.release()
+		select {
+		case got := <-tallyFree:
+			if size > maxPooledExperts {
+				t.Errorf("a tally of %d experts was pooled, bound %d", size, maxPooledExperts)
+			}
+			if len(got.slot) != 0 || len(got.experts) != 0 {
+				t.Errorf("released tally still holds %d slots and %d experts", len(got.slot), len(got.experts))
+			}
+		default:
+			if size <= maxPooledExperts {
+				t.Errorf("a tally of %d experts was not pooled", size)
+			}
+		}
+	}
+}

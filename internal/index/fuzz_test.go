@@ -124,7 +124,9 @@ func fuzzNeed(needText string, entitySeed uint32) analysis.Analyzed {
 // bit-identical to the naive oracle, byte-identical on repetition,
 // bit-identical between the sequential index and a 3-shard split of
 // the same documents, and the pruned top-k bit-identical to the first
-// k of the exhaustive ranking.
+// k of the exhaustive ranking. The checked-in seed-topk-ties ties 31
+// documents at the 10th score, below 5 others: the cut at θ fills with
+// ties in doc order there.
 func FuzzIndexScore(f *testing.F) {
 	// Seeds drawn from the synthetic corpus vocabulary and entity space.
 	f.Add("swim pool train", uint32(7), uint8(60), uint8(5))

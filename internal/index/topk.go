@@ -428,18 +428,52 @@ func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) boo
 	}
 
 	// Rank in the pooled buffer; only the caller's slice is allocated.
-	ranked := a.docs[:0]
-	for _, e := range a.docs {
-		if e.Score > 0 {
-			ranked = append(ranked, e)
-		}
-	}
-	slices.SortFunc(ranked, scoredCmp)
-	if k > 0 && len(ranked) > k {
-		ranked = ranked[:k]
-	}
+	ranked := a.ranked()
 	out, counters := make([]ScoredDoc, len(ranked)), a.topkCounters
 	copy(out, ranked)
 	a.release()
 	return out, counters
+}
+
+// ranked orders the positive live partials by scoredCmp and cuts them
+// to k, in the pooled docs buffer.
+//
+// The exhaustive evaluation, and one with at most k live entries, sorts
+// them all. Otherwise the last settle, run with no list left to walk,
+// refreshed θ to the exact k-th largest partial whenever one is
+// positive, so the top k are the entries strictly above θ — fewer than
+// k — followed by the ties at θ in ascending doc order, the order docs
+// is already in. Only the entries above θ are sorted. A θ below the
+// true k-th largest (partials only grow after a refresh) would put k or
+// more entries above it; sorting those and keeping k is still exact.
+func (a *topkAcc) ranked() []ScoredDoc {
+	if a.k <= 0 || len(a.docs) <= a.k {
+		ranked := a.docs[:0]
+		for _, e := range a.docs {
+			if e.Score > 0 {
+				ranked = append(ranked, e)
+			}
+		}
+		slices.SortFunc(ranked, scoredCmp)
+		return ranked
+	}
+	// Entries above θ compact to the front of docs, which the pass has
+	// already read; ties wait in pend, which the last settle emptied, and
+	// no more than k of them can be kept. A θ of 0 or less has no ties
+	// worth keeping: only positive scores rank.
+	theta := max(a.theta, 0)
+	above := a.docs[:0]
+	for _, e := range a.docs {
+		switch {
+		case e.Score > theta:
+			above = append(above, e)
+		case e.Score == theta && theta > 0 && len(a.pend) < a.k:
+			a.pend = append(a.pend, e)
+		}
+	}
+	slices.SortFunc(above, scoredCmp)
+	if len(above) >= a.k {
+		return above[:a.k]
+	}
+	return append(above, a.pend[:min(len(a.pend), a.k-len(above))]...)
 }

@@ -442,6 +442,86 @@ func TestTopKThetaRefreshDifferential(t *testing.T) {
 	}
 }
 
+// tieDocs is a corpus built for the cut at θ: every document has one
+// of four profiles, so its score is one of four exact levels, and the
+// 5, 30, 300 and 400 documents of the levels are dealt over sparse doc
+// ids in a seeded shuffle, interleaving each level with the ones above
+// and below it. For k = 1, 10 and 100 the k-th score is the first, the
+// second and the third level: more than k documents tie there, and for
+// k > 1 documents above it sit between them in doc order.
+func tieDocs() ([]Doc, analysis.Analyzed) {
+	profiles := []analysis.Analyzed{
+		{Terms: map[string]int{"tiea": 3, "tieb": 2}, Entities: map[kb.EntityID]analysis.EntityStats{7: {Freq: 2, DScore: 0.5}}},
+		{Terms: map[string]int{"tiea": 2, "tieb": 2}},
+		{Terms: map[string]int{"tiea": 1, "tieb": 1}},
+		{Terms: map[string]int{"tieb": 1}},
+	}
+	var levels []int
+	for level, n := range []int{5, 30, 300, 400} {
+		for range n {
+			levels = append(levels, level)
+		}
+	}
+	rand.New(rand.NewSource(29)).Shuffle(len(levels), func(i, j int) { levels[i], levels[j] = levels[j], levels[i] })
+	docs := make([]Doc, len(levels))
+	for i, level := range levels {
+		docs[i] = Doc{ID: DocID(3*i + i%2), A: profiles[level]}
+	}
+	need := analysis.Analyzed{
+		Terms:    map[string]int{"tiea": 1, "tieb": 1},
+		Entities: map[kb.EntityID]analysis.EntityStats{7: {Freq: 1, DScore: 1}},
+	}
+	return docs, need
+}
+
+// TestCutAtThetaTies holds the cut at θ to the exhaustive sort where
+// it is hardest: more than k documents tie exactly at the k-th score,
+// interleaved in doc order with documents above it. The monolith, a
+// Sharded of 2 and of 3 shards, and a store whose one segment is cut
+// into three doc-id ranges must each return the oracle's ranking
+// truncated to k, bit for bit, with and without an accept filter.
+func TestCutAtThetaTies(t *testing.T) {
+	docs, need := tieDocs()
+	flat := flatFromDocs(docs)
+	targets := map[string]Searcher{"index": flat}
+	for _, n := range []int{2, 3} {
+		s := NewSharded(n)
+		s.AddBatch(docs)
+		targets[fmt.Sprintf("sharded%d", n)] = s
+	}
+	store := storeOf(t, docs, []int{len(docs)}, StoreOptions{})
+	store.workers = 3
+	store.mu.RLock()
+	parts := store.partsLocked(planQuery(need, 0.6, storeStats{store}), nil)
+	store.mu.RUnlock()
+	if len(parts) != 3 || parts[0].span.hi == allDocs.hi {
+		t.Fatalf("the store's one segment is not cut into three ranges: %+v", parts)
+	}
+	targets["store"] = store
+
+	full := oracleTopK(flat, flat, need, 0.6, 0, nil)
+	for _, k := range []int{1, 10, 100} {
+		theta := full[k-1].Score
+		var above, ties []DocID
+		for _, sd := range full {
+			if sd.Score > theta {
+				above = append(above, sd.Doc)
+			} else if sd.Score == theta {
+				ties = append(ties, sd.Doc)
+			}
+		}
+		if len(ties) <= k || (k > 1 && (len(above) == 0 || slices.Max(above) < slices.Min(ties))) {
+			t.Fatalf("k%d: %d ties at θ and %d documents above it, not interleaved: the fixture lost its shape", k, len(ties), len(above))
+		}
+		for ai, accept := range []func(DocID) bool{nil, func(d DocID) bool { return d%4 != 1 }} {
+			want := oracleTopK(flat, flat, need, 0.6, k, accept)
+			for name, ix := range targets {
+				assertScoredBitIdentical(t, fmt.Sprintf("%s k%d accept%d", name, k, ai), want, ix.ScoreTopK(need, 0.6, k, accept))
+			}
+		}
+	}
+}
+
 // TestPooledAccumulatorIsolation interleaves different needs, α and k
 // from many goroutines on one pooled Sharded and one four-segment
 // store with tombstones, every result held to the oracle: an entry
