@@ -107,7 +107,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
 	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "segment count that triggers compaction (0 = default)")
 	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
-	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "document shards scored in parallel per query (0 = GOMAXPROCS, 1 = monolithic)")
+	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "most parts one find is scored on in parallel (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&shards, "shards", "", "coordinate these shard processes instead of serving a corpus: comma-separated base URLs, position = shard id")
 	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request")
 	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to shards")

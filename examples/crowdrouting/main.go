@@ -12,25 +12,24 @@ import (
 	"log"
 
 	"expertfind"
-	"expertfind/internal/router"
 )
 
 func main() {
 	sys := expertfind.NewSystem(expertfind.Config{Seed: 1, Scale: 0.2})
 
 	// Adapt the expert finder to the router's Ranker interface.
-	rank := router.RankerFunc(func(need string) ([]router.RankedExpert, error) {
+	rank := RankerFunc(func(need string) ([]RankedExpert, error) {
 		experts, err := sys.Find(need)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]router.RankedExpert, len(experts))
+		out := make([]RankedExpert, len(experts))
 		for i, e := range experts {
-			out[i] = router.RankedExpert{Name: e.Name, Score: e.Score}
+			out[i] = RankedExpert{Name: e.Name, Score: e.Score}
 		}
 		return out, nil
 	})
-	rt := router.New(rank, router.Config{CrowdSize: 3, MaxOpen: 2, Cooldown: 1})
+	rt := NewRouter(rank, RouterConfig{CrowdSize: 3, MaxOpen: 2, Cooldown: 1})
 
 	questions := []string{
 		"why is copper a good conductor?",
@@ -44,7 +43,7 @@ func main() {
 	}
 
 	fmt.Println("routing plan:")
-	var open []router.Assignment
+	var open []Assignment
 	for i, q := range questions {
 		a, err := rt.Ask(q)
 		if err != nil {

@@ -1,15 +1,15 @@
-// Package router implements the question-routing layer that the
-// paper's expert finder plugs into (§1, §5: the CrowdSearcher
-// platform): a stream of expertise needs is dispatched to small
-// crowds of top-ranked experts, while respecting the social contract
-// of crowd-searching — contacts answer out of goodwill, so each
-// expert has a bounded number of open questions and rests between
-// assignments.
+package main
+
+// The question-routing layer that the paper's expert finder plugs into
+// (§1, §5: the CrowdSearcher platform): a stream of expertise needs is
+// dispatched to small crowds of top-ranked experts, while respecting
+// the social contract of crowd-searching — contacts answer out of
+// goodwill, so each expert has a bounded number of open questions and
+// rests between assignments.
 //
 // The router is deliberately independent from how experts are ranked:
 // it consumes any Ranker, so it works with the paper's social
 // vector-space finder, the Balog baselines, or a stub in tests.
-package router
 
 import (
 	"fmt"
@@ -34,9 +34,9 @@ type RankerFunc func(need string) ([]RankedExpert, error)
 // Rank implements Ranker.
 func (f RankerFunc) Rank(need string) ([]RankedExpert, error) { return f(need) }
 
-// Config tunes the routing policy. The zero value selects the
+// RouterConfig tunes the routing policy. The zero value selects the
 // defaults in parentheses.
-type Config struct {
+type RouterConfig struct {
 	// CrowdSize is the number of experts asked per question (3).
 	CrowdSize int
 	// MaxOpen is the maximum number of unanswered questions a single
@@ -52,7 +52,7 @@ type Config struct {
 	MinScoreRatio float64
 }
 
-func (c Config) withDefaults() Config {
+func (c RouterConfig) withDefaults() RouterConfig {
 	if c.CrowdSize == 0 {
 		c.CrowdSize = 3
 	}
@@ -82,7 +82,7 @@ type Assignment struct {
 // goroutine is the intended shape).
 type Router struct {
 	ranker Ranker
-	cfg    Config
+	cfg    RouterConfig
 
 	nextID   int64
 	open     map[int64]*Assignment
@@ -92,7 +92,7 @@ type Router struct {
 }
 
 // New returns a Router over the given ranker.
-func New(ranker Ranker, cfg Config) *Router {
+func NewRouter(ranker Ranker, cfg RouterConfig) *Router {
 	return &Router{
 		ranker:   ranker,
 		cfg:      cfg.withDefaults(),

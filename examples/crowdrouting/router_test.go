@@ -1,4 +1,4 @@
-package router
+package main
 
 import (
 	"errors"
@@ -22,7 +22,7 @@ func pool(n int) []RankedExpert {
 }
 
 func TestAskPicksTopExperts(t *testing.T) {
-	r := New(stubRanker(pool(10)...), Config{CrowdSize: 3})
+	r := NewRouter(stubRanker(pool(10)...), RouterConfig{CrowdSize: 3})
 	a, err := r.Ask("q1")
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestAskPicksTopExperts(t *testing.T) {
 }
 
 func TestBudgetSpreadsLoad(t *testing.T) {
-	r := New(stubRanker(pool(10)...), Config{CrowdSize: 2, MaxOpen: 1, Cooldown: 1})
+	r := NewRouter(stubRanker(pool(10)...), RouterConfig{CrowdSize: 2, MaxOpen: 1, Cooldown: 1})
 	seen := map[string]bool{}
 	for i := 0; i < 4; i++ {
 		a, err := r.Ask(fmt.Sprintf("q%d", i))
@@ -61,7 +61,7 @@ func TestBudgetSpreadsLoad(t *testing.T) {
 }
 
 func TestCompleteFreesBudgetAndCoolsDown(t *testing.T) {
-	r := New(stubRanker(pool(4)...), Config{CrowdSize: 1, MaxOpen: 1, Cooldown: 1})
+	r := NewRouter(stubRanker(pool(4)...), RouterConfig{CrowdSize: 1, MaxOpen: 1, Cooldown: 1})
 	a1, _ := r.Ask("q1")
 	if a1.Crowd[0] != "e01" {
 		t.Fatalf("crowd = %v", a1.Crowd)
@@ -86,7 +86,7 @@ func TestCompleteFreesBudgetAndCoolsDown(t *testing.T) {
 }
 
 func TestCompleteValidation(t *testing.T) {
-	r := New(stubRanker(pool(3)...), Config{})
+	r := NewRouter(stubRanker(pool(3)...), RouterConfig{})
 	a, _ := r.Ask("q")
 	if err := r.Complete(999, "e01"); err == nil {
 		t.Error("unknown assignment accepted")
@@ -103,7 +103,7 @@ func TestCompleteValidation(t *testing.T) {
 }
 
 func TestAssignmentClosesWhenAllAnswer(t *testing.T) {
-	r := New(stubRanker(pool(5)...), Config{CrowdSize: 2})
+	r := NewRouter(stubRanker(pool(5)...), RouterConfig{CrowdSize: 2})
 	a, _ := r.Ask("q")
 	if r.OpenQuestions() != 1 {
 		t.Fatalf("open = %d", r.OpenQuestions())
@@ -119,7 +119,7 @@ func TestAssignmentClosesWhenAllAnswer(t *testing.T) {
 }
 
 func TestFallbackWhenNobodyAvailable(t *testing.T) {
-	r := New(stubRanker(), Config{})
+	r := NewRouter(stubRanker(), RouterConfig{})
 	a, err := r.Ask("q")
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFallbackWhenNobodyAvailable(t *testing.T) {
 }
 
 func TestPartialCrowd(t *testing.T) {
-	r := New(stubRanker(pool(2)...), Config{CrowdSize: 3})
+	r := NewRouter(stubRanker(pool(2)...), RouterConfig{CrowdSize: 3})
 	a, _ := r.Ask("q")
 	if !a.Partial || len(a.Crowd) != 2 {
 		t.Errorf("assignment = %+v", a)
@@ -141,10 +141,10 @@ func TestPartialCrowd(t *testing.T) {
 }
 
 func TestMinScoreRatioCutsTail(t *testing.T) {
-	r := New(stubRanker(
+	r := NewRouter(stubRanker(
 		RankedExpert{Name: "strong", Score: 100},
 		RankedExpert{Name: "weak", Score: 1},
-	), Config{CrowdSize: 3, MinScoreRatio: 0.1})
+	), RouterConfig{CrowdSize: 3, MinScoreRatio: 0.1})
 	a, _ := r.Ask("q")
 	if len(a.Crowd) != 1 || a.Crowd[0] != "strong" {
 		t.Errorf("crowd = %v, want the strong expert only", a.Crowd)
@@ -152,16 +152,16 @@ func TestMinScoreRatioCutsTail(t *testing.T) {
 }
 
 func TestRankerErrorPropagates(t *testing.T) {
-	r := New(RankerFunc(func(string) ([]RankedExpert, error) {
+	r := NewRouter(RankerFunc(func(string) ([]RankedExpert, error) {
 		return nil, errors.New("boom")
-	}), Config{})
+	}), RouterConfig{})
 	if _, err := r.Ask("q"); err == nil {
 		t.Error("ranker error swallowed")
 	}
 }
 
 func TestLeaderboard(t *testing.T) {
-	r := New(stubRanker(pool(3)...), Config{CrowdSize: 1, MaxOpen: 5, Cooldown: 1})
+	r := NewRouter(stubRanker(pool(3)...), RouterConfig{CrowdSize: 1, MaxOpen: 5, Cooldown: 1})
 	for i := 0; i < 3; i++ {
 		a, _ := r.Ask("q")
 		if len(a.Crowd) == 0 {

@@ -73,10 +73,10 @@ type Config struct {
 	Candidates int
 	// Scale multiplies resource volumes (default 1.0 ≈ 20k resources).
 	Scale float64
-	// IndexShards is the number of document-hash shards the resource
-	// index is split into; shards are scored concurrently per query.
-	// 0 selects GOMAXPROCS, 1 forces a monolithic index. Rankings are
-	// identical for any value.
+	// IndexShards is the most parts one find is scored on in parallel:
+	// the resource index cuts its memtable and its heaviest segments into
+	// up to that many doc-id ranges per query. 0 selects GOMAXPROCS, 1
+	// scores serially. Rankings are identical for any value.
 	IndexShards int
 }
 
@@ -105,7 +105,7 @@ type Stats struct {
 	Indexed     int // English resources surviving the filter
 	Users       int // all users, externals included
 	WebPages    int // synthetic linked pages
-	IndexShards int // document-hash shards scoring in parallel
+	IndexShards int // most parts one find is scored on in parallel
 }
 
 // System is a ready-to-query expert finding system over a generated
@@ -171,14 +171,14 @@ func Open(o Options) (*System, error) {
 			NumCandidates: o.Config.Candidates,
 			Scale:         o.Config.Scale,
 		},
-		CorpusPath:  o.CorpusPath,
-		ShardID:     o.ShardID,
-		ShardCount:  o.ShardCount,
-		IndexShards: o.Config.IndexShards,
-		SegmentDir:  o.SegmentDir,
+		CorpusPath: o.CorpusPath,
+		ShardID:    o.ShardID,
+		ShardCount: o.ShardCount,
+		SegmentDir: o.SegmentDir,
 		Store: index.StoreOptions{
 			FlushDocs:   o.Stream.FlushDocs,
 			MaxSegments: o.Stream.MaxSegments,
+			Workers:     o.Config.IndexShards,
 		},
 		KeepTexts: o.Stream.KeepTexts,
 	})
@@ -209,11 +209,19 @@ func NewSystemFromStream(corpusPath, segmentDir string, opts StreamOptions) (*Sy
 }
 
 // SegmentStore returns the system's disk-backed segment store, or nil
-// when the system serves from an in-memory index. The serving layer
-// uses it to run background maintenance and expose store status.
+// when the system serves from memory (a store with no directory). The
+// serving layer uses it to run background maintenance and expose store
+// status.
 func (s *System) SegmentStore() *index.Store {
-	st, _ := s.inner.Finder.Index().(*index.Store)
-	return st
+	if st := s.store(); st.Dir() != "" {
+		return st
+	}
+	return nil
+}
+
+// store returns the index container every System serves from.
+func (s *System) store() *index.Store {
+	return s.inner.Finder.Index().(*index.Store)
 }
 
 // SaveCorpus writes the system's corpus (graph, pages, queries,
@@ -374,18 +382,14 @@ func (s *System) SetResultCache(c core.ResultCache) {
 // analysis pipeline and this system's finder are filled in here. The
 // driver's RunOnce re-fetches the remote corpus, diffs it against the
 // installed one and applies the delta live; rankings after any round
-// are bit-identical to a cold rebuild of the remote state. Both the
-// in-memory sharded index and the disk-backed segment store accept
-// deltas; any other index kind is an error. Scatter shard-slice
-// systems must not be ingested into: a delta carries the whole
-// corpus, not the slice (cmd/serve refuses the flag combination).
+// are bit-identical to a cold rebuild of the remote state: the deltas
+// land in the index's memtable, in memory or beside sealed segments.
+// Scatter shard-slice systems must not be ingested into: a delta
+// carries the whole corpus, not the slice (cmd/serve refuses the flag
+// combination).
 func (s *System) NewIngester(cfg ingest.Config) (*ingest.Ingester, error) {
-	live, ok := s.inner.Finder.Index().(ingest.DeltaIndex)
-	if !ok {
-		return nil, fmt.Errorf("expertfind: index %T does not accept live deltas", s.inner.Finder.Index())
-	}
 	cfg.Graph = s.inner.DS.Graph
-	cfg.Index = live
+	cfg.Index = s.store()
 	cfg.Pipe = s.inner.Finder.Pipeline()
 	cfg.Finders = append(cfg.Finders, s.inner.Finder)
 	return ingest.New(cfg), nil
@@ -513,17 +517,13 @@ func (s *System) Experts(domain string) ([]string, error) {
 // Stats returns corpus statistics.
 func (s *System) Stats() Stats {
 	ds := s.inner.DS
-	shards := 1
-	if sh, ok := s.inner.Finder.Index().(*index.Sharded); ok {
-		shards = sh.NumShards()
-	}
 	return Stats{
 		Candidates:  len(ds.Candidates),
 		Resources:   ds.Graph.NumResources(),
 		Indexed:     s.inner.Kept,
 		Users:       ds.Graph.NumUsers(),
 		WebPages:    ds.Web.Len(),
-		IndexShards: shards,
+		IndexShards: s.store().Workers(),
 	}
 }
 

@@ -149,6 +149,29 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestIndexShardsBoundsEveryContainer: Config.IndexShards is the worker
+// bound of the one index container, in memory and on disk alike, and
+// Stats reports the bound the index scores with.
+func TestIndexShardsBoundsEveryContainer(t *testing.T) {
+	for name, dir := range map[string]string{"memory": "", "segment store": t.TempDir()} {
+		s, err := Open(Options{Config: Config{Seed: 1, Scale: 0.05, IndexShards: 3}, SegmentDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.SegmentStore(); (st != nil) != (dir != "") {
+			t.Fatalf("%s: SegmentStore() = %v", name, st)
+		} else if st != nil {
+			defer st.Close()
+		}
+		if got := s.Stats().IndexShards; got != 3 {
+			t.Errorf("%s: Stats().IndexShards = %d, want 3", name, got)
+		}
+		if got := s.store().Workers(); got != 3 {
+			t.Errorf("%s: the index scores on %d workers, want 3", name, got)
+		}
+	}
+}
+
 func TestNetworksList(t *testing.T) {
 	nets := Networks()
 	if len(nets) != 3 {

@@ -283,8 +283,8 @@ type Finder struct {
 	rcmCache map[string]*reach
 }
 
-// NewFinder assembles a Finder over any index.Searcher (monolithic,
-// sharded or segment store). candidates is the expert-candidate pool
+// NewFinder assembles a Finder over any index.Searcher (the monolithic
+// Index or a segment store). candidates is the expert-candidate pool
 // CE; nil selects every candidate user in the graph.
 func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline, candidates []socialgraph.UserID) *Finder {
 	if candidates == nil {

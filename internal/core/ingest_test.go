@@ -27,7 +27,8 @@ import (
 )
 
 // ingestSystem is one half of a twin-replica pair: the graph, the
-// pipeline it was analyzed with, and a finder over its sharded index.
+// pipeline it was analyzed with, and a finder over its in-memory
+// store.
 type ingestSystem struct {
 	ds     *dataset.Dataset
 	pipe   *analysis.Pipeline
@@ -35,7 +36,7 @@ type ingestSystem struct {
 }
 
 func buildIngestSystem(cfg dataset.Config, shards int) *ingestSystem {
-	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, IndexShards: shards})
+	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, Store: index.StoreOptions{Workers: shards}})
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +48,7 @@ func buildIngestSystem(cfg dataset.Config, shards int) *ingestSystem {
 func coldFinder(t *testing.T, remote *dataset.Dataset, shards int) *core.Finder {
 	t.Helper()
 	cold, err := experiments.Build(experiments.BuildOptions{
-		Dataset: remote, IndexShards: shards,
+		Dataset: remote, Store: index.StoreOptions{Workers: shards},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func ingestConfig(installed *ingestSystem, remote *dataset.Dataset, cache ingest
 	return ingest.Config{
 		API:     faults.Wrap(remote.Graph, faults.Config{}),
 		Graph:   installed.ds.Graph,
-		Index:   installed.finder.Index().(*index.Sharded),
+		Index:   installed.finder.Index().(*index.Store),
 		Pipe:    installed.pipe,
 		Finders: []*core.Finder{installed.finder},
 		Cache:   cache,
@@ -69,9 +70,10 @@ func ingestConfig(installed *ingestSystem, remote *dataset.Dataset, cache ingest
 }
 
 // TestIngestDifferentialGrid runs live ingest rounds against twin
-// corpora and checks, for every shard count, alpha, and top-k bound,
-// that the delta-absorbed finder ranks identically to a cold rebuild
-// of the remote state.
+// corpora and checks, for every index shard count (the worker count of
+// the in-memory store, its memtable cut into that many ranges), alpha,
+// and top-k bound, that the delta-absorbed finder ranks identically to
+// a cold rebuild of the remote state.
 func TestIngestDifferentialGrid(t *testing.T) {
 	cfg := dataset.Config{Seed: 5, Scale: 0.05}
 	for _, shards := range []int{1, 2, 3, 7} {
@@ -89,7 +91,7 @@ func TestIngestDifferentialGrid(t *testing.T) {
 				}
 			}
 
-			// Cold rebuild of the final remote state, same shard count.
+			// Cold rebuild of the final remote state, same worker count.
 			cold := coldFinder(t, remote, shards)
 
 			for _, alpha := range []float64{0, 0.6, 1} {

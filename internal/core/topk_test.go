@@ -27,8 +27,8 @@ func assertMatchesBitIdentical(t *testing.T, label string, want, got []index.Sco
 
 // TestMatchesTopKBounded checks the TopK contract at the pipeline
 // layer: Matches with TopK = k is the first k of the exhaustive
-// reachable ranking, bit for bit, on a monolithic and on a sharded
-// index.
+// reachable ranking, bit for bit, on a monolithic index and on a
+// store whose memtable is cut into three ranges.
 func TestMatchesTopKBounded(t *testing.T) {
 	f, _ := buildFigure1(t)
 	need := f.Pipeline().AnalyzeNeed("who is the best at freestyle swimming?")
@@ -38,7 +38,7 @@ func TestMatchesTopKBounded(t *testing.T) {
 	if len(exhaustive) < 2 {
 		t.Fatalf("fixture yields %d matches; need at least 2", len(exhaustive))
 	}
-	sharded := shardedClone(t, f, 3)
+	store := storeClone(t, f, 3)
 
 	for _, k := range []int{1, 2, len(exhaustive), len(exhaustive) + 10} {
 		want := exhaustive
@@ -48,13 +48,14 @@ func TestMatchesTopKBounded(t *testing.T) {
 		p := base
 		p.TopK = k
 		assertMatchesBitIdentical(t, fmt.Sprintf("k%d mono", k), want, f.Matches(need, p))
-		assertMatchesBitIdentical(t, fmt.Sprintf("k%d sharded", k), want, sharded.Matches(need, p))
+		assertMatchesBitIdentical(t, fmt.Sprintf("k%d store", k), want, store.Matches(need, p))
 	}
 }
 
 // TestFindTopKEndToEnd checks Find under a TopK bound: with k at
 // least the full match count the expert ranking is bit-identical to
-// the exhaustive one, and any k is deterministic and shard-invariant.
+// the exhaustive one, and any k is deterministic and
+// partition-invariant.
 func TestFindTopKEndToEnd(t *testing.T) {
 	f, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
@@ -65,20 +66,20 @@ func TestFindTopKEndToEnd(t *testing.T) {
 	pAll.TopK = 1000
 	assertExpertsBitIdentical(t, "k covers corpus", exhaustive, f.Find(need, pAll))
 
-	sharded := shardedClone(t, f, 3)
+	store := storeClone(t, f, 3)
 	for _, k := range []int{1, 2, 1000} {
 		p := base
 		p.TopK = k
 		want := f.Find(need, p)
 		assertExpertsBitIdentical(t, fmt.Sprintf("k%d repeat", k), want, f.Find(need, p))
-		assertExpertsBitIdentical(t, fmt.Sprintf("k%d sharded", k), want, sharded.Find(need, p))
+		assertExpertsBitIdentical(t, fmt.Sprintf("k%d store", k), want, store.Find(need, p))
 	}
 }
 
 // TestShardMatchesTopK drives the scatter entrypoint on a monolithic
-// and a sharded index under the same (self-)global stats: every k,
-// the exhaustive k = 0 included, must produce the exhaustive shard
-// matches truncated to k.
+// index and an in-memory store under the same (self-)global stats:
+// every k, the exhaustive k = 0 included, must produce the exhaustive
+// shard matches truncated to k.
 func TestShardMatchesTopK(t *testing.T) {
 	full, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
@@ -97,7 +98,7 @@ func TestShardMatchesTopK(t *testing.T) {
 		t.Fatalf("fixture yields %d shard matches; need at least 2", len(exhaustive))
 	}
 
-	sharded := shardedClone(t, full, 3)
+	store := storeClone(t, full, 3)
 
 	for _, k := range []int{0, 1, 2, len(exhaustive) + 5} {
 		want := exhaustive
@@ -109,8 +110,8 @@ func TestShardMatchesTopK(t *testing.T) {
 		if got := full.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k%d mono:\n got %v\nwant %v", k, got, want)
 		}
-		if got := sharded.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d sharded:\n got %v\nwant %v", k, got, want)
+		if got := store.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k%d store:\n got %v\nwant %v", k, got, want)
 		}
 	}
 }

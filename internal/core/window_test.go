@@ -66,20 +66,27 @@ func buildCrowd(t testing.TB) (*socialgraph.Graph, *analysis.Pipeline, []index.D
 	return g, pipe, docs
 }
 
-// crowdFinders indexes the crowd three ways — one Index, a 3-way
-// Sharded, and a segment Store holding two sealed segments, a
-// tombstone in the first and a live memtable — all without the one
-// document the store deleted, so the three must rank as one.
+// crowdFinders indexes the crowd three ways — one Index, a store with
+// no directory scoring on three workers, and a segment Store holding
+// two sealed segments, a tombstone in the first and a live memtable —
+// all without the one document the store deleted, so the three must
+// rank as one.
 func crowdFinders(t testing.TB) map[string]*Finder {
 	t.Helper()
 	g, pipe, docs := buildCrowd(t)
 	gone := docs[len(docs)/4]
 
-	mono, sharded := index.New(), index.NewSharded(3)
+	mono := index.New()
+	inMem, err := index.NewStore("", index.StoreOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range docs {
 		if d.ID != gone.ID {
 			mono.Add(d.ID, d.A)
-			sharded.Add(d.ID, d.A)
+			if err := inMem.Add(d.ID, d.A); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	store, err := index.NewStore(t.TempDir(), index.StoreOptions{})
@@ -104,7 +111,7 @@ func crowdFinders(t testing.TB) map[string]*Finder {
 	}
 	return map[string]*Finder{
 		"monolithic": NewFinder(g, mono, pipe, nil),
-		"sharded":    NewFinder(g, sharded, pipe, nil),
+		"memtable":   NewFinder(g, inMem, pipe, nil),
 		"store":      NewFinder(g, store, pipe, nil),
 	}
 }
@@ -261,7 +268,7 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 // several traversals, before and after an invalidation that follows a
 // graph mutation — and while concurrent finds share the cache (-race).
 func TestReachAcceptEqualsMap(t *testing.T) {
-	f := crowdFinders(t)["sharded"]
+	f := crowdFinders(t)["memtable"]
 	g := f.Graph()
 	travs := []socialgraph.TraversalOptions{
 		{MaxDistance: 0},
@@ -336,10 +343,10 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 }
 
 // BenchmarkFindWindowBound is the find path's own benchmark: the
-// default window (so the bound is in force) over the crowd on a 3-way
-// sharded in-memory index, analysis included.
+// default window (so the bound is in force) over the crowd on an
+// in-memory store scoring on three workers, analysis included.
 func BenchmarkFindWindowBound(b *testing.B) {
-	f := crowdFinders(b)["sharded"]
+	f := crowdFinders(b)["memtable"]
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 	f.Find(crowdNeed, p) // build the traversal entry outside the timer
 	b.ReportAllocs()

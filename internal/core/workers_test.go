@@ -11,20 +11,26 @@ import (
 	"expertfind/internal/socialgraph"
 )
 
-// shardedClone re-analyzes f's documents into an n-shard index and
+// storeClone re-analyzes f's documents into a store with no directory
+// that scores on n workers, its memtable cut into n doc-id ranges, and
 // returns a Finder over it; graph, pipeline and candidate pool are
 // shared.
-func shardedClone(t testing.TB, f *Finder, n int) *Finder {
+func storeClone(t testing.TB, f *Finder, n int) *Finder {
 	t.Helper()
 	g, pipe := f.Graph(), f.Pipeline()
-	sh := index.NewSharded(n)
+	s, err := index.NewStore("", index.StoreOptions{Workers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < g.NumResources(); i++ {
 		r := g.Resource(socialgraph.ResourceID(i))
 		if a, ok := pipe.Analyze(r.Text, r.URLs); ok && f.Index().Has(r.ID) {
-			sh.Add(r.ID, a)
+			if err := s.Add(r.ID, a); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	return NewFinder(g, sh, pipe, nil)
+	return NewFinder(g, s, pipe, nil)
 }
 
 func assertExpertsBitIdentical(t *testing.T, label string, want, got []ExpertScore) {
@@ -52,21 +58,22 @@ func figure1Params() []Params {
 	}
 }
 
-// TestShardedFinderEquivalence checks the end-to-end contract: a
-// Finder over a sharded index ranks experts bit-identically to one
-// over the monolithic index, for any shard count and query config.
-func TestShardedFinderEquivalence(t *testing.T) {
+// TestStoreWorkersFinderEquivalence checks the end-to-end contract: a
+// Finder over a store with no directory ranks experts bit-identically
+// to one over the monolithic index, for any worker count and query
+// config.
+func TestStoreWorkersFinderEquivalence(t *testing.T) {
 	flat, _ := buildFigure1(t)
 	const query = "who is the best at freestyle swimming?"
 	for _, n := range []int{1, 2, 5} {
-		sharded := shardedClone(t, flat, n)
+		store := storeClone(t, flat, n)
 		for pi, p := range figure1Params() {
 			want := flat.Find(query, p)
 			if pi == 0 && len(want) == 0 {
 				t.Fatal("no experts found for the figure 1 query")
 			}
-			got := sharded.Find(query, p)
-			assertExpertsBitIdentical(t, fmt.Sprintf("shards=%d params=%d", n, pi), want, got)
+			got := store.Find(query, p)
+			assertExpertsBitIdentical(t, fmt.Sprintf("workers=%d params=%d", n, pi), want, got)
 		}
 	}
 }
@@ -76,26 +83,27 @@ func TestShardedFinderEquivalence(t *testing.T) {
 // produce byte-identical rankings on every run, on both index kinds.
 func TestFindDeterministicAcrossRuns(t *testing.T) {
 	flat, _ := buildFigure1(t)
-	sharded := shardedClone(t, flat, 3)
+	store := storeClone(t, flat, 3)
 	const query = "who is the best at freestyle swimming?"
 	for pi, p := range figure1Params() {
 		wantFlat := flat.Find(query, p)
-		wantSharded := sharded.Find(query, p)
-		assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat vs sharded", pi), wantFlat, wantSharded)
+		wantStore := store.Find(query, p)
+		assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat vs store", pi), wantFlat, wantStore)
 		for run := 0; run < 50; run++ {
 			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat run %d", pi, run), wantFlat, flat.Find(query, p))
-			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d sharded run %d", pi, run), wantSharded, sharded.Find(query, p))
+			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d store run %d", pi, run), wantStore, store.Find(query, p))
 		}
 	}
 }
 
-// TestFindContextStress hammers one sharded Finder from many
-// goroutines with varying traversal configs, exercising the
-// traversal cache and the shard worker pool concurrently (run
-// under -race). Every result must match its sequential reference.
+// TestFindContextStress hammers one Finder over a store whose
+// memtable is cut into three ranges from many goroutines with varying
+// traversal configs, exercising the traversal cache and the store's
+// worker pool concurrently (run under -race). Every result must match
+// its sequential reference.
 func TestFindContextStress(t *testing.T) {
 	flat, _ := buildFigure1(t)
-	f := shardedClone(t, flat, 3)
+	f := storeClone(t, flat, 3)
 
 	queries := []string{
 		"who is the best at freestyle swimming?",

@@ -58,15 +58,15 @@ type BuildOptions struct {
 	// topology agree on them.
 	ShardID, ShardCount int
 
-	// Container: an index.Sharded of IndexShards document shards in
-	// memory (0 selects GOMAXPROCS; rankings are identical for any
-	// value), or with SegmentDir an index.Store rooted there. A
-	// directory that already holds documents is checked against the
-	// corpus and slice it is opened as and served without analysis; an
-	// empty one is populated.
-	IndexShards int
-	SegmentDir  string
-	Store       index.StoreOptions
+	// Container: always an index.Store configured by Store — with no
+	// SegmentDir one that lives in memory and never seals, with one a
+	// store rooted there. Store.Workers bounds the parts one find is
+	// scored on in parallel in either (rankings are identical for any
+	// value). A directory that already holds documents is checked
+	// against the corpus and slice it is opened as and served without
+	// analysis; an empty one is populated.
+	SegmentDir string
+	Store      index.StoreOptions
 	// KeepTexts retains a corpus file's bulk chunk texts; by default
 	// each chunk's are dropped once indexed, bounding memory by the base
 	// corpus plus one chunk at any scale.
@@ -81,11 +81,9 @@ type BuildOptions struct {
 // builder carries one Build from source to container.
 type builder struct {
 	o        BuildOptions
-	store    *index.Store // nil for the in-memory container
-	prebuilt bool         // store already held documents when opened
+	store    *index.Store
+	prebuilt bool // store already held documents when opened
 	pipe     *analysis.Pipeline
-	ix       index.Searcher
-	addBatch func([]index.Doc) error
 	next     socialgraph.ResourceID // first resource not yet offered to add
 }
 
@@ -99,18 +97,15 @@ func Build(o BuildOptions) (sys *System, err error) {
 		return nil, fmt.Errorf("experiments: shard %d/%d outside topology", o.ShardID, o.ShardCount)
 	}
 	b := &builder{o: o}
-	if o.SegmentDir != "" {
-		if b.store, err = index.NewStore(o.SegmentDir, o.Store); err != nil {
-			return nil, err
-		}
-		defer func() {
-			if err != nil {
-				b.store.Close()
-			}
-		}()
-		b.ix, b.addBatch = b.store, b.store.AddBatch
-		b.prebuilt = b.store.NumDocs() > 0
+	if b.store, err = index.NewStore(o.SegmentDir, o.Store); err != nil {
+		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			b.store.Close()
+		}
+	}()
+	b.prebuilt = b.store.NumDocs() > 0
 	ds, err := b.load()
 	if err != nil {
 		return nil, err
@@ -126,19 +121,18 @@ func Build(o BuildOptions) (sys *System, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.store != nil {
-		// Seal so the build is fully on disk for the next open.
-		if err = b.store.Seal(); err != nil {
-			return nil, err
-		}
-		if b.store.NumDocs() == 0 {
-			return nil, fmt.Errorf("experiments: corpus produced an empty index in %s", o.SegmentDir)
-		}
+	// Seal so the build is fully on disk for the next open (a store with
+	// no directory never seals).
+	if err = b.store.Seal(); err != nil {
+		return nil, err
+	}
+	if o.SegmentDir != "" && b.store.NumDocs() == 0 {
+		return nil, fmt.Errorf("experiments: corpus produced an empty index in %s", o.SegmentDir)
 	}
 	return &System{
 		DS:       ds,
-		Finder:   core.NewFinder(ds.Graph, b.ix, b.pipe, ds.Candidates),
-		Kept:     b.ix.NumDocs(),
+		Finder:   core.NewFinder(ds.Graph, b.store, b.pipe, ds.Candidates),
+		Kept:     b.store.NumDocs(),
 		needByID: make(map[int]analysis.Analyzed),
 	}, nil
 }
@@ -171,17 +165,13 @@ func (b *builder) load() (*dataset.Dataset, error) {
 }
 
 // start creates what needs the corpus's base section to exist: the
-// pipeline (its Web) and the in-memory container.
+// pipeline (its Web).
 func (b *builder) start(d *dataset.Dataset) {
 	opts := analysis.Options{Web: d.Web}
 	if b.o.Analysis != nil {
 		opts = *b.o.Analysis
 	}
 	b.pipe = analysis.New(opts)
-	if b.store == nil {
-		sh := index.NewSharded(b.o.IndexShards)
-		b.ix, b.addBatch = sh, func(docs []index.Doc) error { sh.AddBatch(docs); return nil }
-	}
 }
 
 // inSlice is the slice axis: whether this build indexes document id.
@@ -215,7 +205,7 @@ func (b *builder) add(d *dataset.Dataset, upto socialgraph.ResourceID) error {
 			docs = append(docs, index.Doc{ID: lo + socialgraph.ResourceID(i), A: res.A})
 		}
 	}
-	return b.addBatch(docs)
+	return b.store.AddBatch(docs)
 }
 
 // checkPrebuilt refuses a reopened segment directory holding a

@@ -476,6 +476,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	for _, d := range docs {
 		ix.docs[d] = struct{}{}
 	}
+	ix.ids = docs
 	return ix, nil
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 	"expertfind/internal/kb"
 )
 
-// randomAnalyzed draws one analyzed document over the shard test
+// randomAnalyzed draws one analyzed document over the test
 // vocabulary, mirroring randomDocs' per-document distribution.
 func randomAnalyzed(r *rand.Rand) analysis.Analyzed {
-	vocab := shardTestVocab()
+	vocab := testVocab()
 	terms := map[string]int{}
 	for j := 0; j < 1+r.Intn(10); j++ {
 		terms[vocab[r.Intn(len(vocab))]]++
@@ -95,10 +96,10 @@ func (st *corpusState) docs() []Doc {
 // randomized add/update/delete sequences, an index that absorbed the
 // deltas in place must be indistinguishable from a cold rebuild of the
 // resulting corpus — bit-identical Score and ScoreTopK rankings for
-// every shard count, alpha and k, and a byte-identical serialized
-// segment (deletes compact away without a trace).
+// every worker count of a store with no directory, alpha and k, and a
+// byte-identical serialized segment (deletes compact away without a
+// trace).
 func TestDeltaVsRebuildDifferential(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 7}
 	alphas := []float64{0, 0.6, 1}
 	ks := []int{1, 10, 0} // 0 = unbounded
 
@@ -108,11 +109,9 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 
 		st := newCorpusState(start)
 		mono := flatFromDocs(start)
-		shardeds := make([]*Sharded, len(shardCounts))
-		for i, n := range shardCounts {
-			shardeds[i] = NewSharded(n)
-			shardeds[i].workers = 1 + i%3 // sequential and pooled scoring both
-			shardeds[i].AddBatch(start)
+		stores := make([]*Store, len(workerCounts))
+		for i, n := range workerCounts {
+			stores[i] = memStore(start, n)
 		}
 
 		for round := 0; round < 6; round++ {
@@ -126,7 +125,7 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 			for _, a := range d.Adds {
 				mono.Add(a.ID, a.A)
 			}
-			for _, s := range shardeds {
+			for _, s := range stores {
 				s.ApplyDelta(d)
 			}
 
@@ -140,8 +139,8 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 				for _, alpha := range alphas {
 					want := rebuild.Score(need, alpha)
 					assertScoredBitIdentical(t, "mono delta vs rebuild", want, mono.Score(need, alpha))
-					for _, s := range shardeds {
-						assertScoredBitIdentical(t, "sharded delta vs rebuild",
+					for i, s := range stores {
+						assertScoredBitIdentical(t, fmt.Sprintf("workers=%d delta vs rebuild", workerCounts[i]),
 							want, s.Score(need, alpha))
 					}
 					for _, k := range ks {
@@ -151,8 +150,8 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 						}
 						assertScoredBitIdentical(t, "mono topk delta vs rebuild",
 							wantK, mono.ScoreTopK(need, alpha, k, nil))
-						for _, s := range shardeds {
-							assertScoredBitIdentical(t, "sharded topk delta vs rebuild",
+						for i, s := range stores {
+							assertScoredBitIdentical(t, fmt.Sprintf("workers=%d topk delta vs rebuild", workerCounts[i]),
 								wantK, s.ScoreTopK(need, alpha, k, nil))
 						}
 					}
@@ -172,14 +171,14 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 			if !bytes.Equal(wantSeg.Bytes(), gotSeg.Bytes()) {
 				t.Fatalf("seed %d round %d: monolith segment differs from rebuild segment", seed, round)
 			}
-			for i, s := range shardeds {
+			for i, s := range stores {
 				gotSeg.Reset()
 				if _, err := s.WriteTo(&gotSeg); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(wantSeg.Bytes(), gotSeg.Bytes()) {
-					t.Fatalf("seed %d round %d: %d-shard segment differs from rebuild segment",
-						seed, round, shardCounts[i])
+					t.Fatalf("seed %d round %d: %d-worker store segment differs from rebuild segment",
+						seed, round, workerCounts[i])
 				}
 			}
 		}
@@ -187,27 +186,22 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 }
 
 // TestRemoveDropsEmptyLists removes every document and requires the
-// index to end structurally empty: no term or entity list survives, so
-// nothing orphaned can leak into stats, planning, or serialization.
+// index to end structurally empty: no term or entity list and no doc
+// id survives, so nothing orphaned can leak into stats, planning, range
+// cuts or serialization.
 func TestRemoveDropsEmptyLists(t *testing.T) {
 	docs := randomDocs(11, 150, 0)
 	ix := flatFromDocs(docs)
-	s := NewSharded(3)
-	s.AddBatch(docs)
+	s := memStore(docs, 3)
 	for _, d := range docs {
 		ix.Remove(d.ID, d.A)
 		s.ApplyDelta(Delta{Removes: []Doc{d}})
 	}
-	if ix.NumDocs() != 0 || len(ix.lists) != 0 {
-		t.Fatalf("monolith not empty after removing everything: %d docs, %d lists",
-			ix.NumDocs(), len(ix.lists))
-	}
-	if s.NumDocs() != 0 {
-		t.Fatalf("sharded index reports %d docs after removing everything", s.NumDocs())
-	}
-	flat := s.Flatten()
-	if len(flat.lists) != 0 {
-		t.Fatalf("sharded index kept %d lists after removing everything", len(flat.lists))
+	for name, got := range map[string]*Index{"monolith": ix, "memtable": s.mem} {
+		if got.NumDocs() != 0 || len(got.lists) != 0 || len(got.ids) != 0 {
+			t.Fatalf("%s not empty after removing everything: %d docs, %d lists, %d ids",
+				name, got.NumDocs(), len(got.lists), len(got.ids))
+		}
 	}
 	var empty, got bytes.Buffer
 	if _, err := New().WriteTo(&empty); err != nil {
@@ -265,8 +259,7 @@ func FuzzDeltaApply(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		st := newCorpusState(randomDocs(seed, 60, 0))
 		ix := flatFromDocs(st.docs())
-		s := NewSharded(3)
-		s.AddBatch(st.docs())
+		s := memStore(st.docs(), 3)
 
 		for _, op := range ops {
 			switch {
@@ -305,7 +298,7 @@ func FuzzDeltaApply(f *testing.F) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			want := rebuild.Score(need, alpha)
 			assertScoredBitIdentical(t, "fuzz mono", want, ix.Score(need, alpha))
-			assertScoredBitIdentical(t, "fuzz sharded", want, s.Score(need, alpha))
+			assertScoredBitIdentical(t, "fuzz store", want, s.Score(need, alpha))
 			wantK := want
 			if len(wantK) > 5 {
 				wantK = wantK[:5]

@@ -122,9 +122,10 @@ func fuzzNeed(needText string, entitySeed uint32) analysis.Analyzed {
 // ScoreTopK and checks the ranking contract: ordered by (score desc,
 // doc asc), all scores positive and finite, every match indexed,
 // bit-identical to the naive oracle, byte-identical on repetition,
-// bit-identical between the sequential index and a 3-shard split of
-// the same documents, and the pruned top-k bit-identical to the first
-// k of the exhaustive ranking. The checked-in seed-topk-ties ties 31
+// bit-identical between the monolith and a store with no directory
+// whose memtable is cut into three ranges, and the pruned top-k
+// bit-identical to the first k of the exhaustive ranking. The
+// checked-in seed-topk-ties ties 31
 // documents at the 10th score, below 5 others: the cut at θ fills with
 // ties in doc order there.
 func FuzzIndexScore(f *testing.F) {
@@ -136,8 +137,7 @@ func FuzzIndexScore(f *testing.F) {
 
 	corpus := randomDocs(1, 120, 0)
 	flat := flatFromDocs(corpus)
-	sharded := NewSharded(3)
-	sharded.AddBatch(corpus)
+	inMem := memStore(corpus, 3)
 
 	f.Fuzz(func(t *testing.T, needText string, entitySeed uint32, alphaByte, kByte uint8) {
 		alpha := float64(alphaByte%101) / 100
@@ -157,17 +157,17 @@ func FuzzIndexScore(f *testing.F) {
 		}
 		assertScoredBitIdentical(t, "oracle", oracleTopK(flat, flat, need, alpha, 0, nil), got)
 		assertScoredBitIdentical(t, "repeat", got, flat.Score(need, alpha))
-		assertScoredBitIdentical(t, "sharded", got, sharded.Score(need, alpha))
+		assertScoredBitIdentical(t, "store", got, inMem.Score(need, alpha))
 
 		// Pruned top-k must be the first k of the exhaustive ranking,
-		// bit for bit, on both the monolith and the sharded split.
+		// bit for bit, on both the monolith and the store.
 		k := int(kByte)
 		want := got
 		if k > 0 && len(want) > k {
 			want = want[:k]
 		}
 		assertScoredBitIdentical(t, "topk", want, flat.ScoreTopK(need, alpha, k, nil))
-		assertScoredBitIdentical(t, "topk sharded", want, sharded.ScoreTopK(need, alpha, k, nil))
+		assertScoredBitIdentical(t, "topk store", want, inMem.ScoreTopK(need, alpha, k, nil))
 	})
 }
 

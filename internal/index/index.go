@@ -46,10 +46,11 @@ var (
 type DocID = socialgraph.ResourceID
 
 // Searcher is the query-side index API shared by the monolithic Index,
-// the sharded variant and the segment store: everything the
-// expert-finding pipeline needs to weight, match and persist a
-// collection. All three score through one path (see search.go); Score
-// and ScoreTopK are ScoreStatsTopK with defaults filled in.
+// the reference oracle, and the segment store, the one container the
+// system serves from: everything the expert-finding pipeline needs to
+// weight, match and persist a collection. Both score through one path
+// (see search.go); Score and ScoreTopK are ScoreStatsTopK with defaults
+// filled in.
 type Searcher interface {
 	// Score evaluates Eq. (1) for every resource matching the analyzed
 	// need and returns the matches with positive score, ordered by
@@ -84,7 +85,6 @@ type Searcher interface {
 
 var (
 	_ Searcher = (*Index)(nil)
-	_ Searcher = (*Sharded)(nil)
 	_ Searcher = (*Store)(nil)
 )
 
@@ -102,6 +102,10 @@ var (
 type Index struct {
 	lists map[listKey]*postingList
 	docs  map[DocID]struct{}
+	// ids is docs in ascending order, kept up to date by every mutation
+	// so that reading it — the store cutting its memtable into doc-id
+	// ranges, a seal writing it out — never sorts.
+	ids []DocID
 }
 
 // New returns an empty index.
@@ -152,6 +156,12 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 		panic("index: duplicate document")
 	}
 	ix.docs[id] = struct{}{}
+	if n := len(ix.ids); n == 0 || ix.ids[n-1] < id {
+		ix.ids = append(ix.ids, id)
+	} else {
+		i, _ := slices.BinarySearch(ix.ids, id)
+		ix.ids = slices.Insert(ix.ids, i, id)
+	}
 	eachPosting(id, a, ix.addPosting)
 }
 
@@ -170,6 +180,8 @@ func (ix *Index) Remove(id DocID, a analysis.Analyzed) {
 		panic("index: removing unknown document")
 	}
 	delete(ix.docs, id)
+	i, _ := slices.BinarySearch(ix.ids, id)
+	ix.ids = slices.Delete(ix.ids, i, i+1)
 	eachPosting(id, a, func(k listKey, _ posting) {
 		l := ix.lists[k]
 		if l == nil {
@@ -208,9 +220,8 @@ func (ix *Index) Update(id DocID, old, new analysis.Analyzed) {
 
 // Merge folds another index into this one. The document sets must be
 // disjoint (each resource is analyzed exactly once); overlapping
-// documents cause a panic like a duplicate Add would. Merging
-// supports sharded corpus builds: analyze partitions independently,
-// then merge the shards.
+// documents cause a panic like a duplicate Add would. A failed seal
+// merges its frozen memtable back into the store's new one this way.
 func (ix *Index) Merge(other *Index) {
 	for d := range other.docs {
 		if _, dup := ix.docs[d]; dup {
@@ -218,6 +229,8 @@ func (ix *Index) Merge(other *Index) {
 		}
 		ix.docs[d] = struct{}{}
 	}
+	ix.ids = append(ix.ids, other.ids...)
+	slices.Sort(ix.ids)
 	for k, ol := range other.lists {
 		for _, p := range ol.decodeAll() {
 			ix.addPosting(k, p)
@@ -248,7 +261,7 @@ func (ix *Index) freq(k listKey) int {
 }
 
 // irf is the inverse resource frequency formula, log(1 + N/df),
-// shared by every stats provider so sequential and sharded scoring
+// shared by every stats provider so whole and partitioned scoring
 // compute bit-identical weights.
 func irf(numDocs, df int) float64 {
 	return math.Log(1 + float64(numDocs)/float64(df))
@@ -282,11 +295,11 @@ type ScoredDoc struct {
 
 // CollectionStats is the collection-level view needed to weight a
 // query: document count and per-term/per-entity resource frequencies.
-// For a sharded index these are global (summed across shards), so the
-// same need yields the same query plan regardless of shard count. The
-// scatter-gather serving layer implements it with stats summed across
-// shard processes, so a shard holding one slice of the corpus can
-// still score with collection-global weights.
+// For a segment store these are global (folded across its memtable and
+// segments), so the same need yields the same query plan for any
+// layout. The scatter-gather serving layer implements it with stats
+// summed across shard processes, so a shard holding one slice of the
+// corpus can still score with collection-global weights.
 type CollectionStats interface {
 	NumDocs() int
 	DocFreq(term string) int
@@ -325,8 +338,8 @@ type plannedList struct {
 // with zero-weight dimensions dropped. Planning once and walking
 // postings in plan order makes every Score evaluation accumulate each
 // document's float64 score in the same addition order — byte-identical
-// output across runs and across shard counts (each document lives in
-// exactly one shard, so its addition chain never changes).
+// output across runs and across partitionings (each document lives in
+// exactly one part, so its addition chain never changes).
 type queryPlan []plannedList
 
 func planQuery(need analysis.Analyzed, alpha float64, st CollectionStats) queryPlan {

@@ -4,13 +4,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"expertfind/internal/telemetry"
 )
 
-// The partitioned search, written once. Index, Sharded and Store all
-// answer a need the same way: plan the query once against the
+// The partitioned search, written once. Index and Store both answer a
+// need the same way: plan the query once against the
 // collection-global statistics, score every part — a disjoint slice of
 // the documents — with the one scorer (scorePlanTopK), and k-way merge
 // the per-part rankings under (score desc, doc asc). k <= 0 is the
@@ -55,17 +52,11 @@ type part struct {
 	src listSource
 	// span restricts the part to src's documents in a doc-id range:
 	// allDocs for a whole component, narrower for one range of a
-	// sealed segment cut across workers (Store.partsLocked).
+	// component cut across workers (Store.partsLocked).
 	span docRange
-	// mu, when non-nil, is read-held while the part is viewed and
-	// scored (a shard's lock); nil when the caller's own lock already
-	// covers the part.
-	mu *sync.RWMutex
 	// accept restricts scoring to accepted documents; nil accepts all.
 	// A store segment narrows the caller's filter by its tombstones.
 	accept func(DocID) bool
-	// seconds, when non-nil, observes the part's scoring wall time.
-	seconds *telemetry.Histogram
 }
 
 // cut splits the part at doc id at, which must lie in its span: the
@@ -86,15 +77,8 @@ func planMass(c component, plan queryPlan) int {
 	return m
 }
 
-// score runs the one scorer over the part under its lock.
+// score runs the one scorer over the part.
 func (p *part) score(plan queryPlan, k int) ([]ScoredDoc, topkCounters) {
-	if p.seconds != nil {
-		defer p.seconds.ObserveSince(time.Now())
-	}
-	if p.mu != nil {
-		p.mu.RLock()
-		defer p.mu.RUnlock()
-	}
 	return scorePlanTopK(p.src, plan, k, p.accept, p.span)
 }
 

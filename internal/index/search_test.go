@@ -100,10 +100,11 @@ func assertOracleGrid(t *testing.T, targets []oracleTarget, wider CollectionStat
 }
 
 // TestSearchOracleGrid holds the one match path to the naive oracle on
-// every index type and partitioning: Index, Sharded (sequential and
-// pooled), Store (memtable only, one segment, four segments, four
-// segments with tombstones), and the two layouts the doc-sorted
-// accumulator walk could get wrong — see the subtests.
+// every index type and partitioning: Index, a Store with no directory
+// whose memtable is cut into 1, 2, 3 and 7 ranges, a Store on disk
+// (memtable only, one segment, four segments, four segments with
+// tombstones), and the two layouts the doc-sorted accumulator walk
+// could get wrong — see the subtests.
 func TestSearchOracleGrid(t *testing.T) {
 	docs := randomDocs(17, 500, 0)
 	var removes, live []Doc
@@ -118,14 +119,7 @@ func TestSearchOracleGrid(t *testing.T) {
 
 	targets := []oracleTarget{{"index", flat, flat}}
 	for _, n := range []int{1, 2, 3, 7} {
-		pooled := NewSharded(n)
-		pooled.AddBatch(docs)
-		seq := NewSharded(n)
-		seq.workers = 1
-		seq.AddBatch(docs)
-		targets = append(targets,
-			oracleTarget{fmt.Sprintf("sharded%d", n), pooled, flat},
-			oracleTarget{fmt.Sprintf("sharded%d seq", n), seq, flat})
+		targets = append(targets, oracleTarget{fmt.Sprintf("memtable workers=%d", n), memStore(docs, n), flat})
 	}
 	for _, layout := range [][]int{nil, {500}, {40, 90, 300, 460}} {
 		targets = append(targets, oracleTarget{fmt.Sprintf("store%v", layout), storeOf(t, docs, layout, StoreOptions{}), flat})
@@ -277,15 +271,14 @@ func TestMergeScoredStopsAtK(t *testing.T) {
 func TestNilStatsMeansOwnStatistics(t *testing.T) {
 	docs := randomDocs(29, 200, 0)
 	flat := flatFromDocs(docs)
-	sharded := NewSharded(3)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 3)
 	targets := []struct {
 		name string
 		ix   Searcher
 		own  CollectionStats
 	}{
 		{"index", flat, flat},
-		{"sharded", sharded, sharded},
+		{"memtable", inMem, inMem},
 		{"store", storeOf(t, docs, []int{120}, StoreOptions{}), flat},
 	}
 	need := randomNeed(rand.New(rand.NewSource(30)))
@@ -305,26 +298,25 @@ func TestNilStatsMeansOwnStatistics(t *testing.T) {
 	}
 }
 
-// TestGlobalStatsScoring scores a shard slice under materialized
-// GlobalStats — the scatter coordinator's view — and requires the
-// merged pruned rankings to match the monolithic index, exhaustive
-// and top-k, on the sharded and the monolithic index.
+// TestGlobalStatsScoring scores under materialized GlobalStats — the
+// scatter coordinator's view — and requires the merged pruned rankings
+// to match the monolithic index, exhaustive and top-k, on a memtable
+// cut into three ranges and on the monolithic index.
 func TestGlobalStatsScoring(t *testing.T) {
 	docs := randomDocs(71, 300, 0)
 	flat := flatFromDocs(docs)
 	g := materializedStats(flat)
 
-	sharded := NewSharded(3)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 3)
 	need := fuzzNeed("swim pool train php copper", 23)
 	for _, alpha := range []float64{0, 0.6, 1} {
 		want := flat.Score(need, alpha)
-		assertScoredBitIdentical(t, "global stats", want, sharded.ScoreStatsTopK(need, alpha, g, 0, nil))
+		assertScoredBitIdentical(t, "global stats", want, inMem.ScoreStatsTopK(need, alpha, g, 0, nil))
 		wantK := want
 		if len(wantK) > 7 {
 			wantK = wantK[:7]
 		}
-		assertScoredBitIdentical(t, "global stats topk", wantK, sharded.ScoreStatsTopK(need, alpha, g, 7, nil))
+		assertScoredBitIdentical(t, "global stats topk", wantK, inMem.ScoreStatsTopK(need, alpha, g, 7, nil))
 		assertScoredBitIdentical(t, "global stats topk flat", wantK, flat.ScoreStatsTopK(need, alpha, g, 7, nil))
 	}
 }

@@ -125,8 +125,8 @@ func TestStoreWriteToMatchesMonolith(t *testing.T) {
 
 // The differential grid: every (seed, layout, tombstones, streaming
 // mode, worker bound, α, k) combination must rank bit-identically to
-// the monolithic index over the live documents, and the sharded index
-// to the monolith over all of them. The same stores scored with their
+// the monolithic index over the live documents, and a store with no
+// directory to the monolith over all of them. The same stores scored with their
 // segments cut at forced doc ids (forcedCuts) must too: where the
 // range walk starts, stops and clips is unobservable.
 func TestStoreScoringBitIdentical(t *testing.T) {
@@ -141,8 +141,7 @@ func TestStoreScoringBitIdentical(t *testing.T) {
 			}
 		}
 		mono, monoLive := flatFromDocs(docs), flatFromDocs(live)
-		shard := NewSharded(3)
-		shard.AddBatch(docs)
+		inMem := memStore(docs, 3)
 		for _, layout := range [][]int{nil, {500}, {170, 340}, {40, 90, 300, 460}} {
 			for _, tombs := range []bool{false, true} {
 				for _, stream := range []bool{false, true} {
@@ -163,7 +162,7 @@ func TestStoreScoringBitIdentical(t *testing.T) {
 							want := ref.Score(need, alpha)
 							label := fmt.Sprintf("seed=%d layout=%v tombs=%v stream=%v q=%d α=%g", seed, layout, tombs, stream, q, alpha)
 							if !tombs {
-								assertScoredBitIdentical(t, label+" sharded", shard.Score(need, alpha), want)
+								assertScoredBitIdentical(t, label+" no dir", inMem.Score(need, alpha), want)
 							}
 							for _, workers := range []int{1, 2, 8} {
 								s.workers = workers
@@ -687,7 +686,7 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	if got, want := s.NumDocs(), mono.NumDocs(); got != want {
 		t.Fatalf("NumDocs = %d, want %d", got, want)
 	}
-	for _, term := range append(shardTestVocab(), "neverindexedterm") {
+	for _, term := range append(testVocab(), "neverindexedterm") {
 		if got, want := s.DocFreq(term), mono.DocFreq(term); got != want {
 			t.Fatalf("DocFreq(%q) = %d, want %d", term, got, want)
 		}
@@ -733,23 +732,26 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreTopK measures a top-10 store find over the two layouts
-// whose parts differ: one heavy segment beside three light ones, the
-// shape of a cold-built store, and the one segment compaction leaves.
-// serial is one caller: the latency of a find on an otherwise idle
-// machine. parallel runs GOMAXPROCS callers at once, so a find's own
-// workers compete with the other finds for the cores and ns/op is the
-// cost at saturation.
+// BenchmarkStoreTopK measures a top-10 store find over the three
+// layouts whose parts differ: one heavy segment beside three light
+// ones, the shape of a cold-built store; the one segment compaction
+// leaves; and a store with no directory, all 60k documents in its
+// memtable and nothing sealed — the in-memory path every default system
+// serves from. serial is one caller: the latency of a find on an
+// otherwise idle machine. parallel runs GOMAXPROCS callers at once, so
+// a find's own workers compete with the other finds for the cores and
+// ns/op is the cost at saturation.
 func BenchmarkStoreTopK(b *testing.B) {
-	docs, need := benchShardCorpus()
+	docs, need := benchStoreCorpus()
 	for _, layout := range []struct {
-		name       string
-		boundaries []int
+		name  string
+		store *Store
 	}{
-		{"skewed4", []int{48_000, 52_000, 56_000, 60_000}},
-		{"compacted1", []int{60_000}},
+		{"skewed4", storeOf(b, docs, []int{48_000, 52_000, 56_000, 60_000}, StoreOptions{})},
+		{"compacted1", storeOf(b, docs, []int{60_000}, StoreOptions{})},
+		{"memtable", memStore(docs, 0)},
 	} {
-		s := storeOf(b, docs, layout.boundaries, StoreOptions{})
+		s := layout.store
 		b.Run(layout.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

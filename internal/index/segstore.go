@@ -58,6 +58,11 @@ type StoreOptions struct {
 	// MaxSegments is the sealed-segment count above which the
 	// maintenance policy compacts the smallest half (default 8).
 	MaxSegments int
+	// Workers is the most parts one find is scored on in parallel, and
+	// so the most doc-id ranges a component is cut into (0 selects
+	// GOMAXPROCS, 1 scores serially). Rankings are identical for any
+	// value.
+	Workers int
 	// forceStream disables mmap in favor of positioned reads: the
 	// in-package tests' way to reach the non-unix fallback.
 	forceStream bool
@@ -74,7 +79,54 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 8
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
 	return o
+}
+
+// Doc pairs a resource id with its analyzed form: the unit of bulk
+// indexing.
+type Doc struct {
+	ID DocID
+	A  analysis.Analyzed
+}
+
+// DocUpdate pairs a document with its previously indexed analyzed
+// form and its replacement: the unit of in-place change in a Delta.
+type DocUpdate struct {
+	ID       DocID
+	Old, New analysis.Analyzed
+}
+
+// Delta is one atomic batch of index mutations. Removes carry the
+// analyzed form the document was added under, exactly like
+// Index.Remove.
+type Delta struct {
+	Adds    []Doc
+	Updates []DocUpdate
+	Removes []Doc
+}
+
+// Empty reports whether the delta carries no mutations.
+func (d Delta) Empty() bool {
+	return len(d.Adds) == 0 && len(d.Updates) == 0 && len(d.Removes) == 0
+}
+
+// ShardRoute routes a document to one of n shards. The mix function
+// (splitmix64 finalizer) decorrelates the route from sequential id
+// patterns; it is a pure function of (id, n), so the layout is stable
+// across processes — the scatter-gather serving layer relies on this
+// to split one corpus across shard processes and know, without
+// coordination, which process owns any document.
+func ShardRoute(d DocID, n int) int {
+	h := uint64(uint32(d))
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h % uint64(n))
 }
 
 // storeSegment is one sealed segment plus its tombstone set. While a
@@ -131,11 +183,12 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 	}
 }
 
-// Store is a disk-backed segmented index: a mutable in-memory
-// memtable absorbing writes, plus immutable sealed segments on disk,
-// scored together under collection-global statistics. It implements
-// Searcher with rankings bit-identical to a monolithic Index over the
-// same live documents, for any segment layout:
+// Store is the index container: a mutable in-memory memtable absorbing
+// writes, plus immutable sealed segments on disk, scored together under
+// collection-global statistics. A store with no directory is the
+// memtable alone and never seals. It implements Searcher with rankings
+// bit-identical to a monolithic Index over the same live documents, for
+// any segment layout and worker bound:
 //
 //   - planning folds per-segment document frequencies (minus
 //     tombstone corrections) into exact global stats, so the query
@@ -152,10 +205,10 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 // the store lock against immutable inputs and swaps results in under
 // the write lock.
 type Store struct {
-	dir  string
+	dir  string // "" for a store that lives in memory only
 	opts StoreOptions
-	// workers bounds the goroutines one query scores on: GOMAXPROCS at
-	// construction, as for Sharded.
+	// workers bounds the parts and goroutines one query scores on
+	// (StoreOptions.Workers).
 	workers int
 
 	// maintMu serializes maintenance (seal and compaction I/O);
@@ -180,18 +233,23 @@ type Store struct {
 // NewStore creates or reopens a segment store rooted at dir. Existing
 // seg-*.seg files are opened (fully validated) and served; leftover
 // temporary files from an interrupted seal or compaction are removed.
+// With dir "" the store has no directory: it holds every document in
+// its memtable, and Seal, Compact and Maintain do nothing.
 func NewStore(dir string, o StoreOptions) (*Store, error) {
 	o = o.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	s := &Store{
 		dir:     dir,
 		opts:    o,
-		workers: runtime.GOMAXPROCS(0),
+		workers: o.Workers,
 		mem:     New(),
 		tombDF:  make(map[listKey]int),
 		stop:    make(chan struct{}),
+	}
+	if dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	for _, p := range leftovers {
@@ -251,8 +309,11 @@ func (s *Store) closeSegments() {
 	}
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory, "" for a store with none.
 func (s *Store) Dir() string { return s.dir }
+
+// Workers returns the most parts one find is scored on in parallel.
+func (s *Store) Workers() int { return s.workers }
 
 // Close stops background maintenance and releases every open segment.
 // The memtable is not sealed; callers needing durability call Seal
@@ -312,7 +373,7 @@ func (s *Store) Add(id DocID, a analysis.Analyzed) error {
 		panic("index: duplicate document")
 	}
 	s.mem.Add(id, a)
-	due := s.mem.NumDocs() >= s.opts.FlushDocs
+	due := s.sealDueLocked()
 	mSegMemDocs.Set(float64(s.mem.NumDocs()))
 	s.mu.Unlock()
 	if due {
@@ -332,7 +393,7 @@ func (s *Store) AddBatch(docs []Doc) error {
 		}
 		s.mem.Add(d.ID, d.A)
 	}
-	due := s.mem.NumDocs() >= s.opts.FlushDocs
+	due := s.sealDueLocked()
 	mSegMemDocs.Set(float64(s.mem.NumDocs()))
 	s.mu.Unlock()
 	if due {
@@ -342,8 +403,9 @@ func (s *Store) AddBatch(docs []Doc) error {
 }
 
 // ApplyDelta applies removes, updates and adds as one atomic step
-// under the store write lock, mirroring Sharded.ApplyDelta: adds land
-// in the memtable; a remove of a memtable document excises it
+// under the store write lock, so a concurrent query ranks against
+// either the pre-delta or the post-delta collection: adds land in the
+// memtable; a remove of a memtable document excises it
 // directly, while a remove of a sealed document tombstones it in the
 // one segment holding it live (postings reclaim at the next
 // compaction); an update is remove-then-add. The memtable is never
@@ -364,6 +426,12 @@ func (s *Store) ApplyDelta(d Delta) {
 	}
 	mSegMemDocs.Set(float64(s.mem.NumDocs()))
 	mSegTombstones.Set(float64(s.nTombs))
+}
+
+// sealDueLocked reports whether the memtable has reached FlushDocs in a
+// store that has a directory to seal to.
+func (s *Store) sealDueLocked() bool {
+	return s.dir != "" && s.mem.NumDocs() >= s.opts.FlushDocs
 }
 
 func (s *Store) addLocked(id DocID, a analysis.Analyzed) {
@@ -398,6 +466,9 @@ func (s *Store) removeLocked(id DocID, a analysis.Analyzed) {
 // is swapped in. A write failure rolls the documents (and any
 // tombstones they attracted meanwhile) back into the memtable.
 func (s *Store) Seal() error {
+	if s.dir == "" {
+		return nil
+	}
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	return s.seal()
@@ -599,7 +670,7 @@ func (s *Store) Maintain() error {
 	defer s.maintMu.Unlock()
 
 	s.mu.RLock()
-	due := s.mem.NumDocs() >= s.opts.FlushDocs
+	due := s.sealDueLocked()
 	s.mu.RUnlock()
 	if due {
 		if err := s.seal(); err != nil {
@@ -805,11 +876,11 @@ func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept f
 }
 
 // ScoreStatsTopK implements Searcher: the parts are the components
-// holding planned postings, a heavy sealed segment cut into doc-id
-// ranges (partsLocked), each segment under its tombstone filter, scored
+// holding planned postings, a heavy one cut into doc-id ranges
+// (partsLocked), each segment under its tombstone filter, scored
 // on the store's worker pool. Live document sets are pairwise disjoint
 // (a document has exactly one non-tombstoned occurrence) and so are
-// the ranges of one segment, so the merge reproduces a monolithic
+// the ranges of one component, so the merge reproduces a monolithic
 // evaluation exactly. A segment's planned lists are walked in place (on
 // the mmap source, in the mapping itself) behind skip entries parsed
 // into the accumulator's pooled arena, so on the mmap source a warm
@@ -827,11 +898,13 @@ func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st Collect
 // partsLocked returns one query's work items. A component's planned
 // mass is the number of postings the plan names in it, read off the
 // dictionary counts without touching the disk. A component of mass 0
-// is no part. A sealed segment whose mass m exceeds an even share of
-// the total, total/workers, is cut into ceil(m·workers/total) doc-id
-// ranges at the quantiles of its sorted doc ids, so that a compacted
-// store, one big segment, still fills the pool. The memtable and a
-// frozen memtable stay whole. Caller holds mu.
+// is no part. A component whose mass m exceeds an even share of the
+// total, total/workers, is cut into ceil(m·workers/total) doc-id ranges
+// at the quantiles of its sorted doc ids, so that a store that is one
+// big component — the memtable of a store with no directory, or the
+// one segment compaction leaves — still fills the pool. Every
+// component keeps its ids sorted as it changes, so cutting reads them
+// and writes nothing. Caller holds mu.
 func (s *Store) partsLocked(plan queryPlan, accept func(DocID) bool) []part {
 	var buf [16]int
 	mass := append(buf[:0], planMass(s.mem, plan))
@@ -842,25 +915,24 @@ func (s *Store) partsLocked(plan queryPlan, accept func(DocID) bool) []part {
 	for _, m := range mass {
 		total += m
 	}
-	// The cuts of all segments together add fewer than workers parts:
+	// The cuts of all components together add fewer than workers parts:
 	// ceil(m·workers/total)-1 < m·workers/total, summed over m <= total.
 	parts := make([]part, 0, len(s.segs)+s.workers)
-	if mass[0] > 0 {
-		parts = append(parts, part{src: s.mem, span: allDocs, accept: accept})
-	}
-	for i, g := range s.segs {
-		m := mass[i+1]
+	for i, m := range mass {
 		if m == 0 {
 			continue
 		}
-		p := part{src: g, span: allDocs, accept: g.acceptFilter(accept)}
-		if n := (m*s.workers + total - 1) / total; n > 1 && g.frozen == nil {
-			docs := g.r.docs
-			for j := 1; j < n; j++ {
-				var below part
-				below, p = p.cut(docs[j*len(docs)/n])
-				parts = append(parts, below)
-			}
+		var c component = s.mem
+		p := part{src: s.mem, span: allDocs, accept: accept}
+		if i > 0 {
+			g := s.segs[i-1]
+			c, p = g.view(), part{src: g, span: allDocs, accept: g.acceptFilter(accept)}
+		}
+		docs := c.docIDs()
+		for j, n := 1, (m*s.workers+total-1)/total; j < n; j++ {
+			var below part
+			below, p = p.cut(docs[j*len(docs)/n])
+			parts = append(parts, below)
 		}
 		parts = append(parts, p)
 	}

@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"expertfind/internal/analysis"
-)
+import "expertfind/internal/analysis"
 
 // component is what the store scores and merges: an in-memory Index
 // (the memtable, or a frozen one awaiting its disk file) or a sealed
@@ -13,7 +9,8 @@ type component interface {
 	listSource
 	NumDocs() int
 	Has(id DocID) bool
-	// docIDs returns every doc id, ascending.
+	// docIDs returns every doc id, ascending: the component's own slice,
+	// read-only.
 	docIDs() []DocID
 	// keys returns the dictionary, in no particular order.
 	keys() []listKey
@@ -21,14 +18,7 @@ type component interface {
 	freq(k listKey) int
 }
 
-func (ix *Index) docIDs() []DocID {
-	out := make([]DocID, 0, len(ix.docs))
-	for d := range ix.docs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (ix *Index) docIDs() []DocID { return ix.ids }
 
 func (ix *Index) keys() []listKey {
 	out := make([]listKey, 0, len(ix.lists))

@@ -17,11 +17,10 @@ import (
 // ---------------------------------------------------------------------
 // Differential property harness: the top-k determinism contract.
 //
-// For every (corpus, need, α, k, accept filter, shard count, driver),
+// For every (corpus, need, α, k, accept filter, part count, driver),
 // the pruned evaluation must return exactly the exhaustive ranking —
 // filtered by accept, truncated to k — bit for bit. The exhaustive
-// reference is the monolithic Score path, which the PR 3 harness
-// already proves byte-identical across shard counts.
+// reference is the naive oracle (oracleTopK).
 // ---------------------------------------------------------------------
 
 // exhaustiveTopK is the reference ranking under the index's own
@@ -55,16 +54,16 @@ func splitByRoute(docs []Doc, n int) []*Index {
 	return out
 }
 
-var topkShardCounts = []int{1, 2, 3, 7}
+var topkPartCounts = []int{1, 2, 3, 7}
 
 // topkKs covers the grid of ISSUE 8: tiny k, mid k, k near and past
 // the matching-set size, and 0 (= unlimited / exhaustive reference).
 var topkKs = []int{1, 5, 10, 50, 0}
 
 // TestTopKDifferential is the headline harness: pruned vs exhaustive
-// byte-equality across seeds × k × α × shard counts ×
-// monolith/Sharded/scatter-merge drivers, with and without an accept
-// filter.
+// byte-equality across seeds × k × α × part counts × monolith, store
+// with no directory (its memtable cut into that many ranges) and
+// scatter-merge drivers, with and without an accept filter.
 func TestTopKDifferential(t *testing.T) {
 	alphas := []float64{0, 0.6, 1}
 	for _, seed := range []int64{1, 2, 3} {
@@ -72,15 +71,10 @@ func TestTopKDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			docs := randomDocs(seed, 400, 0)
 			flat := flatFromDocs(docs)
-			shardeds := make([]*Sharded, len(topkShardCounts))
-			seqs := make([]*Sharded, len(topkShardCounts))
-			scatters := make([][]*Index, len(topkShardCounts))
-			for i, n := range topkShardCounts {
-				shardeds[i] = NewSharded(n)
-				shardeds[i].AddBatch(docs)
-				seqs[i] = NewSharded(n)
-				seqs[i].workers = 1
-				seqs[i].AddBatch(docs)
+			stores := make([]*Store, len(topkPartCounts))
+			scatters := make([][]*Index, len(topkPartCounts))
+			for i, n := range topkPartCounts {
+				stores[i] = memStore(docs, n)
 				scatters[i] = splitByRoute(docs, n)
 			}
 			accepts := []func(DocID) bool{
@@ -100,11 +94,9 @@ func TestTopKDifferential(t *testing.T) {
 							got := flat.ScoreTopK(need, alpha, k, accept)
 							assertScoredBitIdentical(t, label+" monolith", want, got)
 
-							for i, n := range topkShardCounts {
-								sg := shardeds[i].ScoreTopK(need, alpha, k, accept)
-								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d", label, n), want, sg)
-								sw := seqs[i].ScoreTopK(need, alpha, k, accept)
-								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d seq", label, n), want, sw)
+							for i, n := range topkPartCounts {
+								sg := stores[i].ScoreTopK(need, alpha, k, accept)
+								assertScoredBitIdentical(t, fmt.Sprintf("%s workers%d", label, n), want, sg)
 								sc := scatterTopK(scatters[i], flat, need, alpha, k, accept)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s scatter%d", label, n), want, sc)
 							}
@@ -122,8 +114,7 @@ func TestTopKDifferential(t *testing.T) {
 func TestTopKDifferentialLargeCorpus(t *testing.T) {
 	docs := randomDocs(11, 3000, 0)
 	flat := flatFromDocs(docs)
-	sharded := NewSharded(3)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 3)
 
 	r := rand.New(rand.NewSource(7))
 	var pruned int
@@ -135,8 +126,8 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil, allDocs)
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d", q, alpha, k), want, out)
 				pruned += c.pruned
-				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d sharded", q, alpha, k),
-					want, sharded.ScoreTopK(need, alpha, k, nil))
+				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d store", q, alpha, k),
+					want, inMem.ScoreTopK(need, alpha, k, nil))
 			}
 		}
 	}
@@ -173,9 +164,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 		t.Errorf("no blocks skipped on the crafted corpus (pruned=%d postings=%d)", c.pruned, c.postings)
 	}
 
-	sharded := NewSharded(3)
-	sharded.AddBatch(docs)
-	assertScoredBitIdentical(t, "block skipping sharded", want, sharded.ScoreTopK(need, 1, 10, nil))
+	assertScoredBitIdentical(t, "block skipping store", want, memStore(docs, 3).ScoreTopK(need, 1, 10, nil))
 }
 
 // TestRangeWalkTouchesOnlyItsBlocks: a part cut to a doc-id range
@@ -224,12 +213,11 @@ func TestTopKAdversarial(t *testing.T) {
 			Terms:    map[string]int{"tie": 1},
 			Entities: map[kb.EntityID]analysis.EntityStats{5: {Freq: 1, DScore: 1}},
 		}
-		sharded := NewSharded(3)
-		sharded.AddBatch(docs)
+		inMem := memStore(docs, 3)
 		for _, k := range []int{1, 5, 299, 300, 301} {
 			want := exhaustiveTopK(ix, need, 0.6, k, nil)
 			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d", k), want, ix.ScoreTopK(need, 0.6, k, nil))
-			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d sharded", k), want, sharded.ScoreTopK(need, 0.6, k, nil))
+			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d store", k), want, inMem.ScoreTopK(need, 0.6, k, nil))
 		}
 	})
 
@@ -278,8 +266,7 @@ func TestTopKAdversarial(t *testing.T) {
 func TestTopKDeterministicRepetition(t *testing.T) {
 	docs := randomDocs(31, 500, 0)
 	flat := flatFromDocs(docs)
-	sharded := NewSharded(7)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 7)
 	scatterIxs := splitByRoute(docs, 3)
 	r := rand.New(rand.NewSource(32))
 	need := randomNeed(r)
@@ -289,18 +276,18 @@ func TestTopKDeterministicRepetition(t *testing.T) {
 	assertScoredBitIdentical(t, "reference", exhaustiveTopK(flat, need, 0.6, 10, accept), base)
 	for i := 0; i < 50; i++ {
 		assertScoredBitIdentical(t, fmt.Sprintf("rep%d monolith", i), base, flat.ScoreTopK(need, 0.6, 10, accept))
-		assertScoredBitIdentical(t, fmt.Sprintf("rep%d sharded", i), base, sharded.ScoreTopK(need, 0.6, 10, accept))
+		assertScoredBitIdentical(t, fmt.Sprintf("rep%d store", i), base, inMem.ScoreTopK(need, 0.6, 10, accept))
 		assertScoredBitIdentical(t, fmt.Sprintf("rep%d scatter", i), base, scatterTopK(scatterIxs, flat, need, 0.6, 10, accept))
 	}
 }
 
 // TestTopKConcurrent runs pruned queries from many goroutines against
-// a shared index (monolithic and sharded), for the race detector.
+// a shared index (the monolith, and a memtable cut into four ranges),
+// for the race detector.
 func TestTopKConcurrent(t *testing.T) {
 	docs := randomDocs(41, 400, 0)
 	flat := flatFromDocs(docs)
-	sharded := NewSharded(4)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 4)
 	r := rand.New(rand.NewSource(42))
 	need := randomNeed(r)
 	want := flat.ScoreTopK(need, 0.6, 10, nil)
@@ -312,7 +299,7 @@ func TestTopKConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				assertScoredBitIdentical(t, "concurrent monolith", want, flat.ScoreTopK(need, 0.6, 10, nil))
-				assertScoredBitIdentical(t, "concurrent sharded", want, sharded.ScoreTopK(need, 0.6, 10, nil))
+				assertScoredBitIdentical(t, "concurrent store", want, inMem.ScoreTopK(need, 0.6, 10, nil))
 			}
 		}()
 	}
@@ -322,18 +309,17 @@ func TestTopKConcurrent(t *testing.T) {
 // TestTopKClosedAdmissionInvariant pins the proof that lets one flag
 // stand in for a set of dropped documents: once settle drops anything,
 // no later list can admit. It drives the accumulator list by list over
-// the oracle grid's sources — a monolith, the shards of a Sharded, the
-// memtable and in-place segments of a tombstoned store — and asserts
+// the oracle grid's sources — a monolith, the slices of a three-shard
+// scatter split, the memtable and in-place segments of a tombstoned
+// store — and asserts
 // after every dropping settle that admits(maxW·w + rem) is false for
 // every list still to walk.
 func TestTopKClosedAdmissionInvariant(t *testing.T) {
 	docs := randomDocs(17, 3000, 0)
 	flat := flatFromDocs(docs)
 	sources := map[string]listSource{"index": flat}
-	sharded := NewSharded(3)
-	sharded.AddBatch(docs)
-	for i, sh := range sharded.shards {
-		sources[fmt.Sprintf("shard%d", i)] = sh.ix
+	for i, six := range splitByRoute(docs, 3) {
+		sources[fmt.Sprintf("shard%d", i)] = six
 	}
 	store := storeOf(t, docs, []int{400, 900, 1800, 2700}, StoreOptions{})
 	store.ApplyDelta(Delta{Removes: docs[100:130]})
@@ -477,24 +463,23 @@ func tieDocs() ([]Doc, analysis.Analyzed) {
 // TestCutAtThetaTies holds the cut at θ to the exhaustive sort where
 // it is hardest: more than k documents tie exactly at the k-th score,
 // interleaved in doc order with documents above it. The monolith, a
-// Sharded of 2 and of 3 shards, and a store whose one segment is cut
-// into three doc-id ranges must each return the oracle's ranking
+// memtable cut into 2 and into 3 doc-id ranges, and a store whose one
+// segment is cut into three must each return the oracle's ranking
 // truncated to k, bit for bit, with and without an accept filter.
 func TestCutAtThetaTies(t *testing.T) {
 	docs, need := tieDocs()
 	flat := flatFromDocs(docs)
 	targets := map[string]Searcher{"index": flat}
 	for _, n := range []int{2, 3} {
-		s := NewSharded(n)
-		s.AddBatch(docs)
-		targets[fmt.Sprintf("sharded%d", n)] = s
+		s := memStore(docs, n)
+		if parts := partsOf(s, need, 0.6); len(parts) != n {
+			t.Fatalf("the memtable is %d parts, want %d", len(parts), n)
+		}
+		targets[fmt.Sprintf("memtable%d", n)] = s
 	}
 	store := storeOf(t, docs, []int{len(docs)}, StoreOptions{})
 	store.workers = 3
-	store.mu.RLock()
-	parts := store.partsLocked(planQuery(need, 0.6, storeStats{store}), nil)
-	store.mu.RUnlock()
-	if len(parts) != 3 || parts[0].span.hi == allDocs.hi {
+	if parts := partsOf(store, need, 0.6); len(parts) != 3 || parts[0].span.hi == allDocs.hi {
 		t.Fatalf("the store's one segment is not cut into three ranges: %+v", parts)
 	}
 	targets["store"] = store
@@ -523,8 +508,8 @@ func TestCutAtThetaTies(t *testing.T) {
 }
 
 // TestPooledAccumulatorIsolation interleaves different needs, α and k
-// from many goroutines on one pooled Sharded and one four-segment
-// store with tombstones, every result held to the oracle: an entry
+// from many goroutines on a memtable cut into four ranges and a
+// four-segment store with tombstones, every result held to the oracle: an entry
 // surviving in a pooled buffer from one evaluation would surface as a
 // foreign document or a wrong score in the next.
 func TestPooledAccumulatorIsolation(t *testing.T) {
@@ -538,8 +523,7 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 		}
 	}
 	flat, flatLive := flatFromDocs(docs), flatFromDocs(live)
-	sharded := NewSharded(4)
-	sharded.AddBatch(docs)
+	inMem := memStore(docs, 4)
 	store := storeOf(t, docs, []int{100, 250, 400, 550}, StoreOptions{})
 	store.ApplyDelta(Delta{Removes: removes})
 
@@ -570,8 +554,8 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 			order := rand.New(rand.NewSource(int64(g))).Perm(len(queries))
 			for _, qi := range order {
 				q := queries[qi]
-				if got := sharded.ScoreTopK(q.need, q.alpha, q.k, nil); !slices.Equal(got, q.full) {
-					t.Errorf("goroutine %d query %d (α%g k%d) sharded: got %v want %v", g, qi, q.alpha, q.k, got, q.full)
+				if got := inMem.ScoreTopK(q.need, q.alpha, q.k, nil); !slices.Equal(got, q.full) {
+					t.Errorf("goroutine %d query %d (α%g k%d) memtable: got %v want %v", g, qi, q.alpha, q.k, got, q.full)
 				}
 				if got := store.ScoreTopK(q.need, q.alpha, q.k, nil); !slices.Equal(got, q.tombed) {
 					t.Errorf("goroutine %d query %d (α%g k%d) store: got %v want %v", g, qi, q.alpha, q.k, got, q.tombed)
@@ -618,7 +602,9 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 // index and over a sealed segment's mapping. Streamed, a segment adds
 // the one read buffer per planned list it holds. A warm
 // Store.ScoreTopK allocates as often for a need naming one list as for
-// one naming every list.
+// one naming every list, and a warm find on a store with no directory,
+// its memtable cut in two, allocates no more than the same find did on
+// the two-shard in-memory container that store replaced: 13 times.
 func TestScorerAllocBudget(t *testing.T) {
 	docs := randomDocs(61, 2000, 0)
 	flat := flatFromDocs(docs)
@@ -674,7 +660,7 @@ func TestScorerAllocBudget(t *testing.T) {
 	store.workers = 2
 	narrow := analysis.Analyzed{Terms: map[string]int{"swim": 1}}
 	wide := analysis.Analyzed{Terms: map[string]int{}, Entities: map[kb.EntityID]analysis.EntityStats{}}
-	for _, term := range shardTestVocab() {
+	for _, term := range testVocab() {
 		wide.Terms[term] = 1
 	}
 	for e := kb.EntityID(0); e < 50; e += 5 {
@@ -690,46 +676,57 @@ func TestScorerAllocBudget(t *testing.T) {
 		t.Errorf("Store.ScoreTopK allocates %.1f times for 1 planned list and %.1f for %d: binding allocates per list",
 			allocs["narrow"], allocs["wide"], len(wide.Terms)+len(wide.Entities))
 	}
+
+	inMem := memStore(docs, 2)
+	if parts := partsOf(inMem, need, 0.6); len(parts) != 2 {
+		t.Fatalf("the memtable is %d parts, want 2", len(parts))
+	}
+	for _, k := range []int{10, 0} {
+		inMem.ScoreTopK(need, 0.6, k, nil)
+		if got := testing.AllocsPerRun(50, func() { inMem.ScoreTopK(need, 0.6, k, nil) }); got > 13 {
+			t.Errorf("memtable k%d: %.1f allocations per find, want at most 13", k, got)
+		}
+	}
 }
 
-// TestShardedLivePoolSingleTerm is the regression test for the worker
-// pool sizing fix: a single rare term matching one shard must size its
-// pool off the live work items, not the total shard count, and still
-// return the exact sequential ranking.
-func TestShardedLivePoolSingleTerm(t *testing.T) {
-	s := NewSharded(16)
-	flat := New()
-	// One document carries a unique term; the rest share the vocab.
+// TestStorePartsSkipMassZero: a component holding no posting of the
+// plan is no part. A rare term held only by one memtable document must
+// size the pool off the memtable alone — the three sealed segments
+// beside it, of mass 0, are no work items however many workers there
+// are — and still return the exact monolithic ranking; a need matching
+// nothing has no parts and ranks empty.
+func TestStorePartsSkipMassZero(t *testing.T) {
 	docs := randomDocs(51, 200, 0)
 	rare := Doc{ID: 100_003, A: analysis.Analyzed{Terms: map[string]int{"rareterm": 2}}}
 	docs = append(docs, rare)
-	s.AddBatch(docs)
-	for _, d := range docs {
-		flat.Add(d.ID, d.A)
-	}
+	flat := flatFromDocs(docs)
+	s := storeOf(t, docs, []int{60, 120, 180}, StoreOptions{Workers: 16})
 
 	need := analysis.Analyzed{Terms: map[string]int{"rareterm": 1}}
-	plan := planQuery(need, 1, s)
-	live := s.liveParts(plan, nil)
-	if len(live) != 1 {
-		t.Fatalf("single-term plan reports %d live shards, want 1", len(live))
+	parts := partsOf(s, need, 1)
+	if len(parts) != 16 {
+		t.Fatalf("single-term plan reports %d parts, want the memtable cut into 16", len(parts))
+	}
+	for _, p := range parts {
+		if p.src != listSource(s.mem) {
+			t.Fatalf("a part of source %T: a segment of mass 0 is a work item", p.src)
+		}
 	}
 	want := flat.Score(need, 1)
 	if len(want) != 1 || want[0].Doc != rare.ID {
 		t.Fatalf("reference ranking wrong: %+v", want)
 	}
-	assertScoredBitIdentical(t, "live pool", want, s.Score(need, 1))
-	assertScoredBitIdentical(t, "live pool topk", want, s.ScoreTopK(need, 1, 5, nil))
-	s.workers = 8
-	assertScoredBitIdentical(t, "live pool workers", want, s.Score(need, 1))
+	assertScoredBitIdentical(t, "rare term", want, s.Score(need, 1))
+	assertScoredBitIdentical(t, "rare term topk", want, s.ScoreTopK(need, 1, 5, nil))
+	s.workers = 1
+	assertScoredBitIdentical(t, "rare term serial", want, s.Score(need, 1))
 
-	// A need matching nothing must report no live shards and rank empty.
 	none := analysis.Analyzed{Terms: map[string]int{"neverindexedterm": 1}}
 	if got := s.Score(none, 1); len(got) != 0 {
 		t.Fatalf("unseen term matched %d docs", len(got))
 	}
-	if live := s.liveParts(planQuery(none, 1, s), nil); len(live) != 0 {
-		t.Fatalf("unseen term reports %d live shards", len(live))
+	if parts := partsOf(s, none, 1); len(parts) != 0 {
+		t.Fatalf("unseen term reports %d parts", len(parts))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package ingest keeps an installed corpus live: it re-visits the
 // remote platforms through the faults API, diffs what they serve
 // against the installed social graph, and applies the resulting
-// add/update/delete delta to the graph and the sharded index without
+// add/update/delete delta to the graph and the index without
 // a rebuild — invalidating only the result-cache entries the delta
 // can actually change.
 //

@@ -53,7 +53,7 @@ func buildFixture() *fixture {
 type system struct {
 	g      *socialgraph.Graph
 	pipe   *analysis.Pipeline
-	ix     *index.Sharded
+	ix     *index.Store
 	finder *core.Finder
 }
 
@@ -65,14 +65,14 @@ func buildSystem(g *socialgraph.Graph, shards int, candidates []socialgraph.User
 // buildIndex cold-builds g (a bare graph: no Web, no candidate pool)
 // through the product build path and returns the index with the
 // pipeline that analyzed it.
-func buildIndex(g *socialgraph.Graph, shards int) (*index.Sharded, *analysis.Pipeline) {
+func buildIndex(g *socialgraph.Graph, shards int) (*index.Store, *analysis.Pipeline) {
 	sys, err := experiments.Build(experiments.BuildOptions{
-		Dataset: &dataset.Dataset{Graph: g}, IndexShards: shards,
+		Dataset: &dataset.Dataset{Graph: g}, Store: index.StoreOptions{Workers: shards},
 	})
 	if err != nil {
 		panic(err)
 	}
-	return sys.Finder.Index().(*index.Sharded), sys.Finder.Pipeline()
+	return sys.Finder.Index().(*index.Store), sys.Finder.Pipeline()
 }
 
 func reliableAPI(g *socialgraph.Graph) faults.API {
@@ -264,7 +264,7 @@ func assertGraphsEqual(t *testing.T, installed, remote *socialgraph.Graph) {
 // assertIndexMatchesRebuild checks the differential gate: the
 // delta-absorbed index serializes byte-identically to a cold rebuild
 // of the same corpus.
-func assertIndexMatchesRebuild(t *testing.T, label string, live *index.Sharded, g *socialgraph.Graph, shards int) {
+func assertIndexMatchesRebuild(t *testing.T, label string, live *index.Store, g *socialgraph.Graph, shards int) {
 	t.Helper()
 	rebuilt, _ := buildIndex(g, shards)
 	var want, got bytes.Buffer

@@ -26,10 +26,10 @@ type Config struct {
 	// graph behind API.
 	Graph *socialgraph.Graph
 	// Index is the live index over Graph's analyzable resources;
-	// deltas are applied to it atomically. Both the in-memory sharded
-	// index (*index.Sharded) and the disk-backed segment store
-	// (*index.Store, whose deltas land in the mutable memtable and
-	// reach disk at the next seal) implement the surface.
+	// deltas are applied to it atomically. The segment store
+	// (*index.Store) implements the surface: its deltas land in the
+	// mutable memtable, and reach disk at the next seal when the store
+	// has a directory.
 	Index DeltaIndex
 	// Pipe is the analysis pipeline the index was built with.
 	Pipe *analysis.Pipeline

@@ -11,14 +11,15 @@ import (
 	"expertfind/internal/dataset"
 	"expertfind/internal/experiments"
 	"expertfind/internal/faults"
+	"expertfind/internal/index"
 	"expertfind/internal/ingest"
 	"expertfind/internal/socialgraph"
 )
 
 // TestIngestRollingDeltaSoak drives the in-process finder through 1500
 // closed-loop requests on 8 workers while a background ingester
-// applies rolling update-only deltas to the live graph and sharded
-// index — the serve -ingest-interval scenario. Under -race this is the
+// applies rolling update-only deltas to the live graph and in-memory
+// store — the serve -ingest-interval scenario. Under -race this is the
 // ingest concurrency soak. Two gates:
 //
 //   - zero taxonomy errors: every query answers ok;
@@ -44,7 +45,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
 	// The live side: installed system + remote twin + ingester.
-	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, IndexShards: shards})
+	sys, err := experiments.Build(experiments.BuildOptions{Config: cfg, Store: index.StoreOptions{Workers: shards}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		for i := 0; i < r; i++ {
 			ch.Round()
 		}
-		cold, err := experiments.Build(experiments.BuildOptions{Dataset: twin, IndexShards: shards})
+		cold, err := experiments.Build(experiments.BuildOptions{Dataset: twin, Store: index.StoreOptions{Workers: shards}})
 		if err != nil {
 			t.Fatal(err)
 		}
