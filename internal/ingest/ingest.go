@@ -17,7 +17,7 @@
 // remote one: both evolved from a common crawl by positional appends,
 // so a remote resource and its installed copy share one ResourceID.
 // FetchCatalog re-fetches every user stream and container feed, Diff
-// classifies each resource by a stable content fingerprint, and
+// classifies each resource by comparing its records field by field, and
 // Ingester.RunOnce applies the delta atomically with respect to
 // concurrent queries. A round that cannot fetch completely is
 // aborted whole: diffing a partial catalog would misread every
@@ -25,9 +25,8 @@
 package ingest
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"expertfind/internal/faults"
@@ -65,33 +64,14 @@ var (
 		"Wall time of one full ingest round (fetch, diff, apply, invalidate).", nil)
 )
 
-// Fingerprint hashes the content of a resource: network, kind,
-// creator, container, text and URLs, each length-delimited so
-// adjacent fields cannot alias. Two resources fingerprint equal iff
-// an ingest delta has nothing to change between them. The ID is
-// deliberately excluded — the catalog already keys by it.
-func Fingerprint(r socialgraph.Resource) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-		h.Write(buf[:])
-		h.Write([]byte(s))
-	}
-	writeStr(string(r.Network))
-	binary.LittleEndian.PutUint64(buf[:], uint64(r.Kind))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(r.Creator)))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(int64(r.Container)))
-	h.Write(buf[:])
-	writeStr(r.Text)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(r.URLs)))
-	h.Write(buf[:])
-	for _, u := range r.URLs {
-		writeStr(u)
-	}
-	return h.Sum64()
+// sameRecord reports whether an ingest delta has nothing to change
+// between two records of one resource: network, kind, creator,
+// container, text and URLs are equal (nil and empty URL lists alike).
+// The ID is deliberately excluded — the catalog already keys by it.
+func sameRecord(a, b socialgraph.Resource) bool {
+	return a.Network == b.Network && a.Kind == b.Kind &&
+		a.Creator == b.Creator && a.Container == b.Container &&
+		a.Text == b.Text && slices.Equal(a.URLs, b.URLs)
 }
 
 // Catalog is one complete fetch of the remote corpus: every resource
@@ -202,8 +182,8 @@ func (d Delta) Empty() bool {
 //   - catalog resources beyond the installed ID range are Adds;
 //   - installed live resources absent from the catalog are Removes
 //     (the remote deleted them — its API stops serving tombstones);
-//   - installed live resources whose catalog record fingerprints
-//     differently are Updates.
+//   - installed live resources whose catalog record differs in any
+//     field but the ID are Updates.
 //
 // Structural fields (network, kind, creator, container) are immutable
 // on real platforms; an update that changes one means the remote is
@@ -232,7 +212,7 @@ func Diff(g *socialgraph.Graph, cat Catalog) (Delta, error) {
 			d.Removes = append(d.Removes, id)
 			continue
 		}
-		if Fingerprint(remote) == Fingerprint(local) {
+		if sameRecord(remote, local) {
 			continue
 		}
 		if remote.Network != local.Network || remote.Kind != local.Kind ||

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"expertfind/internal/analysis"
@@ -15,6 +17,7 @@ import (
 	"expertfind/internal/rescache"
 	"expertfind/internal/resilience"
 	"expertfind/internal/socialgraph"
+	"expertfind/internal/telemetry"
 )
 
 // fixture is a small two-pool corpus. buildFixture is deterministic,
@@ -83,32 +86,45 @@ func noRetry() *resilience.Retryer {
 	return &resilience.Retryer{Policy: resilience.RetryPolicy{MaxAttempts: 1}}
 }
 
-func TestFingerprint(t *testing.T) {
+// TestRecordEquality is the table of the equality Diff classifies by:
+// every field but the ID counts, each on its own.
+func TestRecordEquality(t *testing.T) {
 	base := socialgraph.Resource{
-		Network: socialgraph.Twitter, Kind: socialgraph.KindTweet,
+		ID: 7, Network: socialgraph.Twitter, Kind: socialgraph.KindTweet,
 		Creator: 3, Container: socialgraph.NoContainer,
 		Text: "hello world", URLs: []string{"http://a", "http://b"},
 	}
-	if Fingerprint(base) != Fingerprint(base) {
-		t.Fatal("fingerprint not deterministic")
+	with := func(edit func(*socialgraph.Resource)) socialgraph.Resource {
+		r := base
+		r.URLs = slices.Clone(base.URLs)
+		edit(&r)
+		return r
 	}
-	same := base
-	same.ID = 99 // the ID must not participate
-	if Fingerprint(same) != Fingerprint(base) {
-		t.Error("fingerprint depends on ID")
-	}
-	mutations := map[string]socialgraph.Resource{
-		"text":      {Network: base.Network, Kind: base.Kind, Creator: base.Creator, Container: base.Container, Text: "hello world!", URLs: base.URLs},
-		"urls":      {Network: base.Network, Kind: base.Kind, Creator: base.Creator, Container: base.Container, Text: base.Text, URLs: []string{"http://a"}},
-		"url-split": {Network: base.Network, Kind: base.Kind, Creator: base.Creator, Container: base.Container, Text: base.Text, URLs: []string{"http://ahttp://b"}},
-		"creator":   {Network: base.Network, Kind: base.Kind, Creator: 4, Container: base.Container, Text: base.Text, URLs: base.URLs},
-		"network":   {Network: socialgraph.Facebook, Kind: base.Kind, Creator: base.Creator, Container: base.Container, Text: base.Text, URLs: base.URLs},
-		"kind":      {Network: base.Network, Kind: socialgraph.KindPost, Creator: base.Creator, Container: base.Container, Text: base.Text, URLs: base.URLs},
-		"container": {Network: base.Network, Kind: base.Kind, Creator: base.Creator, Container: 0, Text: base.Text, URLs: base.URLs},
-	}
-	for name, m := range mutations {
-		if Fingerprint(m) == Fingerprint(base) {
-			t.Errorf("fingerprint insensitive to %s change", name)
+	for _, tc := range []struct {
+		name string
+		a, b socialgraph.Resource
+		same bool
+	}{
+		{"identical", base, with(func(*socialgraph.Resource) {}), true},
+		{"id ignored", base, with(func(r *socialgraph.Resource) { r.ID = 99 }), true},
+		{"network", base, with(func(r *socialgraph.Resource) { r.Network = socialgraph.Facebook }), false},
+		{"kind", base, with(func(r *socialgraph.Resource) { r.Kind = socialgraph.KindPost }), false},
+		{"creator", base, with(func(r *socialgraph.Resource) { r.Creator = 4 }), false},
+		{"container", base, with(func(r *socialgraph.Resource) { r.Container = 0 }), false},
+		{"text", base, with(func(r *socialgraph.Resource) { r.Text = "hello world!" }), false},
+		{"one url fewer", base, with(func(r *socialgraph.Resource) { r.URLs = r.URLs[:1] }), false},
+		{"one url changed", base, with(func(r *socialgraph.Resource) { r.URLs[1] = "http://c" }), false},
+		{"urls reordered", base, with(func(r *socialgraph.Resource) { r.URLs[0], r.URLs[1] = r.URLs[1], r.URLs[0] }), false},
+		{"nil urls equal empty", with(func(r *socialgraph.Resource) { r.URLs = nil }),
+			with(func(r *socialgraph.Resource) { r.URLs = []string{} }), true},
+		{"url boundary", with(func(r *socialgraph.Resource) { r.URLs = []string{"a", "bc"} }),
+			with(func(r *socialgraph.Resource) { r.URLs = []string{"ab", "c"} }), false},
+	} {
+		if got := sameRecord(tc.a, tc.b); got != tc.same {
+			t.Errorf("%s: sameRecord = %t, want %t", tc.name, got, tc.same)
+		}
+		if got := sameRecord(tc.b, tc.a); got != tc.same {
+			t.Errorf("%s (swapped): sameRecord = %t, want %t", tc.name, got, tc.same)
 		}
 	}
 }
@@ -377,23 +393,109 @@ func TestRunOnceProfileAdd(t *testing.T) {
 	assertIndexMatchesRebuild(t, "after profile add", sys.ix, installed.g, 1)
 }
 
+// TestRunOnceAbortChangesNothing: a round that fails — an incomplete
+// fetch, or an invalid add sitting after valid removes and updates in
+// the same delta — changes nothing. The installed graph, the index's
+// serialized bytes and the finder's traversal cache are as before.
 func TestRunOnceAbortChangesNothing(t *testing.T) {
-	remote, installed := buildFixture(), buildFixture()
-	sys := buildSystem(installed.g, 2, nil)
-	api := faults.Wrap(remote.g, faults.Config{Outages: []socialgraph.Network{socialgraph.LinkedIn}})
-	ing := New(Config{API: api, Graph: installed.g, Index: sys.ix, Pipe: sys.pipe,
-		Retry: resilience.RetryPolicy{MaxAttempts: 1}})
+	ctx := context.Background()
+	// validEdits gives the round a remove, an update and a valid add
+	// ahead of whatever the case makes invalid.
+	validEdits := func(remote *fixture) {
+		remote.g.SetResourceText(remote.docA, "this edit must not be ingested")
+		remote.g.RemoveResource(remote.docB)
+		remote.g.AddResource(socialgraph.Facebook, socialgraph.KindPost, remote.uc, "nor this guitar lesson")
+	}
+	for _, tc := range []struct {
+		name, wantErr string
+		// round edits the remote and runs one round against installed,
+		// returning its error.
+		round func(remote *fixture, ing *Ingester) error
+	}{
+		{"outage", "fetch user", func(remote *fixture, ing *Ingester) error {
+			validEdits(remote)
+			ing.cfg.API = faults.Wrap(remote.g, faults.Config{Outages: []socialgraph.Network{socialgraph.LinkedIn}})
+			_, err := ing.RunOnce(ctx)
+			return err
+		}},
+		{"unknown creator", "unknown creator", func(remote *fixture, ing *Ingester) error {
+			validEdits(remote)
+			stranger := remote.g.AddUser("stranger", false)
+			remote.g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, stranger, "swimming from nowhere")
+			_, err := ing.RunOnce(ctx)
+			return err
+		}},
+		{"container description", "is a container description", func(remote *fixture, ing *Ingester) error {
+			validEdits(remote)
+			c := remote.g.AddContainer(socialgraph.Facebook, socialgraph.ContainerGroup, remote.ua, "swim club", "a swimming club")
+			remote.g.RelatesTo(remote.ua, c)
+			_, err := ing.RunOnce(ctx)
+			return err
+		}},
+		{"out of order", "out of order", func(remote *fixture, ing *Ingester) error {
+			// Diff never emits this, so the round's write step runs on a
+			// diffed delta with the bad add appended, as RunOnce would.
+			validEdits(remote)
+			cat, err := FetchCatalog(reliableAPI(remote.g), noRetry(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Diff(ing.cfg.Graph, cat)
+			if err != nil || len(d.Adds) != 1 || len(d.Updates) != 1 || len(d.Removes) != 1 {
+				t.Fatalf("diff = %+v, %v; want one add, update and remove", d, err)
+			}
+			stale := d.Adds[0]
+			stale.ID--
+			d.Adds = append(d.Adds, stale)
+			plan, err := ing.planApply(d)
+			if err == nil {
+				ing.apply(d, plan)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			remote, installed := buildFixture(), buildFixture()
+			sys := buildSystem(installed.g, 2, nil)
+			ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: sys.ix, Pipe: sys.pipe,
+				Finders: []*core.Finder{sys.finder}, Retry: resilience.RetryPolicy{MaxAttempts: 1}})
+			params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
+			want := sys.finder.Find("guitar recording", params)
+			var before bytes.Buffer
+			if _, err := sys.ix.WriteTo(&before); err != nil {
+				t.Fatal(err)
+			}
 
-	remote.g.SetResourceText(remote.docA, "this edit must not be ingested")
-	if _, err := ing.RunOnce(context.Background()); err == nil {
-		t.Fatal("RunOnce succeeded through an outage")
-	}
-	if installed.g.Resource(installed.docA).Text == "this edit must not be ingested" {
-		t.Error("aborted round leaked a mutation into the installed graph")
-	}
-	st := ing.Status()
-	if st.Aborts != 1 || st.Rounds != 0 || st.LastError == "" {
-		t.Errorf("status after abort = %+v", st)
+			if err := tc.round(remote, ing); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("round error = %v, want one containing %q", err, tc.wantErr)
+			}
+
+			pristine := buildFixture().g
+			if installed.g.NumResources() != pristine.NumResources() || installed.g.NumUsers() != pristine.NumUsers() {
+				t.Fatalf("aborted round grew the graph: %d resources, %d users", installed.g.NumResources(), installed.g.NumUsers())
+			}
+			assertGraphsEqual(t, installed.g, pristine)
+			var after bytes.Buffer
+			if _, err := sys.ix.WriteTo(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatal("aborted round changed the index")
+			}
+			misses := telemetry.Default().Counter("expertfind_traversal_cache_misses_total", "")
+			m0 := misses.Value()
+			if got := sys.finder.Find("guitar recording", params); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ranking moved across an aborted round:\n%v\n%v", got, want)
+			}
+			if misses.Value() != m0 {
+				t.Fatal("aborted round dropped the traversal cache")
+			}
+			if tc.name != "out of order" {
+				if st := ing.Status(); st.Aborts != 1 || st.Rounds != 0 || st.LastError == "" {
+					t.Errorf("status after abort = %+v", st)
+				}
+			}
+		})
 	}
 }
 

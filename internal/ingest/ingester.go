@@ -277,40 +277,16 @@ type applyPlan struct {
 // planApply validates the delta against the installed graph and
 // precomputes the index delta and invalidation inputs, reading the
 // pre-mutation state. It performs no mutation, so an invalid delta
-// aborts the round with the graph untouched.
+// aborts the round with the graph untouched. The adds are validated
+// before anything is analysed; then one Pipeline.Batch analyses every
+// text the round needs on all cores: the removed resources' texts, the
+// updated ones' old and new texts, and the adds'.
 func (ing *Ingester) planApply(d Delta) (*applyPlan, error) {
 	g, pipe := ing.cfg.Graph, ing.cfg.Pipe
 	plan := &applyPlan{
 		fillers:       make(map[socialgraph.ResourceID]socialgraph.Resource),
 		affectedDims:  make(map[string]bool),
 		dfChangedDims: make(map[string]bool),
-	}
-	dfNet := make(map[string]int)
-
-	for _, id := range d.Removes {
-		r := g.Resource(id)
-		if a, ok := pipe.Analyze(r.Text, r.URLs); ok {
-			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: id, A: a})
-		}
-	}
-	for _, r := range d.Updates {
-		old := g.Resource(r.ID)
-		oldA, oldOK := pipe.Analyze(old.Text, old.URLs)
-		newA, newOK := pipe.Analyze(r.Text, r.URLs)
-		switch {
-		case oldOK && newOK:
-			plan.idx.Updates = append(plan.idx.Updates, index.DocUpdate{ID: r.ID, Old: oldA, New: newA})
-			if dims := postingDiff(oldA, newA, dfNet); len(dims) > 0 {
-				for _, dim := range dims {
-					plan.affectedDims[dim] = true
-				}
-				plan.touchedDocs = append(plan.touchedDocs, r.ID)
-			}
-		case oldOK:
-			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: r.ID, A: oldA})
-		case newOK:
-			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: newA})
-		}
 	}
 
 	numUsers, numContainers := g.NumUsers(), g.NumContainers()
@@ -350,10 +326,50 @@ func (ing *Ingester) planApply(d Delta) (*applyPlan, error) {
 				return nil, fmt.Errorf("ingest: add %d on %s inside %s container %d", r.ID, r.Network, net, r.Container)
 			}
 		}
-		if a, ok := pipe.Analyze(r.Text, r.URLs); ok {
-			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: a})
-		}
 		expect++
+	}
+
+	texts := make([]socialgraph.Resource, 0, len(d.Removes)+2*len(d.Updates)+len(d.Adds))
+	for _, id := range d.Removes {
+		texts = append(texts, g.Resource(id))
+	}
+	for _, r := range d.Updates {
+		texts = append(texts, g.Resource(r.ID), r)
+	}
+	texts = append(texts, d.Adds...)
+	res := pipe.Batch(len(texts), func(i int) (string, []string, bool) {
+		return texts[i].Text, texts[i].URLs, true
+	})
+
+	for i, id := range d.Removes {
+		if res[i].OK {
+			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: id, A: res[i].A})
+		}
+	}
+	res = res[len(d.Removes):]
+	dfNet := make(map[string]int)
+	for i, r := range d.Updates {
+		old, cur := res[2*i], res[2*i+1]
+		switch {
+		case old.OK && cur.OK:
+			plan.idx.Updates = append(plan.idx.Updates, index.DocUpdate{ID: r.ID, Old: old.A, New: cur.A})
+			if dims := postingDiff(old.A, cur.A, dfNet); len(dims) > 0 {
+				for _, dim := range dims {
+					plan.affectedDims[dim] = true
+				}
+				plan.touchedDocs = append(plan.touchedDocs, r.ID)
+			}
+		case old.OK:
+			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: r.ID, A: old.A})
+		case cur.OK:
+			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: cur.A})
+		}
+	}
+	res = res[2*len(d.Updates):]
+	for i, r := range d.Adds {
+		if res[i].OK {
+			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: res[i].A})
+		}
 	}
 
 	plan.nChanged = len(plan.idx.Adds) > 0 || len(plan.idx.Removes) > 0

@@ -1,7 +1,8 @@
 package socialgraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"expertfind/internal/telemetry"
@@ -64,104 +65,132 @@ type Hit struct {
 func (g *Graph) ResourcesWithin(u UserID, opts TraversalOptions) []Hit {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.resourcesWithin(u, opts)
+	w := g.newWalk(opts)
+	w.from(u)
+	hits := make([]Hit, 0, len(w.touched))
+	for _, r := range w.touched {
+		if s := w.dist[r]; s > 0 {
+			hits = append(hits, Hit{Resource: r, Distance: int(s - 1)})
+		}
+	}
+	slices.SortFunc(hits, func(a, b Hit) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Resource, b.Resource))
+	})
+	return hits
 }
 
-// resourcesWithin is ResourcesWithin without the lock; the caller
-// holds the read lock.
-func (g *Graph) resourcesWithin(u UserID, opts TraversalOptions) []Hit {
-	g.user(u)
+// walk is the traversal kernel behind ResourcesWithin,
+// ResourceCandidateMap and DistanceCounts. One walk serves every
+// candidate of a call: its state is one int8 per resource id plus the
+// ids touched by the current candidate, which reset it before the next.
+type walk struct {
+	g    *Graph
+	opts TraversalOptions
+	nets []Network
+	// dist is 0 for an untouched resource, excluded for a tombstoned one
+	// or one outside nets, and 1 + the least distance recorded so far
+	// otherwise.
+	dist    []int8
+	touched []ResourceID
+}
+
+const excluded int8 = -1
+
+// newWalk sizes a walk for the graph; the caller holds the read lock.
+func (g *Graph) newWalk(opts TraversalOptions) *walk {
 	nets := opts.Networks
 	if nets == nil {
 		nets = Networks
 	}
-	inNet := make(map[Network]bool, len(nets))
-	for _, n := range nets {
-		inNet[n] = true
-	}
+	return &walk{g: g, opts: opts, nets: nets, dist: make([]int8, len(g.resources))}
+}
 
-	dist := make(map[ResourceID]int)
-	record := func(r ResourceID, d int) {
-		if g.deleted[r] || !inNet[g.resources[r].Network] {
-			return
+// record reaches r at distance d. The tombstone and network checks run
+// on the first touch only; later touches can only lower the distance.
+func (w *walk) record(r ResourceID, d int8) {
+	switch s := w.dist[r]; {
+	case s == 0:
+		w.touched = append(w.touched, r)
+		if w.g.deleted[r] || !slices.Contains(w.nets, w.g.resources[r].Network) {
+			w.dist[r] = excluded
+		} else {
+			w.dist[r] = d + 1
 		}
-		if prev, ok := dist[r]; !ok || d < prev {
-			dist[r] = d
-		}
+	case s > d+1:
+		w.dist[r] = d + 1
 	}
+}
+
+// from walks the Table 1 paths out of candidate u, leaving its hits as
+// the touched ids whose dist is positive, in touch order.
+func (w *walk) from(u UserID) {
+	g := w.g
+	g.user(u)
+	for _, r := range w.touched {
+		w.dist[r] = 0
+	}
+	w.touched = w.touched[:0]
+	far := w.opts.MaxDistance >= 2
 
 	// Distance 0: candidate profiles.
-	for _, net := range nets {
+	for _, net := range w.nets {
 		if rid, ok := g.profiles[profileKey{u, net}]; ok {
-			record(rid, 0)
+			w.record(rid, 0)
 		}
 	}
-
-	if opts.MaxDistance >= 1 {
-		for _, r := range g.owns[u] {
-			record(r, 1)
-		}
-		for _, r := range g.creates[u] {
-			record(r, 1)
-		}
-		for _, r := range g.annotates[u] {
-			record(r, 1)
-		}
-		for _, c := range g.relatesTo[u] {
-			record(g.containers[c].Desc, 1)
-		}
-		for _, net := range nets {
-			for _, v := range g.followed(u, net, opts.IncludeFriends) {
-				if rid, ok := g.profiles[profileKey{v, net}]; ok {
-					record(rid, 1)
-				}
-			}
-		}
+	if w.opts.MaxDistance < 1 {
+		return
 	}
-
-	if opts.MaxDistance >= 2 {
-		for _, c := range g.relatesTo[u] {
+	w.authored(u, 1)
+	for _, c := range g.relatesTo[u] {
+		w.record(g.containers[c].Desc, 1)
+		if far {
 			for _, r := range g.contains[c] {
-				record(r, 2)
+				w.record(r, 2)
 			}
 		}
-		for _, net := range nets {
-			for _, v := range g.followed(u, net, opts.IncludeFriends) {
-				for _, r := range g.owns[v] {
-					record(r, 2)
+	}
+	// Followed users are iterated in place: the distances recorded do
+	// not depend on the order they are reached in.
+	for _, net := range w.nets {
+		m := g.follows[net]
+		for v := range m[u] {
+			if !w.opts.IncludeFriends && m[v][u] {
+				continue // mutual: a friend, not a followed user
+			}
+			if rid, ok := g.profiles[profileKey{v, net}]; ok {
+				w.record(rid, 1)
+			}
+			if !far {
+				continue
+			}
+			w.authored(v, 2)
+			for _, c := range g.relatesTo[v] {
+				w.record(g.containers[c].Desc, 2)
+			}
+			for x := range m[v] {
+				if x == u || (!w.opts.IncludeFriends && m[x][v]) {
+					continue
 				}
-				for _, r := range g.creates[v] {
-					record(r, 2)
-				}
-				for _, r := range g.annotates[v] {
-					record(r, 2)
-				}
-				for _, c := range g.relatesTo[v] {
-					record(g.containers[c].Desc, 2)
-				}
-				for _, w := range g.followed(v, net, opts.IncludeFriends) {
-					if w == u {
-						continue
-					}
-					if rid, ok := g.profiles[profileKey{w, net}]; ok {
-						record(rid, 2)
-					}
+				if rid, ok := g.profiles[profileKey{x, net}]; ok {
+					w.record(rid, 2)
 				}
 			}
 		}
 	}
+}
 
-	hits := make([]Hit, 0, len(dist))
-	for r, d := range dist {
-		hits = append(hits, Hit{Resource: r, Distance: d})
+// authored records what u owns, creates and annotates at distance d.
+func (w *walk) authored(u UserID, d int8) {
+	for _, r := range w.g.owns[u] {
+		w.record(r, d)
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Distance != hits[j].Distance {
-			return hits[i].Distance < hits[j].Distance
-		}
-		return hits[i].Resource < hits[j].Resource
-	})
-	return hits
+	for _, r := range w.g.creates[u] {
+		w.record(r, d)
+	}
+	for _, r := range w.g.annotates[u] {
+		w.record(r, d)
+	}
 }
 
 // followed returns the users v that u follows on net. When
@@ -180,7 +209,7 @@ func (g *Graph) followed(u UserID, net Network, includeFriends bool) []UserID {
 		}
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -202,23 +231,52 @@ type CandidateDistance struct {
 
 // ResourceCandidateMap inverts ResourcesWithin over a set of
 // candidates: for every reachable resource it lists the candidates
-// that reach it, with their minimal distance. This is the structure
-// the expert-ranking step (Eq. 3) consumes to attribute relevant
-// resources to candidates.
+// that reach it, with their minimal distance, in candidate order. This
+// is the structure the expert-ranking step (Eq. 3) consumes to
+// attribute relevant resources to candidates. The lists are
+// sub-slices of one backing array, capped so an append copies.
 func (g *Graph) ResourceCandidateMap(candidates []UserID, opts TraversalOptions) map[ResourceID][]CandidateDistance {
 	defer mTraversalSeconds.ObserveSince(time.Now())
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	hits := 0
-	out := make(map[ResourceID][]CandidateDistance)
-	for _, u := range candidates {
-		for _, h := range g.resourcesWithin(u, opts) {
-			out[h.Resource] = append(out[h.Resource], CandidateDistance{Candidate: u, Distance: h.Distance})
-			hits++
+	type hit struct {
+		r    ResourceID
+		cand int32 // index into candidates
+		d    int8
+	}
+	w := g.newWalk(opts)
+	// count[r] is how many candidates reach r; reached lists each such r
+	// once, in first-reach order.
+	count := make([]int32, len(g.resources))
+	var reached []ResourceID
+	var hits []hit
+	for i, u := range candidates {
+		w.from(u)
+		for _, r := range w.touched {
+			if s := w.dist[r]; s > 0 {
+				if count[r] == 0 {
+					reached = append(reached, r)
+				}
+				count[r]++
+				hits = append(hits, hit{r: r, cand: int32(i), d: s - 1})
+			}
 		}
 	}
+	arena := make([]CandidateDistance, len(hits))
+	out := make(map[ResourceID][]CandidateDistance, len(reached))
+	var pos int32
+	for _, r := range reached {
+		n := count[r]
+		out[r] = arena[pos : pos+n : pos+n]
+		count[r] = pos // from here on, r's next free slot
+		pos += n
+	}
+	for _, h := range hits {
+		arena[count[h.r]] = CandidateDistance{Candidate: candidates[h.cand], Distance: int(h.d)}
+		count[h.r]++
+	}
 	mTraversals.Add(float64(len(candidates)))
-	mTraversalHits.Add(float64(hits))
+	mTraversalHits.Add(float64(len(hits)))
 	return out
 }
 
@@ -227,26 +285,32 @@ func (g *Graph) ResourceCandidateMap(candidates []UserID, opts TraversalOptions)
 // in Fig. 5a). The result maps network → [3]int counts for distances
 // 0, 1, 2.
 func (g *Graph) DistanceCounts(candidates []UserID, opts TraversalOptions) map[Network][3]int {
-	type key struct {
-		net Network
-		r   ResourceID
-	}
-	best := make(map[key]int)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	w := g.newWalk(opts)
+	// best is 1 + the least distance any candidate reaches r at, 0 if
+	// none does.
+	best := make([]int8, len(g.resources))
+	var reached []ResourceID
 	for _, u := range candidates {
-		for _, h := range g.resourcesWithin(u, opts) {
-			k := key{g.resources[h.Resource].Network, h.Resource}
-			if prev, ok := best[k]; !ok || h.Distance < prev {
-				best[k] = h.Distance
+		w.from(u)
+		for _, r := range w.touched {
+			switch s := w.dist[r]; {
+			case s <= 0:
+			case best[r] == 0:
+				reached = append(reached, r)
+				best[r] = s
+			case s < best[r]:
+				best[r] = s
 			}
 		}
 	}
 	out := make(map[Network][3]int)
-	for k, d := range best {
-		counts := out[k.net]
-		counts[d]++
-		out[k.net] = counts
+	for _, r := range reached {
+		net := g.resources[r].Network
+		counts := out[net]
+		counts[best[r]-1]++
+		out[net] = counts
 	}
 	return out
 }
