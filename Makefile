@@ -55,11 +55,14 @@ fuzz-smoke:
 # measured 90.5 % (three runs); after Sharded was deleted for the
 # directory-less Store internal/index measured 94.5–94.6 % (three runs);
 # after Diff moved to record equality and Fingerprint went,
-# internal/ingest measured 95.5 % (three runs).
+# internal/ingest measured 95.5 % (three runs); after seal and
+# compaction became one transition internal/index measured 95.2–95.3 %
+# (four runs; three statements a run reaches or misses by schedule or
+# map order move it by up to 0.3), so its floor is 95.0.
 COVER_FLOOR_DEFAULT = 55.0
 cover-check:
 	@$(GO) test -cover $$($(GO) list ./internal/...) | awk ' \
-		BEGIN { floor["expertfind/internal/index"]=94.0; \
+		BEGIN { floor["expertfind/internal/index"]=95.0; \
 		        floor["expertfind/internal/core"]=99.0; \
 		        floor["expertfind/internal/loadgen"]=89.9; \
 		        floor["expertfind/internal/ingest"]=95.0 } \

@@ -84,7 +84,7 @@ func crowdFinders(t testing.TB) map[string]*Finder {
 	for _, d := range docs {
 		if d.ID != gone.ID {
 			mono.Add(d.ID, d.A)
-			if err := inMem.Add(d.ID, d.A); err != nil {
+			if err := inMem.AddBatch([]index.Doc{d}); err != nil {
 				t.Fatal(err)
 			}
 		}

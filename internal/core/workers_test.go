@@ -22,13 +22,15 @@ func storeClone(t testing.TB, f *Finder, n int) *Finder {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var docs []index.Doc
 	for i := 0; i < g.NumResources(); i++ {
 		r := g.Resource(socialgraph.ResourceID(i))
 		if a, ok := pipe.Analyze(r.Text, r.URLs); ok && f.Index().Has(r.ID) {
-			if err := s.Add(r.ID, a); err != nil {
-				t.Fatal(err)
-			}
+			docs = append(docs, index.Doc{ID: r.ID, A: a})
 		}
+	}
+	if err := s.AddBatch(docs); err != nil {
+		t.Fatal(err)
 	}
 	return NewFinder(g, s, pipe, nil)
 }

@@ -21,10 +21,10 @@ import (
 //     DocID (each block's base is the previous block's maximum doc id),
 //     with one skip entry per block recording the block's byte offset,
 //     posting count, maximum doc id and maximum weightless score;
-//   - a small unsorted tail of recent Add/Merge postings, in the same
+//   - a small unsorted tail of recent Add postings, in the same
 //     byte encoding with absolute doc ids (a few bytes per posting).
 //
-// Sealing happens at build time (Add/Merge), never during scoring, so
+// Sealing happens at build time (Add), never during scoring, so
 // concurrent Score calls stay read-only. The tail is folded into the
 // sealed region whenever it reaches max(blockSize, sealed/4) postings,
 // which keeps re-encoding amortized near O(n log n) over a build. The

@@ -270,7 +270,7 @@ func FuzzDeltaApply(f *testing.F) {
 				st.live[id] = a
 				st.ids = append(st.ids, id)
 				ix.Add(id, a)
-				s.Add(id, a)
+				s.AddBatch([]Doc{{ID: id, A: a}})
 			case op < 180: // update
 				if len(st.ids) == 0 {
 					continue

@@ -92,8 +92,8 @@ var (
 // Inverse resource frequencies reflect the collection at query time,
 // so documents can be added at any moment. Index is not safe for
 // concurrent mutation; concurrent Score calls are safe once building
-// is done (posting lists seal themselves during Add/Merge, never
-// during scoring).
+// is done (posting lists seal themselves during Add, never during
+// scoring).
 //
 // Posting lists are blocked: delta-encoded fixed-size blocks with
 // per-block skip entries (max doc id, max weightless score) plus a
@@ -216,26 +216,6 @@ func dropDocs(ps []posting, drop func(DocID) bool) []posting {
 func (ix *Index) Update(id DocID, old, new analysis.Analyzed) {
 	ix.Remove(id, old)
 	ix.Add(id, new)
-}
-
-// Merge folds another index into this one. The document sets must be
-// disjoint (each resource is analyzed exactly once); overlapping
-// documents cause a panic like a duplicate Add would. A failed seal
-// merges its frozen memtable back into the store's new one this way.
-func (ix *Index) Merge(other *Index) {
-	for d := range other.docs {
-		if _, dup := ix.docs[d]; dup {
-			panic("index: merging overlapping document sets")
-		}
-		ix.docs[d] = struct{}{}
-	}
-	ix.ids = append(ix.ids, other.ids...)
-	slices.Sort(ix.ids)
-	for k, ol := range other.lists {
-		for _, p := range ol.decodeAll() {
-			ix.addPosting(k, p)
-		}
-	}
 }
 
 // NumDocs returns the number of indexed resources.

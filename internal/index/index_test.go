@@ -249,60 +249,3 @@ func BenchmarkScore(b *testing.B) {
 		ix.Score(need, 0.6)
 	}
 }
-
-func TestMergeShards(t *testing.T) {
-	texts := []string{
-		"michael phelps is the greatest freestyle champion of all time",
-		"that php string function has a subtle bug in the code",
-		"copper is a conductor because the electrons are free to move",
-		"the restaurant in milan where we had dinner was delightful",
-	}
-	analyzed := make([]analysis.Analyzed, len(texts))
-	for i, s := range texts {
-		a, ok := pipe.Analyze(s, nil)
-		if !ok {
-			t.Fatalf("doc %d filtered", i)
-		}
-		analyzed[i] = a
-	}
-
-	// Whole build vs two merged shards.
-	whole := New()
-	for i, a := range analyzed {
-		whole.Add(DocID(i), a)
-	}
-	shardA, shardB := New(), New()
-	shardA.Add(0, analyzed[0])
-	shardA.Add(1, analyzed[1])
-	shardB.Add(2, analyzed[2])
-	shardB.Add(3, analyzed[3])
-	shardA.Merge(shardB)
-
-	if shardA.NumDocs() != whole.NumDocs() {
-		t.Fatalf("doc counts: %d vs %d", shardA.NumDocs(), whole.NumDocs())
-	}
-	need := pipe.AnalyzeNeed("freestyle swimming phelps in milan")
-	a := whole.Score(need, 0.6)
-	b := shardA.Score(need, 0.6)
-	if len(a) != len(b) {
-		t.Fatalf("score lengths: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Doc != b[i].Doc || math.Abs(a[i].Score-b[i].Score) > 1e-12 {
-			t.Errorf("score %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestMergeOverlapPanics(t *testing.T) {
-	a, b := New(), New()
-	doc := analysis.Analyzed{Terms: map[string]int{"x": 1}}
-	a.Add(1, doc)
-	b.Add(1, doc)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping merge did not panic")
-		}
-	}()
-	a.Merge(b)
-}

@@ -246,7 +246,7 @@ func TestStoreWithoutDirNeverSeals(t *testing.T) {
 	}
 	defer s.Close()
 	for _, d := range docs[:60] {
-		if err := s.Add(d.ID, d.A); err != nil {
+		if err := s.AddBatch([]Doc{d}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +271,6 @@ func TestStoreAddDuplicatePanics(t *testing.T) {
 	doc := analysis.Analyzed{Terms: map[string]int{"x": 1}}
 	s := memStore([]Doc{{ID: 7, A: doc}}, 4)
 	for name, add := range map[string]func(){
-		"Add":        func() { s.Add(7, doc) },
 		"AddBatch":   func() { s.AddBatch([]Doc{{ID: 7, A: doc}}) },
 		"ApplyDelta": func() { s.ApplyDelta(Delta{Adds: []Doc{{ID: 7, A: doc}}}) },
 	} {
@@ -342,7 +341,7 @@ func TestStoreConcurrentFindsSeeWholeWrites(t *testing.T) {
 			writes = append(writes, func() { s.AddBatch(batch) })
 		case 1:
 			d := fresh()
-			writes = append(writes, func() { s.Add(d.ID, d.A) })
+			writes = append(writes, func() { s.AddBatch([]Doc{d}) })
 		case 2:
 			d := st.randomDelta(r)
 			writes = append(writes, func() { s.ApplyDelta(d) })

@@ -445,8 +445,8 @@ func TestStoreAutoSealAndMaintain(t *testing.T) {
 	}
 	defer s.Close()
 	for _, d := range docs {
-		if err := s.Add(d.ID, d.A); err != nil {
-			t.Fatalf("Add: %v", err)
+		if err := s.AddBatch([]Doc{d}); err != nil {
+			t.Fatalf("AddBatch: %v", err)
 		}
 	}
 	if st := s.Status(); st.Seals < 10 {
@@ -513,42 +513,130 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
-// A failed seal rolls the frozen memtable (and tombstones it attracted)
-// back, leaving the store unchanged; a retry after the fault clears
-// succeeds.
-func TestStoreSealFailureRollsBack(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	docs := randomDocs(21, 120, 0)
-	s, err := NewStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.AddBatch(docs); err != nil {
-		t.Fatal(err)
-	}
-	need := randomNeed(rand.New(rand.NewSource(6)))
-	want := s.Score(need, 0.6)
+// A failed seal leaves the frozen memtable serving as an unwritten
+// segment: rankings do not move, a remove and an update tombstone it
+// like any segment, and the retry writes it without the tombstoned
+// documents — a Seal as the next seal, or a Compact that takes it as a
+// victim beside a segment already on disk.
+func TestStoreSealFailureKeepsServing(t *testing.T) {
+	for _, c := range []struct {
+		retry                    string
+		sealed                   []int // the layout before the failed seal
+		seals, compactions, segs int   // after the retry
+		memtable                 int
+	}{
+		{retry: "Seal", seals: 2, segs: 2},
+		{retry: "Compact", sealed: []int{40}, seals: 1, compactions: 1, segs: 1, memtable: 1},
+	} {
+		t.Run(c.retry, func(t *testing.T) {
+			docs := randomDocs(21, 120, 0)
+			s := storeOf(t, docs, c.sealed, StoreOptions{})
+			first := 0 // the unwritten segment's first document
+			if len(c.sealed) > 0 {
+				first = c.sealed[len(c.sealed)-1]
+			}
+			mono := flatFromDocs(docs)
+			need := randomNeed(rand.New(rand.NewSource(6)))
+			want := mono.Score(need, 0.6)
+			// dueAt reports that a seal is due at exactly n documents
+			// awaiting a file: due at FlushDocs n, not at n+1.
+			dueAt := func(n int) bool {
+				s.opts.FlushDocs = n
+				due := s.sealDueLocked()
+				s.opts.FlushDocs = n + 1
+				return due && !s.sealDueLocked()
+			}
 
-	// Sabotage the directory so the segment file cannot be created.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Seal(); err == nil {
-		t.Fatal("Seal succeeded without a store directory")
-	}
-	if st := s.Status(); len(st.Segments) != 0 || st.MemtableDocs != len(docs) {
-		t.Fatalf("rollback left %+v", st)
-	}
-	assertScoredBitIdentical(t, "after failed seal", s.Score(need, 0.6), want)
+			// A directory where the seal's temp file goes fails the write.
+			block := filepath.Join(s.Dir(), fmt.Sprintf("seg-%06d%s.tmp", s.seq, segSuffix))
+			if err := os.Mkdir(block, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Seal(); err == nil {
+				t.Fatal("Seal wrote its segment over a directory")
+			}
+			st := s.Status()
+			unwritten := st.Segments[len(st.Segments)-1]
+			if st.MemtableDocs != 0 || len(st.Segments) != len(c.sealed)+1 || unwritten.Path != "" ||
+				unwritten.Docs != len(docs)-first || st.Seals != uint64(len(c.sealed)) {
+				t.Fatalf("after the failed seal: %+v", st)
+			}
+			assertScoredBitIdentical(t, "after failed seal", s.Score(need, 0.6), want)
+			if !dueAt(len(docs) - first) {
+				t.Fatal("the unwritten documents do not count towards the next seal")
+			}
 
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+			gone, changed := docs[first], docs[first+1]
+			newA := randomDocs(99, 1, 0)[0].A
+			s.ApplyDelta(Delta{Removes: []Doc{gone}, Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
+			mono.Remove(gone.ID, gone.A)
+			mono.Update(changed.ID, changed.A, newA)
+			if st := s.Status(); st.Tombstones != 2 || st.Segments[len(st.Segments)-1].Tombstones != 2 || st.MemtableDocs != 1 {
+				t.Fatalf("the delta did not land on the unwritten segment: %+v", st)
+			}
+			assertScoredBitIdentical(t, "delta on the unwritten segment", s.Score(need, 0.6), mono.Score(need, 0.6))
+			if !dueAt(len(docs) - first - 1) {
+				t.Fatal("the tombstoned unwritten documents still count towards the next seal")
+			}
+
+			if err := os.Remove(block); err != nil {
+				t.Fatal(err)
+			}
+			retry := map[string]func() error{"Seal": s.Seal, "Compact": s.Compact}[c.retry]
+			if err := retry(); err != nil {
+				t.Fatalf("retry %s: %v", c.retry, err)
+			}
+			st = s.Status()
+			if st.Seals != uint64(c.seals) || st.Compactions != uint64(c.compactions) || len(st.Segments) != c.segs ||
+				st.MemtableDocs != c.memtable || st.ReclaimedDocs != 2 || st.Tombstones != 0 {
+				t.Fatalf("after retry %s: %+v", c.retry, st)
+			}
+			// The files on disk are exactly the segments serving: the
+			// on-disk victim of a compaction is unlinked.
+			var paths []string
+			for _, g := range st.Segments {
+				paths = append(paths, g.Path)
+			}
+			files, _ := filepath.Glob(filepath.Join(s.Dir(), "*"))
+			slices.Sort(paths)
+			if !slices.Equal(files, paths) {
+				t.Fatalf("directory holds %v, segments serve %v", files, paths)
+			}
+			assertScoredBitIdentical(t, "after retry", s.Score(need, 0.6), mono.Score(need, 0.6))
+			var got, wantBytes bytes.Buffer
+			if _, err := s.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mono.WriteTo(&wantBytes); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), wantBytes.Bytes()) {
+				t.Fatal("store bytes after the retry differ from the monolith's")
+			}
+		})
 	}
-	if err := s.Seal(); err != nil {
-		t.Fatalf("retry seal: %v", err)
+}
+
+// Close waits for maintenance in flight instead of closing the segment
+// readers a merge is still reading: Compact and Close race on stores of
+// three sealed segments, Close landing 0–4.5 ms into the merge, on both
+// read paths.
+func TestStoreCloseWaitsForMaintenance(t *testing.T) {
+	docs := randomDocs(41, 9000, 0)
+	for _, stream := range []bool{false, true} {
+		for trial := 0; trial < 10; trial++ {
+			s := storeOf(t, docs, []int{3000, 6000, 9000}, StoreOptions{forceStream: stream})
+			compacted := make(chan error, 1)
+			go func() { compacted <- s.Compact() }()
+			time.Sleep(time.Duration(trial) * 500 * time.Microsecond)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-compacted; err != nil {
+				t.Fatalf("stream=%v trial %d: Compact: %v", stream, trial, err)
+			}
+		}
 	}
-	assertScoredBitIdentical(t, "after retry", s.Score(need, 0.6), want)
 }
 
 // OpenSegment rejects files that are not valid sealed segments.

@@ -3,9 +3,11 @@ package index
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,10 +28,10 @@ var (
 		"Segment merge/compaction rounds completed.")
 	mSegReclaimed = telemetry.Default().Counter(
 		"expertfind_segment_reclaimed_docs_total",
-		"Tombstoned documents physically dropped by compaction.")
+		"Tombstoned documents physically dropped by a seal or compaction.")
 	mSegMaintErrs = telemetry.Default().Counter(
 		"expertfind_segment_maintenance_errors_total",
-		"Background seal or compaction rounds that failed (state rolled back).")
+		"Background seal or compaction rounds that failed (their inputs keep serving).")
 	mSegCount = telemetry.Default().Gauge(
 		"expertfind_segment_segments",
 		"Sealed segments currently serving queries.")
@@ -129,19 +131,19 @@ func ShardRoute(d DocID, n int) int {
 	return int(h % uint64(n))
 }
 
-// storeSegment is one sealed segment plus its tombstone set. While a
-// seal is writing the disk file the segment briefly serves from the
-// frozen memtable (frozen != nil); once the file is durable it serves
-// from the SegmentReader. Tombstones are per-segment on purpose: a
-// document updated out of segment A and re-added lives in the
-// memtable (and later in segment B), so a store-global tombstone set
-// would wrongly suppress the live copy.
+// storeSegment is one sealed segment plus its tombstone set. A seal
+// freezes the memtable as an unwritten segment, which serves from the
+// frozen memtable (frozen != nil, path "") until a seal or compaction
+// writes it to a file; a written segment serves from its
+// SegmentReader. Tombstones are per-segment on purpose: a document
+// updated out of segment A and re-added lives in the memtable (and
+// later in segment B), so a store-global tombstone set would wrongly
+// suppress the live copy.
 type storeSegment struct {
-	frozen  *Index // non-nil only while the seal write is in flight
-	r       *SegmentReader
-	path    string
-	tomb    map[DocID]analysis.Analyzed
-	merging bool
+	frozen *Index // non-nil until the segment is written
+	r      *SegmentReader
+	path   string
+	tomb   map[DocID]analysis.Analyzed
 }
 
 // view returns the component serving the segment right now.
@@ -198,12 +200,13 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 //     monolith, and live document sets are pairwise disjoint, so the
 //     deterministic k-way merge reproduces the monolith's ranking.
 //
-// Writes (Add/AddBatch/ApplyDelta) take the store write lock; queries
-// hold the read lock for their full duration, so a delta, seal or
-// compaction swap is observed either entirely or not at all.
-// Maintenance (Seal/Compact/Maintain) performs its disk I/O outside
-// the store lock against immutable inputs and swaps results in under
-// the write lock.
+// Writes (AddBatch/ApplyDelta, both through write) take the store
+// write lock; queries hold the read lock for their full duration, so a
+// delta, seal or compaction swap is observed either entirely or not at
+// all. Maintenance (Seal/Compact/Maintain) changes the segment set
+// through one transition, replace, which performs its disk I/O outside
+// the store lock against immutable inputs and swaps the result in
+// under the write lock.
 type Store struct {
 	dir  string // "" for a store that lives in memory only
 	opts StoreOptions
@@ -211,8 +214,8 @@ type Store struct {
 	// (StoreOptions.Workers).
 	workers int
 
-	// maintMu serializes maintenance (seal and compaction I/O);
-	// acquired before mu, never while holding it.
+	// maintMu serializes maintenance (seal and compaction I/O) and
+	// Close; acquired before mu, never while holding it.
 	maintMu sync.Mutex
 
 	mu        sync.RWMutex
@@ -315,9 +318,9 @@ func (s *Store) Dir() string { return s.dir }
 // Workers returns the most parts one find is scored on in parallel.
 func (s *Store) Workers() int { return s.workers }
 
-// Close stops background maintenance and releases every open segment.
-// The memtable is not sealed; callers needing durability call Seal
-// first.
+// Close stops background maintenance, waits for a Seal or Compact in
+// flight, and releases every open segment. The memtable is not sealed;
+// callers needing durability call Seal first.
 func (s *Store) Close() error {
 	select {
 	case <-s.stop:
@@ -325,6 +328,8 @@ func (s *Store) Close() error {
 		close(s.stop)
 	}
 	s.bg.Wait()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeSegments()
@@ -363,55 +368,29 @@ func (s *Store) hasLocked(id DocID) bool {
 	return false
 }
 
-// Add indexes an analyzed resource into the memtable, sealing to disk
-// when the memtable reaches FlushDocs. Adding a live id panics, like
-// Index.Add.
-func (s *Store) Add(id DocID, a analysis.Analyzed) error {
-	s.mu.Lock()
-	if s.hasLocked(id) {
-		s.mu.Unlock()
-		panic("index: duplicate document")
-	}
-	s.mem.Add(id, a)
-	due := s.sealDueLocked()
-	mSegMemDocs.Set(float64(s.mem.NumDocs()))
-	s.mu.Unlock()
-	if due {
-		return s.Seal()
-	}
-	return nil
-}
-
 // AddBatch bulk-indexes docs, sealing once afterwards if the memtable
-// crossed FlushDocs.
+// crossed FlushDocs. Adding a live id panics, like Index.Add.
 func (s *Store) AddBatch(docs []Doc) error {
-	s.mu.Lock()
-	for _, d := range docs {
-		if s.hasLocked(d.ID) {
-			s.mu.Unlock()
-			panic("index: duplicate document")
-		}
-		s.mem.Add(d.ID, d.A)
-	}
-	due := s.sealDueLocked()
-	mSegMemDocs.Set(float64(s.mem.NumDocs()))
-	s.mu.Unlock()
-	if due {
+	if s.write(Delta{Adds: docs}) {
 		return s.Seal()
 	}
 	return nil
 }
 
-// ApplyDelta applies removes, updates and adds as one atomic step
-// under the store write lock, so a concurrent query ranks against
-// either the pre-delta or the post-delta collection: adds land in the
-// memtable; a remove of a memtable document excises it
+// ApplyDelta applies removes, updates and adds as one atomic step, so
+// a concurrent query ranks against either the pre-delta or the
+// post-delta collection. The memtable is never sealed here —
+// ApplyDelta stays error-free and maintenance (background or explicit)
+// persists the growth.
+func (s *Store) ApplyDelta(d Delta) { s.write(d) }
+
+// write is the one write path, under the store write lock: adds land
+// in the memtable; a remove of a memtable document excises it
 // directly, while a remove of a sealed document tombstones it in the
 // one segment holding it live (postings reclaim at the next
-// compaction); an update is remove-then-add. The memtable is never
-// sealed here — ApplyDelta stays error-free and maintenance
-// (background or explicit) persists the growth.
-func (s *Store) ApplyDelta(d Delta) {
+// compaction); an update is remove-then-add. It reports whether a seal
+// is due.
+func (s *Store) write(d Delta) (sealDue bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range d.Removes {
@@ -424,14 +403,25 @@ func (s *Store) ApplyDelta(d Delta) {
 	for _, a := range d.Adds {
 		s.addLocked(a.ID, a.A)
 	}
-	mSegMemDocs.Set(float64(s.mem.NumDocs()))
-	mSegTombstones.Set(float64(s.nTombs))
+	s.updateGauges()
+	return s.sealDueLocked()
 }
 
-// sealDueLocked reports whether the memtable has reached FlushDocs in a
-// store that has a directory to seal to.
+// sealDueLocked reports whether the documents awaiting a file — the
+// memtable's and the live ones of segments a failed write left
+// unwritten — have reached FlushDocs in a store that has a directory
+// to seal to.
 func (s *Store) sealDueLocked() bool {
-	return s.dir != "" && s.mem.NumDocs() >= s.opts.FlushDocs
+	if s.dir == "" {
+		return false
+	}
+	n := s.mem.NumDocs()
+	for _, g := range s.segs {
+		if g.frozen != nil {
+			n += g.frozen.NumDocs() - len(g.tomb)
+		}
+	}
+	return n >= s.opts.FlushDocs
 }
 
 func (s *Store) addLocked(id DocID, a analysis.Analyzed) {
@@ -460,11 +450,12 @@ func (s *Store) removeLocked(id DocID, a analysis.Analyzed) {
 	panic("index: removing unknown document")
 }
 
-// Seal freezes the memtable into an immutable on-disk segment.
-// Queries keep running throughout: the frozen memtable serves as a
-// transient segment while its file is written, then the disk reader
-// is swapped in. A write failure rolls the documents (and any
-// tombstones they attracted meanwhile) back into the memtable.
+// Seal freezes the memtable into an immutable segment and writes every
+// unwritten segment to its own file. Queries keep running throughout:
+// an unwritten segment serves from its frozen memtable while its file
+// is written, then the disk reader is swapped in. A failed write
+// leaves the segment serving from memory, and the next seal or
+// compaction writes it.
 func (s *Store) Seal() error {
 	if s.dir == "" {
 		return nil
@@ -474,54 +465,92 @@ func (s *Store) Seal() error {
 	return s.seal()
 }
 
+// seal is Seal under maintMu: a seal is one replace per unwritten
+// segment.
 func (s *Store) seal() error {
 	s.mu.Lock()
-	if s.mem.NumDocs() == 0 {
+	if s.mem.NumDocs() > 0 {
+		s.segs = append(s.segs, &storeSegment{frozen: s.mem, tomb: map[DocID]analysis.Analyzed{}})
+		s.mem = New()
+		s.updateGauges()
+	}
+	var unwritten []*storeSegment
+	for _, g := range s.segs {
+		if g.frozen != nil {
+			unwritten = append(unwritten, g)
+		}
+	}
+	s.mu.Unlock()
+	for _, g := range unwritten {
+		if err := s.replace([]*storeSegment{g}, &s.seals, mSegSeals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replace is the one transition of the segment set: it writes victims,
+// minus the tombstones they carry now, as one new segment file and
+// swaps it in for them. A single victim already on disk with no
+// tombstones is left as it is. Tombstones recorded before the write
+// are reclaimed (their postings are not in the new file, so their df
+// corrections are retired); tombstones that land on a victim while
+// the file is written refer to documents live in it, so they carry
+// over to the new segment. On success it bumps n and m — seals or
+// compactions — and closes and unlinks the victims that were on disk;
+// on failure the victims keep serving. Caller holds maintMu, so the
+// victims stay the store's throughout.
+func (s *Store) replace(victims []*storeSegment, n *uint64, m *telemetry.Counter) error {
+	s.mu.Lock()
+	if len(victims) == 0 || len(victims) == 1 && victims[0].frozen == nil && len(victims[0].tomb) == 0 {
 		s.mu.Unlock()
 		return nil
 	}
-	frozen := s.mem
-	s.mem = New()
-	seg := &storeSegment{frozen: frozen, tomb: map[DocID]analysis.Analyzed{}}
-	s.segs = append(s.segs, seg)
+	drops := make([]map[DocID]analysis.Analyzed, len(victims))
+	srcs := make([]mergeSource, len(victims))
+	for i, g := range victims {
+		drops[i] = maps.Clone(g.tomb)
+		srcs[i] = mergeSource{src: g.view(), drop: drops[i]}
+	}
 	seq := s.seq
 	s.seq++
 	s.mu.Unlock()
 
 	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", seq, segSuffix))
-	r, err := s.writeSegmentFile(path, []mergeSource{{src: frozen}})
-	s.mu.Lock()
+	r, err := s.writeSegmentFile(path, srcs)
 	if err != nil {
-		// Roll back: drop the transient segment, resolve its
-		// tombstones against the frozen postings, fold the survivors
-		// back into the memtable.
-		s.dropSegmentLocked(seg)
-		for d, a := range seg.tomb {
-			frozen.Remove(d, a)
-			s.untrackTomb(d, a)
-		}
-		s.mem.Merge(frozen)
-		s.mu.Unlock()
 		return err
 	}
-	seg.frozen = nil
-	seg.r = r
-	seg.path = path
-	s.seals++
+
+	s.mu.Lock()
+	merged := &storeSegment{r: r, path: path, tomb: map[DocID]analysis.Analyzed{}}
+	reclaimed := 0
+	for i, g := range victims {
+		for d, a := range g.tomb {
+			if _, dropped := drops[i][d]; !dropped {
+				merged.tomb[d] = a
+			}
+		}
+		for d, a := range drops[i] {
+			s.untrackTomb(d, a)
+		}
+		reclaimed += len(drops[i])
+	}
+	s.segs = append(slices.DeleteFunc(s.segs, func(g *storeSegment) bool { return slices.Contains(victims, g) }), merged)
+	*n++
+	s.reclaimed += uint64(reclaimed)
 	s.updateGauges()
 	s.mu.Unlock()
-	mSegSeals.Inc()
-	return nil
-}
 
-func (s *Store) dropSegmentLocked(seg *storeSegment) {
-	kept := s.segs[:0]
-	for _, g := range s.segs {
-		if g != seg {
-			kept = append(kept, g)
+	for _, g := range victims {
+		if g.r != nil {
+			g.r.Close()
+			os.Remove(g.path)
 		}
 	}
-	s.segs = kept
+	m.Inc()
+	mSegReclaimed.Add(float64(reclaimed))
+	return nil
 }
 
 // writeSegmentFile streams the merged sources to a temp file, makes
@@ -558,110 +587,20 @@ func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReade
 	return r, nil
 }
 
-// Compact merges every sealed segment into one, physically dropping
-// all tombstoned postings. Queries and writes keep running; only the
-// final swap takes the write lock.
+// Compact merges every segment, unwritten ones included, into one,
+// physically dropping all tombstoned postings. Queries and writes keep
+// running; only the final swap takes the write lock.
 func (s *Store) Compact() error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	s.mu.RLock()
 	victims := append([]*storeSegment(nil), s.segs...)
 	s.mu.RUnlock()
-	return s.compactSet(victims)
+	return s.replace(victims, &s.compacts, mSegCompactions)
 }
 
-// compactSet merges victims into one new segment. Tombstones recorded
-// before the merge snapshot are reclaimed (their postings are gone
-// from the merged file, so their df corrections are retired);
-// tombstones that land on a victim while the merge is writing refer
-// to documents live in the merged output, so they carry over to the
-// new segment. Caller holds maintMu.
-func (s *Store) compactSet(victims []*storeSegment) error {
-	s.mu.Lock()
-	live := make([]*storeSegment, 0, len(victims))
-	for _, g := range victims {
-		// Only segments still in the store, fully on disk, qualify.
-		// (Under maintMu no seal is in flight, so frozen is nil for
-		// every present segment; the check keeps the invariant local.)
-		if g.frozen == nil && g.r != nil && !g.merging && s.contains(g) {
-			live = append(live, g)
-		}
-	}
-	tombs := 0
-	for _, g := range live {
-		tombs += len(g.tomb)
-	}
-	if len(live) < 2 && tombs == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	snaps := make([]map[DocID]analysis.Analyzed, len(live))
-	srcs := make([]mergeSource, len(live))
-	for i, g := range live {
-		g.merging = true
-		snap := make(map[DocID]analysis.Analyzed, len(g.tomb))
-		for d, a := range g.tomb {
-			snap[d] = a
-		}
-		snaps[i] = snap
-		srcs[i] = mergeSource{src: g.view(), drop: snap}
-	}
-	seq := s.seq
-	s.seq++
-	s.mu.Unlock()
-
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", seq, segSuffix))
-	r, err := s.writeSegmentFile(path, srcs)
-	if err != nil {
-		s.mu.Lock()
-		for _, g := range live {
-			g.merging = false
-		}
-		s.mu.Unlock()
-		return err
-	}
-
-	s.mu.Lock()
-	merged := &storeSegment{r: r, path: path, tomb: map[DocID]analysis.Analyzed{}}
-	reclaimed := 0
-	for i, g := range live {
-		for d, a := range g.tomb {
-			if _, snapped := snaps[i][d]; !snapped {
-				merged.tomb[d] = a
-			}
-		}
-		for d, a := range snaps[i] {
-			s.untrackTomb(d, a)
-			reclaimed++
-		}
-		s.dropSegmentLocked(g)
-	}
-	s.segs = append(s.segs, merged)
-	s.compacts++
-	s.reclaimed += uint64(reclaimed)
-	s.updateGauges()
-	s.mu.Unlock()
-
-	for _, g := range live {
-		g.r.Close()
-		os.Remove(g.path)
-	}
-	mSegCompactions.Inc()
-	mSegReclaimed.Add(float64(reclaimed))
-	return nil
-}
-
-func (s *Store) contains(seg *storeSegment) bool {
-	for _, g := range s.segs {
-		if g == seg {
-			return true
-		}
-	}
-	return false
-}
-
-// Maintain runs one maintenance round: seal the memtable if it
-// reached FlushDocs, then compact per policy — the smallest half of
+// Maintain runs one maintenance round: seal if the documents awaiting
+// a file reached FlushDocs, then compact per policy — the smallest half of
 // the segments when their count exceeds MaxSegments, or every
 // tombstone-carrying segment when tombstones exceed reclaimFraction
 // of the live document count.
@@ -696,10 +635,7 @@ func (s *Store) Maintain() error {
 		}
 	}
 	s.mu.RUnlock()
-	if len(victims) == 0 {
-		return nil
-	}
-	return s.compactSet(victims)
+	return s.replace(victims, &s.compacts, mSegCompactions)
 }
 
 // StartBackground runs Maintain every interval until Close. Failures
@@ -738,7 +674,8 @@ func (s *Store) updateGauges() {
 	mSegDiskBytes.Set(float64(bytes))
 }
 
-// SegmentStatus describes one sealed segment.
+// SegmentStatus describes one sealed segment; Path is "" while a
+// failed write leaves it unwritten.
 type SegmentStatus struct {
 	Path       string `json:"path"`
 	Docs       int    `json:"docs"`
