@@ -113,14 +113,11 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 
 	// Each dictionary section leads with its entry count. A list's live
 	// size is known without decoding it: its count in every source,
-	// minus the source's dropped documents that hold the key.
+	// minus the source's df correction for its dropped documents.
 	live := map[listKey]int{}
 	for _, s := range srcs {
 		for _, k := range s.src.keys() {
-			live[k] += s.src.freq(k)
-		}
-		for d, a := range s.drop {
-			eachPosting(d, a, func(k listKey, _ posting) { live[k]-- })
+			live[k] += s.src.freq(k) - s.drop.df[k]
 		}
 	}
 	keys := make([]listKey, 0, len(live))
@@ -472,9 +469,6 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	docs, err := scanIndex(r, func(k listKey, l *postingList, _, _ int64) { ix.lists[k] = l })
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
-	}
-	for _, d := range docs {
-		ix.docs[d] = struct{}{}
 	}
 	ix.ids = docs
 	return ix, nil

@@ -101,19 +101,22 @@ var (
 // skip entries feed the ScoreTopK pruner.
 type Index struct {
 	lists map[listKey]*postingList
-	docs  map[DocID]struct{}
-	// ids is docs in ascending order, kept up to date by every mutation
-	// so that reading it — the store cutting its memtable into doc-id
-	// ranges, a seal writing it out — never sorts.
+	// ids is the indexed document set in ascending order, kept sorted by
+	// every mutation so that reading it — a membership test, the store
+	// cutting its memtable into doc-id ranges, a seal writing it out —
+	// never sorts.
 	ids []DocID
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{
-		lists: make(map[listKey]*postingList),
-		docs:  make(map[DocID]struct{}),
-	}
+	return &Index{lists: make(map[listKey]*postingList)}
+}
+
+// hasID reports whether the ascending ids hold id.
+func hasID(ids []DocID, id DocID) bool {
+	_, ok := slices.BinarySearch(ids, id)
+	return ok
 }
 
 // list implements listSource: the list's header, its blocks and bytes
@@ -152,16 +155,11 @@ func eachPosting(id DocID, a analysis.Analyzed, fn func(listKey, posting)) {
 // Add indexes an analyzed resource under id. Adding the same id twice
 // is a programming error and panics.
 func (ix *Index) Add(id DocID, a analysis.Analyzed) {
-	if _, dup := ix.docs[id]; dup {
+	i, dup := slices.BinarySearch(ix.ids, id)
+	if dup {
 		panic("index: duplicate document")
 	}
-	ix.docs[id] = struct{}{}
-	if n := len(ix.ids); n == 0 || ix.ids[n-1] < id {
-		ix.ids = append(ix.ids, id)
-	} else {
-		i, _ := slices.BinarySearch(ix.ids, id)
-		ix.ids = slices.Insert(ix.ids, i, id)
-	}
+	ix.ids = slices.Insert(ix.ids, i, id)
 	eachPosting(id, a, ix.addPosting)
 }
 
@@ -176,11 +174,10 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 // Removing an unknown document, or one whose postings are missing
 // from a list, is a programming error and panics.
 func (ix *Index) Remove(id DocID, a analysis.Analyzed) {
-	if _, ok := ix.docs[id]; !ok {
+	i, ok := slices.BinarySearch(ix.ids, id)
+	if !ok {
 		panic("index: removing unknown document")
 	}
-	delete(ix.docs, id)
-	i, _ := slices.BinarySearch(ix.ids, id)
 	ix.ids = slices.Delete(ix.ids, i, i+1)
 	eachPosting(id, a, func(k listKey, _ posting) {
 		l := ix.lists[k]
@@ -219,13 +216,10 @@ func (ix *Index) Update(id DocID, old, new analysis.Analyzed) {
 }
 
 // NumDocs returns the number of indexed resources.
-func (ix *Index) NumDocs() int { return len(ix.docs) }
+func (ix *Index) NumDocs() int { return len(ix.ids) }
 
 // Has reports whether id is indexed.
-func (ix *Index) Has(id DocID) bool {
-	_, ok := ix.docs[id]
-	return ok
-}
+func (ix *Index) Has(id DocID) bool { return hasID(ix.ids, id) }
 
 // DocFreq returns the number of resources containing the term.
 func (ix *Index) DocFreq(term string) int { return ix.freq(termKey(term)) }
@@ -255,7 +249,7 @@ func (ix *Index) IRF(term string) float64 {
 	if df == 0 {
 		return 0
 	}
-	return irf(len(ix.docs), df)
+	return irf(len(ix.ids), df)
 }
 
 // EIRF returns the inverse resource frequency of an entity.
@@ -264,7 +258,7 @@ func (ix *Index) EIRF(e kb.EntityID) float64 {
 	if df == 0 {
 		return 0
 	}
-	return irf(len(ix.docs), df)
+	return irf(len(ix.ids), df)
 }
 
 // ScoredDoc is a resource with its relevance for a need.

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"os"
-	"sort"
 )
 
 // SegmentReader is a read-only view of one sealed on-disk segment: a
@@ -105,10 +104,7 @@ func (sr *SegmentReader) Size() int64 { return sr.size }
 func (sr *SegmentReader) NumDocs() int { return len(sr.docs) }
 
 // Has reports whether the segment holds id (tombstoned or not).
-func (sr *SegmentReader) Has(id DocID) bool {
-	i := sort.Search(len(sr.docs), func(i int) bool { return sr.docs[i] >= id })
-	return i < len(sr.docs) && sr.docs[i] == id
-}
+func (sr *SegmentReader) Has(id DocID) bool { return hasID(sr.docs, id) }
 
 func (sr *SegmentReader) docIDs() []DocID { return sr.docs }
 

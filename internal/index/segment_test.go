@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -361,6 +362,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 			next++
 		}
 		s.ApplyDelta(d)
+		checkTombDF(t, s, fmt.Sprintf("round %d", round))
 		for _, rm := range d.Removes {
 			mono.Remove(rm.ID, rm.A)
 		}
@@ -406,6 +408,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
+	checkTombDF(t, s, "seal")
 	tombs := s.Status().Tombstones
 	if tombs == 0 {
 		t.Fatal("expected tombstones before compaction")
@@ -413,6 +416,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
+	checkTombDF(t, s, "compaction")
 	st := s.Status()
 	if st.Tombstones != 0 || st.ReclaimedDocs != uint64(tombs) || len(st.Segments) != 1 {
 		t.Fatalf("post-compact status: %+v (want 0 tombstones, %d reclaimed, 1 segment)", st, tombs)
@@ -617,6 +621,116 @@ func TestStoreSealFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// checkTombDF is the df recount oracle: it decodes every list of every
+// segment and counts the postings of the segment's tombstoned
+// documents, which must be the df correction the segment keeps. It is
+// the pass that rebuilds the correction from persisted tombstone ids.
+func checkTombDF(t testing.TB, s *Store, step string) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, g := range s.segs {
+		c := g.view()
+		recount := map[listKey]int{}
+		for _, k := range c.keys() {
+			var l postingList
+			c.list(k, &l, nil)
+			for _, p := range l.sorted() {
+				if g.tomb.has(p.doc) {
+					recount[k]++
+				}
+			}
+		}
+		if !maps.Equal(recount, g.tomb.df) {
+			t.Fatalf("%s: segment %d keeps df correction %v for its %d tombstones, its lists count %v",
+				step, i, g.tomb.df, len(g.tomb.ids), recount)
+		}
+	}
+}
+
+// A remove and an update that land on replace's victims after its
+// snapshot — one before the file is written, one after — name documents
+// live in the new file, so the new segment must keep them tombstoned,
+// ids and df correction alike, while the tombstone the snapshot took is
+// reclaimed. replace's steps run by hand, in order, for a seal (its
+// victim is the frozen memtable) and a compaction (two segments on
+// disk); afterwards statistics, rankings and bytes equal the monolith's.
+func TestStoreReplaceCarriesOverTombstones(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
+			docs := randomDocs(23, 240, 0)
+			mono := flatFromDocs(docs)
+			s := storeOf(t, docs, []int{80, 160}, StoreOptions{})
+			s.maintMu.Lock()
+			defer s.maintMu.Unlock()
+			var victims []*storeSegment
+			n, m := &s.seals, mSegSeals
+			gone, dead, changed := docs[160], docs[161], docs[239]
+			if compact {
+				victims, n, m = slices.Clone(s.segs), &s.compacts, mSegCompactions
+				gone, dead, changed = docs[0], docs[1], docs[100]
+			} else {
+				victims = s.freeze()
+			}
+			remove := func(d Doc) {
+				s.ApplyDelta(Delta{Removes: []Doc{d}})
+				mono.Remove(d.ID, d.A)
+			}
+
+			remove(gone)
+			srcs, path := s.snapshot(victims)
+			remove(dead)
+			r, err := s.writeSegmentFile(path, srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newA := randomDocs(77, 1, 0)[0].A
+			s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
+			mono.Update(changed.ID, changed.A, newA)
+			s.swap(victims, srcs, r, n, m)
+
+			merged := s.segs[len(s.segs)-1]
+			if st := s.Status(); merged.r != r || st.ReclaimedDocs != 1 || st.Tombstones != 2 ||
+				!merged.tomb.has(dead.ID) || !merged.tomb.has(changed.ID) {
+				t.Fatalf("after the swap: %+v; the new segment tombstones %v", st, merged.tomb.ids)
+			}
+			checkTombDF(t, s, "after the swap")
+			if s.NumDocs() != mono.NumDocs() {
+				t.Fatalf("NumDocs %d, want %d", s.NumDocs(), mono.NumDocs())
+			}
+			for _, term := range testVocab() {
+				if got, want := s.DocFreq(term), mono.DocFreq(term); got != want {
+					t.Fatalf("DocFreq(%q) = %d, want %d", term, got, want)
+				}
+			}
+			for e := kb.EntityID(0); e < 50; e++ {
+				if got, want := s.EntityFreq(e), mono.EntityFreq(e); got != want {
+					t.Fatalf("EntityFreq(%d) = %d, want %d", e, got, want)
+				}
+			}
+			rng := rand.New(rand.NewSource(5))
+			for q := 0; q < 8; q++ {
+				need := randomNeed(rng)
+				for _, alpha := range []float64{0, 0.6, 1} {
+					label := fmt.Sprintf("q=%d α=%g", q, alpha)
+					assertScoredBitIdentical(t, label, mono.Score(need, alpha), s.Score(need, alpha))
+					assertScoredBitIdentical(t, label+" k=5", mono.ScoreTopK(need, alpha, 5, nil), s.ScoreTopK(need, alpha, 5, nil))
+				}
+			}
+			var got, want bytes.Buffer
+			if _, err := s.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mono.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("store bytes after the swap differ from the monolith's")
+			}
+		})
+	}
+}
+
 // Close waits for maintenance in flight instead of closing the segment
 // readers a merge is still reading: Compact and Close race on stores of
 // three sealed segments, Close landing 0–4.5 ms into the merge, on both
@@ -738,6 +852,7 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 			mono.Remove(victim.ID, victim.A)
 		}
 		s.ApplyDelta(d)
+		checkTombDF(t, s, fmt.Sprintf("step %d", i))
 		mono.Add(docs[i].ID, docs[i].A)
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -131,7 +131,7 @@ func ShardRoute(d DocID, n int) int {
 	return int(h % uint64(n))
 }
 
-// storeSegment is one sealed segment plus its tombstone set. A seal
+// storeSegment is one sealed segment plus its tombstones. A seal
 // freezes the memtable as an unwritten segment, which serves from the
 // frozen memtable (frozen != nil, path "") until a seal or compaction
 // writes it to a file; a written segment serves from its
@@ -143,7 +143,45 @@ type storeSegment struct {
 	frozen *Index // non-nil until the segment is written
 	r      *SegmentReader
 	path   string
-	tomb   map[DocID]analysis.Analyzed
+	tomb   tombstones
+}
+
+// tombstones is all a segment keeps of the documents deleted from it
+// while its lists still hold them: their ids, and its df correction,
+// per list how many of them it counts. Its zero value is read-only.
+type tombstones struct {
+	ids map[DocID]struct{}
+	df  map[listKey]int
+}
+
+func newTombstones() tombstones {
+	return tombstones{ids: map[DocID]struct{}{}, df: map[listKey]int{}}
+}
+
+func (t tombstones) has(id DocID) bool {
+	_, ok := t.ids[id]
+	return ok
+}
+
+// add tombstones id, indexed in the segment as a.
+func (t tombstones) add(id DocID, a analysis.Analyzed) {
+	t.ids[id] = struct{}{}
+	eachPosting(id, a, func(k listKey, _ posting) { t.df[k]++ })
+}
+
+// addSince adds what cur gained since snap, a snapshot of it (both only
+// grow until the replace that took snap swaps).
+func (t tombstones) addSince(cur, snap tombstones) {
+	for id := range cur.ids {
+		if !snap.has(id) {
+			t.ids[id] = struct{}{}
+		}
+	}
+	for k, n := range cur.df {
+		if n -= snap.df[k]; n > 0 {
+			t.df[k] += n
+		}
+	}
 }
 
 // view returns the component serving the segment right now.
@@ -169,20 +207,14 @@ func (g *storeSegment) size() int64 {
 // acceptFilter narrows accept to documents not tombstoned in this
 // segment.
 func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
-	if len(g.tomb) == 0 {
-		return accept
-	}
 	t := g.tomb
-	if accept == nil {
-		return func(d DocID) bool {
-			_, dead := t[d]
-			return !dead
-		}
+	switch {
+	case len(t.ids) == 0:
+		return accept
+	case accept == nil:
+		return func(d DocID) bool { return !t.has(d) }
 	}
-	return func(d DocID) bool {
-		_, dead := t[d]
-		return !dead && accept(d)
-	}
+	return func(d DocID) bool { return !t.has(d) && accept(d) }
 }
 
 // Store is the index container: a mutable in-memory memtable absorbing
@@ -192,9 +224,9 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 // bit-identical to a monolithic Index over the same live documents, for
 // any segment layout and worker bound:
 //
-//   - planning folds per-segment document frequencies (minus
-//     tombstone corrections) into exact global stats, so the query
-//     plan equals the monolith's plan;
+//   - planning folds per-segment document frequencies (each minus
+//     its segment's tombstone correction) into exact global stats, so
+//     the query plan equals the monolith's plan;
 //   - each component (memtable, every segment) accumulates scores
 //     with the same code and per-document addition chains as the
 //     monolith, and live document sets are pairwise disjoint, so the
@@ -221,8 +253,6 @@ type Store struct {
 	mu        sync.RWMutex
 	mem       *Index
 	segs      []*storeSegment
-	tombDF    map[listKey]int
-	nTombs    int
 	seq       int
 	seals     uint64
 	compacts  uint64
@@ -245,7 +275,6 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 		opts:    o,
 		workers: o.Workers,
 		mem:     New(),
-		tombDF:  make(map[listKey]int),
 		stop:    make(chan struct{}),
 	}
 	if dir == "" {
@@ -269,7 +298,7 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 			s.closeSegments()
 			return nil, err
 		}
-		s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: map[DocID]analysis.Analyzed{}})
+		s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: newTombstones()})
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(p), "seg-%d"+segSuffix, &n); err == nil && n >= s.seq {
 			s.seq = n + 1
@@ -284,8 +313,8 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 }
 
 // checkDisjoint verifies no document appears in two segments — the
-// invariant every scoring merge relies on. (Reopened stores have no
-// tombstones, so any overlap is a corrupted directory.)
+// invariant every scoring merge relies on. Tombstones are not persisted,
+// so a sealed document updated and sealed again before a restart trips it.
 func (s *Store) checkDisjoint() error {
 	total := 0
 	for _, g := range s.segs {
@@ -337,35 +366,14 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// trackTomb / untrackTomb maintain the global df corrections that
-// stats folding subtracts from the summed per-segment frequencies.
-func (s *Store) trackTomb(id DocID, a analysis.Analyzed) {
-	s.nTombs++
-	eachPosting(id, a, func(k listKey, _ posting) { s.tombDF[k]++ })
-}
-
-func (s *Store) untrackTomb(id DocID, a analysis.Analyzed) {
-	s.nTombs--
-	eachPosting(id, a, func(k listKey, _ posting) {
-		if s.tombDF[k]--; s.tombDF[k] == 0 {
-			delete(s.tombDF, k)
-		}
-	})
-}
-
-// hasLocked reports whether id is live anywhere in the store.
-func (s *Store) hasLocked(id DocID) bool {
-	if s.mem.Has(id) {
-		return true
-	}
+// liveSegLocked returns the segment holding id live, nil if none does.
+func (s *Store) liveSegLocked(id DocID) *storeSegment {
 	for _, g := range s.segs {
-		if g.view().Has(id) {
-			if _, dead := g.tomb[id]; !dead {
-				return true
-			}
+		if g.view().Has(id) && !g.tomb.has(id) {
+			return g
 		}
 	}
-	return false
+	return nil
 }
 
 // AddBatch bulk-indexes docs, sealing once afterwards if the memtable
@@ -418,14 +426,15 @@ func (s *Store) sealDueLocked() bool {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
 		if g.frozen != nil {
-			n += g.frozen.NumDocs() - len(g.tomb)
+			n += g.frozen.NumDocs() - len(g.tomb.ids)
 		}
 	}
 	return n >= s.opts.FlushDocs
 }
 
+// addLocked leaves a duplicate in the memtable to Index.Add's panic.
 func (s *Store) addLocked(id DocID, a analysis.Analyzed) {
-	if s.hasLocked(id) {
+	if s.liveSegLocked(id) != nil {
 		panic("index: duplicate document")
 	}
 	s.mem.Add(id, a)
@@ -436,18 +445,11 @@ func (s *Store) removeLocked(id DocID, a analysis.Analyzed) {
 		s.mem.Remove(id, a)
 		return
 	}
-	for _, g := range s.segs {
-		if !g.view().Has(id) {
-			continue
-		}
-		if _, dead := g.tomb[id]; dead {
-			continue
-		}
-		g.tomb[id] = a
-		s.trackTomb(id, a)
-		return
+	g := s.liveSegLocked(id)
+	if g == nil {
+		panic("index: removing unknown document")
 	}
-	panic("index: removing unknown document")
+	g.tomb.add(id, a)
 }
 
 // Seal freezes the memtable into an immutable segment and writes every
@@ -465,23 +467,11 @@ func (s *Store) Seal() error {
 	return s.seal()
 }
 
-// seal is Seal under maintMu: a seal is one replace per unwritten
-// segment.
+// seal is Seal under maintMu: freeze, under the store lock, makes a
+// memtable holding documents an unwritten segment and returns every
+// unwritten segment; each is then replaced alone.
 func (s *Store) seal() error {
-	s.mu.Lock()
-	if s.mem.NumDocs() > 0 {
-		s.segs = append(s.segs, &storeSegment{frozen: s.mem, tomb: map[DocID]analysis.Analyzed{}})
-		s.mem = New()
-		s.updateGauges()
-	}
-	var unwritten []*storeSegment
-	for _, g := range s.segs {
-		if g.frozen != nil {
-			unwritten = append(unwritten, g)
-		}
-	}
-	s.mu.Unlock()
-	for _, g := range unwritten {
+	for _, g := range s.freeze() {
 		if err := s.replace([]*storeSegment{g}, &s.seals, mSegSeals); err != nil {
 			return err
 		}
@@ -489,52 +479,67 @@ func (s *Store) seal() error {
 	return nil
 }
 
-// replace is the one transition of the segment set: it writes victims,
-// minus the tombstones they carry now, as one new segment file and
-// swaps it in for them. A single victim already on disk with no
-// tombstones is left as it is. Tombstones recorded before the write
-// are reclaimed (their postings are not in the new file, so their df
-// corrections are retired); tombstones that land on a victim while
-// the file is written refer to documents live in it, so they carry
-// over to the new segment. On success it bumps n and m — seals or
-// compactions — and closes and unlinks the victims that were on disk;
-// on failure the victims keep serving. Caller holds maintMu, so the
-// victims stay the store's throughout.
-func (s *Store) replace(victims []*storeSegment, n *uint64, m *telemetry.Counter) error {
+func (s *Store) freeze() (unwritten []*storeSegment) {
 	s.mu.Lock()
-	if len(victims) == 0 || len(victims) == 1 && victims[0].frozen == nil && len(victims[0].tomb) == 0 {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.mem.NumDocs() > 0 {
+		s.segs = append(s.segs, &storeSegment{frozen: s.mem, tomb: newTombstones()})
+		s.mem = New()
+		s.updateGauges()
+	}
+	for _, g := range s.segs {
+		if g.frozen != nil {
+			unwritten = append(unwritten, g)
+		}
+	}
+	return unwritten
+}
+
+// replace is the one transition of the segment set: snapshot,
+// writeSegmentFile and swap write victims, minus their tombstones, as
+// one new segment and swap it in for them; on failure the victims keep
+// serving. Caller holds maintMu, so the victims stay the store's.
+func (s *Store) replace(victims []*storeSegment, n *uint64, m *telemetry.Counter) error {
+	srcs, path := s.snapshot(victims)
+	if srcs == nil {
 		return nil
 	}
-	drops := make([]map[DocID]analysis.Analyzed, len(victims))
-	srcs := make([]mergeSource, len(victims))
-	for i, g := range victims {
-		drops[i] = maps.Clone(g.tomb)
-		srcs[i] = mergeSource{src: g.view(), drop: drops[i]}
-	}
-	seq := s.seq
-	s.seq++
-	s.mu.Unlock()
-
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", seq, segSuffix))
 	r, err := s.writeSegmentFile(path, srcs)
 	if err != nil {
 		return err
 	}
+	s.swap(victims, srcs, r, n, m)
+	return nil
+}
 
+// snapshot makes each victim a merge source dropping a copy of its
+// tombstones and reserves the new file's path; nil sources mean there
+// is nothing to replace (no victims, or one on disk with no tombstones).
+func (s *Store) snapshot(victims []*storeSegment) ([]mergeSource, string) {
 	s.mu.Lock()
-	merged := &storeSegment{r: r, path: path, tomb: map[DocID]analysis.Analyzed{}}
-	reclaimed := 0
+	defer s.mu.Unlock()
+	if len(victims) == 0 || len(victims) == 1 && victims[0].frozen == nil && len(victims[0].tomb.ids) == 0 {
+		return nil, ""
+	}
+	srcs := make([]mergeSource, len(victims))
 	for i, g := range victims {
-		for d, a := range g.tomb {
-			if _, dropped := drops[i][d]; !dropped {
-				merged.tomb[d] = a
-			}
-		}
-		for d, a := range drops[i] {
-			s.untrackTomb(d, a)
-		}
-		reclaimed += len(drops[i])
+		srcs[i] = mergeSource{src: g.view(), drop: tombstones{ids: maps.Clone(g.tomb.ids), df: maps.Clone(g.tomb.df)}}
+	}
+	s.seq++
+	return srcs, filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", s.seq-1, segSuffix))
+}
+
+// swap puts r in the victims' place and bumps n and m, seals or
+// compactions. The snapshot's tombstones are reclaimed; those that
+// landed on victims[i] since name documents live in r, so they carry
+// over, ids and df alike. Victims that were on disk are then unlinked.
+func (s *Store) swap(victims []*storeSegment, srcs []mergeSource, r *SegmentReader, n *uint64, m *telemetry.Counter) {
+	merged := &storeSegment{r: r, path: r.Path(), tomb: newTombstones()}
+	reclaimed := 0
+	s.mu.Lock()
+	for i, g := range victims {
+		merged.tomb.addSince(g.tomb, srcs[i].drop)
+		reclaimed += len(srcs[i].drop.ids)
 	}
 	s.segs = append(slices.DeleteFunc(s.segs, func(g *storeSegment) bool { return slices.Contains(victims, g) }), merged)
 	*n++
@@ -550,41 +555,50 @@ func (s *Store) replace(victims []*storeSegment, n *uint64, m *telemetry.Counter
 	}
 	m.Inc()
 	mSegReclaimed.Add(float64(reclaimed))
-	return nil
 }
 
 // writeSegmentFile streams the merged sources to a temp file, makes
-// it durable, renames it into place and opens it validated.
+// it durable, renames it into place, syncs the directory so the rename
+// is durable before any victim is unlinked, and opens it validated.
 func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReader, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := writeIndex(f, srcs); err != nil {
-		f.Close()
+	_, err = writeIndex(f, srcs)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
+	var r *SegmentReader
+	if err = syncDir(s.dir); err == nil {
+		r, err = OpenSegment(path, s.opts.forceStream)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	r, err := OpenSegment(path, s.opts.forceStream)
 	if err != nil {
 		os.Remove(path)
 		return nil, err
 	}
 	return r, nil
+}
+
+// syncDir fsyncs dir, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Compact merges every segment, unwritten ones included, into one,
@@ -627,9 +641,9 @@ func (s *Store) Maintain() error {
 			n = 2
 		}
 		victims = bySize[:n]
-	} else if liveDocs := s.numDocsLocked(); s.nTombs > 0 && float64(s.nTombs) > reclaimFraction*float64(liveDocs) {
+	} else if tombs := s.tombsLocked(); tombs > 0 && float64(tombs) > reclaimFraction*float64(s.numDocsLocked()) {
 		for _, g := range s.segs {
-			if len(g.tomb) > 0 {
+			if len(g.tomb.ids) > 0 {
 				victims = append(victims, g)
 			}
 		}
@@ -669,7 +683,7 @@ func (s *Store) updateGauges() {
 		bytes += g.size()
 	}
 	mSegCount.Set(float64(len(s.segs)))
-	mSegTombstones.Set(float64(s.nTombs))
+	mSegTombstones.Set(float64(s.tombsLocked()))
 	mSegMemDocs.Set(float64(s.mem.NumDocs()))
 	mSegDiskBytes.Set(float64(bytes))
 }
@@ -704,7 +718,7 @@ func (s *Store) Status() StoreStatus {
 	st := StoreStatus{
 		MemtableDocs:  s.mem.NumDocs(),
 		LiveDocs:      s.numDocsLocked(),
-		Tombstones:    s.nTombs,
+		Tombstones:    s.tombsLocked(),
 		Seals:         s.seals,
 		Compactions:   s.compacts,
 		ReclaimedDocs: s.reclaimed,
@@ -713,7 +727,7 @@ func (s *Store) Status() StoreStatus {
 		st.Segments = append(st.Segments, SegmentStatus{
 			Path:       g.path,
 			Docs:       g.view().NumDocs(),
-			Tombstones: len(g.tomb),
+			Tombstones: len(g.tomb.ids),
 			Bytes:      g.size(),
 		})
 		st.DiskBytes += g.size()
@@ -725,25 +739,33 @@ func (s *Store) Status() StoreStatus {
 }
 
 // Stats folding: global collection statistics are exact integers —
-// memtable counts plus per-segment dictionary counts minus the
-// tombstone corrections — so planQuery over a store computes the
+// memtable counts plus each segment's dictionary counts minus that
+// segment's tombstones — so planQuery over a store computes the
 // byte-identical weights a monolithic index over the live documents
 // would.
 
 func (s *Store) numDocsLocked() int {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
-		n += g.view().NumDocs()
+		n += g.view().NumDocs() - len(g.tomb.ids)
 	}
-	return n - s.nTombs
+	return n
+}
+
+func (s *Store) tombsLocked() int {
+	n := 0
+	for _, g := range s.segs {
+		n += len(g.tomb.ids)
+	}
+	return n
 }
 
 func (s *Store) freqLocked(k listKey) int {
 	df := s.mem.freq(k)
 	for _, g := range s.segs {
-		df += g.view().freq(k)
+		df += g.view().freq(k) - g.tomb.df[k]
 	}
-	return df - s.tombDF[k]
+	return df
 }
 
 // storeStats adapts the folded statistics to CollectionStats; only
@@ -765,7 +787,7 @@ func (s *Store) NumDocs() int {
 func (s *Store) Has(id DocID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.hasLocked(id)
+	return s.mem.Has(id) || s.liveSegLocked(id) != nil
 }
 
 // EachDoc calls visit with every live document id, component by
@@ -780,7 +802,7 @@ func (s *Store) EachDoc(visit func(DocID) bool) {
 	}
 	for _, g := range s.segs {
 		for _, id := range g.view().docIDs() {
-			if _, dead := g.tomb[id]; !dead && !visit(id) {
+			if !g.tomb.has(id) && !visit(id) {
 				return
 			}
 		}

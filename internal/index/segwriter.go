@@ -1,7 +1,5 @@
 package index
 
-import "expertfind/internal/analysis"
-
 // component is what the store scores and merges: an in-memory Index
 // (the memtable, or a frozen one awaiting its disk file) or a sealed
 // SegmentReader.
@@ -28,28 +26,23 @@ func (ix *Index) keys() []listKey {
 	return out
 }
 
-// mergeSource is one input of writeIndex: a component minus its
-// dropped (tombstoned) documents. drop maps each dropped document to
-// the analyzed form it was indexed under; it may be nil.
+// mergeSource is one input of writeIndex: a component minus drop's
+// documents, whose df tells writeIndex how many postings each list
+// loses before it decodes one. The zero value drops nothing.
 type mergeSource struct {
 	src  component
-	drop map[DocID]analysis.Analyzed
-}
-
-func (s mergeSource) dropped(d DocID) bool {
-	_, ok := s.drop[d]
-	return ok
+	drop tombstones
 }
 
 // liveDocs returns the non-dropped doc ids, ascending.
 func (s mergeSource) liveDocs() []DocID {
 	docs := s.src.docIDs()
-	if len(s.drop) == 0 {
+	if len(s.drop.ids) == 0 {
 		return docs
 	}
 	live := make([]DocID, 0, len(docs))
 	for _, d := range docs {
-		if !s.dropped(d) {
+		if !s.drop.has(d) {
 			live = append(live, d)
 		}
 	}
@@ -64,8 +57,8 @@ func (s mergeSource) postings(k listKey) []posting {
 		return nil
 	}
 	ps := l.sorted()
-	if len(s.drop) == 0 {
+	if len(s.drop.ids) == 0 {
 		return ps
 	}
-	return dropDocs(ps, s.dropped)
+	return dropDocs(ps, s.drop.has)
 }
