@@ -353,8 +353,8 @@ func serveCorpus(o *options, logger *slog.Logger, fatalf func(string, ...any)) *
 				for range time.Tick(o.ingestInterval) {
 					churn.Round()
 					// An aborted round (injected fetch failure) changes
-					// nothing and is retried from scratch next tick; the
-					// churn already applied stays visible to that retry.
+					// nothing and keeps its change-feed cursors, so the
+					// churn already applied is fetched again next tick.
 					_, _ = ing.RunOnce(context.Background())
 				}
 			}()

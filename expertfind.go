@@ -380,7 +380,8 @@ func (s *System) SetResultCache(c core.ResultCache) {
 // this system: cfg needs only the remote surface (API) plus optional
 // cache/retry/observability hooks — the installed graph, live index,
 // analysis pipeline and this system's finder are filled in here. The
-// driver's RunOnce re-fetches the remote corpus, diffs it against the
+// ingester's RunOnce fetches what the remote's change feeds name (the
+// whole remote corpus when they cannot answer), diffs it against the
 // installed one and applies the delta live; rankings after any round
 // are bit-identical to a cold rebuild of the remote state: the deltas
 // land in the index's memtable, in memory or beside sealed segments.

@@ -19,6 +19,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -113,6 +114,27 @@ type ContainerView struct {
 	Total int
 }
 
+// ChangeView is the response of ChangedSince: the resources on one
+// network whose records changed since a cursor, and the fetches that
+// serve their current records. A live resource is served by its home
+// owner's fetch: FetchUser of its creator for a profile and for a
+// created or contained resource, FetchContainer for a container
+// description. A removed one is absent from that same fetch.
+type ChangeView struct {
+	Network socialgraph.Network
+	// IDs are the changed resources on Network, sorted.
+	IDs []socialgraph.ResourceID
+	// Users and Containers are the home owners of IDs, sorted.
+	Users      []socialgraph.UserID
+	Containers []socialgraph.ContainerID
+	// Next is the cursor for the following call.
+	Next uint64
+	// Expired reports that the feed cannot answer the cursor (zero,
+	// unknown, or older than the feed's window): IDs and owners are
+	// empty, and only a full fetch observes every change.
+	Expired bool
+}
+
 // API is the remote platform surface as a crawling application sees
 // it: a user directory (the application's own registration records,
 // always available), cached public relationship lists, and per-call
@@ -131,6 +153,9 @@ type API interface {
 	// FetchContainer retrieves a container and its limit most recent
 	// feed entries (0 = all). One API call; may fail.
 	FetchContainer(c socialgraph.ContainerID, limit int) (*ContainerView, error)
+	// ChangedSince reports what changed on net since cursor (see
+	// ChangeView). One API call; may fail.
+	ChangedSince(net socialgraph.Network, cursor uint64) (*ChangeView, error)
 }
 
 // Config sets the injected fault mix. The zero value injects nothing:
@@ -340,6 +365,40 @@ func (in *Injector) FetchContainer(c socialgraph.ContainerID, limit int) (*Conta
 	}
 	for _, rid := range feed[len(feed)-keep:] { // the most recent ones
 		view.Feed = append(view.Feed, in.g.Resource(rid))
+	}
+	return view, nil
+}
+
+// ChangedSince implements API over the remote graph's change journal.
+func (in *Injector) ChangedSince(net socialgraph.Network, cursor uint64) (*ChangeView, error) {
+	if err := in.call(net); err != nil {
+		return nil, err
+	}
+	ids, next, ok := in.g.ChangedSince(cursor)
+	view := &ChangeView{Network: net, Next: next, Expired: !ok}
+	var descs []socialgraph.ResourceID
+	for _, id := range ids {
+		r := in.g.Resource(id)
+		switch {
+		case r.Network != net:
+		case r.Kind == socialgraph.KindContainerDesc:
+			view.IDs = append(view.IDs, id)
+			descs = append(descs, id)
+		default:
+			view.IDs = append(view.IDs, id)
+			view.Users = append(view.Users, r.Creator)
+		}
+	}
+	slices.Sort(view.Users)
+	view.Users = slices.Compact(view.Users)
+	// A description's record does not name its container: find each by
+	// scanning the containers, which only a round that touched a
+	// description pays.
+	for c := 0; len(view.Containers) < len(descs) && c < in.g.NumContainers(); c++ {
+		cont := in.g.Container(socialgraph.ContainerID(c))
+		if _, found := slices.BinarySearch(descs, cont.Desc); found {
+			view.Containers = append(view.Containers, cont.ID)
+		}
 	}
 	return view, nil
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -259,5 +260,47 @@ func TestGateOutageAndLatency(t *testing.T) {
 	}
 	if st := gate.Stats(); st.OutageFailures != 4 || st.Latency != 25*time.Millisecond {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestChangedSince: the change feed is one gated call per network; it
+// names a network's changed resources with their home owners — the
+// creator, or a description's container — and reports a cursor it
+// cannot answer as expired.
+func TestChangedSince(t *testing.T) {
+	g, u, cid := tinyGraph()
+	api := Wrap(g, Config{Outages: []socialgraph.Network{socialgraph.LinkedIn}})
+	first, err := api.ChangedSince(socialgraph.Facebook, 0)
+	if err != nil || !first.Expired || first.Next == 0 || first.IDs != nil {
+		t.Fatalf("zero cursor = %+v, %v; want expired with a next cursor", first, err)
+	}
+
+	v := g.AddUser("cy", false)
+	tweet := g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, v, "a tweet")
+	post := g.AddContainedResource(socialgraph.KindGroupPost, cid, v, "a post")
+	desc := g.Container(cid).Desc
+	g.SetResourceText(desc, "algorithm talk, renamed")
+	prof, _ := g.Profile(u, socialgraph.Facebook)
+	g.SetProfile(u, socialgraph.Facebook, "graph theory")
+
+	fb, err := api.ChangedSince(socialgraph.Facebook, first.Next)
+	if err != nil || fb.Expired {
+		t.Fatalf("facebook feed = %+v, %v", fb, err)
+	}
+	if !slices.Equal(fb.IDs, []socialgraph.ResourceID{prof, desc, post}) ||
+		!slices.Equal(fb.Users, []socialgraph.UserID{u, v}) ||
+		!slices.Equal(fb.Containers, []socialgraph.ContainerID{cid}) || fb.Next != first.Next+4 {
+		t.Errorf("facebook feed = %+v", fb)
+	}
+	tw, err := api.ChangedSince(socialgraph.Twitter, first.Next)
+	if err != nil || !slices.Equal(tw.IDs, []socialgraph.ResourceID{tweet}) ||
+		!slices.Equal(tw.Users, []socialgraph.UserID{v}) || tw.Containers != nil {
+		t.Errorf("twitter feed = %+v, %v", tw, err)
+	}
+	if _, err := api.ChangedSince(socialgraph.LinkedIn, first.Next); err == nil {
+		t.Error("the feed answered during its network's outage")
+	}
+	if st := api.Stats(); st.Calls != 4 || st.OutageFailures != 1 {
+		t.Errorf("stats = %+v, want 4 calls, 1 outage failure", st)
 	}
 }

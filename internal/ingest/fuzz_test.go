@@ -93,7 +93,9 @@ func liveIDs(g *socialgraph.Graph, removableOnly bool) []socialgraph.ResourceID 
 // delta must make the installed graph exactly equal to the remote one
 // (records, tombstones, profile map effects), and the delta-absorbed
 // index must serialize byte-identically to cold rebuilds of both —
-// so deletes leave no orphaned postings or entities behind.
+// so deletes leave no orphaned postings or entities behind. Before
+// each round, the delta the round reads (full on the first, scoped
+// through the change feeds after it) must equal the full diff's.
 func FuzzCorpusDiff(f *testing.F) {
 	f.Add(int64(1), []byte("\x00\x01\x02\x02\x03\x04\x03\x00\x00"))
 	f.Add(int64(7), []byte("\x01\x02\x01\x02\x05\x07\x03\x02\x00\x00\x09\x01\x02\x00\x03"))
@@ -111,6 +113,9 @@ func FuzzCorpusDiff(f *testing.F) {
 		half := len(ops) / 2
 		for _, chunk := range [][]byte{ops[:half], ops[half:]} {
 			applyFuzzOps(remote.g, chunk)
+			if _, err := checkNextRound(ing); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := ing.RunOnce(context.Background()); err != nil {
 				t.Fatalf("RunOnce: %v", err)
 			}

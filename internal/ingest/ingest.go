@@ -16,12 +16,16 @@
 // The installed graph is assumed to be a same-ID replica of the
 // remote one: both evolved from a common crawl by positional appends,
 // so a remote resource and its installed copy share one ResourceID.
-// FetchCatalog re-fetches every user stream and container feed, Diff
-// classifies each resource by comparing its records field by field, and
-// Ingester.RunOnce applies the delta atomically with respect to
-// concurrent queries. A round that cannot fetch completely is
-// aborted whole: diffing a partial catalog would misread every
-// missing resource as a deletion.
+// Each round asks the networks' change feeds what changed since the
+// last completed round and fetches only those resources' home owners;
+// DiffScoped classifies the changed resources by comparing their
+// records field by field. FetchCatalog re-fetches every user stream
+// and container feed for Diff instead when no cursor can answer: on
+// the first round, when a feed has expired, and on every
+// fullEvery-th round. Ingester.RunOnce applies the delta atomically
+// with respect to concurrent queries. A round that cannot fetch
+// completely is aborted whole and keeps its cursors: diffing a partial
+// catalog would misread every missing resource as a deletion.
 package ingest
 
 import (
@@ -58,10 +62,10 @@ var (
 		"Ingest rounds whose delta changed collection statistics (N or a document frequency), forcing a whole-cache purge instead of a scoped one.")
 	mCatalog = telemetry.Default().Gauge(
 		"expertfind_ingest_catalog_resources",
-		"Resources in the most recently fetched remote catalog.")
+		"Records fetched in the most recent ingest round: the whole remote catalog on a full round, the changed resources' owners' records on a scoped one.")
 	mRoundSeconds = telemetry.Default().Histogram(
 		"expertfind_ingest_round_duration_seconds",
-		"Wall time of one full ingest round (fetch, diff, apply, invalidate).", nil)
+		"Wall time of one ingest round (feeds, fetch, diff, apply, invalidate).", nil)
 )
 
 // sameRecord reports whether an ingest delta has nothing to change
@@ -74,9 +78,55 @@ func sameRecord(a, b socialgraph.Resource) bool {
 		a.Text == b.Text && slices.Equal(a.URLs, b.URLs)
 }
 
-// Catalog is one complete fetch of the remote corpus: every resource
-// the platforms currently serve, keyed by its remote ID.
+// Catalog is the remote records one round fetched, keyed by remote
+// ID: every resource the platforms serve on a full round, and what
+// the changed resources' home owners serve on a scoped one.
 type Catalog map[socialgraph.ResourceID]socialgraph.Resource
+
+// retried runs one API call under retry and returns its result.
+func retried[T any](retry *resilience.Retryer, call func() (T, error)) (T, error) {
+	var out T
+	err := retry.Do(func() error {
+		v, err := call()
+		if err == nil {
+			out = v
+		}
+		return err
+	})
+	return out, err
+}
+
+// fetchUser is one retried FetchUser call; add receives every record
+// the response carries.
+func fetchUser(api faults.API, retry *resilience.Retryer, u socialgraph.UserID, net socialgraph.Network, add func(socialgraph.Resource)) (*faults.UserView, error) {
+	view, err := retried(retry, func() (*faults.UserView, error) { return api.FetchUser(u, net) })
+	if err != nil {
+		return nil, fmt.Errorf("ingest: fetch user %d on %s: %w", u, net, err)
+	}
+	if view.Profile != nil {
+		add(*view.Profile)
+	}
+	for _, stream := range [][]socialgraph.Resource{view.Owned, view.Created, view.Annotated} {
+		for _, r := range stream {
+			add(r)
+		}
+	}
+	return view, nil
+}
+
+// fetchContainer is one retried FetchContainer call for the whole
+// feed; add receives every record the response carries.
+func fetchContainer(api faults.API, retry *resilience.Retryer, c socialgraph.ContainerID, add func(socialgraph.Resource)) error {
+	view, err := retried(retry, func() (*faults.ContainerView, error) { return api.FetchContainer(c, 0) })
+	if err != nil {
+		return fmt.Errorf("ingest: fetch container %d: %w", c, err)
+	}
+	add(view.Desc)
+	for _, r := range view.Feed {
+		add(r)
+	}
+	return nil
+}
 
 // FetchCatalog walks every user on every network through api,
 // retrying each call under retry, and assembles the full remote
@@ -110,28 +160,9 @@ func FetchCatalog(api faults.API, retry *resilience.Retryer, known []socialgraph
 	}
 	for _, u := range api.Users() {
 		for _, net := range socialgraph.Networks {
-			var view *faults.UserView
-			err := retry.Do(func() error {
-				v, err := api.FetchUser(u.ID, net)
-				if err == nil {
-					view = v
-				}
-				return err
-			})
+			view, err := fetchUser(api, retry, u.ID, net, add)
 			if err != nil {
-				return nil, fmt.Errorf("ingest: fetch user %d on %s: %w", u.ID, net, err)
-			}
-			if view.Profile != nil {
-				add(*view.Profile)
-			}
-			for _, r := range view.Owned {
-				add(r)
-			}
-			for _, r := range view.Created {
-				add(r)
-			}
-			for _, r := range view.Annotated {
-				add(r)
+				return nil, err
 			}
 			for _, c := range view.Containers {
 				discover(c)
@@ -141,24 +172,35 @@ func FetchCatalog(api faults.API, retry *resilience.Retryer, known []socialgraph
 	// The loop range grows as container feeds surface resources in
 	// further containers.
 	for i := 0; i < len(containers); i++ {
-		c := containers[i]
-		var view *faults.ContainerView
-		err := retry.Do(func() error {
-			v, err := api.FetchContainer(c, 0)
-			if err == nil {
-				view = v
-			}
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest: fetch container %d: %w", c, err)
-		}
-		add(view.Desc)
-		for _, r := range view.Feed {
-			add(r)
+		if err := fetchContainer(api, retry, containers[i], add); err != nil {
+			return nil, err
 		}
 	}
 	return cat, nil
+}
+
+// fetchChanged makes the fetches the change views name — each changed
+// resource's home owner, once — and returns what they serve with the
+// changed ids: the input DiffScoped needs. It aborts on a failed call
+// exactly as FetchCatalog does.
+func fetchChanged(api faults.API, retry *resilience.Retryer, views []*faults.ChangeView) (Catalog, []socialgraph.ResourceID, error) {
+	cat := make(Catalog)
+	add := func(r socialgraph.Resource) { cat[r.ID] = r }
+	var changed []socialgraph.ResourceID
+	for _, v := range views {
+		changed = append(changed, v.IDs...)
+		for _, u := range v.Users {
+			if _, err := fetchUser(api, retry, u, v.Network, add); err != nil {
+				return nil, nil, err
+			}
+		}
+		for _, c := range v.Containers {
+			if err := fetchContainer(api, retry, c, add); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return cat, changed, nil
 }
 
 // Delta is the classified difference between the installed graph and
@@ -193,11 +235,37 @@ func (d Delta) Empty() bool {
 // platforms never delete them, so their absence marks an incomplete
 // catalog that must not drive deletions.
 func Diff(g *socialgraph.Graph, cat Catalog) (Delta, error) {
+	n := g.NumResources()
+	ids := make([]socialgraph.ResourceID, n)
+	for i := range ids {
+		ids[i] = socialgraph.ResourceID(i)
+	}
+	for id := range cat {
+		if int(id) >= n {
+			ids = append(ids, id)
+		}
+	}
+	return DiffScoped(g, cat, ids)
+}
+
+// DiffScoped is Diff's rule applied to the slots ids (no repeats)
+// alone, against a catalog that holds every live remote record among
+// them; Diff is DiffScoped over every installed slot and every
+// catalog ID beyond them. When ids name every resource whose remote
+// record changed since the installed graph last equalled the remote,
+// every other slot is unchanged, so the delta equals Diff's against a
+// full catalog.
+func DiffScoped(g *socialgraph.Graph, cat Catalog, ids []socialgraph.ResourceID) (Delta, error) {
 	var d Delta
 	n := g.NumResources()
-	for i := 0; i < n; i++ {
-		id := socialgraph.ResourceID(i)
+	for _, id := range ids {
 		remote, inCat := cat[id]
+		if int(id) >= n {
+			if inCat {
+				d.Adds = append(d.Adds, remote)
+			}
+			continue
+		}
 		if g.ResourceDeleted(id) {
 			if inCat {
 				return Delta{}, fmt.Errorf("ingest: remote resurrected deleted resource %d", id)
@@ -221,11 +289,6 @@ func Diff(g *socialgraph.Graph, cat Catalog) (Delta, error) {
 				id, local.Network, local.Kind, local.Creator, remote.Network, remote.Kind, remote.Creator)
 		}
 		d.Updates = append(d.Updates, remote)
-	}
-	for id, r := range cat {
-		if int(id) >= n {
-			d.Adds = append(d.Adds, r)
-		}
 	}
 	sort.Slice(d.Adds, func(i, j int) bool { return d.Adds[i].ID < d.Adds[j].ID })
 	sort.Slice(d.Updates, func(i, j int) bool { return d.Updates[i].ID < d.Updates[j].ID })

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -393,10 +394,11 @@ func TestRunOnceProfileAdd(t *testing.T) {
 	assertIndexMatchesRebuild(t, "after profile add", sys.ix, installed.g, 1)
 }
 
-// TestRunOnceAbortChangesNothing: a round that fails — an incomplete
-// fetch, or an invalid add sitting after valid removes and updates in
-// the same delta — changes nothing. The installed graph, the index's
-// serialized bytes and the finder's traversal cache are as before.
+// TestRunOnceAbortChangesNothing: a round that fails — a failed change
+// feed, an incomplete fetch, or an invalid add sitting after valid
+// removes and updates in the same delta — changes nothing. The
+// installed graph, the index's serialized bytes and the finder's
+// traversal cache are as before.
 func TestRunOnceAbortChangesNothing(t *testing.T) {
 	ctx := context.Background()
 	// validEdits gives the round a remove, an update and a valid add
@@ -408,30 +410,40 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name, wantErr string
-		// round edits the remote and runs one round against installed,
-		// returning its error.
-		round func(remote *fixture, ing *Ingester) error
+		// round edits the remote and runs one failing round against
+		// installed, after rounds completed ones, returning its error.
+		round  func(remote *fixture, ing *Ingester) error
+		rounds int
 	}{
-		{"outage", "fetch user", func(remote *fixture, ing *Ingester) error {
+		{"outage", "change feed", func(remote *fixture, ing *Ingester) error {
 			validEdits(remote)
 			ing.cfg.API = faults.Wrap(remote.g, faults.Config{Outages: []socialgraph.Network{socialgraph.LinkedIn}})
 			_, err := ing.RunOnce(ctx)
 			return err
-		}},
+		}, 0},
+		{"scoped outage", "fetch user", func(remote *fixture, ing *Ingester) error {
+			if rep, err := ing.RunOnce(ctx); err != nil || !rep.Full {
+				return fmt.Errorf("first round = %+v, %v; want a full round", rep, err)
+			}
+			validEdits(remote)
+			ing.cfg.API = usersDown{ing.cfg.API}
+			_, err := ing.RunOnce(ctx)
+			return err
+		}, 1},
 		{"unknown creator", "unknown creator", func(remote *fixture, ing *Ingester) error {
 			validEdits(remote)
 			stranger := remote.g.AddUser("stranger", false)
 			remote.g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, stranger, "swimming from nowhere")
 			_, err := ing.RunOnce(ctx)
 			return err
-		}},
+		}, 0},
 		{"container description", "is a container description", func(remote *fixture, ing *Ingester) error {
 			validEdits(remote)
 			c := remote.g.AddContainer(socialgraph.Facebook, socialgraph.ContainerGroup, remote.ua, "swim club", "a swimming club")
 			remote.g.RelatesTo(remote.ua, c)
 			_, err := ing.RunOnce(ctx)
 			return err
-		}},
+		}, 0},
 		{"out of order", "out of order", func(remote *fixture, ing *Ingester) error {
 			// Diff never emits this, so the round's write step runs on a
 			// diffed delta with the bad add appended, as RunOnce would.
@@ -452,7 +464,7 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 				ing.apply(d, plan)
 			}
 			return err
-		}},
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			remote, installed := buildFixture(), buildFixture()
@@ -491,7 +503,7 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 				t.Fatal("aborted round dropped the traversal cache")
 			}
 			if tc.name != "out of order" {
-				if st := ing.Status(); st.Aborts != 1 || st.Rounds != 0 || st.LastError == "" {
+				if st := ing.Status(); st.Aborts != 1 || st.Rounds != tc.rounds || st.LastError == "" {
 					t.Errorf("status after abort = %+v", st)
 				}
 			}

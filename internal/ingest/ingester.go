@@ -91,6 +91,11 @@ type Status struct {
 
 // RoundReport describes one completed ingest round.
 type RoundReport struct {
+	// Full reports a full round: the whole remote catalog fetched and
+	// diffed, rather than only what the change feeds named.
+	Full bool `json:"full"`
+	// Catalog counts the records fetched this round: the whole remote
+	// catalog on a full round.
 	Catalog      int           `json:"catalog"`
 	Adds         int           `json:"adds"`
 	Updates      int           `json:"updates"`
@@ -100,6 +105,11 @@ type RoundReport struct {
 	Duration     time.Duration `json:"duration_ns"`
 }
 
+// fullEvery makes every fullEvery-th round a full one even when the
+// change feeds could answer: the orphan cleanup of a periodic full
+// sync, which repairs whatever a feed failed to report.
+const fullEvery = 16
+
 // Ingester re-visits the remote platforms and keeps the installed
 // graph, index and caches in sync with what they serve. RunOnce is
 // safe to call from one goroutine at a time; queries may run
@@ -107,6 +117,9 @@ type RoundReport struct {
 type Ingester struct {
 	cfg     Config
 	retryer *resilience.Retryer
+	// cursors holds each network's change-feed cursor as of the last
+	// completed round; RunOnce alone reads and writes it.
+	cursors map[socialgraph.Network]uint64
 
 	mu     sync.Mutex
 	status Status
@@ -123,6 +136,7 @@ func New(cfg Config) *Ingester {
 	return &Ingester{
 		cfg:     cfg,
 		retryer: &resilience.Retryer{Policy: cfg.Retry, Clock: cfg.Clock},
+		cursors: make(map[socialgraph.Network]uint64, len(socialgraph.Networks)),
 	}
 }
 
@@ -133,11 +147,15 @@ func (ing *Ingester) Status() Status {
 	return ing.status
 }
 
-// RunOnce performs one full ingest round: fetch the remote catalog,
-// diff it against the installed graph, apply the delta to graph and
-// index, and invalidate exactly the cache state the delta can change.
-// A round that cannot complete its fetch aborts whole and changes
-// nothing. The returned report describes what was applied.
+// RunOnce performs one ingest round: ask each network's change feed
+// what changed since the last completed round, fetch and diff either
+// what the feeds name or — when a feed cannot answer, on the first
+// round and on every fullEvery-th — the whole remote catalog, apply
+// the delta to graph and index, and invalidate exactly the cache
+// state the delta can change. A round that cannot complete its fetch
+// aborts whole, changes nothing and keeps the feed cursors, so the
+// next round sees its changes again. The returned report describes
+// what was applied.
 func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 	start := time.Now()
 	var tr *telemetry.Trace
@@ -146,33 +164,14 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 		defer tr.Finish()
 	}
 
-	sp := tr.StartSpan("ingest_fetch")
-	known := make([]socialgraph.ContainerID, ing.cfg.Graph.NumContainers())
-	for i := range known {
-		known[i] = socialgraph.ContainerID(i)
-	}
-	cat, err := FetchCatalog(ing.cfg.API, ing.retryer, known)
-	sp.End()
+	delta, rep, views, err := ing.read(tr)
 	if err != nil {
 		return ing.abort(tr, err)
 	}
-	mCatalog.Set(float64(len(cat)))
-
-	sp = tr.StartSpan("ingest_diff")
-	delta, err := Diff(ing.cfg.Graph, cat)
-	sp.End()
-	if err != nil {
-		return ing.abort(tr, err)
-	}
-
-	rep := RoundReport{
-		Catalog: len(cat),
-		Adds:    len(delta.Adds),
-		Updates: len(delta.Updates),
-		Removes: len(delta.Removes),
-	}
+	mCatalog.Set(float64(rep.Catalog))
+	rep.Adds, rep.Updates, rep.Removes = len(delta.Adds), len(delta.Updates), len(delta.Removes)
 	if !delta.Empty() {
-		sp = tr.StartSpan("ingest_apply")
+		sp := tr.StartSpan("ingest_apply")
 		plan, err := ing.planApply(delta)
 		if err != nil {
 			sp.End()
@@ -186,6 +185,9 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 		sp.End()
 	}
 	rep.Duration = time.Since(start)
+	for _, v := range views {
+		ing.cursors[v.Network] = v.Next
+	}
 
 	mRounds.Inc()
 	mAdds.Add(float64(rep.Adds))
@@ -214,12 +216,74 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 	tr.SetAttr("removes", strconv.Itoa(rep.Removes))
 	if ing.cfg.Logger != nil {
 		ing.cfg.Logger.Info("ingest round",
-			"catalog", rep.Catalog,
+			"full", rep.Full, "catalog", rep.Catalog,
 			"adds", rep.Adds, "updates", rep.Updates, "removes", rep.Removes,
 			"cache_dropped", rep.CacheDropped, "full_purge", rep.FullPurge,
 			"duration", rep.Duration)
 	}
 	return rep, nil
+}
+
+// read is a round's read half: ask the change feeds, fetch, and diff.
+// It returns the delta, a report with Full and Catalog set, and the
+// feed views whose cursors commit when the round completes; it changes
+// nothing but the trace.
+func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.ChangeView, error) {
+	sp := tr.StartSpan("ingest_fetch")
+	views, full, err := ing.changes()
+	var cat Catalog
+	var changed []socialgraph.ResourceID
+	switch {
+	case err != nil:
+	case full:
+		known := make([]socialgraph.ContainerID, ing.cfg.Graph.NumContainers())
+		for i := range known {
+			known[i] = socialgraph.ContainerID(i)
+		}
+		cat, err = FetchCatalog(ing.cfg.API, ing.retryer, known)
+	default:
+		cat, changed, err = fetchChanged(ing.cfg.API, ing.retryer, views)
+	}
+	sp.End()
+	if err != nil {
+		return Delta{}, RoundReport{}, nil, err
+	}
+	fetch := "scoped"
+	if full {
+		fetch = "full"
+	}
+	tr.SetAttr("fetch", fetch)
+
+	sp = tr.StartSpan("ingest_diff")
+	var delta Delta
+	if full {
+		delta, err = Diff(ing.cfg.Graph, cat)
+	} else {
+		delta, err = DiffScoped(ing.cfg.Graph, cat, changed)
+	}
+	sp.End()
+	return delta, RoundReport{Full: full, Catalog: len(cat)}, views, err
+}
+
+// changes asks every network's change feed what changed since its
+// cursor, before the round fetches anything: a change the fetch then
+// observes is reported again next round, never lost. full reports
+// that the round must fetch the whole catalog instead — a feed cannot
+// answer its cursor, or the round is a periodic full one. A failed
+// feed call fails the round.
+func (ing *Ingester) changes() (views []*faults.ChangeView, full bool, err error) {
+	full = ing.Status().Rounds%fullEvery == 0
+	for _, net := range socialgraph.Networks {
+		v, err := retried(ing.retryer, func() (*faults.ChangeView, error) {
+			return ing.cfg.API.ChangedSince(net, ing.cursors[net])
+		})
+		if err != nil {
+			return nil, false, fmt.Errorf("ingest: change feed on %s: %w", net, err)
+		}
+		full = full || v.Expired
+		views = append(views, v)
+	}
+	return views, full, nil
 }
 
 func (ing *Ingester) abort(tr *telemetry.Trace, err error) (RoundReport, error) {

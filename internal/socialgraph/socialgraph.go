@@ -17,6 +17,7 @@ package socialgraph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -162,6 +163,60 @@ type Graph struct {
 	// tombstone hides them from traversal and corpus builds while their
 	// record stays readable for delta bookkeeping.
 	deleted map[ResourceID]bool
+
+	journal journal
+}
+
+// JournalWindow is how many record changes the change journal keeps:
+// ChangedSince answers a cursor at most this many changes old.
+const JournalWindow = 1 << 16
+
+// journal is the graph's bounded change journal: the resource ids
+// whose records changed, in mutation order. It is off (head 0) until
+// the first ChangedSince call, so a graph nobody asks pays one branch
+// per mutation. Position p (from 1) lives at ring[(p-1)%JournalWindow];
+// head is the position the next change takes.
+type journal struct {
+	head uint64
+	ring []ResourceID
+}
+
+// record journals a change to r's record; the caller holds the write
+// lock.
+func (j *journal) record(r ResourceID) {
+	if j.head == 0 {
+		return
+	}
+	if len(j.ring) < JournalWindow {
+		j.ring = append(j.ring, r)
+	} else {
+		j.ring[(j.head-1)%JournalWindow] = r
+	}
+	j.head++
+}
+
+// ChangedSince returns the ids of the resources whose records changed
+// (added, text or URLs replaced, removed) since cursor, sorted and
+// without repeats, and the cursor to ask with next time. ok is false
+// when the journal cannot answer: a zero cursor, a cursor this graph
+// never issued, or one older than JournalWindow changes. The first
+// call switches the journal on; changes before it are not recorded.
+func (g *Graph) ChangedSince(cursor uint64) (ids []ResourceID, next uint64, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	j := &g.journal
+	if j.head == 0 {
+		j.head = 1
+	}
+	if cursor == 0 || cursor > j.head || j.head-cursor > uint64(len(j.ring)) {
+		return nil, j.head, false
+	}
+	ids = make([]ResourceID, 0, j.head-cursor)
+	for p := cursor; p < j.head; p++ {
+		ids = append(ids, j.ring[(p-1)%JournalWindow])
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids), j.head, true
 }
 
 // New returns an empty graph.
@@ -198,6 +253,7 @@ func (g *Graph) SetProfile(u UserID, net Network, text string, urls ...string) R
 	if rid, ok := g.profiles[key]; ok {
 		g.resources[rid].Text = text
 		g.resources[rid].URLs = urls
+		g.journal.record(rid)
 		return rid
 	}
 	rid := g.addResource(Resource{
@@ -220,6 +276,7 @@ func (g *Graph) SetResourceText(r ResourceID, text string, urls ...string) {
 	}
 	res.Text = text
 	res.URLs = urls
+	g.journal.record(r)
 }
 
 // RemoveResource tombstones a resource: it disappears from traversals
@@ -238,6 +295,7 @@ func (g *Graph) RemoveResource(r ResourceID) {
 		panic(fmt.Sprintf("socialgraph: removing already-removed resource %d", r))
 	}
 	g.deleted[r] = true
+	g.journal.record(r)
 }
 
 // ResourceDeleted reports whether r has been tombstoned.
@@ -314,6 +372,7 @@ func (g *Graph) AddContainedResource(kind ResourceKind, c ContainerID, creator U
 func (g *Graph) addResource(r Resource) ResourceID {
 	r.ID = ResourceID(len(g.resources))
 	g.resources = append(g.resources, r)
+	g.journal.record(r.ID)
 	return r.ID
 }
 

@@ -1,6 +1,7 @@
 package socialgraph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -318,4 +319,55 @@ func (g *Graph) mustProfile(u UserID, net Network) ResourceID {
 		panic("no profile")
 	}
 	return r
+}
+
+// TestChangedSince covers the change journal: off until first asked,
+// one entry per record mutation (edges are not records), sorted and
+// without repeats, and no answer for a cursor it cannot serve.
+func TestChangedSince(t *testing.T) {
+	g := New()
+	u := g.AddUser("ann", true)
+	post := g.AddResource(Twitter, KindTweet, u, "before the journal")
+
+	ids, cur, ok := g.ChangedSince(0)
+	if ok || ids != nil || cur == 0 {
+		t.Fatalf("zero cursor = %v, %d, %t; want no answer and a cursor", ids, cur, ok)
+	}
+	if ids, next, ok := g.ChangedSince(cur); !ok || len(ids) != 0 || next != cur {
+		t.Fatalf("nothing changed: %v, %d, %t", ids, next, ok)
+	}
+
+	prof := g.SetProfile(u, Facebook, "first profile")
+	g.SetProfile(u, Facebook, "replaced profile")
+	c := g.AddContainer(Facebook, ContainerGroup, u, "club", "a club")
+	inside := g.AddContainedResource(KindGroupPost, c, u, "inside")
+	g.SetResourceText(post, "edited")
+	g.RemoveResource(post)
+	g.Owns(u, inside)
+	g.Annotates(u, inside)
+	g.RelatesTo(u, c)
+	g.Befriend(u, g.AddUser("bob", false), Facebook)
+
+	ids, next, ok := g.ChangedSince(cur)
+	want := []ResourceID{post, prof, g.Container(c).Desc, inside}
+	if !ok || !slices.Equal(ids, want) || next != cur+6 {
+		t.Fatalf("ChangedSince = %v, %d, %t; want %v, %d", ids, next, ok, want, cur+6)
+	}
+	if _, _, ok := g.ChangedSince(next + 1); ok {
+		t.Error("a cursor the graph never issued was answered")
+	}
+
+	for i := 0; i < JournalWindow; i++ {
+		g.SetResourceText(inside, "churn")
+	}
+	if _, _, ok := g.ChangedSince(next); !ok {
+		t.Error("a cursor exactly one window old was not answered")
+	}
+	g.SetResourceText(inside, "one more")
+	if _, _, ok := g.ChangedSince(next); ok {
+		t.Error("a cursor older than the window was answered")
+	}
+	if ids, _, ok := g.ChangedSince(next + 1); !ok || !slices.Equal(ids, []ResourceID{inside}) {
+		t.Errorf("a cursor inside the window = %v, %t", ids, ok)
+	}
 }
