@@ -164,17 +164,11 @@ func TestBatchKeepsDocumentOrder(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go under -race.
-var raceEnabled bool
-
 // TestAnalyzeNeedAllocCeiling keeps need analysis from growing back:
 // the ceiling is the measured count for one pass over needSeeds after
 // language identification stopped allocating and tokenization became
 // one pass (it was 589 before).
 func TestAnalyzeNeedAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries under -race")
-	}
 	const ceiling = 210
 	p := New(Options{})
 	got := testing.AllocsPerRun(20, func() {

@@ -46,10 +46,10 @@ var (
 		"Wall time per query-pipeline stage.", nil, "stage")
 	mCacheHits = telemetry.Default().Counter(
 		"expertfind_traversal_cache_hits_total",
-		"Reachability-map lookups answered from the per-traversal cache.")
+		"Reachability-table lookups answered from the per-traversal cache.")
 	mCacheMisses = telemetry.Default().Counter(
 		"expertfind_traversal_cache_misses_total",
-		"Reachability-map lookups that had to rebuild the map.")
+		"Reachability-table lookups that had to rebuild the table.")
 )
 
 // DefaultWindowSize is the number of relevant resources considered
@@ -238,27 +238,25 @@ type ResultCache interface {
 	GetOrCompute(key CacheKey, compute func() []ExpertScore) ([]ExpertScore, CacheStatus)
 }
 
-// reach is one cached traversal: the resource→candidates map Eq. (3)
-// reads, and its key set as the filter the index scores under.
+// reach is one cached traversal: the resource→candidates table Eq. (3)
+// reads, and its reached set as the filter the index scores under.
 type reach struct {
-	rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance
-	// accept reports whether a document is a key of rcm by testing one
-	// bit: resource ids are dense, and the scorer asks once per posting
-	// it might admit. Built once per traversal, so a find allocates no
-	// closure of its own.
+	table *socialgraph.ReachTable
+	// accept reports whether the table reaches a document by testing
+	// one bit: resource ids are dense, and the scorer asks once per
+	// posting it might admit. Built once per traversal, so a find
+	// allocates no closure of its own.
 	accept func(index.DocID) bool
 }
 
-func newReach(rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) *reach {
-	top := socialgraph.ResourceID(-1)
-	for r := range rcm {
-		top = max(top, r)
+func newReach(t *socialgraph.ReachTable) *reach {
+	bits := make([]uint64, (t.Span()+63)/64)
+	for r := socialgraph.ResourceID(0); int(r) < t.Span(); r++ {
+		if t.Of(r) != nil {
+			bits[r>>6] |= 1 << (r & 63)
+		}
 	}
-	bits := make([]uint64, (int(top)+64)/64)
-	for r := range rcm {
-		bits[r>>6] |= 1 << (r & 63)
-	}
-	return &reach{rcm: rcm, accept: func(d index.DocID) bool {
+	return &reach{table: t, accept: func(d index.DocID) bool {
 		// A negative id wraps past every word and is refused with the
 		// ids above the last reachable one.
 		w := uint32(d) >> 6
@@ -267,7 +265,7 @@ func newReach(rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) *r
 }
 
 // Finder answers expertise needs over a social graph and a resource
-// index. It caches the expensive resource→candidate reachability maps
+// index. It caches the expensive resource→candidate reachability tables
 // per traversal configuration; the cache is safe for concurrent use.
 type Finder struct {
 	graph      *socialgraph.Graph
@@ -279,8 +277,8 @@ type Finder struct {
 	cacheMu sync.RWMutex
 	cache   ResultCache
 
-	mu       sync.Mutex
-	rcmCache map[string]*reach
+	mu         sync.Mutex
+	reachCache map[string]*reach
 }
 
 // NewFinder assembles a Finder over any index.Searcher (the monolithic
@@ -296,7 +294,7 @@ func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline,
 		pipe:       pipe,
 		candidates: candidates,
 		groupFP:    groupFingerprint(candidates),
-		rcmCache:   make(map[string]*reach),
+		reachCache: make(map[string]*reach),
 	}
 }
 
@@ -426,7 +424,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 	sp, t0 := tr.StartSpan("traverse"), time.Now()
 	r := f.reachability(p.Traversal)
 	mStageSeconds.With("traverse").ObserveSince(t0)
-	sp.SetAttrInt("reachable_resources", len(r.rcm))
+	sp.SetAttrInt("reachable_resources", r.table.Len())
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
@@ -438,7 +436,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 	sp.End()
 
 	sp, t0 = tr.StartSpan("aggregate_rank"), time.Now()
-	out := rankMatches(matches, r.rcm, p)
+	out := rankMatches(matches, r.table.Of, p)
 	mStageSeconds.With("aggregate_rank").ObserveSince(t0)
 	sp.SetAttrInt("experts", len(out))
 	sp.End()
@@ -458,14 +456,15 @@ func (f *Finder) Matches(need analysis.Analyzed, p Params) []index.ScoredDoc {
 // RankFromMatches applies window truncation and the expert scoring
 // function of Eq. (3) to a pre-computed relevant-resource list.
 func (f *Finder) RankFromMatches(matches []index.ScoredDoc, p Params) []ExpertScore {
-	return rankMatches(matches, f.reachability(p.Traversal).rcm, p)
+	return rankMatches(matches, f.reachability(p.Traversal).table.Of, p)
 }
 
 // rankMatches is the Eq. (3) aggregation over an already-computed
-// reachability map.
-func rankMatches(matches []index.ScoredDoc, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance, p Params) []ExpertScore {
+// reachability lookup: of returns the candidates reaching a resource,
+// a ReachTable's Of.
+func rankMatches(matches []index.ScoredDoc, of func(socialgraph.ResourceID) []socialgraph.CandidateDistance, p Params) []ExpertScore {
 	return rank(len(matches), func(i int) (float64, []socialgraph.CandidateDistance) {
-		return matches[i].Score, rcm[matches[i].Doc]
+		return matches[i].Score, of(matches[i].Doc)
 	}, p)
 }
 
@@ -599,7 +598,7 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 
 	var out []Evidence
 	for _, sd := range matches[:n] {
-		for _, cd := range r.rcm[sd.Doc] {
+		for _, cd := range r.table.Of(sd.Doc) {
 			if cd.Candidate != u {
 				continue
 			}
@@ -623,32 +622,32 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 	return out
 }
 
-// reachability returns the resource→candidates map and its accept
+// reachability returns the resource→candidates table and its accept
 // filter for a traversal configuration, computing and caching both on
 // first use.
 func (f *Finder) reachability(opts socialgraph.TraversalOptions) *reach {
 	key := traversalKey(opts)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if r, ok := f.rcmCache[key]; ok {
+	if r, ok := f.reachCache[key]; ok {
 		mCacheHits.Inc()
 		return r
 	}
 	mCacheMisses.Inc()
-	r := newReach(f.graph.ResourceCandidateMap(f.candidates, opts))
-	f.rcmCache[key] = r
+	r := newReach(f.graph.Reachability(f.candidates, opts))
+	f.reachCache[key] = r
 	return r
 }
 
-// InvalidateTraversal drops every cached reachability map. A live
-// ingest must call it after mutating the graph: the maps are cached
-// forever on the assumption of a frozen graph, and a stale map would
+// InvalidateTraversal drops every cached reachability table. A live
+// ingest must call it after mutating the graph: the tables are cached
+// forever on the assumption of a frozen graph, and a stale table would
 // hide newly added resources from ranking (or keep attributing removed
-// ones). The next query per traversal configuration rebuilds its map.
+// ones). The next query per traversal configuration rebuilds its table.
 func (f *Finder) InvalidateTraversal() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	clear(f.rcmCache)
+	clear(f.reachCache)
 }
 
 func traversalKey(opts socialgraph.TraversalOptions) string {

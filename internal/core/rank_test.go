@@ -92,7 +92,7 @@ func rankParams(n int) []Params {
 // TestRankMatchesOracle holds the pooled aggregator to the map-and-sort
 // one on random match lists, through both of its callers: RankMerged
 // over shipped shard matches, and rankMatches over scored documents
-// and a reachability map.
+// and a reachability lookup.
 func TestRankMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for _, n := range []int{0, 1, 7, 60, 150} {
@@ -110,7 +110,7 @@ func TestRankMatchesOracle(t *testing.T) {
 					return matches[i].Score, matches[i].Cands
 				}, p)
 				assertExpertsBitIdentical(t, label+" RankMerged", want, RankMerged(matches, p))
-				assertExpertsBitIdentical(t, label+" rankMatches", want, rankMatches(scored, rcm, p))
+				assertExpertsBitIdentical(t, label+" rankMatches", want, rankMatches(scored, func(r socialgraph.ResourceID) []socialgraph.CandidateDistance { return rcm[r] }, p))
 			}
 		}
 	}

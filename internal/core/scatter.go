@@ -67,7 +67,7 @@ func (f *Finder) NeedStats(need string) NeedStats {
 // score under global weights plus the candidate/distance pairs the
 // resource is reachable from — everything Eq. (3) needs, so the
 // coordinator can aggregate without a graph of its own. Cands
-// preserves the reachability map's deterministic order.
+// preserves the reachability table's deterministic order.
 type ShardMatch struct {
 	Doc   index.DocID
 	Score float64
@@ -97,7 +97,7 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	sp, t0 = tr.StartSpan("traverse"), time.Now()
 	r := f.reachability(p.Traversal)
 	mStageSeconds.With("traverse").ObserveSince(t0)
-	sp.SetAttrInt("reachable_resources", len(r.rcm))
+	sp.SetAttrInt("reachable_resources", r.table.Len())
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
@@ -105,7 +105,7 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	scored := f.scoreMatches(a, p, bound, st, r)
 	out := make([]ShardMatch, len(scored))
 	for i, sd := range scored {
-		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: r.rcm[sd.Doc]}
+		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: r.table.Of(sd.Doc)}
 	}
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttrInt("matches", len(out))

@@ -263,7 +263,7 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 	}
 }
 
-// TestReachAcceptEqualsMap holds the bitset filter to the map it was
+// TestReachAcceptEqualsMap holds the bitset filter to the table it was
 // built from, over every resource id and one past either end, for
 // several traversals, before and after an invalidation that follows a
 // graph mutation — and while concurrent finds share the cache (-race).
@@ -285,20 +285,20 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 			}
 			n := 0
 			for d := socialgraph.ResourceID(-1); int(d) <= g.NumResources(); d++ {
-				_, want := r.rcm[d]
+				want := r.table.Of(d) != nil
 				if got := r.accept(d); got != want {
-					t.Fatalf("%s %+v: accept(%d) = %v, the map says %v", stage, opts, d, got, want)
+					t.Fatalf("%s %+v: accept(%d) = %v, the table says %v", stage, opts, d, got, want)
 				}
 				if want {
 					n++
 				}
 			}
-			if n != len(r.rcm) {
-				t.Fatalf("%s %+v: %d ids accepted, the map holds %d", stage, opts, n, len(r.rcm))
+			if n != r.table.Len() {
+				t.Fatalf("%s %+v: %d ids accepted, the table holds %d", stage, opts, n, r.table.Len())
 			}
 		}
-		if r := f.reachability(travs[2]); len(r.rcm) < 1000 {
-			t.Fatalf("%s: distance 2 reaches %d resources; the fixture should reach > 1000", stage, len(r.rcm))
+		if r := f.reachability(travs[2]); r.table.Len() < 1000 {
+			t.Fatalf("%s: distance 2 reaches %d resources; the fixture should reach > 1000", stage, r.table.Len())
 		}
 	}
 	check("cold")

@@ -643,7 +643,7 @@ func checkTombDF(t testing.TB, s *Store, step string) {
 		}
 		if !maps.Equal(recount, g.tomb.df) {
 			t.Fatalf("%s: segment %d keeps df correction %v for its %d tombstones, its lists count %v",
-				step, i, g.tomb.df, len(g.tomb.ids), recount)
+				step, i, g.tomb.df, g.tomb.ids.size(), recount)
 		}
 	}
 }
@@ -935,22 +935,33 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreTopK measures a top-10 store find over the three
-// layouts whose parts differ: one heavy segment beside three light
-// ones, the shape of a cold-built store; the one segment compaction
-// leaves; and a store with no directory, all 60k documents in its
-// memtable and nothing sealed — the in-memory path every default system
-// serves from. serial is one caller: the latency of a find on an
-// otherwise idle machine. parallel runs GOMAXPROCS callers at once, so
-// a find's own workers compete with the other finds for the cores and
-// ns/op is the cost at saturation.
+// BenchmarkStoreTopK measures a top-10 store find over the layouts
+// whose parts differ: one heavy segment beside three light ones, the
+// shape of a cold-built store; the same with every twentieth document
+// of each segment tombstoned, so every posting a segment admits is
+// tested against its tombstones, as between an ingest round and the
+// compaction that reclaims it; the one segment compaction leaves; and
+// a store with no directory, all 60k documents in its memtable and
+// nothing sealed — the in-memory path every default system serves
+// from. serial is one caller: the latency of a find on an otherwise
+// idle machine. parallel runs GOMAXPROCS callers at once, so a find's
+// own workers compete with the other finds for the cores and ns/op is
+// the cost at saturation.
 func BenchmarkStoreTopK(b *testing.B) {
 	docs, need := benchStoreCorpus()
+	boundaries := []int{48_000, 52_000, 56_000, 60_000}
+	tombstoned := storeOf(b, docs, boundaries, StoreOptions{})
+	var removes []Doc
+	for i := 0; i < len(docs); i += 20 {
+		removes = append(removes, docs[i])
+	}
+	tombstoned.ApplyDelta(Delta{Removes: removes})
 	for _, layout := range []struct {
 		name  string
 		store *Store
 	}{
-		{"skewed4", storeOf(b, docs, []int{48_000, 52_000, 56_000, 60_000}, StoreOptions{})},
+		{"skewed4", storeOf(b, docs, boundaries, StoreOptions{})},
+		{"skewed4-tomb5", tombstoned},
 		{"compacted1", storeOf(b, docs, []int{60_000}, StoreOptions{})},
 		{"memtable", memStore(docs, 0)},
 	} {

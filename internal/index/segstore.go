@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -149,37 +150,102 @@ type storeSegment struct {
 // tombstones is all a segment keeps of the documents deleted from it
 // while its lists still hold them: their ids, and its df correction,
 // per list how many of them it counts. Its zero value is read-only.
+// Copies share one id set, as they share one df map.
 type tombstones struct {
-	ids map[DocID]struct{}
+	ids *idSet
 	df  map[listKey]int
 }
 
 func newTombstones() tombstones {
-	return tombstones{ids: map[DocID]struct{}{}, df: map[listKey]int{}}
+	return tombstones{ids: new(idSet), df: map[listKey]int{}}
 }
 
-func (t tombstones) has(id DocID) bool {
-	_, ok := t.ids[id]
-	return ok
-}
+func (t tombstones) has(id DocID) bool { return t.ids.has(id) }
 
 // add tombstones id, indexed in the segment as a.
 func (t tombstones) add(id DocID, a analysis.Analyzed) {
-	t.ids[id] = struct{}{}
+	t.ids.add(id)
 	eachPosting(id, a, func(k listKey, _ posting) { t.df[k]++ })
 }
 
 // addSince adds what cur gained since snap, a snapshot of it (both only
 // grow until the replace that took snap swaps).
 func (t tombstones) addSince(cur, snap tombstones) {
-	for id := range cur.ids {
+	cur.ids.each(func(id DocID) {
 		if !snap.has(id) {
-			t.ids[id] = struct{}{}
+			t.ids.add(id)
 		}
-	}
+	})
 	for k, n := range cur.df {
 		if n -= snap.df[k]; n > 0 {
 			t.df[k] += n
+		}
+	}
+}
+
+// clone returns an independent copy.
+func (t tombstones) clone() tombstones {
+	return tombstones{ids: t.ids.clone(), df: maps.Clone(t.df)}
+}
+
+// idSet is a set of doc ids as a bitset: id d is in it iff bit d&63 of
+// words[d>>6] is set. Doc ids are dense and non-negative, and the
+// scorer asks once per posting a tombstoned segment admits, so a member
+// test is one bounds check and one bit test. A nil set is empty and
+// read-only.
+type idSet struct {
+	words []uint64
+	n     int
+}
+
+func (s *idSet) has(d DocID) bool {
+	if s == nil {
+		return false
+	}
+	// A negative id wraps past every word and is refused with the ids
+	// above the largest member.
+	w := uint32(d) >> 6
+	return int(w) < len(s.words) && s.words[w]&(1<<(uint32(d)&63)) != 0
+}
+
+// add puts d in the set. A negative id has no bit: it panics.
+func (s *idSet) add(d DocID) {
+	if d < 0 {
+		panic(fmt.Sprintf("index: tombstone for negative doc id %d", d))
+	}
+	w, bit := int(d>>6), uint64(1)<<(d&63)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	if s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
+	}
+}
+
+func (s *idSet) size() int {
+	if s == nil {
+		return 0
+	}
+	return s.n
+}
+
+func (s *idSet) clone() *idSet {
+	if s == nil {
+		return nil
+	}
+	return &idSet{words: slices.Clone(s.words), n: s.n}
+}
+
+// each calls fn with every member, ascending.
+func (s *idSet) each(fn func(DocID)) {
+	if s == nil {
+		return
+	}
+	for i, w := range s.words {
+		for w != 0 {
+			fn(DocID(i<<6 | bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 }
@@ -207,14 +273,14 @@ func (g *storeSegment) size() int64 {
 // acceptFilter narrows accept to documents not tombstoned in this
 // segment.
 func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
-	t := g.tomb
+	ids := g.tomb.ids
 	switch {
-	case len(t.ids) == 0:
+	case ids.size() == 0:
 		return accept
 	case accept == nil:
-		return func(d DocID) bool { return !t.has(d) }
+		return func(d DocID) bool { return !ids.has(d) }
 	}
-	return func(d DocID) bool { return !t.has(d) && accept(d) }
+	return func(d DocID) bool { return !ids.has(d) && accept(d) }
 }
 
 // Store is the index container: a mutable in-memory memtable absorbing
@@ -426,7 +492,7 @@ func (s *Store) sealDueLocked() bool {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
 		if g.frozen != nil {
-			n += g.frozen.NumDocs() - len(g.tomb.ids)
+			n += g.frozen.NumDocs() - g.tomb.ids.size()
 		}
 	}
 	return n >= s.opts.FlushDocs
@@ -518,12 +584,12 @@ func (s *Store) replace(victims []*storeSegment, n *uint64, m *telemetry.Counter
 func (s *Store) snapshot(victims []*storeSegment) ([]mergeSource, string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(victims) == 0 || len(victims) == 1 && victims[0].frozen == nil && len(victims[0].tomb.ids) == 0 {
+	if len(victims) == 0 || len(victims) == 1 && victims[0].frozen == nil && victims[0].tomb.ids.size() == 0 {
 		return nil, ""
 	}
 	srcs := make([]mergeSource, len(victims))
 	for i, g := range victims {
-		srcs[i] = mergeSource{src: g.view(), drop: tombstones{ids: maps.Clone(g.tomb.ids), df: maps.Clone(g.tomb.df)}}
+		srcs[i] = mergeSource{src: g.view(), drop: g.tomb.clone()}
 	}
 	s.seq++
 	return srcs, filepath.Join(s.dir, fmt.Sprintf("seg-%06d%s", s.seq-1, segSuffix))
@@ -539,7 +605,7 @@ func (s *Store) swap(victims []*storeSegment, srcs []mergeSource, r *SegmentRead
 	s.mu.Lock()
 	for i, g := range victims {
 		merged.tomb.addSince(g.tomb, srcs[i].drop)
-		reclaimed += len(srcs[i].drop.ids)
+		reclaimed += srcs[i].drop.ids.size()
 	}
 	s.segs = append(slices.DeleteFunc(s.segs, func(g *storeSegment) bool { return slices.Contains(victims, g) }), merged)
 	*n++
@@ -643,7 +709,7 @@ func (s *Store) Maintain() error {
 		victims = bySize[:n]
 	} else if tombs := s.tombsLocked(); tombs > 0 && float64(tombs) > reclaimFraction*float64(s.numDocsLocked()) {
 		for _, g := range s.segs {
-			if len(g.tomb.ids) > 0 {
+			if g.tomb.ids.size() > 0 {
 				victims = append(victims, g)
 			}
 		}
@@ -727,7 +793,7 @@ func (s *Store) Status() StoreStatus {
 		st.Segments = append(st.Segments, SegmentStatus{
 			Path:       g.path,
 			Docs:       g.view().NumDocs(),
-			Tombstones: len(g.tomb.ids),
+			Tombstones: g.tomb.ids.size(),
 			Bytes:      g.size(),
 		})
 		st.DiskBytes += g.size()
@@ -747,7 +813,7 @@ func (s *Store) Status() StoreStatus {
 func (s *Store) numDocsLocked() int {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
-		n += g.view().NumDocs() - len(g.tomb.ids)
+		n += g.view().NumDocs() - g.tomb.ids.size()
 	}
 	return n
 }
@@ -755,7 +821,7 @@ func (s *Store) numDocsLocked() int {
 func (s *Store) tombsLocked() int {
 	n := 0
 	for _, g := range s.segs {
-		n += len(g.tomb.ids)
+		n += g.tomb.ids.size()
 	}
 	return n
 }

@@ -37,7 +37,7 @@ type mergeSource struct {
 // liveDocs returns the non-dropped doc ids, ascending.
 func (s mergeSource) liveDocs() []DocID {
 	docs := s.src.docIDs()
-	if len(s.drop.ids) == 0 {
+	if s.drop.ids.size() == 0 {
 		return docs
 	}
 	live := make([]DocID, 0, len(docs))
@@ -57,7 +57,7 @@ func (s mergeSource) postings(k listKey) []posting {
 		return nil
 	}
 	ps := l.sorted()
-	if len(s.drop.ids) == 0 {
+	if s.drop.ids.size() == 0 {
 		return ps
 	}
 	return dropDocs(ps, s.drop.has)

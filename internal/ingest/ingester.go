@@ -539,7 +539,7 @@ var widestTraversal = socialgraph.TraversalOptions{MaxDistance: 2, IncludeFriend
 //
 // Soundness, from the scoring model (Eq. 1–3): a cached ranking for
 // need q over group G is a function of (N, df of q's dims, the
-// posting lists of q's dims, G's reachability map). Therefore:
+// posting lists of q's dims, G's reachability table). Therefore:
 //
 //   - if N changed, every IRF weight moved: purge everything;
 //   - else if q's dims miss every changed posting list, nothing the
@@ -566,10 +566,10 @@ func (ing *Ingester) invalidate(plan *applyPlan) (dropped int, fullPurge bool) {
 
 	groupTouched := make(map[string]bool, len(ing.cfg.Finders))
 	for _, f := range ing.cfg.Finders {
-		rcm := f.Graph().ResourceCandidateMap(f.Candidates(), widestTraversal)
+		reach := f.Graph().Reachability(f.Candidates(), widestTraversal)
 		touched := false
 		for _, id := range plan.touchedDocs {
-			if _, ok := rcm[id]; ok {
+			if reach.Of(id) != nil {
 				touched = true
 				break
 			}

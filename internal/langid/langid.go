@@ -9,18 +9,18 @@
 // sample text.
 //
 // An n-gram is never a string here: its one to three runes are packed
-// into a uint64, counted in a pooled open-addressed table and ranked
-// with one sort, and every language is scored in one pass against a
-// merged rank table, so Identify allocates nothing. The string- and
-// map-based construction this replaced is the oracle in langid_test.go.
+// into a uint64, counted in an open-addressed table kept on a free
+// list, and ranked by bucketing the keys by count and sorting only the
+// buckets of the profileSize most frequent; every language is scored
+// in one pass against a merged rank table, so Identify allocates
+// nothing. The string- and map-based construction this replaced is
+// the oracle in langid_test.go.
 package langid
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -60,7 +60,8 @@ const (
 	// minSlots is the table size a scratch starts every text with
 	// (enough for a tweet's ~250 distinct n-grams at half load);
 	// maxPooledGrams bounds what a scratch may keep when it returns to
-	// the pool, so one long page does not pin its buffers for good.
+	// the free list, so one long page does not pin its buffers for
+	// good.
 	minSlots       = 1 << 10
 	maxPooledGrams = 1 << 12
 )
@@ -99,10 +100,44 @@ func (t gramTable) find(key uint64) *gramSlot {
 type scratch struct {
 	table gramTable // key → index into grams
 	grams []gram
-	dist  []int // out-of-place distance per language
+	// at is indexed by occurrence count: first how many grams occur
+	// that often, then where that count's bucket of keys lies.
+	at   []int
+	keys []uint64 // the ranked keys
+	dist []int    // out-of-place distance per language
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratchFree is the free list of released scratches. It keeps at
+// most eight, as the index's accumulator free list does; a kept one
+// holds at most maxPooledGrams n-grams, so idle scratches pin about
+// 3 MiB at most. Not a sync.Pool, for the accumulators' reason: a pool
+// empties with the garbage collector's cycles and keeps one slot per
+// P, so a caller moved between Ps would regrow its table at times
+// nothing in the program chooses.
+var scratchFree = make(chan *scratch, 8)
+
+// newScratch takes a released scratch, or a fresh one when every kept
+// one is in use.
+func newScratch() *scratch {
+	select {
+	case s := <-scratchFree:
+		return s
+	default:
+		return new(scratch)
+	}
+}
+
+// release puts the scratch on the free list. One that a long text grew
+// past maxPooledGrams, or one that finds the list full, is dropped.
+func (s *scratch) release() {
+	if cap(s.grams) > maxPooledGrams || cap(s.at) > maxPooledGrams {
+		return
+	}
+	select {
+	case scratchFree <- s:
+	default:
+	}
+}
 
 // add counts one occurrence of the n-gram key.
 func (s *scratch) add(key uint64) {
@@ -184,18 +219,56 @@ func (s *scratch) closeWord(p2, p1 uint64) {
 	s.add(p2<<(2*runeBits) | p1<<runeBits | pad)
 }
 
-// ranked returns the profileSize most frequent n-grams of text, most
-// frequent first, ties in lexicographic order. The result aliases the
-// scratch.
-func (s *scratch) ranked(text string) []gram {
+// ranked returns the keys of the profileSize most frequent n-grams of
+// text, most frequent first, ties in lexicographic order. It sorts no
+// gram: it buckets the keys by count, from the highest count down
+// until profileSize are placed, and sorts each bucket's keys. The
+// result aliases the scratch.
+func (s *scratch) ranked(text string) []uint64 {
 	s.count(text)
-	slices.SortFunc(s.grams, func(a, b gram) int {
-		if a.count != b.count {
-			return cmp.Compare(b.count, a.count)
+	top := 0
+	for _, g := range s.grams {
+		top = max(top, g.count)
+	}
+	s.at = zeroed(s.at, top+1)
+	for _, g := range s.grams {
+		s.at[g.count]++
+	}
+	// From the highest count down, turn each bucket's size into its
+	// offset; low is the least count whose bucket is placed.
+	n, low := 0, top+1
+	for n < profileSize && low > 1 {
+		low--
+		size := s.at[low]
+		s.at[low] = n
+		n += size
+	}
+	s.keys = zeroed(s.keys, n)
+	for _, g := range s.grams {
+		if g.count >= low {
+			s.keys[s.at[g.count]] = g.key
+			s.at[g.count]++
 		}
-		return cmp.Compare(a.key, b.key)
-	})
-	return s.grams[:min(len(s.grams), profileSize)]
+	}
+	// Each offset has advanced to its bucket's end, the next lower
+	// count's start.
+	start := 0
+	for c := top; c >= low; c-- {
+		slices.Sort(s.keys[start:s.at[c]])
+		start = s.at[c]
+	}
+	return s.keys[:min(n, profileSize)]
+}
+
+// zeroed returns b resized to n zeros, reusing its array when it is
+// large enough.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // Classifier identifies the language of short texts.
@@ -227,10 +300,10 @@ func NewClassifier(samples map[Lang]string) *Classifier {
 	var s scratch
 	rows := 0
 	for l, lang := range c.langs {
-		for rank, g := range s.ranked(samples[lang]) {
-			slot := c.table.find(g.key)
+		for rank, key := range s.ranked(samples[lang]) {
+			slot := c.table.find(key)
 			if slot.key == 0 {
-				*slot = gramSlot{key: g.key, val: int32(rows)}
+				*slot = gramSlot{key: key, val: int32(rows)}
 				rows++
 				for range c.langs {
 					c.ranks = append(c.ranks, noRank)
@@ -268,16 +341,16 @@ func (c *Classifier) Identify(text string) Lang {
 		return Unknown
 	}
 
-	s := scratchPool.Get().(*scratch)
+	s := newScratch()
 	n := len(c.langs)
-	s.dist = append(s.dist[:0], make([]int, n)...)
+	s.dist = zeroed(s.dist, n)
 	// The Cavnar-Trenkle out-of-place distance: every n-gram of the
 	// document profile costs a language the difference between its
 	// rank there and its rank here, or profileSize when the language
 	// lacks it. An n-gram in no profile costs every language that same
 	// penalty, cannot change which is nearest, and is skipped.
-	for i, g := range s.ranked(text) {
-		slot := c.table.find(g.key)
+	for i, key := range s.ranked(text) {
+		slot := c.table.find(key)
 		if slot.key == 0 {
 			continue
 		}
@@ -298,8 +371,6 @@ func (c *Classifier) Identify(text string) Lang {
 			best, bestDist = c.langs[l], d
 		}
 	}
-	if cap(s.grams) <= maxPooledGrams {
-		scratchPool.Put(s)
-	}
+	s.release()
 	return best
 }

@@ -300,8 +300,8 @@ func packedRanking(text string) ([]string, map[string]int) {
 	var s scratch
 	top := s.ranked(text)
 	ranked := make([]string, len(top))
-	for i, g := range top {
-		ranked[i] = unpack(g.key)
+	for i, key := range top {
+		ranked[i] = unpack(key)
 	}
 	freqs := make(map[string]int, len(s.grams))
 	for _, g := range s.grams {
@@ -451,7 +451,7 @@ func FuzzIdentify(f *testing.F) {
 	})
 }
 
-// A long text grows the scratch past what the pool keeps; the next
+// A long text grows the scratch past what the free list keeps; the next
 // call must still start clean.
 func TestIdentifyAfterLongText(t *testing.T) {
 	var b strings.Builder
@@ -463,13 +463,7 @@ func TestIdentifyAfterLongText(t *testing.T) {
 	checkAgainstOracle(t, "the people of the town wake up and go to work")
 }
 
-// raceEnabled is set by race_test.go under -race.
-var raceEnabled bool
-
 func TestIdentifyDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds entries under -race")
-	}
 	texts := []string{
 		"Just finished 30min freestyle training at the swimming pool with my friends",
 		"la partita di calcio di ieri sera è stata davvero bellissima e molto combattuta",
@@ -477,17 +471,29 @@ func TestIdentifyDoesNotAllocate(t *testing.T) {
 		trainingSamples[English],
 	}
 	for _, text := range texts {
-		Identify(text) // warm the pooled scratch to this text's size
+		Identify(text) // warm a kept scratch to this text's size
 		if n := testing.AllocsPerRun(100, func() { Identify(text) }); n != 0 {
 			t.Errorf("Identify(%.30q…) allocates %v times per call, want 0", text, n)
 		}
 	}
 }
 
+// BenchmarkIdentify measures a tweet, whose few distinct n-grams all
+// make the document profile, and a page, whose more than profileSize
+// distinct n-grams are ranked by count and cut.
 func BenchmarkIdentify(b *testing.B) {
-	text := "Just finished 30min freestyle training at the swimming pool with my friends"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Identify(text)
+	for _, bc := range []struct{ name, text string }{
+		{"tweet", "Just finished 30min freestyle training at the swimming pool with my friends"},
+		{"page", trainingSamples[English]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, freqs := packedRanking(bc.text); bc.name == "page" && len(freqs) <= profileSize {
+				b.Fatalf("the page has %d distinct n-grams, want more than %d", len(freqs), profileSize)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Identify(bc.text)
+			}
+		})
 	}
 }

@@ -8,19 +8,19 @@ import (
 	"expertfind/internal/telemetry"
 )
 
-// Traversal metrics: ResourceCandidateMap is the expensive structure
+// Traversal metrics: the reachability table is the expensive structure
 // behind expert ranking; these expose how often it is rebuilt (cache
 // misses upstream) and how much graph it walks.
 var (
 	mTraversals = telemetry.Default().Counter(
 		"expertfind_graph_traversals_total",
-		"Per-candidate ResourcesWithin traversals performed by ResourceCandidateMap.")
+		"Per-candidate ResourcesWithin traversals performed by Reachability.")
 	mTraversalHits = telemetry.Default().Counter(
 		"expertfind_graph_traversal_resources_total",
-		"Resource hits (candidate, resource, distance) collected by ResourceCandidateMap.")
+		"Resource hits (candidate, resource, distance) collected by Reachability.")
 	mTraversalSeconds = telemetry.Default().Histogram(
 		"expertfind_graph_traversal_duration_seconds",
-		"Wall time of one full ResourceCandidateMap build.", nil)
+		"Wall time of one full Reachability table build.", nil)
 )
 
 // TraversalOptions controls the reach of the social-graph exploration
@@ -79,10 +79,10 @@ func (g *Graph) ResourcesWithin(u UserID, opts TraversalOptions) []Hit {
 	return hits
 }
 
-// walk is the traversal kernel behind ResourcesWithin,
-// ResourceCandidateMap and DistanceCounts. One walk serves every
-// candidate of a call: its state is one int8 per resource id plus the
-// ids touched by the current candidate, which reset it before the next.
+// walk is the traversal kernel behind ResourcesWithin, Reachability
+// and DistanceCounts. One walk serves every candidate of a call: its
+// state is one int8 per resource id plus the ids touched by the
+// current candidate, which reset it before the next.
 type walk struct {
 	g    *Graph
 	opts TraversalOptions
@@ -229,13 +229,45 @@ type CandidateDistance struct {
 	Distance  int
 }
 
-// ResourceCandidateMap inverts ResourcesWithin over a set of
-// candidates: for every reachable resource it lists the candidates
-// that reach it, with their minimal distance, in candidate order. This
-// is the structure the expert-ranking step (Eq. 3) consumes to
-// attribute relevant resources to candidates. The lists are
-// sub-slices of one backing array, capped so an append copies.
-func (g *Graph) ResourceCandidateMap(candidates []UserID, opts TraversalOptions) map[ResourceID][]CandidateDistance {
+// ReachTable inverts ResourcesWithin over a set of candidates: for
+// every reachable resource it lists the candidates that reach it, with
+// their minimal distance, in candidate order. This is the structure
+// the expert-ranking step (Eq. 3) consumes to attribute relevant
+// resources to candidates. It is dense: the lists lie in one arena in
+// resource-id order, and off, indexed by resource id, bounds each, so
+// a lookup is two loads and no hash.
+type ReachTable struct {
+	// off has one entry per resource id of the graph plus one: the
+	// candidates reaching r are arena[off[r]:off[r+1]].
+	off     []int32
+	arena   []CandidateDistance
+	reached int
+}
+
+// Of returns the candidates reaching r, nil when r is out of range or
+// unreached. The list is a sub-slice of the table's arena, capped so
+// an append copies.
+func (t *ReachTable) Of(r ResourceID) []CandidateDistance {
+	// A negative id wraps past every entry.
+	if uint32(r) >= uint32(len(t.off)-1) {
+		return nil
+	}
+	lo, hi := t.off[r], t.off[r+1]
+	if lo == hi {
+		return nil
+	}
+	return t.arena[lo:hi:hi]
+}
+
+// Len returns the number of reachable resources.
+func (t *ReachTable) Len() int { return t.reached }
+
+// Span returns the number of resource ids the table covers: Of is nil
+// for every id at or above it.
+func (t *ReachTable) Span() int { return len(t.off) - 1 }
+
+// Reachability builds the ReachTable of candidates under opts.
+func (g *Graph) Reachability(candidates []UserID, opts TraversalOptions) *ReachTable {
 	defer mTraversalSeconds.ObserveSince(time.Now())
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -245,38 +277,49 @@ func (g *Graph) ResourceCandidateMap(candidates []UserID, opts TraversalOptions)
 		d    int8
 	}
 	w := g.newWalk(opts)
-	// count[r] is how many candidates reach r; reached lists each such r
-	// once, in first-reach order.
-	count := make([]int32, len(g.resources))
-	var reached []ResourceID
+	// off[r+1] counts the candidates reaching r, then becomes r's next
+	// free slot in the arena.
+	off := make([]int32, len(g.resources)+1)
 	var hits []hit
 	for i, u := range candidates {
 		w.from(u)
 		for _, r := range w.touched {
 			if s := w.dist[r]; s > 0 {
-				if count[r] == 0 {
-					reached = append(reached, r)
-				}
-				count[r]++
+				off[r+1]++
 				hits = append(hits, hit{r: r, cand: int32(i), d: s - 1})
 			}
 		}
 	}
-	arena := make([]CandidateDistance, len(hits))
-	out := make(map[ResourceID][]CandidateDistance, len(reached))
-	var pos int32
-	for _, r := range reached {
-		n := count[r]
-		out[r] = arena[pos : pos+n : pos+n]
-		count[r] = pos // from here on, r's next free slot
-		pos += n
+	t := &ReachTable{off: off, arena: make([]CandidateDistance, len(hits))}
+	for r := 1; r < len(off); r++ {
+		if off[r] > 0 {
+			t.reached++
+		}
+		off[r] += off[r-1]
 	}
+	// Filling advances off[r] to r's end, which is off[r+1]'s start:
+	// one shift afterwards restores the starts.
 	for _, h := range hits {
-		arena[count[h.r]] = CandidateDistance{Candidate: candidates[h.cand], Distance: int(h.d)}
-		count[h.r]++
+		t.arena[off[h.r]] = CandidateDistance{Candidate: candidates[h.cand], Distance: int(h.d)}
+		off[h.r]++
 	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
 	mTraversals.Add(float64(len(candidates)))
 	mTraversalHits.Add(float64(len(hits)))
+	return t
+}
+
+// ResourceCandidateMap is Reachability as a map from each reachable
+// resource to its list, for callers that range over the reached set.
+func (g *Graph) ResourceCandidateMap(candidates []UserID, opts TraversalOptions) map[ResourceID][]CandidateDistance {
+	t := g.Reachability(candidates, opts)
+	out := make(map[ResourceID][]CandidateDistance, t.Len())
+	for r := ResourceID(0); int(r) < t.Span(); r++ {
+		if cds := t.Of(r); cds != nil {
+			out[r] = cds
+		}
+	}
 	return out
 }
 

@@ -200,8 +200,9 @@ func traversalSweep() []TraversalOptions {
 	return out
 }
 
-// checkAgainstOracle compares the three traversal entry points and the
-// two traversal counters with the map-based oracle.
+// checkAgainstOracle compares the traversal entry points — the dense
+// table at every id from -1 to one past the last, and the map adapter
+// over it — and the two traversal counters with the map-based oracle.
 func checkAgainstOracle(t testing.TB, g *Graph, cands []UserID, opts TraversalOptions) {
 	t.Helper()
 	for _, u := range cands {
@@ -211,15 +212,23 @@ func checkAgainstOracle(t testing.TB, g *Graph, cands []UserID, opts TraversalOp
 	}
 	want, hits := oracleResourceCandidateMap(g, cands, opts)
 	trav0, hits0 := mTraversals.Value(), mTraversalHits.Value()
-	got := g.ResourceCandidateMap(cands, opts)
-	if !reflect.DeepEqual(got, want) {
+	table := g.Reachability(cands, opts)
+	for r := ResourceID(-1); int(r) <= g.NumResources(); r++ {
+		if got := table.Of(r); !reflect.DeepEqual(got, want[r]) {
+			t.Fatalf("Reachability(%v, %+v).Of(%d) = %v, oracle %v", cands, opts, r, got, want[r])
+		}
+	}
+	if table.Len() != len(want) {
+		t.Fatalf("Reachability(%v, %+v).Len() = %d, oracle reaches %d", cands, opts, table.Len(), len(want))
+	}
+	if got := g.ResourceCandidateMap(cands, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ResourceCandidateMap(%v, %+v) = %v, oracle %v", cands, opts, got, want)
 	}
-	if d := mTraversals.Value() - trav0; d != float64(len(cands)) {
-		t.Fatalf("traversals counter advanced by %v, want %d", d, len(cands))
+	if d := mTraversals.Value() - trav0; d != float64(2*len(cands)) {
+		t.Fatalf("traversals counter advanced by %v over two builds, want %d", d, 2*len(cands))
 	}
-	if d := mTraversalHits.Value() - hits0; d != float64(hits) {
-		t.Fatalf("traversal resources counter advanced by %v, want %d", d, hits)
+	if d := mTraversalHits.Value() - hits0; d != float64(2*hits) {
+		t.Fatalf("traversal resources counter advanced by %v over two builds, want %d", d, 2*hits)
 	}
 	if got, want := g.DistanceCounts(cands, opts), oracleDistanceCounts(g, cands, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DistanceCounts(%v, %+v) = %v, oracle %v", cands, opts, got, want)
@@ -251,16 +260,27 @@ func TestTraversalMatchesOracle(t *testing.T) {
 }
 
 // TestResourceCandidateMapListsAreCapped: a consumer appending to one
-// resource's list must not write into the next resource's.
+// resource's list must not write into the next resource's, in the
+// table or in the map over it.
 func TestResourceCandidateMapListsAreCapped(t *testing.T) {
 	f := buildPaperExample()
-	rcm := f.g.ResourceCandidateMap([]UserID{f.alice, f.bob}, TraversalOptions{MaxDistance: 2})
+	cands, opts := []UserID{f.alice, f.bob}, TraversalOptions{MaxDistance: 2}
+	rcm := f.g.ResourceCandidateMap(cands, opts)
 	before := fmt.Sprint(rcm)
 	for _, cds := range rcm {
 		_ = append(cds, CandidateDistance{Candidate: -1, Distance: 9})
 	}
 	if after := fmt.Sprint(rcm); after != before {
 		t.Fatalf("append through one list changed the map:\n%s\n%s", before, after)
+	}
+
+	table := f.g.Reachability(cands, opts)
+	before = fmt.Sprint(table.arena)
+	for r := ResourceID(0); int(r) < table.Span(); r++ {
+		_ = append(table.Of(r), CandidateDistance{Candidate: -1, Distance: 9})
+	}
+	if after := fmt.Sprint(table.arena); after != before {
+		t.Fatalf("append through one list changed the table:\n%s\n%s", before, after)
 	}
 }
 
