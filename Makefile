@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIdentify$$' -fuzztime=$(FUZZTIME) ./internal/langid/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNeed$$' -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceCandidateMap$$' -fuzztime=$(FUZZTIME) ./internal/socialgraph/
+	$(GO) test -run '^$$' -fuzz '^FuzzReachPatch$$' -fuzztime=$(FUZZTIME) ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusDiff$$' -fuzztime=$(FUZZTIME) ./internal/ingest/
 
 # cover-check fails when any internal package's test coverage drops
@@ -76,7 +77,7 @@ cover-check:
 # bench-smoke compiles and runs the cheap benchmarks once, catching
 # bit-rot in the instrumented hot paths without a full bench run.
 bench-smoke:
-	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/ ./internal/analysis/ ./internal/core/
+	$(GO) test -run xxx -bench=. -benchtime=1x ./internal/telemetry/ ./internal/index/ ./internal/analysis/ ./internal/core/ ./internal/socialgraph/
 
 # bench-ledger-smoke runs the performance ledger's own tests. bench/
 # is a nested module, so `go test ./...` from the root never compiles

@@ -46,10 +46,10 @@ var (
 		"Wall time per query-pipeline stage.", nil, "stage")
 	mCacheHits = telemetry.Default().Counter(
 		"expertfind_traversal_cache_hits_total",
-		"Reachability-table lookups answered from the per-traversal cache.")
+		"Reachability-table lookups answered from the per-traversal cache, patched or not.")
 	mCacheMisses = telemetry.Default().Counter(
 		"expertfind_traversal_cache_misses_total",
-		"Reachability-table lookups that had to rebuild the table.")
+		"Reachability-table lookups that built the table: a first use or a catch-up rebuild.")
 )
 
 // DefaultWindowSize is the number of relevant resources considered
@@ -239,34 +239,22 @@ type ResultCache interface {
 }
 
 // reach is one cached traversal: the resource→candidates table Eq. (3)
-// reads, and its reached set as the filter the index scores under.
+// reads, and the table's Reaches as the filter the index scores under,
+// bound once per table so a find allocates no closure of its own.
 type reach struct {
-	table *socialgraph.ReachTable
-	// accept reports whether the table reaches a document by testing
-	// one bit: resource ids are dense, and the scorer asks once per
-	// posting it might admit. Built once per traversal, so a find
-	// allocates no closure of its own.
+	table  *socialgraph.ReachTable
 	accept func(index.DocID) bool
 }
 
 func newReach(t *socialgraph.ReachTable) *reach {
-	bits := make([]uint64, (t.Span()+63)/64)
-	for r := socialgraph.ResourceID(0); int(r) < t.Span(); r++ {
-		if t.Of(r) != nil {
-			bits[r>>6] |= 1 << (r & 63)
-		}
-	}
-	return &reach{table: t, accept: func(d index.DocID) bool {
-		// A negative id wraps past every word and is refused with the
-		// ids above the last reachable one.
-		w := uint32(d) >> 6
-		return int(w) < len(bits) && bits[w]&(1<<(uint32(d)&63)) != 0
-	}}
+	return &reach{table: t, accept: t.Reaches}
 }
 
 // Finder answers expertise needs over a social graph and a resource
 // index. It caches the expensive resource→candidate reachability tables
-// per traversal configuration; the cache is safe for concurrent use.
+// per traversal configuration and brings each current with the graph
+// before it serves (socialgraph.ReachTable.CatchUp); the cache is safe
+// for concurrent use.
 type Finder struct {
 	graph      *socialgraph.Graph
 	index      index.Searcher
@@ -586,8 +574,8 @@ type Evidence struct {
 // the expert's Eq. (3) score.
 func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
 	// One cache entry serves the filter and the attribution: a second
-	// lookup could straddle an InvalidateTraversal and attribute evidence
-	// from a graph the matches were not filtered by.
+	// lookup could straddle a catch-up and attribute evidence from a
+	// graph the matches were not filtered by.
 	r := f.reachability(p.Traversal)
 	matches := f.scoreMatches(need, p, p.MatchBound(), nil, r)
 	n := p.window(len(matches))
@@ -623,31 +611,55 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 }
 
 // reachability returns the resource→candidates table and its accept
-// filter for a traversal configuration, computing and caching both on
-// first use.
+// filter for a traversal configuration, building and caching both on
+// first use and bringing the cached table current on every later one.
 func (f *Finder) reachability(opts socialgraph.TraversalOptions) *reach {
 	key := traversalKey(opts)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if r, ok := f.reachCache[key]; ok {
-		mCacheHits.Inc()
+	r, ok := f.reachCache[key]
+	if !ok {
+		mCacheMisses.Inc()
+		r = newReach(f.graph.Reachability(f.candidates, opts))
+		f.reachCache[key] = r
 		return r
 	}
-	mCacheMisses.Inc()
-	r := newReach(f.graph.Reachability(f.candidates, opts))
-	f.reachCache[key] = r
+	r, rebuilt := f.catchUp(key, r)
+	if rebuilt {
+		mCacheMisses.Inc()
+	} else {
+		mCacheHits.Inc()
+	}
 	return r
 }
 
-// InvalidateTraversal drops every cached reachability table. A live
-// ingest must call it after mutating the graph: the tables are cached
-// forever on the assumption of a frozen graph, and a stale table would
-// hide newly added resources from ranking (or keep attributing removed
-// ones). The next query per traversal configuration rebuilds its table.
-func (f *Finder) InvalidateTraversal() {
+// catchUp brings the cached entry under key current with the graph,
+// replacing it when its table moved; the caller holds f.mu.
+func (f *Finder) catchUp(key string, r *reach) (_ *reach, rebuilt bool) {
+	next, rebuilt := r.table.CatchUp()
+	if next != r.table {
+		r = newReach(next)
+		f.reachCache[key] = r
+	}
+	return r, rebuilt
+}
+
+// ReachTable returns the finder's reachability table for a traversal
+// configuration, current with the graph, from the same cache finds
+// read.
+func (f *Finder) ReachTable(opts socialgraph.TraversalOptions) *socialgraph.ReachTable {
+	return f.reachability(opts).table
+}
+
+// CatchUp brings every cached reachability table current with the
+// graph. A live ingest calls it right after mutating the graph, so the
+// first find after a round finds its table current.
+func (f *Finder) CatchUp() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	clear(f.reachCache)
+	for key, r := range f.reachCache {
+		f.catchUp(key, r)
+	}
 }
 
 func traversalKey(opts socialgraph.TraversalOptions) string {

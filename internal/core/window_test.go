@@ -265,8 +265,9 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 
 // TestReachAcceptEqualsMap holds the bitset filter to the table it was
 // built from, over every resource id and one past either end, for
-// several traversals, before and after an invalidation that follows a
-// graph mutation — and while concurrent finds share the cache (-race).
+// several traversals: cold, after record changes patch the cached
+// tables, after an edge change rebuilds them — and while finds race
+// graph writes and catch-ups (-race).
 func TestReachAcceptEqualsMap(t *testing.T) {
 	f := crowdFinders(t)["memtable"]
 	g := f.Graph()
@@ -303,22 +304,38 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 	}
 	check("cold")
 
-	// Grow the graph past the last word of the old bitset.
+	// Grow the graph past the last word of the old bitset with record
+	// changes only: the cached entries are patched, no candidate walked.
+	walks := telemetry.Default().Counter("expertfind_graph_traversals_total", "")
 	before := f.reachability(travs[1])
 	u := f.Candidates()[0]
 	var added socialgraph.ResourceID
 	for i := 0; i < 70; i++ {
 		added = g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, u, "one more freestyle swimming training note")
-		g.Owns(u, added)
 	}
 	if before.accept(added) {
 		t.Fatal("the cached filter accepts a resource added after it was built")
 	}
-	f.InvalidateTraversal()
+	w0 := walks.Value()
 	if after := f.reachability(travs[1]); after == before || !after.accept(added) {
-		t.Fatalf("after InvalidateTraversal the entry is reused (%v) or misses the added resource", after == before)
+		t.Fatalf("after record changes the entry is reused (%v) or misses the added resource", after == before)
 	}
-	check("after invalidation")
+	check("after a patch")
+	if d := walks.Value() - w0; d != 0 {
+		t.Fatalf("patching the cached tables walked %v candidates", d)
+	}
+
+	// An edge change rebuilds.
+	before = f.reachability(travs[1])
+	g.Owns(u, added-1)
+	w0 = walks.Value()
+	if after := f.reachability(travs[1]); after == before {
+		t.Fatal("after an edge change the entry is reused")
+	}
+	check("after a rebuild")
+	if walks.Value() == w0 {
+		t.Fatal("an edge change did not rebuild")
+	}
 
 	p := Params{Traversal: travs[2]}
 	want := f.Find(crowdNeed, p)
@@ -329,7 +346,12 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if w == 0 && i%5 == 0 {
-					f.InvalidateTraversal()
+					// Records the index never sees: reachability moves,
+					// the ranking cannot.
+					r := g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, u, "a note nobody indexed")
+					g.RemoveResource(g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, u, "gone at once"))
+					f.CatchUp()
+					g.RemoveResource(r)
 				}
 				got := f.Find(crowdNeed, p)
 				if len(got) != len(want) || got[0] != want[0] {
@@ -340,6 +362,7 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	check("after the race")
 }
 
 // BenchmarkFindWindowBound is the find path's own benchmark: the

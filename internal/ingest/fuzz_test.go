@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"expertfind/internal/core"
 	"expertfind/internal/socialgraph"
 )
 
@@ -108,7 +109,9 @@ func FuzzCorpusDiff(f *testing.F) {
 		NewChurn(remote.g, ChurnConfig{Seed: seed, Adds: 2, Updates: 2, Removes: 1}).Round()
 
 		ix, pipe := buildIndex(installed.g, shards)
-		ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: ix, Pipe: pipe})
+		finder := core.NewFinder(installed.g, ix, pipe, nil)
+		warmTables(finder)
+		ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: ix, Pipe: pipe, Finders: []*core.Finder{finder}})
 
 		half := len(ops) / 2
 		for _, chunk := range [][]byte{ops[:half], ops[half:]} {
@@ -120,6 +123,7 @@ func FuzzCorpusDiff(f *testing.F) {
 				t.Fatalf("RunOnce: %v", err)
 			}
 			assertGraphsEqual(t, installed.g, remote.g)
+			assertTablesCurrent(t, "after a chunk", finder)
 			assertIndexMatchesRebuild(t, "vs installed rebuild", ix, installed.g, shards)
 			assertIndexMatchesRebuild(t, "vs remote rebuild", ix, remote.g, shards)
 		}

@@ -558,8 +558,8 @@ func TestScopedInvalidation(t *testing.T) {
 	if rep.FullPurge {
 		t.Fatalf("df-preserving update forced a full purge: %+v", rep)
 	}
-	if rep.CacheDropped == 0 {
-		t.Fatalf("scoped invalidation dropped nothing: %+v", rep)
+	if rep.CacheDropped != 1 {
+		t.Fatalf("scoped invalidation dropped %d entries, want pool A's one affected entry: %+v", rep.CacheDropped, rep)
 	}
 
 	// Pool A, affected need: must miss and recompute exactly what a
@@ -589,6 +589,112 @@ func TestScopedInvalidation(t *testing.T) {
 	// Pool A, unrelated need: dims disjoint from the delta, must hit.
 	if _, status := fa.FindCachedContext(ctx, "guitar solo", params); status != core.CacheHit {
 		t.Errorf("pool A unrelated need: status %q, want hit", status)
+	}
+}
+
+// TestRoundsPatchTraversals: a round changes records, never edges, so
+// it builds no reachability table and neither does the find after it.
+// The round brings the finder's cached tables current itself, the
+// widest one scoped invalidation reads included: only the first round
+// that reads it builds it.
+func TestRoundsPatchTraversals(t *testing.T) {
+	remote, installed := buildFixture(), buildFixture()
+	ix, pipe := buildIndex(installed.g, 2)
+	f := core.NewFinder(installed.g, ix, pipe, nil)
+	cache := rescache.New(rescache.Options{Capacity: 64})
+	f.SetResultCache(cache.Attach())
+	ing := New(Config{
+		API: reliableAPI(remote.g), Graph: installed.g, Index: ix, Pipe: pipe,
+		Finders: []*core.Finder{f}, Cache: cache,
+	})
+	walks := telemetry.Default().Counter("expertfind_graph_traversals_total", "")
+	misses := telemetry.Default().Counter("expertfind_traversal_cache_misses_total", "")
+
+	ctx := context.Background()
+	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
+	need := "swimming training"
+	f.FindCachedContext(ctx, need, params)
+	rounds := []func(g *fixture){
+		// Update-only rounds run the touched check on the widest table.
+		func(g *fixture) {
+			g.g.SetResourceText(g.docA, "freestyle swimming swimming training at the pool every morning")
+		},
+		func(g *fixture) {
+			g.g.SetResourceText(g.docA, "freestyle swimming training training at the pool every morning")
+		},
+		// Adds and removes purge the cache and patch every table.
+		func(g *fixture) {
+			g.g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, g.ua, "swimming training in open water")
+			g.g.AddContainedResource(socialgraph.KindGroupPost, g.cont, g.uc, "swimming after the session")
+			g.g.RemoveResource(g.docB)
+		},
+		func(g *fixture) {
+			g.g.SetProfile(g.ub, socialgraph.Twitter, "swimming coach")
+			g.g.SetResourceText(g.docA, "freestyle swimming training at the pool every morning")
+		},
+	}
+	for i, edit := range rounds {
+		edit(remote)
+		w0, m0 := walks.Value(), misses.Value()
+		rep, err := ing.RunOnce(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := f.FindCachedContext(ctx, need, params)
+		if i > 0 && (walks.Value() != w0 || misses.Value() != m0) {
+			t.Fatalf("round %d (%+v) and the find after it walked %v candidates and missed %v tables",
+				i, rep, walks.Value()-w0, misses.Value()-m0)
+		}
+		if i == 0 {
+			warmTables(f)
+		}
+		assertTablesCurrent(t, fmt.Sprintf("round %d", i), f)
+		cold := buildSystem(remote.g, 2, nil)
+		if want := cold.finder.Find(need, params); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: ranking differs from a cold rebuild\ngot:  %v\nwant: %v", i, got, want)
+		}
+	}
+}
+
+// checkedTraversals are the traversals whose tables the ingest tests
+// warm on a finder before its rounds and check after each.
+var checkedTraversals = []socialgraph.TraversalOptions{
+	{MaxDistance: 1},
+	{MaxDistance: 2},
+	{MaxDistance: 2, Networks: []socialgraph.Network{socialgraph.Twitter, socialgraph.Facebook}},
+	widestTraversal,
+}
+
+func warmTables(f *core.Finder) {
+	for _, opts := range checkedTraversals {
+		f.ReachTable(opts)
+	}
+}
+
+// assertTablesCurrent checks that the round left each of the finder's
+// tables current, so reading it builds and patches nothing, and equal
+// to a fresh Reachability at every id from -1 to one past the last.
+func assertTablesCurrent(t testing.TB, label string, f *core.Finder) {
+	t.Helper()
+	walks := telemetry.Default().Counter("expertfind_graph_traversals_total", "")
+	patches := telemetry.Default().Counter("expertfind_graph_reach_patches_total", "")
+	g := f.Graph()
+	for _, opts := range checkedTraversals {
+		w0, p0 := walks.Value(), patches.Value()
+		got := f.ReachTable(opts)
+		if walks.Value() != w0 || patches.Value() != p0 {
+			t.Fatalf("%s %+v: the round left the finder's table stale", label, opts)
+		}
+		want := g.Reachability(f.Candidates(), opts)
+		for r := socialgraph.ResourceID(-1); int(r) <= g.NumResources(); r++ {
+			if !reflect.DeepEqual(got.Of(r), want.Of(r)) {
+				t.Fatalf("%s %+v: Of(%d) = %v, a fresh build says %v", label, opts, r, got.Of(r), want.Of(r))
+			}
+		}
+		if got.Len() != want.Len() || got.Span() != want.Span() {
+			t.Fatalf("%s %+v: Len, Span = %d, %d; a fresh build has %d, %d",
+				label, opts, got.Len(), got.Span(), want.Len(), want.Span())
+		}
 	}
 }
 

@@ -34,8 +34,9 @@ type Config struct {
 	// Pipe is the analysis pipeline the index was built with.
 	Pipe *analysis.Pipeline
 	// Finders are the query frontends serving over Graph and Index.
-	// Each one's traversal cache is invalidated after a delta, and its
-	// group fingerprint participates in scoped cache invalidation.
+	// Each one's cached reachability tables are brought current after a
+	// delta, and its group fingerprint participates in scoped cache
+	// invalidation.
 	Finders []*core.Finder
 	// Cache, when set, receives scoped invalidations: only the entries
 	// an applied delta can change are dropped (see invalidate).
@@ -485,7 +486,9 @@ func postingDiff(old, new analysis.Analyzed, dfNet map[string]int) []string {
 }
 
 // apply mutates the installed graph, then flips the index atomically,
-// then drops the finders' traversal caches. A query overlapping an
+// then brings the finders' cached reachability tables current: a round
+// changes records, never edges, so each table is patched from the
+// graph's change journal, not rebuilt. A query overlapping an
 // update-only round always observes either the complete pre-delta or
 // the complete post-delta ranking (updates leave reachability alone
 // and ApplyDelta is atomic). A query overlapping an add/remove round
@@ -524,7 +527,7 @@ func (ing *Ingester) apply(d Delta, plan *applyPlan) {
 	}
 	ing.cfg.Index.ApplyDelta(plan.idx)
 	for _, f := range ing.cfg.Finders {
-		f.InvalidateTraversal()
+		f.CatchUp()
 	}
 }
 
@@ -550,8 +553,10 @@ var widestTraversal = socialgraph.TraversalOptions{MaxDistance: 2, IncludeFriend
 //   - else the damage is confined to the updated documents' scores,
 //     which only surface for groups that can reach one of them: drop
 //     iff G reaches a touched document under the widest traversal
-//     (an over-approximation of every queryable traversal), or G is
-//     not one of the configured finders' groups (unprovable: drop).
+//     (an over-approximation of every queryable traversal, read from
+//     the finder's own cached table, which apply has brought current),
+//     or G is not one of the configured finders' groups (unprovable:
+//     drop).
 func (ing *Ingester) invalidate(plan *applyPlan) (dropped int, fullPurge bool) {
 	cache := ing.cfg.Cache
 	if cache == nil {
@@ -566,10 +571,10 @@ func (ing *Ingester) invalidate(plan *applyPlan) (dropped int, fullPurge bool) {
 
 	groupTouched := make(map[string]bool, len(ing.cfg.Finders))
 	for _, f := range ing.cfg.Finders {
-		reach := f.Graph().Reachability(f.Candidates(), widestTraversal)
+		reach := f.ReachTable(widestTraversal)
 		touched := false
 		for _, id := range plan.touchedDocs {
-			if reach.Of(id) != nil {
+			if reach.Reaches(id) {
 				touched = true
 				break
 			}

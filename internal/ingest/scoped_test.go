@@ -85,7 +85,9 @@ func scopedOracle(t *testing.T, seed int64, rounds int, wrap func(faults.API, *s
 	cfg := dataset.Config{Seed: 5, Scale: 0.03}
 	remote, installed := dataset.Generate(cfg).Graph, dataset.Generate(cfg).Graph
 	ix, pipe := buildIndex(installed, 2)
-	ing := New(Config{API: wrap(reliableAPI(remote), remote), Graph: installed, Index: ix, Pipe: pipe})
+	f := core.NewFinder(installed, ix, pipe, nil)
+	warmTables(f)
+	ing := New(Config{API: wrap(reliableAPI(remote), remote), Graph: installed, Index: ix, Pipe: pipe, Finders: []*core.Finder{f}})
 	churn := NewChurn(remote, ChurnConfig{Seed: seed, Adds: 4, Updates: 10, Removes: 3})
 	rng := rand.New(rand.NewSource(seed))
 	for r := 0; r < rounds; r++ {
@@ -100,6 +102,7 @@ func scopedOracle(t *testing.T, seed int64, rounds int, wrap func(faults.API, *s
 		if _, err := ing.RunOnce(context.Background()); err != nil {
 			return fmt.Errorf("seed %d round %d: RunOnce: %w", seed, r, err)
 		}
+		assertTablesCurrent(t, fmt.Sprintf("seed %d round %d", seed, r), f)
 	}
 	assertGraphsEqual(t, installed, remote)
 	assertIndexMatchesRebuild(t, "after scoped rounds", ix, remote, 2)

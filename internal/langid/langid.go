@@ -11,9 +11,9 @@
 // An n-gram is never a string here: its one to three runes are packed
 // into a uint64, counted in an open-addressed table kept on a free
 // list, and ranked by bucketing the keys by count and sorting only the
-// buckets of the profileSize most frequent; every language is scored
-// in one pass against a merged rank table, so Identify allocates
-// nothing. The string- and map-based construction this replaced is
+// buckets of the profileSize most frequent, the last of them only as
+// far as it ranks; every language is scored in one pass against a
+// merged rank table, so Identify allocates nothing. The string- and map-based construction this replaced is
 // the oracle in langid_test.go.
 package langid
 
@@ -220,12 +220,18 @@ func (s *scratch) closeWord(p2, p1 uint64) {
 }
 
 // ranked returns the keys of the profileSize most frequent n-grams of
-// text, most frequent first, ties in lexicographic order. It sorts no
-// gram: it buckets the keys by count, from the highest count down
-// until profileSize are placed, and sorts each bucket's keys. The
-// result aliases the scratch.
+// text, most frequent first, ties in lexicographic order. The result
+// aliases the scratch.
 func (s *scratch) ranked(text string) []uint64 {
 	s.count(text)
+	return s.rank()
+}
+
+// rank ranks the counted grams. It sorts no gram: it buckets the keys
+// by count, from the highest count down until profileSize are placed,
+// and sorts each bucket's keys — of the bucket that crosses
+// profileSize, only the smallest keys that still rank.
+func (s *scratch) rank() []uint64 {
 	top := 0
 	for _, g := range s.grams {
 		top = max(top, g.count)
@@ -254,10 +260,54 @@ func (s *scratch) ranked(text string) []uint64 {
 	// count's start.
 	start := 0
 	for c := top; c >= low; c-- {
-		slices.Sort(s.keys[start:s.at[c]])
+		bucket := s.keys[start:s.at[c]]
+		if need := profileSize - start; len(bucket) > need {
+			selectSmallest(bucket, need)
+			bucket = bucket[:need]
+		}
+		slices.Sort(bucket)
 		start = s.at[c]
 	}
 	return s.keys[:min(n, profileSize)]
+}
+
+// selectSmallest reorders distinct keys so that the k smallest come
+// first, in no particular order (quickselect, 0 < k < len(keys)).
+// Everything before lo is smaller than everything from lo on, and
+// everything from hi on larger than everything before hi.
+func selectSmallest(keys []uint64, k int) {
+	lo, hi := 0, len(keys)
+	for hi-lo > 1 {
+		// The median of the first, middle and last key is the pivot;
+		// it goes last while the rest is partitioned around it.
+		m := lo + (hi-lo)/2
+		if keys[m] < keys[lo] {
+			keys[m], keys[lo] = keys[lo], keys[m]
+		}
+		if keys[hi-1] < keys[lo] {
+			keys[hi-1], keys[lo] = keys[lo], keys[hi-1]
+		}
+		if keys[hi-1] < keys[m] {
+			keys[hi-1], keys[m] = keys[m], keys[hi-1]
+		}
+		keys[m], keys[hi-1] = keys[hi-1], keys[m]
+		pivot, p := keys[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if keys[i] < pivot {
+				keys[i], keys[p] = keys[p], keys[i]
+				p++
+			}
+		}
+		keys[p], keys[hi-1] = keys[hi-1], keys[p]
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
 }
 
 // zeroed returns b resized to n zeros, reusing its array when it is

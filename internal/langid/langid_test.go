@@ -1,8 +1,10 @@
 package langid
 
 import (
+	"cmp"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -435,6 +437,56 @@ func TestCustomClassifierMatchesMapOracle(t *testing.T) {
 	}
 	if got := NewClassifier(nil).Identify("no languages to choose from"); got != Unknown {
 		t.Errorf("empty classifier Identify = %v, want und", got)
+	}
+}
+
+// fullSortRank is what rank must return: every counted gram sorted by
+// count descending, then key ascending, cut at profileSize.
+func fullSortRank(grams []gram) []uint64 {
+	sorted := slices.Clone(grams)
+	slices.SortFunc(sorted, func(a, b gram) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.key, b.key))
+	})
+	keys := make([]uint64, 0, profileSize)
+	for _, g := range sorted[:min(len(sorted), profileSize)] {
+		keys = append(keys, g.key)
+	}
+	return keys
+}
+
+// TestRankEqualsFullSort holds the bucketed ranking, with its partial
+// selection in the bucket that crosses profileSize, to a full sort: on
+// random histograms of every shape around profileSize, and on the
+// training samples and windows of them.
+func TestRankEqualsFullSort(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var s scratch
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(3 * profileSize)
+		maxCount := 1 + r.Intn(1+r.Intn(40))
+		s.grams = s.grams[:0]
+		seen := make(map[uint64]bool, n)
+		for len(s.grams) < n {
+			key := uint64(r.Intn(4 * n))
+			if r.Intn(2) == 0 {
+				key = r.Uint64()
+			}
+			if !seen[key] {
+				seen[key] = true
+				s.grams = append(s.grams, gram{key: key, count: 1 + r.Intn(maxCount)})
+			}
+		}
+		if got, want := s.rank(), fullSortRank(s.grams); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d grams, counts to %d): rank differs from a full sort\n got %v\nwant %v", trial, n, maxCount, got, want)
+		}
+	}
+	for lang, sample := range trainingSamples {
+		for _, text := range []string{sample, sample[:len(sample)/3], sample[len(sample)/2:]} {
+			got := slices.Clone(s.ranked(text))
+			if want := fullSortRank(s.grams); !slices.Equal(got, want) {
+				t.Fatalf("%s sample: rank differs from a full sort", lang)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Network identifies a social platform.
@@ -165,6 +166,10 @@ type Graph struct {
 	deleted map[ResourceID]bool
 
 	journal journal
+	// edges counts the mutations that are not record changes: follows,
+	// friendships, memberships, ownership, annotations and containers.
+	// A reachability table reflects one value of it (see CatchUp).
+	edges atomic.Uint64
 }
 
 // JournalWindow is how many record changes the change journal keeps:
@@ -173,26 +178,53 @@ const JournalWindow = 1 << 16
 
 // journal is the graph's bounded change journal: the resource ids
 // whose records changed, in mutation order. It is off (head 0) until
-// the first ChangedSince call, so a graph nobody asks pays one branch
-// per mutation. Position p (from 1) lives at ring[(p-1)%JournalWindow];
-// head is the position the next change takes.
+// the first ChangedSince call or reachability build, so a graph nobody
+// asks pays one branch per mutation. Position p (from 1) lives at
+// ring[(p-1)%JournalWindow]; head is the position the next change
+// takes. Writers hold the graph's write lock; head is atomic so a
+// reachability table can compare its cursor without the lock.
 type journal struct {
-	head uint64
+	head atomic.Uint64
 	ring []ResourceID
 }
 
 // record journals a change to r's record; the caller holds the write
 // lock.
 func (j *journal) record(r ResourceID) {
-	if j.head == 0 {
+	h := j.head.Load()
+	if h == 0 {
 		return
 	}
 	if len(j.ring) < JournalWindow {
 		j.ring = append(j.ring, r)
 	} else {
-		j.ring[(j.head-1)%JournalWindow] = r
+		j.ring[(h-1)%JournalWindow] = r
 	}
-	j.head++
+	j.head.Store(h + 1)
+}
+
+// on switches the journal on and returns its head; the caller holds
+// the lock in either mode.
+func (j *journal) on() uint64 {
+	j.head.CompareAndSwap(0, 1)
+	return j.head.Load()
+}
+
+// since returns the ids changed since cursor, sorted and without
+// repeats, the cursor to ask with next, and ok=false when the journal
+// cannot answer cursor: zero, never issued, or older than the window.
+// The caller holds the lock in either mode.
+func (j *journal) since(cursor uint64) (ids []ResourceID, next uint64, ok bool) {
+	head := j.on()
+	if cursor == 0 || cursor > head || head-cursor > uint64(len(j.ring)) {
+		return nil, head, false
+	}
+	ids = make([]ResourceID, 0, head-cursor)
+	for p := cursor; p < head; p++ {
+		ids = append(ids, j.ring[(p-1)%JournalWindow])
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids), head, true
 }
 
 // ChangedSince returns the ids of the resources whose records changed
@@ -200,23 +232,12 @@ func (j *journal) record(r ResourceID) {
 // without repeats, and the cursor to ask with next time. ok is false
 // when the journal cannot answer: a zero cursor, a cursor this graph
 // never issued, or one older than JournalWindow changes. The first
-// call switches the journal on; changes before it are not recorded.
+// call, or the first Reachability, switches the journal on; changes
+// before it are not recorded.
 func (g *Graph) ChangedSince(cursor uint64) (ids []ResourceID, next uint64, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j := &g.journal
-	if j.head == 0 {
-		j.head = 1
-	}
-	if cursor == 0 || cursor > j.head || j.head-cursor > uint64(len(j.ring)) {
-		return nil, j.head, false
-	}
-	ids = make([]ResourceID, 0, j.head-cursor)
-	for p := cursor; p < j.head; p++ {
-		ids = append(ids, j.ring[(p-1)%JournalWindow])
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids), j.head, true
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.journal.since(cursor)
 }
 
 // New returns an empty graph.
@@ -350,6 +371,7 @@ func (g *Graph) AddContainer(net Network, kind ContainerKind, owner UserID, name
 	g.containers = append(g.containers, Container{
 		ID: cid, Network: net, Kind: kind, Name: name, Desc: descID,
 	})
+	g.edges.Add(1)
 	return cid
 }
 
@@ -384,6 +406,7 @@ func (g *Graph) Owns(u UserID, r ResourceID) {
 	g.user(u)
 	g.resource(r)
 	g.owns[u] = append(g.owns[u], r)
+	g.edges.Add(1)
 }
 
 // Annotates records that u liked / marked as favourite the resource.
@@ -393,6 +416,7 @@ func (g *Graph) Annotates(u UserID, r ResourceID) {
 	g.user(u)
 	g.resource(r)
 	g.annotates[u] = append(g.annotates[u], r)
+	g.edges.Add(1)
 }
 
 // RelatesTo records that u belongs to (or likes) the container.
@@ -402,6 +426,7 @@ func (g *Graph) RelatesTo(u UserID, c ContainerID) {
 	g.user(u)
 	g.container(c)
 	g.relatesTo[u] = append(g.relatesTo[u], c)
+	g.edges.Add(1)
 }
 
 // Follows records the directed social relationship a → b on net.
@@ -429,6 +454,7 @@ func (g *Graph) addFollows(a, b UserID, net Network) {
 		m[a] = make(map[UserID]bool)
 	}
 	m[a][b] = true
+	g.edges.Add(1)
 }
 
 // Befriend records a bidirectional relationship on net.

@@ -3,24 +3,28 @@ package socialgraph
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"expertfind/internal/telemetry"
 )
 
 // Traversal metrics: the reachability table is the expensive structure
-// behind expert ranking; these expose how often it is rebuilt (cache
-// misses upstream) and how much graph it walks.
+// behind expert ranking. A build walks every candidate; a patch, which
+// brings a table current after record changes, walks none.
 var (
 	mTraversals = telemetry.Default().Counter(
 		"expertfind_graph_traversals_total",
-		"Per-candidate ResourcesWithin traversals performed by Reachability.")
+		"Per-candidate walks of reachability-table builds; a patch walks none.")
 	mTraversalHits = telemetry.Default().Counter(
 		"expertfind_graph_traversal_resources_total",
-		"Resource hits (candidate, resource, distance) collected by Reachability.")
+		"Resource hits (candidate, resource, distance) collected by table builds.")
 	mTraversalSeconds = telemetry.Default().Histogram(
 		"expertfind_graph_traversal_duration_seconds",
-		"Wall time of one full Reachability table build.", nil)
+		"Wall time of one full reachability-table build.", nil)
+	mReachPatches = telemetry.Default().Counter(
+		"expertfind_graph_reach_patches_total",
+		"Reachability tables patched current from the change journal.")
 )
 
 // TraversalOptions controls the reach of the social-graph exploration
@@ -234,29 +238,55 @@ type CandidateDistance struct {
 // their minimal distance, in candidate order. This is the structure
 // the expert-ranking step (Eq. 3) consumes to attribute relevant
 // resources to candidates. It is dense: the lists lie in one arena in
-// resource-id order, and off, indexed by resource id, bounds each, so
-// a lookup is two loads and no hash.
+// resource-id order, off bounds each, and a bitset marks the ids whose
+// list is not empty, so a lookup is a bit test and two loads.
+//
+// A table records the graph state it reflects and follows the graph
+// through CatchUp. It is immutable once returned: a catch-up publishes
+// a new table and leaves this one serving whoever holds it.
 type ReachTable struct {
-	// off has one entry per resource id of the graph plus one: the
-	// candidates reaching r are arena[off[r]:off[r+1]].
+	// off has one entry per resource id the table covers plus one: the
+	// candidates reaching r are arena[off[r]:off[r+1]] when bit r of
+	// bits is set. A patch empties a list by clearing its bit, so the
+	// arena may hold dead entries.
 	off     []int32
 	arena   []CandidateDistance
+	bits    []uint64
 	reached int
+	dead    int
+
+	// The build's inputs, and the graph state the table reflects: the
+	// journal cursor and the edge generation.
+	g      *Graph
+	cands  []UserID
+	opts   TraversalOptions // Networks resolved
+	cursor uint64
+	edges  uint64
+	// rev is the reverse index a patch computes new lists from, built
+	// by the first patch and handed down the chain of patched tables.
+	rev *reverseIndex
+	// grown is set by the patch that appends past this table's off and
+	// arena; another patch of the same table copies them instead.
+	grown atomic.Bool
 }
 
 // Of returns the candidates reaching r, nil when r is out of range or
 // unreached. The list is a sub-slice of the table's arena, capped so
 // an append copies.
 func (t *ReachTable) Of(r ResourceID) []CandidateDistance {
-	// A negative id wraps past every entry.
-	if uint32(r) >= uint32(len(t.off)-1) {
+	if !t.Reaches(r) {
 		return nil
 	}
 	lo, hi := t.off[r], t.off[r+1]
-	if lo == hi {
-		return nil
-	}
 	return t.arena[lo:hi:hi]
+}
+
+// Reaches reports whether any candidate reaches r: one bit test, the
+// filter the scorer applies to every posting it might admit.
+func (t *ReachTable) Reaches(r ResourceID) bool {
+	// A negative id wraps past every word.
+	w := uint32(r) >> 6
+	return int(w) < len(t.bits) && t.bits[w]&(1<<(uint32(r)&63)) != 0
 }
 
 // Len returns the number of reachable resources.
@@ -266,48 +296,277 @@ func (t *ReachTable) Len() int { return t.reached }
 // for every id at or above it.
 func (t *ReachTable) Span() int { return len(t.off) - 1 }
 
-// Reachability builds the ReachTable of candidates under opts.
-func (g *Graph) Reachability(candidates []UserID, opts TraversalOptions) *ReachTable {
-	defer mTraversalSeconds.ObserveSince(time.Now())
+// current reports whether the graph is as the table reflects it: no
+// record change and no edge change since. Two atomic loads.
+func (t *ReachTable) current() bool {
+	return t.g.journal.head.Load() == t.cursor && t.g.edges.Load() == t.edges
+}
+
+// CatchUp returns a table equal to a fresh Reachability of t's
+// candidates and options on the graph as it is now: t itself when it
+// is current, a patch of t when only records changed, and a rebuild
+// (rebuilt true) when an edge changed, the journal no longer reaches
+// t's cursor, or the patch would leave more dead arena entries than
+// live ones. A patch walks no candidate: a removed resource's list
+// empties, an added one's comes from a reverse index over the
+// candidates, and every other list is kept, because Table 1's paths
+// run through users and containers, never through another resource.
+func (t *ReachTable) CatchUp() (next *ReachTable, rebuilt bool) {
+	if t.current() {
+		return t, false
+	}
+	g := t.g
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	type hit struct {
-		r    ResourceID
-		cand int32 // index into candidates
-		d    int8
+	if next := g.patch(t); next != nil {
+		mReachPatches.Inc()
+		return next, false
+	}
+	return g.reachability(t.cands, t.opts), true
+}
+
+// Reachability builds the ReachTable of candidates under opts. The
+// table keeps its own copies of both, for CatchUp.
+func (g *Graph) Reachability(candidates []UserID, opts TraversalOptions) *ReachTable {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	opts.Networks = slices.Clone(opts.Networks)
+	if opts.Networks == nil {
+		opts.Networks = slices.Clone(Networks)
+	}
+	return g.reachability(slices.Clone(candidates), opts)
+}
+
+// reachability builds the table; the caller holds the read lock and
+// hands over candidates and opts, its Networks resolved.
+func (g *Graph) reachability(candidates []UserID, opts TraversalOptions) *ReachTable {
+	defer mTraversalSeconds.ObserveSince(time.Now())
+	if len(g.resources) > 1<<30 {
+		panic("socialgraph: too many resources to pack a hit in 32 bits")
 	}
 	w := g.newWalk(opts)
 	// off[r+1] counts the candidates reaching r, then becomes r's next
 	// free slot in the arena.
 	off := make([]int32, len(g.resources)+1)
-	var hits []hit
+	// hits holds each candidate's hits in turn, a resource id and its
+	// distance packed as r<<2|d, and candidate i's end at ends[i]. It
+	// doubles when it grows: append grows a large slice by a quarter, so
+	// a build would allocate about five times what it keeps.
+	var hits []uint32
+	ends := make([]int, len(candidates))
 	for i, u := range candidates {
 		w.from(u)
+		if need := len(hits) + len(w.touched); need > cap(hits) {
+			hits = slices.Grow(hits, max(need, 2*cap(hits))-len(hits))
+		}
 		for _, r := range w.touched {
 			if s := w.dist[r]; s > 0 {
 				off[r+1]++
-				hits = append(hits, hit{r: r, cand: int32(i), d: s - 1})
+				hits = append(hits, uint32(r)<<2|uint32(s-1))
 			}
 		}
+		ends[i] = len(hits)
 	}
-	t := &ReachTable{off: off, arena: make([]CandidateDistance, len(hits))}
+	t := &ReachTable{
+		off: off, arena: make([]CandidateDistance, len(hits)), bits: make([]uint64, (len(g.resources)+63)/64),
+		g: g, cands: candidates, opts: opts, cursor: g.journal.on(), edges: g.edges.Load(),
+	}
 	for r := 1; r < len(off); r++ {
 		if off[r] > 0 {
 			t.reached++
+			t.bits[(r-1)>>6] |= 1 << ((r - 1) & 63)
 		}
 		off[r] += off[r-1]
 	}
 	// Filling advances off[r] to r's end, which is off[r+1]'s start:
 	// one shift afterwards restores the starts.
-	for _, h := range hits {
-		t.arena[off[h.r]] = CandidateDistance{Candidate: candidates[h.cand], Distance: int(h.d)}
-		off[h.r]++
+	start := 0
+	for i, end := range ends {
+		for _, h := range hits[start:end] {
+			r := h >> 2
+			t.arena[off[r]] = CandidateDistance{Candidate: candidates[i], Distance: int(h & 3)}
+			off[r]++
+		}
+		start = end
 	}
 	copy(off[1:], off[:len(off)-1])
 	off[0] = 0
 	mTraversals.Add(float64(len(candidates)))
 	mTraversalHits.Add(float64(len(hits)))
 	return t
+}
+
+// patch brings t current from the change journal, or returns nil when
+// it must be rebuilt; the caller holds the read lock. Ids below t's
+// span keep their list unless removed. Every id past it is new, so
+// each gets its list from the reverse index, appended past the end of
+// the shared off and arena: t's readers never look there.
+func (g *Graph) patch(t *ReachTable) *ReachTable {
+	if g.edges.Load() != t.edges {
+		return nil
+	}
+	ids, cursor, ok := g.journal.since(t.cursor)
+	if !ok {
+		return nil
+	}
+	next := &ReachTable{
+		off: t.off, arena: t.arena, bits: make([]uint64, (len(g.resources)+63)/64),
+		reached: t.reached, dead: t.dead,
+		g: g, cands: t.cands, opts: t.opts, cursor: cursor, edges: t.edges, rev: t.rev,
+	}
+	copy(next.bits, t.bits)
+	span := t.Span()
+	for _, r := range ids {
+		if int(r) >= span {
+			break
+		}
+		if g.deleted[r] && next.Reaches(r) {
+			next.bits[r>>6] &^= 1 << (r & 63)
+			next.reached--
+			next.dead += int(t.off[r+1] - t.off[r])
+		}
+	}
+	if len(g.resources) > span {
+		if !t.grown.CompareAndSwap(false, true) {
+			next.off, next.arena = slices.Clip(next.off), slices.Clip(next.arena)
+		}
+		if next.rev == nil {
+			next.rev = g.newReverseIndex(t)
+		}
+		best := make([]int8, len(t.cands))
+		for r := ResourceID(span); int(r) < len(g.resources); r++ {
+			if next.rev.mark(g, t, r, best) {
+				next.reached++
+				next.bits[r>>6] |= 1 << (r & 63)
+				for i, b := range best {
+					if b > 0 {
+						next.arena = append(next.arena, CandidateDistance{Candidate: t.cands[i], Distance: int(b - 1)})
+						best[i] = 0
+					}
+				}
+			}
+			next.off = append(next.off, int32(len(next.arena)))
+		}
+	}
+	if next.dead > len(next.arena)-next.dead {
+		return nil
+	}
+	return next
+}
+
+// reverseIndex answers, for a resource added after a table was built,
+// which of its candidates reach it: Table 1's paths read backwards
+// from the resource's creator or container. Lists hold candidate
+// indices, ascending.
+type reverseIndex struct {
+	self map[UserID][]int32 // the indices a user holds in the candidates
+	// follow1[n][v] are the candidates following v on the n-th network
+	// of the options (friends only when the options include them);
+	// follow2[n][x] those reaching x over two such hops, x excluded.
+	follow1, follow2 []map[UserID][]int32
+	relates          map[ContainerID][]int32 // candidates relating to a container
+}
+
+// newReverseIndex builds the reverse index for t's candidates and
+// options; the caller holds the read lock. Only the maps t's distance
+// reads are built.
+func (g *Graph) newReverseIndex(t *ReachTable) *reverseIndex {
+	x := &reverseIndex{self: make(map[UserID][]int32)}
+	for i, u := range t.cands {
+		x.self[u] = append(x.self[u], int32(i))
+	}
+	if t.opts.MaxDistance < 1 {
+		return x
+	}
+	far, friends := t.opts.MaxDistance >= 2, t.opts.IncludeFriends
+	for _, net := range t.opts.Networks {
+		m := g.follows[net]
+		one, two := make(map[UserID][]int32), map[UserID][]int32(nil)
+		if far {
+			two = make(map[UserID][]int32)
+		}
+		for i, u := range t.cands {
+			for v := range m[u] {
+				if !friends && m[v][u] {
+					continue
+				}
+				addIndex(one, v, i)
+				if !far {
+					continue
+				}
+				for y := range m[v] {
+					if y != u && (friends || !m[y][v]) {
+						addIndex(two, y, i)
+					}
+				}
+			}
+		}
+		x.follow1, x.follow2 = append(x.follow1, one), append(x.follow2, two)
+	}
+	if far {
+		x.relates = make(map[ContainerID][]int32)
+		for i, u := range t.cands {
+			for _, c := range g.relatesTo[u] {
+				addIndex(x.relates, c, i)
+			}
+		}
+	}
+	return x
+}
+
+// addIndex appends candidate index i to m[k] once: a builder visits
+// one candidate at a time, so a repeat can only be the last entry.
+func addIndex[K comparable](m map[K][]int32, k K, i int) {
+	if l := m[k]; len(l) == 0 || l[len(l)-1] != int32(i) {
+		m[k] = append(l, int32(i))
+	}
+}
+
+// mark sets best[i] to 1 + the least distance at which candidate i
+// reaches r, a resource added after t was built, and reports whether
+// any does; the caller holds the read lock. Only SetProfile, AddResource
+// and AddContainedResource add a resource without an edge change: a
+// profile is reached by its user and over follows of it on its
+// network, any other by its creator, over follows of the creator on
+// any network, and through its container.
+func (x *reverseIndex) mark(g *Graph, t *ReachTable, r ResourceID, best []int8) bool {
+	res := &g.resources[r]
+	n := slices.Index(t.opts.Networks, res.Network)
+	if g.deleted[r] || n < 0 {
+		return false
+	}
+	found := false
+	reach := func(cands []int32, d int8) {
+		for _, i := range cands {
+			if best[i] == 0 || best[i] > d+1 {
+				best[i] = d + 1
+			}
+			found = true
+		}
+	}
+	md := t.opts.MaxDistance
+	if p, ok := g.profiles[profileKey{res.Creator, res.Network}]; ok && p == r {
+		reach(x.self[res.Creator], 0)
+		if md >= 1 {
+			reach(x.follow1[n][res.Creator], 1)
+		}
+		if md >= 2 {
+			reach(x.follow2[n][res.Creator], 2)
+		}
+		return found
+	}
+	if md >= 1 {
+		reach(x.self[res.Creator], 1)
+	}
+	if md >= 2 {
+		for _, one := range x.follow1 {
+			reach(one[res.Creator], 2)
+		}
+		if res.Container != NoContainer {
+			reach(x.relates[res.Container], 2)
+		}
+	}
+	return found
 }
 
 // ResourceCandidateMap is Reachability as a map from each reachable

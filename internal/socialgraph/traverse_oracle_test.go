@@ -284,71 +284,38 @@ func TestResourceCandidateMapListsAreCapped(t *testing.T) {
 	}
 }
 
+// byteOps is fuzz input consumed one small decision at a time; an
+// exhausted input decides 0.
+type byteOps []byte
+
+func (b *byteOps) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
 // graphFromBytes builds a graph, a candidate list and traversal options
 // from fuzz input. Every byte is consumed as a small decision, so any
 // input yields a valid graph.
 func graphFromBytes(data []byte) (*Graph, []UserID, TraversalOptions) {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(b)
-	}
+	b := byteOps(data)
 	g := New()
-	nUsers := 2 + next()%8
+	nUsers := 2 + b.next()%8
 	for i := 0; i < nUsers; i++ {
 		g.AddUser("u", i%2 == 0)
 	}
-	b := next()
-	opts := TraversalOptions{MaxDistance: b % 3, IncludeFriends: b&4 != 0}
+	o := b.next()
+	opts := TraversalOptions{MaxDistance: o % 3, IncludeFriends: o&4 != 0}
 	for i, net := range Networks {
-		if b>>(3+i)&1 != 0 {
+		if o>>(3+i)&1 != 0 {
 			opts.Networks = append(opts.Networks, net)
 		}
 	}
-	candMask := next()
-	user := func() UserID { return UserID(next() % nUsers) }
-	net := func() Network { return Networks[next()%len(Networks)] }
-	var conts []ContainerID
-	for len(data) > 0 {
-		switch next() % 9 {
-		case 0:
-			g.SetProfile(user(), net(), "p")
-		case 1:
-			g.AddResource(net(), KindPost, user(), "r")
-		case 2:
-			conts = append(conts, g.AddContainer(net(), ContainerGroup, user(), "c", "d"))
-		case 3:
-			if len(conts) > 0 {
-				g.AddContainedResource(KindGroupPost, conts[next()%len(conts)], user(), "g")
-			}
-		case 4:
-			if n := g.NumResources(); n > 0 {
-				g.Owns(user(), ResourceID(next()%n))
-			}
-		case 5:
-			if n := g.NumResources(); n > 0 {
-				g.Annotates(user(), ResourceID(next()%n))
-			}
-		case 6:
-			if len(conts) > 0 {
-				g.RelatesTo(user(), conts[next()%len(conts)])
-			}
-		case 7:
-			if a, b := user(), user(); a != b {
-				g.Follows(a, b, net())
-			}
-		case 8:
-			if n := g.NumResources(); n > 0 {
-				r := ResourceID(next() % n)
-				if g.Resource(r).Kind != KindProfile && !g.ResourceDeleted(r) {
-					g.RemoveResource(r)
-				}
-			}
-		}
-	}
+	candMask := b.next()
+	mutateFromBytes(g, &b)
 	var cands []UserID
 	for u := 0; u < nUsers; u++ {
 		if candMask>>(u%8)&1 != 0 {
@@ -359,6 +326,59 @@ func graphFromBytes(data []byte) (*Graph, []UserID, TraversalOptions) {
 		cands = append(cands, cands[0]) // a duplicate candidate
 	}
 	return g, cands, opts
+}
+
+// mutateFromBytes applies every remaining decision of b to g as one of
+// nine mutations, and reports whether any changed an edge (a container
+// added, ownership, an annotation, a membership or a follow).
+func mutateFromBytes(g *Graph, b *byteOps) (edges bool) {
+	nUsers := g.NumUsers()
+	user := func() UserID { return UserID(b.next() % nUsers) }
+	net := func() Network { return Networks[b.next()%len(Networks)] }
+	for len(*b) > 0 {
+		nc := g.NumContainers()
+		switch b.next() % 9 {
+		case 0:
+			g.SetProfile(user(), net(), "p")
+		case 1:
+			g.AddResource(net(), KindPost, user(), "r")
+		case 2:
+			g.AddContainer(net(), ContainerGroup, user(), "c", "d")
+			edges = true
+		case 3:
+			if nc > 0 {
+				g.AddContainedResource(KindGroupPost, ContainerID(b.next()%nc), user(), "g")
+			}
+		case 4:
+			if n := g.NumResources(); n > 0 {
+				g.Owns(user(), ResourceID(b.next()%n))
+				edges = true
+			}
+		case 5:
+			if n := g.NumResources(); n > 0 {
+				g.Annotates(user(), ResourceID(b.next()%n))
+				edges = true
+			}
+		case 6:
+			if nc > 0 {
+				g.RelatesTo(user(), ContainerID(b.next()%nc))
+				edges = true
+			}
+		case 7:
+			if a, c := user(), user(); a != c {
+				g.Follows(a, c, net())
+				edges = true
+			}
+		case 8:
+			if n := g.NumResources(); n > 0 {
+				r := ResourceID(b.next() % n)
+				if g.Resource(r).Kind != KindProfile && !g.ResourceDeleted(r) {
+					g.RemoveResource(r)
+				}
+			}
+		}
+	}
+	return edges
 }
 
 func FuzzResourceCandidateMap(f *testing.F) {
