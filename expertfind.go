@@ -244,7 +244,7 @@ type FindOption func(*findConfig)
 // entity matching (0.0). The default is the paper's 0.6.
 func WithAlpha(alpha float64) FindOption {
 	return func(c *findConfig) {
-		if alpha < 0 || alpha > 1 {
+		if !(alpha >= 0 && alpha <= 1) { // NaN too
 			c.err = fmt.Errorf("expertfind: alpha %v outside [0,1]", alpha)
 			return
 		}

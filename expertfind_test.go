@@ -1,6 +1,7 @@
 package expertfind
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -41,6 +42,9 @@ func TestFindOptionValidation(t *testing.T) {
 	s := system(t)
 	if _, err := s.Find("x", WithAlpha(1.5)); err == nil {
 		t.Error("alpha 1.5 accepted")
+	}
+	if _, err := s.Find("x", WithAlpha(math.NaN())); err == nil {
+		t.Error("alpha NaN accepted")
 	}
 	if _, err := s.Find("x", WithMaxDistance(3)); err == nil {
 		t.Error("distance 3 accepted")

@@ -118,6 +118,7 @@ func TestFindValidation(t *testing.T) {
 	get(t, "/v1/find", http.StatusBadRequest, nil)
 	get(t, "/v1/find?q=x&alpha=banana", http.StatusBadRequest, nil)
 	get(t, "/v1/find?q=x&alpha=7", http.StatusBadRequest, nil)
+	get(t, "/v1/find?q=x&alpha=NaN", http.StatusBadRequest, nil)
 	get(t, "/v1/find?q=x&distance=9", http.StatusBadRequest, nil)
 	get(t, "/v1/find?q=x&window=wide", http.StatusBadRequest, nil)
 	get(t, "/v1/find?q=x&networks=myspace", http.StatusBadRequest, nil)

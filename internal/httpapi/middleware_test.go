@@ -345,6 +345,7 @@ func TestUniformParamErrors(t *testing.T) {
 		{"missing q", "/v1/find", "missing required parameter"},
 		{"bad alpha", "/v1/find?q=x&alpha=banana", "alpha"},
 		{"alpha out of range", "/v1/find?q=x&alpha=7", "alpha"},
+		{"alpha not a number", "/v1/find?q=x&alpha=NaN", "alpha"},
 		{"bad distance", "/v1/find?q=x&distance=far", "distance"},
 		{"distance out of range", "/v1/find?q=x&distance=9", "distance"},
 		{"bad window", "/v1/find?q=x&window=wide", "window"},

@@ -32,11 +32,12 @@ import (
 // postings of the fully sorted list, so two lists holding the same
 // postings encode byte-identically regardless of insertion history.
 //
-// The skip entries are what the top-k pruner consumes: the "weightless"
-// score of a posting is its contribution to Eq. (1) with the query
-// weight divided out — tf for a term posting, ef·we for an entity
-// posting — so multiplying a block's maximum by the planned weight
-// bounds every member's contribution without decoding the block.
+// The skip entries are what the top-k cursors consume: a seek passes
+// over every block whose maxDoc lies below its target without decoding
+// it. The "weightless" score of a posting is its contribution to Eq. (1)
+// with the query weight divided out — tf for a term posting, ef·we for
+// an entity posting — and the list's maxW, the largest over its blocks
+// and tail, times the planned weight bounds every member's contribution.
 
 // blockSize is the number of postings per sealed block. 128 keeps a
 // block within a few cache lines when decoded while making the

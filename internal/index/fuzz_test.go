@@ -124,10 +124,11 @@ func fuzzNeed(needText string, entitySeed uint32) analysis.Analyzed {
 // bit-identical to the naive oracle, byte-identical on repetition,
 // bit-identical between the monolith and a store with no directory
 // whose memtable is cut into three ranges, and the pruned top-k
-// bit-identical to the first k of the exhaustive ranking. The
-// checked-in seed-topk-ties ties 31
-// documents at the 10th score, below 5 others: the cut at θ fills with
-// ties in doc order there.
+// bit-identical to the first k of the exhaustive ranking — also under
+// an accept filter derived from the input, which rejects every m-th
+// document (m = 1 rejects them all). The checked-in seed-topk-ties
+// ties 31 documents at the 10th score, below 5 others: the heap must
+// keep the lowest-id ties there.
 func FuzzIndexScore(f *testing.F) {
 	// Seeds drawn from the synthetic corpus vocabulary and entity space.
 	f.Add("swim pool train", uint32(7), uint8(60), uint8(5))
@@ -168,6 +169,13 @@ func FuzzIndexScore(f *testing.F) {
 		}
 		assertScoredBitIdentical(t, "topk", want, flat.ScoreTopK(need, alpha, k, nil))
 		assertScoredBitIdentical(t, "topk store", want, inMem.ScoreTopK(need, alpha, k, nil))
+
+		m := 1 + DocID(entitySeed>>16)%6
+		rem := DocID(kByte) % m
+		accept := func(d DocID) bool { return d%m != rem }
+		want = oracleTopK(flat, flat, need, alpha, k, accept)
+		assertScoredBitIdentical(t, "topk accept", want, flat.ScoreTopK(need, alpha, k, accept))
+		assertScoredBitIdentical(t, "topk accept store", want, inMem.ScoreTopK(need, alpha, k, accept))
 	})
 }
 

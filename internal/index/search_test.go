@@ -103,8 +103,8 @@ func assertOracleGrid(t *testing.T, targets []oracleTarget, wider CollectionStat
 // every index type and partitioning: Index, a Store with no directory
 // whose memtable is cut into 1, 2, 3 and 7 ranges, a Store on disk
 // (memtable only, one segment, four segments, four segments with
-// tombstones), and the two layouts the doc-sorted accumulator walk
-// could get wrong — see the subtests.
+// tombstones), and the two layouts a cursor walk could get wrong — see
+// the subtests.
 func TestSearchOracleGrid(t *testing.T) {
 	docs := randomDocs(17, 500, 0)
 	var removes, live []Doc
@@ -141,8 +141,8 @@ func TestSearchOracleGrid(t *testing.T) {
 
 	// Documents added out of id order, then an update re-adding a low
 	// id: unsorted tails hold doc ids below and between the sealed
-	// blocks' ids, so a tail posting must find its accumulator anywhere
-	// in the doc-sorted slice and what it admits must merge in order.
+	// blocks' ids, so a cursor must merge its sorted tail into the block
+	// stream in doc order.
 	t.Run("tail ids below and between sealed ids", func(t *testing.T) {
 		shuffled := randomDocs(17, 900, 0)
 		rand.New(rand.NewSource(20)).Shuffle(len(shuffled), func(i, j int) {
@@ -189,12 +189,12 @@ func TestSearchOracleGrid(t *testing.T) {
 		assertOracleGrid(t, targets, wider, needs)
 	})
 
-	// θ closes admission in the middle of a multi-block list: a rare,
-	// heavy term sets θ, then the common list is walked with most
-	// blocks update-only (skipped, or decoded where a live accumulator
-	// sits — at low ids and again far up the list) and one block whose
-	// own bound still admits. The skipping runs against the accumulator
-	// cursor, on the in-memory list and on a segment's in-place blocks.
+	// θ rises in the middle of a multi-block list: a rare, heavy term at
+	// low ids and again far up sets θ, and one document of the common
+	// list (1500) outscores it. With k = 1, once doc 1500 takes the heap
+	// the rare list is non-essential and no later common document can
+	// reach θ with it: each is pruned before the rare list is probed, on
+	// the in-memory list and on a segment's in-place blocks.
 	t.Run("admission closes mid-list", func(t *testing.T) {
 		var docs []Doc
 		for i := 0; i < 3000; i++ {
@@ -213,17 +213,19 @@ func TestSearchOracleGrid(t *testing.T) {
 			targets = append(targets, oracleTarget{"store " + name, storeOf(t, docs, []int{3000}, o), ref})
 		}
 		need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
-		skipped := mBlocksSkipped.Value()
+		pruned := mPrunedDocs.Value()
 		assertOracleGrid(t, targets, ref, []analysis.Analyzed{need})
-		if mBlocksSkipped.Value() == skipped {
-			t.Error("no block skipped: admission never closed mid-list")
+		if mPrunedDocs.Value() == pruned {
+			t.Error("no candidate pruned: θ never rose mid-list")
 		}
-		out, c := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil, allDocs)
+		out, _ := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil, allDocs)
 		if len(out) != 10 || out[0].Doc != 1500 {
-			t.Fatalf("top of the ranking is %+v, want the admitted mid-list doc 1500 first", out)
+			t.Fatalf("top of the ranking is %+v, want the mid-list doc 1500 first", out)
 		}
-		if want := len(ref.lists[termKey("zcommon")].blocks) - 3; c.blocksSkipped != want {
-			t.Errorf("skipped %d blocks, want %d: all but the two holding rare docs and the admitting one", c.blocksSkipped, want)
+		// The common list stays essential, so every one of its blocks is
+		// decoded; the documents above 1500 are pruned instead.
+		if _, c := scorePlanTopK(ref, planQuery(need, 1, ref), 1, nil, allDocs); c.pruned != 1499 || c.blocksSkipped != 0 {
+			t.Errorf("k1: pruned %d and skipped %d blocks, want 1499 (docs 1501–2999) and 0", c.pruned, c.blocksSkipped)
 		}
 	})
 }

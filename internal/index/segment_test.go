@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -315,9 +316,14 @@ func drainAccFree(t *testing.T) {
 	for {
 		select {
 		case a := <-accFree:
-			if a.k != 0 || a.accept != nil || a.span != (docRange{}) || len(a.docs) != 0 || len(a.lists) != 0 || len(a.arena) != 0 {
-				t.Fatalf("pooled accumulator holds an evaluation: k=%d span=%v docs=%d lists=%d arena=%d",
-					a.k, a.span, len(a.docs), len(a.lists), len(a.arena))
+			if a.k != 0 || len(a.lists) != 0 || len(a.order) != 0 || len(a.hits) != 0 || len(a.arena) != 0 || len(a.tails) != 0 {
+				t.Fatalf("pooled accumulator holds an evaluation: k=%d lists=%d order=%d hits=%d arena=%d tails=%d",
+					a.k, len(a.lists), len(a.order), len(a.hits), len(a.arena), len(a.tails))
+			}
+			for _, c := range a.lists[:cap(a.lists)] {
+				if !reflect.DeepEqual(c, cursor{buf: c.buf}) {
+					t.Fatalf("pooled cursor holds an evaluation: %+v", c)
+				}
 			}
 		default:
 			return

@@ -2,10 +2,10 @@ package index
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -109,8 +109,8 @@ func TestTopKDifferential(t *testing.T) {
 }
 
 // TestTopKDifferentialLargeCorpus runs the harness over a corpus big
-// enough for multi-block sealed lists, so block-level refinement and
-// block skipping actually fire (asserted via the evaluation counters).
+// enough for multi-block sealed lists, so bound pruning actually fires
+// (asserted via the evaluation counters).
 func TestTopKDifferentialLargeCorpus(t *testing.T) {
 	docs := randomDocs(11, 3000, 0)
 	flat := flatFromDocs(docs)
@@ -138,10 +138,12 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 
 // TestTopKBlockSkipping builds the corpus shape skip entries exist
 // for: a rare, heavily-weighted term clustered at low doc ids plus a
-// ubiquitous low-weight term spanning every block. Once the rare list
-// establishes the threshold, the common list's admission closes and
-// every block past the live accumulator cluster must be skipped
-// without decoding — while the ranking stays byte-identical.
+// ubiquitous low-weight term spanning every block. The rare documents
+// fill the heap from the common list's first block; θ is then their
+// score, the common list's bound is below it, so the common list turns
+// non-essential and only seeks to the remaining rare documents, all in
+// that same block: every other sealed block is skipped without
+// decoding, while the ranking stays byte-identical.
 func TestTopKBlockSkipping(t *testing.T) {
 	ix := New()
 	const n = 3000
@@ -160,8 +162,9 @@ func TestTopKBlockSkipping(t *testing.T) {
 	want := exhaustiveTopK(ix, need, 1, 10, nil)
 	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, allDocs)
 	assertScoredBitIdentical(t, "block skipping", want, out)
-	if c.blocksSkipped == 0 {
-		t.Errorf("no blocks skipped on the crafted corpus (pruned=%d postings=%d)", c.pruned, c.postings)
+	if want := len(ix.lists[termKey("zcommon")].blocks) - 1; c.blocksSkipped != want {
+		t.Errorf("skipped %d blocks on the crafted corpus, want %d: all but the common list's first (pruned=%d postings=%d)",
+			c.blocksSkipped, want, c.pruned, c.postings)
 	}
 
 	assertScoredBitIdentical(t, "block skipping store", want, memStore(docs, 3).ScoreTopK(need, 1, 10, nil))
@@ -169,11 +172,13 @@ func TestTopKBlockSkipping(t *testing.T) {
 
 // TestRangeWalkTouchesOnlyItsBlocks: a part cut to a doc-id range
 // walks only the blocks overlapping it. Doc i sits in block i/128 of
-// the common list and the rare, heavy documents in block 11, so once
-// they set θ every other block is update-only and holds no live
-// document: a walk over blocks 10–13 skips exactly three. A walk that
-// did not seek to lo, or did not stop at hi, would count the blocks
-// outside the range as skipped too.
+// the common list and the rare, heavy documents in block 11. A walk
+// over blocks 10–13 decodes block 10 while its documents fill the heap
+// and block 11 where the rare ones enter; once ten of them set θ the
+// common list is non-essential, the rest of the rare documents lie in
+// block 11 too, and blocks 12 and 13 are never decoded: exactly two
+// skipped. A walk that did not seek to lo, or did not stop at hi,
+// would count the blocks outside the range as skipped too.
 func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
 	ix := New()
 	for i := 0; i < 3000; i++ {
@@ -189,8 +194,8 @@ func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
 	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, span)
 	want := exhaustiveTopK(ix, need, 1, 10, span.has)
 	assertScoredBitIdentical(t, "range walk", want, out)
-	if c.blocksSkipped != 3 {
-		t.Errorf("range over blocks 10–13 skipped %d blocks, want 3", c.blocksSkipped)
+	if c.blocksSkipped != 2 {
+		t.Errorf("range over blocks 10–13 skipped %d blocks, want 2", c.blocksSkipped)
 	}
 }
 
@@ -258,6 +263,27 @@ func TestTopKAdversarial(t *testing.T) {
 			t.Fatalf("all-rejecting accept matched %d docs", len(got))
 		}
 	})
+
+	t.Run("seek lands on a block's last doc", func(t *testing.T) {
+		// The rare documents are the common list's block maxima, and each
+		// outscores the one before, so every one enters the heap. Once the
+		// first ten fill it the common list is non-essential, and each
+		// later rare document is a seek to the last doc of a block not yet
+		// decoded — or, past the sealed region, into the tail.
+		var docs []Doc
+		for i := 0; i < 3000; i++ {
+			terms := map[string]int{"zcommon": 1}
+			if i%128 == 127 || i == 2600 || i == 2900 {
+				terms["aaarare"] = 1 + i/128
+			}
+			docs = append(docs, Doc{ID: DocID(i), A: analysis.Analyzed{Terms: terms}})
+		}
+		flat := flatFromDocs(docs)
+		need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
+		want := exhaustiveTopK(flat, need, 1, 10, nil)
+		assertScoredBitIdentical(t, "monolith", want, flat.ScoreTopK(need, 1, 10, nil))
+		assertScoredBitIdentical(t, "segment", want, storeOf(t, docs, []int{3000}, StoreOptions{}).ScoreTopK(need, 1, 10, nil))
+	})
 }
 
 // TestTopKDeterministicRepetition repeats one pruned configuration 50
@@ -306,129 +332,7 @@ func TestTopKConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTopKClosedAdmissionInvariant pins the proof that lets one flag
-// stand in for a set of dropped documents: once settle drops anything,
-// no later list can admit. It drives the accumulator list by list over
-// the oracle grid's sources — a monolith, the slices of a three-shard
-// scatter split, the memtable and in-place segments of a tombstoned
-// store — and asserts
-// after every dropping settle that admits(maxW·w + rem) is false for
-// every list still to walk.
-func TestTopKClosedAdmissionInvariant(t *testing.T) {
-	docs := randomDocs(17, 3000, 0)
-	flat := flatFromDocs(docs)
-	sources := map[string]listSource{"index": flat}
-	for i, six := range splitByRoute(docs, 3) {
-		sources[fmt.Sprintf("shard%d", i)] = six
-	}
-	store := storeOf(t, docs, []int{400, 900, 1800, 2700}, StoreOptions{})
-	store.ApplyDelta(Delta{Removes: docs[100:130]})
-	sources["memtable"] = store.mem
-	for i, g := range store.segs {
-		sources[fmt.Sprintf("segment%d", i)] = g
-	}
-
-	r := rand.New(rand.NewSource(19))
-	var dropping int
-	for q := 0; q < 6; q++ {
-		need := randomNeed(r)
-		for _, alpha := range []float64{0, 0.6, 1} {
-			plan := planQuery(need, alpha, flat)
-			for _, k := range []int{1, 10} {
-				for name, src := range sources {
-					a := &topkAcc{k: k, span: allDocs, theta: math.Inf(-1)}
-					a.bind(src, plan)
-					for i, bl := range a.lists {
-						before := a.pruned
-						a.walkList(&a.lists[i].l, bl.w, bl.rem)
-						a.settle(bl.rem, a.remAfterNext(i))
-						if a.closed != (a.pruned > 0) {
-							t.Fatalf("%s q%d α%g k%d list %d: closed=%v with %d dropped", name, q, alpha, k, i, a.closed, a.pruned)
-						}
-						if a.pruned == before {
-							continue
-						}
-						dropping++
-						for j, later := range a.lists[i+1:] {
-							if a.admits(later.l.maxW*later.w + later.rem) {
-								t.Fatalf("%s q%d α%g k%d: list %d dropped documents but list %d still admits (θ=%g)",
-									name, q, alpha, k, i, i+1+j, a.theta)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if dropping == 0 {
-		t.Fatal("no settle dropped anything; the invariant was never exercised")
-	}
-}
-
-// TestTopKThetaRefreshDifferential holds the guarded θ refresh to the
-// unguarded one. It drives two accumulators list by list over the
-// TestTopKDifferential corpora and a multi-block one: one settles as
-// scorePlanTopK does, the other with a next-list bound no partial can
-// fail to exceed, which selects after every list. The live documents
-// with their partials and the work counters must be equal after every
-// list — a skipped selection changed no decision — and the guard must
-// have left θ stale somewhere, or it was never exercised.
-func TestTopKThetaRefreshDifferential(t *testing.T) {
-	corpora := map[string][]Doc{"large": randomDocs(11, 3000, 0)}
-	for _, seed := range []int64{1, 2, 3} {
-		corpora[fmt.Sprintf("seed%d", seed)] = randomDocs(seed, 400, 0)
-	}
-	accepts := []func(DocID) bool{nil, func(d DocID) bool { return d%3 != 0 }}
-	var stale, dropping int
-	for name, docs := range corpora {
-		flat := flatFromDocs(docs)
-		r := rand.New(rand.NewSource(int64(len(docs)) * 101))
-		for q := 0; q < 4; q++ {
-			need := randomNeed(r)
-			for _, alpha := range []float64{0, 0.6, 1} {
-				plan := planQuery(need, alpha, flat)
-				for _, k := range topkKs {
-					for ai, accept := range accepts {
-						label := fmt.Sprintf("%s q%d a%g k%d accept%d", name, q, alpha, k, ai)
-						guarded := &topkAcc{k: k, accept: accept, span: allDocs, theta: math.Inf(-1)}
-						always := &topkAcc{k: k, accept: accept, span: allDocs, theta: math.Inf(-1)}
-						guarded.bind(flat, plan)
-						always.bind(flat, plan)
-						for i, bl := range guarded.lists {
-							guarded.walkList(&guarded.lists[i].l, bl.w, bl.rem)
-							guarded.settle(bl.rem, guarded.remAfterNext(i))
-							always.walkList(&always.lists[i].l, bl.w, bl.rem)
-							always.settle(bl.rem, -1)
-							if guarded.theta > always.theta {
-								t.Fatalf("%s list %d: guarded θ %g above the fresh one %g", label, i, guarded.theta, always.theta)
-							}
-							if guarded.theta < always.theta {
-								stale++
-							}
-							if guarded.topkCounters != always.topkCounters || guarded.closed != always.closed {
-								t.Fatalf("%s list %d: guarded %+v closed=%v, always %+v closed=%v",
-									label, i, guarded.topkCounters, guarded.closed, always.topkCounters, always.closed)
-							}
-							assertScoredBitIdentical(t, fmt.Sprintf("%s list %d live partials", label, i), always.docs, guarded.docs)
-						}
-						dropping += guarded.pruned
-						if len(guarded.lists) > 0 && guarded.theta != always.theta {
-							t.Fatalf("%s: final θ %g, fresh %g: the last list must refresh", label, guarded.theta, always.theta)
-						}
-						if _, c := scorePlanTopK(flat, plan, k, accept, allDocs); c != guarded.topkCounters {
-							t.Fatalf("%s: scorePlanTopK counted %+v, the driven accumulator %+v", label, c, guarded.topkCounters)
-						}
-					}
-				}
-			}
-		}
-	}
-	if stale == 0 || dropping == 0 {
-		t.Fatalf("guard left θ stale after %d lists and %d documents were dropped; want both > 0", stale, dropping)
-	}
-}
-
-// tieDocs is a corpus built for the cut at θ: every document has one
+// tieDocs is a corpus built for ties at θ: every document has one
 // of four profiles, so its score is one of four exact levels, and the
 // 5, 30, 300 and 400 documents of the levels are dealt over sparse doc
 // ids in a seeded shuffle, interleaving each level with the ones above
@@ -460,8 +364,8 @@ func tieDocs() ([]Doc, analysis.Analyzed) {
 	return docs, need
 }
 
-// TestCutAtThetaTies holds the cut at θ to the exhaustive sort where
-// it is hardest: more than k documents tie exactly at the k-th score,
+// TestCutAtThetaTies holds the top-k heap to the exhaustive sort where
+// it is hardest: more than k documents tie exactly at the k-th score θ,
 // interleaved in doc order with documents above it. The monolith, a
 // memtable cut into 2 and into 3 doc-id ranges, and a store whose one
 // segment is cut into three must each return the oracle's ranking
@@ -567,31 +471,41 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 }
 
 // TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
-// holds nothing of its evaluation, and gives up a buffer that grew past
-// maxPooledDocs (the skip-entry arena: maxPooledBlocks) instead of
-// pinning it in the pool.
+// holds nothing of its evaluation — no cursor keeps a list, a position
+// or a tail — keeps each cursor's decode buffer with its slot, and
+// gives up every buffer that grew past its cap instead of pinning it in
+// the pool: each cap at its limit is kept, one over it dropped.
 func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
-	for _, arenaCap := range []int{maxPooledBlocks, maxPooledBlocks + 1} {
+	for _, over := range []int{0, 1} {
+		buf := new([blockSize]posting)
 		a := &topkAcc{
-			k:      3,
-			accept: func(DocID) bool { return true },
-			span:   allDocs,
-			docs:   make([]ScoredDoc, 5, maxPooledDocs+1),
-			pend:   make([]ScoredDoc, 5, maxPooledDocs),
-			lists:  []boundedList{{l: postingList{data: []byte{1}, count: 1}}},
-			arena:  make([]blockMeta, 3, arenaCap),
-			closed: true,
+			k:     3,
+			lists: make([]cursor, 1, maxPooledLists+over),
+			order: make([]*cursor, 1, maxPooledLists+over),
+			hits:  make([]ScoredDoc, 5, maxPooledDocs+over),
+			arena: make([]blockMeta, 3, maxPooledBlocks+over),
+			tails: make([]posting, 4, maxPooledPostings+over),
 		}
+		a.lists[0] = cursor{l: postingList{data: []byte{1}, count: 1}, tail: a.tails[1:], ps: buf[:2], done: true, buf: buf}
+		a.order[0] = &a.lists[0]
+		a.postings, a.pruned = 7, 2
+		lists, order := a.lists, a.order
 		a.release()
-		if a.docs != nil || cap(a.pend) != maxPooledDocs {
-			t.Errorf("kept cap(docs)=%d cap(pend)=%d, want the outsized docs dropped and pend kept", cap(a.docs), cap(a.pend))
+		kept := over == 0
+		if (a.lists != nil) != kept || (a.order != nil) != kept || (a.hits != nil) != kept ||
+			(a.arena != nil) != kept || (a.tails != nil) != kept {
+			t.Errorf("over=%d: kept lists=%v order=%v hits=%v arena=%v tails=%v, want %v", over,
+				a.lists != nil, a.order != nil, a.hits != nil, a.arena != nil, a.tails != nil, kept)
 		}
-		if want := arenaCap <= maxPooledBlocks; (a.arena != nil) != want {
-			t.Errorf("arena of cap %d kept=%v, want %v", arenaCap, a.arena != nil, want)
+		if c := lists[0]; !reflect.DeepEqual(c, cursor{buf: buf}) {
+			t.Errorf("over=%d: released cursor still holds evaluation state: %+v", over, c)
 		}
-		if len(a.pend) != 0 || len(a.lists) != 0 || len(a.arena) != 0 || a.lists[:1][0].l.data != nil ||
-			a.accept != nil || a.span != (docRange{}) || a.closed || a.k != 0 {
-			t.Errorf("released accumulator still holds evaluation state: %+v", a)
+		if order[0] != nil {
+			t.Errorf("over=%d: released order still points at a cursor", over)
+		}
+		if len(a.lists) != 0 || len(a.order) != 0 || len(a.hits) != 0 || len(a.arena) != 0 ||
+			len(a.tails) != 0 || a.k != 0 || a.topkCounters != (topkCounters{}) {
+			t.Errorf("over=%d: released accumulator still holds evaluation state: %+v", over, a)
 		}
 	}
 }
