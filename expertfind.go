@@ -29,6 +29,7 @@ package expertfind
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"expertfind/internal/core"
@@ -320,9 +321,17 @@ func WithFriends() FindOption {
 }
 
 // WithDistanceWeights overrides the per-distance resource weights wr
-// (defaults 1.0, 0.75, 0.5).
+// (defaults 1.0, 0.75, 0.5). Each must be finite and non-negative.
 func WithDistanceWeights(d0, d1, d2 float64) FindOption {
-	return func(c *findConfig) { c.params.DistanceWeights = [3]float64{d0, d1, d2} }
+	return func(c *findConfig) {
+		for d, w := range [3]float64{d0, d1, d2} {
+			if !(w >= 0 && w <= math.MaxFloat64) { // NaN and +Inf too
+				c.err = fmt.Errorf("expertfind: distance %d weight %v not finite and non-negative", d, w)
+				return
+			}
+		}
+		c.params.DistanceWeights = [3]float64{d0, d1, d2}
+	}
 }
 
 func (s *System) buildParams(opts []FindOption) (core.Params, error) {

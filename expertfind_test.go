@@ -52,6 +52,11 @@ func TestFindOptionValidation(t *testing.T) {
 	if _, err := s.Find("x", WithNetworks("myspace")); err == nil {
 		t.Error("unknown network accepted")
 	}
+	for _, w := range []float64{math.NaN(), -5, math.Inf(1)} {
+		if _, err := s.Find("x", WithDistanceWeights(1, w, 0.5)); err == nil {
+			t.Errorf("distance weight %v accepted", w)
+		}
+	}
 }
 
 func TestFindOptionsChangeResults(t *testing.T) {

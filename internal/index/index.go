@@ -36,7 +36,7 @@ var (
 		"Score calls evaluated against the index.")
 	mPostings = telemetry.Default().Counter(
 		"expertfind_index_postings_scored_total",
-		"Term and entity postings walked across Score calls.")
+		"Term and entity postings walked across Score calls. Top-k calls depend on how parts are scheduled when a store scores on more than one worker, since the parts share a theta floor.")
 	mMatches = telemetry.Default().Counter(
 		"expertfind_index_matches_total",
 		"Positively scored resources returned across Score calls.")

@@ -77,14 +77,16 @@ func planMass(c component, plan queryPlan) int {
 	return m
 }
 
-// score runs the one scorer over the part.
-func (p *part) score(plan queryPlan, k int) ([]ScoredDoc, topkCounters) {
-	return scorePlanTopK(p.src, plan, k, p.accept, p.span)
+// score runs the one scorer over the part under the query's θ floor.
+func (p *part) score(plan queryPlan, k int, floor *thetaFloor) ([]ScoredDoc, topkCounters) {
+	return scorePlanTopK(p.src, plan, k, p.accept, p.span, floor)
 }
 
 // searchParts scores a resolved plan over parts on at most workers
 // concurrent goroutines (<= 1 scores them in order on the caller's),
-// merges to k and records the query's work counters. The caller only
+// merges to k and records the query's work counters. The parts share
+// one θ floor (thetaFloor), so each prunes from what the parts scored
+// before or beside it have proved. The caller only
 // waits: a goroutine it spawned and then kept running beside would sit
 // in its processor's next-to-run slot, which an idle processor steals
 // from only after a back-off that costs tens of microseconds. A part
@@ -95,11 +97,20 @@ func searchParts(plan queryPlan, parts []part, k, workers int) []ScoredDoc {
 	ranked := make([][]ScoredDoc, len(parts))
 	counts := make([]topkCounters, len(parts))
 	if workers = min(workers, len(parts)); workers <= 1 {
+		var floor thetaFloor
+		shared := &floor
+		if len(parts) == 1 { // a lone part's own θ is the floor
+			shared = nil
+		}
 		for i := range parts {
-			ranked[i], counts[i] = parts[i].score(plan, k)
+			ranked[i], counts[i] = parts[i].score(plan, k, shared)
 		}
 	} else {
-		var next atomic.Int64
+		// The work counter and the θ floor, shared by the workers.
+		var q struct {
+			next  atomic.Int64
+			floor thetaFloor
+		}
 		var wg sync.WaitGroup
 		caught := make([]any, workers)
 		wg.Add(workers)
@@ -108,11 +119,11 @@ func searchParts(plan queryPlan, parts []part, k, workers int) []ScoredDoc {
 				defer wg.Done()
 				defer func() { caught[w] = recover() }()
 				for {
-					i := int(next.Add(1) - 1)
+					i := int(q.next.Add(1) - 1)
 					if i >= len(parts) {
 						return
 					}
-					ranked[i], counts[i] = parts[i].score(plan, k)
+					ranked[i], counts[i] = parts[i].score(plan, k, &q.floor)
 				}
 			}()
 		}

@@ -218,13 +218,13 @@ func TestSearchOracleGrid(t *testing.T) {
 		if mPrunedDocs.Value() == pruned {
 			t.Error("no candidate pruned: θ never rose mid-list")
 		}
-		out, _ := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil, allDocs)
+		out, _ := scorePlanTopK(ref, planQuery(need, 1, ref), 10, nil, allDocs, nil)
 		if len(out) != 10 || out[0].Doc != 1500 {
 			t.Fatalf("top of the ranking is %+v, want the mid-list doc 1500 first", out)
 		}
 		// The common list stays essential, so every one of its blocks is
 		// decoded; the documents above 1500 are pruned instead.
-		if _, c := scorePlanTopK(ref, planQuery(need, 1, ref), 1, nil, allDocs); c.pruned != 1499 || c.blocksSkipped != 0 {
+		if _, c := scorePlanTopK(ref, planQuery(need, 1, ref), 1, nil, allDocs, nil); c.pruned != 1499 || c.blocksSkipped != 0 {
 			t.Errorf("k1: pruned %d and skipped %d blocks, want 1499 (docs 1501–2999) and 0", c.pruned, c.blocksSkipped)
 		}
 	})

@@ -2,8 +2,10 @@ package index
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"expertfind/internal/telemetry"
 )
@@ -28,16 +30,19 @@ import (
 // bound sums, and the (ef·we)·w vs (ef·w)·we product grouping) can only
 // make pruning more conservative: the ranking is the exhaustive one
 // truncated to k, bit for bit. A seek passes over whole sealed blocks
-// by their maxDoc without decoding them.
+// by their maxDoc without decoding them. The parts of one query share
+// a θ floor (thetaFloor): pruning takes the greater of it and the
+// part's θ, and a document enters only if it also scores at least the
+// floor.
 
 // Pruning metrics: how much work the top-k path avoided.
 var (
 	mPrunedDocs = telemetry.Default().Counter(
 		"expertfind_index_pruned_docs_total",
-		"Top-k candidates rejected by a MaxScore bound before the non-essential lists were probed.")
+		"Top-k candidates rejected by a MaxScore bound before the non-essential lists were probed. Depends on how parts are scheduled when a store scores on more than one worker, since the parts share a theta floor.")
 	mBlocksSkipped = telemetry.Default().Counter(
 		"expertfind_index_blocks_skipped_total",
-		"Posting blocks in a scored span that top-k scoring never decoded.")
+		"Posting blocks in a scored span that top-k scoring never decoded. Depends on how parts are scheduled when a store scores on more than one worker, since the parts share a theta floor.")
 )
 
 // boundSlack inflates every upper bound before it is compared against
@@ -47,6 +52,35 @@ var (
 // realistic list count, so a 1e-9 inflation makes the strict-inequality
 // proofs sound while costing essentially no pruning power.
 const boundSlack = 1 + 1e-9
+
+// thetaFloor is the θ floor the parts of one query share: a float64
+// in an atomic word that only rises. A part whose heap is full holds k
+// accepted documents scoring at least its θ, every part scores under
+// the one plan, so a document scoring strictly below any part's θ
+// cannot be in the query's top k. One tying it still may, on a lower
+// doc id, so a part prunes only strictly below the floor and admits a
+// document scoring exactly the floor. A nil floor is a lone part's: 0.
+type thetaFloor struct{ bits atomic.Uint64 }
+
+func (f *thetaFloor) load() float64 {
+	if f == nil {
+		return 0
+	}
+	return math.Float64frombits(f.bits.Load())
+}
+
+// raise lifts the floor to theta unless it is already at or above it.
+func (f *thetaFloor) raise(theta float64) {
+	if f == nil {
+		return
+	}
+	for {
+		old := f.bits.Load()
+		if math.Float64frombits(old) >= theta || f.bits.CompareAndSwap(old, math.Float64bits(theta)) {
+			return
+		}
+	}
+}
 
 // topkCounters aggregates one pruned evaluation's work accounting.
 type topkCounters struct {
@@ -281,11 +315,21 @@ func (a *topkAcc) bind(src listSource, plan queryPlan, span docRange) {
 	}
 }
 
+// split marks non-essential the cursors past the first ne of order
+// whose summed bound cannot reach cut, and returns their new count.
+func (a *topkAcc) split(ne int, cut float64) int {
+	for ne < len(a.order) && a.order[ne].upto*boundSlack < cut {
+		a.order[ne].ne = true
+		ne++
+	}
+	return ne
+}
+
 // viable reports whether d, which some of the essential cursors (those
-// past the first ne of order) stand on, could still score above θ:
-// their contributions plus the non-essential lists' summed bound. A
-// candidate that cannot is counted pruned.
-func (a *topkAcc) viable(d DocID, ne int, theta float64) bool {
+// past the first ne of order) stand on, could still reach cut: their
+// contributions plus the non-essential lists' summed bound. A candidate
+// that cannot is counted pruned.
+func (a *topkAcc) viable(d DocID, ne int, cut float64) bool {
 	if ne == 0 {
 		return true
 	}
@@ -295,7 +339,7 @@ func (a *topkAcc) viable(d DocID, ne int, theta float64) bool {
 			v += c.contrib()
 		}
 	}
-	if v*boundSlack < theta {
+	if v*boundSlack < cut {
 		a.pruned++
 		return false
 	}
@@ -337,15 +381,25 @@ func (a *topkAcc) push(e ScoredDoc) bool {
 // for an already-weighted plan and returns the positive matches under
 // the accept filter, ordered by scoredCmp and truncated to k, plus the
 // work counters. The plan's weights may come from a larger collection
-// than src (a shard or segment scored under global stats). k <= 0 is
-// the exhaustive accept-filtered evaluation: θ stays 0, so every
-// cursor stays essential and nothing is pruned.
-func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool, span docRange) ([]ScoredDoc, topkCounters) {
+// than src (a shard or segment scored under global stats). floor is the
+// θ floor src shares with the query's other parts, nil when it is the
+// only one; the part reads it at every candidate and raises it to its
+// θ while its heap is full. k <= 0 is the exhaustive accept-filtered
+// evaluation: θ stays 0 and the floor is ignored, so every cursor stays
+// essential and nothing is pruned.
+func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) bool, span docRange, floor *thetaFloor) ([]ScoredDoc, topkCounters) {
+	if k <= 0 {
+		floor = nil
+	}
 	a := newAcc()
 	a.k = k
 	a.bind(src, plan, span)
-	theta, ne := 0.0, 0 // only positive scores rank
+	theta, fl, ne := 0.0, 0.0, 0 // only positive scores rank
 	for {
+		if f := floor.load(); f > fl {
+			fl = f
+			ne = a.split(ne, max(theta, fl))
+		}
 		ess := a.order[ne:]
 		d, live := DocID(0), false
 		for _, c := range ess {
@@ -356,7 +410,7 @@ func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) boo
 		if !live {
 			break
 		}
-		if a.viable(d, ne, theta) && (accept == nil || accept(d)) {
+		if a.viable(d, ne, max(theta, fl)) && (accept == nil || accept(d)) {
 			s := 0.0
 			for i := range a.lists {
 				c := &a.lists[i]
@@ -372,12 +426,10 @@ func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) boo
 			}
 			if s > theta && k <= 0 {
 				a.hits = append(a.hits, ScoredDoc{Doc: d, Score: s})
-			} else if s > theta && a.push(ScoredDoc{Doc: d, Score: s}) {
+			} else if s > theta && s >= fl && a.push(ScoredDoc{Doc: d, Score: s}) {
 				theta = a.hits[0].Score
-				for ne < len(a.order) && a.order[ne].upto*boundSlack < theta {
-					a.order[ne].ne = true
-					ne++
-				}
+				floor.raise(theta)
+				ne = a.split(ne, max(theta, fl))
 			}
 		}
 		for _, c := range ess {

@@ -123,7 +123,7 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			for _, k := range []int{1, 5, 10, 50} {
 				want := exhaustiveTopK(flat, need, alpha, k, nil)
-				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil, allDocs)
+				out, c := scorePlanTopK(flat, planQuery(need, alpha, flat), k, nil, allDocs, nil)
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d", q, alpha, k), want, out)
 				pruned += c.pruned
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d store", q, alpha, k),
@@ -160,7 +160,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 
 	want := exhaustiveTopK(ix, need, 1, 10, nil)
-	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, allDocs)
+	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, allDocs, nil)
 	assertScoredBitIdentical(t, "block skipping", want, out)
 	if want := len(ix.lists[termKey("zcommon")].blocks) - 1; c.blocksSkipped != want {
 		t.Errorf("skipped %d blocks on the crafted corpus, want %d: all but the common list's first (pruned=%d postings=%d)",
@@ -191,7 +191,7 @@ func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 	blocks := ix.lists[termKey("zcommon")].blocks
 	span := docRange{int64(blocks[9].maxDoc) + 1, int64(blocks[13].maxDoc) + 1}
-	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, span)
+	out, c := scorePlanTopK(ix, planQuery(need, 1, ix), 10, nil, span, nil)
 	want := exhaustiveTopK(ix, need, 1, 10, span.has)
 	assertScoredBitIdentical(t, "range walk", want, out)
 	if c.blocksSkipped != 2 {
@@ -411,6 +411,110 @@ func TestCutAtThetaTies(t *testing.T) {
 	}
 }
 
+// floorDocs is a store layout built for the shared θ floor. The need
+// is three terms; a filler document holds only the common one, and the
+// other documents hold the two rare ones at one of three levels, T1 >
+// T10 > T100. The first segment holds 1, 9 and 90 documents at those
+// levels, so its k-th score is the query's k-th score for k = 1, 10 and
+// 100, and what it publishes is exactly that score. The last segment
+// holds the best of the ranking: 1, 3 and 3 documents at the same
+// levels under the lowest ids, so each wins its tie with the first
+// segment's and must enter its heap at a score equal to the floor. The
+// middle segment and the memtable hold fillers only, which the floor
+// proves can never rank. The tied documents of the last segment have
+// ids below floorTieID, those of the first from floorTieID up.
+func floorDocs(t *testing.T) (*Store, []Doc, analysis.Analyzed) {
+	levels := []map[string]int{{"fa": 3, "fb": 3}, {"fa": 2, "fb": 2}, {"fa": 1, "fb": 1}}
+	filler := map[string]int{"fc": 1}
+	doc := func(id int, terms map[string]int) Doc {
+		return Doc{ID: DocID(id), A: analysis.Analyzed{Terms: terms}}
+	}
+	var first, middle, last, mem []Doc
+	id := floorTieID
+	for level, n := range []int{1, 9, 90} {
+		for range n {
+			first = append(first, doc(id, levels[level]))
+			id++
+		}
+	}
+	id = 1
+	for level, n := range []int{1, 3, 3} {
+		for range n {
+			last = append(last, doc(id, levels[level]))
+			id++
+		}
+	}
+	for i := range 400 {
+		first = append(first, doc(10_000+i, filler))
+		last = append(last, doc(30_000+i, filler))
+	}
+	for i := range 600 {
+		middle = append(middle, doc(20_000+i, filler))
+	}
+	for i := range 50 {
+		mem = append(mem, doc(40_000+i, filler))
+	}
+	docs := slices.Concat(first, middle, last, mem)
+	s := storeOf(t, docs, []int{len(first), len(first) + len(middle), len(first) + len(middle) + len(last)}, StoreOptions{})
+	need := analysis.Analyzed{Terms: map[string]int{"fa": 1, "fb": 1, "fc": 1}}
+	return s, docs, need
+}
+
+const floorTieID = 1000
+
+// TestThetaFloorAcrossParts holds a store whose parts share a θ floor
+// to the oracle where the floor decides the most: the first segment
+// publishes the query's k-th score, and the last one holds documents
+// tying it under lower ids, which must still enter its heap. Every k,
+// with and without an accept filter, on one worker and on three, must
+// return the oracle's ranking bit for bit. On one worker the parts are
+// scored in order, so the floor is deterministic, and the blocks they
+// skip must outnumber those the same parts skip each with its own θ
+// alone: the fillers the floor rules out are never decoded.
+func TestThetaFloorAcrossParts(t *testing.T) {
+	store, docs, need := floorDocs(t)
+	flat := flatFromDocs(docs)
+	store.workers = 1
+	if parts := partsOf(store, need, 1); len(parts) != 4 {
+		t.Fatalf("the store is %d parts on one worker, want 4", len(parts))
+	}
+	full := oracleTopK(flat, flat, need, 1, 0, nil)
+	for _, k := range []int{1, 10, 100} {
+		theta := full[k-1].Score
+		won := slices.ContainsFunc(full[:k], func(sd ScoredDoc) bool { return sd.Score == theta && sd.Doc < floorTieID })
+		if !won || full[k].Score != theta || full[k].Doc < floorTieID {
+			t.Fatalf("k%d: no tie at θ won in the last segment and lost in the first: the fixture lost its shape", k)
+		}
+	}
+
+	for _, workers := range []int{1, 3} {
+		store.workers = workers
+		for _, k := range []int{1, 10, 100} {
+			for ai, accept := range []func(DocID) bool{nil, func(d DocID) bool { return d%4 != 1 }} {
+				assertScoredBitIdentical(t, fmt.Sprintf("workers%d k%d accept%d", workers, k, ai),
+					oracleTopK(flat, flat, need, 1, k, accept), store.ScoreTopK(need, 1, k, accept))
+			}
+		}
+	}
+
+	store.workers = 1
+	for _, k := range []int{1, 10, 100} {
+		before := mBlocksSkipped.Value()
+		store.ScoreTopK(need, 1, k, nil)
+		shared := int(mBlocksSkipped.Value() - before)
+		alone := 0
+		plan := planQuery(need, 1, storeStats{store})
+		for _, p := range partsOf(store, need, 1) {
+			_, c := p.score(plan, k, nil)
+			alone += c.blocksSkipped
+		}
+		if shared <= alone {
+			t.Errorf("k%d: the parts skip %d blocks under a shared floor and %d each alone, want more shared", k, shared, alone)
+		}
+		t.Logf("k%d: blocks skipped %d shared, %d alone", k, shared, alone)
+	}
+}
+
 // TestPooledAccumulatorIsolation interleaves different needs, α and k
 // from many goroutines on a memtable cut into four ranges and a
 // four-segment store with tombstones, every result held to the oracle: an entry
@@ -557,11 +661,11 @@ func TestScorerAllocBudget(t *testing.T) {
 	}
 	for name, s := range sources {
 		for _, k := range []int{10, 0} {
-			if out, _ := scorePlanTopK(s.src, plan, k, nil, allDocs); len(out) == 0 { // also warms the free list
+			if out, _ := scorePlanTopK(s.src, plan, k, nil, allDocs, nil); len(out) == 0 { // also warms the free list
 				t.Fatalf("%s k%d: need matches nothing", name, k)
 			}
 			budget := 1 + s.perList*float64(len(plan))
-			if allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(s.src, plan, k, nil, allDocs) }); allocs > budget {
+			if allocs := testing.AllocsPerRun(50, func() { scorePlanTopK(s.src, plan, k, nil, allDocs, nil) }); allocs > budget {
 				t.Errorf("%s k%d: %.1f allocations per evaluation over %d planned lists, want at most %g",
 					name, k, allocs, len(plan), budget)
 			}
