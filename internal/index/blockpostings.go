@@ -54,7 +54,7 @@ const (
 
 // listKey names one posting list — a dictionary entry. Keys order
 // terms (lexicographic) before entities (ascending id): plan order,
-// and the order of the v2 file's two dictionary sections.
+// and the order of the v3 file's two dictionary sections.
 type listKey struct {
 	term string      // termKind
 	ent  kb.EntityID // entityKind
@@ -231,6 +231,31 @@ func (l *postingList) decodeAll() []posting {
 	}
 	out, _ = l.kind.decodeRun(out, l.tail, 0, l.count-l.sealed(), 0, false)
 	return out
+}
+
+// holdsAny reports whether the list holds a posting of any of the
+// ascending ids, decoding into buf (returned for reuse) only the blocks
+// whose doc range takes one of them, and the tail.
+func (l *postingList) holdsAny(ids []DocID, buf []posting) (bool, []posting) {
+	found := func(ps []posting) bool {
+		for _, p := range ps {
+			if hasID(ids, p.doc) {
+				return true
+			}
+		}
+		return false
+	}
+	base, lo := DocID(0), DocID(0) // the block's ids are in [lo, bm.maxDoc]
+	for _, bm := range l.blocks {
+		if i, _ := slices.BinarySearch(ids, lo); i < len(ids) && ids[i] <= bm.maxDoc {
+			if buf, _ = l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base, true); found(buf) {
+				return true, buf
+			}
+		}
+		base, lo = bm.maxDoc, bm.maxDoc+1
+	}
+	buf, _ = l.kind.decodeRun(buf[:0], l.tail, 0, l.count-l.sealed(), 0, false)
+	return found(buf), buf
 }
 
 // sorted returns every posting in ascending doc order — the canonical

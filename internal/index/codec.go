@@ -2,6 +2,7 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,20 +14,32 @@ import (
 	"expertfind/internal/kb"
 )
 
-// Binary index format, version 2 — this comment is its specification;
+// Binary index format, version 3 — this comment is its specification;
 // writeIndex is the only writer and scanIndex the only reader. The same
 // file is a serialized Index (ReadIndex) and a sealed store segment
 // (OpenSegment). All integers are unsigned varints unless noted.
 //
 //	magic   "EFIX" (4 bytes)
-//	version uvarint (2)
+//	version uvarint (3)
 //	numDocs uvarint, then the doc ids ascending: the first absolute,
 //	    every later one as the (non-zero) delta from its predecessor
 //	numTerms uvarint, then per term in lexicographic order:
 //	    len(term) uvarint, term bytes, list body
 //	numEntities uvarint, then per entity in ascending id order:
 //	    entityID uvarint, list body
+//	forward section: per doc, in doc-section order:
+//	    byteLen uvarint, then byteLen bytes: the dictionary ordinals of
+//	    the lists holding the doc, ascending, the first absolute and
+//	    every later one as the (non-zero) delta from its predecessor
 //	end of file
+//
+// A dictionary ordinal is an entry's position in the file: the terms
+// are 0 … numTerms−1 in file order and the entities follow from
+// numTerms. The forward section is the inverted lists transposed — a
+// doc lists an ordinal iff that ordinal's list holds the doc — so a
+// store removes a sealed document by its id alone: the document's keys,
+// and with them its df correction, are read off its entry
+// (segstore.go, tombstones).
 //
 // A list body serializes the blocked posting list of blockpostings.go
 // directly, so a loaded list carries the skip entries the top-k pruner
@@ -52,21 +65,25 @@ import (
 // except the last — and the writer re-blocks from fully sorted
 // postings, so two indexes over the same documents serialize
 // byte-identically regardless of build order, shard or segment layout.
+// The forward section is canonical too: it is a function of the lists.
 //
 // There is no checksum: the format targets trusted local storage. The
 // scanner instead rejects every structural inconsistency: bad magic or
-// version; a doc id that repeats or leaves the DocID range; dictionary
-// keys out of order or repeated; an empty list; a postings count above
-// numDocs; non-canonical blocking; a posting that is malformed, not
-// strictly ascending, names a document outside the doc section, or
-// carries a dScore outside [0,1]; bytes left over in a block; a skip
-// entry whose maximum doc id or bound differs from the one recomputed
-// from its postings (skip entries feed pruning proofs); any truncation;
-// and any byte after the entity section.
+// version (a version 2 file, which has no forward section, is refused
+// with a request to rebuild it); a doc id that repeats or leaves the
+// DocID range; dictionary keys out of order or repeated; an empty list;
+// a postings count above numDocs; non-canonical blocking; a posting
+// that is malformed, not strictly ascending, names a document outside
+// the doc section, or carries a dScore outside [0,1]; bytes left over
+// in a block; a skip entry whose maximum doc id or bound differs from
+// the one recomputed from its postings (skip entries feed pruning
+// proofs); a forward entry other than the one the lists determine for
+// its doc, byte for byte; any truncation; and any byte after the
+// forward section.
 
 const (
 	codecMagic   = "EFIX"
-	codecVersion = 2
+	codecVersion = 3
 )
 
 func (k listKey) String() string {
@@ -81,9 +98,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return writeIndex(w, []mergeSource{{src: ix}})
 }
 
-// writeIndex streams the live union of srcs to w in the v2 format
+// writeIndex streams the live union of srcs to w in the v3 format
 // without materializing the merged index: one posting list is resident
-// at a time. The sources' live document sets must be disjoint (the
+// at a time, plus each document's forward run, collected as the lists
+// stream past. The sources' live document sets must be disjoint (the
 // store guarantees at most one live occurrence of any document). The
 // output is canonical, so writing any partition of a document set
 // produces the byte-identical file a monolithic Index over the same
@@ -117,7 +135,7 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 	live := map[listKey]int{}
 	for _, s := range srcs {
 		for _, k := range s.src.keys() {
-			live[k] += s.src.freq(k) - s.drop.df[k]
+			live[k] += s.src.freq(k) - s.drop.dropped(k)
 		}
 	}
 	keys := make([]listKey, 0, len(live))
@@ -129,6 +147,7 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 	slices.SortFunc(keys, keyCmp)
 	nTerms := sort.Search(len(keys), func(i int) bool { return keys[i].kind != termKind })
 
+	fwd := newForwardBuilder(len(docs))
 	for _, section := range [][]listKey{keys[:nTerms], keys[nTerms:]} {
 		writeUvarint(cw, uint64(len(section)))
 		for _, k := range section {
@@ -144,6 +163,12 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 				return cw.n, fmt.Errorf("index: %v holds %d live postings, its sources and their dropped documents account for %d", k, len(ps), live[k])
 			}
 			sortPostings(ps)
+			cur := 0
+			for _, p := range ps {
+				cur = seekDoc(docs, cur, p.doc)
+				fwd.add(cur)
+			}
+			fwd.endList()
 			if k.kind == termKind {
 				writeUvarint(cw, uint64(len(k.term)))
 				cw.Write([]byte(k.term))
@@ -156,10 +181,73 @@ func writeIndex(w io.Writer, srcs []mergeSource) (int64, error) {
 			}
 		}
 	}
+	fwd.each(func(_ int, entry []byte) error {
+		writeUvarint(cw, uint64(len(entry)))
+		cw.Write(entry)
+		return nil
+	})
 	if cw.err != nil {
 		return cw.n, cw.err
 	}
 	return cw.n, bw.Flush()
+}
+
+// forwardBuilder is the forward section under construction. The lists
+// stream past in ordinal order; it records, per posting, the position
+// of its document in the doc section, and where each list's postings
+// end. each transposes that into the documents' entries. writeIndex
+// emits them; scanIndex rebuilds them from the postings it decodes and
+// holds the file's section to them byte for byte.
+type forwardBuilder struct {
+	nDocs int
+	docs  []uint32 // per posting in stream order, its document's position
+	ends  []int    // per ordinal, the end of its postings in docs
+}
+
+func newForwardBuilder(nDocs int) *forwardBuilder { return &forwardBuilder{nDocs: nDocs} }
+
+// add records that the list streaming past holds the document at
+// position i.
+func (f *forwardBuilder) add(i int) { f.docs = append(f.docs, uint32(i)) }
+
+// endList closes the list streaming past: its ordinal is the number of
+// lists closed before it.
+func (f *forwardBuilder) endList() { f.ends = append(f.ends, len(f.docs)) }
+
+// each calls fn with every document's entry, in doc-section order: its
+// ordinals ascending, the first absolute and every later one as the
+// delta from its predecessor. The entry is valid until fn returns.
+func (f *forwardBuilder) each(fn func(i int, entry []byte) error) error {
+	start := make([]int, f.nDocs+1) // document i's ordinals are ords[start[i]:start[i+1]]
+	for _, d := range f.docs {
+		start[d+1]++
+	}
+	for i := 1; i <= f.nDocs; i++ {
+		start[i] += start[i-1]
+	}
+	ords := make([]uint32, len(f.docs))
+	next := slices.Clone(start[:f.nDocs])
+	ord := 0
+	for p, d := range f.docs {
+		for p >= f.ends[ord] {
+			ord++
+		}
+		ords[next[d]] = uint32(ord)
+		next[d]++
+	}
+	var entry []byte
+	for i := 0; i < f.nDocs; i++ {
+		entry = entry[:0]
+		prev := uint32(0)
+		for _, o := range ords[start[i]:start[i+1]] {
+			entry = binary.AppendUvarint(entry, uint64(o-prev))
+			prev = o
+		}
+		if err := fn(i, entry); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeListBody serializes one canonical (fully sealed) list.
@@ -250,53 +338,61 @@ func (s *scanner) bytes(what string, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// scanIndex is the one sequential validating pass over a v2 file. It
+// fwdStride is how many forward entries one recorded offset spans: a
+// segment reader keeps the offset of every fwdStride-th entry and
+// skips to the others by their length prefixes.
+const fwdStride = 64
+
+// scanIndex is the one sequential validating pass over a v3 file. It
 // returns the doc ids (ascending) and hands every dictionary entry to
-// entry in file order: its key, its fully validated list, and the byte
-// range [off, end) of its list body. ReadIndex keeps the lists; the
-// segment opener keeps only where they are.
-func scanIndex(r io.Reader, entry func(k listKey, l *postingList, off, end int64)) ([]DocID, error) {
+// entry in file order — ordinal order: its key, its fully validated
+// list, and the byte range [off, end) of its list body. It also returns
+// where the forward entries of docs 0, fwdStride, 2·fwdStride, … start,
+// then where the section ends. ReadIndex keeps the lists; the segment
+// opener keeps only where they are.
+func scanIndex(r io.Reader, entry func(k listKey, l *postingList, off, end int64)) ([]DocID, []int64, error) {
 	s := &scanner{br: bufio.NewReaderSize(r, 64<<10)}
 
 	magic, err := s.bytes("magic", 4)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("bad magic %q", magic)
+		return nil, nil, fmt.Errorf("bad magic %q", magic)
 	}
 	if version, err := s.uvarint("version", math.MaxUint64); err != nil {
-		return nil, err
+		return nil, nil, err
 	} else if version != codecVersion {
-		return nil, fmt.Errorf("unsupported version %d (want %d)", version, codecVersion)
+		return nil, nil, fmt.Errorf("unsupported version %d (want %d): rebuild the index from its corpus (for a store, delete the segment directory and build it again)", version, codecVersion)
 	}
 
 	nDocs, err := s.uvarint("doc count", 1<<31)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var docs []DocID
 	for i := uint64(0); i < nDocs; i++ {
 		delta, err := s.uvarint("doc id", math.MaxInt32)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d := int64(delta)
 		if i > 0 {
 			if d += int64(docs[i-1]); delta == 0 {
-				return nil, fmt.Errorf("duplicate doc %d", d)
+				return nil, nil, fmt.Errorf("duplicate doc %d", d)
 			}
 		}
 		if d > math.MaxInt32 {
-			return nil, fmt.Errorf("doc id %d out of range", d)
+			return nil, nil, fmt.Errorf("doc id %d out of range", d)
 		}
 		docs = append(docs, DocID(d))
 	}
 
+	fwd := newForwardBuilder(len(docs))
 	for _, kind := range []postingKind{termKind, entityKind} {
 		n, err := s.uvarint("dictionary size", 1<<31)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var prev listKey
 		for i := uint64(0); i < n; i++ {
@@ -304,44 +400,83 @@ func scanIndex(r io.Reader, entry func(k listKey, l *postingList, off, end int64
 			if kind == termKind {
 				tlen, err := s.uvarint("term length", 1<<16)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				name, err := s.bytes("term", tlen)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				k.term = string(name)
 			} else {
 				id, err := s.uvarint("entity id", math.MaxInt32)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				k.ent = kb.EntityID(id)
 			}
 			if i > 0 && keyCmp(prev, k) >= 0 {
-				return nil, fmt.Errorf("%v out of order", k)
+				return nil, nil, fmt.Errorf("%v out of order", k)
 			}
 			prev = k
 			off := s.off
-			l, err := s.list(kind, docs)
+			l, err := s.list(kind, docs, fwd)
 			if err != nil {
-				return nil, fmt.Errorf("%v: %w", k, err)
+				return nil, nil, fmt.Errorf("%v: %w", k, err)
 			}
+			fwd.endList()
 			entry(k, l, off, s.off)
 		}
 	}
 
-	if _, err := s.ReadByte(); err != io.EOF {
-		return nil, errors.New("trailing bytes after entity section")
+	starts, err := s.forward(docs, fwd)
+	if err != nil {
+		return nil, nil, err
 	}
-	return docs, nil
+	if _, err := s.ReadByte(); err != io.EOF {
+		return nil, nil, errors.New("trailing bytes after forward section")
+	}
+	return docs, starts, nil
 }
 
-// list reads and validates one list body against the sorted doc ids.
-// Skip metadata is load-bearing for pruning correctness, so every
-// declared block bound is recomputed from the decoded postings and
-// must match exactly.
-func (s *scanner) list(kind postingKind, docs []DocID) (*postingList, error) {
+// forward reads the forward section and requires every entry to equal,
+// byte for byte, the one fwd rebuilt from the lists. It returns
+// scanIndex's entry offsets.
+func (s *scanner) forward(docs []DocID, fwd *forwardBuilder) ([]int64, error) {
+	starts := make([]int64, 0, (len(docs)+fwdStride-1)/fwdStride+1)
+	var buf []byte
+	err := fwd.each(func(i int, want []byte) error {
+		if i%fwdStride == 0 {
+			starts = append(starts, s.off)
+		}
+		n, err := s.uvarint("forward entry length", math.MaxUint32)
+		if err != nil {
+			return fmt.Errorf("forward entry of doc %d: %w", docs[i], err)
+		}
+		if n != uint64(len(want)) {
+			return fmt.Errorf("forward entry of doc %d holds %d bytes, its lists determine %d", docs[i], n, len(want))
+		}
+		buf = slices.Grow(buf[:0], len(want))[:len(want)]
+		m, err := io.ReadFull(s.br, buf)
+		s.off += int64(m)
+		if err != nil {
+			return fmt.Errorf("forward entry of doc %d: %w", docs[i], err)
+		}
+		if !bytes.Equal(buf, want) {
+			return fmt.Errorf("forward entry of doc %d lists other keys than the lists holding it", docs[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return append(starts, s.off), nil
+}
+
+// list reads and validates one list body against the sorted doc ids,
+// recording in fwd that it holds each posting's doc. Skip metadata is
+// load-bearing for pruning correctness, so every declared block bound
+// is recomputed from the decoded postings and must match exactly.
+func (s *scanner) list(kind postingKind, docs []DocID, fwd *forwardBuilder) (*postingList, error) {
 	count, err := s.uvarint("postings count", math.MaxUint64)
 	if err != nil {
 		return nil, err
@@ -411,6 +546,7 @@ func (s *scanner) list(kind postingKind, docs []DocID) (*postingList, error) {
 			if cur == len(docs) || docs[cur] != p.doc {
 				return nil, fmt.Errorf("references unknown doc %d", p.doc)
 			}
+			fwd.add(cur)
 			cur++
 			if w := p.weight(); w > bm.maxW {
 				bm.maxW = w
@@ -466,7 +602,7 @@ func seekDoc(docs []DocID, from int, d DocID) int {
 // rules out.
 func ReadIndex(r io.Reader) (*Index, error) {
 	ix := New()
-	docs, err := scanIndex(r, func(k listKey, l *postingList, _, _ int64) { ix.lists[k] = l })
+	docs, _, err := scanIndex(r, func(k listKey, l *postingList, _, _ int64) { ix.lists[k] = l })
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
@@ -479,6 +615,7 @@ type countWriter struct {
 	w   io.Writer
 	n   int64
 	err error
+	buf [binary.MaxVarintLen64]byte // writeUvarint's scratch
 }
 
 func (c *countWriter) Write(p []byte) (int, error) {
@@ -492,7 +629,5 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 func writeUvarint(w *countWriter, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendUvarint(w.buf[:0], v))
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,12 +226,13 @@ func (w *rawWriter) f64(v float64) {
 	w.buf.Write(b[:])
 }
 
-// v2Segment hand-encodes a minimal version-2 segment so individual
+// v3Segment hand-encodes a minimal version-3 segment so individual
 // fields can be corrupted precisely. The base layout is two docs
-// {5, 9}, one term "a" with postings (5, tf 2), (9, tf 1), and one
-// entity 3 with posting (5, ef 1, dScore 0.5); mutate tweaks one field
+// {5, 9}, one term "a" (ordinal 0) with postings (5, tf 2), (9, tf 1),
+// one entity 3 (ordinal 1) with posting (5, ef 1, dScore 0.5), and the
+// forward entries doc 5 → {0, 1}, doc 9 → {0}; mutate tweaks one field
 // before encoding.
-type v2Segment struct {
+type v3Segment struct {
 	nBlocksTerm   uint64 // block count declared for the term list
 	termCount     uint64 // postings count declared for the term list
 	blockN        uint64 // posting count declared for the term block
@@ -241,20 +243,24 @@ type v2Segment struct {
 	secondDelta   uint64 // second term posting's doc delta (0 = regression)
 	entMaxW       float64
 	entDScore     float64
-	trailingByte  bool // append a stray byte inside the term block
+	trailingByte  bool       // append a stray byte inside the term block
+	fwd           [][]uint64 // per doc, the forward entry's varints
+	fwdLen        []*int     // per doc, override the entry's byte length
+	trailingFwd   bool       // append a stray byte after the forward section
 }
 
-func defaultV2() v2Segment {
-	return v2Segment{
+func defaultV3() v3Segment {
+	return v3Segment{
 		nBlocksTerm: 1, termCount: 2, blockN: 2, maxDocDelta: 9, declMaxTF: 2,
 		firstDocDelta: 5, secondDelta: 4, entMaxW: 1.5, entDScore: 0.5,
+		fwd: [][]uint64{{0, 1}, {0}}, fwdLen: []*int{nil, nil},
 	}
 }
 
-func (s v2Segment) encode() []byte {
+func (s v3Segment) encode() []byte {
 	w := &rawWriter{}
 	w.buf.WriteString(codecMagic)
-	w.uvarint(2)
+	w.uvarint(3)
 	w.uvarint(2) // two docs: 5, 9
 	w.uvarint(5)
 	w.uvarint(4)
@@ -295,43 +301,72 @@ func (s v2Segment) encode() []byte {
 	eb.f64(s.entDScore)
 	w.uvarint(uint64(eb.buf.Len()))
 	w.buf.Write(eb.buf.Bytes())
+
+	for i, ords := range s.fwd {
+		var entry rawWriter
+		for _, v := range ords {
+			entry.uvarint(v)
+		}
+		n := entry.buf.Len()
+		if s.fwdLen[i] != nil {
+			n = *s.fwdLen[i]
+		}
+		w.uvarint(uint64(n))
+		w.buf.Write(entry.buf.Bytes())
+	}
+	if s.trailingFwd {
+		w.buf.WriteByte(0)
+	}
 	return w.buf.Bytes()
 }
 
-// TestCodecV2RejectsBrokenSkipMetadata corrupts each load-bearing
-// field of a valid v2 segment in turn; both entry points of the reader
-// (readBoth) must reject every variant — skip entries feed pruning
-// proofs, so a segment whose declared bounds disagree with its
-// postings must never load.
-func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
-	if _, err := readBoth(t, defaultV2().encode()); err != nil {
-		t.Fatalf("baseline v2 segment must load: %v", err)
+// TestCodecV3RejectsCorruptFields corrupts each load-bearing field of
+// a valid v3 segment in turn; both entry points of the reader
+// (readBoth) must reject every variant. Skip entries feed pruning
+// proofs, and forward entries feed df corrections, so a segment whose
+// declared bounds disagree with its postings, or whose forward entries
+// disagree with its lists, must never load.
+func TestCodecV3RejectsCorruptFields(t *testing.T) {
+	if _, err := readBoth(t, defaultV3().encode()); err != nil {
+		t.Fatalf("baseline v3 segment must load: %v", err)
 	}
-	three := 3
+	one, three, nine := 1, 3, 9
 	huge := blockSize * 33
 	cases := []struct {
 		name    string
-		mutate  func(*v2Segment)
+		mutate  func(*v3Segment)
 		wantErr string
 	}{
-		{"wrong block count", func(s *v2Segment) { s.nBlocksTerm = 2 }, "blocks for"},
-		{"count above docs", func(s *v2Segment) { s.termCount = 3 }, "postings for"},
-		{"oversized block", func(s *v2Segment) { s.blockN = blockSize + 1 }, "oversized"},
-		{"short block", func(s *v2Segment) { s.blockN = 1 }, "want"},
-		{"wrong max doc", func(s *v2Segment) { s.maxDocDelta = 8 }, "declares max doc"},
-		{"implausible max doc", func(s *v2Segment) { s.maxDocDelta = 1 << 33 }, "implausible max doc"},
-		{"wrong bound", func(s *v2Segment) { s.declMaxTF = 1 }, "declares bound"},
-		{"trailing bytes", func(s *v2Segment) { s.trailingByte = true }, "trailing"},
-		{"byte length lies", func(s *v2Segment) { s.byteLen = &three }, "malformed posting 1"},
-		{"implausible byte length", func(s *v2Segment) { s.byteLen = &huge }, "implausible byte length"},
-		{"doc regression", func(s *v2Segment) { s.secondDelta = 0 }, "strictly ascending"},
-		{"unknown doc", func(s *v2Segment) { s.firstDocDelta = 6 }, "unknown doc"},
-		{"wrong entity bound", func(s *v2Segment) { s.entMaxW = 2 }, "declares bound"},
-		{"entity dScore range", func(s *v2Segment) { s.entDScore = 1.5; s.entMaxW = 2.5 }, "outside [0,1]"},
+		{"wrong block count", func(s *v3Segment) { s.nBlocksTerm = 2 }, "blocks for"},
+		{"count above docs", func(s *v3Segment) { s.termCount = 3 }, "postings for"},
+		{"oversized block", func(s *v3Segment) { s.blockN = blockSize + 1 }, "oversized"},
+		{"short block", func(s *v3Segment) { s.blockN = 1 }, "want"},
+		{"wrong max doc", func(s *v3Segment) { s.maxDocDelta = 8 }, "declares max doc"},
+		{"implausible max doc", func(s *v3Segment) { s.maxDocDelta = 1 << 33 }, "implausible max doc"},
+		{"wrong bound", func(s *v3Segment) { s.declMaxTF = 1 }, "declares bound"},
+		{"trailing bytes", func(s *v3Segment) { s.trailingByte = true }, "trailing"},
+		{"byte length lies", func(s *v3Segment) { s.byteLen = &three }, "malformed posting 1"},
+		{"implausible byte length", func(s *v3Segment) { s.byteLen = &huge }, "implausible byte length"},
+		{"doc regression", func(s *v3Segment) { s.secondDelta = 0 }, "strictly ascending"},
+		{"unknown doc", func(s *v3Segment) { s.firstDocDelta = 6 }, "unknown doc"},
+		{"wrong entity bound", func(s *v3Segment) { s.entMaxW = 2 }, "declares bound"},
+		{"entity dScore range", func(s *v3Segment) { s.entDScore = 1.5; s.entMaxW = 2.5 }, "outside [0,1]"},
+		{"forward length short", func(s *v3Segment) { s.fwdLen[0] = &one }, "forward entry of doc 5 holds 1 bytes"},
+		{"forward length past the section", func(s *v3Segment) { s.fwdLen[1] = &nine }, "forward entry of doc 9 holds 9 bytes"},
+		{"forward key missing", func(s *v3Segment) { s.fwd[0] = []uint64{0} }, "forward entry of doc 5 holds 1 bytes"},
+		{"forward key extra", func(s *v3Segment) { s.fwd[1] = []uint64{0, 1} }, "forward entry of doc 9 holds 2 bytes"},
+		{"forward key wrong", func(s *v3Segment) { s.fwd[1] = []uint64{1} }, "forward entry of doc 9 lists other keys"},
+		{"forward ordinal past the dictionary", func(s *v3Segment) { s.fwd[0] = []uint64{0, 2} }, "forward entry of doc 5 lists other keys"},
+		{"forward ordinal repeated", func(s *v3Segment) { s.fwd[0] = []uint64{0, 0} }, "forward entry of doc 5 lists other keys"},
+		{"forward ordinals swapped", func(s *v3Segment) { s.fwd[0] = []uint64{1, 0} }, "forward entry of doc 5 lists other keys"},
+		{"forward entry missing", func(s *v3Segment) { s.fwd, s.fwdLen = s.fwd[:1], s.fwdLen[:1] }, "forward entry of doc 9: reading forward entry length"},
+		{"forward section missing", func(s *v3Segment) { s.fwd, s.fwdLen = nil, nil }, "forward entry of doc 5: reading forward entry length"},
+		{"trailing bytes after forward", func(s *v3Segment) { s.trailingFwd = true }, "trailing bytes after forward section"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultV2()
+			s := defaultV3()
+			s.fwd = [][]uint64{slices.Clone(s.fwd[0]), slices.Clone(s.fwd[1])}
 			tc.mutate(&s)
 			_, err := readBoth(t, s.encode())
 			if err == nil {
@@ -357,7 +392,7 @@ func TestCodecStrictOnBothEntryPoints(t *testing.T) {
 	header := func(nTerms uint64) *rawWriter {
 		w := &rawWriter{}
 		w.buf.WriteString(codecMagic)
-		w.uvarint(2)
+		w.uvarint(3)
 		w.uvarint(1)
 		w.uvarint(5)
 		w.uvarint(nTerms)
@@ -387,8 +422,8 @@ func TestCodecStrictOnBothEntryPoints(t *testing.T) {
 		data    []byte
 		wantErr string
 	}{
-		{"trailing garbage", append(valid.Bytes(), 0xAB, 0xCD), "trailing bytes after entity section"},
-		{"repeated doc", []byte("EFIX\x02\x02\x05\x00\x00\x00"), "duplicate doc 5"},
+		{"trailing garbage", append(valid.Bytes(), 0xAB, 0xCD), "trailing bytes after forward section"},
+		{"repeated doc", []byte("EFIX\x03\x02\x05\x00\x00\x00"), "duplicate doc 5"},
 		{"repeated key", repeated.buf.Bytes(), "out of order"},
 		{"empty list", empty.buf.Bytes(), "has no postings"},
 	} {
@@ -402,10 +437,11 @@ func TestCodecStrictOnBothEntryPoints(t *testing.T) {
 }
 
 // TestCodecRejectsUnsupportedVersion covers the version gate: only
-// the current version loads. Version 1 (the retired flat format) and
-// a future version are both refused as unsupported.
+// the current version loads. Version 1 (the retired flat format),
+// version 2 (no forward section) and a future version are all refused
+// as unsupported.
 func TestCodecRejectsUnsupportedVersion(t *testing.T) {
-	for _, version := range []uint64{1, codecVersion + 1} {
+	for _, version := range []uint64{1, 2, codecVersion + 1} {
 		w := &rawWriter{}
 		w.buf.WriteString(codecMagic)
 		w.uvarint(version)
@@ -444,10 +480,11 @@ func BenchmarkCodecRead(b *testing.B) {
 	}
 }
 
-// goldenIndex rebuilds the index testdata/golden-v2.idx was written
-// from (by the last commit with separate term and entity list types):
-// a small random index plus 300 documents sharing one term and one
-// entity, so a list of each kind spans three blocks.
+// goldenIndex rebuilds the index the golden files were written from
+// (testdata/golden-v2.idx by the last commit with separate term and
+// entity list types, golden-v3.idx by the first with a forward
+// section): a small random index plus 300 documents sharing one term
+// and one entity, so a list of each kind spans three blocks.
 func goldenIndex() *Index {
 	ix := randomIndex(11, 40)
 	for i := 0; i < 300; i++ {
@@ -459,19 +496,26 @@ func goldenIndex() *Index {
 	return ix
 }
 
-// TestGoldenV2File pins the format: the committed file still has the
-// hash it was written with, a fresh build of the same index writes it
-// byte for byte, and so does re-serializing it through either reader —
-// ReadIndex→WriteTo and OpenSegment→single-segment Store.WriteTo.
-func TestGoldenV2File(t *testing.T) {
-	const wantSum = "ed9585c361e7a793834ce335a1c6f211f1c334b1d3601c808c40313e83fa6f7f"
-	golden, err := os.ReadFile("testdata/golden-v2.idx")
+// readGolden reads a golden file and checks it still has the hash it
+// was written with.
+func readGolden(t *testing.T, name, wantSum string) []byte {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum := fmt.Sprintf("%x", sha256.Sum256(golden)); sum != wantSum {
-		t.Fatalf("testdata/golden-v2.idx hashes to %s, want %s", sum, wantSum)
+		t.Fatalf("testdata/%s hashes to %s, want %s", name, sum, wantSum)
 	}
+	return golden
+}
+
+// TestGoldenV3File pins the format: the committed file still has the
+// hash it was written with, a fresh build of the same index writes it
+// byte for byte, and so does re-serializing it through either reader —
+// ReadIndex→WriteTo and OpenSegment→single-segment Store.WriteTo.
+func TestGoldenV3File(t *testing.T) {
+	golden := readGolden(t, "golden-v3.idx", "b4c2211a6e469eb1c5b7ae154cc2370364c5ed02ee44345233ddc5cc7f51c11f")
 	check := func(what string, src io.WriterTo) {
 		t.Helper()
 		var got bytes.Buffer
@@ -506,5 +550,26 @@ func TestGoldenV2File(t *testing.T) {
 		}
 		check(fmt.Sprintf("OpenSegment(stream=%v)→Store.WriteTo", stream), s)
 		s.Close()
+	}
+}
+
+// TestGoldenV2FileRefused: a version 2 file — the golden one, which
+// both readers loaded before the forward section — is now refused by
+// ReadIndex and by a store opening it, with a request to rebuild.
+func TestGoldenV2FileRefused(t *testing.T) {
+	golden := readGolden(t, "golden-v2.idx", "ed9585c361e7a793834ce335a1c6f211f1c334b1d3601c808c40313e83fa6f7f")
+	const want = "unsupported version 2 (want 3): rebuild the index"
+	if _, err := ReadIndex(bytes.NewReader(golden)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadIndex: want a refusal mentioning %q, got %v", want, err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000"+segSuffix), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := NewStore(dir, StoreOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("NewStore: want a refusal mentioning %q, got %v", want, err)
 	}
 }

@@ -117,10 +117,10 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 		for round := 0; round < 6; round++ {
 			d := st.randomDelta(r)
 			for _, u := range d.Updates {
-				mono.Update(u.ID, u.Old, u.New)
+				mono.Update(u.ID, u.New)
 			}
 			for _, rm := range d.Removes {
-				mono.Remove(rm.ID, rm.A)
+				mono.Remove(rm.ID)
 			}
 			for _, a := range d.Adds {
 				mono.Add(a.ID, a.A)
@@ -194,7 +194,7 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 	ix := flatFromDocs(docs)
 	s := memStore(docs, 3)
 	for _, d := range docs {
-		ix.Remove(d.ID, d.A)
+		ix.Remove(d.ID)
 		s.ApplyDelta(Delta{Removes: []Doc{d}})
 	}
 	for name, got := range map[string]*Index{"monolith": ix, "memtable": s.mem} {
@@ -215,10 +215,58 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 	}
 }
 
+// TestRemoveAcrossBlocks: Remove drops documents from the first, a
+// middle and the last sealed block of a long list and from its unsorted
+// tail — each alone, so the block-range test and the decode chaining of
+// holdsAny must find it (the middle block's first document sits right
+// after the block before it ends), and all at once; the index must
+// equal a rebuild without them, byte for byte.
+func TestRemoveAcrossBlocks(t *testing.T) {
+	var docs []Doc
+	for i := 0; i < 3*blockSize+40; i++ {
+		docs = append(docs, Doc{ID: DocID(i), A: analysis.Analyzed{
+			Terms: map[string]int{"long": 1 + i%4, fmt.Sprintf("t%d", i%7): 1},
+		}})
+	}
+	if l := flatFromDocs(docs).lists[termKey("long")]; len(l.blocks) < 3 || l.count == l.sealed() {
+		t.Fatalf("the long list has %d blocks and %d tail postings, want at least 3 and some", len(l.blocks), l.count-l.sealed())
+	}
+	first, middle, last, tail := 0, blockSize, 2*blockSize+7, len(docs)-3
+	for _, at := range [][]int{{first}, {middle}, {last}, {tail}, {first, middle, last, tail}} {
+		gone := map[DocID]bool{}
+		var ids []DocID
+		for _, i := range at {
+			gone[docs[i].ID] = true
+			ids = append(ids, docs[i].ID)
+		}
+		var kept []Doc
+		for _, d := range docs {
+			if !gone[d.ID] {
+				kept = append(kept, d)
+			}
+		}
+		ix := flatFromDocs(docs)
+		ix.Remove(ids...)
+		for _, l := range ix.lists {
+			checkBounds(t, l)
+		}
+		var got, want bytes.Buffer
+		if _, err := ix.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := flatFromDocs(kept).WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("removing docs %v differs from a rebuild without them", ids)
+		}
+	}
+}
+
 // TestRemovePanicsOnUnknown pins the programming-error contract:
-// removing a document that is not indexed, or with an analyzed form
-// naming a dimension the index never saw for it, must panic rather
-// than silently corrupt posting lists.
+// removing a document that is not indexed, or one twice in one call,
+// must panic rather than silently corrupt posting lists — and leave
+// the index as it was when the panic comes before any list is touched.
 func TestRemovePanicsOnUnknown(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -232,24 +280,22 @@ func TestRemovePanicsOnUnknown(t *testing.T) {
 	a := analysis.Analyzed{Terms: map[string]int{"swim": 1}}
 	ix := New()
 	ix.Add(1, a)
-	mustPanic("unknown doc", func() { ix.Remove(2, a) })
-	mustPanic("absent list", func() {
-		ix.Remove(1, analysis.Analyzed{Terms: map[string]int{"notindexed": 1}})
-	})
-	ix2 := New()
-	ix2.Add(1, a)
-	ix2.Add(2, analysis.Analyzed{Terms: map[string]int{"pool": 1}})
-	mustPanic("posting missing", func() {
-		// "pool" exists as a list, but doc 1 is not in it.
-		ix2.Remove(1, analysis.Analyzed{Terms: map[string]int{"pool": 1}})
-	})
+	mustPanic("unknown doc", func() { ix.clone().Remove(2) })
+	mustPanic("removed twice", func() { ix.clone().Remove(1, 1) })
+	mustPanic("one unknown among known", func() { ix.clone().Remove(0, 1) })
+	if ix.NumDocs() != 1 || ix.DocFreq("swim") != 1 {
+		t.Fatalf("a panicking Remove on a clone changed the original: %d docs, df %d", ix.NumDocs(), ix.DocFreq("swim"))
+	}
 }
 
 // FuzzDeltaApply interleaves adds, updates and removes in a
 // fuzz-chosen order and checks that the surviving index is exactly the
 // cold rebuild of the surviving documents: bit-identical rankings,
 // byte-identical segment, canonical block encoding with sound skip
-// bounds on every list.
+// bounds on every list. A second store, with a directory, takes the
+// same steps and seals every 8th and compacts every 32nd; after every
+// step both stores' forward keys and df corrections must match the
+// surviving documents (checkForward, checkTombDF).
 func FuzzDeltaApply(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 200, 9, 9, 9}, "swim pool")
 	f.Add(int64(2), []byte{255, 254, 253, 1, 1, 1, 1, 1, 1, 7}, "copper atom")
@@ -260,8 +306,9 @@ func FuzzDeltaApply(f *testing.F) {
 		st := newCorpusState(randomDocs(seed, 60, 0))
 		ix := flatFromDocs(st.docs())
 		s := memStore(st.docs(), 3)
+		seg := storeOf(t, st.docs(), []int{30}, StoreOptions{})
 
-		for _, op := range ops {
+		for i, op := range ops {
 			switch {
 			case op < 100: // add
 				id := st.nextID + DocID(op%5)
@@ -271,14 +318,16 @@ func FuzzDeltaApply(f *testing.F) {
 				st.ids = append(st.ids, id)
 				ix.Add(id, a)
 				s.AddBatch([]Doc{{ID: id, A: a}})
+				seg.AddBatch([]Doc{{ID: id, A: a}})
 			case op < 180: // update
 				if len(st.ids) == 0 {
 					continue
 				}
 				id := st.ids[int(op)%len(st.ids)]
 				na := randomAnalyzed(r)
-				ix.Update(id, st.live[id], na)
+				ix.Update(id, na)
 				s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: id, Old: st.live[id], New: na}}})
+				seg.ApplyDelta(Delta{Updates: []DocUpdate{{ID: id, New: na}}})
 				st.live[id] = na
 			default: // remove
 				if len(st.ids) == 0 {
@@ -286,10 +335,26 @@ func FuzzDeltaApply(f *testing.F) {
 				}
 				j := int(op) % len(st.ids)
 				id := st.ids[j]
-				ix.Remove(id, st.live[id])
+				ix.Remove(id)
 				s.ApplyDelta(Delta{Removes: []Doc{{ID: id, A: st.live[id]}}})
+				seg.ApplyDelta(Delta{Removes: []Doc{{ID: id}}})
 				delete(st.live, id)
 				st.ids = append(st.ids[:j], st.ids[j+1:]...)
+			}
+			switch {
+			case i%32 == 31:
+				if err := seg.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case i%8 == 7:
+				if err := seg.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step := fmt.Sprintf("op %d (%d)", i, op)
+			for _, store := range []*Store{s, seg} {
+				checkForward(t, store, st.docs(), step)
+				checkTombDF(t, store, step)
 			}
 		}
 
@@ -299,6 +364,7 @@ func FuzzDeltaApply(f *testing.F) {
 			want := rebuild.Score(need, alpha)
 			assertScoredBitIdentical(t, "fuzz mono", want, ix.Score(need, alpha))
 			assertScoredBitIdentical(t, "fuzz store", want, s.Score(need, alpha))
+			assertScoredBitIdentical(t, "fuzz sealed store", want, seg.Score(need, alpha))
 			wantK := want
 			if len(wantK) > 5 {
 				wantK = wantK[:5]
@@ -321,6 +387,13 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 		if !bytes.Equal(wantSeg.Bytes(), gotSeg.Bytes()) {
 			t.Fatal("delta-applied segment differs from rebuild segment")
+		}
+		var sealedSeg bytes.Buffer
+		if _, err := seg.WriteTo(&sealedSeg); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantSeg.Bytes(), sealedSeg.Bytes()) {
+			t.Fatal("delta-applied sealed store differs from rebuild segment")
 		}
 		// The serialized form must survive the fully-validating reader
 		// (recomputed maxima, canonical block-size invariant).

@@ -2,9 +2,11 @@ package index
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,12 +25,13 @@ func openBytes(t *testing.T, data []byte, forceStream bool) (*SegmentReader, err
 	return OpenSegment(path, forceStream)
 }
 
-// readBoth runs the same bytes through both entry points of the v2
+// readBoth runs the same bytes through both entry points of the v3
 // reader — ReadIndex, and OpenSegment mmapped and streamed — and holds
 // them to one verdict: all accept or all reject, and on accept they
-// agree on the document count, every dictionary entry's frequency and
-// the re-serialized bytes (which exercises every list load). It
-// returns ReadIndex's result.
+// agree on the document count, every dictionary entry's frequency,
+// every document's keys (the segment's forward entries against
+// ReadIndex's lists) and the re-serialized bytes (which exercises every
+// list load). It returns ReadIndex's result.
 func readBoth(t *testing.T, data []byte) (*Index, error) {
 	t.Helper()
 	ix, err := ReadIndex(bytes.NewReader(data))
@@ -54,6 +57,9 @@ func readBoth(t *testing.T, data []byte) (*Index, error) {
 			if sr.freq(k) != l.count {
 				t.Fatalf("stream=%v: %v frequency %d, ReadIndex %d", stream, k, sr.freq(k), l.count)
 			}
+		}
+		if got, want := docKeys(sr), docKeys(ix); !maps.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("stream=%v: forward entries list other keys than ReadIndex's lists", stream)
 		}
 		var got bytes.Buffer
 		if _, err := writeIndex(&got, []mergeSource{{src: sr}}); err != nil {
@@ -82,7 +88,17 @@ func FuzzReadIndex(f *testing.F) {
 	// Accepted by ReadIndex alone before the readers were one scanner:
 	// trailing garbage, and a repeated doc id.
 	f.Add(append(append([]byte(nil), buf.Bytes()...), 0xAB, 0xCD))
-	f.Add([]byte("EFIX\x02\x02\x05\x00\x00\x00"))
+	f.Add([]byte("EFIX\x03\x02\x05\x00\x00\x00"))
+	// The golden files: v3 lists that span blocks, with a forward
+	// section, and the v2 file the reader now refuses.
+	for _, name := range []string{"golden-v3.idx", "golden-v2.idx"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(defaultV3().encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := readBoth(t, data)

@@ -18,6 +18,7 @@ package index
 
 import (
 	"io"
+	"maps"
 	"math"
 	"slices"
 
@@ -163,37 +164,42 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 	eachPosting(id, a, ix.addPosting)
 }
 
-// Remove deletes a previously indexed resource. a must be the
-// analyzed form the document was added under (analysis is
-// deterministic, so callers either retain it or re-analyze the
-// installed text). Every touched posting list is rebuilt into
+// Remove deletes previously indexed resources, by id, in one pass over
+// the lists: every list holding one of them is rebuilt once into
 // canonical sealed blocks with its maxima recomputed, and lists left
 // empty are dropped from the map entirely — the index is
-// indistinguishable from one that never saw the document, so a
+// indistinguishable from one that never saw the documents, so a
 // delta-applied index serializes byte-identically to a cold rebuild.
-// Removing an unknown document, or one whose postings are missing
-// from a list, is a programming error and panics.
-func (ix *Index) Remove(id DocID, a analysis.Analyzed) {
-	i, ok := slices.BinarySearch(ix.ids, id)
-	if !ok {
+// A list is replaced, never changed in place, so a clone's lists stay
+// the original's. Removing an unknown document, or one twice, is a
+// programming error and panics.
+func (ix *Index) Remove(ids ...DocID) {
+	gone := slices.Clone(ids)
+	slices.Sort(gone)
+	kept, j := ix.ids[:0], 0
+	for _, d := range ix.ids {
+		if j < len(gone) && gone[j] == d {
+			j++
+			continue
+		}
+		kept = append(kept, d)
+	}
+	if j < len(gone) {
 		panic("index: removing unknown document")
 	}
-	ix.ids = slices.Delete(ix.ids, i, i+1)
-	eachPosting(id, a, func(k listKey, _ posting) {
-		l := ix.lists[k]
-		if l == nil {
-			panic("index: removing posting from absent list")
+	ix.ids = kept
+	var buf []posting
+	for k, l := range ix.lists {
+		var holds bool
+		if holds, buf = l.holdsAny(gone, buf); !holds {
+			continue
 		}
-		kept := dropDocs(l.sorted(), func(d DocID) bool { return d == id })
-		switch len(kept) {
-		case l.count:
-			panic("index: posting missing on remove")
-		case 0:
+		if ps := dropDocs(l.sorted(), func(d DocID) bool { return hasID(gone, d) }); len(ps) == 0 {
 			delete(ix.lists, k)
-		default:
-			ix.lists[k] = newPostingList(k.kind, kept)
+		} else {
+			ix.lists[k] = newPostingList(k.kind, ps)
 		}
-	})
+	}
 }
 
 // dropDocs filters, in place, the postings whose document drop
@@ -208,11 +214,16 @@ func dropDocs(ps []posting, drop func(DocID) bool) []posting {
 	return kept
 }
 
-// Update replaces the indexed form of a document: old must be the
-// analyzed form it was added under, new becomes its indexed form.
-func (ix *Index) Update(id DocID, old, new analysis.Analyzed) {
-	ix.Remove(id, old)
-	ix.Add(id, new)
+// Update replaces the indexed form of a document with a.
+func (ix *Index) Update(id DocID, a analysis.Analyzed) {
+	ix.Remove(id)
+	ix.Add(id, a)
+}
+
+// clone returns a copy that shares the lists: Remove on either one
+// leaves the other as it was.
+func (ix *Index) clone() *Index {
+	return &Index{lists: maps.Clone(ix.lists), ids: slices.Clone(ix.ids)}
 }
 
 // NumDocs returns the number of indexed resources.

@@ -179,7 +179,7 @@ func TestSearchOracleGrid(t *testing.T) {
 		if between == 0 {
 			t.Fatal("no tail posting lies below a sealed doc id; the layout is not the one under test")
 		}
-		ix.Update(low.ID, low.A, updated.A)
+		ix.Update(low.ID, updated.A)
 		targets := []oracleTarget{{"index", ix, ref}}
 		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {forceStream: true}} {
 			s := storeOf(t, shuffled, []int{300, 600}, o)

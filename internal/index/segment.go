@@ -3,15 +3,17 @@ package index
 import (
 	"fmt"
 	"os"
+	"slices"
 )
 
 // SegmentReader is a read-only view of one sealed on-disk segment: a
-// v2 codec file whose posting lists are fetched from disk (or an mmap
+// v3 codec file whose posting lists are fetched from disk (or an mmap
 // window) only when a query plans them, never resident all at once.
 // Opening a segment runs the one full sequential validation pass
 // (scanIndex, the same ReadIndex runs) but retains only the
-// dictionary: per-list file offsets, counts and maxima, plus the sorted
-// document id set. After a successful open the file is trusted (the
+// dictionary — per-list file offsets, counts, maxima and ordinals —
+// the sorted document id set, and where every fwdStride-th forward
+// entry starts. After a successful open the file is trusted (the
 // codec targets trusted local storage); a file mutated underneath an
 // open reader panics rather than serving silently wrong postings.
 type SegmentReader struct {
@@ -21,16 +23,19 @@ type SegmentReader struct {
 
 	docs  []DocID // ascending
 	lists map[listKey]segList
+	fwd   []int64 // scanIndex's forward entry offsets
 }
 
 // segList is one dictionary entry: where a list body (starting at its
-// postings-count uvarint) lives in the file, and the stats the store
-// folds into global query planning without touching the disk.
+// postings-count uvarint) lives in the file, the stats the store folds
+// into global query planning without touching the disk, and the
+// entry's ordinal, the name forward entries use for it.
 type segList struct {
 	off   int64
 	end   int64
-	count int
 	maxW  float64
+	count int32
+	ord   uint32
 }
 
 // sectionSource serves byte ranges of a sealed segment file. The
@@ -58,7 +63,7 @@ func (s *preadSource) section(off, n int64) []byte {
 func (s *preadSource) Close() error { return s.f.Close() }
 
 // OpenSegment opens and fully validates a sealed segment file (the
-// blocked v2 format). forceStream disables mmap in favor of positioned
+// blocked v3 format). forceStream disables mmap in favor of positioned
 // reads.
 func OpenSegment(path string, forceStream bool) (*SegmentReader, error) {
 	f, err := os.Open(path)
@@ -73,8 +78,8 @@ func OpenSegment(path string, forceStream bool) (*SegmentReader, error) {
 	sr := &SegmentReader{path: path, size: st.Size(), lists: make(map[listKey]segList)}
 	// The scan consumes the file offset; the file is addressed
 	// positionally afterwards.
-	sr.docs, err = scanIndex(f, func(k listKey, l *postingList, off, end int64) {
-		sr.lists[k] = segList{off: off, end: end, count: l.count, maxW: l.maxW}
+	sr.docs, sr.fwd, err = scanIndex(f, func(k listKey, l *postingList, off, end int64) {
+		sr.lists[k] = segList{off: off, end: end, maxW: l.maxW, count: int32(l.count), ord: uint32(len(sr.lists))}
 	})
 	if err != nil {
 		f.Close()
@@ -117,7 +122,41 @@ func (sr *SegmentReader) keys() []listKey {
 }
 
 // freq returns the segment-local document frequency of a dimension.
-func (sr *SegmentReader) freq(k listKey) int { return sr.lists[k].count }
+func (sr *SegmentReader) freq(k listKey) int { return int(sr.lists[k].count) }
+
+// eachOrd calls fn with the ordinal of every list holding id, which the
+// segment must hold, ascending: id's forward entry.
+func (sr *SegmentReader) eachOrd(id DocID, fn func(ord uint32)) {
+	i, ok := slices.BinarySearch(sr.docs, id)
+	if !ok {
+		panic(fmt.Sprintf("index: segment %s does not hold doc %d", sr.path, id))
+	}
+	j := i / fwdStride
+	raw := sr.src.section(sr.fwd[j], sr.fwd[j+1]-sr.fwd[j])
+	pos := 0
+	for skip := i % fwdStride; ; skip-- {
+		n, m := uvarintAt(raw, pos)
+		if m == 0 || n > uint64(len(raw)-pos-m) {
+			segCorrupt(sr.path, "forward entry length")
+		}
+		pos += m
+		if skip > 0 {
+			pos += int(n)
+			continue
+		}
+		ord := uint32(0)
+		for end := pos + int(n); pos < end; {
+			v, m := uvarintAt(raw, pos)
+			if m == 0 {
+				segCorrupt(sr.path, "forward entry")
+			}
+			pos += m
+			ord += uint32(v)
+			fn(ord)
+		}
+		return
+	}
+}
 
 // segCorrupt reports post-open structural damage. The open pass proved
 // the file well-formed, so reaching this means the file changed under
@@ -158,6 +197,6 @@ func (sr *SegmentReader) list(k listKey, l *postingList, arena []blockMeta) []bl
 	if pos != len(raw) {
 		segCorrupt(sr.path, "trailing bytes in list")
 	}
-	*l = postingList{kind: k.kind, data: raw, blocks: arena[start:len(arena):len(arena)], count: ref.count, maxW: ref.maxW}
+	*l = postingList{kind: k.kind, data: raw, blocks: arena[start:len(arena):len(arena)], count: int(ref.count), maxW: ref.maxW}
 	return arena
 }

@@ -369,11 +369,12 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 		}
 		s.ApplyDelta(d)
 		checkTombDF(t, s, fmt.Sprintf("round %d", round))
+		checkForward(t, s, live, fmt.Sprintf("round %d", round))
 		for _, rm := range d.Removes {
-			mono.Remove(rm.ID, rm.A)
+			mono.Remove(rm.ID)
 		}
 		for _, u := range d.Updates {
-			mono.Update(u.ID, u.Old, u.New)
+			mono.Update(u.ID, u.New)
 		}
 		for _, a := range d.Adds {
 			mono.Add(a.ID, a.A)
@@ -415,6 +416,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 		t.Fatalf("Seal: %v", err)
 	}
 	checkTombDF(t, s, "seal")
+	checkForward(t, s, live, "seal")
 	tombs := s.Status().Tombstones
 	if tombs == 0 {
 		t.Fatal("expected tombstones before compaction")
@@ -423,6 +425,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	checkTombDF(t, s, "compaction")
+	checkForward(t, s, live, "compaction")
 	st := s.Status()
 	if st.Tombstones != 0 || st.ReclaimedDocs != uint64(tombs) || len(st.Segments) != 1 {
 		t.Fatalf("post-compact status: %+v (want 0 tombstones, %d reclaimed, 1 segment)", st, tombs)
@@ -579,14 +582,17 @@ func TestStoreSealFailureKeepsServing(t *testing.T) {
 			gone, changed := docs[first], docs[first+1]
 			newA := randomDocs(99, 1, 0)[0].A
 			s.ApplyDelta(Delta{Removes: []Doc{gone}, Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
-			mono.Remove(gone.ID, gone.A)
-			mono.Update(changed.ID, changed.A, newA)
-			if st := s.Status(); st.Tombstones != 2 || st.Segments[len(st.Segments)-1].Tombstones != 2 || st.MemtableDocs != 1 {
+			mono.Remove(gone.ID)
+			mono.Update(changed.ID, newA)
+			// An unwritten segment has no forward section to tombstone by:
+			// the delta drops both documents from a copy of its frozen index.
+			if st := s.Status(); st.Tombstones != 0 || st.Segments[len(st.Segments)-1].Docs != len(docs)-first-2 || st.MemtableDocs != 1 {
 				t.Fatalf("the delta did not land on the unwritten segment: %+v", st)
 			}
+			checkTombDF(t, s, "delta on the unwritten segment")
 			assertScoredBitIdentical(t, "delta on the unwritten segment", s.Score(need, 0.6), mono.Score(need, 0.6))
 			if !dueAt(len(docs) - first - 1) {
-				t.Fatal("the tombstoned unwritten documents still count towards the next seal")
+				t.Fatal("the removed unwritten documents still count towards the next seal")
 			}
 
 			if err := os.Remove(block); err != nil {
@@ -598,7 +604,7 @@ func TestStoreSealFailureKeepsServing(t *testing.T) {
 			}
 			st = s.Status()
 			if st.Seals != uint64(c.seals) || st.Compactions != uint64(c.compactions) || len(st.Segments) != c.segs ||
-				st.MemtableDocs != c.memtable || st.ReclaimedDocs != 2 || st.Tombstones != 0 {
+				st.MemtableDocs != c.memtable || st.ReclaimedDocs != 0 || st.Tombstones != 0 {
 				t.Fatalf("after retry %s: %+v", c.retry, st)
 			}
 			// The files on disk are exactly the segments serving: the
@@ -629,21 +635,27 @@ func TestStoreSealFailureKeepsServing(t *testing.T) {
 
 // checkTombDF is the df recount oracle: it decodes every list of every
 // segment and counts the postings of the segment's tombstoned
-// documents, which must be the df correction the segment keeps. It is
-// the pass that rebuilds the correction from persisted tombstone ids.
+// documents, which must be the df correction the segment counted off
+// its forward section. It is the pass that would rebuild the
+// correction from tombstone ids without one.
 func checkTombDF(t testing.TB, s *Store, step string) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, g := range s.segs {
-		c := g.view()
-		recount := map[listKey]int{}
-		for _, k := range c.keys() {
+		if g.frozen != nil {
+			if g.tomb.ids.size() != 0 || len(g.tomb.df) != 0 {
+				t.Fatalf("%s: unwritten segment %d has tombstones", step, i)
+			}
+			continue
+		}
+		recount := map[uint32]int{}
+		for k, ref := range g.r.lists {
 			var l postingList
-			c.list(k, &l, nil)
+			g.r.list(k, &l, nil)
 			for _, p := range l.sorted() {
 				if g.tomb.has(p.doc) {
-					recount[k]++
+					recount[ref.ord]++
 				}
 			}
 		}
@@ -654,13 +666,77 @@ func checkTombDF(t testing.TB, s *Store, step string) {
 	}
 }
 
+// docKeys returns, per document of c, the keys c lists it under,
+// ascending: read off the forward section of a written segment,
+// inverted out of the lists of an index.
+func docKeys(c component) map[DocID][]listKey {
+	out := map[DocID][]listKey{}
+	switch c := c.(type) {
+	case *SegmentReader:
+		byOrd := make([]listKey, len(c.lists))
+		for k, ref := range c.lists {
+			byOrd[ref.ord] = k
+		}
+		for _, d := range c.docs {
+			c.eachOrd(d, func(ord uint32) { out[d] = append(out[d], byOrd[ord]) })
+		}
+	case *Index:
+		for k, l := range c.lists {
+			for _, p := range l.sorted() {
+				out[p.doc] = append(out[p.doc], k)
+			}
+		}
+		for _, keys := range out {
+			slices.SortFunc(keys, keyCmp)
+		}
+	}
+	return out
+}
+
+// analyzedKeys returns, ascending, the keys eachPosting indexes a under.
+func analyzedKeys(a analysis.Analyzed) []listKey {
+	var out []listKey
+	eachPosting(0, a, func(k listKey, _ posting) { out = append(out, k) })
+	slices.SortFunc(out, keyCmp)
+	return out
+}
+
+// checkForward is the forward-key oracle: every live document's keys,
+// in the component holding it live — read off a written segment's
+// forward section, inverted out of the memtable or a frozen index —
+// must be the keys its analyzed form is indexed under.
+func checkForward(t testing.TB, s *Store, live []Doc, step string) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	keys := map[component]map[DocID][]listKey{}
+	for _, d := range live {
+		var c component = s.mem
+		if !s.mem.Has(d.ID) {
+			g := s.liveSegLocked(d.ID)
+			if g == nil {
+				t.Fatalf("%s: doc %d is not live", step, d.ID)
+			}
+			c = g.view()
+		}
+		if keys[c] == nil {
+			keys[c] = docKeys(c)
+		}
+		if got, want := keys[c][d.ID], analyzedKeys(d.A); !slices.Equal(got, want) {
+			t.Fatalf("%s: doc %d is listed under %v, its analyzed form under %v", step, d.ID, got, want)
+		}
+	}
+}
+
 // A remove and an update that land on replace's victims after its
 // snapshot — one before the file is written, one after — name documents
-// live in the new file, so the new segment must keep them tombstoned,
-// ids and df correction alike, while the tombstone the snapshot took is
-// reclaimed. replace's steps run by hand, in order, for a seal (its
-// victim is the frozen memtable) and a compaction (two segments on
-// disk); afterwards statistics, rankings and bytes equal the monolith's.
+// live in the new file, so the new segment must tombstone them, its df
+// correction read off its own forward section, while what the snapshot
+// had already lost stays out of the file. replace's steps run by hand,
+// in order, for a seal (its victim is the frozen memtable, which loses
+// documents by drops) and a compaction (two segments on disk, which
+// lose them by tombstones); afterwards forward keys, statistics,
+// rankings and bytes equal the monolith's.
 func TestStoreReplaceCarriesOverTombstones(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compact=%v", compact), func(t *testing.T) {
@@ -678,29 +754,40 @@ func TestStoreReplaceCarriesOverTombstones(t *testing.T) {
 			} else {
 				victims = s.freeze()
 			}
+			live := slices.Clone(docs)
 			remove := func(d Doc) {
 				s.ApplyDelta(Delta{Removes: []Doc{d}})
-				mono.Remove(d.ID, d.A)
+				mono.Remove(d.ID)
+				live = slices.DeleteFunc(live, func(l Doc) bool { return l.ID == d.ID })
 			}
 
 			remove(gone)
 			srcs, path := s.snapshot(victims)
 			remove(dead)
+			checkForward(t, s, live, "before the write")
 			r, err := s.writeSegmentFile(path, srcs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			newA := randomDocs(77, 1, 0)[0].A
 			s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
-			mono.Update(changed.ID, changed.A, newA)
+			mono.Update(changed.ID, newA)
+			live[slices.IndexFunc(live, func(l Doc) bool { return l.ID == changed.ID })].A = newA
 			s.swap(victims, srcs, r, n, m)
 
+			// A seal's victim is the frozen memtable, which gone left by a
+			// drop, not a tombstone: only the compaction reclaims it.
+			reclaimed := uint64(0)
+			if compact {
+				reclaimed = 1
+			}
 			merged := s.segs[len(s.segs)-1]
-			if st := s.Status(); merged.r != r || st.ReclaimedDocs != 1 || st.Tombstones != 2 ||
+			if st := s.Status(); merged.r != r || st.ReclaimedDocs != reclaimed || st.Tombstones != 2 ||
 				!merged.tomb.has(dead.ID) || !merged.tomb.has(changed.ID) {
 				t.Fatalf("after the swap: %+v; the new segment tombstones %v", st, merged.tomb.ids)
 			}
 			checkTombDF(t, s, "after the swap")
+			checkForward(t, s, live, "after the swap")
 			if s.NumDocs() != mono.NumDocs() {
 				t.Fatalf("NumDocs %d, want %d", s.NumDocs(), mono.NumDocs())
 			}
@@ -810,8 +897,10 @@ func TestOpenSegmentRejectsCorruption(t *testing.T) {
 }
 
 // The -race soak: queries, deltas and background seal/compaction all
-// run concurrently; every query must observe some consistent store
-// state, and the final state must match a serial rebuild.
+// run concurrently — removes included, of sealed documents and of
+// fresh ones a seal may be writing — and every query must observe some
+// consistent store state, and the final state must match a serial
+// rebuild.
 func TestStoreConcurrentMaintenance(t *testing.T) {
 	docs := randomDocs(14, 300, 0)
 	s, err := NewStore(t.TempDir(), StoreOptions{FlushDocs: 40, MaxSegments: 3})
@@ -855,7 +944,13 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 		if i%3 == 0 {
 			victim := docs[i-200]
 			d.Removes = []Doc{victim}
-			mono.Remove(victim.ID, victim.A)
+			mono.Remove(victim.ID)
+		}
+		if i%5 == 1 && i > 200 {
+			// A fresh document: in the memtable, or in a frozen one a
+			// background seal is writing.
+			d.Removes = append(d.Removes, docs[i-1])
+			mono.Remove(docs[i-1].ID)
 		}
 		s.ApplyDelta(d)
 		checkTombDF(t, s, fmt.Sprintf("step %d", i))

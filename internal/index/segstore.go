@@ -95,16 +95,19 @@ type Doc struct {
 	A  analysis.Analyzed
 }
 
-// DocUpdate pairs a document with its previously indexed analyzed
-// form and its replacement: the unit of in-place change in a Delta.
+// DocUpdate pairs a document with its replacement: the unit of
+// in-place change in a Delta. The store reads ID and New; Old is not
+// read, and goes when ROADMAP item 2 or 9 narrows the type to {ID, New}
+// (the ledger under bench/ still builds it).
 type DocUpdate struct {
 	ID       DocID
 	Old, New analysis.Analyzed
 }
 
-// Delta is one atomic batch of index mutations. Removes carry the
-// analyzed form the document was added under, exactly like
-// Index.Remove.
+// Delta is one atomic batch of index mutations. A removal is an id: the
+// store reads only the IDs of Removes, and their analyzed forms go when
+// ROADMAP item 2 or 9 narrows the field to []DocID (the ledger under
+// bench/ still builds it).
 type Delta struct {
 	Adds    []Doc
 	Updates []DocUpdate
@@ -136,10 +139,12 @@ func ShardRoute(d DocID, n int) int {
 // freezes the memtable as an unwritten segment, which serves from the
 // frozen memtable (frozen != nil, path "") until a seal or compaction
 // writes it to a file; a written segment serves from its
-// SegmentReader. Tombstones are per-segment on purpose: a document
-// updated out of segment A and re-added lives in the memtable (and
-// later in segment B), so a store-global tombstone set would wrongly
-// suppress the live copy.
+// SegmentReader. Only a written segment has tombstones: a remove drops
+// an unwritten segment's documents from a copy of its frozen index
+// instead, since a replace may be reading the original. Tombstones are
+// per-segment on purpose: a document updated out of segment A and
+// re-added lives in the memtable (and later in segment B), so a
+// store-global tombstone set would wrongly suppress the live copy.
 type storeSegment struct {
 	frozen *Index // non-nil until the segment is written
 	r      *SegmentReader
@@ -147,45 +152,47 @@ type storeSegment struct {
 	tomb   tombstones
 }
 
-// tombstones is all a segment keeps of the documents deleted from it
-// while its lists still hold them: their ids, and its df correction,
-// per list how many of them it counts. Its zero value is read-only.
-// Copies share one id set, as they share one df map.
+// tombstones is all a written segment keeps of the documents deleted
+// from it while its lists still hold them: their ids, and its df
+// correction — per list, by dictionary ordinal, how many of them it
+// holds — counted off the segment's forward section. Its zero value
+// (an unwritten segment's, or a merge source's that drops nothing) is
+// empty and read-only. Copies share one id set, as they share one df
+// map.
 type tombstones struct {
+	r   *SegmentReader
 	ids *idSet
-	df  map[listKey]int
+	df  map[uint32]int
 }
 
-func newTombstones() tombstones {
-	return tombstones{ids: new(idSet), df: map[listKey]int{}}
+func newTombstones(r *SegmentReader) tombstones {
+	return tombstones{r: r, ids: new(idSet), df: map[uint32]int{}}
 }
 
 func (t tombstones) has(id DocID) bool { return t.ids.has(id) }
 
-// add tombstones id, indexed in the segment as a.
-func (t tombstones) add(id DocID, a analysis.Analyzed) {
+// add tombstones id, a document of the segment.
+func (t tombstones) add(id DocID) {
 	t.ids.add(id)
-	eachPosting(id, a, func(k listKey, _ posting) { t.df[k]++ })
+	t.r.eachOrd(id, func(ord uint32) { t.df[ord]++ })
 }
 
-// addSince adds what cur gained since snap, a snapshot of it (both only
-// grow until the replace that took snap swaps).
-func (t tombstones) addSince(cur, snap tombstones) {
-	cur.ids.each(func(id DocID) {
-		if !snap.has(id) {
-			t.ids.add(id)
-		}
-	})
-	for k, n := range cur.df {
-		if n -= snap.df[k]; n > 0 {
-			t.df[k] += n
-		}
+// dropped returns how many postings of k's list belong to tombstoned
+// documents.
+func (t tombstones) dropped(k listKey) int {
+	if len(t.df) == 0 {
+		return 0
 	}
+	ref, ok := t.r.lists[k]
+	if !ok {
+		return 0
+	}
+	return t.df[ref.ord]
 }
 
 // clone returns an independent copy.
 func (t tombstones) clone() tombstones {
-	return tombstones{ids: t.ids.clone(), df: maps.Clone(t.df)}
+	return tombstones{r: t.r, ids: t.ids.clone(), df: maps.Clone(t.df)}
 }
 
 // idSet is a set of doc ids as a bitset: id d is in it iff bit d&63 of
@@ -246,6 +253,28 @@ func (s *idSet) each(fn func(DocID)) {
 		for w != 0 {
 			fn(DocID(i<<6 | bits.TrailingZeros64(w)))
 			w &= w - 1
+		}
+	}
+}
+
+// lostSince calls fn with every document snap, the segment's snapshot,
+// held live that the segment no longer does: removed since, from a copy
+// of the frozen index or by a tombstone.
+func (g *storeSegment) lostSince(snap mergeSource, fn func(DocID)) {
+	if g.frozen == nil {
+		g.tomb.ids.each(func(id DocID) {
+			if !snap.drop.has(id) {
+				fn(id)
+			}
+		})
+		return
+	}
+	if g.frozen == snap.src {
+		return
+	}
+	for _, id := range snap.src.docIDs() {
+		if !g.frozen.Has(id) {
+			fn(id)
 		}
 	}
 }
@@ -364,7 +393,7 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 			s.closeSegments()
 			return nil, err
 		}
-		s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: newTombstones()})
+		s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: newTombstones(r)})
 		var n int
 		if _, err := fmt.Sscanf(filepath.Base(p), "seg-%d"+segSuffix, &n); err == nil && n >= s.seq {
 			s.seq = n + 1
@@ -458,20 +487,22 @@ func (s *Store) AddBatch(docs []Doc) error {
 // persists the growth.
 func (s *Store) ApplyDelta(d Delta) { s.write(d) }
 
-// write is the one write path, under the store write lock: adds land
-// in the memtable; a remove of a memtable document excises it
-// directly, while a remove of a sealed document tombstones it in the
-// one segment holding it live (postings reclaim at the next
-// compaction); an update is remove-then-add. It reports whether a seal
-// is due.
+// write is the one write path, under the store write lock: the
+// removed and the updated documents go first, by id (removeLocked),
+// then the updates' new forms and the adds land in the memtable. It
+// reports whether a seal is due.
 func (s *Store) write(d Delta) (sealDue bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	gone := make([]DocID, 0, len(d.Removes)+len(d.Updates))
 	for _, r := range d.Removes {
-		s.removeLocked(r.ID, r.A)
+		gone = append(gone, r.ID)
 	}
 	for _, u := range d.Updates {
-		s.removeLocked(u.ID, u.Old)
+		gone = append(gone, u.ID)
+	}
+	s.removeLocked(gone)
+	for _, u := range d.Updates {
 		s.addLocked(u.ID, u.New)
 	}
 	for _, a := range d.Adds {
@@ -492,7 +523,7 @@ func (s *Store) sealDueLocked() bool {
 	n := s.mem.NumDocs()
 	for _, g := range s.segs {
 		if g.frozen != nil {
-			n += g.frozen.NumDocs() - g.tomb.ids.size()
+			n += g.frozen.NumDocs()
 		}
 	}
 	return n >= s.opts.FlushDocs
@@ -506,16 +537,35 @@ func (s *Store) addLocked(id DocID, a analysis.Analyzed) {
 	s.mem.Add(id, a)
 }
 
-func (s *Store) removeLocked(id DocID, a analysis.Analyzed) {
-	if s.mem.Has(id) {
-		s.mem.Remove(id, a)
-		return
+// removeLocked removes ids, each live somewhere in the store: the
+// memtable drops its own in one pass over its lists, an unwritten
+// segment in one pass over a copy of its frozen index (a replace may be
+// writing the original), and a written segment tombstones its own.
+func (s *Store) removeLocked(ids []DocID) {
+	var mem []DocID
+	frozen := map[*storeSegment][]DocID{}
+	for _, id := range ids {
+		if s.mem.Has(id) {
+			mem = append(mem, id)
+			continue
+		}
+		switch g := s.liveSegLocked(id); {
+		case g == nil:
+			panic("index: removing unknown document")
+		case g.frozen != nil:
+			frozen[g] = append(frozen[g], id)
+		default:
+			g.tomb.add(id)
+		}
 	}
-	g := s.liveSegLocked(id)
-	if g == nil {
-		panic("index: removing unknown document")
+	if len(mem) > 0 {
+		s.mem.Remove(mem...)
 	}
-	g.tomb.add(id, a)
+	for g, ids := range frozen {
+		f := g.frozen.clone()
+		f.Remove(ids...)
+		g.frozen = f
+	}
 }
 
 // Seal freezes the memtable into an immutable segment and writes every
@@ -549,7 +599,7 @@ func (s *Store) freeze() (unwritten []*storeSegment) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.mem.NumDocs() > 0 {
-		s.segs = append(s.segs, &storeSegment{frozen: s.mem, tomb: newTombstones()})
+		s.segs = append(s.segs, &storeSegment{frozen: s.mem})
 		s.mem = New()
 		s.updateGauges()
 	}
@@ -596,15 +646,15 @@ func (s *Store) snapshot(victims []*storeSegment) ([]mergeSource, string) {
 }
 
 // swap puts r in the victims' place and bumps n and m, seals or
-// compactions. The snapshot's tombstones are reclaimed; those that
-// landed on victims[i] since name documents live in r, so they carry
-// over, ids and df alike. Victims that were on disk are then unlinked.
+// compactions. The snapshot's tombstones are reclaimed; the documents
+// victims[i] lost since are live in r, so r tombstones them. Victims
+// that were on disk are then unlinked.
 func (s *Store) swap(victims []*storeSegment, srcs []mergeSource, r *SegmentReader, n *uint64, m *telemetry.Counter) {
-	merged := &storeSegment{r: r, path: r.Path(), tomb: newTombstones()}
+	merged := &storeSegment{r: r, path: r.Path(), tomb: newTombstones(r)}
 	reclaimed := 0
 	s.mu.Lock()
 	for i, g := range victims {
-		merged.tomb.addSince(g.tomb, srcs[i].drop)
+		g.lostSince(srcs[i], merged.tomb.add)
 		reclaimed += srcs[i].drop.ids.size()
 	}
 	s.segs = append(slices.DeleteFunc(s.segs, func(g *storeSegment) bool { return slices.Contains(victims, g) }), merged)
@@ -829,7 +879,7 @@ func (s *Store) tombsLocked() int {
 func (s *Store) freqLocked(k listKey) int {
 	df := s.mem.freq(k)
 	for _, g := range s.segs {
-		df += g.view().freq(k) - g.tomb.df[k]
+		df += g.view().freq(k) - g.tomb.dropped(k)
 	}
 	return df
 }
@@ -965,7 +1015,7 @@ func (s *Store) partsLocked(plan queryPlan, accept func(DocID) bool) []part {
 }
 
 // WriteTo streams the live collection — memtable plus segments, minus
-// tombstones — as one canonical v2 index file, byte-identical to
+// tombstones — as one canonical v3 index file, byte-identical to
 // WriteTo on a monolithic Index holding the same live documents. It
 // holds the read lock for the duration, so concurrent writes wait.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -105,34 +104,50 @@ func TestIDSetAddNegativePanics(t *testing.T) {
 	new(idSet).add(-1)
 }
 
-// TestTombstonesAddSince: a replace carries over exactly the ids and
-// df the snapshot did not hold.
-func TestTombstonesAddSince(t *testing.T) {
+// TestLostSince: a replace carries over exactly the documents its
+// victim lost after the snapshot — tombstones on a written victim,
+// drops from a copy of a frozen one — while the snapshot keeps what it
+// took.
+func TestLostSince(t *testing.T) {
 	docs := randomDocs(31, 200, 0)
-	cur := newTombstones()
-	for _, d := range docs[:60] {
-		cur.add(d.ID, d.A)
+	s := storeOf(t, docs, []int{100}, StoreOptions{})
+	written, frozen := s.segs[0], s.freeze()[0]
+	remove := func(ds []Doc) {
+		var d Delta
+		for _, doc := range ds {
+			d.Removes = append(d.Removes, Doc{ID: doc.ID})
+		}
+		s.ApplyDelta(d)
 	}
-	snap := cur.clone()
-	want := map[DocID]bool{}
-	for _, d := range docs[60:90] {
-		cur.add(d.ID, d.A)
-		want[d.ID] = true
-	}
-	got := newTombstones()
-	got.add(docs[150].ID, docs[150].A) // what the new segment already held
-	want[docs[150].ID] = true
-	wantDF := maps.Clone(got.df)
-	for _, d := range docs[60:90] {
-		eachPosting(d.ID, d.A, func(k listKey, _ posting) { wantDF[k]++ })
-	}
+	remove(docs[0:30])
+	remove(docs[100:110])
+	snapW := mergeSource{src: written.view(), drop: written.tomb.clone()}
+	snapF := mergeSource{src: frozen.view()}
+	remove(docs[30:60])
+	remove(docs[110:130])
 
-	got.addSince(cur, snap)
-	checkIDSet(t, got.ids, want, docs[len(docs)-1].ID)
-	if !maps.Equal(got.df, wantDF) {
-		t.Fatalf("addSince df = %v, want %v", got.df, wantDF)
+	for _, c := range []struct {
+		name string
+		g    *storeSegment
+		snap mergeSource
+		want []Doc
+	}{
+		{"written", written, snapW, docs[30:60]},
+		{"frozen", frozen, snapF, docs[110:130]},
+	} {
+		var got, want []DocID
+		c.g.lostSince(c.snap, func(id DocID) { got = append(got, id) })
+		for _, d := range c.want {
+			want = append(want, d.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s victim lost %v since the snapshot, want %v", c.name, got, want)
+		}
 	}
-	if snap.ids.size() != 60 {
-		t.Fatalf("the snapshot grew to %d ids with its source", snap.ids.size())
+	if n := snapW.drop.ids.size(); n != 30 {
+		t.Fatalf("the written snapshot grew to %d tombstones with its source", n)
+	}
+	if n := snapF.src.NumDocs(); n != 90 {
+		t.Fatalf("the frozen snapshot holds %d docs, want the 90 it was taken with", n)
 	}
 }

@@ -57,6 +57,9 @@ var (
 	mRemoves = telemetry.Default().Counter(
 		"expertfind_ingest_removes_total",
 		"Resources tombstoned by ingest deltas.")
+	mAnalysed = telemetry.Default().Counter(
+		"expertfind_ingest_analysed_texts_total",
+		"Resource texts analysed by ingest rounds: the adds' and the updates' new texts, plus the indexed updates' old texts when a result cache needs their posting diff. A removal is by id and analyses nothing.")
 	mFullPurges = telemetry.Default().Counter(
 		"expertfind_ingest_cache_full_purges_total",
 		"Ingest rounds whose delta changed collection statistics (N or a document frequency), forcing a whole-cache purge instead of a scoped one.")

@@ -768,3 +768,45 @@ func TestChurnUpdateOnlyPreservesCount(t *testing.T) {
 		t.Error("update-only churn changed the resource population")
 	}
 }
+
+// BenchmarkIngestRound times one churn round's RunOnce against a
+// sealed store with a directory and no cache — seg_churn's write path
+// at a small scale — and reports the texts it analysed: the updates'
+// new texts and the adds, never a removed or replaced one.
+func BenchmarkIngestRound(b *testing.B) {
+	cfg := dataset.Config{Seed: 5, Scale: 0.05}
+	remote, installed := dataset.Generate(cfg).Graph, dataset.Generate(cfg).Graph
+	sys, err := experiments.Build(experiments.BuildOptions{
+		Dataset: &dataset.Dataset{Graph: installed}, SegmentDir: b.TempDir(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := sys.Finder.Index().(*index.Store)
+	defer ix.Close()
+	if err := ix.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	if st := ix.Status(); len(st.Segments) == 0 || st.MemtableDocs != 0 {
+		b.Fatalf("the store is not sealed: %+v", st)
+	}
+	ing := New(Config{API: reliableAPI(remote), Graph: installed, Index: ix, Pipe: sys.Finder.Pipeline(),
+		Finders: []*core.Finder{sys.Finder}})
+	churn := NewChurn(remote, ChurnConfig{Seed: 11, Adds: 30, Updates: 30, Removes: 15})
+	ctx := context.Background()
+	if _, err := ing.RunOnce(ctx); err != nil { // the first round is full: take it untimed
+		b.Fatal(err)
+	}
+	before := mAnalysed.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		churn.Round()
+		b.StartTimer()
+		if _, err := ing.RunOnce(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric((mAnalysed.Value()-before)/float64(b.N), "texts/op")
+}

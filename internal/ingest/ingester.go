@@ -54,9 +54,12 @@ type Config struct {
 }
 
 // DeltaIndex is the live-index surface an ingest delta applies to:
-// removes, updates and adds land as one atomic step.
+// removes, updates and adds land as one atomic step. Has tells a round
+// which of the resources it removes or updates are indexed, without
+// analysing their installed texts again.
 type DeltaIndex interface {
 	ApplyDelta(index.Delta)
+	Has(index.DocID) bool
 }
 
 // ScopedCache is the invalidation surface the ingester drives:
@@ -179,6 +182,8 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 			return ing.abort(tr, err)
 		}
 		ing.apply(delta, plan)
+		sp.SetAttrInt("analysed_texts", plan.analysed)
+		sp.SetAttrInt("removed_by_id", plan.removed)
 		sp.End()
 
 		sp = tr.StartSpan("ingest_invalidate")
@@ -337,6 +342,10 @@ type applyPlan struct {
 	// touchedDocs are the updated documents whose postings change —
 	// the docs whose reachability decides which groups are affected.
 	touchedDocs []socialgraph.ResourceID
+	// analysed counts the texts the round analysed; removed counts the
+	// indexed documents the index delta removes by id, the updated ones
+	// included.
+	analysed, removed int
 }
 
 // planApply validates the delta against the installed graph and
@@ -344,8 +353,10 @@ type applyPlan struct {
 // pre-mutation state. It performs no mutation, so an invalid delta
 // aborts the round with the graph untouched. The adds are validated
 // before anything is analysed; then one Pipeline.Batch analyses every
-// text the round needs on all cores: the removed resources' texts, the
-// updated ones' old and new texts, and the adds'.
+// text the round needs on all cores: the updated resources' new texts
+// and the adds'. A removal is an id, so no removed or replaced text is
+// analysed again, except an indexed update's old text when a cache
+// needs its posting diff.
 func (ing *Ingester) planApply(d Delta) (*applyPlan, error) {
 	g, pipe := ing.cfg.Graph, ing.cfg.Pipe
 	plan := &applyPlan{
@@ -394,48 +405,59 @@ func (ing *Ingester) planApply(d Delta) (*applyPlan, error) {
 		expect++
 	}
 
-	texts := make([]socialgraph.Resource, 0, len(d.Removes)+2*len(d.Updates)+len(d.Adds))
+	// diff: a cache's exact scoped invalidation needs the posting diff.
+	ix, diff := ing.cfg.Index, ing.cfg.Cache != nil
 	for _, id := range d.Removes {
-		texts = append(texts, g.Resource(id))
+		if ix.Has(id) {
+			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: id})
+		}
 	}
-	for _, r := range d.Updates {
-		texts = append(texts, g.Resource(r.ID), r)
+	indexed := make([]bool, len(d.Updates))
+	texts := make([]socialgraph.Resource, 0, 2*len(d.Updates)+len(d.Adds))
+	texts = append(append(texts, d.Updates...), d.Adds...)
+	for i, r := range d.Updates {
+		if indexed[i] = ix.Has(r.ID); indexed[i] && diff {
+			texts = append(texts, g.Resource(r.ID))
+		}
 	}
-	texts = append(texts, d.Adds...)
 	res := pipe.Batch(len(texts), func(i int) (string, []string, bool) {
 		return texts[i].Text, texts[i].URLs, true
 	})
+	plan.analysed = len(texts)
+	mAnalysed.Add(float64(len(texts)))
+	olds := res[len(d.Updates)+len(d.Adds):]
 
-	for i, id := range d.Removes {
-		if res[i].OK {
-			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: id, A: res[i].A})
-		}
-	}
-	res = res[len(d.Removes):]
 	dfNet := make(map[string]int)
 	for i, r := range d.Updates {
-		old, cur := res[2*i], res[2*i+1]
-		switch {
-		case old.OK && cur.OK:
-			plan.idx.Updates = append(plan.idx.Updates, index.DocUpdate{ID: r.ID, Old: old.A, New: cur.A})
+		var old analysis.Result
+		if indexed[i] && diff {
+			old, olds = olds[0], olds[1:]
+		}
+		switch cur := res[i]; {
+		case indexed[i] && cur.OK:
+			plan.idx.Updates = append(plan.idx.Updates, index.DocUpdate{ID: r.ID, New: cur.A})
+			if !diff {
+				break
+			}
 			if dims := postingDiff(old.A, cur.A, dfNet); len(dims) > 0 {
 				for _, dim := range dims {
 					plan.affectedDims[dim] = true
 				}
 				plan.touchedDocs = append(plan.touchedDocs, r.ID)
 			}
-		case old.OK:
-			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: r.ID, A: old.A})
+		case indexed[i]:
+			plan.idx.Removes = append(plan.idx.Removes, index.Doc{ID: r.ID})
 		case cur.OK:
 			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: cur.A})
 		}
 	}
-	res = res[2*len(d.Updates):]
+	res = res[len(d.Updates):]
 	for i, r := range d.Adds {
 		if res[i].OK {
 			plan.idx.Adds = append(plan.idx.Adds, index.Doc{ID: r.ID, A: res[i].A})
 		}
 	}
+	plan.removed = len(plan.idx.Removes) + len(plan.idx.Updates)
 
 	plan.nChanged = len(plan.idx.Adds) > 0 || len(plan.idx.Removes) > 0
 	for dim, net := range dfNet {

@@ -6,12 +6,15 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"expertfind/internal/analysis"
 	"expertfind/internal/core"
 	"expertfind/internal/dataset"
 	"expertfind/internal/faults"
+	"expertfind/internal/index"
 	"expertfind/internal/resilience"
 	"expertfind/internal/socialgraph"
 	"expertfind/internal/telemetry"
@@ -90,6 +93,7 @@ func scopedOracle(t *testing.T, seed int64, rounds int, wrap func(faults.API, *s
 	ing := New(Config{API: wrap(reliableAPI(remote), remote), Graph: installed, Index: ix, Pipe: pipe, Finders: []*core.Finder{f}})
 	churn := NewChurn(remote, ChurnConfig{Seed: seed, Adds: 4, Updates: 10, Removes: 3})
 	rng := rand.New(rand.NewSource(seed))
+	assertIndexedIffAnalysable(t, fmt.Sprintf("seed %d cold build", seed), ix, installed, pipe)
 	for r := 0; r < rounds; r++ {
 		scriptRound(remote, churn, rng)
 		full, err := checkNextRound(ing)
@@ -103,10 +107,30 @@ func scopedOracle(t *testing.T, seed int64, rounds int, wrap func(faults.API, *s
 			return fmt.Errorf("seed %d round %d: RunOnce: %w", seed, r, err)
 		}
 		assertTablesCurrent(t, fmt.Sprintf("seed %d round %d", seed, r), f)
+		assertIndexedIffAnalysable(t, fmt.Sprintf("seed %d round %d", seed, r), ix, installed, pipe)
 	}
 	assertGraphsEqual(t, installed, remote)
 	assertIndexMatchesRebuild(t, "after scoped rounds", ix, remote, 2)
 	return nil
+}
+
+// assertIndexedIffAnalysable checks the invariant planApply classifies
+// removes and updates by: the index holds an installed resource iff its
+// installed text analyses OK, so asking the index replaces analysing
+// the old text again.
+func assertIndexedIffAnalysable(t *testing.T, label string, ix *index.Store, g *socialgraph.Graph, pipe *analysis.Pipeline) {
+	t.Helper()
+	for i := 0; i < g.NumResources(); i++ {
+		id := socialgraph.ResourceID(i)
+		want := false
+		if !g.ResourceDeleted(id) {
+			r := g.Resource(id)
+			_, want = pipe.Analyze(r.Text, r.URLs)
+		}
+		if got := ix.Has(id); got != want {
+			t.Fatalf("%s: resource %d: index Has = %t, installed text analyses OK = %t", label, id, got, want)
+		}
+	}
 }
 
 // mutantFeed plants one fault in a correct change feed, to show the
@@ -258,5 +282,69 @@ func TestPeriodicFullRound(t *testing.T) {
 		if !want && rep.Catalog >= installed.g.NumResources() {
 			t.Fatalf("round %d: scoped round fetched %d records of %d", r, rep.Catalog, installed.g.NumResources())
 		}
+	}
+}
+
+// countingCache is a ScopedCache holding nothing: it makes a round
+// compute the posting diffs its invalidation needs.
+type countingCache struct{ calls int }
+
+func (c *countingCache) InvalidateMatching(func(core.CacheKey) bool) int {
+	c.calls++
+	return 0
+}
+
+// TestApplyAnalysesOnlyNewTexts: a round analyses the updates' new
+// texts and the adds, and removes by id; the old text of an indexed
+// update is analysed only for a cache's posting diff. The ingest_apply
+// span and the analysed-texts counter say so.
+func TestApplyAnalysesOnlyNewTexts(t *testing.T) {
+	for _, withCache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%t", withCache), func(t *testing.T) {
+			remote, installed := buildFixture(), buildFixture()
+			sys := buildSystem(installed.g, 1, nil)
+			tracer := telemetry.NewTracer(4)
+			cfg := Config{API: reliableAPI(remote.g), Graph: installed.g, Index: sys.ix, Pipe: sys.pipe,
+				Finders: []*core.Finder{sys.finder}, Tracer: tracer}
+			cache := &countingCache{}
+			if withCache {
+				cfg.Cache = cache
+			}
+			ing := New(cfg)
+			remote.g.SetResourceText(remote.docA, "freestyle swimming drills at the pool every evening")
+			remote.g.RemoveResource(remote.docB)
+			remote.g.AddResource(socialgraph.Twitter, socialgraph.KindTweet, remote.ua, "open water swimming race this weekend")
+			before := mAnalysed.Value()
+			rep, err := ing.RunOnce(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Adds != 1 || rep.Updates != 1 || rep.Removes != 1 {
+				t.Fatalf("round = %+v, want one add, one update and one remove", rep)
+			}
+			want := 2 // the update's new text and the add
+			if withCache {
+				want++ // the update's old text, for the posting diff
+			}
+			var apply telemetry.SpanSnapshot
+			for _, sp := range tracer.Recent(1)[0].Spans {
+				if sp.Name == "ingest_apply" {
+					apply = sp
+				}
+			}
+			if got := apply.Attrs["analysed_texts"]; got != strconv.Itoa(want) {
+				t.Fatalf("ingest_apply analysed_texts = %q, want %d", got, want)
+			}
+			if got := apply.Attrs["removed_by_id"]; got != "2" {
+				t.Fatalf("ingest_apply removed_by_id = %q, want 2 (the remove and the update)", got)
+			}
+			if got := mAnalysed.Value() - before; got != float64(want) {
+				t.Fatalf("%s grew by %g, want %d", "expertfind_ingest_analysed_texts_total", got, want)
+			}
+			if withCache && cache.calls != 1 {
+				t.Fatalf("the cache was invalidated %d times, want once", cache.calls)
+			}
+			assertIndexMatchesRebuild(t, "after the round", sys.ix, installed.g, 1)
+		})
 	}
 }
