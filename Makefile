@@ -140,6 +140,7 @@ logcheck:
 # docs-check enforces the documentation contract: every package
 # carries a package doc comment, the top-level documents name only
 # make targets in the .PHONY line above and BENCH files git tracks,
+# ARCHITECTURE.md's package map has one row per internal package,
 # and the metrics reference table in OPERATIONS.md matches the
 # telemetry registry (regenerate with
 # `go run ./cmd/metricsdoc -write OPERATIONS.md`).

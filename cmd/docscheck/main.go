@@ -15,7 +15,9 @@
 // a retired gate, baseline or flag cannot linger in a procedure
 // someone (or CI) will follow. And for the two commands with a flag
 // table in OPERATIONS.md (flagDocs), the table and the flags main.go
-// registers must be the same set, one row each.
+// registers must be the same set, one row each. Likewise the package
+// map in ARCHITECTURE.md (mapDoc) and `go list ./internal/...` must
+// name the same packages, one row each.
 //
 // Usage:
 //
@@ -24,9 +26,9 @@
 // packages defaults to ./... and is passed to `go list` verbatim. Exit
 // status is nonzero when any package lacks a doc comment, any exported
 // declaration is undocumented, any document names a dangling target,
-// file or command flag or a flag table disagrees with its command,
-// listing each
-// offender with the file and line to fix.
+// file or command flag, a flag table disagrees with its command or the
+// package map with the internal packages, listing each offender with
+// the file and line to fix.
 package main
 
 import (
@@ -76,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documentation offender(s)\n", len(offenders))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets, tracked BENCH files and registered command flags, %d flag tables match their commands\n",
+	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets, tracked BENCH files and registered command flags, %d flag tables match their commands, the package map matches the internal packages\n",
 		len(pkgs), len(refDocs), len(flagDocs))
 }
 
@@ -138,7 +140,52 @@ func checkRepoRefs() ([]string, error) {
 		}
 		offenders = append(offenders, checkFlags(dir, registered, flagDoc, section, string(ops))...)
 	}
-	return offenders, nil
+	ls = exec.Command("go", "list", "-f", "{{.Dir}}", "./internal/...")
+	ls.Dir = root
+	if out, err = ls.Output(); err != nil {
+		return nil, fmt.Errorf("go list ./internal/...: %v", err)
+	}
+	var internal []string
+	for _, dir := range strings.Fields(string(out)) {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return nil, err
+		}
+		internal = append(internal, filepath.ToSlash(rel))
+	}
+	arch, err := os.ReadFile(filepath.Join(root, mapDoc))
+	if err != nil {
+		return nil, err
+	}
+	return append(offenders, checkPackageMap(internal, mapDoc, string(arch))...), nil
+}
+
+// mapDoc holds the module's one package map, the table under its
+// "## Package map".
+const mapDoc = "ARCHITECTURE.md"
+
+var mapPackage = regexp.MustCompile("`(internal/[a-z0-9/]+)`")
+
+// checkPackageMap compares the internal packages (module-relative
+// directories) with the rows of doc's package map: every package needs
+// exactly one row, and a row may name only packages that exist.
+func checkPackageMap(pkgs []string, doc, text string) []string {
+	rows, offenders := sectionRows(doc, "Package map", text, mapPackage)
+	for _, p := range pkgs {
+		if _, ok := rows[p]; !ok {
+			offenders = append(offenders, fmt.Sprintf("%s: %s has no row in the package map", doc, p))
+		}
+		delete(rows, p)
+	}
+	stale := make([]string, 0, len(rows))
+	for name := range rows {
+		stale = append(stale, name)
+	}
+	sort.Slice(stale, func(i, j int) bool { return rows[stale[i]] < rows[stale[j]] })
+	for _, name := range stale {
+		offenders = append(offenders, fmt.Sprintf("%s:%d: %s is not a package of the module", doc, rows[name], name))
+	}
+	return offenders
 }
 
 // flagDocs maps a "## <section>" of flagDoc to the command whose
@@ -152,7 +199,7 @@ const flagDoc = "OPERATIONS.md"
 
 var (
 	flagCall = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?$`)
-	flagName = regexp.MustCompile("`-([a-z][a-z0-9-]*)`")
+	flagName = regexp.MustCompile("`(-[a-z][a-z0-9-]*)`")
 )
 
 // registeredFlags reads the flag names a source file registers on the
@@ -197,36 +244,44 @@ func registeredFlags(file string) ([]string, error) {
 // cell may name several flags), and a row may name only flags that
 // exist.
 func checkFlags(cmd string, registered []string, doc, section, text string) []string {
+	rows, offenders := sectionRows(doc, section, text, flagName)
+	for _, name := range registered {
+		if _, ok := rows["-"+name]; !ok {
+			offenders = append(offenders, fmt.Sprintf("%s: %s registers -%s, which the %q table has no row for", doc, cmd, name, section))
+		}
+		delete(rows, "-"+name)
+	}
+	for name, line := range rows {
+		offenders = append(offenders, fmt.Sprintf("%s:%d: %s is not a flag %s registers", doc, line, name, cmd))
+	}
+	return offenders
+}
+
+// sectionRows collects the names (name's first group) in the first
+// cell of every table row under doc's "## section", mapped to the line
+// of their row. A name in a second row is an offender.
+func sectionRows(doc, section, text string, name *regexp.Regexp) (map[string]int, []string) {
 	var offenders []string
-	rows := map[string]int{} // flag -> line of its row
+	rows := map[string]int{}
 	inSection := false
 	for i, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "## ") {
 			inSection = line == "## "+section
 			continue
 		}
-		if !inSection || !strings.HasPrefix(line, "| `-") {
+		if !inSection || !strings.HasPrefix(line, "| ") {
 			continue
 		}
 		cell, _, _ := strings.Cut(line[2:], "|")
-		for _, m := range flagName.FindAllStringSubmatch(cell, -1) {
+		for _, m := range name.FindAllStringSubmatch(cell, -1) {
 			if first, dup := rows[m[1]]; dup {
-				offenders = append(offenders, fmt.Sprintf("%s:%d: -%s already has a row at line %d", doc, i+1, m[1], first))
+				offenders = append(offenders, fmt.Sprintf("%s:%d: %s already has a row at line %d", doc, i+1, m[1], first))
 				continue
 			}
 			rows[m[1]] = i + 1
 		}
 	}
-	for _, name := range registered {
-		if _, ok := rows[name]; !ok {
-			offenders = append(offenders, fmt.Sprintf("%s: %s registers -%s, which the %q table has no row for", doc, cmd, name, section))
-		}
-		delete(rows, name)
-	}
-	for name, line := range rows {
-		offenders = append(offenders, fmt.Sprintf("%s:%d: -%s is not a flag %s registers", doc, line, name, cmd))
-	}
-	return offenders
+	return rows, offenders
 }
 
 // phonyTargets is the Makefile's .PHONY list: the targets that exist.

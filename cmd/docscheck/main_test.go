@@ -244,3 +244,68 @@ func main() {
 		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+func TestCheckPackageMap(t *testing.T) {
+	text := strings.Join([]string{
+		"## Layering",
+		"| `internal/gone` | a table outside the map |", // 2: other section
+		"## Package map",
+		"| Package | Responsibility |",
+		"|---|---|",
+		"| `internal/index` | the index; not `internal/core` |", // 6: only the first cell names
+		"| `internal/retired` | a package that moved out |",     // 7: stale row
+		"| `cmd/*` | commands |",
+		"| `internal/index` | a second row |", // 9: duplicate
+		"## Request lifecycle",
+	}, "\n")
+	off := checkPackageMap([]string{"internal/core", "internal/index"}, "ARCH.md", text)
+	want := []string{
+		"ARCH.md:9: internal/index already has a row at line 6",
+		"ARCH.md: internal/core has no row in the package map",
+		"ARCH.md:7: internal/retired is not a package of the module",
+	}
+	if strings.Join(off, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestCheckPackageMapStaleRowsInLineOrder pins the order of the stale
+// rows' report: by line, the same on every run.
+func TestCheckPackageMapStaleRowsInLineOrder(t *testing.T) {
+	text := strings.Join([]string{
+		"## Package map",
+		"| `internal/zeta` | gone |",
+		"| `internal/alpha` | gone |",
+		"| `internal/core` | kept |",
+		"| `internal/mid` | gone |",
+	}, "\n")
+	want := []string{
+		"ARCH.md:2: internal/zeta is not a package of the module",
+		"ARCH.md:3: internal/alpha is not a package of the module",
+		"ARCH.md:5: internal/mid is not a package of the module",
+	}
+	for run := 0; run < 20; run++ {
+		off := checkPackageMap([]string{"internal/core"}, "ARCH.md", text)
+		if strings.Join(off, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d offenders:\n%s\nwant:\n%s", run, strings.Join(off, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// TestCheckPackageMapMissingSection checks that a document without the
+// "## Package map" section reports every package as missing, and that
+// a table under another heading does not stand in for it.
+func TestCheckPackageMapMissingSection(t *testing.T) {
+	text := strings.Join([]string{
+		"## Packages",
+		"| `internal/core` | a table under another heading |",
+	}, "\n")
+	off := checkPackageMap([]string{"internal/core", "internal/index"}, "ARCH.md", text)
+	want := []string{
+		"ARCH.md: internal/core has no row in the package map",
+		"ARCH.md: internal/index has no row in the package map",
+	}
+	if strings.Join(off, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
+	}
+}

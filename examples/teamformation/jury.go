@@ -1,9 +1,10 @@
-// Package jury implements the Jury Selection Problem the paper's
-// related work discusses (§4, Cao, She, Tong & Chen, "Whom to ask?
-// Jury selection for decision making tasks on micro-blog services",
-// VLDB 2012): choose, from a pool of candidates with individual error
-// rates, the jury whose majority vote minimizes the overall decision
-// error.
+package main
+
+// The Jury Selection Problem, also cited by the paper's related work
+// (§4, Cao, She, Tong & Chen, "Whom to ask? Jury selection for decision
+// making tasks on micro-blog services", VLDB 2012): choose, from a pool
+// of candidates with individual error rates, the jury whose majority
+// vote minimizes the overall decision error.
 //
 // The Jury Error Rate of a set of voters with independent error
 // probabilities is the probability that at least half of them err
@@ -12,12 +13,56 @@
 // the VLDB paper's majority-voting setting, the optimal jury of a
 // given size consists of the members with the lowest error rates, so
 // selection sorts by error rate and scans all odd sizes.
-package jury
 
 import (
 	"fmt"
 	"sort"
+
+	"expertfind"
+	"expertfind/internal/socialgraph"
 )
+
+// NamedJury is a Jury read back as candidate handles.
+type NamedJury struct {
+	// Members are the selected jurors, most reliable first.
+	Members []string
+	// ErrorRate is the probability that their majority vote errs.
+	ErrorRate float64
+}
+
+// SelectJury picks the jury (of odd size at most maxSize) minimizing
+// the majority-vote error for a decision task phrased as an expertise
+// need. Individual error rates derive from the retrieved expertise
+// scores: the strongest expert gets the lowest error rate, candidates
+// without supporting resources are not considered.
+func SelectJury(sys *expertfind.System, need string, maxSize int, opts ...expertfind.FindOption) (NamedJury, error) {
+	experts, err := sys.Find(need, opts...)
+	if err != nil {
+		return NamedJury{}, err
+	}
+	if len(experts) == 0 {
+		return NamedJury{}, fmt.Errorf("teamformation: no experts found for need %q", need)
+	}
+	ids := candidateIDs(sys)
+	top := experts[0].Score
+	cands := make([]Juror, len(experts))
+	for i, e := range experts {
+		cands[i] = Juror{
+			ID:        int64(ids[e.Name]),
+			ErrorRate: ErrorRateFromExpertise(e.Score / top),
+		}
+	}
+	selected, err := Select(cands, maxSize)
+	if err != nil {
+		return NamedJury{}, err
+	}
+	g := sys.CoreFinder().Graph()
+	out := NamedJury{ErrorRate: selected.ErrorRate}
+	for _, m := range selected.Members {
+		out.Members = append(out.Members, g.User(socialgraph.UserID(m.ID)).Name)
+	}
+	return out, nil
+}
 
 // Juror is one candidate voter. In this repository, error rates are
 // typically derived from expertise scores (an expert erring rarely),

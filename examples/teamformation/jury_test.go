@@ -1,4 +1,4 @@
-package jury
+package main
 
 import (
 	"math"

@@ -1,5 +1,5 @@
-// Teamformation: two extensions from the paper's related-work program
-// built on top of expert finding.
+// Teamformation: two problems from the paper's related work, built on
+// top of its expert finder rather than inside the library.
 //
 // First, the Expert Team Formation problem (Lappas et al., KDD 2009):
 // a project needs several different competences at once, and the team
@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"expertfind"
+	"expertfind/internal/socialgraph"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 		"which gaming console should i buy, playstation or xbox?",
 		"can you list some famous songs of michael jackson?",
 	}
-	team, err := sys.FormTeam(needs, 5)
+	team, err := FormTeam(sys, needs, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,11 +41,22 @@ func main() {
 
 	// --- Jury selection -------------------------------------------
 	question := "is copper a better electrical conductor than aluminium?"
-	jury, err := sys.SelectJury(question, 7)
+	jury, err := SelectJury(sys, question, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndecision task: %s\n", question)
 	fmt.Printf("selected jury (majority vote): %v\n", jury.Members)
 	fmt.Printf("estimated decision error rate: %.4f\n", jury.ErrorRate)
+}
+
+// candidateIDs maps candidate handles back to the social-graph users
+// that team formation and jury selection reason about.
+func candidateIDs(sys *expertfind.System) map[string]socialgraph.UserID {
+	infos := sys.CandidateInfos()
+	ids := make(map[string]socialgraph.UserID, len(infos))
+	for _, c := range infos {
+		ids[c.Name] = socialgraph.UserID(c.ID)
+	}
+	return ids
 }

@@ -1,32 +1,94 @@
-// Package teams implements the Expert Team Formation problem the
-// paper's related work discusses (§4, Lappas, Liu & Terzi, "Finding a
-// team of experts in social networks", KDD 2009): given a task that
-// requires a set of skills and a pool of experts connected by a social
-// network, find a team that covers every skill while keeping the
-// communication cost among members low.
-//
-// Two cost functions from the KDD paper are supported:
-//
-//   - Diameter cost — the largest shortest-path distance between any
-//     two team members, minimized by the RarestFirst algorithm (a
-//     2-approximation).
-//   - Sum cost — the sum of pairwise distances, minimized greedily.
+package main
+
+// Expert Team Formation, the problem the paper's related work places
+// next to expert finding (§4, Lappas, Liu & Terzi, "Finding a team of
+// experts in social networks", KDD 2009): given a task that requires a
+// set of skills and a pool of experts connected by a social network,
+// find a team that covers every skill while keeping the communication
+// cost among members low. RarestFirst minimizes the diameter cost —
+// the largest shortest-path distance between any two team members —
+// within a factor of 2.
 //
 // The communication network is derived from the social graph's mutual
 // relationships (friendships / connections), which is exactly the
 // paper's reading of a real-world bond (§2.2): you can actually work
 // with a friend, while a followed celebrity will not answer.
-package teams
 
 import (
 	"fmt"
 	"sort"
 
+	"expertfind"
 	"expertfind/internal/socialgraph"
 )
 
-// Skill names one required competence (in this repository, an
-// expertise domain, but any label works).
+// NamedTeam is a Team read back as candidate handles: one member per
+// expertise need.
+type NamedTeam struct {
+	// Members are the distinct team members.
+	Members []string
+	// ByNeed maps each input need to the member covering it.
+	ByNeed map[string]string
+	// Diameter is the largest communication distance (hops over
+	// mutual relationships) between any two members.
+	Diameter int
+	// SumDistance is the total pairwise communication distance.
+	SumDistance int
+	// Connected reports whether all members can reach each other
+	// through mutual relationships.
+	Connected bool
+}
+
+// FormTeam assembles a team able to address every need in needs: the
+// top supportK ranked experts of each need are its candidate
+// supporters, and the team minimizes the communication diameter with
+// the RarestFirst algorithm. Options apply to the per-need expert
+// retrieval.
+func FormTeam(sys *expertfind.System, needs []string, supportK int, opts ...expertfind.FindOption) (NamedTeam, error) {
+	if len(needs) == 0 {
+		return NamedTeam{}, fmt.Errorf("teamformation: no needs given")
+	}
+	if supportK <= 0 {
+		supportK = 5
+	}
+	ids := candidateIDs(sys)
+	support := Support{}
+	for _, need := range needs {
+		experts, err := sys.Find(need, opts...)
+		if err != nil {
+			return NamedTeam{}, err
+		}
+		if len(experts) == 0 {
+			return NamedTeam{}, fmt.Errorf("teamformation: no experts found for need %q", need)
+		}
+		for _, e := range experts[:min(supportK, len(experts))] {
+			support[Skill(need)] = append(support[Skill(need)], ids[e.Name])
+		}
+	}
+
+	g := sys.CoreFinder().Graph()
+	former := NewFormer(g, nil)
+	team, err := former.RarestFirst(support)
+	if err != nil {
+		return NamedTeam{}, err
+	}
+	out := NamedTeam{
+		ByNeed:      make(map[string]string, len(team.BySkill)),
+		Diameter:    team.Diameter,
+		SumDistance: team.SumDistance,
+		Connected:   former.Connected(team),
+	}
+	for _, u := range team.Members {
+		out.Members = append(out.Members, g.User(u).Name)
+	}
+	for sk, u := range team.BySkill {
+		out.ByNeed[string(sk)] = g.User(u).Name
+	}
+	return out, nil
+}
+
+// Skill names one required competence (in FormTeam, the text of an
+// expertise need, but any label works).
 type Skill string
 
 // Team is a formed team: one member per required skill (members can
@@ -50,8 +112,7 @@ const Unreachable = 1 << 20
 
 // Former forms teams over a communication network.
 type Former struct {
-	adj   map[socialgraph.UserID][]socialgraph.UserID
-	users []socialgraph.UserID
+	adj map[socialgraph.UserID][]socialgraph.UserID
 	// distCache memoizes single-source BFS results.
 	distCache map[socialgraph.UserID]map[socialgraph.UserID]int
 }
@@ -69,11 +130,6 @@ func NewFormer(g *socialgraph.Graph, networks []socialgraph.Network) *Former {
 		distCache: make(map[socialgraph.UserID]map[socialgraph.UserID]int),
 	}
 	candidates := g.Candidates()
-	isCand := make(map[socialgraph.UserID]bool, len(candidates))
-	for _, u := range candidates {
-		isCand[u] = true
-	}
-	f.users = candidates
 	for i, a := range candidates {
 		for _, b := range candidates[i+1:] {
 			for _, net := range networks {
@@ -187,46 +243,6 @@ func (f *Former) RarestFirst(support Support) (Team, error) {
 		}
 	}
 	return best, nil
-}
-
-// GreedySum forms a team minimizing the sum of pairwise distances
-// with a greedy heuristic: skills are covered from rarest to most
-// common, each time picking the supporter with the smallest total
-// distance to the members chosen so far.
-func (f *Former) GreedySum(support Support) (Team, error) {
-	if err := support.validate(); err != nil {
-		return Team{}, err
-	}
-	skills := support.skillsSorted()
-	sort.SliceStable(skills, func(i, j int) bool {
-		return len(support[skills[i]]) < len(support[skills[j]])
-	})
-
-	bySkill := make(map[Skill]socialgraph.UserID, len(skills))
-	var members []socialgraph.UserID
-	for _, sk := range skills {
-		chosen, chosenCost := socialgraph.UserID(-1), -1
-		for _, u := range support[sk] {
-			cost := 0
-			for _, m := range members {
-				cost += f.Distance(u, m)
-			}
-			if chosenCost < 0 || cost < chosenCost || (cost == chosenCost && u < chosen) {
-				chosen, chosenCost = u, cost
-			}
-		}
-		bySkill[sk] = chosen
-		already := false
-		for _, m := range members {
-			if m == chosen {
-				already = true
-			}
-		}
-		if !already {
-			members = append(members, chosen)
-		}
-	}
-	return f.finalize(bySkill), nil
 }
 
 // finalize computes team costs from a skill assignment.

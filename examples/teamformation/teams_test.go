@@ -1,4 +1,4 @@
-package teams
+package main
 
 import (
 	"math/rand"
@@ -78,30 +78,6 @@ func TestRarestFirstAnchorSelection(t *testing.T) {
 	}
 }
 
-func TestGreedySumBuildsCompactTeam(t *testing.T) {
-	g, u := buildLine(t)
-	f := NewFormer(g, nil)
-	team, err := f.GreedySum(Support{
-		"a": {u[1]},
-		"b": {u[3], u[2]},
-		"c": {u[4], u[2]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skill a forces user 1; then b and c must choose user 2 over the
-	// farther alternatives (users 3 and 4).
-	if team.BySkill["b"] != u[2] || team.BySkill["c"] != u[2] {
-		t.Errorf("team = %+v", team)
-	}
-	if len(team.Members) != 2 {
-		t.Errorf("members = %v, want dedup to 2", team.Members)
-	}
-	if team.SumDistance != 1 {
-		t.Errorf("sum distance = %d, want 1", team.SumDistance)
-	}
-}
-
 func TestOneMemberCoveringEverything(t *testing.T) {
 	g, u := buildLine(t)
 	f := NewFormer(g, nil)
@@ -134,7 +110,7 @@ func TestUnreachableTeamDetected(t *testing.T) {
 }
 
 func TestSupportValidation(t *testing.T) {
-	g, u := buildLine(t)
+	g, _ := buildLine(t)
 	f := NewFormer(g, nil)
 	if _, err := f.RarestFirst(Support{}); err == nil {
 		t.Error("empty support accepted")
@@ -142,10 +118,6 @@ func TestSupportValidation(t *testing.T) {
 	if _, err := f.RarestFirst(Support{"a": nil}); err == nil {
 		t.Error("unsupported skill accepted")
 	}
-	if _, err := f.GreedySum(Support{"a": nil}); err == nil {
-		t.Error("unsupported skill accepted by GreedySum")
-	}
-	_ = u
 }
 
 func TestNetworkRestriction(t *testing.T) {
@@ -203,38 +175,36 @@ func randomFormer(r *rand.Rand) (*Former, Support) {
 	return NewFormer(g, nil), support
 }
 
-// Property: both algorithms always return full skill coverage from
-// the declared supporters, and diameter <= sum distance bound holds.
+// Property: RarestFirst always returns full skill coverage from the
+// declared supporters, and diameter <= sum distance bound holds.
 func TestFormationProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		former, support := randomFormer(r)
-		for _, algo := range []func(Support) (Team, error){former.RarestFirst, former.GreedySum} {
-			team, err := algo(support)
-			if err != nil {
+		team, err := former.RarestFirst(support)
+		if err != nil {
+			return false
+		}
+		for sk, supporters := range support {
+			member, ok := team.BySkill[sk]
+			if !ok {
 				return false
 			}
-			for sk, supporters := range support {
-				member, ok := team.BySkill[sk]
-				if !ok {
-					return false
-				}
-				found := false
-				for _, u := range supporters {
-					if u == member {
-						found = true
-					}
-				}
-				if !found {
-					return false // member does not actually have the skill
+			found := false
+			for _, u := range supporters {
+				if u == member {
+					found = true
 				}
 			}
-			if len(team.Members) > len(support) {
-				return false // more members than skills
+			if !found {
+				return false // member does not actually have the skill
 			}
-			if team.Diameter > team.SumDistance && len(team.Members) > 1 {
-				return false
-			}
+		}
+		if len(team.Members) > len(support) {
+			return false // more members than skills
+		}
+		if team.Diameter > team.SumDistance && len(team.Members) > 1 {
+			return false
 		}
 		return true
 	}

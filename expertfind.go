@@ -28,6 +28,7 @@ package expertfind
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -445,6 +446,74 @@ func (s *System) CandidateInfos() []CandidateInfo {
 	return out
 }
 
+// EvidenceItem is one resource supporting an expert's selection.
+type EvidenceItem struct {
+	// Network and Kind locate the resource ("twitter"/"tweet",
+	// "facebook"/"group-post", ...).
+	Network string
+	Kind    string
+	// Distance is the social-graph distance between expert and
+	// resource (0 profile, 1 direct, 2 indirect).
+	Distance int
+	// Contribution is how much this resource added to the expert's
+	// score.
+	Contribution float64
+	// Snippet is the resource text, truncated for display.
+	Snippet string
+}
+
+// Explanation justifies one expert's ranking for a need.
+type Explanation struct {
+	Expert string
+	// Score is the total contribution of the listed evidence; with an
+	// untruncated explanation it equals the expert's ranking score.
+	Score    float64
+	Evidence []EvidenceItem
+}
+
+// maxSnippetLen bounds explanation snippets.
+const maxSnippetLen = 120
+
+// ErrUnknownCandidate is wrapped by the errors of the lookups that name
+// a candidate the corpus does not hold.
+var ErrUnknownCandidate = errors.New("expertfind: unknown candidate")
+
+// Explain returns the top supporting resources behind an expert's
+// score for a need — the transparency a question router needs before
+// bothering a contact ("you're asked because you tweeted X"). Invalid
+// options are reported before an unknown expert, whose error wraps
+// ErrUnknownCandidate.
+func (s *System) Explain(need, expertName string, topN int, opts ...FindOption) (Explanation, error) {
+	p, err := s.buildParams(opts)
+	if err != nil {
+		return Explanation{}, err
+	}
+	u, ok := s.names[expertName]
+	if !ok {
+		return Explanation{}, fmt.Errorf("%w %q", ErrUnknownCandidate, expertName)
+	}
+	analyzed := s.inner.Finder.Pipeline().AnalyzeNeed(need)
+	evidence := s.inner.Finder.Explain(analyzed, u, p, topN)
+
+	out := Explanation{Expert: expertName}
+	for _, ev := range evidence {
+		r := s.inner.DS.Graph.Resource(ev.Resource)
+		snippet := r.Text
+		if len(snippet) > maxSnippetLen {
+			snippet = snippet[:maxSnippetLen] + "..."
+		}
+		out.Score += ev.Contribution
+		out.Evidence = append(out.Evidence, EvidenceItem{
+			Network:      string(r.Network),
+			Kind:         r.Kind.String(),
+			Distance:     ev.Distance,
+			Contribution: ev.Contribution,
+			Snippet:      snippet,
+		})
+	}
+	return out, nil
+}
+
 // BestNetwork answers the paper's second question — which is the best
 // social platform to contact the experts on? — by ranking the experts
 // on each network separately and choosing the platform with the
@@ -502,7 +571,7 @@ func (s *System) Candidates() []string {
 func (s *System) IsExpert(name, domain string) (bool, error) {
 	u, ok := s.names[name]
 	if !ok {
-		return false, fmt.Errorf("expertfind: unknown candidate %q", name)
+		return false, fmt.Errorf("%w %q", ErrUnknownCandidate, name)
 	}
 	dom, err := parseDomain(domain)
 	if err != nil {

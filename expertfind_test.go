@@ -1,6 +1,7 @@
 package expertfind
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -136,8 +137,8 @@ func TestGroundTruthAccessors(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("IsExpert(%s, sport) = %v, %v", experts[0], ok, err)
 	}
-	if _, err := s.IsExpert("nobody", "sport"); err == nil {
-		t.Error("unknown candidate accepted")
+	if _, err := s.IsExpert("nobody", "sport"); !errors.Is(err, ErrUnknownCandidate) {
+		t.Errorf("unknown candidate: err = %v, want ErrUnknownCandidate", err)
 	}
 	if _, err := s.Experts("cooking"); err == nil {
 		t.Error("unknown domain accepted")
@@ -269,49 +270,6 @@ func TestSaveAndReloadCorpus(t *testing.T) {
 	}
 }
 
-func TestFormTeam(t *testing.T) {
-	s := system(t)
-	needs := []string{
-		"which php function returns the length of a string?",
-		"can you list some famous songs of michael jackson?",
-	}
-	team, err := s.FormTeam(needs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(team.Members) == 0 || len(team.Members) > len(needs) {
-		t.Errorf("members = %v", team.Members)
-	}
-	for _, need := range needs {
-		if team.ByNeed[need] == "" {
-			t.Errorf("need %q uncovered", need)
-		}
-	}
-	if _, err := s.FormTeam(nil, 3); err == nil {
-		t.Error("empty needs accepted")
-	}
-	if _, err := s.FormTeam([]string{"zzz qqq xxx"}, 3); err == nil {
-		t.Error("unanswerable need accepted")
-	}
-}
-
-func TestSelectJury(t *testing.T) {
-	s := system(t)
-	j, err := s.SelectJury("why is copper a good conductor?", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.Members) == 0 || len(j.Members)%2 != 1 {
-		t.Errorf("jury = %v", j.Members)
-	}
-	if j.ErrorRate < 0 || j.ErrorRate >= 0.5 {
-		t.Errorf("error rate = %v, want < 0.5 (the jury leads with an expert)", j.ErrorRate)
-	}
-	if _, err := s.SelectJury("zzz qqq xxx", 5); err == nil {
-		t.Error("unanswerable need accepted")
-	}
-}
-
 func TestExplainFacade(t *testing.T) {
 	s := system(t)
 	need := "why is copper a good conductor?"
@@ -341,10 +299,10 @@ func TestExplainFacade(t *testing.T) {
 	if diff := full.Score - top.Score; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("full explanation score %v != expert score %v", full.Score, top.Score)
 	}
-	if _, err := s.Explain(need, "nobody", 3); err == nil {
-		t.Error("unknown expert accepted")
+	if _, err := s.Explain(need, "nobody", 3); !errors.Is(err, ErrUnknownCandidate) {
+		t.Errorf("unknown expert: err = %v, want ErrUnknownCandidate", err)
 	}
-	if _, err := s.Explain(need, top.Name, 3, WithAlpha(9)); err == nil {
-		t.Error("bad option accepted")
+	if _, err := s.Explain(need, top.Name, 3, WithAlpha(9)); err == nil || errors.Is(err, ErrUnknownCandidate) {
+		t.Errorf("bad option: err = %v, want an option error", err)
 	}
 }

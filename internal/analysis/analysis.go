@@ -32,26 +32,21 @@ type Options struct {
 	// Nil disables URL enrichment (an ablation of §2.3's enrichment
 	// step).
 	Web *webcontent.Web
-	// KeepAllLanguages disables the English-only filter. The paper
-	// keeps only English resources (230k of 330k collected).
-	KeepAllLanguages bool
 }
 
 // Pipeline analyzes texts into term/entity vectors.
 type Pipeline struct {
-	proc    *textproc.Processor
-	ann     *annotator.Annotator
-	web     *webcontent.Web
-	keepAll bool
+	proc *textproc.Processor
+	ann  *annotator.Annotator
+	web  *webcontent.Web
 }
 
 // New returns a Pipeline with the given options.
 func New(opts Options) *Pipeline {
 	p := &Pipeline{
-		proc:    opts.Processor,
-		ann:     opts.Annotator,
-		web:     opts.Web,
-		keepAll: opts.KeepAllLanguages,
+		proc: opts.Processor,
+		ann:  opts.Annotator,
+		web:  opts.Web,
 	}
 	if p.proc == nil {
 		p.proc = textproc.Default
@@ -80,7 +75,8 @@ type Analyzed struct {
 
 // Analyze runs the full flow on a resource text with its URLs. It
 // returns ok = false when the resource is discarded by the language
-// filter (non-English text with the filter active).
+// filter: the paper keeps only English resources (230k of 330k
+// collected).
 //
 // URL enrichment happens before language identification, as in the
 // paper: the extracted page content both contributes expertise clues
@@ -95,7 +91,7 @@ func (p *Pipeline) Analyze(text string, urls []string) (Analyzed, bool) {
 		}
 	}
 
-	if !p.keepAll && langid.Identify(full) != langid.English {
+	if langid.Identify(full) != langid.English {
 		return Analyzed{}, false
 	}
 	return p.vectors(full), true

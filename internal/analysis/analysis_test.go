@@ -13,6 +13,19 @@ import (
 	"expertfind/internal/webcontent"
 )
 
+// entity returns the builtin knowledge base's entity with the given
+// label.
+func entity(t *testing.T, label string) kb.Entity {
+	t.Helper()
+	for _, e := range kb.Builtin().Entities() {
+		if e.Label == label {
+			return e
+		}
+	}
+	t.Fatalf("no entity %q", label)
+	return kb.Entity{}
+}
+
 func TestAnalyzeEnglishResource(t *testing.T) {
 	p := New(Options{})
 	a, ok := p.Analyze("Michael Phelps is the best! Great freestyle gold medal", nil)
@@ -22,7 +35,7 @@ func TestAnalyzeEnglishResource(t *testing.T) {
 	if a.Terms["freestyl"] == 0 || a.Terms["medal"] == 0 {
 		t.Errorf("terms missing: %v", a.Terms)
 	}
-	phelps, _ := kb.Builtin().EntityByLabel("Michael Phelps")
+	phelps := entity(t, "Michael Phelps")
 	st, ok := a.Entities[phelps.ID]
 	if !ok || st.Freq < 1 || st.DScore <= 0 {
 		t.Errorf("phelps entity stats = %+v (ok=%v)", st, ok)
@@ -40,14 +53,6 @@ func TestAnalyzeLanguageFilter(t *testing.T) {
 	}
 	if _, ok := p.Analyze(italian, nil); ok {
 		t.Error("italian resource passed the english-only filter")
-	}
-	p = New(Options{KeepAllLanguages: true})
-	a, ok := p.Analyze(italian, nil)
-	if !ok {
-		t.Error("KeepAllLanguages still filtered the resource")
-	}
-	if len(a.Terms) == 0 {
-		t.Errorf("kept italian resource has no terms: %v", a.Terms)
 	}
 }
 
@@ -75,7 +80,7 @@ func TestAnalyzeURLEnrichment(t *testing.T) {
 	if a.Terms["conductor"] == 0 || a.Terms["copper"] == 0 {
 		t.Errorf("url content not folded in: %v", a.Terms)
 	}
-	cond, _ := kb.Builtin().EntityByLabel("Electrical conductor")
+	cond := entity(t, "Electrical conductor")
 	if _, ok := a.Entities[cond.ID]; !ok {
 		t.Errorf("conductor entity not annotated: %v", a.Entities)
 	}
@@ -98,7 +103,7 @@ func TestAnalyzeNeed(t *testing.T) {
 	if a.Terms["song"] == 0 && a.Terms["famou"] == 0 {
 		t.Errorf("need terms = %v", a.Terms)
 	}
-	mj, _ := kb.Builtin().EntityByLabel("Michael Jackson")
+	mj := entity(t, "Michael Jackson")
 	if _, ok := a.Entities[mj.ID]; !ok {
 		t.Errorf("need entities = %v", a.Entities)
 	}
@@ -118,20 +123,20 @@ func TestEntityFrequencyAggregation(t *testing.T) {
 	if !ok {
 		t.Fatal("filtered")
 	}
-	phelps, _ := kb.Builtin().EntityByLabel("Michael Phelps")
+	phelps := entity(t, "Michael Phelps")
 	if st := a.Entities[phelps.ID]; st.Freq < 2 {
 		t.Errorf("phelps freq = %d, want >= 2 (two mentions)", st.Freq)
 	}
 }
 
 func TestCustomProcessor(t *testing.T) {
-	p := New(Options{Processor: textproc.New(textproc.Options{DisableStemming: true})})
+	p := New(Options{Processor: textproc.New(textproc.Options{MinTokenLen: 9})})
 	a, ok := p.Analyze("the swimmers are training hard for the championship season", nil)
 	if !ok {
 		t.Fatal("filtered")
 	}
-	if a.Terms["swimmers"] == 0 {
-		t.Errorf("unstemmed term missing: %v", a.Terms)
+	if want := map[string]int{"championship": 1}; !reflect.DeepEqual(a.Terms, want) {
+		t.Errorf("terms = %v, want only the 9+ rune token %v", a.Terms, want)
 	}
 }
 

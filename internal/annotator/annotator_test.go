@@ -183,13 +183,12 @@ func TestAnnotateArbitraryInput(t *testing.T) {
 
 // everyWindowSpots is the spotter spotAnchors replaced, kept as its
 // reference: at every token it joins and looks up every window up to
-// the longest anchor of the whole knowledge base.
+// the end of the text, longest first.
 func everyWindowSpots(a *Annotator, tokens []string) []spot {
-	maxLen := a.kb.MaxAnchorTokens()
 	var spots []spot
 	for i := 0; i < len(tokens); {
 		matched := false
-		for n := min(maxLen, len(tokens)-i); n >= 1; n-- {
+		for n := len(tokens) - i; n >= 1; n-- {
 			anchor := strings.Join(tokens[i:i+n], " ")
 			cands, lp := a.kb.Candidates(anchor)
 			if cands == nil || lp < a.opts.MinLinkProb {

@@ -1,12 +1,10 @@
-// Package baseline implements reference expert-finding methods to
-// compare against the paper's social vector-space approach:
-//
-//   - Random selection, the baseline the paper reports in every table
-//     (§3.1: averaging 10 runs of 20 randomly selected users).
-//   - Balog's candidate model (Model 1) and document model (Model 2)
-//     from "People Search in the Enterprise" [3], the classic
-//     language-modeling expert-retrieval methods the paper's §4 cites
-//     as the foundation of resource-based expert finding.
+// Package baseline implements Balog's candidate model (Model 1) and
+// document model (Model 2) from "People Search in the Enterprise" [3],
+// the classic language-modeling expert-retrieval methods the paper's §4
+// cites as the foundation of resource-based expert finding, to compare
+// against the paper's social vector-space approach. (The random
+// baseline the paper reports in every table is a permutation drawn in
+// internal/experiments.)
 //
 // Both language models operate on the same analyzed corpus and
 // candidate-resource associations as the main system, so comparisons
@@ -15,7 +13,6 @@ package baseline
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 
@@ -266,18 +263,4 @@ func sortScored(xs []Scored) {
 		}
 		return xs[i].User < xs[j].User
 	})
-}
-
-// RandomSelect returns k candidates drawn without replacement in
-// random order: one run of the paper's random baseline.
-func RandomSelect(r *rand.Rand, candidates []socialgraph.UserID, k int) []socialgraph.UserID {
-	perm := r.Perm(len(candidates))
-	if k > len(perm) {
-		k = len(perm)
-	}
-	out := make([]socialgraph.UserID, k)
-	for i := range out {
-		out[i] = candidates[perm[i]]
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"expertfind/internal/analysis"
@@ -147,25 +146,6 @@ func TestDistanceWeights(t *testing.T) {
 	}
 	if assoc[1][0].Weight != 1.0 || assoc[1][1].Weight != 0.5 {
 		t.Errorf("weights = %v", assoc[1])
-	}
-}
-
-func TestRandomSelect(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cands := []socialgraph.UserID{1, 2, 3, 4, 5}
-	got := RandomSelect(r, cands, 3)
-	if len(got) != 3 {
-		t.Fatalf("selected %d", len(got))
-	}
-	seen := map[socialgraph.UserID]bool{}
-	for _, u := range got {
-		if seen[u] {
-			t.Error("duplicate selection")
-		}
-		seen[u] = true
-	}
-	if got := RandomSelect(r, cands, 10); len(got) != 5 {
-		t.Errorf("over-sized selection returned %d", len(got))
 	}
 }
 

@@ -2,9 +2,7 @@
 // flow (paper §2.3, Fig. 4): collecting social data through the
 // platforms' APIs, subject to the real-world constraints the paper
 // documents — user privacy settings (only 80 of the 13k Facebook
-// friends allowed profile access, §3.3.3), per-container result caps
-// ("for each resource container we retrieved the most recent
-// resources"), and API call budgets.
+// friends allowed profile access, §3.3.3).
 //
 // The crawler extracts, from a remote platform API (internal/faults —
 // the ground truth living on the platforms, possibly behind injected
@@ -20,7 +18,6 @@
 package crawler
 
 import (
-	"errors"
 	"log/slog"
 	"math/rand"
 	"time"
@@ -90,15 +87,6 @@ type Policy struct {
 	// their own data is always accessible). The paper measured ≈0.6%
 	// for Facebook friends; followed accounts are typically public.
 	ProfileAccessProb float64
-	// MaxPerContainer caps how many resources are retrieved per
-	// group or page (the "most recent resources" cap). Zero means no
-	// cap.
-	MaxPerContainer int
-	// MaxAPICalls bounds the total number of API call attempts; one
-	// call retrieves one user's presence on one network (profile +
-	// memberships + streams) or one container feed, and every retry
-	// of a failed call spends another attempt. Zero means unlimited.
-	MaxAPICalls int
 	// Seed drives the privacy draws and the retry jitter, making
 	// crawls reproducible.
 	Seed int64
@@ -114,7 +102,7 @@ type Resilience struct {
 	// Retry is the per-call retry/backoff policy.
 	Retry resilience.RetryPolicy
 	// Breaker, when Threshold > 0, guards each network with a circuit
-	// breaker so a hard outage stops burning call budget.
+	// breaker so a hard outage stops burning calls.
 	Breaker resilience.BreakerPolicy
 	// Clock supplies backoff waits; nil means a private
 	// virtual clock (the crawl simulates waiting instead of sleeping,
@@ -135,12 +123,13 @@ var DefaultResilience = Resilience{
 
 // Stats reports what a crawl did.
 type Stats struct {
-	APICalls            int
-	UsersVisited        int
-	UsersDenied         int
-	ContainersTruncated int
-	ResourcesCopied     int
-	ResourcesSkipped    int
+	// APICalls counts call attempts, retries included: one call
+	// retrieves one user's presence on one network (profile +
+	// memberships + streams) or one container feed.
+	APICalls        int
+	UsersVisited    int
+	UsersDenied     int
+	ResourcesCopied int
 
 	// FailedCalls counts call attempts that returned a platform
 	// error (before any retry).
@@ -155,10 +144,6 @@ type Stats struct {
 	// Waited is the simulated time spent backing off.
 	Waited time.Duration
 }
-
-// errBudget aborts the retry loop when the call budget runs out; it
-// is bookkept separately from genuine platform failures.
-var errBudget = errors.New("crawler: API call budget exhausted")
 
 // Crawl extracts from remote the subgraph visible under policy
 // through a perfectly reliable API — the historical entry point, now
@@ -257,15 +242,6 @@ type crawl struct {
 	views map[socialgraph.UserID][]*faults.UserView
 }
 
-// spendCall consumes one API call if the budget allows it.
-func (c *crawl) spendCall() bool {
-	if c.policy.MaxAPICalls > 0 && c.stats.APICalls >= c.policy.MaxAPICalls {
-		return false
-	}
-	c.stats.APICalls++
-	return true
-}
-
 // fetch runs one API fetch against net through the breaker and retry
 // stack, reporting whether it ultimately succeeded.
 func (c *crawl) fetch(net socialgraph.Network, f func() error) bool {
@@ -274,9 +250,7 @@ func (c *crawl) fetch(net socialgraph.Network, f func() error) bool {
 		if br != nil && !br.Allow() {
 			return resilience.Permanent(resilience.ErrOpen)
 		}
-		if !c.spendCall() {
-			return resilience.Permanent(errBudget)
-		}
+		c.stats.APICalls++
 		err := f()
 		if err != nil {
 			c.stats.FailedCalls++
@@ -289,9 +263,7 @@ func (c *crawl) fetch(net socialgraph.Network, f func() error) bool {
 	if err == nil {
 		return true
 	}
-	if !errors.Is(err, errBudget) {
-		c.stats.GaveUp++
-	}
+	c.stats.GaveUp++
 	return false
 }
 
@@ -412,7 +384,7 @@ func (c *crawl) mapOrCopy(r socialgraph.Resource) socialgraph.ResourceID {
 	return nid
 }
 
-// crawlContainer retrieves a container and its most recent resources.
+// crawlContainer retrieves a container and its feed.
 // A container whose fetch fails is not cached, so a later member may
 // retry it.
 func (c *crawl) crawlContainer(cid socialgraph.ContainerID, net socialgraph.Network) (socialgraph.ContainerID, bool) {
@@ -421,7 +393,7 @@ func (c *crawl) crawlContainer(cid socialgraph.ContainerID, net socialgraph.Netw
 	}
 	var view *faults.ContainerView
 	ok := c.fetch(net, func() error {
-		v, err := c.api.FetchContainer(cid, c.policy.MaxPerContainer)
+		v, err := c.api.FetchContainer(cid)
 		if err == nil {
 			view = v
 		}
@@ -438,10 +410,6 @@ func (c *crawl) crawlContainer(cid socialgraph.ContainerID, net socialgraph.Netw
 		nid := c.out.AddContainedResource(r.Kind, ncid, r.Creator, r.Text, r.URLs...)
 		c.resourceMap[r.ID] = nid
 		c.stats.ResourcesCopied++
-	}
-	if skipped := view.Total - len(view.Feed); skipped > 0 {
-		c.stats.ContainersTruncated++
-		c.stats.ResourcesSkipped += skipped
 	}
 	return ncid, true
 }

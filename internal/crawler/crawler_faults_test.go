@@ -95,58 +95,26 @@ func TestBreakerSavesCallBudget(t *testing.T) {
 	}
 }
 
-func TestBudgetRespectedUnderRetries(t *testing.T) {
+// TestAPICallsCountEveryAttempt checks that Stats.APICalls counts
+// exactly the attempts that reached the platform, retries included,
+// and FailedCalls exactly the ones it failed; a call an open breaker
+// blocks reaches neither count.
+func TestAPICallsCountEveryAttempt(t *testing.T) {
 	ds := remote(t)
-	policy := FullAccess
-	policy.MaxAPICalls = 25
-	_, st := CrawlAPI(faults.Wrap(ds.Graph, faultCfg()), policy, DefaultResilience)
-	if st.APICalls > 25 {
-		t.Errorf("API calls %d exceed budget 25 (retries must spend attempts)", st.APICalls)
-	}
-}
-
-func TestBudgetExhaustedMidContainers(t *testing.T) {
-	ds := remote(t)
-	full, fullStats := Crawl(ds.Graph, FullAccess)
-
-	// A budget that runs out while the first candidates' containers
-	// are being fetched: some feeds land, the rest are cut off.
-	policy := FullAccess
-	policy.MaxAPICalls = 20
-	cut, st := Crawl(ds.Graph, policy)
-	if st.APICalls != policy.MaxAPICalls {
-		t.Errorf("calls = %d, want the full budget %d spent", st.APICalls, policy.MaxAPICalls)
-	}
-	if fullStats.APICalls <= policy.MaxAPICalls {
-		t.Fatalf("test premise broken: full crawl spends only %d calls", fullStats.APICalls)
-	}
-	if cut.NumContainers() == 0 {
-		t.Error("budget exhausted before any container was fetched")
-	}
-	if cut.NumContainers() >= full.NumContainers() {
-		t.Errorf("budget cut did not drop containers: %d vs %d", cut.NumContainers(), full.NumContainers())
-	}
-	if cut.NumResources() >= full.NumResources() {
-		t.Errorf("budget cut did not drop resources: %d vs %d", cut.NumResources(), full.NumResources())
-	}
-	// Exhaustion is a policy decision, not a platform failure.
-	if st.GaveUp != 0 || st.Retries != 0 {
-		t.Errorf("budget exhaustion miscounted as failures: %+v", st)
-	}
-}
-
-func TestMaxPerContainerOne(t *testing.T) {
-	ds := remote(t)
-	policy := FullAccess
-	policy.MaxPerContainer = 1
-	crawled, st := Crawl(ds.Graph, policy)
-	for i := 0; i < crawled.NumContainers(); i++ {
-		if n := len(crawled.ContainedResources(socialgraph.ContainerID(i))); n > 1 {
-			t.Fatalf("container %d kept %d resources, cap 1", i, n)
+	outage := faults.Config{Seed: 2, Outages: []socialgraph.Network{socialgraph.Twitter}}
+	for _, cfg := range []faults.Config{faultCfg(), outage} {
+		api := faults.Wrap(ds.Graph, cfg)
+		_, st := CrawlAPI(api, FullAccess, DefaultResilience)
+		ist := api.Stats()
+		if st.APICalls != ist.Calls {
+			t.Errorf("faults %+v: crawler counted %d calls, the platform served %d", cfg, st.APICalls, ist.Calls)
 		}
-	}
-	if st.ContainersTruncated == 0 || st.ResourcesSkipped == 0 {
-		t.Errorf("cap 1 truncated nothing: %+v", st)
+		if failed := ist.Transients + ist.RateLimits + ist.OutageFailures; st.FailedCalls != failed {
+			t.Errorf("faults %+v: crawler counted %d failed calls, the platform failed %d", cfg, st.FailedCalls, failed)
+		}
+		if st.Retries == 0 && st.BreakerTrips == 0 {
+			t.Errorf("faults %+v: neither retries nor breaker trips: %+v", cfg, st)
+		}
 	}
 }
 

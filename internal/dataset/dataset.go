@@ -227,12 +227,6 @@ func (d *Dataset) Level(u socialgraph.UserID, dom kb.Domain) int {
 	return d.levels[u][domainIndex(dom)]
 }
 
-// DomainMean returns the average expertise level of a domain over the
-// candidate pool.
-func (d *Dataset) DomainMean(dom kb.Domain) float64 {
-	return d.domainMeans[domainIndex(dom)]
-}
-
 // IsExpert reports whether the candidate is a domain expert: a
 // candidate whose level exceeds the domain average (§3.1).
 func (d *Dataset) IsExpert(u socialgraph.UserID, dom kb.Domain) bool {

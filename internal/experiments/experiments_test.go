@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +57,33 @@ func TestRandomBaselineDeterministic(t *testing.T) {
 	s := testSystem(t)
 	if a, b := s.RandomBaseline(), s.RandomBaseline(); a != b {
 		t.Errorf("random baseline not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestRandomRanking checks the random baseline's unit: k distinct
+// candidates (all of them when k exceeds the pool), the same for the
+// same seed.
+func TestRandomRanking(t *testing.T) {
+	cands := []socialgraph.UserID{10, 11, 12, 13, 14}
+	pool := map[socialgraph.UserID]bool{}
+	for _, u := range cands {
+		pool[u] = true
+	}
+	for _, k := range []int{0, 3, 5, 10} {
+		got := randomRanking(rand.New(rand.NewSource(5)), cands, k)
+		if want := min(k, len(cands)); len(got) != want {
+			t.Fatalf("k=%d: %d selected, want %d", k, len(got), want)
+		}
+		seen := map[socialgraph.UserID]bool{}
+		for _, u := range got {
+			if !pool[u] || seen[u] {
+				t.Errorf("k=%d: %v repeats or invents a candidate", k, got)
+			}
+			seen[u] = true
+		}
+		if again := randomRanking(rand.New(rand.NewSource(5)), cands, k); !slices.Equal(got, again) {
+			t.Errorf("k=%d: same seed gave %v then %v", k, got, again)
+		}
 	}
 }
 

@@ -104,14 +104,13 @@ type UserView struct {
 }
 
 // ContainerView is the response of FetchContainer: the container
-// record, its description resource, and the most recent feed entries.
+// record, its description resource, and its whole live feed.
 type ContainerView struct {
 	Container socialgraph.Container
 	Desc      socialgraph.Resource
-	// Feed holds the retrieved resources in chronological order (most
-	// recent last); Total is the feed length before the limit cut.
-	Feed  []socialgraph.Resource
-	Total int
+	// Feed holds the container's live resources in chronological
+	// order (most recent last).
+	Feed []socialgraph.Resource
 }
 
 // ChangeView is the response of ChangedSince: the resources on one
@@ -150,9 +149,9 @@ type API interface {
 	Follows(u socialgraph.UserID, net socialgraph.Network) []Edge
 	// FetchUser retrieves u's content on net. One API call; may fail.
 	FetchUser(u socialgraph.UserID, net socialgraph.Network) (*UserView, error)
-	// FetchContainer retrieves a container and its limit most recent
-	// feed entries (0 = all). One API call; may fail.
-	FetchContainer(c socialgraph.ContainerID, limit int) (*ContainerView, error)
+	// FetchContainer retrieves a container and every live entry of
+	// its feed. One API call; may fail.
+	FetchContainer(c socialgraph.ContainerID) (*ContainerView, error)
 	// ChangedSince reports what changed on net since cursor (see
 	// ChangeView). One API call; may fail.
 	ChangedSince(net socialgraph.Network, cursor uint64) (*ChangeView, error)
@@ -341,30 +340,16 @@ func (in *Injector) streamOn(ids []socialgraph.ResourceID, net socialgraph.Netwo
 }
 
 // FetchContainer implements API.
-func (in *Injector) FetchContainer(c socialgraph.ContainerID, limit int) (*ContainerView, error) {
+func (in *Injector) FetchContainer(c socialgraph.ContainerID) (*ContainerView, error) {
 	cont := in.g.Container(c)
 	if err := in.call(cont.Network); err != nil {
 		return nil, err
 	}
-	feed := in.g.ContainedResources(c)
-	live := feed[:0:0]
-	for _, rid := range feed {
+	view := &ContainerView{Container: cont, Desc: in.g.Resource(cont.Desc)}
+	for _, rid := range in.g.ContainedResources(c) {
 		if !in.g.ResourceDeleted(rid) {
-			live = append(live, rid)
+			view.Feed = append(view.Feed, in.g.Resource(rid))
 		}
-	}
-	feed = live
-	view := &ContainerView{
-		Container: cont,
-		Desc:      in.g.Resource(cont.Desc),
-		Total:     len(feed),
-	}
-	keep := len(feed)
-	if limit > 0 && keep > limit {
-		keep = limit
-	}
-	for _, rid := range feed[len(feed)-keep:] { // the most recent ones
-		view.Feed = append(view.Feed, in.g.Resource(rid))
 	}
 	return view, nil
 }

@@ -34,12 +34,12 @@ func TestZeroConfigNeverFails(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	view, err := api.FetchContainer(cid, 0)
+	view, err := api.FetchContainer(cid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(view.Feed) != 3 || view.Total != 3 {
-		t.Errorf("feed = %d/%d, want 3/3", len(view.Feed), view.Total)
+	if len(view.Feed) != 3 {
+		t.Errorf("feed = %d, want 3", len(view.Feed))
 	}
 }
 
@@ -158,7 +158,7 @@ func TestOutageIsPermanentPerNetwork(t *testing.T) {
 	} else if resilience.Retryable(err) {
 		t.Error("outage error classified retryable")
 	}
-	if _, err := api.FetchContainer(cid, 0); err == nil {
+	if _, err := api.FetchContainer(cid); err == nil {
 		t.Fatal("container call succeeded during its network's outage")
 	}
 	if _, err := api.FetchUser(u, socialgraph.Twitter); err != nil {
@@ -178,7 +178,7 @@ func TestLatencyChargedToClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := clock.Elapsed(); got != 20*time.Millisecond {
+	if got := clock.Now().Sub(time.Time{}); got != 20*time.Millisecond {
 		t.Errorf("clock advanced %v, want 20ms", got)
 	}
 	if api.Stats().Latency != 20*time.Millisecond {
@@ -186,20 +186,40 @@ func TestLatencyChargedToClock(t *testing.T) {
 	}
 }
 
-func TestFeedLimit(t *testing.T) {
+// TestFetchContainerWholeFeed checks that a container fetch returns the
+// container, its description and every live post in posting order,
+// with tombstoned posts left out, for one call.
+func TestFetchContainerWholeFeed(t *testing.T) {
 	g, _, cid := tinyGraph()
 	api := Wrap(g, Config{})
-	view, err := api.FetchContainer(cid, 2)
+	posts := g.ContainedResources(cid)
+	view, err := api.FetchContainer(cid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(view.Feed) != 2 || view.Total != 3 {
-		t.Errorf("feed = %d/%d, want 2/3", len(view.Feed), view.Total)
+	if view.Container.Name != "algorithms" || view.Desc.Text != "algorithm talk" {
+		t.Errorf("container = %+v, desc %q", view.Container, view.Desc.Text)
 	}
-	// The limit keeps the most recent (last) entries.
-	all, _ := api.FetchContainer(cid, 0)
-	if view.Feed[0].ID != all.Feed[1].ID || view.Feed[1].ID != all.Feed[2].ID {
-		t.Error("limit did not keep the most recent entries")
+	ids := func(feed []socialgraph.Resource) []socialgraph.ResourceID {
+		var out []socialgraph.ResourceID
+		for _, r := range feed {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	if got := ids(view.Feed); !slices.Equal(got, posts) {
+		t.Errorf("feed = %v, want %v", got, posts)
+	}
+	g.RemoveResource(posts[1])
+	view, err = api.FetchContainer(cid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ids(view.Feed), []socialgraph.ResourceID{posts[0], posts[2]}; !slices.Equal(got, want) {
+		t.Errorf("feed after a removal = %v, want %v", got, want)
+	}
+	if st := api.Stats(); st.Calls != 2 {
+		t.Errorf("calls = %d, want one per fetch", st.Calls)
 	}
 }
 
@@ -255,7 +275,7 @@ func TestGateOutageAndLatency(t *testing.T) {
 	if err := gate.Call("other"); err != nil {
 		t.Fatalf("non-outage label failed: %v", err)
 	}
-	if got := clock.Elapsed(); got != 25*time.Millisecond {
+	if got := clock.Now().Sub(time.Time{}); got != 25*time.Millisecond {
 		t.Fatalf("clock elapsed = %v, want 25ms", got)
 	}
 	if st := gate.Stats(); st.OutageFailures != 4 || st.Latency != 25*time.Millisecond {

@@ -44,6 +44,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
@@ -441,7 +442,11 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 	}
 	expl, err := sys.Explain(need, expert, top, opts...)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, err.Error())
+		status := http.StatusBadRequest
+		if errors.Is(err, expertfind.ErrUnknownCandidate) {
+			status = http.StatusNotFound
+		}
+		writeError(w, r, status, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, expl)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -212,4 +213,27 @@ func TestExplain(t *testing.T) {
 	}
 	get(t, "/v1/explain?q="+q, http.StatusBadRequest, nil)
 	get(t, "/v1/explain?expert=nobody&q="+q, http.StatusNotFound, nil)
+	// Malformed options are the request's fault, as on /v1/find, even
+	// beside a valid expert; only an unknown expert is a 404.
+	expert := "&expert=" + url.QueryEscape(found.Experts[0].Name) + "&q=" + q
+	for _, bad := range []string{"alpha=2", "distance=7", "networks=myspace"} {
+		get(t, "/v1/explain?"+bad+expert, http.StatusBadRequest, nil)
+		get(t, "/v1/find?"+bad+"&q="+q, http.StatusBadRequest, nil)
+	}
+}
+
+// TestExplainOptionErrorBeforeCandidate checks that a malformed option
+// is reported as the request's fault even when the expert is unknown
+// too: the options are resolved before the candidate lookup.
+func TestExplainOptionErrorBeforeCandidate(t *testing.T) {
+	q := url.QueryEscape("why is copper a good conductor?")
+	var body map[string]string
+	get(t, "/v1/explain?alpha=2&expert=nobody&q="+q, http.StatusBadRequest, &body)
+	if !strings.Contains(body["error"], "alpha") {
+		t.Errorf("error = %q, want it to name alpha", body["error"])
+	}
+	get(t, "/v1/explain?expert=nobody&q="+q, http.StatusNotFound, &body)
+	if !strings.Contains(body["error"], "nobody") {
+		t.Errorf("error = %q, want it to name the expert", body["error"])
+	}
 }

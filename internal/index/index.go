@@ -252,26 +252,6 @@ func irf(numDocs, df int) float64 {
 	return math.Log(1 + float64(numDocs)/float64(df))
 }
 
-// IRF returns the inverse resource frequency of a term over the
-// current collection: log(1 + N/df). Unseen terms contribute nothing
-// to matching, so their IRF is reported as 0.
-func (ix *Index) IRF(term string) float64 {
-	df := ix.DocFreq(term)
-	if df == 0 {
-		return 0
-	}
-	return irf(len(ix.ids), df)
-}
-
-// EIRF returns the inverse resource frequency of an entity.
-func (ix *Index) EIRF(e kb.EntityID) float64 {
-	df := ix.EntityFreq(e)
-	if df == 0 {
-		return 0
-	}
-	return irf(len(ix.ids), df)
-}
-
 // ScoredDoc is a resource with its relevance for a need.
 type ScoredDoc struct {
 	Doc   DocID

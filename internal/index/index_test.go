@@ -33,6 +33,19 @@ func buildSmall(t testing.TB) *Index {
 	return ix
 }
 
+// entity returns the builtin knowledge base's entity with the given
+// label.
+func entity(t *testing.T, label string) kb.Entity {
+	t.Helper()
+	for _, e := range kb.Builtin().Entities() {
+		if e.Label == label {
+			return e
+		}
+	}
+	t.Fatalf("no entity %q", label)
+	return kb.Entity{}
+}
+
 func TestScoreRanksTopicalDocsFirst(t *testing.T) {
 	ix := buildSmall(t)
 	need := pipe.AnalyzeNeed("who is the best freestyle swimmer in the pool?")
@@ -89,30 +102,27 @@ func TestScoreNoMatch(t *testing.T) {
 func TestIRFMonotoneInRarity(t *testing.T) {
 	ix := buildSmall(t)
 	// "php" appears in 2 docs, "phelps" in 1: rarer term has higher IRF.
-	irfPhelps := ix.IRF("phelp")
-	irfPHP := ix.IRF("php")
 	if ix.DocFreq("phelp") != 1 || ix.DocFreq("php") != 2 {
 		t.Fatalf("df(phelp)=%d df(php)=%d", ix.DocFreq("phelp"), ix.DocFreq("php"))
 	}
+	irfPhelps := irf(ix.NumDocs(), ix.DocFreq("phelp"))
+	irfPHP := irf(ix.NumDocs(), ix.DocFreq("php"))
 	if irfPhelps <= irfPHP {
 		t.Errorf("IRF(phelp)=%v <= IRF(php)=%v", irfPhelps, irfPHP)
 	}
-	if ix.IRF("nonexistentterm") != 0 {
-		t.Error("IRF of unseen term != 0")
+	if ix.DocFreq("nonexistentterm") != 0 {
+		t.Error("unseen term has a document frequency")
 	}
 }
 
 func TestEntityStatistics(t *testing.T) {
 	ix := buildSmall(t)
-	phelps, _ := kb.Builtin().EntityByLabel("Michael Phelps")
+	phelps := entity(t, "Michael Phelps")
 	if ix.EntityFreq(phelps.ID) != 1 {
 		t.Errorf("EntityFreq(phelps) = %d, want 1", ix.EntityFreq(phelps.ID))
 	}
-	if ix.EIRF(phelps.ID) <= 0 {
-		t.Error("EIRF(phelps) <= 0")
-	}
-	if ix.EIRF(kb.EntityID(9999)) != 0 {
-		t.Error("EIRF of unseen entity != 0")
+	if ix.EntityFreq(kb.EntityID(9999)) != 0 {
+		t.Error("unseen entity has a document frequency")
 	}
 }
 
@@ -120,7 +130,7 @@ func TestEntityWeightBoostsConfidentMentions(t *testing.T) {
 	// Two docs with the same entity at different dScores: the more
 	// confident one must score higher under entity-only matching.
 	ix := New()
-	phelps, _ := kb.Builtin().EntityByLabel("Michael Phelps")
+	phelps := entity(t, "Michael Phelps")
 	lo := analysis.Analyzed{
 		Terms:    map[string]int{"x": 1},
 		Entities: map[kb.EntityID]analysis.EntityStats{phelps.ID: {Freq: 1, DScore: 0.2}},

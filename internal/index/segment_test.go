@@ -968,9 +968,9 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 }
 
 // Accessor and explicit-stats paths: Dir/Path/Size on a sealed store,
-// IRF/EIRF parity with the monolith (including unseen dimensions),
-// ScoreStatsTopK under an external collection view — the shape the
-// scatter coordinator scores shard slices with — and EachDoc.
+// collection-statistics parity with the monolith (including unseen
+// dimensions), ScoreStatsTopK under an external collection view — the
+// shape the scatter coordinator scores shard slices with — and EachDoc.
 func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	docs := randomDocs(5, 300, 0)
 	mono := flatFromDocs(docs)

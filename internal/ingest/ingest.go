@@ -120,7 +120,7 @@ func fetchUser(api faults.API, retry *resilience.Retryer, u socialgraph.UserID, 
 // fetchContainer is one retried FetchContainer call for the whole
 // feed; add receives every record the response carries.
 func fetchContainer(api faults.API, retry *resilience.Retryer, c socialgraph.ContainerID, add func(socialgraph.Resource)) error {
-	view, err := retried(retry, func() (*faults.ContainerView, error) { return api.FetchContainer(c, 0) })
+	view, err := retried(retry, func() (*faults.ContainerView, error) { return api.FetchContainer(c) })
 	if err != nil {
 		return fmt.Errorf("ingest: fetch container %d: %w", c, err)
 	}

@@ -142,6 +142,7 @@ func TestFetchCatalogComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FetchCatalog: %v", err)
 		}
+		live := 0
 		for i := 0; i < g.NumResources(); i++ {
 			id := socialgraph.ResourceID(i)
 			r, inCat := cat[id]
@@ -151,6 +152,7 @@ func TestFetchCatalogComplete(t *testing.T) {
 				}
 				continue
 			}
+			live++
 			if !inCat {
 				t.Errorf("live resource %d (%s) missing from catalog", id, g.Resource(id).Kind)
 				continue
@@ -159,8 +161,8 @@ func TestFetchCatalogComplete(t *testing.T) {
 				t.Errorf("catalog record %d differs from graph record", id)
 			}
 		}
-		if want := g.NumResources() - g.NumDeletedResources(); len(cat) != want {
-			t.Errorf("catalog has %d resources, want %d", len(cat), want)
+		if len(cat) != live {
+			t.Errorf("catalog has %d resources, want %d", len(cat), live)
 		}
 	}
 }
@@ -764,8 +766,13 @@ func TestChurnUpdateOnlyPreservesCount(t *testing.T) {
 	if st.Adds != 0 || st.Removes != 0 || st.Updates != 5 {
 		t.Errorf("update-only round did %+v", st)
 	}
-	if f.g.NumResources() != before || f.g.NumDeletedResources() != 0 {
+	if f.g.NumResources() != before {
 		t.Error("update-only churn changed the resource population")
+	}
+	for i := 0; i < before; i++ {
+		if f.g.ResourceDeleted(socialgraph.ResourceID(i)) {
+			t.Errorf("update-only churn deleted resource %d", i)
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ type KB struct {
 	anchorSpan map[string]int         // first token -> tokens of the longest anchor starting with it
 	vocab      map[Domain][]string
 	vocabStems map[Domain]map[string]struct{}
-	maxTokens  int // longest anchor, in tokens
 }
 
 // Builder assembles a KB.
@@ -140,7 +139,6 @@ func (b *Builder) AddAnchor(anchor, entityLabel string, commonness, linkProb flo
 		kb.linkProb[norm] = linkProb
 	}
 	tokens := strings.Fields(norm)
-	kb.maxTokens = max(kb.maxTokens, len(tokens))
 	kb.anchorSpan[tokens[0]] = max(kb.anchorSpan[tokens[0]], len(tokens))
 }
 
@@ -220,15 +218,6 @@ func (k *KB) Entity(id EntityID) Entity {
 	return k.entities[id]
 }
 
-// EntityByLabel returns the entity with the given canonical label.
-func (k *KB) EntityByLabel(label string) (Entity, bool) {
-	id, ok := k.byLabel[label]
-	if !ok {
-		return Entity{}, false
-	}
-	return k.entities[id], true
-}
-
 // Len returns the number of entities.
 func (k *KB) Len() int { return len(k.entities) }
 
@@ -250,10 +239,6 @@ func (k *KB) Candidates(normAnchor string) ([]Candidate, float64) {
 	return c, k.linkProb[normAnchor]
 }
 
-// MaxAnchorTokens returns the length, in tokens, of the longest
-// anchor, bounding the spotting window.
-func (k *KB) MaxAnchorTokens() int { return k.maxTokens }
-
 // AnchorSpan returns the length, in tokens, of the longest anchor whose
 // first token is first, or 0 when no anchor starts with it: the
 // spotting window at a token, known before any candidate anchor is
@@ -262,17 +247,6 @@ func (k *KB) AnchorSpan(first string) int { return k.anchorSpan[first] }
 
 // Vocab returns the topical vocabulary of a domain.
 func (k *KB) Vocab(d Domain) []string { return k.vocab[d] }
-
-// InVocab reports whether word belongs to the vocabulary of domain d.
-// The comparison is on lowercase surface forms.
-func (k *KB) InVocab(d Domain, word string) bool {
-	for _, w := range k.vocab[d] {
-		if w == word {
-			return true
-		}
-	}
-	return false
-}
 
 // InVocabStem reports whether a Porter stem matches the stemmed
 // vocabulary of domain d, so that inflected forms ("restaurants",

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,21 +30,16 @@ func TestBuiltinCoversAllDomains(t *testing.T) {
 	}
 }
 
-func TestEntityByLabel(t *testing.T) {
-	k := Builtin()
-	e, ok := k.EntityByLabel("Michael Phelps")
-	if !ok {
-		t.Fatal("Michael Phelps not found")
+func TestBuiltinEntityRecord(t *testing.T) {
+	for _, e := range Builtin().Entities() {
+		if e.Label == "Michael Phelps" {
+			if e.Domain != Sport || e.Type != "Athlete" || e.URI != "wiki:Michael_Phelps" {
+				t.Errorf("entity = %+v, want Sport Athlete wiki:Michael_Phelps", e)
+			}
+			return
+		}
 	}
-	if e.Domain != Sport || e.Type != "Athlete" {
-		t.Errorf("entity = %+v, want Sport Athlete", e)
-	}
-	if e.URI != "wiki:Michael_Phelps" {
-		t.Errorf("URI = %q", e.URI)
-	}
-	if _, ok := k.EntityByLabel("No Such Entity"); ok {
-		t.Error("found nonexistent entity")
-	}
+	t.Fatal("Michael Phelps not found")
 }
 
 func TestAmbiguousAnchors(t *testing.T) {
@@ -138,13 +134,6 @@ func TestNormalizeAnchor(t *testing.T) {
 	}
 }
 
-func TestMaxAnchorTokens(t *testing.T) {
-	k := Builtin()
-	if k.MaxAnchorTokens() < 3 {
-		t.Errorf("MaxAnchorTokens = %d, want >= 3 (e.g. 'how i met your mother')", k.MaxAnchorTokens())
-	}
-}
-
 func TestAnchorSpan(t *testing.T) {
 	k := Builtin()
 	for anchor, want := range map[string]int{
@@ -161,9 +150,9 @@ func TestAnchorSpan(t *testing.T) {
 	// The span at an anchor's first token reaches the whole anchor.
 	for _, e := range k.Entities() {
 		tokens := strings.Fields(NormalizeAnchor(e.Label))
-		if got := k.AnchorSpan(tokens[0]); got < len(tokens) || got > k.MaxAnchorTokens() {
-			t.Errorf("AnchorSpan(%q) = %d, label %q has %d tokens, longest anchor %d",
-				tokens[0], got, e.Label, len(tokens), k.MaxAnchorTokens())
+		if got := k.AnchorSpan(tokens[0]); got < len(tokens) {
+			t.Errorf("AnchorSpan(%q) = %d, label %q has %d tokens",
+				tokens[0], got, e.Label, len(tokens))
 		}
 	}
 }
@@ -193,11 +182,15 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestInVocab(t *testing.T) {
 	k := Builtin()
-	if !k.InVocab(Sport, "swimming") {
-		t.Error("swimming not in Sport vocab")
+	if sport := k.Vocab(Sport); !slices.Contains(sport, "swimming") || slices.Contains(sport, "compiler") {
+		t.Errorf("sport vocabulary %v: want swimming and not compiler", sport)
 	}
-	if k.InVocab(Sport, "compiler") {
-		t.Error("compiler unexpectedly in Sport vocab")
+	// The stemmed lookup the annotator uses hits inflected forms.
+	if !k.InVocabStem(Sport, "swim") {
+		t.Error("stem swim not in Sport vocab")
+	}
+	if k.InVocabStem(Sport, "compil") {
+		t.Error("stem compil unexpectedly in Sport vocab")
 	}
 }
 

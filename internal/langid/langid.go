@@ -371,11 +371,6 @@ func Identify(text string) Lang {
 	return defaultClassifier.Identify(text)
 }
 
-// IsEnglish reports whether text is classified as English.
-func IsEnglish(text string) bool {
-	return Identify(text) == English
-}
-
 // Identify returns the most likely language of text, or Unknown when
 // the text carries too little signal (fewer than 8 letters).
 func (c *Classifier) Identify(text string) Lang {

@@ -68,15 +68,6 @@ func TestIdentifyShortTextUnknown(t *testing.T) {
 	}
 }
 
-func TestIsEnglish(t *testing.T) {
-	if !IsEnglish("the weather today is wonderful and we should go outside for a walk") {
-		t.Error("IsEnglish(english text) = false")
-	}
-	if IsEnglish("il tempo oggi è meraviglioso e dovremmo uscire a fare una passeggiata") {
-		t.Error("IsEnglish(italian text) = true")
-	}
-}
-
 func TestClassifierDeterminism(t *testing.T) {
 	text := "the people of the town wake up and go to work in the morning"
 	first := Identify(text)

@@ -16,43 +16,6 @@ import (
 	"sort"
 )
 
-// PrecisionAt returns the fraction of relevant items within the first
-// k retrieved. When fewer than k items were retrieved the denominator
-// stays k-independent: precision is computed over min(k, len(rel)).
-func PrecisionAt(rel []bool, k int) float64 {
-	if k > len(rel) {
-		k = len(rel)
-	}
-	if k <= 0 {
-		return 0
-	}
-	hits := 0
-	for _, r := range rel[:k] {
-		if r {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k)
-}
-
-// RecallAt returns the fraction of all relevant items retrieved within
-// the first k.
-func RecallAt(rel []bool, numRelevant, k int) float64 {
-	if numRelevant <= 0 {
-		return 0
-	}
-	if k > len(rel) {
-		k = len(rel)
-	}
-	hits := 0
-	for _, r := range rel[:k] {
-		if r {
-			hits++
-		}
-	}
-	return float64(hits) / float64(numRelevant)
-}
-
 // AveragePrecision returns the mean of the precision values measured
 // at every relevant retrieved position, divided by the total number of
 // relevant items; relevant items never retrieved contribute zero.

@@ -14,24 +14,6 @@ func approx(t *testing.T, name string, got, want float64) {
 	}
 }
 
-func TestPrecisionAt(t *testing.T) {
-	rel := []bool{true, false, true, true, false}
-	approx(t, "P@1", PrecisionAt(rel, 1), 1)
-	approx(t, "P@2", PrecisionAt(rel, 2), 0.5)
-	approx(t, "P@4", PrecisionAt(rel, 4), 0.75)
-	approx(t, "P@10 (short list)", PrecisionAt(rel, 10), 3.0/5)
-	approx(t, "P@0", PrecisionAt(rel, 0), 0)
-	approx(t, "P of empty", PrecisionAt(nil, 5), 0)
-}
-
-func TestRecallAt(t *testing.T) {
-	rel := []bool{true, false, true}
-	approx(t, "R@1", RecallAt(rel, 4, 1), 0.25)
-	approx(t, "R@3", RecallAt(rel, 4, 3), 0.5)
-	approx(t, "R@10", RecallAt(rel, 4, 10), 0.5)
-	approx(t, "R with 0 relevant", RecallAt(rel, 0, 3), 0)
-}
-
 func TestAveragePrecision(t *testing.T) {
 	// Classic worked example: relevant at ranks 1, 3, 5 out of 3 total.
 	rel := []bool{true, false, true, false, true}
@@ -220,12 +202,6 @@ func TestMetricBounds(t *testing.T) {
 			return false
 		}
 		if !in01(ReciprocalRank(rel)) {
-			return false
-		}
-		if !in01(PrecisionAt(rel, 1+r.Intn(10))) {
-			return false
-		}
-		if !in01(RecallAt(rel, numRelevant, 1+r.Intn(10))) {
 			return false
 		}
 		if !in01(NDCG(BinaryGains(rel), Ones(numRelevant), 10)) {

@@ -54,14 +54,3 @@ func (c *Clock) Sleep(d time.Duration) {
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
 }
-
-// Elapsed reports how far a virtual clock has advanced since its
-// creation. For a nil clock it returns 0 (wall time has no anchor).
-func (c *Clock) Elapsed() time.Duration {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now.Sub(time.Time{})
-}

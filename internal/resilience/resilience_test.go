@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -36,7 +37,7 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 	// Two backoffs: 100ms + 200ms of virtual time.
-	if got := clock.Elapsed(); got != 300*time.Millisecond {
+	if got := clock.Now().Sub(time.Time{}); got != 300*time.Millisecond {
 		t.Errorf("elapsed = %v, want 300ms", got)
 	}
 }
@@ -72,7 +73,7 @@ func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	clock := NewClock()
 	r := &Retryer{Policy: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}, Clock: clock}
 	_ = r.Do(func() error { return &fakeErr{retryable: true, hint: time.Second} })
-	if got := clock.Elapsed(); got != time.Second {
+	if got := clock.Now().Sub(time.Time{}); got != time.Second {
 		t.Errorf("elapsed = %v, want the 1s hint", got)
 	}
 }
@@ -86,7 +87,7 @@ func TestRetryJitterDeterministicPerSeed(t *testing.T) {
 			Rand:   rand.New(rand.NewSource(7)),
 		}
 		_ = r.Do(func() error { return &fakeErr{retryable: true} })
-		return clock.Elapsed()
+		return clock.Now().Sub(time.Time{})
 	}
 	a, b := run(), run()
 	if a != b {
@@ -188,5 +189,40 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 	if !b.Allow() {
 		t.Error("disabled breaker rejected a call")
+	}
+}
+
+// TestClockSleepAdvancesNow checks the virtual clock: it starts at the
+// zero time, Sleep advances Now by exactly its argument without
+// waiting, non-positive durations are no-ops, and concurrent sleeps
+// add up.
+func TestClockSleepAdvancesNow(t *testing.T) {
+	c := NewClock()
+	if !c.Now().IsZero() {
+		t.Fatalf("new clock reads %v, want the zero time", c.Now())
+	}
+	start := time.Now()
+	c.Sleep(time.Hour)
+	c.Sleep(0)
+	c.Sleep(-time.Minute)
+	if got := c.Now().Sub(time.Time{}); got != time.Hour {
+		t.Errorf("clock advanced %v, want 1h", got)
+	}
+	if waited := time.Since(start); waited > time.Minute {
+		t.Errorf("virtual sleep took %v of wall time", waited)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				c.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Now().Sub(time.Time{}); got != time.Hour+800*time.Millisecond {
+		t.Errorf("clock after concurrent sleeps = %v, want 1h0m0.8s", got)
 	}
 }

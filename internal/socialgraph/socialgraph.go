@@ -327,13 +327,6 @@ func (g *Graph) ResourceDeleted(r ResourceID) bool {
 	return g.deleted[r]
 }
 
-// NumDeletedResources returns the number of tombstoned resources.
-func (g *Graph) NumDeletedResources() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.deleted)
-}
-
 // Profile returns the profile resource of user u on net, if any.
 func (g *Graph) Profile(u UserID, net Network) (ResourceID, bool) {
 	g.mu.RLock()

@@ -240,7 +240,7 @@ func TestTraversalMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomTombstonedGraph(r)
-		if g.NumDeletedResources() == 0 {
+		if len(g.deleted) == 0 {
 			g.RemoveResource(g.CreatedBy(0)[0])
 		}
 		all := make([]UserID, g.NumUsers())

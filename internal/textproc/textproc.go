@@ -14,14 +14,9 @@ import (
 	"unicode/utf8"
 )
 
-// Options configures a Processor. The zero value enables every step,
-// matching the pipeline of the paper; individual steps can be switched
-// off for ablation experiments.
+// Options configures a Processor's token-length filter. Every step of
+// the paper's pipeline always runs.
 type Options struct {
-	// DisableStopwords keeps stop words in the token stream.
-	DisableStopwords bool
-	// DisableStemming keeps tokens unstemmed.
-	DisableStemming bool
 	// MinTokenLen drops tokens shorter than this many runes after
 	// sanitization. Zero means the default of 2.
 	MinTokenLen int
@@ -78,11 +73,8 @@ func (p *Processor) term(t *Text, i int) string {
 	if n := utf8.RuneCountInString(tok); n < p.opts.MinTokenLen || n > p.opts.MaxTokenLen {
 		return ""
 	}
-	if !p.opts.DisableStopwords && IsStopword(tok) {
+	if IsStopword(tok) {
 		return ""
-	}
-	if p.opts.DisableStemming {
-		return tok
 	}
 	return t.Stem(i)
 }
@@ -99,13 +91,6 @@ func (p *Processor) Terms(text string) []string {
 		}
 	}
 	return terms
-}
-
-// TermFreq runs the pipeline and aggregates term frequencies.
-func (p *Processor) TermFreq(text string) map[string]int {
-	t := NewText(text)
-	tf, _ := p.TermFreqOf(&t)
-	return tf
 }
 
 // TermFreqOf aggregates the term frequencies of an already tokenized

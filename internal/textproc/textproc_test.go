@@ -80,26 +80,40 @@ func TestProcessorTermsDropsURLsAndMentions(t *testing.T) {
 	}
 }
 
+// TestProcessorOptions pins what the zero Options leaves on: stop-word
+// removal and stemming always run, and the token length bounds default
+// to 2 and 40 runes.
 func TestProcessorOptions(t *testing.T) {
-	p := New(Options{DisableStemming: true, DisableStopwords: true})
-	got := p.Terms("the swimmers are training")
-	want := []string{"the", "swimmers", "are", "training"}
-	if !reflect.DeepEqual(got, want) {
+	p := New(Options{})
+	if got, want := p.Terms("the swimmers are training"), []string{"swimmer", "train"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Terms = %v, want %v", got, want)
+	}
+	x40, x41 := strings.Repeat("x", 40), strings.Repeat("x", 41)
+	got := p.Terms("q qz " + x40 + " " + x41)
+	if want := []string{"qz", x40}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Terms = %v, want %v", got, want)
+	}
+	text := "Michael Phelps is the best! Great freestyle gold medal"
+	if !reflect.DeepEqual(p.Terms(text), Default.Terms(text)) {
+		t.Error("the zero Options differ from Default")
 	}
 }
 
 func TestProcessorMinMaxLen(t *testing.T) {
-	p := New(Options{MinTokenLen: 4, MaxTokenLen: 6, DisableStemming: true, DisableStopwords: true})
+	p := New(Options{MinTokenLen: 4, MaxTokenLen: 6})
 	got := p.Terms("go gym pools swimming champion")
-	want := []string{"pools"}
+	want := []string{"pool"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Terms = %v, want %v", got, want)
 	}
 }
 
 func TestTermFreq(t *testing.T) {
-	tf := Default.TermFreq("swim swim swimming pool")
+	text := NewText("swim swim swimming pool")
+	tf, length := Default.TermFreqOf(&text)
+	if length != 4 {
+		t.Errorf("length = %d, want 4", length)
+	}
 	if tf["swim"] != 3 {
 		t.Errorf("tf[swim] = %d, want 3 (swimming stems to swim)", tf["swim"])
 	}
