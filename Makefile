@@ -36,6 +36,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexScore$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockPostingsRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/index/
+	$(GO) test -run '^$$' -fuzz '^FuzzCursor$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=$(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzIdentify$$' -fuzztime=$(FUZZTIME) ./internal/langid/

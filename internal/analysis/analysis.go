@@ -22,9 +22,6 @@ import (
 
 // Options configures a Pipeline.
 type Options struct {
-	// Processor performs sanitization/tokenization/stop-word
-	// removal/stemming. Nil selects textproc.Default.
-	Processor *textproc.Processor
 	// Annotator performs entity recognition and disambiguation. Nil
 	// selects a default annotator over kb.Builtin().
 	Annotator *annotator.Annotator
@@ -36,20 +33,15 @@ type Options struct {
 
 // Pipeline analyzes texts into term/entity vectors.
 type Pipeline struct {
-	proc *textproc.Processor
-	ann  *annotator.Annotator
-	web  *webcontent.Web
+	ann *annotator.Annotator
+	web *webcontent.Web
 }
 
 // New returns a Pipeline with the given options.
 func New(opts Options) *Pipeline {
 	p := &Pipeline{
-		proc: opts.Processor,
-		ann:  opts.Annotator,
-		web:  opts.Web,
-	}
-	if p.proc == nil {
-		p.proc = textproc.Default
+		ann: opts.Annotator,
+		web: opts.Web,
 	}
 	if p.ann == nil {
 		p.ann = annotator.New(kb.Builtin(), annotator.Options{})
@@ -109,7 +101,7 @@ func (p *Pipeline) AnalyzeNeed(need string) Analyzed {
 // tokenization of text.
 func (p *Pipeline) vectors(text string) Analyzed {
 	t := textproc.NewText(text)
-	terms, length := p.proc.TermFreqOf(&t)
+	terms, length := textproc.Default.TermFreqOf(&t)
 
 	entities := make(map[kb.EntityID]EntityStats)
 	for _, ann := range p.ann.AnnotateText(&t) {

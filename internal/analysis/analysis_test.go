@@ -3,6 +3,7 @@ package analysis
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"expertfind/internal/dataset"
@@ -129,14 +130,19 @@ func TestEntityFrequencyAggregation(t *testing.T) {
 	}
 }
 
-func TestCustomProcessor(t *testing.T) {
-	p := New(Options{Processor: textproc.New(textproc.Options{MinTokenLen: 9})})
-	a, ok := p.Analyze("the swimmers are training hard for the championship season", nil)
+// TestPipelineTokenLengthBounds: the pipeline's terms pass textproc's
+// token-length filter, a one-rune token and one of more than
+// textproc.MaxTokenLen runes dropped.
+func TestPipelineTokenLengthBounds(t *testing.T) {
+	p := New(Options{})
+	atMax, long := strings.Repeat("z", textproc.MaxTokenLen), strings.Repeat("x", textproc.MaxTokenLen+1)
+	a, ok := p.Analyze("the swimmers are training hard for the championship season x "+long+" "+atMax, nil)
 	if !ok {
 		t.Fatal("filtered")
 	}
-	if want := map[string]int{"championship": 1}; !reflect.DeepEqual(a.Terms, want) {
-		t.Errorf("terms = %v, want only the 9+ rune token %v", a.Terms, want)
+	want := map[string]int{"swimmer": 1, "train": 1, "hard": 1, "championship": 1, "season": 1, atMax: 1}
+	if !reflect.DeepEqual(a.Terms, want) {
+		t.Errorf("terms = %v, want %v", a.Terms, want)
 	}
 }
 

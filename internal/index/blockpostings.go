@@ -14,7 +14,7 @@ import (
 // dimension — tf·irf² terms and ef·eirf²·we entities — and a kind is
 // data here, not a code path: a term list and an entity list are the
 // same type, differing only in the posting payload codec (append,
-// decodeRun and the block-bound encoding in codec.go, whose header is
+// decode, pass and the block-bound encoding in codec.go, whose header is
 // the format specification). A list keeps its postings in two regions:
 //
 //   - a sealed region of fixed-size blocks, delta-encoded on ascending
@@ -34,10 +34,12 @@ import (
 //
 // The skip entries are what the top-k cursors consume: a seek passes
 // over every block whose maxDoc lies below its target without decoding
-// it. The "weightless" score of a posting is its contribution to Eq. (1)
-// with the query weight divided out — tf for a term posting, ef·we for
-// an entity posting — and the list's maxW, the largest over its blocks
-// and tail, times the planned weight bounds every member's contribution.
+// it, and inside the block it lands in parses only the deltas before
+// its target. The "weightless" score of a posting is its contribution
+// to Eq. (1) with the query weight divided out — tf for a term
+// posting, ef·we for an entity posting — and the list's maxW, the
+// largest over its blocks and tail, times the planned weight bounds
+// every member's contribution.
 
 // blockSize is the number of postings per sealed block. 128 keeps a
 // block within a few cache lines when decoded while making the
@@ -112,44 +114,66 @@ func (k postingKind) append(b []byte, docDelta uint64, p posting) []byte {
 	return b
 }
 
-// decodeRun is the one posting decoder: it appends to dst the n
-// postings encoded at data[pos:] and returns the offset past them. In
-// a sealed block doc ids are deltas chained from base; tail postings
-// carry absolute ids (chained false, base 0). It never reads out of
-// bounds: a negative offset reports bytes that do not hold n
-// well-formed postings, which only unvalidated input can produce.
-func (k postingKind) decodeRun(dst []posting, data []byte, pos, n int, base DocID, chained bool) ([]posting, int) {
-	switch k {
-	case termKind:
-		for ; n > 0; n-- {
-			delta, m1 := uvarintAt(data, pos)
-			tf, m2 := uvarintAt(data, pos+m1)
-			if m1 == 0 || m2 == 0 {
-				return dst, -1
-			}
-			pos += m1 + m2
-			doc := base + DocID(delta)
-			if chained {
-				base = doc
-			}
-			dst = append(dst, termPosting(doc, int32(tf)))
+// decode is the one posting decoder: it decodes the posting encoded
+// at data[pos:], whose doc id is base plus its delta (a tail posting's
+// absolute id with base 0), and returns it with the offset past it. It
+// never reads out of bounds: a negative offset reports bytes that do
+// not hold a well-formed posting, which only unvalidated input can
+// produce.
+func (k postingKind) decode(data []byte, pos int, base DocID) (posting, int) {
+	delta, m1 := uvarintAt(data, pos)
+	freq, m2 := uvarintAt(data, pos+m1)
+	pos += m1 + m2
+	if m1 == 0 || m2 == 0 {
+		return posting{}, -1
+	}
+	doc := base + DocID(delta)
+	if k == termKind {
+		return termPosting(doc, int32(freq)), pos
+	}
+	if pos+8 > len(data) {
+		return posting{}, -1
+	}
+	return entityPosting(doc, int32(freq), math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))), pos + 8
+}
+
+// pass passes over the first of the n postings encoded at data[pos:],
+// their doc ids chained from base, that lie below d, parsing only their
+// deltas: a freq is skipped to its varint's last byte, an entity's
+// dScore by its 8 bytes. It returns the offset of the first posting at
+// or past d, the base its delta chains from and the postings left from
+// it on. The bytes must be well formed.
+func (k postingKind) pass(data []byte, pos, n int, base, d DocID) (int, DocID, int) {
+	for ; n > 0; n-- {
+		delta, m := uvarintAt(data, pos)
+		if base+DocID(delta) >= d {
+			break
 		}
-	case entityKind:
-		for ; n > 0; n-- {
-			delta, m1 := uvarintAt(data, pos)
-			ef, m2 := uvarintAt(data, pos+m1)
-			pos += m1 + m2
-			if m1 == 0 || m2 == 0 || pos+8 > len(data) {
-				return dst, -1
-			}
-			dScore := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
+		base += DocID(delta)
+		for pos += m; data[pos] >= 0x80; pos++ {
+		}
+		pos++
+		if k == entityKind {
 			pos += 8
-			doc := base + DocID(delta)
-			if chained {
-				base = doc
-			}
-			dst = append(dst, entityPosting(doc, int32(ef), dScore))
 		}
+	}
+	return pos, base, n
+}
+
+// decodeRun appends to dst the n postings encoded at data[pos:] and
+// returns the offset past them, negative where decode finds a
+// malformed one. In a sealed block doc ids are deltas chained from
+// base; tail postings carry absolute ids (chained false, base 0).
+func (k postingKind) decodeRun(dst []posting, data []byte, pos, n int, base DocID, chained bool) ([]posting, int) {
+	for ; n > 0; n-- {
+		var p posting
+		if p, pos = k.decode(data, pos, base); pos < 0 {
+			return dst, -1
+		}
+		if chained {
+			base = p.doc
+		}
+		dst = append(dst, p)
 	}
 	return dst, pos
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"math"
 	"os"
@@ -277,5 +278,226 @@ func checkBounds(t *testing.T, l *postingList) {
 			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, ps[len(ps)-1].doc)
 		}
 		base = bm.maxDoc
+	}
+}
+
+// FuzzCursor drives one cursor with next and seek against a sorted
+// slice, on term and entity lists built from the fuzz bytes both
+// half-sealed through add (a sealed region and a tail, inserted in a
+// rotated order so tail documents fall between block documents) and
+// canonical through newPostingList, over a span drawn from the input
+// (driveCursor). A posting is three bytes: its doc-id gap less one, its
+// freq less one and its dScore in 255ths, so gaps and freqs of 128 and
+// more take multi-byte varints.
+func FuzzCursor(f *testing.F) {
+	// dense holds docs 1–300, its blocks ending at 128, 256 and 300,
+	// their freqs cycling through 3, 6 and 1; wide has gaps of 201 and
+	// freqs of 151, two-byte varints both.
+	dense := bytes.Repeat([]byte{0, 2, 100, 0, 5, 30, 0, 0, 255}, 100)
+	wide := bytes.Repeat([]byte{200, 150, 7}, 300)
+	// spanAt is the span byte that puts a bound at dense's doc.
+	spanAt := func(doc int) uint16 { return uint16((doc<<16 + 301) / 302) }
+	all := uint16(0xFFFF)
+	// Seeks inside the entered block, then one over the next block.
+	f.Add(dense, uint8(0), uint16(0), all, []byte{0, 0, 1, 5, 1, 60, 0, 0, 3, 3})
+	// A seek past the last block, and next once done.
+	f.Add(dense, uint8(0), uint16(0), all, []byte{0, 0, 7, 0, 0, 0})
+	// span.lo inside the first block, then absolute seeks.
+	f.Add(dense, uint8(0), spanAt(50), all, []byte{0, 0, 5, 120, 5, 200})
+	// span.hi inside the last block, reached by next and by a seek.
+	f.Add(dense, uint8(0), uint16(0), spanAt(280), bytes.Repeat([]byte{0, 0}, 300))
+	f.Add(dense, uint8(0), spanAt(200), spanAt(280), []byte{0, 0, 5, 250, 0, 0})
+	// Tail postings (docs 57–100) between block docs.
+	f.Add(dense, uint8(100), uint16(0), all, []byte{0, 0, 1, 40, 1, 3, 3, 1, 0, 0, 5, 90, 0, 0})
+	// Multi-byte deltas and freqs, a narrow span and every seek kind.
+	f.Add(wide, uint8(37), uint16(9000), uint16(50000), []byte{0, 0, 1, 250, 3, 9, 5, 100, 0, 0, 1, 3, 7, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte, rot uint8, loB, hiB uint16, ops []byte) {
+		var tps, eps []posting
+		doc := DocID(0)
+		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
+			doc += DocID(data[i]) + 1
+			freq := int32(data[i+1]) + 1
+			tps = append(tps, termPosting(doc, freq))
+			eps = append(eps, entityPosting(doc, freq, float64(data[i+2])/255))
+		}
+		if len(tps) == 0 {
+			return
+		}
+		maxDoc := int64(doc)
+		span := allDocs
+		if loB > 0 {
+			span.lo = int64(loB) * (maxDoc + 2) >> 16
+		}
+		if hiB < 0xFFFF {
+			span.hi = max(span.lo+1, int64(hiB)*(maxDoc+2)>>16)
+		}
+		ix := New()
+		for i, ps := range [][]posting{tps, eps} {
+			kind := []postingKind{termKind, entityKind}[i]
+			half := &postingList{kind: kind}
+			for j := range ps {
+				half.add(ps[(j+int(rot))%len(ps)])
+			}
+			ix.lists[listKey{kind: kind, term: "half", ent: 1}] = half
+			ix.lists[listKey{kind: kind, term: "canon", ent: 2}] = newPostingList(kind, ps)
+		}
+		for key := range ix.lists {
+			driveCursor(t, ix, key, span, ops)
+		}
+	})
+}
+
+// driveCursor binds key's list in src over span and replays ops on the
+// cursor, checking after bind and after every op that it stands where a
+// sorted slice of the list's postings in span says, and that skipped is
+// the number of the span's blocks it has not entered. Ops come in byte
+// pairs: an even first byte is next, an odd one a seek, whose target
+// the second byte sets by the mode in the first byte's next two bits —
+// the current doc plus v, plus 64·v, the v/256 point of the list's doc
+// range, or v past its last doc. Which blocks the cursor must have
+// entered is modelled on the sealed postings' indices: it enters a
+// block to decode its posting that comes next in its stream, and a seek
+// that leaves the entered block enters only the block of the first
+// posting at or past its target.
+func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops []byte) {
+	t.Helper()
+	var l postingList
+	src.list(key, &l, nil)
+	// q is the sealed postings of the span's blocks: those whose doc
+	// range, above the previous block's maxDoc, meets the span.
+	var q, want []posting
+	var blockOf []int
+	spanBlocks, sealedDoc := 0, map[DocID]bool{}
+	prev, base := int64(math.MinInt64), DocID(0)
+	for b, bm := range l.blocks {
+		ps, _ := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base, true)
+		if int64(bm.maxDoc) >= span.lo && prev+1 < span.hi {
+			spanBlocks++
+			for _, p := range ps {
+				q, blockOf = append(q, p), append(blockOf, b)
+			}
+		}
+		for _, p := range ps {
+			sealedDoc[p.doc] = true
+		}
+		prev, base = int64(bm.maxDoc), bm.maxDoc
+	}
+	all := l.decodeAll()
+	if len(all) == 0 {
+		t.Fatalf("%v: no postings", key)
+	}
+	sortPostings(all)
+	maxDoc := all[len(all)-1].doc
+	for _, p := range all {
+		if span.has(p.doc) {
+			want = append(want, p)
+		}
+	}
+
+	a := new(topkAcc)
+	a.bind(src, queryPlan{{key: key, w: 1}}, span)
+	if len(a.lists) != min(len(want), 1) {
+		t.Fatalf("%v span %v: bind kept %d cursors for %d postings in span", key, span, len(a.lists), len(want))
+	}
+	if len(want) == 0 {
+		return
+	}
+	c := &a.lists[0]
+
+	// The stream model: q[j] is the next sealed posting not consumed,
+	// decoded ahead when held; over once the stream has ended.
+	entered := map[int]bool{}
+	i, j, held, over := 0, 0, false, false
+	look := func() {
+		if j == len(q) {
+			over = true
+			return
+		}
+		entered[blockOf[j]] = true
+		if int64(q[j].doc) >= span.hi {
+			over = true
+			return
+		}
+		held = true
+	}
+	reach := func(d DocID) {
+		held = false
+		for j < len(q) && q[j].doc < d {
+			j++
+		}
+		if !over {
+			look()
+		}
+	}
+	// step models next from the oracle position i: the posting the
+	// cursor stands on next is want[i], consumed from the stream if
+	// sealed.
+	step := func() {
+		if !held && !over {
+			look()
+		}
+		if i < len(want) && sealedDoc[want[i].doc] {
+			if !held || q[j].doc != want[i].doc {
+				t.Fatalf("%v span %v: model lost the stream at %+v", key, span, want[i])
+			}
+			held = false
+			j++
+		}
+	}
+	check := func(op string) {
+		t.Helper()
+		if done := i == len(want); c.done != done || !done && c.cur != want[i] {
+			at := "done"
+			if !done {
+				at = fmt.Sprintf("%+v", want[i])
+			}
+			t.Fatalf("%v span %v after %s: cursor at %+v done %v, want %s", key, span, op, c.cur, c.done, at)
+		}
+		if wantSkipped := spanBlocks - len(entered); c.skipped != wantSkipped {
+			t.Fatalf("%v span %v after %s: skipped %d, want %d of %d span blocks not entered", key, span, op, c.skipped, wantSkipped, spanBlocks)
+		}
+	}
+	if span.lo > allDocs.lo {
+		reach(DocID(span.lo))
+	}
+	step()
+	check("bind")
+	for o := 0; o+1 < len(ops); o += 2 {
+		if ops[o]&1 == 0 {
+			c.next()
+			if i < len(want) {
+				i++
+			}
+			step()
+			check("next")
+			continue
+		}
+		cur, v := maxDoc, DocID(ops[o+1])
+		if i < len(want) {
+			cur = want[i].doc
+		}
+		var d DocID
+		switch ops[o] >> 1 & 3 {
+		case 0:
+			d = cur + v
+		case 1:
+			d = cur + 64*v
+		case 2:
+			d = DocID(int64(v) * int64(maxDoc+2) / 256)
+		case 3:
+			d = maxDoc + 1 + v
+		}
+		c.seek(d)
+		if i < len(want) && want[i].doc < d {
+			if !held || q[j].doc < d {
+				reach(d)
+			}
+			for i < len(want) && want[i].doc < d {
+				i++
+			}
+			step()
+		}
+		check(fmt.Sprintf("seek(%d)", d))
 	}
 }

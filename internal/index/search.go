@@ -36,17 +36,6 @@ var allDocs = docRange{math.MinInt32, math.MaxInt32 + 1}
 
 func (r docRange) has(d DocID) bool { return int64(d) >= r.lo && int64(d) < r.hi }
 
-// clip trims doc-sorted postings to the range.
-func (r docRange) clip(ps []posting) []posting {
-	for len(ps) > 0 && int64(ps[0].doc) < r.lo {
-		ps = ps[1:]
-	}
-	for len(ps) > 0 && int64(ps[len(ps)-1].doc) >= r.hi {
-		ps = ps[:len(ps)-1]
-	}
-	return ps
-}
-
 // part is one disjoint slice of a collection as searchParts scores it.
 type part struct {
 	src listSource

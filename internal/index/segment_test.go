@@ -321,7 +321,7 @@ func drainAccFree(t *testing.T) {
 					a.k, len(a.lists), len(a.order), len(a.hits), len(a.arena), len(a.tails))
 			}
 			for _, c := range a.lists[:cap(a.lists)] {
-				if !reflect.DeepEqual(c, cursor{buf: c.buf}) {
+				if !reflect.DeepEqual(c, cursor{}) {
 					t.Fatalf("pooled cursor holds an evaluation: %+v", c)
 				}
 			}

@@ -30,7 +30,8 @@ import (
 // bound sums, and the (ef·we)·w vs (ef·w)·we product grouping) can only
 // make pruning more conservative: the ranking is the exhaustive one
 // truncated to k, bit for bit. A seek passes over whole sealed blocks
-// by their maxDoc without decoding them. The parts of one query share
+// by their maxDoc without decoding them, and in the block it lands in
+// decodes only the posting it stops at. The parts of one query share
 // a θ floor (thetaFloor): pruning takes the greater of it and the
 // part's θ, and a document enters only if it also scores at least the
 // floor.
@@ -96,9 +97,9 @@ func (c *topkCounters) add(o topkCounters) {
 }
 
 // cursor walks one bound list's postings in the span in ascending doc
-// order: its sealed blocks, decoded one at a time on demand and clipped
-// to the span, merged with its tail, decoded, filtered to the span and
-// sorted once at bind.
+// order: its sealed blocks, streamed one posting at a time from the
+// list's bytes and clipped to the span, merged with its tail, decoded,
+// filtered to the span and sorted once at bind.
 type cursor struct {
 	l     postingList
 	w     float64 // the plan weight
@@ -110,14 +111,15 @@ type cursor struct {
 	done     bool    // past the last posting; cur is stale
 	cur      posting // the posting the cursor stands on
 	span     docRange
-	blk, end int       // l.blocks[blk:end] are the span's blocks still ahead
-	skipped  int       // blocks in the span not decoded (yet)
-	ps       []posting // the rest of the decoded block
-	tail     []posting // the rest of the tail
-	// buf is the block decode buffer, allocated on the first decode.
-	// It stays with the cursor's slot in the pooled lists from one
-	// evaluation to the next.
-	buf *[blockSize]posting
+	blk, end int // l.blocks[blk:end] are the span's blocks not yet entered
+	skipped  int // blocks in the span not entered (yet)
+	// The entered block's stream: left postings not yet decoded at
+	// l.data[pos:], their doc ids chained from base.
+	pos, left int
+	base      DocID
+	head      posting // the next sealed posting, when held
+	held      bool
+	tail      []posting // the rest of the tail
 }
 
 // at reports whether the cursor stands on d.
@@ -127,35 +129,65 @@ func (c *cursor) at(d DocID) bool { return !c.done && c.cur.doc == d }
 // associated as the exhaustive evaluation computes it.
 func (c *cursor) contrib() float64 { return float64(c.cur.freq) * c.w * c.cur.we }
 
-// fill decodes blocks until one leaves postings in the span or none is
-// left.
-func (c *cursor) fill() {
-	for len(c.ps) == 0 && c.blk < c.end {
-		bm := &c.l.blocks[c.blk]
-		base := DocID(0) // the block's delta base
-		if c.blk > 0 {
-			base = c.l.blocks[c.blk-1].maxDoc
-		}
-		c.blk++
-		c.skipped--
-		if c.buf == nil {
-			c.buf = new([blockSize]posting)
-		}
-		c.ps, _ = c.l.kind.decodeRun(c.buf[:0], c.l.data, bm.off, int(bm.n), base, true)
-		if int64(base) < c.span.lo || int64(bm.maxDoc) >= c.span.hi {
-			c.ps = c.span.clip(c.ps)
-		}
+// enter starts the stream of the span's next block: a block counts as
+// decoded once it is entered.
+func (c *cursor) enter() {
+	c.base = 0 // the block's delta base
+	if c.blk > 0 {
+		c.base = c.l.blocks[c.blk-1].maxDoc
 	}
+	c.pos, c.left = c.l.blocks[c.blk].off, int(c.l.blocks[c.blk].n)
+	c.blk++
+	c.skipped--
+}
+
+// step decodes the next sealed posting into head, entering the span's
+// next block once the entered one is spent. The first posting at or
+// past span.hi ends the stream.
+func (c *cursor) step() {
+	if c.left == 0 {
+		if c.blk == c.end {
+			return
+		}
+		c.enter()
+	}
+	p, pos := c.l.kind.decode(c.l.data, c.pos, c.base)
+	c.pos, c.base = pos, p.doc
+	c.left--
+	if int64(p.doc) >= c.span.hi {
+		c.left = 0 // the span's last block is the entered one
+		return
+	}
+	c.head, c.held = p, true
+}
+
+// reach moves head to the first sealed posting at or past d: it passes
+// over the blocks that end below d by their maxDoc without entering
+// them, and in the block that holds d parses only the deltas before it.
+func (c *cursor) reach(d DocID) {
+	c.held = false
+	if c.left == 0 || c.l.blocks[c.blk-1].maxDoc < d {
+		c.left = 0
+		for c.blk < c.end && c.l.blocks[c.blk].maxDoc < d {
+			c.blk++
+		}
+		if c.blk == c.end {
+			return
+		}
+		c.enter()
+	}
+	c.pos, c.base, c.left = c.l.kind.pass(c.l.data, c.pos, c.left, c.base, d)
+	c.step()
 }
 
 // next moves to the following posting.
 func (c *cursor) next() {
-	if len(c.ps) == 0 {
-		c.fill()
+	if !c.held {
+		c.step()
 	}
 	switch {
-	case len(c.ps) > 0 && (len(c.tail) == 0 || c.ps[0].doc < c.tail[0].doc):
-		c.cur, c.ps = c.ps[0], c.ps[1:]
+	case c.held && (len(c.tail) == 0 || c.head.doc < c.tail[0].doc):
+		c.cur, c.held = c.head, false
 	case len(c.tail) > 0:
 		c.cur, c.tail = c.tail[0], c.tail[1:]
 	default:
@@ -163,20 +195,14 @@ func (c *cursor) next() {
 	}
 }
 
-// seek moves to the first posting at or past d, passing over the
-// blocks that end below d without decoding them.
+// seek moves to the first posting at or past d.
 func (c *cursor) seek(d DocID) {
 	if c.done || c.cur.doc >= d {
 		return
 	}
-	if len(c.ps) == 0 || c.ps[len(c.ps)-1].doc < d {
-		c.ps = nil
-		for c.blk < c.end && c.l.blocks[c.blk].maxDoc < d {
-			c.blk++
-		}
-		c.fill()
+	if !c.held || c.head.doc < d {
+		c.reach(d)
 	}
-	c.ps = c.ps[searchDoc(c.ps, d):]
 	c.tail = c.tail[searchDoc(c.tail, d):]
 	c.next()
 }
@@ -206,8 +232,9 @@ type topkAcc struct {
 	topkCounters
 }
 
-// The caps on the buffers a released topkAcc keeps (about 1 MiB each):
-// one outsized evaluation must not pin its high-water mark in the pool.
+// The caps on the buffers a released topkAcc keeps (at most 1 MiB
+// each, 2.8 MiB together on 64-bit): one outsized evaluation must not
+// pin its high-water mark in the pool.
 const (
 	maxPooledDocs     = 1 << 16
 	maxPooledBlocks   = 1 << 15
@@ -216,7 +243,7 @@ const (
 )
 
 // accFree is the free list of released accumulators: at most 8 kept,
-// at most 4 MiB of buffers each. Not a sync.Pool: that empties with
+// at most 3 MiB of buffers each. Not a sync.Pool: that empties with
 // the garbage collector's cycles and keeps one slot per P, so a caller
 // the scheduler moves between Ps loses its warm state at times nothing
 // in the program chooses and regrows its buffers by doubling — ±3 %
@@ -250,7 +277,7 @@ func pooled[T any](s []T, limit int) []T {
 func (a *topkAcc) release() {
 	all := a.lists[:cap(a.lists)] // bind leaves the cursors it dropped past len
 	for i := range all {
-		all[i] = cursor{buf: all[i].buf}
+		all[i] = cursor{}
 	}
 	clear(a.order)
 	*a = topkAcc{
@@ -276,7 +303,7 @@ func (a *topkAcc) bind(src listSource, plan queryPlan, span docRange) {
 	for _, pl := range plan {
 		a.lists = a.lists[:len(a.lists)+1]
 		c := &a.lists[len(a.lists)-1]
-		*c = cursor{w: pl.w, span: span, buf: c.buf}
+		*c = cursor{w: pl.w, span: span}
 		a.arena = src.list(pl.key, &c.l, a.arena)
 		c.bound, c.end = c.l.maxW*pl.w, len(c.l.blocks)
 		if span.lo > allDocs.lo {
@@ -299,6 +326,9 @@ func (a *topkAcc) bind(src listSource, plan queryPlan, span docRange) {
 			}
 			sortPostings(kept)
 			c.tail, a.tails = kept, a.tails[:start+len(kept)]
+		}
+		if span.lo > allDocs.lo {
+			c.reach(DocID(span.lo))
 		}
 		if c.next(); c.done { // no posting in span
 			a.lists = a.lists[:len(a.lists)-1]

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -196,6 +197,41 @@ func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
 	assertScoredBitIdentical(t, "range walk", want, out)
 	if c.blocksSkipped != 2 {
 		t.Errorf("range over blocks 10–13 skipped %d blocks, want 2", c.blocksSkipped)
+	}
+}
+
+// TestCursorOverSegmentLists drives cursors over a sealed segment's
+// lists, mmapped and streamed, with random spans and op sequences
+// (driveCursor). A segment's list body interleaves the skip entries
+// with the blocks, so a stream that ran on past a block's end instead
+// of entering the next at its offset would read a skip entry as
+// postings.
+func TestCursorOverSegmentLists(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := flatFromDocs(randomDocs(71, 3000, 0)).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(72))
+	for _, stream := range []bool{false, true} {
+		sr, err := openBytes(t, buf.Bytes(), stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range sr.keys() {
+			for trial := 0; trial < 8; trial++ {
+				span := allDocs
+				if trial&1 != 0 {
+					span.lo = r.Int63n(9000)
+				}
+				if trial&2 != 0 {
+					span.hi = max(span.lo, 0) + 1 + r.Int63n(9000)
+				}
+				ops := make([]byte, 2*r.Intn(300))
+				r.Read(ops)
+				driveCursor(t, sr, key, span, ops)
+			}
+		}
+		sr.Close()
 	}
 }
 
@@ -575,13 +611,12 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 }
 
 // TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
-// holds nothing of its evaluation — no cursor keeps a list, a position
-// or a tail — keeps each cursor's decode buffer with its slot, and
-// gives up every buffer that grew past its cap instead of pinning it in
-// the pool: each cap at its limit is kept, one over it dropped.
+// holds nothing of its evaluation — every cursor is the zero cursor,
+// keeping no list, stream position, head posting or tail — and gives
+// up every buffer that grew past its cap instead of pinning it in the
+// pool: each cap at its limit is kept, one over it dropped.
 func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 	for _, over := range []int{0, 1} {
-		buf := new([blockSize]posting)
 		a := &topkAcc{
 			k:     3,
 			lists: make([]cursor, 1, maxPooledLists+over),
@@ -590,7 +625,7 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 			arena: make([]blockMeta, 3, maxPooledBlocks+over),
 			tails: make([]posting, 4, maxPooledPostings+over),
 		}
-		a.lists[0] = cursor{l: postingList{data: []byte{1}, count: 1}, tail: a.tails[1:], ps: buf[:2], done: true, buf: buf}
+		a.lists[0] = cursor{l: postingList{data: []byte{1}, count: 1}, tail: a.tails[1:], pos: 1, left: 2, base: 9, head: termPosting(9, 1), held: true, done: true}
 		a.order[0] = &a.lists[0]
 		a.postings, a.pruned = 7, 2
 		lists, order := a.lists, a.order
@@ -601,7 +636,7 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 			t.Errorf("over=%d: kept lists=%v order=%v hits=%v arena=%v tails=%v, want %v", over,
 				a.lists != nil, a.order != nil, a.hits != nil, a.arena != nil, a.tails != nil, kept)
 		}
-		if c := lists[0]; !reflect.DeepEqual(c, cursor{buf: buf}) {
+		if c := lists[0]; !reflect.DeepEqual(c, cursor{}) {
 			t.Errorf("over=%d: released cursor still holds evaluation state: %+v", over, c)
 		}
 		if order[0] != nil {

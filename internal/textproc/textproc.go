@@ -14,35 +14,20 @@ import (
 	"unicode/utf8"
 )
 
-// Options configures a Processor's token-length filter. Every step of
-// the paper's pipeline always runs.
-type Options struct {
-	// MinTokenLen drops tokens shorter than this many runes after
-	// sanitization. Zero means the default of 2.
-	MinTokenLen int
-	// MaxTokenLen drops tokens longer than this many runes (they are
-	// almost always URLs or noise). Zero means the default of 40.
-	MaxTokenLen int
-}
+// The token-length filter: a token shorter than MinTokenLen or longer
+// than MaxTokenLen runes after sanitization is dropped (the long ones
+// are almost always URLs or noise).
+const (
+	MinTokenLen = 2
+	MaxTokenLen = 40
+)
 
-// Processor turns raw text into a normalized term stream.
-type Processor struct {
-	opts Options
-}
+// Processor turns raw text into a normalized term stream. Every step
+// of the paper's pipeline always runs.
+type Processor struct{}
 
-// New returns a Processor with the given options.
-func New(opts Options) *Processor {
-	if opts.MinTokenLen == 0 {
-		opts.MinTokenLen = 2
-	}
-	if opts.MaxTokenLen == 0 {
-		opts.MaxTokenLen = 40
-	}
-	return &Processor{opts: opts}
-}
-
-// Default is a Processor with all steps enabled.
-var Default = New(Options{})
+// Default is the Processor.
+var Default = &Processor{}
 
 // Text is one text after sanitization and tokenization, with each
 // token's Porter stem computed at most once: the single pass over a
@@ -70,7 +55,7 @@ func (t *Text) Stem(i int) string {
 // length or stop-word filter drops it.
 func (p *Processor) term(t *Text, i int) string {
 	tok := t.Tokens[i]
-	if n := utf8.RuneCountInString(tok); n < p.opts.MinTokenLen || n > p.opts.MaxTokenLen {
+	if n := utf8.RuneCountInString(tok); n < MinTokenLen || n > MaxTokenLen {
 		return ""
 	}
 	if IsStopword(tok) {

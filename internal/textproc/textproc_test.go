@@ -80,30 +80,14 @@ func TestProcessorTermsDropsURLsAndMentions(t *testing.T) {
 	}
 }
 
-// TestProcessorOptions pins what the zero Options leaves on: stop-word
-// removal and stemming always run, and the token length bounds default
-// to 2 and 40 runes.
-func TestProcessorOptions(t *testing.T) {
-	p := New(Options{})
-	if got, want := p.Terms("the swimmers are training"), []string{"swimmer", "train"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Terms = %v, want %v", got, want)
-	}
-	x40, x41 := strings.Repeat("x", 40), strings.Repeat("x", 41)
-	got := p.Terms("q qz " + x40 + " " + x41)
-	if want := []string{"qz", x40}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Terms = %v, want %v", got, want)
-	}
-	text := "Michael Phelps is the best! Great freestyle gold medal"
-	if !reflect.DeepEqual(p.Terms(text), Default.Terms(text)) {
-		t.Error("the zero Options differ from Default")
-	}
-}
-
+// TestProcessorMinMaxLen pins the token-length filter at its bounds:
+// MinTokenLen and MaxTokenLen runes are kept, one fewer and one more
+// dropped.
 func TestProcessorMinMaxLen(t *testing.T) {
-	p := New(Options{MinTokenLen: 4, MaxTokenLen: 6})
-	got := p.Terms("go gym pools swimming champion")
-	want := []string{"pool"}
-	if !reflect.DeepEqual(got, want) {
+	short, atMin := strings.Repeat("q", MinTokenLen-1), strings.Repeat("q", MinTokenLen)
+	atMax, long := strings.Repeat("x", MaxTokenLen), strings.Repeat("x", MaxTokenLen+1)
+	got := Default.Terms(short + " " + atMin + " " + atMax + " " + long)
+	if want := []string{atMin, atMax}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Terms = %v, want %v", got, want)
 	}
 }
