@@ -124,15 +124,16 @@ SCALE ?= 10
 loadtest-scale:
 	$(GO) run ./cmd/loadtest -scale $(SCALE)
 
-# logcheck enforces the structured-logging contract: the serving,
-# scatter and crawler layers log through log/slog only — a stdlib
-# "log" import there regresses the structured access/ops logs.
+# logcheck enforces the structured-logging contract: the library and
+# the serve and datagen commands log through log/slog only — a stdlib
+# "log" import there regresses the structured access/ops logs. The
+# package list comes from `go list ./internal/...`, as cover-check's
+# does, so a new package is gated from the day it lands.
 # (cmd/loadtest and the examples are exempt: they are CLI tools whose
 # plain log output is their user interface, not ops telemetry.)
-LOGCHECK_DIRS = internal/httpapi internal/scatter internal/slo \
-	internal/telemetry internal/crawler cmd/serve
 logcheck:
-	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' '"log"$$' $(LOGCHECK_DIRS)); \
+	@bad=$$(grep -rn --include='*.go' --exclude='*_test.go' '"log"$$' \
+		$$($(GO) list ./internal/... ./cmd/serve ./cmd/datagen | sed 's|^expertfind/||')); \
 	if [ -n "$$bad" ]; then \
 		echo "stdlib log import in slog-converted packages:"; echo "$$bad"; exit 1; \
 	fi; \

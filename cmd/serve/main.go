@@ -84,7 +84,7 @@ var needs = map[string]string{
 var corpusOnly = []string{
 	"seed", "scale", "corpus",
 	"segment-dir", "segment-flush-docs", "segment-max", "segment-maintain",
-	"index-shards", "cache-size", "cache-ttl", "shard-id", "shard-count",
+	"index-shards", "cache-size", "shard-id", "shard-count",
 	"ingest-interval",
 }
 
@@ -112,12 +112,9 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request")
 	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to shards")
 	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval")
-	fs.IntVar(&o.api.DefaultTopK, "topk", 0, "default top-k resource bound for /v1/find (MaxScore pruning; 0 = bounded by the window only)")
 	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
 	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
-	fs.DurationVar(&o.api.RetryAfter, "retry-after", time.Second, "Retry-After hint on 503 responses")
 	fs.IntVar(&o.cache.Capacity, "cache-size", 4096, "ranked-result cache capacity in entries (0 disables caching)")
-	fs.DurationVar(&o.cache.TTL, "cache-ttl", time.Minute, "ranked-result cache entry lifetime (0 = until evicted)")
 	fs.BoolVar(&o.api.Debug, "debug", false, "mount pprof and expvar under /debug/")
 	fs.IntVar(&o.open.ShardID, "shard-id", 0, "this process's shard number in a scatter-gather topology (with -shard-count)")
 	fs.IntVar(&o.open.ShardCount, "shard-count", 0, "scatter-gather topology size; >= 1 serves only this shard's document slice and mounts /v1/shard/*")

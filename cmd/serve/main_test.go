@@ -54,11 +54,11 @@ func TestShardsRefusesCorpusFlags(t *testing.T) {
 	values := map[string]string{
 		"seed": "3", "scale": "0.1", "corpus": "c.json.gz",
 		"segment-dir": "d", "segment-flush-docs": "9", "segment-max": "4", "segment-maintain": "1s",
-		"index-shards": "2", "cache-size": "8", "cache-ttl": "1s", "shard-id": "0", "shard-count": "2",
+		"index-shards": "2", "cache-size": "8", "shard-id": "0", "shard-count": "2",
 		"ingest-interval": "1s",
 	}
-	if len(corpusOnly) != 13 || len(values) != len(corpusOnly) {
-		t.Fatalf("corpusOnly lists %d flags, the test %d, want 13", len(corpusOnly), len(values))
+	if len(corpusOnly) != 12 || len(values) != len(corpusOnly) {
+		t.Fatalf("corpusOnly lists %d flags, the test %d, want 12", len(corpusOnly), len(values))
 	}
 	for _, name := range corpusOnly {
 		for _, args := range [][]string{
@@ -97,10 +97,10 @@ func TestParseFlagsAccepted(t *testing.T) {
 
 	// Coordinator mode: the serving-surface flags apply, a trailing slash
 	// is dropped, position is the shard id.
-	o = parse("-shards http://h1:8081/,https://h2:8082 -shard-timeout 3s -hedge-disable -health-interval 250ms -topk 50 -max-concurrent 8 -debug -slo-latency 1s")
+	o = parse("-shards http://h1:8081/,https://h2:8082 -shard-timeout 3s -hedge-disable -health-interval 250ms -max-concurrent 8 -debug -slo-latency 1s")
 	if c := o.coord; !reflect.DeepEqual(c.Shards, []string{"http://h1:8081", "https://h2:8082"}) ||
 		c.ShardTimeout != 3*time.Second || !c.Hedge.Disable || c.HealthInterval != 250*time.Millisecond ||
-		o.api.DefaultTopK != 50 || o.api.MaxConcurrent != 8 || !o.api.Debug || o.slo.Latency != time.Second {
+		o.api.MaxConcurrent != 8 || !o.api.Debug || o.slo.Latency != time.Second {
 		t.Errorf("coordinator: %+v %+v", o.coord, o.api)
 	}
 	o = parse("-shards http://h1:8081")
@@ -137,8 +137,8 @@ func TestFlagCountAndHelp(t *testing.T) {
 	if _, err := parseFlags([]string{"-h"}, &stderr); err != flag.ErrHelp {
 		t.Fatalf("-h: %v", err)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 31 {
-		t.Errorf("serve registers %d flags, want 31", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 28 {
+		t.Errorf("serve registers %d flags, want 28", n)
 	}
 	registered := func(f string) bool {
 		return strings.Contains(stderr.String(), "\n  -"+f+" ") || strings.Contains(stderr.String(), "\n  -"+f+"\n")

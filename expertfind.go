@@ -378,10 +378,11 @@ func (s *System) FindCachedContext(ctx context.Context, need string, opts ...Fin
 // SetResultCache installs (or, with nil, removes) a ranked-result
 // cache on the system's finder — normally a generation-pinned
 // internal/rescache view; the serving layer attaches one per corpus
-// install so swapped-out corpora can never serve stale rankings. The
-// parameter is the internal hook interface: module-external users
-// configure caching through cmd/serve's -cache-size/-cache-ttl flags
-// instead of calling this directly.
+// install so swapped-out corpora can never serve stale rankings, and
+// an ingest delta drops only the rankings it touches, so an entry
+// needs no expiry. The parameter is the internal hook interface:
+// module-external users configure caching through cmd/serve's
+// -cache-size flag instead of calling this directly.
 func (s *System) SetResultCache(c core.ResultCache) {
 	s.inner.Finder.SetResultCache(c)
 }

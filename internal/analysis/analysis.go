@@ -22,9 +22,6 @@ import (
 
 // Options configures a Pipeline.
 type Options struct {
-	// Annotator performs entity recognition and disambiguation. Nil
-	// selects a default annotator over kb.Builtin().
-	Annotator *annotator.Annotator
 	// Web resolves URLs found in resources to extracted page content.
 	// Nil disables URL enrichment (an ablation of §2.3's enrichment
 	// step).
@@ -39,14 +36,10 @@ type Pipeline struct {
 
 // New returns a Pipeline with the given options.
 func New(opts Options) *Pipeline {
-	p := &Pipeline{
-		ann: opts.Annotator,
+	return &Pipeline{
+		ann: annotator.New(kb.Builtin()),
 		web: opts.Web,
 	}
-	if p.ann == nil {
-		p.ann = annotator.New(kb.Builtin(), annotator.Options{})
-	}
-	return p
 }
 
 // EntityStats aggregates the mentions of one entity within one text:

@@ -74,8 +74,8 @@ func FuzzAnalyzeNeed(f *testing.F) {
 		f.Add(s)
 	}
 
-	ann := annotator.New(kb.Builtin(), annotator.Options{})
-	pipe := New(Options{Annotator: ann})
+	ann := annotator.New(kb.Builtin())
+	pipe := New(Options{})
 	f.Fuzz(func(t *testing.T, need string) {
 		a := pipe.AnalyzeNeed(need)
 

@@ -16,25 +16,15 @@ import (
 	"expertfind/internal/textproc"
 )
 
-// Options configures an Annotator. Zero values select the defaults.
-type Options struct {
-	// MinLinkProb discards anchors whose link probability is below
-	// this threshold (TAGME's lp filter for stop-word-like surface
-	// forms). Default 0.15.
-	MinLinkProb float64
-}
-
-// minDScore discards annotations whose disambiguation confidence is
-// below this threshold (TAGME's rho pruning).
-const minDScore = 0.10
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.MinLinkProb == 0 {
-		out.MinLinkProb = 0.15
-	}
-	return out
-}
+// Two thresholds prune TAGME-style: an anchor whose link probability
+// is below minLinkProb is never spotted (the lp filter for
+// stop-word-like surface forms), and an annotation whose
+// disambiguation confidence is below minDScore is dropped (rho
+// pruning).
+const (
+	minLinkProb = 0.15
+	minDScore   = 0.10
+)
 
 // Annotation is a disambiguated entity mention.
 type Annotation struct {
@@ -48,13 +38,12 @@ type Annotation struct {
 // Annotator recognizes and disambiguates entity mentions in short
 // texts.
 type Annotator struct {
-	kb   *kb.KB
-	opts Options
+	kb *kb.KB
 }
 
 // New returns an Annotator over the given knowledge base.
-func New(k *kb.KB, opts Options) *Annotator {
-	return &Annotator{kb: k, opts: opts.withDefaults()}
+func New(k *kb.KB) *Annotator {
+	return &Annotator{kb: k}
 }
 
 // spot is an anchor occurrence before disambiguation.
@@ -114,7 +103,7 @@ func (a *Annotator) spotAnchors(tokens []string) []spot {
 				anchor = strings.Join(tokens[i:i+n], " ")
 			}
 			cands, lp := a.kb.Candidates(anchor)
-			if cands != nil && lp >= a.opts.MinLinkProb {
+			if cands != nil && lp >= minLinkProb {
 				spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})
 				break
 			}

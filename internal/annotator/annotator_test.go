@@ -11,7 +11,7 @@ import (
 )
 
 func newDefault() *Annotator {
-	return New(kb.Builtin(), Options{})
+	return New(kb.Builtin())
 }
 
 func annotatedLabels(anns []Annotation) map[string]bool {
@@ -91,12 +91,6 @@ func TestLowLinkProbAnchorDropped(t *testing.T) {
 	anns := newDefault().Annotate("met some friends for dinner and we talked for hours")
 	if labels := annotatedLabels(anns); labels["Friends (TV series)"] {
 		t.Errorf("low-lp anchor spotted: %v", labels)
-	}
-	// With a permissive threshold and a TV context, it may be spotted.
-	a := New(kb.Builtin(), Options{MinLinkProb: 0.05})
-	anns = a.Annotate("watched an episode of friends, the sitcom series finale was great")
-	if labels := annotatedLabels(anns); !labels["Friends (TV series)"] {
-		t.Errorf("permissive lp: friends not spotted, got %v", labels)
 	}
 }
 
@@ -191,7 +185,7 @@ func everyWindowSpots(a *Annotator, tokens []string) []spot {
 		for n := len(tokens) - i; n >= 1; n-- {
 			anchor := strings.Join(tokens[i:i+n], " ")
 			cands, lp := a.kb.Candidates(anchor)
-			if cands == nil || lp < a.opts.MinLinkProb {
+			if cands == nil || lp < minLinkProb {
 				continue
 			}
 			spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})

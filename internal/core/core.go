@@ -232,7 +232,7 @@ type CacheKey struct {
 // either a previously stored value for key or the result of calling
 // compute (exactly once per concurrent burst of equal keys, when the
 // implementation coalesces). internal/rescache provides the bounded
-// LRU+TTL implementation; the interface lives here so core does not
+// LRU implementation; the interface lives here so core does not
 // depend on it.
 type ResultCache interface {
 	GetOrCompute(key CacheKey, compute func() []ExpertScore) ([]ExpertScore, CacheStatus)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -58,13 +57,13 @@ func (h *CoordinatorHandler) ready(w http.ResponseWriter, r *http.Request) {
 	up, total := h.co.Probe(r.Context())
 	if _, _, boot := h.co.Health(); !boot {
 		if err := h.co.Bootstrap(r.Context()); err != nil {
-			h.opts.writeUnavailable(w, r, "topology not bootstrapped")
+			writeUnavailable(w, r, "topology not bootstrapped")
 			return
 		}
 	}
 	switch {
 	case up == 0:
-		h.opts.writeUnavailable(w, r, "no shards reachable")
+		writeUnavailable(w, r, "no shards reachable")
 	case up < total:
 		w.Header().Set(DegradedHeader, degradedValue(total-up, total))
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -114,23 +113,13 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	rawParams := r.URL.Query()
-	// The coordinator's default top-k must reach the shards too: the
-	// per-shard prune depth and the coordinator's merge truncation have
-	// to agree for the bounded ranking to stay byte-identical to a
-	// single process's. Injecting the parameter into the forwarded
-	// query makes the topology behave as if the client had asked.
-	if h.opts.DefaultTopK > 0 && !rawParams.Has("topk") {
-		opts = append(opts, expertfind.WithTopK(h.opts.DefaultTopK))
-		rawParams.Set("topk", strconv.Itoa(h.opts.DefaultTopK))
-	}
 	p, err := expertfind.ResolveParams(opts...)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	res, err := co.Find(r.Context(), need, rawParams, p)
+	res, err := co.Find(r.Context(), need, r.URL.Query(), p)
 	if err != nil {
 		telemetry.TraceFrom(r.Context()).SetAttr("error", err.Error())
 		var mal *scatter.MalformedError
@@ -138,7 +127,7 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 		case errors.As(err, &mal):
 			writeError(w, r, http.StatusBadGateway, err.Error())
 		case errors.Is(err, scatter.ErrNoShards), errors.Is(err, scatter.ErrNotBootstrapped):
-			h.opts.writeUnavailable(w, r, err.Error())
+			writeUnavailable(w, r, err.Error())
 		default:
 			writeError(w, r, http.StatusInternalServerError, err.Error())
 		}

@@ -110,7 +110,7 @@ func newBase(opts Options) base {
 		dispatchMux(mux, opts.SLO, w, r)
 	}))
 	if opts.RequestTimeout > 0 {
-		root = withTimeout(opts, root)
+		root = withTimeout(opts.RequestTimeout, root)
 	}
 	if opts.Logger != nil {
 		root = withLogging(opts.Logger, root)
@@ -304,13 +304,13 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 			default:
 				mShed.Inc()
 				tr.Keep("shed")
-				b.opts.writeUnavailable(sw, r, "server overloaded")
+				writeUnavailable(sw, r, "server overloaded")
 				return
 			}
 		}
 		v := load()
 		if v == nil {
-			b.opts.writeUnavailable(sw, r, "corpus not ready")
+			writeUnavailable(sw, r, "corpus not ready")
 			return
 		}
 		f(v, sw, r.WithContext(ctx))
@@ -323,11 +323,11 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 // circuit breaker — tell the balancer to route elsewhere).
 func (h *Handler) ready(w http.ResponseWriter, r *http.Request) {
 	if h.sys.Load() == nil {
-		h.opts.writeUnavailable(w, r, "corpus not ready")
+		writeUnavailable(w, r, "corpus not ready")
 		return
 	}
 	if h.sem != nil && len(h.sem) == cap(h.sem) {
-		h.opts.writeUnavailable(w, r, "server overloaded")
+		writeUnavailable(w, r, "server overloaded")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -376,7 +376,6 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts = h.applyDefaultTopK(r, opts)
 	experts, cacheStatus, err := sys.FindCachedContext(r.Context(), need, opts...)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
@@ -409,7 +408,6 @@ func (h *Handler) bestNetwork(sys *expertfind.System, w http.ResponseWriter, r *
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts = h.applyDefaultTopK(r, opts)
 	best, rankings, err := sys.BestNetworkContext(r.Context(), need, opts...)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
@@ -450,16 +448,6 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 		return
 	}
 	writeJSON(w, http.StatusOK, expl)
-}
-
-// applyDefaultTopK appends the handler's default top-k bound when the
-// request did not choose one itself (including an explicit topk=0 to
-// leave the window as the only bound).
-func (h *Handler) applyDefaultTopK(r *http.Request, opts []expertfind.FindOption) []expertfind.FindOption {
-	if h.opts.DefaultTopK > 0 && !r.URL.Query().Has("topk") {
-		opts = append(opts, expertfind.WithTopK(h.opts.DefaultTopK))
-	}
-	return opts
 }
 
 // parseOptions converts query parameters into Find options.

@@ -1,7 +1,10 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -235,5 +238,63 @@ func TestExplainOptionErrorBeforeCandidate(t *testing.T) {
 	get(t, "/v1/explain?expert=nobody&q="+q, http.StatusNotFound, &body)
 	if !strings.Contains(body["error"], "nobody") {
 		t.Errorf("error = %q, want it to name the expert", body["error"])
+	}
+}
+
+// rawFind fetches a /v1/find body without decoding it.
+func rawFind(t *testing.T, query string) []byte {
+	t.Helper()
+	resp, err := http.Get(server(t).URL + "/v1/find?" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/find?%s: status %d %s", query, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestFindTopK: topk is the only top-k bound a client sets. Over HTTP
+// it ranks byte for byte as the library's WithTopK, and from the
+// window of 100 up it is the unbounded request.
+func TestFindTopK(t *testing.T) {
+	server(t)
+	bounded := false
+	for _, need := range []string{"why is copper a good conductor?", "famous football teams", "can you list some famous songs of michael jackson?"} {
+		q := "q=" + url.QueryEscape(need)
+		unbounded := rawFind(t, q)
+		for _, k := range []int{1, 3, 10, 100, 250} {
+			experts, err := sys.Find(need, expertfind.WithTopK(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(findResponse{Need: need, Experts: experts}); err != nil {
+				t.Fatal(err)
+			}
+			got := rawFind(t, fmt.Sprintf("%s&topk=%d", q, k))
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%q topk=%d:\n http:    %s\n library: %s", need, k, got, want.Bytes())
+			}
+			if k >= 100 && !bytes.Equal(got, unbounded) {
+				t.Errorf("%q topk=%d differs from the request without topk:\n %s\n %s", need, k, got, unbounded)
+			}
+			bounded = bounded || !bytes.Equal(got, unbounded)
+		}
+	}
+	if !bounded {
+		t.Error("no topk below the window changed a ranking: the parameter does not reach the finder")
+	}
+	for _, bad := range []string{"-1", "x"} {
+		var body map[string]string
+		get(t, "/v1/find?q=copper&topk="+bad, http.StatusBadRequest, &body)
+		if !strings.Contains(body["error"], "topk") {
+			t.Errorf("topk=%s: error %q, want it to name topk", bad, body["error"])
+		}
 	}
 }

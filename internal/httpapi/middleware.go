@@ -26,9 +26,6 @@ type Options struct {
 	// with 503 + Retry-After instead of queueing without bound. Zero
 	// means unlimited.
 	MaxConcurrent int
-	// RetryAfter is the hint attached to 503 responses (load shed,
-	// timeout, not ready); zero defaults to 1s.
-	RetryAfter time.Duration
 	// Logger receives one structured record per request plus recovered
 	// panics; nil disables request logging (panics are still
 	// recovered). Build one with telemetry.NewLogger.
@@ -50,12 +47,6 @@ type Options struct {
 	// them over its document slice, which is useful for debugging but
 	// not globally ranked.
 	Shard *ShardOptions
-	// DefaultTopK, when positive, bounds resource matching on /v1/find
-	// and /v1/bestnetwork to the k best-ranked reachable resources
-	// (MaxScore pruning) for requests that do not pass an explicit
-	// topk parameter. Results are byte-identical to the unbounded
-	// query whenever k covers the effective window.
-	DefaultTopK int
 	// Cache, when non-nil, is the ranked-result cache the handler
 	// manages across corpus installs: every SetSystem attaches a fresh
 	// generation (purging the previous corpus's entries) so a swapped
@@ -64,24 +55,11 @@ type Options struct {
 	Cache *rescache.Cache
 }
 
-// retryAfterSeconds renders the Retry-After header value (whole
-// seconds, minimum 1 as the header cannot express sub-second waits).
-func (o Options) retryAfterSeconds() string {
-	d := o.RetryAfter
-	if d <= 0 {
-		d = time.Second
-	}
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
-
 // writeUnavailable sends the uniform 503 payload with the Retry-After
-// hint that tells well-behaved clients when to come back.
-func (o Options) writeUnavailable(w http.ResponseWriter, r *http.Request, msg string) {
-	w.Header().Set("Retry-After", o.retryAfterSeconds())
+// hint that tells well-behaved clients when to come back: one second,
+// the shortest wait the header can express.
+func writeUnavailable(w http.ResponseWriter, r *http.Request, msg string) {
+	w.Header().Set("Retry-After", "1")
 	writeError(w, r, http.StatusServiceUnavailable, msg)
 }
 
@@ -223,9 +201,9 @@ func (tw *timeoutWriter) flush(w http.ResponseWriter) {
 // the client gets 503 + Retry-After while the stray goroutine drains
 // harmlessly into the buffer (its context is canceled, so
 // cooperative handlers can stop early).
-func withTimeout(opts Options, next http.Handler) http.Handler {
+func withTimeout(timeout time.Duration, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), opts.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		tw := &timeoutWriter{header: make(http.Header)}
 		done := make(chan struct{})
@@ -238,7 +216,7 @@ func withTimeout(opts Options, next http.Handler) http.Handler {
 			tw.flush(w)
 		case <-ctx.Done():
 			mTimeouts.Inc()
-			opts.writeUnavailable(w, r, "request timed out")
+			writeUnavailable(w, r, "request timed out")
 		}
 	})
 }

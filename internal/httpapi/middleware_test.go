@@ -40,7 +40,7 @@ func errBody(t *testing.T, resp *http.Response) string {
 // liveness probe stays 200 and the readiness probe reports overload.
 func TestLoadShedding(t *testing.T) {
 	system := expertfind.NewSystem(expertfind.Config{Seed: 1, Scale: 0.1})
-	h := NewWithOptions(system, Options{MaxConcurrent: 2, RetryAfter: 2 * time.Second})
+	h := NewWithOptions(system, Options{MaxConcurrent: 2})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -55,8 +55,8 @@ func TestLoadShedding(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /v1/find status = %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if msg := errBody(t, resp); !strings.Contains(msg, "overloaded") {
 		t.Errorf("shed message = %q", msg)
@@ -242,14 +242,13 @@ func TestRequestTimeout(t *testing.T) {
 		case <-r.Context().Done():
 		}
 	})
-	opts := Options{RequestTimeout: 30 * time.Millisecond, RetryAfter: 3 * time.Second}
 	rec := httptest.NewRecorder()
-	withTimeout(opts, slow).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/find", nil))
+	withTimeout(30*time.Millisecond, slow).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/find", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503", rec.Code)
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
+	if ra := rec.Header().Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if !strings.Contains(rec.Body.String(), "timed out") {
 		t.Errorf("body = %q", rec.Body.String())
@@ -262,7 +261,7 @@ func TestRequestTimeout(t *testing.T) {
 		w.Write([]byte("done"))
 	})
 	rec = httptest.NewRecorder()
-	withTimeout(opts, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	withTimeout(30*time.Millisecond, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusTeapot || rec.Body.String() != "done" || rec.Header().Get("X-Fast") != "yes" {
 		t.Errorf("passthrough: code %d, body %q, header %q", rec.Code, rec.Body.String(), rec.Header().Get("X-Fast"))
 	}

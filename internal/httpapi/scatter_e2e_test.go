@@ -144,6 +144,11 @@ func TestScatterDifferential(t *testing.T) {
 			fmt.Sprintf("/v1/find?q=%s&alpha=0.3&window=50", escape(queries[2].Text)),
 			fmt.Sprintf("/v1/find?q=%s&distance=1&top=3", escape(queries[0].Text)),
 			"/v1/find?q=" + escape("database systems and query optimization"),
+			// topk reaches every shard as the prune depth and bounds the
+			// coordinator's merge.
+			fmt.Sprintf("/v1/find?q=%s&topk=1", escape(queries[0].Text)),
+			fmt.Sprintf("/v1/find?q=%s&topk=5&top=3", escape(queries[1].Text)),
+			fmt.Sprintf("/v1/find?q=%s&topk=200", escape(queries[2].Text)),
 		}
 		baselines := make([][]byte, len(paths))
 		for i, p := range paths {

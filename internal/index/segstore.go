@@ -114,11 +114,6 @@ type Delta struct {
 	Removes []Doc
 }
 
-// Empty reports whether the delta carries no mutations.
-func (d Delta) Empty() bool {
-	return len(d.Adds) == 0 && len(d.Updates) == 0 && len(d.Removes) == 0
-}
-
 // ShardRoute routes a document to one of n shards. The mix function
 // (splitmix64 finalizer) decorrelates the route from sequential id
 // patterns; it is a pure function of (id, n), so the layout is stable

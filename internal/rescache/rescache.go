@@ -1,15 +1,16 @@
 // Package rescache is the query-result cache of the serving path: a
-// bounded, sharded LRU+TTL cache over ranked Find results with
-// singleflight request coalescing and generation-based invalidation.
+// bounded, sharded LRU cache over ranked Find results with
+// singleflight request coalescing, generation-based invalidation and
+// scoped invalidation for ingest deltas.
 //
 // The paper's workload is read-dominated — the same expertise needs
-// recur against a corpus that only changes on crawl or swap — so the
+// recur against a corpus that only changes on swap or ingest — so the
 // hot serving path fronts core.Finder with this cache: repeated
 // queries are answered from memory, and N concurrent identical
 // queries cost exactly one scoring pass (the followers coalesce onto
 // the leader's computation).
 //
-// Correctness rests on three properties:
+// Correctness rests on four properties:
 //
 //   - Keys are sound. A cache key combines the normalized need text,
 //     the candidate-pool fingerprint, the Params fingerprint (every
@@ -27,12 +28,16 @@
 //     never store (stores from non-current generations are dropped),
 //     so a stale corpus cannot serve or poison rankings.
 //
+//   - Deltas are scoped. An ingest delta drops only the entries whose
+//     key it touches (InvalidateMatching), and fences the leaders
+//     computing while it ran. A ranking changes only through a corpus
+//     install or removal or a delta, so an entry never expires: it
+//     stays until one of those drops it or the LRU bound evicts it.
+//
 //   - Eviction is bounded and observable. Capacity is divided across
 //     shards, each evicting least-recently-used entries past its
-//     budget; TTL expiry runs lazily on lookup against a
-//     resilience.Clock, so tests drive it virtually. Hits, misses,
-//     coalesced waits, evictions, expirations and invalidations all
-//     land in the telemetry registry.
+//     budget. Hits, misses, coalesced waits, evictions and
+//     invalidations all land in the telemetry registry.
 package rescache
 
 import (
@@ -41,10 +46,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"expertfind/internal/core"
-	"expertfind/internal/resilience"
 	"expertfind/internal/telemetry"
 )
 
@@ -63,9 +66,6 @@ var (
 	mEvictions = telemetry.Default().Counter(
 		"expertfind_rescache_evictions_total",
 		"Result-cache entries evicted by the LRU capacity bound.")
-	mExpirations = telemetry.Default().Counter(
-		"expertfind_rescache_expirations_total",
-		"Result-cache entries dropped on lookup because their TTL had passed.")
 	mInvalidations = telemetry.Default().Counter(
 		"expertfind_rescache_invalidations_total",
 		"Result-cache entries purged by a generation change (corpus build or swap).")
@@ -90,26 +90,17 @@ type Options struct {
 	// (default 1024). The bound is enforced per shard (capacity is
 	// split evenly), so worst-case occupancy never exceeds it.
 	Capacity int
-	// TTL expires entries this long after they were stored; 0 keeps
-	// entries until evicted or invalidated.
-	TTL time.Duration
 	// Shards is the lock-striping factor, rounded up to a power of
 	// two (default 8). More shards reduce contention between
 	// concurrent distinct queries.
 	Shards int
-	// Clock is the TTL time source; nil selects real time. Tests pass
-	// a virtual resilience.Clock to drive expiry deterministically,
-	// and the simulated load harness shares its run clock here.
-	Clock *resilience.Clock
 }
 
 // Cache is the sharded result cache. Construct with New; all methods
 // are safe for concurrent use. A Cache is not used directly as a
 // finder hook — Attach binds a generation-pinned View first.
 type Cache struct {
-	ttl   time.Duration
-	clock *resilience.Clock
-	gen   atomic.Uint64
+	gen atomic.Uint64
 	// epoch advances on every scoped invalidation. Leaders snapshot it
 	// before computing and drop their store if it moved: a computation
 	// that overlapped a delta may hold a pre-delta ranking, and unlike a
@@ -128,10 +119,9 @@ type shard struct {
 }
 
 type entry struct {
-	key     string
-	ckey    core.CacheKey // structured form, for scoped invalidation predicates
-	val     []core.ExpertScore
-	expires time.Time // zero when the cache has no TTL
+	key  string
+	ckey core.CacheKey // structured form, for scoped invalidation predicates
+	val  []core.ExpertScore
 }
 
 // call is one in-flight computation; followers block on done and read
@@ -161,7 +151,7 @@ func New(opts Options) *Cache {
 		nshards = 1
 	}
 	perShard := (opts.Capacity + nshards - 1) / nshards
-	c := &Cache{ttl: opts.TTL, clock: opts.Clock, shards: make([]*shard, nshards)}
+	c := &Cache{shards: make([]*shard, nshards)}
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			cap:      perShard,
@@ -290,17 +280,11 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 
 	sh.mu.Lock()
 	if el, ok := sh.byKey[k]; ok {
-		e := el.Value.(*entry)
-		if c.ttl > 0 && c.clock.Now().After(e.expires) {
-			sh.removeLocked(el)
-			mExpirations.Inc()
-		} else {
-			sh.lru.MoveToFront(el)
-			val := e.val
-			sh.mu.Unlock()
-			mHits.Inc()
-			return cloneScores(val), core.CacheHit
-		}
+		sh.lru.MoveToFront(el)
+		val := el.Value.(*entry).val
+		sh.mu.Unlock()
+		mHits.Inc()
+		return cloneScores(val), core.CacheHit
 	}
 	if cl, ok := sh.inflight[k]; ok {
 		cl.waiters++
@@ -340,11 +324,7 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 	if gen == c.gen.Load() {
 		sh.mu.Lock()
 		if _, ok := sh.byKey[k]; !ok && epoch == c.epoch.Load() {
-			e := &entry{key: k, ckey: key, val: cloneScores(cl.val)}
-			if c.ttl > 0 {
-				e.expires = c.clock.Now().Add(c.ttl)
-			}
-			sh.byKey[k] = sh.lru.PushFront(e)
+			sh.byKey[k] = sh.lru.PushFront(&entry{key: k, ckey: key, val: cloneScores(cl.val)})
 			mEntries.Inc()
 			for sh.lru.Len() > sh.cap {
 				sh.removeLocked(sh.lru.Back())
@@ -358,7 +338,7 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 }
 
 // removeLocked unlinks an entry; the caller holds the shard lock and
-// accounts the reason (eviction, expiration) itself.
+// accounts the reason (eviction, scoped invalidation) itself.
 func (sh *shard) removeLocked(el *list.Element) {
 	e := sh.lru.Remove(el).(*entry)
 	delete(sh.byKey, e.key)

@@ -13,7 +13,6 @@ import (
 	"expertfind"
 	"expertfind/internal/core"
 	"expertfind/internal/rescache"
-	"expertfind/internal/resilience"
 )
 
 // scores builds a distinguishable ranking for a key.
@@ -68,32 +67,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// a,b,c,d cold + b recomputed.
 	if computes != 5 {
 		t.Fatalf("computes = %d, want 5", computes)
-	}
-}
-
-func TestTTLExpiryVirtualClock(t *testing.T) {
-	clock := resilience.NewClock()
-	c := rescache.New(rescache.Options{Capacity: 8, TTL: time.Minute, Clock: clock})
-	v := c.Attach()
-	computes := 0
-
-	if st := get(t, v, "q", &computes); st != core.CacheMiss {
-		t.Fatalf("cold: status %q, want miss", st)
-	}
-	clock.Sleep(30 * time.Second)
-	if st := get(t, v, "q", &computes); st != core.CacheHit {
-		t.Fatalf("within TTL: status %q, want hit", st)
-	}
-	clock.Sleep(31 * time.Second)
-	if st := get(t, v, "q", &computes); st != core.CacheMiss {
-		t.Fatalf("past TTL: status %q, want miss (expired)", st)
-	}
-	// The recompute refreshed the entry and its deadline.
-	if st := get(t, v, "q", &computes); st != core.CacheHit {
-		t.Fatalf("after refresh: status %q, want hit", st)
-	}
-	if computes != 2 {
-		t.Fatalf("computes = %d, want 2", computes)
 	}
 }
 

@@ -68,9 +68,6 @@ type Config struct {
 	// Latency is the latency objective: successful requests slower
 	// than this burn latency budget. 0 selects 500ms.
 	Latency time.Duration
-	// LatencyTarget is the target under-objective ratio among
-	// successful requests. 0 selects 0.99.
-	LatencyTarget float64
 	// Window is the sliding burn-rate window. 0 selects 5m; capped to
 	// [1s, 1h].
 	Window time.Duration
@@ -78,15 +75,9 @@ type Config struct {
 	// 0 selects 4 (a fast burn: the whole window's budget spent 4×
 	// too fast).
 	BurnAlert float64
-	// MinSamples is how many requests the window needs before a burn
-	// rate is trusted enough to alert. 0 selects 20.
-	MinSamples int
 	// ProfileDir is where breach captures are written; "" disables
 	// capturing (burn rates are still tracked and exported).
 	ProfileDir string
-	// CaptureInterval rate-limits captures: at most one per interval,
-	// however long the breach lasts. 0 selects 10m.
-	CaptureInterval time.Duration
 	// Logger records breaches and capture outcomes; nil silences them.
 	Logger *slog.Logger
 
@@ -97,8 +88,19 @@ type Config struct {
 	Capture func(kind string, burn float64) error
 }
 
-// cpuProfileDuration is how long the breach CPU profile runs.
-const cpuProfileDuration = 250 * time.Millisecond
+const (
+	// latencyTarget is the target under-objective ratio among
+	// successful requests.
+	latencyTarget = 0.99
+	// minSamples is how many requests the window needs before a burn
+	// rate is trusted enough to alert.
+	minSamples = 20
+	// captureInterval rate-limits captures: at most one per interval,
+	// however long the breach lasts.
+	captureInterval = 10 * time.Minute
+	// cpuProfileDuration is how long the breach CPU profile runs.
+	cpuProfileDuration = 250 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Availability <= 0 || c.Availability >= 1 {
@@ -106,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Latency <= 0 {
 		c.Latency = 500 * time.Millisecond
-	}
-	if c.LatencyTarget <= 0 || c.LatencyTarget >= 1 {
-		c.LatencyTarget = 0.99
 	}
 	if c.Window <= 0 {
 		c.Window = 5 * time.Minute
@@ -121,12 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BurnAlert <= 0 {
 		c.BurnAlert = 4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	if c.CaptureInterval <= 0 {
-		c.CaptureInterval = 10 * time.Minute
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -173,7 +166,7 @@ func New(cfg Config) *Tracker {
 		}
 	}
 	mObjective.With("availability").Set(cfg.Availability)
-	mObjective.With("latency").Set(cfg.LatencyTarget)
+	mObjective.With("latency").Set(latencyTarget)
 	return t
 }
 
@@ -218,7 +211,7 @@ func (t *Tracker) Observe(status int, dur time.Duration) {
 	availBurn, latBurn := t.burnLocked()
 	breach := ""
 	worst := 0.0
-	if t.total >= int64(t.cfg.MinSamples) {
+	if t.total >= minSamples {
 		if availBurn >= t.cfg.BurnAlert {
 			breach, worst = "availability", availBurn
 		} else if latBurn >= t.cfg.BurnAlert {
@@ -227,7 +220,7 @@ func (t *Tracker) Observe(status int, dur time.Duration) {
 	}
 	capture := false
 	if breach != "" && t.captureOn {
-		if !t.captured || now.Sub(t.lastCapture) >= t.cfg.CaptureInterval {
+		if !t.captured || now.Sub(t.lastCapture) >= captureInterval {
 			t.captured = true
 			t.lastCapture = now
 			capture = true
@@ -287,7 +280,7 @@ func (t *Tracker) burnLocked() (avail, lat float64) {
 	}
 	if t.ok > 0 {
 		slowRatio := float64(t.slow) / float64(t.ok)
-		lat = slowRatio / (1 - t.cfg.LatencyTarget)
+		lat = slowRatio / (1 - latencyTarget)
 	}
 	return avail, lat
 }

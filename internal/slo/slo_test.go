@@ -31,7 +31,7 @@ func (c *fixedClock) Advance(d time.Duration) {
 
 func TestBurnRatesHealthy(t *testing.T) {
 	clk := newClock()
-	tr := New(Config{Availability: 0.99, Latency: 100 * time.Millisecond, LatencyTarget: 0.9, Now: clk.Now})
+	tr := New(Config{Availability: 0.99, Latency: 100 * time.Millisecond, Now: clk.Now})
 	for i := 0; i < 100; i++ {
 		tr.Observe(200, 5*time.Millisecond)
 	}
@@ -59,8 +59,8 @@ func TestAvailabilityBurnRate(t *testing.T) {
 
 func TestLatencyBurnRate(t *testing.T) {
 	clk := newClock()
-	// 10% latency budget; half of successes slow → burn rate 5.
-	tr := New(Config{Latency: 100 * time.Millisecond, LatencyTarget: 0.9, Now: clk.Now})
+	// 1% latency budget; half of successes slow → burn rate 50.
+	tr := New(Config{Latency: 100 * time.Millisecond, Now: clk.Now})
 	for i := 0; i < 10; i++ {
 		tr.Observe(200, time.Millisecond)
 	}
@@ -68,8 +68,8 @@ func TestLatencyBurnRate(t *testing.T) {
 		tr.Observe(200, 200*time.Millisecond)
 	}
 	_, lat := tr.BurnRates()
-	if lat < 4.99 || lat > 5.01 {
-		t.Fatalf("latency burn = %v, want 5", lat)
+	if lat < 49.99 || lat > 50.01 {
+		t.Fatalf("latency burn = %v, want 50", lat)
 	}
 	// 5xx requests must not count toward (or against) latency budget.
 	tr.Observe(500, time.Hour)
@@ -98,16 +98,14 @@ func TestWindowExpiry(t *testing.T) {
 }
 
 // TestExactlyOneCapture is the rate-limiting contract: a sustained
-// breach storm produces exactly one profile capture per interval.
+// breach storm produces exactly one profile capture per ten minutes.
 func TestExactlyOneCapture(t *testing.T) {
 	clk := newClock()
 	var captures atomic.Int64
 	tr := New(Config{
-		Availability:    0.999,
-		BurnAlert:       2,
-		MinSamples:      10,
-		CaptureInterval: 10 * time.Minute,
-		Now:             clk.Now,
+		Availability: 0.999,
+		BurnAlert:    2,
+		Now:          clk.Now,
 		Capture: func(kind string, burn float64) error {
 			captures.Add(1)
 			return nil
@@ -121,8 +119,18 @@ func TestExactlyOneCapture(t *testing.T) {
 		t.Fatalf("captures = %d, want exactly 1", got)
 	}
 
+	// A breach nine minutes later is still inside the interval.
+	clk.Advance(9 * time.Minute)
+	for i := 0; i < 50; i++ {
+		tr.Observe(503, time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := captures.Load(); got != 1 {
+		t.Fatalf("captures inside the interval = %d, want 1", got)
+	}
+
 	// After the interval elapses the next breach may capture again.
-	clk.Advance(11 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	for i := 0; i < 50; i++ {
 		tr.Observe(503, time.Millisecond)
 	}
@@ -136,27 +144,28 @@ func TestNoCaptureBelowMinSamples(t *testing.T) {
 	clk := newClock()
 	var captures atomic.Int64
 	tr := New(Config{
-		BurnAlert:  2,
-		MinSamples: 100,
-		Now:        clk.Now,
+		BurnAlert: 2,
+		Now:       clk.Now,
 		Capture: func(string, float64) error {
 			captures.Add(1)
 			return nil
 		},
 	})
-	for i := 0; i < 99; i++ { // all errors, but below the sample floor
+	for i := 0; i < minSamples-1; i++ { // all errors, but below the sample floor
 		tr.Observe(500, time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
 	if got := captures.Load(); got != 0 {
-		t.Fatalf("captured %d times below MinSamples", got)
+		t.Fatalf("captured %d times below minSamples", got)
 	}
+	tr.Observe(500, time.Millisecond)
+	waitFor(t, func() bool { return captures.Load() == 1 })
 }
 
 func TestNoCaptureWhenDisabled(t *testing.T) {
 	clk := newClock()
 	// No ProfileDir and no Capture override: tracking only.
-	tr := New(Config{BurnAlert: 1, MinSamples: 1, Now: clk.Now})
+	tr := New(Config{BurnAlert: 1, Now: clk.Now})
 	before := Captures()
 	for i := 0; i < 50; i++ {
 		tr.Observe(500, time.Millisecond)

@@ -95,9 +95,6 @@ func (h *Histogram) snapshot() *HistogramData {
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of all observations so far.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
 // Snapshot returns a point-in-time copy of the histogram, suitable
 // for quantile estimation outside a registry scrape.
 func (h *Histogram) Snapshot() *HistogramData { return h.snapshot() }
