@@ -2,7 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"expertfind/internal/socialgraph"
@@ -66,6 +71,104 @@ func TestParamsFingerprint(t *testing.T) {
 			}
 		}
 		seen[name] = fp
+	}
+}
+
+// sprintfFingerprint and sprintfTraversalKey are the fmt forms the
+// cache keys have always had: the reference the append-built keys must
+// equal byte for byte.
+func sprintfFingerprint(p Params) string {
+	w := p.weights()
+	var win string
+	switch {
+	case p.WindowFrac > 0:
+		win = "f" + strconv.FormatFloat(p.WindowFrac, 'g', -1, 64)
+	case p.WindowSize < 0:
+		win = "all"
+	case p.WindowSize == 0:
+		win = strconv.Itoa(DefaultWindowSize)
+	default:
+		win = strconv.Itoa(p.WindowSize)
+	}
+	k := "all"
+	if b := p.MatchBound(); b > 0 {
+		k = strconv.Itoa(b)
+	}
+	return fmt.Sprintf("a%s|w%s|dw%g,%g,%g|k%s|%s",
+		strconv.FormatFloat(p.alpha(), 'g', -1, 64), win,
+		w[0], w[1], w[2], k, sprintfTraversalKey(p.Traversal))
+}
+
+func sprintfTraversalKey(opts socialgraph.TraversalOptions) string {
+	nets := make([]string, len(opts.Networks))
+	for i, n := range opts.Networks {
+		nets[i] = string(n)
+	}
+	sort.Strings(nets)
+	return fmt.Sprintf("d%d|f%t|%s", opts.MaxDistance, opts.IncludeFriends, strings.Join(nets, ","))
+}
+
+// TestFingerprintMatchesSprintf: the cache keys built by appending are
+// byte-identical to their fmt forms over a grid of Params, and a
+// fingerprint allocates only the string it returns.
+func TestFingerprintMatchesSprintf(t *testing.T) {
+	travs := []socialgraph.TraversalOptions{
+		{},
+		{MaxDistance: 2, IncludeFriends: true},
+		{MaxDistance: 1, Networks: []socialgraph.Network{socialgraph.Twitter, socialgraph.Facebook}},
+		{MaxDistance: 1, Networks: []socialgraph.Network{socialgraph.Facebook, socialgraph.Twitter}},
+		{Networks: []socialgraph.Network{socialgraph.LinkedIn, socialgraph.Twitter, socialgraph.Facebook}},
+	}
+	var grid []Params
+	for _, base := range []Params{
+		{},
+		{Alpha: DefaultAlpha, DistanceWeights: DefaultDistanceWeights, WindowSize: DefaultWindowSize},
+		{AlphaSet: true},
+		{Alpha: 0.3, AlphaSet: true},
+		{Alpha: 1e-7},
+		{WindowFrac: 0.25},
+		{WindowFrac: 1.0 / 3, WindowSize: 7},
+		{WindowSize: -1},
+		{WindowSize: 5},
+		{TopK: 10},
+		{TopK: 500, WindowSize: 100},
+		{TopK: 3, WindowSize: -1},
+		{TopK: -2},
+		{DistanceWeights: [3]float64{1, 0.5, 0.25}},
+		{DistanceWeights: [3]float64{2e21, -0.0, math.Inf(1)}},
+	} {
+		for _, tr := range travs {
+			p := base
+			p.Traversal = tr
+			grid = append(grid, p)
+		}
+	}
+	for _, p := range grid {
+		if got, want := p.Fingerprint(), sprintfFingerprint(p); got != want {
+			t.Errorf("%+v: fingerprint %q, fmt form %q", p, got, want)
+		}
+		if got, want := string(appendTraversalKey(nil, p.Traversal)), sprintfTraversalKey(p.Traversal); got != want {
+			t.Errorf("%+v: traversal key %q, fmt form %q", p.Traversal, got, want)
+		}
+	}
+	p := Params{Traversal: travs[4], WindowFrac: 0.5, DistanceWeights: [3]float64{1, 0.5, 0.25}}
+	if n := testing.AllocsPerRun(100, func() { p.Fingerprint() }); n > 1 {
+		t.Errorf("Fingerprint allocates %g times, want at most 1", n)
+	}
+}
+
+// TestReachabilityHitAllocs: a find whose traversal table is cached and
+// current builds its cache key without allocating.
+func TestReachabilityHitAllocs(t *testing.T) {
+	f, _ := buildFigure1(t)
+	opts := socialgraph.TraversalOptions{MaxDistance: 2, Networks: []socialgraph.Network{socialgraph.Twitter, socialgraph.Facebook}}
+	r := f.reachability(opts)
+	if n := testing.AllocsPerRun(100, func() {
+		if f.reachability(opts) != r {
+			t.Fatal("a cached, current table was replaced")
+		}
+	}); n > 0 {
+		t.Errorf("a cached reachability lookup allocates %g times, want 0", n)
 	}
 }
 

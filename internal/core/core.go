@@ -159,25 +159,32 @@ func (p Params) MatchBound() int {
 // TopK to the MatchBound it resolves to beside the window), and
 // traversal networks are order-insensitive.
 func (p Params) Fingerprint() string {
-	w := p.weights()
-	var win string
+	var arr [128]byte
+	b := append(arr[:0], 'a')
+	b = strconv.AppendFloat(b, p.alpha(), 'g', -1, 64)
+	b = append(b, "|w"...)
 	switch {
 	case p.WindowFrac > 0:
-		win = "f" + strconv.FormatFloat(p.WindowFrac, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, 'f'), p.WindowFrac, 'g', -1, 64)
 	case p.WindowSize < 0:
-		win = "all"
-	case p.WindowSize == 0:
-		win = strconv.Itoa(DefaultWindowSize)
+		b = append(b, "all"...)
 	default:
-		win = strconv.Itoa(p.WindowSize)
+		b = strconv.AppendInt(b, int64(p.window(0)), 10)
 	}
-	k := "all"
-	if b := p.MatchBound(); b > 0 {
-		k = strconv.Itoa(b)
+	b = append(b, "|dw"...)
+	for i, w := range p.weights() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, w, 'g', -1, 64)
 	}
-	return fmt.Sprintf("a%s|w%s|dw%g,%g,%g|k%s|%s",
-		strconv.FormatFloat(p.alpha(), 'g', -1, 64), win,
-		w[0], w[1], w[2], k, traversalKey(p.Traversal))
+	b = append(b, "|k"...)
+	if k := p.MatchBound(); k > 0 {
+		b = strconv.AppendInt(b, int64(k), 10)
+	} else {
+		b = append(b, "all"...)
+	}
+	return string(appendTraversalKey(append(b, '|'), p.Traversal))
 }
 
 // NormalizeNeed canonicalizes a need's text for cache keying: case is
@@ -614,32 +621,35 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 // filter for a traversal configuration, building and caching both on
 // first use and bringing the cached table current on every later one.
 func (f *Finder) reachability(opts socialgraph.TraversalOptions) *reach {
-	key := traversalKey(opts)
+	var arr [64]byte
+	key := appendTraversalKey(arr[:0], opts)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	r, ok := f.reachCache[key]
+	r, ok := f.reachCache[string(key)]
 	if !ok {
 		mCacheMisses.Inc()
 		r = newReach(f.graph.Reachability(f.candidates, opts))
-		f.reachCache[key] = r
+		f.reachCache[string(key)] = r
 		return r
 	}
-	r, rebuilt := f.catchUp(key, r)
+	next, rebuilt := catchUp(r)
+	if next != r {
+		f.reachCache[string(key)] = next
+	}
 	if rebuilt {
 		mCacheMisses.Inc()
 	} else {
 		mCacheHits.Inc()
 	}
-	return r
+	return next
 }
 
-// catchUp brings the cached entry under key current with the graph,
-// replacing it when its table moved; the caller holds f.mu.
-func (f *Finder) catchUp(key string, r *reach) (_ *reach, rebuilt bool) {
+// catchUp returns the cached entry r current with the graph: r itself,
+// or a replacement when its table moved.
+func catchUp(r *reach) (_ *reach, rebuilt bool) {
 	next, rebuilt := r.table.CatchUp()
 	if next != r.table {
 		r = newReach(next)
-		f.reachCache[key] = r
 	}
 	return r, rebuilt
 }
@@ -658,15 +668,27 @@ func (f *Finder) CatchUp() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for key, r := range f.reachCache {
-		f.catchUp(key, r)
+		if next, _ := catchUp(r); next != r {
+			f.reachCache[key] = next
+		}
 	}
 }
 
-func traversalKey(opts socialgraph.TraversalOptions) string {
-	nets := make([]string, len(opts.Networks))
-	for i, n := range opts.Networks {
-		nets[i] = string(n)
+// appendTraversalKey appends the reachability cache key of opts to b:
+// its distance, its friends flag and its networks in ascending order,
+// so the order networks are listed in does not matter.
+func appendTraversalKey(b []byte, opts socialgraph.TraversalOptions) []byte {
+	var arr [8]socialgraph.Network
+	nets := append(arr[:0], opts.Networks...)
+	slices.Sort(nets)
+	b = strconv.AppendInt(append(b, 'd'), int64(opts.MaxDistance), 10)
+	b = strconv.AppendBool(append(b, "|f"...), opts.IncludeFriends)
+	b = append(b, '|')
+	for i, n := range nets {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, n...)
 	}
-	sort.Strings(nets)
-	return fmt.Sprintf("d%d|f%t|%s", opts.MaxDistance, opts.IncludeFriends, strings.Join(nets, ","))
+	return b
 }

@@ -48,7 +48,7 @@ func buildFigure1(t testing.TB) (*Finder, map[string]socialgraph.UserID) {
 	for i := 0; i < g.NumResources(); i++ {
 		r := g.Resource(socialgraph.ResourceID(i))
 		if a, ok := pipe.Analyze(r.Text, r.URLs); ok {
-			ix.Add(r.ID, a)
+			ix.Add(index.Doc{ID: r.ID, A: a})
 		}
 	}
 	return NewFinder(g, ix, pipe, nil), users

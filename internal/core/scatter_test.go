@@ -28,7 +28,7 @@ func shardFinders(t testing.TB, full *Finder, n int) []*Finder {
 			continue
 		}
 		if a, ok := pipe.Analyze(r.Text, r.URLs); ok {
-			ixs[index.ShardRoute(r.ID, n)].Add(r.ID, a)
+			ixs[index.ShardRoute(r.ID, n)].Add(index.Doc{ID: r.ID, A: a})
 		}
 	}
 	out := make([]*Finder, n)

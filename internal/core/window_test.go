@@ -83,7 +83,7 @@ func crowdFinders(t testing.TB) map[string]*Finder {
 	}
 	for _, d := range docs {
 		if d.ID != gone.ID {
-			mono.Add(d.ID, d.A)
+			mono.Add(d)
 			if err := inMem.AddBatch([]index.Doc{d}); err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 	g, pipe, docs := buildCrowd(t)
 	ix := index.New()
 	for _, d := range docs {
-		ix.Add(d.ID, d.A)
+		ix.Add(d)
 	}
 	rec := &countingSearcher{Searcher: ix}
 	f := NewFinder(g, rec, pipe, nil)

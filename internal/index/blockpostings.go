@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 
 	"expertfind/internal/kb"
@@ -15,22 +16,20 @@ import (
 // data here, not a code path: a term list and an entity list are the
 // same type, differing only in the posting payload codec (append,
 // decode, pass and the block-bound encoding in codec.go, whose header is
-// the format specification). A list keeps its postings in two regions:
+// the format specification). A list keeps its postings in one form:
+// fixed-size blocks, delta-encoded on ascending DocID (each block's
+// base is the previous block's maximum doc id), with one skip entry per
+// block recording the block's byte offset, posting count, maximum doc
+// id and maximum weightless score. Blocks are cut every blockSize
+// postings, so only the last can be short: the form is canonical, and
+// two lists holding the same postings encode byte-identically
+// regardless of insertion history.
 //
-//   - a sealed region of fixed-size blocks, delta-encoded on ascending
-//     DocID (each block's base is the previous block's maximum doc id),
-//     with one skip entry per block recording the block's byte offset,
-//     posting count, maximum doc id and maximum weightless score;
-//   - a small unsorted tail of recent Add postings, in the same
-//     byte encoding with absolute doc ids (a few bytes per posting).
-//
-// Sealing happens at build time (Add), never during scoring, so
-// concurrent Score calls stay read-only. The tail is folded into the
-// sealed region whenever it reaches max(blockSize, sealed/4) postings,
-// which keeps re-encoding amortized near O(n log n) over a build. The
-// sealed region is always canonical: blocks are cut every blockSize
-// postings of the fully sorted list, so two lists holding the same
-// postings encode byte-identically regardless of insertion history.
+// Writes keep it so at build time (Index.Add), never during scoring,
+// so concurrent Score calls stay read-only. A posting whose doc follows
+// the list's last is appended in place to the last block, or starts a
+// new block once that one holds blockSize postings; a write batch that
+// lands a posting below a list's last doc rebuilds that list once.
 //
 // The skip entries are what the top-k cursors consume: a seek passes
 // over every block whose maxDoc lies below its target without decoding
@@ -38,10 +37,10 @@ import (
 // its target. The "weightless" score of a posting is its contribution
 // to Eq. (1) with the query weight divided out — tf for a term
 // posting, ef·we for an entity posting — and the list's maxW, the
-// largest over its blocks and tail, times the planned weight bounds
+// largest over its blocks, times the planned weight bounds
 // every member's contribution.
 
-// blockSize is the number of postings per sealed block. 128 keeps a
+// blockSize is the number of postings per block. 128 keeps a
 // block within a few cache lines when decoded while making the
 // per-block skip metadata (~32 bytes) a <2% overhead.
 const blockSize = 128
@@ -115,11 +114,10 @@ func (k postingKind) append(b []byte, docDelta uint64, p posting) []byte {
 }
 
 // decode is the one posting decoder: it decodes the posting encoded
-// at data[pos:], whose doc id is base plus its delta (a tail posting's
-// absolute id with base 0), and returns it with the offset past it. It
-// never reads out of bounds: a negative offset reports bytes that do
-// not hold a well-formed posting, which only unvalidated input can
-// produce.
+// at data[pos:], whose doc id is base plus its delta, and returns it
+// with the offset past it. It never reads out of bounds: a negative
+// offset reports bytes that do not hold a well-formed posting, which
+// only unvalidated input can produce.
 func (k postingKind) decode(data []byte, pos int, base DocID) (posting, int) {
 	delta, m1 := uvarintAt(data, pos)
 	freq, m2 := uvarintAt(data, pos+m1)
@@ -160,19 +158,16 @@ func (k postingKind) pass(data []byte, pos, n int, base, d DocID) (int, DocID, i
 	return pos, base, n
 }
 
-// decodeRun appends to dst the n postings encoded at data[pos:] and
-// returns the offset past them, negative where decode finds a
-// malformed one. In a sealed block doc ids are deltas chained from
-// base; tail postings carry absolute ids (chained false, base 0).
-func (k postingKind) decodeRun(dst []posting, data []byte, pos, n int, base DocID, chained bool) ([]posting, int) {
+// decodeRun appends to dst the n postings encoded at data[pos:], their
+// doc ids deltas chained from base, and returns the offset past them,
+// negative where decode finds a malformed one.
+func (k postingKind) decodeRun(dst []posting, data []byte, pos, n int, base DocID) ([]posting, int) {
 	for ; n > 0; n-- {
 		var p posting
 		if p, pos = k.decode(data, pos, base); pos < 0 {
 			return dst, -1
 		}
-		if chained {
-			base = p.doc
-		}
+		base = p.doc
 		dst = append(dst, p)
 	}
 	return dst, pos
@@ -199,7 +194,7 @@ func uvarintSlow(b []byte) (uint64, int) {
 	return 0, 0
 }
 
-// blockMeta is one sealed block's skip entry.
+// blockMeta is one block's skip entry.
 type blockMeta struct {
 	off, end int     // the block's postings are data[off:end]
 	n        int32   // postings in the block (narrow: the entry stays 32 bytes)
@@ -210,127 +205,115 @@ type blockMeta struct {
 // postingList is a blocked posting list for one term or entity.
 type postingList struct {
 	kind postingKind
-	// data holds the sealed blocks' postings, each at its skip entry's
+	// data holds the blocks' postings, each at its skip entry's
 	// [off, end). A built list packs them back to back; a list read from
 	// a segment is the file's own list body, skip entries interleaved,
 	// and must not be written to (it may be the mmap itself).
 	data   []byte
 	blocks []blockMeta
-	tail   []byte  // unsorted recent postings, absolute doc ids
-	count  int     // total postings, sealed + tail
+	count  int     // total postings
 	maxW   float64 // list-wide maximum weightless score
 }
 
-// sealed returns the number of postings in the sealed region. Blocks
-// are canonical, so only the last can be short.
-func (l *postingList) sealed() int {
-	if n := len(l.blocks); n > 0 {
-		return (n-1)*blockSize + int(l.blocks[n-1].n)
-	}
-	return 0
+// follows reports whether doc may be appended in place: the list is
+// empty or doc lies past its last doc.
+func (l *postingList) follows(doc DocID) bool {
+	return len(l.blocks) == 0 || doc > l.blocks[len(l.blocks)-1].maxDoc
 }
 
+// add appends p, whose doc the list follows, in place: to the last
+// block, or to a new one once that holds blockSize postings. The list
+// stays canonical. A built list owns its bytes, so the append never
+// writes into another list's.
 func (l *postingList) add(p posting) {
-	l.tail = l.kind.append(l.tail, uint64(p.doc), p)
-	l.count++
-	if w := p.weight(); w > l.maxW {
-		l.maxW = w
+	prev, n := DocID(0), len(l.blocks)
+	if n > 0 {
+		prev = l.blocks[n-1].maxDoc
 	}
-	// Fold the tail in once it holds max(blockSize, sealed/4) postings.
-	sealed := l.sealed()
-	if tail := l.count - sealed; tail >= blockSize && tail*4 >= sealed {
-		l.encode(l.sorted())
+	if n == 0 || l.blocks[n-1].n == blockSize {
+		l.blocks = append(l.blocks, blockMeta{off: len(l.data)})
+		n++
+	}
+	l.data = l.kind.append(l.data, uint64(p.doc-prev), p)
+	bm := &l.blocks[n-1]
+	bm.end, bm.maxDoc = len(l.data), p.doc
+	bm.n++
+	if w := p.weight(); w > bm.maxW {
+		bm.maxW = w
+		l.maxW = max(l.maxW, w)
+	}
+	l.count++
+}
+
+// insert adds ps, ascending and the first below the list's last doc,
+// by rebuilding the list from the block the first lands in: the blocks
+// before it are full and stay as they are, since canonical blocks are
+// cut every blockSize postings from the list's start.
+func (l *postingList) insert(ps []posting) {
+	b := sort.Search(len(l.blocks), func(i int) bool { return l.blocks[i].maxDoc > ps[0].doc })
+	base := DocID(0)
+	if b > 0 {
+		base = l.blocks[b-1].maxDoc
+	}
+	rest := make([]posting, 0, l.count-b*blockSize)
+	for _, bm := range l.blocks[b:] {
+		rest, _ = l.kind.decodeRun(rest, l.data, bm.off, int(bm.n), base)
+		base = bm.maxDoc
+	}
+	l.data, l.blocks, l.count = l.data[:l.blocks[b].off], l.blocks[:b], b*blockSize
+	for len(rest) > 0 || len(ps) > 0 {
+		if len(ps) == 0 || len(rest) > 0 && rest[0].doc < ps[0].doc {
+			l.add(rest[0])
+			rest = rest[1:]
+		} else {
+			l.add(ps[0])
+			ps = ps[1:]
+		}
 	}
 }
 
-// decodeAll returns every posting, sealed region first (in doc order)
-// then the tail (in insertion order). A document appears at most once
+// decodeAll returns every posting in ascending doc order — the
+// canonical form the codec serializes. A document appears at most once
 // per list.
 func (l *postingList) decodeAll() []posting {
 	out := make([]posting, 0, l.count)
 	base := DocID(0)
 	for _, bm := range l.blocks {
-		out, _ = l.kind.decodeRun(out, l.data, bm.off, int(bm.n), base, true)
+		out, _ = l.kind.decodeRun(out, l.data, bm.off, int(bm.n), base)
 		base = bm.maxDoc
 	}
-	out, _ = l.kind.decodeRun(out, l.tail, 0, l.count-l.sealed(), 0, false)
 	return out
 }
 
 // holdsAny reports whether the list holds a posting of any of the
 // ascending ids, decoding into buf (returned for reuse) only the blocks
-// whose doc range takes one of them, and the tail.
+// whose doc range takes one of them.
 func (l *postingList) holdsAny(ids []DocID, buf []posting) (bool, []posting) {
-	found := func(ps []posting) bool {
-		for _, p := range ps {
-			if hasID(ids, p.doc) {
-				return true
-			}
-		}
-		return false
-	}
 	base, lo := DocID(0), DocID(0) // the block's ids are in [lo, bm.maxDoc]
 	for _, bm := range l.blocks {
 		if i, _ := slices.BinarySearch(ids, lo); i < len(ids) && ids[i] <= bm.maxDoc {
-			if buf, _ = l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base, true); found(buf) {
-				return true, buf
+			buf, _ = l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base)
+			for _, p := range buf {
+				if hasID(ids, p.doc) {
+					return true, buf
+				}
 			}
 		}
 		base, lo = bm.maxDoc, bm.maxDoc+1
 	}
-	buf, _ = l.kind.decodeRun(buf[:0], l.tail, 0, l.count-l.sealed(), 0, false)
-	return found(buf), buf
-}
-
-// sorted returns every posting in ascending doc order — the canonical
-// form the codec serializes.
-func (l *postingList) sorted() []posting {
-	ps := l.decodeAll()
-	if len(l.tail) > 0 {
-		sortPostings(ps)
-	}
-	return ps
+	return false, buf
 }
 
 func sortPostings(ps []posting) {
 	slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.doc, b.doc) })
 }
 
-// encode rebuilds the sealed region from postings sorted by ascending
-// doc id and clears the tail.
-func (l *postingList) encode(ps []posting) {
-	l.data = l.data[:0]
-	l.blocks = l.blocks[:0]
-	prev := DocID(0)
-	for start := 0; start < len(ps); start += blockSize {
-		end := start + blockSize
-		if end > len(ps) {
-			end = len(ps)
-		}
-		bm := blockMeta{off: len(l.data), n: int32(end - start)}
-		for _, p := range ps[start:end] {
-			l.data = l.kind.append(l.data, uint64(p.doc-prev), p)
-			prev = p.doc
-			if w := p.weight(); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		bm.end, bm.maxDoc = len(l.data), prev
-		l.blocks = append(l.blocks, bm)
-	}
-	l.tail = nil
-	l.count = len(ps)
-}
-
-// newPostingList builds a fully sealed, canonical list from postings
-// in ascending doc order.
+// newPostingList builds a canonical list from postings in ascending doc
+// order.
 func newPostingList(kind postingKind, ps []posting) *postingList {
 	l := &postingList{kind: kind}
 	for _, p := range ps {
-		if w := p.weight(); w > l.maxW {
-			l.maxW = w
-		}
+		l.add(p)
 	}
-	l.encode(ps)
 	return l
 }

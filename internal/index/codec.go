@@ -526,7 +526,7 @@ func (s *scanner) list(kind postingKind, docs []DocID, fwd *forwardBuilder) (*po
 			return nil, fmt.Errorf("block %d: %w", b, err)
 		}
 
-		ps, end := kind.decodeRun(s.buf[:0], data, 0, wantN, base, true)
+		ps, end := kind.decodeRun(s.buf[:0], data, 0, wantN, base)
 		if end < 0 {
 			return nil, fmt.Errorf("block %d: malformed posting %d", b, len(ps))
 		}

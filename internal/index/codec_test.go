@@ -37,7 +37,7 @@ func randomIndex(seed int64, nDocs int) *Index {
 			}
 		}
 		// Non-contiguous doc ids exercise the delta coding.
-		ix.Add(DocID(i*3+r.Intn(2)), analysis.Analyzed{Terms: terms, Entities: ents})
+		ix.Add(Doc{ID: DocID(i*3 + r.Intn(2)), A: analysis.Analyzed{Terms: terms, Entities: ents}})
 	}
 	return ix
 }
@@ -55,7 +55,7 @@ func assertIndexesEqual(t *testing.T, a, b *Index) {
 		if lb == nil || la.count != lb.count {
 			t.Fatalf("%v postings: %d vs %v", k, la.count, lb)
 		}
-		sa, sb := la.sorted(), lb.sorted()
+		sa, sb := la.decodeAll(), lb.decodeAll()
 		for i := range sa {
 			if sa[i] != sb[i] {
 				t.Fatalf("%v posting %d: %+v vs %+v", k, i, sa[i], sb[i])
@@ -193,10 +193,10 @@ func TestCodecRejectsInvalidDScore(t *testing.T) {
 	// Hand-craft an entity posting with dScore > 1 by writing a valid
 	// index and patching the float bytes.
 	ix := New()
-	ix.Add(1, analysis.Analyzed{
+	ix.Add(Doc{ID: 1, A: analysis.Analyzed{
 		Terms:    map[string]int{"x": 1},
 		Entities: map[kb.EntityID]analysis.EntityStats{7: {Freq: 1, DScore: 0.5}},
-	})
+	}})
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -488,10 +488,10 @@ func BenchmarkCodecRead(b *testing.B) {
 func goldenIndex() *Index {
 	ix := randomIndex(11, 40)
 	for i := 0; i < 300; i++ {
-		ix.Add(DocID(1000+2*i), analysis.Analyzed{
+		ix.Add(Doc{ID: DocID(1000 + 2*i), A: analysis.Analyzed{
 			Terms:    map[string]int{"golden": 1 + i%5},
 			Entities: map[kb.EntityID]analysis.EntityStats{60: {Freq: 1 + i%3, DScore: float64(i%11) / 10}},
-		})
+		}})
 	}
 	return ix
 }

@@ -123,7 +123,7 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 				mono.Remove(rm.ID)
 			}
 			for _, a := range d.Adds {
-				mono.Add(a.ID, a.A)
+				mono.Add(a)
 			}
 			for _, s := range stores {
 				s.ApplyDelta(d)
@@ -216,11 +216,12 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 }
 
 // TestRemoveAcrossBlocks: Remove drops documents from the first, a
-// middle and the last sealed block of a long list and from its unsorted
-// tail — each alone, so the block-range test and the decode chaining of
-// holdsAny must find it (the middle block's first document sits right
-// after the block before it ends), and all at once; the index must
-// equal a rebuild without them, byte for byte.
+// middle and a later block of a long list that an out-of-order batch
+// rebuilt, and the last document of that batch, where it meets the
+// documents added before it — each alone, so the block-range test and the decode chaining of holdsAny
+// must find it (the middle block's first document sits right after the
+// block before it ends), and all at once; the index must equal a
+// rebuild without them, byte for byte.
 func TestRemoveAcrossBlocks(t *testing.T) {
 	var docs []Doc
 	for i := 0; i < 3*blockSize+40; i++ {
@@ -228,11 +229,20 @@ func TestRemoveAcrossBlocks(t *testing.T) {
 			Terms: map[string]int{"long": 1 + i%4, fmt.Sprintf("t%d", i%7): 1},
 		}})
 	}
-	if l := flatFromDocs(docs).lists[termKey("long")]; len(l.blocks) < 3 || l.count == l.sealed() {
-		t.Fatalf("the long list has %d blocks and %d tail postings, want at least 3 and some", len(l.blocks), l.count-l.sealed())
+	// The last 40 documents are added first, the rest after them in one
+	// batch below their ids.
+	build := func(docs []Doc) *Index {
+		ix, cut := New(), max(len(docs)-40, 0)
+		ix.Add(docs[cut:]...)
+		ix.Add(docs[:cut]...)
+		return ix
 	}
-	first, middle, last, tail := 0, blockSize, 2*blockSize+7, len(docs)-3
-	for _, at := range [][]int{{first}, {middle}, {last}, {tail}, {first, middle, last, tail}} {
+	rebuilds := mListRebuilds.Value()
+	if l := build(docs).lists[termKey("long")]; len(l.blocks) < 3 || mListRebuilds.Value() == rebuilds {
+		t.Fatalf("the long list has %d blocks and the batch rebuilt %g lists, want at least 3 and some", len(l.blocks), mListRebuilds.Value()-rebuilds)
+	}
+	first, middle, last, seam := 0, blockSize, 2*blockSize+7, len(docs)-41
+	for _, at := range [][]int{{first}, {middle}, {last}, {seam}, {first, middle, last, seam}} {
 		gone := map[DocID]bool{}
 		var ids []DocID
 		for _, i := range at {
@@ -245,7 +255,7 @@ func TestRemoveAcrossBlocks(t *testing.T) {
 				kept = append(kept, d)
 			}
 		}
-		ix := flatFromDocs(docs)
+		ix := build(docs)
 		ix.Remove(ids...)
 		for _, l := range ix.lists {
 			checkBounds(t, l)
@@ -279,7 +289,7 @@ func TestRemovePanicsOnUnknown(t *testing.T) {
 	}
 	a := analysis.Analyzed{Terms: map[string]int{"swim": 1}}
 	ix := New()
-	ix.Add(1, a)
+	ix.Add(Doc{ID: 1, A: a})
 	mustPanic("unknown doc", func() { ix.clone().Remove(2) })
 	mustPanic("removed twice", func() { ix.clone().Remove(1, 1) })
 	mustPanic("one unknown among known", func() { ix.clone().Remove(0, 1) })
@@ -316,7 +326,7 @@ func FuzzDeltaApply(f *testing.F) {
 				a := randomAnalyzed(r)
 				st.live[id] = a
 				st.ids = append(st.ids, id)
-				ix.Add(id, a)
+				ix.Add(Doc{ID: id, A: a})
 				s.AddBatch([]Doc{{ID: id, A: a}})
 				seg.AddBatch([]Doc{{ID: id, A: a}})
 			case op < 180: // update
@@ -372,8 +382,8 @@ func FuzzDeltaApply(f *testing.F) {
 			assertScoredBitIdentical(t, "fuzz topk", wantK, s.ScoreTopK(need, alpha, 5, nil))
 		}
 
-		// Skip-bound soundness on every list's sealed region (Remove
-		// rebuilds the lists it touches fully sealed).
+		// Skip-bound soundness on every list's blocks (Remove rebuilds
+		// the lists it touches, Add those it lands below the end of).
 		for _, l := range ix.lists {
 			checkBounds(t, l)
 		}

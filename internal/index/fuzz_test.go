@@ -196,67 +196,110 @@ func FuzzIndexScore(f *testing.F) {
 	})
 }
 
-// FuzzBlockPostingsRoundTrip builds blocked posting lists from fuzzed
-// postings inserted in a fuzz-chosen rotation and checks the storage
-// contract the pruner relies on: the canonical encoding is
-// byte-identical regardless of insertion order, decoding returns
-// exactly the inserted postings, and every skip entry's (maxDoc, maxW)
-// bounds its block's members.
+// FuzzBlockPostingsRoundTrip builds a term and an entity list through
+// Index.Add from fuzzed postings and checks the storage contract the
+// pruner relies on: whatever the insertion history, the list is the
+// canonical encoding of its postings — data, skip entries and maximum
+// equal to newPostingList's of the sorted postings, byte for byte — it
+// decodes to exactly the inserted postings, every skip entry's (maxDoc,
+// maxW) bounds its block's members, and a batch rebuilds each list
+// exactly when it lands a posting below the list's last doc. A posting
+// is three bytes: its doc-id gap, its freq and its dScore; one whose
+// freq byte has its top bit set is held back and added after the
+// others. That order is rotated by rot, reversed by reverse, and cut
+// into batches of 1+cuts[j] postings, cycling through cuts (one posting
+// a batch when cuts is empty).
 func FuzzBlockPostingsRoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 9, 0, 200}, uint8(0))
-	f.Add([]byte{0, 0, 0}, uint8(7))
-	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(130))
+	f.Add([]byte{1, 2, 3, 9, 0, 200}, uint8(0), false, []byte{})
+	f.Add([]byte{0, 0, 0}, uint8(7), false, []byte{})
+	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(130), false, []byte{})
+	// Every posting in order, one a batch: appends in place only.
+	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(0), false, []byte{})
+	// Every posting reversed, one a batch: each lands below the last.
+	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(0), true, []byte{})
+	// Postings 20–29 held back, then added as one batch inside the
+	// first, full block.
+	inside := bytes.Repeat([]byte{5, 1, 128}, 300)
+	for i := 20; i < 30; i++ {
+		inside[3*i+1] |= 0x80
+	}
+	f.Add(inside, uint8(0), false, []byte{255, 33, 9})
+	// A batch of 290 after rotating by 10: the last 10 land below the
+	// first doc.
+	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(10), false, []byte{255, 33, 9})
 
-	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, rot uint8, reverse bool, cuts []byte) {
 		var tps, eps []posting
+		var early, late []Doc
 		doc := DocID(0)
 		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
 			doc += DocID(data[i]%13) + 1 // strictly ascending: one posting per doc
 			tf := int32(data[i+1]%7) + 1
+			ds := float64(data[i+2]) / 255
 			tps = append(tps, termPosting(doc, tf))
-			eps = append(eps, entityPosting(doc, tf, float64(data[i+2])/255))
+			eps = append(eps, entityPosting(doc, tf, ds))
+			d := Doc{ID: doc, A: analysis.Analyzed{
+				Terms:    map[string]int{"t": int(tf)},
+				Entities: map[kb.EntityID]analysis.EntityStats{1: {Freq: int(tf), DScore: ds}},
+			}}
+			if data[i+1] >= 0x80 {
+				late = append(late, d)
+			} else {
+				early = append(early, d)
+			}
 		}
 		if len(tps) == 0 {
 			return
 		}
+		order := append(early, late...)
+		r := int(rot) % len(order)
+		order = slices.Concat(order[r:], order[:r])
+		if reverse {
+			slices.Reverse(order)
+		}
 
-		r := int(rot) % len(tps)
-		for kind, ps := range map[postingKind][]posting{termKind: tps, entityKind: eps} {
-			// Insert in a rotated order; the canonical form must not care.
-			l := &postingList{kind: kind}
-			for i := range ps {
-				l.add(ps[(i+r)%len(ps)])
+		ix := New()
+		last := DocID(math.MinInt32) // the largest doc added so far
+		for j := 0; len(order) > 0; j++ {
+			n := 1
+			if len(cuts) > 0 {
+				n += int(cuts[j%len(cuts)])
 			}
-			want := newPostingList(kind, ps)
-			got := l.sorted()
-			canon := newPostingList(kind, got)
-			if !bytes.Equal(canon.data, want.data) {
-				t.Fatalf("kind %d encoding differs by insertion order (rot %d, %d postings)", kind, r, len(ps))
+			batch := order[:min(n, len(order))]
+			order = order[len(batch):]
+			want := mListRebuilds.Value()
+			if slices.ContainsFunc(batch, func(d Doc) bool { return d.ID < last }) {
+				want += 2 // the term list and the entity list
 			}
-			// Decode round trip: sorted() must return the inserted postings.
-			if len(got) != len(ps) {
-				t.Fatalf("kind %d round trip lost postings: %d/%d", kind, len(got), len(ps))
+			ix.Add(batch...)
+			if got := mListRebuilds.Value(); got != want {
+				t.Fatalf("batch %d: %g list rebuilds, want %g", j, got, want)
 			}
-			for i := range ps {
-				if got[i] != ps[i] {
-					t.Fatalf("kind %d posting %d: got %+v want %+v", kind, i, got[i], ps[i])
-				}
+			for _, d := range batch {
+				last = max(last, d.ID)
 			}
-			// Bound soundness: list and block maxima dominate their
-			// members, in the half-sealed list and the canonical one.
+		}
+		for k, ps := range map[listKey][]posting{termKey("t"): tps, entityKey(1): eps} {
+			l, want := ix.lists[k], newPostingList(k.kind, ps)
+			if !bytes.Equal(l.data, want.data) || !slices.Equal(l.blocks, want.blocks) || l.maxW != want.maxW || l.count != want.count {
+				t.Fatalf("%v differs from its canonical encoding (rot %d, reverse %v, %d postings): %d blocks, maxW %g; want %d, %g",
+					k, r, reverse, len(ps), len(l.blocks), l.maxW, len(want.blocks), want.maxW)
+			}
+			if got := l.decodeAll(); !slices.Equal(got, ps) {
+				t.Fatalf("%v decodes to %d postings, want the %d inserted", k, len(got), len(ps))
+			}
 			checkBounds(t, l)
-			checkBounds(t, canon)
 		}
 	})
 }
 
-// checkBounds decodes every sealed block of l with the block decoder
+// checkBounds decodes every block of l with the block decoder
 // the scorer uses and checks it against its skip entry.
 func checkBounds(t *testing.T, l *postingList) {
 	t.Helper()
 	base := DocID(0)
 	for i, bm := range l.blocks {
-		ps, end := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base, true)
+		ps, end := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base)
 		if len(ps) != int(bm.n) || end != bm.end {
 			t.Fatalf("block %d decoded %d postings to byte %d, skip entry says %d to %d", i, len(ps), end, bm.n, bm.end)
 		}
@@ -283,12 +326,12 @@ func checkBounds(t *testing.T, l *postingList) {
 
 // FuzzCursor drives one cursor with next and seek against a sorted
 // slice, on term and entity lists built from the fuzz bytes both
-// half-sealed through add (a sealed region and a tail, inserted in a
-// rotated order so tail documents fall between block documents) and
-// canonical through newPostingList, over a span drawn from the input
-// (driveCursor). A posting is three bytes: its doc-id gap less one, its
-// freq less one and its dScore in 255ths, so gaps and freqs of 128 and
-// more take multi-byte varints.
+// through Index.Add (the postings from the rot-th on added one at a
+// time in order, then the ones before it as one batch below the last
+// doc, which rebuilds the list) and canonical through newPostingList,
+// over a span drawn from the input (driveCursor). A posting is three
+// bytes: its doc-id gap less one, its freq less one and its dScore in
+// 255ths, so gaps and freqs of 128 and more take multi-byte varints.
 func FuzzCursor(f *testing.F) {
 	// dense holds docs 1–300, its blocks ending at 128, 256 and 300,
 	// their freqs cycling through 3, 6 and 1; wide has gaps of 201 and
@@ -307,19 +350,25 @@ func FuzzCursor(f *testing.F) {
 	// span.hi inside the last block, reached by next and by a seek.
 	f.Add(dense, uint8(0), uint16(0), spanAt(280), bytes.Repeat([]byte{0, 0}, 300))
 	f.Add(dense, uint8(0), spanAt(200), spanAt(280), []byte{0, 0, 5, 250, 0, 0})
-	// Tail postings (docs 57–100) between block docs.
+	// Docs 1–100 added last, as one batch below the last doc.
 	f.Add(dense, uint8(100), uint16(0), all, []byte{0, 0, 1, 40, 1, 3, 3, 1, 0, 0, 5, 90, 0, 0})
 	// Multi-byte deltas and freqs, a narrow span and every seek kind.
 	f.Add(wide, uint8(37), uint16(9000), uint16(50000), []byte{0, 0, 1, 250, 3, 9, 5, 100, 0, 0, 1, 3, 7, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8, loB, hiB uint16, ops []byte) {
 		var tps, eps []posting
+		var docs []Doc
 		doc := DocID(0)
 		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
 			doc += DocID(data[i]) + 1
 			freq := int32(data[i+1]) + 1
+			ds := float64(data[i+2]) / 255
 			tps = append(tps, termPosting(doc, freq))
-			eps = append(eps, entityPosting(doc, freq, float64(data[i+2])/255))
+			eps = append(eps, entityPosting(doc, freq, ds))
+			docs = append(docs, Doc{ID: doc, A: analysis.Analyzed{
+				Terms:    map[string]int{"built": int(freq)},
+				Entities: map[kb.EntityID]analysis.EntityStats{1: {Freq: int(freq), DScore: ds}},
+			}})
 		}
 		if len(tps) == 0 {
 			return
@@ -333,15 +382,13 @@ func FuzzCursor(f *testing.F) {
 			span.hi = max(span.lo+1, int64(hiB)*(maxDoc+2)>>16)
 		}
 		ix := New()
-		for i, ps := range [][]posting{tps, eps} {
-			kind := []postingKind{termKind, entityKind}[i]
-			half := &postingList{kind: kind}
-			for j := range ps {
-				half.add(ps[(j+int(rot))%len(ps)])
-			}
-			ix.lists[listKey{kind: kind, term: "half", ent: 1}] = half
-			ix.lists[listKey{kind: kind, term: "canon", ent: 2}] = newPostingList(kind, ps)
+		r := int(rot) % len(docs)
+		for _, d := range docs[r:] {
+			ix.Add(d)
 		}
+		ix.Add(docs[:r]...)
+		ix.lists[termKey("canon")] = newPostingList(termKind, tps)
+		ix.lists[entityKey(2)] = newPostingList(entityKind, eps)
 		for key := range ix.lists {
 			driveCursor(t, ix, key, span, ops)
 		}
@@ -356,30 +403,26 @@ func FuzzCursor(f *testing.F) {
 // the second byte sets by the mode in the first byte's next two bits —
 // the current doc plus v, plus 64·v, the v/256 point of the list's doc
 // range, or v past its last doc. Which blocks the cursor must have
-// entered is modelled on the sealed postings' indices: it enters a
-// block to decode its posting that comes next in its stream, and a seek
-// that leaves the entered block enters only the block of the first
-// posting at or past its target.
+// entered is modelled on the postings' indices: it enters the block of
+// each posting it decodes, next decoding the one after its own and a
+// seek the first at or past its target.
 func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops []byte) {
 	t.Helper()
 	var l postingList
 	src.list(key, &l, nil)
-	// q is the sealed postings of the span's blocks: those whose doc
-	// range, above the previous block's maxDoc, meets the span.
+	// q is the postings of the span's blocks: those whose doc range,
+	// above the previous block's maxDoc, meets the span.
 	var q, want []posting
 	var blockOf []int
-	spanBlocks, sealedDoc := 0, map[DocID]bool{}
+	spanBlocks := 0
 	prev, base := int64(math.MinInt64), DocID(0)
 	for b, bm := range l.blocks {
-		ps, _ := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base, true)
+		ps, _ := l.kind.decodeRun(nil, l.data, bm.off, int(bm.n), base)
 		if int64(bm.maxDoc) >= span.lo && prev+1 < span.hi {
 			spanBlocks++
 			for _, p := range ps {
 				q, blockOf = append(q, p), append(blockOf, b)
 			}
-		}
-		for _, p := range ps {
-			sealedDoc[p.doc] = true
 		}
 		prev, base = int64(bm.maxDoc), bm.maxDoc
 	}
@@ -387,7 +430,6 @@ func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops [
 	if len(all) == 0 {
 		t.Fatalf("%v: no postings", key)
 	}
-	sortPostings(all)
 	maxDoc := all[len(all)-1].doc
 	for _, p := range all {
 		if span.has(p.doc) {
@@ -405,52 +447,25 @@ func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops [
 	}
 	c := &a.lists[0]
 
-	// The stream model: q[j] is the next sealed posting not consumed,
-	// decoded ahead when held; over once the stream has ended.
+	// The model: the cursor has decoded q[j], and stands on it while it
+	// lies in the span; i indexes the same posting in want.
 	entered := map[int]bool{}
-	i, j, held, over := 0, 0, false, false
-	look := func() {
-		if j == len(q) {
-			over = true
-			return
-		}
-		entered[blockOf[j]] = true
-		if int64(q[j].doc) >= span.hi {
-			over = true
-			return
-		}
-		held = true
-	}
-	reach := func(d DocID) {
-		held = false
-		for j < len(q) && q[j].doc < d {
-			j++
-		}
-		if !over {
-			look()
+	i, j := 0, -1
+	decode := func(n int) {
+		if j = n; j < len(q) {
+			entered[blockOf[j]] = true
 		}
 	}
-	// step models next from the oracle position i: the posting the
-	// cursor stands on next is want[i], consumed from the stream if
-	// sealed.
-	step := func() {
-		if !held && !over {
-			look()
-		}
-		if i < len(want) && sealedDoc[want[i].doc] {
-			if !held || q[j].doc != want[i].doc {
-				t.Fatalf("%v span %v: model lost the stream at %+v", key, span, want[i])
-			}
-			held = false
-			j++
-		}
-	}
+	done := func() bool { return j == len(q) || int64(q[j].doc) >= span.hi }
 	check := func(op string) {
 		t.Helper()
-		if done := i == len(want); c.done != done || !done && c.cur != want[i] {
+		if !done() && (i == len(want) || q[j] != want[i]) {
+			t.Fatalf("%v span %v after %s: the model stands on %+v, want[%d] of %d", key, span, op, q[j], i, len(want))
+		}
+		if c.done != done() || !c.done && c.cur != q[j] {
 			at := "done"
-			if !done {
-				at = fmt.Sprintf("%+v", want[i])
+			if !done() {
+				at = fmt.Sprintf("%+v", q[j])
 			}
 			t.Fatalf("%v span %v after %s: cursor at %+v done %v, want %s", key, span, op, c.cur, c.done, at)
 		}
@@ -458,24 +473,36 @@ func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops [
 			t.Fatalf("%v span %v after %s: skipped %d, want %d of %d span blocks not entered", key, span, op, c.skipped, wantSkipped, spanBlocks)
 		}
 	}
-	if span.lo > allDocs.lo {
-		reach(DocID(span.lo))
+	// seekTo decodes the first posting at or past d.
+	seekTo := func(d DocID) {
+		n := j + 1
+		for n < len(q) && q[n].doc < d {
+			n++
+		}
+		decode(n)
+		for i < len(want) && want[i].doc < d {
+			i++
+		}
 	}
-	step()
+	if span.lo > allDocs.lo {
+		seekTo(DocID(span.lo))
+	} else {
+		decode(0)
+	}
 	check("bind")
 	for o := 0; o+1 < len(ops); o += 2 {
 		if ops[o]&1 == 0 {
 			c.next()
-			if i < len(want) {
+			if !done() {
+				decode(j + 1)
 				i++
 			}
-			step()
 			check("next")
 			continue
 		}
 		cur, v := maxDoc, DocID(ops[o+1])
-		if i < len(want) {
-			cur = want[i].doc
+		if !done() {
+			cur = q[j].doc
 		}
 		var d DocID
 		switch ops[o] >> 1 & 3 {
@@ -489,14 +516,8 @@ func driveCursor(t *testing.T, src listSource, key listKey, span docRange, ops [
 			d = maxDoc + 1 + v
 		}
 		c.seek(d)
-		if i < len(want) && want[i].doc < d {
-			if !held || q[j].doc < d {
-				reach(d)
-			}
-			for i < len(want) && want[i].doc < d {
-				i++
-			}
-			step()
+		if !done() && q[j].doc < d {
+			seekTo(d)
 		}
 		check(fmt.Sprintf("seek(%d)", d))
 	}

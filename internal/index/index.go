@@ -17,6 +17,7 @@
 package index
 
 import (
+	"cmp"
 	"io"
 	"maps"
 	"math"
@@ -41,6 +42,9 @@ var (
 	mMatches = telemetry.Default().Counter(
 		"expertfind_index_matches_total",
 		"Positively scored resources returned across Score calls.")
+	mListRebuilds = telemetry.Default().Counter(
+		"expertfind_index_list_rebuilds_total",
+		"In-memory posting lists a write rebuilt because one of its postings landed below the list's last document.")
 )
 
 // DocID identifies an indexed resource.
@@ -89,16 +93,15 @@ var (
 	_ Searcher = (*Store)(nil)
 )
 
-// Index is an append-only inverted index over analyzed resources.
+// Index is an in-memory inverted index over analyzed resources.
 // Inverse resource frequencies reflect the collection at query time,
 // so documents can be added at any moment. Index is not safe for
 // concurrent mutation; concurrent Score calls are safe once building
-// is done (posting lists seal themselves during Add, never during
-// scoring).
+// is done (writes keep the lists canonical themselves, never scoring).
 //
 // Posting lists are blocked: delta-encoded fixed-size blocks with
-// per-block skip entries (max doc id, max weightless score) plus a
-// small unsorted tail of recent additions — see blockpostings.go. The
+// per-block skip entries (max doc id, max weightless score), always in
+// the canonical form a segment file holds — see blockpostings.go. The
 // skip entries feed the ScoreTopK pruner.
 type Index struct {
 	lists map[listKey]*postingList
@@ -131,16 +134,6 @@ func (ix *Index) list(k listKey, l *postingList, arena []blockMeta) []blockMeta 
 	return arena
 }
 
-// addPosting appends p to k's list, creating the list on first use.
-func (ix *Index) addPosting(k listKey, p posting) {
-	l := ix.lists[k]
-	if l == nil {
-		l = &postingList{kind: k.kind}
-		ix.lists[k] = l
-	}
-	l.add(p)
-}
-
 // eachPosting calls fn with the list key and posting of every
 // dimension of a document analyzed as a — the one place an Analyzed's
 // two maps become postings.
@@ -153,20 +146,56 @@ func eachPosting(id DocID, a analysis.Analyzed, fn func(listKey, posting)) {
 	}
 }
 
-// Add indexes an analyzed resource under id. Adding the same id twice
-// is a programming error and panics.
-func (ix *Index) Add(id DocID, a analysis.Analyzed) {
-	i, dup := slices.BinarySearch(ix.ids, id)
-	if dup {
-		panic("index: duplicate document")
+// Add indexes a batch of analyzed resources in id order. A posting
+// whose document follows its list's last is appended in place; every
+// list the batch lands a posting below its last document is rebuilt
+// once, after the batch, from the block the first such posting lands
+// in, so a write costs at most one pass over each list it touches.
+// Adding an id already indexed, or one twice, is a programming error
+// and panics before anything changes.
+func (ix *Index) Add(docs ...Doc) {
+	if !slices.IsSortedFunc(docs, docCmp) {
+		docs = slices.Clone(docs)
+		slices.SortFunc(docs, docCmp)
 	}
-	ix.ids = slices.Insert(ix.ids, i, id)
-	eachPosting(id, a, ix.addPosting)
+	for i, d := range docs {
+		if hasID(ix.ids, d.ID) || i > 0 && docs[i-1].ID == d.ID {
+			panic("index: duplicate document")
+		}
+	}
+	n := len(ix.ids)
+	for _, d := range docs {
+		ix.ids = append(ix.ids, d.ID)
+	}
+	if n > 0 && len(docs) > 0 && docs[0].ID < ix.ids[n-1] {
+		slices.Sort(ix.ids)
+	}
+	late := map[listKey][]posting{} // postings below their list's last doc
+	for _, d := range docs {
+		eachPosting(d.ID, d.A, func(k listKey, p posting) {
+			l := ix.lists[k]
+			if l == nil {
+				l = &postingList{kind: k.kind}
+				ix.lists[k] = l
+			}
+			if l.follows(p.doc) {
+				l.add(p)
+			} else {
+				late[k] = append(late[k], p)
+			}
+		})
+	}
+	for k, ps := range late {
+		ix.lists[k].insert(ps)
+		mListRebuilds.Inc()
+	}
 }
+
+func docCmp(a, b Doc) int { return cmp.Compare(a.ID, b.ID) }
 
 // Remove deletes previously indexed resources, by id, in one pass over
 // the lists: every list holding one of them is rebuilt once into
-// canonical sealed blocks with its maxima recomputed, and lists left
+// canonical blocks with its maxima recomputed, and lists left
 // empty are dropped from the map entirely — the index is
 // indistinguishable from one that never saw the documents, so a
 // delta-applied index serializes byte-identically to a cold rebuild.
@@ -194,7 +223,7 @@ func (ix *Index) Remove(ids ...DocID) {
 		if holds, buf = l.holdsAny(gone, buf); !holds {
 			continue
 		}
-		if ps := dropDocs(l.sorted(), func(d DocID) bool { return hasID(gone, d) }); len(ps) == 0 {
+		if ps := dropDocs(l.decodeAll(), func(d DocID) bool { return hasID(gone, d) }); len(ps) == 0 {
 			delete(ix.lists, k)
 		} else {
 			ix.lists[k] = newPostingList(k.kind, ps)
@@ -217,11 +246,12 @@ func dropDocs(ps []posting, drop func(DocID) bool) []posting {
 // Update replaces the indexed form of a document with a.
 func (ix *Index) Update(id DocID, a analysis.Analyzed) {
 	ix.Remove(id)
-	ix.Add(id, a)
+	ix.Add(Doc{ID: id, A: a})
 }
 
 // clone returns a copy that shares the lists: Remove on either one
-// leaves the other as it was.
+// leaves the other as it was. Add writes lists in place, so neither
+// may take an Add after a clone.
 func (ix *Index) clone() *Index {
 	return &Index{lists: maps.Clone(ix.lists), ids: slices.Clone(ix.ids)}
 }

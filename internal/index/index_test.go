@@ -28,7 +28,7 @@ func buildSmall(t testing.TB) *Index {
 		if !ok {
 			t.Fatalf("doc %d filtered", i)
 		}
-		ix.Add(DocID(i), a)
+		ix.Add(Doc{ID: DocID(i), A: a})
 	}
 	return ix
 }
@@ -139,8 +139,8 @@ func TestEntityWeightBoostsConfidentMentions(t *testing.T) {
 		Terms:    map[string]int{"y": 1},
 		Entities: map[kb.EntityID]analysis.EntityStats{phelps.ID: {Freq: 1, DScore: 0.9}},
 	}
-	ix.Add(1, lo)
-	ix.Add(2, hi)
+	ix.Add(Doc{ID: 1, A: lo})
+	ix.Add(Doc{ID: 2, A: hi})
 	need := analysis.Analyzed{Entities: map[kb.EntityID]analysis.EntityStats{phelps.ID: {Freq: 1, DScore: 1}}}
 	got := ix.Score(need, 0)
 	if len(got) != 2 || got[0].Doc != 2 {
@@ -156,13 +156,13 @@ func TestEntityWeightBoostsConfidentMentions(t *testing.T) {
 func TestAddDuplicatePanics(t *testing.T) {
 	ix := New()
 	a, _ := pipe.Analyze("some text about things", nil)
-	ix.Add(1, a)
+	ix.Add(Doc{ID: 1, A: a})
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Add did not panic")
 		}
 	}()
-	ix.Add(1, a)
+	ix.Add(Doc{ID: 1, A: a})
 }
 
 func TestHasAndNumDocs(t *testing.T) {
@@ -225,7 +225,7 @@ func TestScoreInsertionOrderInvariance(t *testing.T) {
 	build := func(order []int) []ScoredDoc {
 		ix := New()
 		for _, i := range order {
-			ix.Add(DocID(i), analyzed[i])
+			ix.Add(Doc{ID: DocID(i), A: analyzed[i]})
 		}
 		return ix.Score(need, 0.6)
 	}
@@ -250,7 +250,7 @@ func BenchmarkScore(b *testing.B) {
 		for j := 0; j < 8; j++ {
 			terms[vocab[r.Intn(len(vocab))]]++
 		}
-		ix.Add(DocID(i), analysis.Analyzed{Terms: terms})
+		ix.Add(Doc{ID: DocID(i), A: analysis.Analyzed{Terms: terms}})
 	}
 	need := analysis.Analyzed{Terms: map[string]int{"swim": 1, "pool": 1, "train": 1}}
 	b.ReportAllocs()
@@ -258,4 +258,46 @@ func BenchmarkScore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix.Score(need, 0.6)
 	}
+}
+
+// BenchmarkIndexAdd reports the write path's postings/s on the 60 000
+// document bench corpus: a bulk build in id order, one batch as
+// Store.AddBatch hands it, which appends every posting in place; and a
+// batch of 64 updates spread over the id range, timed from the removal
+// through the re-add, whose postings land below the last doc of every
+// large list they touch and so rebuild each once.
+func BenchmarkIndexAdd(b *testing.B) {
+	docs, _ := benchStoreCorpus()
+	postings := func(docs []Doc) int {
+		n := 0
+		for _, d := range docs {
+			n += len(d.A.Terms) + len(d.A.Entities)
+		}
+		return n
+	}
+	b.Run("bulk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New().Add(docs...)
+		}
+		b.ReportMetric(float64(postings(docs)*b.N)/b.Elapsed().Seconds(), "postings/s")
+	})
+	b.Run("update-below", func(b *testing.B) {
+		ix := New()
+		ix.Add(docs...)
+		var batch []Doc
+		var ids []DocID
+		for i := 0; i < 64; i++ {
+			d := docs[i*len(docs)/64]
+			batch = append(batch, Doc{ID: d.ID, A: docs[len(docs)-1-i].A})
+			ids = append(ids, d.ID)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.Remove(ids...)
+			ix.Add(batch...)
+		}
+		b.ReportMetric(float64(postings(batch)*b.N)/b.Elapsed().Seconds(), "postings/s")
+	})
 }

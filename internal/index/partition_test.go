@@ -53,7 +53,7 @@ func testVocab() []string {
 func flatFromDocs(docs []Doc) *Index {
 	ix := New()
 	for _, d := range docs {
-		ix.Add(d.ID, d.A)
+		ix.Add(d)
 	}
 	return ix
 }

@@ -140,10 +140,10 @@ func TestSearchOracleGrid(t *testing.T) {
 	assertOracleGrid(t, targets, wider, needs)
 
 	// Documents added out of id order, then an update re-adding a low
-	// id: unsorted tails hold doc ids below and between the sealed
-	// blocks' ids, so a cursor must merge its sorted tail into the block
-	// stream in doc order.
-	t.Run("tail ids below and between sealed ids", func(t *testing.T) {
+	// id: both land postings below their lists' last docs, so each
+	// write rebuilds the lists it touches into canonical blocks, and a
+	// cursor must stream the rebuilt blocks in doc order.
+	t.Run("rebuilt lists", func(t *testing.T) {
 		shuffled := randomDocs(17, 900, 0)
 		rand.New(rand.NewSource(20)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -164,22 +164,16 @@ func TestSearchOracleGrid(t *testing.T) {
 		}
 		ref := flatFromDocs(final)
 
+		rebuilds := mListRebuilds.Value()
 		ix := flatFromDocs(shuffled)
-		var between int
-		for _, l := range ix.lists {
-			if n := l.count - l.sealed(); n > 0 && len(l.blocks) > 0 {
-				tail, _ := l.kind.decodeRun(nil, l.tail, 0, n, 0, false)
-				for _, p := range tail {
-					if p.doc < l.blocks[len(l.blocks)-1].maxDoc {
-						between++
-					}
-				}
-			}
+		if mListRebuilds.Value() == rebuilds {
+			t.Fatal("the shuffled adds rebuilt no list; the layout is not the one under test")
 		}
-		if between == 0 {
-			t.Fatal("no tail posting lies below a sealed doc id; the layout is not the one under test")
-		}
+		rebuilds = mListRebuilds.Value()
 		ix.Update(low.ID, updated.A)
+		if mListRebuilds.Value() == rebuilds {
+			t.Fatal("the update re-adding the lowest id rebuilt no list")
+		}
 		targets := []oracleTarget{{"index", ix, ref}}
 		for name, o := range map[string]StoreOptions{"mmap": {}, "stream": {forceStream: true}} {
 			s := storeOf(t, shuffled, []int{300, 600}, o)

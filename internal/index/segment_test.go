@@ -67,7 +67,7 @@ func segToIndex(t *testing.T, r *SegmentReader) *Index {
 		}
 	}
 	for d, a := range perDoc {
-		ix.Add(d, a)
+		ix.Add(Doc{ID: d, A: a})
 	}
 	return ix
 }
@@ -316,9 +316,9 @@ func drainAccFree(t *testing.T) {
 	for {
 		select {
 		case a := <-accFree:
-			if a.k != 0 || len(a.lists) != 0 || len(a.order) != 0 || len(a.hits) != 0 || len(a.arena) != 0 || len(a.tails) != 0 {
-				t.Fatalf("pooled accumulator holds an evaluation: k=%d lists=%d order=%d hits=%d arena=%d tails=%d",
-					a.k, len(a.lists), len(a.order), len(a.hits), len(a.arena), len(a.tails))
+			if a.k != 0 || len(a.lists) != 0 || len(a.order) != 0 || len(a.hits) != 0 || len(a.arena) != 0 {
+				t.Fatalf("pooled accumulator holds an evaluation: k=%d lists=%d order=%d hits=%d arena=%d",
+					a.k, len(a.lists), len(a.order), len(a.hits), len(a.arena))
 			}
 			for _, c := range a.lists[:cap(a.lists)] {
 				if !reflect.DeepEqual(c, cursor{}) {
@@ -377,7 +377,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 			mono.Update(u.ID, u.New)
 		}
 		for _, a := range d.Adds {
-			mono.Add(a.ID, a.A)
+			mono.Add(a)
 		}
 
 		if s.NumDocs() != mono.NumDocs() {
@@ -653,7 +653,7 @@ func checkTombDF(t testing.TB, s *Store, step string) {
 		for k, ref := range g.r.lists {
 			var l postingList
 			g.r.list(k, &l, nil)
-			for _, p := range l.sorted() {
+			for _, p := range l.decodeAll() {
 				if g.tomb.has(p.doc) {
 					recount[ref.ord]++
 				}
@@ -682,7 +682,7 @@ func docKeys(c component) map[DocID][]listKey {
 		}
 	case *Index:
 		for k, l := range c.lists {
-			for _, p := range l.sorted() {
+			for _, p := range l.decodeAll() {
 				out[p.doc] = append(out[p.doc], k)
 			}
 		}
@@ -954,7 +954,7 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 		}
 		s.ApplyDelta(d)
 		checkTombDF(t, s, fmt.Sprintf("step %d", i))
-		mono.Add(docs[i].ID, docs[i].A)
+		mono.Add(docs[i])
 		time.Sleep(200 * time.Microsecond)
 	}
 	close(stop)

@@ -484,8 +484,8 @@ func (s *Store) ApplyDelta(d Delta) { s.write(d) }
 
 // write is the one write path, under the store write lock: the
 // removed and the updated documents go first, by id (removeLocked),
-// then the updates' new forms and the adds land in the memtable. It
-// reports whether a seal is due.
+// then the updates' new forms and the adds land in the memtable as one
+// batch. It reports whether a seal is due.
 func (s *Store) write(d Delta) (sealDue bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -497,12 +497,15 @@ func (s *Store) write(d Delta) (sealDue bool) {
 		gone = append(gone, u.ID)
 	}
 	s.removeLocked(gone)
-	for _, u := range d.Updates {
-		s.addLocked(u.ID, u.New)
+	docs := d.Adds
+	if len(d.Updates) > 0 {
+		docs = make([]Doc, 0, len(d.Updates)+len(d.Adds))
+		for _, u := range d.Updates {
+			docs = append(docs, Doc{ID: u.ID, A: u.New})
+		}
+		docs = append(docs, d.Adds...)
 	}
-	for _, a := range d.Adds {
-		s.addLocked(a.ID, a.A)
-	}
+	s.addLocked(docs)
 	s.updateGauges()
 	return s.sealDueLocked()
 }
@@ -524,12 +527,15 @@ func (s *Store) sealDueLocked() bool {
 	return n >= s.opts.FlushDocs
 }
 
-// addLocked leaves a duplicate in the memtable to Index.Add's panic.
-func (s *Store) addLocked(id DocID, a analysis.Analyzed) {
-	if s.liveSegLocked(id) != nil {
-		panic("index: duplicate document")
+// addLocked hands docs to the memtable in one batch, leaving a
+// duplicate there to Index.Add's panic.
+func (s *Store) addLocked(docs []Doc) {
+	for _, d := range docs {
+		if s.liveSegLocked(d.ID) != nil {
+			panic("index: duplicate document")
+		}
 	}
-	s.mem.Add(id, a)
+	s.mem.Add(docs...)
 }
 
 // removeLocked removes ids, each live somewhere in the store: the

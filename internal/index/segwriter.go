@@ -56,7 +56,7 @@ func (s mergeSource) postings(k listKey) []posting {
 	if s.src.list(k, &l, nil); l.count == 0 {
 		return nil
 	}
-	ps := l.sorted()
+	ps := l.decodeAll()
 	if s.drop.ids.size() == 0 {
 		return ps
 	}

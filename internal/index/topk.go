@@ -29,7 +29,7 @@ import (
 // on bounds inflated by boundSlack, so float non-associativity (the
 // bound sums, and the (ef·we)·w vs (ef·w)·we product grouping) can only
 // make pruning more conservative: the ranking is the exhaustive one
-// truncated to k, bit for bit. A seek passes over whole sealed blocks
+// truncated to k, bit for bit. A seek passes over whole blocks
 // by their maxDoc without decoding them, and in the block it lands in
 // decodes only the posting it stops at. The parts of one query share
 // a θ floor (thetaFloor): pruning takes the greater of it and the
@@ -87,7 +87,7 @@ func (f *thetaFloor) raise(theta float64) {
 type topkCounters struct {
 	postings      int // postings a cursor consumed at a candidate
 	pruned        int // candidates rejected by a bound
-	blocksSkipped int // sealed blocks in the span never decoded
+	blocksSkipped int // blocks in the span never decoded
 }
 
 func (c *topkCounters) add(o topkCounters) {
@@ -97,9 +97,8 @@ func (c *topkCounters) add(o topkCounters) {
 }
 
 // cursor walks one bound list's postings in the span in ascending doc
-// order: its sealed blocks, streamed one posting at a time from the
-// list's bytes and clipped to the span, merged with its tail, decoded,
-// filtered to the span and sorted once at bind.
+// order, streamed one posting at a time from the list's blocks and
+// clipped to the span.
 type cursor struct {
 	l     postingList
 	w     float64 // the plan weight
@@ -113,13 +112,10 @@ type cursor struct {
 	span     docRange
 	blk, end int // l.blocks[blk:end] are the span's blocks not yet entered
 	skipped  int // blocks in the span not entered (yet)
-	// The entered block's stream: left postings not yet decoded at
-	// l.data[pos:], their doc ids chained from base.
+	// The entered block's stream: left postings past cur not yet
+	// decoded at l.data[pos:], their doc ids chained from base.
 	pos, left int
 	base      DocID
-	head      posting // the next sealed posting, when held
-	held      bool
-	tail      []posting // the rest of the tail
 }
 
 // at reports whether the cursor stands on d.
@@ -141,12 +137,13 @@ func (c *cursor) enter() {
 	c.skipped--
 }
 
-// step decodes the next sealed posting into head, entering the span's
-// next block once the entered one is spent. The first posting at or
-// past span.hi ends the stream.
-func (c *cursor) step() {
+// next moves to the following posting, entering the span's next block
+// once the entered one is spent. The first posting at or past span.hi
+// ends the walk.
+func (c *cursor) next() {
 	if c.left == 0 {
 		if c.blk == c.end {
+			c.done = true
 			return
 		}
 		c.enter()
@@ -155,66 +152,36 @@ func (c *cursor) step() {
 	c.pos, c.base = pos, p.doc
 	c.left--
 	if int64(p.doc) >= c.span.hi {
-		c.left = 0 // the span's last block is the entered one
+		c.left, c.done = 0, true // the span's last block is the entered one
 		return
 	}
-	c.head, c.held = p, true
+	c.cur = p
 }
 
-// reach moves head to the first sealed posting at or past d: it passes
-// over the blocks that end below d by their maxDoc without entering
-// them, and in the block that holds d parses only the deltas before it.
+// reach moves to the first posting at or past d: it passes over the
+// blocks that end below d by their maxDoc without entering them, and in
+// the block that holds d parses only the deltas before it.
 func (c *cursor) reach(d DocID) {
-	c.held = false
 	if c.left == 0 || c.l.blocks[c.blk-1].maxDoc < d {
 		c.left = 0
 		for c.blk < c.end && c.l.blocks[c.blk].maxDoc < d {
 			c.blk++
 		}
 		if c.blk == c.end {
+			c.done = true
 			return
 		}
 		c.enter()
 	}
 	c.pos, c.base, c.left = c.l.kind.pass(c.l.data, c.pos, c.left, c.base, d)
-	c.step()
-}
-
-// next moves to the following posting.
-func (c *cursor) next() {
-	if !c.held {
-		c.step()
-	}
-	switch {
-	case c.held && (len(c.tail) == 0 || c.head.doc < c.tail[0].doc):
-		c.cur, c.held = c.head, false
-	case len(c.tail) > 0:
-		c.cur, c.tail = c.tail[0], c.tail[1:]
-	default:
-		c.done = true
-	}
+	c.next()
 }
 
 // seek moves to the first posting at or past d.
 func (c *cursor) seek(d DocID) {
-	if c.done || c.cur.doc >= d {
-		return
-	}
-	if !c.held || c.head.doc < d {
+	if !c.done && c.cur.doc < d {
 		c.reach(d)
 	}
-	c.tail = c.tail[searchDoc(c.tail, d):]
-	c.next()
-}
-
-// searchDoc returns the index of the first of the doc-sorted ps at or
-// past d.
-func searchDoc(ps []posting, d DocID) int {
-	if len(ps) == 0 || ps[0].doc >= d { // a seek mostly lands on the next posting
-		return 0
-	}
-	i, _ := slices.BinarySearchFunc(ps, d, func(p posting, d DocID) int { return cmp.Compare(p.doc, d) })
-	return i
 }
 
 // topkAcc is the state of one evaluation. Its buffers are pooled across
@@ -227,23 +194,20 @@ type topkAcc struct {
 	// arena holds the skip entries bind parses out of segment files;
 	// the cursors' blocks are windows of it.
 	arena []blockMeta
-	// tails holds the cursors' decoded tails.
-	tails []posting
 	topkCounters
 }
 
 // The caps on the buffers a released topkAcc keeps (at most 1 MiB
-// each, 2.8 MiB together on 64-bit): one outsized evaluation must not
+// each, 2.1 MiB together on 64-bit): one outsized evaluation must not
 // pin its high-water mark in the pool.
 const (
-	maxPooledDocs     = 1 << 16
-	maxPooledBlocks   = 1 << 15
-	maxPooledPostings = 1 << 15
-	maxPooledLists    = 1 << 8
+	maxPooledDocs   = 1 << 16
+	maxPooledBlocks = 1 << 15
+	maxPooledLists  = 1 << 8
 )
 
 // accFree is the free list of released accumulators: at most 8 kept,
-// at most 3 MiB of buffers each. Not a sync.Pool: that empties with
+// at most 2.1 MiB of buffers each. Not a sync.Pool: that empties with
 // the garbage collector's cycles and keeps one slot per P, so a caller
 // the scheduler moves between Ps loses its warm state at times nothing
 // in the program chooses and regrows its buffers by doubling — ±3 %
@@ -285,7 +249,6 @@ func (a *topkAcc) release() {
 		order: pooled(a.order, maxPooledLists),
 		hits:  pooled(a.hits, maxPooledDocs),
 		arena: pooled(a.arena, maxPooledBlocks),
-		tails: pooled(a.tails, maxPooledPostings),
 	}
 	select {
 	case accFree <- a:
@@ -295,9 +258,8 @@ func (a *topkAcc) release() {
 
 // bind resolves the plan against src: one cursor on each list src holds
 // postings for in span, in plan order, standing on its first posting.
-// The headers land in the pooled lists, segment skip entries in the
-// pooled arena and decoded tails in the pooled tails, so a warm
-// accumulator binds without allocating.
+// The headers land in the pooled lists and segment skip entries in the
+// pooled arena, so a warm accumulator binds without allocating.
 func (a *topkAcc) bind(src listSource, plan queryPlan, span docRange) {
 	a.lists = slices.Grow(a.lists, len(plan))
 	for _, pl := range plan {
@@ -313,24 +275,7 @@ func (a *topkAcc) bind(src listSource, plan queryPlan, span docRange) {
 			c.end = min(c.end, 1+sort.Search(c.end, func(b int) bool { return int64(c.l.blocks[b].maxDoc) >= span.hi-1 }))
 		}
 		c.skipped = c.end - c.blk
-		if n := c.l.count - c.l.sealed(); n > 0 {
-			// Growing the arena leaves the tails bound before it in the
-			// old array, which nothing writes again.
-			start := len(a.tails)
-			a.tails, _ = c.l.kind.decodeRun(a.tails, c.l.tail, 0, n, 0, false)
-			kept := a.tails[start:start]
-			for _, p := range a.tails[start:] {
-				if span.has(p.doc) {
-					kept = append(kept, p)
-				}
-			}
-			sortPostings(kept)
-			c.tail, a.tails = kept, a.tails[:start+len(kept)]
-		}
-		if span.lo > allDocs.lo {
-			c.reach(DocID(span.lo))
-		}
-		if c.next(); c.done { // no posting in span
+		if c.reach(DocID(span.lo)); c.done { // no posting in span
 			a.lists = a.lists[:len(a.lists)-1]
 		}
 	}

@@ -50,7 +50,7 @@ func splitByRoute(docs []Doc, n int) []*Index {
 		out[i] = New()
 	}
 	for _, d := range docs {
-		out[ShardRoute(d.ID, n)].Add(d.ID, d.A)
+		out[ShardRoute(d.ID, n)].Add(d)
 	}
 	return out
 }
@@ -155,7 +155,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 			terms["aaarare"] = 5
 		}
 		a := analysis.Analyzed{Terms: terms}
-		ix.Add(DocID(i), a)
+		ix.Add(Doc{ID: DocID(i), A: a})
 		docs = append(docs, Doc{ID: DocID(i), A: a})
 	}
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
@@ -187,7 +187,7 @@ func TestRangeWalkTouchesOnlyItsBlocks(t *testing.T) {
 		if i >= 1500 && i < 1520 {
 			terms["aaarare"] = 5
 		}
-		ix.Add(DocID(i), analysis.Analyzed{Terms: terms})
+		ix.Add(Doc{ID: DocID(i), A: analysis.Analyzed{Terms: terms}})
 	}
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 	blocks := ix.lists[termKey("zcommon")].blocks
@@ -247,7 +247,7 @@ func TestTopKAdversarial(t *testing.T) {
 				Terms:    map[string]int{"tie": 2, "pool": 1},
 				Entities: map[kb.EntityID]analysis.EntityStats{5: {Freq: 1, DScore: 0.5}},
 			}
-			ix.Add(DocID(i), a)
+			ix.Add(Doc{ID: DocID(i), A: a})
 			docs = append(docs, Doc{ID: DocID(i), A: a})
 		}
 		need := analysis.Analyzed{
@@ -305,7 +305,7 @@ func TestTopKAdversarial(t *testing.T) {
 		// outscores the one before, so every one enters the heap. Once the
 		// first ten fill it the common list is non-essential, and each
 		// later rare document is a seek to the last doc of a block not yet
-		// decoded — or, past the sealed region, into the tail.
+		// decoded — or, for 2600 and 2900, to a doc inside one.
 		var docs []Doc
 		for i := 0; i < 3000; i++ {
 			terms := map[string]int{"zcommon": 1}
@@ -612,8 +612,8 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 
 // TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
 // holds nothing of its evaluation — every cursor is the zero cursor,
-// keeping no list, stream position, head posting or tail — and gives
-// up every buffer that grew past its cap instead of pinning it in the
+// keeping no list, stream position or current posting — and gives up
+// every buffer that grew past its cap instead of pinning it in the
 // pool: each cap at its limit is kept, one over it dropped.
 func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 	for _, over := range []int{0, 1} {
@@ -623,18 +623,16 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 			order: make([]*cursor, 1, maxPooledLists+over),
 			hits:  make([]ScoredDoc, 5, maxPooledDocs+over),
 			arena: make([]blockMeta, 3, maxPooledBlocks+over),
-			tails: make([]posting, 4, maxPooledPostings+over),
 		}
-		a.lists[0] = cursor{l: postingList{data: []byte{1}, count: 1}, tail: a.tails[1:], pos: 1, left: 2, base: 9, head: termPosting(9, 1), held: true, done: true}
+		a.lists[0] = cursor{l: postingList{data: []byte{1}, count: 1}, pos: 1, left: 2, base: 9, cur: termPosting(9, 1), done: true}
 		a.order[0] = &a.lists[0]
 		a.postings, a.pruned = 7, 2
 		lists, order := a.lists, a.order
 		a.release()
 		kept := over == 0
-		if (a.lists != nil) != kept || (a.order != nil) != kept || (a.hits != nil) != kept ||
-			(a.arena != nil) != kept || (a.tails != nil) != kept {
-			t.Errorf("over=%d: kept lists=%v order=%v hits=%v arena=%v tails=%v, want %v", over,
-				a.lists != nil, a.order != nil, a.hits != nil, a.arena != nil, a.tails != nil, kept)
+		if (a.lists != nil) != kept || (a.order != nil) != kept || (a.hits != nil) != kept || (a.arena != nil) != kept {
+			t.Errorf("over=%d: kept lists=%v order=%v hits=%v arena=%v, want %v", over,
+				a.lists != nil, a.order != nil, a.hits != nil, a.arena != nil, kept)
 		}
 		if c := lists[0]; !reflect.DeepEqual(c, cursor{}) {
 			t.Errorf("over=%d: released cursor still holds evaluation state: %+v", over, c)
@@ -643,7 +641,7 @@ func TestReleaseKeepsNoOutsizedBuffer(t *testing.T) {
 			t.Errorf("over=%d: released order still points at a cursor", over)
 		}
 		if len(a.lists) != 0 || len(a.order) != 0 || len(a.hits) != 0 || len(a.arena) != 0 ||
-			len(a.tails) != 0 || a.k != 0 || a.topkCounters != (topkCounters{}) {
+			a.k != 0 || a.topkCounters != (topkCounters{}) {
 			t.Errorf("over=%d: released accumulator still holds evaluation state: %+v", over, a)
 		}
 	}
