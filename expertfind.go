@@ -335,10 +335,6 @@ func WithDistanceWeights(d0, d1, d2 float64) FindOption {
 	}
 }
 
-func (s *System) buildParams(opts []FindOption) (core.Params, error) {
-	return ResolveParams(opts...)
-}
-
 // Find ranks the candidate experts for an expertise need, best first.
 // Only candidates with positive expertise score are returned.
 func (s *System) Find(need string, opts ...FindOption) ([]Expert, error) {
@@ -359,7 +355,7 @@ func (s *System) FindContext(ctx context.Context, need string, opts ...FindOptio
 // (SetResultCache), "" when the query bypassed caching. The serving
 // layer reflects the disposition as the Cache-Status response header.
 func (s *System) FindCachedContext(ctx context.Context, need string, opts ...FindOption) ([]Expert, string, error) {
-	p, err := s.buildParams(opts)
+	p, err := ResolveParams(opts...)
 	if err != nil {
 		return nil, "", err
 	}
@@ -485,7 +481,7 @@ var ErrUnknownCandidate = errors.New("expertfind: unknown candidate")
 // options are reported before an unknown expert, whose error wraps
 // ErrUnknownCandidate.
 func (s *System) Explain(need, expertName string, topN int, opts ...FindOption) (Explanation, error) {
-	p, err := s.buildParams(opts)
+	p, err := ResolveParams(opts...)
 	if err != nil {
 		return Explanation{}, err
 	}

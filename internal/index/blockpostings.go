@@ -25,11 +25,12 @@ import (
 // two lists holding the same postings encode byte-identically
 // regardless of insertion history.
 //
-// Writes keep it so at build time (Index.Add), never during scoring,
+// Writes keep it so at build time (Index.write), never during scoring,
 // so concurrent Score calls stay read-only. A posting whose doc follows
 // the list's last is appended in place to the last block, or starts a
 // new block once that one holds blockSize postings; a write batch that
-// lands a posting below a list's last doc rebuilds that list once.
+// removes a posting from a list or lands one below its last doc
+// rewrites that list once, as a new list (postingList.write).
 //
 // The skip entries are what the top-k cursors consume: a seek passes
 // over every block whose maxDoc lies below its target without decoding
@@ -245,31 +246,77 @@ func (l *postingList) add(p posting) {
 	l.count++
 }
 
-// insert adds ps, ascending and the first below the list's last doc,
-// by rebuilding the list from the block the first lands in: the blocks
-// before it are full and stay as they are, since canonical blocks are
-// cut every blockSize postings from the list's start.
-func (l *postingList) insert(ps []posting) {
-	b := sort.Search(len(l.blocks), func(i int) bool { return l.blocks[i].maxDoc > ps[0].doc })
-	base := DocID(0)
-	if b > 0 {
-		base = l.blocks[b-1].maxDoc
+// write returns the list with the postings of the ascending ids gone
+// dropped and the ascending ps added, which hold no doc it keeps. If
+// it holds none of gone and ps follow its last doc, ps are appended in
+// place and l is returned. Otherwise the list is rewritten from the
+// first block that changes — the earlier of the first that holds a
+// gone id and the one ps[0] lands in — into a new list, nil if it is
+// left empty: the full blocks before that one are copied as they are,
+// since canonical blocks are cut every blockSize postings from the
+// list's start, and nothing l holds is written, so an index clone still
+// reading l is unaffected.
+func (l *postingList) write(gone []DocID, ps []posting) *postingList {
+	from := len(l.blocks)
+	if len(ps) > 0 && !l.follows(ps[0].doc) {
+		from = sort.Search(from, func(i int) bool { return l.blocks[i].maxDoc >= ps[0].doc })
 	}
-	rest := make([]posting, 0, l.count-b*blockSize)
-	for _, bm := range l.blocks[b:] {
+	base, lo := DocID(0), DocID(0) // block b's docs lie in [lo, its maxDoc]
+scan:
+	for b, bm := range l.blocks[:from] {
+		pos, d, n := bm.off, base, int(bm.n)
+		for i, _ := slices.BinarySearch(gone, lo); i < len(gone) && gone[i] <= bm.maxDoc; i++ {
+			if pos, d, n = l.kind.pass(l.data, pos, n, d, gone[i]); n == 0 {
+				break
+			}
+			if delta, _ := uvarintAt(l.data, pos); d+DocID(delta) == gone[i] {
+				from = b
+				break scan
+			}
+		}
+		base, lo = bm.maxDoc, bm.maxDoc+1
+	}
+	if from == len(l.blocks) {
+		for _, p := range ps {
+			l.add(p)
+		}
+		return l
+	}
+	base = 0
+	if from > 0 {
+		base = l.blocks[from-1].maxDoc
+	}
+	rest := make([]posting, 0, l.count-from*blockSize)
+	for _, bm := range l.blocks[from:] {
 		rest, _ = l.kind.decodeRun(rest, l.data, bm.off, int(bm.n), base)
 		base = bm.maxDoc
 	}
-	l.data, l.blocks, l.count = l.data[:l.blocks[b].off], l.blocks[:b], b*blockSize
+	w := &postingList{
+		kind:   l.kind,
+		data:   make([]byte, l.blocks[from].off, len(l.data)+len(ps)*(len(l.data)/l.count+1)),
+		blocks: make([]blockMeta, from, len(l.blocks)+len(ps)/blockSize+1),
+		count:  from * blockSize,
+	}
+	copy(w.data, l.data)
+	copy(w.blocks, l.blocks)
+	for _, bm := range w.blocks {
+		w.maxW = max(w.maxW, bm.maxW)
+	}
 	for len(rest) > 0 || len(ps) > 0 {
 		if len(ps) == 0 || len(rest) > 0 && rest[0].doc < ps[0].doc {
-			l.add(rest[0])
+			if _, drop := slices.BinarySearch(gone, rest[0].doc); !drop {
+				w.add(rest[0])
+			}
 			rest = rest[1:]
 		} else {
-			l.add(ps[0])
+			w.add(ps[0])
 			ps = ps[1:]
 		}
 	}
+	if w.count == 0 {
+		return nil
+	}
+	return w
 }
 
 // decodeAll returns every posting in ascending doc order — the
@@ -283,25 +330,6 @@ func (l *postingList) decodeAll() []posting {
 		base = bm.maxDoc
 	}
 	return out
-}
-
-// holdsAny reports whether the list holds a posting of any of the
-// ascending ids, decoding into buf (returned for reuse) only the blocks
-// whose doc range takes one of them.
-func (l *postingList) holdsAny(ids []DocID, buf []posting) (bool, []posting) {
-	base, lo := DocID(0), DocID(0) // the block's ids are in [lo, bm.maxDoc]
-	for _, bm := range l.blocks {
-		if i, _ := slices.BinarySearch(ids, lo); i < len(ids) && ids[i] <= bm.maxDoc {
-			buf, _ = l.kind.decodeRun(buf[:0], l.data, bm.off, int(bm.n), base)
-			for _, p := range buf {
-				if hasID(ids, p.doc) {
-					return true, buf
-				}
-			}
-		}
-		base, lo = bm.maxDoc, bm.maxDoc+1
-	}
-	return false, buf
 }
 
 func sortPostings(ps []posting) {

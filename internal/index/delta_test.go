@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"expertfind/internal/analysis"
@@ -84,6 +86,21 @@ func (st *corpusState) randomDelta(r *rand.Rand) Delta {
 	return d
 }
 
+// applyDelta applies d to ix as one write, the batch the store hands
+// its memtable.
+func applyDelta(ix *Index, d Delta) {
+	var gone []DocID
+	docs := slices.Clone(d.Adds)
+	for _, r := range d.Removes {
+		gone = append(gone, r.ID)
+	}
+	for _, u := range d.Updates {
+		gone = append(gone, u.ID)
+		docs = append(docs, Doc{ID: u.ID, A: u.New})
+	}
+	ix.write(gone, docs)
+}
+
 func (st *corpusState) docs() []Doc {
 	out := make([]Doc, 0, len(st.ids))
 	for _, id := range st.ids {
@@ -116,15 +133,7 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 
 		for round := 0; round < 6; round++ {
 			d := st.randomDelta(r)
-			for _, u := range d.Updates {
-				mono.Update(u.ID, u.New)
-			}
-			for _, rm := range d.Removes {
-				mono.Remove(rm.ID)
-			}
-			for _, a := range d.Adds {
-				mono.Add(a)
-			}
+			applyDelta(mono, d)
 			for _, s := range stores {
 				s.ApplyDelta(d)
 			}
@@ -273,6 +282,114 @@ func TestRemoveAcrossBlocks(t *testing.T) {
 	}
 }
 
+// writeFixture is 300 documents over lists whose blocks a write batch
+// changes in different ways: "a" holds every document (three blocks),
+// "b" the even ones, "c" those from 200 on, "d" those below 50 and "f"
+// those one past a multiple of 50.
+func writeFixture() []Doc {
+	var docs []Doc
+	for i := 0; i < 300; i++ {
+		terms := map[string]int{"a": 1 + i%3}
+		for t, in := range map[string]bool{"b": i%2 == 0, "c": i >= 200, "d": i < 50, "f": i%50 == 1} {
+			if in {
+				terms[t] = 1
+			}
+		}
+		docs = append(docs, Doc{ID: DocID(i), A: analysis.Analyzed{Terms: terms}})
+	}
+	return docs
+}
+
+// replaced returns docs without the gone ids, plus adds, in id order.
+func replaced(docs []Doc, gone []DocID, adds ...Doc) []Doc {
+	out := slices.DeleteFunc(slices.Clone(docs), func(d Doc) bool { return slices.Contains(gone, d.ID) })
+	out = append(out, adds...)
+	slices.SortFunc(out, docCmp)
+	return out
+}
+
+// TestWriteRewritesEachListOnce: one batch removes documents 10 and 150,
+// re-adds 10 with other terms and adds 300. It rewrites each list it
+// changes below the list's last doc exactly once — "a", which it both
+// removes from and re-adds to, "b" and "d", which lose a document, and
+// "c", which 10 lands below — and appends to "f" and the new "e" in
+// place; on a directory-less store the same delta moves the counter as
+// much. Both end byte-identical to a cold build of their documents.
+func TestWriteRewritesEachListOnce(t *testing.T) {
+	docs := writeFixture()
+	gone := []DocID{10, 150}
+	adds := []Doc{
+		{ID: 10, A: analysis.Analyzed{Terms: map[string]int{"a": 5, "c": 2}}},
+		{ID: 300, A: analysis.Analyzed{Terms: map[string]int{"e": 1, "f": 1}}},
+	}
+	want := flatFromDocs(replaced(docs, gone, adds...))
+
+	ix := flatFromDocs(docs)
+	f := ix.lists[termKey("f")]
+	before := mListRebuilds.Value()
+	ix.write(gone, adds)
+	if got := mListRebuilds.Value() - before; got != 4 {
+		t.Fatalf("the batch rewrote %g lists, want 4 (a, b, c, d)", got)
+	}
+	if ix.lists[termKey("f")] != f {
+		t.Fatal(`"f" was rewritten, not appended to in place`)
+	}
+	assertSameBytes(t, "index", want, ix)
+
+	s := memStore(docs, 2)
+	before = mListRebuilds.Value()
+	s.ApplyDelta(Delta{Removes: []Doc{{ID: 150}}, Updates: []DocUpdate{{ID: 10, New: adds[0].A}}, Adds: adds[1:]})
+	if got := mListRebuilds.Value() - before; got != 4 {
+		t.Fatalf("the store delta rewrote %g memtable lists, want 4", got)
+	}
+	assertSameBytes(t, "store", want, s)
+}
+
+// TestWriteOnCloneLeavesOriginal: a batch on a clone — removals in the
+// first and second blocks, an id re-added, a posting below a list's last
+// doc and one past the end of a list the batch also removes from —
+// rewrites the lists it changes as new lists, so the original still
+// serialises byte-identically to before, and the clone to a cold build
+// of its documents.
+func TestWriteOnCloneLeavesOriginal(t *testing.T) {
+	docs := writeFixture()
+	ix := flatFromDocs(docs)
+	var orig bytes.Buffer
+	if _, err := ix.WriteTo(&orig); err != nil {
+		t.Fatal(err)
+	}
+	gone := []DocID{10, 150}
+	adds := []Doc{
+		{ID: 10, A: analysis.Analyzed{Terms: map[string]int{"a": 5, "c": 2}}},
+		{ID: 300, A: analysis.Analyzed{Terms: map[string]int{"a": 1, "d": 1, "e": 1}}},
+	}
+	c := ix.clone()
+	c.write(gone, adds)
+	assertSameBytes(t, "clone", flatFromDocs(replaced(docs, gone, adds...)), c)
+	var got bytes.Buffer
+	if _, err := ix.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(orig.Bytes(), got.Bytes()) {
+		t.Fatal("a write on the clone changed the original's bytes")
+	}
+}
+
+// assertSameBytes fails unless got serialises as want does.
+func assertSameBytes(t *testing.T, name string, want *Index, got io.WriterTo) {
+	t.Helper()
+	var w, g bytes.Buffer
+	if _, err := want.WriteTo(&w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Bytes(), g.Bytes()) {
+		t.Fatalf("%s differs from a cold build of its documents", name)
+	}
+}
+
 // TestRemovePanicsOnUnknown pins the programming-error contract:
 // removing a document that is not indexed, or one twice in one call,
 // must panic rather than silently corrupt posting lists — and leave
@@ -335,7 +452,7 @@ func FuzzDeltaApply(f *testing.F) {
 				}
 				id := st.ids[int(op)%len(st.ids)]
 				na := randomAnalyzed(r)
-				ix.Update(id, na)
+				applyDelta(ix, Delta{Updates: []DocUpdate{{ID: id, New: na}}})
 				s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: id, Old: st.live[id], New: na}}})
 				seg.ApplyDelta(Delta{Updates: []DocUpdate{{ID: id, New: na}}})
 				st.live[id] = na

@@ -197,18 +197,21 @@ func FuzzIndexScore(f *testing.F) {
 }
 
 // FuzzBlockPostingsRoundTrip builds a term and an entity list through
-// Index.Add from fuzzed postings and checks the storage contract the
-// pruner relies on: whatever the insertion history, the list is the
-// canonical encoding of its postings — data, skip entries and maximum
-// equal to newPostingList's of the sorted postings, byte for byte — it
-// decodes to exactly the inserted postings, every skip entry's (maxDoc,
-// maxW) bounds its block's members, and a batch rebuilds each list
-// exactly when it lands a posting below the list's last doc. A posting
-// is three bytes: its doc-id gap, its freq and its dScore; one whose
-// freq byte has its top bit set is held back and added after the
-// others. That order is rotated by rot, reversed by reverse, and cut
-// into batches of 1+cuts[j] postings, cycling through cuts (one posting
-// a batch when cuts is empty).
+// Index.write from fuzzed postings and checks the storage contract the
+// pruner relies on: whatever the write history, after every batch each
+// list is the canonical encoding of its live postings — data, skip
+// entries, maximum and count equal to newPostingList's of them, byte
+// for byte, and no list once none is left — it decodes to exactly
+// those postings, every skip entry's (maxDoc, maxW) bounds its block's
+// members, and a batch rewrites each list exactly when it removes a
+// posting or lands one below the list's last doc. A posting is three
+// bytes: its doc-id gap, its freq and its dScore. The freq byte's top
+// bits are flags: 0x80 holds the posting back, to be added after the
+// others; 0x40 removes it again in the batch after the one adding it,
+// and 0x20 beside 0x40 re-adds it in that same batch, with another
+// freq. The order of adds is rotated by rot, reversed by reverse, and
+// cut into batches of 1+cuts[j] postings, cycling through cuts (one
+// posting a batch when cuts is empty).
 func FuzzBlockPostingsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 9, 0, 200}, uint8(0), false, []byte{})
 	f.Add([]byte{0, 0, 0}, uint8(7), false, []byte{})
@@ -227,28 +230,39 @@ func FuzzBlockPostingsRoundTrip(f *testing.F) {
 	// A batch of 290 after rotating by 10: the last 10 land below the
 	// first doc.
 	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(10), false, []byte{255, 33, 9})
+	// Every third posting removed in the batch after its own, every
+	// sixth of them re-added there: batches that remove inside full
+	// blocks, at the list's last doc, and replace an id in place.
+	churn := bytes.Repeat([]byte{5, 1, 128, 3, 2, 9, 7, 0x41, 60, 5, 3, 1, 2, 1, 77, 4, 0x63, 200}, 50)
+	f.Add(churn, uint8(0), false, []byte{40, 0, 129})
+	// The same, one posting a batch, and reversed in batches of 64.
+	f.Add(churn, uint8(0), false, []byte{})
+	f.Add(churn, uint8(3), true, []byte{63})
+	// Every other posting of a 256-posting batch removed in the next,
+	// none re-added: removals in two blocks before any add lands.
+	f.Add(bytes.Repeat([]byte{5, 1, 128, 3, 0x42, 9}, 150), uint8(0), false, []byte{255})
 
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8, reverse bool, cuts []byte) {
-		var tps, eps []posting
-		var early, late []Doc
-		doc := DocID(0)
-		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
-			doc += DocID(data[i]%13) + 1 // strictly ascending: one posting per doc
-			tf := int32(data[i+1]%7) + 1
-			ds := float64(data[i+2]) / 255
-			tps = append(tps, termPosting(doc, tf))
-			eps = append(eps, entityPosting(doc, tf, ds))
-			d := Doc{ID: doc, A: analysis.Analyzed{
+		doc := func(id DocID, tf int32, ds float64) Doc {
+			return Doc{ID: id, A: analysis.Analyzed{
 				Terms:    map[string]int{"t": int(tf)},
 				Entities: map[kb.EntityID]analysis.EntityStats{1: {Freq: int(tf), DScore: ds}},
 			}}
+		}
+		var early, late []Doc
+		flags := map[DocID]byte{}
+		id := DocID(0)
+		for i := 0; i+2 < len(data) && len(flags) < 600; i += 3 {
+			id += DocID(data[i]%13) + 1 // strictly ascending: one posting per doc
+			flags[id] = data[i+1]
+			d := doc(id, int32(data[i+1]%7)+1, float64(data[i+2])/255)
 			if data[i+1] >= 0x80 {
 				late = append(late, d)
 			} else {
 				early = append(early, d)
 			}
 		}
-		if len(tps) == 0 {
+		if len(flags) == 0 {
 			return
 		}
 		order := append(early, late...)
@@ -258,37 +272,80 @@ func FuzzBlockPostingsRoundTrip(f *testing.F) {
 			slices.Reverse(order)
 		}
 
-		ix := New()
-		last := DocID(math.MinInt32) // the largest doc added so far
-		for j := 0; len(order) > 0; j++ {
+		ix, live := New(), map[DocID]Doc{}
+		liveIDs := func() []DocID {
+			ids := make([]DocID, 0, len(live))
+			for id := range live {
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			return ids
+		}
+		var again []Doc // added by the last batch and flagged for removal
+		for j := 0; len(order) > 0 || len(again) > 0; j++ {
 			n := 1
 			if len(cuts) > 0 {
 				n += int(cuts[j%len(cuts)])
 			}
-			batch := order[:min(n, len(order))]
+			batch := slices.Clone(order[:min(n, len(order))])
 			order = order[len(batch):]
+			ids := liveIDs()
+			last := DocID(math.MinInt32) // the lists' last doc
+			if len(ids) > 0 {
+				last = ids[len(ids)-1]
+			}
+			var gone []DocID
+			for _, d := range again {
+				gone = append(gone, d.ID)
+				delete(live, d.ID)
+				if flags[d.ID]&0x20 != 0 {
+					tf := int32(d.A.Terms["t"])
+					batch = append(batch, doc(d.ID, tf%7+1, d.A.Entities[1].DScore))
+				}
+			}
+			again = again[:0]
 			want := mListRebuilds.Value()
-			if slices.ContainsFunc(batch, func(d Doc) bool { return d.ID < last }) {
+			if len(gone) > 0 || slices.ContainsFunc(batch, func(d Doc) bool { return d.ID < last }) {
 				want += 2 // the term list and the entity list
 			}
-			ix.Add(batch...)
+			ix.write(gone, batch)
 			if got := mListRebuilds.Value(); got != want {
-				t.Fatalf("batch %d: %g list rebuilds, want %g", j, got, want)
+				t.Fatalf("batch %d: %g list rewrites, want %g", j, got, want)
 			}
 			for _, d := range batch {
-				last = max(last, d.ID)
+				if flags[d.ID]&0x40 != 0 && !slices.Contains(gone, d.ID) {
+					again = append(again, d)
+				}
+				live[d.ID] = d
 			}
-		}
-		for k, ps := range map[listKey][]posting{termKey("t"): tps, entityKey(1): eps} {
-			l, want := ix.lists[k], newPostingList(k.kind, ps)
-			if !bytes.Equal(l.data, want.data) || !slices.Equal(l.blocks, want.blocks) || l.maxW != want.maxW || l.count != want.count {
-				t.Fatalf("%v differs from its canonical encoding (rot %d, reverse %v, %d postings): %d blocks, maxW %g; want %d, %g",
-					k, r, reverse, len(ps), len(l.blocks), l.maxW, len(want.blocks), want.maxW)
+			var tps, eps []posting
+			for _, id := range liveIDs() {
+				eachPosting(id, live[id].A, func(k listKey, p posting) {
+					if k.kind == termKind {
+						tps = append(tps, p)
+					} else {
+						eps = append(eps, p)
+					}
+				})
 			}
-			if got := l.decodeAll(); !slices.Equal(got, ps) {
-				t.Fatalf("%v decodes to %d postings, want the %d inserted", k, len(got), len(ps))
+			for k, ps := range map[listKey][]posting{termKey("t"): tps, entityKey(1): eps} {
+				l := ix.lists[k]
+				if len(ps) == 0 {
+					if l != nil {
+						t.Fatalf("batch %d: %v holds %d postings with no live doc", j, k, l.count)
+					}
+					continue
+				}
+				want := newPostingList(k.kind, ps)
+				if !bytes.Equal(l.data, want.data) || !slices.Equal(l.blocks, want.blocks) || l.maxW != want.maxW || l.count != want.count {
+					t.Fatalf("batch %d: %v differs from its canonical encoding (rot %d, reverse %v, %d postings): %d blocks, maxW %g; want %d, %g",
+						j, k, r, reverse, len(ps), len(l.blocks), l.maxW, len(want.blocks), want.maxW)
+				}
+				if got := l.decodeAll(); !slices.Equal(got, ps) {
+					t.Fatalf("batch %d: %v decodes to %d postings, want the %d live", j, k, len(got), len(ps))
+				}
+				checkBounds(t, l)
 			}
-			checkBounds(t, l)
 		}
 	})
 }

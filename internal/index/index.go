@@ -44,7 +44,7 @@ var (
 		"Positively scored resources returned across Score calls.")
 	mListRebuilds = telemetry.Default().Counter(
 		"expertfind_index_list_rebuilds_total",
-		"In-memory posting lists a write rebuilt because one of its postings landed below the list's last document.")
+		"In-memory posting lists a write rewrote because it removed one of their postings or landed one below the list's last document.")
 )
 
 // DocID identifies an indexed resource.
@@ -146,22 +146,41 @@ func eachPosting(id DocID, a analysis.Analyzed, fn func(listKey, posting)) {
 	}
 }
 
-// Add indexes a batch of analyzed resources in id order. A posting
+// Add indexes a batch of analyzed resources (write).
+func (ix *Index) Add(docs ...Doc) { ix.write(nil, docs) }
+
+// Remove deletes indexed resources by id (write).
+func (ix *Index) Remove(ids ...DocID) { ix.write(ids, nil) }
+
+// write is the one write path: it removes the documents gone names and
+// indexes docs, as one batch, and an id in both is replaced. A posting
 // whose document follows its list's last is appended in place; every
-// list the batch lands a posting below its last document is rebuilt
-// once, after the batch, from the block the first such posting lands
-// in, so a write costs at most one pass over each list it touches.
-// Adding an id already indexed, or one twice, is a programming error
-// and panics before anything changes.
-func (ix *Index) Add(docs ...Doc) {
+// other list the batch touches is rewritten once, into a new list, from
+// the first block the batch changes (postingList.write), and a list
+// left empty leaves the map. The index is then indistinguishable from a
+// cold build of its documents, byte for byte. Removing an id that is
+// not indexed, or one twice, and adding one that is indexed and not
+// removed, or one twice, are programming errors and panic before
+// anything changes.
+func (ix *Index) write(gone []DocID, docs []Doc) {
+	gone = slices.Clone(gone)
+	slices.Sort(gone)
 	if !slices.IsSortedFunc(docs, docCmp) {
 		docs = slices.Clone(docs)
 		slices.SortFunc(docs, docCmp)
 	}
+	for i, id := range gone {
+		if !hasID(ix.ids, id) || i > 0 && gone[i-1] == id {
+			panic("index: removing unknown document")
+		}
+	}
 	for i, d := range docs {
-		if hasID(ix.ids, d.ID) || i > 0 && docs[i-1].ID == d.ID {
+		if hasID(ix.ids, d.ID) && !hasID(gone, d.ID) || i > 0 && docs[i-1].ID == d.ID {
 			panic("index: duplicate document")
 		}
+	}
+	if len(gone) > 0 {
+		ix.ids = slices.DeleteFunc(ix.ids, func(id DocID) bool { return hasID(gone, id) })
 	}
 	n := len(ix.ids)
 	for _, d := range docs {
@@ -170,7 +189,11 @@ func (ix *Index) Add(docs ...Doc) {
 	if n > 0 && len(docs) > 0 && docs[0].ID < ix.ids[n-1] {
 		slices.Sort(ix.ids)
 	}
-	late := map[listKey][]posting{} // postings below their list's last doc
+	// Without removals a posting that follows its list is appended
+	// here. With them every posting waits for its list's one write,
+	// which looks for the removed ids in the list as it was, so a
+	// re-added id's new posting is never taken for its old one.
+	late := map[listKey][]posting{}
 	for _, d := range docs {
 		eachPosting(d.ID, d.A, func(k listKey, p posting) {
 			l := ix.lists[k]
@@ -178,80 +201,41 @@ func (ix *Index) Add(docs ...Doc) {
 				l = &postingList{kind: k.kind}
 				ix.lists[k] = l
 			}
-			if l.follows(p.doc) {
+			if _, waits := late[k]; !waits && len(gone) == 0 && l.follows(p.doc) {
 				l.add(p)
 			} else {
 				late[k] = append(late[k], p)
 			}
 		})
 	}
-	for k, ps := range late {
-		ix.lists[k].insert(ps)
+	put := func(k listKey, l *postingList) {
+		switch w := l.write(gone, late[k]); {
+		case w == l:
+			return
+		case w == nil:
+			delete(ix.lists, k)
+		default:
+			ix.lists[k] = w
+		}
 		mListRebuilds.Inc()
+	}
+	if len(gone) > 0 {
+		for k, l := range ix.lists {
+			put(k, l)
+		}
+		return
+	}
+	for k := range late {
+		put(k, ix.lists[k])
 	}
 }
 
 func docCmp(a, b Doc) int { return cmp.Compare(a.ID, b.ID) }
 
-// Remove deletes previously indexed resources, by id, in one pass over
-// the lists: every list holding one of them is rebuilt once into
-// canonical blocks with its maxima recomputed, and lists left
-// empty are dropped from the map entirely — the index is
-// indistinguishable from one that never saw the documents, so a
-// delta-applied index serializes byte-identically to a cold rebuild.
-// A list is replaced, never changed in place, so a clone's lists stay
-// the original's. Removing an unknown document, or one twice, is a
-// programming error and panics.
-func (ix *Index) Remove(ids ...DocID) {
-	gone := slices.Clone(ids)
-	slices.Sort(gone)
-	kept, j := ix.ids[:0], 0
-	for _, d := range ix.ids {
-		if j < len(gone) && gone[j] == d {
-			j++
-			continue
-		}
-		kept = append(kept, d)
-	}
-	if j < len(gone) {
-		panic("index: removing unknown document")
-	}
-	ix.ids = kept
-	var buf []posting
-	for k, l := range ix.lists {
-		var holds bool
-		if holds, buf = l.holdsAny(gone, buf); !holds {
-			continue
-		}
-		if ps := dropDocs(l.decodeAll(), func(d DocID) bool { return hasID(gone, d) }); len(ps) == 0 {
-			delete(ix.lists, k)
-		} else {
-			ix.lists[k] = newPostingList(k.kind, ps)
-		}
-	}
-}
-
-// dropDocs filters, in place, the postings whose document drop
-// reports.
-func dropDocs(ps []posting, drop func(DocID) bool) []posting {
-	kept := ps[:0]
-	for _, p := range ps {
-		if !drop(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-// Update replaces the indexed form of a document with a.
-func (ix *Index) Update(id DocID, a analysis.Analyzed) {
-	ix.Remove(id)
-	ix.Add(Doc{ID: id, A: a})
-}
-
-// clone returns a copy that shares the lists: Remove on either one
-// leaves the other as it was. Add writes lists in place, so neither
-// may take an Add after a clone.
+// clone returns a copy that shares the lists. A list write rewrites is
+// a new list, so a write on either leaves the other as it was, except
+// for a posting appended in place: neither may take an add past a
+// list's last doc after a clone (the store's clones take removals only).
 func (ix *Index) clone() *Index {
 	return &Index{lists: maps.Clone(ix.lists), ids: slices.Clone(ix.ids)}
 }

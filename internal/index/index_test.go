@@ -262,10 +262,11 @@ func BenchmarkScore(b *testing.B) {
 
 // BenchmarkIndexAdd reports the write path's postings/s on the 60 000
 // document bench corpus: a bulk build in id order, one batch as
-// Store.AddBatch hands it, which appends every posting in place; and a
-// batch of 64 updates spread over the id range, timed from the removal
-// through the re-add, whose postings land below the last doc of every
-// large list they touch and so rebuild each once.
+// Store.AddBatch hands it, which appends every posting in place; and 64
+// updates spread over the id range, whose removals and re-adds land
+// below the last doc of every large list they touch — update-below as
+// a removal and then an add, update-batch as one batch, the write a
+// store delta makes, which rewrites each of those lists once.
 func BenchmarkIndexAdd(b *testing.B) {
 	docs, _ := benchStoreCorpus()
 	postings := func(docs []Doc) int {
@@ -282,22 +283,29 @@ func BenchmarkIndexAdd(b *testing.B) {
 		}
 		b.ReportMetric(float64(postings(docs)*b.N)/b.Elapsed().Seconds(), "postings/s")
 	})
-	b.Run("update-below", func(b *testing.B) {
-		ix := New()
-		ix.Add(docs...)
-		var batch []Doc
-		var ids []DocID
-		for i := 0; i < 64; i++ {
-			d := docs[i*len(docs)/64]
-			batch = append(batch, Doc{ID: d.ID, A: docs[len(docs)-1-i].A})
-			ids = append(ids, d.ID)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ix.Remove(ids...)
-			ix.Add(batch...)
-		}
-		b.ReportMetric(float64(postings(batch)*b.N)/b.Elapsed().Seconds(), "postings/s")
-	})
+	var batch []Doc
+	var ids []DocID
+	for i := 0; i < 64; i++ {
+		d := docs[i*len(docs)/64]
+		batch = append(batch, Doc{ID: d.ID, A: docs[len(docs)-1-i].A})
+		ids = append(ids, d.ID)
+	}
+	for _, c := range []struct {
+		name  string
+		write func(*Index)
+	}{
+		{"update-below", func(ix *Index) { ix.Remove(ids...); ix.Add(batch...) }},
+		{"update-batch", func(ix *Index) { ix.write(ids, batch) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ix := New()
+			ix.Add(docs...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.write(ix)
+			}
+			b.ReportMetric(float64(postings(batch)*b.N)/b.Elapsed().Seconds(), "postings/s")
+		})
+	}
 }

@@ -170,7 +170,7 @@ func TestSearchOracleGrid(t *testing.T) {
 			t.Fatal("the shuffled adds rebuilt no list; the layout is not the one under test")
 		}
 		rebuilds = mListRebuilds.Value()
-		ix.Update(low.ID, updated.A)
+		applyDelta(ix, Delta{Updates: []DocUpdate{{ID: low.ID, New: updated.A}}})
 		if mListRebuilds.Value() == rebuilds {
 			t.Fatal("the update re-adding the lowest id rebuilt no list")
 		}

@@ -370,15 +370,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 		s.ApplyDelta(d)
 		checkTombDF(t, s, fmt.Sprintf("round %d", round))
 		checkForward(t, s, live, fmt.Sprintf("round %d", round))
-		for _, rm := range d.Removes {
-			mono.Remove(rm.ID)
-		}
-		for _, u := range d.Updates {
-			mono.Update(u.ID, u.New)
-		}
-		for _, a := range d.Adds {
-			mono.Add(a)
-		}
+		applyDelta(mono, d)
 
 		if s.NumDocs() != mono.NumDocs() {
 			t.Fatalf("round %d: NumDocs %d, want %d", round, s.NumDocs(), mono.NumDocs())
@@ -583,7 +575,7 @@ func TestStoreSealFailureKeepsServing(t *testing.T) {
 			newA := randomDocs(99, 1, 0)[0].A
 			s.ApplyDelta(Delta{Removes: []Doc{gone}, Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
 			mono.Remove(gone.ID)
-			mono.Update(changed.ID, newA)
+			applyDelta(mono, Delta{Updates: []DocUpdate{{ID: changed.ID, New: newA}}})
 			// An unwritten segment has no forward section to tombstone by:
 			// the delta drops both documents from a copy of its frozen index.
 			if st := s.Status(); st.Tombstones != 0 || st.Segments[len(st.Segments)-1].Docs != len(docs)-first-2 || st.MemtableDocs != 1 {
@@ -771,7 +763,7 @@ func TestStoreReplaceCarriesOverTombstones(t *testing.T) {
 			}
 			newA := randomDocs(77, 1, 0)[0].A
 			s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: changed.ID, Old: changed.A, New: newA}}})
-			mono.Update(changed.ID, newA)
+			applyDelta(mono, Delta{Updates: []DocUpdate{{ID: changed.ID, New: newA}}})
 			live[slices.IndexFunc(live, func(l Doc) bool { return l.ID == changed.ID })].A = newA
 			s.swap(victims, srcs, r, n, m)
 

@@ -482,30 +482,54 @@ func (s *Store) AddBatch(docs []Doc) error {
 // persists the growth.
 func (s *Store) ApplyDelta(d Delta) { s.write(d) }
 
-// write is the one write path, under the store write lock: the
-// removed and the updated documents go first, by id (removeLocked),
-// then the updates' new forms and the adds land in the memtable as one
-// batch. It reports whether a seal is due.
+// write is the one write path, under the store write lock. A removed
+// or updated document that a written segment holds is tombstoned there;
+// one an unwritten segment holds is removed from a copy of its frozen
+// index (a replace may be writing the original). The memtable then
+// takes one write: its own removed and updated ids, the updates' new
+// forms and the adds. It reports whether a seal is due.
 func (s *Store) write(d Delta) (sealDue bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gone := make([]DocID, 0, len(d.Removes)+len(d.Updates))
+	var mem []DocID
+	frozen := map[*storeSegment][]DocID{}
+	remove := func(id DocID) {
+		if s.mem.Has(id) {
+			mem = append(mem, id)
+			return
+		}
+		switch g := s.liveSegLocked(id); {
+		case g == nil:
+			panic("index: removing unknown document")
+		case g.frozen != nil:
+			frozen[g] = append(frozen[g], id)
+		default:
+			g.tomb.add(id)
+		}
+	}
 	for _, r := range d.Removes {
-		gone = append(gone, r.ID)
+		remove(r.ID)
 	}
-	for _, u := range d.Updates {
-		gone = append(gone, u.ID)
-	}
-	s.removeLocked(gone)
 	docs := d.Adds
 	if len(d.Updates) > 0 {
 		docs = make([]Doc, 0, len(d.Updates)+len(d.Adds))
 		for _, u := range d.Updates {
+			remove(u.ID)
 			docs = append(docs, Doc{ID: u.ID, A: u.New})
 		}
 		docs = append(docs, d.Adds...)
 	}
-	s.addLocked(docs)
+	for g, ids := range frozen {
+		f := g.frozen.clone()
+		f.Remove(ids...)
+		g.frozen = f
+	}
+	for _, doc := range docs {
+		if s.liveSegLocked(doc.ID) != nil {
+			panic("index: duplicate document")
+		}
+	}
+	s.mem.write(mem, docs)
 	s.updateGauges()
 	return s.sealDueLocked()
 }
@@ -525,48 +549,6 @@ func (s *Store) sealDueLocked() bool {
 		}
 	}
 	return n >= s.opts.FlushDocs
-}
-
-// addLocked hands docs to the memtable in one batch, leaving a
-// duplicate there to Index.Add's panic.
-func (s *Store) addLocked(docs []Doc) {
-	for _, d := range docs {
-		if s.liveSegLocked(d.ID) != nil {
-			panic("index: duplicate document")
-		}
-	}
-	s.mem.Add(docs...)
-}
-
-// removeLocked removes ids, each live somewhere in the store: the
-// memtable drops its own in one pass over its lists, an unwritten
-// segment in one pass over a copy of its frozen index (a replace may be
-// writing the original), and a written segment tombstones its own.
-func (s *Store) removeLocked(ids []DocID) {
-	var mem []DocID
-	frozen := map[*storeSegment][]DocID{}
-	for _, id := range ids {
-		if s.mem.Has(id) {
-			mem = append(mem, id)
-			continue
-		}
-		switch g := s.liveSegLocked(id); {
-		case g == nil:
-			panic("index: removing unknown document")
-		case g.frozen != nil:
-			frozen[g] = append(frozen[g], id)
-		default:
-			g.tomb.add(id)
-		}
-	}
-	if len(mem) > 0 {
-		s.mem.Remove(mem...)
-	}
-	for g, ids := range frozen {
-		f := g.frozen.clone()
-		f.Remove(ids...)
-		g.frozen = f
-	}
 }
 
 // Seal freezes the memtable into an immutable segment and writes every

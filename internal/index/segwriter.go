@@ -1,5 +1,7 @@
 package index
 
+import "slices"
+
 // component is what the store scores and merges: an in-memory Index
 // (the memtable, or a frozen one awaiting its disk file) or a sealed
 // SegmentReader.
@@ -60,5 +62,5 @@ func (s mergeSource) postings(k listKey) []posting {
 	if s.drop.ids.size() == 0 {
 		return ps
 	}
-	return dropDocs(ps, s.drop.has)
+	return slices.DeleteFunc(ps, func(p posting) bool { return s.drop.has(p.doc) })
 }
