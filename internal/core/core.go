@@ -482,16 +482,25 @@ func rank(nMatches int, match func(i int) (float64, []socialgraph.CandidateDista
 	for i := 0; i < n; i++ {
 		score, cands := match(i)
 		for _, cd := range cands {
-			j, ok := t.slot[cd.Candidate]
-			if !ok {
-				j = len(t.experts)
-				t.slot[cd.Candidate] = j
-				t.experts = append(t.experts, ExpertScore{User: cd.Candidate})
+			u := int(cd.Candidate)
+			if u >= len(t.slot) {
+				t.slot = append(t.slot, make([]int32, u+1-len(t.slot))...)
 			}
-			e := &t.experts[j]
+			j := t.slot[u]
+			if j == 0 {
+				t.experts = append(t.experts, ExpertScore{User: cd.Candidate})
+				j = int32(len(t.experts))
+				t.slot[u] = j
+			}
+			e := &t.experts[j-1]
 			e.Score += score * w[cd.Distance]
 			e.Resources++
 		}
+	}
+	// Reset the table while experts still names every slot set: the
+	// filter below compacts it.
+	for _, e := range t.experts {
+		t.slot[e.User] = 0
 	}
 
 	ranked := t.experts[:0]
@@ -517,22 +526,26 @@ func expertCmp(a, b ExpertScore) int {
 }
 
 // tally is the scratch of one Eq. (3) aggregation: the experts in the
-// order the window first reaches them, and each one's slot in it.
+// order the window first reaches them, and a table indexed by UserID
+// holding 1 + each one's index in experts (0: not reached). The table
+// is as long as the largest candidate id reached + 1; a generated
+// corpus creates its candidates first, so that is the pool's size.
 type tally struct {
-	slot    map[socialgraph.UserID]int
+	slot    []int32
 	experts []ExpertScore
 }
 
-// maxPooledExperts bounds the experts a released tally may have held
-// (about 400 KiB of buffers): clearing a map costs its high-water size,
-// so one outsized rank must not tax every later one.
+// maxPooledExperts bounds the table a released tally may keep, and with
+// it the experts it held, one per distinct id (about 450 KiB of buffers
+// together): one outsized rank, or one candidate with a high id, must
+// not pin its high-water mark in the pool.
 const maxPooledExperts = 1 << 14
 
 // tallyFree is the free list of released tallies. It keeps at most
 // eight, as the index's accumulator free list does, so idle tallies pin
-// about 3 MiB at most. Not a sync.Pool, for the accumulators' reason: a
-// pool empties with the garbage collector's cycles and keeps one slot
-// per P, so a caller moved between Ps would regrow its map at times
+// about 3.5 MiB at most. Not a sync.Pool, for the accumulators' reason:
+// a pool empties with the garbage collector's cycles and keeps one slot
+// per P, so a caller moved between Ps would regrow its buffers at times
 // nothing in the program chooses.
 var tallyFree = make(chan *tally, 8)
 
@@ -543,17 +556,17 @@ func newTally() *tally {
 	case t := <-tallyFree:
 		return t
 	default:
-		return &tally{slot: make(map[socialgraph.UserID]int)}
+		return new(tally)
 	}
 }
 
-// release empties the tally onto the free list. An outsized one, or one
-// that finds the list full, is dropped.
+// release empties the tally onto the free list; rank has already
+// zeroed the table's slots. An outsized one, or one that finds the
+// list full, is dropped.
 func (t *tally) release() {
 	if len(t.slot) > maxPooledExperts {
 		return
 	}
-	clear(t.slot)
 	t.experts = t.experts[:0]
 	select {
 	case tallyFree <- t:

@@ -153,39 +153,125 @@ func TestPooledTallyIsolation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTallyReleaseBound: a released tally is empty on the free list,
-// and one that held more than maxPooledExperts experts is dropped
-// rather than kept for every later rank to clear.
+// drainTallies empties the tally free list and returns what it held.
+func drainTallies() []*tally {
+	var out []*tally
+	for {
+		select {
+		case tl := <-tallyFree:
+			out = append(out, tl)
+		default:
+			return out
+		}
+	}
+}
+
+// TestTallyReleaseBound: a tally a rank released is empty on the free
+// list, every slot of its table zero (that of an expert the positive
+// filter dropped too), and one whose table grew past maxPooledExperts
+// is dropped rather than pinned in the pool.
 func TestTallyReleaseBound(t *testing.T) {
-	drain := func() {
-		for {
-			select {
-			case <-tallyFree:
-			default:
-				return
+	many := make([]socialgraph.UserID, maxPooledExperts+1)
+	for u := range many {
+		many[u] = socialgraph.UserID(u)
+	}
+	for _, tc := range []struct {
+		name   string
+		users  []socialgraph.UserID
+		pooled bool
+	}{
+		{"three experts", []socialgraph.UserID{2, 0, 1}, true},
+		{"table at the bound", []socialgraph.UserID{maxPooledExperts - 1}, true},
+		{"experts past the bound", many, false},
+		{"table past the bound", []socialgraph.UserID{5, maxPooledExperts}, false},
+	} {
+		cands := make([]socialgraph.CandidateDistance, len(tc.users))
+		for i, u := range tc.users {
+			cands[i] = socialgraph.CandidateDistance{Candidate: u, Distance: i % 3}
+		}
+		drainTallies()
+		matches := []ShardMatch{
+			{Doc: 1, Score: 2, Cands: cands},
+			{Doc: 2, Score: 0, Cands: []socialgraph.CandidateDistance{{Candidate: 7}}},
+		}
+		if got := RankMerged(matches, Params{}); len(got) != len(tc.users) {
+			t.Fatalf("%s: ranked %d experts, want %d", tc.name, len(got), len(tc.users))
+		}
+		kept := drainTallies()
+		if !tc.pooled {
+			if len(kept) != 0 {
+				t.Errorf("%s: a tally with %d experts and a %d-slot table was pooled, bound %d",
+					tc.name, len(kept[0].experts), len(kept[0].slot), maxPooledExperts)
+			}
+			continue
+		}
+		if len(kept) != 1 {
+			t.Fatalf("%s: %d tallies pooled, want 1", tc.name, len(kept))
+		}
+		if len(kept[0].experts) != 0 {
+			t.Errorf("%s: released tally still holds %d experts", tc.name, len(kept[0].experts))
+		}
+		for u, j := range kept[0].slot {
+			if j != 0 {
+				t.Errorf("%s: released tally's slot %d holds %d", tc.name, u, j)
 			}
 		}
 	}
-	for _, size := range []int{3, maxPooledExperts + 1} {
-		drain()
-		tl := newTally()
-		for u := 0; u < size; u++ {
-			tl.slot[socialgraph.UserID(u)] = u
-			tl.experts = append(tl.experts, ExpertScore{User: socialgraph.UserID(u), Score: 1, Resources: 1})
+}
+
+// TestRankFarCandidate: a candidate id far past the pooling bound
+// grows the table for one rank, and the ranks before, with and after
+// it still equal the oracle's.
+func TestRankFarCandidate(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	far := socialgraph.UserID(maxPooledExperts * 40)
+	for rep := 0; rep < 3; rep++ {
+		plain := randomShardMatches(r, 50)
+		withFar := randomShardMatches(r, 50)
+		for i := range withFar {
+			if i%7 == 3 {
+				withFar[i].Cands = append(withFar[i].Cands, socialgraph.CandidateDistance{Candidate: far, Distance: i % 3})
+			}
 		}
-		tl.release()
-		select {
-		case got := <-tallyFree:
-			if size > maxPooledExperts {
-				t.Errorf("a tally of %d experts was pooled, bound %d", size, maxPooledExperts)
+		for _, matches := range [][]ShardMatch{plain, withFar, plain} {
+			for pi, p := range rankParams(len(matches)) {
+				want := oracleRank(len(matches), func(i int) (float64, []socialgraph.CandidateDistance) {
+					return matches[i].Score, matches[i].Cands
+				}, p)
+				assertExpertsBitIdentical(t, fmt.Sprintf("rep%d params%d", rep, pi), want, RankMerged(matches, p))
 			}
-			if len(got.slot) != 0 || len(got.experts) != 0 {
-				t.Errorf("released tally still holds %d slots and %d experts", len(got.slot), len(got.experts))
-			}
-		default:
-			if size <= maxPooledExperts {
-				t.Errorf("a tally of %d experts was not pooled", size)
-			}
+		}
+	}
+}
+
+// TestRankAllocs: a warm rank allocates only the slice it returns.
+func TestRankAllocs(t *testing.T) {
+	matches := randomShardMatches(rand.New(rand.NewSource(67)), 100)
+	RankMerged(matches, Params{}) // warm a tally
+	if got := testing.AllocsPerRun(100, func() { RankMerged(matches, Params{}) }); got != 1 {
+		t.Errorf("a warm RankMerged made %.1f allocations, want 1", got)
+	}
+}
+
+// BenchmarkRank is the Eq. (3) tally over the paper's window: 100
+// matches, each reaching up to three of a 40-candidate pool.
+func BenchmarkRank(b *testing.B) {
+	r := rand.New(rand.NewSource(71))
+	matches := make([]ShardMatch, 100)
+	score := 4.0
+	for i := range matches {
+		score *= 0.98
+		cands := make([]socialgraph.CandidateDistance, 1+r.Intn(3))
+		for j := range cands {
+			cands[j] = socialgraph.CandidateDistance{Candidate: socialgraph.UserID(r.Intn(40)), Distance: r.Intn(3)}
+		}
+		matches[i] = ShardMatch{Doc: index.DocID(i), Score: score, Cands: cands}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(RankMerged(matches, Params{})) == 0 {
+			b.Fatal("no experts")
 		}
 	}
 }

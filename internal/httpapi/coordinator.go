@@ -103,12 +103,13 @@ type degradedInfo struct {
 }
 
 func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter, r *http.Request) {
-	need := r.URL.Query().Get("q")
+	q := r.URL.Query()
+	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
 		return
 	}
-	opts, top, err := parseOptions(r)
+	opts, top, err := parseOptions(q)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -119,7 +120,7 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 		return
 	}
 
-	res, err := co.Find(r.Context(), need, r.URL.Query(), p)
+	res, err := co.Find(r.Context(), need, q, p)
 	if err != nil {
 		telemetry.TraceFrom(r.Context()).SetAttr("error", err.Error())
 		var mal *scatter.MalformedError

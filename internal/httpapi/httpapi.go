@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -366,12 +367,13 @@ type findResponse struct {
 }
 
 func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	need := r.URL.Query().Get("q")
+	q := r.URL.Query()
+	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
 		return
 	}
-	opts, top, err := parseOptions(r)
+	opts, top, err := parseOptions(q)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -398,12 +400,13 @@ type bestNetworkResponse struct {
 }
 
 func (h *Handler) bestNetwork(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	need := r.URL.Query().Get("q")
+	q := r.URL.Query()
+	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
 		return
 	}
-	opts, top, err := parseOptions(r)
+	opts, top, err := parseOptions(q)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -430,7 +433,7 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 		writeError(w, r, http.StatusBadRequest, "missing required parameters: q, expert")
 		return
 	}
-	opts, top, err := parseOptions(r)
+	opts, top, err := parseOptions(q)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -450,9 +453,9 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 	writeJSON(w, http.StatusOK, expl)
 }
 
-// parseOptions converts query parameters into Find options.
-func parseOptions(r *http.Request) (opts []expertfind.FindOption, top int, err error) {
-	q := r.URL.Query()
+// parseOptions converts a request's parsed query parameters into Find
+// options.
+func parseOptions(q url.Values) (opts []expertfind.FindOption, top int, err error) {
 	if v := q.Get("alpha"); v != "" {
 		alpha, err := strconv.ParseFloat(v, 64)
 		if err != nil {

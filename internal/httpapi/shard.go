@@ -10,7 +10,6 @@ package httpapi
 import (
 	"encoding/json"
 	"net/http"
-	"net/url"
 
 	"expertfind"
 	"expertfind/internal/scatter"
@@ -76,8 +75,7 @@ func (h *Handler) shardFind(sys *expertfind.System, w http.ResponseWriter, r *ht
 		writeError(w, r, http.StatusBadRequest, "missing required field: need")
 		return
 	}
-	forwarded := &http.Request{URL: &url.URL{RawQuery: req.ParamValues().Encode()}}
-	opts, _, err := parseOptions(forwarded)
+	opts, _, err := parseOptions(req.ParamValues())
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return

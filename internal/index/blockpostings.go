@@ -262,10 +262,17 @@ func (l *postingList) write(gone []DocID, ps []posting) *postingList {
 		from = sort.Search(from, func(i int) bool { return l.blocks[i].maxDoc >= ps[0].doc })
 	}
 	base, lo := DocID(0), DocID(0) // block b's docs lie in [lo, its maxDoc]
+	g := 0                         // gone[:g] lie below lo
 scan:
 	for b, bm := range l.blocks[:from] {
+		for g < len(gone) && gone[g] < lo {
+			g++
+		}
+		if g == len(gone) {
+			break
+		}
 		pos, d, n := bm.off, base, int(bm.n)
-		for i, _ := slices.BinarySearch(gone, lo); i < len(gone) && gone[i] <= bm.maxDoc; i++ {
+		for i := g; i < len(gone) && gone[i] <= bm.maxDoc; i++ {
 			if pos, d, n = l.kind.pass(l.data, pos, n, d, gone[i]); n == 0 {
 				break
 			}
@@ -304,7 +311,10 @@ scan:
 	}
 	for len(rest) > 0 || len(ps) > 0 {
 		if len(ps) == 0 || len(rest) > 0 && rest[0].doc < ps[0].doc {
-			if _, drop := slices.BinarySearch(gone, rest[0].doc); !drop {
+			for g < len(gone) && gone[g] < rest[0].doc { // gone[:g] lie below every posting of rest
+				g++
+			}
+			if g == len(gone) || gone[g] != rest[0].doc {
 				w.add(rest[0])
 			}
 			rest = rest[1:]

@@ -174,13 +174,28 @@ func (ix *Index) write(gone []DocID, docs []Doc) {
 			panic("index: removing unknown document")
 		}
 	}
+	// docs, ix.ids and gone ascend, so each filter walks gone forward.
+	g := 0
 	for i, d := range docs {
-		if hasID(ix.ids, d.ID) && !hasID(gone, d.ID) || i > 0 && docs[i-1].ID == d.ID {
+		for g < len(gone) && gone[g] < d.ID {
+			g++
+		}
+		replaced := g < len(gone) && gone[g] == d.ID
+		if hasID(ix.ids, d.ID) && !replaced || i > 0 && docs[i-1].ID == d.ID {
 			panic("index: duplicate document")
 		}
 	}
 	if len(gone) > 0 {
-		ix.ids = slices.DeleteFunc(ix.ids, func(id DocID) bool { return hasID(gone, id) })
+		kept, g := ix.ids[:0], 0
+		for _, id := range ix.ids {
+			for g < len(gone) && gone[g] < id {
+				g++
+			}
+			if g == len(gone) || gone[g] != id {
+				kept = append(kept, id)
+			}
+		}
+		ix.ids = kept
 	}
 	n := len(ix.ids)
 	for _, d := range docs {

@@ -178,7 +178,7 @@ func mergeScored(lists [][]ScoredDoc, k int) []ScoredDoc {
 	for len(out) < total {
 		best := -1
 		for i, l := range lists {
-			if len(l) > 0 && (best == -1 || scoredCmp(l[0], lists[best][0]) < 0) {
+			if len(l) > 0 && (best == -1 || ranksAbove(l[0], lists[best][0])) {
 				best = i
 			}
 		}

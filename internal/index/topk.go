@@ -321,35 +321,61 @@ func (a *topkAcc) viable(d DocID, ne int, cut float64) bool {
 	return true
 }
 
+// ranksAbove reports whether a ranks above b in scoredCmp's order:
+// descending score, ties broken by ascending DocID. The heap and the
+// merge only ask that question, which takes one or two comparisons
+// where scoredCmp's three-way answer takes up to four and a sign test.
+func ranksAbove(a, b ScoredDoc) bool {
+	return a.Score > b.Score || a.Score == b.Score && a.Doc < b.Doc
+}
+
 // push adds e, which ranks above the worst kept entry, to the k-entry
-// heap of hits whose root is its worst entry by scoredCmp, and reports
-// whether the heap is full.
+// heap of hits whose root is its worst entry, and reports whether the
+// heap is full.
 func (a *topkAcc) push(e ScoredDoc) bool {
 	h := a.hits
-	i := len(h)
-	if i < a.k {
+	if i := len(h); i < a.k {
 		h = append(h, e)
-		for ; i > 0 && scoredCmp(h[(i-1)/2], e) < 0; i = (i - 1) / 2 {
+		for ; i > 0 && ranksAbove(h[(i-1)/2], e); i = (i - 1) / 2 {
 			h[i] = h[(i-1)/2]
 		}
+		h[i] = e
 	} else {
-		for i = 0; ; {
-			w := 2*i + 1
-			if w >= len(h) {
-				break
-			}
-			if w+1 < len(h) && scoredCmp(h[w+1], h[w]) > 0 {
-				w++
-			}
-			if scoredCmp(h[w], e) <= 0 {
-				break
-			}
-			h[i], i = h[w], w
-		}
+		siftDown(h, e)
 	}
-	h[i] = e
 	a.hits = h
 	return len(h) == a.k
+}
+
+// siftDown replaces the root of the worst-rooted heap h with e and
+// moves e down to its place.
+func siftDown(h []ScoredDoc, e ScoredDoc) {
+	i := 0
+	for {
+		w := 2*i + 1
+		if w >= len(h) {
+			break
+		}
+		if w+1 < len(h) && ranksAbove(h[w], h[w+1]) {
+			w++
+		}
+		if !ranksAbove(e, h[w]) {
+			break
+		}
+		h[i], i = h[w], w
+	}
+	h[i] = e
+}
+
+// orderHeap sorts the worst-rooted heap h in place, best first: each
+// step swaps the worst remaining entry, the root, behind the heap it
+// shrinks.
+func orderHeap(h []ScoredDoc) {
+	for n := len(h) - 1; n > 0; n-- {
+		e := h[n]
+		h[n] = h[0]
+		siftDown(h[:n], e)
+	}
 }
 
 // scorePlanTopK is the one scorer: it scores src's documents in span
@@ -419,7 +445,11 @@ func scorePlanTopK(src listSource, plan queryPlan, k int, accept func(DocID) boo
 	}
 
 	// Rank in the pooled buffer; only the caller's slice is allocated.
-	slices.SortFunc(a.hits, scoredCmp)
+	if k > 0 {
+		orderHeap(a.hits)
+	} else {
+		slices.SortFunc(a.hits, scoredCmp)
+	}
 	out, counters := make([]ScoredDoc, len(a.hits)), a.topkCounters
 	copy(out, a.hits)
 	a.release()

@@ -610,6 +610,37 @@ func TestPooledAccumulatorIsolation(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHeapOrder drives the k-entry heap as the scorer does, pushing an
+// entry only while the heap is short or the entry ranks above its
+// worst, then orders it out in place: the result is every entry sorted
+// by scoredCmp and truncated to k. Scores come from a set of three, so
+// most comparisons fall through to the doc-id tie-break.
+func TestHeapOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(73))
+	for _, n := range []int{0, 1, 2, 9, 150} {
+		for rep := 0; rep < 20; rep++ {
+			all := make([]ScoredDoc, n)
+			for i, d := range r.Perm(n) {
+				all[i] = ScoredDoc{Doc: DocID(d), Score: float64(1 + r.Intn(3))}
+			}
+			want := slices.Clone(all)
+			slices.SortFunc(want, scoredCmp)
+			for _, k := range []int{1, 2, 7, 100, n + 5} {
+				a := &topkAcc{k: k}
+				for _, e := range all {
+					if len(a.hits) < k || ranksAbove(e, a.hits[0]) {
+						a.push(e)
+					}
+				}
+				orderHeap(a.hits)
+				if w := want[:min(k, n)]; !slices.Equal(a.hits, w) {
+					t.Fatalf("n%d rep%d k%d: got %v want %v", n, rep, k, a.hits, w)
+				}
+			}
+		}
+	}
+}
+
 // TestReleaseKeepsNoOutsizedBuffer: a released accumulator is empty,
 // holds nothing of its evaluation — every cursor is the zero cursor,
 // keeping no list, stream position or current posting — and gives up

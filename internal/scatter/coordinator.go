@@ -322,7 +322,7 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 			down++
 			continue
 		}
-		ml, err := convertResponse(i, topo.group, finds[j].resp)
+		ml, err := convertResponse(i, topo, finds[j].resp)
 		if err != nil {
 			return nil, err
 		}
@@ -355,14 +355,8 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 		ShardsTotal: len(c.clients),
 		Degraded:    down > 0,
 	}
-	for i, es := range ranked {
-		name, ok := topo.names[es.User]
-		if !ok {
-			// A shard voted for a user outside the bootstrapped pool:
-			// the topology is inconsistent, not merely degraded.
-			return nil, &MalformedError{Err: fmt.Errorf("candidate %d not in bootstrapped pool", es.User)}
-		}
-		res.Experts[i] = Expert{Name: name, Score: es.Score, SupportingResources: es.Resources}
+	for i, es := range ranked { // convertResponse held every candidate to the pool
+		res.Experts[i] = Expert{Name: topo.names[es.User], Score: es.Score, SupportingResources: es.Resources}
 	}
 	if res.Degraded {
 		mDegradedQueries.Inc()

@@ -87,18 +87,27 @@ func Merge(lists []mergeList) ([]core.ShardMatch, error) {
 	return out, nil
 }
 
-// convertResponse validates one shard's find reply (group fingerprint
-// and per-match shape) and converts it to the finder's match form.
-func convertResponse(shard int, group string, resp FindResponse) (mergeList, error) {
-	if resp.Group != group {
+// convertResponse validates one shard's find reply (group fingerprint,
+// per-match shape, and every candidate in the bootstrapped pool) and
+// converts it to the finder's match form. The pool check runs before
+// Eq. (3): the tally is a table indexed by candidate id, so an id from
+// outside the pool must not reach it.
+func convertResponse(shard int, topo *topology, resp FindResponse) (mergeList, error) {
+	if resp.Group != topo.group {
 		return mergeList{}, &MalformedError{Shard: shard, Err: fmt.Errorf(
-			"candidate-pool fingerprint %q does not match topology %q", resp.Group, group)}
+			"candidate-pool fingerprint %q does not match topology %q", resp.Group, topo.group)}
 	}
 	ml := mergeList{shard: shard, matches: make([]core.ShardMatch, len(resp.Matches))}
 	for i, m := range resp.Matches {
 		cm, err := m.toCore()
 		if err != nil {
 			return mergeList{}, &MalformedError{Shard: shard, Err: err}
+		}
+		for _, cd := range cm.Cands {
+			if _, ok := topo.names[cd.Candidate]; !ok {
+				return mergeList{}, &MalformedError{Shard: shard, Err: fmt.Errorf(
+					"doc %d: candidate %d not in bootstrapped pool", m.Doc, cd.Candidate)}
+			}
 		}
 		ml.matches[i] = cm
 	}

@@ -148,8 +148,9 @@ func TestMergeEqualsSortedConcat(t *testing.T) {
 }
 
 func TestConvertResponseValidates(t *testing.T) {
+	topo := &topology{group: "aaaa", names: map[socialgraph.UserID]string{10: "ten"}}
 	resp := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}}}}}
-	ml, err := convertResponse(1, "aaaa", resp)
+	ml, err := convertResponse(1, topo, resp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +159,20 @@ func TestConvertResponseValidates(t *testing.T) {
 		t.Fatalf("converted %+v", ml.matches)
 	}
 
-	if _, err := convertResponse(1, "bbbb", resp); err == nil {
+	if _, err := convertResponse(1, &topology{group: "bbbb", names: topo.names}, resp); err == nil {
 		t.Error("group mismatch accepted")
 	}
 	bad := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 7}}}}}
-	if _, err := convertResponse(1, "aaaa", bad); err == nil {
+	if _, err := convertResponse(1, topo, bad); err == nil {
 		t.Error("out-of-range distance accepted")
+	}
+	// The Eq. (3) tally is indexed by candidate id: an id outside the
+	// pool, a negative or a huge one above all, never reaches it.
+	for _, u := range []int32{11, -1, 1 << 30} {
+		stray := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}, {u, 0}}}}}
+		if _, err := convertResponse(1, topo, stray); err == nil {
+			t.Errorf("candidate %d outside the pool accepted", u)
+		}
 	}
 }
 
