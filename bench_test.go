@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§3) over the full-scale synthetic corpus, plus ablation
-// benches for the design choices called out in DESIGN.md. Run with
+// benches for the design choices listed in EXPERIMENTS.md ("Beyond the
+// paper"). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -220,7 +221,7 @@ func BenchmarkFindInstrumented(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §4) ---------------------------------
+// --- Ablation benches (EXPERIMENTS.md, "Ablations") -------------------
 //
 // Each ablation reports the quality impact of one design choice via
 // b.ReportMetric (MAP under the changed configuration vs. the

@@ -1,75 +1,65 @@
-// Command docscheck enforces the documentation contract the
-// docs-check CI step runs: every package in the module carries a
-// package-level doc comment, and every exported top-level declaration
-// in the library packages (everything but package main) carries a doc
-// comment of its own. The package list is derived from `go list ./...`
-// rather than enumerated by hand, so a new package is gated the day it
-// is added. Parsing stops at the AST (no type checking), keeping the
-// check fast enough to run on every push.
+// Command docscheck writes and checks the documentation; it is the one
+// tool the docs-check CI step runs. It checks that every package
+// carries a package doc comment and every exported top-level
+// declaration of a library package a doc comment of its own (the
+// package list comes from `go list ./...`, so a new package is gated
+// the day it lands); that the documents of refDocs name a `make
+// <target>` only when the Makefile's .PHONY line lists it, a
+// BENCH_<n>.json only when git tracks it, and run a command of the
+// module only with flags it registers; that every `DESIGN.md §N` or
+// `DESIGN §N`, in those documents or in a Go comment, names a section
+// of DESIGN.md; and that ARCHITECTURE.md's package map names the
+// module's internal packages, one row each.
 //
-// It also keeps the runbooks honest: the top-level documents, the
-// verify skill and the CI workflow (refDocs) may name a `make <target>`
-// only when the Makefile's .PHONY line lists it, and a BENCH_<n>.json
-// only when git tracks it, and a line of code that runs one of the
-// module's commands may pass it only flags its main.go registers — so
-// a retired gate, baseline or flag cannot linger in a procedure
-// someone (or CI) will follow. And for the two commands with a flag
-// table in OPERATIONS.md (flagDocs), the table and the flags main.go
-// registers must be the same set, one row each. Likewise the package
-// map in ARCHITECTURE.md (mapDoc) and `go list ./internal/...` must
-// name the same packages, one row each.
+// It also renders the generated blocks: the metrics reference from the
+// telemetry registry, and the serve and loadtest flag tables from each
+// command's own FlagSet, as its -h prints it (name, default, usage). A
+// block sits between `<!-- docscheck:begin NAME -->` and
+// `<!-- docscheck:end -->`, and each NAME has exactly one block.
 //
 // Usage:
 //
-//	docscheck [packages]
-//
-// packages defaults to ./... and is passed to `go list` verbatim. Exit
-// status is nonzero when any package lacks a doc comment, any exported
-// declaration is undocumented, any document names a dangling target,
-// file or command flag, a flag table disagrees with its command or the
-// package map with the internal packages, listing each offender with
-// the file and line to fix.
+//	docscheck          # check; exit 1 listing each offender with its file and line
+//	docscheck -write   # regenerate every block in place, then check
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+
+	"expertfind/internal/telemetry"
+
+	// Imported for their metric registrations only.
+	_ "expertfind/internal/core"
+	_ "expertfind/internal/crawler"
+	_ "expertfind/internal/httpapi"
+	_ "expertfind/internal/index"
+	_ "expertfind/internal/rescache"
+	_ "expertfind/internal/scatter"
+	_ "expertfind/internal/slo"
+	_ "expertfind/internal/socialgraph"
 )
 
 func main() {
-	pattern := "./..."
-	if len(os.Args) > 1 {
-		pattern = os.Args[1]
-	}
-	pkgs, err := listPackages(pattern)
+	write := flag.Bool("write", false, "regenerate every generated block in place before checking")
+	flag.Parse()
+	offenders, err := check(*write)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(2)
 	}
-	var offenders []string
-	for _, p := range pkgs {
-		off, err := checkPackage(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-			os.Exit(2)
-		}
-		offenders = append(offenders, off...)
-	}
-	refs, err := checkRepoRefs()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-		os.Exit(2)
-	}
-	offenders = append(offenders, refs...)
 	sort.Strings(offenders)
 	for _, o := range offenders {
 		fmt.Println(o)
@@ -78,86 +68,320 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d documentation offender(s)\n", len(offenders))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d packages documented, exported API covered, %d documents name only live make targets, tracked BENCH files and registered command flags, %d flag tables match their commands, the package map matches the internal packages\n",
-		len(pkgs), len(refDocs), len(flagDocs))
+	fmt.Println("docscheck: every package documented; generated blocks current; the documents name only live make targets, tracked BENCH files, registered flags and DESIGN sections; the package map matches")
 }
 
 // refDocs are the documents, relative to the module root, whose make
-// targets, BENCH files and command flags must exist.
+// targets, BENCH files, command flags and DESIGN sections must exist.
+// The markdown ones may hold generated blocks.
 var refDocs = []string{
 	"README.md", "OPERATIONS.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md",
 	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml",
 }
 
-// checkRepoRefs runs checkRefs over refDocs against the module's own
-// Makefile, git index and commands.
-func checkRepoRefs() ([]string, error) {
-	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+// check runs every check over the module's packages, Makefile, git
+// index, commands and documents, first regenerating the documents'
+// generated blocks when write is set.
+func check(write bool) ([]string, error) {
+	pkgs, err := listPackages("./...")
 	if err != nil {
-		return nil, fmt.Errorf("go list -m: %v", err)
+		return nil, err
 	}
-	root := strings.TrimSpace(string(out))
+	var offenders []string
+	for _, p := range pkgs {
+		off, err := checkPackage(p)
+		if err != nil {
+			return nil, err
+		}
+		offenders = append(offenders, off...)
+	}
+	root, err := run("", "go", "list", "-m", "-f", "{{.Dir}}")
+	if err != nil {
+		return nil, err
+	}
+	root = strings.TrimSpace(root)
 	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
 	if err != nil {
 		return nil, err
 	}
-	ls := exec.Command("git", "ls-files", "BENCH_*")
-	ls.Dir = root
-	if out, err = ls.Output(); err != nil {
-		return nil, fmt.Errorf("git ls-files: %v", err)
+	targets := phonyTargets(string(mk))
+	files, err := run(root, "git", "ls-files", "BENCH_*")
+	if err != nil {
+		return nil, err
 	}
 	tracked := map[string]bool{}
-	for _, f := range strings.Fields(string(out)) {
+	for _, f := range strings.Fields(files) {
 		tracked[f] = true
 	}
-	targets := phonyTargets(string(mk))
 	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
 	if err != nil {
 		return nil, err
 	}
+	flags := map[string][]flagDoc{}
 	cmds := map[string][]string{}
 	for _, m := range mains {
-		if cmds[filepath.Base(filepath.Dir(m))], err = registeredFlags(m); err != nil {
-			return nil, err
-		}
-	}
-	var offenders []string
-	for _, doc := range refDocs {
-		text, err := os.ReadFile(filepath.Join(root, doc))
+		name := filepath.Base(filepath.Dir(m))
+		help, err := run(root, "go", "run", "./cmd/"+name, "-h")
 		if err != nil {
 			return nil, err
 		}
-		offenders = append(offenders, checkRefs(doc, string(text), targets, tracked, cmds)...)
+		if flags[name], err = parseHelp(help); err != nil {
+			return nil, fmt.Errorf("cmd/%s: %v", name, err)
+		}
+		for _, f := range flags[name] {
+			cmds[name] = append(cmds[name], f.name)
+		}
 	}
-	ops, err := os.ReadFile(filepath.Join(root, flagDoc))
+	blocks := map[string]string{
+		"metrics":        metricsTable(telemetry.Default().Gather()),
+		"flags serve":    flagTable(flags["serve"]),
+		"flags loadtest": flagTable(flags["loadtest"]),
+	}
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		return nil, err
 	}
-	for section, dir := range flagDocs {
-		registered, err := registeredFlags(filepath.Join(root, dir, "main.go"))
+	sections := designSections(string(design))
+	count := map[string]int{}
+	for _, doc := range refDocs {
+		path := filepath.Join(root, doc)
+		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		offenders = append(offenders, checkFlags(dir, registered, flagDoc, section, string(ops))...)
+		text := string(b)
+		if strings.HasSuffix(doc, ".md") {
+			fresh, stale, err := generate(doc, text, blocks, count)
+			if err != nil {
+				return nil, err
+			}
+			if write && fresh != text {
+				if err := os.WriteFile(path, []byte(fresh), 0o644); err != nil {
+					return nil, err
+				}
+				text, stale = fresh, nil
+			}
+			offenders = append(offenders, stale...)
+		}
+		offenders = append(offenders, checkRefs(doc, text, targets, tracked, cmds)...)
+		offenders = append(offenders, checkDesignRefs(doc, 1, text, sections)...)
 	}
-	ls = exec.Command("go", "list", "-f", "{{.Dir}}", "./internal/...")
-	ls.Dir = root
-	if out, err = ls.Output(); err != nil {
-		return nil, fmt.Errorf("go list ./internal/...: %v", err)
+	for name := range blocks {
+		if count[name] != 1 {
+			offenders = append(offenders, fmt.Sprintf("the generated block %q sits in %d places, want 1", name, count[name]))
+		}
 	}
+	off, err := checkGoComments(root, sections)
+	if err != nil {
+		return nil, err
+	}
+	offenders = append(offenders, off...)
 	var internal []string
-	for _, dir := range strings.Fields(string(out)) {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
+	for _, p := range pkgs {
+		// go list reports every package directory under root, so Rel cannot fail.
+		if rel, _ := filepath.Rel(root, p.dir); strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+			internal = append(internal, filepath.ToSlash(rel))
 		}
-		internal = append(internal, filepath.ToSlash(rel))
 	}
 	arch, err := os.ReadFile(filepath.Join(root, mapDoc))
 	if err != nil {
 		return nil, err
 	}
 	return append(offenders, checkPackageMap(internal, mapDoc, string(arch))...), nil
+}
+
+// run runs a command in dir and returns its combined output.
+func run(dir, name string, args ...string) (string, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("%s %s: %v\n%s", name, strings.Join(args, " "), err, out)
+	}
+	return string(out), nil
+}
+
+const (
+	beginMarker = "<!-- docscheck:begin "
+	endMarker   = "<!-- docscheck:end -->"
+)
+
+// generate returns doc's text with the body of every generated block
+// replaced by blocks[name], counting each name in count, and one
+// offender per block that was stale (naming the first line that moved)
+// or that no entry of blocks renders.
+func generate(doc, text string, blocks map[string]string, count map[string]int) (string, []string, error) {
+	var out strings.Builder
+	var offenders []string
+	line := 1
+	for {
+		i := strings.Index(text, beginMarker)
+		if i < 0 {
+			out.WriteString(text)
+			return out.String(), offenders, nil
+		}
+		line += strings.Count(text[:i], "\n")
+		head, rest, ok := strings.Cut(text[i:], "-->\n")
+		body, tail, closed := strings.Cut(rest, endMarker)
+		if !ok || !closed {
+			return "", nil, fmt.Errorf("%s:%d: a generated block without %s", doc, line, endMarker)
+		}
+		name := strings.TrimSpace(strings.TrimPrefix(head, beginMarker))
+		count[name]++
+		want, known := blocks[name]
+		switch {
+		case !known:
+			offenders = append(offenders, fmt.Sprintf("%s:%d: no generated block is named %q", doc, line, name))
+			want = body
+		case body != want:
+			offenders = append(offenders, fmt.Sprintf("%s:%d: generated block %q is stale (run: go run ./cmd/docscheck -write)%s",
+				doc, line, name, firstDiff(body, want)))
+		}
+		out.WriteString(text[:i] + head + "-->\n" + want + endMarker)
+		line += strings.Count(head+"-->\n"+body, "\n")
+		text = tail
+	}
+}
+
+// firstDiff names the first line where got, which differs from want,
+// parts from it.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i, line := range w {
+		if i >= len(g) || g[i] != line {
+			return fmt.Sprintf("; want %q", line)
+		}
+	}
+	return fmt.Sprintf("; extra line %q", g[len(w)])
+}
+
+// metricsTable renders the metrics reference, one row per family
+// (name, type, labels, meaning), sorted by name so the output does not
+// depend on package initialization order.
+func metricsTable(fams []telemetry.FamilySnapshot) string {
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
+	var sb strings.Builder
+	sb.WriteString("| Metric | Type | Labels | Meaning |\n|---|---|---|---|\n")
+	for _, f := range fams {
+		labels := "–"
+		if len(f.LabelNames) > 0 {
+			labels = "`" + strings.Join(f.LabelNames, "`, `") + "`"
+		}
+		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s |\n", f.Name, f.Type, labels, strings.ReplaceAll(f.Help, "|", "\\|"))
+	}
+	return sb.String()
+}
+
+// flagDoc is one flag as its command's -h prints it.
+type flagDoc struct{ name, def, usage string }
+
+// zeroDefault is the default of a flag whose -h entry prints none, by
+// the type name the entry shows: flag.PrintDefaults omits zero values.
+var zeroDefault = map[string]string{
+	"": "false", "int": "0", "uint": "0", "float": "0", "duration": "0s", "string": "",
+}
+
+// parseHelp reads flag.PrintDefaults output, one flagDoc per flag in
+// the order printed.
+func parseHelp(help string) ([]flagDoc, error) {
+	var flags []flagDoc
+	lines := strings.Split(help, "\n")
+	for i := 0; i < len(lines); i++ {
+		head, ok := strings.CutPrefix(lines[i], "  -")
+		if !ok {
+			continue
+		}
+		head, usage, _ := strings.Cut(head, "\t") // a one-letter bool flag keeps its usage on this line
+		name, typ, _ := strings.Cut(head, " ")
+		for ; i+1 < len(lines) && strings.HasPrefix(lines[i+1], "    \t"); i++ {
+			usage += " " + strings.TrimPrefix(lines[i+1], "    \t")
+		}
+		f := flagDoc{name: name, usage: strings.TrimSpace(usage)}
+		if f.def, ok = zeroDefault[typ]; !ok {
+			return nil, fmt.Errorf("-%s shows the type %q: drop the back quotes from its usage, so its zero default is known", name, typ)
+		}
+		// The suffix quotes a string default, so an unquoted one is usage.
+		if j := strings.LastIndex(f.usage, " (default "); j >= 0 && strings.HasSuffix(f.usage, ")") {
+			def, err := f.usage[j+len(" (default "):len(f.usage)-1], error(nil)
+			if typ == "string" {
+				def, err = strconv.Unquote(def)
+			}
+			if err == nil {
+				f.def, f.usage = def, f.usage[:j]
+			}
+		}
+		flags = append(flags, f)
+	}
+	return flags, nil
+}
+
+// flagTable renders flags as a markdown table: name, default, usage.
+func flagTable(flags []flagDoc) string {
+	var sb strings.Builder
+	sb.WriteString("| Flag | Default | Meaning |\n|---|---|---|\n")
+	for _, f := range flags {
+		if f.def != "" {
+			f.def = "`" + f.def + "`"
+		}
+		fmt.Fprintf(&sb, "| `-%s` | %s | %s |\n", f.name, f.def, strings.ReplaceAll(f.usage, "|", "\\|"))
+	}
+	return sb.String()
+}
+
+var (
+	designSection = regexp.MustCompile(`(?m)^## ([0-9]+)\. `)
+	designRef     = regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+)`)
+)
+
+// designSections is the set of DESIGN.md's numbered sections.
+func designSections(design string) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range designSection.FindAllStringSubmatch(design, -1) {
+		out[m[1]] = true
+	}
+	return out
+}
+
+// checkDesignRefs returns one line per `DESIGN.md §N` or `DESIGN §N`
+// in text, which starts at line first of doc, that names no section.
+func checkDesignRefs(doc string, first int, text string, sections map[string]bool) []string {
+	var offenders []string
+	for _, m := range designRef.FindAllStringSubmatchIndex(text, -1) {
+		if !sections[text[m[2]:m[3]]] {
+			offenders = append(offenders, fmt.Sprintf("%s:%d: %s names no section of DESIGN.md",
+				doc, first+strings.Count(text[:m[0]], "\n"), text[m[0]:m[1]]))
+		}
+	}
+	return offenders
+}
+
+// checkGoComments runs checkDesignRefs over every comment of every Go
+// file under root, outside hidden and testdata directories.
+func checkGoComments(root string, sections map[string]bool) ([]string, error) {
+	var offenders []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path) // WalkDir stays under root
+		for _, g := range af.Comments {
+			for _, c := range g.List {
+				offenders = append(offenders, checkDesignRefs(filepath.ToSlash(rel), fset.Position(c.Pos()).Line, c.Text, sections)...)
+			}
+		}
+		return nil
+	})
+	return offenders, err
 }
 
 // mapDoc holds the module's one package map, the table under its
@@ -168,9 +392,28 @@ var mapPackage = regexp.MustCompile("`(internal/[a-z0-9/]+)`")
 
 // checkPackageMap compares the internal packages (module-relative
 // directories) with the rows of doc's package map: every package needs
-// exactly one row, and a row may name only packages that exist.
+// exactly one row, a row may name only packages that exist, and only a
+// row's first cell names its packages.
 func checkPackageMap(pkgs []string, doc, text string) []string {
-	rows, offenders := sectionRows(doc, "Package map", text, mapPackage)
+	var offenders []string
+	rows := map[string]int{}
+	inMap := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inMap = line == "## Package map"
+		}
+		if !inMap || !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[2:], "|")
+		for _, m := range mapPackage.FindAllStringSubmatch(cell, -1) {
+			if first, dup := rows[m[1]]; dup {
+				offenders = append(offenders, fmt.Sprintf("%s:%d: %s already has a row at line %d", doc, i+1, m[1], first))
+			} else {
+				rows[m[1]] = i + 1
+			}
+		}
+	}
 	for _, p := range pkgs {
 		if _, ok := rows[p]; !ok {
 			offenders = append(offenders, fmt.Sprintf("%s: %s has no row in the package map", doc, p))
@@ -188,113 +431,17 @@ func checkPackageMap(pkgs []string, doc, text string) []string {
 	return offenders
 }
 
-// flagDocs maps a "## <section>" of flagDoc to the command whose
-// flags that section's table documents.
-var flagDocs = map[string]string{
-	"serve":    "cmd/serve",
-	"loadtest": "cmd/loadtest",
-}
-
-const flagDoc = "OPERATIONS.md"
-
-var (
-	flagCall = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?$`)
-	flagName = regexp.MustCompile("`(-[a-z][a-z0-9-]*)`")
-)
-
-// registeredFlags reads the flag names a source file registers on the
-// flag package or on a flag set named fs, without running it: the name
-// is the first argument of flag.Int and friends, the second of the
-// *Var forms.
-func registeredFlags(file string) ([]string, error) {
-	af, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	ast.Inspect(af, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		m := flagCall.FindStringSubmatch(sel.Sel.Name)
-		if recv, ok := sel.X.(*ast.Ident); !ok || m == nil || recv.Name != "flag" && recv.Name != "fs" {
-			return true
-		}
-		arg := 0
-		if m[2] != "" {
-			arg = 1
-		}
-		if arg < len(call.Args) {
-			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				names = append(names, strings.Trim(lit.Value, "\"`"))
-			}
-		}
-		return true
-	})
-	return names, nil
-}
-
-// checkFlags compares cmd's registered flags with the table rows of
-// doc's "## section": every flag needs exactly one row (a row's first
-// cell may name several flags), and a row may name only flags that
-// exist.
-func checkFlags(cmd string, registered []string, doc, section, text string) []string {
-	rows, offenders := sectionRows(doc, section, text, flagName)
-	for _, name := range registered {
-		if _, ok := rows["-"+name]; !ok {
-			offenders = append(offenders, fmt.Sprintf("%s: %s registers -%s, which the %q table has no row for", doc, cmd, name, section))
-		}
-		delete(rows, "-"+name)
-	}
-	for name, line := range rows {
-		offenders = append(offenders, fmt.Sprintf("%s:%d: %s is not a flag %s registers", doc, line, name, cmd))
-	}
-	return offenders
-}
-
-// sectionRows collects the names (name's first group) in the first
-// cell of every table row under doc's "## section", mapped to the line
-// of their row. A name in a second row is an offender.
-func sectionRows(doc, section, text string, name *regexp.Regexp) (map[string]int, []string) {
-	var offenders []string
-	rows := map[string]int{}
-	inSection := false
-	for i, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "## ") {
-			inSection = line == "## "+section
-			continue
-		}
-		if !inSection || !strings.HasPrefix(line, "| ") {
-			continue
-		}
-		cell, _, _ := strings.Cut(line[2:], "|")
-		for _, m := range name.FindAllStringSubmatch(cell, -1) {
-			if first, dup := rows[m[1]]; dup {
-				offenders = append(offenders, fmt.Sprintf("%s:%d: %s already has a row at line %d", doc, i+1, m[1], first))
-				continue
-			}
-			rows[m[1]] = i + 1
-		}
-	}
-	return rows, offenders
-}
-
 // phonyTargets is the Makefile's .PHONY list: the targets that exist.
 func phonyTargets(makefile string) map[string]bool {
-	targets := map[string]bool{}
+	out := map[string]bool{}
 	for _, line := range strings.Split(makefile, "\n") {
 		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
 			for _, t := range strings.Fields(rest) {
-				targets[t] = true
+				out[t] = true
 			}
 		}
 	}
-	return targets
+	return out
 }
 
 var (
@@ -406,16 +553,12 @@ type pkg struct {
 // listPackages asks the go tool for the module's packages, so the
 // gate's scope is whatever builds — never a hand-maintained list.
 func listPackages(pattern string) ([]pkg, error) {
-	out, err := exec.Command("go", "list", "-f",
-		"{{.Dir}}\t{{.ImportPath}}\t{{.Name}}\t{{range .GoFiles}}{{.}} {{end}}", pattern).Output()
+	out, err := run("", "go", "list", "-f", "{{.Dir}}\t{{.ImportPath}}\t{{.Name}}\t{{range .GoFiles}}{{.}} {{end}}", pattern)
 	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return nil, fmt.Errorf("go list %s: %v: %s", pattern, err, ee.Stderr)
-		}
-		return nil, fmt.Errorf("go list %s: %v", pattern, err)
+		return nil, err
 	}
 	var pkgs []pkg
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		parts := strings.Split(line, "\t")
 		if len(parts) != 4 {
 			continue

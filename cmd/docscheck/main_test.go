@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"expertfind/internal/telemetry"
 )
 
 func write(t *testing.T, path, content string) {
@@ -185,60 +190,198 @@ func TestCheckRefs(t *testing.T) {
 	}
 }
 
-func TestCheckFlags(t *testing.T) {
-	src := filepath.Join(t.TempDir(), "main.go")
-	write(t, src, `// Command x serves.
-package main
-
-import (
-	"flag"
-	"time"
-)
-
-func parseFlags(args []string) {
-	var o struct {
-		addr string
-		wait time.Duration
-	}
+// helpOf returns the -h output of a flag set holding flags.
+func helpOf(flags func(fs *flag.FlagSet)) string {
+	var out bytes.Buffer
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.DurationVar(&o.wait, "wait", 0, "grace period")
-	fs.Parse(args)
+	fs.SetOutput(&out)
+	flags(fs)
+	fs.Parse([]string{"-h"})
+	return out.String()
 }
 
-func main() {
-	seed := flag.Int64("seed", 1, "corpus seed")
-	undocumented := flag.Bool("quiet", false, "say less")
-	flag.Parse()
-	_ = fmt.Sprint("seed", *seed, *undocumented, strings.Repeat("-", 3))
-}
-`)
-	registered, err := registeredFlags(src)
+// table renders the flag table of help, failing t on a parse error.
+func table(t *testing.T, help string) string {
+	t.Helper()
+	flags, err := parseHelp(help)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(registered, " "); got != "addr wait seed quiet" {
-		t.Fatalf("registered flags %q, want addr wait seed quiet", got)
-	}
-	text := strings.Join([]string{
-		"## other",
-		"| `-quiet` | `false` | another command's flag of the same name |", // 2: other section
-		"## x",
+	return flagTable(flags)
+}
+
+func TestFlagTable(t *testing.T) {
+	got := table(t, helpOf(func(fs *flag.FlagSet) {
+		fs.String("addr", ":8080", "listen address")
+		fs.String("dir", "", "store directory | none")
+		fs.Duration("tick", 30*time.Second, "maintenance interval (0 disables)")
+		fs.Duration("wait", 0, "grace period")
+		fs.Bool("v", false, "verbose")
+		fs.Bool("stamp", true, "timestamp records")
+		fs.Int("n", 0, "workers (0 = default)")
+		fs.Float64("rate", 0.5, "sampling rate\nacross two lines")
+		fs.String("run", "", "ids to run (default all)")
+	}))
+	want := strings.Join([]string{
 		"| Flag | Default | Meaning |",
 		"|---|---|---|",
-		"| `-addr` / `-wait` | `:8080` / `0` | two flags, one row; see `-seed` |", // 6
-		"| `-seed` | `1` | corpus seed |",
-		"| `-retired` | | a flag the source dropped |", // 8: dangling row
-		"### x runbook",
-		"| `-addr` | | a second row |", // 10: duplicate
-		"## later",
-		"| `-gone` | | not x's table |",
+		"| `-addr` | `:8080` | listen address |",
+		"| `-dir` |  | store directory \\| none |",
+		"| `-n` | `0` | workers (0 = default) |",
+		"| `-rate` | `0.5` | sampling rate across two lines |",
+		"| `-run` |  | ids to run (default all) |",
+		"| `-stamp` | `true` | timestamp records |",
+		"| `-tick` | `30s` | maintenance interval (0 disables) |",
+		"| `-v` | `false` | verbose |",
+		"| `-wait` | `0s` | grace period |",
+		"",
 	}, "\n")
-	off := checkFlags("cmd/x", registered, "OPS.md", "x", text)
+	if got != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", got, want)
+	}
+
+	// A back-quoted name in a usage hides the type, and with it the zero
+	// default the table would print.
+	if _, err := parseHelp(helpOf(func(fs *flag.FlagSet) {
+		fs.String("out", "", "write the report to `file`")
+	})); err == nil {
+		t.Fatal("a back-quoted usage name parsed without an error")
+	}
+}
+
+// TestStaleFlagBlocks checks that a flag block fails the check after
+// its command changes a usage string or registers a flag, until it is
+// regenerated.
+func TestStaleFlagBlocks(t *testing.T) {
+	before := func(fs *flag.FlagSet) {
+		fs.String("addr", ":8080", "listen address")
+		fs.Int("cache-size", 4096, "cache capacity in entries")
+	}
+	doc := "## serve\n\n<!-- docscheck:begin flags serve -->\n" + table(t, helpOf(before)) + "<!-- docscheck:end -->\n\nAfter the table.\n"
+	for name, c := range map[string]struct {
+		flags func(*flag.FlagSet)
+		want  string
+	}{
+		"unchanged": {before, ""},
+		"usage changed": {func(fs *flag.FlagSet) {
+			fs.String("addr", ":8080", "listen address, host:port")
+			fs.Int("cache-size", 4096, "cache capacity in entries")
+		}, "OPS.md:3: generated block \"flags serve\" is stale (run: go run ./cmd/docscheck -write); want \"| `-addr` | `:8080` | listen address, host:port |\""},
+		"flag added": {func(fs *flag.FlagSet) {
+			before(fs)
+			fs.Bool("debug", false, "mount pprof")
+		}, "OPS.md:3: generated block \"flags serve\" is stale (run: go run ./cmd/docscheck -write); want \"| `-debug` | `false` | mount pprof |\""},
+	} {
+		blocks := map[string]string{"flags serve": table(t, helpOf(c.flags))}
+		fixed, off, err := generate("OPS.md", doc, blocks, map[string]int{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(off, "\n"); got != c.want {
+			t.Errorf("%s: offenders %q, want %q", name, got, c.want)
+		}
+		if _, off, _ := generate("OPS.md", fixed, blocks, map[string]int{}); len(off) != 0 {
+			t.Errorf("%s: regenerated document still offends: %v", name, off)
+		}
+		if !strings.HasSuffix(fixed, "<!-- docscheck:end -->\n\nAfter the table.\n") || !strings.HasPrefix(fixed, "## serve\n\n") {
+			t.Errorf("%s: regeneration moved the text around the block:\n%s", name, fixed)
+		}
+	}
+}
+
+func TestStaleMetricsBlock(t *testing.T) {
+	fams := []telemetry.FamilySnapshot{
+		{Name: "expertfind_b_total", Type: telemetry.CounterType, Help: "Bees | counted."},
+		{Name: "expertfind_a_seconds", Type: telemetry.HistogramType, Help: "Wall time.", LabelNames: []string{"route", "code"}},
+	}
+	metrics := metricsTable(fams)
+	want := "| Metric | Type | Labels | Meaning |\n|---|---|---|---|\n" +
+		"| `expertfind_a_seconds` | histogram | `route`, `code` | Wall time. |\n" +
+		"| `expertfind_b_total` | counter | – | Bees \\| counted. |\n"
+	if metrics != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", metrics, want)
+	}
+	doc := "# Ops\n<!-- docscheck:begin metrics -->\n" + metrics + "<!-- docscheck:end -->\n"
+	fams = append(fams, telemetry.FamilySnapshot{Name: "expertfind_c", Type: telemetry.GaugeType, Help: "New."})
+	_, off, err := generate("OPS.md", doc, map[string]string{"metrics": metricsTable(fams)}, map[string]int{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(off) != 1 || !strings.Contains(off[0], "OPS.md:2: generated block \"metrics\" is stale") || !strings.Contains(off[0], "expertfind_c") {
+		t.Fatalf("offenders %v, want one stale metrics block naming expertfind_c", off)
+	}
+}
+
+func TestGeneratedBlockNames(t *testing.T) {
+	blocks := map[string]string{"metrics": "x\n"}
+	count := map[string]int{}
+	doc := strings.Join([]string{
+		"<!-- docscheck:begin metrics -->", // 1
+		"x",
+		"<!-- docscheck:end -->",
+		"<!-- docscheck:begin metrics -->", // 4: counted twice
+		"x",
+		"<!-- docscheck:end -->",
+		"<!-- docscheck:begin retired -->", // 7: no such block
+		"old",
+		"<!-- docscheck:end -->",
+		"",
+	}, "\n")
+	fixed, off, err := generate("A.md", doc, blocks, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `A.md:7: no generated block is named "retired"`; strings.Join(off, "\n") != want || fixed != doc {
+		t.Fatalf("offenders %q, want %q; text changed: %v", off, want, fixed != doc)
+	}
+	if count["metrics"] != 2 || count["retired"] != 1 {
+		t.Fatalf("counts %v, want metrics 2, retired 1", count)
+	}
+	if _, _, err := generate("B.md", "<!-- docscheck:begin metrics -->\nx\n", blocks, count); err == nil {
+		t.Error("a block without its end marker passed")
+	}
+}
+
+func TestDesignRefs(t *testing.T) {
+	sections := designSections("# DESIGN\n\n## 1. Substitutions\n\ntext ## 4. not a heading\n## 2. Failure model\n### 3. a subsection\n")
+	if got := len(sections); got != 2 || !sections["1"] || !sections["2"] {
+		t.Fatalf("sections %v, want 1 and 2", sections)
+	}
+	text := strings.Join([]string{
+		"See DESIGN.md §2 and DESIGN §1.",            // 1: live
+		"The paper's §3.3 and DESIGN.md, §9 differ.", // 2: not a DESIGN reference
+		"Gone: DESIGN.md §3, and DESIGN §12.",        // 3: two dangling
+	}, "\n")
 	want := []string{
-		"OPS.md:10: -addr already has a row at line 6",
-		"OPS.md: cmd/x registers -quiet, which the \"x\" table has no row for",
-		"OPS.md:8: -retired is not a flag cmd/x registers",
+		"README.md:3: DESIGN.md §3 names no section of DESIGN.md",
+		"README.md:3: DESIGN §12 names no section of DESIGN.md",
+	}
+	if off := checkDesignRefs("README.md", 1, text, sections); strings.Join(off, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))
+	}
+
+	root := t.TempDir()
+	write(t, filepath.Join(root, "a", "a.go"), `// Package a follows DESIGN.md §1.
+package a
+
+// F is DESIGN §7's rule, which is gone.
+func F() string {
+	return "DESIGN §8 in a string is not a comment"
+}
+
+/* A block comment:
+   DESIGN.md §2 holds,
+   DESIGN.md §5 does not. */
+`)
+	write(t, filepath.Join(root, "a", "testdata", "skip.go"), "// DESIGN §9\npackage skip\n")
+	write(t, filepath.Join(root, ".hidden", "skip.go"), "// DESIGN §9\npackage skip\n")
+	off, err := checkGoComments(root, sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []string{
+		"a/a.go:4: DESIGN §7 names no section of DESIGN.md",
+		"a/a.go:11: DESIGN.md §5 names no section of DESIGN.md",
 	}
 	if strings.Join(off, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("offenders:\n%s\nwant:\n%s", strings.Join(off, "\n"), strings.Join(want, "\n"))

@@ -35,7 +35,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "corpus volume multiplier")
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
 	faultRates := flag.String("fault-rates", "", "comma-separated API failure rates for the faults sweep (default 0,0.05,0.1,0.25,0.5)")
-	faultSeed := flag.Int64("fault-seed", 0, "fault injection seed for the faults sweep (default 23)")
+	faultSeed := flag.Int64("fault-seed", 0, "fault injection seed for the faults sweep (0 = 23)")
 	retries := flag.Int("retries", 0, "max attempts per API call in the faults sweep (default: the standard stack's 4)")
 	flag.Parse()
 

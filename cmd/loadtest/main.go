@@ -9,25 +9,16 @@
 //
 // Usage:
 //
-//	loadtest [-seed N] [-corpus-seed N] [-scale F]
-//	         [-scale-dir DIR] [-scale-requests N] [-scale-chunk-docs N]
-//	         [-scale-max-heap-mb N] [-segment-flush-docs N] [-segment-max N]
-//	         [-out FILE]
+//	loadtest [flags]
 //
 // It streams the (-corpus-seed, -scale) corpus to disk in bounded
 // memory, cold-builds the segment index from the stream (or reopens
 // one a previous run left in -scale-dir), serves the deterministic
 // internal/loadgen workload seeded by -seed from it, compacts every
-// segment and replays sampled queries. Gates, always on: at -scale >=
-// 100 the corpus must hold a million users; a cold build must seal at
-// least twice; a compaction must run when the store holds more than
-// one segment or any tombstone (otherwise it must still be one
-// segment); the replays must be bit-identical; and the peak heap must
-// stay under -scale-max-heap-mb.
-// A failed gate exits 1, a flag error 2. The git-stamped
-// loadgen.Report goes to -out, by default the gitignored
-// BENCH_10.run.json, so no run overwrites the committed record unless
-// asked to (-out BENCH_10.json regenerates the scale-100 one).
+// segment and replays sampled queries. Its gates are always on and
+// listed in OPERATIONS.md ("Gates"); a failed gate exits 1, a flag
+// error 2. The git-stamped loadgen.Report goes to -out, by default the
+// gitignored BENCH_10.run.json.
 package main
 
 import (
@@ -75,13 +66,13 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int64Var(&o.seed, "seed", 11, "workload seed")
 	fs.Int64Var(&o.corpusSeed, "corpus-seed", 7, "corpus generation seed")
 	fs.Float64Var(&o.scale, "scale", 10, "corpus volume multiplier")
-	fs.StringVar(&o.scaleDir, "scale-dir", "", "working directory for the corpus and segments (kept and reused; empty = temp dir)")
-	fs.IntVar(&o.scaleReq, "scale-requests", 120, "queries in the scale-query phase (at least 4)")
+	fs.StringVar(&o.scaleDir, "scale-dir", "", "working directory for the corpus and segments, kept and reused (empty = a temp dir, removed after)")
+	fs.IntVar(&o.scaleReq, "scale-requests", 120, "queries in the scale-query phase; fewer than 4 exits 2, since no ranking would be replayed")
 	fs.IntVar(&o.scaleChunkDocs, "scale-chunk-docs", 25000, "bulk resources per generated stream chunk")
-	fs.IntVar(&o.scaleMaxHeapMB, "scale-max-heap-mb", 16384, "peak-heap gate in MB (0 disables)")
-	fs.IntVar(&o.segmentFlush, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
-	fs.IntVar(&o.segmentMax, "segment-max", 0, "segment count that triggers compaction (0 = default)")
-	fs.StringVar(&o.out, "out", "BENCH_10.run.json", "report output path")
+	fs.IntVar(&o.scaleMaxHeapMB, "scale-max-heap-mb", 16384, "peak-heap gate in MB across the whole run (0 disables)")
+	fs.IntVar(&o.segmentFlush, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = the store default, 50000)")
+	fs.IntVar(&o.segmentMax, "segment-max", 0, "segment count that triggers compaction (0 = the store default, 8)")
+	fs.StringVar(&o.out, "out", "BENCH_10.run.json", "report output path; BENCH_10.json rewrites the committed scale-100 record")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

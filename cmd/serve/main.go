@@ -6,21 +6,15 @@
 //	serve [-addr :8080] [flags]
 //
 // The corpus is generated from -seed/-scale or loaded from a -corpus
-// file (datagen -save or -stream), and indexed in memory or, with
-// -segment-dir, into the segment store there (reopened without
-// analysis when already built); -shard-id/-shard-count restrict either
-// source to one slice of a scatter-gather topology, and
-// -ingest-interval keeps the generated in-memory corpus ingesting
-// live. The third source is other serve processes:
-// -shards URL,URL,... loads no corpus and coordinates that topology
-// (the i-th URL must be the process started with -shard-id i
-// -shard-count len(URLs)), answering /v1/find byte-identically to one
-// process over the same corpus. The listener comes up immediately:
-// /healthz answers from the start, /readyz and /v1 answer 503 until
-// the build finishes or a shard is reachable. OPERATIONS.md ("serve")
-// has the flag table, the refused combinations and the ingest,
-// segment-store and degraded-mode runbooks; a usage error exits 2
-// with one line on stderr.
+// file, and indexed in memory or, with -segment-dir, in a segment store
+// on disk; -shard-id/-shard-count restrict it to one slice of a
+// scatter-gather topology, and -ingest-interval keeps the generated
+// in-memory corpus ingesting live. With -shards URL,URL,... the process
+// loads no corpus and coordinates such shard processes instead. The
+// listener comes up at once: /healthz answers from the start, /readyz
+// and /v1 answer 503 until the build finishes or a shard is reachable.
+// OPERATIONS.md ("serve") has the flag table and the runbooks; a usage
+// error exits 2 with one line on stderr.
 package main
 
 import (
@@ -100,33 +94,33 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.Int64Var(&o.open.Config.Seed, "seed", 1, "corpus seed (ignored with -corpus)")
+	fs.Int64Var(&o.open.Config.Seed, "seed", 1, "corpus seed (ignored with -corpus); with -ingest-interval it also seeds the twin's churn")
 	fs.Float64Var(&o.open.Config.Scale, "scale", 0.5, "corpus volume multiplier (ignored with -corpus)")
-	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a corpus file (datagen -save or -stream) instead of generating")
-	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "serve from a disk-backed segment index in this directory (reused if already built)")
-	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "segment store memtable flush threshold (0 = default)")
-	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "segment count that triggers compaction (0 = default)")
-	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background segment maintenance interval (0 disables)")
-	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "most parts one find is scored on in parallel (0 = GOMAXPROCS, 1 = serial)")
-	fs.StringVar(&shards, "shards", "", "coordinate these shard processes instead of serving a corpus: comma-separated base URLs, position = shard id")
-	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request")
-	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to shards")
-	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval")
+	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a corpus file (datagen -save or -stream, System.SaveCorpus) instead of generating")
+	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "serve from a disk-backed segment index in this directory instead of memory, one directory per shard: cold-built when empty (chunk by chunk from a corpus file with chunks), reopened without analysis once populated. A reopen refuses a document id outside the corpus, deleted in it or outside this slice; a partial store, or one built from another corpus as large, is served (ROADMAP item 14)")
+	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "memtable documents that trigger a segment seal (0 = 50000); needs -segment-dir")
+	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "sealed-segment count that triggers background compaction (0 = 8); needs -segment-dir")
+	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background seal and compaction interval (0 disables maintenance)")
+	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "most parts one find is scored on in parallel (0 = GOMAXPROCS, 1 = serial); rankings are identical for every value")
+	fs.StringVar(&shards, "shards", "", "coordinator mode: comma-separated http(s) base URLs of the shard processes, position = shard id; refuses every flag that configures a local corpus, index, cache or ingest")
+	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request; needs -shards")
+	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to straggling shards; needs -shards")
+	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval; needs -shards")
 	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
-	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load (0 = unlimited)")
+	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load with a 503 (0 = unlimited)")
 	fs.IntVar(&o.cache.Capacity, "cache-size", 4096, "ranked-result cache capacity in entries (0 disables caching)")
 	fs.BoolVar(&o.api.Debug, "debug", false, "mount pprof and expvar under /debug/")
-	fs.IntVar(&o.open.ShardID, "shard-id", 0, "this process's shard number in a scatter-gather topology (with -shard-count)")
-	fs.IntVar(&o.open.ShardCount, "shard-count", 0, "scatter-gather topology size; >= 1 serves only this shard's document slice and mounts /v1/shard/*")
-	fs.StringVar(&o.log.Format, "log-format", "text", "log record format: text or json")
+	fs.IntVar(&o.open.ShardID, "shard-id", 0, "this process's shard number in a scatter-gather topology; needs -shard-count")
+	fs.IntVar(&o.open.ShardCount, "shard-count", 0, "scatter-gather topology size: >= 1 builds only shard -shard-id's document slice and mounts /v1/shard/* for a coordinator")
+	fs.StringVar(&o.log.Format, "log-format", "text", "log record format: text or json (an access record carries method, path, route, status, bytes, duration, rid, shard and degraded)")
 	fs.StringVar(&o.log.Level, "log-level", "info", "minimum log level: debug, info, warn or error")
 	fs.BoolVar(&logStamp, "log-stamp", true, "timestamp log records (false for byte-deterministic output)")
-	fs.DurationVar(&o.slo.Latency, "slo-latency", 500*time.Millisecond, "latency objective for /v1 requests (also the slow-trace keep threshold)")
+	fs.DurationVar(&o.slo.Latency, "slo-latency", 500*time.Millisecond, "latency objective for /v1 requests; also the slow-trace keep threshold")
 	fs.Float64Var(&o.slo.Availability, "slo-availability", 0.999, "availability objective (target non-5xx ratio)")
-	fs.DurationVar(&o.slo.Window, "slo-window", 5*time.Minute, "sliding window for SLO burn rates")
+	fs.DurationVar(&o.slo.Window, "slo-window", 5*time.Minute, "sliding window for the SLO burn rates")
 	fs.Float64Var(&o.slo.BurnAlert, "slo-burn-alert", 4, "burn rate that triggers an on-breach profile capture")
 	fs.StringVar(&o.slo.ProfileDir, "pprof-dir", "", "directory for on-breach pprof captures (empty disables capturing)")
-	fs.DurationVar(&o.ingestInterval, "ingest-interval", 0, "continuous-ingest round interval (0 disables; requires the generated corpus in memory)")
+	fs.DurationVar(&o.ingestInterval, "ingest-interval", 0, "continuous-ingest tick: > 0 edits 8 resources of a regenerated remote twin and ingests the change on this interval (0 disables); needs the generated corpus in memory, so -corpus, -segment-dir and -shard-count refuse it")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -339,17 +339,6 @@ func (f *Finder) Graph() *socialgraph.Graph { return f.graph }
 // Index returns the underlying resource index.
 func (f *Finder) Index() index.Searcher { return f.index }
 
-// scoreMatches produces the relevant-resource list: Eq. (1) matches
-// restricted to the reachable set, bounded to the k best when k is
-// positive. Reachability always rides into the index as the accept
-// predicate, so unreachable documents are never accumulated and a
-// pruned evaluation bounds exactly the list the pipeline consumes. A
-// nil st plans against the index's own statistics; a shard process
-// passes the global view.
-func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, k int, st index.CollectionStats, r *reach) []index.ScoredDoc {
-	return f.index.ScoreStatsTopK(need, p.alpha(), st, k, r.accept)
-}
-
 // Pipeline returns the analysis pipeline.
 func (f *Finder) Pipeline() *analysis.Pipeline { return f.pipe }
 
@@ -394,28 +383,46 @@ func (f *Finder) FindCachedContext(ctx context.Context, need string, p Params) (
 }
 
 // findCold runs the full uncached pipeline: analysis, then the
-// traverse/match/rank stages of FindAnalyzedContext.
+// traverse/match/rank stages of findAnalyzed.
 func (f *Finder) findCold(ctx context.Context, need string, p Params) []ExpertScore {
 	tr := telemetry.TraceFrom(ctx)
 	sp, t0 := tr.StartSpan("analyze"), time.Now()
 	a := f.pipe.AnalyzeNeed(need)
 	mStageSeconds.With("analyze").ObserveSince(t0)
 	sp.End()
-	return f.FindAnalyzedContext(ctx, a, p)
+	return f.findAnalyzed(ctx, a, p)
 }
 
 // FindAnalyzed is Find for a pre-analyzed need.
 func (f *Finder) FindAnalyzed(need analysis.Analyzed, p Params) []ExpertScore {
-	return f.FindAnalyzedContext(context.Background(), need, p)
+	return f.findAnalyzed(context.Background(), need, p)
 }
 
-// FindAnalyzedContext is FindAnalyzed with a context, instrumented
-// like FindContext (minus the analyze stage, already done by the
-// caller).
-func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed, p Params) []ExpertScore {
+// findAnalyzed is FindAnalyzed with a context, instrumented like
+// FindContext (minus the analyze stage, already done by the caller).
+func (f *Finder) findAnalyzed(ctx context.Context, need analysis.Analyzed, p Params) []ExpertScore {
 	mQueries.Inc()
-	tr := telemetry.TraceFrom(ctx)
+	matches, r := f.match(ctx, need, p, nil)
 
+	sp, t0 := telemetry.TraceFrom(ctx).StartSpan("aggregate_rank"), time.Now()
+	out := rankMatches(matches, r.table.Of, p)
+	mStageSeconds.With("aggregate_rank").ObserveSince(t0)
+	sp.SetAttrInt("experts", len(out))
+	sp.End()
+	return out
+}
+
+// match runs the traverse and index_match stages every ranking path
+// shares: the reachability entry for p.Traversal, then the Eq. (1)
+// matches restricted to it, bounded to the p.MatchBound() best.
+// Reachability rides into the index as the accept predicate, so
+// unreachable documents are never accumulated and a pruned evaluation
+// bounds exactly the list the caller consumes. The entry is returned
+// so the caller attributes the matches with the same table they were
+// filtered by. A nil st plans against the index's own statistics; a
+// shard process passes the global view.
+func (f *Finder) match(ctx context.Context, need analysis.Analyzed, p Params, st index.CollectionStats) ([]index.ScoredDoc, *reach) {
+	tr := telemetry.TraceFrom(ctx)
 	sp, t0 := tr.StartSpan("traverse"), time.Now()
 	r := f.reachability(p.Traversal)
 	mStageSeconds.With("traverse").ObserveSince(t0)
@@ -424,18 +431,12 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
 	bound := p.MatchBound()
-	matches := f.scoreMatches(need, p, bound, nil, r)
+	matches := f.index.ScoreStatsTopK(need, p.alpha(), st, bound, r.accept)
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttrInt("matches", len(matches))
 	sp.SetAttrInt("bound", bound)
 	sp.End()
-
-	sp, t0 = tr.StartSpan("aggregate_rank"), time.Now()
-	out := rankMatches(matches, r.table.Of, p)
-	mStageSeconds.With("aggregate_rank").ObserveSince(t0)
-	sp.SetAttrInt("experts", len(out))
-	sp.End()
-	return out
+	return matches, r
 }
 
 // Matches returns the relevant resources for the need — the scored
@@ -445,7 +446,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 // set). It is the one entry point the window never bounds: the window
 // sweeps re-rank a single list under many windows.
 func (f *Finder) Matches(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	return f.scoreMatches(need, p, p.TopK, nil, f.reachability(p.Traversal))
+	return f.index.ScoreStatsTopK(need, p.alpha(), nil, p.TopK, f.reachability(p.Traversal).accept)
 }
 
 // RankFromMatches applies window truncation and the expert scoring
@@ -596,8 +597,7 @@ func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params,
 	// One cache entry serves the filter and the attribution: a second
 	// lookup could straddle a catch-up and attribute evidence from a
 	// graph the matches were not filtered by.
-	r := f.reachability(p.Traversal)
-	matches := f.scoreMatches(need, p, p.MatchBound(), nil, r)
+	matches, r := f.match(context.Background(), need, p, nil)
 	n := p.window(len(matches))
 	if n > len(matches) {
 		n = len(matches)

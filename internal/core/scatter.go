@@ -87,30 +87,16 @@ type ShardMatch struct {
 // is byte-identical to the single-process bounded ranking.
 func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st index.CollectionStats) []ShardMatch {
 	mQueries.Inc()
-	tr := telemetry.TraceFrom(ctx)
-
-	sp, t0 := tr.StartSpan("analyze"), time.Now()
+	sp, t0 := telemetry.TraceFrom(ctx).StartSpan("analyze"), time.Now()
 	a := f.pipe.AnalyzeNeed(need)
 	mStageSeconds.With("analyze").ObserveSince(t0)
 	sp.End()
 
-	sp, t0 = tr.StartSpan("traverse"), time.Now()
-	r := f.reachability(p.Traversal)
-	mStageSeconds.With("traverse").ObserveSince(t0)
-	sp.SetAttrInt("reachable_resources", r.table.Len())
-	sp.End()
-
-	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	bound := p.MatchBound()
-	scored := f.scoreMatches(a, p, bound, st, r)
+	scored, r := f.match(ctx, a, p, st)
 	out := make([]ShardMatch, len(scored))
 	for i, sd := range scored {
 		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: r.table.Of(sd.Doc)}
 	}
-	mStageSeconds.With("index_match").ObserveSince(t0)
-	sp.SetAttrInt("matches", len(out))
-	sp.SetAttrInt("bound", bound)
-	sp.End()
 	return out
 }
 

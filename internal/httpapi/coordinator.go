@@ -103,7 +103,7 @@ type degradedInfo struct {
 }
 
 func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.Form
 	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")

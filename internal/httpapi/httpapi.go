@@ -269,6 +269,8 @@ func dispatchMux(mux *http.ServeMux, st *slo.Tracker, w http.ResponseWriter, r *
 // retention so /debug/traces/{rid} can still find them after a flood
 // of healthy queries. On a shard process, the coordinator's span
 // header nests the trace under the fan-out attempt that carried it.
+// The query string is parsed once, here: the trace's q attribute and
+// the route read the same r.Form.
 func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, tr := b.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
@@ -278,7 +280,8 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 				go b.onKept(tr.ID())
 			}
 		}()
-		if q := r.URL.Query().Get("q"); q != "" {
+		_ = r.ParseForm() // a malformed pair is dropped, as r.URL.Query() drops it
+		if q := r.Form.Get("q"); q != "" {
 			tr.SetAttr("q", q)
 		}
 		if parent := sanitizeRequestID(r.Header.Get(telemetry.SpanHeader)); parent != "" {
@@ -347,7 +350,7 @@ func (h *Handler) queries(sys *expertfind.System, w http.ResponseWriter, _ *http
 }
 
 func (h *Handler) experts(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	domain := r.URL.Query().Get("domain")
+	domain := r.Form.Get("domain")
 	if domain == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: domain")
 		return
@@ -367,7 +370,7 @@ type findResponse struct {
 }
 
 func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.Form
 	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
@@ -400,7 +403,7 @@ type bestNetworkResponse struct {
 }
 
 func (h *Handler) bestNetwork(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.Form
 	need := q.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
@@ -427,7 +430,7 @@ func (h *Handler) bestNetwork(sys *expertfind.System, w http.ResponseWriter, r *
 }
 
 func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.Form
 	need, expert := q.Get("q"), q.Get("expert")
 	if need == "" || expert == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameters: q, expert")

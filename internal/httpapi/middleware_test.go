@@ -130,7 +130,8 @@ func TestShedIsTraced(t *testing.T) {
 			return h, h.sem
 		},
 	} {
-		h, sem := build(Options{MaxConcurrent: 1, Tracer: telemetry.NewTracer(8)})
+		tracer := telemetry.NewTracer(8)
+		h, sem := build(Options{MaxConcurrent: 1, Tracer: tracer})
 		ts := httptest.NewServer(h)
 		sem <- struct{}{} // one request stuck in its handler
 
@@ -163,8 +164,42 @@ func TestShedIsTraced(t *testing.T) {
 		if !found {
 			t.Errorf("%s: /debug/slow has no status=503 keep=shed line for %s:\n%s", name, rid, slow)
 		}
+		assertTracedQuery(t, tracer, rid, "copper")
 		<-sem
 		ts.Close()
+	}
+}
+
+// TestNotReadyIsTracedWithQuery: a /v1 request refused before the
+// corpus is installed still leaves a trace carrying its q, read from
+// the guard's one parse of the query string.
+func TestNotReadyIsTracedWithQuery(t *testing.T) {
+	tracer := telemetry.NewTracer(8)
+	ts := httptest.NewServer(NewWithOptions(nil, Options{Tracer: tracer}))
+	defer ts.Close()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/find?q=copper+wire&top=2", nil)
+	req.Header.Set("X-Request-ID", "rid-not-ready")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("not-ready /v1/find = %d, want 503", resp.StatusCode)
+	}
+	assertTracedQuery(t, tracer, "rid-not-ready", "copper wire")
+}
+
+// assertTracedQuery fails unless tracer retains a trace under rid whose
+// q attribute is want.
+func assertTracedQuery(t *testing.T, tracer *telemetry.Tracer, rid, want string) {
+	t.Helper()
+	traces := tracer.Lookup(rid)
+	if len(traces) == 0 {
+		t.Fatalf("no trace retained for %s", rid)
+	}
+	if got := traces[0].Attrs["q"]; got != want {
+		t.Errorf("%s: trace q = %q, want %q (attrs %v)", rid, got, want, traces[0].Attrs)
 	}
 }
 

@@ -52,7 +52,7 @@ func (h *Handler) shardMeta(sys *expertfind.System, w http.ResponseWriter, _ *ht
 // count and local document frequencies for the need's dimensions,
 // which the coordinator sums into the global collection view.
 func (h *Handler) shardStats(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {
-	need := r.URL.Query().Get("q")
+	need := r.Form.Get("q")
 	if need == "" {
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
 		return
