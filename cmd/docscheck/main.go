@@ -300,14 +300,16 @@ func parseHelp(help string) ([]flagDoc, error) {
 		if f.def, ok = zeroDefault[typ]; !ok {
 			return nil, fmt.Errorf("-%s shows the type %q: drop the back quotes from its usage, so its zero default is known", name, typ)
 		}
-		// The suffix quotes a string default, so an unquoted one is usage.
+		// The flag package quotes a string default in this suffix, so an
+		// unquoted one is a usage string posing as a default.
 		if j := strings.LastIndex(f.usage, " (default "); j >= 0 && strings.HasSuffix(f.usage, ")") {
-			def, err := f.usage[j+len(" (default "):len(f.usage)-1], error(nil)
+			f.def, f.usage = f.usage[j+len(" (default "):len(f.usage)-1], f.usage[:j]
 			if typ == "string" {
-				def, err = strconv.Unquote(def)
-			}
-			if err == nil {
-				f.def, f.usage = def, f.usage[:j]
+				def, err := strconv.Unquote(f.def)
+				if err != nil {
+					return nil, fmt.Errorf("-%s's usage ends in an unquoted (default %s), which -h prints as if it were the registered default: reword it", name, f.def)
+				}
+				f.def = def
 			}
 		}
 		flags = append(flags, f)

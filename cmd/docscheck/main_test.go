@@ -220,7 +220,7 @@ func TestFlagTable(t *testing.T) {
 		fs.Bool("stamp", true, "timestamp records")
 		fs.Int("n", 0, "workers (0 = default)")
 		fs.Float64("rate", 0.5, "sampling rate\nacross two lines")
-		fs.String("run", "", "ids to run (default all)")
+		fs.String("run", "all", "ids to run")
 	}))
 	want := strings.Join([]string{
 		"| Flag | Default | Meaning |",
@@ -229,7 +229,7 @@ func TestFlagTable(t *testing.T) {
 		"| `-dir` |  | store directory \\| none |",
 		"| `-n` | `0` | workers (0 = default) |",
 		"| `-rate` | `0.5` | sampling rate across two lines |",
-		"| `-run` |  | ids to run (default all) |",
+		"| `-run` | `all` | ids to run |",
 		"| `-stamp` | `true` | timestamp records |",
 		"| `-tick` | `30s` | maintenance interval (0 disables) |",
 		"| `-v` | `false` | verbose |",
@@ -246,6 +246,15 @@ func TestFlagTable(t *testing.T) {
 		fs.String("out", "", "write the report to `file`")
 	})); err == nil {
 		t.Fatal("a back-quoted usage name parsed without an error")
+	}
+
+	// A string flag's usage ending in an unquoted "(default …)" prints
+	// exactly like a registered default, so it is refused.
+	_, err := parseHelp(helpOf(func(fs *flag.FlagSet) {
+		fs.String("run", "", "ids to run (default all)")
+	}))
+	if err == nil || !strings.Contains(err.Error(), "-run") {
+		t.Fatalf("an unquoted string default in a usage: err = %v, want one naming -run", err)
 	}
 }
 

@@ -33,8 +33,8 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "dataset generation seed")
 	scale := flag.Float64("scale", 1.0, "corpus volume multiplier")
-	run := flag.String("run", "", "comma-separated experiment ids (default all)")
-	faultRates := flag.String("fault-rates", "", "comma-separated API failure rates for the faults sweep (default 0,0.05,0.1,0.25,0.5)")
+	run := flag.String("run", "", "comma-separated experiment ids; empty runs all")
+	faultRates := flag.String("fault-rates", "", "comma-separated API failure rates for the faults sweep; empty sweeps 0,0.05,0.1,0.25,0.5")
 	faultSeed := flag.Int64("fault-seed", 0, "fault injection seed for the faults sweep (0 = 23)")
 	retries := flag.Int("retries", 0, "max attempts per API call in the faults sweep (default: the standard stack's 4)")
 	flag.Parse()

@@ -97,7 +97,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.Int64Var(&o.open.Config.Seed, "seed", 1, "corpus seed (ignored with -corpus); with -ingest-interval it also seeds the twin's churn")
 	fs.Float64Var(&o.open.Config.Scale, "scale", 0.5, "corpus volume multiplier (ignored with -corpus)")
 	fs.StringVar(&o.open.CorpusPath, "corpus", "", "load a corpus file (datagen -save or -stream, System.SaveCorpus) instead of generating")
-	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "serve from a disk-backed segment index in this directory instead of memory, one directory per shard: cold-built when empty (chunk by chunk from a corpus file with chunks), reopened without analysis once populated. A reopen refuses a document id outside the corpus, deleted in it or outside this slice; a partial store, or one built from another corpus as large, is served (ROADMAP item 14)")
+	fs.StringVar(&o.open.SegmentDir, "segment-dir", "", "serve from a disk-backed segment index in this directory instead of memory, one directory per shard: cold-built when empty (chunk by chunk from a corpus file with chunks), reopened without analysis once populated. A reopen refuses a store whose build did not finish or indexed another corpus or slice, and a document id outside the corpus, deleted in it or outside this slice")
 	fs.IntVar(&o.open.Stream.FlushDocs, "segment-flush-docs", 0, "memtable documents that trigger a segment seal (0 = 50000); needs -segment-dir")
 	fs.IntVar(&o.open.Stream.MaxSegments, "segment-max", 0, "sealed-segment count that triggers background compaction (0 = 8); needs -segment-dir")
 	fs.DurationVar(&o.segmentMaintain, "segment-maintain", 30*time.Second, "background seal and compaction interval (0 disables maintenance)")

@@ -137,11 +137,14 @@ type Options struct {
 	ShardID, ShardCount int
 
 	// Container: memory, or with SegmentDir the disk-backed segment
-	// store rooted there, configured by Stream. A store that already
-	// holds documents — e.g. one built by `datagen -stream
-	// -segment-dir` — is checked against the corpus and slice it is
-	// opened as and served directly, skipping analysis; an empty one is
-	// populated, sealing segments to disk as the memtable fills.
+	// store rooted there, configured by Stream. An empty store is
+	// populated, sealing segments to disk as the memtable fills, and
+	// its build record says whether the build finished. A store that
+	// already holds documents — e.g. one built by `datagen -stream
+	// -segment-dir` — is served directly, skipping analysis, once its
+	// documents and build record agree with the corpus and slice it is
+	// opened as; a partial store, or one built from another corpus, is
+	// refused (experiments.PrebuiltError).
 	SegmentDir string
 	Stream     StreamOptions
 }
@@ -388,10 +391,13 @@ func (s *System) SetResultCache(c core.ResultCache) {
 // cache/retry/observability hooks — the installed graph, live index,
 // analysis pipeline and this system's finder are filled in here. The
 // ingester's RunOnce fetches what the remote's change feeds name (the
-// whole remote corpus when they cannot answer), diffs it against the
-// installed one and applies the delta live; rankings after any round
-// are bit-identical to a cold rebuild of the remote state: the deltas
-// land in the index's memtable, in memory or beside sealed segments.
+// whole remote corpus when they cannot answer; a system whose graph is
+// still as its corpus file or generator made it resumes a remote
+// loaded from the same source, so even its first round is scoped),
+// diffs it against the installed one and applies the delta live;
+// rankings after any round are bit-identical to a cold rebuild of the
+// remote state: the deltas land in the index's memtable, in memory or
+// beside sealed segments.
 // Scatter shard-slice systems must not be ingested into: a delta
 // carries the whole corpus, not the slice (cmd/serve refuses the flag
 // combination).

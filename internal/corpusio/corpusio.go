@@ -13,6 +13,8 @@ package corpusio
 import (
 	"bufio"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -176,7 +178,8 @@ type StreamLoadOptions struct {
 	// DropTexts blanks every bulk resource text right after its chunk
 	// is applied, keeping only the graph structure — the mode a server
 	// uses when scoring comes from a pre-built segment store and the
-	// texts would only burn memory.
+	// texts would only burn memory. A graph with blanked texts is no
+	// exact copy of the file, so it carries no origin stamp.
 	DropTexts bool
 	// OnChunk, when set, observes each chunk after it is applied to
 	// the growing dataset (and before DropTexts blanking). Returning
@@ -189,15 +192,21 @@ type StreamLoadOptions struct {
 // dataset that was saved or that GenerateStream produced. A ".gz"
 // suffix selects gzip; a missing trailer or mismatched totals is a
 // truncation error.
+//
+// The dataset's Identity is a SHA-256 of the file's bytes, taken as
+// they stream through the load, so equal files load with equal
+// identities. Unless DropTexts blanked a text, the graph is stamped
+// as an exact copy of that identity (socialgraph.Graph.StampOrigin).
 func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
+	digest := sha256.New()
+	var r io.Reader = io.TeeReader(f, digest)
 	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
+		gz, err := gzip.NewReader(r)
 		if err != nil {
 			return nil, fmt.Errorf("corpusio: opening gzip corpus: %w", err)
 		}
@@ -222,7 +231,7 @@ func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) 
 	}
 
 	var d *dataset.Dataset
-	chunks := 0
+	chunks, blanked := 0, false
 	for {
 		var rec streamRecord
 		if err := dec.Decode(&rec); err != nil {
@@ -253,6 +262,7 @@ func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) 
 			}
 			if o.DropTexts {
 				d.BlankChunkTexts(rec.Chunk)
+				blanked = blanked || len(rec.Chunk.Resources) > 0
 			}
 		case rec.EOF != nil:
 			if d == nil {
@@ -266,6 +276,15 @@ func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) 
 			}
 			if got := d.Graph.NumResources(); got != rec.EOF.Resources {
 				return nil, fmt.Errorf("corpusio: corpus resource count %d, trailer says %d", got, rec.EOF.Resources)
+			}
+			// The digest covers the whole file: the bytes past what the
+			// decoders read ahead join it here.
+			if _, err := io.Copy(digest, f); err != nil {
+				return nil, fmt.Errorf("corpusio: reading corpus: %w", err)
+			}
+			d.Identity = "sha256:" + hex.EncodeToString(digest.Sum(nil))
+			if !blanked {
+				d.Graph.StampOrigin(d.Identity)
 			}
 			return d, nil
 		default:

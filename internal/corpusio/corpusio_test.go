@@ -1,7 +1,9 @@
 package corpusio
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -295,5 +297,74 @@ func TestLoadRejectsCorruptReferences(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadStreamFile(filepath.Join(t.TempDir(), "nope.json"), StreamLoadOptions{}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestLoadIdentity: a load names its file by a digest of its bytes, so
+// equal files load with equal identities and a one-byte difference
+// does not. The graph is stamped as an exact copy of that identity
+// unless DropTexts blanked a text: a file with no chunks has none to
+// blank, a chunked one loses its stamp but keeps its identity.
+func TestLoadIdentity(t *testing.T) {
+	dir := t.TempDir()
+	d := makeDataset(t)
+	a, b, c := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json"), filepath.Join(dir, "c.json")
+	for _, p := range []string{a, b} {
+		if err := SaveFile(d, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(data), `"Text":"`) + len(`"Text":"`)
+	if ch := data[i]; ch < 'a' || ch > 'y' {
+		t.Fatalf("the first text starts with %q, want a lowercase letter to flip", ch)
+	}
+	data[i]++
+	if err := os.WriteFile(c, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	streamed := filepath.Join(dir, "corpus.stream.json.gz")
+	if _, err := WriteStreamFile(streamed, dataset.StreamConfig{Config: dataset.Config{Seed: 7, Scale: 1.1}, ChunkDocs: 8000}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	load := func(path string, drop bool) (identity, origin string, pristine bool) {
+		t.Helper()
+		got, err := LoadStreamFile(path, StreamLoadOptions{DropTexts: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("sha256:%x", sha256.Sum256(data)); got.Identity != want {
+			t.Fatalf("%s: identity %s, want the digest of the file's bytes, %s", path, got.Identity, want)
+		}
+		origin, pristine = got.Graph.Origin()
+		return got.Identity, origin, pristine
+	}
+	idA, originA, pristineA := load(a, false)
+	if !strings.HasPrefix(idA, "sha256:") || originA != idA || !pristineA {
+		t.Fatalf("a: identity %q, origin %q (pristine %t); want a digest the graph is stamped with", idA, originA, pristineA)
+	}
+	if idB, _, _ := load(b, false); idB != idA {
+		t.Fatalf("equal files: identities %q and %q", idA, idB)
+	}
+	if idC, _, _ := load(c, false); idC == idA {
+		t.Fatalf("files one byte apart share identity %q", idA)
+	}
+	if id, origin, pristine := load(a, true); id != idA || origin != idA || !pristine {
+		t.Fatalf("a with DropTexts (no chunks to blank): identity %q, origin %q, pristine %t", id, origin, pristine)
+	}
+	idS, originS, _ := load(streamed, false)
+	if originS != idS {
+		t.Fatalf("chunked file: origin %q, identity %q", originS, idS)
+	}
+	if id, origin, pristine := load(streamed, true); id != idS || origin != "" || pristine {
+		t.Fatalf("chunked file with DropTexts: identity %q (want %q), origin %q, pristine %t; want no stamp", id, idS, origin, pristine)
 	}
 }

@@ -70,7 +70,12 @@ type Query struct {
 
 // Dataset is a generated evaluation dataset.
 type Dataset struct {
-	Config     Config
+	Config Config
+	// Identity names the source the dataset was generated or loaded
+	// from: datasets of equal identity hold equal corpora. Generate
+	// derives it from the resolved Config, corpusio from a digest of
+	// the file's bytes; it is empty for a dataset assembled otherwise.
+	Identity   string
 	Graph      *socialgraph.Graph
 	Web        *webcontent.Web
 	KB         *kb.KB
@@ -120,8 +125,19 @@ func domainIndex(d kb.Domain) int {
 	panic(fmt.Sprintf("dataset: unknown domain %q", d))
 }
 
-// Generate builds a dataset from the configuration.
+// Generate builds a dataset from the configuration, stamped as an
+// exact copy of it: Identity names the resolved Config, and so does
+// the graph's origin (socialgraph.Graph.StampOrigin).
 func Generate(cfg Config) *Dataset {
+	d := generate(cfg)
+	d.Identity = fmt.Sprintf("generated:seed=%d,candidates=%d,scale=%g,silent=%d",
+		d.Config.Seed, d.Config.NumCandidates, d.Config.Scale, d.Config.SilentExperts)
+	d.Graph.StampOrigin(d.Identity)
+	return d
+}
+
+// generate is Generate without the identity and the stamp.
+func generate(cfg Config) *Dataset {
 	cfg = cfg.withDefaults()
 	d := &Dataset{
 		Config:         cfg,
@@ -300,7 +316,7 @@ func (d *Dataset) Activity(u socialgraph.UserID) float64 {
 // use the same user identifiers (the crawler preserves them).
 func (d *Dataset) WithGraph(g *socialgraph.Graph) *Dataset {
 	out := *d
-	out.Graph = g
+	out.Graph, out.Identity = g, ""
 	return &out
 }
 

@@ -110,7 +110,7 @@ func GenerateStream(cfg StreamConfig, onBase func(*Dataset) error, onChunk func(
 	if baseCfg.Scale > 1 {
 		baseCfg.Scale = 1
 	}
-	d := Generate(baseCfg)
+	d := generate(baseCfg) // no identity: chunks follow, and callers blank their texts
 	d.Config.Scale = cfg.Scale
 	if onBase != nil {
 		if err := onBase(d); err != nil {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -275,6 +278,79 @@ func TestBuildRefusesForeignSegmentDir(t *testing.T) {
 		o.SegmentDir = d
 		build(t, o)
 	}
+}
+
+// assertPrebuiltRefused requires err to be the build record's refusal
+// of dir, giving a reason that contains want.
+func assertPrebuiltRefused(t *testing.T, err error, dir, want string) {
+	t.Helper()
+	var refused *PrebuiltError
+	if !errors.As(err, &refused) || refused.Dir != dir || !strings.Contains(err.Error(), dir) ||
+		!strings.Contains(refused.Reason, want) {
+		t.Fatalf("reopen: err = %v, want a PrebuiltError naming %s and %q", err, dir, want)
+	}
+}
+
+// A build that dies after a seal leaves a store its build record
+// refuses: a chunked corpus file cut after its second chunk fails the
+// build once segments are on disk, and reopening the directory with
+// the whole file is refused, naming it, instead of serving part of the
+// index.
+func TestBuildRefusesUnfinishedSegmentDir(t *testing.T) {
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "corpus.stream.json") // uncompressed: one record a line
+	cfg := dataset.StreamConfig{Config: dataset.Config{Seed: 6, Scale: 1.05}, ChunkDocs: 4000}
+	if _, err := corpusio.WriteStreamFile(whole, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n")) // header, base, chunks, trailer
+	if len(lines) < 6 {
+		t.Fatalf("the corpus file has %d lines, want at least 3 chunks", len(lines))
+	}
+	cut := filepath.Join(dir, "cut.stream.json")
+	if err := os.WriteFile(cut, bytes.Join(lines[:4], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o := BuildOptions{CorpusPath: cut, SegmentDir: filepath.Join(dir, "segments"), Store: index.StoreOptions{FlushDocs: 3000}}
+	if _, err := Build(o); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("build from the cut file: err = %v, want a truncation", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(o.SegmentDir, "seg-*")); len(segs) == 0 {
+		t.Fatal("the cut build sealed no segment before it failed")
+	}
+	o.CorpusPath = whole
+	_, err = Build(o)
+	assertPrebuiltRefused(t, err, o.SegmentDir, "did not finish")
+}
+
+// A store built from one corpus refuses a second corpus of equal
+// counts that differs in one text: checkPrebuilt alone would pass it.
+func TestBuildRefusesSegmentDirOfAnotherCorpus(t *testing.T) {
+	dir := t.TempDir()
+	ds := dataset.Generate(dataset.Config{Seed: 6, Scale: 0.05})
+	first, second := filepath.Join(dir, "first.json.gz"), filepath.Join(dir, "second.json.gz")
+	if err := corpusio.SaveFile(ds, first); err != nil {
+		t.Fatal(err)
+	}
+	id := socialgraph.ResourceID(ds.Graph.NumResources() - 1)
+	ds.Graph.SetResourceText(id, ds.Graph.Resource(id).Text+" and swimming")
+	if err := corpusio.SaveFile(ds, second); err != nil {
+		t.Fatal(err)
+	}
+
+	o := BuildOptions{CorpusPath: first, SegmentDir: filepath.Join(dir, "segments")}
+	build(t, o).Finder.Index().(*index.Store).Close()
+	o.CorpusPath = second
+	_, err := Build(o)
+	assertPrebuiltRefused(t, err, o.SegmentDir, "built from corpus")
+	// The corpus it was built from still opens it.
+	o.CorpusPath = first
+	build(t, o)
 }
 
 func TestBuildRefusesShardOutsideTopology(t *testing.T) {

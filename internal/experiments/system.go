@@ -62,9 +62,12 @@ type BuildOptions struct {
 	// SegmentDir one that lives in memory and never seals, with one a
 	// store rooted there. Store.Workers bounds the parts one find is
 	// scored on in parallel in either (rankings are identical for any
-	// value). A directory that already holds documents is checked
-	// against the corpus and slice it is opened as and served without
-	// analysis; an empty one is populated.
+	// value). An empty directory is populated, and a build record
+	// beside the segments says whether that build finished. A
+	// directory that already holds documents is served without
+	// analysis once its documents and its build record agree with the
+	// corpus and slice it is opened as; otherwise Build refuses it (a
+	// *PrebuiltError when the record does not vouch for it).
 	SegmentDir string
 	Store      index.StoreOptions
 	// KeepTexts retains a corpus file's bulk chunk texts; by default
@@ -106,13 +109,23 @@ func Build(o BuildOptions) (sys *System, err error) {
 		}
 	}()
 	b.prebuilt = b.store.NumDocs() > 0
+	record := o.SegmentDir != "" && !b.prebuilt
+	if record {
+		// Before the first AddBatch: a build that dies from here on
+		// leaves a store its record refuses.
+		if err = b.writeRecord("", false); err != nil {
+			return nil, err
+		}
+	}
 	ds, err := b.load()
 	if err != nil {
 		return nil, err
 	}
 	if b.prebuilt {
 		b.start(ds)
-		err = b.checkPrebuilt(ds.Graph)
+		if err = b.checkPrebuilt(ds.Graph); err == nil {
+			err = b.checkRecord(ds.Identity)
+		}
 	} else {
 		// Everything no chunk has fed yet: the whole corpus, or a corpus
 		// file's base section when the file has chunks.
@@ -129,6 +142,11 @@ func Build(o BuildOptions) (sys *System, err error) {
 	if o.SegmentDir != "" && b.store.NumDocs() == 0 {
 		return nil, fmt.Errorf("experiments: corpus produced an empty index in %s", o.SegmentDir)
 	}
+	if record {
+		if err = b.writeRecord(ds.Identity, true); err != nil {
+			return nil, err
+		}
+	}
 	return &System{
 		DS:       ds,
 		Finder:   core.NewFinder(ds.Graph, b.store, b.pipe, ds.Candidates),
@@ -138,24 +156,18 @@ func Build(o BuildOptions) (sys *System, err error) {
 }
 
 // load resolves the source axis. A corpus file feeds add chunk by
-// chunk as it loads, so the texts of a chunk can go before the next
-// arrives; one with no chunks is added whole once loaded.
+// chunk as it loads, so corpusio can drop the texts of a chunk before
+// the next arrives; one with no chunks is added whole once loaded.
 func (b *builder) load() (*dataset.Dataset, error) {
 	o := b.o
 	switch {
 	case o.Dataset != nil:
 		return o.Dataset, nil
 	case o.CorpusPath != "":
-		opts := corpusio.StreamLoadOptions{DropTexts: b.prebuilt && !o.KeepTexts}
+		opts := corpusio.StreamLoadOptions{DropTexts: !o.KeepTexts}
 		if !b.prebuilt {
 			opts.OnChunk = func(d *dataset.Dataset, c *dataset.StreamChunk) error {
-				if err := b.add(d, c.FirstResource+socialgraph.ResourceID(len(c.Resources))); err != nil {
-					return err
-				}
-				if !o.KeepTexts {
-					d.BlankChunkTexts(c)
-				}
-				return nil
+				return b.add(d, c.FirstResource+socialgraph.ResourceID(len(c.Resources)))
 			}
 		}
 		return corpusio.LoadStreamFile(o.CorpusPath, opts)

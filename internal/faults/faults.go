@@ -121,6 +121,11 @@ type ContainerView struct {
 // description. A removed one is absent from that same fetch.
 type ChangeView struct {
 	Network socialgraph.Network
+	// Feed names the feed that issued Next: the remote graph's origin
+	// (socialgraph.Graph.Origin), empty when it has none. A cursor
+	// means something only on the feed that issued it, and cursor 1
+	// is the source itself on every copy of it.
+	Feed string
 	// IDs are the changed resources on Network, sorted.
 	IDs []socialgraph.ResourceID
 	// Users and Containers are the home owners of IDs, sorted.
@@ -360,7 +365,8 @@ func (in *Injector) ChangedSince(net socialgraph.Network, cursor uint64) (*Chang
 		return nil, err
 	}
 	ids, next, ok := in.g.ChangedSince(cursor)
-	view := &ChangeView{Network: net, Next: next, Expired: !ok}
+	feed, _ := in.g.Origin()
+	view := &ChangeView{Network: net, Feed: feed, Next: next, Expired: !ok}
 	var descs []socialgraph.ResourceID
 	for _, id := range ids {
 		r := in.g.Resource(id)

@@ -19,13 +19,17 @@
 // Each round asks the networks' change feeds what changed since the
 // last completed round and fetches only those resources' home owners;
 // DiffScoped classifies the changed resources by comparing their
-// records field by field. FetchCatalog re-fetches every user stream
-// and container feed for Diff instead when no cursor can answer: on
-// the first round, when a feed has expired, and on every
-// fullEvery-th round. Ingester.RunOnce applies the delta atomically
-// with respect to concurrent queries. A round that cannot fetch
-// completely is aborted whole and keeps its cursors: diffing a partial
-// catalog would misread every missing resource as a deletion.
+// records field by field. An installed graph that is still a pristine
+// copy of its origin — a corpus file or a generator configuration,
+// stamped at load — resumes that source's feeds at cursor 1, so even
+// its first round is scoped. FetchCatalog re-fetches every user stream
+// and container feed for Diff instead when no cursor can answer, and
+// the round report says why (FullReason): the ingester holds no cursor,
+// a feed names another source than its cursor's, a feed has expired,
+// or fullEvery rounds have passed. Ingester.RunOnce applies the delta
+// atomically with respect to concurrent queries. A round that cannot
+// fetch completely is aborted whole and keeps its cursors: diffing a
+// partial catalog would misread every missing resource as a deletion.
 package ingest
 
 import (

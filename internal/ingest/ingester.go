@@ -98,6 +98,9 @@ type RoundReport struct {
 	// Full reports a full round: the whole remote catalog fetched and
 	// diffed, rather than only what the change feeds named.
 	Full bool `json:"full"`
+	// FullReason says why a full round was full; it is empty for a
+	// scoped round.
+	FullReason FullReason `json:"full_reason,omitempty"`
 	// Catalog counts the records fetched this round: the whole remote
 	// catalog on a full round.
 	Catalog      int           `json:"catalog"`
@@ -109,10 +112,38 @@ type RoundReport struct {
 	Duration     time.Duration `json:"duration_ns"`
 }
 
+// FullReason is why a round fetched the whole remote catalog.
+type FullReason string
+
+// The reasons a round is full, in the order changes checks them.
+const (
+	// NoCursor: the ingester holds no cursor for a feed. It is the
+	// first round of an ingester whose graph is not a pristine copy of
+	// a source (socialgraph.Graph.Origin).
+	NoCursor FullReason = "no_cursor"
+	// ForeignFeed: a feed names another source than the one its cursor
+	// was issued by, so the cursor means nothing there.
+	ForeignFeed FullReason = "foreign_feed"
+	// Expired: a feed cannot answer its cursor, which is older than the
+	// feed's window.
+	Expired FullReason = "expired"
+	// Periodic: the round comes fullEvery rounds after the last full
+	// round, or after the resume, which counts as one.
+	Periodic FullReason = "periodic"
+)
+
 // fullEvery makes every fullEvery-th round a full one even when the
 // change feeds could answer: the orphan cleanup of a periodic full
-// sync, which repairs whatever a feed failed to report.
+// sync, which repairs whatever a feed failed to report. A resume
+// counts as the full round the cadence starts from.
 const fullEvery = 16
+
+// cursor is a position in one network's change feed, and the feed that
+// issued it; the zero value is no cursor.
+type cursor struct {
+	feed string
+	next uint64
+}
 
 // Ingester re-visits the remote platforms and keeps the installed
 // graph, index and caches in sync with what they serve. RunOnce is
@@ -122,14 +153,20 @@ type Ingester struct {
 	cfg     Config
 	retryer *resilience.Retryer
 	// cursors holds each network's change-feed cursor as of the last
-	// completed round; RunOnce alone reads and writes it.
-	cursors map[socialgraph.Network]uint64
+	// completed round, or of the resume; sinceFull counts the rounds
+	// completed since the last full round or the resume. RunOnce alone
+	// reads and writes both.
+	cursors   map[socialgraph.Network]cursor
+	sinceFull int
 
 	mu     sync.Mutex
 	status Status
 }
 
 // New assembles an ingester. API, Graph, Index and Pipe are required.
+// A Graph that is still a pristine copy of its origin resumes that
+// source's change feeds at cursor 1 (see socialgraph.Graph.Origin),
+// so its first round is scoped; any other starts with no cursor.
 func New(cfg Config) *Ingester {
 	if cfg.API == nil || cfg.Graph == nil || cfg.Index == nil || cfg.Pipe == nil {
 		panic("ingest: Config requires API, Graph, Index and Pipe")
@@ -137,11 +174,17 @@ func New(cfg Config) *Ingester {
 	if !cfg.Retry.Enabled() {
 		cfg.Retry = resilience.DefaultRetry
 	}
-	return &Ingester{
+	ing := &Ingester{
 		cfg:     cfg,
 		retryer: &resilience.Retryer{Policy: cfg.Retry, Clock: cfg.Clock},
-		cursors: make(map[socialgraph.Network]uint64, len(socialgraph.Networks)),
+		cursors: make(map[socialgraph.Network]cursor, len(socialgraph.Networks)),
 	}
+	if origin, pristine := cfg.Graph.Origin(); pristine {
+		for _, net := range socialgraph.Networks {
+			ing.cursors[net] = cursor{feed: origin, next: 1}
+		}
+	}
+	return ing
 }
 
 // Status returns a snapshot of the cumulative counters.
@@ -153,13 +196,12 @@ func (ing *Ingester) Status() Status {
 
 // RunOnce performs one ingest round: ask each network's change feed
 // what changed since the last completed round, fetch and diff either
-// what the feeds name or — when a feed cannot answer, on the first
-// round and on every fullEvery-th — the whole remote catalog, apply
-// the delta to graph and index, and invalidate exactly the cache
-// state the delta can change. A round that cannot complete its fetch
-// aborts whole, changes nothing and keeps the feed cursors, so the
-// next round sees its changes again. The returned report describes
-// what was applied.
+// what the feeds name or — when no cursor it holds can answer, and on
+// every fullEvery-th round — the whole remote catalog, apply the delta
+// to graph and index, and invalidate exactly the cache state the delta
+// can change. A round that cannot complete its fetch aborts whole,
+// changes nothing and keeps the feed cursors, so the next round sees
+// its changes again. The returned report describes what was applied.
 func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 	start := time.Now()
 	var tr *telemetry.Trace
@@ -192,7 +234,12 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 	}
 	rep.Duration = time.Since(start)
 	for _, v := range views {
-		ing.cursors[v.Network] = v.Next
+		ing.cursors[v.Network] = cursor{feed: v.Feed, next: v.Next}
+	}
+	if rep.Full {
+		ing.sinceFull = 0
+	} else {
+		ing.sinceFull++
 	}
 
 	mRounds.Inc()
@@ -222,7 +269,7 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 	tr.SetAttr("removes", strconv.Itoa(rep.Removes))
 	if ing.cfg.Logger != nil {
 		ing.cfg.Logger.Info("ingest round",
-			"full", rep.Full, "catalog", rep.Catalog,
+			"full", rep.Full, "full_reason", string(rep.FullReason), "catalog", rep.Catalog,
 			"adds", rep.Adds, "updates", rep.Updates, "removes", rep.Removes,
 			"cache_dropped", rep.CacheDropped, "full_purge", rep.FullPurge,
 			"duration", rep.Duration)
@@ -231,12 +278,13 @@ func (ing *Ingester) RunOnce(ctx context.Context) (RoundReport, error) {
 }
 
 // read is a round's read half: ask the change feeds, fetch, and diff.
-// It returns the delta, a report with Full and Catalog set, and the
-// feed views whose cursors commit when the round completes; it changes
-// nothing but the trace.
+// It returns the delta, a report with Full, FullReason and Catalog
+// set, and the feed views whose cursors commit when the round
+// completes; it changes nothing but the trace.
 func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.ChangeView, error) {
 	sp := tr.StartSpan("ingest_fetch")
-	views, full, err := ing.changes()
+	views, reason, err := ing.changes()
+	full := reason != ""
 	var cat Catalog
 	var changed []socialgraph.ResourceID
 	switch {
@@ -254,11 +302,12 @@ func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.Ch
 	if err != nil {
 		return Delta{}, RoundReport{}, nil, err
 	}
-	fetch := "scoped"
 	if full {
-		fetch = "full"
+		tr.SetAttr("fetch", "full")
+		tr.SetAttr("full_reason", string(reason))
+	} else {
+		tr.SetAttr("fetch", "scoped")
 	}
-	tr.SetAttr("fetch", fetch)
 
 	sp = tr.StartSpan("ingest_diff")
 	var delta Delta
@@ -268,28 +317,43 @@ func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.Ch
 		delta, err = DiffScoped(ing.cfg.Graph, cat, changed)
 	}
 	sp.End()
-	return delta, RoundReport{Full: full, Catalog: len(cat)}, views, err
+	return delta, RoundReport{Full: full, FullReason: reason, Catalog: len(cat)}, views, err
 }
 
 // changes asks every network's change feed what changed since its
 // cursor, before the round fetches anything: a change the fetch then
-// observes is reported again next round, never lost. full reports
-// that the round must fetch the whole catalog instead — a feed cannot
-// answer its cursor, or the round is a periodic full one. A failed
-// feed call fails the round.
-func (ing *Ingester) changes() (views []*faults.ChangeView, full bool, err error) {
-	full = ing.Status().Rounds%fullEvery == 0
+// observes is reported again next round, never lost. A non-empty
+// reason says the round must fetch the whole catalog instead: a
+// network has no cursor, a feed names another source than its
+// cursor's, a feed cannot answer its cursor, or the round is a
+// periodic full one, checked in that order. A failed feed call fails
+// the round.
+func (ing *Ingester) changes() (views []*faults.ChangeView, reason FullReason, err error) {
+	var noCursor, foreign, expired bool
 	for _, net := range socialgraph.Networks {
+		c := ing.cursors[net]
 		v, err := retried(ing.retryer, func() (*faults.ChangeView, error) {
-			return ing.cfg.API.ChangedSince(net, ing.cursors[net])
+			return ing.cfg.API.ChangedSince(net, c.next)
 		})
 		if err != nil {
-			return nil, false, fmt.Errorf("ingest: change feed on %s: %w", net, err)
+			return nil, "", fmt.Errorf("ingest: change feed on %s: %w", net, err)
 		}
-		full = full || v.Expired
+		noCursor = noCursor || c.next == 0
+		foreign = foreign || v.Feed != c.feed
+		expired = expired || v.Expired
 		views = append(views, v)
 	}
-	return views, full, nil
+	switch {
+	case noCursor:
+		reason = NoCursor
+	case foreign:
+		reason = ForeignFeed
+	case expired:
+		reason = Expired
+	case ing.sinceFull >= fullEvery-1:
+		reason = Periodic
+	}
+	return views, reason, nil
 }
 
 func (ing *Ingester) abort(tr *telemetry.Trace, err error) (RoundReport, error) {

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -100,8 +102,8 @@ func scopedOracle(t *testing.T, seed int64, rounds int, wrap func(faults.API, *s
 		if err != nil {
 			return fmt.Errorf("seed %d round %d: %w", seed, r, err)
 		}
-		if want := r == 0; full != want {
-			t.Fatalf("seed %d round %d: full = %t, want %t", seed, r, full, want)
+		if full { // both graphs are one generator configuration's: round 0 resumes
+			t.Fatalf("seed %d round %d: a full round, want every round scoped", seed, r)
 		}
 		if _, err := ing.RunOnce(context.Background()); err != nil {
 			return fmt.Errorf("seed %d round %d: RunOnce: %w", seed, r, err)
@@ -150,10 +152,10 @@ func (m mutantFeed) ChangedSince(net socialgraph.Network, cursor uint64) (*fault
 }
 
 // TestIngestScopedDeltaEqualsFull is the scoped round's oracle: over
-// several churn seeds, every round's delta — full on the first,
-// scoped after it — equals Diff against a freshly fetched full
-// catalog, element for element. Two planted feed faults must each
-// fail it.
+// several churn seeds, every round's delta — scoped from the first,
+// which resumes the generator's feed — equals Diff against a freshly
+// fetched full catalog, element for element. Two planted feed faults
+// must each fail it.
 func TestIngestScopedDeltaEqualsFull(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		if err := scopedOracle(t, seed, 5, func(api faults.API, _ *socialgraph.Graph) faults.API { return api }); err != nil {
@@ -246,8 +248,8 @@ func TestExpiredFeedRunsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full || !rep.Full || rep.Updates != 1 || rep.Removes != 1 {
-		t.Fatalf("round past the journal window = %+v (read full=%t), want a full round with one update and one remove", rep, full)
+	if !full || !rep.Full || rep.FullReason != Expired || rep.Updates != 1 || rep.Removes != 1 {
+		t.Fatalf("round past the journal window = %+v (read full=%t), want a full round (expired) with one update and one remove", rep, full)
 	}
 	assertGraphsEqual(t, installed.g, remote.g)
 }
@@ -269,11 +271,12 @@ func TestPeriodicFullRound(t *testing.T) {
 			t.Fatalf("round %d: %v", r, err)
 		}
 		want := r%fullEvery == 0
-		if rep.Full != want || rep.Updates != 1 {
-			t.Fatalf("round %d = %+v, want full=%t with one update", r, rep, want)
+		wantReason := map[int]FullReason{0: NoCursor, fullEvery: Periodic}[r]
+		if rep.Full != want || rep.FullReason != wantReason || rep.Updates != 1 {
+			t.Fatalf("round %d = %+v, want full=%t (%q) with one update", r, rep, want, wantReason)
 		}
-		if st := ing.Status(); st.Last.Full != want {
-			t.Fatalf("round %d: status last round full=%t", r, st.Last.Full)
+		if st := ing.Status(); st.Last.Full != want || st.Last.FullReason != wantReason {
+			t.Fatalf("round %d: status last round full=%t (%q)", r, st.Last.Full, st.Last.FullReason)
 		}
 		wantAttr := map[bool]string{true: "full", false: "scoped"}[want]
 		if got := tracer.Recent(1)[0].Attrs["fetch"]; got != wantAttr {
@@ -282,6 +285,94 @@ func TestPeriodicFullRound(t *testing.T) {
 		if !want && rep.Catalog >= installed.g.NumResources() {
 			t.Fatalf("round %d: scoped round fetched %d records of %d", r, rep.Catalog, installed.g.NumResources())
 		}
+	}
+}
+
+// TestFullReason: a round says why it was full, in its report, the
+// status, the round trace and the log line, and a scoped one says
+// nothing. An installed graph that is a pristine copy of the remote's
+// source resumes its feed at cursor 1, so its first round is scoped;
+// the periodic full round then counts from the resume. After any full
+// round the ingester holds the remote's cursor, so the next is scoped.
+func TestFullReason(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		// remote and installed are the fixtures' origin stamps, "" for
+		// none.
+		remote, installed string
+		// before runs the checked round's predecessors against ing,
+		// editing the remote as it goes.
+		before func(t *testing.T, remote *fixture, ing *Ingester)
+		want   FullReason
+	}{
+		{"replica with no origin", "", "", nil, NoCursor},
+		{"pristine copy of the remote's source", "fixture", "fixture", nil, ""},
+		{"remote of another source", "other", "fixture", nil, ForeignFeed},
+		{"remote with no origin", "", "fixture", nil, ForeignFeed},
+		{"cursor past the journal window", "fixture", "fixture", func(t *testing.T, remote *fixture, ing *Ingester) {
+			if _, err := ing.RunOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= socialgraph.JournalWindow; i++ {
+				remote.g.SetResourceText(remote.docA, fmt.Sprintf("freestyle swimming lap %d", i%2))
+			}
+		}, Expired},
+		{"fullEvery rounds after the resume", "fixture", "fixture", func(t *testing.T, remote *fixture, ing *Ingester) {
+			for r := 0; r < fullEvery-1; r++ {
+				remote.g.SetResourceText(remote.docA, fmt.Sprintf("freestyle swimming, week %d", r))
+				if rep, err := ing.RunOnce(ctx); err != nil || rep.Full {
+					t.Fatalf("round %d after the resume = %+v, %v; want scoped", r, rep, err)
+				}
+			}
+		}, Periodic},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			remote, installed := buildFixture(), buildFixture()
+			if c.remote != "" {
+				remote.g.StampOrigin(c.remote)
+			}
+			if c.installed != "" {
+				installed.g.StampOrigin(c.installed)
+			}
+			sys := buildSystem(installed.g, 1, nil)
+			tracer := telemetry.NewTracer(4)
+			var log bytes.Buffer
+			ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: sys.ix, Pipe: sys.pipe,
+				Finders: []*core.Finder{sys.finder}, Tracer: tracer, Logger: slog.New(slog.NewTextHandler(&log, nil))})
+			if c.before != nil {
+				c.before(t, remote, ing)
+			}
+			remote.g.RemoveResource(remote.docB)
+			log.Reset()
+			rep, err := ing.RunOnce(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Full != (c.want != "") || rep.FullReason != c.want || rep.Removes != 1 {
+				t.Fatalf("round = %+v, want full_reason %q with one remove", rep, c.want)
+			}
+			if got := ing.Status().Last.FullReason; got != c.want {
+				t.Fatalf("status last round full_reason = %q, want %q", got, c.want)
+			}
+			if got := tracer.Recent(1)[0].Attrs["full_reason"]; got != string(c.want) {
+				t.Fatalf("trace full_reason = %q, want %q", got, c.want)
+			}
+			want := "full_reason=" + string(c.want)
+			if c.want == "" {
+				want = `full_reason=""`
+			}
+			if !strings.Contains(log.String(), want) {
+				t.Fatalf("log line %q lacks %s", log.String(), want)
+			}
+
+			remote.g.SetResourceText(remote.docA, "open water swimming at dawn")
+			if rep, err := ing.RunOnce(ctx); err != nil || rep.Full || rep.Updates != 1 {
+				t.Fatalf("the round after = %+v, %v; want scoped with one update", rep, err)
+			}
+			assertGraphsEqual(t, installed.g, remote.g)
+			assertIndexMatchesRebuild(t, "after the rounds", sys.ix, remote.g, 1)
+		})
 	}
 }
 

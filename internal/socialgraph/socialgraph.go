@@ -170,6 +170,11 @@ type Graph struct {
 	// friendships, memberships, ownership, annotations and containers.
 	// A reachability table reflects one value of it (see CatchUp).
 	edges atomic.Uint64
+
+	// origin is what StampOrigin recorded: the source this graph was
+	// loaded as an exact copy of, and the edges generation then.
+	origin      string
+	originEdges uint64
 }
 
 // JournalWindow is how many record changes the change journal keeps:
@@ -238,6 +243,33 @@ func (g *Graph) ChangedSince(cursor uint64) (ids []ResourceID, next uint64, ok b
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.journal.since(cursor)
+}
+
+// StampOrigin records, once, at the end of a load, that the graph is
+// an exact copy of the source named id: every record and edge as the
+// source holds them. It restarts the change journal at position 1, so
+// a cursor of 1 means "as the source says", on this graph and on any
+// other copy of the same source stamped the same way. Stamp before any
+// reachability table is built; an empty id, or a second stamp, panics.
+func (g *Graph) StampOrigin(id string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if id == "" || g.origin != "" {
+		panic(fmt.Sprintf("socialgraph: stamping origin %q over %q", id, g.origin))
+	}
+	g.origin, g.originEdges = id, g.edges.Load()
+	g.journal.ring = nil
+	g.journal.head.Store(1)
+}
+
+// Origin returns the source StampOrigin recorded ("" when the graph
+// was never stamped) and whether the graph is still pristine: no
+// record changed (the journal head is still 1) and no edge changed
+// since the stamp, so it still equals the source at cursor 1.
+func (g *Graph) Origin() (id string, pristine bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.origin, g.origin != "" && g.journal.head.Load() == 1 && g.edges.Load() == g.originEdges
 }
 
 // New returns an empty graph.

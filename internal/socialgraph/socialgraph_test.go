@@ -371,3 +371,42 @@ func TestChangedSince(t *testing.T) {
 		t.Errorf("a cursor inside the window = %v, %t", ids, ok)
 	}
 }
+
+// TestOrigin: a stamp names the source a graph is an exact copy of and
+// restarts the change journal at 1, where that source's feed begins;
+// the graph stays pristine until a record or an edge changes.
+func TestOrigin(t *testing.T) {
+	for name, change := range map[string]func(f *fixture){
+		"text replaced":   func(f *fixture) { f.g.SetResourceText(f.p1, "post at 09.00, edited") },
+		"profile set":     func(f *fixture) { f.g.SetProfile(f.dave, Facebook, "swimming fan") },
+		"resource added":  func(f *fixture) { f.g.AddResource(Twitter, KindTweet, f.dave, "tweet at 11.00") },
+		"resource gone":   func(f *fixture) { f.g.RemoveResource(f.t1) },
+		"follow added":    func(f *fixture) { f.g.Follows(f.dave, f.alice, Twitter) },
+		"membership":      func(f *fixture) { f.g.RelatesTo(f.bob, f.group) },
+		"like":            func(f *fixture) { f.g.Annotates(f.bob, f.g1) },
+		"container added": func(f *fixture) { f.g.AddContainer(Facebook, ContainerPage, f.bob, "Pool", "a page") },
+	} {
+		f := buildPaperExample()
+		if id, pristine := f.g.Origin(); id != "" || pristine {
+			t.Fatalf("unstamped graph: Origin() = %q, %t", id, pristine)
+		}
+		// A journal already running before the stamp restarts at 1.
+		f.g.ChangedSince(1)
+		f.g.SetResourceText(f.p2, "post at 09.05, edited before the stamp")
+		f.g.StampOrigin("paper-example")
+		if id, pristine := f.g.Origin(); id != "paper-example" || !pristine {
+			t.Fatalf("stamped graph: Origin() = %q, %t", id, pristine)
+		}
+		if ids, next, ok := f.g.ChangedSince(1); !ok || len(ids) != 0 || next != 1 {
+			t.Fatalf("stamped graph: ChangedSince(1) = %v, %d, %t; want nothing, 1, true", ids, next, ok)
+		}
+		f.g.Reachability(f.g.Candidates(), TraversalOptions{MaxDistance: 2})
+		if _, pristine := f.g.Origin(); !pristine {
+			t.Fatal("building a reachability table unset pristine")
+		}
+		change(f)
+		if id, pristine := f.g.Origin(); id != "paper-example" || pristine {
+			t.Errorf("%s: Origin() = %q, %t; want the stamp, no longer pristine", name, id, pristine)
+		}
+	}
+}
