@@ -104,7 +104,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.open.Config.IndexShards, "index-shards", 0, "most parts one find is scored on in parallel (0 = GOMAXPROCS, 1 = serial); rankings are identical for every value")
 	fs.StringVar(&shards, "shards", "", "coordinator mode: comma-separated http(s) base URLs of the shard processes, position = shard id; refuses every flag that configures a local corpus, index, cache or ingest")
 	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request; needs -shards")
-	fs.BoolVar(&o.coord.Hedge.Disable, "hedge-disable", false, "disable hedged second requests to straggling shards; needs -shards")
+	fs.BoolVar(&o.coord.NoHedge, "hedge-disable", false, "disable hedged second requests to straggling shards; needs -shards")
 	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval; needs -shards")
 	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
 	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load with a 503 (0 = unlimited)")

@@ -99,12 +99,12 @@ func TestParseFlagsAccepted(t *testing.T) {
 	// is dropped, position is the shard id.
 	o = parse("-shards http://h1:8081/,https://h2:8082 -shard-timeout 3s -hedge-disable -health-interval 250ms -max-concurrent 8 -debug -slo-latency 1s")
 	if c := o.coord; !reflect.DeepEqual(c.Shards, []string{"http://h1:8081", "https://h2:8082"}) ||
-		c.ShardTimeout != 3*time.Second || !c.Hedge.Disable || c.HealthInterval != 250*time.Millisecond ||
+		c.ShardTimeout != 3*time.Second || !c.NoHedge || c.HealthInterval != 250*time.Millisecond ||
 		o.api.MaxConcurrent != 8 || !o.api.Debug || o.slo.Latency != time.Second {
 		t.Errorf("coordinator: %+v %+v", o.coord, o.api)
 	}
 	o = parse("-shards http://h1:8081")
-	if c := o.coord; len(c.Shards) != 1 || c.ShardTimeout != 2*time.Second || c.Hedge.Disable || c.HealthInterval != time.Second {
+	if c := o.coord; len(c.Shards) != 1 || c.ShardTimeout != 2*time.Second || c.NoHedge || c.HealthInterval != time.Second {
 		t.Errorf("coordinator defaults: %+v", o.coord)
 	}
 

@@ -432,22 +432,11 @@ func ResolveParams(opts ...FindOption) (core.Params, error) {
 func (s *System) CoreFinder() *core.Finder { return s.inner.Finder }
 
 // CandidateInfo pairs a candidate's stable user id with their handle.
-type CandidateInfo struct {
-	ID   int32  `json:"id"`
-	Name string `json:"name"`
-}
+type CandidateInfo = core.Candidate
 
 // CandidateInfos lists the candidate pool with ids and handles,
-// sorted by id. The scatter coordinator bootstraps this mapping from
-// a shard once and then renders merged rankings without a corpus.
-func (s *System) CandidateInfos() []CandidateInfo {
-	out := make([]CandidateInfo, 0, len(s.inner.DS.Candidates))
-	for _, u := range s.inner.DS.Candidates {
-		out = append(out, CandidateInfo{ID: int32(u), Name: s.inner.DS.Graph.User(u).Name})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// sorted by id.
+func (s *System) CandidateInfos() []CandidateInfo { return s.inner.Finder.Pool() }
 
 // EvidenceItem is one resource supporting an expert's selection.
 type EvidenceItem struct {

@@ -18,7 +18,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -267,7 +266,8 @@ type Finder struct {
 	index      index.Searcher
 	pipe       *analysis.Pipeline
 	candidates []socialgraph.UserID
-	groupFP    string
+	pool       []Candidate // candidates in ascending id order, with names
+	groupFP    string      // GroupFingerprint(pool)
 
 	cacheMu sync.RWMutex
 	cache   ResultCache
@@ -283,31 +283,49 @@ func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline,
 	if candidates == nil {
 		candidates = g.Candidates()
 	}
+	pool := make([]Candidate, len(candidates))
+	for i, u := range candidates {
+		pool[i] = Candidate{ID: int32(u), Name: g.User(u).Name}
+	}
+	slices.SortFunc(pool, func(a, b Candidate) int { return cmp.Compare(a.ID, b.ID) })
 	return &Finder{
 		graph:      g,
 		index:      ix,
 		pipe:       pipe,
 		candidates: candidates,
-		groupFP:    groupFingerprint(candidates),
+		pool:       pool,
+		groupFP:    GroupFingerprint(pool),
 		reachCache: make(map[string]*reach),
 	}
 }
 
-// groupFingerprint hashes the candidate pool so cache keys distinguish
-// finders ranking different groups.
-func groupFingerprint(candidates []socialgraph.UserID) string {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, u := range candidates {
-		binary.LittleEndian.PutUint32(buf[:], uint32(u))
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("n%d-%016x", len(candidates), h.Sum64())
+// Candidate is one member of a candidate pool: the user's id and
+// handle. A shard process lists its pool in this form, and the
+// coordinator renders merged rankings with it.
+type Candidate struct {
+	ID   int32  `json:"id"`
+	Name string `json:"name"`
 }
 
-// GroupFingerprint identifies the finder's candidate pool for result
-// caching; it participates in every CacheKey the finder builds.
+// GroupFingerprint hashes a candidate pool, listed in ascending id
+// order, into the string that identifies it. Result-cache keys carry it,
+// so a cache shared between finders over different pools cannot
+// cross-serve results, and every process of one scatter-gather topology
+// must report the same one.
+func GroupFingerprint(pool []Candidate) string {
+	h := fnv.New64a()
+	for _, cd := range pool {
+		fmt.Fprintf(h, "%d=%s\n", cd.ID, cd.Name)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// GroupFingerprint is the fingerprint of the finder's candidate pool,
+// computed once by NewFinder.
 func (f *Finder) GroupFingerprint() string { return f.groupFP }
+
+// Pool returns the candidate pool with names, in ascending id order.
+func (f *Finder) Pool() []Candidate { return slices.Clone(f.pool) }
 
 // SetResultCache installs (or, with nil, removes) the Find result
 // cache. Once installed, FindContext routes queries through it; the

@@ -12,9 +12,9 @@ package core
 //	ShardMatches globally-weighted matches of this shard's slice (phase 2)
 //	RankMerged   coordinator-side Eq. (3) over the k-way-merged matches
 //
-// Determinism contract: with global stats equal to the sum of every
-// shard's NeedStats, the concatenation (in scoredCmp order) of all
-// shards' ShardMatches is bit-identical to a single process's
+// Determinism contract: with global stats equal to the index.SumStats
+// of every shard's NeedStats, the concatenation (in scoredCmp order)
+// of all shards' ShardMatches is bit-identical to a single process's
 // Matches, and RankMerged over it is bit-identical to that process's
 // Find — same plan weights, same per-document addition chains, same
 // per-expert accumulation order, same total-order sorts.
@@ -29,23 +29,14 @@ import (
 	"expertfind/internal/telemetry"
 )
 
-// NeedStats is one shard's local collection statistics restricted to
-// a need's dimensions: what the coordinator sums across shards to
-// reconstruct the global query weights.
-type NeedStats struct {
-	Docs     int
-	TermDF   map[string]int
-	EntityDF map[kb.EntityID]int
-}
-
 // NeedStats analyzes the need and reports this finder's document
 // count plus the local resource frequency of every term and entity
 // the analyzed need mentions (absent dimensions report 0 and are
 // omitted). Analysis is deterministic, so every shard derives the
 // same dimension set from the same need text.
-func (f *Finder) NeedStats(need string) NeedStats {
+func (f *Finder) NeedStats(need string) index.GlobalStats {
 	a := f.pipe.AnalyzeNeed(need)
-	st := NeedStats{
+	st := index.GlobalStats{
 		Docs:     f.index.NumDocs(),
 		TermDF:   make(map[string]int, len(a.Terms)),
 		EntityDF: make(map[kb.EntityID]int, len(a.Entities)),

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"expertfind/internal/index"
-	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
 )
 
@@ -83,20 +82,11 @@ func TestScatterShardDifferential(t *testing.T) {
 
 		for _, need := range needs {
 			// Phase 1: gather and sum local stats.
-			global := index.GlobalStats{TermDF: make(map[string]int)}
-			for _, sf := range shards {
-				st := sf.NeedStats(need)
-				global.Docs += st.Docs
-				for term, df := range st.TermDF {
-					global.TermDF[term] += df
-				}
-				for e, df := range st.EntityDF {
-					if global.EntityDF == nil {
-						global.EntityDF = make(map[kb.EntityID]int, len(st.EntityDF))
-					}
-					global.EntityDF[e] += df
-				}
+			parts := make([]index.GlobalStats, len(shards))
+			for i, sf := range shards {
+				parts[i] = sf.NeedStats(need)
 			}
+			global := index.SumStats(parts...)
 			if global.Docs != full.Index().NumDocs() {
 				t.Fatalf("n=%d need=%q: summed Docs %d != %d", n, need, global.Docs, full.Index().NumDocs())
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"expertfind/internal/index"
-	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
 )
 
@@ -85,14 +84,7 @@ func TestShardMatchesTopK(t *testing.T) {
 	const need = "who is the best at freestyle swimming?"
 	base := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
-	st := full.NeedStats(need)
-	global := index.GlobalStats{Docs: st.Docs, TermDF: st.TermDF}
-	for e, df := range st.EntityDF {
-		if global.EntityDF == nil {
-			global.EntityDF = make(map[kb.EntityID]int, len(st.EntityDF))
-		}
-		global.EntityDF[e] += df
-	}
+	global := full.NeedStats(need)
 	exhaustive := full.ShardMatches(context.Background(), need, base, global)
 	if len(exhaustive) < 2 {
 		t.Fatalf("fixture yields %d shard matches; need at least 2", len(exhaustive))

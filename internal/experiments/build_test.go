@@ -17,7 +17,6 @@ import (
 	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
 	"expertfind/internal/index"
-	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
 )
 
@@ -94,20 +93,12 @@ func assertSlicesMergeToWhole(t *testing.T, label string, parts []*System, whole
 	}
 	ctx := context.Background()
 	for _, q := range whole.DS.Queries {
-		global := index.GlobalStats{TermDF: map[string]int{}, EntityDF: map[kb.EntityID]int{}}
-		for _, s := range parts {
-			st := s.Finder.NeedStats(q.Text)
-			global.Docs += st.Docs
-			for term, df := range st.TermDF {
-				global.TermDF[term] += df
-			}
-			for e, df := range st.EntityDF {
-				global.EntityDF[e] += df
-			}
+		stats := make([]index.GlobalStats, len(parts))
+		for i, s := range parts {
+			stats[i] = s.Finder.NeedStats(q.Text)
 		}
-		want := whole.Finder.NeedStats(q.Text)
-		if global.Docs != want.Docs || !reflect.DeepEqual(global.TermDF, want.TermDF) ||
-			!reflect.DeepEqual(global.EntityDF, want.EntityDF) {
+		global := index.SumStats(stats...)
+		if want := whole.Finder.NeedStats(q.Text); !reflect.DeepEqual(global, want) {
 			t.Fatalf("%s: query %d: summed stats %+v, whole build %+v", label, q.ID, global, want)
 		}
 		for _, p := range matrixParams {

@@ -88,15 +88,8 @@ func (h *CoordinatorHandler) shards(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// coordFindResponse is findResponse plus the degraded marker. The
-// field is omitted on healthy answers, which keeps them byte-for-byte
-// identical to a single-process /v1/find body.
-type coordFindResponse struct {
-	Need     string              `json:"need"`
-	Experts  []expertfind.Expert `json:"experts"`
-	Degraded *degradedInfo       `json:"degraded,omitempty"`
-}
-
+// degradedInfo is findResponse's report of the shards a coordinator's
+// answer is missing.
 type degradedInfo struct {
 	ShardsDown  int `json:"shards_down"`
 	ShardsTotal int `json:"shards_total"`
@@ -146,7 +139,7 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 	if top > 0 && len(experts) > top {
 		experts = experts[:top]
 	}
-	resp := coordFindResponse{Need: need, Experts: experts}
+	resp := findResponse{Need: need, Experts: experts}
 	if res.Degraded {
 		w.Header().Set(DegradedHeader, degradedValue(res.ShardsDown, res.ShardsTotal))
 		resp.Degraded = &degradedInfo{ShardsDown: res.ShardsDown, ShardsTotal: res.ShardsTotal}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"expertfind"
+	"expertfind/internal/index"
 	"expertfind/internal/scatter"
 )
 
@@ -123,7 +124,7 @@ func TestShardWireGolden(t *testing.T) {
 		"Which PHP function can I use in order to obtain the length of a string?",
 	} {
 		path := "/v1/shard/stats?" + url.Values{"q": {need}}.Encode()
-		parts := make([]scatter.Stats, len(srvs))
+		parts := make([]index.GlobalStats, len(srvs))
 		for i, srv := range srvs {
 			body := do(http.MethodGet, srv.URL+path, nil)
 			if i == 0 {
@@ -133,11 +134,10 @@ func TestShardWireGolden(t *testing.T) {
 				t.Fatalf("shard %d stats: %v", i, err)
 			}
 		}
-		g := scatter.SumStats(parts...)
 		req, err := json.Marshal(scatter.FindRequest{
 			Need:   need,
 			Params: map[string][]string{"top": {"3"}},
-			Stats:  scatter.Stats{Docs: g.Docs, Terms: g.TermDF, Entities: g.EntityDF},
+			Stats:  index.SumStats(parts...),
 		})
 		if err != nil {
 			t.Fatal(err)

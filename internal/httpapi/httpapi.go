@@ -363,10 +363,13 @@ func (h *Handler) experts(sys *expertfind.System, w http.ResponseWriter, r *http
 	writeJSON(w, http.StatusOK, map[string]any{"domain": domain, "experts": experts})
 }
 
-// findResponse is the payload of /v1/find.
+// findResponse is the payload of /v1/find. Degraded is set only by a
+// coordinator that answered from part of its topology, so a healthy
+// coordinator's body is byte-for-byte a single process's.
 type findResponse struct {
-	Need    string              `json:"need"`
-	Experts []expertfind.Expert `json:"experts"`
+	Need     string              `json:"need"`
+	Experts  []expertfind.Expert `json:"experts"`
+	Degraded *degradedInfo       `json:"degraded,omitempty"`
 }
 
 func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Request) {

@@ -91,7 +91,7 @@ func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTo
 		Shards:  bases,
 		Retry:   resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Multiplier: 2},
 		Breaker: resilience.BreakerPolicy{Threshold: 1000, Cooldown: time.Millisecond},
-		Hedge:   scatter.HedgePolicy{Disable: true},
+		NoHedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +206,37 @@ func writeStreamCorpus(t *testing.T, cfg dataset.Config) string {
 }
 
 func escape(s string) string { return strings.ReplaceAll(s, " ", "+") }
+
+// TestShardFindRefusesOutOfRangeStats: /v1/shard/find refuses, with a
+// 400, global statistics no collection can have, instead of ranking
+// under weights they would produce.
+func TestShardFindRefusesOutOfRangeStats(t *testing.T) {
+	cfg := expertfind.Config{Seed: 7, Candidates: 12, Scale: 0.05, IndexShards: 1}
+	sys, err := expertfind.Open(expertfind.Options{Config: cfg, ShardID: 0, ShardCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewWithOptions(sys, Options{Shard: &ShardOptions{ID: 0, Count: 2}}))
+	defer srv.Close()
+	const need = `"need":"What should I consider when training for a marathon?"`
+	for body, want := range map[string]int{
+		`{` + need + `,"stats":{"docs":1014,"terms":{"train":15,"marathon":4}}}`: http.StatusOK,
+		`{` + need + `,"stats":{"docs":10,"terms":{"train":-3,"marathon":-1}}}`:  http.StatusBadRequest,
+		`{` + need + `,"stats":{"docs":-5}}`:                                     http.StatusBadRequest,
+		`{` + need + `,"stats":{"docs":10,"terms":{"train":300}}}`:               http.StatusBadRequest,
+		`{` + need + `,"stats":{"docs":10,"entities":{"110":11}}}`:               http.StatusBadRequest,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/shard/find", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: %d %s, want %d", body, resp.StatusCode, got, want)
+		}
+	}
+}
 
 // TestScatterServing covers the operational contract on one 3-shard
 // topology, in order: trace/request-id propagation, then degraded

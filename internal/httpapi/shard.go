@@ -24,27 +24,16 @@ type ShardOptions struct {
 	Count int
 }
 
-// shardCandidates renders the system's candidate pool in the wire
-// form (sorted by id, the fingerprint's canonical order).
-func shardCandidates(sys *expertfind.System) []scatter.Candidate {
-	infos := sys.CandidateInfos()
-	out := make([]scatter.Candidate, len(infos))
-	for i, ci := range infos {
-		out[i] = scatter.Candidate{ID: ci.ID, Name: ci.Name}
-	}
-	return out
-}
-
 // shardMeta serves GET /v1/shard/meta: this process's topology
 // position, slice size, and the candidate pool with its fingerprint.
 func (h *Handler) shardMeta(sys *expertfind.System, w http.ResponseWriter, _ *http.Request) {
-	cands := shardCandidates(sys)
+	f := sys.CoreFinder()
 	writeJSON(w, http.StatusOK, scatter.Meta{
 		ShardID:    h.opts.Shard.ID,
 		ShardCount: h.opts.Shard.Count,
 		NumDocs:    sys.Stats().Indexed,
-		Group:      scatter.GroupFingerprint(cands),
-		Candidates: cands,
+		Group:      f.GroupFingerprint(),
+		Candidates: f.Pool(),
 	})
 }
 
@@ -57,7 +46,7 @@ func (h *Handler) shardStats(sys *expertfind.System, w http.ResponseWriter, r *h
 		writeError(w, r, http.StatusBadRequest, "missing required parameter: q")
 		return
 	}
-	writeJSON(w, http.StatusOK, scatter.StatsFromNeed(sys.CoreFinder().NeedStats(need)))
+	writeJSON(w, http.StatusOK, sys.CoreFinder().NeedStats(need))
 }
 
 // shardFind serves POST /v1/shard/find: score this slice under the
@@ -75,6 +64,10 @@ func (h *Handler) shardFind(sys *expertfind.System, w http.ResponseWriter, r *ht
 		writeError(w, r, http.StatusBadRequest, "missing required field: need")
 		return
 	}
+	if err := req.Stats.Validate(); err != nil {
+		writeError(w, r, http.StatusBadRequest, "invalid stats: "+err.Error())
+		return
+	}
 	opts, _, err := parseOptions(req.ParamValues())
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
@@ -85,9 +78,10 @@ func (h *Handler) shardFind(sys *expertfind.System, w http.ResponseWriter, r *ht
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	matches := sys.CoreFinder().ShardMatches(r.Context(), req.Need, p, req.Stats.Global())
+	f := sys.CoreFinder()
+	matches := f.ShardMatches(r.Context(), req.Need, p, req.Stats)
 	writeJSON(w, http.StatusOK, scatter.FindResponse{
-		Group:   scatter.GroupFingerprint(shardCandidates(sys)),
+		Group:   f.GroupFingerprint(),
 		Matches: scatter.MatchesFromCore(matches),
 	})
 }

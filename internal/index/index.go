@@ -18,6 +18,7 @@ package index
 
 import (
 	"cmp"
+	"fmt"
 	"io"
 	"maps"
 	"math"
@@ -301,14 +302,56 @@ type CollectionStats interface {
 }
 
 // GlobalStats is a materialized CollectionStats: document count and
-// per-dimension resource frequencies summed over a whole collection.
-// The coordinator of the scatter-gather serving layer gathers one per
-// query from its shard processes; scoring any shard slice under it
-// reproduces the exact plan weights of a single-process index.
+// per-dimension resource frequencies, restricted to one need's
+// dimensions. It is also the wire form of the scatter-gather path: each
+// shard process reports its slice's GlobalStats for a need, and the
+// coordinator ships their SumStats back with the query. Scoring any
+// shard slice under that sum reproduces the exact plan weights of a
+// single-process index.
 type GlobalStats struct {
-	Docs     int
-	TermDF   map[string]int
-	EntityDF map[kb.EntityID]int
+	Docs     int                 `json:"docs"`
+	TermDF   map[string]int      `json:"terms,omitempty"`
+	EntityDF map[kb.EntityID]int `json:"entities,omitempty"`
+}
+
+// SumStats folds per-slice statistics into the statistics of the
+// union of the slices.
+func SumStats(parts ...GlobalStats) GlobalStats {
+	g := GlobalStats{
+		TermDF:   make(map[string]int),
+		EntityDF: make(map[kb.EntityID]int),
+	}
+	for _, p := range parts {
+		g.Docs += p.Docs
+		for t, df := range p.TermDF {
+			g.TermDF[t] += df
+		}
+		for e, df := range p.EntityDF {
+			g.EntityDF[e] += df
+		}
+	}
+	return g
+}
+
+// Validate reports whether g can describe a collection: Docs is not
+// negative and every frequency lies in [0, Docs]. Statistics that
+// arrive from another process pass it before a plan is weighted by
+// them.
+func (g GlobalStats) Validate() error {
+	if g.Docs < 0 {
+		return fmt.Errorf("docs %d is negative", g.Docs)
+	}
+	for t, df := range g.TermDF {
+		if df < 0 || df > g.Docs {
+			return fmt.Errorf("term %q: df %d outside [0, %d]", t, df, g.Docs)
+		}
+	}
+	for e, df := range g.EntityDF {
+		if df < 0 || df > g.Docs {
+			return fmt.Errorf("entity %d: df %d outside [0, %d]", e, df, g.Docs)
+		}
+	}
+	return nil
 }
 
 // NumDocs implements CollectionStats.

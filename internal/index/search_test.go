@@ -294,6 +294,41 @@ func TestNilStatsMeansOwnStatistics(t *testing.T) {
 	}
 }
 
+func TestSumStats(t *testing.T) {
+	g := SumStats(
+		GlobalStats{Docs: 10, TermDF: map[string]int{"go": 3}, EntityDF: map[kb.EntityID]int{1: 2}},
+		GlobalStats{Docs: 5, TermDF: map[string]int{"go": 1, "db": 2}},
+	)
+	if g.Docs != 15 || g.TermDF["go"] != 4 || g.TermDF["db"] != 2 || g.EntityDF[1] != 2 {
+		t.Fatalf("summed %+v", g)
+	}
+}
+
+// TestGlobalStatsValidate: statistics no collection can have — a
+// negative count, a negative df, a df above the document count — are
+// refused; the boundaries are accepted.
+func TestGlobalStatsValidate(t *testing.T) {
+	for _, g := range []GlobalStats{
+		{},
+		{Docs: 10, TermDF: map[string]int{"train": 0, "marathon": 10}, EntityDF: map[kb.EntityID]int{7: 10}},
+	} {
+		if err := g.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", g, err)
+		}
+	}
+	for _, g := range []GlobalStats{
+		{Docs: -5},
+		{Docs: 10, TermDF: map[string]int{"train": -3, "marathon": -1}},
+		{Docs: 10, TermDF: map[string]int{"train": 300}},
+		{Docs: 10, EntityDF: map[kb.EntityID]int{7: -1}},
+		{Docs: 10, EntityDF: map[kb.EntityID]int{7: 11}},
+	} {
+		if err := g.Validate(); err == nil {
+			t.Errorf("%+v accepted", g)
+		}
+	}
+}
+
 // TestGlobalStatsScoring scores under materialized GlobalStats — the
 // scatter coordinator's view — and requires the merged pruned rankings
 // to match the monolithic index, exhaustive and top-k, on a memtable

@@ -13,51 +13,30 @@ import (
 	"sync"
 	"time"
 
+	"expertfind/internal/index"
 	"expertfind/internal/resilience"
 	"expertfind/internal/telemetry"
 )
 
-// hedgeQuantile is the quantile of a shard's recent latencies that
-// arms the hedge timer.
-const hedgeQuantile = 0.95
-
-// HedgePolicy configures hedged second requests: when a shard call
-// outlives the shard's recent latency quantile, an identical backup
-// request is launched and the first reply wins. Hedging bounds tail
-// latency without multiplying steady-state load — the trigger fires
-// only for calls already slower than (almost) all recent ones.
-type HedgePolicy struct {
-	// Disable turns hedging off.
-	Disable bool
-	// MinDelay and MaxDelay clamp the computed trigger, so a very fast
+// Hedging: when a shard call outlives the shard's recent latency
+// quantile, an identical backup request is launched and the first reply
+// wins. It bounds tail latency without multiplying steady-state load —
+// the trigger fires only for calls already slower than (almost) all
+// recent ones.
+const (
+	// hedgeQuantile is the quantile of a shard's recent latencies that
+	// arms the hedge timer.
+	hedgeQuantile = 0.95
+	// hedgeMinDelay and hedgeMaxDelay clamp the trigger, so a very fast
 	// shard cannot arm hedges in the noise floor and a very slow one
-	// cannot push the trigger past the call deadline. 0 selects 2ms and
-	// 250ms.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// InitialDelay is the fixed trigger used until MinSamples
-	// latencies have been observed. 0 selects 50ms.
-	InitialDelay time.Duration
-	// MinSamples is how many latencies the quantile needs before it
-	// replaces InitialDelay. 0 selects 8.
-	MinSamples int
-}
-
-func (p HedgePolicy) withDefaults() HedgePolicy {
-	if p.MinDelay <= 0 {
-		p.MinDelay = 2 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	if p.InitialDelay <= 0 {
-		p.InitialDelay = 50 * time.Millisecond
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = 8
-	}
-	return p
-}
+	// cannot push the trigger past the call deadline.
+	hedgeMinDelay = 2 * time.Millisecond
+	hedgeMaxDelay = 250 * time.Millisecond
+	// hedgeInitialDelay is the trigger until the window holds
+	// hedgeMinSamples latencies.
+	hedgeInitialDelay = 50 * time.Millisecond
+	hedgeMinSamples   = 8
+)
 
 // latencyWindow is a bounded ring of recent call latencies; its
 // quantile drives the hedge trigger.
@@ -123,7 +102,7 @@ type shardClient struct {
 	timeout time.Duration
 	breaker *resilience.Breaker
 	retry   resilience.Retryer
-	hedge   HedgePolicy
+	noHedge bool
 	lat     *latencyWindow
 }
 
@@ -135,7 +114,7 @@ func newShardClient(id int, base string, hc *http.Client, opts Options) *shardCl
 		http:    hc,
 		timeout: opts.shardTimeout(),
 		breaker: resilience.NewBreaker(opts.breakerPolicy(), nil),
-		hedge:   opts.Hedge.withDefaults(),
+		noHedge: opts.NoHedge,
 		lat:     newLatencyWindow(64),
 	}
 	c.breaker.OnStateChange = func(open bool) {
@@ -271,24 +250,21 @@ func (c *shardClient) attempt(ctx context.Context, phase, method, u string, payl
 // hedgeDelay returns the current hedge trigger, or false when hedging
 // is disabled.
 func (c *shardClient) hedgeDelay() (time.Duration, bool) {
-	if c.hedge.Disable {
+	if c.noHedge {
 		return 0, false
 	}
-	d, ok := c.lat.quantile(hedgeQuantile, c.hedge.MinSamples)
+	d, ok := c.lat.quantile(hedgeQuantile, hedgeMinSamples)
 	if !ok {
-		return c.hedge.InitialDelay, true
+		return hedgeInitialDelay, true
 	}
-	if d < c.hedge.MinDelay {
-		d = c.hedge.MinDelay
-	}
-	if d > c.hedge.MaxDelay {
-		d = c.hedge.MaxDelay
-	}
-	return d, true
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay), true
 }
 
-// roundTrip performs one HTTP exchange, propagating the query's
-// request id so the shard joins the coordinator's trace.
+// roundTrip performs one HTTP exchange with the shard; every request
+// the coordinator sends goes through it. It propagates the query's
+// request id and span so the shard joins the coordinator's trace, reads
+// at most maxReplyBytes of the reply, and turns a non-2xx status into
+// an httpError, permanent for a 4xx.
 func (c *shardClient) roundTrip(ctx context.Context, phase, method, u string, payload []byte) ([]byte, error) {
 	var body io.Reader
 	if payload != nil {
@@ -336,8 +312,8 @@ func (c *shardClient) meta(ctx context.Context) (Meta, error) {
 	return m, err
 }
 
-func (c *shardClient) stats(ctx context.Context, need string) (Stats, error) {
-	var s Stats
+func (c *shardClient) stats(ctx context.Context, need string) (index.GlobalStats, error) {
+	var s index.GlobalStats
 	err := c.call(ctx, "stats", http.MethodGet, "/v1/shard/stats", url.Values{"q": {need}}, nil, &s)
 	return s, err
 }
@@ -352,20 +328,8 @@ func (c *shardClient) find(ctx context.Context, req FindRequest) (FindResponse, 
 // retry stack: health probes must observe a down shard, not be
 // shielded from it.
 func (c *shardClient) ready(ctx context.Context) error {
-	cctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, c.base+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return &httpError{status: resp.StatusCode, phase: "ready", shard: c.id}
-	}
-	return nil
+	_, err := c.roundTrip(ctx, "ready", http.MethodGet, c.base+"/readyz", nil)
+	return err
 }

@@ -20,7 +20,7 @@ func fastOpts(base string) Options {
 		ShardTimeout: 2 * time.Second,
 		Retry:        resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2},
 		Breaker:      resilience.BreakerPolicy{Threshold: 10, Cooldown: time.Minute},
-		Hedge:        HedgePolicy{Disable: true},
+		NoHedge:      true,
 	}
 }
 
@@ -106,7 +106,7 @@ func TestClientHedgesSlowPrimary(t *testing.T) {
 	defer close(release)
 
 	opts := fastOpts(srv.URL)
-	opts.Hedge = HedgePolicy{InitialDelay: 10 * time.Millisecond}
+	opts.NoHedge = false
 	c := newShardClient(0, srv.URL, http.DefaultClient, opts)
 
 	fired0, won0 := mHedgesFired.With("0").Value(), mHedgesWon.With("0").Value()
@@ -155,26 +155,26 @@ func TestLatencyWindowQuantile(t *testing.T) {
 
 func TestHedgeDelayClamps(t *testing.T) {
 	opts := fastOpts("http://unused")
-	opts.Hedge = HedgePolicy{MinDelay: 10 * time.Millisecond, MaxDelay: 20 * time.Millisecond, MinSamples: 2, InitialDelay: 5 * time.Millisecond}
+	opts.NoHedge = false
 	c := newShardClient(0, "http://unused", http.DefaultClient, opts)
 
-	if d, ok := c.hedgeDelay(); !ok || d != 5*time.Millisecond {
-		t.Errorf("cold hedge delay = %v, %v; want InitialDelay", d, ok)
+	if d, ok := c.hedgeDelay(); !ok || d != hedgeInitialDelay {
+		t.Errorf("cold hedge delay = %v, %v; want hedgeInitialDelay", d, ok)
 	}
-	c.lat.observe(time.Microsecond)
-	c.lat.observe(time.Microsecond)
-	if d, _ := c.hedgeDelay(); d != 10*time.Millisecond {
-		t.Errorf("fast-shard delay = %v, want MinDelay clamp", d)
+	for i := 0; i < hedgeMinSamples; i++ {
+		c.lat.observe(time.Microsecond)
 	}
-	c.lat.observe(time.Minute)
-	c.lat.observe(time.Minute)
-	c.lat.observe(time.Minute)
-	c.lat.observe(time.Minute)
-	if d, _ := c.hedgeDelay(); d != 20*time.Millisecond {
-		t.Errorf("slow-shard delay = %v, want MaxDelay clamp", d)
+	if d, _ := c.hedgeDelay(); d != hedgeMinDelay {
+		t.Errorf("fast-shard delay = %v, want hedgeMinDelay clamp", d)
+	}
+	for i := 0; i < hedgeMinSamples; i++ {
+		c.lat.observe(time.Minute)
+	}
+	if d, _ := c.hedgeDelay(); d != hedgeMaxDelay {
+		t.Errorf("slow-shard delay = %v, want hedgeMaxDelay clamp", d)
 	}
 
-	c.hedge.Disable = true
+	c.noHedge = true
 	if _, ok := c.hedgeDelay(); ok {
 		t.Error("disabled hedging still armed")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"expertfind/internal/core"
+	"expertfind/internal/index"
 	"expertfind/internal/resilience"
 	"expertfind/internal/socialgraph"
 	"expertfind/internal/telemetry"
@@ -42,8 +42,8 @@ type Options struct {
 	// Breaker is the per-shard circuit breaker policy. A zero policy
 	// selects 3 consecutive failures and a 1s cooldown.
 	Breaker resilience.BreakerPolicy
-	// Hedge configures hedged second requests; see HedgePolicy.
-	Hedge HedgePolicy
+	// NoHedge turns off hedged second requests (see hedgeQuantile).
+	NoHedge bool
 	// HealthInterval paces the background health loop of Run. 0
 	// selects 1s.
 	HealthInterval time.Duration
@@ -148,16 +148,18 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// GroupFingerprint hashes a candidate pool into the fingerprint that
-// identifies a topology: every shard of one deployment serves the
-// same pool, so coordinator and shards can detect a process serving a
-// different corpus without comparing the pool itself.
-func GroupFingerprint(cands []Candidate) string {
-	h := fnv.New64a()
-	for _, cd := range cands {
-		fmt.Fprintf(h, "%d=%s\n", cd.ID, cd.Name)
+// each runs fn once for every shard, concurrently, and returns when
+// all calls have.
+func (c *Coordinator) each(fn func(i int, cl *shardClient)) {
+	var wg sync.WaitGroup
+	for i, cl := range c.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, cl)
+		}()
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	wg.Wait()
 }
 
 // Bootstrap fetches and validates shard metadata until the topology
@@ -174,33 +176,20 @@ func (c *Coordinator) Bootstrap(ctx context.Context) error {
 		return nil
 	}
 
-	metas := make([]*Meta, len(c.clients))
+	metas := make([]Meta, len(c.clients))
 	errs := make([]error, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *shardClient) {
-			defer wg.Done()
-			m, err := cl.meta(ctx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			metas[i] = &m
-		}(i, cl)
-	}
-	wg.Wait()
+	c.each(func(i int, cl *shardClient) { metas[i], errs[i] = cl.meta(ctx) })
 
 	var topo *topology
 	for i, m := range metas {
-		if m == nil {
+		if errs[i] != nil {
 			continue
 		}
 		if m.ShardID != i || m.ShardCount != len(c.clients) {
 			return fmt.Errorf("scatter: shard at %s reports position %d/%d, expected %d/%d",
 				c.clients[i].base, m.ShardID, m.ShardCount, i, len(c.clients))
 		}
-		fp := GroupFingerprint(m.Candidates)
+		fp := core.GroupFingerprint(m.Candidates)
 		if m.Group != fp {
 			return fmt.Errorf("scatter: shard %d fingerprint %q does not match its candidate pool (%q)", i, m.Group, fp)
 		}
@@ -250,87 +239,77 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 
 	// Phase 1: gather every shard's local document frequencies for the
 	// need's dimensions; their sum is the global collection view.
-	gsp := tr.StartSpan("gather stats")
-	type statsReply struct {
-		stats Stats
+	type reply struct {
+		stats index.GlobalStats
+		find  FindResponse
 		err   error
 	}
-	stats := make([]statsReply, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *shardClient) {
-			defer wg.Done()
-			sp := tr.StartChildSpan(gsp.ID(), "shard"+cl.label+" stats")
-			s, err := cl.stats(telemetry.ContextWithSpan(ctx, sp), need)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-			stats[i] = statsReply{stats: s, err: err}
-		}(i, cl)
-	}
-	wg.Wait()
+	replies := make([]reply, len(c.clients))
+	gsp := tr.StartSpan("gather stats")
+	c.each(func(i int, cl *shardClient) {
+		sp := tr.StartChildSpan(gsp.ID(), "shard"+cl.label+" stats")
+		r := &replies[i]
+		r.stats, r.err = cl.stats(telemetry.ContextWithSpan(ctx, sp), need)
+		if r.err != nil {
+			sp.SetAttr("error", r.err.Error())
+		}
+		sp.End()
+	})
 	gsp.End()
 
-	live := make([]int, 0, len(c.clients))
-	parts := make([]Stats, 0, len(c.clients))
-	for i, r := range stats {
-		if r.err == nil {
-			live = append(live, i)
-			parts = append(parts, r.stats)
-		}
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("%w: %w", ErrNoShards, firstError(stats, func(r statsReply) error { return r.err }))
-	}
-	global := SumStats(parts...)
-	wire := Stats{Docs: global.Docs, Terms: global.TermDF, Entities: global.EntityDF}
-
-	// Phase 2: ship the global view back with the query; each surviving
-	// shard scores its slice under it.
-	fsp := tr.StartSpan("gather find")
-	req := FindRequest{Need: need, Params: map[string][]string(rawParams), Stats: wire}
-	type findReply struct {
-		resp FindResponse
-		err  error
-	}
-	finds := make([]findReply, len(live))
-	for j, i := range live {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			cl := c.clients[i]
-			sp := tr.StartChildSpan(fsp.ID(), "shard"+cl.label+" find")
-			resp, err := cl.find(telemetry.ContextWithSpan(ctx, sp), req)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			} else {
-				sp.SetAttr("matches", strconv.Itoa(len(resp.Matches)))
-			}
-			sp.End()
-			finds[j] = findReply{resp: resp, err: err}
-		}(j, i)
-	}
-	wg.Wait()
-	fsp.End()
-
-	lists := make([]mergeList, 0, len(live))
-	down := len(c.clients) - len(live)
-	for j, i := range live {
-		if finds[j].err != nil {
-			down++
+	parts := make([]index.GlobalStats, 0, len(replies))
+	for i, r := range replies {
+		if r.err != nil {
 			continue
 		}
-		ml, err := convertResponse(i, topo, finds[j].resp)
+		if err := r.stats.Validate(); err != nil {
+			return nil, &MalformedError{Shard: i, Err: fmt.Errorf("stats reply: %w", err)}
+		}
+		parts = append(parts, r.stats)
+	}
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("%w: %w", ErrNoShards, replies[0].err)
+	}
+
+	// Phase 2: ship the global view back with the query; each shard that
+	// answered phase one scores its slice under it.
+	req := FindRequest{Need: need, Params: map[string][]string(rawParams), Stats: index.SumStats(parts...)}
+	fsp := tr.StartSpan("gather find")
+	c.each(func(i int, cl *shardClient) {
+		r := &replies[i]
+		if r.err != nil {
+			return
+		}
+		sp := tr.StartChildSpan(fsp.ID(), "shard"+cl.label+" find")
+		r.find, r.err = cl.find(telemetry.ContextWithSpan(ctx, sp), req)
+		if r.err != nil {
+			sp.SetAttr("error", r.err.Error())
+		} else {
+			sp.SetAttr("matches", strconv.Itoa(len(r.find.Matches)))
+		}
+		sp.End()
+	})
+	fsp.End()
+
+	lists := make([]mergeList, 0, len(replies))
+	var firstErr error
+	for i, r := range replies {
+		if r.err != nil {
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
+		}
+		ml, err := convertResponse(i, topo, r.find)
 		if err != nil {
 			return nil, err
 		}
 		lists = append(lists, ml)
 	}
 	if len(lists) == 0 {
-		return nil, fmt.Errorf("%w: %w", ErrNoShards, firstError(finds, func(r findReply) error { return r.err }))
+		return nil, fmt.Errorf("%w: %w", ErrNoShards, firstErr)
 	}
+	down := len(replies) - len(lists)
 
 	msp := tr.StartSpan("merge")
 	merged, err := Merge(lists)
@@ -366,16 +345,6 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 	return res, nil
 }
 
-// firstError returns the first non-nil error of a reply slice.
-func firstError[T any](rs []T, get func(T) error) error {
-	for _, r := range rs {
-		if err := get(r); err != nil {
-			return err
-		}
-	}
-	return errors.New("no shards")
-}
-
 // Health reports the topology state from the most recent readiness
 // probes: shards up, topology size, and whether bootstrap completed.
 // Run keeps it fresh; Probe refreshes it on demand.
@@ -393,23 +362,17 @@ func (c *Coordinator) Health() (up, total int, bootstrapped bool) {
 // updates the health state (and the shards-down gauge).
 func (c *Coordinator) Probe(ctx context.Context) (up, total int) {
 	results := make([]error, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *shardClient) {
-			defer wg.Done()
-			results[i] = cl.ready(ctx)
-			// A successful readiness probe is out-of-band evidence the
-			// shard is back: close its breaker so the first real query
-			// after recovery doesn't fail fast into degraded mode for a
-			// residual cooldown (the breaker trips during the outage and
-			// again while a restarted shard rebuilds its slice).
-			if results[i] == nil && cl.breaker.Open() {
-				cl.breaker.Success()
-			}
-		}(i, cl)
-	}
-	wg.Wait()
+	c.each(func(i int, cl *shardClient) {
+		results[i] = cl.ready(ctx)
+		// A successful readiness probe is out-of-band evidence the
+		// shard is back: close its breaker so the first real query
+		// after recovery doesn't fail fast into degraded mode for a
+		// residual cooldown (the breaker trips during the outage and
+		// again while a restarted shard rebuilds its slice).
+		if results[i] == nil && cl.breaker.Open() {
+			cl.breaker.Success()
+		}
+	})
 
 	c.healthMu.Lock()
 	for i, err := range results {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"expertfind/internal/core"
+	"expertfind/internal/index"
 	"expertfind/internal/resilience"
 )
 
@@ -23,10 +24,10 @@ import (
 type fakeShard struct {
 	id    int
 	count int
-	cands []Candidate
-	group string // defaults to GroupFingerprint(cands)
+	cands []core.Candidate
+	group string // defaults to core.GroupFingerprint(cands)
 
-	stats Stats
+	stats index.GlobalStats
 	find  func(req FindRequest) FindResponse
 
 	failMeta  atomic.Bool
@@ -42,7 +43,7 @@ type fakeShard struct {
 func (f *fakeShard) start(t *testing.T) {
 	t.Helper()
 	if f.group == "" {
-		f.group = GroupFingerprint(f.cands)
+		f.group = core.GroupFingerprint(f.cands)
 	}
 	mux := http.NewServeMux()
 	down := func(w http.ResponseWriter, flag *atomic.Bool) bool {
@@ -98,7 +99,7 @@ func (f *fakeShard) start(t *testing.T) {
 	t.Cleanup(f.srv.Close)
 }
 
-var testCands = []Candidate{{ID: 1, Name: "ada"}, {ID: 2, Name: "bob"}, {ID: 3, Name: "cyd"}}
+var testCands = []core.Candidate{{ID: 1, Name: "ada"}, {ID: 2, Name: "bob"}, {ID: 3, Name: "cyd"}}
 
 // newFakeTopology starts n scripted shards sharing one candidate pool
 // and returns them with a coordinator configured for test-speed
@@ -110,7 +111,7 @@ func newFakeTopology(t *testing.T, n int, finds []func(FindRequest) FindResponse
 	for i := range shards {
 		shards[i] = &fakeShard{
 			id: i, count: n, cands: testCands,
-			stats: Stats{Docs: 10 * (i + 1), Terms: map[string]int{"go": i + 1}},
+			stats: index.GlobalStats{Docs: 10 * (i + 1), TermDF: map[string]int{"go": i + 1}},
 		}
 		if finds != nil {
 			shards[i].find = finds[i]
@@ -123,7 +124,7 @@ func newFakeTopology(t *testing.T, n int, finds []func(FindRequest) FindResponse
 		ShardTimeout: 2 * time.Second,
 		Retry:        resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, Multiplier: 2},
 		Breaker:      resilience.BreakerPolicy{Threshold: 100, Cooldown: time.Millisecond},
-		Hedge:        HedgePolicy{Disable: true},
+		NoHedge:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +146,13 @@ func TestBootstrapRejectsPoolMismatch(t *testing.T) {
 	for i := range shards {
 		cands := testCands
 		if i == 1 {
-			cands = []Candidate{{ID: 9, Name: "eve"}}
+			cands = []core.Candidate{{ID: 9, Name: "eve"}}
 		}
-		shards[i] = &fakeShard{id: i, count: 2, cands: cands, stats: Stats{Docs: 1}}
+		shards[i] = &fakeShard{id: i, count: 2, cands: cands, stats: index.GlobalStats{Docs: 1}}
 		shards[i].start(t)
 		bases[i] = shards[i].srv.URL
 	}
-	co, err := New(Options{Shards: bases, Hedge: HedgePolicy{Disable: true},
+	co, err := New(Options{Shards: bases, NoHedge: true,
 		Retry: resilience.RetryPolicy{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func scriptedFind(group string, matches ...Match) func(FindRequest) FindResponse
 }
 
 func TestFindMergesRanksAndNames(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	_, co := newFakeTopology(t, 2, []func(FindRequest) FindResponse{
 		scriptedFind(g,
 			Match{Doc: 2, Score: 4, Cands: [][2]int32{{1, 0}}},
@@ -207,7 +208,7 @@ func TestFindMergesRanksAndNames(t *testing.T) {
 }
 
 func TestFindForwardsSummedStats(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	var got atomic.Pointer[FindRequest]
 	capture := func(req FindRequest) FindResponse {
 		got.Store(&req)
@@ -222,7 +223,7 @@ func TestFindForwardsSummedStats(t *testing.T) {
 		t.Fatal("shards never saw the find request")
 	}
 	// Topology stats: shard0 {Docs:10, go:1}, shard1 {Docs:20, go:2}.
-	if req.Stats.Docs != 30 || req.Stats.Terms["go"] != 3 {
+	if req.Stats.Docs != 30 || req.Stats.TermDF["go"] != 3 {
 		t.Errorf("global stats = %+v, want summed Docs=30 go=3", req.Stats)
 	}
 	if v := req.ParamValues().Get("alpha"); v != "0.3" {
@@ -238,7 +239,7 @@ func TestFindForwardsSummedStats(t *testing.T) {
 // proper subset down yields a 200-style partial result flagged
 // degraded, the full set down yields ErrNoShards.
 func TestFindShardFailureOrderings(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	subsets := [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
 	for _, phase := range []string{"stats", "find"} {
 		for _, downSet := range subsets {
@@ -279,7 +280,7 @@ func TestFindShardFailureOrderings(t *testing.T) {
 }
 
 func TestFindRejectsDuplicateDocsAcrossShards(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	_, co := newFakeTopology(t, 2, []func(FindRequest) FindResponse{
 		scriptedFind(g, Match{Doc: 5, Score: 4, Cands: [][2]int32{{1, 0}}}),
 		scriptedFind(g, Match{Doc: 5, Score: 2, Cands: [][2]int32{{2, 0}}}),
@@ -292,7 +293,7 @@ func TestFindRejectsDuplicateDocsAcrossShards(t *testing.T) {
 }
 
 func TestFindRejectsForeignGroupReply(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	_, co := newFakeTopology(t, 2, []func(FindRequest) FindResponse{
 		scriptedFind(g, Match{Doc: 1, Score: 1, Cands: [][2]int32{{1, 0}}}),
 		scriptedFind("deadbeefdeadbeef", Match{Doc: 2, Score: 1, Cands: [][2]int32{{1, 0}}}),
@@ -304,8 +305,27 @@ func TestFindRejectsForeignGroupReply(t *testing.T) {
 	}
 }
 
+// TestFindRejectsOutOfRangeStats: a stats reply no collection can have
+// fails the query as a malformed reply from that shard, instead of
+// weighting every shard's plan by it.
+func TestFindRejectsOutOfRangeStats(t *testing.T) {
+	for _, bad := range []index.GlobalStats{
+		{Docs: -5},
+		{Docs: 10, TermDF: map[string]int{"train": -3, "marathon": -1}},
+		{Docs: 10, TermDF: map[string]int{"train": 300}},
+	} {
+		shards, co := newFakeTopology(t, 2, nil)
+		shards[1].stats = bad
+		_, err := co.Find(context.Background(), "go", nil, core.Params{})
+		var mal *MalformedError
+		if !errors.As(err, &mal) || mal.Shard != 1 {
+			t.Errorf("stats %+v: err = %v, want MalformedError from shard 1", bad, err)
+		}
+	}
+}
+
 func TestFindRejectsUnknownCandidate(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	_, co := newFakeTopology(t, 1, []func(FindRequest) FindResponse{
 		scriptedFind(g, Match{Doc: 1, Score: 1, Cands: [][2]int32{{42, 0}}}),
 	})
@@ -345,13 +365,13 @@ func TestProbeAndHealth(t *testing.T) {
 // it immediately, so the first query after recovery is whole instead
 // of degraded for a residual cooldown.
 func TestProbeClosesBreaker(t *testing.T) {
-	g := GroupFingerprint(testCands)
+	g := core.GroupFingerprint(testCands)
 	shards := make([]*fakeShard, 2)
 	bases := make([]string, 2)
 	for i := range shards {
 		shards[i] = &fakeShard{
 			id: i, count: 2, cands: testCands,
-			stats: Stats{Docs: 10, Terms: map[string]int{"go": 1}},
+			stats: index.GlobalStats{Docs: 10, TermDF: map[string]int{"go": 1}},
 			find:  scriptedFind(g, Match{Doc: int32(i), Score: 1, Cands: [][2]int32{{1, 0}}}),
 		}
 		shards[i].start(t)
@@ -364,7 +384,7 @@ func TestProbeClosesBreaker(t *testing.T) {
 		// The long cooldown is the point: nothing but the probe can
 		// close the breaker within this test's lifetime.
 		Breaker: resilience.BreakerPolicy{Threshold: 1, Cooldown: time.Hour},
-		Hedge:   HedgePolicy{Disable: true},
+		NoHedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"expertfind/internal/core"
 	"expertfind/internal/index"
-	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
 )
 
@@ -173,15 +172,5 @@ func TestConvertResponseValidates(t *testing.T) {
 		if _, err := convertResponse(1, topo, stray); err == nil {
 			t.Errorf("candidate %d outside the pool accepted", u)
 		}
-	}
-}
-
-func TestSumStats(t *testing.T) {
-	g := SumStats(
-		Stats{Docs: 10, Terms: map[string]int{"go": 3}, Entities: map[kb.EntityID]int{1: 2}},
-		Stats{Docs: 5, Terms: map[string]int{"go": 1, "db": 2}},
-	)
-	if g.Docs != 15 || g.TermDF["go"] != 4 || g.TermDF["db"] != 2 || g.EntityDF[1] != 2 {
-		t.Fatalf("summed %+v", g)
 	}
 }

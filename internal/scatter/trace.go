@@ -16,12 +16,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"expertfind/internal/telemetry"
@@ -71,24 +69,12 @@ type AssembledTrace struct {
 // retrieval is diagnostic traffic and must not consume the robustness
 // budget of real queries (nor be shielded by it).
 func (c *shardClient) trace(ctx context.Context, rid string) ([]telemetry.TraceSnapshot, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	u := c.base + "/v1/shard/trace?" + url.Values{"rid": {rid}}.Encode()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, u, nil)
+	raw, err := c.roundTrip(ctx, "trace", http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &httpError{status: resp.StatusCode, phase: "trace", shard: c.id}
 	}
 	var out []telemetry.TraceSnapshot
 	if err := json.Unmarshal(raw, &out); err != nil {
@@ -104,21 +90,15 @@ func (c *shardClient) trace(ctx context.Context, rid string) ([]telemetry.TraceS
 // needs.
 func (c *Coordinator) FetchShardTraces(ctx context.Context, rid string) []ShardTraces {
 	out := make([]ShardTraces, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl *shardClient) {
-			defer wg.Done()
-			out[i] = ShardTraces{Shard: cl.id, Base: cl.base}
-			traces, err := cl.trace(ctx, rid)
-			if err != nil {
-				out[i].Error = err.Error()
-				return
-			}
-			out[i].Traces = traces
-		}(i, cl)
-	}
-	wg.Wait()
+	c.each(func(i int, cl *shardClient) {
+		out[i] = ShardTraces{Shard: cl.id, Base: cl.base}
+		traces, err := cl.trace(ctx, rid)
+		if err != nil {
+			out[i].Error = err.Error()
+			return
+		}
+		out[i].Traces = traces
+	})
 	return out
 }
 

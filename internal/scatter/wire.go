@@ -30,74 +30,20 @@ import (
 
 	"expertfind/internal/core"
 	"expertfind/internal/index"
-	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
 )
 
-// Candidate pairs a candidate user id with their handle, so the
-// coordinator can render merged rankings by name.
-type Candidate struct {
-	ID   int32  `json:"id"`
-	Name string `json:"name"`
-}
-
 // Meta identifies one shard process: its place in the topology, the
-// slice it serves and the candidate pool it ranks. The coordinator
-// bootstraps from every shard's meta and refuses mismatched
-// topologies (wrong shard id or count, diverging candidate pools).
+// slice it serves and the candidate pool it ranks, with the pool's
+// core.GroupFingerprint. The coordinator bootstraps from every shard's
+// meta and refuses mismatched topologies (wrong shard id or count,
+// diverging candidate pools).
 type Meta struct {
-	ShardID    int         `json:"shard_id"`
-	ShardCount int         `json:"shard_count"`
-	NumDocs    int         `json:"num_docs"`
-	Group      string      `json:"group"`
-	Candidates []Candidate `json:"candidates"`
-}
-
-// Stats is the wire form of one shard's local collection statistics
-// for a need's dimensions (phase one), and — summed across shards —
-// the global view shipped back with phase two.
-type Stats struct {
-	Docs     int                 `json:"docs"`
-	Terms    map[string]int      `json:"terms,omitempty"`
-	Entities map[kb.EntityID]int `json:"entities,omitempty"`
-}
-
-// StatsFromNeed converts a finder's local need statistics to the wire
-// form.
-func StatsFromNeed(st core.NeedStats) Stats {
-	return Stats{Docs: st.Docs, Terms: st.TermDF, Entities: st.EntityDF}
-}
-
-// SumStats folds per-shard statistics into the global collection
-// view used to plan the query.
-func SumStats(parts ...Stats) index.GlobalStats {
-	g := index.GlobalStats{
-		TermDF:   make(map[string]int),
-		EntityDF: make(map[kb.EntityID]int),
-	}
-	for _, p := range parts {
-		g.Docs += p.Docs
-		for t, df := range p.Terms {
-			g.TermDF[t] += df
-		}
-		for e, df := range p.Entities {
-			g.EntityDF[e] += df
-		}
-	}
-	return g
-}
-
-// Global converts wire statistics (already summed) into the index's
-// collection view.
-func (s Stats) Global() index.GlobalStats {
-	g := index.GlobalStats{Docs: s.Docs, TermDF: s.Terms, EntityDF: s.Entities}
-	if g.TermDF == nil {
-		g.TermDF = map[string]int{}
-	}
-	if g.EntityDF == nil {
-		g.EntityDF = map[kb.EntityID]int{}
-	}
-	return g
+	ShardID    int              `json:"shard_id"`
+	ShardCount int              `json:"shard_count"`
+	NumDocs    int              `json:"num_docs"`
+	Group      string           `json:"group"`
+	Candidates []core.Candidate `json:"candidates"`
 }
 
 // FindRequest is the phase-two payload: the need, the client's raw
@@ -107,7 +53,7 @@ func (s Stats) Global() index.GlobalStats {
 type FindRequest struct {
 	Need   string              `json:"need"`
 	Params map[string][]string `json:"params,omitempty"`
-	Stats  Stats               `json:"stats"`
+	Stats  index.GlobalStats   `json:"stats"`
 }
 
 // ParamValues returns the forwarded parameters as url.Values.
