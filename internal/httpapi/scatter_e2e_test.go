@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -42,7 +43,7 @@ type scatterTopo struct {
 // newScatterTopo boots count shard servers, shard i opening base as
 // slice i of count (in its own subdirectory of base.SegmentDir, when
 // the shards are store-backed), and a coordinator over them.
-func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTopo {
+func newScatterTopo(t testing.TB, base expertfind.Options, count int) *scatterTopo {
 	t.Helper()
 	topo := &scatterTopo{
 		shardSrvs:    make([]*httptest.Server, count),
@@ -100,6 +101,33 @@ func newScatterTopo(t *testing.T, base expertfind.Options, count int) *scatterTo
 	topo.front = httptest.NewServer(NewCoordinator(co, Options{Tracer: topo.frontTracer}))
 	t.Cleanup(topo.front.Close)
 	return topo
+}
+
+// BenchmarkScatterFind times /v1/find through a coordinator over two
+// in-process shards on loopback, in a closed loop over the evaluation
+// needs: both fan-outs, the shards' slice scoring, the merge and every
+// HTTP hop of the coordinator path, one request at a time.
+func BenchmarkScatterFind(b *testing.B) {
+	cfg := expertfind.Config{Seed: 11, Scale: 0.1, IndexShards: 1}
+	topo := newScatterTopo(b, expertfind.Options{Config: cfg}, 2)
+	var urls []string
+	for _, q := range dataset.Queries() {
+		urls = append(urls, topo.front.URL+"/v1/find?"+url.Values{"q": {q.Text}, "top": {"10"}}.Encode())
+	}
+	client := topo.front.Client()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Get(urls[i%len(urls)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("GET %s: status %d, %v", urls[i%len(urls)], resp.StatusCode, err)
+		}
+	}
 }
 
 func rawGET(t *testing.T, base, path string, hdr map[string]string) (*http.Response, []byte) {

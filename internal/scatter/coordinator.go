@@ -42,7 +42,9 @@ type Options struct {
 	// Breaker is the per-shard circuit breaker policy. A zero policy
 	// selects 3 consecutive failures and a 1s cooldown.
 	Breaker resilience.BreakerPolicy
-	// NoHedge turns off hedged second requests (see hedgeQuantile).
+	// NoHedge turns off hedged second requests. By default a shard
+	// call that outlives the shard's recent p95 latency gets an
+	// identical backup request, and the first reply wins.
 	NoHedge bool
 	// HealthInterval paces the background health loop of Run. 0
 	// selects 1s.
