@@ -29,7 +29,7 @@ race:
 race-stress:
 	$(GO) test -race -count=2 ./...
 
-# fuzz-smoke runs each index, langid, analysis, socialgraph and ingest fuzz target
+# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph and ingest fuzz target
 # briefly; the checked-in corpus under testdata/fuzz is replayed by
 # the plain test target. -fuzzminimizetime=0 keeps the run fuzzing: by
 # default the first new input is minimised for up to 60 s, which left
@@ -42,6 +42,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/index/
 	$(GO) test -run '^$$' -fuzz '^FuzzIdentify$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/langid/
+	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz '^FuzzSanitizeAndTokenize$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNeed$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceCandidateMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReachPatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
-	"expertfind/internal/annotator"
 	"expertfind/internal/kb"
-	"expertfind/internal/textproc"
 )
 
 // needSeeds are FuzzAnalyzeNeed's in-code seeds: realistic queries,
@@ -31,50 +29,17 @@ var needSeeds = []string{
 	"The THE the tHe ThE",
 }
 
-// threePassNeed builds a need's Analyzed the way the pipeline did
-// before it tokenized once: the term counter and the annotator each
-// read the raw text on their own, and the term filter is spelled out
-// step by step. It is the reference AnalyzeNeed must reproduce exactly.
-func threePassNeed(ann *annotator.Annotator, need string) Analyzed {
-	a := Analyzed{
-		Terms:    make(map[string]int),
-		Entities: make(map[kb.EntityID]EntityStats),
-	}
-	for _, tok := range textproc.Tokenize(textproc.Sanitize(need)) {
-		if n := len([]rune(tok)); n < 2 || n > 40 {
-			continue
-		}
-		if textproc.IsStopword(tok) {
-			continue
-		}
-		if tok = textproc.Stem(tok); tok == "" {
-			continue
-		}
-		a.Terms[tok]++
-		a.Length++
-	}
-	for _, an := range ann.Annotate(need) {
-		st := a.Entities[an.Entity.ID]
-		st.Freq++
-		if an.DScore > st.DScore {
-			st.DScore = an.DScore
-		}
-		a.Entities[an.Entity.ID] = st
-	}
-	return a
-}
-
 // FuzzAnalyzeNeed feeds arbitrary byte strings through the full need
 // analysis flow — text processing and entity annotation — and checks
 // the structural invariants every Analyzed must satisfy, and that the
-// result equals the three-pass reference.
+// result equals the three-pass reference construction.
 // The seed corpus under testdata/fuzz adds to needSeeds.
 func FuzzAnalyzeNeed(f *testing.F) {
 	for _, s := range needSeeds {
 		f.Add(s)
 	}
 
-	ann := annotator.New(kb.Builtin())
+	ref := newReference(kb.Builtin())
 	pipe := New(Options{})
 	f.Fuzz(func(t *testing.T, need string) {
 		a := pipe.AnalyzeNeed(need)
@@ -106,7 +71,7 @@ func FuzzAnalyzeNeed(f *testing.F) {
 			}
 		}
 
-		if want := threePassNeed(ann, need); !reflect.DeepEqual(a, want) {
+		if want := ref.threePass(need); !reflect.DeepEqual(a, want) {
 			t.Errorf("AnalyzeNeed(%q) differs from the three-pass reference:\n got %+v\nwant %+v", need, a, want)
 		}
 

@@ -10,7 +10,7 @@
 package annotator
 
 import (
-	"strings"
+	"math/bits"
 
 	"expertfind/internal/kb"
 	"expertfind/internal/textproc"
@@ -73,37 +73,54 @@ func (a *Annotator) AnnotateText(t *textproc.Text) []Annotation {
 	ctx := a.contextProfile(t, spots)
 
 	var out []Annotation
-	work := tally{votes: make(map[kb.Domain]float64, len(kb.Domains))}
+	var work tally
 	for i, sp := range spots {
-		if ann, ok := a.disambiguate(sp, spots, i, ctx, &work); ok {
+		if ann, ok := a.disambiguate(sp, spots, i, &ctx, &work); ok {
 			out = append(out, ann)
 		}
 	}
 	return out
 }
 
+// profile holds one float per domain, indexed like kb.Domains.
+type profile [len(kb.Domains)]float64
+
 // tally is disambiguate's working memory, allocated once per text and
 // overwritten for every spot.
 type tally struct {
-	votes  map[kb.Domain]float64 // coherence votes per domain
-	scores []float64             // score per candidate of the spot
+	votes  profile   // coherence votes per domain
+	scores []float64 // score per candidate of the spot
 }
 
 // spotAnchors finds non-overlapping, longest-first anchor matches. The
 // window at a token is as long as the longest anchor starting with
 // that token, so a token that starts none costs one lookup and no
-// candidate anchor is assembled that could not match.
+// candidate anchor is assembled that could not match. A multi-token
+// candidate is assembled in one reused buffer and becomes a string
+// only once it is spotted.
 func (a *Annotator) spotAnchors(tokens []string) []spot {
 	var spots []spot
+	var arr [64]byte
+	buf := arr[:0]
 	for i := 0; i < len(tokens); {
 		n := min(a.kb.AnchorSpan(tokens[i]), len(tokens)-i)
 		for ; n >= 1; n-- {
-			anchor := tokens[i]
-			if n > 1 {
-				anchor = strings.Join(tokens[i:i+n], " ")
+			var cands []kb.Candidate
+			var lp float64
+			if n == 1 {
+				cands, lp = a.kb.Candidates(tokens[i])
+			} else {
+				buf = append(buf[:0], tokens[i]...)
+				for _, tok := range tokens[i+1 : i+n] {
+					buf = append(append(buf, ' '), tok...)
+				}
+				cands, lp = a.kb.CandidatesBytes(buf)
 			}
-			cands, lp := a.kb.Candidates(anchor)
 			if cands != nil && lp >= minLinkProb {
+				anchor := tokens[i]
+				if n > 1 {
+					anchor = string(buf)
+				}
 				spots = append(spots, spot{anchor: anchor, start: i, end: i + n, cands: cands})
 				break
 			}
@@ -114,25 +131,20 @@ func (a *Annotator) spotAnchors(tokens []string) []spot {
 }
 
 // contextProfile counts, per domain, the topical-vocabulary words
-// occurring in the text. Token comparison happens on raw lowercase
-// surface forms, matching how vocabularies are stored.
-func (a *Annotator) contextProfile(t *textproc.Text, spots []spot) map[kb.Domain]float64 {
-	inSpot := make([]bool, len(t.Tokens))
-	for _, sp := range spots {
-		for i := sp.start; i < sp.end; i++ {
-			inSpot[i] = true
-		}
-	}
-	ctx := make(map[kb.Domain]float64, len(kb.Domains))
-	for i := range t.Tokens {
-		if inSpot[i] {
+// occurring in the text outside the spots. Tokens are compared by
+// Porter stem, matching how the vocabularies are indexed; one lookup
+// gives every domain a stem belongs to.
+func (a *Annotator) contextProfile(t *textproc.Text, spots []spot) profile {
+	var ctx profile
+	next := 0 // spots ascend and do not overlap
+	for i := 0; i < len(t.Tokens); i++ {
+		if next < len(spots) && i == spots[next].start {
+			i = spots[next].end - 1
+			next++
 			continue
 		}
-		stem := t.Stem(i)
-		for _, d := range kb.Domains {
-			if a.kb.InVocabStem(d, stem) {
-				ctx[d]++
-			}
+		for set := a.kb.StemDomains(t.Stem(i)); set != 0; set &= set - 1 {
+			ctx[bits.TrailingZeros8(uint8(set))]++
 		}
 	}
 	return ctx
@@ -144,12 +156,9 @@ func (a *Annotator) contextProfile(t *textproc.Text, spots []spot) map[kb.Domain
 // dominant interpretations — a voting scheme in the spirit of TAGME's
 // relatedness votes. The dScore is the winner's share of the total
 // candidate mass, attenuated when the text gives no topical support.
-func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Domain]float64, t *tally) (Annotation, bool) {
-	votes := t.votes
-	clear(votes)
-	for d, n := range ctx {
-		votes[d] += n
-	}
+func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx *profile, t *tally) (Annotation, bool) {
+	votes := &t.votes
+	*votes = *ctx
 	for j, other := range spots {
 		if j == self {
 			continue
@@ -157,7 +166,7 @@ func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Dom
 		// The dominant candidate of every other spot votes for its
 		// domain with its commonness as weight.
 		best := other.cands[0]
-		votes[a.kb.Entity(best.Entity).Domain] += best.Commonness
+		votes[a.kb.DomainIndex(best.Entity)] += best.Commonness
 	}
 
 	// Context dominates the commonness prior: a candidate whose domain
@@ -168,7 +177,7 @@ func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Dom
 	var total float64
 	scores := t.scores[:0]
 	for _, c := range sp.cands {
-		boost := coherenceBoost(votes[a.kb.Entity(c.Entity).Domain])
+		boost := coherenceBoost(votes[a.kb.DomainIndex(c.Entity)])
 		score := c.Commonness * (priorFloor + boost)
 		scores = append(scores, score)
 		total += score
@@ -185,7 +194,7 @@ func (a *Annotator) disambiguate(sp spot, spots []spot, self int, ctx map[kb.Dom
 	winnerEnt := a.kb.Entity(winner.Entity)
 
 	share := scores[bestIdx] / total
-	support := coherenceBoost(votes[winnerEnt.Domain])
+	support := coherenceBoost(votes[a.kb.DomainIndex(winner.Entity)])
 	dScore := share * (0.5 + 0.5*support)
 	if dScore < minDScore {
 		return Annotation{}, false

@@ -270,7 +270,9 @@ func dispatchMux(mux *http.ServeMux, st *slo.Tracker, w http.ResponseWriter, r *
 // of healthy queries. On a shard process, the coordinator's span
 // header nests the trace under the fan-out attempt that carried it.
 // The query string is parsed once, here: the trace's q attribute and
-// the route read the same r.Form.
+// the route read the same r.Form. r.Form holds the query string alone,
+// never a form-encoded body, so a POST route reads its body whatever
+// Content-Type the client sent.
 func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, tr := b.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
@@ -280,7 +282,7 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 				go b.onKept(tr.ID())
 			}
 		}()
-		_ = r.ParseForm() // a malformed pair is dropped, as r.URL.Query() drops it
+		r.Form, _ = url.ParseQuery(r.URL.RawQuery) // a malformed pair is dropped, as r.URL.Query() drops it
 		if q := r.Form.Get("q"); q != "" {
 			tr.SetAttr("q", q)
 		}

@@ -35,6 +35,7 @@ type scatterTopo struct {
 	shardTracers []*telemetry.Tracer
 	shardRIDs    []atomic.Value // last X-Request-ID seen on /v1/shard/*
 	findBytes    []atomic.Int64 // size of the last /v1/shard/find reply
+	garbleFind   []atomic.Bool  // answer /v1/shard/find with a truncated JSON body
 	frontTracer  *telemetry.Tracer
 	front        *httptest.Server
 	indexed      []int
@@ -50,6 +51,7 @@ func newScatterTopo(t testing.TB, base expertfind.Options, count int) *scatterTo
 		shardTracers: make([]*telemetry.Tracer, count),
 		shardRIDs:    make([]atomic.Value, count),
 		findBytes:    make([]atomic.Int64, count),
+		garbleFind:   make([]atomic.Bool, count),
 		indexed:      make([]int, count),
 	}
 	bases := make([]string, count)
@@ -78,6 +80,10 @@ func newScatterTopo(t testing.TB, base expertfind.Options, count int) *scatterTo
 				topo.shardRIDs[i].Store(r.Header.Get("X-Request-ID"))
 			}
 			if r.URL.Path == "/v1/shard/find" {
+				if topo.garbleFind[i].Load() {
+					w.Write([]byte(`{"group":`))
+					return
+				}
 				sw := &statusWriter{ResponseWriter: w}
 				h.ServeHTTP(sw, r)
 				topo.findBytes[i].Store(int64(sw.bytes))
@@ -235,18 +241,27 @@ func writeStreamCorpus(t *testing.T, cfg dataset.Config) string {
 
 func escape(s string) string { return strings.ReplaceAll(s, " ", "+") }
 
-// TestShardFindRefusesOutOfRangeStats: /v1/shard/find refuses, with a
-// 400, global statistics no collection can have, instead of ranking
-// under weights they would produce.
-func TestShardFindRefusesOutOfRangeStats(t *testing.T) {
+// shardServer serves slice 0 of 2 of a small corpus in shard mode.
+func shardServer(t *testing.T) *httptest.Server {
+	t.Helper()
 	cfg := expertfind.Config{Seed: 7, Candidates: 12, Scale: 0.05, IndexShards: 1}
 	sys, err := expertfind.Open(expertfind.Options{Config: cfg, ShardID: 0, ShardCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewWithOptions(sys, Options{Shard: &ShardOptions{ID: 0, Count: 2}}))
-	defer srv.Close()
-	const need = `"need":"What should I consider when training for a marathon?"`
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+const shardFindNeed = `"need":"What should I consider when training for a marathon?"`
+
+// TestShardFindRefusesOutOfRangeStats: /v1/shard/find refuses, with a
+// 400, global statistics no collection can have, instead of ranking
+// under weights they would produce.
+func TestShardFindRefusesOutOfRangeStats(t *testing.T) {
+	srv := shardServer(t)
+	const need = shardFindNeed
 	for body, want := range map[string]int{
 		`{` + need + `,"stats":{"docs":1014,"terms":{"train":15,"marathon":4}}}`: http.StatusOK,
 		`{` + need + `,"stats":{"docs":10,"terms":{"train":-3,"marathon":-1}}}`:  http.StatusBadRequest,
@@ -263,6 +278,40 @@ func TestShardFindRefusesOutOfRangeStats(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("%s: %d %s, want %d", body, resp.StatusCode, got, want)
 		}
+	}
+}
+
+// TestShardFindIgnoresFormContentType: the /v1 guard parses the query
+// string only, so a JSON body sent as form-encoded (what curl -d says)
+// still reaches the route instead of being consumed as a form.
+func TestShardFindIgnoresFormContentType(t *testing.T) {
+	srv := shardServer(t)
+	body := `{` + shardFindNeed + `,"stats":{"docs":1014,"terms":{"train":15,"marathon":4}}}`
+	resp, err := http.Post(srv.URL+"/v1/shard/find", "application/x-www-form-urlencoded", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(got, []byte(`"group":`)) {
+		t.Errorf("form-encoded shard find: %d %s, want 200 and a find reply", resp.StatusCode, got)
+	}
+}
+
+// TestCoordinatorRejectsUndecodableShardReply: a shard find reply the
+// coordinator cannot decode fails the find with a 502, as a decodable
+// but invalid one does, instead of counting the shard as down and
+// answering a degraded 200.
+func TestCoordinatorRejectsUndecodableShardReply(t *testing.T) {
+	cfg := expertfind.Config{Seed: 1, Candidates: 12, Scale: 0.05, IndexShards: 1}
+	topo := newScatterTopo(t, expertfind.Options{Config: cfg}, 2)
+	topo.garbleFind[1].Store(true)
+	resp, body := rawGET(t, topo.front.URL, "/v1/find?q="+escape("social network analysis"), nil)
+	if resp.StatusCode != http.StatusBadGateway || !bytes.Contains(body, []byte("malformed reply from shard 1")) {
+		t.Errorf("GET with an undecodable shard reply: %d %s, want 502 naming shard 1", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(DegradedHeader); got != "" {
+		t.Errorf("degraded header %q on a failed find", got)
 	}
 }
 

@@ -36,9 +36,27 @@ const (
 )
 
 // Domains lists all expertise domains in the order used by the
-// paper's tables.
-var Domains = []Domain{
+// paper's tables. Its length is a constant, so per-domain tallies are
+// arrays indexed by a domain's position here.
+var Domains = [...]Domain{
 	ComputerEngineering, Location, MoviesTV, Music, Science, Sport, Technology,
+}
+
+// DomainSet is a set of domains: bit i stands for Domains[i].
+type DomainSet uint8
+
+// A DomainSet has a bit for every domain.
+var _ [8 - len(Domains)]struct{}
+
+// domainIndex returns d's position in Domains, or -1 for a domain
+// outside them.
+func domainIndex(d Domain) int {
+	for i, dd := range Domains {
+		if dd == d {
+			return i
+		}
+	}
+	return -1
 }
 
 // EntityID identifies an entity within a KB.
@@ -69,7 +87,11 @@ type KB struct {
 	linkProb   map[string]float64     // normalized anchor -> P(link)
 	anchorSpan map[string]int         // first token -> tokens of the longest anchor starting with it
 	vocab      map[Domain][]string
-	vocabStems map[Domain]map[string]struct{}
+	// stemDomains maps a vocabulary word's Porter stem to the domains
+	// whose vocabulary holds it: one probe tells a context word's
+	// domains.
+	stemDomains map[string]DomainSet
+	domainOf    []uint8 // entity ID -> its domain's index in Domains
 }
 
 // Builder assembles a KB.
@@ -97,6 +119,10 @@ func (b *Builder) AddEntity(label, typ string, domain Domain, linkProb float64) 
 	if _, dup := kb.byLabel[label]; dup {
 		b.errs = append(b.errs, fmt.Errorf("kb: duplicate entity label %q", label))
 	}
+	di := domainIndex(domain)
+	if di < 0 {
+		b.errs = append(b.errs, fmt.Errorf("kb: entity %q in unknown domain %q", label, domain))
+	}
 	id := EntityID(len(kb.entities))
 	kb.entities = append(kb.entities, Entity{
 		ID:     id,
@@ -105,6 +131,7 @@ func (b *Builder) AddEntity(label, typ string, domain Domain, linkProb float64) 
 		Type:   typ,
 		Domain: domain,
 	})
+	kb.domainOf = append(kb.domainOf, uint8(di))
 	kb.byLabel[label] = id
 	b.AddAnchor(label, label, 1.0, linkProb)
 	return id
@@ -144,6 +171,10 @@ func (b *Builder) AddAnchor(anchor, entityLabel string, commonness, linkProb flo
 
 // AddVocab appends topical vocabulary words to a domain.
 func (b *Builder) AddVocab(domain Domain, words ...string) {
+	if domainIndex(domain) < 0 {
+		b.errs = append(b.errs, fmt.Errorf("kb: vocabulary for unknown domain %q", domain))
+		return
+	}
 	b.kb.vocab[domain] = append(b.kb.vocab[domain], words...)
 }
 
@@ -173,13 +204,11 @@ func (b *Builder) Build() (*KB, error) {
 		})
 		kb.anchors[norm] = cands
 	}
-	kb.vocabStems = make(map[Domain]map[string]struct{}, len(kb.vocab))
-	for d, words := range kb.vocab {
-		stems := make(map[string]struct{}, len(words))
-		for _, w := range words {
-			stems[textproc.Stem(w)] = struct{}{}
+	kb.stemDomains = make(map[string]DomainSet)
+	for i, d := range Domains {
+		for _, w := range kb.vocab[d] {
+			kb.stemDomains[textproc.Stem(w)] |= 1 << i
 		}
-		kb.vocabStems[d] = stems
 	}
 	return kb, nil
 }
@@ -239,6 +268,16 @@ func (k *KB) Candidates(normAnchor string) ([]Candidate, float64) {
 	return c, k.linkProb[normAnchor]
 }
 
+// CandidatesBytes is Candidates for an anchor assembled in a byte
+// buffer; the lookup does not copy it into a string.
+func (k *KB) CandidatesBytes(normAnchor []byte) ([]Candidate, float64) {
+	c, ok := k.anchors[string(normAnchor)]
+	if !ok {
+		return nil, 0
+	}
+	return c, k.linkProb[string(normAnchor)]
+}
+
 // AnchorSpan returns the length, in tokens, of the longest anchor whose
 // first token is first, or 0 when no anchor starts with it: the
 // spotting window at a token, known before any candidate anchor is
@@ -248,13 +287,13 @@ func (k *KB) AnchorSpan(first string) int { return k.anchorSpan[first] }
 // Vocab returns the topical vocabulary of a domain.
 func (k *KB) Vocab(d Domain) []string { return k.vocab[d] }
 
-// InVocabStem reports whether a Porter stem matches the stemmed
-// vocabulary of domain d, so that inflected forms ("restaurants",
+// StemDomains returns the domains whose vocabulary holds a word with
+// the given Porter stem, so that inflected forms ("restaurants",
 // "scored") hit their vocabulary entries.
-func (k *KB) InVocabStem(d Domain, stem string) bool {
-	_, ok := k.vocabStems[d][stem]
-	return ok
-}
+func (k *KB) StemDomains(stem string) DomainSet { return k.stemDomains[stem] }
+
+// DomainIndex returns the position in Domains of entity id's domain.
+func (k *KB) DomainIndex(id EntityID) int { return int(k.domainOf[id]) }
 
 // EntitiesInDomain returns the entities of a domain, ordered by ID.
 func (k *KB) EntitiesInDomain(d Domain) []Entity {

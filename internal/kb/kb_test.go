@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"expertfind/internal/textproc"
 )
 
 func TestBuiltinLoads(t *testing.T) {
@@ -178,6 +180,18 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := b.Build(); err == nil {
 		t.Error("Build with duplicate anchor: want error")
 	}
+
+	b = NewBuilder()
+	b.AddEntity("X", "T", Domain("cooking"), 0.5)
+	if _, err := b.Build(); err == nil {
+		t.Error("Build with an entity outside Domains: want error")
+	}
+
+	b = NewBuilder()
+	b.AddVocab(Domain("cooking"), "recipe")
+	if _, err := b.Build(); err == nil {
+		t.Error("Build with vocabulary outside Domains: want error")
+	}
 }
 
 func TestInVocab(t *testing.T) {
@@ -186,11 +200,37 @@ func TestInVocab(t *testing.T) {
 		t.Errorf("sport vocabulary %v: want swimming and not compiler", sport)
 	}
 	// The stemmed lookup the annotator uses hits inflected forms.
-	if !k.InVocabStem(Sport, "swim") {
+	sport := DomainSet(1) << domainIndex(Sport)
+	if k.StemDomains("swim")&sport == 0 {
 		t.Error("stem swim not in Sport vocab")
 	}
-	if k.InVocabStem(Sport, "compil") {
+	if k.StemDomains("compil")&sport != 0 {
 		t.Error("stem compil unexpectedly in Sport vocab")
+	}
+}
+
+// TestStemDomainsMatchesVocab: a stem's domain set holds exactly the
+// domains with a vocabulary word of that stem.
+func TestStemDomainsMatchesVocab(t *testing.T) {
+	k := Builtin()
+	want := map[string]DomainSet{}
+	for i, d := range Domains {
+		for _, w := range k.Vocab(d) {
+			want[textproc.Stem(w)] |= 1 << i
+		}
+	}
+	for stem, set := range want {
+		if got := k.StemDomains(stem); got != set {
+			t.Errorf("StemDomains(%q) = %07b, want %07b", stem, got, set)
+		}
+	}
+	if got := k.StemDomains("zzzz"); got != 0 {
+		t.Errorf("StemDomains of an unknown stem = %07b, want 0", got)
+	}
+	for _, e := range k.Entities() {
+		if got := Domains[k.DomainIndex(e.ID)]; got != e.Domain {
+			t.Errorf("entity %q: DomainIndex names %s, want %s", e.Label, got, e.Domain)
+		}
 	}
 }
 

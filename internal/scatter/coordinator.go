@@ -229,7 +229,9 @@ func (c *Coordinator) Bootstrap(ctx context.Context) error {
 //
 // Shards that fail either fan-out phase after the robustness stack is
 // exhausted are dropped and the result is marked degraded; only a
-// fully unreachable topology is an error.
+// fully unreachable topology is an error. A shard that answers with a
+// reply the coordinator cannot decode, or one that breaks the stats or
+// merge contract, fails the find with a *MalformedError instead.
 func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Values, p core.Params) (*Result, error) {
 	if err := c.Bootstrap(ctx); err != nil {
 		return nil, err
@@ -261,6 +263,9 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 
 	parts := make([]index.GlobalStats, 0, len(replies))
 	for i, r := range replies {
+		if err := malformed(r.err); err != nil {
+			return nil, err
+		}
 		if r.err != nil {
 			continue
 		}
@@ -296,6 +301,9 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 	lists := make([]mergeList, 0, len(replies))
 	var firstErr error
 	for i, r := range replies {
+		if err := malformed(r.err); err != nil {
+			return nil, err
+		}
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
@@ -345,6 +353,17 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 		tr.Keep("degraded")
 	}
 	return res, nil
+}
+
+// malformed returns err when it reports a reply that reached the
+// coordinator but could not be decoded — a shard that answered, wrongly,
+// rather than one that is down — and nil otherwise.
+func malformed(err error) error {
+	var mal *MalformedError
+	if errors.As(err, &mal) {
+		return err
+	}
+	return nil
 }
 
 // Health reports the topology state from the most recent readiness

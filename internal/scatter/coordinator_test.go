@@ -30,6 +30,10 @@ type fakeShard struct {
 	stats index.GlobalStats
 	find  func(req FindRequest) FindResponse
 
+	// rawStats and rawFind, when set, are sent verbatim as the
+	// phase's reply body.
+	rawStats, rawFind string
+
 	failMeta  atomic.Bool
 	failStats atomic.Bool
 	failFind  atomic.Bool
@@ -66,10 +70,18 @@ func (f *fakeShard) start(t *testing.T) {
 		if down(w, &f.failStats) {
 			return
 		}
+		if f.rawStats != "" {
+			w.Write([]byte(f.rawStats))
+			return
+		}
 		json.NewEncoder(w).Encode(f.stats)
 	})
 	mux.HandleFunc("POST /v1/shard/find", func(w http.ResponseWriter, r *http.Request) {
 		if down(w, &f.failFind) {
+			return
+		}
+		if f.rawFind != "" {
+			w.Write([]byte(f.rawFind))
 			return
 		}
 		var req FindRequest
@@ -320,6 +332,30 @@ func TestFindRejectsOutOfRangeStats(t *testing.T) {
 		var mal *MalformedError
 		if !errors.As(err, &mal) || mal.Shard != 1 {
 			t.Errorf("stats %+v: err = %v, want MalformedError from shard 1", bad, err)
+		}
+	}
+}
+
+// TestFindRejectsUndecodableReply: a reply the coordinator cannot
+// decode, in either phase, fails the find as a MalformedError from
+// that shard, as a decodable but invalid reply does, instead of
+// counting the shard as down and answering degraded.
+func TestFindRejectsUndecodableReply(t *testing.T) {
+	g := core.GroupFingerprint(testCands)
+	for _, phase := range []string{"stats", "find"} {
+		shards, co := newFakeTopology(t, 2, []func(FindRequest) FindResponse{
+			scriptedFind(g, Match{Doc: 1, Score: 1, Cands: [][2]int32{{1, 0}}}),
+			scriptedFind(g, Match{Doc: 2, Score: 1, Cands: [][2]int32{{2, 0}}}),
+		})
+		if phase == "stats" {
+			shards[1].rawStats = `{"docs":`
+		} else {
+			shards[1].rawFind = `{"group":`
+		}
+		res, err := co.Find(context.Background(), "go", nil, core.Params{})
+		var mal *MalformedError
+		if !errors.As(err, &mal) || mal.Shard != 1 {
+			t.Errorf("%s phase: Find = %+v, %v; want MalformedError from shard 1", phase, res, err)
 		}
 	}
 }

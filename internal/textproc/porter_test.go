@@ -188,6 +188,17 @@ func TestStemArbitraryInput(t *testing.T) {
 	}
 }
 
+// TestStemPrefixAllocatesNothing: a stem that is a prefix of its word
+// (here "swim" of "swimming") is worked out in a stack buffer and
+// returned as a slice of the word.
+func TestStemPrefixAllocatesNothing(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { sink = Stem("swimming") }); got != 0 {
+		t.Errorf("Stem(\"swimming\") allocates %v times, want 0", got)
+	}
+}
+
+var sink string
+
 func BenchmarkStem(b *testing.B) {
 	words := []string{"computational", "swimming", "relational", "engineering", "conductivity"}
 	b.ReportAllocs()

@@ -95,9 +95,14 @@ func (p *Processor) TermFreqOf(t *Text) (tf map[string]int, length int) {
 // in social resources: HTML tags and entities, URLs, @-mentions and
 // #-prefixes (the hashtag word itself is kept), and control
 // characters. It preserves natural-language content.
+//
+// ASCII letters are lowercased as they are copied; only a text that
+// keeps a non-ASCII byte takes a second, Unicode-aware strings.ToLower
+// pass, which maps the already-lowered ASCII letters to themselves.
 func Sanitize(text string) string {
 	var b strings.Builder
 	b.Grow(len(text))
+	ascii := true
 	i := 0
 	for i < len(text) {
 		switch c := text[i]; {
@@ -118,7 +123,7 @@ func Sanitize(text string) string {
 			}
 			b.WriteByte(c)
 			i++
-		case hasURLPrefix(text[i:]): // drop URLs wholesale
+		case (c == 'h' || c == 'w') && hasURLPrefix(text[i:]): // drop URLs wholesale
 			j := i
 			for j < len(text) && !isSpaceByte(text[j]) {
 				j++
@@ -139,9 +144,17 @@ func Sanitize(text string) string {
 			b.WriteByte(' ')
 			i++
 		default:
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			} else if c >= utf8.RuneSelf {
+				ascii = false
+			}
 			b.WriteByte(c)
 			i++
 		}
+	}
+	if ascii {
+		return b.String()
 	}
 	return strings.ToLower(b.String())
 }
@@ -156,7 +169,7 @@ func isSpaceByte(c byte) bool {
 }
 
 func isWordByte(c byte) bool {
-	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+	return c == '_' || isAlnumByte(c)
 }
 
 // indexEntityEnd reports the length of an HTML entity at the start of
@@ -185,9 +198,40 @@ func indexEntityEnd(s string) int {
 // Tokenize splits sanitized text into word tokens. Letters and digits
 // are token constituents; an apostrophe inside a word splits it and
 // keeps both parts ("don't" → "don", "t"), matching common IR
-// tokenizers.
+// tokenizers. An ASCII text is split byte by byte; any other goes
+// through strings.FieldsFunc, whose result the byte loop equals.
 func Tokenize(text string) []string {
-	return strings.FieldsFunc(text, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
+	n := 0
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf {
+			return strings.FieldsFunc(text, func(r rune) bool {
+				return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+			})
+		}
+		if isAlnumByte(c) && (i == 0 || !isAlnumByte(text[i-1])) {
+			n++
+		}
+	}
+	tokens := make([]string, 0, n)
+	for i := 0; i < len(text); {
+		for i < len(text) && !isAlnumByte(text[i]) {
+			i++
+		}
+		j := i
+		for j < len(text) && isAlnumByte(text[j]) {
+			j++
+		}
+		if j > i {
+			tokens = append(tokens, text[i:j])
+		}
+		i = j
+	}
+	return tokens
+}
+
+// isAlnumByte reports whether the ASCII byte c is a letter or a digit,
+// what unicode.IsLetter or unicode.IsDigit reports for it.
+func isAlnumByte(c byte) bool {
+	return ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
 }
