@@ -106,7 +106,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.DurationVar(&o.coord.ShardTimeout, "shard-timeout", 2*time.Second, "per-call deadline budget for one shard request; needs -shards")
 	fs.BoolVar(&o.coord.NoHedge, "hedge-disable", false, "disable hedged second requests to straggling shards; needs -shards")
 	fs.DurationVar(&o.coord.HealthInterval, "health-interval", time.Second, "shard readiness probe interval; needs -shards")
-	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "per-request handling deadline (0 disables)")
+	fs.DurationVar(&o.api.RequestTimeout, "request-timeout", 10*time.Second, "deadline for each /v1 request (0 disables)")
 	fs.IntVar(&o.api.MaxConcurrent, "max-concurrent", 64, "max in-flight /v1 requests before shedding load with a 503 (0 = unlimited)")
 	fs.IntVar(&o.cache.Capacity, "cache-size", 4096, "ranked-result cache capacity in entries (0 disables caching)")
 	fs.BoolVar(&o.api.Debug, "debug", false, "mount pprof and expvar under /debug/")

@@ -476,6 +476,11 @@ var ErrUnknownCandidate = errors.New("expertfind: unknown candidate")
 // options are reported before an unknown expert, whose error wraps
 // ErrUnknownCandidate.
 func (s *System) Explain(need, expertName string, topN int, opts ...FindOption) (Explanation, error) {
+	return s.ExplainContext(context.Background(), need, expertName, topN, opts...)
+}
+
+// ExplainContext is Explain with a context (see FindContext).
+func (s *System) ExplainContext(ctx context.Context, need, expertName string, topN int, opts ...FindOption) (Explanation, error) {
 	p, err := ResolveParams(opts...)
 	if err != nil {
 		return Explanation{}, err
@@ -485,7 +490,7 @@ func (s *System) Explain(need, expertName string, topN int, opts ...FindOption) 
 		return Explanation{}, fmt.Errorf("%w %q", ErrUnknownCandidate, expertName)
 	}
 	analyzed := s.inner.Finder.Pipeline().AnalyzeNeed(need)
-	evidence := s.inner.Finder.Explain(analyzed, u, p, topN)
+	evidence := s.inner.Finder.ExplainContext(ctx, analyzed, u, p, topN)
 
 	out := Explanation{Expert: expertName}
 	for _, ev := range evidence {

@@ -54,8 +54,6 @@ type EntityStats struct {
 type Analyzed struct {
 	Terms    map[string]int              // stemmed term frequencies (tf)
 	Entities map[kb.EntityID]EntityStats // per-entity ef and dScore
-	// Length is the total number of terms (Σ tf), kept for statistics.
-	Length int
 }
 
 // Analyze runs the full flow on a resource text with its URLs. It
@@ -94,7 +92,7 @@ func (p *Pipeline) AnalyzeNeed(need string) Analyzed {
 // tokenization of text.
 func (p *Pipeline) vectors(text string) Analyzed {
 	t := textproc.NewText(text)
-	terms, length := textproc.Default.TermFreqOf(&t)
+	terms := textproc.Default.TermFreqOf(&t)
 
 	entities := make(map[kb.EntityID]EntityStats)
 	for _, ann := range p.ann.AnnotateText(&t) {
@@ -106,7 +104,7 @@ func (p *Pipeline) vectors(text string) Analyzed {
 		entities[ann.Entity.ID] = st
 	}
 
-	return Analyzed{Terms: terms, Entities: entities, Length: length}
+	return Analyzed{Terms: terms, Entities: entities}
 }
 
 // Result is the analysis of one document of a Batch. OK is false when

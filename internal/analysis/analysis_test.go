@@ -41,9 +41,6 @@ func TestAnalyzeEnglishResource(t *testing.T) {
 	if !ok || st.Freq < 1 || st.DScore <= 0 {
 		t.Errorf("phelps entity stats = %+v (ok=%v)", st, ok)
 	}
-	if a.Length == 0 {
-		t.Error("Length = 0")
-	}
 }
 
 func TestAnalyzeLanguageFilter(t *testing.T) {

@@ -75,7 +75,6 @@ func (r *reference) threePass(text string) Analyzed {
 			continue
 		}
 		a.Terms[textproctest.Stem(tok)]++
-		a.Length++
 	}
 	for _, an := range r.annotate(text) {
 		st := a.Entities[an.id]

@@ -612,10 +612,16 @@ type Evidence struct {
 // (topN <= 0 returns everything). The sum of the contributions equals
 // the expert's Eq. (3) score.
 func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
+	return f.ExplainContext(context.Background(), need, u, p, topN)
+}
+
+// ExplainContext is Explain with a context: a telemetry trace on ctx
+// records the traverse and index_match stages (see FindContext).
+func (f *Finder) ExplainContext(ctx context.Context, need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
 	// One cache entry serves the filter and the attribution: a second
 	// lookup could straddle a catch-up and attribute evidence from a
 	// graph the matches were not filtered by.
-	matches, r := f.match(context.Background(), need, p, nil)
+	matches, r := f.match(ctx, need, p, nil)
 	n := p.window(len(matches))
 	if n > len(matches) {
 		n = len(matches)

@@ -43,10 +43,12 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -57,15 +59,14 @@ import (
 
 	"expertfind"
 	"expertfind/internal/ingest"
-	"expertfind/internal/slo"
 	"expertfind/internal/telemetry"
 )
 
 // base is what every handler of this package is built on — the
 // single-process and shard Handler and the CoordinatorHandler alike:
-// the mux with the common routes mounted, the middleware chain around
-// it, and the guard every /v1 route runs behind. A handler adds its
-// own /readyz, /debug/traces/{rid} and /v1 routes to mux.
+// the mux with the common routes mounted, the request-id and dispatch
+// layers around it, and the guard every /v1 route runs behind. A
+// handler adds its own /readyz, /debug/traces/{rid} and /v1 routes to mux.
 type base struct {
 	mux    *http.ServeMux
 	opts   Options
@@ -105,18 +106,11 @@ func newBase(opts Options) base {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
-	// Request IDs outermost, then logging, the per-request deadline,
-	// and panic recovery innermost around the dispatch.
-	root := withRecovery(opts.Logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		dispatchMux(mux, opts.SLO, w, r)
+	// Request IDs outermost, then the one observer around the mux; the
+	// per-request deadline belongs to the /v1 guard alone.
+	b.root = withRequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dispatchMux(mux, opts.Logger, w, r)
 	}))
-	if opts.RequestTimeout > 0 {
-		root = withTimeout(opts.RequestTimeout, root)
-	}
-	if opts.Logger != nil {
-		root = withLogging(opts.Logger, root)
-	}
-	b.root = withRequestID(root)
 	return b
 }
 
@@ -211,90 +205,69 @@ func (h *Handler) ingestStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ing.Status())
 }
 
-// dispatchMux dispatches through the mux, measuring every request
-// into the per-route metrics (count by status, latency histogram,
-// in-flight gauge) and rewriting the mux's plain-text 404/405 fallbacks
-// into the API's uniform JSON error shape while preserving the status
-// and the Allow header the mux computes. It also reports the matched
-// route to the access-log middleware and observes every /v1 request
-// into the SLO burn-rate tracker.
-func dispatchMux(mux *http.ServeMux, st *slo.Tracker, w http.ResponseWriter, r *http.Request) {
+// dispatchMux is the one observer of every request: it matches the
+// route and wraps the writer once, recovers a panic into a JSON 500,
+// and after the response records the route metrics, the in-flight
+// gauge and (when l is set) the access record with the status the
+// client received. The mux's plain-text 404/405 fallbacks become the
+// uniform JSON error, keeping their status and Allow header.
+func dispatchMux(mux *http.ServeMux, l *slog.Logger, w http.ResponseWriter, r *http.Request) {
 	handler, pattern := mux.Handler(r)
 	route := routeLabel(pattern)
-	if rh, ok := r.Context().Value(routeCtxKey{}).(*routeHolder); ok {
-		rh.set(route)
-	}
 	mInFlight.Inc()
-	defer mInFlight.Dec()
 	t0 := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
+	defer func() {
+		dur := time.Since(t0)
+		mInFlight.Dec()
+		mDuration.With(route).Observe(dur.Seconds())
+		mRequests.With(route, strconv.Itoa(sw.code())).Inc()
+		if l != nil {
+			logRequest(l, r, route, sw, dur)
+		}
+	}()
+	defer recoverPanic(l, sw, r)
 
 	if pattern != "" {
 		// Dispatch through the mux (not the handler mux.Handler returned)
 		// so wildcard patterns like /debug/traces/{rid} get their path
 		// values bound.
 		mux.ServeHTTP(sw, r)
-	} else {
-		rec := &timeoutWriter{header: make(http.Header)}
-		handler.ServeHTTP(rec, r)
-		status := rec.status
-		if status == 0 {
-			status = http.StatusNotFound
-		}
-		if allow := rec.header.Get("Allow"); allow != "" {
-			sw.Header().Set("Allow", allow)
-		}
-		writeError(sw, r, status, http.StatusText(status))
+		return
 	}
-
-	status := sw.status
+	rec := &timeoutWriter{header: make(http.Header)}
+	handler.ServeHTTP(rec, r)
+	status := rec.status
 	if status == 0 {
-		status = http.StatusOK
+		status = http.StatusNotFound
 	}
-	mDuration.With(route).ObserveSince(t0)
-	mRequests.With(route, strconv.Itoa(status)).Inc()
-	if st != nil && strings.Contains(route, " /v1/") {
-		st.Observe(status, time.Since(t0))
+	if allow := rec.header.Get("Allow"); allow != "" {
+		sw.Header().Set("Allow", allow)
 	}
+	writeError(sw, r, status, http.StatusText(status))
 }
 
-// guard wraps a /v1 route: shed load when the concurrency cap is
-// saturated, and refuse with 503 until load returns what the route
-// answers from (the installed corpus; a coordinator always has its
-// topology client). The probe endpoints bypass this, so /healthz stays
-// 200 while /v1 sheds. Every request — including shed and not-ready
-// refusals — runs under a telemetry trace (named after the route,
-// identified by the request ID) that records the response status;
-// shed, errored and degraded traces are marked for tail-sampled
-// retention so /debug/traces/{rid} can still find them after a flood
-// of healthy queries. On a shard process, the coordinator's span
-// header nests the trace under the fan-out attempt that carried it.
-// The query string is parsed once, here: the trace's q attribute and
-// the route read the same r.Form. r.Form holds the query string alone,
-// never a form-encoded body, so a POST route reads its body whatever
-// Content-Type the client sent.
+// guard owns a /v1 request from start to end: it sheds load when the
+// concurrency cap is saturated, answers 503 until load returns what
+// the route answers from (the installed corpus; a coordinator always
+// has its topology client), and runs the route under the per-request
+// deadline. The probe and ops routes bypass it, so /healthz stays 200
+// while /v1 sheds. Every request, refused or timed out too, runs under
+// a trace named after the route and identified by the request ID; the
+// trace records the status the client received, errored, shed and
+// degraded traces are kept for /debug/traces/{rid}, and the same
+// status and wall time feed the SLO tracker. On a shard, the
+// coordinator's span header nests the trace under the fan-out attempt
+// that carried it. The query string is parsed once, here, into r.Form
+// (never a form-encoded body, so a POST route reads its body whatever
+// Content-Type the client sent).
 func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		sw := w.(*statusWriter) // every route runs under dispatchMux
+		t0 := time.Now()
 		ctx, tr := b.tracer.Start(r.Context(), r.Method+" "+r.URL.Path, requestID(r.Context()))
 		defer func() {
-			tr.Finish()
-			if b.onKept != nil && tr.WasKept() {
-				go b.onKept(tr.ID())
-			}
-		}()
-		r.Form, _ = url.ParseQuery(r.URL.RawQuery) // a malformed pair is dropped, as r.URL.Query() drops it
-		if q := r.Form.Get("q"); q != "" {
-			tr.SetAttr("q", q)
-		}
-		if parent := sanitizeRequestID(r.Header.Get(telemetry.SpanHeader)); parent != "" {
-			tr.SetParentSpan(parent)
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
+			status := sw.code()
 			tr.SetAttr("status", strconv.Itoa(status))
 			if sw.Header().Get(DegradedHeader) != "" {
 				tr.Keep("degraded")
@@ -302,11 +275,23 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 			if status >= 500 {
 				tr.Keep("error")
 			}
+			tr.Finish()
+			if b.onKept != nil && tr.WasKept() {
+				go b.onKept(tr.ID())
+			}
+			b.opts.SLO.Observe(status, time.Since(t0))
 		}()
+		r = r.WithContext(ctx)
+		r.Form, _ = url.ParseQuery(r.URL.RawQuery) // a malformed pair is dropped, as r.URL.Query() drops it
+		if q := r.Form.Get("q"); q != "" {
+			tr.SetAttr("q", q)
+		}
+		if parent := sanitizeRequestID(r.Header.Get(telemetry.SpanHeader)); parent != "" {
+			tr.SetParentSpan(parent)
+		}
 		if b.sem != nil {
 			select {
 			case b.sem <- struct{}{}:
-				defer func() { <-b.sem }()
 			default:
 				mShed.Inc()
 				tr.Keep("shed")
@@ -316,10 +301,44 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 		}
 		v := load()
 		if v == nil {
+			b.release()
 			writeUnavailable(sw, r, "corpus not ready")
 			return
 		}
-		f(v, sw, r.WithContext(ctx))
+		if b.opts.RequestTimeout <= 0 {
+			defer b.release()
+			defer recoverPanic(b.opts.Logger, sw, r)
+			f(v, sw, r)
+			return
+		}
+		// The route runs on its own goroutine against a buffer and frees
+		// its slot only when it returns; past the deadline its context is
+		// canceled and its late writes stay in the buffer.
+		ctx, cancel := context.WithTimeout(ctx, b.opts.RequestTimeout)
+		defer cancel()
+		r = r.WithContext(ctx)
+		tw := &timeoutWriter{header: make(http.Header)}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer b.release()
+			defer recoverPanic(b.opts.Logger, tw, r)
+			f(v, tw, r)
+		}()
+		select {
+		case <-done:
+			tw.flush(sw)
+		case <-ctx.Done():
+			mTimeouts.Inc()
+			writeUnavailable(sw, r, "request timed out")
+		}
+	}
+}
+
+// release frees the concurrency slot a guarded request holds.
+func (b *base) release() {
+	if b.sem != nil {
+		<-b.sem
 	}
 }
 
@@ -449,7 +468,7 @@ func (h *Handler) explain(sys *expertfind.System, w http.ResponseWriter, r *http
 	if top == 0 {
 		top = 5
 	}
-	expl, err := sys.Explain(need, expert, top, opts...)
+	expl, err := sys.ExplainContext(r.Context(), need, expert, top, opts...)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, expertfind.ErrUnknownCandidate) {

@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -19,8 +18,8 @@ import (
 // behavior: no timeout, no concurrency cap, no request logging (panic
 // recovery is always on).
 type Options struct {
-	// RequestTimeout bounds each request's handling time; past it the
-	// client gets 503 + Retry-After. Zero disables the deadline.
+	// RequestTimeout bounds each /v1 request's handling time; past it
+	// the client gets 503 + Retry-After. Zero disables the deadline.
 	RequestTimeout time.Duration
 	// MaxConcurrent caps in-flight /v1 requests; excess load is shed
 	// with 503 + Retry-After instead of queueing without bound. Zero
@@ -63,7 +62,9 @@ func writeUnavailable(w http.ResponseWriter, r *http.Request, msg string) {
 	writeError(w, r, http.StatusServiceUnavailable, msg)
 }
 
-// statusWriter captures the response status and size for logging.
+// statusWriter captures the response status and size. dispatchMux
+// wraps each request in exactly one, and every observer of the request
+// reads it.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -77,6 +78,15 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// code is the status the client received: 200 when the handler wrote
+// nothing.
+func (sw *statusWriter) code() int {
+	if sw.status == 0 {
+		return http.StatusOK
+	}
+	return sw.status
+}
+
 func (sw *statusWriter) Write(p []byte) (int, error) {
 	if sw.status == 0 {
 		sw.status = http.StatusOK
@@ -86,65 +96,51 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// withLogging emits one structured record per request: method, path,
-// matched route, status, size, duration, request id (which is also the
-// trace id for /v1 requests), and the degraded marker when the
-// response carried one. 5xx responses log at error level, 4xx at warn.
-func withLogging(l *slog.Logger, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		holder := &routeHolder{}
-		r = r.WithContext(context.WithValue(r.Context(), routeCtxKey{}, holder))
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		level := slog.LevelInfo
-		switch {
-		case status >= 500:
-			level = slog.LevelError
-		case status >= 400:
-			level = slog.LevelWarn
-		}
-		attrs := []any{
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("route", holder.get()),
-			slog.Int("status", status),
-			slog.Int("bytes", sw.bytes),
-			slog.String("duration", time.Since(t0).Round(time.Microsecond).String()),
-			slog.String("rid", requestID(r.Context())),
-		}
-		if d := sw.Header().Get(DegradedHeader); d != "" {
-			attrs = append(attrs, slog.String("degraded", d))
-		}
-		l.Log(r.Context(), level, "request", attrs...)
-	})
+// logRequest emits the access record of one answered request:
+// method, path, matched route, status, size, duration, request id
+// (which is also the trace id for /v1 requests), and the degraded
+// marker when the response carried one. 5xx responses log at error
+// level, 4xx at warn.
+func logRequest(l *slog.Logger, r *http.Request, route string, sw *statusWriter, dur time.Duration) {
+	status := sw.code()
+	level := slog.LevelInfo
+	switch {
+	case status >= 500:
+		level = slog.LevelError
+	case status >= 400:
+		level = slog.LevelWarn
+	}
+	attrs := []any{
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.String("route", route),
+		slog.Int("status", status),
+		slog.Int("bytes", sw.bytes),
+		slog.String("duration", dur.Round(time.Microsecond).String()),
+		slog.String("rid", requestID(r.Context())),
+	}
+	if d := sw.Header().Get(DegradedHeader); d != "" {
+		attrs = append(attrs, slog.String("degraded", d))
+	}
+	l.Log(r.Context(), level, "request", attrs...)
 }
 
-// withRecovery converts handler panics into JSON 500s instead of
-// killing the connection (or, under withTimeout's goroutine, the
-// whole process).
-func withRecovery(l *slog.Logger, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				mPanics.Inc()
-				if l != nil {
-					l.Error("panic recovered",
-						"method", r.Method,
-						"path", r.URL.Path,
-						"rid", requestID(r.Context()),
-						"panic", fmt.Sprint(p),
-						"stack", string(debug.Stack()))
-				}
-				writeError(w, r, http.StatusInternalServerError, "internal server error")
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+// recoverPanic, deferred around a handler, converts its panic into a
+// JSON 500 on w instead of killing the connection (or, on the
+// deadline's goroutine, the whole process).
+func recoverPanic(l *slog.Logger, w http.ResponseWriter, r *http.Request) {
+	if p := recover(); p != nil {
+		mPanics.Inc()
+		if l != nil {
+			l.Error("panic recovered",
+				"method", r.Method,
+				"path", r.URL.Path,
+				"rid", requestID(r.Context()),
+				"panic", fmt.Sprint(p),
+				"stack", string(debug.Stack()))
+		}
+		writeError(w, r, http.StatusInternalServerError, "internal server error")
+	}
 }
 
 // timeoutWriter buffers a handler's response so that, when the
@@ -194,29 +190,4 @@ func (tw *timeoutWriter) flush(w http.ResponseWriter) {
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(tw.buf.Bytes())
-}
-
-// withTimeout enforces a per-request deadline. The handler runs in a
-// goroutine against a buffered writer; if the deadline fires first
-// the client gets 503 + Retry-After while the stray goroutine drains
-// harmlessly into the buffer (its context is canceled, so
-// cooperative handlers can stop early).
-func withTimeout(timeout time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		tw := &timeoutWriter{header: make(http.Header)}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			next.ServeHTTP(tw, r.WithContext(ctx))
-		}()
-		select {
-		case <-done:
-			tw.flush(w)
-		case <-ctx.Done():
-			mTimeouts.Inc()
-			writeUnavailable(w, r, "request timed out")
-		}
-	})
 }

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"expertfind"
 	"expertfind/internal/scatter"
+	"expertfind/internal/slo"
 	"expertfind/internal/telemetry"
 )
 
@@ -248,37 +250,103 @@ func TestReadinessGating(t *testing.T) {
 	}
 }
 
-func TestPanicRecoveryMiddleware(t *testing.T) {
-	var logs bytes.Buffer
-	inner := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic("kaboom")
-	})
-	rec := httptest.NewRecorder()
-	withRecovery(slog.New(slog.NewTextHandler(&logs, nil)), inner).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/find", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("status = %d, want 500", rec.Code)
-	}
-	var body struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
-		t.Errorf("body = %q (err %v)", rec.Body.String(), err)
-	}
-	if !strings.Contains(logs.String(), "kaboom") {
-		t.Errorf("panic not logged: %q", logs.String())
+// guardedRoute mounts f at pattern behind h's /v1 guard, over a
+// loaded value that is always ready.
+func guardedRoute(h *Handler, pattern string, f http.HandlerFunc) {
+	h.mux.HandleFunc(pattern, guard(&h.base, func() *struct{} { return &struct{}{} },
+		func(_ *struct{}, w http.ResponseWriter, r *http.Request) { f(w, r) }))
+}
+
+// TestPanicRecovery: a panic becomes a JSON 500 that the access log,
+// the route metrics and (on a /v1 route) the trace all record, whether
+// the route runs inline or on the deadline's goroutine.
+func TestPanicRecovery(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Second} {
+		for _, path := range []string{"/v1/test-panic", "/test-panic"} {
+			var logs bytes.Buffer
+			tracer := telemetry.NewTracer(8)
+			h := NewWithOptions(nil, Options{
+				RequestTimeout: timeout,
+				Tracer:         tracer,
+				Logger:         slog.New(slog.NewJSONHandler(&logs, nil)),
+			})
+			kaboom := func(http.ResponseWriter, *http.Request) { panic("kaboom") }
+			guardedRoute(h, "GET /v1/test-panic", kaboom)
+			h.mux.HandleFunc("GET /test-panic", kaboom)
+			route := "GET " + path
+			before := mRequests.With(route, "500").Value()
+
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			req.Header.Set("X-Request-ID", "rid-panic")
+			h.ServeHTTP(rec, req)
+			name := fmt.Sprintf("%s timeout %s", path, timeout)
+			if rec.Code != http.StatusInternalServerError {
+				t.Errorf("%s: status = %d, want 500", name, rec.Code)
+			}
+			var body struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+				t.Errorf("%s: body = %q (err %v)", name, rec.Body.String(), err)
+			}
+			if !strings.Contains(logs.String(), "kaboom") {
+				t.Errorf("%s: panic not logged: %q", name, logs.String())
+			}
+			if rec := accessRecord(t, &logs); rec["status"] != float64(500) {
+				t.Errorf("%s: access record %v, want status 500", name, rec)
+			}
+			if got := mRequests.With(route, "500").Value() - before; got != 1 {
+				t.Errorf("%s: %s code=500 counted %v times, want 1", name, route, got)
+			}
+			traces := tracer.Lookup("rid-panic")
+			if guarded := strings.HasPrefix(path, "/v1/"); guarded && (len(traces) == 0 || traces[0].Attrs["status"] != "500") {
+				t.Errorf("%s: traces %v, want one with status 500", name, traces)
+			} else if !guarded && len(traces) != 0 {
+				t.Errorf("%s: unguarded route traced: %v", name, traces)
+			}
+		}
 	}
 }
 
+// accessRecord returns the last "request" record of a JSON log.
+func accessRecord(t *testing.T, logs *bytes.Buffer) map[string]any {
+	t.Helper()
+	var last map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v (%s)", err, line)
+		}
+		if rec["msg"] == "request" {
+			last = rec
+		}
+	}
+	if last == nil {
+		t.Fatalf("no access record in %s", logs.String())
+	}
+	return last
+}
+
+// TestRequestTimeout: a guarded route that outlives RequestTimeout is
+// answered 503 + Retry-After, and a fast one passes through with its
+// status, headers and body intact.
 func TestRequestTimeout(t *testing.T) {
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := NewWithOptions(nil, Options{RequestTimeout: 30 * time.Millisecond})
+	guardedRoute(h, "GET /v1/test-slow", func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(5 * time.Second):
 			w.Write([]byte("too late"))
 		case <-r.Context().Done():
 		}
 	})
+	guardedRoute(h, "GET /v1/test-fast", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Fast", "yes")
+		w.WriteHeader(http.StatusTeapot)
+		w.Write([]byte("done"))
+	})
 	rec := httptest.NewRecorder()
-	withTimeout(30*time.Millisecond, slow).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/find", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/test-slow", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503", rec.Code)
 	}
@@ -289,16 +357,137 @@ func TestRequestTimeout(t *testing.T) {
 		t.Errorf("body = %q", rec.Body.String())
 	}
 
-	// A fast handler passes through with headers and body intact.
-	fast := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Fast", "yes")
-		w.WriteHeader(http.StatusTeapot)
-		w.Write([]byte("done"))
-	})
 	rec = httptest.NewRecorder()
-	withTimeout(30*time.Millisecond, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/test-fast", nil))
 	if rec.Code != http.StatusTeapot || rec.Body.String() != "done" || rec.Header().Get("X-Fast") != "yes" {
 		t.Errorf("passthrough: code %d, body %q, header %q", rec.Code, rec.Body.String(), rec.Header().Get("X-Fast"))
+	}
+}
+
+// TestTimeoutObservedOnce: a /v1 request cut off by RequestTimeout is
+// a 503 everywhere it is observed — the client, its kept trace, the
+// route counter, the SLO tracker and the access record.
+func TestTimeoutObservedOnce(t *testing.T) {
+	var logs bytes.Buffer
+	tracer := telemetry.NewTracer(8)
+	tracker := slo.New(slo.Config{})
+	h := NewWithOptions(nil, Options{
+		RequestTimeout: 50 * time.Millisecond,
+		Tracer:         tracer,
+		SLO:            tracker,
+		Logger:         slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	guardedRoute(h, "GET /v1/test-timeout", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		// Late work races the trace's Finish and the 503 already sent.
+		telemetry.TraceFrom(r.Context()).StartSpan("late").End()
+		w.Write([]byte("too late"))
+	})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	before := mRequests.With("GET /v1/test-timeout", "503").Value()
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/test-timeout", nil)
+	req.Header.Set("X-Request-ID", "rid-timeout")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", resp.StatusCode)
+	}
+	if msg := errBody(t, resp); msg != "request timed out" {
+		t.Errorf("message = %q, want \"request timed out\"", msg)
+	}
+	traces := tracer.Lookup("rid-timeout")
+	if len(traces) == 0 {
+		t.Fatal("no trace retained for rid-timeout")
+	}
+	if tr := traces[0]; tr.Attrs["status"] != "503" || tr.Attrs["keep"] == "" {
+		t.Errorf("trace attrs %v, want status 503 and a keep reason", tr.Attrs)
+	}
+	if got := mRequests.With("GET /v1/test-timeout", "503").Value() - before; got != 1 {
+		t.Errorf("code=503 counted %v times, want 1", got)
+	}
+	if avail, _ := tracker.BurnRates(); avail == 0 {
+		t.Error("SLO tracker counted the timeout as available")
+	}
+	if rec := accessRecord(t, &logs); rec["status"] != float64(503) || rec["route"] != "GET /v1/test-timeout" {
+		t.Errorf("access record %v, want status 503 on GET /v1/test-timeout", rec)
+	}
+}
+
+// TestTimedOutRouteHoldsSlot: with MaxConcurrent 1, a route cut off by
+// its deadline keeps the one slot until it returns, so the next /v1
+// request is shed rather than run beside it.
+func TestTimedOutRouteHoldsSlot(t *testing.T) {
+	h := NewWithOptions(nil, Options{MaxConcurrent: 1, RequestTimeout: 20 * time.Millisecond})
+	unblock := make(chan struct{})
+	guardedRoute(h, "GET /v1/test-stuck", func(w http.ResponseWriter, r *http.Request) {
+		<-unblock
+		telemetry.TraceFrom(r.Context()).StartSpan("late").End()
+	})
+	guardedRoute(h, "GET /v1/test-ok", func(w http.ResponseWriter, r *http.Request) {})
+	serve := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+
+	if rec := serve("/v1/test-stuck"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "timed out") {
+		t.Fatalf("stuck route: %d %q, want a 503 timeout", rec.Code, rec.Body.String())
+	}
+	if rec := serve("/v1/test-ok"); rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "overloaded") {
+		t.Errorf("while the timed-out route runs: %d %q, want a 503 shed", rec.Code, rec.Body.String())
+	}
+	close(unblock)
+	deadline := time.Now().Add(2 * time.Second)
+	for len(h.sem) != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if rec := serve("/v1/test-ok"); rec.Code != http.StatusOK {
+		t.Errorf("after the timed-out route returned: %d %q, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDeadlineIsForQueriesOnly: a profile that takes longer than
+// RequestTimeout still answers, because the deadline guards /v1 alone.
+func TestDeadlineIsForQueriesOnly(t *testing.T) {
+	ts := httptest.NewServer(NewWithOptions(nil, Options{Debug: true, RequestTimeout: 500 * time.Millisecond}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/debug/pprof/profile?seconds=1 = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestOpsRoutesSkipSLO: the unguarded ops routes under /v1 do not feed
+// the SLO tracker; a guarded route does. A 1ns latency objective makes
+// every observed request burn latency budget.
+func TestOpsRoutesSkipSLO(t *testing.T) {
+	tracker := slo.New(slo.Config{Latency: time.Nanosecond})
+	h := NewWithOptions(nil, Options{SLO: tracker, Shard: &ShardOptions{ID: 0, Count: 1}})
+	guardedRoute(h, "GET /v1/test-guarded", func(w http.ResponseWriter, r *http.Request) {})
+	serve := func(path string, want int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != want {
+			t.Fatalf("%s = %d, want %d", path, rec.Code, want)
+		}
+	}
+	serve("/v1/shard/trace?rid=abc", http.StatusOK)
+	serve("/v1/ingest/status", http.StatusNotFound)
+	if _, lat := tracker.BurnRates(); lat != 0 {
+		t.Errorf("ops routes reached the SLO tracker: latency burn %v", lat)
+	}
+	serve("/v1/test-guarded", http.StatusOK)
+	if _, lat := tracker.BurnRates(); lat == 0 {
+		t.Error("a guarded route did not reach the SLO tracker")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"expertfind/internal/telemetry"
@@ -28,7 +27,7 @@ var (
 		nil, "route")
 	mInFlight = telemetry.Default().Gauge(
 		"expertfind_http_in_flight_requests",
-		"Requests currently being handled.")
+		"Requests not yet answered.")
 	mShed = telemetry.Default().Counter(
 		"expertfind_http_requests_shed_total",
 		"/v1 requests shed with 503 because the concurrency cap was saturated.")
@@ -46,22 +45,6 @@ func init() {
 		"Seconds since the process started serving.",
 		func() float64 { return time.Since(processStart).Seconds() })
 }
-
-// routeHolder carries the matched route pattern from the dispatch
-// layer back out to the access-log middleware wrapped around it. The
-// value is written by dispatchMux and read after the handler returns;
-// atomic because the timeout middleware's stray goroutine may still be
-// dispatching when the deadline path logs.
-type routeHolder struct{ v atomic.Value }
-
-func (h *routeHolder) set(route string) { h.v.Store(route) }
-
-func (h *routeHolder) get() string {
-	s, _ := h.v.Load().(string)
-	return s
-}
-
-type routeCtxKey struct{}
 
 type requestIDKey struct{}
 

@@ -127,6 +127,45 @@ func TestDebugTracesShowPipelineSpans(t *testing.T) {
 	}
 }
 
+// TestExplainTraceShowsStageSpans: /v1/explain runs its matching under
+// the request's trace, so /debug/traces/{rid} shows where it spent its
+// time.
+func TestExplainTraceShowsStageSpans(t *testing.T) {
+	s := server(t)
+	q := url.QueryEscape("why is copper a good conductor?")
+	var found struct {
+		Experts []struct{ Name string } `json:"experts"`
+	}
+	get(t, "/v1/find?top=1&q="+q, http.StatusOK, &found)
+	if len(found.Experts) == 0 {
+		t.Fatal("no experts to explain")
+	}
+	req, err := http.NewRequest(http.MethodGet, s.URL+"/v1/explain?expert="+url.QueryEscape(found.Experts[0].Name)+"&q="+q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", "explain-probe-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain status = %d", resp.StatusCode)
+	}
+	var traces []telemetry.TraceSnapshot
+	get(t, "/debug/traces/explain-probe-1", http.StatusOK, &traces)
+	stages := make(map[string]bool)
+	for _, sp := range traces[0].Spans {
+		stages[sp.Name] = true
+	}
+	for _, want := range []string{"traverse", "index_match"} {
+		if !stages[want] {
+			t.Errorf("explain trace missing span %q (have %v)", want, stages)
+		}
+	}
+}
+
 func TestDebugTracesLimit(t *testing.T) {
 	s := server(t)
 	resp, err := http.Get(s.URL + "/debug/traces?n=banana")

@@ -150,7 +150,8 @@ type Tracker struct {
 	captured                bool
 }
 
-// New builds a tracker and publishes the configured objectives.
+// New builds a tracker, publishes the configured objectives, and
+// points the burn-rate gauges at it (the newest tracker wins).
 func New(cfg Config) *Tracker {
 	captureOn := cfg.ProfileDir != "" || cfg.Capture != nil
 	cfg = cfg.withDefaults()
@@ -167,6 +168,8 @@ func New(cfg Config) *Tracker {
 	}
 	mObjective.With("availability").Set(cfg.Availability)
 	mObjective.With("latency").Set(latencyTarget)
+	mBurn.Func(func() float64 { avail, _ := t.BurnRates(); return avail }, "availability")
+	mBurn.Func(func() float64 { _, lat := t.BurnRates(); return lat }, "latency")
 	return t
 }
 
@@ -228,9 +231,6 @@ func (t *Tracker) Observe(status int, dur time.Duration) {
 	}
 	t.mu.Unlock()
 
-	mBurn.With("availability").Set(availBurn)
-	mBurn.With("latency").Set(latBurn)
-
 	if capture {
 		mCaptures.Inc()
 		if l := t.cfg.Logger; l != nil {
@@ -285,14 +285,16 @@ func (t *Tracker) burnLocked() (avail, lat float64) {
 	return avail, lat
 }
 
-// BurnRates returns the current window's burn rates (availability,
-// latency).
+// BurnRates returns the burn rates (availability, latency) of the
+// window ending now, which the expertfind_slo_burn_rate gauges read at
+// every scrape.
 func (t *Tracker) BurnRates() (avail, lat float64) {
 	if t == nil {
 		return 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.advance(t.cfg.Now().Unix())
 	return t.burnLocked()
 }
 

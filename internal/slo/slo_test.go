@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"expertfind/internal/telemetry"
 )
 
 // fixedClock is an injectable clock advanced manually by tests.
@@ -95,6 +97,49 @@ func TestWindowExpiry(t *testing.T) {
 	if avail, _ := tr.BurnRates(); avail != 0 {
 		t.Fatalf("burn rate %v after window expiry, want 0", avail)
 	}
+}
+
+// TestBurnRatesExpireWithoutTraffic: when requests stop, the burn
+// rates and the gauges a scrape reads age out with the window instead
+// of holding the last request's value.
+func TestBurnRatesExpireWithoutTraffic(t *testing.T) {
+	clk := newClock()
+	tr := New(Config{Window: 10 * time.Second, Now: clk.Now})
+	for i := 0; i < 20; i++ {
+		tr.Observe(500, time.Millisecond)
+	}
+	avail, _ := tr.BurnRates()
+	if avail < 999.99 || avail > 1000.01 {
+		t.Fatalf("availability burn after 20 errors = %v, want 1000", avail)
+	}
+	if got := scrapedBurn(t, "availability"); got != avail {
+		t.Fatalf("scraped availability burn = %v, want %v", got, avail)
+	}
+	clk.Advance(time.Hour)
+	if avail, lat := tr.BurnRates(); avail != 0 || lat != 0 {
+		t.Errorf("burn rates an idle hour later = %v, %v, want 0, 0", avail, lat)
+	}
+	if got := scrapedBurn(t, "availability"); got != 0 {
+		t.Errorf("scraped availability burn an idle hour later = %v, want 0", got)
+	}
+}
+
+// scrapedBurn reads expertfind_slo_burn_rate{slo} from the default
+// registry, as a /metrics scrape would.
+func scrapedBurn(t *testing.T, slo string) float64 {
+	t.Helper()
+	for _, fam := range telemetry.Default().Gather() {
+		if fam.Name != "expertfind_slo_burn_rate" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if len(s.LabelValues) == 1 && s.LabelValues[0] == slo {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no expertfind_slo_burn_rate{slo=%q} sample", slo)
+	return 0
 }
 
 // TestExactlyOneCapture is the rate-limiting contract: a sustained

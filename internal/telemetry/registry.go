@@ -97,7 +97,7 @@ type family struct {
 	fn         func() float64 // gauge-func families only
 
 	mu       sync.RWMutex
-	children map[string]any // *Counter | *Gauge | *Histogram, keyed by joined label values
+	children map[string]any // *Counter | *Gauge | *gaugeFunc | *Histogram, keyed by joined label values
 	order    []string       // child keys in first-use order (stable exposition)
 }
 
@@ -221,6 +221,18 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.fam.child(labelValues, func() any { return new(Gauge) }).(*Gauge)
 }
 
+// gaugeFunc is a labeled gauge child computed at scrape time.
+type gaugeFunc struct {
+	fn atomic.Pointer[func() float64]
+}
+
+// Func makes one label-value combination a gauge computed at scrape
+// time by fn, replacing the fn an earlier Func gave it. fn must be
+// safe for concurrent calls.
+func (v *GaugeVec) Func(fn func() float64, labelValues ...string) {
+	v.fam.child(labelValues, func() any { return new(gaugeFunc) }).(*gaugeFunc).fn.Store(&fn)
+}
+
 // GaugeFunc registers a gauge whose value is computed at scrape time
 // (uptime, pool sizes, ...). fn must be safe for concurrent calls.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -307,6 +319,8 @@ func (r *Registry) Gather() []FamilySnapshot {
 				s.Value = m.Value()
 			case *Gauge:
 				s.Value = m.Value()
+			case *gaugeFunc:
+				s.Value = (*m.fn.Load())()
 			case *Histogram:
 				s.Hist = m.snapshot()
 			}

@@ -79,16 +79,15 @@ func (p *Processor) Terms(text string) []string {
 }
 
 // TermFreqOf aggregates the term frequencies of an already tokenized
-// text and returns them with their sum, the text's length in terms.
-func (p *Processor) TermFreqOf(t *Text) (tf map[string]int, length int) {
-	tf = make(map[string]int)
+// text.
+func (p *Processor) TermFreqOf(t *Text) map[string]int {
+	tf := make(map[string]int)
 	for i := range t.Tokens {
 		if term := p.term(t, i); term != "" {
 			tf[term]++
-			length++
 		}
 	}
-	return tf, length
+	return tf
 }
 
 // Sanitize lowercases text and strips markup artifacts commonly found
