@@ -490,7 +490,7 @@ func (s *System) ExplainContext(ctx context.Context, need, expertName string, to
 		return Explanation{}, fmt.Errorf("%w %q", ErrUnknownCandidate, expertName)
 	}
 	analyzed := s.inner.Finder.Pipeline().AnalyzeNeed(need)
-	evidence := s.inner.Finder.ExplainContext(ctx, analyzed, u, p, topN)
+	evidence := s.inner.Finder.Explain(ctx, analyzed, u, p, topN)
 
 	out := Explanation{Expert: expertName}
 	for _, ev := range evidence {

@@ -610,14 +610,9 @@ type Evidence struct {
 // the relevant resources (within the window) associated to the
 // expert, ordered by descending contribution, truncated to topN
 // (topN <= 0 returns everything). The sum of the contributions equals
-// the expert's Eq. (3) score.
-func (f *Finder) Explain(need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
-	return f.ExplainContext(context.Background(), need, u, p, topN)
-}
-
-// ExplainContext is Explain with a context: a telemetry trace on ctx
-// records the traverse and index_match stages (see FindContext).
-func (f *Finder) ExplainContext(ctx context.Context, need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
+// the expert's Eq. (3) score. A telemetry trace on ctx records the
+// traverse and index_match stages (see FindContext).
+func (f *Finder) Explain(ctx context.Context, need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
 	// One cache entry serves the filter and the attribution: a second
 	// lookup could straddle a catch-up and attribute evidence from a
 	// graph the matches were not filtered by.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"expertfind/internal/analysis"
@@ -224,7 +225,7 @@ func TestExplain(t *testing.T) {
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
 	// Alice's evidence is her tweet at distance 1.
-	ev := f.Explain(need, users["alice"], p, 0)
+	ev := f.Explain(context.Background(), need, users["alice"], p, 0)
 	if len(ev) != 1 {
 		t.Fatalf("alice evidence = %v", ev)
 	}
@@ -251,12 +252,12 @@ func TestExplain(t *testing.T) {
 	}
 
 	// Peggy has no evidence.
-	if ev := f.Explain(need, users["peggy"], p, 0); len(ev) != 0 {
+	if ev := f.Explain(context.Background(), need, users["peggy"], p, 0); len(ev) != 0 {
 		t.Errorf("peggy evidence = %v", ev)
 	}
 
 	// Truncation.
-	if ev := f.Explain(need, users["bob"], p, 1); len(ev) > 1 {
+	if ev := f.Explain(context.Background(), need, users["bob"], p, 1); len(ev) > 1 {
 		t.Errorf("topN ignored: %v", ev)
 	}
 }

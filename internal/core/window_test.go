@@ -177,7 +177,7 @@ func TestFindWindowBoundDifferential(t *testing.T) {
 
 				for _, e := range got[:min(3, len(got))] {
 					sum, n := 0.0, 0
-					for _, ev := range f.Explain(a, e.User, p, 0) {
+					for _, ev := range f.Explain(context.Background(), a, e.User, p, 0) {
 						sum += ev.Contribution
 						n++
 					}
@@ -257,7 +257,7 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 	if rec.k != DefaultWindowSize {
 		t.Errorf("ShardMatches asked the index for k=%d, want %d", rec.k, DefaultWindowSize)
 	}
-	f.Explain(a, f.Candidates()[0], p, 0)
+	f.Explain(context.Background(), a, f.Candidates()[0], p, 0)
 	if rec.k != DefaultWindowSize {
 		t.Errorf("Explain asked the index for k=%d, want %d", rec.k, DefaultWindowSize)
 	}

@@ -71,7 +71,6 @@ type base struct {
 	mux    *http.ServeMux
 	opts   Options
 	sem    chan struct{}
-	root   http.Handler
 	tracer *telemetry.Tracer
 	// onKept, when set, runs on its own goroutine for every /v1 trace
 	// Finish placed in the keep ring (the coordinator assembles the
@@ -106,17 +105,7 @@ func newBase(opts Options) base {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
-	// Request IDs outermost, then the one observer around the mux; the
-	// per-request deadline belongs to the /v1 guard alone.
-	b.root = withRequestID(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		dispatchMux(mux, opts.Logger, w, r)
-	}))
 	return b
-}
-
-// ServeHTTP implements http.Handler.
-func (b *base) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	b.root.ServeHTTP(w, r)
 }
 
 // Handler serves the JSON API over a System.
@@ -279,7 +268,9 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 			if b.onKept != nil && tr.WasKept() {
 				go b.onKept(tr.ID())
 			}
-			b.opts.SLO.Observe(status, time.Since(t0))
+			if status != statusClientClosed {
+				b.opts.SLO.Observe(status, time.Since(t0))
+			}
 		}()
 		r = r.WithContext(ctx)
 		r.Form, _ = url.ParseQuery(r.URL.RawQuery) // a malformed pair is dropped, as r.URL.Query() drops it
@@ -329,11 +320,19 @@ func guard[T any](b *base, load func() *T, f func(*T, http.ResponseWriter, *http
 		case <-done:
 			tw.flush(sw)
 		case <-ctx.Done():
-			mTimeouts.Inc()
-			writeUnavailable(sw, r, "request timed out")
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				mTimeouts.Inc()
+				writeUnavailable(sw, r, "request timed out")
+			} else { // the client left first: a hang-up, or a hedge's losing attempt
+				writeError(sw, r, statusClientClosed, "client closed request")
+			}
 		}
 	}
 }
+
+// statusClientClosed (nginx's 499) records a guarded request its client
+// canceled first: nobody receives it, so the SLO tracker skips it.
+const statusClientClosed = 499
 
 // release frees the concurrency slot a guarded request holds.
 func (b *base) release() {

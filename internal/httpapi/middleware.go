@@ -184,10 +184,8 @@ func (tw *timeoutWriter) flush(w http.ResponseWriter) {
 	for k, v := range tw.header {
 		dst[k] = v
 	}
-	status := tw.status
-	if status == 0 {
-		status = http.StatusOK
+	if tw.status != 0 {
+		w.WriteHeader(tw.status)
 	}
-	w.WriteHeader(status)
 	_, _ = w.Write(tw.buf.Bytes())
 }

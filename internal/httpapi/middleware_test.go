@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -414,6 +415,57 @@ func TestTimeoutObservedOnce(t *testing.T) {
 	}
 	if rec := accessRecord(t, &logs); rec["status"] != float64(503) || rec["route"] != "GET /v1/test-timeout" {
 		t.Errorf("access record %v, want status 503 on GET /v1/test-timeout", rec)
+	}
+}
+
+// TestClientCancelIsNotATimeout: a client that cancels a guarded
+// request before RequestTimeout (a hang-up, or a hedge's losing
+// attempt on a shard) is recorded as 499: not a timeout, not an
+// availability error, not a kept error trace.
+func TestClientCancelIsNotATimeout(t *testing.T) {
+	tracer := telemetry.NewTracer(8)
+	tracker := slo.New(slo.Config{})
+	h := NewWithOptions(nil, Options{RequestTimeout: 10 * time.Second, Tracer: tracer, SLO: tracker})
+	entered := make(chan struct{})
+	guardedRoute(h, "GET /v1/test-gone", func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-r.Context().Done()
+	})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	route := "GET /v1/test-gone"
+	answered := func() float64 { return mRequests.With(route, "499").Value() + mRequests.With(route, "503").Value() }
+	before, timeouts, observed := mRequests.With(route, "499").Value(), mTimeouts.Value(), answered()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/test-gone", nil)
+	req.Header.Set("X-Request-ID", "rid-gone")
+	go func() {
+		<-entered
+		cancel()
+	}()
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("canceled request answered %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for answered() == observed && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := mRequests.With(route, "499").Value() - before; got != 1 {
+		t.Errorf("code=499 counted %v times, want 1", got)
+	}
+	if got := mTimeouts.Value() - timeouts; got != 0 {
+		t.Errorf("timeouts counted %v, want 0", got)
+	}
+	if avail, _ := tracker.BurnRates(); avail != 0 {
+		t.Errorf("availability burn %v, want 0", avail)
+	}
+	if kept := tracer.Kept(0); len(kept) != 0 {
+		t.Errorf("kept traces %v, want none", kept)
+	}
+	if traces := tracer.Lookup("rid-gone"); len(traces) != 1 || traces[0].Attrs["status"] != "499" {
+		t.Errorf("traces %v, want one with status 499", traces)
 	}
 }
 

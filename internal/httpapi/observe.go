@@ -48,19 +48,18 @@ func init() {
 
 type requestIDKey struct{}
 
-// withRequestID assigns every request an ID — the inbound
-// X-Request-ID when present (sanitized), else a generated one — and
-// reflects it as a response header. Downstream, the ID labels log
-// lines, error bodies and the request's trace.
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := sanitizeRequestID(r.Header.Get("X-Request-ID"))
-		if id == "" {
-			id = telemetry.NewID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
-	})
+// ServeHTTP implements http.Handler. It assigns every request an ID —
+// the inbound X-Request-ID when present (sanitized), else a generated
+// one — reflects it as a response header and hands the request to
+// dispatchMux, its one observer. Downstream, the ID labels log lines,
+// error bodies and the request's trace.
+func (b *base) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := sanitizeRequestID(r.Header.Get("X-Request-ID"))
+	if id == "" {
+		id = telemetry.NewID()
+	}
+	w.Header().Set("X-Request-ID", id)
+	dispatchMux(b.mux, b.opts.Logger, w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 }
 
 // requestID returns the request's ID, or "" outside the middleware

@@ -228,9 +228,12 @@ type gaugeFunc struct {
 
 // Func makes one label-value combination a gauge computed at scrape
 // time by fn, replacing the fn an earlier Func gave it. fn must be
-// safe for concurrent calls.
+// safe for concurrent calls. A new child holds fn before the family
+// publishes it, so a concurrent Gather never finds one without.
 func (v *GaugeVec) Func(fn func() float64, labelValues ...string) {
-	v.fam.child(labelValues, func() any { return new(gaugeFunc) }).(*gaugeFunc).fn.Store(&fn)
+	g := new(gaugeFunc)
+	g.fn.Store(&fn)
+	v.fam.child(labelValues, func() any { return g }).(*gaugeFunc).fn.Store(&fn)
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time

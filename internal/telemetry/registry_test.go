@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +130,34 @@ func TestConcurrentUpdates(t *testing.T) {
 		d := fam.Samples[0].Hist
 		if got := d.Counts[0] + d.Counts[1]; got != d.Count {
 			t.Errorf("snapshot buckets sum to %d, Count = %d", got, d.Count)
+		}
+	}
+}
+
+// TestGaugeFuncConcurrentGather: a scrape that runs while Func adds
+// children reads every child it sees with its fn in place.
+func TestGaugeFuncConcurrentGather(t *testing.T) {
+	const rounds, children = 50, 200
+	for round := 0; round < rounds; round++ {
+		r := NewRegistry()
+		v := r.GaugeVec("f", "", "k")
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < children; i++ {
+				v.Func(func() float64 { return 1 }, strconv.Itoa(i))
+			}
+		}()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			r.Gather()
+		}
+		if got := len(r.Gather()[0].Samples); got != children {
+			t.Fatalf("%d samples, want %d", got, children)
 		}
 	}
 }
