@@ -29,7 +29,7 @@ race:
 race-stress:
 	$(GO) test -race -count=2 ./...
 
-# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph and ingest fuzz target
+# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph, ingest and scatter fuzz target
 # briefly; the checked-in corpus under testdata/fuzz is replayed by
 # the plain test target. -fuzzminimizetime=0 keeps the run fuzzing: by
 # default the first new input is minimised for up to 60 s, which left
@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceCandidateMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReachPatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusDiff$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/scatter/
 
 # cover-check fails when any internal package's test coverage drops
 # below its floor. The package list comes from `go list ./internal/...`

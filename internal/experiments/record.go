@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
-	"path/filepath"
 )
 
 // buildRecordFile names the build record inside a segment directory.
@@ -16,7 +14,8 @@ const buildRecordFile = "build.json"
 // filled it: the corpus it indexed (dataset.Dataset.Identity), the
 // slice, and whether the build finished. Build writes it incomplete
 // before the first document reaches the store and complete after the
-// final seal; index.Store never reads it.
+// final seal. The store keeps the record (Store.PutRecord) and this
+// package owns its schema.
 type buildRecord struct {
 	Corpus     string `json:"corpus"`
 	ShardID    int    `json:"shard_id"`
@@ -48,9 +47,8 @@ func (b *builder) slice() (id, count int) {
 	return b.o.ShardID, b.o.ShardCount
 }
 
-// writeRecord replaces the directory's build record durably: a temp
-// file (which the store's open sweeps if a crash leaves it), a rename
-// over the record, then a sync of the directory.
+// writeRecord replaces the directory's build record through the
+// store's durable write.
 func (b *builder) writeRecord(corpus string, complete bool) error {
 	rec := buildRecord{Corpus: corpus, Complete: complete}
 	rec.ShardID, rec.ShardCount = b.slice()
@@ -58,33 +56,8 @@ func (b *builder) writeRecord(corpus string, complete bool) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(b.o.SegmentDir, buildRecordFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := b.store.PutRecord(buildRecordFile, append(data, '\n')); err != nil {
 		return fmt.Errorf("experiments: writing build record: %w", err)
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("experiments: writing build record: %w", err)
-	}
-	d, err := os.Open(b.o.SegmentDir)
-	if err != nil {
-		return fmt.Errorf("experiments: syncing build record: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("experiments: syncing build record: %w", err)
 	}
 	return nil
 }
@@ -96,7 +69,7 @@ func (b *builder) checkRecord(corpus string) error {
 	refuse := func(format string, args ...any) error {
 		return &PrebuiltError{Dir: b.o.SegmentDir, Reason: fmt.Sprintf(format, args...)}
 	}
-	data, err := os.ReadFile(filepath.Join(b.o.SegmentDir, buildRecordFile))
+	data, err := b.store.Record(buildRecordFile)
 	if errors.Is(err, fs.ErrNotExist) {
 		return refuse("it holds no build record")
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -296,5 +297,16 @@ func TestFindTopK(t *testing.T) {
 		if !strings.Contains(body["error"], "topk") {
 			t.Errorf("topk=%s: error %q, want it to name topk", bad, body["error"])
 		}
+	}
+}
+
+// A value JSON cannot carry is a JSON 500, not a 200 with an empty
+// body: writeJSON encodes before it writes the header.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"score": math.Inf(1)})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Fatalf("got %d %q, want a JSON 500", rec.Code, rec.Body.String())
 	}
 }

@@ -1,15 +1,16 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"maps"
 	"math/bits"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,6 +52,9 @@ var (
 // directory, sequence numbers monotonically increasing across seals
 // and compactions.
 const segSuffix = ".seg"
+
+// tmpSuffix names the temporary file writeFile renames into place.
+const tmpSuffix = ".tmp"
 
 // StoreOptions configures a segment store. The zero value selects
 // sensible defaults.
@@ -351,17 +355,24 @@ type Store struct {
 
 	stop chan struct{}
 	bg   sync.WaitGroup
+
+	fs dirFS // makes every file call in dir
 }
 
 // NewStore creates or reopens a segment store rooted at dir. Existing
 // seg-*.seg files are opened (fully validated) and served; leftover
-// temporary files from an interrupted seal or compaction are removed.
-// With dir "" the store has no directory: it holds every document in
-// its memtable, and Seal, Compact and Maintain do nothing.
-func NewStore(dir string, o StoreOptions) (*Store, error) {
+// temporary files from an interrupted seal, compaction or PutRecord
+// are removed. With dir "" the store has no directory: it holds every
+// document in its memtable, Seal, Compact and Maintain do nothing, and
+// PutRecord refuses.
+func NewStore(dir string, o StoreOptions) (*Store, error) { return newStore(dir, o, osFS{}) }
+
+// newStore is NewStore making its file calls through fsys.
+func newStore(dir string, o StoreOptions, fsys dirFS) (*Store, error) {
 	o = o.withDefaults()
 	s := &Store{
 		dir:     dir,
+		fs:      fsys,
 		opts:    o,
 		workers: o.Workers,
 		mem:     New(),
@@ -370,28 +381,29 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 	if dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	for _, p := range leftovers {
-		os.Remove(p)
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
+	names, err := fsys.List(dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		r, err := OpenSegment(p, o.forceStream)
-		if err != nil {
-			s.closeSegments()
-			return nil, err
-		}
-		s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: newTombstones(r)})
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(p), "seg-%d"+segSuffix, &n); err == nil && n >= s.seq {
-			s.seq = n + 1
+	for _, name := range names {
+		p := filepath.Join(dir, name)
+		switch {
+		case strings.HasSuffix(name, tmpSuffix):
+			fsys.Remove(p)
+		case segmentName(name):
+			r, err := OpenSegment(p, o.forceStream)
+			if err != nil {
+				s.closeSegments()
+				return nil, err
+			}
+			s.segs = append(s.segs, &storeSegment{r: r, path: p, tomb: newTombstones(r)})
+			var n int
+			if _, err := fmt.Sscanf(name, "seg-%d"+segSuffix, &n); err == nil && n >= s.seq {
+				s.seq = n + 1
+			}
 		}
 	}
 	if err := s.checkDisjoint(); err != nil {
@@ -400,6 +412,11 @@ func NewStore(dir string, o StoreOptions) (*Store, error) {
 	}
 	s.updateGauges()
 	return s, nil
+}
+
+// segmentName reports whether name is a sealed segment's file name.
+func segmentName(name string) bool {
+	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, segSuffix)
 }
 
 // checkDisjoint verifies no document appears in two segments — the
@@ -631,7 +648,7 @@ func (s *Store) snapshot(victims []*storeSegment) ([]mergeSource, string) {
 // swap puts r in the victims' place and bumps n and m, seals or
 // compactions. The snapshot's tombstones are reclaimed; the documents
 // victims[i] lost since are live in r, so r tombstones them. Victims
-// that were on disk are then unlinked.
+// that were on disk are then unlinked; a failed unlink is kept for Status.
 func (s *Store) swap(victims []*storeSegment, srcs []mergeSource, r *SegmentReader, n *uint64, m *telemetry.Counter) {
 	merged := &storeSegment{r: r, path: r.Path(), tomb: newTombstones(r)}
 	reclaimed := 0
@@ -647,25 +664,48 @@ func (s *Store) swap(victims []*storeSegment, srcs []mergeSource, r *SegmentRead
 	s.mu.Unlock()
 
 	for _, g := range victims {
-		if g.r != nil {
-			g.r.Close()
-			os.Remove(g.path)
+		if g.r == nil {
+			continue
+		}
+		g.r.Close()
+		if err := s.fs.Remove(g.path); err != nil {
+			s.mu.Lock()
+			s.lastErr = fmt.Errorf("index: compacted segment left on disk, the next open refuses the directory until it is deleted: %w", err)
+			s.mu.Unlock()
 		}
 	}
 	m.Inc()
 	mSegReclaimed.Add(float64(reclaimed))
 }
 
-// writeSegmentFile streams the merged sources to a temp file, makes
-// it durable, renames it into place, syncs the directory so the rename
-// is durable before any victim is unlinked, and opens it validated.
+// writeSegmentFile writes the merged sources to path and opens the
+// file validated. path is a fresh name, so removing it on failure
+// restores the pre-state whichever step failed.
 func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReader, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := s.writeFile(path, func(w io.Writer) (int64, error) { return writeIndex(w, srcs) })
+	var r *SegmentReader
+	if err == nil {
+		r, err = OpenSegment(path, s.opts.forceStream)
+	}
 	if err != nil {
+		s.fs.Remove(path)
 		return nil, err
 	}
-	_, err = writeIndex(f, srcs)
+	return r, nil
+}
+
+// writeFile is the store's one durable write: write fills a temp file,
+// which is synced, closed and renamed over path, and the directory is
+// synced so the rename is durable before a caller acts on it (swap's
+// unlinks). A failure before the rename removes the temp file and
+// leaves path as it was.
+func (s *Store) writeFile(path string, write func(io.Writer) (int64, error)) error {
+	tmp := path + tmpSuffix
+	f, err := s.fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -673,31 +713,48 @@ func (s *Store) writeSegmentFile(path string, srcs []mergeSource) (*SegmentReade
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = s.fs.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return nil, err
+		s.fs.Remove(tmp)
+		return err
 	}
-	var r *SegmentReader
-	if err = syncDir(s.dir); err == nil {
-		r, err = OpenSegment(path, s.opts.forceStream)
-	}
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return r, nil
+	return s.fs.SyncDir(s.dir)
 }
 
-// syncDir fsyncs dir, making the entries renamed into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// PutRecord durably replaces the record name, a file the store keeps
+// beside its segments for its user (experiments' build record), with
+// data: a reader finds the old bytes or data, never part of either.
+func (s *Store) PutRecord(name string, data []byte) error {
+	path, err := s.recordPath(name)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	return s.writeFile(path, bytes.NewReader(data).WriteTo)
+}
+
+// Record returns the bytes of the record name; one never put is
+// fs.ErrNotExist.
+func (s *Store) Record(name string) ([]byte, error) {
+	path, err := s.recordPath(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.fs.ReadFile(path)
+}
+
+// recordPath refuses a store with no directory, and a name that is not
+// a plain file name or that open would serve as a segment or sweep.
+func (s *Store) recordPath(name string) (string, error) {
+	switch {
+	case s.dir == "":
+		return "", fmt.Errorf("index: record %q: store has no directory", name)
+	case filepath.Base(name) != name || name == "." || name == ".." || segmentName(name) || strings.HasSuffix(name, tmpSuffix):
+		return "", fmt.Errorf("index: %q cannot name a record", name)
+	}
+	return filepath.Join(s.dir, name), nil
 }
 
 // Compact merges every segment, unwritten ones included, into one,

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -335,6 +337,16 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 		merged = merged[:k]
 	}
 	ranked := core.RankMerged(merged, p)
+	// Finite scores can still sum past the largest float64 in Eq. (3),
+	// where a candidate's evidence from every shard meets; the overflow
+	// is laid to the shard that sent the top match.
+	if len(ranked) > 0 && math.IsInf(ranked[0].Score, 1) {
+		top := slices.IndexFunc(lists, func(l mergeList) bool { return len(l.matches) > 0 && l.matches[0].Doc == merged[0].Doc })
+		err := &MalformedError{Shard: lists[top].shard, Err: fmt.Errorf("candidate %s: Eq. (3) total overflows", topo.names[ranked[0].User])}
+		msp.SetAttr("error", err.Error())
+		msp.End()
+		return nil, err
+	}
 	msp.SetAttr("lists", strconv.Itoa(len(lists)))
 	msp.SetAttr("experts", strconv.Itoa(len(ranked)))
 	msp.End()

@@ -31,7 +31,9 @@ type fakeShard struct {
 	find  func(req FindRequest) FindResponse
 
 	// rawStats and rawFind, when set, are sent verbatim as the
-	// phase's reply body.
+	// phase's reply body. A test that changes them while the shard
+	// serves holds rawMu.
+	rawMu             sync.Mutex
 	rawStats, rawFind string
 
 	failMeta  atomic.Bool
@@ -44,7 +46,7 @@ type fakeShard struct {
 	srv *httptest.Server
 }
 
-func (f *fakeShard) start(t *testing.T) {
+func (f *fakeShard) start(t testing.TB) {
 	t.Helper()
 	if f.group == "" {
 		f.group = core.GroupFingerprint(f.cands)
@@ -70,8 +72,11 @@ func (f *fakeShard) start(t *testing.T) {
 		if down(w, &f.failStats) {
 			return
 		}
-		if f.rawStats != "" {
-			w.Write([]byte(f.rawStats))
+		f.rawMu.Lock()
+		raw := f.rawStats
+		f.rawMu.Unlock()
+		if raw != "" {
+			w.Write([]byte(raw))
 			return
 		}
 		json.NewEncoder(w).Encode(f.stats)
@@ -80,8 +85,11 @@ func (f *fakeShard) start(t *testing.T) {
 		if down(w, &f.failFind) {
 			return
 		}
-		if f.rawFind != "" {
-			w.Write([]byte(f.rawFind))
+		f.rawMu.Lock()
+		raw := f.rawFind
+		f.rawMu.Unlock()
+		if raw != "" {
+			w.Write([]byte(raw))
 			return
 		}
 		var req FindRequest
@@ -356,6 +364,31 @@ func TestFindRejectsUndecodableReply(t *testing.T) {
 		var mal *MalformedError
 		if !errors.As(err, &mal) || mal.Shard != 1 {
 			t.Errorf("%s phase: Find = %+v, %v; want MalformedError from shard 1", phase, res, err)
+		}
+	}
+}
+
+// TestFindRejectsImpossibleScores: a negative shard score would
+// subtract from a candidate's evidence and silently drop it from the
+// ranking, and finite scores that sum past the largest float64 in
+// Eq. (3) would give an expert +Inf. Both fail the find as a
+// MalformedError from the shard that sent them.
+func TestFindRejectsImpossibleScores(t *testing.T) {
+	g := core.GroupFingerprint(testCands)
+	for name, shard1 := range map[string][]Match{
+		"negative": {{Doc: 3, Score: -5, Cands: [][2]int32{{1, 0}}}},
+		"overflow": {{Doc: 3, Score: 1e308, Cands: [][2]int32{{1, 0}}}, {Doc: 5, Score: 1e308, Cands: [][2]int32{{1, 0}}}},
+	} {
+		_, co := newFakeTopology(t, 2, []func(FindRequest) FindResponse{
+			scriptedFind(g,
+				Match{Doc: 2, Score: 1, Cands: [][2]int32{{1, 0}}},
+				Match{Doc: 4, Score: 0.5, Cands: [][2]int32{{2, 0}}}),
+			scriptedFind(g, shard1...),
+		})
+		res, err := co.Find(context.Background(), "go", nil, core.Params{})
+		var mal *MalformedError
+		if !errors.As(err, &mal) || mal.Shard != 1 {
+			t.Errorf("%s: Find = %+v, %v; want MalformedError from shard 1", name, res, err)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // MalformedError reports a shard reply that violates the merge
 // contract (unsorted matches, duplicate documents across shards, or
-// out-of-range distances). The coordinator surfaces it as a bad
-// gateway rather than silently merging corrupt evidence.
+// out-of-range distances or scores). The coordinator surfaces it as a
+// bad gateway rather than silently merging corrupt evidence.
 type MalformedError struct {
 	Shard int
 	Err   error

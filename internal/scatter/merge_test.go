@@ -2,6 +2,7 @@ package scatter
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -164,6 +165,13 @@ func TestConvertResponseValidates(t *testing.T) {
 	bad := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 7}}}}}
 	if _, err := convertResponse(1, topo, bad); err == nil {
 		t.Error("out-of-range distance accepted")
+	}
+	// Eq. (1) gives a finite non-negative score.
+	for _, score := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		odd := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: score, Cands: [][2]int32{{10, 1}}}}}
+		if _, err := convertResponse(1, topo, odd); err == nil {
+			t.Errorf("score %v accepted", score)
+		}
 	}
 	// The Eq. (3) tally is indexed by candidate id: an id outside the
 	// pool, a negative or a huge one above all, never reaches it.

@@ -26,6 +26,7 @@ package scatter
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 
 	"expertfind/internal/core"
@@ -91,9 +92,14 @@ func MatchesFromCore(in []core.ShardMatch) []Match {
 }
 
 // toCore converts one wire match back to the finder's form,
-// validating the distance range (a malformed distance would index out
-// of the wr weight table).
+// validating the score (Eq. (1) gives a finite non-negative one; a
+// negative score would subtract from a candidate's evidence) and the
+// distance range (a malformed distance would index out of the wr
+// weight table).
 func (m Match) toCore() (core.ShardMatch, error) {
+	if m.Score < 0 || math.IsNaN(m.Score) || math.IsInf(m.Score, 0) {
+		return core.ShardMatch{}, fmt.Errorf("doc %d: score %v is not finite and non-negative", m.Doc, m.Score)
+	}
 	cm := core.ShardMatch{
 		Doc:   index.DocID(m.Doc),
 		Score: m.Score,
