@@ -144,7 +144,7 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 		w.Header().Set(DegradedHeader, degradedValue(res.ShardsDown, res.ShardsTotal))
 		resp.Degraded = &degradedInfo{ShardsDown: res.ShardsDown, ShardsTotal: res.ShardsTotal}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeFind(w, resp)
 }
 
 // traceByID serves GET /debug/traces/{rid} on the coordinator: the

@@ -411,13 +411,15 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	if cacheStatus != "" {
+	if v, ok := cacheStatusValues[cacheStatus]; ok {
+		w.Header()["Cache-Status"] = v
+	} else if cacheStatus != "" {
 		w.Header().Set("Cache-Status", cacheStatus)
 	}
 	if top > 0 && len(experts) > top {
 		experts = experts[:top]
 	}
-	writeJSON(w, http.StatusOK, findResponse{Need: need, Experts: experts})
+	writeFind(w, findResponse{Need: need, Experts: experts})
 }
 
 // bestNetworkResponse is the payload of /v1/bestnetwork.
@@ -537,8 +539,8 @@ func parseOptions(q url.Values) (opts []expertfind.FindOption, top int, err erro
 	return opts, top, nil
 }
 
-// jsonBufs holds writeJSON's encode buffers, so buffering a body
-// costs no allocation of its size.
+// jsonBufs holds the reply buffers of writeJSON and writeFind, so
+// buffering a body costs no allocation of its size.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v before the header: a value JSON cannot carry is
@@ -552,7 +554,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		buf.Reset()
 		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -171,6 +172,9 @@ func TestStoreRecord(t *testing.T) {
 	}
 }
 
+// overlapFiles matches checkDisjoint's refusal, capturing the two files.
+var overlapFiles = regexp.MustCompile(`appears in (seg-\d+\.seg) and (seg-\d+\.seg)$`)
+
 // A fault in any one file call of Seal, Compact or PutRecord leaves the
 // store ranking as the monolith over its live documents, and its
 // directory in the operation's pre-state or post-state: a reopen ranks
@@ -257,6 +261,23 @@ func TestStoreFaultSweep(t *testing.T) {
 
 				re, err := NewStore(dir, StoreOptions{})
 				if err != nil {
+					// A refusal names both files, and the runbook's remedy,
+					// deleting the lower-numbered one, reopens the post-state.
+					m := overlapFiles.FindStringSubmatch(err.Error())
+					if m == nil || m[1] >= m[2] {
+						t.Fatalf("%s: reopen refused with %q, which does not name two segment files, lower-numbered first", label, err)
+					}
+					if err := os.Remove(filepath.Join(dir, m[1])); err != nil {
+						t.Fatal(err)
+					}
+					re, err := NewStore(dir, StoreOptions{})
+					if err != nil {
+						t.Fatalf("%s: reopen after deleting %s: %v", label, m[1], err)
+					}
+					defer re.Close()
+					if got := fmt.Sprintf("%d segments ranking %v", len(re.Status().Segments), re.Score(need, 0.6)); got != c.post {
+						t.Fatalf("%s: reopen after deleting %s gives %.60s, want the post-state", label, m[1], got)
+					}
 					return ops, "refused"
 				}
 				defer re.Close()

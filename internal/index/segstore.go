@@ -421,7 +421,10 @@ func segmentName(name string) bool {
 
 // checkDisjoint verifies no document appears in two segments — the
 // invariant every scoring merge relies on. Tombstones are not persisted,
-// so a sealed document updated and sealed again before a restart trips it.
+// so a sealed document updated and sealed again before a restart trips
+// it, as does a merge victim whose unlink failed. The error names both
+// files, lower-numbered first: for a merge victim that is the one to
+// delete.
 func (s *Store) checkDisjoint() error {
 	total := 0
 	for _, g := range s.segs {
@@ -433,9 +436,17 @@ func (s *Store) checkDisjoint() error {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	for i := 1; i < len(all); i++ {
-		if all[i] == all[i-1] {
-			return fmt.Errorf("index: store %s: doc %d appears in two segments", s.dir, all[i])
+		if all[i] != all[i-1] {
+			continue
 		}
+		var in []string
+		for _, g := range s.segs {
+			if _, ok := slices.BinarySearch(g.r.docs, all[i]); ok {
+				in = append(in, filepath.Base(g.path))
+			}
+		}
+		sort.Strings(in) // zero-padded sequence numbers
+		return fmt.Errorf("index: store %s: doc %d appears in %s and %s", s.dir, all[i], in[0], in[1])
 	}
 	return nil
 }
