@@ -29,7 +29,7 @@ race:
 race-stress:
 	$(GO) test -race -count=2 ./...
 
-# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph, ingest, scatter, core and
+# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph, ingest, scatter and
 # httpapi fuzz target briefly; the checked-in corpus under testdata/fuzz is replayed by
 # the plain test target. -fuzzminimizetime=0 keeps the run fuzzing: by
 # default the first new input is minimised for up to 60 s, which left
@@ -49,7 +49,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReachPatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusDiff$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/scatter/
-	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeNeed$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzFindReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardEndpoints$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/httpapi/
 

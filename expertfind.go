@@ -116,10 +116,6 @@ type Stats struct {
 type System struct {
 	inner *experiments.System
 	names map[string]socialgraph.UserID
-	// handles is names inverted. The finder ranks exactly these
-	// candidates and a loaded user's name never changes, so a ranking
-	// names its experts from it without taking the graph's lock.
-	handles map[socialgraph.UserID]string
 }
 
 // Options selects what Open builds along three independent axes: the
@@ -194,11 +190,9 @@ func Open(o Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{inner: inner, names: make(map[string]socialgraph.UserID), handles: make(map[socialgraph.UserID]string)}
+	s := &System{inner: inner, names: make(map[string]socialgraph.UserID)}
 	for _, u := range inner.DS.Candidates {
-		name := inner.DS.Graph.User(u).Name
-		s.names[name] = u
-		s.handles[u] = name
+		s.names[inner.DS.Graph.User(u).Name] = u
 	}
 	return s, nil
 }
@@ -371,7 +365,11 @@ func (s *System) FindCachedContext(ctx context.Context, need string, opts ...Fin
 	scores, status := s.inner.Finder.FindCachedContext(ctx, need, p)
 	out := make([]Expert, len(scores))
 	for i, es := range scores {
-		out[i] = Expert{Name: s.handles[es.User], Score: es.Score, SupportingResources: es.Resources}
+		out[i] = Expert{
+			Name:                s.inner.DS.Graph.User(es.User).Name,
+			Score:               es.Score,
+			SupportingResources: es.Resources,
+		}
 	}
 	return out, string(status), nil
 }

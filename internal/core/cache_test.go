@@ -27,22 +27,6 @@ func TestNormalizeNeed(t *testing.T) {
 	}
 }
 
-// FuzzNormalizeNeed holds the one-pass normaliser to the expression
-// it replaces, for ASCII and non-ASCII needs alike.
-func FuzzNormalizeNeed(f *testing.F) {
-	for _, s := range []string{
-		"Who SWIMS  best?", "  leading and\ttrailing \n ", "", " ", "a\vB\fc\rD\x1cE\x00", "\x85\u00a0",
-		"ÉCOLE  Straße", "a\u00a0b\u2028C", "\xffBAD\xfe utf8", "İstanbul", "K\u212a",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, need string) {
-		if got, want := NormalizeNeed(need), strings.Join(strings.Fields(strings.ToLower(need)), " "); got != want {
-			t.Fatalf("NormalizeNeed(%q) = %q, want %q", need, got, want)
-		}
-	})
-}
-
 func TestParamsFingerprint(t *testing.T) {
 	// Implicit defaults and their explicit spellings share a fingerprint.
 	zero := Params{}.Fingerprint()

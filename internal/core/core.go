@@ -26,7 +26,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/index"
@@ -192,31 +191,9 @@ func (p Params) Fingerprint() string {
 // sound — the analysis pipeline lowercases during tokenization and
 // language identification, and tokenization is whitespace-insensitive
 // — so needs mapping to the same normalized form always rank
-// identically. An ASCII need, the common key, is folded in one pass
-// into one allocation; any other takes the Unicode-aware expression
-// the pass reproduces.
+// identically.
 func NormalizeNeed(need string) string {
-	var b strings.Builder
-	b.Grow(len(need))
-	space := false // a whitespace run is pending since the last word
-	for i := 0; i < len(need); i++ {
-		c := need[i]
-		switch {
-		case c >= utf8.RuneSelf:
-			return strings.Join(strings.Fields(strings.ToLower(need)), " ")
-		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
-			space = b.Len() > 0
-			continue
-		case 'A' <= c && c <= 'Z':
-			c += 'a' - 'A'
-		}
-		if space {
-			b.WriteByte(' ')
-			space = false
-		}
-		b.WriteByte(c)
-	}
-	return b.String()
+	return strings.Join(strings.Fields(strings.ToLower(need)), " ")
 }
 
 // ExpertScore is one ranked expert with its expertise score and the

@@ -411,9 +411,7 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	if v, ok := cacheStatusValues[cacheStatus]; ok {
-		w.Header()["Cache-Status"] = v
-	} else if cacheStatus != "" {
+	if cacheStatus != "" {
 		w.Header().Set("Cache-Status", cacheStatus)
 	}
 	if top > 0 && len(experts) > top {
@@ -554,7 +552,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		buf.Reset()
 		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
 	}
-	w.Header()["Content-Type"] = contentTypeJSON
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }

@@ -22,18 +22,10 @@ func writeFind(w http.ResponseWriter, resp findResponse) {
 		return
 	}
 	buf.Write(b) // keeps the capacity when the reply outgrew the buffer
-	w.Header()["Content-Type"] = contentTypeJSON
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
 }
-
-// contentTypeJSON and cacheStatusValues are shared header values: a
-// map assignment of one allocates nothing, where Header().Set allocates
-// a slice per call. Nothing edits a header value in place.
-var (
-	contentTypeJSON   = []string{"application/json"}
-	cacheStatusValues = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "coalesced": {"coalesced"}}
-)
 
 // appendFind appends resp as json.Encoder encodes a findResponse, the
 // trailing newline included, and reports false when a score is NaN or

@@ -172,8 +172,9 @@ func TestStoreRecord(t *testing.T) {
 	}
 }
 
-// overlapFiles matches checkDisjoint's refusal, capturing the two files.
-var overlapFiles = regexp.MustCompile(`appears in (seg-\d+\.seg) and (seg-\d+\.seg)$`)
+// overlapFiles matches checkDisjoint's refusal of a lower-numbered file
+// whose every document the other holds, capturing the files as named.
+var overlapFiles = regexp.MustCompile(`appears in (seg-\d+\.seg) and (seg-\d+\.seg); every document of (seg-\d+\.seg) is also in (seg-\d+\.seg)$`)
 
 // A fault in any one file call of Seal, Compact or PutRecord leaves the
 // store ranking as the monolith over its live documents, and its
@@ -261,11 +262,11 @@ func TestStoreFaultSweep(t *testing.T) {
 
 				re, err := NewStore(dir, StoreOptions{})
 				if err != nil {
-					// A refusal names both files, and the runbook's remedy,
-					// deleting the lower-numbered one, reopens the post-state.
+					// A refusal names both files and finds the victim covered,
+					// and the runbook's remedy, deleting it, reopens the post-state.
 					m := overlapFiles.FindStringSubmatch(err.Error())
-					if m == nil || m[1] >= m[2] {
-						t.Fatalf("%s: reopen refused with %q, which does not name two segment files, lower-numbered first", label, err)
+					if m == nil || m[1] >= m[2] || m[3] != m[1] || m[4] != m[2] {
+						t.Fatalf("%s: reopen refused with %q, which does not name two segment files, lower-numbered first, the first covered by the second", label, err)
 					}
 					if err := os.Remove(filepath.Join(dir, m[1])); err != nil {
 						t.Fatal(err)

@@ -513,8 +513,42 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(filepath.Join(dir, "seg-000777.seg"), raw, 0o644)
-	if _, err := NewStore(dir, StoreOptions{}); err == nil {
-		t.Fatal("NewStore accepted overlapping segments")
+	first := filepath.Base(seg[0])
+	want := fmt.Sprintf("and seg-000777.seg; every document of %s is also in seg-000777.seg", first)
+	if _, err := NewStore(dir, StoreOptions{}); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("NewStore over a copied segment: %v, want an error ending %q", err, want)
+	}
+}
+
+// A document updated and sealed again before a restart is in two
+// segments, and the older one holds documents the newer lacks: the
+// refusal names both files and does not call the older one covered,
+// since deleting it would lose them.
+func TestStoreOverlapNotCovered(t *testing.T) {
+	dir := t.TempDir()
+	docs := randomDocs(13, 50, 0)
+	s, err := NewStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddBatch(docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.ApplyDelta(Delta{Updates: []DocUpdate{{ID: docs[7].ID, Old: docs[7].A, New: docs[8].A}}})
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*"+segSuffix))
+	if len(segs) != 2 {
+		t.Fatalf("%d segment files, want 2", len(segs))
+	}
+	want := fmt.Sprintf("doc %d appears in %s and %s", docs[7].ID, filepath.Base(segs[0]), filepath.Base(segs[1]))
+	if _, err := NewStore(dir, StoreOptions{}); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("NewStore after a second seal of an update: %v, want an error ending %q", err, want)
 	}
 }
 

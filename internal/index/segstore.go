@@ -423,8 +423,9 @@ func segmentName(name string) bool {
 // invariant every scoring merge relies on. Tombstones are not persisted,
 // so a sealed document updated and sealed again before a restart trips
 // it, as does a merge victim whose unlink failed. The error names both
-// files, lower-numbered first: for a merge victim that is the one to
-// delete.
+// files, lower-numbered first, and says when every document of the
+// lower-numbered one is also in the other: only then does deleting it
+// lose no document.
 func (s *Store) checkDisjoint() error {
 	total := 0
 	for _, g := range s.segs {
@@ -439,14 +440,22 @@ func (s *Store) checkDisjoint() error {
 		if all[i] != all[i-1] {
 			continue
 		}
-		var in []string
+		var in []*storeSegment
 		for _, g := range s.segs {
 			if _, ok := slices.BinarySearch(g.r.docs, all[i]); ok {
-				in = append(in, filepath.Base(g.path))
+				in = append(in, g)
 			}
 		}
-		sort.Strings(in) // zero-padded sequence numbers
-		return fmt.Errorf("index: store %s: doc %d appears in %s and %s", s.dir, all[i], in[0], in[1])
+		// zero-padded sequence numbers: the lower-numbered file sorts first
+		slices.SortFunc(in, func(a, b *storeSegment) int { return strings.Compare(a.path, b.path) })
+		lo, hi := filepath.Base(in[0].path), filepath.Base(in[1].path)
+		err := fmt.Errorf("index: store %s: doc %d appears in %s and %s", s.dir, all[i], lo, hi)
+		for _, d := range in[0].r.docs {
+			if _, ok := slices.BinarySearch(in[1].r.docs, d); !ok {
+				return err
+			}
+		}
+		return fmt.Errorf("%w; every document of %s is also in %s", err, lo, hi)
 	}
 	return nil
 }

@@ -187,41 +187,27 @@ func FetchCatalog(api faults.API, retry *resilience.Retryer, known []socialgraph
 }
 
 // fetchChanged makes the fetches the change views name — each changed
-// resource's home owner, once — and returns the input DiffScoped needs:
-// the changed ids and a catalog of what the remote serves among them,
-// the rest of each owner's records being dropped as they arrive. It
-// also counts the distinct records fetched, and aborts on a failed
-// call exactly as FetchCatalog does.
-func fetchChanged(api faults.API, retry *resilience.Retryer, views []*faults.ChangeView) (Catalog, []socialgraph.ResourceID, int, error) {
+// resource's home owner, once — and returns what they serve with the
+// changed ids: the input DiffScoped needs. It aborts on a failed call
+// exactly as FetchCatalog does.
+func fetchChanged(api faults.API, retry *resilience.Retryer, views []*faults.ChangeView) (Catalog, []socialgraph.ResourceID, error) {
+	cat := make(Catalog)
+	add := func(r socialgraph.Resource) { cat[r.ID] = r }
 	var changed []socialgraph.ResourceID
 	for _, v := range views {
 		changed = append(changed, v.IDs...)
-	}
-	cat := make(Catalog, len(changed))
-	want := make(map[socialgraph.ResourceID]bool, len(changed))
-	for _, id := range changed {
-		want[id] = true
-	}
-	fetched := make(map[socialgraph.ResourceID]struct{})
-	add := func(r socialgraph.Resource) {
-		fetched[r.ID] = struct{}{}
-		if want[r.ID] {
-			cat[r.ID] = r
-		}
-	}
-	for _, v := range views {
 		for _, u := range v.Users {
 			if _, err := fetchUser(api, retry, u, v.Network, add); err != nil {
-				return nil, nil, 0, err
+				return nil, nil, err
 			}
 		}
 		for _, c := range v.Containers {
 			if err := fetchContainer(api, retry, c, add); err != nil {
-				return nil, nil, 0, err
+				return nil, nil, err
 			}
 		}
 	}
-	return cat, changed, len(fetched), nil
+	return cat, changed, nil
 }
 
 // Delta is the classified difference between the installed graph and

@@ -101,9 +101,8 @@ type RoundReport struct {
 	// FullReason says why a full round was full; it is empty for a
 	// scoped round.
 	FullReason FullReason `json:"full_reason,omitempty"`
-	// Catalog counts the distinct records fetched this round: the whole
-	// remote catalog on a full round, the changed resources' owners'
-	// records on a scoped one (of which the diff keeps the changed).
+	// Catalog counts the records fetched this round: the whole remote
+	// catalog on a full round.
 	Catalog      int           `json:"catalog"`
 	Adds         int           `json:"adds"`
 	Updates      int           `json:"updates"`
@@ -288,7 +287,6 @@ func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.Ch
 	full := reason != ""
 	var cat Catalog
 	var changed []socialgraph.ResourceID
-	var fetched int
 	switch {
 	case err != nil:
 	case full:
@@ -297,9 +295,8 @@ func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.Ch
 			known[i] = socialgraph.ContainerID(i)
 		}
 		cat, err = FetchCatalog(ing.cfg.API, ing.retryer, known)
-		fetched = len(cat)
 	default:
-		cat, changed, fetched, err = fetchChanged(ing.cfg.API, ing.retryer, views)
+		cat, changed, err = fetchChanged(ing.cfg.API, ing.retryer, views)
 	}
 	sp.End()
 	if err != nil {
@@ -320,7 +317,7 @@ func (ing *Ingester) read(tr *telemetry.Trace) (Delta, RoundReport, []*faults.Ch
 		delta, err = DiffScoped(ing.cfg.Graph, cat, changed)
 	}
 	sp.End()
-	return delta, RoundReport{Full: full, FullReason: reason, Catalog: fetched}, views, err
+	return delta, RoundReport{Full: full, FullReason: reason, Catalog: len(cat)}, views, err
 }
 
 // changes asks every network's change feed what changed since its

@@ -183,46 +183,6 @@ func TestIngestScopedDeltaEqualsFull(t *testing.T) {
 	}
 }
 
-// TestScopedCatalogHoldsOnlyChanged: the catalog a scoped round diffs
-// holds exactly the changed ids the remote still serves, as the remote
-// serves them, while the round's count still takes in every record its
-// owner fetches returned.
-func TestScopedCatalogHoldsOnlyChanged(t *testing.T) {
-	cfg := dataset.Config{Seed: 5, Scale: 0.03}
-	remote, installed := dataset.Generate(cfg).Graph, dataset.Generate(cfg).Graph
-	ix, pipe := buildIndex(installed, 2)
-	ing := New(Config{API: reliableAPI(remote), Graph: installed, Index: ix, Pipe: pipe})
-	scriptRound(remote, NewChurn(remote, ChurnConfig{Seed: 1, Adds: 4, Updates: 10, Removes: 3}), rand.New(rand.NewSource(1)))
-	views, reason, err := ing.changes()
-	if err != nil || reason != "" {
-		t.Fatalf("changes: reason %q, %v; want a scoped round", reason, err)
-	}
-	cat, changed, fetched, err := fetchChanged(ing.cfg.API, ing.retryer, views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := 0
-	for _, id := range changed {
-		got, ok := cat[id]
-		if remote.ResourceDeleted(id) {
-			if ok {
-				t.Errorf("the catalog holds %d, which the remote deleted", id)
-			}
-			continue
-		}
-		served++
-		if want := remote.Resource(id); !ok || !reflect.DeepEqual(got, want) {
-			t.Errorf("catalog[%d] = %+v, %t; want the remote's %+v", id, got, ok, want)
-		}
-	}
-	if served == 0 || len(cat) != served {
-		t.Errorf("the catalog holds %d records, want the %d changed ones the remote serves", len(cat), served)
-	}
-	if fetched <= len(cat) {
-		t.Errorf("the round counts %d records fetched, want more than the %d changed ones", fetched, len(cat))
-	}
-}
-
 // usersDown fails every FetchUser call while the change feeds answer,
 // so a scoped round fails after its feed calls succeed.
 type usersDown struct{ faults.API }
