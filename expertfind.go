@@ -363,6 +363,25 @@ func (s *System) FindCachedContext(ctx context.Context, need string, opts ...Fin
 		return nil, "", err
 	}
 	scores, status := s.inner.Finder.FindCachedContext(ctx, need, p)
+	return s.ExpertsOf(scores), string(status), nil
+}
+
+// FindRanking is FindCachedContext for a serving layer that renders
+// the ranking itself: it returns the ranked scores unnamed, and a
+// result-cache hit or coalesced follower shares the cached Ranking
+// (core.Finder.FindRanking), which the caller must not write. Its
+// experts are candidates, named in CandidateInfos or by ExpertsOf.
+func (s *System) FindRanking(ctx context.Context, need string, opts ...FindOption) (*core.Ranking, string, error) {
+	p, err := ResolveParams(opts...)
+	if err != nil {
+		return nil, "", err
+	}
+	r, status := s.inner.Finder.FindRanking(ctx, need, p)
+	return r, string(status), nil
+}
+
+// ExpertsOf names ranked scores, as Find returns them.
+func (s *System) ExpertsOf(scores []core.ExpertScore) []Expert {
 	out := make([]Expert, len(scores))
 	for i, es := range scores {
 		out[i] = Expert{
@@ -371,7 +390,7 @@ func (s *System) FindCachedContext(ctx context.Context, need string, opts ...Fin
 			SupportingResources: es.Resources,
 		}
 	}
-	return out, string(status), nil
+	return out
 }
 
 // SetResultCache installs (or, with nil, removes) a ranked-result

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -252,5 +253,126 @@ func TestFindCachedContext(t *testing.T) {
 	f.SetResultCache(nil)
 	if _, st := f.FindCachedContext(context.Background(), need, p); st != CacheBypass {
 		t.Fatalf("after removal: status %q, want bypass", st)
+	}
+}
+
+// TestFingerprintPinned pins the key text byte for byte: the default
+// alpha and weights, formatted once, write the same bytes as a
+// formatted non-default, whether the defaults are implicit or spelled
+// out, so a cache key never changes with how it is built.
+func TestFingerprintPinned(t *testing.T) {
+	d2 := socialgraph.TraversalOptions{MaxDistance: 2}
+	for _, c := range []struct {
+		p    Params
+		want string
+	}{
+		{Params{}, "a0.6|w100|dw1,0.75,0.5|k100|d0|ffalse|"},
+		{Params{Traversal: d2}, "a0.6|w100|dw1,0.75,0.5|k100|d2|ffalse|"},
+		{Params{Alpha: DefaultAlpha, AlphaSet: true, DistanceWeights: DefaultDistanceWeights, Traversal: d2},
+			"a0.6|w100|dw1,0.75,0.5|k100|d2|ffalse|"},
+		{Params{Alpha: 0.6, DistanceWeights: [3]float64{1, 0.75, 0.5}}, "a0.6|w100|dw1,0.75,0.5|k100|d0|ffalse|"},
+		{Params{AlphaSet: true, Traversal: d2}, "a0|w100|dw1,0.75,0.5|k100|d2|ffalse|"},
+		{Params{Alpha: 0.3, DistanceWeights: [3]float64{1, 0.5, 0.25}, WindowSize: 10, Traversal: d2},
+			"a0.3|w10|dw1,0.5,0.25|k10|d2|ffalse|"},
+		{Params{Alpha: 1e-7, DistanceWeights: [3]float64{1, 0.75, 0.25}}, "a1e-07|w100|dw1,0.75,0.25|k100|d0|ffalse|"},
+		{Params{DistanceWeights: [3]float64{0.5, 0.75, 1}, WindowSize: -1}, "a0.6|wall|dw0.5,0.75,1|kall|d0|ffalse|"},
+	} {
+		if got := c.p.Fingerprint(); got != c.want {
+			t.Errorf("%+v: fingerprint %q, want %q", c.p, got, c.want)
+		}
+	}
+}
+
+// TestRankingScoreJSON: the memoised score text is each score as
+// encoding/json writes it, after one byte of its length, rendered once;
+// a score JSON cannot carry leaves no text.
+func TestRankingScoreJSON(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1e-7, 1e-6, math.Nextafter(1e-6, 0),
+		1e20, 1e21, -1e21, 52.66167478275614, -2.2250738585072014e-308, math.MaxFloat64}
+	r := &Ranking{}
+	for i, v := range vals {
+		r.Scores = append(r.Scores, ExpertScore{User: socialgraph.UserID(i), Score: v})
+	}
+	text, ok := r.ScoreJSON()
+	if !ok {
+		t.Fatal("finite scores refused")
+	}
+	for _, v := range vals {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(text[0])
+		if got := text[1 : 1+n]; string(got) != string(want) {
+			t.Errorf("score %v: text %q, encoding/json writes %q", v, got, want)
+		}
+		text = text[1+n:]
+	}
+	if len(text) != 0 {
+		t.Errorf("%d bytes past the last score", len(text))
+	}
+	if again, _ := r.ScoreJSON(); &again[0] != &r.text[0] {
+		t.Error("a second call rendered the text again")
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := &Ranking{Scores: []ExpertScore{{Score: 1}, {Score: bad}}}
+		if text, ok := r.ScoreJSON(); ok || text != nil {
+			t.Errorf("score %v: text %q, ok %v; want none", bad, text, ok)
+		}
+	}
+}
+
+// rankingCache is a fakeCache that also hands out its stored Rankings.
+type rankingCache struct {
+	fakeCache
+	rankings map[CacheKey]*Ranking
+}
+
+func (c *rankingCache) GetRanking(key CacheKey, compute func() []ExpertScore) (*Ranking, CacheStatus) {
+	c.keys = append(c.keys, key)
+	if r, ok := c.rankings[key]; ok {
+		return r, CacheHit
+	}
+	r := &Ranking{Scores: compute()}
+	c.rankings[key] = r
+	return r, CacheMiss
+}
+
+// TestFindRanking: without a cache, or with one that only copies,
+// FindRanking wraps FindCachedContext's ranking; with a RankingCache
+// every hit gets the cached Ranking itself, under the same key.
+func TestFindRanking(t *testing.T) {
+	f, _ := buildFigure1(t)
+	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
+	need := "who is the best at freestyle swimming?"
+	cold := f.Find(need, p)
+
+	r, st := f.FindRanking(context.Background(), need, p)
+	if st != CacheBypass || !reflect.DeepEqual(r.Scores, cold) {
+		t.Fatalf("no cache: status %q, ranking %v; want bypass, %v", st, r.Scores, cold)
+	}
+	f.SetResultCache(&fakeCache{entries: map[CacheKey][]ExpertScore{}})
+	for _, want := range []CacheStatus{CacheMiss, CacheHit} {
+		if r, st := f.FindRanking(context.Background(), need, p); st != want || !reflect.DeepEqual(r.Scores, cold) {
+			t.Fatalf("copying cache: status %q, want %q; ranking %v", st, want, r.Scores)
+		}
+	}
+
+	rc := &rankingCache{fakeCache: fakeCache{entries: map[CacheKey][]ExpertScore{}}, rankings: map[CacheKey]*Ranking{}}
+	f.SetResultCache(rc)
+	defer f.SetResultCache(nil)
+	miss, st := f.FindRanking(context.Background(), need, p)
+	if st != CacheMiss || !reflect.DeepEqual(miss.Scores, cold) {
+		t.Fatalf("ranking cache: status %q, ranking %v; want miss, %v", st, miss.Scores, cold)
+	}
+	if hit, st := f.FindRanking(context.Background(), "  WHO is the best at freestyle SWIMMING?", p); st != CacheHit || hit != miss {
+		t.Fatalf("ranking cache: status %q; want a hit on the miss's Ranking", st)
+	}
+	want := CacheKey{Need: NormalizeNeed(need), Group: f.GroupFingerprint(), Params: p.Fingerprint()}
+	for _, k := range rc.keys {
+		if k != want {
+			t.Fatalf("cache key %+v, want %+v", k, want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -160,7 +161,11 @@ func (p Params) MatchBound() int {
 func (p Params) Fingerprint() string {
 	var arr [128]byte
 	b := append(arr[:0], 'a')
-	b = strconv.AppendFloat(b, p.alpha(), 'g', -1, 64)
+	if a := p.alpha(); a == DefaultAlpha {
+		b = append(b, defaultAlphaKey...)
+	} else {
+		b = strconv.AppendFloat(b, a, 'g', -1, 64)
+	}
 	b = append(b, "|w"...)
 	switch {
 	case p.WindowFrac > 0:
@@ -171,11 +176,10 @@ func (p Params) Fingerprint() string {
 		b = strconv.AppendInt(b, int64(p.window(0)), 10)
 	}
 	b = append(b, "|dw"...)
-	for i, w := range p.weights() {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendFloat(b, w, 'g', -1, 64)
+	if ws := p.weights(); ws == defaultWeights {
+		b = append(b, defaultWeightsKey...)
+	} else {
+		b = appendWeightsKey(b, ws)
 	}
 	b = append(b, "|k"...)
 	if k := p.MatchBound(); k > 0 {
@@ -184,6 +188,28 @@ func (p Params) Fingerprint() string {
 		b = append(b, "all"...)
 	}
 	return string(appendTraversalKey(append(b, '|'), p.Traversal))
+}
+
+// The key text of the default alpha and distance weights, formatted
+// once: most finds resolve to the defaults, and a cached find would
+// otherwise format the same four floats on every lookup. defaultWeights
+// is DefaultDistanceWeights as the text was formatted from.
+var (
+	defaultAlphaKey   = strconv.FormatFloat(DefaultAlpha, 'g', -1, 64)
+	defaultWeights    = DefaultDistanceWeights
+	defaultWeightsKey = string(appendWeightsKey(nil, defaultWeights))
+)
+
+// appendWeightsKey appends the distance weights' key text: each in the
+// shortest 'g' form, comma-separated.
+func appendWeightsKey(b []byte, ws [3]float64) []byte {
+	for i, w := range ws {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, w, 'g', -1, 64)
+	}
+	return b
 }
 
 // NormalizeNeed canonicalizes a need's text for cache keying: case is
@@ -242,6 +268,68 @@ type CacheKey struct {
 // depend on it.
 type ResultCache interface {
 	GetOrCompute(key CacheKey, compute func() []ExpertScore) ([]ExpertScore, CacheStatus)
+}
+
+// RankingCache is a ResultCache that can also hand out its stored
+// value itself: GetRanking returns the one Ranking every hit and
+// coalesced follower of key shares, where GetOrCompute returns each
+// caller a copy. FindRanking uses it when the installed cache has it.
+type RankingCache interface {
+	ResultCache
+	GetRanking(key CacheKey, compute func() []ExpertScore) (*Ranking, CacheStatus)
+}
+
+// Ranking is a find's result as a result cache holds it. Scores is
+// shared by every caller the cache hands the Ranking to and is never
+// written after it is published; ScoreJSON renders their text once,
+// for all of them.
+type Ranking struct {
+	Scores []ExpertScore
+
+	once   sync.Once
+	text   []byte // each score's JSON text, after one byte of its length
+	textOK bool   // no score is NaN or ±Inf
+}
+
+// ScoreJSON returns the JSON text of every score, rendered on the first
+// call: each score's text follows one byte that holds its length (the
+// longest a float64 takes is 24 bytes), in Scores order. ok is false
+// when a score is NaN or ±Inf, which JSON cannot carry.
+func (r *Ranking) ScoreJSON() (text []byte, ok bool) {
+	r.once.Do(func() {
+		// Rendered on the stack and kept at its exact size: the text
+		// lives as long as the cache entry.
+		var arr [1024]byte
+		b := arr[:0]
+		for _, e := range r.Scores {
+			n := len(b)
+			if b, r.textOK = AppendJSONFloat(append(b, 0), e.Score); !r.textOK {
+				return
+			}
+			b[n] = byte(len(b) - n - 1)
+		}
+		r.text = slices.Clone(b)
+	})
+	return r.text, r.textOK
+}
+
+// AppendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 or from 1e21 in magnitude with
+// a one-digit exponent unpadded. It reports false for NaN and ±Inf.
+func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b, true
 }
 
 // reach is one cached traversal: the resource→candidates table Eq. (3)
@@ -391,13 +479,37 @@ func (f *Finder) FindCachedContext(ctx context.Context, need string, p Params) (
 		return f.findCold(ctx, need, p), CacheBypass
 	}
 	sp := telemetry.TraceFrom(ctx).StartSpan("cache")
-	key := CacheKey{Need: NormalizeNeed(need), Group: f.groupFP, Params: p.Fingerprint()}
-	out, status := c.GetOrCompute(key, func() []ExpertScore {
+	out, status := c.GetOrCompute(f.cacheKey(need, p), func() []ExpertScore {
 		return f.findCold(ctx, need, p)
 	})
 	sp.SetAttr("status", string(status))
 	sp.End()
 	return out, status
+}
+
+// FindRanking is FindCachedContext for a caller that only reads the
+// ranking: when the installed cache is a RankingCache, every hit and
+// coalesced follower gets the cached Ranking itself, not a copy, so
+// they must not write it. Otherwise the ranking FindCachedContext
+// returns is wrapped in a Ranking of its own.
+func (f *Finder) FindRanking(ctx context.Context, need string, p Params) (*Ranking, CacheStatus) {
+	c, ok := f.resultCache().(RankingCache)
+	if !ok {
+		out, status := f.FindCachedContext(ctx, need, p)
+		return &Ranking{Scores: out}, status
+	}
+	sp := telemetry.TraceFrom(ctx).StartSpan("cache")
+	r, status := c.GetRanking(f.cacheKey(need, p), func() []ExpertScore {
+		return f.findCold(ctx, need, p)
+	})
+	sp.SetAttr("status", string(status))
+	sp.End()
+	return r, status
+}
+
+// cacheKey is the result-cache key of a find.
+func (f *Finder) cacheKey(need string, p Params) CacheKey {
+	return CacheKey{Need: NormalizeNeed(need), Group: f.groupFP, Params: p.Fingerprint()}
 }
 
 // findCold runs the full uncached pipeline: analysis, then the

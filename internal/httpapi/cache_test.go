@@ -1,11 +1,17 @@
 package httpapi
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
+	"expertfind"
+	"expertfind/internal/core"
 	"expertfind/internal/rescache"
 )
 
@@ -105,5 +111,112 @@ func TestNoCacheNoHeader(t *testing.T) {
 	}
 	if h := resp.Header.Get("Cache-Status"); h != "" {
 		t.Fatalf("Cache-Status %q without a cache, want unset", h)
+	}
+}
+
+// cachedFindURL is the request the reply tests repeat on every path.
+const cachedFindURL = "/v1/find?q=why+is+copper+a+good+conductor%3F&top=7"
+
+// serveFind sends one cachedFindURL request through h and returns its
+// Cache-Status and body. It may run off the test's goroutine, so a
+// failure is an Errorf: the caller's comparison then fails too.
+func serveFind(t *testing.T, h http.Handler) (string, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, cachedFindURL, nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("status %d: %s", rec.Code, rec.Body)
+	}
+	return rec.Header().Get("Cache-Status"), rec.Body.Bytes()
+}
+
+// TestFindReplyAlikeOnEveryPath: a cacheless handler, a miss, a hit and
+// a follower coalesced onto an in-flight leader send the same bytes.
+func TestFindReplyAlikeOnEveryPath(t *testing.T) {
+	server(t) // build the shared system
+	defer sys.SetResultCache(nil)
+	sys.SetResultCache(nil)
+	st, cold := serveFind(t, NewWithOptions(sys, Options{}))
+	if st != "" {
+		t.Fatalf("cacheless Cache-Status %q", st)
+	}
+
+	cache := rescache.New(rescache.Options{Capacity: 8})
+	h := NewWithOptions(sys, Options{Cache: cache})
+	for _, want := range []string{"miss", "hit"} {
+		if st, body := serveFind(t, h); st != want || !bytes.Equal(body, cold) {
+			t.Fatalf("Cache-Status %q (want %q), body\n%s\ncacheless\n%s", st, want, body, cold)
+		}
+	}
+
+	// A leader holds the key in flight while the handler's request
+	// coalesces onto it.
+	view := cache.Attach()
+	sys.SetResultCache(view)
+	need := "why is copper a good conductor?"
+	p, err := expertfind.ResolveParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sys.CoreFinder()
+	key := core.CacheKey{Need: core.NormalizeNeed(need), Group: f.GroupFingerprint(), Params: p.Fingerprint()}
+	started, release := make(chan struct{}), make(chan struct{})
+	go view.GetRanking(key, func() []core.ExpertScore {
+		close(started)
+		<-release
+		return f.FindAnalyzed(f.Pipeline().AnalyzeNeed(need), p)
+	})
+	<-started
+	type reply struct {
+		st   string
+		body []byte
+	}
+	done := make(chan reply, 1)
+	go func() {
+		st, body := serveFind(t, h)
+		done <- reply{st, body}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the request block on the leader
+	close(release)
+	if got := <-done; got.st != "coalesced" || !bytes.Equal(got.body, cold) {
+		t.Fatalf("Cache-Status %q (want coalesced), body\n%s\ncacheless\n%s", got.st, got.body, cold)
+	}
+}
+
+// TestConcurrentFirstHits: many requests take the first hit on one
+// entry at once, so they race to render its score text; under -race
+// every body must be the cacheless one.
+func TestConcurrentFirstHits(t *testing.T) {
+	server(t) // build the shared system
+	defer sys.SetResultCache(nil)
+	sys.SetResultCache(nil)
+	_, cold := serveFind(t, NewWithOptions(sys, Options{}))
+
+	// Fill the entry past the handler: the copying path renders no
+	// score text, so the handler's first hit is the first to.
+	cache := rescache.New(rescache.Options{Capacity: 8})
+	h := NewWithOptions(sys, Options{Cache: cache})
+	if _, status, err := sys.FindCachedContext(context.Background(), "why is copper a good conductor?"); err != nil || status != "miss" {
+		t.Fatalf("filling the entry: %q, %v", status, err)
+	}
+	const n = 16
+	start := make(chan struct{})
+	bodies := make([][]byte, n)
+	statuses := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			statuses[i], bodies[i] = serveFind(t, h)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, body := range bodies {
+		if statuses[i] != "hit" || !bytes.Equal(body, cold) {
+			t.Fatalf("request %d: Cache-Status %q, body\n%s\ncacheless\n%s", i, statuses[i], body, cold)
+		}
 	}
 }

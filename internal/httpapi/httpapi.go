@@ -113,8 +113,9 @@ func newBase(opts Options) base {
 // Handler serves the JSON API over a System.
 type Handler struct {
 	base
-	sys atomic.Pointer[expertfind.System]
-	ing atomic.Pointer[ingest.Ingester]
+	sys   atomic.Pointer[expertfind.System]
+	names atomic.Pointer[nameTable] // the installed System's handles
+	ing   atomic.Pointer[ingest.Ingester]
 }
 
 // New returns the API handler with default (zero) Options.
@@ -176,6 +177,11 @@ func (h *Handler) SetSystem(sys *expertfind.System) {
 			c.Invalidate()
 		}
 	}
+	var names *nameTable
+	if sys != nil {
+		names = newNameTable(sys, sys.CandidateInfos())
+	}
+	h.names.Store(names)
 	h.sys.Store(sys)
 }
 
@@ -406,7 +412,7 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	experts, cacheStatus, err := sys.FindCachedContext(r.Context(), need, opts...)
+	ranking, cacheStatus, err := sys.FindRanking(r.Context(), need, opts...)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -414,10 +420,11 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 	if cacheStatus != "" {
 		w.Header().Set("Cache-Status", cacheStatus)
 	}
-	if top > 0 && len(experts) > top {
-		experts = experts[:top]
+	names := h.names.Load()
+	if names != nil && names.sys != sys { // a swap between the two loads
+		names = nil
 	}
-	writeFind(w, findResponse{Need: need, Experts: experts})
+	writeRanking(w, need, ranking, top, names, sys.ExpertsOf)
 }
 
 // bestNetworkResponse is the payload of /v1/bestnetwork.

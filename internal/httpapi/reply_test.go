@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"expertfind"
+	"expertfind/internal/core"
 	"expertfind/internal/rescache"
+	"expertfind/internal/socialgraph"
 )
 
 // FuzzFindReply holds writeFind to encoding/json: for arbitrary needs,
@@ -62,6 +64,79 @@ func FuzzFindReply(f *testing.F) {
 		}
 		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 			t.Fatalf("writeFind answered %d\n%q\nencoding/json writes\n%q", rec.Code, rec.Body, want.Bytes())
+		}
+	})
+}
+
+// FuzzRankingReply holds writeRanking, the writer of /v1/find, to
+// encoding/json: for an arbitrary need, three arbitrary handles and
+// scores and a top of 0, 1, n−1, n or n+5, its body is byte for byte
+// what json.Encoder writes for the findResponse of the named experts
+// cut to top, or, when the encoder refuses a score, a JSON 500. shape
+// also picks whether the second-ranked expert is missing from the name
+// table, or the table is missing, which takes the fallback path with
+// the same bytes.
+func FuzzRankingReply(f *testing.F) {
+	scores := []float64{
+		0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-7, 1e-6,
+		math.Nextafter(1e-6, 0), 1e20, 1e21, math.Nextafter(1e21, 0), -1e21,
+		52.66167478275614, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for i, s := range scores {
+		f.Add("Which PHP function can I use?", "candidate-01", "b<>&", "\u2028",
+			math.Float64bits(s), math.Float64bits(scores[(i+1)%len(scores)]), 3, uint8(i))
+	}
+	f.Add("<b>&amp;</b>  ", "\xff\x00\"\\\b\f\n\r\t\x7f é", "\u2028\u2029", "\xed\xa0\x80",
+		math.Float64bits(1.5), math.Float64bits(-2e-300), -7, uint8(9))
+	f.Add("", "", "", "", uint64(0), uint64(0), 0, uint8(0))
+	f.Fuzz(func(t *testing.T, need, name0, name1, name2 string, bits0, bits1 uint64, support int, shape uint8) {
+		pool := []core.Candidate{{ID: 2, Name: name0}, {ID: 5, Name: name1}, {ID: 9, Name: name2}}
+		r := &core.Ranking{Scores: []core.ExpertScore{
+			{User: 9, Score: math.Float64frombits(bits0), Resources: support},
+			{User: 5, Score: math.Float64frombits(bits1), Resources: -support},
+			{User: 2, Score: math.Float64frombits(bits0) / 3, Resources: 0},
+		}}
+		n := len(r.Scores)
+		top := [5]int{0, 1, n - 1, n, n + 5}[shape%5]
+		table := newNameTable(nil, pool)
+		switch {
+		case shape&8 != 0:
+			table = newNameTable(nil, []core.Candidate{pool[0], pool[2]})
+		case shape&16 != 0:
+			table = nil // a swap between loading the System and its table
+		}
+		handles := map[socialgraph.UserID]string{}
+		for _, c := range pool {
+			handles[socialgraph.UserID(c.ID)] = c.Name
+		}
+		named := func(scores []core.ExpertScore) []expertfind.Expert {
+			out := make([]expertfind.Expert, len(scores))
+			for i, e := range scores {
+				out[i] = expertfind.Expert{Name: handles[e.User], Score: e.Score, SupportingResources: e.Resources}
+			}
+			return out
+		}
+		experts := named(r.Scores)
+		if top > 0 && len(experts) > top {
+			experts = experts[:top]
+		}
+		var want bytes.Buffer
+		encErr := json.NewEncoder(&want).Encode(findResponse{Need: need, Experts: experts})
+
+		rec := httptest.NewRecorder()
+		writeRanking(rec, need, r, top, table, named)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		if encErr != nil {
+			var body map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+				t.Fatalf("encoder refused %+v (%v), writeRanking answered %d %q", experts, encErr, rec.Code, rec.Body)
+			}
+			return
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("writeRanking answered %d\n%q\nencoding/json writes\n%q", rec.Code, rec.Body, want.Bytes())
 		}
 	})
 }

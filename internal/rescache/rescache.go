@@ -42,8 +42,7 @@ package rescache
 
 import (
 	"container/list"
-	"hash/fnv"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -114,23 +113,26 @@ type shard struct {
 	mu       sync.Mutex
 	cap      int
 	lru      *list.List // front = most recently used; holds *entry
-	byKey    map[string]*list.Element
-	inflight map[string]*call
+	byKey    map[genKey]*list.Element
+	inflight map[genKey]*call
+}
+
+// genKey is a cache key scoped to the generation it was computed under.
+type genKey struct {
+	gen uint64
+	core.CacheKey
 }
 
 type entry struct {
-	key  string
-	ckey core.CacheKey // structured form, for scoped invalidation predicates
-	val  []core.ExpertScore
+	key genKey
+	val *core.Ranking
 }
 
 // call is one in-flight computation; followers block on done and read
-// val afterwards.
+// val afterwards. val stays nil when the leader's compute panicked.
 type call struct {
 	done chan struct{}
-	val  []core.ExpertScore
-	// waiters counts the followers blocked on done, under the shard lock.
-	waiters int
+	val  *core.Ranking
 }
 
 // New returns an empty cache. See Options for the defaults.
@@ -156,15 +158,15 @@ func New(opts Options) *Cache {
 		c.shards[i] = &shard{
 			cap:      perShard,
 			lru:      list.New(),
-			byKey:    make(map[string]*list.Element),
-			inflight: make(map[string]*call),
+			byKey:    make(map[genKey]*list.Element),
+			inflight: make(map[genKey]*call),
 		}
 	}
 	return c
 }
 
 // View is a generation-pinned handle on a Cache, implementing
-// core.ResultCache. Obtain one from Attach when installing a corpus;
+// core.RankingCache. Obtain one from Attach when installing a corpus;
 // a View outliving its generation (because a newer corpus attached)
 // keeps answering compute results but neither reads nor writes cache
 // state, so it can never leak rankings across corpora.
@@ -211,7 +213,7 @@ func (c *Cache) InvalidateMatching(pred func(core.CacheKey) bool) int {
 		var next *list.Element
 		for el := sh.lru.Front(); el != nil; el = next {
 			next = el.Next()
-			if pred(el.Value.(*entry).ckey) {
+			if pred(el.Value.(*entry).key.CacheKey) {
 				sh.removeLocked(el)
 				dropped++
 			}
@@ -253,45 +255,62 @@ func (c *Cache) purge() {
 	}
 }
 
-// GetOrCompute implements core.ResultCache for the view's generation.
+// GetOrCompute implements core.ResultCache for the view's generation:
+// GetRanking, and a copy of the ranking the caller may write.
 func (v *View) GetOrCompute(key core.CacheKey, compute func() []core.ExpertScore) ([]core.ExpertScore, core.CacheStatus) {
+	r, status := v.GetRanking(key, compute)
+	return slices.Clone(r.Scores), status
+}
+
+// GetRanking implements core.RankingCache for the view's generation.
+// The Ranking it returns is the entry's own, shared by the leader that
+// computed it, its coalesced followers and every later hit: no caller
+// may write it.
+func (v *View) GetRanking(key core.CacheKey, compute func() []core.ExpertScore) (*core.Ranking, core.CacheStatus) {
 	return v.c.getOrCompute(v.gen, key, compute)
 }
 
-// keyString flattens (generation, key) into the map key, separated by
-// 0x1f (unit separator). The generation, group and params components
-// are system-generated and never contain 0x1f; the need — the only
-// caller-controlled component — goes last, so a need embedding the
-// separator can only extend its own component, never collide with a
-// key built from different group or params values.
-func keyString(gen uint64, key core.CacheKey) string {
-	return strconv.FormatUint(gen, 10) + "\x1f" + key.Group + "\x1f" + key.Params + "\x1f" + key.Need
+func (c *Cache) shard(k genKey) *shard {
+	if len(c.shards) == 1 {
+		return c.shards[0]
+	}
+	// FNV-1a over the generation and the key's strings, so that one
+	// request stream spreads over the shards alike in every process.
+	h := uint32(2166136261) ^ uint32(k.gen)
+	for _, s := range [3]string{k.Group, k.Params, k.Need} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint32(s[i])) * 16777619
+		}
+	}
+	return c.shards[int(h)&(len(c.shards)-1)]
 }
 
-func (c *Cache) shard(k string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(k))
-	return c.shards[int(h.Sum32())&(len(c.shards)-1)]
-}
-
-func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []core.ExpertScore) ([]core.ExpertScore, core.CacheStatus) {
-	k := keyString(gen, key)
+func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []core.ExpertScore) (*core.Ranking, core.CacheStatus) {
+	k := genKey{gen, key}
 	sh := c.shard(k)
 
 	sh.mu.Lock()
-	if el, ok := sh.byKey[k]; ok {
-		sh.lru.MoveToFront(el)
-		val := el.Value.(*entry).val
-		sh.mu.Unlock()
-		mHits.Inc()
-		return cloneScores(val), core.CacheHit
-	}
-	if cl, ok := sh.inflight[k]; ok {
-		cl.waiters++
+	for {
+		if el, ok := sh.byKey[k]; ok {
+			sh.lru.MoveToFront(el)
+			val := el.Value.(*entry).val
+			sh.mu.Unlock()
+			mHits.Inc()
+			return val, core.CacheHit
+		}
+		cl, ok := sh.inflight[k]
+		if !ok {
+			break
+		}
 		sh.mu.Unlock()
 		<-cl.done
-		mCoalesced.Inc()
-		return cloneScores(cl.val), core.CacheCoalesced
+		if cl.val != nil {
+			mCoalesced.Inc()
+			return cl.val, core.CacheCoalesced
+		}
+		// The leader panicked before it had a ranking: look again, and
+		// lead the computation if no other follower took it over first.
+		sh.mu.Lock()
 	}
 	cl := &call{done: make(chan struct{})}
 	sh.inflight[k] = cl
@@ -299,21 +318,16 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 	epoch := c.epoch.Load()
 
 	// The leader computes outside the shard lock, then publishes. The
-	// deferred cleanup also runs if compute panics: followers then
-	// observe a nil result while the panic propagates on the leader
-	// (and, in the serving path, becomes its 500).
+	// deferred cleanup also runs if compute panics: the panic goes on
+	// up the leader's stack (in the serving path, to its 500), and its
+	// followers, finding no ranking, look the key up again.
 	defer func() {
 		sh.mu.Lock()
 		delete(sh.inflight, k)
-		// The leader's caller owns the slice it is about to receive and
-		// may write to it; followers read a copy made before it can.
-		if cl.waiters > 0 {
-			cl.val = cloneScores(cl.val)
-		}
 		sh.mu.Unlock()
 		close(cl.done)
 	}()
-	cl.val = compute()
+	cl.val = &core.Ranking{Scores: compute()}
 
 	// Stores from a superseded generation are dropped: the entries
 	// would be unreachable (lookups use the current generation) yet
@@ -324,7 +338,7 @@ func (c *Cache) getOrCompute(gen uint64, key core.CacheKey, compute func() []cor
 	if gen == c.gen.Load() {
 		sh.mu.Lock()
 		if _, ok := sh.byKey[k]; !ok && epoch == c.epoch.Load() {
-			sh.byKey[k] = sh.lru.PushFront(&entry{key: k, ckey: key, val: cloneScores(cl.val)})
+			sh.byKey[k] = sh.lru.PushFront(&entry{key: k, val: cl.val})
 			mEntries.Inc()
 			for sh.lru.Len() > sh.cap {
 				sh.removeLocked(sh.lru.Back())
@@ -343,16 +357,4 @@ func (sh *shard) removeLocked(el *list.Element) {
 	e := sh.lru.Remove(el).(*entry)
 	delete(sh.byKey, e.key)
 	mEntries.Dec()
-}
-
-// cloneScores copies a ranking so callers can truncate or reslice
-// their result without aliasing the cached value (ExpertScore is a
-// value type; a shallow copy fully detaches).
-func cloneScores(s []core.ExpertScore) []core.ExpertScore {
-	if s == nil {
-		return nil
-	}
-	out := make([]core.ExpertScore, len(s))
-	copy(out, s)
-	return out
 }

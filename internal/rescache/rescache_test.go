@@ -402,3 +402,104 @@ func TestInvalidateMatchingFencesInFlightStores(t *testing.T) {
 		t.Fatalf("post-fence second lookup: %q, want hit", st)
 	}
 }
+
+// TestFollowerOfPanickedLeaderComputes: a follower coalesced onto a
+// leader whose compute panics is never handed an empty ranking. It
+// takes the computation over and gets its own ranking (or would get
+// its own panic), and the entry it stores serves the next lookup.
+func TestFollowerOfPanickedLeaderComputes(t *testing.T) {
+	c := rescache.New(rescache.Options{Capacity: 8, Shards: 1})
+	v := c.Attach()
+	key := core.CacheKey{Need: "q", Group: "g", Params: "p"}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		v.GetOrCompute(key, func() []core.ExpertScore {
+			close(started)
+			<-release
+			panic("segment read failed")
+		})
+	}()
+	<-started
+
+	type result struct {
+		val []core.ExpertScore
+		st  core.CacheStatus
+	}
+	var computes atomic.Int32
+	follower := make(chan result, 1)
+	entered := make(chan struct{})
+	go func() {
+		close(entered)
+		val, st := v.GetOrCompute(key, func() []core.ExpertScore {
+			computes.Add(1)
+			return scores(7)
+		})
+		follower <- result{val, st}
+	}()
+	<-entered
+	time.Sleep(50 * time.Millisecond) // let the follower block on the leader
+	close(release)
+	if p := <-leaderDone; p != "segment read failed" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	got := <-follower
+	if len(got.val) != 1 || got.val[0].Resources != 7 {
+		t.Fatalf("follower of a panicked leader got %v (%q), want its own ranking", got.val, got.st)
+	}
+	if got.st != core.CacheMiss || computes.Load() != 1 {
+		t.Fatalf("follower status %q after %d computes, want a miss that computed once", got.st, computes.Load())
+	}
+	if val, st := v.GetOrCompute(key, nil); st != core.CacheHit || len(val) != 1 || val[0].Resources != 7 {
+		t.Fatalf("next lookup %q %v, want a hit on the follower's ranking", st, val)
+	}
+}
+
+// TestRankingShared: every caller of GetRanking for one entry (its
+// leader, a coalesced follower and a hit) gets the same Ranking, while
+// GetOrCompute hands each caller a copy it may write.
+func TestRankingShared(t *testing.T) {
+	c := rescache.New(rescache.Options{Capacity: 8})
+	v := c.Attach()
+	key := core.CacheKey{Need: "q", Group: "g", Params: "p"}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan *core.Ranking, 1)
+	go func() {
+		r, _ := v.GetRanking(key, func() []core.ExpertScore {
+			close(started)
+			<-release
+			return scores(3)
+		})
+		leader <- r
+	}()
+	<-started
+	follower := make(chan *core.Ranking, 1)
+	go func() {
+		r, st := v.GetRanking(key, nil)
+		if st != core.CacheCoalesced {
+			t.Errorf("follower status %q, want coalesced", st)
+		}
+		follower <- r
+	}()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	r := <-leader
+	if f := <-follower; f != r {
+		t.Fatal("the coalesced follower got a Ranking other than its leader's")
+	}
+	if hit, st := v.GetRanking(key, nil); st != core.CacheHit || hit != r {
+		t.Fatalf("hit %q got a Ranking other than the leader's", st)
+	}
+
+	cp, st := v.GetOrCompute(key, nil)
+	if st != core.CacheHit || len(cp) != 1 {
+		t.Fatalf("GetOrCompute %q %v", st, cp)
+	}
+	cp[0].Score = -1
+	if r.Scores[0].Score != 3 {
+		t.Fatal("writing GetOrCompute's result wrote the cached ranking")
+	}
+}
