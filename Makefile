@@ -50,7 +50,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCorpusDiff$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzCoordinatorReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/scatter/
 	$(GO) test -run '^$$' -fuzz '^FuzzFindReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/httpapi/
-	$(GO) test -run '^$$' -fuzz '^FuzzRankingReply$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz '^FuzzShardEndpoints$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/httpapi/
 
 # cover-check fails when any internal package's test coverage drops

@@ -363,14 +363,14 @@ func (s *System) FindCachedContext(ctx context.Context, need string, opts ...Fin
 		return nil, "", err
 	}
 	scores, status := s.inner.Finder.FindCachedContext(ctx, need, p)
-	return s.ExpertsOf(scores), string(status), nil
+	return s.expertsOf(scores), string(status), nil
 }
 
 // FindRanking is FindCachedContext for a serving layer that renders
 // the ranking itself: it returns the ranked scores unnamed, and a
 // result-cache hit or coalesced follower shares the cached Ranking
 // (core.Finder.FindRanking), which the caller must not write. Its
-// experts are candidates, named in CandidateInfos or by ExpertsOf.
+// experts are members of CoreFinder().Pool(), which names them.
 func (s *System) FindRanking(ctx context.Context, need string, opts ...FindOption) (*core.Ranking, string, error) {
 	p, err := ResolveParams(opts...)
 	if err != nil {
@@ -380,15 +380,14 @@ func (s *System) FindRanking(ctx context.Context, need string, opts ...FindOptio
 	return r, string(status), nil
 }
 
-// ExpertsOf names ranked scores, as Find returns them.
-func (s *System) ExpertsOf(scores []core.ExpertScore) []Expert {
+// expertsOf names ranked scores from the finder's pool, which holds
+// every expert a ranking can name.
+func (s *System) expertsOf(scores []core.ExpertScore) []Expert {
+	pool := s.inner.Finder.Pool()
 	out := make([]Expert, len(scores))
 	for i, es := range scores {
-		out[i] = Expert{
-			Name:                s.inner.DS.Graph.User(es.User).Name,
-			Score:               es.Score,
-			SupportingResources: es.Resources,
-		}
+		name, _ := pool.Name(es.User)
+		out[i] = Expert{Name: name, Score: es.Score, SupportingResources: es.Resources}
 	}
 	return out
 }
@@ -455,7 +454,7 @@ type CandidateInfo = core.Candidate
 
 // CandidateInfos lists the candidate pool with ids and handles,
 // sorted by id.
-func (s *System) CandidateInfos() []CandidateInfo { return s.inner.Finder.Pool() }
+func (s *System) CandidateInfos() []CandidateInfo { return s.inner.Finder.Pool().Candidates() }
 
 // EvidenceItem is one resource supporting an expert's selection.
 type EvidenceItem struct {

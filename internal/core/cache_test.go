@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,18 +174,85 @@ func TestReachabilityHitAllocs(t *testing.T) {
 	}
 }
 
+// TestNewPool: a pool is built from a strictly ascending id list only,
+// names and quotes its members, and fingerprints as GroupFingerprint
+// does.
+func TestNewPool(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cands []Candidate
+		ok    bool
+	}{
+		{"empty", nil, true},
+		{"ascending", []Candidate{{ID: 1, Name: "ada"}, {ID: 4, Name: "b<o>b"}, {ID: 9, Name: "cyd"}}, true},
+		{"repeated", []Candidate{{ID: 1, Name: "ada"}, {ID: 1, Name: "eve"}, {ID: 3, Name: "cyd"}}, false},
+		{"descending", []Candidate{{ID: 3, Name: "cyd"}, {ID: 1, Name: "ada"}}, false},
+	} {
+		p, err := NewPool(tc.cands)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: NewPool accepted %v", tc.name, tc.cands)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := p.Group(), GroupFingerprint(tc.cands); got != want {
+			t.Errorf("%s: Group %q, GroupFingerprint %q", tc.name, got, want)
+		}
+		if got := p.Candidates(); len(got) != len(tc.cands) || len(got) > 0 && !slices.Equal(got, tc.cands) {
+			t.Errorf("%s: Candidates %v, want %v", tc.name, got, tc.cands)
+		}
+		for _, c := range tc.cands {
+			name, ok := p.Name(socialgraph.UserID(c.ID))
+			quoted, qok := p.Quoted(socialgraph.UserID(c.ID))
+			want, _ := json.Marshal(c.Name)
+			if !ok || !qok || name != c.Name || quoted != string(want) {
+				t.Errorf("%s: candidate %d named %q %v, quoted %s %v", tc.name, c.ID, name, ok, quoted, qok)
+			}
+		}
+		for _, u := range []socialgraph.UserID{0, 2, 10, -1} {
+			if _, ok := p.Name(u); ok {
+				t.Errorf("%s: Name(%d) found a candidate outside the pool", tc.name, u)
+			}
+			if _, ok := p.Quoted(u); ok {
+				t.Errorf("%s: Quoted(%d) found a candidate outside the pool", tc.name, u)
+			}
+		}
+	}
+}
+
+// TestAppendJSONString holds AppendJSONString to encoding/json, HTML
+// escaping on: quotes, control bytes, '<', '>' and '&', U+2028 and
+// U+2029, invalid UTF-8 and valid multi-byte runes.
+func TestAppendJSONString(t *testing.T) {
+	for _, s := range []string{
+		"", "candidate-01", "\"\\\b\f\n\r\t\x00\x1f\x7f", "<b>&amp;</b>", "\u2028\u2029",
+		"\xff", "\xed\xa0\x80 surrogate", "\xf4\x90\x80\x80", "é 漢字 🙂", "a\xc3",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("AppendJSONString(%q) = %s, encoding/json writes %s", s, got[1:], want)
+		}
+	}
+}
+
 func TestGroupFingerprint(t *testing.T) {
 	f, users := buildFigure1(t)
-	if f.GroupFingerprint() == "" {
+	if f.Pool().Group() == "" {
 		t.Fatal("empty group fingerprint")
 	}
 	g := f.Graph()
 	sub := NewFinder(g, f.Index(), f.Pipeline(), []socialgraph.UserID{users["alice"], users["bob"]})
-	if sub.GroupFingerprint() == f.GroupFingerprint() {
+	if sub.Pool().Group() == f.Pool().Group() {
 		t.Error("subgroup shares the full pool's fingerprint")
 	}
 	same := NewFinder(g, f.Index(), f.Pipeline(), nil)
-	if same.GroupFingerprint() != f.GroupFingerprint() {
+	if same.Pool().Group() != f.Pool().Group() {
 		t.Error("identical pools fingerprint differently")
 	}
 }
@@ -242,7 +310,7 @@ func TestFindCachedContext(t *testing.T) {
 		t.Fatal("FindContext via cache differs from cold")
 	}
 
-	want := CacheKey{Need: NormalizeNeed(need), Group: f.GroupFingerprint(), Params: p.Fingerprint()}
+	want := CacheKey{Need: NormalizeNeed(need), Group: f.Pool().Group(), Params: p.Fingerprint()}
 	for _, k := range fc.keys {
 		if k != want {
 			t.Fatalf("cache key %+v, want %+v", k, want)
@@ -369,7 +437,7 @@ func TestFindRanking(t *testing.T) {
 	if hit, st := f.FindRanking(context.Background(), "  WHO is the best at freestyle SWIMMING?", p); st != CacheHit || hit != miss {
 		t.Fatalf("ranking cache: status %q; want a hit on the miss's Ranking", st)
 	}
-	want := CacheKey{Need: NormalizeNeed(need), Group: f.GroupFingerprint(), Params: p.Fingerprint()}
+	want := CacheKey{Need: NormalizeNeed(need), Group: f.Pool().Group(), Params: p.Fingerprint()}
 	for _, k := range rc.keys {
 		if k != want {
 			t.Fatalf("cache key %+v, want %+v", k, want)

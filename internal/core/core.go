@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/index"
@@ -252,8 +253,8 @@ type CacheKey struct {
 	// Need is the normalized need text (NormalizeNeed).
 	Need string
 	// Group fingerprints the candidate pool CE the finder ranks
-	// (Finder.GroupFingerprint): a cache shared between finders over
-	// different groups must not cross-serve results.
+	// (Pool.Group): a cache shared between finders over different
+	// groups must not cross-serve results.
 	Group string
 	// Params is the Params.Fingerprint of the query options.
 	Params string
@@ -332,6 +333,61 @@ func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
 	return b, true
 }
 
+// AppendJSONString appends s quoted as encoding/json quotes a string
+// with HTML escaping on: '<', '>' and '&', control bytes, U+2028 and
+// U+2029 are escaped, and each byte of invalid UTF-8 becomes the escape
+// \ufffd.
+func AppendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
 // reach is one cached traversal: the resource→candidates table Eq. (3)
 // reads, and the table's Reaches as the filter the index scores under,
 // bound once per table so a find allocates no closure of its own.
@@ -354,8 +410,7 @@ type Finder struct {
 	index      index.Searcher
 	pipe       *analysis.Pipeline
 	candidates []socialgraph.UserID
-	pool       []Candidate // candidates in ascending id order, with names
-	groupFP    string      // GroupFingerprint(pool)
+	pool       *Pool
 
 	cacheMu sync.RWMutex
 	cache   ResultCache
@@ -366,30 +421,34 @@ type Finder struct {
 
 // NewFinder assembles a Finder over any index.Searcher (the monolithic
 // Index or a segment store). candidates is the expert-candidate pool
-// CE; nil selects every candidate user in the graph.
+// CE, in any order but with no id twice; nil selects every candidate
+// user in the graph.
 func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline, candidates []socialgraph.UserID) *Finder {
 	if candidates == nil {
 		candidates = g.Candidates()
 	}
-	pool := make([]Candidate, len(candidates))
+	list := make([]Candidate, len(candidates))
 	for i, u := range candidates {
-		pool[i] = Candidate{ID: int32(u), Name: g.User(u).Name}
+		list[i] = Candidate{ID: int32(u), Name: g.User(u).Name}
 	}
-	slices.SortFunc(pool, func(a, b Candidate) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(list, func(a, b Candidate) int { return cmp.Compare(a.ID, b.ID) })
+	pool, err := NewPool(list)
+	if err != nil {
+		panic("core: NewFinder: " + err.Error())
+	}
 	return &Finder{
 		graph:      g,
 		index:      ix,
 		pipe:       pipe,
 		candidates: candidates,
 		pool:       pool,
-		groupFP:    GroupFingerprint(pool),
 		reachCache: make(map[string]*reach),
 	}
 }
 
 // Candidate is one member of a candidate pool: the user's id and
 // handle. A shard process lists its pool in this form, and the
-// coordinator renders merged rankings with it.
+// coordinator builds its Pool from that list.
 type Candidate struct {
 	ID   int32  `json:"id"`
 	Name string `json:"name"`
@@ -408,12 +467,69 @@ func GroupFingerprint(pool []Candidate) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// GroupFingerprint is the fingerprint of the finder's candidate pool,
-// computed once by NewFinder.
-func (f *Finder) GroupFingerprint() string { return f.groupFP }
+// Pool is a candidate pool as rankings are named from it: the ids in
+// ascending order, each one's handle and the handle's JSON text, and
+// the pool's GroupFingerprint, all computed once. A Finder holds the
+// pool it ranks; a scatter coordinator builds one from a shard's list.
+// A Pool is never written after NewPool returns it.
+type Pool struct {
+	ids    []int32
+	names  []string
+	quoted []string // names[i] as AppendJSONString writes it
+	group  string
+}
 
-// Pool returns the candidate pool with names, in ascending id order.
-func (f *Finder) Pool() []Candidate { return slices.Clone(f.pool) }
+// NewPool builds the pool of cands, which must list strictly ascending
+// ids: a repeated id would have two handles, and an unsorted list would
+// fingerprint as another pool than the same members sorted.
+func NewPool(cands []Candidate) (*Pool, error) {
+	p := &Pool{
+		ids:    make([]int32, len(cands)),
+		names:  make([]string, len(cands)),
+		quoted: make([]string, len(cands)),
+		group:  GroupFingerprint(cands),
+	}
+	for i, c := range cands {
+		if i > 0 && c.ID <= p.ids[i-1] {
+			return nil, fmt.Errorf("candidate %d (%q) follows candidate %d: ids must be strictly ascending", c.ID, c.Name, p.ids[i-1])
+		}
+		p.ids[i], p.names[i] = c.ID, c.Name
+		p.quoted[i] = string(AppendJSONString(nil, c.Name))
+	}
+	return p, nil
+}
+
+// Group returns the pool's GroupFingerprint.
+func (p *Pool) Group() string { return p.group }
+
+// Candidates lists the pool in ascending id order, as a shard sends it.
+func (p *Pool) Candidates() []Candidate {
+	out := make([]Candidate, len(p.ids))
+	for i, id := range p.ids {
+		out[i] = Candidate{ID: id, Name: p.names[i]}
+	}
+	return out
+}
+
+// Name returns candidate u's handle, and false when u is not in the pool.
+func (p *Pool) Name(u socialgraph.UserID) (string, bool) {
+	if i, ok := slices.BinarySearch(p.ids, int32(u)); ok {
+		return p.names[i], true
+	}
+	return "", false
+}
+
+// Quoted returns candidate u's handle as JSON text, and false when u
+// is not in the pool.
+func (p *Pool) Quoted(u socialgraph.UserID) (string, bool) {
+	if i, ok := slices.BinarySearch(p.ids, int32(u)); ok {
+		return p.quoted[i], true
+	}
+	return "", false
+}
+
+// Pool returns the finder's candidate pool, built once by NewFinder.
+func (f *Finder) Pool() *Pool { return f.pool }
 
 // SetResultCache installs (or, with nil, removes) the Find result
 // cache. Once installed, FindContext routes queries through it; the
@@ -509,7 +625,7 @@ func (f *Finder) FindRanking(ctx context.Context, need string, p Params) (*Ranki
 
 // cacheKey is the result-cache key of a find.
 func (f *Finder) cacheKey(need string, p Params) CacheKey {
-	return CacheKey{Need: NormalizeNeed(need), Group: f.groupFP, Params: p.Fingerprint()}
+	return CacheKey{Need: NormalizeNeed(need), Group: f.pool.Group(), Params: p.Fingerprint()}
 }
 
 // findCold runs the full uncached pipeline: analysis, then the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -159,7 +160,7 @@ func TestFindReplyAlikeOnEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sys.CoreFinder()
-	key := core.CacheKey{Need: core.NormalizeNeed(need), Group: f.GroupFingerprint(), Params: p.Fingerprint()}
+	key := core.CacheKey{Need: core.NormalizeNeed(need), Group: f.Pool().Group(), Params: p.Fingerprint()}
 	started, release := make(chan struct{}), make(chan struct{})
 	go view.GetRanking(key, func() []core.ExpertScore {
 		close(started)
@@ -220,3 +221,85 @@ func TestConcurrentFirstHits(t *testing.T) {
 		}
 	}
 }
+
+// TestSwapDuringFinds: /v1/find runs while SetSystem alternates between
+// two Systems over different candidate pools, behind a result cache.
+// Under -race, every body must be one of the two Systems' cold bodies
+// for its need: a find is ranked, cached and named by the one System it
+// loaded. Generated handles are positional (candidate-01, …), so the
+// pools differ in size: seed 2's 14 candidates hold two that seed 1's
+// 12 lack, and a ranking named from the other pool would be a 500.
+func TestSwapDuringFinds(t *testing.T) {
+	swapOnce.Do(func() {
+		swapSys[0] = expertfind.NewSystem(expertfind.Config{Seed: 1, Candidates: 12, Scale: 0.05})
+		swapSys[1] = expertfind.NewSystem(expertfind.Config{Seed: 2, Candidates: 14, Scale: 0.05})
+	})
+	needs := []string{"why is copper a good conductor?", "best marathon training plan", "php string length function"}
+	find := func(h http.Handler, need string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/find?q="+url.QueryEscape(need), nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+	cold := make(map[string][2][]byte)
+	for i, s := range swapSys {
+		s.SetResultCache(nil)
+		h := NewWithOptions(s, Options{})
+		for _, need := range needs {
+			code, body := find(h, need)
+			if code != http.StatusOK {
+				t.Fatalf("cold find %q on system %d: %d %s", need, i, code, body)
+			}
+			bodies := cold[need]
+			bodies[i] = body
+			cold[need] = bodies
+		}
+	}
+	if bytes.Equal(cold[needs[0]][0], cold[needs[0]][1]) {
+		t.Fatal("the two Systems rank alike: the test cannot tell them apart")
+	}
+
+	h := NewWithOptions(swapSys[0], Options{Cache: rescache.New(rescache.Options{Capacity: 64})})
+	defer swapSys[0].SetResultCache(nil)
+	defer swapSys[1].SetResultCache(nil)
+	stop := make(chan struct{})
+	swapped := make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				swapped <- n
+				return
+			default:
+			}
+			h.SetSystem(swapSys[n%2])
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	const workers, perWorker = 4, 60
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				need := needs[(w+i)%len(needs)]
+				code, body := find(h, need)
+				if c := cold[need]; code != http.StatusOK || !bytes.Equal(body, c[0]) && !bytes.Equal(body, c[1]) {
+					t.Errorf("find %q during swaps: %d\n%s\nis neither cold body\n%s\n%s", need, code, body, c[0], c[1])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-swapped; n < 2 {
+		t.Errorf("only %d swaps ran beside the finds", n)
+	}
+}
+
+var (
+	swapOnce sync.Once
+	swapSys  [2]*expertfind.System
+)

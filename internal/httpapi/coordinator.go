@@ -128,23 +128,12 @@ func (h *CoordinatorHandler) find(co *scatter.Coordinator, w http.ResponseWriter
 		return
 	}
 
-	experts := make([]expertfind.Expert, len(res.Experts))
-	for i, e := range res.Experts {
-		experts[i] = expertfind.Expert{
-			Name:                e.Name,
-			Score:               e.Score,
-			SupportingResources: e.SupportingResources,
-		}
-	}
-	if top > 0 && len(experts) > top {
-		experts = experts[:top]
-	}
-	resp := findResponse{Need: need, Experts: experts}
+	var degraded *degradedInfo
 	if res.Degraded {
 		w.Header().Set(DegradedHeader, degradedValue(res.ShardsDown, res.ShardsTotal))
-		resp.Degraded = &degradedInfo{ShardsDown: res.ShardsDown, ShardsTotal: res.ShardsTotal}
+		degraded = &degradedInfo{ShardsDown: res.ShardsDown, ShardsTotal: res.ShardsTotal}
 	}
-	writeFind(w, resp)
+	writeFind(w, need, res.Ranking, top, res.Pool, degraded)
 }
 
 // traceByID serves GET /debug/traces/{rid} on the coordinator: the

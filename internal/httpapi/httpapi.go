@@ -113,9 +113,8 @@ func newBase(opts Options) base {
 // Handler serves the JSON API over a System.
 type Handler struct {
 	base
-	sys   atomic.Pointer[expertfind.System]
-	names atomic.Pointer[nameTable] // the installed System's handles
-	ing   atomic.Pointer[ingest.Ingester]
+	sys atomic.Pointer[expertfind.System]
+	ing atomic.Pointer[ingest.Ingester]
 }
 
 // New returns the API handler with default (zero) Options.
@@ -177,11 +176,6 @@ func (h *Handler) SetSystem(sys *expertfind.System) {
 			c.Invalidate()
 		}
 	}
-	var names *nameTable
-	if sys != nil {
-		names = newNameTable(sys, sys.CandidateInfos())
-	}
-	h.names.Store(names)
 	h.sys.Store(sys)
 }
 
@@ -391,9 +385,10 @@ func (h *Handler) experts(sys *expertfind.System, w http.ResponseWriter, r *http
 	writeJSON(w, http.StatusOK, map[string]any{"domain": domain, "experts": experts})
 }
 
-// findResponse is the payload of /v1/find. Degraded is set only by a
-// coordinator that answered from part of its topology, so a healthy
-// coordinator's body is byte-for-byte a single process's.
+// findResponse is the payload of /v1/find, as writeFind appends it and
+// as its fallback encodes it. Degraded is set only by a coordinator that
+// answered from part of its topology, so a healthy coordinator's body is
+// byte-for-byte a single process's.
 type findResponse struct {
 	Need     string              `json:"need"`
 	Experts  []expertfind.Expert `json:"experts"`
@@ -420,11 +415,7 @@ func (h *Handler) find(sys *expertfind.System, w http.ResponseWriter, r *http.Re
 	if cacheStatus != "" {
 		w.Header().Set("Cache-Status", cacheStatus)
 	}
-	names := h.names.Load()
-	if names != nil && names.sys != sys { // a swap between the two loads
-		names = nil
-	}
-	writeRanking(w, need, ranking, top, names, sys.ExpertsOf)
+	writeFind(w, need, ranking, top, sys.CoreFinder().Pool(), nil)
 }
 
 // bestNetworkResponse is the payload of /v1/bestnetwork.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strings"
 	"testing"
 
 	"expertfind"
@@ -16,67 +17,29 @@ import (
 	"expertfind/internal/socialgraph"
 )
 
-// FuzzFindReply holds writeFind to encoding/json: for arbitrary needs,
-// names, scores and degraded info its body is byte for byte what
-// json.Encoder writes for the same findResponse, or, when the encoder
-// refuses a score, a JSON 500. shape picks the expert list (nil, empty
-// or two experts) and whether the reply is degraded.
+// FuzzFindReply holds writeFind, the one writer of /v1/find, to
+// encoding/json: for an arbitrary need, three arbitrary handles, scores
+// from two arbitrary bit patterns and a top of 0, 1, n−1, n or n+5, its
+// body is byte for byte what json.Encoder writes for the findResponse of
+// the named experts cut to top, or, when the encoder refuses a score, a
+// JSON 500. shape also picks whether the reply is degraded, whether the
+// ranking is empty (the list is then [], never null), and whether the
+// pool lacks the second-ranked expert, which is a JSON 500 naming it
+// whenever the cut keeps that expert.
 func FuzzFindReply(f *testing.F) {
 	for _, s := range []float64{
 		0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-7, 1e-6,
 		math.Nextafter(1e-6, 0), 1e20, 1e21, math.Nextafter(1e21, 0), -1e21, 123456789,
 		52.66167478275614, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
 	} {
-		f.Add("Which PHP function can I use?", "candidate-01", math.Float64bits(s), 3, uint8(2))
+		f.Add("Which PHP function can I use?", "candidate-01", "Which PHP function can I use?", "",
+			math.Float64bits(s), math.Float64bits(-s/3), 3, uint8(2))
 	}
-	f.Add("<b>&amp;</b>  ", "\xff\x00\"\\\b\f\n\r\t\x7f é", math.Float64bits(1.5), -7, uint8(6))
-	f.Add("", "", uint64(0), 0, uint8(0))
-	f.Add("\xed\xa0\x80 surrogate", "\xf4\x90\x80\x80", math.Float64bits(-2e-300), 1<<40, uint8(5))
-	f.Fuzz(func(t *testing.T, need, name string, bits uint64, support int, shape uint8) {
-		score := math.Float64frombits(bits)
-		resp := findResponse{Need: need}
-		switch shape % 3 {
-		case 1:
-			resp.Experts = []expertfind.Expert{}
-		case 2:
-			resp.Experts = []expertfind.Expert{
-				{Name: name, Score: score, SupportingResources: support},
-				{Name: need, Score: -score / 3, SupportingResources: -support},
-			}
-		}
-		if shape&4 != 0 {
-			resp.Degraded = &degradedInfo{ShardsDown: support, ShardsTotal: int(shape)}
-		}
-		var want bytes.Buffer
-		encErr := json.NewEncoder(&want).Encode(resp)
-
-		rec := httptest.NewRecorder()
-		writeFind(rec, resp)
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("Content-Type %q", ct)
-		}
-		if encErr != nil {
-			var body map[string]string
-			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
-				t.Fatalf("encoder refused %+v (%v), writeFind answered %d %q", resp, encErr, rec.Code, rec.Body)
-			}
-			return
-		}
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Fatalf("writeFind answered %d\n%q\nencoding/json writes\n%q", rec.Code, rec.Body, want.Bytes())
-		}
-	})
-}
-
-// FuzzRankingReply holds writeRanking, the writer of /v1/find, to
-// encoding/json: for an arbitrary need, three arbitrary handles and
-// scores and a top of 0, 1, n−1, n or n+5, its body is byte for byte
-// what json.Encoder writes for the findResponse of the named experts
-// cut to top, or, when the encoder refuses a score, a JSON 500. shape
-// also picks whether the second-ranked expert is missing from the name
-// table, or the table is missing, which takes the fallback path with
-// the same bytes.
-func FuzzRankingReply(f *testing.F) {
+	f.Add("<b>&amp;</b>  ", "\xff\x00\"\\\b\f\n\r\t\x7f é", "<b>&amp;</b>  ", "",
+		math.Float64bits(1.5), math.Float64bits(-0.5), -7, uint8(6))
+	f.Add("", "", "", "", uint64(0), uint64(0), 0, uint8(0))
+	f.Add("\xed\xa0\x80 surrogate", "\xf4\x90\x80\x80", "\xed\xa0\x80 surrogate", "",
+		math.Float64bits(-2e-300), math.Float64bits(2e-300/3), 1<<40, uint8(5))
 	scores := []float64{
 		0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308, 1e-7, 1e-6,
 		math.Nextafter(1e-6, 0), 1e20, 1e21, math.Nextafter(1e21, 0), -1e21,
@@ -90,53 +53,62 @@ func FuzzRankingReply(f *testing.F) {
 		math.Float64bits(1.5), math.Float64bits(-2e-300), -7, uint8(9))
 	f.Add("", "", "", "", uint64(0), uint64(0), 0, uint8(0))
 	f.Fuzz(func(t *testing.T, need, name0, name1, name2 string, bits0, bits1 uint64, support int, shape uint8) {
-		pool := []core.Candidate{{ID: 2, Name: name0}, {ID: 5, Name: name1}, {ID: 9, Name: name2}}
+		cands := []core.Candidate{{ID: 2, Name: name0}, {ID: 5, Name: name1}, {ID: 9, Name: name2}}
 		r := &core.Ranking{Scores: []core.ExpertScore{
 			{User: 9, Score: math.Float64frombits(bits0), Resources: support},
 			{User: 5, Score: math.Float64frombits(bits1), Resources: -support},
 			{User: 2, Score: math.Float64frombits(bits0) / 3, Resources: 0},
 		}}
+		if shape&32 != 0 {
+			r.Scores = r.Scores[:0]
+		}
 		n := len(r.Scores)
 		top := [5]int{0, 1, n - 1, n, n + 5}[shape%5]
-		table := newNameTable(nil, pool)
-		switch {
-		case shape&8 != 0:
-			table = newNameTable(nil, []core.Candidate{pool[0], pool[2]})
-		case shape&16 != 0:
-			table = nil // a swap between loading the System and its table
+		var degraded *degradedInfo
+		if shape&8 != 0 {
+			degraded = &degradedInfo{ShardsDown: support, ShardsTotal: int(shape)}
+		}
+		listed := cands
+		if shape&16 != 0 {
+			listed = []core.Candidate{cands[0], cands[2]}
+		}
+		pool, err := core.NewPool(listed)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		scores := r.Scores
+		if top > 0 && len(scores) > top {
+			scores = scores[:top]
 		}
 		handles := map[socialgraph.UserID]string{}
-		for _, c := range pool {
+		for _, c := range cands {
 			handles[socialgraph.UserID(c.ID)] = c.Name
 		}
-		named := func(scores []core.ExpertScore) []expertfind.Expert {
-			out := make([]expertfind.Expert, len(scores))
-			for i, e := range scores {
-				out[i] = expertfind.Expert{Name: handles[e.User], Score: e.Score, SupportingResources: e.Resources}
-			}
-			return out
-		}
-		experts := named(r.Scores)
-		if top > 0 && len(experts) > top {
-			experts = experts[:top]
+		experts := make([]expertfind.Expert, len(scores))
+		for i, e := range scores {
+			experts[i] = expertfind.Expert{Name: handles[e.User], Score: e.Score, SupportingResources: e.Resources}
 		}
 		var want bytes.Buffer
-		encErr := json.NewEncoder(&want).Encode(findResponse{Need: need, Experts: experts})
+		encErr := json.NewEncoder(&want).Encode(findResponse{Need: need, Experts: experts, Degraded: degraded})
 
 		rec := httptest.NewRecorder()
-		writeRanking(rec, need, r, top, table, named)
+		writeFind(rec, need, r, top, pool, degraded)
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("Content-Type %q", ct)
 		}
-		if encErr != nil {
-			var body map[string]string
-			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
-				t.Fatalf("encoder refused %+v (%v), writeRanking answered %d %q", experts, encErr, rec.Code, rec.Body)
+		var body map[string]string
+		switch {
+		case shape&16 != 0 && len(scores) > 1:
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || !strings.Contains(body["error"], "candidate 5 ") {
+				t.Fatalf("the pool lacks candidate 5; writeFind answered %d %q", rec.Code, rec.Body)
 			}
-			return
-		}
-		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Fatalf("writeRanking answered %d\n%q\nencoding/json writes\n%q", rec.Code, rec.Body, want.Bytes())
+		case encErr != nil:
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+				t.Fatalf("encoder refused %+v (%v), writeFind answered %d %q", experts, encErr, rec.Code, rec.Body)
+			}
+		case rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Bytes()):
+			t.Fatalf("writeFind answered %d\n%q\nencoding/json writes\n%q", rec.Code, rec.Body, want.Bytes())
 		}
 	})
 }

@@ -27,13 +27,13 @@ type ShardOptions struct {
 // shardMeta serves GET /v1/shard/meta: this process's topology
 // position, slice size, and the candidate pool with its fingerprint.
 func (h *Handler) shardMeta(sys *expertfind.System, w http.ResponseWriter, _ *http.Request) {
-	f := sys.CoreFinder()
+	pool := sys.CoreFinder().Pool()
 	writeJSON(w, http.StatusOK, scatter.Meta{
 		ShardID:    h.opts.Shard.ID,
 		ShardCount: h.opts.Shard.Count,
 		NumDocs:    sys.Stats().Indexed,
-		Group:      f.GroupFingerprint(),
-		Candidates: f.Pool(),
+		Group:      pool.Group(),
+		Candidates: pool.Candidates(),
 	})
 }
 
@@ -81,7 +81,7 @@ func (h *Handler) shardFind(sys *expertfind.System, w http.ResponseWriter, r *ht
 	f := sys.CoreFinder()
 	matches := f.ShardMatches(r.Context(), req.Need, p, req.Stats)
 	writeJSON(w, http.StatusOK, scatter.FindResponse{
-		Group:   f.GroupFingerprint(),
+		Group:   f.Pool().Group(),
 		Matches: scatter.MatchesFromCore(matches),
 	})
 }

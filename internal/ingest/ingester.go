@@ -665,7 +665,7 @@ func (ing *Ingester) invalidate(plan *applyPlan) (dropped int, fullPurge bool) {
 				break
 			}
 		}
-		groupTouched[f.GroupFingerprint()] = touched
+		groupTouched[f.Pool().Group()] = touched
 	}
 
 	needDims := make(map[string][]string)

@@ -17,7 +17,6 @@ import (
 	"expertfind/internal/core"
 	"expertfind/internal/index"
 	"expertfind/internal/resilience"
-	"expertfind/internal/socialgraph"
 	"expertfind/internal/telemetry"
 )
 
@@ -97,32 +96,22 @@ func (o Options) healthInterval() time.Duration {
 	return time.Second
 }
 
-// Expert is one ranked expert of a merged result.
-type Expert struct {
-	Name                string
-	Score               float64
-	SupportingResources int
-}
-
-// Result is a merged scatter-gather answer. Degraded reports whether
-// any shard was dropped from the query — the ranking then covers only
-// the surviving shards' document slices.
+// Result is a merged scatter-gather answer: the Eq. (3) ranking of the
+// merged matches, whose experts are all members of Pool, the candidate
+// pool the topology bootstrapped. Degraded reports whether any shard
+// was dropped from the query — the ranking then covers only the
+// surviving shards' document slices.
 type Result struct {
-	Experts     []Expert
+	Ranking     *core.Ranking
+	Pool        *core.Pool
 	ShardsDown  int
 	ShardsTotal int
 	Degraded    bool
 }
 
-// topology is the bootstrap state learned from shard metadata.
-type topology struct {
-	group string
-	names map[socialgraph.UserID]string
-}
-
 // Coordinator fans queries out to the shard processes of a fixed
 // topology and merges their replies into the single-process ranking.
-// It holds no corpus: candidate names and the pool fingerprint are
+// It holds no corpus: the candidate pool, which names its rankings, is
 // bootstrapped from shard metadata. Safe for concurrent use.
 type Coordinator struct {
 	opts      Options
@@ -130,7 +119,7 @@ type Coordinator struct {
 	clients   []*shardClient
 
 	mu   sync.Mutex
-	topo *topology
+	topo *core.Pool // the pool of the first valid shard meta
 
 	healthMu sync.Mutex
 	unready  map[int]bool // shards failing their last readiness probe
@@ -168,7 +157,9 @@ func (c *Coordinator) each(fn func(i int, cl *shardClient)) {
 
 // Bootstrap fetches and validates shard metadata until the topology
 // is known: every reachable shard must report its expected position
-// and the topology size, and all fingerprints must agree. It needs
+// and the topology size, a candidate list in strictly ascending id
+// order that its fingerprint matches, and all fingerprints must agree.
+// It needs
 // only one reachable shard to learn the candidate pool; unreachable
 // shards are validated lazily by the group echo on their first find
 // reply. Idempotent and cheap once bootstrapped.
@@ -184,7 +175,7 @@ func (c *Coordinator) Bootstrap(ctx context.Context) error {
 	errs := make([]error, len(c.clients))
 	c.each(func(i int, cl *shardClient) { metas[i], errs[i] = cl.meta(ctx) })
 
-	var topo *topology
+	var topo *core.Pool
 	for i, m := range metas {
 		if errs[i] != nil {
 			continue
@@ -193,17 +184,17 @@ func (c *Coordinator) Bootstrap(ctx context.Context) error {
 			return fmt.Errorf("scatter: shard at %s reports position %d/%d, expected %d/%d",
 				c.clients[i].base, m.ShardID, m.ShardCount, i, len(c.clients))
 		}
-		fp := core.GroupFingerprint(m.Candidates)
-		if m.Group != fp {
-			return fmt.Errorf("scatter: shard %d fingerprint %q does not match its candidate pool (%q)", i, m.Group, fp)
+		pool, err := core.NewPool(m.Candidates)
+		if err != nil {
+			return fmt.Errorf("scatter: shard %d candidate list: %w", i, err)
+		}
+		if m.Group != pool.Group() {
+			return fmt.Errorf("scatter: shard %d fingerprint %q does not match its candidate pool (%q)", i, m.Group, pool.Group())
 		}
 		if topo == nil {
-			topo = &topology{group: m.Group, names: make(map[socialgraph.UserID]string, len(m.Candidates))}
-			for _, cd := range m.Candidates {
-				topo.names[socialgraph.UserID(cd.ID)] = cd.Name
-			}
-		} else if m.Group != topo.group {
-			return fmt.Errorf("scatter: shard %d serves candidate pool %q, shards before it %q", i, m.Group, topo.group)
+			topo = pool
+		} else if m.Group != topo.Group() {
+			return fmt.Errorf("scatter: shard %d serves candidate pool %q, shards before it %q", i, m.Group, topo.Group())
 		}
 	}
 	if topo == nil {
@@ -342,7 +333,8 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 	// is laid to the shard that sent the top match.
 	if len(ranked) > 0 && math.IsInf(ranked[0].Score, 1) {
 		top := slices.IndexFunc(lists, func(l mergeList) bool { return len(l.matches) > 0 && l.matches[0].Doc == merged[0].Doc })
-		err := &MalformedError{Shard: lists[top].shard, Err: fmt.Errorf("candidate %s: Eq. (3) total overflows", topo.names[ranked[0].User])}
+		name, _ := topo.Name(ranked[0].User)
+		err := &MalformedError{Shard: lists[top].shard, Err: fmt.Errorf("candidate %s: Eq. (3) total overflows", name)}
 		msp.SetAttr("error", err.Error())
 		msp.End()
 		return nil, err
@@ -351,13 +343,11 @@ func (c *Coordinator) Find(ctx context.Context, need string, rawParams url.Value
 	msp.SetAttr("experts", strconv.Itoa(len(ranked)))
 	msp.End()
 	res := &Result{
-		Experts:     make([]Expert, len(ranked)),
+		Ranking:     &core.Ranking{Scores: ranked},
+		Pool:        topo, // convertResponse held every candidate to it
 		ShardsDown:  down,
 		ShardsTotal: len(c.clients),
 		Degraded:    down > 0,
-	}
-	for i, es := range ranked { // convertResponse held every candidate to the pool
-		res.Experts[i] = Expert{Name: topo.names[es.User], Score: es.Score, SupportingResources: es.Resources}
 	}
 	if res.Degraded {
 		mDegradedQueries.Inc()

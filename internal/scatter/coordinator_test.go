@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,6 +183,31 @@ func TestBootstrapRejectsPoolMismatch(t *testing.T) {
 	}
 }
 
+// TestBootstrapRejectsUnsortedCandidates: a shard whose candidate list
+// repeats an id, or lists ids out of order, is refused by name even when
+// its fingerprint matches the list as sent. A repeated id has two
+// handles, and the coordinator would name the candidate with whichever
+// it kept.
+func TestBootstrapRejectsUnsortedCandidates(t *testing.T) {
+	for _, cands := range [][]core.Candidate{
+		{{ID: 3, Name: "cyd"}, {ID: 1, Name: "ada"}, {ID: 1, Name: "eve"}},
+		{{ID: 1, Name: "ada"}, {ID: 1, Name: "eve"}, {ID: 3, Name: "cyd"}},
+		{{ID: 3, Name: "cyd"}, {ID: 1, Name: "ada"}},
+	} {
+		sh := &fakeShard{id: 0, count: 1, cands: cands, stats: index.GlobalStats{Docs: 1}}
+		sh.start(t)
+		co, err := New(Options{Shards: []string{sh.srv.URL}, NoHedge: true,
+			Retry: resilience.RetryPolicy{MaxAttempts: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = co.Bootstrap(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "shard 0") {
+			t.Errorf("candidates %v: Bootstrap = %v, want an error naming shard 0", cands, err)
+		}
+	}
+}
+
 func TestBootstrapToleratesDownShard(t *testing.T) {
 	shards, co := newFakeTopology(t, 3, nil)
 	shards[2].failMeta.Store(true)
@@ -212,19 +238,38 @@ func TestFindMergesRanksAndNames(t *testing.T) {
 		t.Fatalf("healthy topology reported %+v", res)
 	}
 	// ada: 4·w0 + 2·w1 = 5.5, bob: 2·w0 = 2, cyd: 3·w2 = 1.5
-	want := []Expert{
+	want := []namedExpert{
 		{Name: "ada", Score: 4*1.0 + 2*0.75, SupportingResources: 2},
 		{Name: "bob", Score: 2, SupportingResources: 1},
 		{Name: "cyd", Score: 3 * 0.5, SupportingResources: 1},
 	}
-	if len(res.Experts) != len(want) {
-		t.Fatalf("experts = %+v", res.Experts)
+	experts := named(res)
+	if len(experts) != len(want) {
+		t.Fatalf("experts = %+v", experts)
 	}
 	for i, w := range want {
-		if res.Experts[i] != w {
-			t.Errorf("expert[%d] = %+v, want %+v", i, res.Experts[i], w)
+		if experts[i] != w {
+			t.Errorf("expert[%d] = %+v, want %+v", i, experts[i], w)
 		}
 	}
+}
+
+// namedExpert is one expert of a Result's ranking, named from its pool.
+type namedExpert struct {
+	Name                string
+	Score               float64
+	SupportingResources int
+}
+
+// named names res's ranking from res.Pool; an expert the pool lacks
+// has no name.
+func named(res *Result) []namedExpert {
+	out := make([]namedExpert, len(res.Ranking.Scores))
+	for i, e := range res.Ranking.Scores {
+		name, _ := res.Pool.Name(e.User)
+		out[i] = namedExpert{Name: name, Score: e.Score, SupportingResources: e.Resources}
+	}
+	return out
 }
 
 func TestFindForwardsSummedStats(t *testing.T) {
@@ -292,8 +337,8 @@ func TestFindShardFailureOrderings(t *testing.T) {
 			}
 			// Surviving shards' matches all hit candidate 1 with weight 1;
 			// its support count equals the number of surviving shards.
-			if len(res.Experts) != 1 || res.Experts[0].SupportingResources != 3-len(downSet) {
-				t.Errorf("phase %s, down %v: experts %+v", phase, downSet, res.Experts)
+			if experts := named(res); len(experts) != 1 || experts[0].SupportingResources != 3-len(downSet) {
+				t.Errorf("phase %s, down %v: experts %+v", phase, downSet, experts)
 			}
 		}
 	}

@@ -75,12 +75,13 @@ func FuzzCoordinatorReply(f *testing.F) {
 			}
 			return
 		}
-		for i, e := range res.Experts {
+		experts := named(res)
+		for i, e := range experts {
 			if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) || e.Score < 0 || !names[e.Name] {
 				t.Fatalf("expert %d: %+v", i, e)
 			}
-			if i > 0 && e.Score > res.Experts[i-1].Score {
-				t.Fatalf("experts out of order at %d: %+v", i, res.Experts)
+			if i > 0 && e.Score > experts[i-1].Score {
+				t.Fatalf("experts out of order at %d: %+v", i, experts)
 			}
 		}
 	})

@@ -92,10 +92,10 @@ func Merge(lists []mergeList) ([]core.ShardMatch, error) {
 // converts it to the finder's match form. The pool check runs before
 // Eq. (3): the tally is a table indexed by candidate id, so an id from
 // outside the pool must not reach it.
-func convertResponse(shard int, topo *topology, resp FindResponse) (mergeList, error) {
-	if resp.Group != topo.group {
+func convertResponse(shard int, pool *core.Pool, resp FindResponse) (mergeList, error) {
+	if resp.Group != pool.Group() {
 		return mergeList{}, &MalformedError{Shard: shard, Err: fmt.Errorf(
-			"candidate-pool fingerprint %q does not match topology %q", resp.Group, topo.group)}
+			"candidate-pool fingerprint %q does not match topology %q", resp.Group, pool.Group())}
 	}
 	ml := mergeList{shard: shard, matches: make([]core.ShardMatch, len(resp.Matches))}
 	for i, m := range resp.Matches {
@@ -104,7 +104,7 @@ func convertResponse(shard int, topo *topology, resp FindResponse) (mergeList, e
 			return mergeList{}, &MalformedError{Shard: shard, Err: err}
 		}
 		for _, cd := range cm.Cands {
-			if _, ok := topo.names[cd.Candidate]; !ok {
+			if _, ok := pool.Name(cd.Candidate); !ok {
 				return mergeList{}, &MalformedError{Shard: shard, Err: fmt.Errorf(
 					"doc %d: candidate %d not in bootstrapped pool", m.Doc, cd.Candidate)}
 			}

@@ -148,8 +148,12 @@ func TestMergeEqualsSortedConcat(t *testing.T) {
 }
 
 func TestConvertResponseValidates(t *testing.T) {
-	topo := &topology{group: "aaaa", names: map[socialgraph.UserID]string{10: "ten"}}
-	resp := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}}}}}
+	topo, err := core.NewPool([]core.Candidate{{ID: 10, Name: "ten"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topo.Group()
+	resp := FindResponse{Group: g, Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}}}}}
 	ml, err := convertResponse(1, topo, resp)
 	if err != nil {
 		t.Fatal(err)
@@ -159,16 +163,16 @@ func TestConvertResponseValidates(t *testing.T) {
 		t.Fatalf("converted %+v", ml.matches)
 	}
 
-	if _, err := convertResponse(1, &topology{group: "bbbb", names: topo.names}, resp); err == nil {
+	if _, err := convertResponse(1, topo, FindResponse{Group: "bbbb", Matches: resp.Matches}); err == nil {
 		t.Error("group mismatch accepted")
 	}
-	bad := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 7}}}}}
+	bad := FindResponse{Group: g, Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 7}}}}}
 	if _, err := convertResponse(1, topo, bad); err == nil {
 		t.Error("out-of-range distance accepted")
 	}
 	// Eq. (1) gives a finite non-negative score.
 	for _, score := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		odd := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: score, Cands: [][2]int32{{10, 1}}}}}
+		odd := FindResponse{Group: g, Matches: []Match{{Doc: 3, Score: score, Cands: [][2]int32{{10, 1}}}}}
 		if _, err := convertResponse(1, topo, odd); err == nil {
 			t.Errorf("score %v accepted", score)
 		}
@@ -176,7 +180,7 @@ func TestConvertResponseValidates(t *testing.T) {
 	// The Eq. (3) tally is indexed by candidate id: an id outside the
 	// pool, a negative or a huge one above all, never reaches it.
 	for _, u := range []int32{11, -1, 1 << 30} {
-		stray := FindResponse{Group: "aaaa", Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}, {u, 0}}}}}
+		stray := FindResponse{Group: g, Matches: []Match{{Doc: 3, Score: 2, Cands: [][2]int32{{10, 1}, {u, 0}}}}}
 		if _, err := convertResponse(1, topo, stray); err == nil {
 			t.Errorf("candidate %d outside the pool accepted", u)
 		}

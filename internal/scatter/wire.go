@@ -38,7 +38,7 @@ import (
 // slice it serves and the candidate pool it ranks, with the pool's
 // core.GroupFingerprint. The coordinator bootstraps from every shard's
 // meta and refuses mismatched topologies (wrong shard id or count,
-// diverging candidate pools).
+// diverging candidate pools, a list whose ids do not strictly ascend).
 type Meta struct {
 	ShardID    int              `json:"shard_id"`
 	ShardCount int              `json:"shard_count"`
