@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,28 +262,38 @@ func TestSwapDuringFinds(t *testing.T) {
 	h := NewWithOptions(swapSys[0], Options{Cache: rescache.New(rescache.Options{Capacity: 64})})
 	defer swapSys[0].SetResultCache(nil)
 	defer swapSys[1].SetResultCache(nil)
-	stop := make(chan struct{})
-	swapped := make(chan int)
+	// The swapper starts on the System the handler does not serve, so
+	// every SetSystem it makes is a real swap. The workers keep finding
+	// until each has made perWorker finds and minSwaps swaps have run:
+	// on a loaded machine cache-hit finds can all finish inside one of
+	// the swapper's sleeps.
+	const workers, perWorker, minSwaps = 4, 60, 4
+	var swaps atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
-		n := 0
-		for ; ; n++ {
+		defer close(stopped)
+		for n := 1; ; n++ {
 			select {
 			case <-stop:
-				swapped <- n
 				return
 			default:
 			}
 			h.SetSystem(swapSys[n%2])
+			swaps.Add(1)
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	const workers, perWorker = 4, 60
+	deadline := time.Now().Add(time.Minute)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
+			for i := 0; i < perWorker || swaps.Load() < minSwaps; i++ {
+				if time.Now().After(deadline) {
+					t.Errorf("worker %d: %d finds and %d swaps after a minute, want %d and %d", w, i, swaps.Load(), perWorker, minSwaps)
+					return
+				}
 				need := needs[(w+i)%len(needs)]
 				code, body := find(h, need)
 				if c := cold[need]; code != http.StatusOK || !bytes.Equal(body, c[0]) && !bytes.Equal(body, c[1]) {
@@ -294,7 +305,8 @@ func TestSwapDuringFinds(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	if n := <-swapped; n < 2 {
+	<-stopped
+	if n := swaps.Load(); n < minSwaps {
 		t.Errorf("only %d swaps ran beside the finds", n)
 	}
 }

@@ -8,13 +8,20 @@
 // German, Portuguese and Dutch are built at init time from embedded
 // sample text.
 //
-// An n-gram is never a string here: its one to three runes are packed
-// into a uint64, counted in an open-addressed table kept on a free
-// list, and ranked by bucketing the keys by count and sorting only the
-// buckets of the profileSize most frequent, the last of them only as
-// far as it ranks; every language is scored in one pass against a
-// merged rank table, so Identify allocates nothing. The string- and map-based construction this replaced is
-// the oracle in langid_test.go.
+// An n-gram is never a string here, and it is counted on one of two
+// paths. A text whose letters are all a–z or A–Z — nearly every
+// resource of the corpus — takes the dense path: an n-gram is a base-28
+// code below 28³, counted in a direct-indexed array with a bitset of
+// the codes seen, and ranked by dropping the codes, in ascending order,
+// into their counts' buckets, so nothing is hashed or sorted. Any other
+// text takes the packed path: an n-gram's one to three runes are packed
+// into a uint64, counted in an open-addressed table, and ranked by
+// bucketing the keys by count and sorting only the buckets of the
+// profileSize most frequent, the last of them only as far as it ranks.
+// Both paths score every language in one pass against a merged rank
+// table and take their scratch from a free list, so Identify allocates
+// nothing. The string- and map-based construction they replaced is the
+// oracle in langid_test.go.
 package langid
 
 import (
@@ -56,6 +63,16 @@ const (
 	// noRank marks, in the merged rank table, an n-gram absent from
 	// one language's profile.
 	noRank = math.MaxUint16
+
+	// A text whose letters are all a–z or A–Z takes the dense path:
+	// each of its n-grams is a code, the base-28 number of its symbols,
+	// left-aligned like a key — absent 0, ' ' 1, 'a'…'z' 2…27. The
+	// symbols keep rune order, so code order is key order.
+	symbols     = 28
+	codes       = symbols * symbols * symbols
+	spaceSym    = 1
+	notDense    = 0xFF           // in symbolOf: a byte of 0x80 or above
+	maxDenseLen = math.MaxUint16 // a longer text could overflow a uint16 count
 
 	// minSlots is the table size a scratch starts every text with
 	// (enough for a tweet's ~250 distinct n-grams at half load);
@@ -100,20 +117,30 @@ func (t gramTable) find(key uint64) *gramSlot {
 type scratch struct {
 	table gramTable // key → index into grams
 	grams []gram
-	// at is indexed by occurrence count: first how many grams occur
-	// that often, then where that count's bucket of keys lies.
+	// at is indexed by occurrence count: first how many n-grams occur
+	// that often, then where that count's bucket lies.
 	at   []int
 	keys []uint64 // the ranked keys
 	dist []int    // out-of-place distance per language
+
+	// The dense path's counts, indexed by code; seen holds a bit per
+	// code counted and touched lists those codes, so the next text
+	// resets only what this one set. The arrays come last: the garbage
+	// collector scans an object only up to its last pointer.
+	touched  []uint16
+	codeRank []uint16 // the ranked codes
+	counts   [codes]uint16
+	seen     [codes / 64]uint64
 }
 
 // scratchFree is the free list of released scratches. It keeps at
 // most eight, as the index's accumulator free list does; a kept one
-// holds at most maxPooledGrams n-grams, so idle scratches pin about
-// 3 MiB at most. Not a sync.Pool, for the accumulators' reason: a pool
-// empties with the garbage collector's cycles and keeps one slot per
-// P, so a caller moved between Ps would regrow its table at times
-// nothing in the program chooses.
+// holds at most maxPooledGrams n-grams beside its 46 KiB of dense
+// arrays, so idle scratches pin about 3.3 MiB at most. Not a sync.Pool,
+// for the accumulators' reason: a pool empties with the garbage
+// collector's cycles and keeps one slot per P, so a caller moved
+// between Ps would regrow its table at times nothing in the program
+// chooses.
 var scratchFree = make(chan *scratch, 8)
 
 // newScratch takes a released scratch, or a fresh one when every kept
@@ -219,6 +246,93 @@ func (s *scratch) closeWord(p2, p1 uint64) {
 	s.add(p2<<(2*runeBits) | p1<<runeBits | pad)
 }
 
+// symbolOf is the dense symbol of a byte: a letter's (either case), or
+// spaceSym for any other ASCII byte; notDense for a byte of a
+// multi-byte rune or an invalid one.
+var symbolOf = func() (t [256]uint8) {
+	for b := range t {
+		switch {
+		case 'a' <= b && b <= 'z':
+			t[b] = uint8(b-'a') + 2
+		case 'A' <= b && b <= 'Z':
+			t[b] = uint8(b-'A') + 2
+		case b >= utf8.RuneSelf:
+			t[b] = notDense
+		default:
+			t[b] = spaceSym
+		}
+	}
+	return t
+}()
+
+// countDense counts the n-grams of text as count does, but by code, and
+// reports true; or it reports false, leaving nothing to rank, when text
+// is too long for uint16 counts or holds a letter outside a–z and A–Z.
+// A non-ASCII rune is judged after unicode.ToLower, as count judges it,
+// so 'İ' and the Kelvin sign, letters that lowercase to ASCII ones, are
+// not dense; every other non-ASCII rune, and an invalid byte, separates
+// words on both paths.
+func (s *scratch) countDense(text string) bool {
+	if len(text) > maxDenseLen {
+		return false
+	}
+	for _, code := range s.touched {
+		s.counts[code] = 0
+		s.seen[code/64] = 0
+	}
+	s.touched = s.touched[:0]
+	// p2 and p1 are the symbols of the two runes before the current
+	// one inside the " word " window, as in count.
+	var p2, p1 int
+	inWord := false
+	for i := 0; i < len(text); i++ {
+		c := int(symbolOf[text[i]])
+		if c == notDense {
+			r, size := utf8.DecodeRuneInString(text[i:])
+			if unicode.IsLetter(unicode.ToLower(r)) {
+				return false
+			}
+			i += size - 1
+			c = spaceSym
+		}
+		if c == spaceSym {
+			if inWord {
+				s.closeDense(p2, p1)
+				inWord = false
+			}
+			continue
+		}
+		if !inWord {
+			p2, p1, inWord = 0, spaceSym, true
+		}
+		s.addCode(c * symbols * symbols)
+		s.addCode((p1*symbols + c) * symbols)
+		if p2 != 0 {
+			s.addCode((p2*symbols+p1)*symbols + c)
+		}
+		p2, p1 = p1, c
+	}
+	if inWord {
+		s.closeDense(p2, p1)
+	}
+	return true
+}
+
+// closeDense is closeWord by code.
+func (s *scratch) closeDense(p2, p1 int) {
+	s.addCode((p1*symbols + spaceSym) * symbols)
+	s.addCode((p2*symbols+p1)*symbols + spaceSym)
+}
+
+// addCode counts one occurrence of the n-gram code.
+func (s *scratch) addCode(code int) {
+	if s.counts[code] == 0 {
+		s.seen[code/64] |= 1 << (code % 64)
+		s.touched = append(s.touched, uint16(code))
+	}
+	s.counts[code]++
+}
+
 // ranked returns the keys of the profileSize most frequent n-grams of
 // text, most frequent first, ties in lexicographic order. The result
 // aliases the scratch.
@@ -240,15 +354,7 @@ func (s *scratch) rank() []uint64 {
 	for _, g := range s.grams {
 		s.at[g.count]++
 	}
-	// From the highest count down, turn each bucket's size into its
-	// offset; low is the least count whose bucket is placed.
-	n, low := 0, top+1
-	for n < profileSize && low > 1 {
-		low--
-		size := s.at[low]
-		s.at[low] = n
-		n += size
-	}
+	n, low := s.offsets()
 	s.keys = zeroed(s.keys, n)
 	for _, g := range s.grams {
 		if g.count >= low {
@@ -269,6 +375,47 @@ func (s *scratch) rank() []uint64 {
 		start = s.at[c]
 	}
 	return s.keys[:min(n, profileSize)]
+}
+
+// rankDense ranks the codes counted, as rank ranks keys, but sorts
+// nothing: it drops each code into its count's bucket in ascending code
+// order, so every bucket comes out sorted, and the bucket that crosses
+// profileSize stops filling there.
+func (s *scratch) rankDense() []uint16 {
+	top := 0
+	for _, code := range s.touched {
+		top = max(top, int(s.counts[code]))
+	}
+	s.at = zeroed(s.at, top+1)
+	for _, code := range s.touched {
+		s.at[s.counts[code]]++
+	}
+	n, low := s.offsets()
+	s.codeRank = zeroed(s.codeRank, min(n, profileSize))
+	for w, word := range s.seen {
+		for ; word != 0; word &= word - 1 {
+			code := w*64 + bits.TrailingZeros64(word)
+			if c := int(s.counts[code]); c >= low && s.at[c] < profileSize {
+				s.codeRank[s.at[c]] = uint16(code)
+				s.at[c]++
+			}
+		}
+	}
+	return s.codeRank
+}
+
+// offsets turns s.at from a histogram of counts into bucket offsets,
+// from the highest count down until profileSize n-grams are placed. It
+// returns how many are placed and the least count whose bucket is.
+func (s *scratch) offsets() (n, low int) {
+	low = len(s.at)
+	for n < profileSize && low > 1 {
+		low--
+		size := s.at[low]
+		s.at[low] = n
+		n += size
+	}
+	return n, low
 }
 
 // selectSmallest reorders distinct keys so that the k smallest come
@@ -326,9 +473,11 @@ type Classifier struct {
 	langs []Lang // ascending: the order in which ties resolve
 	// table maps every n-gram of any language's profile to its row of
 	// ranks: ranks[row*len(langs)+l] is the n-gram's rank in the
-	// profile of langs[l], or noRank.
+	// profile of langs[l], or noRank. rows maps a code to the same row,
+	// or to -1 when no profile holds its n-gram.
 	table gramTable
 	ranks []uint16
+	rows  []int16
 }
 
 // defaultClassifier is built once from the embedded samples.
@@ -348,21 +497,59 @@ func NewClassifier(samples map[Lang]string) *Classifier {
 	}
 	c.table = make(gramTable, slots)
 	var s scratch
-	rows := 0
+	profiles := make([][]uint64, len(c.langs))
 	for l, lang := range c.langs {
-		for rank, key := range s.ranked(samples[lang]) {
-			slot := c.table.find(key)
-			if slot.key == 0 {
-				*slot = gramSlot{key: key, val: int32(rows)}
-				rows++
-				for range c.langs {
-					c.ranks = append(c.ranks, noRank)
+		profiles[l] = slices.Clone(s.ranked(samples[lang]))
+	}
+	// The n-grams that have a code take the first rows, so each of their
+	// row numbers, fewer than codes, fits an int16.
+	c.rows = make([]int16, codes)
+	for i := range c.rows {
+		c.rows[i] = -1
+	}
+	rows := 0
+	for _, dense := range []bool{true, false} {
+		for _, profile := range profiles {
+			for _, key := range profile {
+				code, ok := codeOf(key)
+				if slot := c.table.find(key); ok == dense && slot.key == 0 {
+					*slot = gramSlot{key: key, val: int32(rows)}
+					if ok {
+						c.rows[code] = int16(rows)
+					}
+					rows++
 				}
 			}
-			c.ranks[int(slot.val)*len(c.langs)+l] = uint16(rank)
+		}
+	}
+	c.ranks = make([]uint16, rows*len(c.langs))
+	for i := range c.ranks {
+		c.ranks[i] = noRank
+	}
+	for l, profile := range profiles {
+		for rank, key := range profile {
+			c.ranks[int(c.table.find(key).val)*len(c.langs)+l] = uint16(rank)
 		}
 	}
 	return c
+}
+
+// codeOf returns the code of a packed n-gram, or false when one of its
+// runes is neither ' ' nor a–z.
+func codeOf(key uint64) (code int, ok bool) {
+	for shift := 2 * runeBits; shift >= 0; shift -= runeBits {
+		sym := 0
+		switch r := key >> shift & (1<<runeBits - 1); {
+		case r == pad:
+			sym = spaceSym
+		case 'a' <= r && r <= 'z':
+			sym = int(r-'a') + 2
+		case r != 0:
+			return 0, false
+		}
+		code = code*symbols + sym
+	}
+	return code, true
 }
 
 // Identify returns the most likely language of text using the default
@@ -389,24 +576,18 @@ func (c *Classifier) Identify(text string) Lang {
 	s := newScratch()
 	n := len(c.langs)
 	s.dist = zeroed(s.dist, n)
-	// The Cavnar-Trenkle out-of-place distance: every n-gram of the
-	// document profile costs a language the difference between its
-	// rank there and its rank here, or profileSize when the language
-	// lacks it. An n-gram in no profile costs every language that same
-	// penalty, cannot change which is nearest, and is skipped.
-	for i, key := range s.ranked(text) {
-		slot := c.table.find(key)
-		if slot.key == 0 {
-			continue
+	// An n-gram in no profile costs every language the same penalty,
+	// cannot change which is nearest, and is skipped.
+	if s.countDense(text) {
+		for i, code := range s.rankDense() {
+			if row := int(c.rows[code]); row >= 0 {
+				s.outOfPlace(i, c.ranks[row*n:][:n])
+			}
 		}
-		for l, r := range c.ranks[int(slot.val)*n:][:n] {
-			switch j := int(r); {
-			case r == noRank:
-				s.dist[l] += profileSize
-			case i > j:
-				s.dist[l] += i - j
-			default:
-				s.dist[l] += j - i
+	} else {
+		for i, key := range s.ranked(text) {
+			if slot := c.table.find(key); slot.key != 0 {
+				s.outOfPlace(i, c.ranks[int(slot.val)*n:][:n])
 			}
 		}
 	}
@@ -418,4 +599,17 @@ func (c *Classifier) Identify(text string) Lang {
 	}
 	s.release()
 	return best
+}
+
+// outOfPlace adds the Cavnar-Trenkle out-of-place cost of the document
+// n-gram at rank i to every language: the difference between its rank
+// there and i, or profileSize when the language lacks it. A present
+// rank is below profileSize and noRank far above it, so one min covers
+// both.
+func (s *scratch) outOfPlace(i int, ranks []uint16) {
+	dist := s.dist[:len(ranks)]
+	for l, r := range ranks {
+		d := i - int(r)
+		dist[l] += min(max(d, -d), profileSize)
+	}
 }

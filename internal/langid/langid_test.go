@@ -2,6 +2,7 @@ package langid
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -286,6 +287,17 @@ func unpack(key uint64) string {
 	return b.String()
 }
 
+// pack packs an n-gram as count does.
+func pack(gram string) uint64 {
+	var key uint64
+	shift := 2 * runeBits
+	for _, r := range gram {
+		key |= uint64(r) << shift
+		shift -= runeBits
+	}
+	return key
+}
+
 // packedRanking runs the product's counting and ranking on text and
 // spells the result out as strings: the ranked profile and every
 // distinct n-gram's count.
@@ -301,6 +313,37 @@ func packedRanking(text string) ([]string, map[string]int) {
 		freqs[unpack(g.key)] = g.count
 	}
 	return ranked, freqs
+}
+
+// decode turns a code back into its n-gram.
+func decode(code int) string {
+	var b strings.Builder
+	for place := symbols * symbols; place > 0 && code/place%symbols != 0; place /= symbols {
+		if sym := code / place % symbols; sym == spaceSym {
+			b.WriteByte(' ')
+		} else {
+			b.WriteByte(byte('a' + sym - 2))
+		}
+	}
+	return b.String()
+}
+
+// denseRanking is packedRanking on the dense path; ok is false when
+// text does not take it.
+func denseRanking(text string) (ranked []string, freqs map[string]int, ok bool) {
+	s := newScratch()
+	defer s.release()
+	if !s.countDense(text) {
+		return nil, nil, false
+	}
+	for _, code := range s.rankDense() {
+		ranked = append(ranked, decode(int(code)))
+	}
+	freqs = make(map[string]int, len(s.touched))
+	for _, code := range s.touched {
+		freqs[decode(int(code))] = int(s.counts[code])
+	}
+	return ranked, freqs, true
 }
 
 // edgeTexts are the inputs on which lowercasing, letter classes, rune
@@ -338,17 +381,24 @@ func TestNGramFreqsMatchesRuneSliceConstruction(t *testing.T) {
 	}
 }
 
-// checkAgainstOracle fails when the packed classifier and the map
-// oracle disagree on text, in the verdict or in the ranked document
-// profile behind it.
+// checkAgainstOracle fails when the classifier and the map oracle
+// disagree on text, in the verdict or in the ranked document profile
+// behind it: the packed path's profile always, and the dense path's,
+// with its counts, when text takes it.
 func checkAgainstOracle(t *testing.T, text string) {
 	t.Helper()
 	if got, want := Identify(text), mapIdentify(text); got != want {
 		t.Errorf("Identify(%q) = %v, map oracle says %v", text, got, want)
 	}
-	got, _ := packedRanking(text)
-	if want := rankNGrams(ngramFreqs(text), profileSize); !equalStrings(got, want) {
+	freqs := ngramFreqs(text)
+	want := rankNGrams(freqs, profileSize)
+	if got, _ := packedRanking(text); !equalStrings(got, want) {
 		t.Errorf("ranked profile of %q differs from the map oracle:\n got %q\nwant %q", text, got, want)
+	}
+	if got, gotFreqs, ok := denseRanking(text); ok && !equalStrings(got, want) {
+		t.Errorf("dense ranked profile of %q differs from the map oracle:\n got %q\nwant %q", text, got, want)
+	} else if ok && !maps.Equal(gotFreqs, freqs) {
+		t.Errorf("dense n-gram frequencies of %q differ from the map oracle:\n got %v\nwant %v", text, gotFreqs, freqs)
 	}
 }
 
@@ -411,6 +461,105 @@ func TestIdentifyMatchesMapOracleOnRandomStrings(t *testing.T) {
 	}
 }
 
+// randomASCII draws up to 600 bytes of what the dense path reads:
+// letters of both cases, digits, punctuation, spaces and newlines, the
+// common letters and the space drawn more often so words repeat.
+func randomASCII(r *rand.Rand) string {
+	const (
+		common = "etaoinshr ETAO  "
+		all    = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 \n\t.,;:!?'\"-()/@#&*"
+	)
+	b := make([]byte, r.Intn(601))
+	for i := range b {
+		if r.Intn(2) == 0 {
+			b[i] = common[r.Intn(len(common))]
+		} else {
+			b[i] = all[r.Intn(len(all))]
+		}
+	}
+	return string(b)
+}
+
+func TestIdentifyMatchesMapOracleOnASCIIStrings(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for i := 0; i < 3000; i++ {
+		text := randomASCII(r)
+		if _, _, ok := denseRanking(text); !ok {
+			t.Fatalf("%q does not take the dense path", text)
+		}
+		checkAgainstOracle(t, text)
+	}
+}
+
+// TestDensePathBoundaries: one non-ASCII letter anywhere sends a text to
+// the packed path, even one that lowercases to an ASCII letter; a
+// non-ASCII non-letter or an invalid byte does not; and a text longer
+// than a uint16 count can hold is packed.
+func TestDensePathBoundaries(t *testing.T) {
+	const base = "Why is copper a good conductor of electricity and heat?"
+	type boundary struct {
+		name  string
+		text  string
+		dense bool
+	}
+	var cases []boundary
+	for _, insert := range []struct {
+		name, text string
+		dense      bool
+	}{
+		{"é", "é", false},
+		{"dotted capital I", "İ", false},
+		{"Kelvin sign", "\u212A", false},
+		{"emoji", "😀", true},
+		{"em dash", "—", true},
+		{"invalid byte", "\xff", true},
+	} {
+		for _, at := range []int{0, len(base) / 2, len(base)} {
+			cases = append(cases, boundary{insert.name, base[:at] + insert.text + base[at:], insert.dense})
+		}
+	}
+	// One word of one letter: its unigram's count is the text's length.
+	cases = append(cases,
+		boundary{"65 535 bytes", strings.Repeat("a", 65535), true},
+		boundary{"65 536 bytes", strings.Repeat("a", 65536), false})
+	for _, tc := range cases {
+		if _, _, ok := denseRanking(tc.text); ok != tc.dense {
+			t.Errorf("%s (%d bytes): dense path %v, want %v", tc.name, len(tc.text), ok, tc.dense)
+		}
+		checkAgainstOracle(t, tc.text)
+	}
+}
+
+// TestCodeOf: codeOf gives every n-gram over ' ' and a–z the code that
+// decodes back to it, in the n-grams' order, and no other n-gram a
+// code.
+func TestCodeOf(t *testing.T) {
+	const alphabet = " abcdefghijklmnopqrstuvwxyz"
+	var grams []string // in lexicographic order: a prefix first
+	for _, a := range alphabet {
+		grams = append(grams, string(a))
+		for _, b := range alphabet {
+			grams = append(grams, string(a)+string(b))
+			for _, c := range alphabet {
+				grams = append(grams, string(a)+string(b)+string(c))
+			}
+		}
+	}
+	prev := -1
+	for _, gram := range grams {
+		code, ok := codeOf(pack(gram))
+		if !ok || code <= prev || decode(code) != gram {
+			t.Fatalf("codeOf(%q) = %d, %v after %d; decodes to %q", gram, code, ok, prev, decode(code))
+		}
+		prev = code
+	}
+	for _, gram := range []string{"é", " é", "aé ", "A", "1", "a-"} {
+		if _, ok := codeOf(pack(gram)); ok {
+			t.Errorf("codeOf(%q) has a code", gram)
+		}
+	}
+}
+
 func TestCustomClassifierMatchesMapOracle(t *testing.T) {
 	samples := map[Lang]string{
 		"zz": trainingSamples[Dutch],
@@ -431,6 +580,30 @@ func TestCustomClassifierMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestClassifierWithManyLanguages: 90 profiles of n-grams without a
+// code fill 36 000 rows, more than an int16 holds, before the one
+// language whose n-grams have codes; its rows must still be found.
+func TestClassifierWithManyLanguages(t *testing.T) {
+	samples := map[Lang]string{"zz": trainingSamples[English]}
+	for l := 0; l < 90; l++ {
+		var b strings.Builder
+		for i := 0; i < profileSize; i++ {
+			b.WriteRune(rune(0x4E00 + l*profileSize + i))
+			b.WriteByte(' ')
+		}
+		samples[Lang(fmt.Sprintf("l%02d", l))] = b.String()
+	}
+	c, oracle := NewClassifier(samples), newMapClassifier(samples)
+	for _, text := range []string{"the people of the town wake up and go to work", "一 丁 丂 七 丄 丅 丆 万 丈 三"} {
+		if got, want := c.Identify(text), oracle.identify(text); got != want {
+			t.Errorf("Identify(%q) = %q, map oracle says %q", text, got, want)
+		}
+	}
+	if got := c.Identify("the people of the town wake up and go to work"); got != "zz" {
+		t.Errorf("Identify of English = %q, want zz", got)
+	}
+}
+
 // fullSortRank is what rank must return: every counted gram sorted by
 // count descending, then key ascending, cut at profileSize.
 func fullSortRank(grams []gram) []uint64 {
@@ -446,7 +619,8 @@ func fullSortRank(grams []gram) []uint64 {
 }
 
 // TestRankEqualsFullSort holds the bucketed ranking, with its partial
-// selection in the bucket that crosses profileSize, to a full sort: on
+// selection in the bucket that crosses profileSize, and the dense
+// ranking, which fills its buckets in code order, to a full sort: on
 // random histograms of every shape around profileSize, and on the
 // training samples and windows of them.
 func TestRankEqualsFullSort(t *testing.T) {
@@ -477,8 +651,46 @@ func TestRankEqualsFullSort(t *testing.T) {
 			if want := fullSortRank(s.grams); !slices.Equal(got, want) {
 				t.Fatalf("%s sample: rank differs from a full sort", lang)
 			}
+			if s.countDense(text) && !slices.Equal(denseRank(&s), fullSortRank(denseGrams(&s))) {
+				t.Fatalf("%s sample: dense rank differs from a full sort", lang)
+			}
 		}
 	}
+	// The dense ranking, on random histograms over random codes.
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(3 * profileSize)
+		maxCount := 1 + r.Intn(1+r.Intn(40))
+		s.countDense("") // clears the counts
+		for len(s.touched) < n {
+			if code := r.Intn(codes); s.counts[code] == 0 {
+				for c := 1 + r.Intn(maxCount); c > 0; c-- {
+					s.addCode(code)
+				}
+			}
+		}
+		grams := denseGrams(&s)
+		if got, want := denseRank(&s), fullSortRank(grams); !slices.Equal(got, want) {
+			t.Fatalf("dense trial %d (%d codes, counts to %d): rank differs from a full sort\n got %v\nwant %v", trial, n, maxCount, got, want)
+		}
+	}
+}
+
+// denseGrams lists the codes counted as grams keyed by code.
+func denseGrams(s *scratch) []gram {
+	grams := make([]gram, len(s.touched))
+	for i, code := range s.touched {
+		grams[i] = gram{key: uint64(code), count: int(s.counts[code])}
+	}
+	return grams
+}
+
+// denseRank is rankDense with the codes widened to keys.
+func denseRank(s *scratch) []uint64 {
+	var keys []uint64
+	for _, code := range s.rankDense() {
+		keys = append(keys, uint64(code))
+	}
+	return keys
 }
 
 // FuzzIdentify is the differential test with the fuzzer choosing the
@@ -489,6 +701,8 @@ func FuzzIdentify(f *testing.F) {
 	}
 	f.Add("Just finished 30min freestyle training at the swimming pool")
 	f.Add("oggi sono andato in piscina e ho fatto mezzora di allenamento")
+	f.Add("Istanbul or İstanbul: the city straddles the Bosphorus")
+	f.Add("water boils at 373 \u212A, which is 100 degrees on the Celsius scale")
 	f.Fuzz(func(t *testing.T, text string) {
 		checkAgainstOracle(t, text)
 	})
@@ -523,15 +737,23 @@ func TestIdentifyDoesNotAllocate(t *testing.T) {
 
 // BenchmarkIdentify measures a tweet, whose few distinct n-grams all
 // make the document profile, and a page, whose more than profileSize
-// distinct n-grams are ranked by count and cut.
+// distinct n-grams are ranked by count and cut, both on the dense path;
+// and the tweet with one accented word, on the packed path.
 func BenchmarkIdentify(b *testing.B) {
-	for _, bc := range []struct{ name, text string }{
-		{"tweet", "Just finished 30min freestyle training at the swimming pool with my friends"},
-		{"page", trainingSamples[English]},
+	for _, bc := range []struct {
+		name, text string
+		dense      bool
+	}{
+		{"tweet", "Just finished 30min freestyle training at the swimming pool with my friends", true},
+		{"page", trainingSamples[English], true},
+		{"mixed", "Just finished 30min freestyle training at the swimming pool near the café", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			if _, freqs := packedRanking(bc.text); bc.name == "page" && len(freqs) <= profileSize {
 				b.Fatalf("the page has %d distinct n-grams, want more than %d", len(freqs), profileSize)
+			}
+			if _, _, dense := denseRanking(bc.text); dense != bc.dense {
+				b.Fatalf("%s: dense path %v, want %v", bc.name, dense, bc.dense)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
