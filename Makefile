@@ -29,8 +29,8 @@ race:
 race-stress:
 	$(GO) test -race -count=2 ./...
 
-# fuzz-smoke runs each index, langid, textproc, analysis, socialgraph, ingest, scatter and
-# httpapi fuzz target briefly; the checked-in corpus under testdata/fuzz is replayed by
+# fuzz-smoke runs each index, langid, textproc, webcontent, analysis, socialgraph, ingest,
+# scatter and httpapi fuzz target briefly; the checked-in corpus under testdata/fuzz is replayed by
 # the plain test target. -fuzzminimizetime=0 keeps the run fuzzing: by
 # default the first new input is minimised for up to 60 s, which left
 # FuzzCursor at 436 execs in 10 s and 33 505 without it.
@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIdentify$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/langid/
 	$(GO) test -run '^$$' -fuzz '^FuzzStem$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitizeAndTokenize$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/textproc/
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractMainContent$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/webcontent/
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeNeed$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz '^FuzzResourceCandidateMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzReachPatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=0 ./internal/socialgraph/

@@ -92,6 +92,9 @@ type KB struct {
 	// domains.
 	stemDomains map[string]DomainSet
 	domainOf    []uint8 // entity ID -> its domain's index in Domains
+	// byDomain holds each domain's entities in ID order, indexed by
+	// the domain's position in Domains.
+	byDomain [len(Domains)][]Entity
 }
 
 // Builder assembles a KB.
@@ -210,6 +213,17 @@ func (b *Builder) Build() (*KB, error) {
 			kb.stemDomains[textproc.Stem(w)] |= 1 << i
 		}
 	}
+	var counts [len(Domains)]int
+	for _, di := range kb.domainOf {
+		counts[di]++
+	}
+	for i, n := range counts {
+		kb.byDomain[i] = make([]Entity, 0, n)
+	}
+	for i, e := range kb.entities {
+		di := kb.domainOf[i]
+		kb.byDomain[di] = append(kb.byDomain[di], e)
+	}
 	return kb, nil
 }
 
@@ -295,13 +309,13 @@ func (k *KB) StemDomains(stem string) DomainSet { return k.stemDomains[stem] }
 // DomainIndex returns the position in Domains of entity id's domain.
 func (k *KB) DomainIndex(id EntityID) int { return int(k.domainOf[id]) }
 
-// EntitiesInDomain returns the entities of a domain, ordered by ID.
+// EntitiesInDomain returns the entities of a domain, ordered by ID,
+// or nil for a domain outside Domains. The slice is shared and
+// allocated once at Build: callers must not modify it.
 func (k *KB) EntitiesInDomain(d Domain) []Entity {
-	var out []Entity
-	for _, e := range k.entities {
-		if e.Domain == d {
-			out = append(out, e)
-		}
+	di := domainIndex(d)
+	if di < 0 {
+		return nil
 	}
-	return out
+	return k.byDomain[di]
 }

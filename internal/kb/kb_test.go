@@ -265,3 +265,40 @@ func TestEntityIDsContiguous(t *testing.T) {
 		}
 	}
 }
+
+// The per-domain table built at Build is the filter over Entities() it
+// replaces, and reading it allocates nothing.
+func TestEntitiesInDomainTable(t *testing.T) {
+	k := Builtin()
+	all := k.Entities()
+	total := 0
+	for _, d := range Domains {
+		var want []Entity
+		for _, e := range all {
+			if e.Domain == d {
+				want = append(want, e)
+			}
+		}
+		got := k.EntitiesInDomain(d)
+		if !slices.Equal(got, want) {
+			t.Errorf("EntitiesInDomain(%s): %d entities, want the %d of a filter over Entities()", d, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("EntitiesInDomain(%s): cap %d > len %d: a caller's append would write into the shared table", d, cap(got), len(got))
+		}
+		total += len(got)
+	}
+	if total != k.Len() {
+		t.Errorf("domains hold %d entities, KB has %d", total, k.Len())
+	}
+	if got := k.EntitiesInDomain("no-such-domain"); got != nil {
+		t.Errorf("EntitiesInDomain(unknown) = %v, want nil", got)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, d := range Domains {
+			_ = k.EntitiesInDomain(d)
+		}
+	}); n != 0 {
+		t.Errorf("EntitiesInDomain allocates %v times per run, want 0", n)
+	}
+}

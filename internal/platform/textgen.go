@@ -20,6 +20,8 @@ type TextGen struct {
 	web    webRegistry
 	rand   *rand.Rand
 	urlSeq int
+	cities []string // surface forms of the KB's City entities, in ID order
+	buf    []byte   // fill's text, reused: the returned string is its one copy
 
 	// URLProb is the probability that a topical post links an external
 	// page (the paper reports 70% of resources containing a URL).
@@ -38,7 +40,13 @@ type webRegistry interface {
 // NewTextGen returns a generator drawing entities and vocabulary from
 // k, registering linked pages in web, and using r for all randomness.
 func NewTextGen(k *kb.KB, web webRegistry, r *rand.Rand) *TextGen {
-	return &TextGen{kb: k, web: web, rand: r, URLProb: 0.7, NonEnglishProb: 0.30}
+	var cities []string
+	for _, e := range k.EntitiesInDomain(kb.Location) {
+		if e.Type == "City" {
+			cities = append(cities, kb.SurfaceForm(e.Label))
+		}
+	}
+	return &TextGen{kb: k, web: web, rand: r, cities: cities, URLProb: 0.7, NonEnglishProb: 0.30}
 }
 
 var postTemplates = []string{
@@ -142,14 +150,7 @@ func (t *TextGen) ShortBio(d kb.Domain, topical bool) string {
 // regardless of expertise: the widespread geographic information that
 // makes the Location domain hard for the system (§3.7).
 func (t *TextGen) CityLine() string {
-	cities := t.kb.EntitiesInDomain(kb.Location)
-	var cityNames []string
-	for _, e := range cities {
-		if e.Type == "City" {
-			cityNames = append(cityNames, kb.SurfaceForm(e.Label))
-		}
-	}
-	return "living in " + cityNames[t.rand.Intn(len(cityNames))]
+	return "living in " + t.cities[t.rand.Intn(len(t.cities))]
 }
 
 // CareerProfile composes a verbose LinkedIn-style career description
@@ -200,23 +201,24 @@ func (t *TextGen) AccountBio(d kb.Domain) string {
 // fill replaces %e with entity surface forms and %v with vocabulary
 // words of the domain, drawing independently for each placeholder.
 func (t *TextGen) fill(tmpl string, d kb.Domain) string {
-	var b strings.Builder
+	b := t.buf[:0]
 	for i := 0; i < len(tmpl); i++ {
 		if tmpl[i] == '%' && i+1 < len(tmpl) {
 			switch tmpl[i+1] {
 			case 'e':
-				b.WriteString(kb.SurfaceForm(t.entity(d).Label))
+				b = append(b, kb.SurfaceForm(t.entity(d).Label)...)
 				i++
 				continue
 			case 'v':
-				b.WriteString(t.vocab(d))
+				b = append(b, t.vocab(d)...)
 				i++
 				continue
 			}
 		}
-		b.WriteByte(tmpl[i])
+		b = append(b, tmpl[i])
 	}
-	return b.String()
+	t.buf = b
+	return string(b)
 }
 
 // titleCase uppercases the first letter of every space-separated word.

@@ -1,6 +1,7 @@
 package webcontent
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,48 @@ func TestExtractProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// htmlAtoms are the pieces TestExtractMatchesReferenceOnRandomHTML
+// builds its strings from: tags in every case and spacing the
+// reference's strings.Fields and strings.ToLower accept, empty tags,
+// self-closing tags, and the bytes of Unicode spaces, alone and split,
+// so that an NBSP or an en quad can form across a skipped region.
+var htmlAtoms = []string{
+	"<p>", "</p>", "<P class=x>", "<div id='a'>", "</DIV>", "<h1>", "</h1>", "<li>", "<br/>", "<br>",
+	"<title>", "<body>", "<head>", "<blockquote>", "<bloc\u212aquote>", "<pre/>", "<span>", "</span>",
+	"<a href=\"/x\">", "</a>", "<A>", "</A >", "<a/>", "< / a >", "< a>", "</ a>",
+	"<script>", "</script>", "<SCRIPT type=x>", "</ScRiPt>", "<scr\u0130pt>", "<script/>",
+	"<STYLE >", "</style>", "</ style>", "</ >", "<>", "< >", "<\u0085p>", "<p\u00a0x>",
+	"<!-- note -->", "<", ">", "/",
+	"copper", "conductor", "x", "word", "é", "naïve", "\u0085", "\u00a0", "\u2000", "\u3000",
+	"\xc2", "\xa0", "\x85", "\xe2\x80", "\x80", "\xe3", "\xf0\x9f", "\x98\x80", "\xff",
+	" ", "  ", "\t", "\n", "\r\n", "\v\f",
+}
+
+func TestExtractMatchesReferenceOnRandomHTML(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var b strings.Builder
+	for i := 0; i < 300_000; i++ {
+		b.Reset()
+		for n := r.Intn(24); n > 0; n-- {
+			b.WriteString(htmlAtoms[r.Intn(len(htmlAtoms))])
+		}
+		html := b.String()
+		if got, want := ExtractMainContent(html), refExtractMainContent(html); got != want {
+			t.Fatalf("ExtractMainContent(%q)\n = %q\nwant %q (reference)", html, got, want)
+		}
+	}
+}
+
+// Web.Extract renders and parses in free-listed buffers: once they
+// are warm, the extracted string is its one allocation.
+func TestExtractAllocatesOnlyItsResult(t *testing.T) {
+	w := NewWeb()
+	w.AddPage("u", "Copper", strings.Repeat("a paragraph about copper conductors and electrons in metals\n", 10))
+	if n := testing.AllocsPerRun(100, func() { w.Extract("u") }); n != 1 {
+		t.Errorf("Web.Extract allocates %v times per call, want 1", n)
 	}
 }
 
