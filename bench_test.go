@@ -12,11 +12,14 @@ package expertfind_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"expertfind"
 	"expertfind/internal/analysis"
 	"expertfind/internal/core"
+	"expertfind/internal/corpusio"
 	"expertfind/internal/dataset"
 	"expertfind/internal/experiments"
 	"expertfind/internal/socialgraph"
@@ -322,6 +325,50 @@ func BenchmarkSystemBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		experiments.BuildSystem(dataset.Config{Seed: int64(i + 1), Scale: 0.1})
+	}
+}
+
+// streamCorpus is the performance ledger's segment corpus: seed 7,
+// scale 1.01, bulk resources in 4000-doc chunks.
+var streamCorpus = dataset.StreamConfig{Config: dataset.Config{Seed: 7, Scale: 1.01}, ChunkDocs: 4000}
+
+// BenchmarkStreamWrite measures generating the segment corpus into a
+// gzip corpus file, chunk by chunk.
+func BenchmarkStreamWrite(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "corpus.stream.json.gz")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := corpusio.WriteStreamFile(path, streamCorpus, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStreamBuild measures a cold build of the segment corpus's
+// file into a fresh segment directory, one FlushDocs-sized seal per
+// chunk: load, analysis, AddBatch and seal, as a server's first start
+// from a corpus file does.
+func BenchmarkStreamBuild(b *testing.B) {
+	dir := b.TempDir()
+	path := filepath.Join(dir, "corpus.stream.json.gz")
+	if _, err := corpusio.WriteStreamFile(path, streamCorpus, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		segs, err := os.MkdirTemp(dir, "segments-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := expertfind.NewSystemFromStream(path, segs, expertfind.StreamOptions{FlushDocs: streamCorpus.ChunkDocs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		sys.SegmentStore().Close()
+		os.RemoveAll(segs)
+		b.StartTimer()
 	}
 }
 

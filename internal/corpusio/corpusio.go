@@ -66,7 +66,8 @@ type StreamWriter struct {
 }
 
 // CreateStream opens path for corpus writing; a ".gz" suffix selects
-// gzip compression.
+// gzip compression at gzip.BestSpeed, which deflates 3–4× faster than
+// the default level for a file about a third larger.
 func CreateStream(path string) (*StreamWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -75,7 +76,7 @@ func CreateStream(path string) (*StreamWriter, error) {
 	w := &StreamWriter{f: f}
 	var out io.Writer = f
 	if strings.HasSuffix(path, ".gz") {
-		w.gz = gzip.NewWriter(f)
+		w.gz, _ = gzip.NewWriterLevel(f, gzip.BestSpeed) // a valid level: no error
 		out = w.gz
 	}
 	w.bw = bufio.NewWriterSize(out, 1<<20)
@@ -193,6 +194,12 @@ type StreamLoadOptions struct {
 // suffix selects gzip; a missing trailer or mismatched totals is a
 // truncation error.
 //
+// One goroutine gunzips and decodes records ahead of the loop that
+// applies them: one waits in a channel of capacity 1 while the next is
+// decoded. It has exited by the time LoadStreamFile returns, whatever
+// the outcome. Records, and a decode error after them, reach the loop
+// in file order, so OnChunk sees the chunks a serial read would.
+//
 // The dataset's Identity is a SHA-256 of the file's bytes, taken as
 // they stream through the load, so equal files load with equal
 // identities. Unless DropTexts blanked a text, the graph is stamped
@@ -230,16 +237,44 @@ func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) 
 		return nil, fmt.Errorf("corpusio: unsupported corpus version %d (supported: %d)", hdr.Version, streamFormatVersion)
 	}
 
+	// The decoder stops after its first error or the trailer. Deferred
+	// after the closes, the wait runs before them.
+	type decoded struct {
+		rec streamRecord
+		err error
+	}
+	recs, stop, exited := make(chan decoded, 1), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			var r decoded
+			r.err = dec.Decode(&r.rec)
+			select {
+			case recs <- r:
+			case <-stop:
+				return
+			}
+			if r.err != nil || r.rec.EOF != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-exited
+	}()
+
 	var d *dataset.Dataset
 	chunks, blanked := 0, false
 	for {
-		var rec streamRecord
-		if err := dec.Decode(&rec); err != nil {
+		r := <-recs
+		if err := r.err; err != nil {
 			if err == io.EOF {
 				return nil, fmt.Errorf("corpusio: corpus truncated (no trailer)")
 			}
 			return nil, fmt.Errorf("corpusio: decoding corpus record: %w", err)
 		}
+		rec := r.rec
 		switch {
 		case rec.Base != nil:
 			if d != nil {
@@ -278,7 +313,9 @@ func LoadStreamFile(path string, o StreamLoadOptions) (*dataset.Dataset, error) 
 				return nil, fmt.Errorf("corpusio: corpus resource count %d, trailer says %d", got, rec.EOF.Resources)
 			}
 			// The digest covers the whole file: the bytes past what the
-			// decoders read ahead join it here.
+			// decoders read ahead join it here, once the decoder is done
+			// reading.
+			<-exited
 			if _, err := io.Copy(digest, f); err != nil {
 				return nil, fmt.Errorf("corpusio: reading corpus: %w", err)
 			}

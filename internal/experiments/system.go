@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -71,8 +72,9 @@ type BuildOptions struct {
 	SegmentDir string
 	Store      index.StoreOptions
 	// KeepTexts retains a corpus file's bulk chunk texts; by default
-	// each chunk's are dropped once indexed, bounding memory by the base
-	// corpus plus one chunk at any scale.
+	// each chunk's are dropped once analysed, bounding memory by the
+	// base corpus plus the chunks in flight (one analysed, up to two
+	// decoded ahead) at any scale.
 	KeepTexts bool
 
 	// Analysis, when non-nil, replaces the paper's pipeline options
@@ -88,6 +90,7 @@ type builder struct {
 	prebuilt bool // store already held documents when opened
 	pipe     *analysis.Pipeline
 	next     socialgraph.ResourceID // first resource not yet offered to add
+	pending  chan error             // the AddBatch add left running; nil when none is
 }
 
 // Build is the one way to build a System: it loads or generates the
@@ -103,11 +106,7 @@ func Build(o BuildOptions) (sys *System, err error) {
 	if b.store, err = index.NewStore(o.SegmentDir, o.Store); err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			b.store.Close()
-		}
-	}()
+	defer func() { err = b.end(err) }()
 	b.prebuilt = b.store.NumDocs() > 0
 	record := o.SegmentDir != "" && !b.prebuilt
 	if record {
@@ -130,6 +129,9 @@ func Build(o BuildOptions) (sys *System, err error) {
 		// Everything no chunk has fed yet: the whole corpus, or a corpus
 		// file's base section when the file has chunks.
 		err = b.add(ds, socialgraph.ResourceID(ds.Graph.NumResources()))
+	}
+	if err == nil {
+		err = b.wait()
 	}
 	if err != nil {
 		return nil, err
@@ -197,6 +199,13 @@ func (b *builder) inSlice(id index.DocID) bool {
 // the container in document order. Tombstoned resources stay out, so
 // a cold rebuild of a delta-mutated graph equals the delta-applied
 // index.
+//
+// The AddBatch (memtable, and a seal when one is due) runs on a
+// goroutine, so a corpus file's next chunk is decoded and analysed
+// while this one is stored. add waits for the previous call's AddBatch
+// before starting its own: at most one is pending, they run in
+// document order, and each seals where a serial build would. add
+// returns the previous AddBatch's error, wait the last one's.
 func (b *builder) add(d *dataset.Dataset, upto socialgraph.ResourceID) error {
 	if b.pipe == nil {
 		b.start(d)
@@ -217,7 +226,36 @@ func (b *builder) add(d *dataset.Dataset, upto socialgraph.ResourceID) error {
 			docs = append(docs, index.Doc{ID: lo + socialgraph.ResourceID(i), A: res.A})
 		}
 	}
-	return b.store.AddBatch(docs)
+	if err := b.wait(); err != nil {
+		return err
+	}
+	done := make(chan error, 1)
+	go func() { done <- b.store.AddBatch(docs) }()
+	b.pending = done
+	return nil
+}
+
+// wait returns the pending AddBatch's error once it has finished.
+func (b *builder) wait() error {
+	if b.pending == nil {
+		return nil
+	}
+	err := <-b.pending
+	b.pending = nil
+	return err
+}
+
+// end runs on every return from Build: it waits for the pending
+// AddBatch, whose error joins err, and closes the store of a build
+// that failed.
+func (b *builder) end(err error) error {
+	if werr := b.wait(); werr != nil {
+		err = errors.Join(err, werr)
+	}
+	if err != nil {
+		b.store.Close()
+	}
+	return err
 }
 
 // checkPrebuilt refuses a reopened segment directory holding a

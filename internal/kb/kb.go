@@ -91,7 +91,8 @@ type KB struct {
 	// whose vocabulary holds it: one probe tells a context word's
 	// domains.
 	stemDomains map[string]DomainSet
-	domainOf    []uint8 // entity ID -> its domain's index in Domains
+	domainOf    []uint8  // entity ID -> its domain's index in Domains
+	surface     []string // entity ID -> SurfaceForm of its label
 	// byDomain holds each domain's entities in ID order, indexed by
 	// the domain's position in Domains.
 	byDomain [len(Domains)][]Entity
@@ -220,9 +221,11 @@ func (b *Builder) Build() (*KB, error) {
 	for i, n := range counts {
 		kb.byDomain[i] = make([]Entity, 0, n)
 	}
+	kb.surface = make([]string, len(kb.entities))
 	for i, e := range kb.entities {
 		di := kb.domainOf[i]
 		kb.byDomain[di] = append(kb.byDomain[di], e)
+		kb.surface[i] = SurfaceForm(e.Label)
 	}
 	return kb, nil
 }
@@ -305,6 +308,10 @@ func (k *KB) Vocab(d Domain) []string { return k.vocab[d] }
 // the given Porter stem, so that inflected forms ("restaurants",
 // "scored") hit their vocabulary entries.
 func (k *KB) StemDomains(stem string) DomainSet { return k.stemDomains[stem] }
+
+// Surface returns SurfaceForm of entity id's label, computed once at
+// Build.
+func (k *KB) Surface(id EntityID) string { return k.surface[id] }
 
 // DomainIndex returns the position in Domains of entity id's domain.
 func (k *KB) DomainIndex(id EntityID) int { return int(k.domainOf[id]) }

@@ -43,7 +43,7 @@ func NewTextGen(k *kb.KB, web webRegistry, r *rand.Rand) *TextGen {
 	var cities []string
 	for _, e := range k.EntitiesInDomain(kb.Location) {
 		if e.Type == "City" {
-			cities = append(cities, kb.SurfaceForm(e.Label))
+			cities = append(cities, k.Surface(e.ID))
 		}
 	}
 	return &TextGen{kb: k, web: web, rand: r, cities: cities, URLProb: 0.7, NonEnglishProb: 0.30}
@@ -181,7 +181,7 @@ func (t *TextGen) CareerProfile(work []kb.Domain) string {
 func (t *TextGen) GroupDesc(d kb.Domain) (name, desc string) {
 	e := t.entity(d)
 	v := t.vocab(d)
-	name = fmt.Sprintf("%s %s community", titleCase(kb.SurfaceForm(e.Label)), v)
+	name = fmt.Sprintf("%s %s community", titleCase(t.kb.Surface(e.ID)), v)
 	desc = t.fill("a community for people who love %e and everything about %v and %v", d)
 	return name, desc
 }
@@ -200,13 +200,21 @@ func (t *TextGen) AccountBio(d kb.Domain) string {
 
 // fill replaces %e with entity surface forms and %v with vocabulary
 // words of the domain, drawing independently for each placeholder.
-func (t *TextGen) fill(tmpl string, d kb.Domain) string {
+func (t *TextGen) fill(tmpl string, d kb.Domain) string { return t.fillAbout(tmpl, d, "") }
+
+// fillAbout is fill with every %e written as ent instead of drawn,
+// unless ent is empty.
+func (t *TextGen) fillAbout(tmpl string, d kb.Domain, ent string) string {
 	b := t.buf[:0]
 	for i := 0; i < len(tmpl); i++ {
 		if tmpl[i] == '%' && i+1 < len(tmpl) {
 			switch tmpl[i+1] {
 			case 'e':
-				b = append(b, kb.SurfaceForm(t.entity(d).Label)...)
+				if ent != "" {
+					b = append(b, ent...)
+				} else {
+					b = append(b, t.kb.Surface(t.entity(d).ID)...)
+				}
 				i++
 				continue
 			case 'v':
@@ -245,10 +253,9 @@ func (t *TextGen) vocab(d kb.Domain) string {
 func (t *TextGen) registerPage(d kb.Domain) string {
 	t.urlSeq++
 	url := fmt.Sprintf("https://%s.example.com/article/%d", strings.ReplaceAll(string(d), "-", ""), t.urlSeq)
-	e := t.entity(d)
-	title := fmt.Sprintf("Everything about %s", kb.SurfaceForm(e.Label))
-	tmpl := pageTemplates[t.rand.Intn(len(pageTemplates))]
-	body := t.fill(strings.ReplaceAll(tmpl, "%e", kb.SurfaceForm(e.Label)), d)
+	ent := t.kb.Surface(t.entity(d).ID)
+	title := "Everything about " + ent
+	body := t.fillAbout(pageTemplates[t.rand.Intn(len(pageTemplates))], d, ent)
 	t.web.AddPage(url, title, body)
 	return url
 }
