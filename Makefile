@@ -90,10 +90,43 @@ bench-smoke:
 
 # bench-ledger-smoke runs the performance ledger's own tests. bench/
 # is a nested module, so `go test ./...` from the root never compiles
-# it; this is what catches a change to the surface it builds against
-# (index.Searcher, core.Finder, index.Store, the facade). It runs every
-# workload at a tiny size; the seed-11 ranking pins are checked by a
-# full `bash bench/run.sh --workload … --seed 11` run.
+# it; this is what catches a change to the surface it builds against.
+# That surface, exactly, is what only a change to bench/ can free:
+#   expertfind: NewSystem(Config{Seed, Scale, IndexShards}),
+#     NewSystemFromStream(path, dir, StreamOptions{FlushDocs,
+#     MaxSegments, KeepTexts}), ResolveParams, WithTopK, FindOption,
+#     Expert, Query; System.Find, Queries, CoreFinder, SegmentStore,
+#     SetResultCache, NewIngester
+#   core: Finder.Graph, Candidates, Index, Pipeline, Matches,
+#     RankFromMatches, FindAnalyzed; ResultCache (GetOrCompute, so
+#     Finder.FindRanking's copying branch), CacheKey, CacheStatus,
+#     CacheHit, ExpertScore, DefaultAlpha
+#   index: Searcher.Score and ScoreTopK (on Finder.Index()),
+#     NewStore(dir, StoreOptions{FlushDocs}), Store.AddBatch, Seal,
+#     ApplyDelta, Compact, Maintain, Close, Status (StoreStatus
+#     Segments, Tombstones, LiveDocs, MemtableDocs, Seals, Compactions,
+#     DiskBytes), Doc{ID, A}, Delta{Removes, Updates},
+#     DocUpdate{ID, Old, New}, DocID
+#   socialgraph: Graph.ResourceCandidateMap, User, Resource,
+#     ResourceDeleted, NumResources, NumContainers; ResourceID,
+#     ContainerID, CandidateDistance
+#   analysis: Pipeline.AnalyzeNeed, Analyze; Analyzed
+#   rescache: New(Options{Capacity, Shards}), Cache.Attach
+#   httpapi: NewWithOptions(sys, Options{Cache}), Handler.ServeHTTP,
+#     SetSystem
+#   ingest: Config{API}, Ingester.RunOnce (report Adds, Updates,
+#     Removes), NewChurn(g, ChurnConfig{Seed, Adds, Updates, Removes}),
+#     Churn.Round, FetchCatalog, Diff
+#   dataset: Config{Seed, Scale, NumCandidates}, StreamConfig{Config,
+#     ChunkDocs}, GenerateStream, Dataset.Graph, StreamChunk
+#   corpusio: CreateStream (WriteBase, WriteChunk, Close),
+#     LoadStreamFile(path, StreamLoadOptions{})
+#   faults: Wrap(g, Config{}), API; resilience: Retryer{Policy},
+#     DefaultRetry
+#   kb: Builtin, Domains, KB.Vocab, KB.EntitiesInDomain (Label),
+#     SurfaceForm; telemetry: Default().Counter(name, "").Value()
+# It runs every workload at a tiny size; the seed-11 ranking pins are
+# checked by a full `bash bench/run.sh --workload … --seed 11` run.
 bench-ledger-smoke:
 	cd bench && $(GO) test .
 

@@ -201,7 +201,7 @@ func BenchmarkSingleQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Finder.Find("why is copper a good conductor of electricity?", p)
+		s.Finder.Find(context.Background(), "why is copper a good conductor of electricity?", p)
 	}
 }
 
@@ -219,7 +219,7 @@ func BenchmarkFindInstrumented(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx, tr := tracer.Start(context.Background(), "bench find", "")
-		s.Finder.FindContext(ctx, "why is copper a good conductor of electricity?", p)
+		s.Finder.Find(ctx, "why is copper a good conductor of electricity?", p)
 		tr.Finish()
 	}
 }

@@ -31,7 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"unicode/utf8"
 
 	"expertfind/internal/core"
 	"expertfind/internal/corpusio"
@@ -115,7 +116,6 @@ type Stats struct {
 // queries.
 type System struct {
 	inner *experiments.System
-	names map[string]socialgraph.UserID
 }
 
 // Options selects what Open builds along three independent axes: the
@@ -190,11 +190,7 @@ func Open(o Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{inner: inner, names: make(map[string]socialgraph.UserID)}
-	for _, u := range inner.DS.Candidates {
-		s.names[inner.DS.Graph.User(u).Name] = u
-	}
-	return s, nil
+	return &System{inner: inner}, nil
 }
 
 // NewSystem is Open for the generated corpus of cfg, whole and in
@@ -349,25 +345,18 @@ func (s *System) Find(need string, opts ...FindOption) ([]Expert, error) {
 // recorded as spans on it — the serving layer uses this to expose
 // per-request traces at /debug/traces.
 func (s *System) FindContext(ctx context.Context, need string, opts ...FindOption) ([]Expert, error) {
-	out, _, err := s.FindCachedContext(ctx, need, opts...)
-	return out, err
-}
-
-// FindCachedContext is FindContext plus the result-cache disposition:
-// "hit", "miss" or "coalesced" when a cache is installed
-// (SetResultCache), "" when the query bypassed caching. The serving
-// layer reflects the disposition as the Cache-Status response header.
-func (s *System) FindCachedContext(ctx context.Context, need string, opts ...FindOption) ([]Expert, string, error) {
 	p, err := ResolveParams(opts...)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	scores, status := s.inner.Finder.FindCachedContext(ctx, need, p)
-	return s.expertsOf(scores), string(status), nil
+	scores, _ := s.inner.Finder.Find(ctx, need, p)
+	return s.expertsOf(scores), nil
 }
 
-// FindRanking is FindCachedContext for a serving layer that renders
-// the ranking itself: it returns the ranked scores unnamed, and a
+// FindRanking is FindContext for a caller that renders the ranking
+// itself or wants the result-cache disposition: "hit", "miss" or
+// "coalesced" when a cache is installed (SetResultCache), "" when the
+// query bypassed caching. It returns the ranked scores unnamed, and a
 // result-cache hit or coalesced follower shares the cached Ranking
 // (core.Finder.FindRanking), which the caller must not write. Its
 // experts are members of CoreFinder().Pool(), which names them.
@@ -503,7 +492,7 @@ func (s *System) ExplainContext(ctx context.Context, need, expertName string, to
 	if err != nil {
 		return Explanation{}, err
 	}
-	u, ok := s.names[expertName]
+	u, ok := s.inner.Finder.Pool().ID(expertName)
 	if !ok {
 		return Explanation{}, fmt.Errorf("%w %q", ErrUnknownCandidate, expertName)
 	}
@@ -515,7 +504,11 @@ func (s *System) ExplainContext(ctx context.Context, need, expertName string, to
 		r := s.inner.DS.Graph.Resource(ev.Resource)
 		snippet := r.Text
 		if len(snippet) > maxSnippetLen {
-			snippet = snippet[:maxSnippetLen] + "..."
+			n := maxSnippetLen
+			for n > 0 && !utf8.RuneStart(snippet[n]) {
+				n--
+			}
+			snippet = snippet[:n] + "..."
 		}
 		out.Score += ev.Contribution
 		out.Evidence = append(out.Evidence, EvidenceItem{
@@ -571,20 +564,21 @@ func (s *System) Queries() []Query {
 	return out
 }
 
-// Candidates returns the candidate handles, sorted.
+// Candidates returns the candidate handles, sorted, each once.
 func (s *System) Candidates() []string {
-	out := make([]string, 0, len(s.names))
-	for name := range s.names {
-		out = append(out, name)
+	cands := s.inner.Finder.Pool().Candidates()
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = c.Name
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // IsExpert reports whether the ground truth marks the named candidate
 // as an expert of the domain.
 func (s *System) IsExpert(name, domain string) (bool, error) {
-	u, ok := s.names[name]
+	u, ok := s.inner.Finder.Pool().ID(name)
 	if !ok {
 		return false, fmt.Errorf("%w %q", ErrUnknownCandidate, name)
 	}
@@ -595,15 +589,18 @@ func (s *System) IsExpert(name, domain string) (bool, error) {
 	return s.inner.DS.IsExpert(u, dom), nil
 }
 
-// Experts returns the ground-truth experts of a domain.
+// Experts returns the ground-truth experts of a domain. Every expert is
+// a member of the candidate pool, which names them.
 func (s *System) Experts(domain string) ([]string, error) {
 	dom, err := parseDomain(domain)
 	if err != nil {
 		return nil, err
 	}
+	pool := s.inner.Finder.Pool()
 	var out []string
 	for _, u := range s.inner.DS.Experts(dom) {
-		out = append(out, s.inner.DS.Graph.User(u).Name)
+		name, _ := pool.Name(u)
+		out = append(out, name)
 	}
 	return out, nil
 }

@@ -1,11 +1,19 @@
 package expertfind
 
 import (
+	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"expertfind/internal/core"
+	"expertfind/internal/corpusio"
+	"expertfind/internal/dataset"
+	"expertfind/internal/kb"
+	"expertfind/internal/socialgraph"
 )
 
 var (
@@ -304,5 +312,107 @@ func TestExplainFacade(t *testing.T) {
 	}
 	if _, err := s.Explain(need, top.Name, 3, WithAlpha(9)); err == nil || errors.Is(err, ErrUnknownCandidate) {
 		t.Errorf("bad option: err = %v, want an option error", err)
+	}
+}
+
+// TestLookupsReadThePool: on a system opened from a corpus file,
+// Candidates, IsExpert, Experts and Explain name candidates exactly as
+// the finder's pool does. The file gives two candidates one handle; the
+// lookups by handle resolve it to the lower id, as Pool.ID does.
+func TestLookupsReadThePool(t *testing.T) {
+	base := system(t).inner.DS
+	snap := base.Snapshot()
+	// Two candidates the ground truth tells apart in some domain.
+	var lo, hi socialgraph.UserID
+	var dom kb.Domain
+	cands := slices.Clone(base.Candidates)
+	slices.Sort(cands)
+found:
+	for _, d := range kb.Domains {
+		for _, u := range cands[1:] {
+			if base.IsExpert(u, d) != base.IsExpert(cands[0], d) {
+				lo, hi, dom = cands[0], u, d
+				break found
+			}
+		}
+	}
+	if lo == hi {
+		t.Fatal("no two candidates differ in any domain")
+	}
+	shared := snap.Graph.Users[lo].Name
+	snap.Graph.Users[hi].Name = shared
+	ds, err := dataset.FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/corpus.json.gz"
+	if err := corpusio.SaveFile(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{CorpusPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := s.CoreFinder().Pool()
+
+	var names []string
+	for _, c := range pool.Candidates() {
+		names = append(names, c.Name)
+	}
+	slices.Sort(names)
+	if got, want := s.Candidates(), slices.Compact(names); !slices.Equal(got, want) || len(got) != len(cands)-1 {
+		t.Fatalf("Candidates %v, want the pool's %d handles each once: %v", got, len(cands)-1, want)
+	}
+	if id, ok := pool.ID(shared); !ok || id != lo {
+		t.Fatalf("pool.ID(%q) = %d, %v; want %d", shared, id, ok, lo)
+	}
+	for _, c := range pool.Candidates() {
+		id, _ := pool.ID(c.Name)
+		for _, d := range kb.Domains {
+			got, err := s.IsExpert(c.Name, string(d))
+			if err != nil || got != s.inner.DS.IsExpert(id, d) {
+				t.Errorf("IsExpert(%q, %s) = %v, %v; the pool's id %d says %v", c.Name, d, got, err, id, !got)
+			}
+		}
+	}
+	if got, _ := s.IsExpert(shared, string(dom)); got != base.IsExpert(lo, dom) {
+		t.Errorf("IsExpert(%q, %s) = %v, want candidate %d's %v", shared, dom, got, lo, !got)
+	}
+	for _, d := range kb.Domains {
+		got, err := s.Experts(string(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, u := range s.inner.DS.Experts(d) {
+			name, ok := pool.Name(u)
+			if !ok {
+				t.Fatalf("%s expert %d is not in the pool", d, u)
+			}
+			want = append(want, name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("Experts(%s) = %v, the pool names %v", d, got, want)
+		}
+	}
+
+	// Explain reads the pool's id: its full evidence sums to that
+	// candidate's ranking score, and to nothing for an unranked one.
+	need := "why is copper a good conductor?"
+	p, _ := ResolveParams()
+	ranked, _ := s.CoreFinder().Find(context.Background(), need, p)
+	score := map[socialgraph.UserID]float64{}
+	for _, es := range ranked {
+		score[es.User] = es.Score
+	}
+	for _, c := range append(pool.Candidates()[:3], core.Candidate{ID: int32(lo), Name: shared}) {
+		id, _ := pool.ID(c.Name)
+		expl, err := s.Explain(need, c.Name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := expl.Score - score[id]; expl.Expert != c.Name || diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("Explain(%q): expert %q score %v, candidate %d's score %v", c.Name, expl.Expert, expl.Score, id, score[id])
+		}
 	}
 }

@@ -223,6 +223,34 @@ func TestNewPool(t *testing.T) {
 	}
 }
 
+// TestPoolID: a handle names its candidate's id, an unknown handle none,
+// and a handle two candidates share names the lower id.
+func TestPoolID(t *testing.T) {
+	cands := []Candidate{{ID: 2, Name: "ada"}, {ID: 5, Name: "bob"}, {ID: 7, Name: "eve"}, {ID: 9, Name: "bob"}}
+	for _, tc := range []struct {
+		name   string
+		cands  []Candidate
+		handle string
+		want   socialgraph.UserID
+		ok     bool
+	}{
+		{"present", cands, "eve", 7, true},
+		{"first", cands, "ada", 2, true},
+		{"absent", cands, "zed", 0, false},
+		{"empty handle", cands, "", 0, false},
+		{"empty pool", nil, "ada", 0, false},
+		{"repeated handle", cands, "bob", 5, true},
+	} {
+		p, err := NewPool(tc.cands)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, ok := p.ID(tc.handle); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: ID(%q) = %d, %v; want %d, %v", tc.name, tc.handle, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestAppendJSONString holds AppendJSONString to encoding/json, HTML
 // escaping on: quotes, control bytes, '<', '>' and '&', U+2028 and
 // U+2029, invalid UTF-8 and valid multi-byte runes.
@@ -273,44 +301,40 @@ func (c *fakeCache) GetOrCompute(key CacheKey, compute func() []ExpertScore) ([]
 	return v, CacheMiss
 }
 
-func TestFindCachedContext(t *testing.T) {
+// TestFind: without a cache a find bypasses; with one it misses, then
+// hits on a case and whitespace variant of the need, under one key, and
+// every answer is the uncached ranking.
+func TestFind(t *testing.T) {
 	f, _ := buildFigure1(t)
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 	need := "who is the best at freestyle swimming?"
-
-	// No cache installed: bypass, ranking unchanged.
-	out, st := f.FindCachedContext(context.Background(), need, p)
-	if st != CacheBypass {
-		t.Fatalf("status %q, want bypass", st)
+	cold := f.FindAnalyzed(f.Pipeline().AnalyzeNeed(need), p)
+	if len(cold) == 0 {
+		t.Fatal("no experts")
 	}
-	cold := f.Find(need, p)
-	if !reflect.DeepEqual(out, cold) {
-		t.Fatal("bypass ranking differs from Find")
+
+	out, st := f.Find(context.Background(), need, p)
+	if st != CacheBypass || !reflect.DeepEqual(out, cold) {
+		t.Fatalf("no cache: status %q, ranking %v; want bypass, %v", st, out, cold)
 	}
 
 	fc := &fakeCache{entries: map[CacheKey][]ExpertScore{}}
 	f.SetResultCache(fc)
-	out, st = f.FindCachedContext(context.Background(), need, p)
-	if st != CacheMiss {
-		t.Fatalf("first cached query: status %q, want miss", st)
+	for _, c := range []struct {
+		need string
+		want CacheStatus
+	}{
+		{need, CacheMiss},
+		{"  WHO is the best at  FREESTYLE swimming?", CacheHit},
+	} {
+		if out, st := f.Find(context.Background(), c.need, p); st != c.want || !reflect.DeepEqual(out, cold) {
+			t.Fatalf("%q: status %q, ranking %v; want %q, %v", c.need, st, out, c.want, cold)
+		}
 	}
-	if !reflect.DeepEqual(out, cold) {
-		t.Fatal("miss ranking differs from cold")
-	}
-	// Case/whitespace variants of the need normalize onto one key.
-	out, st = f.FindCachedContext(context.Background(), "  WHO is the best at  FREESTYLE swimming?", p)
-	if st != CacheHit {
-		t.Fatalf("normalized variant: status %q, want hit", st)
-	}
-	if !reflect.DeepEqual(out, cold) {
-		t.Fatal("hit ranking differs from cold")
-	}
-	// FindContext routes through the cache too, dropping the status.
-	if got := f.FindContext(context.Background(), need, p); !reflect.DeepEqual(got, cold) {
-		t.Fatal("FindContext via cache differs from cold")
-	}
-
 	want := CacheKey{Need: NormalizeNeed(need), Group: f.Pool().Group(), Params: p.Fingerprint()}
+	if len(fc.keys) != 2 {
+		t.Fatalf("%d cache lookups, want 2", len(fc.keys))
+	}
 	for _, k := range fc.keys {
 		if k != want {
 			t.Fatalf("cache key %+v, want %+v", k, want)
@@ -319,7 +343,7 @@ func TestFindCachedContext(t *testing.T) {
 
 	// Removing the cache restores bypass.
 	f.SetResultCache(nil)
-	if _, st := f.FindCachedContext(context.Background(), need, p); st != CacheBypass {
+	if _, st := f.Find(context.Background(), need, p); st != CacheBypass {
 		t.Fatalf("after removal: status %q, want bypass", st)
 	}
 }
@@ -408,13 +432,15 @@ func (c *rankingCache) GetRanking(key CacheKey, compute func() []ExpertScore) (*
 }
 
 // TestFindRanking: without a cache, or with one that only copies,
-// FindRanking wraps FindCachedContext's ranking; with a RankingCache
-// every hit gets the cached Ranking itself, under the same key.
+// FindRanking wraps Find's ranking; with a RankingCache every hit gets
+// the cached Ranking itself, under the same key. The copying case has
+// one user outside the tests: the ledger's span-timing cache wrapper
+// (bench/layers.go's spanCache), which implements only GetOrCompute.
 func TestFindRanking(t *testing.T) {
 	f, _ := buildFigure1(t)
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 	need := "who is the best at freestyle swimming?"
-	cold := f.Find(need, p)
+	cold, _ := f.Find(context.Background(), need, p)
 
 	r, st := f.FindRanking(context.Background(), need, p)
 	if st != CacheBypass || !reflect.DeepEqual(r.Scores, cold) {

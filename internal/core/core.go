@@ -37,7 +37,7 @@ import (
 
 // Query-pipeline metrics. Stage names follow the pipeline order:
 // analyze → traverse → index_match → aggregate_rank; the same names
-// label the per-query trace spans FindContext records.
+// label the per-query trace spans Find records.
 var (
 	mQueries = telemetry.Default().Counter(
 		"expertfind_queries_total",
@@ -519,6 +519,16 @@ func (p *Pool) Name(u socialgraph.UserID) (string, bool) {
 	return "", false
 }
 
+// ID returns the id of the candidate whose handle is name, and false
+// when no candidate has it. A handle two candidates share names the
+// lower id.
+func (p *Pool) ID(name string) (socialgraph.UserID, bool) {
+	if i := slices.Index(p.names, name); i >= 0 {
+		return socialgraph.UserID(p.ids[i]), true
+	}
+	return 0, false
+}
+
 // Quoted returns candidate u's handle as JSON text, and false when u
 // is not in the pool.
 func (p *Pool) Quoted(u socialgraph.UserID) (string, bool) {
@@ -532,7 +542,7 @@ func (p *Pool) Quoted(u socialgraph.UserID) (string, bool) {
 func (f *Finder) Pool() *Pool { return f.pool }
 
 // SetResultCache installs (or, with nil, removes) the Find result
-// cache. Once installed, FindContext routes queries through it; the
+// cache. Once installed, Find routes queries through it; the
 // cache is expected to be generation-scoped to the corpus behind this
 // finder (see internal/rescache.Cache.Attach), because the finder
 // itself never invalidates it.
@@ -565,31 +575,18 @@ func (f *Finder) Index() index.Searcher { return f.index }
 func (f *Finder) Pipeline() *analysis.Pipeline { return f.pipe }
 
 // Find ranks the candidate experts for a natural-language expertise
-// need. Only experts with positive score are returned, best first.
-func (f *Finder) Find(need string, p Params) []ExpertScore {
-	return f.FindContext(context.Background(), need, p)
-}
-
-// FindContext is Find with a context. When ctx carries a telemetry
-// trace (telemetry.Tracer.Start), every pipeline stage is recorded as
-// a span on it; stage timings land in the metrics registry either
-// way. With a result cache installed (SetResultCache), the query is
-// routed through it; use FindCachedContext to also learn the cache
-// disposition.
-func (f *Finder) FindContext(ctx context.Context, need string, p Params) []ExpertScore {
-	out, _ := f.FindCachedContext(ctx, need, p)
-	return out
-}
-
-// FindCachedContext is FindContext plus the cache disposition: how
-// the installed result cache answered (hit, miss, coalesced), or
-// CacheBypass when none is installed. Cache keys combine the
-// normalized need, the candidate-pool fingerprint and the Params
-// fingerprint; the cache implementation scopes them to the corpus
-// generation. A coalesced query shares the leading query's scoring
-// pass — and therefore its trace spans — recording only a "cache"
-// span of its own.
-func (f *Finder) FindCachedContext(ctx context.Context, need string, p Params) ([]ExpertScore, CacheStatus) {
+// need. Only experts with positive score are returned, best first. When
+// ctx carries a telemetry trace (telemetry.Tracer.Start), every pipeline
+// stage is recorded as a span on it; stage timings land in the metrics
+// registry either way. With a result cache installed (SetResultCache),
+// the query is routed through it, and the status says how the cache
+// answered (hit, miss, coalesced), or CacheBypass when none is
+// installed. Cache keys combine the normalized need, the candidate-pool
+// fingerprint and the Params fingerprint; the cache implementation
+// scopes them to the corpus generation. A coalesced query shares the
+// leading query's scoring pass — and therefore its trace spans —
+// recording only a "cache" span of its own.
+func (f *Finder) Find(ctx context.Context, need string, p Params) ([]ExpertScore, CacheStatus) {
 	c := f.resultCache()
 	if c == nil {
 		return f.findCold(ctx, need, p), CacheBypass
@@ -603,15 +600,15 @@ func (f *Finder) FindCachedContext(ctx context.Context, need string, p Params) (
 	return out, status
 }
 
-// FindRanking is FindCachedContext for a caller that only reads the
-// ranking: when the installed cache is a RankingCache, every hit and
-// coalesced follower gets the cached Ranking itself, not a copy, so
-// they must not write it. Otherwise the ranking FindCachedContext
-// returns is wrapped in a Ranking of its own.
+// FindRanking is Find for a caller that only reads the ranking: when
+// the installed cache is a RankingCache, every hit and coalesced
+// follower gets the cached Ranking itself, not a copy, so they must not
+// write it. Otherwise the ranking Find returns is wrapped in a Ranking
+// of its own.
 func (f *Finder) FindRanking(ctx context.Context, need string, p Params) (*Ranking, CacheStatus) {
 	c, ok := f.resultCache().(RankingCache)
 	if !ok {
-		out, status := f.FindCachedContext(ctx, need, p)
+		out, status := f.Find(ctx, need, p)
 		return &Ranking{Scores: out}, status
 	}
 	sp := telemetry.TraceFrom(ctx).StartSpan("cache")
@@ -639,13 +636,13 @@ func (f *Finder) findCold(ctx context.Context, need string, p Params) []ExpertSc
 	return f.findAnalyzed(ctx, a, p)
 }
 
-// FindAnalyzed is Find for a pre-analyzed need.
+// FindAnalyzed is Find for a pre-analyzed need, with no result cache.
 func (f *Finder) FindAnalyzed(need analysis.Analyzed, p Params) []ExpertScore {
 	return f.findAnalyzed(context.Background(), need, p)
 }
 
-// findAnalyzed is FindAnalyzed with a context, instrumented like
-// FindContext (minus the analyze stage, already done by the caller).
+// findAnalyzed is FindAnalyzed with a context, instrumented like Find
+// (minus the analyze stage, already done by the caller).
 func (f *Finder) findAnalyzed(ctx context.Context, need analysis.Analyzed, p Params) []ExpertScore {
 	mQueries.Inc()
 	matches, r := f.match(ctx, need, p, nil)
@@ -839,7 +836,7 @@ type Evidence struct {
 // expert, ordered by descending contribution, truncated to topN
 // (topN <= 0 returns everything). The sum of the contributions equals
 // the expert's Eq. (3) score. A telemetry trace on ctx records the
-// traverse and index_match stages (see FindContext).
+// traverse and index_match stages (see Find).
 func (f *Finder) Explain(ctx context.Context, need analysis.Analyzed, u socialgraph.UserID, p Params, topN int) []Evidence {
 	// One cache entry serves the filter and the attribution: a second
 	// lookup could straddle a catch-up and attribute evidence from a

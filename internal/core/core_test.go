@@ -66,7 +66,7 @@ func rankOf(experts []ExpertScore, u socialgraph.UserID) int {
 
 func TestFigure1Ranking(t *testing.T) {
 	f, users := buildFigure1(t)
-	experts := f.Find("who is the best at freestyle swimming?", Params{
+	experts, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", Params{
 		Traversal: socialgraph.TraversalOptions{MaxDistance: 2},
 	})
 
@@ -89,7 +89,7 @@ func TestFigure1Ranking(t *testing.T) {
 
 func TestDistanceZeroOnlyProfiles(t *testing.T) {
 	f, users := buildFigure1(t)
-	experts := f.Find("who is the best at freestyle swimming?", Params{
+	experts, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", Params{
 		Traversal: socialgraph.TraversalOptions{MaxDistance: 0},
 	})
 	// Only Bob's profile mentions swimming: he is the only expert
@@ -107,7 +107,7 @@ func TestDistanceZeroOnlyProfiles(t *testing.T) {
 
 func TestNetworkRestriction(t *testing.T) {
 	f, users := buildFigure1(t)
-	experts := f.Find("who is the best at freestyle swimming?", Params{
+	experts, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", Params{
 		Traversal: socialgraph.TraversalOptions{
 			MaxDistance: 2,
 			Networks:    []socialgraph.Network{socialgraph.Facebook},
@@ -125,11 +125,11 @@ func TestDistanceWeightsMatter(t *testing.T) {
 	f, users := buildFigure1(t)
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 
-	def := f.Find("who is the best at freestyle swimming?", p)
+	def, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", p)
 
 	// With weight 0 at distance 1 and 2, only profile evidence counts.
 	p.DistanceWeights = [3]float64{1, 0, 0}
-	profOnly := f.Find("who is the best at freestyle swimming?", p)
+	profOnly, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", p)
 	if rankOf(profOnly, users["alice"]) != -1 {
 		t.Errorf("alice scored with zeroed distance-1 weight: %v", profOnly)
 	}
@@ -189,8 +189,8 @@ func TestAlphaDefaulting(t *testing.T) {
 func TestScoresDeterministic(t *testing.T) {
 	f, _ := buildFigure1(t)
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-	a := f.Find("who is the best at freestyle swimming?", p)
-	b := f.Find("who is the best at freestyle swimming?", p)
+	a, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", p)
+	b, _ := f.Find(context.Background(), "who is the best at freestyle swimming?", p)
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic lengths %d vs %d", len(a), len(b))
 	}
@@ -203,7 +203,7 @@ func TestScoresDeterministic(t *testing.T) {
 
 func TestEmptyNeed(t *testing.T) {
 	f, _ := buildFigure1(t)
-	experts := f.Find("", Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}})
+	experts, _ := f.Find(context.Background(), "", Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}})
 	if len(experts) != 0 {
 		t.Errorf("empty need retrieved %v", experts)
 	}

@@ -101,8 +101,8 @@ func TestIngestDifferentialGrid(t *testing.T) {
 						Traversal: socialgraph.TraversalOptions{MaxDistance: 2},
 					}
 					for _, q := range remote.Queries[:6] {
-						live := installed.finder.Find(q.Text, p)
-						want := cold.Find(q.Text, p)
+						live, _ := installed.finder.Find(context.Background(), q.Text, p)
+						want, _ := cold.Find(context.Background(), q.Text, p)
 						if !reflect.DeepEqual(live, want) {
 							t.Fatalf("alpha=%v k=%d query %d: delta-absorbed ranking diverged from cold rebuild\nlive: %v\ncold: %v",
 								alpha, k, q.ID, live, want)
@@ -135,7 +135,7 @@ func TestIngestCacheHitsMatchColdMisses(t *testing.T) {
 	ctx := context.Background()
 	warm := make(map[int][]core.ExpertScore)
 	for _, q := range remote.Queries {
-		res, status := installed.finder.FindCachedContext(ctx, q.Text, p)
+		res, status := installed.finder.Find(ctx, q.Text, p)
 		if status != core.CacheMiss {
 			t.Fatalf("query %d: first lookup %q, want miss", q.ID, status)
 		}
@@ -188,8 +188,8 @@ func TestIngestCacheHitsMatchColdMisses(t *testing.T) {
 
 	hits, misses := 0, 0
 	for _, q := range remote.Queries {
-		want := cold.Find(q.Text, p)
-		res, status := installed.finder.FindCachedContext(ctx, q.Text, p)
+		want, _ := cold.Find(context.Background(), q.Text, p)
+		res, status := installed.finder.Find(ctx, q.Text, p)
 		switch status {
 		case core.CacheHit:
 			hits++
@@ -208,7 +208,7 @@ func TestIngestCacheHitsMatchColdMisses(t *testing.T) {
 			t.Fatalf("query %d (%s): post-delta value diverged from cold rebuild", q.ID, status)
 		}
 		// And the value just stored must now hit, byte-identical.
-		again, status := installed.finder.FindCachedContext(ctx, q.Text, p)
+		again, status := installed.finder.Find(ctx, q.Text, p)
 		if status != core.CacheHit || !reflect.DeepEqual(again, want) {
 			t.Fatalf("query %d: re-lookup %q or value diverged", q.ID, status)
 		}

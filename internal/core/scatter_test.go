@@ -126,7 +126,7 @@ func TestScatterShardDifferential(t *testing.T) {
 				}
 
 				got := RankMerged(merged, p)
-				if wantRank := full.Find(need, p); !reflect.DeepEqual(got, wantRank) {
+				if wantRank, _ := full.Find(context.Background(), need, p); !reflect.DeepEqual(got, wantRank) {
 					t.Fatalf("n=%d need=%q p=%d: RankMerged diverges from Find:\n got %v\nwant %v", n, need, pi, got, wantRank)
 				}
 			}

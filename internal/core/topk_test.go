@@ -59,19 +59,22 @@ func TestFindTopKEndToEnd(t *testing.T) {
 	f, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
 	base := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-	exhaustive := f.Find(need, base)
+	exhaustive, _ := f.Find(context.Background(), need, base)
 
 	pAll := base
 	pAll.TopK = 1000
-	assertExpertsBitIdentical(t, "k covers corpus", exhaustive, f.Find(need, pAll))
+	all, _ := f.Find(context.Background(), need, pAll)
+	assertExpertsBitIdentical(t, "k covers corpus", exhaustive, all)
 
 	store := storeClone(t, f, 3)
 	for _, k := range []int{1, 2, 1000} {
 		p := base
 		p.TopK = k
-		want := f.Find(need, p)
-		assertExpertsBitIdentical(t, fmt.Sprintf("k%d repeat", k), want, f.Find(need, p))
-		assertExpertsBitIdentical(t, fmt.Sprintf("k%d store", k), want, store.Find(need, p))
+		want, _ := f.Find(context.Background(), need, p)
+		again, _ := f.Find(context.Background(), need, p)
+		assertExpertsBitIdentical(t, fmt.Sprintf("k%d repeat", k), want, again)
+		stored, _ := store.Find(context.Background(), need, p)
+		assertExpertsBitIdentical(t, fmt.Sprintf("k%d store", k), want, stored)
 	}
 }
 

@@ -172,7 +172,7 @@ func TestFindWindowBoundDifferential(t *testing.T) {
 			for name, f := range finders {
 				label := fmt.Sprintf("%s need=%q w=%d f=%g k=%d", name, need, p.WindowSize, p.WindowFrac, p.TopK)
 				assertExpertsBitIdentical(t, label+" own matches", want, f.RankFromMatches(f.Matches(a, p), p))
-				got := f.Find(need, p)
+				got, _ := f.Find(context.Background(), need, p)
 				assertExpertsBitIdentical(t, label, want, got)
 
 				for _, e := range got[:min(3, len(got))] {
@@ -231,7 +231,7 @@ func TestDefaultFindReadsOnlyItsWindow(t *testing.T) {
 
 	tracer := telemetry.NewTracer(4)
 	ctx, tr := tracer.Start(context.Background(), "find", "t0")
-	if len(f.FindContext(ctx, crowdNeed, p)) == 0 {
+	if out, _ := f.Find(ctx, crowdNeed, p); len(out) == 0 {
 		t.Fatal("no experts")
 	}
 	tr.Finish()
@@ -338,7 +338,7 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 	}
 
 	p := Params{Traversal: travs[2]}
-	want := f.Find(crowdNeed, p)
+	want, _ := f.Find(context.Background(), crowdNeed, p)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -353,7 +353,7 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 					f.CatchUp()
 					g.RemoveResource(r)
 				}
-				got := f.Find(crowdNeed, p)
+				got, _ := f.Find(context.Background(), crowdNeed, p)
 				if len(got) != len(want) || got[0] != want[0] {
 					t.Errorf("worker %d find %d: top expert %+v of %d, want %+v of %d", w, i, got[0], len(got), want[0], len(want))
 					return
@@ -371,11 +371,11 @@ func TestReachAcceptEqualsMap(t *testing.T) {
 func BenchmarkFindWindowBound(b *testing.B) {
 	f := crowdFinders(b)["memtable"]
 	p := Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-	f.Find(crowdNeed, p) // build the traversal entry outside the timer
+	f.Find(context.Background(), crowdNeed, p) // build the traversal entry outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(f.Find(crowdNeed, p)) == 0 {
+		if out, _ := f.Find(context.Background(), crowdNeed, p); len(out) == 0 {
 			b.Fatal("no experts")
 		}
 	}

@@ -70,11 +70,11 @@ func TestStoreWorkersFinderEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		store := storeClone(t, flat, n)
 		for pi, p := range figure1Params() {
-			want := flat.Find(query, p)
+			want, _ := flat.Find(context.Background(), query, p)
 			if pi == 0 && len(want) == 0 {
 				t.Fatal("no experts found for the figure 1 query")
 			}
-			got := store.Find(query, p)
+			got, _ := store.Find(context.Background(), query, p)
 			assertExpertsBitIdentical(t, fmt.Sprintf("workers=%d params=%d", n, pi), want, got)
 		}
 	}
@@ -88,12 +88,14 @@ func TestFindDeterministicAcrossRuns(t *testing.T) {
 	store := storeClone(t, flat, 3)
 	const query = "who is the best at freestyle swimming?"
 	for pi, p := range figure1Params() {
-		wantFlat := flat.Find(query, p)
-		wantStore := store.Find(query, p)
+		wantFlat, _ := flat.Find(context.Background(), query, p)
+		wantStore, _ := store.Find(context.Background(), query, p)
 		assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat vs store", pi), wantFlat, wantStore)
 		for run := 0; run < 50; run++ {
-			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat run %d", pi, run), wantFlat, flat.Find(query, p))
-			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d store run %d", pi, run), wantStore, store.Find(query, p))
+			gotFlat, _ := flat.Find(context.Background(), query, p)
+			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d flat run %d", pi, run), wantFlat, gotFlat)
+			gotStore, _ := store.Find(context.Background(), query, p)
+			assertExpertsBitIdentical(t, fmt.Sprintf("params=%d store run %d", pi, run), wantStore, gotStore)
 		}
 	}
 }
@@ -117,7 +119,8 @@ func TestFindContextStress(t *testing.T) {
 	want := make([][]ExpertScore, 0, len(queries)*len(params))
 	for _, q := range queries {
 		for _, p := range params {
-			want = append(want, f.Find(q, p))
+			out, _ := f.Find(context.Background(), q, p)
+			want = append(want, out)
 		}
 	}
 
@@ -131,7 +134,7 @@ func TestFindContextStress(t *testing.T) {
 			for iter := 0; iter < 25; iter++ {
 				qi := (g + iter) % len(queries)
 				pi := (g * 3) % len(params)
-				got := f.FindContext(ctx, queries[qi], params[pi])
+				got, _ := f.Find(ctx, queries[qi], params[pi])
 				ref := want[qi*len(params)+pi]
 				if len(got) != len(ref) {
 					t.Errorf("goroutine %d iter %d: %d experts, want %d", g, iter, len(got), len(ref))

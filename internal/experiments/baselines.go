@@ -6,7 +6,7 @@ import (
 
 	"expertfind/internal/analysis"
 	"expertfind/internal/baseline"
-	"expertfind/internal/metrics"
+	"expertfind/internal/dataset"
 	"expertfind/internal/socialgraph"
 )
 
@@ -50,20 +50,14 @@ func RunBaselineComparison(s *System) *BaselineComparison {
 	m2 := baseline.NewModel2(lm)
 
 	evalRanker := func(rank func(analysis.Analyzed, []socialgraph.UserID) []baseline.Scored) Metrics {
-		var aps, rrs, nds, nd10s []float64
-		for _, q := range s.DS.Queries {
+		return meanOver(s.DS.Queries, func(q dataset.Query) (ap, rr, ndcg, ndcg10 float64) {
 			scored := rank(s.need(q), s.DS.Candidates)
 			ranked := make([]socialgraph.UserID, len(scored))
 			for i, sc := range scored {
 				ranked[i] = sc.User
 			}
-			ap, rr, nd, nd10 := s.queryEval(q, ranked)
-			aps = append(aps, ap)
-			rrs = append(rrs, rr)
-			nds = append(nds, nd)
-			nd10s = append(nd10s, nd10)
-		}
-		return Metrics{MAP: metrics.Mean(aps), MRR: metrics.Mean(rrs), NDCG: metrics.Mean(nds), NDCG10: metrics.Mean(nd10s)}
+			return s.queryEval(q, ranked)
+		})
 	}
 
 	return &BaselineComparison{Rows: []BaselineRow{

@@ -73,8 +73,9 @@ func assertSameFind(t *testing.T, label string, sys, ref *System) {
 	}
 	for _, q := range ref.DS.Queries {
 		for _, p := range matrixParams {
-			assertExpertsBitIdentical(t, fmt.Sprintf("%s: query %d k=%d", label, q.ID, p.TopK),
-				sys.Finder.Find(q.Text, p), ref.Finder.Find(q.Text, p))
+			got, _ := sys.Finder.Find(context.Background(), q.Text, p)
+			want, _ := ref.Finder.Find(context.Background(), q.Text, p)
+			assertExpertsBitIdentical(t, fmt.Sprintf("%s: query %d k=%d", label, q.ID, p.TopK), got, want)
 		}
 	}
 }
@@ -122,8 +123,9 @@ func assertSlicesMergeToWhole(t *testing.T, label string, parts []*System, whole
 				t.Fatalf("%s: query %d k=%d: merged matches diverge from the whole build:\n got %v\nwant %v",
 					label, q.ID, p.TopK, merged, wantM)
 			}
+			want, _ := whole.Finder.Find(ctx, q.Text, p)
 			assertExpertsBitIdentical(t, fmt.Sprintf("%s: query %d k=%d RankMerged", label, q.ID, p.TopK),
-				core.RankMerged(merged, p), whole.Finder.Find(q.Text, p))
+				core.RankMerged(merged, p), want)
 		}
 	}
 }

@@ -40,6 +40,25 @@ func (s *System) queryEval(q dataset.Query, ranked []socialgraph.UserID) (ap, rr
 		metrics.NDCG(gains, ideal, 10)
 }
 
+// meanOver evaluates every query in order and averages each of the four
+// measures over them.
+func meanOver(qs []dataset.Query, eval func(dataset.Query) (ap, rr, ndcg, ndcg10 float64)) Metrics {
+	var aps, rrs, ndcgs, ndcg10s []float64
+	for _, q := range qs {
+		ap, rr, nd, nd10 := eval(q)
+		aps = append(aps, ap)
+		rrs = append(rrs, rr)
+		ndcgs = append(ndcgs, nd)
+		ndcg10s = append(ndcg10s, nd10)
+	}
+	return Metrics{
+		MAP:    metrics.Mean(aps),
+		MRR:    metrics.Mean(rrs),
+		NDCG:   metrics.Mean(ndcgs),
+		NDCG10: metrics.Mean(ndcg10s),
+	}
+}
+
 // rankedUsers strips the scores from an expert ranking.
 func rankedUsers(experts []core.ExpertScore) []socialgraph.UserID {
 	out := make([]socialgraph.UserID, len(experts))
@@ -57,21 +76,9 @@ func (s *System) Evaluate(p core.Params) Metrics {
 
 // EvaluateQueries evaluates a subset of queries under params.
 func (s *System) EvaluateQueries(qs []dataset.Query, p core.Params) Metrics {
-	var aps, rrs, ndcgs, ndcg10s []float64
-	for _, q := range qs {
-		experts := s.Finder.FindAnalyzed(s.need(q), p)
-		ap, rr, nd, nd10 := s.queryEval(q, rankedUsers(experts))
-		aps = append(aps, ap)
-		rrs = append(rrs, rr)
-		ndcgs = append(ndcgs, nd)
-		ndcg10s = append(ndcg10s, nd10)
-	}
-	return Metrics{
-		MAP:    metrics.Mean(aps),
-		MRR:    metrics.Mean(rrs),
-		NDCG:   metrics.Mean(ndcgs),
-		NDCG10: metrics.Mean(ndcg10s),
-	}
+	return meanOver(qs, func(q dataset.Query) (ap, rr, ndcg, ndcg10 float64) {
+		return s.queryEval(q, rankedUsers(s.Finder.FindAnalyzed(s.need(q), p)))
+	})
 }
 
 // randomBaselineSeed fixes the baseline sampling across experiments.
@@ -88,29 +95,17 @@ func (s *System) RandomBaseline() Metrics {
 // subset.
 func (s *System) RandomBaselineQueries(qs []dataset.Query) Metrics {
 	r := rand.New(rand.NewSource(randomBaselineSeed))
-	var aps, rrs, ndcgs, ndcg10s []float64
-	for _, q := range qs {
-		var qap, qrr, qnd, qnd10 float64
+	return meanOver(qs, func(q dataset.Query) (ap, rr, ndcg, ndcg10 float64) {
 		const runs = 10
 		for k := 0; k < runs; k++ {
-			ranked := randomRanking(r, s.DS.Candidates, 20)
-			ap, rr, nd, nd10 := s.queryEval(q, ranked)
-			qap += ap
-			qrr += rr
-			qnd += nd
-			qnd10 += nd10
+			kap, krr, knd, knd10 := s.queryEval(q, randomRanking(r, s.DS.Candidates, 20))
+			ap += kap
+			rr += krr
+			ndcg += knd
+			ndcg10 += knd10
 		}
-		aps = append(aps, qap/runs)
-		rrs = append(rrs, qrr/runs)
-		ndcgs = append(ndcgs, qnd/runs)
-		ndcg10s = append(ndcg10s, qnd10/runs)
-	}
-	return Metrics{
-		MAP:    metrics.Mean(aps),
-		MRR:    metrics.Mean(rrs),
-		NDCG:   metrics.Mean(ndcgs),
-		NDCG10: metrics.Mean(ndcg10s),
-	}
+		return ap / runs, rr / runs, ndcg / runs, ndcg10 / runs
+	})
 }
 
 // elevenPointAvg averages per-query 11-point interpolated precision

@@ -7,7 +7,6 @@ import (
 	"expertfind/internal/core"
 	"expertfind/internal/dataset"
 	"expertfind/internal/index"
-	"expertfind/internal/metrics"
 	"expertfind/internal/socialgraph"
 )
 
@@ -45,26 +44,15 @@ func (s *System) windowSweep(dist int) ([]Fig6Point, Metrics) {
 		Alpha:     0.5, // the paper's setting for this experiment
 		Traversal: socialgraph.TraversalOptions{MaxDistance: dist},
 	}
-	type qm struct {
-		q       dataset.Query
-		matches []index.ScoredDoc
-	}
-	qms := make([]qm, len(s.DS.Queries))
-	for i, q := range s.DS.Queries {
-		qms[i] = qm{q: q, matches: s.Finder.Matches(s.need(q), p)}
+	matches := make(map[int][]index.ScoredDoc, len(s.DS.Queries))
+	for _, q := range s.DS.Queries {
+		matches[q.ID] = s.Finder.Matches(s.need(q), p)
 	}
 
 	eval := func(pp core.Params) Metrics {
-		var aps, rrs, nds, nd10s []float64
-		for _, x := range qms {
-			experts := s.Finder.RankFromMatches(x.matches, pp)
-			ap, rr, nd, nd10 := s.queryEval(x.q, rankedUsers(experts))
-			aps = append(aps, ap)
-			rrs = append(rrs, rr)
-			nds = append(nds, nd)
-			nd10s = append(nd10s, nd10)
-		}
-		return Metrics{MAP: metrics.Mean(aps), MRR: metrics.Mean(rrs), NDCG: metrics.Mean(nds), NDCG10: metrics.Mean(nd10s)}
+		return meanOver(s.DS.Queries, func(q dataset.Query) (ap, rr, ndcg, ndcg10 float64) {
+			return s.queryEval(q, rankedUsers(s.Finder.RankFromMatches(matches[q.ID], pp)))
+		})
 	}
 
 	points := make([]Fig6Point, 0, len(fig6Fracs))

@@ -198,8 +198,9 @@ func TestConcurrentFirstHits(t *testing.T) {
 	// score text, so the handler's first hit is the first to.
 	cache := rescache.New(rescache.Options{Capacity: 8})
 	h := NewWithOptions(sys, Options{Cache: cache})
-	if _, status, err := sys.FindCachedContext(context.Background(), "why is copper a good conductor?"); err != nil || status != "miss" {
-		t.Fatalf("filling the entry: %q, %v", status, err)
+	p, _ := expertfind.ResolveParams()
+	if _, status := sys.CoreFinder().Find(context.Background(), "why is copper a good conductor?", p); status != core.CacheMiss {
+		t.Fatalf("filling the entry: %q", status)
 	}
 	const n = 16
 	start := make(chan struct{})

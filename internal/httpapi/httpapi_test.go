@@ -12,8 +12,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"expertfind"
+	"expertfind/internal/corpusio"
+	"expertfind/internal/dataset"
 )
 
 var (
@@ -309,4 +312,77 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
 		t.Fatalf("got %d %q, want a JSON 500", rec.Code, rec.Body.String())
 	}
+}
+
+// TestExplainSnippetCutsOnARune: a snippet is cut at the last rune
+// boundary at or before its byte limit. Every text of a corpus file gets
+// a two-byte letter across bytes 119 and 120 (a short one is padded with
+// spaces, which analysis ignores), so a byte cut would end each snippet
+// inside the letter; the library must hand back valid UTF-8 and the
+// reply must carry no U+FFFD.
+func TestExplainSnippetCutsOnARune(t *testing.T) {
+	const cut = 119 // the letter's first byte; the limit is 120
+	snap := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.1}).Snapshot()
+	for i, r := range snap.Graph.Resources {
+		if text := r.Text + strings.Repeat(" ", max(cut-len(r.Text), 0)); isASCII(text[:cut]) {
+			snap.Graph.Resources[i].Text = text[:cut] + "é" + text[cut:]
+		}
+	}
+	crafted, err := dataset.FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/corpus.json.gz"
+	if err := corpusio.SaveFile(crafted, path); err != nil {
+		t.Fatal(err)
+	}
+	s, err := expertfind.Open(expertfind.Options{CorpusPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	need := "why is copper a good conductor?"
+	experts, err := s.Find(need)
+	if err != nil || len(experts) == 0 {
+		t.Fatalf("find: %v (%d experts)", err, len(experts))
+	}
+	expl, err := s.Explain(need, experts[0].Name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutOnRune := 0
+	for _, ev := range expl.Evidence {
+		if !utf8.ValidString(ev.Snippet) {
+			t.Errorf("snippet %q is not valid UTF-8", ev.Snippet)
+		}
+		if len(ev.Snippet) == cut+len("...") && strings.HasSuffix(ev.Snippet, "...") {
+			cutOnRune++
+		}
+	}
+	if cutOnRune == 0 {
+		t.Fatalf("no snippet was cut before the two-byte letter: %+v", expl.Evidence)
+	}
+
+	h := httptest.NewServer(New(s))
+	defer h.Close()
+	resp, err := http.Get(h.URL + "/v1/explain?top=0&expert=" + url.QueryEscape(experts[0].Name) + "&q=" + url.QueryEscape(need))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d, %v", resp.StatusCode, err)
+	}
+	if bytes.Contains(body, []byte(`\ufffd`)) || bytes.ContainsRune(body, utf8.RuneError) {
+		t.Errorf("reply carries U+FFFD: %s", body)
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }

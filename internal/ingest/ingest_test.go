@@ -331,8 +331,8 @@ func TestRunOnceDifferential(t *testing.T) {
 
 		cold := buildSystem(remote.Graph, shards, nil)
 		for _, q := range installed.Queries[:6] {
-			got := sys.finder.Find(q.Text, params)
-			want := cold.finder.Find(q.Text, params)
+			got, _ := sys.finder.Find(context.Background(), q.Text, params)
+			want, _ := cold.finder.Find(context.Background(), q.Text, params)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d, query %q: live ranking differs from cold rebuild\nlive: %v\ncold: %v",
 					round, q.Text, got, want)
@@ -474,7 +474,7 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 			ing := New(Config{API: reliableAPI(remote.g), Graph: installed.g, Index: sys.ix, Pipe: sys.pipe,
 				Finders: []*core.Finder{sys.finder}, Retry: resilience.RetryPolicy{MaxAttempts: 1}})
 			params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-			want := sys.finder.Find("guitar recording", params)
+			want, _ := sys.finder.Find(context.Background(), "guitar recording", params)
 			var before bytes.Buffer
 			if _, err := sys.ix.WriteTo(&before); err != nil {
 				t.Fatal(err)
@@ -498,7 +498,7 @@ func TestRunOnceAbortChangesNothing(t *testing.T) {
 			}
 			misses := telemetry.Default().Counter("expertfind_traversal_cache_misses_total", "")
 			m0 := misses.Value()
-			if got := sys.finder.Find("guitar recording", params); !reflect.DeepEqual(got, want) {
+			if got, _ := sys.finder.Find(context.Background(), "guitar recording", params); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ranking moved across an aborted round:\n%v\n%v", got, want)
 			}
 			if misses.Value() != m0 {
@@ -536,10 +536,10 @@ func TestScopedInvalidation(t *testing.T) {
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 	warm := func(f *core.Finder, need string) []core.ExpertScore {
 		t.Helper()
-		if _, status := f.FindCachedContext(ctx, need, params); status != core.CacheMiss {
+		if _, status := f.Find(ctx, need, params); status != core.CacheMiss {
 			t.Fatalf("first %q query: status %q, want miss", need, status)
 		}
-		scores, status := f.FindCachedContext(ctx, need, params)
+		scores, status := f.Find(ctx, need, params)
 		if status != core.CacheHit {
 			t.Fatalf("second %q query: status %q, want hit", need, status)
 		}
@@ -566,7 +566,7 @@ func TestScopedInvalidation(t *testing.T) {
 
 	// Pool A, affected need: must miss and recompute exactly what a
 	// cold post-delta system computes.
-	gotA, status := fa.FindCachedContext(ctx, "swimming training", params)
+	gotA, status := fa.Find(ctx, "swimming training", params)
 	if status != core.CacheMiss {
 		t.Errorf("pool A affected need: status %q, want miss", status)
 	}
@@ -574,13 +574,13 @@ func TestScopedInvalidation(t *testing.T) {
 	coldG.SetResourceText(coldG.Resource(installed.docA).ID,
 		"freestyle swimming swimming training at the pool every morning")
 	cold := buildSystem(coldG, 2, []socialgraph.UserID{installed.ua})
-	if want := cold.finder.Find("swimming training", params); !reflect.DeepEqual(gotA, want) {
+	if want, _ := cold.finder.Find(context.Background(), "swimming training", params); !reflect.DeepEqual(gotA, want) {
 		t.Errorf("recomputed pool A ranking differs from cold rebuild\ngot:  %v\nwant: %v", gotA, want)
 	}
 
 	// Pool B cannot reach docA: its entry must still be resident and
 	// still correct.
-	gotB, status := fb.FindCachedContext(ctx, "swimming training", params)
+	gotB, status := fb.Find(ctx, "swimming training", params)
 	if status != core.CacheHit {
 		t.Errorf("pool B untouched group: status %q, want hit", status)
 	}
@@ -589,7 +589,7 @@ func TestScopedInvalidation(t *testing.T) {
 	}
 
 	// Pool A, unrelated need: dims disjoint from the delta, must hit.
-	if _, status := fa.FindCachedContext(ctx, "guitar solo", params); status != core.CacheHit {
+	if _, status := fa.Find(ctx, "guitar solo", params); status != core.CacheHit {
 		t.Errorf("pool A unrelated need: status %q, want hit", status)
 	}
 }
@@ -615,7 +615,7 @@ func TestRoundsPatchTraversals(t *testing.T) {
 	ctx := context.Background()
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
 	need := "swimming training"
-	f.FindCachedContext(ctx, need, params)
+	f.Find(ctx, need, params)
 	rounds := []func(g *fixture){
 		// Update-only rounds run the touched check on the widest table.
 		func(g *fixture) {
@@ -642,7 +642,7 @@ func TestRoundsPatchTraversals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := f.FindCachedContext(ctx, need, params)
+		got, _ := f.Find(ctx, need, params)
 		if i > 0 && (walks.Value() != w0 || misses.Value() != m0) {
 			t.Fatalf("round %d (%+v) and the find after it walked %v candidates and missed %v tables",
 				i, rep, walks.Value()-w0, misses.Value()-m0)
@@ -652,7 +652,7 @@ func TestRoundsPatchTraversals(t *testing.T) {
 		}
 		assertTablesCurrent(t, fmt.Sprintf("round %d", i), f)
 		cold := buildSystem(remote.g, 2, nil)
-		if want := cold.finder.Find(need, params); !reflect.DeepEqual(got, want) {
+		if want, _ := cold.finder.Find(context.Background(), need, params); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: ranking differs from a cold rebuild\ngot:  %v\nwant: %v", i, got, want)
 		}
 	}
@@ -715,7 +715,7 @@ func TestFullPurgeOnCountChange(t *testing.T) {
 
 	ctx := context.Background()
 	params := core.Params{Traversal: socialgraph.TraversalOptions{MaxDistance: 2}}
-	fa.FindCachedContext(ctx, "guitar solo", params)
+	fa.Find(ctx, "guitar solo", params)
 	if cache.Len() == 0 {
 		t.Fatal("warmup stored nothing")
 	}
@@ -731,7 +731,7 @@ func TestFullPurgeOnCountChange(t *testing.T) {
 	if cache.Len() != 0 {
 		t.Errorf("cache still holds %d entries after a count change", cache.Len())
 	}
-	if _, status := fa.FindCachedContext(ctx, "guitar solo", params); status != core.CacheMiss {
+	if _, status := fa.Find(ctx, "guitar solo", params); status != core.CacheMiss {
 		t.Errorf("post-purge query: status %q, want miss", status)
 	}
 }

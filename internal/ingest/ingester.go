@@ -26,11 +26,12 @@ type Config struct {
 	// graph behind API.
 	Graph *socialgraph.Graph
 	// Index is the live index over Graph's analyzable resources;
-	// deltas are applied to it atomically. The segment store
-	// (*index.Store) implements the surface: its deltas land in the
-	// mutable memtable, and reach disk at the next seal when the store
-	// has a directory.
-	Index DeltaIndex
+	// deltas are applied to it atomically: removes, updates and adds
+	// land in the mutable memtable as one step, and reach disk at the
+	// next seal when the store has a directory. Its Has tells a round
+	// which of the resources it removes or updates are indexed, without
+	// analysing their installed texts again.
+	Index *index.Store
 	// Pipe is the analysis pipeline the index was built with.
 	Pipe *analysis.Pipeline
 	// Finders are the query frontends serving over Graph and Index.
@@ -51,15 +52,6 @@ type Config struct {
 	// Tracer, when set, records one trace per round with
 	// fetch/diff/apply/invalidate spans.
 	Tracer *telemetry.Tracer
-}
-
-// DeltaIndex is the live-index surface an ingest delta applies to:
-// removes, updates and adds land as one atomic step. Has tells a round
-// which of the resources it removes or updates are indexed, without
-// analysing their installed texts again.
-type DeltaIndex interface {
-	ApplyDelta(index.Delta)
-	Has(index.DocID) bool
 }
 
 // ScopedCache is the invalidation surface the ingester drives:

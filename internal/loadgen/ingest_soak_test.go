@@ -54,7 +54,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 	ing := ingest.New(ingest.Config{
 		API:     faults.Wrap(remote.Graph, faults.Config{}),
 		Graph:   installed.Graph,
-		Index:   finder.Index().(ingest.DeltaIndex),
+		Index:   finder.Index().(*index.Store),
 		Pipe:    finder.Pipeline(),
 		Finders: []*core.Finder{finder},
 	})
@@ -90,7 +90,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 		}
 		perNeed := make([][]core.ExpertScore, len(w.pool))
 		for i, need := range w.pool {
-			perNeed[i] = cold.Finder.Find(need, params)
+			perNeed[i], _ = cold.Finder.Find(context.Background(), need, params)
 		}
 		expected[r] = perNeed
 	}
@@ -110,7 +110,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 	}()
 
 	target := TargetFunc(func(ctx context.Context, need string) Result {
-		got := finder.FindContext(ctx, need, params)
+		got, _ := finder.Find(ctx, need, params)
 		qi, ok := needIndex[need]
 		if !ok {
 			return Result{Class: Class5xx, Err: fmt.Errorf("need %q outside the hot pool", need)}
@@ -144,7 +144,7 @@ func TestIngestRollingDeltaSoak(t *testing.T) {
 			status.Rounds, status.Updates, rounds)
 	}
 	for i, need := range w.pool {
-		if got := finder.Find(need, params); !reflect.DeepEqual(got, expected[rounds][i]) {
+		if got, _ := finder.Find(context.Background(), need, params); !reflect.DeepEqual(got, expected[rounds][i]) {
 			t.Fatalf("final state: need %d diverged from cold rebuild of the final remote state", i)
 		}
 	}

@@ -102,7 +102,7 @@ func TestSoakLiveIndexGrowth(t *testing.T) {
 	rankings := func() [][]core.ExpertScore {
 		out := make([][]core.ExpertScore, len(w.pool))
 		for i, need := range w.pool {
-			out[i] = sys.Finder.Find(need, params)
+			out[i], _ = sys.Finder.Find(context.Background(), need, params)
 		}
 		return out
 	}
@@ -136,7 +136,7 @@ func TestSoakLiveIndexGrowth(t *testing.T) {
 	}()
 
 	target := TargetFunc(func(ctx context.Context, need string) Result {
-		got := sys.Finder.FindContext(ctx, need, params)
+		got, _ := sys.Finder.Find(ctx, need, params)
 		qi, ok := needIndex[need]
 		if !ok {
 			return Result{Class: Class5xx, Err: fmt.Errorf("need %q outside the hot pool", need)}

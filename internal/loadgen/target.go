@@ -83,7 +83,7 @@ func NewFinderTarget(sys *expertfind.System, top int, opts ...expertfind.FindOpt
 		if err := ctx.Err(); err != nil {
 			return Result{Class: ClassTimeout, Err: err}
 		}
-		experts, cacheStatus, err := sys.FindCachedContext(ctx, need, opts...)
+		r, cacheStatus, err := sys.FindRanking(ctx, need, opts...)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				return Result{Class: ClassTimeout, Err: err}
@@ -93,8 +93,15 @@ func NewFinderTarget(sys *expertfind.System, top int, opts ...expertfind.FindOpt
 		if err := ctx.Err(); err != nil {
 			return Result{Class: ClassTimeout, Err: err}
 		}
-		if top > 0 && len(experts) > top {
-			experts = experts[:top]
+		scores := r.Scores
+		if top > 0 && len(scores) > top {
+			scores = scores[:top]
+		}
+		pool := sys.CoreFinder().Pool()
+		experts := make([]expertfind.Expert, len(scores))
+		for i, es := range scores {
+			name, _ := pool.Name(es.User)
+			experts[i] = expertfind.Expert{Name: name, Score: es.Score, SupportingResources: es.Resources}
 		}
 		b, _ := json.Marshal(experts)
 		return Result{Class: ClassOK, Bytes: len(b), Cache: cacheStatus}

@@ -262,18 +262,18 @@ func TestColdCachedDifferential(t *testing.T) {
 					coldJSON := mustJSON(t, cold)
 
 					sys.SetResultCache(cache.Attach())
-					miss, st, err := sys.FindCachedContext(context.Background(), need, v.opts...)
+					miss, st, err := sys.FindRanking(context.Background(), need, v.opts...)
 					if err != nil || st != "miss" {
 						t.Fatalf("seed %d shards %d %s: fill: status %q err %v", seed, shards, id, st, err)
 					}
-					hit, st, err := sys.FindCachedContext(context.Background(), need, v.opts...)
+					hit, st, err := sys.FindRanking(context.Background(), need, v.opts...)
 					if err != nil || st != "hit" {
 						t.Fatalf("seed %d shards %d %s: reread: status %q err %v", seed, shards, id, st, err)
 					}
-					if !bytes.Equal(coldJSON, mustJSON(t, miss)) {
+					if !bytes.Equal(coldJSON, mustJSON(t, named(sys, miss))) {
 						t.Errorf("seed %d shards %d %s: miss differs from cold", seed, shards, id)
 					}
-					if !bytes.Equal(coldJSON, mustJSON(t, hit)) {
+					if !bytes.Equal(coldJSON, mustJSON(t, named(sys, hit))) {
 						t.Errorf("seed %d shards %d %s: hit differs from cold", seed, shards, id)
 					}
 					if prev, ok := ref[id]; ok {
@@ -287,6 +287,18 @@ func TestColdCachedDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// named names a ranking's experts from the system's candidate pool, as
+// FindContext does.
+func named(sys *expertfind.System, r *core.Ranking) []expertfind.Expert {
+	pool := sys.CoreFinder().Pool()
+	out := make([]expertfind.Expert, len(r.Scores))
+	for i, es := range r.Scores {
+		name, _ := pool.Name(es.User)
+		out[i] = expertfind.Expert{Name: name, Score: es.Score, SupportingResources: es.Resources}
+	}
+	return out
 }
 
 func mustJSON(t *testing.T, v any) []byte {

@@ -122,7 +122,8 @@ func TestReplicaResumesFeed(t *testing.T) {
 		}
 		params, _ := ResolveParams()
 		for _, q := range s.Queries() {
-			got, want := s.inner.Finder.Find(q.Text, params), rebuilt.Finder.Find(q.Text, params)
+			got, _ := s.inner.Finder.Find(context.Background(), q.Text, params)
+			want, _ := rebuilt.Finder.Find(context.Background(), q.Text, params)
 			if len(got) != len(want) {
 				t.Fatalf("query %d: %d experts, the cold rebuild %d", q.ID, len(got), len(want))
 			}
